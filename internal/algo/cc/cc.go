@@ -110,11 +110,11 @@ func newProgram(f *partition.Fragment, shards int) *program {
 func (p *program) KernelRounds() int { return p.rounds }
 
 // kernelShards resolves the shard count for `work` units this round.
-func (p *program) kernelShards(work int64) int {
+func (p *program) kernelShards(ctx *core.Context[int64], work int64) int {
 	if p.shards > 0 {
 		return p.shards
 	}
-	return par.Kernel(work)
+	return ctx.Shards(work)
 }
 
 // PEval finds local components by parallel hook-and-shortcut label
@@ -142,8 +142,8 @@ func (p *program) PEval(ctx *core.Context[int64]) {
 	for _, s := range p.ownedSlots {
 		span += deg(s)
 	}
-	k := p.kernelShards(span)
-	p.bounds = par.ChunksByWork(p.ownedSlots, k, p.bounds, deg)
+	k := p.kernelShards(ctx, span)
+	p.bounds = par.ChunksByWork(p.ownedSlots, k, span, p.bounds, deg)
 
 	var work int64
 	for {
@@ -266,7 +266,7 @@ func (p *program) sendCopies(ctx *core.Context[int64], k int) {
 // propagates every decrease to the owners of the copies linked to the
 // changed roots — the bounded incremental step of Figure 3.
 func (p *program) IncEval(msgs []core.VMsg[int64], ctx *core.Context[int64]) {
-	k := p.kernelShards(int64(len(msgs)))
+	k := p.kernelShards(ctx, int64(len(msgs)))
 	p.changed.EnsureShards(k)
 	par.Do(k, func(w int) {
 		lo, hi := w*len(msgs)/k, (w+1)*len(msgs)/k
@@ -295,8 +295,8 @@ func (p *program) IncEval(msgs []core.VMsg[int64], ctx *core.Context[int64]) {
 	for _, r := range roots {
 		span += copies(r)
 	}
-	kk := p.kernelShards(span)
-	p.bounds = par.ChunksByWork(roots, kk, p.bounds, copies)
+	kk := p.kernelShards(ctx, span)
+	p.bounds = par.ChunksByWork(roots, kk, span, p.bounds, copies)
 	if kk <= 1 {
 		for _, r := range roots {
 			ctx.AddWork(len(p.copiesOf[r]))

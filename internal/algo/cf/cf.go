@@ -261,7 +261,7 @@ func (p *program) ship(ctx *core.Context[Val]) {
 	nOut := len(p.f.Out)
 	k := p.cfg.Shards
 	if k == 0 {
-		k = par.Kernel(int64(nOut) * int64(p.cfg.Rank))
+		k = ctx.Shards(int64(nOut) * int64(p.cfg.Rank))
 	}
 	sendCopy := func(send func(v int32, val Val), i int) {
 		v := p.f.Out[i]

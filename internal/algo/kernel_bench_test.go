@@ -75,13 +75,25 @@ func BenchmarkKernelCC(b *testing.B) {
 	}
 }
 
+// BenchmarkKernelPageRank has two inputs. The power-law rows are the
+// shard axis of BENCH_PR4. The road rows are the case the engine runs
+// most — a dense lattice fragment the size of one of eight fragments of
+// benchmark/'s rounds_pagerank_road, at the default Tol — and exist to
+// keep "an unsharded round costs no more than the reference's" a
+// visible row: road/shards=1 must not be slower than road/ref.
 func BenchmarkKernelPageRank(b *testing.B) {
-	g := gen.PowerLaw(40000, 8, 2.1, false, 5)
-	p := benchFragment(b, g)
+	p := benchFragment(b, gen.PowerLaw(40000, 8, 2.1, false, 5))
 	b.Run("ref", func(b *testing.B) { benchKernel(b, p, pagerank.RefJob(pagerank.Config{Tol: 1e-4})) })
 	for _, k := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("shards=%d", k), func(b *testing.B) {
 			benchKernel(b, p, pagerank.Job(pagerank.Config{Tol: 1e-4, Shards: k}))
+		})
+	}
+	road := benchFragment(b, gen.RoadNet(250, 245, 5))
+	b.Run("road/ref", func(b *testing.B) { benchKernel(b, road, pagerank.RefJob(pagerank.Config{})) })
+	for _, k := range []int{1, 2} {
+		b.Run(fmt.Sprintf("road/shards=%d", k), func(b *testing.B) {
+			benchKernel(b, road, pagerank.Job(pagerank.Config{Shards: k}))
 		})
 	}
 }

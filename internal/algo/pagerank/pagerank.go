@@ -8,14 +8,15 @@
 //
 // The kernel is round-based and deterministic by construction, because
 // floating-point sums remember their addition order: each round consumes
-// the frontier (owned slots whose pending delta crossed Tol) in sorted
-// slot order and applies the pushed shares in that same canonical order.
-// The parallel kernel shards the sweep into contiguous frontier chunks
-// and stages each chunk's shares into per-(source-shard, dest-shard)
-// buckets; the apply phase walks every destination shard's buckets in
-// source-shard order, which replays the exact per-slot addition sequence
-// of the sequential reference — bit-identical results at any shard
-// count.
+// the frontier (owned slots whose pending delta crossed Tol) in
+// ascending slot order and applies the pushed shares in that same
+// canonical order. An unsharded round pushes directly. A sharded round
+// splits the sweep into contiguous frontier chunks and stages each
+// chunk's shares into per-(source-shard, dest-shard) buckets; the apply
+// phase walks every destination shard's buckets in source-shard order,
+// which replays the exact per-slot addition sequence of the direct push
+// — bit-identical results at any shard count, so the count is picked
+// per round (core.Context.Shards) from the work and the idle cores.
 package pagerank
 
 import (
@@ -34,10 +35,8 @@ type Config struct {
 	// parked instead of propagated; 1e-6 when zero. The total parked
 	// residual bounds the L1 error of the fixpoint.
 	Tol float64
-	// Shards forces the kernel shard count: >= 1 runs the parallel
-	// kernel with exactly that many shards (1 exercises it
-	// single-threaded), 0 picks automatically — parallel when the
-	// fragment has enough edges, the sequential reference otherwise.
+	// Shards forces the kernel shard count of every round when >= 1;
+	// 0 picks per round (core.Context.Shards).
 	Shards int
 }
 
@@ -55,13 +54,8 @@ func (c Config) withDefaults() Config {
 func Job(cfg Config) core.Job[float64] {
 	cfg = cfg.withDefaults()
 	return core.Job[float64]{
-		Name: "pagerank",
-		New: func(f *partition.Fragment) core.Program[float64] {
-			if cfg.Shards == 0 && par.Kernel(f.Graph().OutSpan(f.Lo, f.Hi)) <= 1 {
-				return newRefProgram(f, cfg)
-			}
-			return newProgram(f, cfg)
-		},
+		Name:      "pagerank",
+		New:       func(f *partition.Fragment) core.Program[float64] { return newProgram(f, cfg) },
 		Aggregate: func(a, b float64) float64 { return a + b },
 		Bytes:     func(float64) int { return 8 },
 		EncodeVal: codec.AppendFloat64,
@@ -83,10 +77,10 @@ func RefJob(cfg Config) core.Job[float64] {
 	}
 }
 
-// program is the parallel kernel. score and delta are plain slices:
-// every phase partitions its writes (frontier chunks own their consumed
-// slots, destination shards own their slot ranges) and par.Do's barrier
-// orders the phases, so no atomics are needed on the accumulators.
+// program is the kernel. score and delta are plain slices: every phase
+// partitions its writes (frontier chunks own their consumed slots,
+// destination shards own their slot words) and par.Do's barrier orders
+// the phases, so no atomics are needed on the accumulators.
 type program struct {
 	f   *partition.Fragment
 	g   *graph.Graph
@@ -95,12 +89,14 @@ type program struct {
 	score []float64
 	delta []float64
 
-	// fr is the worklist of owned slots admitted above Tol: admissions
-	// stage per shard, and the sorted Advance at each round start makes
+	// fr is the worklist of owned slots admitted above Tol. Every
+	// admission comes from the one goroutine that owns the slot's bitmap
+	// word (AddOwned), and the ordered Advance at each round start makes
 	// the consume order canonical for any shard count.
 	fr      *par.Frontier
+	maxSpan int64       // span of a round over every owned slot
+	xs      []float64   // consumed pending mass of an unsharded round
 	buckets [][]contrib // (source shard × dest shard) share staging
-	xs      []float64   // consumed pending mass for the 1-shard path
 	bounds  []int
 	work    []int64
 	rounds  int
@@ -110,9 +106,10 @@ func newProgram(f *partition.Fragment, cfg Config) *program {
 	n := f.Slots()
 	return &program{
 		f: f, g: f.Graph(), cfg: cfg,
-		score: make([]float64, n),
-		delta: make([]float64, n),
-		fr:    par.NewFrontier(f.NumOwned(), 1),
+		score:   make([]float64, n),
+		delta:   make([]float64, n),
+		fr:      par.NewFrontier(f.NumOwned(), 1),
+		maxSpan: f.Graph().OutSpan(f.Lo, f.Hi) + int64(f.NumOwned()),
 	}
 }
 
@@ -149,62 +146,66 @@ func (p *program) Get(v int32) float64 {
 	return p.score[s] + p.delta[s]
 }
 
-// add accumulates a delta on local slot s from the owning goroutine and
-// admits owned slots crossing Tol to the frontier's shard-0 staging
-// list (sequential callers only).
+// add accumulates a delta on local slot s and admits owned slots
+// crossing Tol to the frontier (sequential callers only).
 func (p *program) add(s int32, d float64) {
 	p.delta[s] += d
-	if s < int32(p.f.NumOwned()) && p.delta[s] > p.cfg.Tol {
-		p.fr.Add(0, s)
+	if s < int32(p.f.NumOwned()) {
+		p.fr.AddOwned(s, p.delta[s] > p.cfg.Tol)
 	}
 }
 
 // kernelShards resolves the shard count for `work` units this round.
-func (p *program) kernelShards(work int64) int {
+func (p *program) kernelShards(ctx *core.Context[float64], work int64) int {
 	if p.cfg.Shards > 0 {
 		return p.cfg.Shards
 	}
-	return par.Kernel(work)
+	return ctx.Shards(work)
 }
 
-// run executes rounds until the frontier drains. Each round has two
-// barrier-separated parallel phases:
+// run executes rounds until the frontier drains. Every round consumes
+// the frontier in ascending slot order (score += x, delta = 0) and then
+// pushes each consumed x along the out-edges in that same order. An
+// unsharded round does exactly that (runSeqRound). A k-shard round does
+// it in two barrier-separated parallel phases:
 //
-//	sweep  — frontier chunk w consumes its slots in order (score += x,
-//	         delta = 0) and stages each pushed share into bucket (w, d)
-//	         where d = ⌊slot·k/n⌋ keys the destination shard;
+//	sweep  — frontier chunk w consumes its slots in order and stages each
+//	         pushed share into bucket (w, d), where d keys the
+//	         destination shard by the slot's 64-slot word;
 //	apply  — destination shard d applies buckets (0,d), (1,d), …, (k-1,d)
 //	         sequentially, so the additions landing on any slot replay
-//	         the frontier-order sequence of the sequential reference.
+//	         the frontier-order sequence of the direct push.
 //
-// Advancing the frontier resets its dedup set before any slot is
-// consumed, which is equivalent to the reference's unmark-at-consume:
-// admissions only ever happen in the apply half, after every
-// current-frontier slot has been consumed.
+// Advancing the frontier clears its dedup bitmap before any slot is
+// consumed, which is equivalent to unmark-at-consume: admissions only
+// ever happen in the push half, after every current-frontier slot has
+// been consumed.
 func (p *program) run(ctx *core.Context[float64]) {
-	n := len(p.delta)
-	owned := int32(p.f.NumOwned())
+	nwords := par.Words(len(p.delta))
+	owned, tol := int32(p.f.NumOwned()), p.cfg.Tol
+	deg := func(s int32) int64 { return int64(p.g.OutDegree(p.f.Lo+s)) + 1 }
 	for {
-		frontier := p.fr.Advance(true) // sorted: canonical for any shard count
+		frontier := p.fr.Advance(true) // ascending: canonical for any shard count
 		if len(frontier) == 0 {
 			return
 		}
 		p.rounds++
 
-		deg := func(s int32) int64 { return int64(p.g.OutDegree(p.f.Lo+s)) + 1 }
+		// No round spans more than maxSpan, so when even that much work
+		// would run unsharded the frontier's degrees need no summing.
 		var span int64
-		for _, s := range frontier {
-			span += deg(s)
+		k := p.kernelShards(ctx, p.maxSpan)
+		if k > 1 {
+			for _, s := range frontier {
+				span += deg(s)
+			}
+			k = p.kernelShards(ctx, span)
 		}
-		k := p.kernelShards(span)
 		if k <= 1 {
-			// Single-shard rounds push directly, two passes in frontier
-			// order — the reference discipline, no bucket staging.
 			p.runSeqRound(frontier, ctx)
 			continue
 		}
-		p.fr.EnsureShards(k)
-		p.bounds = par.ChunksByWork(frontier, k, p.bounds, deg)
+		p.bounds = par.ChunksByWork(frontier, k, span, p.bounds, deg)
 		for len(p.buckets) < k*k {
 			p.buckets = append(p.buckets, nil)
 		}
@@ -234,7 +235,7 @@ func (p *program) run(ctx *core.Context[float64]) {
 				share := p.cfg.Damping * x / float64(len(out))
 				for _, u := range out {
 					if us := p.f.Slot(u); us >= 0 {
-						d := int(us) * k / n
+						d := par.WordShard(us, k, nwords)
 						row[d] = append(row[d], contrib{slot: us, val: share})
 					}
 				}
@@ -248,16 +249,17 @@ func (p *program) run(ctx *core.Context[float64]) {
 		ctx.AddWork(int(units))
 
 		// Apply phase: all contributions for a slot land in the single
-		// bucket column d = ⌊slot·k/n⌋, so shard d is the only writer of
-		// that slot — that keying, not a contiguous range split, is the
-		// write-disjointness invariant. Walking the column in source
-		// order replays the sequential addition sequence.
+		// bucket column d = WordShard(slot), so shard d is the only
+		// writer of that slot and of its frontier bitmap word — that
+		// keying is the write-disjointness invariant. Walking the column
+		// in source order replays the sequential addition sequence.
 		par.Do(k, func(d int) {
 			for w := 0; w < k; w++ {
 				for _, c := range p.buckets[w*k+d] {
-					p.delta[c.slot] += c.val
-					if c.slot < owned && p.delta[c.slot] > p.cfg.Tol {
-						p.fr.Add(d, c.slot)
+					x := p.delta[c.slot] + c.val
+					p.delta[c.slot] = x
+					if c.slot < owned {
+						p.fr.AddOwned(c.slot, x > tol)
 					}
 				}
 			}
@@ -265,11 +267,11 @@ func (p *program) run(ctx *core.Context[float64]) {
 	}
 }
 
-// runSeqRound consumes the sorted frontier and pushes its shares
-// directly in frontier order — bit-identical to the staged two-phase
-// round at any shard count, without the bucket traffic.
+// runSeqRound is the unsharded round: consume the ascending frontier,
+// then push its shares directly in frontier order — bit-identical to the
+// staged two-phase round at any shard count, without the bucket traffic.
 func (p *program) runSeqRound(frontier []int32, ctx *core.Context[float64]) {
-	owned := int32(p.f.NumOwned())
+	owned, tol := int32(p.f.NumOwned()), p.cfg.Tol
 	xs := p.xs[:0]
 	for _, s := range frontier {
 		x := p.delta[s]
@@ -292,9 +294,10 @@ func (p *program) runSeqRound(frontier []int32, ctx *core.Context[float64]) {
 			if us < 0 {
 				continue
 			}
-			p.delta[us] += share
-			if us < owned && p.delta[us] > p.cfg.Tol {
-				p.fr.Add(0, us)
+			x := p.delta[us] + share
+			p.delta[us] = x
+			if us < owned {
+				p.fr.AddOwned(us, x > tol)
 			}
 		}
 	}

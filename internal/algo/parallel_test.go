@@ -95,13 +95,17 @@ func kernelRounds[T any](t *testing.T, p *partition.Partitioned, job core.Job[T]
 }
 
 // testGraphs are the shared differential corpora: a heavy-tailed graph
-// (hub contention on the atomic mins), a grid (deep frontiers), and a
-// small random weighted graph (ragged partitions).
+// (hub contention on the atomic mins), a grid (deep frontiers), a small
+// random weighted graph (ragged partitions), and a road lattice (high
+// diameter: PageRank's mass drains through long tails of rounds whose
+// frontier is a few scattered slots). No vertex count is a multiple of
+// 64, so every frontier bitmap ends in a partial word.
 func diffGraphs() map[string]*graph.Graph {
 	return map[string]*graph.Graph{
 		"powerlaw": gen.PowerLaw(600, 6, 2.1, true, 11),
 		"grid":     gen.Grid(28, 28, 13),
 		"random":   gen.Random(150, 700, true, 17),
+		"road":     gen.RoadNet(23, 19, 19),
 	}
 }
 
@@ -145,10 +149,16 @@ func TestCCParallelKernelMatchesRef(t *testing.T) {
 	}
 }
 
-// TestPageRankParallelKernelMatchesRef: the parallel edge sweep's
-// (source-shard, dest-shard) staging must replay the sequential
-// contribution order exactly — a sum fixpoint, so any reordering would
-// change low-order bits and fail this test.
+// pagerankShardCounts adds the production setting (0: picked per round)
+// to the forced axis: pagerank.Job builds the one kernel either way.
+var pagerankShardCounts = append([]int{0}, kernelShardCounts...)
+
+// TestPageRankParallelKernelMatchesRef: the direct push of an unsharded
+// round and the (source-shard, dest-shard) staging of a sharded one
+// must both replay the reference's contribution order exactly — a sum
+// fixpoint, so any reordering would change low-order bits and fail this
+// test. The tight tolerance is the long-tail case: hundreds of rounds
+// after the bulk has converged.
 func TestPageRankParallelKernelMatchesRef(t *testing.T) {
 	for name, g := range diffGraphs() {
 		p, err := partition.Build(g, 1, partition.Hash{})
@@ -157,7 +167,7 @@ func TestPageRankParallelKernelMatchesRef(t *testing.T) {
 		}
 		for _, tol := range []float64{1e-6, 1e-10} {
 			want := peval(t, p, pagerank.RefJob(pagerank.Config{Tol: tol}))
-			for _, k := range kernelShardCounts {
+			for _, k := range pagerankShardCounts {
 				got := peval(t, p, pagerank.Job(pagerank.Config{Tol: tol, Shards: k}))
 				bitsEqualF64(t, fmt.Sprintf("pagerank/%s/tol=%g/shards=%d", name, tol, k), got, want)
 			}
@@ -201,14 +211,25 @@ func TestParallelKernelsMatchRefUnderSim(t *testing.T) {
 
 		wantS := simValues(t, p, sssp.RefJob(0))
 		wantC := simValues(t, pu, cc.RefJob())
-		wantP := simValues(t, p, pagerank.RefJob(pagerank.Config{Tol: 1e-8}))
 		for _, k := range kernelShardCounts {
 			bitsEqualF64(t, fmt.Sprintf("sim/sssp/m=%d/shards=%d", m, k),
 				simValues(t, p, sssp.JobShards(0, k)), wantS)
 			equalI64(t, fmt.Sprintf("sim/cc/m=%d/shards=%d", m, k),
 				simValues(t, pu, cc.JobShards(k)), wantC)
-			bitsEqualF64(t, fmt.Sprintf("sim/pagerank/m=%d/shards=%d", m, k),
-				simValues(t, p, pagerank.Job(pagerank.Config{Tol: 1e-8, Shards: k})), wantP)
+		}
+
+		// PageRank also on the road lattice, whose fragments keep
+		// trading small deltas long after the bulk has converged.
+		road, err := partition.Build(gen.RoadNet(23, 19, 19), m, partition.BFSLocality{Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, pp := range map[string]*partition.Partitioned{"powerlaw": p, "road": road} {
+			wantP := simValues(t, pp, pagerank.RefJob(pagerank.Config{Tol: 1e-8}))
+			for _, k := range pagerankShardCounts {
+				bitsEqualF64(t, fmt.Sprintf("sim/pagerank/%s/m=%d/shards=%d", name, m, k),
+					simValues(t, pp, pagerank.Job(pagerank.Config{Tol: 1e-8, Shards: k})), wantP)
+			}
 		}
 	}
 }
@@ -285,16 +306,22 @@ func TestParallelKernelsUnderEngine(t *testing.T) {
 		}
 	}
 
+	// The engine folds messages in arrival order, so its PageRank is
+	// compared within tolerance; what this adds over the bit-exact tests
+	// above is the race detector watching the word-keyed apply phase and
+	// the per-round shard choice under real concurrency.
 	wantP := ref.PageRank(g, 0.85, 1e-10, 1000)
-	resP, err := core.Run(p, pagerank.Job(pagerank.Config{Tol: 1e-10, Shards: 3}), core.Options{Mode: core.AAP})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := 0; v < g.NumVertices(); v++ {
-		id := p.G.IDOf(int32(v))
-		orig, _ := g.IndexOf(id)
-		if d := math.Abs(resP.Values[v] - wantP[orig]); d > 1e-6 {
-			t.Fatalf("engine pagerank vertex %d: |Δ|=%g", id, d)
+	for _, k := range pagerankShardCounts {
+		resP, err := core.Run(p, pagerank.Job(pagerank.Config{Tol: 1e-10, Shards: k}), core.Options{Mode: core.AAP})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v := 0; v < g.NumVertices(); v++ {
+			id := p.G.IDOf(int32(v))
+			orig, _ := g.IndexOf(id)
+			if d := math.Abs(resP.Values[v] - wantP[orig]); d > 1e-6 {
+				t.Fatalf("engine pagerank shards=%d vertex %d: |Δ|=%g", k, id, d)
+			}
 		}
 	}
 }

@@ -173,11 +173,11 @@ func (p *deltaProgram) Get(v int32) float64 {
 }
 
 // kernelShards resolves the shard count for `work` units this phase.
-func (p *deltaProgram) kernelShards(work int64) int {
+func (p *deltaProgram) kernelShards(ctx *core.Context[float64], work int64) int {
 	if p.shards > 0 {
 		return p.shards
 	}
-	return par.Kernel(work)
+	return ctx.Shards(work)
 }
 
 // sweep drains buckets to the local fixpoint. Per bucket: the light
@@ -221,9 +221,9 @@ func (p *deltaProgram) relaxPhase(ctx *core.Context[float64], items []int32, lig
 	for _, s := range items {
 		span += deg(s)
 	}
-	k := p.kernelShards(span)
+	k := p.kernelShards(ctx, span)
 	p.bk.EnsureShards(k)
-	p.bounds = par.ChunksByWork(items, k, p.bounds, deg)
+	p.bounds = par.ChunksByWork(items, k, span, p.bounds, deg)
 	if cap(p.scanned) < k {
 		p.scanned = make([]int64, k)
 	}
@@ -280,5 +280,5 @@ func (p *deltaProgram) relax(u int32, nd float64, w int, owned int32) {
 // flushBorder ships the distances of copies improved since the last
 // flush.
 func (p *deltaProgram) flushBorder(ctx *core.Context[float64]) {
-	flushAtomicCopies(ctx, p.f, p.dist, p.copyChanged, p.kernelShards(int64(len(p.f.Out))))
+	flushAtomicCopies(ctx, p.f, p.dist, p.copyChanged, p.kernelShards(ctx, int64(len(p.f.Out))))
 }

@@ -189,11 +189,11 @@ func (p *multiProgram) Get(v int32) []float64 {
 	return out
 }
 
-func (p *multiProgram) kernelShards(work int64) int {
+func (p *multiProgram) kernelShards(ctx *core.Context[[]float64], work int64) int {
 	if p.shards > 0 {
 		return p.shards
 	}
-	return par.Kernel(work)
+	return ctx.Shards(work)
 }
 
 // sweep expands the union frontier to the local fixpoint: one CSR row
@@ -211,9 +211,9 @@ func (p *multiProgram) sweep(ctx *core.Context[[]float64]) {
 		for _, s := range items {
 			span += deg(s)
 		}
-		k := p.kernelShards(span)
+		k := p.kernelShards(ctx, span)
 		p.fr.EnsureShards(k)
-		p.bounds = par.ChunksByWork(items, k, p.bounds, deg)
+		p.bounds = par.ChunksByWork(items, k, span, p.bounds, deg)
 		if cap(p.edges) < k {
 			p.edges = make([]int64, k)
 		}
@@ -298,7 +298,7 @@ func (p *multiProgram) flushBorder(ctx *core.Context[[]float64]) {
 		}
 		send(p.f.Out[i], vec)
 	}
-	k := p.kernelShards(int64(nOut) * int64(p.k))
+	k := p.kernelShards(ctx, int64(nOut)*int64(p.k))
 	if k <= 1 {
 		for i := range p.f.Out {
 			if p.copyChanged.Marked(int32(i)) {

@@ -269,11 +269,11 @@ func (p *program) Get(v int32) float64 {
 }
 
 // kernelShards resolves the shard count for `work` units this round.
-func (p *program) kernelShards(work int64) int {
+func (p *program) kernelShards(ctx *core.Context[float64], work int64) int {
 	if p.shards > 0 {
 		return p.shards
 	}
-	return par.Kernel(work)
+	return ctx.Shards(work)
 }
 
 // sweep runs frontier rounds to the local fixpoint: each round expands
@@ -293,9 +293,9 @@ func (p *program) sweep(ctx *core.Context[float64]) {
 		for _, s := range items {
 			span += deg(s)
 		}
-		k := p.kernelShards(span)
+		k := p.kernelShards(ctx, span)
 		p.fr.EnsureShards(k)
-		p.bounds = par.ChunksByWork(items, k, p.bounds, deg)
+		p.bounds = par.ChunksByWork(items, k, span, p.bounds, deg)
 		if cap(p.edges) < k {
 			p.edges = make([]int64, k)
 		}
@@ -347,7 +347,7 @@ func (p *program) relax(u int32, nd float64, w int, owned int32) {
 // flushBorder ships the distances of copies improved since the last
 // flush.
 func (p *program) flushBorder(ctx *core.Context[float64]) {
-	flushAtomicCopies(ctx, p.f, p.dist, p.copyChanged, p.kernelShards(int64(len(p.f.Out))))
+	flushAtomicCopies(ctx, p.f, p.dist, p.copyChanged, p.kernelShards(ctx, int64(len(p.f.Out))))
 }
 
 // flushAtomicCopies ships the distances of F.O copies marked in changed,

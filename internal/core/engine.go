@@ -144,6 +144,7 @@ func run[T any](p *partition.Partitioned, job Job[T], opts Options, rs *resumeSt
 		w.flushCh = make(chan flushOut[T], 1)
 		w.spareCh = make(chan [][]VMsg[T], 2)
 		w.frng = rand.New(rand.NewSource(opts.Seed + int64(i)*7919 + 104729))
+		w.ctx.computing = e.slots
 		e.workers[i] = w
 	}
 	if e.ckpt != nil {

@@ -3,6 +3,9 @@ package core_test
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -13,6 +16,7 @@ import (
 	"aap/internal/core"
 	"aap/internal/gen"
 	"aap/internal/graph"
+	"aap/internal/par"
 	"aap/internal/partition"
 )
 
@@ -286,6 +290,93 @@ func TestPhysicalWorkerLimit(t *testing.T) {
 		got, w := res.Values[v], want[orig]
 		if got != w && !(math.IsInf(got, 1) && math.IsInf(w, 1)) {
 			t.Fatalf("vertex %d: got %v want %v", id, got, w)
+		}
+	}
+}
+
+// budgetProbe records what ctx.Shards answers for an unbounded amount
+// of work while `hold` workers are inside PEval at once: the first
+// `hold` arrivals wait for each other before asking and again before
+// leaving, so each of them asks with exactly `hold` workers computing.
+type budgetProbe struct {
+	f       *partition.Fragment
+	arrived *atomic.Int32
+	hold    int32
+	in, out *sync.WaitGroup
+	got     []int
+}
+
+func (b *budgetProbe) PEval(ctx *core.Context[float64]) {
+	if b.arrived.Add(1) > b.hold {
+		return
+	}
+	b.in.Done()
+	b.in.Wait()
+	b.got[b.f.ID] = ctx.Shards(math.MaxInt64 / 2)
+	b.out.Done()
+	b.out.Wait()
+}
+
+func (b *budgetProbe) IncEval([]core.VMsg[float64], *core.Context[float64]) {}
+func (b *budgetProbe) Get(int32) float64                                    { return 0 }
+
+// TestShardsBudget pins the kernel fan-out budget: fragments × shards
+// stays within GOMAXPROCS. With as many workers computing as there are
+// cores every kernel pass is unsharded, however many fragments there
+// are; a lone worker gets what par.Kernel alone would pick; and a
+// forced count (par.Override) is never capped.
+func TestShardsBudget(t *testing.T) {
+	const procs = 4
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	g := gen.Grid(12, 12, 5)
+	probe := func(t *testing.T, m int) []int {
+		t.Helper()
+		p := mustPartition(t, g, m, partition.Hash{})
+		hold := min(m, procs)
+		var arrived atomic.Int32
+		var in, out sync.WaitGroup
+		in.Add(hold)
+		out.Add(hold)
+		got := make([]int, m)
+		job := core.Job[float64]{
+			Name: "budget",
+			New: func(f *partition.Fragment) core.Program[float64] {
+				return &budgetProbe{f: f, arrived: &arrived, hold: int32(hold), in: &in, out: &out, got: got}
+			},
+			Aggregate: math.Min,
+		}
+		if _, err := core.Run(p, job, core.Options{Timeout: 30 * time.Second}); err != nil {
+			t.Fatal(err)
+		}
+		asked := got[:0]
+		for _, k := range got {
+			if k != 0 {
+				asked = append(asked, k)
+			}
+		}
+		if len(asked) != hold {
+			t.Fatalf("M=%d: %d workers asked, want %d", m, len(asked), hold)
+		}
+		return asked
+	}
+	for _, m := range []int{procs, 2 * procs} {
+		for _, k := range probe(t, m) {
+			if k != 1 {
+				t.Errorf("M=%d with %d workers computing: ctx.Shards = %d, want 1", m, procs, k)
+			}
+		}
+	}
+	if k, want := probe(t, 1)[0], par.Kernel(math.MaxInt64/2); k != want || want != procs {
+		t.Errorf("M=1: ctx.Shards = %d, par.Kernel = %d, want both %d", k, want, procs)
+	}
+	if k := probe(t, 2)[0]; k != procs/2 {
+		t.Errorf("M=2: ctx.Shards = %d, want %d", k, procs/2)
+	}
+	par.Override = 3
+	defer func() { par.Override = 0 }()
+	for _, k := range probe(t, procs) {
+		if k != 3 {
+			t.Errorf("par.Override = 3 with %d workers computing: ctx.Shards = %d, want 3", procs, k)
 		}
 	}
 }

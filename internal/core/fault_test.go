@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -14,6 +15,7 @@ import (
 	"aap/internal/algo/sssp"
 	"aap/internal/core"
 	"aap/internal/gen"
+	"aap/internal/par"
 	"aap/internal/partition"
 )
 
@@ -230,10 +232,15 @@ func TestDropLiveness(t *testing.T) {
 	}
 }
 
-// bomb panics in IncEval: satellite regression test that a worker panic
-// is contained into a run error naming the worker instead of crashing
-// the process.
-type bomb struct{ f *partition.Fragment }
+// bomb panics in IncEval — on the worker's own goroutine, or inside
+// shard `shard` of a par.Do phase when shard >= 0: regression test that
+// a kernel panic is contained into a run error naming the worker and
+// round instead of crashing the process, wherever the kernel was when
+// it blew up.
+type bomb struct {
+	f     *partition.Fragment
+	shard int
+}
 
 func (b *bomb) PEval(ctx *core.Context[float64]) {
 	for _, v := range b.f.Out {
@@ -242,7 +249,14 @@ func (b *bomb) PEval(ctx *core.Context[float64]) {
 }
 
 func (b *bomb) IncEval(msgs []core.VMsg[float64], ctx *core.Context[float64]) {
-	panic("kaboom")
+	if b.shard < 0 {
+		panic("kaboom")
+	}
+	par.Do(3, func(w int) {
+		if w == b.shard {
+			panic("kaboom")
+		}
+	})
 }
 
 func (b *bomb) Get(int32) float64 { return 0 }
@@ -250,20 +264,20 @@ func (b *bomb) Get(int32) float64 { return 0 }
 func TestWorkerPanicContained(t *testing.T) {
 	g := gen.Grid(10, 10, 2)
 	p := mustPartition(t, g, 2, partition.Hash{})
-	job := core.Job[float64]{
-		Name:      "bomb",
-		New:       func(f *partition.Fragment) core.Program[float64] { return &bomb{f: f} },
-		Aggregate: math.Min,
-	}
-	_, err := core.Run(p, job, core.Options{Timeout: 30 * time.Second})
-	if err == nil {
-		t.Fatal("panicking worker produced no error")
-	}
-	if !strings.Contains(err.Error(), "panicked") || !strings.Contains(err.Error(), "kaboom") {
-		t.Fatalf("panic not attributed: %v", err)
-	}
-	if !strings.Contains(err.Error(), "worker") {
-		t.Fatalf("error does not name the worker: %v", err)
+	for _, shard := range []int{-1, 0, 2} {
+		job := core.Job[float64]{
+			Name:      "bomb",
+			New:       func(f *partition.Fragment) core.Program[float64] { return &bomb{f: f, shard: shard} },
+			Aggregate: math.Min,
+		}
+		_, err := core.Run(p, job, core.Options{Timeout: 30 * time.Second})
+		if err == nil {
+			t.Fatalf("shard %d: panicking worker produced no error", shard)
+		}
+		// Every worker's first IncEval is its round 1.
+		if ok, _ := regexp.MatchString(`worker [01] panicked at round 1: kaboom`, err.Error()); !ok {
+			t.Fatalf("shard %d: panic not attributed to a worker and round: %v", shard, err)
+		}
 	}
 }
 

@@ -18,6 +18,7 @@ import (
 	"sync"
 
 	"aap/internal/codec"
+	"aap/internal/par"
 	"aap/internal/partition"
 )
 
@@ -167,6 +168,11 @@ type Context[T any] struct {
 	// (stage.go), reused across rounds.
 	stages []*Stage[T]
 
+	// computing is the engine's physical-worker pool: its length is the
+	// number of workers inside a round right now, this one included.
+	// Nil for contexts no engine pool admits (simulator, remote hosts).
+	computing <-chan struct{}
+
 	pool *msgPool[T]
 }
 
@@ -224,6 +230,16 @@ func (c *Context[T]) SendTo(j int, v int32, val T) {
 // AddWork reports n units of work (vertices touched, edges relaxed) for
 // the cost model and the stale-computation metric.
 func (c *Context[T]) AddWork(n int) { c.work += int64(n) }
+
+// Shards returns the shard count for an intra-fragment kernel pass over
+// `work` units: par.Kernel(work), capped by this worker's share of the
+// cores — GOMAXPROCS divided by the workers computing at this moment —
+// so that fragments × shards stays within the machine. With as many
+// workers busy as there are cores every pass runs unsharded; a lone
+// straggler, or a one-fragment run, fans out over the idle cores. The
+// share is read per call, so a long local fixpoint picks up cores as
+// its peers finish.
+func (c *Context[T]) Shards(work int64) int { return par.KernelShare(work, len(c.computing)) }
 
 // NewEngineContext, SetRound, TakeOut and ReleaseOut expose the context
 // plumbing to engines outside this package (the virtual-time simulator);

@@ -1,16 +1,18 @@
 // Frontier/worklist primitives for the intra-fragment parallel compute
-// plane: a sharded frontier with a generation-stamped dedup set, work-
-// balanced chunking of item lists for edge-range sweeps over CSR rows,
-// and the atomic-min hooks the kernels relax with.
+// plane: a sharded frontier deduplicated by a bitmap, work-balanced
+// chunking of item lists for edge-range sweeps over CSR rows, and the
+// atomic-min hooks the kernels relax with.
 //
 // The contract every kernel built on these primitives relies on:
 //
-//   - Marks dedups concurrent Add calls, so a slot enters the next
+//   - The frontier's bitmap dedups Add calls, so a slot enters the next
 //     frontier at most once per round regardless of how many shards
 //     discover it.
-//   - Advance concatenates the per-shard staging lists in shard order,
-//     so for a fixed shard count the frontier sequence is deterministic;
-//     kernels that need shard-count independence sort the result.
+//   - Advance(false) concatenates the per-shard staging lists in shard
+//     order, so for a fixed shard count the frontier sequence is
+//     deterministic; Advance(true) scans the bitmap and emits ascending
+//     slot order, which is independent of the shard count that staged
+//     it.
 //   - The atomic mins are exact (they install one of their operands, no
 //     arithmetic), so min-fixpoint kernels (SSSP, CC) converge to the
 //     same bits under any interleaving.
@@ -18,7 +20,8 @@ package par
 
 import (
 	"math"
-	"slices"
+	"math/bits"
+	"runtime"
 	"sync/atomic"
 )
 
@@ -30,6 +33,19 @@ const kernelGrainEdges = 1 << 14
 // `work` units (edges to scan, contributions to apply). It respects
 // Override like every other fan-out decision in the repository.
 func Kernel(work int64) int { return Procs(work, kernelGrainEdges) }
+
+// KernelShare is Kernel for a caller entitled to one `sharers`-th of the
+// cores because that many callers are computing at once: the shard
+// count is capped at GOMAXPROCS/sharers (at least 1), so that callers ×
+// shards stays within the machine. A forced count (Override) is not
+// capped.
+func KernelShare(work int64, sharers int) int {
+	k := Kernel(work)
+	if sharers > 1 && Override == 0 {
+		k = min(k, max(1, runtime.GOMAXPROCS(0)/sharers))
+	}
+	return k
+}
 
 // Marks is a generation-stamped membership set over [0, n): Reset clears
 // it in O(1) by bumping the generation, and TryMark is an atomic
@@ -82,27 +98,48 @@ func (m *Marks) Marked(i int32) bool { return m.gen[i].Load() == m.cur }
 // stamp.
 func (m *Marks) Unmark(i int32) { m.gen[i].Store(m.cur - 1) }
 
-// Frontier is a sharded worklist over dense int32 slots. During a round
-// the current frontier is read-only; shard w stages discoveries for the
-// next round through Add(w, ·), deduplicated by a Marks set, and Advance
-// splices the staging lists into the next current frontier in shard
-// order.
+// Frontier is a worklist over dense int32 slots, deduplicated by a
+// bitmap (bit v set ⇔ v is staged for the next round). During a round
+// the current frontier is read-only and discoveries are staged one of
+// two ways, never mixed within a phase:
+//
+//   - Add(w, ·) from shard w, for any slot: an atomic test-and-set
+//     arbitrates duplicates across shards and the winner appends the
+//     slot to shard w's staging list. Advance(false) splices the lists
+//     in shard order.
+//   - AddOwned from the one goroutine that owns the slot's whole
+//     64-slot bitmap word (see WordShard): a plain OR, no list.
+//
+// Advance(true) reads the bitmap itself, so it surfaces slots staged
+// either way, in ascending order. That is why the bitmap is a plain
+// []uint64 rather than []atomic.Uint64: it is written atomically in one
+// kind of phase and plainly in another, with Do's barrier in between.
 type Frontier struct {
-	marks *Marks
-	cur   []int32
-	next  [][]int32
+	bits []uint64
+	cur  []int32
+	next [][]int32
 }
 
-// NewFrontier returns a frontier over slots [0, n) with staging capacity
-// for up to `shards` concurrent producers.
+// NewFrontier returns a frontier over slots [0, n) with staging lists
+// for up to `shards` concurrent Add producers.
 func NewFrontier(n, shards int) *Frontier {
 	if shards < 1 {
 		shards = 1
 	}
-	return &Frontier{marks: NewMarks(n), next: make([][]int32, shards)}
+	return &Frontier{bits: make([]uint64, Words(n)), next: make([][]int32, shards)}
 }
 
-// EnsureShards grows the staging array so shards [0, k) are valid
+// Words returns the number of 64-slot bitmap words covering [0, n).
+func Words(n int) int { return (n + 63) >> 6 }
+
+// WordShard returns the shard owning slot when a domain of nwords
+// 64-slot words is split across k shards. All slots of one word map to
+// one shard and the map is monotone in slot, so shards own disjoint
+// contiguous word ranges: keyed this way, shard d may AddOwned every
+// slot it owns with no other shard writing the same word.
+func WordShard(slot int32, k, nwords int) int { return int(slot>>6) * k / nwords }
+
+// EnsureShards grows the staging array so shards [0, k) are valid Add
 // producers. Not safe concurrently with Add.
 func (f *Frontier) EnsureShards(k int) {
 	for len(f.next) < k {
@@ -111,53 +148,93 @@ func (f *Frontier) EnsureShards(k int) {
 }
 
 // Add stages slot v for the next round on shard w's list and reports
-// whether v was newly staged. Concurrent calls with distinct w are safe;
-// the marks arbitrate duplicates across shards.
+// whether v was newly staged. Concurrent calls with distinct w are safe
+// for any v.
 func (f *Frontier) Add(w int, v int32) bool {
-	if !f.marks.TryMark(v) {
+	word, mask := &f.bits[v>>6], uint64(1)<<(v&63)
+	if atomic.LoadUint64(word)&mask != 0 || atomic.OrUint64(word, mask)&mask != 0 {
 		return false
 	}
 	f.next[w] = append(f.next[w], v)
 	return true
 }
 
+// AddOwned stages slot v for the next ordered Advance when stage is
+// true, and does nothing when it is false. The caller must be the only
+// writer of v's 64-slot word during the phase: a sequential pass, or
+// shard WordShard(v, k, nwords) of a k-shard phase. The admission test
+// is an argument rather than the caller's branch because on a kernel's
+// push path it is data-dependent and mispredicts: OR-ing the condition
+// in costs the same whether or not the slot is admitted, or was already.
+func (f *Frontier) AddOwned(v int32, stage bool) {
+	var bit uint64
+	if stage {
+		bit = 1
+	}
+	f.bits[v>>6] |= bit << (v & 63)
+}
+
 // Cur returns the current frontier. Read-only during a round.
 func (f *Frontier) Cur() []int32 { return f.cur }
 
-// Advance splices the staged shard lists into the current frontier in
-// shard order, clears the dedup set, and returns the new frontier. With
-// sorted=true the result is sorted ascending, making the frontier order
-// canonical (independent of the shard count that produced it) — the
-// ordering contract deterministic-sum kernels (PageRank) need. Not safe
-// concurrently with Add.
+// Advance makes the staged set the current frontier, clears the dedup
+// bitmap, and returns the new frontier. Not safe concurrently with the
+// adders.
+//
+// With sorted=false the per-shard Add lists are spliced in shard order:
+// deterministic for a fixed shard count, and O(|frontier|).
+//
+// With sorted=true the bitmap is scanned in word order, so the result
+// is in ascending slot order — canonical, independent of the shard
+// count that staged it, the ordering contract deterministic-sum kernels
+// (PageRank) need — in O(n/64 + |frontier|) with no comparison sort.
 func (f *Frontier) Advance(sorted bool) []int32 {
 	f.cur = f.cur[:0]
+	if sorted {
+		for w := range f.next {
+			f.next[w] = f.next[w][:0]
+		}
+		for i, word := range f.bits {
+			if word == 0 {
+				continue
+			}
+			f.bits[i] = 0
+			base := int32(i << 6)
+			for ; word != 0; word &= word - 1 {
+				f.cur = append(f.cur, base+int32(bits.TrailingZeros64(word)))
+			}
+		}
+		return f.cur
+	}
 	for w := range f.next {
 		f.cur = append(f.cur, f.next[w]...)
 		f.next[w] = f.next[w][:0]
 	}
-	if sorted {
-		slices.Sort(f.cur)
+	// Every set bit belongs to a listed slot: zero the listed slots'
+	// words, or the whole bitmap when that is the shorter walk.
+	if len(f.cur) < len(f.bits) {
+		for _, v := range f.cur {
+			f.bits[v>>6] = 0
+		}
+	} else {
+		clear(f.bits)
 	}
-	f.marks.Reset()
 	return f.cur
 }
 
 // ChunksByWork splits items into at most p contiguous chunks of
 // near-equal total weight and returns the chunk boundaries b
 // (b[0] = 0, b[len(b)-1] = len(items), len(b) = p+1; empty chunks are
-// possible under extreme skew). buf is reused when it has capacity, so
-// steady-state rounds plan their sweep without allocating. weight must
-// be non-negative.
-func ChunksByWork(items []int32, p int, buf []int, weight func(int32) int64) []int {
+// possible under extreme skew). total is the sum of weight over items —
+// every caller has it in hand from picking p — so a single chunk is
+// planned without reading a weight. buf is reused when it has capacity,
+// so steady-state rounds plan their sweep without allocating. weight
+// must be non-negative.
+func ChunksByWork(items []int32, p int, total int64, buf []int, weight func(int32) int64) []int {
 	b := buf[:0]
 	b = append(b, 0)
 	if p < 1 {
 		p = 1
-	}
-	var total int64
-	for _, it := range items {
-		total += weight(it)
 	}
 	if p == 1 || total == 0 {
 		for len(b) < p+1 {

@@ -125,6 +125,149 @@ func TestFrontierConcurrentAdd(t *testing.T) {
 	}
 }
 
+// TestFrontierOrderedAdvance: Advance(true) is the ascending sort of the
+// staged set on sparse and dense fills alike, over slot counts that are
+// not a multiple of 64, through either adder, and leaves the bitmap
+// clear so the frontier is reusable round after round.
+func TestFrontierOrderedAdvance(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for _, n := range []int{1, 63, 64, 65, 130, 1000, 4097, 70001} {
+		f := NewFrontier(n, 3)
+		for round := 0; round < 12; round++ {
+			// Fill density sweeps from a handful of slots to nearly all.
+			fill := 1 + rng.Intn(4)
+			if round%3 == 1 {
+				fill = 1 + n/8
+			} else if round%3 == 2 {
+				fill = n
+			}
+			seen := make(map[int32]bool, fill)
+			for i := 0; i < fill; i++ {
+				v := int32(rng.Intn(n))
+				if round%2 == 0 {
+					if fresh := f.Add(rng.Intn(3), v); fresh == seen[v] {
+						t.Fatalf("n=%d round %d: Add(%d) newly staged = %v, already seen = %v", n, round, v, fresh, seen[v])
+					}
+					seen[v] = true
+				} else {
+					// A false condition must leave the slot (and its
+					// word's other bits) alone.
+					stage := rng.Intn(3) > 0
+					f.AddOwned(v, stage)
+					seen[v] = seen[v] || stage
+				}
+			}
+			want := make([]int32, 0, len(seen))
+			for v, staged := range seen {
+				if staged {
+					want = append(want, v)
+				}
+			}
+			slices.Sort(want)
+			if got := f.Advance(true); !slices.Equal(got, want) {
+				t.Fatalf("n=%d round %d fill %d: ordered advance differs from sorted staged set\n got %v\nwant %v", n, round, fill, got, want)
+			}
+			for i, word := range f.bits {
+				if word != 0 {
+					t.Fatalf("n=%d round %d: bitmap word %d = %#x after Advance", n, round, i, word)
+				}
+			}
+		}
+		if len(f.Advance(true)) != 0 {
+			t.Fatalf("n=%d: drained frontier advanced to a non-empty one", n)
+		}
+	}
+}
+
+// TestFrontierUnorderedAdvanceClears: Advance(false) clears the bitmap
+// on both sides of its per-slot / whole-bitmap choice.
+func TestFrontierUnorderedAdvanceClears(t *testing.T) {
+	const n = 64*40 + 7
+	f := NewFrontier(n, 2)
+	for _, fill := range []int{3, n} {
+		for v := 0; v < fill; v++ {
+			f.Add(v%2, int32((v*37)%n))
+		}
+		if got := len(f.Advance(false)); got != fill {
+			t.Fatalf("fill %d: advanced %d slots", fill, got)
+		}
+		for i, word := range f.bits {
+			if word != 0 {
+				t.Fatalf("fill %d: bitmap word %d = %#x after Advance", fill, i, word)
+			}
+		}
+	}
+}
+
+// TestWordShardOwnership: WordShard is monotone, lands in [0, k), and
+// never splits a 64-slot word between two shards — so k shards each
+// staging the slots they own through the non-atomic AddOwned write
+// disjoint bitmap words (the race detector checks the claim) and
+// together stage every slot exactly once.
+func TestWordShardOwnership(t *testing.T) {
+	for _, n := range []int{1, 64, 100, 1000, 64*9 + 1} {
+		nwords := Words(n)
+		for _, k := range []int{1, 2, 3, 8, 17} {
+			prev := 0
+			for s := int32(0); s < int32(n); s++ {
+				d := WordShard(s, k, nwords)
+				if d < prev || d >= k {
+					t.Fatalf("n=%d k=%d: WordShard(%d) = %d after %d", n, k, s, d, prev)
+				}
+				if s&63 != 0 && d != prev {
+					t.Fatalf("n=%d k=%d: word %d split between shards %d and %d at slot %d", n, k, s>>6, prev, d, s)
+				}
+				prev = d
+			}
+			f := NewFrontier(n, k)
+			Do(k, func(w int) {
+				for s := int32(0); s < int32(n); s++ {
+					if WordShard(s, k, nwords) == w {
+						f.AddOwned(s, true)
+						f.AddOwned(s, true)  // duplicate: must dedup
+						f.AddOwned(s, false) // declined: must not unstage
+					}
+				}
+			})
+			got := f.Advance(true)
+			if len(got) != n {
+				t.Fatalf("n=%d k=%d: %d slots staged, want %d", n, k, len(got), n)
+			}
+			for i, s := range got {
+				if s != int32(i) {
+					t.Fatalf("n=%d k=%d: position %d holds slot %d", n, k, i, s)
+				}
+			}
+		}
+	}
+}
+
+// TestDoPanic: a panic in any shard — spawned or the caller's own
+// shard 0 — surfaces on the calling goroutine after every other shard
+// has run to completion.
+func TestDoPanic(t *testing.T) {
+	for _, bad := range []int{0, 2} {
+		var finished atomic.Int32
+		func() {
+			defer func() {
+				if r := recover(); r != "boom" {
+					t.Errorf("shard %d panicked: recovered %v, want boom", bad, r)
+				}
+			}()
+			Do(4, func(w int) {
+				if w == bad {
+					panic("boom")
+				}
+				finished.Add(1)
+			})
+			t.Errorf("shard %d panicked: Do returned normally", bad)
+		}()
+		if finished.Load() != 3 {
+			t.Errorf("shard %d panicked: %d other shards finished before the re-raise, want 3", bad, finished.Load())
+		}
+	}
+}
+
 // TestChunksByWork: boundaries cover the items, chunks are contiguous,
 // and weights balance within one max-item of even.
 func TestChunksByWork(t *testing.T) {
@@ -140,7 +283,7 @@ func TestChunksByWork(t *testing.T) {
 			w[i] = int64(rng.Intn(20))
 			total += w[i]
 		}
-		b := ChunksByWork(items, p, nil, func(v int32) int64 { return w[v] })
+		b := ChunksByWork(items, p, total, nil, func(v int32) int64 { return w[v] })
 		if len(b) != p+1 || b[0] != 0 || b[p] != n {
 			t.Fatalf("trial %d: bad boundaries %v (n=%d p=%d)", trial, b, n, p)
 		}

@@ -7,6 +7,7 @@ package par
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // Override forces the worker count returned by Procs when nonzero.
@@ -32,18 +33,37 @@ func Procs(work int64, grain int) int {
 }
 
 // Do runs fn(0), …, fn(p-1) concurrently and waits for all of them.
+// Shard 0 runs on the calling goroutine, so a phase costs p-1 spawns.
+// A panic in any shard is re-raised on the caller once every shard has
+// returned: the caller's recover (the engine's per-worker containment)
+// sees it, and no shard is left running over state the caller unwinds.
 func Do(p int, fn func(worker int)) {
 	if p <= 1 {
 		fn(0)
 		return
 	}
-	var wg sync.WaitGroup
-	wg.Add(p)
-	for w := 0; w < p; w++ {
+	var (
+		wg       sync.WaitGroup
+		panicked atomic.Pointer[any] // first shard panic, if any
+	)
+	shard := func(w int) {
+		defer func() {
+			if r := recover(); r != nil {
+				panicked.CompareAndSwap(nil, &r)
+			}
+		}()
+		fn(w)
+	}
+	wg.Add(p - 1)
+	for w := 1; w < p; w++ {
 		go func(w int) {
 			defer wg.Done()
-			fn(w)
+			shard(w)
 		}(w)
 	}
+	shard(0)
 	wg.Wait()
+	if r := panicked.Load(); r != nil {
+		panic(*r)
+	}
 }
