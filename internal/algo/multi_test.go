@@ -8,6 +8,7 @@ package algo_test
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"aap/internal/algo/sssp"
@@ -134,5 +135,76 @@ func TestMultiSourceSSSPScanAmortization(t *testing.T) {
 		}
 		t.Logf("%s: k=%d amortization %.2fx (%d batched vs %d single)",
 			tc.name, len(clustered), float64(single)/float64(batched), batched, single)
+	}
+}
+
+// TestMultiSourceLaneVectorsDoNotAlias: flushBorder carves the lane
+// vectors of one flush from a shared block and ships them to different
+// workers, whose folds then aggregate into them in place, concurrently.
+// Every vector must be k lanes with no spare capacity, and folding a
+// lower vector into every other message — one goroutine per
+// destination, so -race sees any overlap — must leave the untouched
+// neighbours exactly as shipped.
+func TestMultiSourceLaneVectorsDoNotAlias(t *testing.T) {
+	g := gen.PowerLaw(600, 6, 2.1, true, 11)
+	p, err := partition.Build(g, 3, partition.Hash{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []int{1, 3} {
+		job := sssp.MultiJob(sssp.MultiConfig{Sources: multiSources, Shards: shards})
+		k := len(multiSources)
+		f := p.Frags[0]
+		ctx := core.NewEngineContext[[]float64](f, p.M)
+		job.New(f).PEval(ctx)
+		out, _ := ctx.TakeOut()
+
+		busy := 0
+		var wg sync.WaitGroup
+		for j, msgs := range out {
+			if len(msgs) < 2 {
+				continue
+			}
+			busy++
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				shipped := make([][]float64, len(msgs))
+				buf := append([]core.VMsg[[]float64](nil), msgs...)
+				for i, m := range msgs {
+					if len(m.Val) != k || cap(m.Val) != k {
+						t.Errorf("shards=%d: vector for vertex %d has len %d cap %d, want %d and %d",
+							shards, m.V, len(m.Val), cap(m.Val), k, k)
+					}
+					shipped[i] = append([]float64(nil), m.Val...)
+					if i%2 == 0 {
+						low := make([]float64, k)
+						for l := range low {
+							low[l] = -1
+						}
+						buf = append(buf, core.VMsg[[]float64]{V: m.V, Val: low})
+					}
+				}
+				folded := core.NewFolder[[]float64](p.Frags[j]).Fold(buf, job.Aggregate)
+				if len(folded) != len(msgs) {
+					t.Errorf("shards=%d: folded %d messages to %d vertices, want %d", shards, len(buf), len(folded), len(msgs))
+				}
+				for i, m := range msgs {
+					for l, d := range m.Val {
+						want := shipped[i][l]
+						if i%2 == 0 {
+							want = -1
+						}
+						if d != want {
+							t.Errorf("shards=%d: vertex %d lane %d = %v after the fold, want %v", shards, m.V, l, d, want)
+						}
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		if busy < 2 {
+			t.Fatalf("shards=%d: only %d destinations got a flush of two or more vectors", shards, busy)
+		}
 	}
 }

@@ -59,7 +59,8 @@ func MultiJob(cfg MultiConfig) core.Job[[]float64] {
 		},
 		// Elementwise min, folded into a in place: a is always the
 		// accumulating entry of the fold, whose vector the first message
-		// owns outright (flushBorder allocates per send).
+		// owns outright (flushBorder carves every shipped vector from a
+		// fresh block, capped at its k lanes).
 		Aggregate: func(a, b []float64) []float64 {
 			n := min(len(a), len(b))
 			for i := 0; i < n; i++ {
@@ -110,8 +111,10 @@ type multiProgram struct {
 	fr          *par.Frontier   // union frontier over owned slots
 	copyChanged *par.Marks      // F.O copies with any improved lane
 
-	bounds  []int   // reusable chunk-boundary scratch
-	edges   []int64 // per-shard scan counts
+	bounds  []int     // reusable chunk-boundary scratch
+	edges   []int64   // per-shard scan counts
+	snap    []float64 // per-shard lane snapshot of the expanding slot, laneStride apart
+	results laneBlock // what Get carves from: one block per NumOwned calls
 	rounds  int
 	scanned int64 // raw CSR edges read (once per expansion, k lanes served)
 }
@@ -179,14 +182,35 @@ func (p *multiProgram) IncEval(msgs []core.VMsg[[]float64], ctx *core.Context[[]
 	p.flushBorder(ctx)
 }
 
-// Get returns the lane vector of owned vertex v.
-func (p *multiProgram) Get(v int32) []float64 {
-	base := int(p.f.Slot(v)) * p.k
-	out := make([]float64, p.k)
-	for l := range out {
-		out[l] = math.Float64frombits(p.dist[base+l].Load())
+// laneBlock is one allocation that lane vectors are carved from, so a
+// flush or an Assemble costs one allocation, not one per vertex. Each
+// vector is capped at its own lanes: whoever ends up owning it (the
+// fold's in-place Aggregate, a caller appending to a result) cannot
+// reach the neighbouring vector.
+type laneBlock []float64
+
+func (b *laneBlock) take(k int) []float64 {
+	vec := (*b)[:k:k]
+	*b = (*b)[k:]
+	return vec
+}
+
+// lanes copies the lane vector of a slot into a vector carved from blk.
+func (p *multiProgram) lanes(slot int, blk *laneBlock) []float64 {
+	vec := blk.take(p.k)
+	base := slot * p.k
+	for l := range vec {
+		vec[l] = math.Float64frombits(p.dist[base+l].Load())
 	}
-	return out
+	return vec
+}
+
+// Get returns the lane vector of owned vertex v as of the call.
+func (p *multiProgram) Get(v int32) []float64 {
+	if len(p.results) < p.k {
+		p.results = make(laneBlock, p.f.NumOwned()*p.k)
+	}
+	return p.lanes(int(v-p.f.Lo), &p.results)
 }
 
 func (p *multiProgram) kernelShards(ctx *core.Context[[]float64], work int64) int {
@@ -218,9 +242,14 @@ func (p *multiProgram) sweep(ctx *core.Context[[]float64]) {
 			p.edges = make([]int64, k)
 		}
 		edges := p.edges[:k]
+		// A cache line or more per shard, so shards do not share one.
+		laneStride := (p.k + 7) &^ 7
+		if len(p.snap) < k*laneStride {
+			p.snap = make([]float64, k*laneStride)
+		}
 		par.Do(k, func(w int) {
 			var scanned int64
-			d := make([]float64, p.k) // lane snapshot of the expanding slot
+			d := p.snap[w*laneStride:][:p.k]
 			for _, s := range items[p.bounds[w]:p.bounds[w+1]] {
 				v := p.f.Lo + s
 				base := int(s) * p.k
@@ -290,29 +319,29 @@ func (p *multiProgram) flushBorder(ctx *core.Context[[]float64]) {
 		return
 	}
 	owned := p.f.NumOwned()
-	sendCopy := func(send func(v int32, val []float64), i int) {
-		base := (owned + i) * p.k
-		vec := make([]float64, p.k)
-		for l := range vec {
-			vec[l] = math.Float64frombits(p.dist[base+l].Load())
+	// sendRange ships the improved copies in [lo, hi), their vectors
+	// carved from one block sized by a counting pass over the marks.
+	sendRange := func(send func(v int32, val []float64), lo, hi int) {
+		n := 0
+		for i := lo; i < hi; i++ {
+			if p.copyChanged.Marked(int32(i)) {
+				n++
+			}
 		}
-		send(p.f.Out[i], vec)
+		blk := make(laneBlock, n*p.k)
+		for i := lo; i < hi; i++ {
+			if p.copyChanged.Marked(int32(i)) {
+				send(p.f.Out[i], p.lanes(owned+i, &blk))
+			}
+		}
 	}
 	k := p.kernelShards(ctx, int64(nOut)*int64(p.k))
 	if k <= 1 {
-		for i := range p.f.Out {
-			if p.copyChanged.Marked(int32(i)) {
-				sendCopy(ctx.Send, i)
-			}
-		}
+		sendRange(ctx.Send, 0, nOut)
 	} else {
 		stages := ctx.Stages(k)
 		par.Do(k, func(w int) {
-			for i := w * nOut / k; i < (w+1)*nOut/k; i++ {
-				if p.copyChanged.Marked(int32(i)) {
-					sendCopy(stages[w].Send, i)
-				}
-			}
+			sendRange(stages[w].Send, w*nOut/k, (w+1)*nOut/k)
 		})
 		ctx.MergeStages()
 	}

@@ -57,7 +57,7 @@ func Resume[T any](p *partition.Partitioned, job Job[T], opts Options) (*Result[
 			return nil, fmt.Errorf("core: %s: resume: in-flight batch %d->%d outside %d workers", job.Name, f.From, f.To, p.M)
 		}
 	}
-	return run(p, job, opts, &resumeState[T]{snap: snap, store: d, bytes: int64(len(payload)), t0: t0})
+	return run(NewSession(p), job, opts, &resumeState[T]{snap: snap, store: d, bytes: int64(len(payload)), t0: t0})
 }
 
 func durableOptions(c CheckpointOptions) checkpoint.DurableOptions {

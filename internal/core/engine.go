@@ -93,17 +93,17 @@ func Run[T any](p *partition.Partitioned, job Job[T], opts Options) (*Result[T],
 
 // run is the shared body of Run and Resume: rs, when non-nil, seeds the
 // engine from a durably stored sealed snapshot before the first round.
-func run[T any](p *partition.Partitioned, job Job[T], opts Options, rs *resumeState[T]) (*Result[T], error) {
-	if job.Validate != nil {
-		if err := job.Validate(p); err != nil {
-			return nil, err
-		}
+func run[T any](s *Session, job Job[T], opts Options, rs *resumeState[T]) (*Result[T], error) {
+	if err := validate(s, &job); err != nil {
+		return nil, err
 	}
+	p := s.p
 	opts = opts.withDefaults()
 	e := &engine[T]{
 		p:          p,
 		job:        job,
 		opts:       opts,
+		pool:       sessionPool[T](s),
 		slots:      make(chan struct{}, opts.PhysicalWorkers),
 		done:       make(chan struct{}),
 		rates:      make([]uint64, p.M),
@@ -132,7 +132,7 @@ func run[T any](p *partition.Partitioned, job Job[T], opts Options, rs *resumeSt
 			eng:        e,
 			frag:       f,
 			prog:       job.New(f),
-			ctx:        newContext[T](f, p.M, &e.pool),
+			ctx:        newContext[T](f, p.M, e.pool),
 			ctrl:       newController(opts, e.hsync),
 			folder:     NewFolder[T](f),
 			originSeen: make([]int32, p.M),
@@ -277,7 +277,7 @@ func run[T any](p *partition.Partitioned, job Job[T], opts Options, rs *resumeSt
 	for i, w := range e.workers {
 		progs[i] = w.prog
 	}
-	res := &Result[T]{Values: Assemble(p, progs, job), Stats: stats}
+	res := &Result[T]{Values: Assemble(p, progs), Stats: stats}
 	if deadlined {
 		return res, fmt.Errorf("core: %s/%s exceeded deadline %v: %w", job.Name, opts.Mode, opts.Deadline, context.DeadlineExceeded)
 	}
@@ -293,7 +293,7 @@ type engine[T any] struct {
 	slots   chan struct{} // physical-worker pool
 	coord   coordinator
 	hsync   *hsyncState
-	pool    msgPool[T]    // recycles message slices between senders and receivers
+	pool    *msgPool[T]   // the Session's: recycles message slices between senders and receivers
 	done    chan struct{} // closed when the run ends (success or failure)
 
 	rates      []uint64 // per-worker arrival-rate EWMA as float bits

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -71,5 +72,41 @@ func BenchmarkFoldMessagesGeneric(b *testing.B) {
 		if len(out) == 0 {
 			b.Fatal("empty fold")
 		}
+	}
+}
+
+// BenchmarkFold is the fold at the sizes hash-partitioned SSSP rounds
+// reach: 10k and 100k messages, 30% of them repeating an earlier vertex.
+func BenchmarkFold(b *testing.B) {
+	g := gen.PowerLaw(400_000, 8, 2.1, true, 42)
+	p, err := partition.Build(g, 4, partition.Hash{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	frag := p.Frags[1]
+	for _, msgs := range []int{10_000, 100_000} {
+		rng := rand.New(rand.NewSource(7))
+		perm := rng.Perm(frag.Slots())
+		buf := make([]VMsg[float64], msgs)
+		for i := range buf {
+			slot := perm[i]
+			if i > 0 && rng.Intn(10) < 3 {
+				slot = perm[rng.Intn(i)]
+			}
+			v := frag.Lo + int32(slot)
+			if slot >= frag.NumOwned() {
+				v = frag.Out[slot-frag.NumOwned()]
+			}
+			buf[i] = VMsg[float64]{V: v, Val: rng.Float64() * 100, Round: int32(rng.Intn(8)), From: int32(rng.Intn(4))}
+		}
+		b.Run(fmt.Sprintf("msgs=%d", msgs), func(b *testing.B) {
+			folder := NewFolder[float64](frag)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if out := folder.Fold(buf, math.Min); len(out) == 0 {
+					b.Fatal("empty fold")
+				}
+			}
+		})
 	}
 }

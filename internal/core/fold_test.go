@@ -146,3 +146,36 @@ func TestFolderFallbackArbitraryVertices(t *testing.T) {
 		}
 	}
 }
+
+// TestFolderCopiesBothSidesThenFallback covers what the ordered bitmap
+// adds over the stamped fold: the emission order when a buffer mixes
+// owned vertices with F.O copies on both sides of [Lo, Hi) (the
+// SendToHolders direction CF uses), and a generic fallback that aborts
+// a half-built dense fold — the bitmap must come out clean, or the next
+// dense fold emits the aborted round's vertices. The aggregate is
+// order-sensitive, so the per-vertex buffer order is pinned too.
+func TestFolderCopiesBothSidesThenFallback(t *testing.T) {
+	p := buildPartition(t, 4)
+	frag := p.Frags[2]
+	if n := len(frag.Out); n == 0 || frag.Out[0] >= frag.Lo || frag.Out[n-1] < frag.Hi {
+		t.Fatalf("fragment 2 needs F.O copies on both sides of [%d, %d): %v", frag.Lo, frag.Hi, frag.Out)
+	}
+	inOrder := func(a, b float64) float64 { return a*31 + b }
+	rng := rand.New(rand.NewSource(17))
+	folder := NewFolder[float64](frag)
+	check := func(what string, trial int, buf []VMsg[float64]) {
+		t.Helper()
+		want := foldMessagesGeneric(buf, inOrder)
+		if got := folder.Fold(buf, inOrder); !foldEqual(got, want) {
+			t.Fatalf("trial %d, %s: fold diverged\n got %+v\nwant %+v", trial, what, got, want)
+		}
+	}
+	synthetic := int32(p.G.NumVertices()) + 7
+	for trial := 0; trial < 300; trial++ {
+		check("dense", trial, randomFoldBuffer(frag, rng, 1+rng.Intn(120)))
+		aborted := append(randomFoldBuffer(frag, rng, 1+rng.Intn(40)),
+			VMsg[float64]{V: synthetic, Val: 4, Round: 1, From: 3})
+		check("fallback", trial, aborted)
+		check("dense after fallback", trial, randomFoldBuffer(frag, rng, 1+rng.Intn(10)))
+	}
+}

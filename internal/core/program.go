@@ -13,6 +13,7 @@
 package core
 
 import (
+	"math/bits"
 	"slices"
 	"sort"
 	"sync"
@@ -116,7 +117,8 @@ type Job[T any] struct {
 	// which the unique-fixpoint argument rests on). Engines call it
 	// before constructing any Program and fail fast on error, so a bad
 	// input surfaces as a clear error instead of kernels silently
-	// diverging.
+	// diverging. A Session remembers the verdict per job Name (its graph
+	// is immutable), so Validate must depend on nothing but p.
 	Validate func(p *partition.Partitioned) error
 }
 
@@ -172,6 +174,8 @@ type Context[T any] struct {
 	// number of workers inside a round right now, this one included.
 	// Nil for contexts no engine pool admits (simulator, remote hosts).
 	computing <-chan struct{}
+	// serial pins Shards at 1 (SetSerial).
+	serial bool
 
 	pool *msgPool[T]
 }
@@ -239,7 +243,12 @@ func (c *Context[T]) AddWork(n int) { c.work += int64(n) }
 // straggler, or a one-fragment run, fans out over the idle cores. The
 // share is read per call, so a long local fixpoint picks up cores as
 // its peers finish.
-func (c *Context[T]) Shards(work int64) int { return par.KernelShare(work, len(c.computing)) }
+func (c *Context[T]) Shards(work int64) int {
+	if c.serial {
+		return 1
+	}
+	return par.KernelShare(work, len(c.computing))
+}
 
 // NewEngineContext, SetRound, TakeOut and ReleaseOut expose the context
 // plumbing to engines outside this package (the virtual-time simulator);
@@ -247,6 +256,13 @@ func (c *Context[T]) Shards(work int64) int { return par.KernelShare(work, len(c
 func NewEngineContext[T any](f *partition.Fragment, m int) *Context[T] {
 	return newContext[T](f, m, &msgPool[T]{})
 }
+
+// SetSerial makes Shards answer 1 whatever the work. The simulator sets
+// it: virtual time prices the work a kernel reports, and the work of a
+// label-correcting sweep run on several shards depends on how they
+// interleave, so only unsharded kernels give repeatable virtual times.
+// A shard count a job config forces never asks Shards and still applies.
+func (c *Context[T]) SetSerial() { c.serial = true }
 
 // SetRound sets the round number recorded in outgoing messages.
 func (c *Context[T]) SetRound(r int32) { c.round = r }
@@ -322,30 +338,49 @@ func foldMessagesGeneric[T any](buf []VMsg[T], agg func(a, b T) T) []VMsg[T] {
 	return out
 }
 
-// Folder folds message buffers for one fragment without allocating: a
-// dense slot→output-index table guarded by a generation counter (so no
-// per-round clearing) folds each message in O(1), and the reused output
-// slice is sorted in place. Messages for vertices outside the fragment's
-// slot domain (the MapReduce simulation's clique routing) fall back to
-// the generic fold. A Folder is owned by a single worker; it is not safe
-// for concurrent use, and the returned slice is only valid until the
-// next Fold call.
+// Folder folds message buffers for one fragment without allocating and
+// without sorting: each message folds in O(1) into an accumulator found
+// through a bitmap over the fragment's slots, and the result is emitted
+// by scanning that bitmap word by word. The bitmap is laid out in vertex
+// order — F.O copies below Lo, then the owned range, then copies from Hi
+// up — so the scan yields ascending vertex ids, O(slots/64 + |buf|) in
+// all, and leaves the bitmap clear for the next round. Messages for
+// vertices outside the fragment's slot domain (the MapReduce
+// simulation's clique routing) fall back to the generic fold. A Folder
+// is owned by a single worker; it is not safe for concurrent use, and
+// the returned slice is only valid until the next Fold call.
 type Folder[T any] struct {
-	frag *partition.Fragment
-	pos  []int32  // slot -> index into out, valid when gen[slot] == cur
-	gen  []uint32 // generation stamp per slot
-	cur  uint32
-	out  []VMsg[T]
+	frag  *partition.Fragment
+	owned int32    // NumOwned: slots from here up are F.O copies
+	below int32    // F.O copies with an id below Lo
+	seen  []uint64 // bitmap over vertex-order ranks; all zero between Folds
+	pos   []int32  // rank -> index into acc, valid while the rank's bit is set
+	acc   []VMsg[T]
+	out   []VMsg[T]
 }
 
 // NewFolder returns a Folder with scratch sized by f's slot count.
 func NewFolder[T any](f *partition.Fragment) *Folder[T] {
 	n := f.Slots()
 	return &Folder[T]{
-		frag: f,
-		pos:  make([]int32, n),
-		gen:  make([]uint32, n),
+		frag:  f,
+		owned: int32(f.NumOwned()),
+		below: int32(sort.Search(len(f.Out), func(i int) bool { return f.Out[i] >= f.Lo })),
+		seen:  make([]uint64, par.Words(n)),
+		pos:   make([]int32, n),
 	}
+}
+
+// rank maps a slot to the position of its vertex among the fragment's
+// slots in ascending vertex order.
+func (fd *Folder[T]) rank(slot int32) int32 {
+	if slot < fd.owned {
+		return fd.below + slot
+	}
+	if c := slot - fd.owned; c < fd.below {
+		return c
+	}
+	return slot
 }
 
 // Fold folds buf exactly like FoldMessages, reusing the Folder's
@@ -354,34 +389,41 @@ func (fd *Folder[T]) Fold(buf []VMsg[T], agg func(a, b T) T) []VMsg[T] {
 	if len(buf) == 0 {
 		return nil
 	}
-	fd.cur++
-	if fd.cur == 0 { // generation wrapped: invalidate all stamps
-		clear(fd.gen)
-		fd.cur = 1
-	}
-	out := fd.out[:0]
+	acc := fd.acc[:0]
 	for _, m := range buf {
 		slot := fd.frag.Slot(m.V)
 		if slot < 0 {
 			// Arbitrary routing (SendTo): the vertex has no local slot,
-			// so the dense table cannot key it.
+			// so the bitmap cannot key it.
+			clear(fd.seen)
 			return foldMessagesGeneric(buf, agg)
 		}
-		if fd.gen[slot] != fd.cur {
-			fd.gen[slot] = fd.cur
-			fd.pos[slot] = int32(len(out))
-			out = append(out, m)
+		r := fd.rank(slot)
+		w, bit := r>>6, uint64(1)<<(uint(r)&63)
+		if fd.seen[w]&bit == 0 {
+			fd.seen[w] |= bit
+			fd.pos[r] = int32(len(acc))
+			acc = append(acc, m)
 			continue
 		}
-		e := &out[fd.pos[slot]]
+		e := &acc[fd.pos[r]]
 		e.Val = agg(e.Val, m.Val)
 		if m.Round > e.Round {
 			e.Round = m.Round
 			e.From = m.From
 		}
 	}
-	slices.SortFunc(out, func(a, b VMsg[T]) int { return int(a.V) - int(b.V) })
-	fd.out = out
+	out := slices.Grow(fd.out[:0], len(acc))
+	for w, word := range fd.seen {
+		if word == 0 {
+			continue
+		}
+		fd.seen[w] = 0
+		for ; word != 0; word &= word - 1 {
+			out = append(out, acc[fd.pos[w<<6+bits.TrailingZeros64(word)]])
+		}
+	}
+	fd.acc, fd.out = acc, out
 	return out
 }
 
@@ -395,13 +437,8 @@ type Result[T any] struct {
 // Assemble collects owned values from every program into a global vector,
 // the default Assemble of the paper's PIE programs (taking the union of
 // partial results).
-func Assemble[T any](p *partition.Partitioned, progs []Program[T], job Job[T]) []T {
-	values := make([]T, p.G.NumVertices())
-	if job.Default != nil {
-		for v := range values {
-			values[v] = job.Default(int32(v))
-		}
-	}
+func Assemble[T any](p *partition.Partitioned, progs []Program[T]) []T {
+	values := make([]T, p.G.NumVertices()) // the fragment ranges cover every vertex
 	for i, f := range p.Frags {
 		for v := f.Lo; v < f.Hi; v++ {
 			values[v] = progs[i].Get(v)

@@ -183,16 +183,13 @@ func TestRunStatsFinalize(t *testing.T) {
 	}
 }
 
-func TestAssembleUsesDefault(t *testing.T) {
+func TestAssembleCoversEveryVertex(t *testing.T) {
 	p := buildPartition(t, 2)
-	job := Job[float64]{
-		Default: func(int32) float64 { return -1 },
-	}
 	progs := make([]Program[float64], 2)
 	for i, f := range p.Frags {
 		progs[i] = constProgram{f: f, val: float64(i + 1)}
 	}
-	vals := Assemble(p, progs, job)
+	vals := Assemble(p, progs)
 	for v := int32(0); v < int32(len(vals)); v++ {
 		want := float64(p.Owner(v) + 1)
 		if vals[v] != want {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -18,7 +19,10 @@ import (
 //	                    sets, slot tables)
 //	per query           the engine built by Query: Programs and their
 //	                    vertex-state arenas, Contexts, Folders, inboxes,
-//	                    message pools, the coordinator, the Result
+//	                    the coordinator, the Result
+//	session lifetime    recycled message slices (one pool per value
+//	                    type) and each job's Validate verdict — caches
+//	                    that hold no query state
 //
 // Nothing in the engine or the kernels writes to the shared plane after
 // partition.Build returns — queries against one Session are data-race
@@ -34,6 +38,14 @@ import (
 type Session struct {
 	p       *partition.Partitioned
 	started time.Time
+
+	// pools maps poolKey[T]{} to the *msgPool[T] every query of value
+	// type T draws its outbox and inbox slices from, so a query starts
+	// with the capacity earlier ones grew instead of regrowing from 16.
+	pools sync.Map
+	// verdicts maps Job.Name to the error its Validate returned (nil
+	// when valid): the graph is immutable, so one scan settles it.
+	verdicts sync.Map
 
 	admitted  atomic.Int64
 	completed atomic.Int64
@@ -93,7 +105,7 @@ func Query[T any](s *Session, job Job[T], opts Options) (*Result[T], error) {
 	s.admitted.Add(1)
 	s.active.Add(1)
 	t0 := time.Now()
-	res, err := run(s.p, job, opts, nil)
+	res, err := run(s, job, opts, nil)
 	s.busyNanos.Add(time.Since(t0).Nanoseconds())
 	s.active.Add(-1)
 	if err != nil && res == nil {
@@ -103,6 +115,35 @@ func Query[T any](s *Session, job Job[T], opts Options) (*Result[T], error) {
 	}
 	return res, err
 }
+
+// poolKey is the pools key of value type T: distinct instantiations are
+// distinct comparable types.
+type poolKey[T any] struct{}
+
+// sessionPool returns the session's message pool for value type T.
+func sessionPool[T any](s *Session) *msgPool[T] {
+	v, ok := s.pools.Load(poolKey[T]{})
+	if !ok {
+		v, _ = s.pools.LoadOrStore(poolKey[T]{}, &msgPool[T]{})
+	}
+	return v.(*msgPool[T])
+}
+
+// validate runs job.Validate against the session's graph the first time
+// a job of that name is queried and returns the remembered verdict from
+// then on.
+func validate[T any](s *Session, job *Job[T]) error {
+	if job.Validate == nil {
+		return nil
+	}
+	v, ok := s.verdicts.Load(job.Name)
+	if !ok {
+		v, _ = s.verdicts.LoadOrStore(job.Name, verdict{job.Validate(s.p)})
+	}
+	return v.(verdict).err
+}
+
+type verdict struct{ err error }
 
 // ScanCounter is implemented by kernels that count the raw edges their
 // sweeps scanned (each CSR row read costs its length, however many

@@ -7,9 +7,11 @@ package core_test
 // forced kernel shard counts.
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"aap/internal/algo/cc"
@@ -192,5 +194,57 @@ func TestRunIsThinSessionWrapper(t *testing.T) {
 	}
 	if one.Stats.ArenaBytes != two.Stats.ArenaBytes {
 		t.Fatalf("ArenaBytes: Run %d != Query %d", one.Stats.ArenaBytes, two.Stats.ArenaBytes)
+	}
+}
+
+// TestSessionValidatesOncePerJobName: the graph behind a Session never
+// changes, so a job's Validate scans it on the first query only — and a
+// failed validation keeps being returned, without ever reaching the
+// engine. A fresh Session (what core.Run builds) validates again.
+func TestSessionValidatesOncePerJobName(t *testing.T) {
+	g := gen.Grid(10, 10, 1)
+	p, err := partition.Build(g, 2, partition.Hash{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var scans atomic.Int32
+	good := sssp.JobShards(0, 1)
+	good.Validate = func(p *partition.Partitioned) error {
+		scans.Add(1)
+		return sssp.ValidateWeights(p)
+	}
+	bad := good
+	bad.Name = "sssp-bad-weights"
+	errBad := errors.New("bad weights")
+	bad.Validate = func(*partition.Partitioned) error {
+		scans.Add(1)
+		return errBad
+	}
+
+	s := core.NewSession(p)
+	for q := 0; q < 3; q++ {
+		if _, err := core.Query(s, good, core.Options{Mode: core.AAP}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := scans.Swap(0); n != 1 {
+		t.Fatalf("3 valid queries on one Session validated %d times, want 1", n)
+	}
+	for q := 0; q < 3; q++ {
+		if res, err := core.Query(s, bad, core.Options{Mode: core.AAP}); res != nil || !errors.Is(err, errBad) {
+			t.Fatalf("query %d of an invalid job: result %v, error %v", q, res, err)
+		}
+	}
+	if n := scans.Swap(0); n != 1 {
+		t.Fatalf("3 invalid queries on one Session validated %d times, want 1", n)
+	}
+	if st := s.Stats(); st.Completed != 3 || st.Failed != 3 {
+		t.Fatalf("session counted %d completed, %d failed; want 3 and 3", st.Completed, st.Failed)
+	}
+	if _, err := core.Run(p, good, core.Options{Mode: core.AAP}); err != nil {
+		t.Fatal(err)
+	}
+	if n := scans.Load(); n != 1 {
+		t.Fatalf("core.Run on a fresh Session validated %d times, want 1", n)
 	}
 }

@@ -34,13 +34,13 @@ func makespans(t *testing.T, out string) map[string]float64 {
 }
 
 // TestIngestReport smoke-tests the self-contained ingest experiment:
-// the scaling rows and both slot-table representations must appear.
+// the scaling rows and the partition's slot-table accounting must appear.
 func TestIngestReport(t *testing.T) {
 	out, err := harness.Ingest("")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"read shards=1", "read shards=8", "hybrid", "dense", "edges/s"} {
+	for _, want := range []string{"read shards=1", "read shards=8", "partition m=16", "slot tables", "edges/s"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("ingest report missing %q:\n%s", want, out)
 		}
@@ -98,6 +98,16 @@ func TestFig6kSkewTrend(t *testing.T) {
 	r9 := rows[len(rows)-1]
 	if r9[0] > r9[1] {
 		t.Errorf("at r=9 AAP %.2f slower than BSP %.2f", r9[0], r9[1])
+	}
+	// Virtual time prices the work the kernels report, and the simulator
+	// runs them unsharded, so the table repeats to the digit — also at
+	// r=9, where the big fragment's sweep would otherwise fan out.
+	again, err := harness.Fig6k(8, []float64{1, 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again != out {
+		t.Errorf("virtual times differ between two identical runs:\n%s\n%s", out, again)
 	}
 }
 

@@ -21,21 +21,12 @@ func withShards(shards int, fn func()) {
 	fn()
 }
 
-// withSlotTables runs fn under the given slot-table representation,
-// restoring partition.DenseSlotTables even if fn panics.
-func withSlotTables(dense bool, fn func()) {
-	prev := partition.DenseSlotTables
-	partition.DenseSlotTables = dense
-	defer func() { partition.DenseSlotTables = prev }()
-	fn()
-}
-
 // Ingest measures the streaming ingest pipeline end to end: file bytes
 // → chunked parallel parse → partitioned fragments. It reports a
 // forced-shard scaling row (cores 1/2/4/8 via par.Override — on a
 // machine with fewer cores the extra rows measure fan-out overhead, not
-// speedup) and the routing-table memory of the hybrid versus dense slot
-// representations. With an empty inputPath it writes the friendster and
+// speedup) and the routing-table memory of a 16-fragment partition.
+// With an empty inputPath it writes the friendster and
 // traffic stand-ins to temp files first, so the run is self-contained;
 // cmd/aapbench exposes it as -exp ingest [-input file].
 func Ingest(inputPath string) (string, error) {
@@ -92,23 +83,14 @@ func Ingest(inputPath string) (string, error) {
 			fmt.Fprintf(&b, "  read shards=%d: %7.3fs  %s\n",
 				shards, secs, graph.Throughput(st.Size(), g.NumEdges(), secs))
 		}
-		for _, dense := range []bool{false, true} {
-			var p *partition.Partitioned
-			var perr error
-			var secs float64
-			withSlotTables(dense, func() {
-				secs = timeIt(func() { p, perr = partition.Build(g, 16, partition.BFSLocality{}) })
-			})
-			if perr != nil {
-				return "", perr
-			}
-			kind := "hybrid"
-			if dense {
-				kind = "dense"
-			}
-			fmt.Fprintf(&b, "  partition m=16 %-6s slots: %7.3fs  slot tables %8.3f MB  routing total %8.3f MB\n",
-				kind, secs, float64(p.SlotTableBytes())/(1<<20), float64(p.RoutingTableBytes())/(1<<20))
+		var p *partition.Partitioned
+		var perr error
+		secs := timeIt(func() { p, perr = partition.Build(g, 16, partition.BFSLocality{}) })
+		if perr != nil {
+			return "", perr
 		}
+		fmt.Fprintf(&b, "  partition m=16: %7.3fs  slot tables %8.3f MB  routing total %8.3f MB\n",
+			secs, float64(p.SlotTableBytes())/(1<<20), float64(p.RoutingTableBytes())/(1<<20))
 	}
 	return b.String(), nil
 }

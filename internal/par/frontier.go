@@ -150,10 +150,22 @@ func (f *Frontier) EnsureShards(k int) {
 // Add stages slot v for the next round on shard w's list and reports
 // whether v was newly staged. Concurrent calls with distinct w are safe
 // for any v.
+//
+// The test-and-set is a compare-and-swap loop, not the value-returning
+// atomic.OrUint64 it amounts to: go1.24.0 on amd64 lowers that call to
+// a CMPXCHG loop whose scratch register it may also pick to park a live
+// value across the loop, and inlined into multiProgram.IncEval it did —
+// the receiver came back as the OR-ed word.
 func (f *Frontier) Add(w int, v int32) bool {
 	word, mask := &f.bits[v>>6], uint64(1)<<(v&63)
-	if atomic.LoadUint64(word)&mask != 0 || atomic.OrUint64(word, mask)&mask != 0 {
-		return false
+	for {
+		old := atomic.LoadUint64(word)
+		if old&mask != 0 {
+			return false
+		}
+		if atomic.CompareAndSwapUint64(word, old, old|mask) {
+			break
+		}
 	}
 	f.next[w] = append(f.next[w], v)
 	return true

@@ -116,14 +116,7 @@ func (p *Partitioned) computeBorders() {
 			f.OutPrime = collectBitsN(bitset(i, kOutPrime), cnts[i*kinds+kOutPrime])
 			f.Out = collectBitsN(bitset(i, kOut), cnts[i*kinds+kOut])
 			f.InPrime = collectBitsN(bitset(i, kInPrime), cnts[i*kinds+kInPrime])
-			base := int32(f.NumOwned())
-			if f.slot != nil {
-				for s, v := range f.Out {
-					f.slot[v] = base + int32(s)
-				}
-			} else {
-				f.copySlots = newFlatSlots(f.Out, base)
-			}
+			f.copySlots = newRankWords(bitset(i, kOut), int32(f.NumOwned()))
 		}
 	})
 

@@ -135,21 +135,17 @@ func checkAgainstRef(t *testing.T, tag string, p *Partitioned) {
 // fragment's border sets dwarf the rest (hub-heavy power-law graph,
 // skewed strategy). The schedule only reorders work, so every border
 // set, slot table, and holder list must still match the map reference
-// — under single- and multi-worker compaction and both slot-table
-// representations.
+// — under single- and multi-worker compaction.
 func TestSkewedCompactionMatchesReference(t *testing.T) {
 	g := gen.PowerLaw(1500, 10, 2.0, true, 41)
-	for _, dense := range []bool{false, true} {
-		forceSlotTables(t, dense)
-		for _, procs := range []int{1, 5} {
-			forceBorderShards(t, procs)
-			for _, m := range []int{4, 13} {
-				p, err := Build(g, m, Skewed{Ratio: 8, Seed: 3})
-				if err != nil {
-					t.Fatal(err)
-				}
-				checkAgainstRef(t, fmt.Sprintf("skewed/dense=%v/procs=%d/m=%d", dense, procs, m), p)
+	for _, procs := range []int{1, 5} {
+		forceBorderShards(t, procs)
+		for _, m := range []int{4, 13} {
+			p, err := Build(g, m, Skewed{Ratio: 8, Seed: 3})
+			if err != nil {
+				t.Fatal(err)
 			}
+			checkAgainstRef(t, fmt.Sprintf("skewed/procs=%d/m=%d", procs, m), p)
 		}
 	}
 }

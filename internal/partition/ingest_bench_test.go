@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"aap/internal/gen"
 	"aap/internal/graph"
 	"aap/internal/partition"
 )
@@ -120,3 +121,37 @@ func BenchmarkFileToFragments(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSlotLookup measures Fragment.Slot the way a hash-partitioned
+// SSSP sweep drives it: random ids, about half of them F.O copies and
+// half vertices the fragment neither owns nor copies.
+func BenchmarkSlotLookup(b *testing.B) {
+	g := gen.PowerLaw(300_000, 8, 2.1, true, 42)
+	p, err := partition.Build(g, 8, partition.Hash{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	f := p.Frags[3]
+	rng := rand.New(rand.NewSource(7))
+	ids := make([]int32, 1<<16)
+	for i := range ids {
+		if i%2 == 0 {
+			ids[i] = f.Out[rng.Intn(len(f.Out))]
+			continue
+		}
+		for {
+			if v := int32(rng.Intn(p.G.NumVertices())); f.Slot(v) < 0 {
+				ids[i] = v
+				break
+			}
+		}
+	}
+	b.ResetTimer()
+	var sum int32
+	for i := 0; i < b.N; i++ {
+		sum += f.Slot(ids[i&(len(ids)-1)])
+	}
+	slotSink = sum
+}
+
+var slotSink int32

@@ -8,6 +8,7 @@ package partition
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"aap/internal/graph"
@@ -46,13 +47,10 @@ type Fragment struct {
 	Out      []int32
 	InPrime  []int32
 
-	// Slot routing is hybrid by default: owned vertices map
-	// arithmetically (v - Lo) and the F.O copy set resolves through
-	// copySlots, a compact open-addressed table (slots.go). slot is the
-	// dense length-n alternative, built only under DenseSlotTables;
-	// when present it covers owned vertices and copies alike.
-	copySlots flatSlots
-	slot      []int32
+	// Owned vertices map to slots arithmetically (v - Lo); the F.O copy
+	// set resolves through copySlots, a rank-indexed bitmap over the
+	// global vertex range (slots.go).
+	copySlots []rankWord
 
 	p *Partitioned
 }
@@ -84,19 +82,22 @@ func (f *Fragment) Slots() int { return f.NumOwned() + len(f.Out) }
 // to [0, NumOwned) and F.O copies to [NumOwned, Slots). It returns -1
 // when v is neither owned nor a copy, including synthetic ids outside
 // the graph's vertex range (SendTo's arbitrary routing). Owned vertices
-// resolve with two compares, copies with one probe of the compact
-// table — or, under DenseSlotTables, one load from the dense array.
+// resolve with two compares, copies with one load of v's rank word and
+// a popcount of the F.O members below v in it.
 func (f *Fragment) Slot(v int32) int32 {
 	if v >= f.Lo && v < f.Hi {
 		return v - f.Lo
 	}
-	if f.slot != nil {
-		if v < 0 || int(v) >= len(f.slot) {
-			return -1
-		}
-		return f.slot[v]
+	w := uint(v) >> 6 // a negative id lands far past the table
+	if w >= uint(len(f.copySlots)) {
+		return -1
 	}
-	return f.copySlots.get(v)
+	e := f.copySlots[w]
+	bit := uint64(1) << (uint(v) & 63)
+	if e.bits&bit == 0 {
+		return -1
+	}
+	return e.base + int32(bits.OnesCount64(e.bits&(bit-1)))
 }
 
 // Graph returns the renumbered global graph the fragment views.
@@ -165,11 +166,9 @@ func (p *Partitioned) Owner(v int32) int {
 	return int(p.owner[v])
 }
 
-// Routing lookups stay O(1) at O(n + Σ|F.O|) memory: the owner table
-// is one dense length-n array shared by the partition, and per-fragment
-// slots are hybrid (arithmetic owned range + compact copy table, see
-// slots.go). The former O(n·m) dense slot arrays survive behind
-// DenseSlotTables.
+// Routing lookups are O(1): the owner table is one dense length-n array
+// shared by the partition, and per-fragment slots are the arithmetic
+// owned range plus an n/4-byte rank bitmap for the copies (slots.go).
 
 // ownerSearch is the reference O(log m) owner lookup the dense table
 // replaced; kept for the differential test.
@@ -246,21 +245,6 @@ func Build(g *graph.Graph, m int, s Strategy) (*Partitioned, error) {
 	p.Frags = make([]*Fragment, m)
 	for i := 0; i < m; i++ {
 		p.Frags[i] = &Fragment{ID: i, Lo: ranges[i], Hi: ranges[i+1], p: p}
-	}
-	// Hybrid slot routing needs no per-fragment prefill — the owned
-	// range is arithmetic and the copy tables are built from the border
-	// sets. Only the dense fallback materializes m length-n arrays.
-	if DenseSlotTables {
-		parFrags(p.M, func(i int) {
-			f := p.Frags[i]
-			f.slot = make([]int32, n)
-			for v := range f.slot {
-				f.slot[v] = -1
-			}
-			for v := f.Lo; v < f.Hi; v++ {
-				f.slot[v] = v - f.Lo
-			}
-		})
 	}
 	p.computeBorders()
 	return p, nil

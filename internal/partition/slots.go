@@ -1,94 +1,48 @@
-// Hybrid slot tables: the owned contiguous range of a fragment maps to
-// local slots arithmetically (v - Lo), and only the F.O copy set goes
-// through a compact open-addressed table. That cuts the routing memory
-// from O(n·m) — m dense length-n arrays — to O(n + Σ|F.O|), while
-// keeping Slot an O(1) lookup on both the owned and the copy path.
-//
-// DenseSlotTables restores the PR 1 dense arrays for deployments that
-// prefer the unconditional single-load lookup over the memory; the
-// differential tests in dense_test.go pin both representations to the
-// same reference behavior.
+// Rank-bitmap slot tables: the owned contiguous range of a fragment
+// maps to local slots arithmetically (v - Lo), and the F.O copy set is
+// one bitmap over the global vertex range with a running rank per
+// 64-vertex word. A copy's slot is one 16-byte load plus a popcount —
+// no hashing, no probing — and the table is n/4 bytes per fragment
+// whatever |F.O| is, small enough to stay cache-resident next to the
+// kernel's own state. computeBorders builds it straight from the F.O
+// bitset it already holds.
 package partition
 
-// DenseSlotTables switches Fragment slot lookup back to one dense
-// length-n array per fragment (O(n·m) total memory, one load per
-// lookup). It is read once per partition Build, so it is effectively a
-// build-time constant; tests flip it to cover both representations.
-var DenseSlotTables = false
+import "math/bits"
 
-// flatSlots is an open-addressed global-vertex→slot table over a
-// fragment's F.O copy set. Entries pack key<<32|slot; keys are global
-// vertex indexes (< 2^31), so an all-ones entry is a safe empty marker.
-type flatSlots struct {
-	entries []uint64
-	mask    uint32
+// rankWord covers 64 consecutive global vertices: bits marks the ones
+// in F.O, base is the slot of the lowest marked vertex in the word
+// (NumOwned plus the F.O members in all lower words).
+type rankWord struct {
+	bits uint64
+	base int32
 }
 
-const flatSlotsEmpty = ^uint64(0)
-
-// newFlatSlots builds the table for the sorted copy set out, mapping
-// out[s] to base+s — the same slot numbering the dense table records.
-func newFlatSlots(out []int32, base int32) flatSlots {
-	if len(out) == 0 {
-		return flatSlots{}
-	}
-	size := 8
-	for size < len(out)*2 {
-		size <<= 1
-	}
-	t := flatSlots{entries: make([]uint64, size), mask: uint32(size - 1)}
-	for i := range t.entries {
-		t.entries[i] = flatSlotsEmpty
-	}
-	for s, v := range out {
-		i := t.hash(v)
-		for t.entries[i] != flatSlotsEmpty {
-			i = (i + 1) & t.mask
-		}
-		t.entries[i] = uint64(uint32(v))<<32 | uint64(uint32(base+int32(s)))
+// newRankWords builds the table from a fragment's F.O bitset; copies
+// number from base in ascending vertex order, the same numbering as
+// their positions in the sorted Out slice.
+func newRankWords(out []uint64, base int32) []rankWord {
+	t := make([]rankWord, len(out))
+	for i, w := range out {
+		t[i] = rankWord{bits: w, base: base}
+		base += int32(bits.OnesCount64(w))
 	}
 	return t
 }
 
-func (t *flatSlots) hash(v int32) uint32 {
-	return (uint32(v) * 2654435769) & t.mask
-}
-
-// get returns the slot of global vertex v, or -1 when v is not a copy —
-// including ids outside the graph's vertex range (synthetic routing
-// keys never collide because absent keys terminate on an empty slot).
-func (t *flatSlots) get(v int32) int32 {
-	if t.entries == nil {
-		return -1
-	}
-	i := t.hash(v)
-	for {
-		e := t.entries[i]
-		if e == flatSlotsEmpty {
-			return -1
-		}
-		if int32(e>>32) == v {
-			return int32(uint32(e))
-		}
-		i = (i + 1) & t.mask
-	}
-}
-
 // SlotTableBytes reports the resident size of the per-fragment slot
-// mappings alone — the structures the hybrid representation shrinks
-// from O(n·m) to O(Σ|F.O|). The ingest benchmarks use it to compare
-// the two representations.
+// mappings alone: M tables of ⌈n/64⌉ 16-byte words.
 func (p *Partitioned) SlotTableBytes() int64 {
 	var total int64
 	for _, f := range p.Frags {
-		total += int64(len(f.slot))*4 + int64(len(f.copySlots.entries))*8
+		total += int64(len(f.copySlots)) * 16
 	}
 	return total
 }
 
 // RoutingTableBytes reports the resident size of all routing
-// structures: the dense owner array and CSR holder index (identical
-// under both slot representations) plus SlotTableBytes.
+// structures: the dense owner array and CSR holder index plus
+// SlotTableBytes.
 func (p *Partitioned) RoutingTableBytes() int64 {
 	total := int64(len(p.owner)) * 4
 	total += int64(len(p.holderOff))*4 + int64(len(p.holderDat))*4

@@ -102,7 +102,7 @@ func Run[T any](p *partition.Partitioned, job core.Job[T], cfg Config) (*Result[
 	for i, w := range s.workers {
 		progs[i] = w.prog
 	}
-	return &Result[T]{Values: core.Assemble(p, progs, job), Stats: stats, Trace: s.trace}, nil
+	return &Result[T]{Values: core.Assemble(p, progs), Stats: stats, Trace: s.trace}, nil
 }
 
 // wstate is the scheduling state of a simulated worker.
@@ -197,10 +197,12 @@ func newSim[T any](p *partition.Partitioned, job core.Job[T], cfg Config) *sim[T
 		if cfg.Speed != nil && i < len(cfg.Speed) && cfg.Speed[i] > 0 {
 			speed = cfg.Speed[i]
 		}
+		ctx := core.NewEngineContext[T](f, p.M)
+		ctx.SetSerial()
 		s.workers[i] = &simWorker[T]{
 			id:      i,
 			prog:    job.New(f),
-			ctx:     core.NewEngineContext[T](f, p.M),
+			ctx:     ctx,
 			ctrl:    s.ctrls.Controller(i),
 			folder:  core.NewFolder[T](f),
 			origins: make(map[int32]bool),
