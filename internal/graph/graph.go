@@ -30,10 +30,10 @@ type Graph struct {
 	ids []VertexID // internal index -> external id
 
 	// index maps external id -> base index: the index the vertex had in
-	// the graph Build produced. Relabeled graphs share this map with
+	// the graph Build produced. Relabeled graphs share this table with
 	// their ancestor and compose permutations in baseToCur instead of
-	// rebuilding it, so relabeling performs zero map operations.
-	index     map[VertexID]int32
+	// rebuilding it, so relabeling performs zero table operations.
+	index     idTable
 	baseToCur []int32 // base index -> current index; nil means identity
 
 	outOff []int64   // len n+1
@@ -66,7 +66,7 @@ func (g *Graph) IDOf(v int32) VertexID { return g.ids[v] }
 // IndexOf returns the internal index of the external identifier id and
 // whether it exists.
 func (g *Graph) IndexOf(id VertexID) (int32, bool) {
-	v, ok := g.index[id]
+	v, ok := g.index.get(id)
 	if ok && g.baseToCur != nil {
 		v = g.baseToCur[v]
 	}
@@ -133,6 +133,67 @@ func (g *Graph) Edges(fn func(src, dst int32, w float64)) {
 	}
 }
 
+// idTable resolves external ids to int32 indexes without hashing the
+// common case: ids in [0, len(dense)) index an array directly (-1 marks
+// an absent id), everything else (negative, huge, sparse) lives in the
+// open-addressed over table. Builder, Graph and the edge-list loader all
+// resolve ids through this one type; the loader hands the table it
+// assembled to the Graph it builds, so no id is ever re-inserted.
+type idTable struct {
+	dense []int32
+	over  *flatIntern // nil until the first id outside the dense range
+}
+
+// get returns the index stored for id and whether it is present.
+func (t *idTable) get(id VertexID) (int32, bool) {
+	if uint64(id) < uint64(len(t.dense)) {
+		if v := t.dense[id]; v >= 0 {
+			return v, true
+		}
+	}
+	// Not else: a Builder files ids under over until Reserve tells it the
+	// dense range, so a dense miss still consults over.
+	if t.over != nil {
+		if v := t.over.get(id); v >= 0 {
+			return v, true
+		}
+	}
+	return 0, false
+}
+
+// add records id -> v for an id get just missed.
+func (t *idTable) add(id VertexID, v int32) {
+	if uint64(id) < uint64(len(t.dense)) {
+		t.dense[id] = v
+		return
+	}
+	if t.over == nil {
+		t.over = newFlatIntern(16)
+	}
+	t.over.getOrPut(id, v)
+}
+
+// growDense extends the dense range to n entries, the new ones absent.
+func (t *idTable) growDense(n int) {
+	dense := make([]int32, n)
+	for i := copy(dense, t.dense); i < n; i++ {
+		dense[i] = -1
+	}
+	t.dense = dense
+}
+
+// clone returns a copy that shares nothing with t.
+func (t *idTable) clone() idTable {
+	c := idTable{dense: append([]int32(nil), t.dense...)}
+	if t.over != nil {
+		o := *t.over
+		o.keys = append([]VertexID(nil), o.keys...)
+		o.vals = append([]int32(nil), o.vals...)
+		c.over = &o
+	}
+	return c
+}
+
 // Builder accumulates vertices and edges and produces an immutable Graph.
 // Vertices are created implicitly by AddEdge; isolated vertices can be
 // added with AddVertex. The builder may be reused after Build.
@@ -140,7 +201,7 @@ type Builder struct {
 	directed bool
 	weighted bool
 	ids      []VertexID
-	index    map[VertexID]int32
+	index    idTable
 	srcs     []int32
 	dsts     []int32
 	ws       []float64
@@ -148,7 +209,7 @@ type Builder struct {
 
 // NewBuilder returns a Builder for a directed or undirected graph.
 func NewBuilder(directed bool) *Builder {
-	return &Builder{directed: directed, index: make(map[VertexID]int32)}
+	return &Builder{directed: directed}
 }
 
 // SetWeighted declares that edges carry weights. It is implied by the
@@ -162,11 +223,11 @@ func (b *Builder) Reserve(n, m int) {
 		ids := make([]VertexID, len(b.ids), n)
 		copy(ids, b.ids)
 		b.ids = ids
-		index := make(map[VertexID]int32, n)
-		for id, v := range b.index {
-			index[id] = v
+		if len(b.index.dense) < n {
+			// Callers that know n number their vertices 0..n-1: from here
+			// on those ids index an array instead of hashing.
+			b.index.growDense(n)
 		}
-		b.index = index
 	}
 	if cap(b.srcs) < m {
 		srcs := make([]int32, len(b.srcs), m)
@@ -183,12 +244,12 @@ func (b *Builder) Reserve(n, m int) {
 
 // AddVertex ensures id exists and returns its internal index.
 func (b *Builder) AddVertex(id VertexID) int32 {
-	if v, ok := b.index[id]; ok {
+	if v, ok := b.index.get(id); ok {
 		return v
 	}
 	v := int32(len(b.ids))
 	b.ids = append(b.ids, id)
-	b.index[id] = v
+	b.index.add(id, v)
 	return v
 }
 
@@ -217,36 +278,29 @@ func (b *Builder) NumEdges() int { return len(b.srcs) }
 
 // Build produces the immutable Graph. Edge order within an adjacency list
 // is by increasing destination index, with parallel edges preserved in
-// insertion order. The CSR arrays are built by the parallel pipeline in
-// ingest.go; the id index builds concurrently on its own goroutine, so
-// the map work overlaps the scatter instead of preceding it.
+// insertion order. The id table is copied (the builder may keep growing
+// its own); the CSR arrays are built by the parallel pipeline in
+// ingest.go.
 func (b *Builder) Build() *Graph {
-	n := len(b.ids)
-	m := len(b.srcs)
-	g := &Graph{
-		directed: b.directed,
-		ids:      append([]VertexID(nil), b.ids...),
-		numEdges: int64(m),
-	}
-	idxDone := make(chan map[VertexID]int32, 1)
-	go func() {
-		idx := make(map[VertexID]int32, n)
-		for i, id := range g.ids {
-			idx[id] = int32(i)
-		}
-		idxDone <- idx
-	}()
 	var ws []float64
 	if b.weighted {
 		ws = b.ws
 	}
-	g.outOff, g.outDst, g.outW = scatterCSR(n, b.srcs, b.dsts, ws, !b.directed)
-	if b.directed {
-		g.inOff, g.inSrc, g.inW = scatterCSR(n, b.dsts, b.srcs, ws, false)
+	return buildGraph(b.directed, append([]VertexID(nil), b.ids...), b.index.clone(), b.srcs, b.dsts, ws)
+}
+
+// buildGraph assembles a Graph that takes ownership of ids and index
+// (index must resolve ids[v] to v) from the edge list srcs[i] -> dsts[i]
+// over internal indexes; ws is nil for an unweighted graph.
+func buildGraph(directed bool, ids []VertexID, index idTable, srcs, dsts []int32, ws []float64) *Graph {
+	n := len(ids)
+	g := &Graph{directed: directed, ids: ids, index: index, numEdges: int64(len(srcs))}
+	g.outOff, g.outDst, g.outW = scatterCSR(n, srcs, dsts, ws, !directed)
+	if directed {
+		g.inOff, g.inSrc, g.inW = scatterCSR(n, dsts, srcs, ws, false)
 	} else {
 		g.inOff, g.inSrc, g.inW = g.outOff, g.outDst, g.outW
 	}
-	g.index = <-idxDone
 	return g
 }
 
@@ -255,7 +309,7 @@ func (b *Builder) Build() *Graph {
 // directed edge of g. Connectivity algorithms use it to work on the
 // underlying undirected graph. The undirected rows are produced by
 // merging the already-sorted out- and in-rows (symmetrize in ingest.go):
-// O(n+m) with no Builder and no map operations.
+// O(n+m) with no Builder and no id-table operations.
 func AsUndirected(g *Graph) *Graph {
 	if !g.directed {
 		return g
@@ -278,9 +332,8 @@ func AsUndirected(g *Graph) *Graph {
 // fragment a contiguous index range.
 //
 // The CSR arrays are permuted directly (permuteCSR in ingest.go) and the
-// id index is shared with g, composing permutations in baseToCur — an
-// O(n+m) array pass with zero rebuild and zero map traffic, where the
-// old path re-fed every edge through a map-based Builder.
+// id table is shared with g, composing permutations in baseToCur — an
+// O(n+m) array pass that rebuilds nothing and resolves no id.
 func Relabel(g *Graph, perm []int32) (*Graph, error) {
 	n := g.NumVertices()
 	if err := checkPerm(perm, n); err != nil {

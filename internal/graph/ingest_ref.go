@@ -16,11 +16,13 @@ func (b *Builder) buildRef() *Graph {
 	g := &Graph{
 		directed: b.directed,
 		ids:      append([]VertexID(nil), b.ids...),
-		index:    make(map[VertexID]int32, n),
+		index:    idTable{over: newFlatIntern(n)},
 		numEdges: int64(m),
 	}
+	// The oracle derives its index from ids alone, filed under the
+	// overflow arm: nothing of Builder.index or of Build's dense path.
 	for i, id := range g.ids {
-		g.index[id] = int32(i)
+		g.index.over.getOrPut(id, int32(i))
 	}
 
 	// Out-adjacency. Undirected graphs store each edge in both lists.

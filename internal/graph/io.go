@@ -22,8 +22,8 @@ func Throughput(bytes, edges int64, secs float64) string {
 //
 // one edge per line using external vertex identifiers. Isolated vertices
 // are written as "v <id>" lines so a round trip preserves them. The
-// n=/m= header counts let ReadEdgeList size its buffers exactly once;
-// readers of headerless SNAP-style files still work, they just grow.
+// n= header count tells ReadEdgeList which ids to index directly;
+// headerless SNAP-style files still load, guessing it from their size.
 //
 // Lines are formatted with strconv.Append* into one reused buffer —
 // no fmt, no per-line allocations.
@@ -82,11 +82,12 @@ func WriteEdgeList(w io.Writer, g *Graph) error {
 //
 // The input is parsed by the chunked parallel loader (loader.go): the
 // byte range splits into newline-aligned chunks parsed concurrently,
-// external ids intern through hash-sharded maps, and a deterministic
-// merge reproduces the exact graph the retained sequential reference
-// reader builds — same vertex order, same edge order, same field
-// separators (all of unicode.IsSpace, like strings.Fields), same
-// errors.
+// ids in the dense range the n= header announces resolve by direct
+// indexing (all others through an open-addressed overflow table), and
+// ownership by lowest chunk reproduces the exact graph the retained
+// sequential reference reader builds — same vertex order, same edge
+// order, same field separators (all of unicode.IsSpace, like
+// strings.Fields), same errors.
 // Inputs up to one stream window load in memory; larger inputs parse
 // window by window with carry-over partial lines (stream.go), so peak
 // resident bytes stay near the parsed representation instead of >= the

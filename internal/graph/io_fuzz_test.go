@@ -2,7 +2,10 @@ package graph
 
 import (
 	"bytes"
+	"math"
+	"strconv"
 	"testing"
+	"unicode/utf8"
 
 	"aap/internal/par"
 )
@@ -43,17 +46,34 @@ func FuzzReadEdgeList(f *testing.F) {
 		"\u00a0# directed=true weighted=true\n0 1\n",
 		"1 2\xe2\x80\n",
 		"\u20280 1\u2029\n",
+		// The dense/overflow seam: headers short of, at and far past the
+		// id range, ids at the last bitmap bit and beyond, int64 extremes,
+		// 18- and 19-digit ids, weights on every branch of the one-pass
+		// scan.
+		"# n=2000000000 m=2000000000\n0 1\n1 2\n",
+		"# n=1\n0 1 12345678901234567\n1 -1 0.1234567890123456789\n",
+		"0 1 12345678901234567890\n1 2 1.\n2 3 .5e1\n",
+		"0000000000000000000 00000000000000000\n0000 -999", // names equalGraphs' probe id
 	}
+	seeds = append(seeds, seamCases...)
 	for _, s := range seeds {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		want, wantErr := readEdgeListRef(bytes.NewReader(data))
-		for _, procs := range []int{1, 3} {
-			prev := par.Override
-			par.Override = procs
-			got, gotErr := ParseEdgeList(data)
-			par.Override = prev
+		// In memory at two fan-outs, then streamed through windows small
+		// enough that the dense range grows from window to window.
+		for _, procs := range []int{1, 3, -3} {
+			prevProcs, prevWin := par.Override, streamWindow
+			var got *Graph
+			var gotErr error
+			if par.Override = max(procs, -procs); procs > 0 {
+				got, gotErr = ParseEdgeList(data)
+			} else {
+				streamWindow = 48
+				got, gotErr = readEdgeListStream(bytes.NewReader(data))
+			}
+			par.Override, streamWindow = prevProcs, prevWin
 			if (gotErr == nil) != (wantErr == nil) {
 				t.Fatalf("procs=%d: chunked err = %v, reference err = %v", procs, gotErr, wantErr)
 			}
@@ -64,6 +84,36 @@ func FuzzReadEdgeList(f *testing.F) {
 				continue
 			}
 			equalGraphs(t, tagOf("fuzz", procs, 0), got, want)
+		}
+	})
+}
+
+// FuzzScanWeight pins the one-pass weight scan against strconv on every
+// token: it accepts exactly the all-ASCII tokens strconv.ParseFloat
+// accepts, with the same bits, and consumes the whole token.
+func FuzzScanWeight(f *testing.F) {
+	for _, s := range []string{"0", "-0", "1.", ".5", "12345678901234567", "0.1234567890123456789",
+		"9007199254740993", "4503599627370497.5", "12345678901234567890", "1e3", "0x1p-2", "inf", "nan", "1_0", ".", "+", "1..2"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, tok string) {
+		ascii := tok != ""
+		for i := 0; i < len(tok); i++ {
+			if asciiSpace[tok[i]] {
+				return // not one token
+			}
+			ascii = ascii && tok[i] < utf8.RuneSelf
+		}
+		if !ascii {
+			return // the general tokenizer's, not scanWeight's
+		}
+		want, err := strconv.ParseFloat(tok, 64)
+		got, next, ok := scanWeight([]byte(tok+"\t"), 0, len(tok)+1)
+		if ok != (err == nil) {
+			t.Fatalf("%q: scanWeight ok=%v, strconv err=%v", tok, ok, err)
+		}
+		if ok && (math.Float64bits(got) != math.Float64bits(want) || next != len(tok)) {
+			t.Fatalf("%q: scanWeight = %v (next %d), strconv = %v", tok, got, next, want)
 		}
 	})
 }

@@ -3,7 +3,11 @@ package graph
 import (
 	"bufio"
 	"bytes"
+	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -194,7 +198,7 @@ func TestReadEdgeListTooLong(t *testing.T) {
 }
 
 // TestWriteEdgeListHeader pins the self-describing header: exact n=/m=
-// counts and a parse that consumes them as Reserve hints.
+// counts and a prescan that picks up the flags and the n= hint.
 func TestWriteEdgeListHeader(t *testing.T) {
 	b := NewBuilder(true)
 	b.SetWeighted()
@@ -214,8 +218,181 @@ func TestWriteEdgeListHeader(t *testing.T) {
 	if _, err := h.scan(buf.Bytes()); err != nil {
 		t.Fatal(err)
 	}
-	if !h.directed || !h.weighted || h.nHint != 4 || h.mHint != 2 {
+	if !h.directed || !h.weighted || h.nHint != 4 {
 		t.Fatalf("header scan = %+v", h)
+	}
+}
+
+// seamInput builds an edge list whose ids straddle every boundary of the
+// loader's id resolution: ids inside the dense range a header of n=200
+// announces, at its last word (the bitmap rounds 200 up to 256), just
+// past it, negative, beyond int32, at the 18-digit edge of the one-pass
+// id scan, 19 digits, and the int64 extremes — all interleaved, so the
+// global first-appearance order has to merge the direct-indexed and the
+// interned arm. Id 7 and id -1 are hubs every chunk sees first-hand, and
+// "v" lines name ids before and after their first edge.
+func seamInput(rng *rand.Rand, header string, lines int) []byte {
+	seam := []int64{199, 200, 255, 256, 257, -1, -2, 1 << 31, 5_000_000_000,
+		999999999999999999, -999999999999999999, 1000000000000000000,
+		math.MaxInt64, math.MinInt64}
+	pick := func() int64 {
+		switch rng.Intn(10) {
+		case 0, 1, 2:
+			return seam[rng.Intn(len(seam))]
+		case 3:
+			return 7
+		case 4:
+			return -1
+		default:
+			return int64(rng.Intn(200))
+		}
+	}
+	var sb strings.Builder
+	sb.WriteString(header)
+	for i := 0; i < lines; i++ {
+		switch rng.Intn(12) {
+		case 0:
+			fmt.Fprintf(&sb, "v %d\n", pick())
+		case 1:
+			fmt.Fprintf(&sb, "%d %d %g\n", pick(), pick(), rng.Float64()*100)
+		default:
+			fmt.Fprintf(&sb, "%d %d\n", pick(), pick())
+		}
+	}
+	return []byte(sb.String())
+}
+
+// seamHeaders: no header, and an n= smaller than, equal to, and far
+// larger than the real id range.
+var seamHeaders = []string{
+	"",
+	"# directed=true weighted=false n=50\n",
+	"# directed=false weighted=true n=200 m=4000\n",
+	"# directed=true weighted=false n=2000000000\n",
+}
+
+// TestReadEdgeListDenseOverflowSeam pins the dense/overflow seam against
+// the reference under every forced fan-out.
+func TestReadEdgeListDenseOverflowSeam(t *testing.T) {
+	for hi, header := range seamHeaders {
+		data := seamInput(rand.New(rand.NewSource(int64(hi)+31)), header, 4000)
+		for _, procs := range shardCounts {
+			forceShards(t, procs)
+			got, gotErr, want, wantErr := parseBoth(data)
+			checkSameOutcome(t, tagOf("seam", procs, int64(hi)), got, gotErr, want, wantErr)
+			if wantErr != nil {
+				t.Fatalf("header %d: reference failed: %v", hi, wantErr)
+			}
+		}
+	}
+}
+
+// seamCases are single seam shapes, one per input.
+var seamCases = func() []string {
+	filler := strings.Repeat("1 2\n3 4\n", 40)
+	return []string{
+		"# n=64\n63 64\n64 63\n-1 63\n", // both sides of the last bitmap bit
+		"# n=1\n0 1\n1 0\n",             // a header one vertex short
+		"-9223372036854775808 9223372036854775807\n9223372036854775807 0\n",        // int64 extremes
+		"1000000000000000000 999999999999999999\n+999999999999999999 -0\n",         // 19 vs 18 digits, signs
+		"5 300\n" + filler + "v 300\nv 5\nv 777\n" + filler + "777 5\n",            // v lines after and before the first edge
+		"# n=10\nv 3\n" + filler + "3 4000000000\nv 4000000000\n",                  // the same across the seam
+		"7 1\n" + strings.Repeat("7 7\n-1 7\n", 60),                                // hubs on both arms in every chunk
+		"# n=8\n9 1\n1 9\n8 2\n-3 8\n2 -3\n" + strings.Repeat("9 -3\n8 1\n", 30),   // interleaved first appearances
+		"90 1\n500 90\n" + filler + "1 90\nv 500\n" + filler + filler + "500 90\n", // interned by an early window, raw once the range has grown
+	}
+}()
+
+// TestReadEdgeListSeamHandcrafted runs seamCases under every forced
+// fan-out.
+func TestReadEdgeListSeamHandcrafted(t *testing.T) {
+	for _, procs := range shardCounts {
+		forceShards(t, procs)
+		for i, in := range seamCases {
+			got, gotErr, want, wantErr := parseBoth([]byte(in))
+			checkSameOutcome(t, tagOf("seam-case", procs, int64(i)), got, gotErr, want, wantErr)
+			if wantErr != nil {
+				t.Fatalf("case %d: reference failed: %v", i, wantErr)
+			}
+		}
+	}
+}
+
+// TestScanWeightMatchesStrconv pins the one-pass weight scan bit for bit
+// against strconv.ParseFloat: handpicked forms on every branch (exact
+// quotient, strconv fallback, rejection) and random decimals dense in
+// halfway cases and around the 15-digit seam.
+func TestScanWeightMatchesStrconv(t *testing.T) {
+	toks := []string{"0", "-0", "+0.0", "1", "1.", ".5", "-.5", "+3.25", "007.50", "0.1", "123456789012345",
+		"1234567890123456", "12345678901234567", "1234567890123456789", "12345678901234567890",
+		"0.1234567890123456789", "9007199254740993", "9007199254740992.5", "4503599627370497.5",
+		"0.0000000000000000001", "9999999999999999999", "1844674407370955161.5", "0.3", "2.675",
+		"1e3", "1E-3", "1.5e", "0x1p-2", "inf", "-Inf", "nan", "1_0", ".", "+", "-", "1..2", "1.2.3", "--1", "1-", "١"}
+	rng := rand.New(rand.NewSource(9))
+	for i := 0; i < 200000; i++ {
+		switch i % 4 {
+		case 0: // what WriteEdgeList emits
+			toks = append(toks, strconv.FormatFloat(1+rng.Float64()*99, 'g', -1, 64))
+		case 1:
+			toks = append(toks, strconv.FormatFloat(rng.Float64()*math.Pow(10, float64(rng.Intn(12)-6)), 'f', -1, 64))
+		case 2: // up to 19 digits, either side of the seam, with the point anywhere
+			d := strconv.FormatUint(rng.Uint64()%1e19, 10)[rng.Intn(5):]
+			k := rng.Intn(len(d) + 1)
+			toks = append(toks, d[:k]+"."+d[k:])
+		case 3: // exact halves of 53-bit integers: ties
+			toks = append(toks, strconv.FormatFloat(float64(rng.Int63n(1<<53))+0.5, 'f', -1, 64))
+		}
+	}
+	for _, tok := range toks {
+		want, err := strconv.ParseFloat(tok, 64)
+		got, next, ok := scanWeight([]byte(tok+" 9"), 0, len(tok)+2)
+		ascii := strings.IndexFunc(tok, func(r rune) bool { return r >= 0x80 }) < 0
+		if ok != (err == nil && ascii) { // a non-ASCII byte sends the line to the general tokenizer
+			t.Fatalf("%q: scanWeight ok=%v, strconv err=%v", tok, ok, err)
+		}
+		if ok && (math.Float64bits(got) != math.Float64bits(want) || next != len(tok)) {
+			t.Fatalf("%q: scanWeight = %v (next %d), strconv = %v", tok, got, next, want)
+		}
+	}
+}
+
+// TestReadEdgeListAllocProportional is the regression test for the hint
+// scaling bug: every stream window sized its chunk buffers from the
+// whole file's n=/m=, so a multi-window load churned several times what
+// it kept. The load's total allocation must stay within a small multiple
+// of the parsed representation.
+func TestReadEdgeListAllocProportional(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	n, m := 10_000, 120_000
+	b := NewBuilder(true)
+	b.SetWeighted()
+	b.Reserve(n, m)
+	for i := 0; i < n; i++ {
+		b.AddVertex(VertexID(i))
+	}
+	for e := 0; e < m; e++ {
+		b.AddWeightedEdge(VertexID(rng.Intn(n)), VertexID(rng.Intn(n)), 1+rng.Float64()*99)
+	}
+	var buf bytes.Buffer
+	if err := WriteEdgeList(&buf, b.Build()); err != nil { // truthful n=/m= header
+		t.Fatal(err)
+	}
+	smallWindow(t, buf.Len()/16)
+	forceShards(t, 2)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	g, err := readEdgeListStream(bytes.NewReader(buf.Bytes()))
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parsed := 8*len(g.ids) + 4*len(g.index.dense) +
+		8*(len(g.outOff)+len(g.inOff)) + 4*(len(g.outDst)+len(g.inSrc)) + 8*(len(g.outW)+len(g.inW))
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("load allocated %d bytes for a %d-byte graph (%.1fx)", got, parsed, float64(got)/float64(parsed))
+	if got > 4*uint64(parsed) {
+		t.Fatalf("load allocated %d bytes for a %d-byte graph (%.1fx, want <= 4x)", got, parsed, float64(got)/float64(parsed))
 	}
 }
 
@@ -247,18 +424,55 @@ func ioBenchBytes(tb testing.TB) []byte {
 	return buf.Bytes()
 }
 
+// BenchmarkReadEdgeList times the in-memory parse on the three id
+// shapes the loader tells apart: dense (ids 0..n-1, all direct-indexed),
+// sparse (the same graph with every id multiplied by a large odd
+// constant, all through the overflow arm) and negative (ids negated,
+// likewise).
 func BenchmarkReadEdgeList(b *testing.B) {
-	data := ioBenchBytes(b)
-	b.SetBytes(int64(len(data)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g, err := ParseEdgeList(data)
-		if err != nil {
-			b.Fatal(err)
+	dense := ioBenchBytes(b)
+	rewrite := func(f func(id int64) int64) []byte {
+		var out bytes.Buffer
+		out.Grow(2 * len(dense))
+		for _, line := range bytes.SplitAfter(dense, []byte{'\n'}) {
+			fields := bytes.Fields(line)
+			if len(fields) == 0 || fields[0][0] == '#' {
+				out.Write(line)
+				continue
+			}
+			for _, tok := range fields {
+				if id, err := strconv.ParseInt(string(tok), 10, 64); err == nil {
+					tok = strconv.AppendInt(nil, f(id), 10)
+				}
+				out.Write(tok) // "v" and the weight pass through
+				out.WriteByte(' ')
+			}
+			out.WriteByte('\n')
 		}
-		if g.NumVertices() != 150_000 {
-			b.Fatal("bad parse")
-		}
+		return out.Bytes()
+	}
+	inputs := []struct {
+		name string
+		data []byte
+	}{
+		{"dense", dense},
+		{"sparse", rewrite(func(id int64) int64 { return id * 1_000_003_019 })},
+		{"negative", rewrite(func(id int64) int64 { return -id - 1 })},
+	}
+	for _, in := range inputs {
+		b.Run(in.name, func(b *testing.B) {
+			b.SetBytes(int64(len(in.data)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				g, err := ParseEdgeList(in.data)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if g.NumVertices() != 150_000 {
+					b.Fatal("bad parse")
+				}
+			}
+		})
 	}
 }
 

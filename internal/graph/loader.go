@@ -1,32 +1,37 @@
 // Chunked parallel edge-list loader: the streaming ingest front end.
 //
 // ParseEdgeList turns file bytes into a Graph with every stage
-// multicore:
+// multicore and, for ids in the dense range, no hash table anywhere:
 //
-//	bytes ─ chunk split (newline-aligned) ─ per-chunk parse + local
-//	intern ─ hash-sharded dedup ─ deterministic merge/assign ─ remap ─
-//	parallel CSR scatter (ingest.go)
+//	bytes ─ fixed-grain chunk split (newline-aligned) ─ per-chunk parse
+//	(raw ids + first-appearance bitmap) ─ first-chunk claim (atomic min)
+//	─ per-chunk winner count ─ prefix sum ─ parallel id assignment ─
+//	remap ─ parallel CSR scatter (ingest.go)
 //
 // Each chunk parses on its own goroutine with hand-rolled tokenizing
-// and integer parsing (no strings.Fields, no per-line allocations) into
-// chunk-local edge buffers and a chunk-local intern map, so parser
-// workers never share a map. Cross-chunk dedup shards by hash(id):
-// shard s owns every id with shardOf(id)==s and scans the chunks'
-// first-appearance records in (chunk, position) order, which makes the
-// final internal-id assignment — a merge of the shard lists by that
-// same key — exactly the first-appearance order a single sequential
-// Builder would produce. The result is bit-identical to the retained
-// reference reader (io_ref.go) for any chunk or shard count, which the
-// differential and fuzz tests in io_test.go pin.
+// and number parsing (no strings.Fields, no per-line allocations). An
+// endpoint in [0, bound) is stored as the raw id and its first
+// appearance in the chunk recorded by a test-and-set on the worker's
+// bitmap; any other id (negative, huge, sparse) interns into a
+// chunk-local overflow table and is stored as a negative code. The
+// internal id of a vertex is its rank in global first-appearance order:
+// the lowest chunk that saw an id owns it (an atomic min per dense id,
+// a hash-sharded scan in chunk order for ids no chunk holds raw), a
+// chunk's owned ids keep their chunk-local order, and a prefix sum over
+// the chunks' owned counts places them — exactly the order a single
+// sequential Builder would produce. The result is bit-identical to the
+// retained reference reader (io_ref.go) for any chunk, worker or window
+// count, which the differential and fuzz tests in io_test.go pin.
 package graph
 
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"sync/atomic"
-	"unicode"
 	"unicode/utf8"
 	"unsafe"
 
@@ -34,15 +39,14 @@ import (
 )
 
 const (
-	// loaderGrainBytes is the input size per parse worker before the
-	// loader adds another; below it goroutine fan-out costs more than
-	// the parsing saves.
-	loaderGrainBytes = 1 << 20
-
-	// loaderChunksPerWorker oversubscribes chunks to workers so a chunk
+	// loaderGrainBytes is the size of one parse chunk, and the input size
+	// per parse worker before the loader adds another; below it goroutine
+	// fan-out costs more than the parsing saves. Chunks are a fixed grain,
+	// not a share of the input, so their buffers and first-appearance
+	// lists stay cache-sized whatever the file or window size, and a chunk
 	// dense in long lines or new vertices does not straggle the tail;
 	// workers pull chunks from a shared counter.
-	loaderChunksPerWorker = 4
+	loaderGrainBytes = 1 << 20
 
 	// maxLineLen mirrors the reference reader's bufio.Scanner buffer: a
 	// line whose terminator is not within 1 MiB fails with
@@ -51,57 +55,12 @@ const (
 	maxLineLen = 1 << 20
 )
 
-// asciiSpace marks the single-byte separators of the tokenizer: the
-// ASCII subset of unicode.IsSpace, the fast path of every line. Bytes
-// outside ASCII take the rune-decoding slow path so multi-byte
-// whitespace (NBSP, NEL, ideographic space, …) separates fields exactly
-// as the reference reader's strings.Fields does — the two paths accept
-// identical inputs byte for byte.
+// asciiSpace marks the single-byte separators: the ASCII subset of
+// unicode.IsSpace, all the fast path of a line accepts. A line with any
+// other separator (NBSP, NEL, ideographic space, …) goes to slowLine,
+// whose bytes.Fields splits exactly like the reference reader's
+// strings.Fields — the two readers accept identical inputs byte for byte.
 var asciiSpace = [256]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
-
-// skipSpace advances i over the whitespace run starting at region[i],
-// returning the first non-space position <= le. ASCII bytes resolve
-// through the table; other bytes decode as UTF-8 and consult
-// unicode.IsSpace, mirroring strings.Fields (invalid sequences decode
-// to U+FFFD, which is not a space, and join the next token byte-wise in
-// both readers).
-func skipSpace(region []byte, i, le int) int {
-	for i < le {
-		if c := region[i]; c < utf8.RuneSelf {
-			if !asciiSpace[c] {
-				return i
-			}
-			i++
-			continue
-		}
-		r, sz := utf8.DecodeRune(region[i:le])
-		if !unicode.IsSpace(r) {
-			return i
-		}
-		i += sz
-	}
-	return i
-}
-
-// skipToken advances i over the token starting at region[i] (which must
-// not be a space), returning the position just past it.
-func skipToken(region []byte, i, le int) int {
-	for i < le {
-		if c := region[i]; c < utf8.RuneSelf {
-			if asciiSpace[c] {
-				return i
-			}
-			i++
-			continue
-		}
-		r, sz := utf8.DecodeRune(region[i:le])
-		if unicode.IsSpace(r) {
-			return i
-		}
-		i += sz
-	}
-	return i
-}
 
 // bstr reinterprets b as a string without copying — strconv fallbacks
 // only read the bytes during the call and the loader never mutates the
@@ -109,47 +68,140 @@ func skipToken(region []byte, i, le int) int {
 // allocation-free.
 func bstr(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
 
-// parseIntBytes is the hand-rolled base-10 int64 fast path. ok=false
-// means "let strconv decide": the caller re-parses with strconv.ParseInt
-// for the exact value (19-digit magnitudes) or the canonical error, so
-// accepted syntax and error text match the reference reader exactly.
-func parseIntBytes(tok []byte) (int64, bool) {
-	i := 0
+// skipASCIISpace advances i over single-byte separators only.
+func skipASCIISpace(region []byte, i, le int) int {
+	for i < le && asciiSpace[region[i]] {
+		i++
+	}
+	return i
+}
+
+// scanID tokenizes and parses an id of the shape [+-]digits{1,18},
+// ended by an ASCII separator or the line end, in one pass over its
+// bytes. ok=false means "not that shape": the caller re-reads the line
+// with the general tokenizer and strconv, so accepted syntax, 19-digit
+// magnitudes and error text stay the reference reader's.
+func scanID(region []byte, i, le int) (id VertexID, next int, ok bool) {
 	neg := false
-	if tok[0] == '+' || tok[0] == '-' {
-		neg = tok[0] == '-'
-		i = 1
+	if i < le && (region[i] == '-' || region[i] == '+') {
+		neg = region[i] == '-'
+		i++
 	}
-	if nd := len(tok) - i; nd == 0 || nd > 18 {
-		return 0, false
-	}
+	start := i
 	var u uint64
-	for ; i < len(tok); i++ {
-		c := tok[i] - '0'
+	for ; i < le; i++ {
+		c := region[i] - '0'
 		if c > 9 {
-			return 0, false
+			break
 		}
 		u = u*10 + uint64(c)
 	}
-	if neg {
-		return -int64(u), true
+	if nd := i - start; nd == 0 || nd > 18 || (i < le && !asciiSpace[region[i]]) {
+		return 0, 0, false
 	}
-	return int64(u), true
+	if neg {
+		return -VertexID(u), i, true
+	}
+	return VertexID(u), i, true
 }
 
-// shardOf maps an external id to its intern shard.
+// pow10 holds the powers of ten a weight's fraction scales by.
+var pow10 = [...]float64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15}
+
+// scanWeight tokenizes and parses the ASCII weight token at region[i]
+// in one pass. The common shape [+-]digits[.digits] with at most 15
+// digits never reaches strconv: the digits are an integer m < 10^15 and
+// the value is m/10^k, both exact float64s, so their IEEE quotient is
+// the correctly rounded value strconv.ParseFloat returns. Every other
+// token (exponents, hex, inf/nan, underscores, longer mantissas) goes to
+// strconv; ok=false (a non-ASCII byte, or a token strconv rejects) sends
+// the line to the general tokenizer, which reports the canonical error.
+func scanWeight(region []byte, i, le int) (w float64, next int, ok bool) {
+	start := i
+	neg := region[i] == '-'
+	if neg || region[i] == '+' {
+		i++
+	}
+	var mant uint64
+	digits, frac := 0, -1 // frac counts digits after the point; -1: no point yet
+	for ; i < le; i++ {
+		c := region[i]
+		if d := c - '0'; d <= 9 {
+			mant = mant*10 + uint64(d)
+			digits++
+			if frac >= 0 {
+				frac++
+			}
+		} else if c == '.' && frac < 0 {
+			frac = 0
+		} else {
+			break
+		}
+	}
+	plain := digits > 0 && digits <= 15
+	for ; i < le && !asciiSpace[region[i]]; i++ {
+		if region[i] >= utf8.RuneSelf {
+			return 0, 0, false
+		}
+		plain = false
+	}
+	if !plain {
+		w, err := strconv.ParseFloat(bstr(region[start:i]), 64)
+		return w, i, err == nil
+	}
+	w = float64(mant)
+	if frac > 0 {
+		w /= pow10[frac]
+	}
+	if neg {
+		w = -w
+	}
+	return w, i, true
+}
+
+// fastLine parses a line of the all-ASCII shapes "src dst [weight]" and
+// "v id" — every data line WriteEdgeList and SNAP-style writers emit —
+// without tokenizing it first. fields is 1 (vertex line, the id in src),
+// 2 or 3 on success and 0 for any other line (blank, comment, unicode
+// separators, malformed), which the caller hands to slowLine untouched.
+func fastLine(region []byte, i, le int) (src, dst VertexID, w float64, fields int) {
+	var ok bool
+	i = skipASCIISpace(region, i, le)
+	if i+1 < le && region[i] == 'v' && asciiSpace[region[i+1]] {
+		if src, i, ok = scanID(region, skipASCIISpace(region, i+1, le), le); ok && skipASCIISpace(region, i, le) == le {
+			return src, 0, 0, 1
+		}
+		return 0, 0, 0, 0
+	}
+	if src, i, ok = scanID(region, i, le); !ok {
+		return 0, 0, 0, 0
+	}
+	if dst, i, ok = scanID(region, skipASCIISpace(region, i, le), le); !ok {
+		return 0, 0, 0, 0
+	}
+	if i = skipASCIISpace(region, i, le); i == le {
+		return src, dst, 1, 2
+	}
+	if w, i, ok = scanWeight(region, i, le); !ok || skipASCIISpace(region, i, le) != le {
+		return 0, 0, 0, 0
+	}
+	return src, dst, w, 3
+}
+
+// shardOf maps an external id to its overflow dedup shard.
 func shardOf(id VertexID, shards int) int {
 	h := uint64(id) * 0x9E3779B97F4A7C15
 	h ^= h >> 32
 	return int(h % uint64(shards))
 }
 
-// flatIntern is an open-addressed VertexID→int32 table used for the
-// chunk-local intern and the shard dedup. The intern workload is
-// hit-heavy (two lookups per edge line, one insert per distinct id),
-// where linear probing at ≤0.75 load runs several times cheaper than a
-// Go map and rehashing is the only allocation. Values are ≥0; vals[i]
-// < 0 marks an empty slot, so any int64 id is a valid key.
+// flatIntern is an open-addressed VertexID→int32 table: the overflow
+// arm of idTable and of the loader, for ids outside the dense range.
+// The intern workload is hit-heavy (two lookups per edge line, one
+// insert per distinct id), where linear probing at ≤0.75 load runs
+// several times cheaper than a Go map and rehashing is the only
+// allocation. Values are ≥0; vals[i] < 0 marks an empty slot, so any
+// int64 id is a valid key.
 type flatIntern struct {
 	keys []VertexID
 	vals []int32
@@ -163,10 +215,16 @@ func newFlatIntern(hint int) *flatIntern {
 		size <<= 1
 	}
 	f := &flatIntern{keys: make([]VertexID, size), vals: make([]int32, size), mask: uint64(size - 1)}
+	f.reset()
+	return f
+}
+
+// reset empties the table, keeping its capacity.
+func (f *flatIntern) reset() {
 	for i := range f.vals {
 		f.vals[i] = -1
 	}
-	return f
+	f.n = 0
 }
 
 func (f *flatIntern) hash(id VertexID) uint64 {
@@ -213,48 +271,24 @@ func (f *flatIntern) getOrPut(id VertexID, val int32) (int32, bool) {
 	}
 }
 
-// put overwrites the value of a key that is already present (the
-// merge's final-id fixup); absent keys would spin, so callers must
-// guarantee membership.
-func (f *flatIntern) put(id VertexID, val int32) {
-	i := f.hash(id)
-	for {
-		if f.vals[i] >= 0 && f.keys[i] == id {
-			f.vals[i] = val
-			return
-		}
-		i = (i + 1) & f.mask
-	}
-}
-
+// rehash doubles the table.
 func (f *flatIntern) rehash() {
-	old := *f
-	size := (int(f.mask) + 1) * 2
-	f.keys = make([]VertexID, size)
-	f.vals = make([]int32, size)
-	f.mask = uint64(size - 1)
-	for i := range f.vals {
-		f.vals[i] = -1
-	}
-	for i, v := range old.vals {
-		if v < 0 {
-			continue
+	g := newFlatIntern(len(f.keys))
+	for i, v := range f.vals {
+		if v >= 0 {
+			g.getOrPut(f.keys[i], v)
 		}
-		j := f.hash(old.keys[i])
-		for f.vals[j] >= 0 {
-			j = (j + 1) & f.mask
-		}
-		f.keys[j], f.vals[j] = old.keys[i], v
 	}
+	*f = *g
 }
 
 // header holds what the sequential prescan of the leading comment/blank
-// lines established: the graph flags, optional n=/m= size hints, and
-// where the data region starts.
+// lines established: the graph flags, the optional n= vertex-count hint,
+// and where the data region starts.
 type header struct {
 	directed, weighted bool
 	seen               bool // a "directed=" comment already fixed the flags
-	nHint, mHint       int
+	nHint              int
 	off                int // byte offset of the first data line
 	lines              int // lines consumed before the data region
 }
@@ -296,7 +330,7 @@ func (h *header) scan(data []byte) (done bool, err error) {
 			h.directed = bytes.Contains(line, []byte("directed=true"))
 			h.weighted = bytes.Contains(line, []byte("weighted=true"))
 		}
-		h.scanHints(line)
+		h.scanHint(line)
 		h.lines++
 		pos = next
 	}
@@ -304,165 +338,125 @@ func (h *header) scan(data []byte) (done bool, err error) {
 	return false, nil
 }
 
-// scanHints extracts n=/m= size hints from a header comment. They only
-// pre-size buffers, so malformed or missing hints cost nothing.
-func (h *header) scanHints(line []byte) {
-	i := 0
-	for i < len(line) {
-		for i < len(line) && asciiSpace[line[i]] {
-			i++
-		}
-		s := i
-		for i < len(line) && !asciiSpace[line[i]] {
-			i++
-		}
-		tok := line[s:i]
-		if len(tok) > 2 && tok[1] == '=' {
-			// Bound by MaxInt32 so int(v) cannot wrap negative on
-			// 32-bit platforms and sneak past the size clamps.
-			if v, ok := parseIntBytes(tok[2:]); ok && v >= 0 && v < 1<<31 {
-				if tok[0] == 'n' {
-					h.nHint = int(v)
-				} else if tok[0] == 'm' {
-					h.mHint = int(v)
-				}
+// scanHint extracts the n= hint from a header comment. It only bounds
+// the dense id range, so a malformed or missing hint costs nothing.
+func (h *header) scanHint(line []byte) {
+	for _, f := range bytes.Fields(line) {
+		if digits, ok := bytes.CutPrefix(f, []byte("n=")); ok {
+			// Below MaxInt32 so int(v) cannot wrap negative on 32-bit
+			// platforms and sneak past the size clamps.
+			if v, _, ok := scanID(digits, 0, len(digits)); ok && v >= 0 && v < 1<<31 {
+				h.nHint = int(v)
 			}
 		}
 	}
 }
 
-// Chunk error kinds; the first failing chunk materializes the same
-// error, with the same global line number, the reference reader stops
-// on.
-const (
-	failNone = iota
-	failTooLong
-	failBadVertex
-	failFieldCount
-	failNum
-)
-
-type chunkError struct {
-	kind  int
-	line  int   // 1-based within the chunk
-	count int   // field count for failFieldCount
-	num   error // strconv error for failNum
-}
-
-// internRec is one chunk-local first appearance of an external id.
-type internRec struct {
-	id  VertexID
-	pos int32 // index into the chunk's localIDs
-}
-
-// chunk is one newline-aligned byte range with everything its parse
-// produced.
+// chunk is everything the parse of one newline-aligned byte range
+// produced. Endpoints and first appearances are codes: the id itself
+// when it lies in the dense range the chunk was parsed under, else ^i
+// for overIDs[i].
 type chunk struct {
-	lo, hi   int
-	index    *flatIntern
-	localIDs []VertexID    // chunk-local first-appearance order
-	buckets  [][]internRec // per intern shard, in localIDs order
-	srcs     []int32       // chunk-local vertex indexes
-	dsts     []int32
-	ws       []float64 // nil until a 3-field line appears in this chunk
-	sawData  bool
-	lines    int
-	fail     chunkError
+	srcs    []int32
+	dsts    []int32
+	ws      []float64  // nil until a 3-field line appears in this chunk
+	firsts  []int32    // distinct codes in chunk-local first-appearance order
+	overIDs []VertexID // chunk-local overflow ids, in first-appearance order
+	overWon []bool     // parallel to overIDs: no earlier chunk holds the id
+	maxID   int32      // largest dense code, -1 when there is none
+	base    int        // internal id of the chunk's first owned vertex
+	sawData bool
+	lines   int
+	// fail is what is wrong with the chunk's first bad line, where parse
+	// stops — so `lines` is that line's number within the chunk.
+	fail error
 }
 
-func (c *chunk) intern(id VertexID, shards int) int32 {
-	v, existed := c.index.getOrPut(id, int32(len(c.localIDs)))
-	if existed {
-		return v
+// parser is one parse worker's scratch, reused from chunk to chunk: the
+// first-appearance bitmap over the dense id range [0, 64·len(seen)) and
+// the intern table of the ids outside it.
+type parser struct {
+	seen []uint64
+	over *flatIntern
+}
+
+// intern returns the chunk-local code of id, recording it in c.firsts
+// when the chunk has not seen it before.
+func (p *parser) intern(c *chunk, id VertexID) int32 {
+	if w := uint64(id) >> 6; w < uint64(len(p.seen)) {
+		if bit := uint64(1) << (uint64(id) & 63); p.seen[w]&bit == 0 {
+			p.seen[w] |= bit
+			c.firsts = append(c.firsts, int32(id))
+			c.maxID = max(c.maxID, int32(id))
+		}
+		return int32(id)
 	}
-	c.localIDs = append(c.localIDs, id)
-	s := shardOf(id, shards)
-	c.buckets[s] = append(c.buckets[s], internRec{id: id, pos: v})
-	return v
+	if p.over == nil {
+		p.over = newFlatIntern(64)
+	}
+	v, existed := p.over.getOrPut(id, int32(len(c.overIDs)))
+	if !existed {
+		c.overIDs = append(c.overIDs, id)
+		c.firsts = append(c.firsts, ^v)
+	}
+	return ^v
+}
+
+// release returns the scratch to its empty state after c's parse. The
+// bitmap is cleared word by word through the chunk's own first
+// appearances, so the cost follows the chunk, not the dense range.
+func (p *parser) release(c *chunk) {
+	for _, code := range c.firsts {
+		if code >= 0 {
+			p.seen[code>>6] = 0
+		}
+	}
+	if len(c.overIDs) > 0 {
+		p.over.reset()
+	}
 }
 
 // parse tokenizes the chunk's lines. It stops at the chunk's first
 // error; the line count of an errored chunk is only consumed up to the
 // failure, which is fine because only chunks before the earliest
-// failure contribute to its global line number.
-func (c *chunk) parse(region []byte, shards, vHint, eHint int) {
-	c.index = newFlatIntern(vHint)
-	c.localIDs = make([]VertexID, 0, vHint)
-	c.buckets = make([][]internRec, shards)
-	c.srcs = make([]int32, 0, eHint)
-	c.dsts = make([]int32, 0, eHint)
+// failure contribute to its global line number. Buffers are sized from
+// the chunk's own bytes: its newline count bounds its edges, as does a
+// quarter of its length (an edge line has at least 4 bytes).
+func (p *parser) parse(c *chunk, data []byte) {
+	c.maxID = -1
+	edges := min(bytes.Count(data, []byte{'\n'}), len(data)/4) + 1
+	c.srcs = make([]int32, 0, edges)
+	c.dsts = make([]int32, 0, edges)
+	c.firsts = make([]int32, 0, edges)
 
-	pos := c.lo
-	var tok [3][2]int
-	for pos < c.hi {
-		ls := pos
-		le := c.hi
-		if nl := bytes.IndexByte(region[pos:c.hi], '\n'); nl >= 0 {
+	for pos := 0; pos < len(data); {
+		ls, le := pos, len(data)
+		if nl := bytes.IndexByte(data[pos:], '\n'); nl >= 0 {
 			le = pos + nl
-			pos = le + 1
-		} else {
-			pos = c.hi
 		}
+		pos = le + 1
 		c.lines++
 		if le-ls >= maxLineLen {
-			c.fail = chunkError{kind: failTooLong, line: c.lines}
+			c.fail = bufio.ErrTooLong
 			return
 		}
-
-		// Tokenize: remember the first three tokens, count them all.
-		total := 0
-		for i := ls; i < le; {
-			i = skipSpace(region, i, le)
-			if i >= le {
-				break
-			}
-			s := i
-			i = skipToken(region, i, le)
-			if total < 3 {
-				tok[total] = [2]int{s, i}
-			}
-			total++
-		}
-		if total == 0 {
-			continue // blank line
-		}
-		if region[tok[0][0]] == '#' {
-			continue // comment; header flags froze at the prescan
-		}
-		c.sawData = true
-
-		if tok[0][1]-tok[0][0] == 1 && region[tok[0][0]] == 'v' {
-			if total != 2 {
-				c.fail = chunkError{kind: failBadVertex, line: c.lines}
+		src, dst, w, fields := fastLine(data, ls, le)
+		if fields == 0 {
+			if src, dst, w, fields = c.slowLine(data[ls:le]); fields < 0 {
 				return
 			}
-			id, ok := c.parseVertexID(region, tok[1])
-			if !ok {
-				return
-			}
-			c.intern(id, shards)
+		}
+		switch fields {
+		case 0: // blank line, or a comment; header flags froze at the prescan
+			continue
+		case 1:
+			c.sawData = true
+			p.intern(c, src)
 			continue
 		}
-		if total < 2 || total > 3 {
-			c.fail = chunkError{kind: failFieldCount, line: c.lines, count: total}
-			return
-		}
-		src, ok := c.parseVertexID(region, tok[0])
-		if !ok {
-			return
-		}
-		dst, ok := c.parseVertexID(region, tok[1])
-		if !ok {
-			return
-		}
-		s, d := c.intern(src, shards), c.intern(dst, shards)
-		if total == 3 {
-			w := region[tok[2][0]:tok[2][1]]
-			wt, err := strconv.ParseFloat(bstr(w), 64)
-			if err != nil {
-				c.fail = chunkError{kind: failNum, line: c.lines, num: err}
-				return
-			}
+		c.sawData = true
+		s, d := p.intern(c, src), p.intern(c, dst)
+		if fields == 3 {
 			if c.ws == nil {
 				// Earlier 2-field edges of this chunk carry weight 1,
 				// exactly as Builder.AddEdge records them.
@@ -471,7 +465,7 @@ func (c *chunk) parse(region []byte, shards, vHint, eHint int) {
 					c.ws[i] = 1
 				}
 			}
-			c.ws = append(c.ws, wt)
+			c.ws = append(c.ws, w)
 		} else if c.ws != nil {
 			c.ws = append(c.ws, 1)
 		}
@@ -480,167 +474,44 @@ func (c *chunk) parse(region []byte, shards, vHint, eHint int) {
 	}
 }
 
-// parseVertexID resolves one id token, falling back to strconv for
-// oversized magnitudes and for the canonical error text.
-func (c *chunk) parseVertexID(region []byte, t [2]int) (VertexID, bool) {
-	b := region[t[0]:t[1]]
-	if v, ok := parseIntBytes(b); ok {
-		return VertexID(v), true
+// slowLine is the general line parser — bytes.Fields and strconv, the
+// reference reader's semantics verbatim — for the lines fastLine turns
+// down. fields is 0 for a blank or comment line, 1 for a vertex line
+// (the id in src), 2 or 3 for an edge, and -1 after recording c.fail.
+func (c *chunk) slowLine(line []byte) (src, dst VertexID, w float64, fields int) {
+	f := bytes.Fields(line)
+	if len(f) == 0 || f[0][0] == '#' {
+		return 0, 0, 0, 0
 	}
-	v, err := strconv.ParseInt(bstr(b), 10, 64)
+	var err error // the line's first number error
+	id := func(tok []byte) VertexID {
+		v, e := strconv.ParseInt(bstr(tok), 10, 64)
+		if err == nil {
+			err = e
+		}
+		return VertexID(v)
+	}
+	switch {
+	case string(f[0]) == "v":
+		if len(f) != 2 {
+			c.fail = errors.New("bad vertex line")
+			return 0, 0, 0, -1
+		}
+		src, fields = id(f[1]), 1
+	case len(f) < 2 || len(f) > 3:
+		c.fail = fmt.Errorf("expected 2 or 3 fields, got %d", len(f))
+		return 0, 0, 0, -1
+	default:
+		src, dst, w, fields = id(f[0]), id(f[1]), 1, len(f)
+		if len(f) == 3 && err == nil {
+			w, err = strconv.ParseFloat(bstr(f[2]), 64)
+		}
+	}
 	if err != nil {
-		c.fail = chunkError{kind: failNum, line: c.lines, num: err}
-		return 0, false
+		c.fail = err
+		return 0, 0, 0, -1
 	}
-	return VertexID(v), true
-}
-
-// shardAssign is one intern shard's view of the dedup: the ids it owns
-// in global first-appearance order, with their (chunk, position) keys
-// and, after the merge, their final internal ids.
-type shardAssign struct {
-	m     *flatIntern
-	ids   []VertexID
-	keys  []uint64 // chunk<<32 | chunk-local first-appearance position
-	final []int32
-}
-
-// mergeAssign is the tournament-tree fan-in of the sharded dedup: it
-// merges the shards' first-appearance lists by their (chunk, position)
-// keys, writing each id's final internal id and the global id table in
-// merged order. Keys are unique ((chunk, position) pairs identify one
-// first appearance), so ties cannot arise and the merge is total.
-//
-// The tree is a classic loser tree: leaves are the shard heads padded to
-// a power of two with an exhausted sentinel, internal nodes hold the
-// loser of their subtree's match, and tree[0] holds the overall winner.
-// Popping the winner replays exactly one root-to-leaf path — O(log S)
-// comparisons — where the linear scan it replaces compared all S heads
-// per output id.
-func mergeAssign(assigns []shardAssign, ids []VertexID) {
-	shards := len(assigns)
-	width := 1
-	for width < shards {
-		width <<= 1
-	}
-	const exhausted = ^uint64(0)
-	heads := make([]int, width)
-	key := make([]uint64, width) // current key of each leaf
-	for s := range key {
-		if s < shards && len(assigns[s].keys) > 0 {
-			key[s] = assigns[s].keys[0]
-		} else {
-			key[s] = exhausted
-		}
-	}
-	tree := make([]int, width) // tree[1:] hold losers; tree[0] the winner
-	var build func(node int) int
-	build = func(node int) int {
-		if node >= width {
-			return node - width // leaf: shard index
-		}
-		l, r := build(2*node), build(2*node+1)
-		if key[l] <= key[r] {
-			tree[node] = r
-			return l
-		}
-		tree[node] = l
-		return r
-	}
-	tree[0] = build(1)
-
-	for i := range ids {
-		w := tree[0]
-		a := &assigns[w]
-		a.final[heads[w]] = int32(i)
-		ids[i] = a.ids[heads[w]]
-		heads[w]++
-		if heads[w] < len(a.keys) {
-			key[w] = a.keys[heads[w]]
-		} else {
-			key[w] = exhausted
-		}
-		// Replay the matches on w's root path; the smaller key survives.
-		for node := (width + w) / 2; node >= 1; node /= 2 {
-			if key[tree[node]] < key[w] {
-				tree[node], w = w, tree[node]
-			}
-		}
-		tree[0] = w
-	}
-}
-
-// ParseEdgeList parses an in-memory edge list with the chunked parallel
-// loader. See ReadEdgeList for the format.
-func ParseEdgeList(data []byte) (*Graph, error) {
-	h := newHeader()
-	if _, err := h.scan(data); err != nil {
-		return nil, err
-	}
-	region := data[h.off:]
-	procs := par.Procs(int64(len(region)), loaderGrainBytes)
-	vHint, eHint := h.chunkHints(len(region), procs*loaderChunksPerWorker)
-	chunks := parseChunks(region, procs, procs, vHint, eHint)
-	if _, err := chunkFail(chunks, h.lines); err != nil {
-		return nil, err
-	}
-	return assembleGraph(h, chunks, procs, procs), nil
-}
-
-// chunkHints sizes the per-chunk vertex/edge buffer hints for nc chunks
-// over a region of regionLen bytes, clamping the header's claims so a
-// lying header cannot force absurd allocations: every edge line has ≥4
-// bytes, every vertex ≥2.
-func (h *header) chunkHints(regionLen, nc int) (vHint, eHint int) {
-	n, m := h.nHint, h.mHint
-	if m > regionLen/4+1 {
-		m = regionLen/4 + 1
-	}
-	if n > regionLen/2+1 {
-		n = regionLen/2 + 1
-	}
-	return n/nc + 8, m/nc + 8
-}
-
-// parseChunks splits region into newline-aligned chunks pulled by procs
-// workers from a shared counter and parses them concurrently, interning
-// ids into `shards` dedup shards.
-func parseChunks(region []byte, procs, shards, vHint, eHint int) []chunk {
-	nc := procs * loaderChunksPerWorker
-
-	// Newline-aligned chunk boundaries: push each tentative split to
-	// the start of the next line. Collapsed (empty) chunks are fine.
-	bounds := make([]int, nc+1)
-	bounds[nc] = len(region)
-	for i := 1; i < nc; i++ {
-		s := i * len(region) / nc
-		if s < bounds[i-1] {
-			s = bounds[i-1]
-		}
-		if s > 0 && (s == len(region) || region[s-1] == '\n') {
-			bounds[i] = s
-			continue
-		}
-		if nl := bytes.IndexByte(region[s:], '\n'); nl >= 0 {
-			bounds[i] = s + nl + 1
-		} else {
-			bounds[i] = len(region)
-		}
-	}
-
-	chunks := make([]chunk, nc)
-	var nextChunk atomic.Int32
-	par.Do(procs, func(int) {
-		for {
-			k := int(nextChunk.Add(1)) - 1
-			if k >= nc {
-				return
-			}
-			chunks[k].lo, chunks[k].hi = bounds[k], bounds[k+1]
-			chunks[k].parse(region, shards, vHint, eHint)
-		}
-	})
-	return chunks
+	return src, dst, w, fields
 }
 
 // chunkFail scans chunks for the first failure in file order and
@@ -652,95 +523,252 @@ func parseChunks(region []byte, procs, shards, vHint, eHint int) []chunk {
 func chunkFail(chunks []chunk, startLine int) (int, error) {
 	line := startLine
 	for k := range chunks {
-		c := &chunks[k]
-		if c.fail.kind != failNone {
-			n := line + c.fail.line
-			switch c.fail.kind {
-			case failTooLong:
-				return 0, bufio.ErrTooLong
-			case failBadVertex:
-				return 0, fmt.Errorf("graph: line %d: bad vertex line", n)
-			case failFieldCount:
-				return 0, fmt.Errorf("graph: line %d: expected 2 or 3 fields, got %d", n, c.fail.count)
-			default:
-				return 0, fmt.Errorf("graph: line %d: %v", n, c.fail.num)
-			}
+		line += chunks[k].lines
+		if fail := chunks[k].fail; fail == bufio.ErrTooLong {
+			return 0, fail
+		} else if fail != nil {
+			return 0, fmt.Errorf("graph: line %d: %v", line, fail)
 		}
-		line += c.lines
 	}
 	return line, nil
 }
 
-// assembleGraph runs the sharded dedup, the deterministic merge and the
-// edge remap over the parsed (failure-free) chunks and builds the CSR
-// graph. Chunks must all have interned into `shards` shards; the order
-// of the slice is file order, which the (chunk, position) merge keys
-// rely on.
-func assembleGraph(h header, chunks []chunk, procs, shards int) *Graph {
-	nc := len(chunks)
+// loader carries one load from file bytes to the Graph: the header
+// prescan, the parse workers' scratch, and every chunk parsed so far in
+// file order. Both front ends drive it the same way — feed per byte
+// region (the whole mapping, or one stream window), then assemble.
+type loader struct {
+	h       header
+	procs   int
+	parsers []parser // nil until the first data line
+	chunks  []chunk
+	line    int // lines consumed so far, for error messages
+	fed     int // data bytes fed so far
+}
+
+// feed takes the next region of complete lines: the header prescan
+// until the first data line shows up, the chunk parser from there on.
+// work is the caller's estimate of the whole input's bytes, which sizes
+// the fan-out.
+func (l *loader) feed(region []byte, work int64) error {
+	if l.parsers == nil {
+		done, err := l.h.scan(region)
+		if err != nil || !done {
+			return err
+		}
+		region = region[l.h.off:]
+		l.procs, l.line = par.Procs(work, loaderGrainBytes), l.h.lines
+		l.parsers = make([]parser, l.procs)
+	}
+	l.fed += len(region)
+	l.growBound()
+	return l.parseRegion(region)
+}
+
+// growBound sizes the parse workers' bitmaps — bound, the end of the
+// dense id range — from the bytes fed so far, the one thing both front
+// ends observe alike. room is what those bytes allow: at most fed/2+1
+// ids fit in them, and fed/workers ids per bitmap keeps the bitmaps
+// together within a quarter of the bytes fed, the doubling below
+// included. When room outgrows the bitmaps they are remade for twice as
+// many ids, or for the header's n= if that is less. So the dense range
+// covers min(n=, room) at any time, whatever the window size; an input
+// without a header regrows O(log) times; and a lying header cannot force
+// an allocation. bound only picks how a chunk encodes an id; the Graph
+// is the same for any value of it.
+func (l *loader) growBound() {
+	target := math.MaxInt32 - 63
+	if l.h.nHint > 0 {
+		target = min(target, l.h.nHint)
+	}
+	room := min(l.fed/2+1, l.fed/l.procs)
+	if min(target, room) <= 64*len(l.parsers[0].seen) {
+		return
+	}
+	// The old bitmaps are all zero between regions: nothing to copy.
+	for w := range l.parsers {
+		l.parsers[w].seen = make([]uint64, (min(target, 2*room)+63)/64)
+	}
+}
+
+// lineStart returns where the first line starting at or after s begins.
+func lineStart(region []byte, s int) int {
+	if s <= 0 || s >= len(region) {
+		return min(max(s, 0), len(region))
+	}
+	if nl := bytes.IndexByte(region[s-1:], '\n'); nl >= 0 {
+		return s + nl
+	}
+	return len(region)
+}
+
+// parseRegion cuts region (complete lines only) into newline-aligned
+// chunks of loaderGrainBytes — at least one per worker — parses them
+// concurrently and appends them to the load. It returns the first error
+// in file order, formatted before the caller may recycle region's
+// buffer.
+func (l *loader) parseRegion(region []byte) (err error) {
+	nc := max(l.procs, (len(region)+loaderGrainBytes-1)/loaderGrainBytes)
+	first := len(l.chunks)
+	l.chunks = append(l.chunks, make([]chunk, nc)...)
+	forChunks(l.procs, l.chunks[first:], func(w, k int, c *chunk) {
+		lo, hi := lineStart(region, k*len(region)/nc), lineStart(region, (k+1)*len(region)/nc)
+		l.parsers[w].parse(c, region[lo:hi])
+		l.parsers[w].release(c)
+	})
+	l.line, err = chunkFail(l.chunks[first:], l.line)
+	return err
+}
+
+// forChunks runs fn over every chunk on procs workers, which pull chunk
+// indexes from a shared counter so a slow chunk does not straggle.
+func forChunks(procs int, chunks []chunk, fn func(w, k int, c *chunk)) {
+	var next atomic.Int32
+	par.Do(procs, func(w int) {
+		for {
+			k := int(next.Add(1)) - 1
+			if k >= len(chunks) {
+				return
+			}
+			fn(w, k, &chunks[k])
+		}
+	})
+}
+
+// denseID returns the id behind code when it lies in [0, bound). An
+// overflow code can: the chunk was parsed before the dense range had
+// grown as far as a later chunk's, which holds the same id raw.
+func (c *chunk) denseID(code int32, bound int) (int32, bool) {
+	if code >= 0 {
+		return code, true
+	}
+	id := c.overIDs[^code]
+	return int32(id), uint64(id) < uint64(bound)
+}
+
+// owns reports whether the chunk with claim ticket `ticket` (its index
+// plus one) is the first in file order to hold the id behind code.
+func (c *chunk) owns(code, ticket int32, owner []atomic.Int32) bool {
+	if id, ok := c.denseID(code, len(owner)); ok {
+		return owner[id].Load() == ticket
+	}
+	return c.overWon[^code]
+}
+
+// assemble assigns internal ids over the parsed (failure-free) chunks,
+// remaps their edges and builds the CSR graph. l.chunks is in file
+// order, which the ownership rule relies on.
+func (l *loader) assemble() *Graph {
+	chunks := l.chunks
 	sawData, sawWeight := false, false
-	m := 0
+	m, bound, overflow := 0, 0, false
+	edgeOff := make([]int, len(chunks)+1)
 	for k := range chunks {
-		sawData = sawData || chunks[k].sawData
-		sawWeight = sawWeight || chunks[k].ws != nil
-		m += len(chunks[k].srcs)
+		c := &chunks[k]
+		sawData = sawData || c.sawData
+		sawWeight = sawWeight || c.ws != nil
+		overflow = overflow || len(c.overIDs) > 0
+		bound = max(bound, int(c.maxID)+1)
+		m += len(c.srcs)
+		edgeOff[k+1] = m
 	}
 	// The weighted flag freezes when the first data line creates the
 	// builder (reference quirk: a weighted header with no data lines
 	// yields an unweighted empty graph).
-	weighted := (h.weighted && sawData) || sawWeight
+	weighted := (l.h.weighted && sawData) || sawWeight
 
-	// Sharded dedup: shard s scans every chunk's bucket s in (chunk,
-	// position) order, keeping the first record per id. The kept keys
-	// come out sorted, so the merge below is a linear S-way merge. The
-	// intern table is sized from the actual record count — an exact
-	// upper bound on the shard's distinct ids — never from the header's
-	// unclamped n= claim (a lying header must not force allocations).
-	assigns := make([]shardAssign, shards)
-	par.Do(shards, func(s int) {
-		a := &assigns[s]
-		recs := 0
-		for k := range chunks {
-			recs += len(chunks[k].buckets[s])
-		}
-		a.m = newFlatIntern(recs)
-		for k := range chunks {
-			for _, r := range chunks[k].buckets[s] {
-				// Membership insert; the final id overwrites it below.
-				if _, existed := a.m.getOrPut(r.id, 0); !existed {
-					a.ids = append(a.ids, r.id)
-					a.keys = append(a.keys, uint64(k)<<32|uint64(uint32(r.pos)))
+	// Ownership, dense ids: an atomic min of the claim tickets of the
+	// chunks holding the id, raw or not; 0 means no chunk does. The table
+	// spans the ids actually seen raw, not the header's claim.
+	owner := make([]atomic.Int32, bound)
+	forChunks(l.procs, chunks, func(_, k int, c *chunk) {
+		ticket := int32(k) + 1
+		for _, code := range c.firsts {
+			id, ok := c.denseID(code, bound)
+			if !ok {
+				continue
+			}
+			for o := &owner[id]; ; {
+				if cur := o.Load(); (cur != 0 && cur <= ticket) || o.CompareAndSwap(cur, ticket) {
+					break
 				}
 			}
 		}
-		a.final = make([]int32, len(a.ids))
 	})
-
-	// Deterministic assignment: merging the shard lists by (chunk,
-	// position) restores the global first-appearance order — the exact
-	// internal-id order of a sequential Builder fed the same lines. The
-	// merge is a tournament (loser) tree over the shard heads: O(log S)
-	// comparisons per id instead of the former O(S) linear scan, which
-	// matters once the fan-out grows past a handful of shards.
-	n := 0
-	for s := range assigns {
-		n += len(assigns[s].ids)
+	// Ownership, ids no chunk holds raw: shard s scans those with
+	// shardOf(id)==s chunk by chunk in file order; the first chunk to show
+	// an id owns it.
+	nOver := 0
+	if overflow {
+		for k := range chunks {
+			chunks[k].overWon = make([]bool, len(chunks[k].overIDs))
+		}
+		distinct := make([]int, l.procs)
+		par.Do(l.procs, func(s int) {
+			seen := newFlatIntern(1024)
+			for k := range chunks {
+				c := &chunks[k]
+				for i, id := range c.overIDs {
+					if uint64(id) < uint64(bound) || shardOf(id, l.procs) != s {
+						continue
+					}
+					if _, existed := seen.getOrPut(id, 0); !existed {
+						c.overWon[i] = true
+					}
+				}
+			}
+			distinct[s] = seen.n
+		})
+		for _, d := range distinct {
+			nOver += d
+		}
 	}
-	ids := make([]VertexID, n)
-	mergeAssign(assigns, ids)
-	par.Do(shards, func(s int) {
-		a := &assigns[s]
-		for i, id := range a.ids {
-			a.m.put(id, a.final[i])
+
+	// Deterministic assignment: a chunk's owned ids, in its first-
+	// appearance order, take consecutive internal ids after those of the
+	// chunks before it — the global first-appearance order, the exact
+	// internal-id order of a sequential Builder fed the same lines.
+	forChunks(l.procs, chunks, func(_, k int, c *chunk) {
+		for _, code := range c.firsts {
+			if c.owns(code, int32(k)+1, owner) {
+				c.base++
+			}
 		}
 	})
-
-	// Remap chunk-local edges into the global edge arrays (chunk-major
-	// order = file order), translating through the shard maps.
-	edgeOff := make([]int, nc+1)
+	n := 0
 	for k := range chunks {
-		edgeOff[k+1] = edgeOff[k] + len(chunks[k].srcs)
+		n, chunks[k].base = n+chunks[k].base, n
 	}
+	ids := make([]VertexID, n)
+	index := idTable{dense: make([]int32, bound)}
+	for i := range index.dense {
+		index.dense[i] = -1
+	}
+	forChunks(l.procs, chunks, func(_, k int, c *chunk) {
+		v := int32(c.base)
+		for _, code := range c.firsts {
+			if !c.owns(code, int32(k)+1, owner) {
+				continue
+			}
+			if id, ok := c.denseID(code, bound); ok {
+				ids[v], index.dense[id] = VertexID(id), v
+			} else {
+				ids[v] = c.overIDs[^code]
+			}
+			v++
+		}
+	})
+	if nOver > 0 {
+		index.over = newFlatIntern(nOver)
+		for v, id := range ids {
+			if uint64(id) >= uint64(bound) {
+				index.over.getOrPut(id, int32(v))
+			}
+		}
+	}
+
+	// Remap the chunks' codes into the global edge arrays (chunk-major
+	// order = file order) through the finished table.
 	srcs := make([]int32, m)
 	dsts := make([]int32, m)
 	// ws stays nil for an edgeless weighted graph: the reference's
@@ -750,41 +778,44 @@ func assembleGraph(h header, chunks []chunk, procs, shards int) *Graph {
 	if weighted && m > 0 {
 		ws = make([]float64, m)
 	}
-	var nextRemap atomic.Int32
-	par.Do(procs, func(int) {
-		for {
-			k := int(nextRemap.Add(1)) - 1
-			if k >= nc {
-				return
-			}
-			c := &chunks[k]
-			trans := make([]int32, len(c.localIDs))
-			for i, id := range c.localIDs {
-				trans[i] = assigns[shardOf(id, shards)].m.get(id)
-			}
-			off := edgeOff[k]
-			for i, s := range c.srcs {
-				srcs[off+i] = trans[s]
-			}
-			for i, d := range c.dsts {
-				dsts[off+i] = trans[d]
-			}
-			if ws != nil {
-				if c.ws != nil {
-					copy(ws[off:off+len(c.ws)], c.ws)
-				} else {
-					for i := range c.srcs {
-						ws[off+i] = 1
-					}
+	forChunks(l.procs, chunks, func(_, k int, c *chunk) {
+		trans := make([]int32, len(c.overIDs))
+		for i, id := range c.overIDs {
+			trans[i], _ = index.get(id)
+		}
+		off, end := edgeOff[k], edgeOff[k+1]
+		remap(srcs[off:end], c.srcs, index.dense, trans)
+		remap(dsts[off:end], c.dsts, index.dense, trans)
+		if ws != nil {
+			if c.ws != nil {
+				copy(ws[off:end], c.ws)
+			} else {
+				for i := off; i < end; i++ {
+					ws[i] = 1
 				}
 			}
 		}
 	})
+	return buildGraph(l.h.directed, ids, index, srcs, dsts, ws)
+}
 
-	// Hand the assembled arrays to the parallel CSR pipeline. The
-	// builder is construction-only scratch (its intern map stays nil —
-	// Build never touches it), so no per-edge Builder calls and no
-	// single-map contention anywhere on the path.
-	b := &Builder{directed: h.directed, weighted: weighted, ids: ids, srcs: srcs, dsts: dsts, ws: ws}
-	return b.Build()
+// remap translates a chunk's endpoint codes into internal ids.
+func remap(out, codes, dense, trans []int32) {
+	for i, code := range codes {
+		if code >= 0 {
+			out[i] = dense[code]
+		} else {
+			out[i] = trans[^code]
+		}
+	}
+}
+
+// ParseEdgeList parses an in-memory edge list with the chunked parallel
+// loader. See ReadEdgeList for the format.
+func ParseEdgeList(data []byte) (*Graph, error) {
+	l := &loader{h: newHeader()}
+	if err := l.feed(data, int64(len(data))); err != nil {
+		return nil, err
+	}
+	return l.assemble(), nil
 }

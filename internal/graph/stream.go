@@ -1,21 +1,21 @@
 // Windowed streaming front end of the chunked parallel loader: instead
 // of slurping the whole file (peak RSS >= file size), the reader pulls
 // fixed-size byte windows, parses each window's complete lines through
-// the same chunk machinery (parseChunks), carries the trailing partial
-// line to the front of the next window, and only the parsed chunk
-// outputs (edge arrays, intern records) stay resident. The sharded
-// dedup, deterministic merge and CSR build run once over all chunks at
-// EOF, so the result is bit-identical to the slurp path for any window
-// size — window boundaries only move chunk boundaries, and the (chunk,
-// position) merge keys make the assignment independent of those.
+// the same chunk machinery (loader.parseRegion), carries the trailing
+// partial line to the front of the next window, and only the parsed
+// chunk outputs (edge arrays, first-appearance lists) stay resident.
+// Two window buffers alternate, so the next window fills while the
+// current one parses. Id assignment and the CSR build run once over all
+// chunks at EOF, so the result is bit-identical to the slurp path for
+// any window size — window boundaries only move chunk boundaries, and
+// ownership by lowest chunk makes the assignment independent of those.
 package graph
 
 import (
 	"bufio"
 	"bytes"
 	"io"
-
-	"aap/internal/par"
+	"sync"
 )
 
 // streamWindow is the read window of the streaming loader. Inputs that
@@ -26,8 +26,8 @@ var streamWindow = 8 << 20
 
 // readEdgeListStream reads the edge-list format from r window by
 // window. Errors report the same text and global line numbers as the
-// in-memory parse: windows are checked in file order before the buffer
-// is reused.
+// in-memory parse: windows are checked in file order before their
+// buffer is reused.
 func readEdgeListStream(r io.Reader) (*Graph, error) {
 	buf, eof, err := fillBuf(r, make([]byte, 0, streamWindow))
 	if err != nil {
@@ -39,73 +39,58 @@ func readEdgeListStream(r io.Reader) (*Graph, error) {
 	}
 
 	// Size unknown (and already > one window): assume enough work for
-	// the full fan-out. All windows must agree on the dedup shard count.
-	procs := par.Procs(int64(1)<<40, loaderGrainBytes)
-	shards := procs
-
-	h := newHeader()
-	headerDone := false
-	line := 0
-	var all []chunk
+	// the full fan-out.
+	const work = int64(1) << 40
+	l := &loader{h: newHeader()}
+	spare := make([]byte, 0, streamWindow)
 	for {
 		// The complete region: everything up to the last newline; at
 		// EOF the final (possibly unterminated) line joins it.
 		cut := len(buf)
 		if !eof {
-			if nl := bytes.LastIndexByte(buf, '\n'); nl >= 0 {
-				cut = nl + 1
-			} else {
-				cut = 0
-			}
+			cut = bytes.LastIndexByte(buf, '\n') + 1
 		}
-		complete := buf[:cut]
-		pos := len(complete)
-		if !headerDone {
-			done, err := h.scan(complete)
-			if err != nil {
-				return nil, err
-			}
-			if done {
-				headerDone = true
-				line = h.lines
-				pos = h.off
-			}
-		} else {
-			pos = 0
-		}
-		if pos < len(complete) {
-			region := complete[pos:]
-			vHint, eHint := h.chunkHints(len(region), procs*loaderChunksPerWorker)
-			chunks := parseChunks(region, procs, shards, vHint, eHint)
-			// Check before the buffer is recycled: the first failing
-			// window holds the first failing line of the file.
-			if line, err = chunkFail(chunks, line); err != nil {
-				return nil, err
-			}
-			all = append(all, chunks...)
-		}
-		if eof {
-			break
-		}
-		// Carry the partial tail line to the front and refill. A full
-		// buffer without any newline is one huge line: grow it until
-		// the reference reader's line ceiling says ErrTooLong.
+		// Carry the partial tail line to the front of the spare buffer
+		// and fill the rest of it while this window parses. A window
+		// without any newline is one huge line: the spare grows until
+		// the reference reader's line ceiling says ErrTooLong — after
+		// this window's complete lines, whose errors come first in the
+		// file, have had their say.
 		carry := len(buf) - cut
-		if carry >= maxLineLen {
-			return nil, bufio.ErrTooLong
+		tooLong := carry >= maxLineLen
+		var next struct {
+			buf []byte
+			eof bool
+			err error
 		}
-		copy(buf, buf[cut:])
-		buf = buf[:carry]
-		if carry == cap(buf) {
-			nb := make([]byte, carry, cap(buf)*2)
-			copy(nb, buf)
-			buf = nb
+		var filling sync.WaitGroup
+		if !eof && !tooLong {
+			if carry >= cap(spare) {
+				spare = make([]byte, 0, 2*carry)
+			}
+			spare = append(spare[:0], buf[cut:]...)
+			filling.Add(1)
+			go func() {
+				defer filling.Done()
+				next.buf, next.eof, next.err = fillBuf(r, spare)
+			}()
 		}
-		if buf, eof, err = fillBuf(r, buf); err != nil {
+		err := l.feed(buf[:cut], work)
+		filling.Wait() // r and spare are ours again, whatever feed said
+		if err != nil {
 			return nil, err
 		}
+		if tooLong {
+			return nil, bufio.ErrTooLong
+		}
+		if eof {
+			return l.assemble(), nil
+		}
+		if next.err != nil {
+			return nil, next.err
+		}
+		buf, spare, eof = next.buf, buf, next.eof
 	}
-	return assembleGraph(h, all, procs, shards), nil
 }
 
 // fillBuf reads from r until buf reaches capacity or EOF; eof reports

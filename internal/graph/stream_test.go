@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -47,6 +48,30 @@ func TestStreamMatchesSlurp(t *testing.T) {
 				t.Fatalf("win=%d procs=%d: stream err %v, slurp err %v", win, procs, gotErr, wantErr)
 			}
 			equalGraphs(t, tagOf("stream", procs, int64(win)), got, want)
+		}
+	}
+}
+
+// TestStreamDenseOverflowSeam runs the seam corpora of io_test.go
+// through shrunken windows against the sequential reference: the bytes
+// fed so far set the dense range, so each window size moves the seam and
+// an id an early window interned comes back raw in a later one, hubs are
+// first seen by many chunks of many windows at once, and "v" lines land
+// in later windows than the edges naming the same id.
+func TestStreamDenseOverflowSeam(t *testing.T) {
+	inputs := append([]string(nil), seamCases...)
+	for hi, header := range seamHeaders {
+		inputs = append(inputs, string(seamInput(rand.New(rand.NewSource(int64(hi)+57)), header, 1500)))
+	}
+	for _, win := range []int{64, 97, 1 << 10, 4096 + 13} {
+		for _, procs := range shardCounts {
+			smallWindow(t, win)
+			forceShards(t, procs)
+			for i, in := range inputs {
+				got, gotErr := readEdgeListStream(strings.NewReader(in))
+				want, wantErr := readEdgeListRef(strings.NewReader(in))
+				checkSameOutcome(t, tagOf(fmt.Sprintf("stream-seam/win=%d", win), procs, int64(i)), got, gotErr, want, wantErr)
+			}
 		}
 	}
 }
@@ -160,6 +185,21 @@ func TestStreamTooLongLine(t *testing.T) {
 	}
 	if gotErr == nil || wantErr == nil || gotErr.Error() != wantErr.Error() {
 		t.Fatalf("stream err %v, slurp err %v", gotErr, wantErr)
+	}
+}
+
+// TestStreamErrorBeforeTooLongTail: a window whose complete lines hold a
+// bad line and whose partial tail line is already over the ceiling must
+// report the bad line, which comes first in the file, like the reference
+// reader and the in-memory parse — not the tail's ErrTooLong.
+func TestStreamErrorBeforeTooLongTail(t *testing.T) {
+	for _, head := range []string{"1 2 3 4\n", "# directed=true\n1 2\nv\n", "1 2\n"} {
+		data := append([]byte(head), bytes.Repeat([]byte("x"), 3*maxLineLen)...)
+		smallWindow(t, 2*maxLineLen)
+		got, gotErr, want, wantErr := streamBoth(data)
+		checkSameOutcome(t, "stream-vs-slurp "+head, got, gotErr, want, wantErr)
+		ref, refErr := readEdgeListRef(bytes.NewReader(data))
+		checkSameOutcome(t, "stream-vs-ref "+head, got, gotErr, ref, refErr)
 	}
 }
 
