@@ -36,14 +36,6 @@ func report(b *testing.B, name, out string) {
 var workerSweep = []int{16, 32, 48}
 
 func BenchmarkTable1(b *testing.B) {
-	if testing.Short() {
-		// Table 1 drives the real concurrent engine at 32 virtual
-		// workers across every mode; on boxes with very few cores the
-		// AAP pagerank run can hit the engine's 5-minute ceiling
-		// (pre-existing since the seed). The CI bench smoke passes
-		// -short and skips it.
-		b.Skip("skipping full concurrent-engine Table 1 in -short mode")
-	}
 	for i := 0; i < b.N; i++ {
 		out, err := harness.Table1(32)
 		if err != nil {

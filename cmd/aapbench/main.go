@@ -4,12 +4,13 @@
 //
 // Usage:
 //
-//	aapbench -exp table1|fig1|fig6a..fig6h|fig6i|fig6j|fig6k|fig6l|fig7|exp2|cfcase|ingest|chaos|serve|all
+//	aapbench -exp table1|fig1|fig6a..fig6h|fig6i|fig6j|fig6k|fig6l|fig7|exp2|cfcase|all
 //	aapbench -exp fig6b -workers 64,96,128,160,192
 //	aapbench -exp fig6b -cpuprofile cpu.pprof -memprofile mem.pprof
-//	aapbench -exp ingest -input graph.txt
 //
-// Dataset sizes scale with the AAP_SCALE environment variable.
+// Dataset sizes scale with the AAP_SCALE environment variable. Wall-clock
+// measurement of this repo's own planes (ingest, kernels, wire,
+// checkpoints, serving) is benchmark/'s job: bash benchmark/run.sh.
 package main
 
 import (
@@ -20,30 +21,16 @@ import (
 	"runtime/pprof"
 	"strconv"
 	"strings"
-	"time"
 
 	"aap/internal/harness"
 )
 
 func main() {
-	// The chaos experiment's durability and self-healing sections
-	// re-exec this binary as a SIGKILL victim / supervised worker host;
-	// the children are selected purely by environment, so check before
-	// flags.
-	harness.DurableChildMain()
-	harness.SuperviseChildMain()
-
-	exp := flag.String("exp", "all", "experiment to run (table1, fig1, fig6a..fig6l, fig7, exp2, cfcase, ingest, chaos, serve, all)")
+	exp := flag.String("exp", "all", "experiment to run (table1, fig1, fig6a..fig6l, fig7, exp2, cfcase, all)")
 	workersFlag := flag.String("workers", "16,32,48,64", "comma-separated worker counts for figure sweeps")
 	tableWorkers := flag.Int("table-workers", 32, "worker count for table1/exp2")
-	input := flag.String("input", "", "edge-list file for -exp ingest (default: generated stand-ins)")
-	ssspDelta := flag.Float64("sssp-delta", 0, "extra forced bucket width for the SSSP delta axis of -exp compute (0: just tiny/auto/huge)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile taken after the run to this file")
-	maxRestarts := flag.Int("max-restarts", 2, "restart budget per supervised worker host in the -exp chaos self-healing section")
-	restartBackoff := flag.Duration("restart-backoff", 2*time.Millisecond, "base respawn backoff for the -exp chaos self-healing section (capped exponential, seeded jitter)")
-	serveClients := flag.Int("serve-clients", 6, "closed-loop client goroutines for -exp serve")
-	servePerClient := flag.Int("serve-per-client", 6, "queries each client issues back to back in -exp serve")
 	flag.Parse()
 
 	workers, err := parseInts(*workersFlag)
@@ -67,7 +54,7 @@ func main() {
 			f.Close()
 		}
 	}
-	if err := run(*exp, workers, *tableWorkers, *input, *ssspDelta, *maxRestarts, *restartBackoff, *serveClients, *servePerClient); err != nil {
+	if err := run(*exp, workers, *tableWorkers); err != nil {
 		stopProfile()
 		fatal(err)
 	}
@@ -102,41 +89,40 @@ func parseInts(s string) ([]int, error) {
 	return out, nil
 }
 
-func run(exp string, workers []int, tableWorkers int, input string, ssspDelta float64, maxRestarts int, restartBackoff time.Duration, serveClients, servePerClient int) error {
-	experiments := map[string]func() (string, error){
-		"table1":  func() (string, error) { return harness.Table1(tableWorkers) },
-		"fig1":    harness.Fig1,
-		"ingest":  func() (string, error) { return harness.Ingest(input) },
-		"compute": func() (string, error) { return harness.Compute(ssspDelta) },
-		"fig6i":   func() (string, error) { return harness.Fig6ScaleUp("sssp", workers) },
-		"fig6j":   func() (string, error) { return harness.Fig6ScaleUp("pagerank", workers) },
-		"fig6k":   func() (string, error) { return harness.Fig6k(tableWorkers, []float64{1, 3, 5, 7, 9}) },
-		"fig6l":   func() (string, error) { return harness.Fig6l(workers) },
-		"fig7":    harness.Fig7,
-		"exp2":    func() (string, error) { return harness.Exp2Comm(tableWorkers) },
-		"cfcase":  harness.CFCase,
-		"chaos": func() (string, error) {
-			return harness.Chaos(tableWorkers, harness.ChaosSeeds, maxRestarts, restartBackoff)
-		},
-		"serve": func() (string, error) {
-			return harness.Serving(tableWorkers, serveClients, servePerClient)
-		},
+// allExperiments is what -exp all runs, in the paper's order.
+var allExperiments = []string{
+	"table1", "fig1",
+	"fig6a", "fig6b", "fig6c", "fig6d", "fig6e", "fig6f", "fig6g", "fig6h",
+	"fig6i", "fig6j", "fig6k", "fig6l", "exp2", "fig7", "cfcase",
+}
+
+// experiments maps each -exp name to its report generator.
+func experiments(workers []int, tableWorkers int) map[string]func() (string, error) {
+	exps := map[string]func() (string, error){
+		"table1": func() (string, error) { return harness.Table1(tableWorkers) },
+		"fig1":   harness.Fig1,
+		"fig6i":  func() (string, error) { return harness.Fig6ScaleUp("sssp", workers) },
+		"fig6j":  func() (string, error) { return harness.Fig6ScaleUp("pagerank", workers) },
+		"fig6k":  func() (string, error) { return harness.Fig6k(tableWorkers, []float64{1, 3, 5, 7, 9}) },
+		"fig6l":  func() (string, error) { return harness.Fig6l(workers) },
+		"fig7":   harness.Fig7,
+		"exp2":   func() (string, error) { return harness.Exp2Comm(tableWorkers) },
+		"cfcase": harness.CFCase,
 	}
 	for _, p := range harness.Fig6Panels() {
-		p := p
-		experiments["fig6"+p.Panel] = func() (string, error) { return harness.Fig6(p, workers) }
+		exps["fig6"+p.Panel] = func() (string, error) { return harness.Fig6(p, workers) }
 	}
+	return exps
+}
 
+func run(exp string, workers []int, tableWorkers int) error {
+	exps := experiments(workers, tableWorkers)
 	names := []string{exp}
 	if exp == "all" {
-		names = []string{
-			"table1", "fig1",
-			"fig6a", "fig6b", "fig6c", "fig6d", "fig6e", "fig6f", "fig6g", "fig6h",
-			"fig6i", "fig6j", "fig6k", "fig6l", "exp2", "fig7", "cfcase", "ingest", "compute", "chaos", "serve",
-		}
+		names = allExperiments
 	}
 	for _, name := range names {
-		fn, ok := experiments[name]
+		fn, ok := exps[name]
 		if !ok {
 			return fmt.Errorf("unknown experiment %q", name)
 		}

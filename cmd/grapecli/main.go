@@ -5,7 +5,6 @@
 // Usage:
 //
 //	grapecli -graph g.txt -algo sssp -source 0 -workers 8 -mode aap
-//	grapecli -graph g.txt -algo sssp -sssp-kernel buckets -delta 2.5
 //	grapecli -graph g.txt -algo cc -mode bsp -out cids.txt
 //	grapecli -graph g.txt -algo pagerank -mode ap
 //	grapecli -graph g.txt -algo sssp -checkpoint-every 1 -fault-seed 42
@@ -65,8 +64,6 @@ func main() {
 	graphPath := flag.String("graph", "", "edge-list graph file (see graph.WriteEdgeList)")
 	algo := flag.String("algo", "sssp", "algorithm: sssp, cc, pagerank")
 	source := flag.Int64("source", 0, "SSSP source vertex id")
-	delta := flag.Float64("delta", 0, "SSSP delta-stepping bucket width (0: auto-tune from mean edge weight)")
-	ssspKernel := flag.String("sssp-kernel", "auto", "SSSP kernel: auto, ref, frontier, buckets")
 	workers := flag.Int("workers", 8, "number of virtual workers (fragments)")
 	modeName := flag.String("mode", "aap", "parallel model: aap, bsp, ap, ssp, hsync")
 	staleness := flag.Int("staleness", 2, "SSP staleness bound c")
@@ -203,12 +200,7 @@ func main() {
 	var stats core.RunStats
 	switch *algo {
 	case "sssp":
-		kernel, err := sssp.ParseKernel(*ssspKernel)
-		if err != nil {
-			fatal(err)
-		}
-		cfg := sssp.Config{Source: graph.VertexID(*source), Delta: *delta, Kernel: kernel}
-		res := execute(p, sssp.JobConfig(cfg), opts, *resume)
+		res := execute(p, sssp.Job(graph.VertexID(*source)), opts, *resume)
 		stats = res.Stats
 		for v, d := range res.Values {
 			lines = append(lines, fmt.Sprintf("%d %g", p.G.IDOf(int32(v)), d))

@@ -1,12 +1,10 @@
-// Command simviz renders ASCII timing diagrams of simulated runs, the
-// tool behind Figure 1 and Figure 7: it runs one algorithm under all four
-// parallel models on a straggler-laden virtual cluster and draws each
-// schedule.
+// Command simviz renders ASCII timing diagrams of simulated runs: it
+// runs one algorithm under all four parallel models on a straggler-laden
+// virtual cluster and draws each schedule. The paper's own diagrams are
+// aapbench -exp fig1 and -exp fig7.
 //
 // Usage:
 //
-//	simviz -exp fig1
-//	simviz -exp fig7
 //	simviz -algo pagerank -workers 8 -straggler 3 -slow 4
 //	simviz -graph g.txt -algo sssp -workers 8
 package main
@@ -29,35 +27,14 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "", "predefined experiment: fig1 or fig7")
-	graphPath := flag.String("graph", "", "edge-list file for custom runs (default: generated friendster stand-in)")
-	algo := flag.String("algo", "pagerank", "algorithm for custom runs: sssp, cc, pagerank")
-	source := flag.Int64("source", 0, "SSSP source vertex id for custom runs")
+	graphPath := flag.String("graph", "", "edge-list file (default: generated friendster stand-in)")
+	algo := flag.String("algo", "pagerank", "algorithm: sssp, cc, pagerank")
+	source := flag.Int64("source", 0, "SSSP source vertex id")
 	workers := flag.Int("workers", 8, "number of workers")
 	straggler := flag.Int("straggler", 0, "index of the straggler worker")
 	slow := flag.Float64("slow", 4, "straggler slowdown factor")
 	width := flag.Int("width", 72, "diagram width in columns")
 	flag.Parse()
-
-	switch *exp {
-	case "fig1":
-		out, err := harness.Fig1()
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Print(out)
-		return
-	case "fig7":
-		out, err := harness.Fig7()
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Print(out)
-		return
-	case "":
-	default:
-		fatal(fmt.Errorf("unknown experiment %q", *exp))
-	}
 
 	var ds harness.Dataset
 	if *graphPath != "" {

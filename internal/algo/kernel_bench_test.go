@@ -1,8 +1,8 @@
 package algo_test
 
 // Kernel benchmarks: PEval-to-local-fixpoint on one fragment, the
-// per-round scaling axis of BENCH_PR4. Shard rows beyond the core count
-// measure fan-out overhead, not speedup.
+// per-round scaling axis PR 4 recorded (docs/bench-history.md). Shard
+// rows beyond the core count measure fan-out overhead, not speedup.
 
 import (
 	"fmt"
@@ -76,7 +76,7 @@ func BenchmarkKernelCC(b *testing.B) {
 }
 
 // BenchmarkKernelPageRank has two inputs. The power-law rows are the
-// shard axis of BENCH_PR4. The road rows are the case the engine runs
+// shard axis PR 4 recorded. The road rows are the case the engine runs
 // most — a dense lattice fragment the size of one of eight fragments of
 // benchmark/'s rounds_pagerank_road, at the default Tol — and exist to
 // keep "an unsharded round costs no more than the reference's" a

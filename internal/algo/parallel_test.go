@@ -80,7 +80,7 @@ func peval[T any](t *testing.T, p *partition.Partitioned, job core.Job[T]) []T {
 }
 
 // kernelRounds asserts the program behind job reports its frontier
-// rounds (the aapbench -exp compute contract).
+// rounds.
 func kernelRounds[T any](t *testing.T, p *partition.Partitioned, job core.Job[T]) int {
 	t.Helper()
 	prog := job.New(p.Frags[0])

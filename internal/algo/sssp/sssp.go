@@ -53,21 +53,6 @@ const (
 	KernelBuckets
 )
 
-// ParseKernel resolves a CLI kernel name.
-func ParseKernel(s string) (KernelKind, error) {
-	switch s {
-	case "auto", "":
-		return KernelAuto, nil
-	case "ref":
-		return KernelRef, nil
-	case "frontier":
-		return KernelFrontier, nil
-	case "buckets", "delta":
-		return KernelBuckets, nil
-	}
-	return 0, fmt.Errorf("sssp: unknown kernel %q (want auto, ref, frontier or buckets)", s)
-}
-
 // Config parameterizes the SSSP job. The zero value (plus a Source) is
 // the production configuration: automatic kernel choice, automatic
 // shard count, delta tuned from the mean edge weight.
@@ -77,8 +62,8 @@ type Config struct {
 
 	// Shards forces the kernel shard count per round when >= 1
 	// (1 exercises the sweeps single-threaded); 0 picks automatically.
-	// The differential tests and the compute-scaling benchmark force
-	// the axis through here.
+	// The differential tests and BenchmarkKernelSSSP force the axis
+	// through here.
 	Shards int
 
 	// Delta is the bucket width of the delta-stepping kernel: distances
@@ -219,8 +204,7 @@ func newProgram(f *partition.Fragment, source graph.VertexID, shards int) *progr
 	return p
 }
 
-// KernelRounds reports the frontier rounds executed so far (the
-// per-round scaling axis of aapbench -exp compute).
+// KernelRounds reports the frontier rounds executed so far.
 func (p *program) KernelRounds() int { return p.rounds }
 
 // Relaxations reports the edge relaxations attempted so far — the work

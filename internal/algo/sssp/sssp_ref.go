@@ -38,7 +38,7 @@ type refProgram struct {
 func (p *refProgram) ScannedEdges() int64 { return p.relaxed }
 
 // Relaxations reports the edge relaxations attempted so far, the work
-// metric the kernel comparisons in aapbench -exp compute use.
+// metric TestSSSPDeltaFewerRelaxations compares kernels by.
 func (p *refProgram) Relaxations() int64 { return p.relaxed }
 
 func newRefProgram(f *partition.Fragment, source graph.VertexID) *refProgram {

@@ -20,16 +20,16 @@ import (
 )
 
 // chaosOpts is the canonical fault schedule of the recovery tests: a
-// checkpoint every round and worker 1 killed the first time it reaches
-// an incremental round.
-func chaosOpts(seed int64) core.Options {
+// checkpoint every round and the victim worker killed the first time it
+// reaches an incremental round.
+func chaosOpts(seed int64, victim int) core.Options {
 	return core.Options{
 		Mode:       core.AAP,
 		Timeout:    time.Minute,
 		Checkpoint: core.CheckpointOptions{EveryRounds: 1},
 		Faults: &core.Faults{
 			Seed: seed,
-			Kill: &core.KillSpec{Worker: 1, Round: 1},
+			Kill: &core.KillSpec{Worker: victim, Round: 1},
 		},
 	}
 }
@@ -37,29 +37,33 @@ func chaosOpts(seed int64) core.Options {
 // TestChaosKillMatchesFaultFreeSSSP is the determinism contract for an
 // idempotent min-fold kernel: a run that loses a worker and recovers
 // from the last sealed snapshot must produce bit-identical output to
-// the fault-free run, at every forced kernel shard count.
+// the fault-free run, at every forced kernel shard count. The seed also
+// picks the victim (seed % workers, grapecli -fault-seed's rule), so
+// the three seeds kill three different workers.
 func TestChaosKillMatchesFaultFreeSSSP(t *testing.T) {
 	g := gen.PowerLaw(500, 6, 2.1, true, 1)
 	p := mustPartition(t, g, 4, partition.Hash{})
 	for _, k := range []int{1, 2, 4, 8} {
-		t.Run(fmt.Sprintf("shards=%d", k), func(t *testing.T) {
-			base, err := core.Run(p, sssp.JobShards(0, k), core.Options{Mode: core.AAP, Timeout: time.Minute})
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := core.Run(p, sssp.JobShards(0, k), chaosOpts(42))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Stats.Recoveries < 1 {
-				t.Fatalf("kill scheduled but no recovery ran (recoveries=%d)", res.Stats.Recoveries)
-			}
-			for v := range base.Values {
-				if b, r := base.Values[v], res.Values[v]; b != r && !(math.IsInf(b, 1) && math.IsInf(r, 1)) {
-					t.Fatalf("vertex %d: fault-free %v, recovered %v", v, b, r)
+		base, err := core.Run(p, sssp.JobShards(0, k), core.Options{Mode: core.AAP, Timeout: time.Minute})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, seed := range []int64{1, 7, 42} {
+			t.Run(fmt.Sprintf("shards=%d/seed=%d", k, seed), func(t *testing.T) {
+				res, err := core.Run(p, sssp.JobShards(0, k), chaosOpts(seed, int(seed)%p.M))
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
-		})
+				if res.Stats.Recoveries < 1 {
+					t.Fatalf("kill scheduled but no recovery ran (recoveries=%d)", res.Stats.Recoveries)
+				}
+				for v := range base.Values {
+					if b, r := base.Values[v], res.Values[v]; b != r && !(math.IsInf(b, 1) && math.IsInf(r, 1)) {
+						t.Fatalf("vertex %d: fault-free %v, recovered %v", v, b, r)
+					}
+				}
+			})
+		}
 	}
 }
 
@@ -74,7 +78,7 @@ func TestChaosKillMatchesFaultFreeCC(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := core.Run(p, cc.JobShards(k), chaosOpts(43))
+			res, err := core.Run(p, cc.JobShards(k), chaosOpts(43, 1))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -105,7 +109,7 @@ func TestChaosKillMatchesFaultFreePageRank(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := core.Run(p, pagerank.Job(cfg), chaosOpts(44))
+			res, err := core.Run(p, pagerank.Job(cfg), chaosOpts(44, 1))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -150,8 +154,9 @@ func TestKillBeforeAnySealRestartsFresh(t *testing.T) {
 	}
 }
 
-// TestCheckpointDoesNotPerturb: enabling snapshots must not change the
-// answer of a fault-free run, and the run must actually seal epochs.
+// TestCheckpointDoesNotPerturb: enabling snapshots, every round or
+// every fourth, must not change the answer of a fault-free run, and the
+// every-round run must actually seal epochs.
 func TestCheckpointDoesNotPerturb(t *testing.T) {
 	g := gen.PowerLaw(500, 6, 2.1, true, 1)
 	p := mustPartition(t, g, 4, partition.Hash{})
@@ -159,26 +164,28 @@ func TestCheckpointDoesNotPerturb(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Run(p, sssp.Job(0), core.Options{
-		Mode:       core.AAP,
-		Timeout:    time.Minute,
-		Checkpoint: core.CheckpointOptions{EveryRounds: 1},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.Checkpoints < 1 {
-		t.Errorf("no snapshot epoch sealed")
-	}
-	if res.Stats.Checkpoints > 0 && res.Stats.CheckpointBytes == 0 {
-		t.Errorf("sealed %d epochs but recorded 0 state bytes", res.Stats.Checkpoints)
-	}
-	if res.Stats.Recoveries != 0 {
-		t.Errorf("fault-free run performed %d recoveries", res.Stats.Recoveries)
-	}
-	for v := range base.Values {
-		if b, r := base.Values[v], res.Values[v]; b != r && !(math.IsInf(b, 1) && math.IsInf(r, 1)) {
-			t.Fatalf("vertex %d: plain %v, checkpointed %v", v, b, r)
+	for _, every := range []int32{1, 4} {
+		res, err := core.Run(p, sssp.Job(0), core.Options{
+			Mode:       core.AAP,
+			Timeout:    time.Minute,
+			Checkpoint: core.CheckpointOptions{EveryRounds: every},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if every == 1 && res.Stats.Checkpoints < 1 {
+			t.Errorf("no snapshot epoch sealed")
+		}
+		if res.Stats.Checkpoints > 0 && res.Stats.CheckpointBytes == 0 {
+			t.Errorf("every=%d: sealed %d epochs but recorded 0 state bytes", every, res.Stats.Checkpoints)
+		}
+		if res.Stats.Recoveries != 0 {
+			t.Errorf("every=%d: fault-free run performed %d recoveries", every, res.Stats.Recoveries)
+		}
+		for v := range base.Values {
+			if b, r := base.Values[v], res.Values[v]; b != r && !(math.IsInf(b, 1) && math.IsInf(r, 1)) {
+				t.Fatalf("every=%d, vertex %d: plain %v, checkpointed %v", every, v, b, r)
+			}
 		}
 	}
 }

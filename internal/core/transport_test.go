@@ -114,7 +114,7 @@ func TestTCPPlaneChaosKillRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := chaosOpts(42)
+	opts := chaosOpts(42, 1)
 	opts.Transport = &core.TransportOptions{TCP: true}
 	res, err := core.Run(p, sssp.JobShards(0, 2), opts)
 	if err != nil {

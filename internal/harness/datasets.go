@@ -2,7 +2,9 @@
 // the stand-in datasets, runs every engine/mode combination, and formats
 // the tables and figure series of the paper. Every experiment function
 // returns a printable report; cmd/aapbench and the root benchmarks call
-// them.
+// them. Only the paper's rows live here, priced by internal/sim (Table 1
+// also times the real engine): wall-clock measurement of this repo's own
+// planes belongs to benchmark/, and their correctness contracts to tests.
 package harness
 
 import (
@@ -57,19 +59,6 @@ func TrafficSim(scale int) Dataset {
 	return Dataset{
 		Name:   "traffic-sim",
 		Graph:  gen.Grid(side, side, 103),
-		Source: 0,
-	}
-}
-
-// RoadNetSim is the road-network stand-in with dispersed segment
-// weights (gen.RoadNet): high diameter, long shortest-path trees, the
-// workload of the SSSP delta axis in aapbench -exp compute. TrafficSim
-// (a uniform-weight grid) remains the stand-in the paper's tables use.
-func RoadNetSim(scale int) Dataset {
-	side := 150 * scale
-	return Dataset{
-		Name:   "roadnet-sim",
-		Graph:  gen.RoadNet(side, side, 131),
 		Source: 0,
 	}
 }

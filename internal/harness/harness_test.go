@@ -33,20 +33,6 @@ func makespans(t *testing.T, out string) map[string]float64 {
 	return mk
 }
 
-// TestIngestReport smoke-tests the self-contained ingest experiment:
-// the scaling rows and the partition's slot-table accounting must appear.
-func TestIngestReport(t *testing.T) {
-	out, err := harness.Ingest("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"read shards=1", "read shards=8", "partition m=16", "slot tables", "edges/s"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("ingest report missing %q:\n%s", want, out)
-		}
-	}
-}
-
 func TestFig1ShapesHold(t *testing.T) {
 	out, err := harness.Fig1()
 	if err != nil {
