@@ -185,7 +185,10 @@ func TestMultiSourceLaneVectorsDoNotAlias(t *testing.T) {
 						buf = append(buf, core.VMsg[[]float64]{V: m.V, Val: low})
 					}
 				}
-				folded := core.NewFolder[[]float64](p.Frags[j]).Fold(buf, job.Aggregate)
+				folded, err := core.NewFolder[[]float64](p.Frags[j]).Fold(buf, job.Aggregate)
+				if err != nil {
+					t.Error(err)
+				}
 				if len(folded) != len(msgs) {
 					t.Errorf("shards=%d: folded %d messages to %d vertices, want %d", shards, len(buf), len(folded), len(msgs))
 				}

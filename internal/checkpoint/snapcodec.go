@@ -33,8 +33,8 @@ func EncodeSnapshot[M any](s *Snapshot[M], enc func(dst []byte, m M) []byte) []b
 // Element counts come from the (possibly corrupt) input, so nothing is
 // pre-allocated from a header figure: every slice grows by append under
 // a reader-error guard, which bounds allocation by the bytes actually
-// decoded — the need-before-make discipline of decodeBatch, extended to
-// nested counts. dec must consume at least one byte per message or set
+// decoded — the need-before-make discipline of core's readMsgs, extended
+// to nested counts. dec must consume at least one byte per message or set
 // the reader's error.
 func DecodeSnapshot[M any](epoch int32, data []byte, dec func(r *codec.Reader) M) (*Snapshot[M], error) {
 	r := codec.NewReader(data)

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"aap/internal/checkpoint"
-	"aap/internal/codec"
 	"aap/internal/partition"
 )
 
@@ -45,7 +44,7 @@ func Resume[T any](p *partition.Partitioned, job Job[T], opts Options) (*Result[
 	if err != nil {
 		return nil, fmt.Errorf("core: %s: resume: %w", job.Name, err)
 	}
-	snap, err := decodeDurableSnapshot(&job, epoch, payload)
+	snap, err := checkpoint.DecodeSnapshot(epoch, payload, job.readMsg)
 	if err != nil {
 		return nil, fmt.Errorf("core: %s: resume: sealed epoch %d undecodable: %w", job.Name, epoch, err)
 	}
@@ -138,7 +137,7 @@ func (e *engine[T]) persistLoop() {
 		if e.durableDegraded() {
 			return // disk already failed once; don't keep hammering it
 		}
-		payload := encodeDurableSnapshot(&e.job, s)
+		payload := checkpoint.EncodeSnapshot(s, e.job.appendMsg) // flights in the one message layout (wire.go)
 		if err := e.durable.WriteEpoch(s.Epoch, payload); err != nil {
 			e.degradeDurable(fmt.Errorf("core: %s: durable checkpoint epoch %d: %w", e.job.Name, s.Epoch, err))
 		}
@@ -188,24 +187,4 @@ func (e *engine[T]) seedResume(snap *checkpoint.Snapshot[VMsg[T]]) error {
 		e.workers[f.To].inbox.put(batch[T]{from: f.From, epoch: snap.Epoch, msgs: msgs})
 	}
 	return nil
-}
-
-// encodeDurableSnapshot serializes a sealed snapshot for the record
-// file, each captured message as (vertex, round, from, value) with the
-// job's value codec.
-func encodeDurableSnapshot[T any](job *Job[T], s *checkpoint.Snapshot[VMsg[T]]) []byte {
-	return checkpoint.EncodeSnapshot(s, func(dst []byte, m VMsg[T]) []byte {
-		dst = codec.AppendInt32(dst, m.V)
-		dst = codec.AppendInt32(dst, m.Round)
-		dst = codec.AppendInt32(dst, m.From)
-		return job.EncodeVal(dst, m.Val)
-	})
-}
-
-func decodeDurableSnapshot[T any](job *Job[T], epoch int32, payload []byte) (*checkpoint.Snapshot[VMsg[T]], error) {
-	return checkpoint.DecodeSnapshot(epoch, payload, func(r *codec.Reader) VMsg[T] {
-		m := VMsg[T]{V: r.Int32(), Round: r.Int32(), From: r.Int32()}
-		m.Val = job.DecodeVal(r)
-		return m
-	})
 }

@@ -306,7 +306,6 @@ type engine[T any] struct {
 	plane   msgPlane[T]
 	clink   coordLink
 	tp      *transport.Plane
-	wlink   *wireLink[T]
 	remotes []*remoteProg[T]
 	ctrlReq chan transport.Frame
 	planeWg sync.WaitGroup
@@ -940,7 +939,12 @@ func (w *worker[T]) execRound(peval bool) {
 	if peval {
 		w.prog.PEval(w.ctx)
 	} else {
-		msgs := w.folder.Fold(w.buffer, e.job.Aggregate)
+		msgs, err := w.folder.Fold(w.buffer, e.job.Aggregate)
+		if err != nil {
+			<-e.slots
+			e.fail(fmt.Errorf("core: %s worker %d round %d: %w", e.job.Name, w.id, w.rounds, err))
+			return
+		}
 		w.buffer = w.buffer[:0]
 		// Bump the generation to clear the origin set; on the (absurdly
 		// distant) wrap, fall back to an explicit clear.

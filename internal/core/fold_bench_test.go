@@ -53,22 +53,21 @@ func BenchmarkFoldMessages(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out := folder.Fold(buf, math.Min)
-		if len(out) == 0 {
+		if out := mustFold(b, folder, buf, math.Min); len(out) == 0 {
 			b.Fatal("empty fold")
 		}
 	}
 }
 
 // BenchmarkFoldMessagesGeneric measures the map-based reference fold the
-// dense path replaced (still used for arbitrary routing).
+// dense path replaced.
 func BenchmarkFoldMessagesGeneric(b *testing.B) {
 	frag := benchFragment(b)
 	buf := benchBuffer(frag, 4096, 7)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out := foldMessagesGeneric(buf, math.Min)
+		out := FoldMessages(buf, math.Min)
 		if len(out) == 0 {
 			b.Fatal("empty fold")
 		}
@@ -103,7 +102,7 @@ func BenchmarkFold(b *testing.B) {
 			folder := NewFolder[float64](frag)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if out := folder.Fold(buf, math.Min); len(out) == 0 {
+				if out := mustFold(b, folder, buf, math.Min); len(out) == 0 {
 					b.Fatal("empty fold")
 				}
 			}

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"aap/internal/partition"
@@ -24,6 +26,16 @@ func foldEqual(a, b []VMsg[float64]) bool {
 		}
 	}
 	return true
+}
+
+// mustFold is Fold on a buffer whose every vertex has a local slot.
+func mustFold(t testing.TB, fd *Folder[float64], buf []VMsg[float64], agg func(a, b float64) float64) []VMsg[float64] {
+	t.Helper()
+	out, err := fd.Fold(buf, agg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 // randomFoldBuffer draws msgs messages over the fragment's slot domain
@@ -60,8 +72,8 @@ func TestFolderMatchesGeneric(t *testing.T) {
 		for trial := 0; trial < 500; trial++ {
 			n := rng.Intn(200)
 			buf := randomFoldBuffer(frag, rng, n)
-			want := foldMessagesGeneric(buf, math.Min)
-			got := folder.Fold(buf, math.Min)
+			want := FoldMessages(buf, math.Min)
+			got := mustFold(t, folder, buf, math.Min)
 			if !foldEqual(got, want) {
 				t.Fatalf("frag %d trial %d: dense fold diverged\n got %+v\nwant %+v",
 					frag.ID, trial, got, want)
@@ -83,14 +95,14 @@ func TestFolderAggregationOrder(t *testing.T) {
 		{V: v, Val: 7, Round: 2, From: 3}, // equal round: stamp kept
 	}
 	folder := NewFolder[float64](frag)
-	out := folder.Fold(buf, math.Min)
+	out := mustFold(t, folder, buf, math.Min)
 	if len(out) != 1 {
 		t.Fatalf("folded to %d entries", len(out))
 	}
 	if out[0].Val != 3 || out[0].Round != 2 || out[0].From != 1 {
 		t.Fatalf("got %+v, want Val 3 Round 2 From 1", out[0])
 	}
-	if !foldEqual(out, foldMessagesGeneric(buf, math.Min)) {
+	if !foldEqual(out, FoldMessages(buf, math.Min)) {
 		t.Fatal("dense and generic folds disagree on the pinned case")
 	}
 }
@@ -101,60 +113,67 @@ func TestFolderEmptyAndReuse(t *testing.T) {
 	p := buildPartition(t, 2)
 	frag := p.Frags[0]
 	folder := NewFolder[float64](frag)
-	if folder.Fold(nil, math.Min) != nil {
+	if mustFold(t, folder, nil, math.Min) != nil {
 		t.Fatal("empty fold should be nil")
 	}
 	v := frag.Lo
-	first := folder.Fold([]VMsg[float64]{{V: v, Val: 1}}, math.Min)
+	first := mustFold(t, folder, []VMsg[float64]{{V: v, Val: 1}}, math.Min)
 	if len(first) != 1 || first[0].Val != 1 {
 		t.Fatalf("first fold: %+v", first)
 	}
 	// A later round for a different vertex must not resurrect v.
 	u := frag.Lo + 1
-	second := folder.Fold([]VMsg[float64]{{V: u, Val: 9}}, math.Min)
+	second := mustFold(t, folder, []VMsg[float64]{{V: u, Val: 9}}, math.Min)
 	if len(second) != 1 || second[0].V != u || second[0].Val != 9 {
 		t.Fatalf("second fold leaked scratch: %+v", second)
 	}
 }
 
-// TestFolderFallbackArbitraryVertices exercises the MapReduce-style
-// routing where a message's vertex has no slot in the receiving
-// fragment: the Folder must fall back to the generic fold and still
-// match it exactly.
-func TestFolderFallbackArbitraryVertices(t *testing.T) {
+// TestFolderNoSlotVertexIsError (was TestFolderFallbackArbitraryVertices):
+// a message whose vertex the receiving fragment neither owns nor copies
+// — another fragment's interior, or an id outside the graph — can only
+// come from a corrupt frame, and must fail the fold with an error naming
+// the sender and the vertex instead of being folded by some other rule.
+func TestFolderNoSlotVertexIsError(t *testing.T) {
 	p := buildPartition(t, 4)
 	frag := p.Frags[1]
 	rng := rand.New(rand.NewSource(3))
 	folder := NewFolder[float64](frag)
 	n := int32(p.G.NumVertices())
-	for trial := 0; trial < 200; trial++ {
-		buf := randomFoldBuffer(frag, rng, rng.Intn(50))
-		// Splice in vertices the fragment neither owns nor copies,
-		// including synthetic ids outside the graph's vertex range.
-		for i := 0; i < 5; i++ {
-			v := int32(rng.Intn(int(n)))
-			buf = append(buf, VMsg[float64]{V: v, Val: float64(rng.Intn(100)), Round: int32(rng.Intn(4))})
+	var interior int32 = -1
+	for v := int32(0); v < n; v++ {
+		if frag.Slot(v) < 0 {
+			interior = v
+			break
 		}
-		buf = append(buf,
-			VMsg[float64]{V: n + int32(rng.Intn(100)), Val: 1},
-			VMsg[float64]{V: -1 - int32(rng.Intn(3)), Val: 2},
-		)
-		want := foldMessagesGeneric(buf, math.Min)
-		got := folder.Fold(buf, math.Min)
-		if !foldEqual(got, want) {
-			t.Fatalf("trial %d: fallback fold diverged", trial)
+	}
+	if interior < 0 {
+		t.Fatal("fragment 1 has a slot for every vertex")
+	}
+	for _, v := range []int32{interior, n, n + 99, -1, math.MinInt32, math.MaxInt32} {
+		buf := randomFoldBuffer(frag, rng, rng.Intn(50))
+		at := rng.Intn(len(buf) + 1)
+		buf = append(buf[:at:at], append([]VMsg[float64]{{V: v, Val: 1, Round: 2, From: 3}}, buf[at:]...)...)
+		out, err := folder.Fold(buf, math.Min)
+		if err == nil {
+			t.Fatalf("vertex %d at %d of %d: folded to %d messages, want an error", v, at, len(buf), len(out))
+		}
+		for _, want := range []string{"worker 3", fmt.Sprintf("vertex %d", v), "fragment 1"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("vertex %d: error %q does not name %q", v, err, want)
+			}
 		}
 	}
 }
 
-// TestFolderCopiesBothSidesThenFallback covers what the ordered bitmap
+// TestFolderCopiesBothSidesThenAbort covers what the ordered bitmap
 // adds over the stamped fold: the emission order when a buffer mixes
 // owned vertices with F.O copies on both sides of [Lo, Hi) (the
-// SendToHolders direction CF uses), and a generic fallback that aborts
-// a half-built dense fold — the bitmap must come out clean, or the next
-// dense fold emits the aborted round's vertices. The aggregate is
-// order-sensitive, so the per-vertex buffer order is pinned too.
-func TestFolderCopiesBothSidesThenFallback(t *testing.T) {
+// SendToHolders direction CF uses), and a no-slot error that aborts a
+// half-built fold — the bitmap must come out clean, or the next fold
+// emits the aborted round's vertices. The aggregate is order-sensitive,
+// so the per-vertex buffer order is pinned too.
+func TestFolderCopiesBothSidesThenAbort(t *testing.T) {
 	p := buildPartition(t, 4)
 	frag := p.Frags[2]
 	if n := len(frag.Out); n == 0 || frag.Out[0] >= frag.Lo || frag.Out[n-1] < frag.Hi {
@@ -165,17 +184,19 @@ func TestFolderCopiesBothSidesThenFallback(t *testing.T) {
 	folder := NewFolder[float64](frag)
 	check := func(what string, trial int, buf []VMsg[float64]) {
 		t.Helper()
-		want := foldMessagesGeneric(buf, inOrder)
-		if got := folder.Fold(buf, inOrder); !foldEqual(got, want) {
+		want := FoldMessages(buf, inOrder)
+		if got := mustFold(t, folder, buf, inOrder); !foldEqual(got, want) {
 			t.Fatalf("trial %d, %s: fold diverged\n got %+v\nwant %+v", trial, what, got, want)
 		}
 	}
-	synthetic := int32(p.G.NumVertices()) + 7
+	outside := int32(p.G.NumVertices()) + 7
 	for trial := 0; trial < 300; trial++ {
-		check("dense", trial, randomFoldBuffer(frag, rng, 1+rng.Intn(120)))
+		check("fold", trial, randomFoldBuffer(frag, rng, 1+rng.Intn(120)))
 		aborted := append(randomFoldBuffer(frag, rng, 1+rng.Intn(40)),
-			VMsg[float64]{V: synthetic, Val: 4, Round: 1, From: 3})
-		check("fallback", trial, aborted)
-		check("dense after fallback", trial, randomFoldBuffer(frag, rng, 1+rng.Intn(10)))
+			VMsg[float64]{V: outside, Val: 4, Round: 1, From: 3})
+		if _, err := folder.Fold(aborted, inOrder); err == nil {
+			t.Fatalf("trial %d: no error for vertex %d", trial, outside)
+		}
+		check("fold after abort", trial, randomFoldBuffer(frag, rng, 1+rng.Intn(10)))
 	}
 }

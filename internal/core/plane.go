@@ -19,11 +19,12 @@ import (
 // decoded on the far side — communication accounting measures real
 // serialized bytes — and the coordinator tokens (round / sent /
 // consumed / active, snapshot announce & seal) travel the same plane as
-// synchronous request/reply RPCs. RemoteWorkers additionally moves the
-// named workers' Programs into separate processes (see ServeWorker):
-// the parent keeps the worker loop and drives the Program over RPC, so
-// a kill -9 of the host process is detected by heartbeat silence and
-// recovered through the ordinary rollback path.
+// synchronous calls (transport.Plane.Call). RemoteWorkers additionally
+// moves the named workers' Programs into separate processes (see
+// ServeWorker): the parent keeps the worker loop and drives the Program
+// through the same call path, so a kill -9 of the host process is
+// detected by heartbeat silence and recovered through the ordinary
+// rollback path.
 type TransportOptions struct {
 	// TCP routes worker batches and coordinator tokens over the TCP
 	// plane (loopback by default) instead of in-proc channels.
@@ -101,9 +102,6 @@ type msgPlane[T any] interface {
 	// extra delay, stamped with the sender's snapshot epoch. The plane
 	// owns msgs from this call on.
 	deliver(from, to int, epoch int32, msgs []VMsg[T], extra time.Duration)
-	// wireStats reports serialized-byte and robustness counters; all
-	// zero for the in-proc plane.
-	wireStats() transport.Stats
 }
 
 // inprocPlane is the fast path: batches move by pointer handoff.
@@ -123,25 +121,17 @@ func (p *inprocPlane[T]) deliver(from, to int, epoch int32, msgs []VMsg[T], extr
 	}
 }
 
-func (p *inprocPlane[T]) wireStats() transport.Stats { return transport.Stats{} }
-
-// tcpPlane codec-encodes each batch into a KindData frame and ships it
-// through the transport; the engine's onFrame decodes it back into the
-// destination inbox. Sender-side slices return to the pool right after
-// encoding; the receiver decodes into fresh pooled slices.
+// tcpPlane codec-encodes each batch into a KindData frame — [epoch
+// int32] then the batch (wire.go) — and ships it through the transport;
+// the engine's onFrame decodes it back into the destination inbox.
+// Sender-side slices return to the pool right after encoding; the
+// receiver decodes into fresh pooled slices.
 type tcpPlane[T any] struct{ e *engine[T] }
 
 func (p *tcpPlane[T]) deliver(from, to int, epoch int32, msgs []VMsg[T], extra time.Duration) {
 	e := p.e
 	ship := func() {
-		payload := codec.AppendInt32(nil, epoch)
-		payload = codec.AppendUint32(payload, uint32(len(msgs)))
-		for _, m := range msgs {
-			payload = codec.AppendInt32(payload, m.V)
-			payload = codec.AppendInt32(payload, m.Round)
-			payload = codec.AppendInt32(payload, m.From)
-			payload = e.job.EncodeVal(payload, m.Val)
-		}
+		payload := e.job.appendMsgs(codec.AppendInt32(nil, epoch), msgs)
 		n := int64(len(msgs))
 		e.pool.put(msgs)
 		if err := e.tp.Send(int32(from), int32(to), transport.KindData, payload); err != nil {
@@ -164,36 +154,11 @@ func (p *tcpPlane[T]) deliver(from, to int, epoch int32, msgs []VMsg[T], extra t
 	}
 }
 
-func (p *tcpPlane[T]) wireStats() transport.Stats { return p.e.tp.Stats() }
-
-// decodeBatch decodes a KindData payload into a pooled message slice.
-func (e *engine[T]) decodeBatch(payload []byte) (epoch int32, msgs []VMsg[T], err error) {
-	r := codec.NewReader(payload)
-	epoch = r.Int32()
-	n := int(r.Uint32())
-	// Header-lie guard: each message costs at least 13 bytes on the
-	// wire (3×int32 + ≥1 value byte), so cap the claimed count before
-	// allocating and let truncation surface as a decode error.
-	if lim := r.Remaining()/13 + 1; n > lim {
-		return 0, nil, fmt.Errorf("core: batch claims %d messages, %d bytes remain", n, r.Remaining())
-	}
-	msgs = e.pool.get()
-	for i := 0; i < n; i++ {
-		m := VMsg[T]{V: r.Int32(), Round: r.Int32(), From: r.Int32()}
-		m.Val = e.job.DecodeVal(r)
-		msgs = append(msgs, m)
-	}
-	if err := r.Err(); err != nil {
-		e.pool.put(msgs)
-		return 0, nil, err
-	}
-	return epoch, msgs, nil
-}
-
 // onFrame is the plane's delivery callback, running on transport reader
 // goroutines. It must never call transport send paths synchronously
 // (transport.Config.OnFrame contract): everything it does is enqueue —
-// inbox puts, buffered control-request queue, single-slot reply chans.
+// inbox puts and the buffered coordinator request queue. Replies never
+// come here; the plane hands them to the parked Call itself.
 func (e *engine[T]) onFrame(f transport.Frame) {
 	switch f.Kind {
 	case transport.KindData:
@@ -201,30 +166,23 @@ func (e *engine[T]) onFrame(f transport.Frame) {
 		if to < 0 || to >= e.p.M {
 			return
 		}
-		epoch, msgs, err := e.decodeBatch(f.Payload)
+		r := codec.NewReader(f.Payload)
+		epoch := r.Int32()
+		msgs, err := e.job.readMsgs(r, e.pool.get())
 		if err != nil {
+			e.pool.put(msgs)
 			e.fail(fmt.Errorf("core: %s: corrupt batch frame %d→%d: %w", e.job.Name, f.From, f.To, err))
 			return
 		}
 		e.workers[to].inbox.put(batch[T]{from: f.From, epoch: epoch, msgs: msgs})
 		e.undelivered.Add(-1)
-	case transport.KindCtrl:
+	case transport.KindCall:
+		// The coordinator is the only endpoint of this process that
+		// serves calls (host endpoints live in the worker processes).
 		if f.To == e.coordEndpoint() {
 			select {
 			case e.ctrlReq <- f:
 			case <-e.done:
-			}
-			return
-		}
-		if int(f.To) >= 0 && int(f.To) < e.p.M {
-			e.wlink.clients[f.To].deliver(f.Payload)
-		}
-	case transport.KindRPC:
-		// Only replies reach the parent (requests target host
-		// endpoints, which live in the worker processes).
-		if int(f.To) >= 0 && int(f.To) < e.p.M {
-			if rp := e.remotes[f.To]; rp != nil {
-				rp.deliver(f.Payload)
 			}
 		}
 	}
@@ -250,10 +208,10 @@ func (e *engine[T]) onPeerRejoin(linkID int32, served []int32, inc uint64) {
 }
 
 // onPeerDead is the heartbeat verdict: a host process went silent past
-// the death threshold (or exhausted its reconnect budget). Mark its
-// proxy dead — aborting any blocked RPC — and trigger the ordinary
-// quiesce → rollback-to-sealed-epoch → replay recovery for the worker
-// it served.
+// the death threshold (or exhausted its reconnect budget). The plane
+// has already failed any call parked on the link; mark the proxy dead
+// and trigger the ordinary quiesce → rollback-to-sealed-epoch → replay
+// recovery for the worker it served.
 func (e *engine[T]) onPeerDead(linkID int32, served []int32, err error) {
 	for _, s := range served {
 		k := int(s) - (e.p.M + 1)
@@ -317,8 +275,7 @@ func (e *engine[T]) setupPlane() error {
 			return err
 		}
 		e.plane = &tcpPlane[T]{e}
-		e.wlink = newWireLink(e)
-		e.clink = e.wlink
+		e.clink = &wireLink[T]{e}
 		e.planeWg.Add(1)
 		go e.coordServe()
 	}
@@ -326,7 +283,7 @@ func (e *engine[T]) setupPlane() error {
 		if k < 0 || k >= e.p.M {
 			return fmt.Errorf("core: %s: remote worker %d out of range [0,%d)", e.job.Name, k, e.p.M)
 		}
-		rp := newRemoteProg(e, k)
+		rp := &remoteProg[T]{e: e, w: k, host: hostEndpoint(e.p.M, k)}
 		e.remotes[k] = rp
 		e.workers[k].prog = rp
 	}
@@ -359,8 +316,9 @@ func (e *engine[T]) shutdownPlane() {
 // coordLink is how workers (and their flushers) reach the coordinator
 // and the checkpoint store's announce/seal accounting. The in-proc
 // implementation is direct shared-memory calls; the wire implementation
-// speaks the ctrl token protocol over the plane. Every operation is a
-// synchronous request/reply — fire-and-forget tokens would be unsound:
+// makes each one a transport call to the coordinator endpoint. Every
+// operation is a synchronous request/reply — fire-and-forget tokens
+// would be unsound:
 // a consumed token racing ahead of its sent counterpart could show the
 // coordinator sent == consumed during a transient and terminate a run
 // with messages still in flight. Awaiting the reply preserves the same
@@ -396,11 +354,11 @@ func (l *inprocLink[T]) announce(id int) bool {
 	return ok
 }
 
-// Ctrl protocol ops. Request payload: [op int32][args...], from the
-// worker endpoint to the coordinator endpoint. Reply payload: [op
-// int32][results...], back to the requester. Per-worker calls are
-// serialized (one outstanding request per endpoint), and the link is
-// FIFO, so replies match requests without ids.
+// Coordinator ops. A token is one transport.Plane.Call from the worker's
+// endpoint to the coordinator endpoint: request [op int32][args...],
+// reply [results...]. The plane pairs reply with request by call id, so
+// a worker and its flusher share the endpoint without taking turns, and
+// a reply that outlives its caller is dropped there.
 const (
 	opRoundDone int32 = iota + 1
 	opAddSent
@@ -413,130 +371,48 @@ const (
 	opBatchDrained
 )
 
-// ctrlClient is one worker's synchronous channel to the coordinator
-// server. The mutex serializes the worker goroutine and its flusher,
-// which share the endpoint.
-type ctrlClient[T any] struct {
-	e      *engine[T]
-	id     int
-	mu     chan struct{} // 1-token semaphore (mutex with done-abort)
-	respCh chan []byte
-}
-
-func newCtrlClient[T any](e *engine[T], id int) *ctrlClient[T] {
-	c := &ctrlClient[T]{e: e, id: id, mu: make(chan struct{}, 1), respCh: make(chan []byte, 1)}
-	c.mu <- struct{}{}
-	return c
-}
-
-// deliver hands a reply payload to the waiting call; runs on the
-// transport reader. The single-outstanding discipline guarantees the
-// slot is free.
-func (c *ctrlClient[T]) deliver(payload []byte) {
-	select {
-	case c.respCh <- payload:
-	default:
-		// A reply for a call that aborted on shutdown; drop it.
-	}
-}
-
-// call sends one ctrl request and blocks for its reply. After the run
-// ends it returns nil, and callers treat the zero results as inert —
-// every caller is on its way out through e.done.
-func (c *ctrlClient[T]) call(req []byte) *codec.Reader {
-	select {
-	case <-c.mu:
-	case <-c.e.done:
-		return nil
-	}
-	defer func() { c.mu <- struct{}{} }()
-	// Drain a reply abandoned by a previous aborted call so the FIFO
-	// pairing stays intact.
-	select {
-	case <-c.respCh:
-	default:
-	}
-	if err := c.e.tp.Send(int32(c.id), c.e.coordEndpoint(), transport.KindCtrl, req); err != nil {
-		return nil
-	}
-	select {
-	case resp := <-c.respCh:
-		return codec.NewReader(resp)
-	case <-c.e.done:
-		return nil
-	}
-}
-
 // wireLink is the coordinator-over-the-plane path.
-type wireLink[T any] struct {
-	e       *engine[T]
-	clients []*ctrlClient[T]
-}
+type wireLink[T any] struct{ e *engine[T] }
 
-func newWireLink[T any](e *engine[T]) *wireLink[T] {
-	l := &wireLink[T]{e: e, clients: make([]*ctrlClient[T], e.p.M)}
-	for i := range l.clients {
-		l.clients[i] = newCtrlClient(e, i)
-	}
-	return l
+// call sends one token and blocks for its reply. After the run ends it
+// returns an empty reader, whose zero results callers treat as inert —
+// every caller is on its way out through e.done.
+func (l *wireLink[T]) call(id int, req []byte) *codec.Reader {
+	resp, _ := l.e.tp.Call(int32(id), l.e.coordEndpoint(), req, 0, l.e.done)
+	return codec.NewReader(resp)
 }
 
 func req(op int32) []byte { return codec.AppendInt32(nil, op) }
 
-func (l *wireLink[T]) roundDone(id int) int32 {
-	r := l.clients[id].call(req(opRoundDone))
-	if r == nil {
-		return 0
-	}
-	r.Int32() // op echo
-	return r.Int32()
-}
+func (l *wireLink[T]) roundDone(id int) int32 { return l.call(id, req(opRoundDone)).Int32() }
 
-func (l *wireLink[T]) addSent(id int, n int64) {
-	l.clients[id].call(codec.AppendInt64(req(opAddSent), n))
-}
+func (l *wireLink[T]) addSent(id int, n int64) { l.call(id, codec.AppendInt64(req(opAddSent), n)) }
 
 func (l *wireLink[T]) addConsumed(id int, n int64) {
-	l.clients[id].call(codec.AppendInt64(req(opAddConsumed), n))
+	l.call(id, codec.AppendInt64(req(opAddConsumed), n))
 }
 
 func (l *wireLink[T]) setActive(id int, active bool) {
-	l.clients[id].call(codec.AppendBool(codec.AppendInt32(req(opSetActive), int32(id)), active))
+	l.call(id, codec.AppendBool(codec.AppendInt32(req(opSetActive), int32(id)), active))
 }
 
 func (l *wireLink[T]) view(self int) (int32, int32) {
-	r := l.clients[self].call(codec.AppendInt32(req(opView), int32(self)))
-	if r == nil {
-		return 0, 0
-	}
-	r.Int32()
+	r := l.call(self, codec.AppendInt32(req(opView), int32(self)))
 	return r.Int32(), r.Int32()
 }
 
-func (l *wireLink[T]) announce(id int) bool {
-	r := l.clients[id].call(req(opAnnounce))
-	if r == nil {
-		return false
-	}
-	r.Int32()
-	return r.Bool()
-}
+func (l *wireLink[T]) announce(id int) bool { return l.call(id, req(opAnnounce)).Bool() }
 
 func (l *wireLink[T]) announcedEpoch(id int) int32 {
-	r := l.clients[id].call(req(opAnnouncedEpoch))
-	if r == nil {
-		return 0
-	}
-	r.Int32()
-	return r.Int32()
+	return l.call(id, req(opAnnouncedEpoch)).Int32()
 }
 
 func (l *wireLink[T]) batchSent(id int, stamp int32) {
-	l.clients[id].call(codec.AppendInt32(req(opBatchSent), stamp))
+	l.call(id, codec.AppendInt32(req(opBatchSent), stamp))
 }
 
 func (l *wireLink[T]) batchDrained(id int, stamp int32) {
-	l.clients[id].call(codec.AppendInt32(req(opBatchDrained), stamp))
+	l.call(id, codec.AppendInt32(req(opBatchDrained), stamp))
 }
 
 // coordServe is the coordinator endpoint: a single goroutine draining
@@ -555,7 +431,7 @@ func (e *engine[T]) coordServe() {
 		}
 		r := codec.NewReader(f.Payload)
 		op := r.Int32()
-		resp := codec.AppendInt32(nil, op)
+		var resp []byte
 		switch op {
 		case opRoundDone:
 			resp = codec.AppendInt32(resp, e.coord.roundDone(int(f.From)))
@@ -599,6 +475,6 @@ func (e *engine[T]) coordServe() {
 			continue
 		}
 		// Best-effort: a send error here means the plane is closing.
-		_ = e.tp.Send(e.coordEndpoint(), f.From, transport.KindCtrl, resp)
+		_ = e.tp.Reply(f, resp, nil)
 	}
 }

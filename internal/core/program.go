@@ -13,6 +13,7 @@
 package core
 
 import (
+	"fmt"
 	"math/bits"
 	"slices"
 	"sort"
@@ -224,13 +225,6 @@ func (c *Context[T]) SendToHolders(v int32, val T) {
 	}
 }
 
-// SendTo ships val for vertex v directly to worker j, the arbitrary
-// routing used by the MapReduce simulation (Theorem 4), where update
-// parameters live on a worker clique.
-func (c *Context[T]) SendTo(j int, v int32, val T) {
-	c.push(j, VMsg[T]{V: v, Val: val, Round: c.round, From: int32(c.frag.ID)})
-}
-
 // AddWork reports n units of work (vertices touched, edges relaxed) for
 // the cost model and the stale-computation metric.
 func (c *Context[T]) AddWork(n int) { c.work += int64(n) }
@@ -302,18 +296,11 @@ func (c *Context[T]) takeOut() ([][]VMsg[T], int64) {
 // (so IncEval sees a deterministic input regardless of arrival order).
 // The retained Round/From are those of the latest-round contribution.
 //
-// FoldMessages works on arbitrary buffers but allocates; the engine's
-// per-round hot path uses a Folder, which produces identical output from
-// reusable fragment-sized scratch.
+// FoldMessages is the map-based reference fold: it handles messages for
+// any vertex, at the cost of a map plus an output allocation per call.
+// The engines fold with a Folder, which the differential tests verify
+// bit-identical against it.
 func FoldMessages[T any](buf []VMsg[T], agg func(a, b T) T) []VMsg[T] {
-	return foldMessagesGeneric(buf, agg)
-}
-
-// foldMessagesGeneric is the map-based reference fold: it handles
-// messages for any vertex, at the cost of a map plus an output
-// allocation per call. The Folder's dense path is verified bit-identical
-// against it by the differential tests.
-func foldMessagesGeneric[T any](buf []VMsg[T], agg func(a, b T) T) []VMsg[T] {
 	if len(buf) == 0 {
 		return nil
 	}
@@ -344,11 +331,9 @@ func foldMessagesGeneric[T any](buf []VMsg[T], agg func(a, b T) T) []VMsg[T] {
 // by scanning that bitmap word by word. The bitmap is laid out in vertex
 // order — F.O copies below Lo, then the owned range, then copies from Hi
 // up — so the scan yields ascending vertex ids, O(slots/64 + |buf|) in
-// all, and leaves the bitmap clear for the next round. Messages for
-// vertices outside the fragment's slot domain (the MapReduce
-// simulation's clique routing) fall back to the generic fold. A Folder
-// is owned by a single worker; it is not safe for concurrent use, and
-// the returned slice is only valid until the next Fold call.
+// all, and leaves the bitmap clear for the next round. A Folder is
+// owned by a single worker; it is not safe for concurrent use, and the
+// returned slice is only valid until the next Fold call.
 type Folder[T any] struct {
 	frag  *partition.Fragment
 	owned int32    // NumOwned: slots from here up are F.O copies
@@ -384,19 +369,20 @@ func (fd *Folder[T]) rank(slot int32) int32 {
 }
 
 // Fold folds buf exactly like FoldMessages, reusing the Folder's
-// scratch. The result is overwritten by the next Fold call.
-func (fd *Folder[T]) Fold(buf []VMsg[T], agg func(a, b T) T) []VMsg[T] {
+// scratch. The result is overwritten by the next Fold call. Send and
+// SendToHolders route a message only to a worker that owns its vertex or
+// holds a copy, so one for a vertex without a local slot can only come
+// from a corrupt frame: it fails the fold, and the Folder stays usable.
+func (fd *Folder[T]) Fold(buf []VMsg[T], agg func(a, b T) T) ([]VMsg[T], error) {
 	if len(buf) == 0 {
-		return nil
+		return nil, nil
 	}
 	acc := fd.acc[:0]
 	for _, m := range buf {
 		slot := fd.frag.Slot(m.V)
 		if slot < 0 {
-			// Arbitrary routing (SendTo): the vertex has no local slot,
-			// so the bitmap cannot key it.
 			clear(fd.seen)
-			return foldMessagesGeneric(buf, agg)
+			return nil, fmt.Errorf("core: message from worker %d for vertex %d, which fragment %d neither owns nor copies", m.From, m.V, fd.frag.ID)
 		}
 		r := fd.rank(slot)
 		w, bit := r>>6, uint64(1)<<(uint(r)&63)
@@ -424,7 +410,7 @@ func (fd *Folder[T]) Fold(buf []VMsg[T], agg func(a, b T) T) []VMsg[T] {
 		}
 	}
 	fd.acc, fd.out = acc, out
-	return out
+	return out, nil
 }
 
 // Result is the outcome of running a Job: the assembled per-vertex values

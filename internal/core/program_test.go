@@ -93,18 +93,19 @@ func TestContextSendToHolders(t *testing.T) {
 	}
 }
 
-func TestContextSendToAndWork(t *testing.T) {
+func TestContextSendAndWork(t *testing.T) {
 	p := buildPartition(t, 3)
 	ctx := newContext[float64](p.Frags[0], p.M, &msgPool[float64]{})
-	ctx.SendTo(2, 5, 9)
+	v := p.Frags[2].Lo
+	ctx.Send(v, 9)
 	ctx.AddWork(7)
 	ctx.AddWork(3)
 	out, work := ctx.takeOut()
 	if work != 10 {
 		t.Errorf("work = %d", work)
 	}
-	if len(out[2]) != 1 || out[2][0].V != 5 || out[2][0].Val != 9 {
-		t.Errorf("SendTo misrouted: %+v", out)
+	if len(out[2]) != 1 || out[2][0].V != v || out[2][0].Val != 9 {
+		t.Errorf("Send misrouted: %+v", out)
 	}
 }
 

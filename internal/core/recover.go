@@ -228,7 +228,7 @@ func (r *recovery[T]) rollback(victim int) {
 	// record on disk than the store holds in memory.
 	if snap == nil && e.ckpt != nil && e.durable != nil {
 		if ep, payload, err := e.durable.NewestSealed(); err == nil {
-			if s, derr := decodeDurableSnapshot(&e.job, ep, payload); derr == nil && len(s.States) == e.p.M {
+			if s, derr := checkpoint.DecodeSnapshot(ep, payload, e.job.readMsg); derr == nil && len(s.States) == e.p.M {
 				e.ckpt.Seed(s) // Reset below rewinds announce to this epoch
 				snap = s
 			}

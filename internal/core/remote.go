@@ -1,8 +1,10 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"aap/internal/codec"
@@ -21,9 +23,8 @@ import (
 // parent, so a host process dying at any instant loses only Program
 // state — exactly what the sealed snapshot restores.
 
-// RPC ops. Request payload: [op int32][args...]; reply: [op int32]
-// [results...]. Calls are serialized per proxy (one outstanding), so
-// replies pair with requests by link FIFO order.
+// Host ops. Each is one transport.Plane.Call from the worker's endpoint
+// to its host endpoint: request [op int32][args...], reply [results...].
 const (
 	rpcPEval int32 = iota + 1
 	rpcIncEval
@@ -34,9 +35,6 @@ const (
 	rpcShutdown
 )
 
-// evalReply is the wire shape both eval ops return: [work int64]
-// [ndest uint32] then per destination [dest int32][n uint32][msgs...].
-
 // remoteProg is the parent-side Program proxy for one remote-hosted
 // worker. It implements Program and Snapshotter by shipping each call
 // to the host endpoint and injecting the returned messages into the
@@ -46,114 +44,47 @@ type remoteProg[T any] struct {
 	w    int   // worker id (= our endpoint)
 	host int32 // host endpoint id
 
-	mu     sync.Mutex // serializes calls (worker loop vs. recovery)
-	respCh chan []byte
-
-	// dead aborts blocked calls when the heartbeat verdict lands. Unlike
-	// a sync.Once-guarded close, the channel is replaced by rejoin()
-	// when a supervisor respawns the host, so a proxy can die and come
-	// back any number of times across one run.
-	deadMu sync.Mutex
-	dead   chan struct{}
-	isDead bool
+	// dead is set by the heartbeat verdict (or a call the host never
+	// answered) and cleared by rejoin when a supervisor respawns the
+	// host, so a proxy can die and come back any number of times across
+	// one run. It only steers recovery; what unblocks a call in flight is
+	// the plane failing it when the host's link dies.
+	dead atomic.Bool
 
 	collected []T
 	haveVals  bool
 }
 
-func newRemoteProg[T any](e *engine[T], w int) *remoteProg[T] {
-	return &remoteProg[T]{
-		e:      e,
-		w:      w,
-		host:   hostEndpoint(e.p.M, w),
-		respCh: make(chan []byte, 1),
-		dead:   make(chan struct{}),
-	}
-}
+func (rp *remoteProg[T]) markDead() { rp.dead.Store(true) }
 
-// markDead aborts any blocked call; fired by the heartbeat verdict.
-func (rp *remoteProg[T]) markDead() {
-	rp.deadMu.Lock()
-	if !rp.isDead {
-		rp.isDead = true
-		close(rp.dead)
-	}
-	rp.deadMu.Unlock()
-}
-
-func (rp *remoteProg[T]) alive() bool {
-	rp.deadMu.Lock()
-	defer rp.deadMu.Unlock()
-	return !rp.isDead
-}
-
-// deadCh snapshots the current death channel; callers select on the
-// snapshot so a concurrent rejoin (which swaps the channel) cannot race
-// the read.
-func (rp *remoteProg[T]) deadCh() <-chan struct{} {
-	rp.deadMu.Lock()
-	defer rp.deadMu.Unlock()
-	return rp.dead
-}
+func (rp *remoteProg[T]) alive() bool { return !rp.dead.Load() }
 
 // rejoin rearms a proxy whose host was respawned: the new incarnation
 // has completed its handshake, so calls may flow again. Called on the
 // recovery goroutine with the run quiesced — no call is in flight, and
 // the rollback that follows restores the Program over RPC.
 func (rp *remoteProg[T]) rejoin() {
-	rp.mu.Lock()
-	defer rp.mu.Unlock()
-	select {
-	case <-rp.respCh: // stale reply from the dead incarnation
-	default:
-	}
-	rp.deadMu.Lock()
-	if rp.isDead {
-		rp.isDead = false
-		rp.dead = make(chan struct{})
-	}
-	rp.deadMu.Unlock()
+	rp.dead.Store(false)
 	rp.collected = nil
 	rp.haveVals = false
 }
 
-// deliver hands a reply payload to the blocked call; runs on the
-// transport reader goroutine.
-func (rp *remoteProg[T]) deliver(payload []byte) {
-	select {
-	case rp.respCh <- payload:
-	default:
-	}
-}
-
-// call ships one RPC and blocks for the reply. It does NOT abort on
+// call ships one op and blocks for the reply. It does NOT abort on
 // e.done — result collection runs after the run finishes — only on host
-// death or the timeout. A nil return means the host is gone; the caller
-// returns inert results and the death path (recovery) takes over.
-func (rp *remoteProg[T]) call(payload []byte, timeout time.Duration) *codec.Reader {
-	rp.mu.Lock()
-	defer rp.mu.Unlock()
-	select {
-	case <-rp.respCh: // reply abandoned by an aborted predecessor
-	default:
+// death or the timeout. An error that is not the host's own refusal
+// (transport.RemoteError) means the host is gone: the proxy is marked
+// dead, the caller returns inert results and the death path (recovery)
+// takes over.
+func (rp *remoteProg[T]) call(req []byte, timeout time.Duration) (*codec.Reader, error) {
+	resp, err := rp.e.tp.Call(int32(rp.w), rp.host, req, timeout, nil)
+	if err != nil {
+		var refused transport.RemoteError
+		if !errors.As(err, &refused) {
+			rp.markDead()
+		}
+		return nil, fmt.Errorf("core: host of worker %d: %w", rp.w, err)
 	}
-	if err := rp.e.tp.Send(int32(rp.w), rp.host, transport.KindRPC, payload); err != nil {
-		return nil
-	}
-	dead := rp.deadCh()
-	t := time.NewTimer(timeout)
-	defer t.Stop()
-	select {
-	case resp := <-rp.respCh:
-		r := codec.NewReader(resp)
-		r.Int32() // op echo
-		return r
-	case <-dead:
-		return nil
-	case <-t.C:
-		rp.markDead()
-		return nil
-	}
+	return codec.NewReader(resp), nil
 }
 
 // rpcTimeout bounds a single Program call round trip. A host that
@@ -161,65 +92,54 @@ func (rp *remoteProg[T]) call(payload []byte, timeout time.Duration) *codec.Read
 // detector will almost always fire first.
 const rpcTimeout = 60 * time.Second
 
-// injectEval decodes an eval reply into ctx: work accounting plus every
-// produced designated message, routed exactly as a local kernel's
-// ctx.Send would have.
-func (rp *remoteProg[T]) injectEval(r *codec.Reader, ctx *Context[T]) {
-	if r == nil {
+// eval ships an eval op and decodes its reply into ctx: work accounting
+// plus every produced designated message, routed exactly as a local
+// kernel's ctx.Send would have.
+func (rp *remoteProg[T]) eval(req []byte, ctx *Context[T]) {
+	r, err := rp.call(req, rpcTimeout)
+	if err != nil {
 		return // host died mid-call; recovery rolls this round back
 	}
 	e := rp.e
 	ctx.AddWork(int(r.Int64()))
 	nd := int(r.Uint32())
-	for d := 0; d < nd && r.Err() == nil; d++ {
+	for d := 0; d < nd && err == nil; d++ {
 		dest := int(r.Int32())
-		n := int(r.Uint32())
-		if dest < 0 || dest >= e.p.M || n > r.Remaining()+1 {
-			e.fail(fmt.Errorf("core: %s: corrupt eval reply from host of worker %d", e.job.Name, rp.w))
-			return
+		if dest < 0 || dest >= e.p.M {
+			err = fmt.Errorf("destination %d of %d workers", dest, e.p.M)
+			break
 		}
-		for i := 0; i < n && r.Err() == nil; i++ {
-			m := VMsg[T]{V: r.Int32(), Round: r.Int32(), From: r.Int32()}
-			m.Val = e.job.DecodeVal(r)
-			ctx.push(dest, m)
+		if ctx.out[dest] == nil {
+			ctx.out[dest] = ctx.pool.get()
 		}
+		ctx.out[dest], err = e.job.readMsgs(r, ctx.out[dest])
 	}
-	if err := r.Err(); err != nil {
+	if err == nil {
+		err = r.Err()
+	}
+	if err != nil {
 		e.fail(fmt.Errorf("core: %s: corrupt eval reply from host of worker %d: %w", e.job.Name, rp.w, err))
 	}
 }
 
 func (rp *remoteProg[T]) PEval(ctx *Context[T]) {
-	pl := codec.AppendInt32(codec.AppendInt32(nil, rpcPEval), ctx.round)
-	rp.injectEval(rp.call(pl, rpcTimeout), ctx)
+	rp.eval(codec.AppendInt32(codec.AppendInt32(nil, rpcPEval), ctx.round), ctx)
 }
 
 func (rp *remoteProg[T]) IncEval(msgs []VMsg[T], ctx *Context[T]) {
-	e := rp.e
-	pl := codec.AppendInt32(codec.AppendInt32(nil, rpcIncEval), ctx.round)
-	pl = codec.AppendUint32(pl, uint32(len(msgs)))
-	for _, m := range msgs {
-		pl = codec.AppendInt32(pl, m.V)
-		pl = codec.AppendInt32(pl, m.Round)
-		pl = codec.AppendInt32(pl, m.From)
-		pl = e.job.EncodeVal(pl, m.Val)
-	}
-	rp.injectEval(rp.call(pl, rpcTimeout), ctx)
+	req := codec.AppendInt32(codec.AppendInt32(nil, rpcIncEval), ctx.round)
+	rp.eval(rp.e.job.appendMsgs(req, msgs), ctx)
 }
 
 func (rp *remoteProg[T]) Get(v int32) T {
 	var zero T
+	f := rp.e.p.Frags[rp.w]
 	if !rp.haveVals {
-		r := rp.call(codec.AppendInt32(nil, rpcCollect), rpcTimeout)
-		if r == nil {
+		r, err := rp.call(codec.AppendInt32(nil, rpcCollect), rpcTimeout)
+		if err != nil {
 			return zero // dead host; rollback replaced us for real runs
 		}
-		f := rp.e.p.Frags[rp.w]
-		n := int(f.Hi - f.Lo)
-		if lim := r.Remaining() + 1; n > lim {
-			return zero
-		}
-		vals := make([]T, n)
+		vals := make([]T, f.Hi-f.Lo)
 		for i := range vals {
 			vals[i] = rp.e.job.DecodeVal(r)
 		}
@@ -229,7 +149,6 @@ func (rp *remoteProg[T]) Get(v int32) T {
 		rp.collected = vals
 		rp.haveVals = true
 	}
-	f := rp.e.p.Frags[rp.w]
 	if v < f.Lo || v >= f.Hi {
 		return zero
 	}
@@ -237,32 +156,25 @@ func (rp *remoteProg[T]) Get(v int32) T {
 }
 
 func (rp *remoteProg[T]) SnapshotState() []byte {
-	r := rp.call(codec.AppendInt32(nil, rpcSnapshot), rpcTimeout)
-	if r == nil {
+	r, err := rp.call(codec.AppendInt32(nil, rpcSnapshot), rpcTimeout)
+	if err != nil {
 		return nil // record() skips dead proxies before getting here
 	}
 	return append([]byte(nil), r.Bytes()...)
 }
 
+// RestoreState's error is the host's own (its Program refused the
+// bytes) or the call's (the host is gone).
 func (rp *remoteProg[T]) RestoreState(data []byte) error {
-	pl := codec.AppendBytes(codec.AppendInt32(nil, rpcRestore), data)
-	r := rp.call(pl, rpcTimeout)
-	if r == nil {
-		return fmt.Errorf("core: host of worker %d is dead", rp.w)
-	}
-	if !r.Bool() {
-		return fmt.Errorf("core: host of worker %d: %s", rp.w, r.String())
-	}
-	return r.Err()
+	_, err := rp.call(codec.AppendBytes(codec.AppendInt32(nil, rpcRestore), data), rpcTimeout)
+	return err
 }
 
 // reset asks the host to rebuild a fresh Program (the from-scratch
 // rollback path, where no sealed snapshot exists).
 func (rp *remoteProg[T]) reset() error {
-	if rp.call(codec.AppendInt32(nil, rpcReset), rpcTimeout) == nil {
-		return fmt.Errorf("core: host of worker %d is dead", rp.w)
-	}
-	return nil
+	_, err := rp.call(codec.AppendInt32(nil, rpcReset), rpcTimeout)
+	return err
 }
 
 // shutdown tells the host process to exit; best-effort with a short
@@ -302,7 +214,7 @@ func ServeWorker[T any](p *partition.Partitioned, job Job[T], workerID int, pare
 		RetryLimit:     topts.RetryLimit,
 		Retry:          transport.Backoff{Base: topts.RetryBase, Max: topts.RetryMax},
 		OnFrame: func(fr transport.Frame) {
-			if fr.Kind == transport.KindRPC && fr.To == host {
+			if fr.Kind == transport.KindCall && fr.To == host {
 				select {
 				case work <- fr:
 				case <-dead:
@@ -331,8 +243,8 @@ func ServeWorker[T any](p *partition.Partitioned, job Job[T], workerID int, pare
 		}
 		r := codec.NewReader(fr.Payload)
 		op := r.Int32()
-		resp := codec.AppendInt32(nil, op)
-		quit := false
+		var resp []byte
+		var refuse error // answered as the call's error: the host lives on
 		switch op {
 		case rpcPEval:
 			ctx.round = r.Int32()
@@ -340,18 +252,8 @@ func ServeWorker[T any](p *partition.Partitioned, job Job[T], workerID int, pare
 			resp = appendEvalReply(resp, ctx, &job, pool)
 		case rpcIncEval:
 			ctx.round = r.Int32()
-			n := int(r.Uint32())
-			if lim := r.Remaining()/13 + 1; n > lim {
-				return fmt.Errorf("core: ServeWorker: batch claims %d messages, %d bytes remain", n, r.Remaining())
-			}
-			scratch = scratch[:0]
-			for i := 0; i < n && r.Err() == nil; i++ {
-				m := VMsg[T]{V: r.Int32(), Round: r.Int32(), From: r.Int32()}
-				m.Val = job.DecodeVal(r)
-				scratch = append(scratch, m)
-			}
-			if r.Err() != nil {
-				return fmt.Errorf("core: ServeWorker: corrupt IncEval request: %w", r.Err())
+			if scratch, err = job.readMsgs(r, scratch[:0]); err != nil {
+				return fmt.Errorf("core: ServeWorker: corrupt IncEval request: %w", err)
 			}
 			prog.IncEval(scratch, ctx)
 			resp = appendEvalReply(resp, ctx, &job, pool)
@@ -362,19 +264,10 @@ func ServeWorker[T any](p *partition.Partitioned, job Job[T], workerID int, pare
 			}
 			resp = codec.AppendBytes(resp, state)
 		case rpcRestore:
-			data := r.Bytes()
-			s, ok := prog.(Snapshotter)
-			if !ok {
-				resp = codec.AppendBool(resp, false)
-				resp = codec.AppendString(resp, "program does not implement Snapshotter")
-				break
-			}
-			if err := s.RestoreState(append([]byte(nil), data...)); err != nil {
-				resp = codec.AppendBool(resp, false)
-				resp = codec.AppendString(resp, err.Error())
+			if s, ok := prog.(Snapshotter); ok {
+				refuse = s.RestoreState(append([]byte(nil), r.Bytes()...))
 			} else {
-				resp = codec.AppendBool(resp, true)
-				resp = codec.AppendString(resp, "")
+				refuse = errors.New("program does not implement Snapshotter")
 			}
 		case rpcCollect:
 			for v := f.Lo; v < f.Hi; v++ {
@@ -384,23 +277,23 @@ func ServeWorker[T any](p *partition.Partitioned, job Job[T], workerID int, pare
 			prog = job.New(f)
 			ctx = newContext[T](f, p.M, pool)
 		case rpcShutdown:
-			quit = true
 		default:
 			return fmt.Errorf("core: ServeWorker: unknown rpc op %d", op)
 		}
-		if err := tp.Send(host, fr.From, transport.KindRPC, resp); err != nil {
+		if err := tp.Reply(fr, resp, refuse); err != nil {
 			return nil // link died under us
 		}
-		if quit {
-			// Give the writer a beat to flush the ack before closing.
+		if op == rpcShutdown {
+			// Give the writer a beat to flush the reply before closing.
 			time.Sleep(50 * time.Millisecond)
 			return nil
 		}
 	}
 }
 
-// appendEvalReply drains ctx's produced messages into an eval reply and
-// recycles the buffers.
+// appendEvalReply drains ctx's produced messages into the reply of both
+// eval ops — [work int64][ndest uint32] then per destination [dest
+// int32] and one batch (wire.go) — and recycles the buffers.
 func appendEvalReply[T any](resp []byte, ctx *Context[T], job *Job[T], pool *msgPool[T]) []byte {
 	out, work := ctx.takeOut()
 	resp = codec.AppendInt64(resp, work)
@@ -415,14 +308,7 @@ func appendEvalReply[T any](resp []byte, ctx *Context[T], job *Job[T], pool *msg
 		if len(msgs) == 0 {
 			continue
 		}
-		resp = codec.AppendInt32(resp, int32(j))
-		resp = codec.AppendUint32(resp, uint32(len(msgs)))
-		for _, m := range msgs {
-			resp = codec.AppendInt32(resp, m.V)
-			resp = codec.AppendInt32(resp, m.Round)
-			resp = codec.AppendInt32(resp, m.From)
-			resp = job.EncodeVal(resp, m.Val)
-		}
+		resp = job.appendMsgs(codec.AppendInt32(resp, int32(j)), msgs)
 		pool.put(msgs)
 	}
 	ctx.ReleaseOut(out)

@@ -53,13 +53,6 @@ func (s *Stage[T]) Send(v int32, val T) {
 	s.push(c.part.Owner(v), VMsg[T]{V: v, Val: val, Round: c.round, From: int32(c.frag.ID)})
 }
 
-// SendTo stages val for vertex v directly to worker j (the arbitrary
-// routing of the MapReduce simulation).
-func (s *Stage[T]) SendTo(j int, v int32, val T) {
-	c := s.c
-	s.push(j, VMsg[T]{V: v, Val: val, Round: c.round, From: int32(c.frag.ID)})
-}
-
 // SendToHolders stages val for every fragment holding a copy of owned
 // vertex v.
 func (s *Stage[T]) SendToHolders(v int32, val T) {

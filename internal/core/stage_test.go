@@ -72,10 +72,10 @@ func TestStagedSendsMatchSequential(t *testing.T) {
 			gotOut, _ := stgCtx.takeOut()
 
 			for j := range wantOut {
-				want := folders[j].Fold(wantOut[j], agg)
+				want := mustFold(t, folders[j], wantOut[j], agg)
 				// Folder reuses its output; copy before the second fold.
 				wantCopy := append([]VMsg[float64](nil), want...)
-				got := folders[j].Fold(gotOut[j], agg)
+				got := mustFold(t, folders[j], gotOut[j], agg)
 				if !foldEqual(got, wantCopy) {
 					t.Fatalf("frag %d trial %d dest %d (k=%d): staged fold diverged\n got %+v\nwant %+v",
 						frag.ID, trial, j, k, got, wantCopy)
@@ -87,7 +87,7 @@ func TestStagedSendsMatchSequential(t *testing.T) {
 	}
 }
 
-// TestStagedSendVariants pins SendTo and SendToHolders staging against
+// TestStagedSendVariants pins Send and SendToHolders staging against
 // their sequential counterparts, and the stage work merge.
 func TestStagedSendVariants(t *testing.T) {
 	p := buildPartition(t, 4)
@@ -109,12 +109,13 @@ func TestStagedSendVariants(t *testing.T) {
 	if held >= 0 {
 		seqCtx.SendToHolders(held, 9)
 	}
-	seqCtx.SendTo(2, 12345, 7)
+	remote := p.Frags[2].Lo // owned by fragment 2
+	seqCtx.Send(remote, 7)
 	seqCtx.AddWork(5)
 	wantOut, wantWork := seqCtx.takeOut()
 
 	st := stgCtx.Stages(2)
-	st[1].SendTo(2, 12345, 7)
+	st[1].Send(remote, 7)
 	if held >= 0 {
 		st[0].SendToHolders(held, 9)
 	}

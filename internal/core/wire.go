@@ -1,0 +1,51 @@
+package core
+
+import (
+	"fmt"
+
+	"aap/internal/codec"
+)
+
+// The wire form of designated messages, written here once. Everything
+// that serializes VMsgs uses it — the TCP data plane's KindData frames,
+// the remote IncEval request, the eval reply, the durable snapshot's
+// captured flights — so they cannot drift apart:
+//
+//	message: [V int32][Round int32][From int32][value, by Job.EncodeVal]
+//	batch:   [n uint32] then n messages
+
+func (j *Job[T]) appendMsg(dst []byte, m VMsg[T]) []byte {
+	dst = codec.AppendInt32(dst, m.V)
+	dst = codec.AppendInt32(dst, m.Round)
+	dst = codec.AppendInt32(dst, m.From)
+	return j.EncodeVal(dst, m.Val)
+}
+
+func (j *Job[T]) readMsg(r *codec.Reader) VMsg[T] {
+	m := VMsg[T]{V: r.Int32(), Round: r.Int32(), From: r.Int32()}
+	m.Val = j.DecodeVal(r)
+	return m
+}
+
+func (j *Job[T]) appendMsgs(dst []byte, msgs []VMsg[T]) []byte {
+	dst = codec.AppendUint32(dst, uint32(len(msgs)))
+	for _, m := range msgs {
+		dst = j.appendMsg(dst, m)
+	}
+	return dst
+}
+
+// readMsgs decodes one batch from r, appending its messages to dst.
+func (j *Job[T]) readMsgs(r *codec.Reader, dst []VMsg[T]) ([]VMsg[T], error) {
+	n := int(r.Uint32())
+	// Header-lie guard: each message costs at least 13 bytes on the
+	// wire (3×int32 + ≥1 value byte), so cap the claimed count before
+	// appending and let truncation surface as a decode error.
+	if lim := r.Remaining()/13 + 1; n > lim {
+		return dst, fmt.Errorf("core: batch claims %d messages, %d bytes remain", n, r.Remaining())
+	}
+	for i := 0; i < n && r.Err() == nil; i++ {
+		dst = append(dst, j.readMsg(r))
+	}
+	return dst, r.Err()
+}

@@ -255,7 +255,9 @@ func (p *program) shuffle(ctx *core.Context[Payload], round int32, pairs []KV) {
 			p.pending[round] = append(p.pending[round], batch)
 			continue
 		}
-		ctx.SendTo(w, int32(w), Payload{Batches: []shuffleBatch{batch}})
+		// Clique node w is owned by worker w and a border copy everywhere
+		// else: the shuffle is an ordinary update-parameter send.
+		ctx.Send(int32(w), Payload{Batches: []shuffleBatch{batch}})
 	}
 }
 

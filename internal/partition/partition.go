@@ -80,10 +80,10 @@ func (f *Fragment) Slots() int { return f.NumOwned() + len(f.Out) }
 
 // Slot maps global vertex v to its dense local slot: owned vertices map
 // to [0, NumOwned) and F.O copies to [NumOwned, Slots). It returns -1
-// when v is neither owned nor a copy, including synthetic ids outside
-// the graph's vertex range (SendTo's arbitrary routing). Owned vertices
-// resolve with two compares, copies with one load of v's rank word and
-// a popcount of the F.O members below v in it.
+// when v is neither owned nor a copy, including ids outside the graph's
+// vertex range. Owned vertices resolve with two compares, copies with
+// one load of v's rank word and a popcount of the F.O members below v
+// in it.
 func (f *Fragment) Slot(v int32) int32 {
 	if v >= f.Lo && v < f.Hi {
 		return v - f.Lo
@@ -145,7 +145,7 @@ type Partitioned struct {
 // Holders returns the fragments (other than the owner) holding a copy of
 // vertex v in their F.O set — the routing index I_i of the paper, used to
 // push an owner's canonical value back to every copy. Ids outside the
-// vertex range (SendTo's synthetic routing keys) have no holders.
+// vertex range have no holders.
 func (p *Partitioned) Holders(v int32) []int32 {
 	if v < 0 || int(v) >= len(p.holderOff)-1 {
 		return nil
@@ -157,8 +157,7 @@ func (p *Partitioned) Holders(v int32) []int32 {
 func (p *Partitioned) Strategy() string { return p.strategy }
 
 // Owner returns the fragment id owning global vertex v. Ids outside the
-// vertex range take the binary-search path, preserving the pre-dense
-// behavior for synthetic routing keys.
+// vertex range take the binary-search path.
 func (p *Partitioned) Owner(v int32) int {
 	if v < 0 || int(v) >= len(p.owner) {
 		return p.ownerSearch(v)

@@ -31,10 +31,8 @@ type config struct {
 	njobs       int           // engine compute parallelism (core.Options.PhysicalWorkers)
 	deadline    time.Duration // per-query engine deadline (core.Options.Deadline)
 	mode        core.Mode
-	staleness   int     // engine staleness bound (CF training wants > 0)
 	pagerankTol float64 // PageRank query convergence tolerance
 	cfConfig    *cf.Config
-	cfStaleness int // staleness bound used for the one-time CF training run
 	logger      *log.Logger
 }
 
@@ -53,9 +51,6 @@ func (c config) withDefaults() config {
 	}
 	if c.pagerankTol <= 0 {
 		c.pagerankTol = 1e-8
-	}
-	if c.cfStaleness <= 0 {
-		c.cfStaleness = 4
 	}
 	return c
 }
@@ -92,9 +87,6 @@ func WithDeadline(d time.Duration) Option { return func(c *config) { c.deadline 
 // WithMode selects the engine's parallel model; default AAP.
 func WithMode(m core.Mode) Option { return func(c *config) { c.mode = m } }
 
-// WithStaleness sets the engine staleness bound for query runs.
-func WithStaleness(n int) Option { return func(c *config) { c.staleness = n } }
-
 // WithPageRankTol sets the PageRank query convergence tolerance;
 // default 1e-8.
 func WithPageRankTol(tol float64) Option { return func(c *config) { c.pagerankTol = tol } }
@@ -103,10 +95,6 @@ func WithPageRankTol(tol float64) Option { return func(c *config) { c.pagerankTo
 // bipartite rating graph (users then products, gen.Bipartite layout)
 // and the first Recommend call trains latent factors once with cfg.
 func WithCF(cfg cf.Config) Option { return func(c *config) { c.cfConfig = &cfg } }
-
-// WithCFStaleness sets the staleness bound of the one-time CF training
-// run (distributed SGD wants bounded staleness under AAP). Default 4.
-func WithCFStaleness(n int) Option { return func(c *config) { c.cfStaleness = n } }
 
 // WithLogger makes the Server log one line per completed query (name,
 // latency, queue wait, batch size, arena bytes, scanned edges).

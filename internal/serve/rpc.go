@@ -1,25 +1,25 @@
 package serve
 
 // The serving RPC plane: a Server hosted behind the internal/transport
-// TCP message plane (KindRPC frames, length-prefixed codec payloads —
-// the same wire discipline as the engine's remote-worker protocol).
+// TCP message plane, on the same call path as the engine's coordinator
+// tokens and remote-worker protocol (transport.Plane.Call / Reply).
 //
 // Topology: the server plane listens and serves endpoint 0. Each client
 // makes a dial-only plane with a unique positive id, serving endpoint
-// id over link id, routing endpoint 0 to the server. Requests carry a
-// client-chosen request id; responses echo it, so one client may issue
-// concurrent calls over its single link.
+// id over link id, routing endpoint 0 to the server. A query is one
+// Call — request [op uint32][args...], reply [QueryMeta][result], or
+// the Server's error as the call's error — and the plane pairs replies
+// with calls by id, so one client may issue concurrent calls over its
+// single link.
 //
-// OnFrame runs on transport reader goroutines and must never call Send
-// synchronously, so both sides only enqueue frames there: the server
-// hands requests to a worker pool, the client hands responses to the
-// waiting call's buffered channel.
+// OnFrame runs on transport reader goroutines and must never send
+// synchronously, so the server only enqueues requests there and a
+// worker pool answers them.
 
 import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"aap/internal/codec"
@@ -94,7 +94,7 @@ func ListenRPC(srv *Server, addr string, workers int) (*RPCServer, error) {
 	plane, err := transport.Listen(transport.Config{
 		ListenAddr: addr,
 		OnFrame: func(f transport.Frame) {
-			if f.Kind != transport.KindRPC {
+			if f.Kind != transport.KindCall {
 				return
 			}
 			select {
@@ -132,79 +132,68 @@ func (rs *RPCServer) worker() {
 		case <-rs.done:
 			return
 		case f := <-rs.reqs:
-			resp := rs.handle(f.Payload)
-			// Send failures mean the client link died; the response is
-			// undeliverable and the client's own timeout reports it.
-			_ = rs.plane.Send(serverEndpoint, f.From, transport.KindRPC, resp)
+			resp, err := rs.handle(f.Payload)
+			// A send failure means the client link died: the response is
+			// undeliverable, and the client's call has failed with it.
+			_ = rs.plane.Reply(f, resp, err)
 		}
 	}
 }
 
 // handle decodes one request and runs it through the scheduler.
-func (rs *RPCServer) handle(payload []byte) []byte {
+func (rs *RPCServer) handle(payload []byte) ([]byte, error) {
 	r := codec.NewReader(payload)
-	reqID := r.Uint64()
 	op := r.Uint32()
-	fail := func(err error) []byte {
-		out := codec.AppendUint64(nil, reqID)
-		out = codec.AppendUint32(out, 1)
-		return codec.AppendString(out, err.Error())
-	}
 	if r.Err() != nil {
-		return fail(fmt.Errorf("serve: bad request frame: %w", r.Err()))
-	}
-	ok := func() []byte {
-		out := codec.AppendUint64(nil, reqID)
-		return codec.AppendUint32(out, 0)
+		return nil, fmt.Errorf("serve: bad request frame: %w", r.Err())
 	}
 	t0 := time.Now()
 	switch op {
 	case opSSSP:
 		src := graph.VertexID(r.Int64())
 		if r.Err() != nil {
-			return fail(r.Err())
+			return nil, r.Err()
 		}
 		dist, st, err := rs.srv.SSSP(src)
 		if err != nil {
-			return fail(err)
+			return nil, err
 		}
-		out := appendMeta(ok(), time.Since(t0).Seconds(), &st)
-		return codec.AppendFloat64s(out, dist)
+		out := appendMeta(nil, time.Since(t0).Seconds(), &st)
+		return codec.AppendFloat64s(out, dist), nil
 	case opCC:
 		labels, st, err := rs.srv.CC()
 		if err != nil {
-			return fail(err)
+			return nil, err
 		}
-		out := appendMeta(ok(), time.Since(t0).Seconds(), &st)
-		return codec.AppendInt64s(out, labels)
+		out := appendMeta(nil, time.Since(t0).Seconds(), &st)
+		return codec.AppendInt64s(out, labels), nil
 	case opPageRank:
 		ranks, st, err := rs.srv.PageRank()
 		if err != nil {
-			return fail(err)
+			return nil, err
 		}
-		out := appendMeta(ok(), time.Since(t0).Seconds(), &st)
-		return codec.AppendFloat64s(out, ranks)
+		out := appendMeta(nil, time.Since(t0).Seconds(), &st)
+		return codec.AppendFloat64s(out, ranks), nil
 	case opRecommend:
 		user := int(r.Int64())
 		k := int(r.Int64())
 		if r.Err() != nil {
-			return fail(r.Err())
+			return nil, r.Err()
 		}
 		recs, st, err := rs.srv.Recommend(user, k)
 		if err != nil {
-			return fail(err)
+			return nil, err
 		}
-		out := appendMeta(ok(), time.Since(t0).Seconds(), &st)
+		out := appendMeta(nil, time.Since(t0).Seconds(), &st)
 		out = codec.AppendUint32(out, uint32(len(recs)))
 		for _, rec := range recs {
 			out = codec.AppendInt64(out, int64(rec.Product))
 			out = codec.AppendFloat64(out, rec.Score)
 		}
-		return out
+		return out, nil
 	case opStats:
 		st := rs.srv.Stats()
-		out := ok()
-		out = codec.AppendInt64(out, st.Admitted)
+		out := codec.AppendInt64(nil, st.Admitted)
 		out = codec.AppendInt64(out, st.Completed)
 		out = codec.AppendInt64(out, st.Failed)
 		out = codec.AppendInt64(out, st.Active)
@@ -216,7 +205,7 @@ func (rs *RPCServer) handle(payload []byte) []byte {
 		out = codec.AppendInt64(out, st.BatchedQueries)
 		out = codec.AppendInt64(out, st.MaxBatch)
 		out = codec.AppendInt64(out, st.QueuedNow)
-		return out
+		return out, nil
 	case opIDs:
 		// Part of the shared immutable plane, so clients fetch it once
 		// per connection, not per query: ids[v] is the external vertex
@@ -227,24 +216,18 @@ func (rs *RPCServer) handle(payload []byte) []byte {
 		for v := range ids {
 			ids[v] = int64(g.IDOf(int32(v)))
 		}
-		return codec.AppendInt64s(ok(), ids)
+		return codec.AppendInt64s(nil, ids), nil
 	default:
-		return fail(fmt.Errorf("serve: unknown rpc op %d", op))
+		return nil, fmt.Errorf("serve: unknown rpc op %d", op)
 	}
 }
 
 // Client is one process's connection to a serving plane. Safe for
-// concurrent calls; each call gets its own request id and response
-// channel over the shared link.
+// concurrent calls over the shared link.
 type Client struct {
 	plane   *transport.Plane
 	id      int32
 	timeout time.Duration
-
-	nextReq atomic.Uint64
-	mu      sync.Mutex
-	pending map[uint64]chan []byte
-	closed  bool
 }
 
 // DialRPC connects to a serving plane at addr. id must be a positive
@@ -257,15 +240,12 @@ func DialRPC(addr string, id int32, timeout time.Duration) (*Client, error) {
 	if timeout <= 0 {
 		timeout = 30 * time.Second
 	}
-	c := &Client{id: id, timeout: timeout, pending: make(map[uint64]chan []byte)}
-	plane, err := transport.Listen(transport.Config{
-		ListenAddr: "",
-		OnFrame:    c.onFrame,
-	})
+	// Replies go to the parked call inside the plane; nothing else is
+	// ever addressed to a client.
+	plane, err := transport.Listen(transport.Config{OnFrame: func(transport.Frame) {}})
 	if err != nil {
 		return nil, err
 	}
-	c.plane = plane
 	if err := plane.Dial(id, addr, []int32{id}, []int32{serverEndpoint}); err != nil {
 		plane.Close()
 		return nil, err
@@ -274,76 +254,26 @@ func DialRPC(addr string, id int32, timeout time.Duration) (*Client, error) {
 		plane.Close()
 		return nil, err
 	}
-	return c, nil
+	return &Client{plane: plane, id: id, timeout: timeout}, nil
 }
 
-// Close tears down the client plane; in-flight calls fail by timeout.
-func (c *Client) Close() error {
-	c.mu.Lock()
-	c.closed = true
-	c.mu.Unlock()
-	return c.plane.Close()
-}
+// Close tears down the client plane; calls in flight return an error at
+// once, as they do when the server's link is declared dead.
+func (c *Client) Close() error { return c.plane.Close() }
 
-func (c *Client) onFrame(f transport.Frame) {
-	if f.Kind != transport.KindRPC {
-		return
-	}
-	r := codec.NewReader(f.Payload)
-	reqID := r.Uint64()
-	if r.Err() != nil {
-		return
-	}
-	c.mu.Lock()
-	ch := c.pending[reqID]
-	delete(c.pending, reqID)
-	c.mu.Unlock()
-	if ch != nil {
-		ch <- f.Payload // buffered, never blocks the reader
-	}
-}
-
-// call sends one request and waits for its response body (positioned
-// after the reqID/status prefix) or an error.
+// call sends one request and waits for its response body, or an error:
+// the Server's own (its text, as a transport.RemoteError) or the call
+// path's (timeout, client closed, server gone).
 func (c *Client) call(op uint32, args func([]byte) []byte) (*codec.Reader, error) {
-	reqID := c.nextReq.Add(1)
-	req := codec.AppendUint64(nil, reqID)
-	req = codec.AppendUint32(req, op)
+	req := codec.AppendUint32(nil, op)
 	if args != nil {
 		req = args(req)
 	}
-	ch := make(chan []byte, 1)
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil, errors.New("serve: client closed")
-	}
-	c.pending[reqID] = ch
-	c.mu.Unlock()
-	if err := c.plane.Send(c.id, serverEndpoint, transport.KindRPC, req); err != nil {
-		c.mu.Lock()
-		delete(c.pending, reqID)
-		c.mu.Unlock()
+	resp, err := c.plane.Call(c.id, serverEndpoint, req, c.timeout, nil)
+	if err != nil {
 		return nil, err
 	}
-	select {
-	case payload := <-ch:
-		r := codec.NewReader(payload)
-		r.Uint64() // reqID, already matched
-		if r.Uint32() != 0 {
-			msg := r.String()
-			if r.Err() != nil {
-				return nil, fmt.Errorf("serve: malformed error response: %w", r.Err())
-			}
-			return nil, errors.New(msg)
-		}
-		return r, nil
-	case <-time.After(c.timeout):
-		c.mu.Lock()
-		delete(c.pending, reqID)
-		c.mu.Unlock()
-		return nil, fmt.Errorf("serve: rpc op %d timed out after %s", op, c.timeout)
-	}
+	return codec.NewReader(resp), nil
 }
 
 // SSSP asks the server for single-source shortest paths from src.

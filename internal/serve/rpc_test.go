@@ -16,6 +16,7 @@ import (
 	"aap/internal/core"
 	"aap/internal/gen"
 	"aap/internal/graph"
+	"aap/internal/transport"
 )
 
 // TestRPCServesMixedQueries: two clients over one serving plane, SSSP /
@@ -156,5 +157,54 @@ func TestRPCRecommendAndErrors(t *testing.T) {
 
 	if _, _, err := c.Recommend(-5, 3); err == nil || !strings.Contains(err.Error(), "user") {
 		t.Fatalf("bad-user error not propagated: %v", err)
+	}
+}
+
+// TestClientCallFailsFastWithoutServer: a call in flight when the client
+// closes, or when the serving plane dies, returns an error at once
+// instead of sleeping out its timeout (a minute here; at the parent
+// commit both slept it out).
+func TestClientCallFailsFastWithoutServer(t *testing.T) {
+	// A serving plane that takes requests and never answers.
+	mute := func() *transport.Plane {
+		p, err := transport.Listen(transport.Config{
+			ListenAddr: "127.0.0.1:0",
+			OnFrame:    func(transport.Frame) {},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	for _, c := range []struct {
+		name string
+		end  func(srv *transport.Plane, cl *Client)
+	}{
+		{"client closes", func(_ *transport.Plane, cl *Client) { cl.Close() }},
+		{"server dies", func(srv *transport.Plane, _ *Client) { srv.Close() }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			srv := mute()
+			defer srv.Close()
+			cl, err := DialRPC(srv.Addr(), 5, time.Minute)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+			done := make(chan error, 1)
+			t0 := time.Now()
+			go func() { _, _, err := cl.SSSP(0); done <- err }()
+			time.Sleep(50 * time.Millisecond) // let the request go out
+			c.end(srv, cl)
+			select {
+			case err := <-done:
+				if err == nil {
+					t.Fatal("unanswered call returned no error")
+				}
+				t.Logf("failed after %v: %v", time.Since(t0), err)
+			case <-time.After(15 * time.Second):
+				t.Fatal("call still blocked 15s after its peer went away")
+			}
+		})
 	}
 }

@@ -100,7 +100,6 @@ func (s *Server) runOpts() core.Options {
 		Mode:            s.cfg.mode,
 		PhysicalWorkers: s.cfg.njobs,
 		Deadline:        s.cfg.deadline,
-		Staleness:       s.cfg.staleness,
 	}
 }
 
@@ -294,7 +293,7 @@ func (s *Server) Recommend(user, k int) ([]Rec, core.RunStats, error) {
 		defer release()
 		t0 := time.Now()
 		opts := s.runOpts()
-		opts.Staleness = s.cfg.cfStaleness
+		opts.Staleness = 4 // distributed SGD wants bounded staleness under AAP
 		res, err := core.Query(s.sess, cf.Job(*s.cfg.cfConfig), opts)
 		seconds := time.Since(t0).Seconds()
 		if err != nil {

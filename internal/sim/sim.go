@@ -230,7 +230,10 @@ func (s *sim[T]) startRound(w *simWorker[T], t float64) error {
 	if w.rounds == 0 {
 		w.prog.PEval(w.ctx)
 	} else {
-		msgs := w.folder.Fold(w.buffer, s.job.Aggregate)
+		msgs, err := w.folder.Fold(w.buffer, s.job.Aggregate)
+		if err != nil {
+			return fmt.Errorf("sim: %s: %w", s.job.Name, err)
+		}
 		w.buffer = w.buffer[:0]
 		for k := range w.origins {
 			delete(w.origins, k)

@@ -1,0 +1,120 @@
+package transport
+
+import (
+	"errors"
+	"fmt"
+	"time"
+)
+
+// The call mux: the plane's one request/reply facility. Call stamps a
+// request frame with a fresh id and parks the caller under that id;
+// Reply echoes the id; the reader that receives the reply wakes exactly
+// that caller. Pairing is by id alone, so any number of calls may be in
+// flight between the same two endpoints, answered in any order, and a
+// reply whose caller has given up finds no entry and is dropped — it can
+// never be mistaken for the answer to a later call.
+
+// RemoteError is the error Call returns when the serving side answered
+// Reply(req, nil, err): the round trip worked and the callee refused.
+// Every other Call error means no answer came.
+type RemoteError string
+
+func (e RemoteError) Error() string { return string(e) }
+
+var errClosed = errors.New("transport: plane closed")
+
+// pendingCall is one parked caller. Whoever deletes it from Plane.calls
+// owns the single send on done.
+type pendingCall struct {
+	link *link // the request went out on it; its death fails the call
+	done chan callResult
+}
+
+type callResult struct {
+	payload []byte
+	err     error
+}
+
+// Call sends req from endpoint `from` to endpoint `to` and blocks until
+// the serving side answers it with Reply, returning the reply payload.
+// It returns an error instead — and forgets the call, so a late reply is
+// dropped — when timeout elapses (0 = no bound), abort is closed (nil =
+// never), the plane closes, `to` has no route, or the link routing `to`
+// is declared dead or superseded by a respawned peer.
+func (p *Plane) Call(from, to int32, req []byte, timeout time.Duration, abort <-chan struct{}) ([]byte, error) {
+	l, err := p.route(to)
+	if err != nil {
+		return nil, err
+	}
+	c := &pendingCall{link: l, done: make(chan callResult, 1)}
+	p.callMu.Lock()
+	p.lastCall++
+	id := p.lastCall
+	p.calls[id] = c
+	p.callMu.Unlock()
+	defer func() { // forget the call however it ends; resolve may have already
+		p.callMu.Lock()
+		delete(p.calls, id)
+		p.callMu.Unlock()
+	}()
+
+	if err := l.enqueue(Frame{Kind: KindCall, From: from, To: to, Call: id, Payload: req}); err != nil {
+		return nil, err
+	}
+	var expired <-chan time.Time
+	if timeout > 0 {
+		t := time.NewTimer(timeout)
+		defer t.Stop()
+		expired = t.C
+	}
+	select {
+	case res := <-c.done:
+		return res.payload, res.err
+	case <-expired:
+		return nil, fmt.Errorf("transport: call %d→%d unanswered after %v", from, to, timeout)
+	case <-abort:
+		return nil, fmt.Errorf("transport: call %d→%d aborted", from, to)
+	case <-p.done:
+		return nil, errClosed
+	}
+}
+
+// Reply answers req, a KindCall frame OnFrame delivered: with payload,
+// or, when err is non-nil, with err's text, which the caller's Call
+// returns as a RemoteError. Not to be called from OnFrame itself.
+func (p *Plane) Reply(req Frame, payload []byte, err error) error {
+	f := Frame{Kind: KindReply, From: req.To, To: req.From, Call: req.Call, Payload: payload}
+	if err != nil {
+		f.Failed = true
+		f.Payload = []byte(err.Error())
+	}
+	return p.send(f)
+}
+
+// resolve hands a received reply to the caller parked under its id.
+func (p *Plane) resolve(f Frame) {
+	p.callMu.Lock()
+	c := p.calls[f.Call]
+	delete(p.calls, f.Call)
+	p.callMu.Unlock()
+	if c == nil {
+		return // the caller timed out or aborted: nobody is waiting
+	}
+	if f.Failed {
+		c.done <- callResult{err: RemoteError(f.Payload)}
+	} else {
+		c.done <- callResult{payload: f.Payload}
+	}
+}
+
+// failCalls fails every call whose request went out on l, and only those.
+func (p *Plane) failCalls(l *link, err error) {
+	p.callMu.Lock()
+	for id, c := range p.calls {
+		if c.link == l {
+			delete(p.calls, id)
+			c.done <- callResult{err: err}
+		}
+	}
+	p.callMu.Unlock()
+}

@@ -1,0 +1,260 @@
+package transport
+
+import (
+	"errors"
+	"fmt"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+)
+
+// callRig is a loopback plane for the mux tests: a hub that makes the
+// calls (endpoint 0) and two serving planes dialed into it over their
+// own links, endpoint 9 and endpoint 8. A server's OnFrame only queues
+// the request; the test decides when, in which order and whether to
+// Reply.
+type callRig struct {
+	hub      *Plane
+	srv9     *Plane
+	srv8     *Plane
+	in9, in8 chan Frame
+}
+
+func newCallRig(t *testing.T) *callRig {
+	t.Helper()
+	r := &callRig{in9: make(chan Frame, 64), in8: make(chan Frame, 64)}
+	cfg := testConfig(func(Frame) {})
+	cfg.ListenAddr = "127.0.0.1:0"
+	var err error
+	if r.hub, err = Listen(cfg); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { r.hub.Close() })
+	serve := func(id int32, in chan Frame) *Plane {
+		p, err := Listen(testConfig(func(f Frame) {
+			if f.Kind == KindCall {
+				in <- f
+			}
+		}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { p.Close() })
+		if err := p.Dial(id, r.hub.Addr(), []int32{id}, []int32{0}); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.hub.WaitRoute(id, 2*time.Second); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	r.srv9 = serve(9, r.in9)
+	r.srv8 = serve(8, r.in8)
+	return r
+}
+
+// parked reports how many calls the hub's pending table holds.
+func (r *callRig) parked() int {
+	r.hub.callMu.Lock()
+	defer r.hub.callMu.Unlock()
+	return len(r.hub.calls)
+}
+
+type callOutcome struct {
+	reply string
+	err   error
+	took  time.Duration
+}
+
+// goCall issues hub → `to` on its own goroutine.
+func (r *callRig) goCall(to int32, req string, timeout time.Duration, abort <-chan struct{}) <-chan callOutcome {
+	out := make(chan callOutcome, 1)
+	go func() {
+		t0 := time.Now()
+		resp, err := r.hub.Call(0, to, []byte(req), timeout, abort)
+		out <- callOutcome{string(resp), err, time.Since(t0)}
+	}()
+	return out
+}
+
+func recvCall(t *testing.T, in chan Frame) Frame {
+	t.Helper()
+	select {
+	case f := <-in:
+		return f
+	case <-time.After(5 * time.Second):
+		t.Fatal("server never saw the request")
+		return Frame{}
+	}
+}
+
+func wantOutcome(t *testing.T, what string, ch <-chan callOutcome) callOutcome {
+	t.Helper()
+	select {
+	case o := <-ch:
+		return o
+	case <-time.After(10 * time.Second):
+		t.Fatalf("%s: call never returned", what)
+		return callOutcome{}
+	}
+}
+
+// longCall is the bound of calls that must end for another reason: any
+// test that waits it out has failed.
+const longCall = time.Minute
+
+func TestCallMux(t *testing.T) {
+	t.Run("concurrent calls answered out of order", func(t *testing.T) {
+		r := newCallRig(t)
+		const n = 32
+		outs := make([]<-chan callOutcome, n)
+		for i := range outs {
+			outs[i] = r.goCall(9, fmt.Sprintf("q%d", i), longCall, nil)
+		}
+		reqs := make([]Frame, n)
+		for i := range reqs {
+			reqs[i] = recvCall(t, r.in9)
+		}
+		for i := n - 1; i >= 0; i-- { // newest first
+			f := reqs[i]
+			if f.From != 0 || f.To != 9 || f.Call == 0 {
+				t.Fatalf("request header %+v", f)
+			}
+			if err := r.srv9.Reply(f, []byte("re:"+string(f.Payload)), nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i, ch := range outs {
+			o := wantOutcome(t, "call", ch)
+			if want := fmt.Sprintf("re:q%d", i); o.err != nil || o.reply != want {
+				t.Fatalf("call %d got %q, %v; want %q", i, o.reply, o.err, want)
+			}
+		}
+		if n := r.parked(); n != 0 {
+			t.Fatalf("%d calls still parked", n)
+		}
+	})
+
+	t.Run("callee error", func(t *testing.T) {
+		r := newCallRig(t)
+		out := r.goCall(9, "q", longCall, nil)
+		if err := r.srv9.Reply(recvCall(t, r.in9), []byte("ignored"), errors.New("no such vertex")); err != nil {
+			t.Fatal(err)
+		}
+		o := wantOutcome(t, "call", out)
+		var refused RemoteError
+		if !errors.As(o.err, &refused) || refused.Error() != "no such vertex" || o.reply != "" {
+			t.Fatalf("got %q, %v; want RemoteError(no such vertex)", o.reply, o.err)
+		}
+	})
+
+	t.Run("deadline and abort", func(t *testing.T) {
+		r := newCallRig(t)
+		abort := make(chan struct{})
+		timed := r.goCall(9, "slow", 40*time.Millisecond, nil)
+		aborted := r.goCall(9, "slow", longCall, abort)
+		recvCall(t, r.in9)
+		recvCall(t, r.in9) // both arrived; neither is answered
+		o := wantOutcome(t, "deadline", timed)
+		var refused RemoteError
+		if o.err == nil || errors.As(o.err, &refused) || o.took < 40*time.Millisecond {
+			t.Fatalf("deadline: got %q, %v after %v", o.reply, o.err, o.took)
+		}
+		select {
+		case o := <-aborted:
+			t.Fatalf("the deadline of one call ended another: %+v", o)
+		default:
+		}
+		close(abort)
+		if o := wantOutcome(t, "abort", aborted); o.err == nil || !strings.Contains(o.err.Error(), "aborted") {
+			t.Fatalf("abort: got %q, %v", o.reply, o.err)
+		}
+		if n := r.parked(); n != 0 {
+			t.Fatalf("%d abandoned calls still parked", n)
+		}
+		if _, err := r.hub.Call(0, 77, nil, longCall, nil); err == nil {
+			t.Fatal("call to an endpoint nobody serves succeeded")
+		}
+	})
+
+	// The case every FIFO convention had to guard by hand: with replies
+	// paired by arrival order instead of by id, the second call below
+	// returns the first call's late answer.
+	t.Run("late reply is dropped, the next call gets its own", func(t *testing.T) {
+		r := newCallRig(t)
+		first := r.goCall(9, "first", 30*time.Millisecond, nil)
+		stale := recvCall(t, r.in9)
+		if o := wantOutcome(t, "first", first); o.err == nil {
+			t.Fatalf("unanswered call returned %q", o.reply)
+		}
+		second := r.goCall(9, "second", longCall, nil)
+		fresh := recvCall(t, r.in9)
+		// Same link, so the late answer reaches the hub first.
+		if err := r.srv9.Reply(stale, []byte("answer to first"), nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.srv9.Reply(fresh, []byte("answer to second"), nil); err != nil {
+			t.Fatal(err)
+		}
+		if o := wantOutcome(t, "second", second); o.err != nil || o.reply != "answer to second" {
+			t.Fatalf("second call got %q, %v", o.reply, o.err)
+		}
+	})
+
+	t.Run("dead peer fails its calls and only those", func(t *testing.T) {
+		r := newCallRig(t)
+		var doomed, spared []<-chan callOutcome
+		for i := 0; i < 4; i++ {
+			doomed = append(doomed, r.goCall(9, "q", longCall, nil))
+			spared = append(spared, r.goCall(8, fmt.Sprintf("q%d", i), longCall, nil))
+		}
+		for i := 0; i < 4; i++ {
+			recvCall(t, r.in9)
+		}
+		r.srv9.Close() // vanishes without a word: the hub's detector decides
+		for _, ch := range doomed {
+			if o := wantOutcome(t, "call on the dead link", ch); o.err == nil || !strings.Contains(o.err.Error(), "dead") {
+				t.Fatalf("got %q, %v; want the link's death", o.reply, o.err)
+			}
+		}
+		if n := r.parked(); n != 4 {
+			t.Fatalf("%d calls parked after the death, want the 4 on the live link", n)
+		}
+		if _, err := r.hub.Call(0, 9, nil, longCall, nil); err == nil {
+			t.Fatal("call to the dead peer succeeded")
+		}
+		for range spared {
+			f := recvCall(t, r.in8)
+			if err := r.srv8.Reply(f, f.Payload, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i, ch := range spared {
+			if o := wantOutcome(t, "call on the live link", ch); o.err != nil || o.reply != fmt.Sprintf("q%d", i) {
+				t.Fatalf("live call %d got %q, %v", i, o.reply, o.err)
+			}
+		}
+	})
+
+	t.Run("Close fails every call", func(t *testing.T) {
+		r := newCallRig(t)
+		var outs []<-chan callOutcome
+		for i := 0; i < 3; i++ {
+			outs = append(outs, r.goCall(9, "q", longCall, nil), r.goCall(8, "q", longCall, nil))
+		}
+		for i := 0; i < 3; i++ {
+			recvCall(t, r.in9)
+			recvCall(t, r.in8)
+		}
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() { defer wg.Done(); r.hub.Close() }()
+		for _, ch := range outs {
+			if o := wantOutcome(t, "call at Close", ch); !errors.Is(o.err, errClosed) {
+				t.Fatalf("got %q, %v; want %v", o.reply, o.err, errClosed)
+			}
+		}
+		wg.Wait()
+	})
+}

@@ -20,6 +20,7 @@
 package transport
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"aap/internal/codec"
@@ -35,15 +36,20 @@ const (
 	KindHello Kind = 1
 	// KindHelloAck confirms a Hello with the acceptor's own resume state.
 	KindHelloAck Kind = 2
-	// KindData carries an engine message batch (codec-encoded VMsgs).
+	// KindData carries an engine message batch (codec-encoded VMsgs), one
+	// way: Send on one side, OnFrame on the other.
 	KindData Kind = 3
-	// KindCtrl carries a coordinator protocol token (round / sent /
-	// consumed / active, snapshot announce & seal accounting) or its
-	// reply.
-	KindCtrl Kind = 4
-	// KindRPC carries a remote-worker call (PEval / IncEval / snapshot /
-	// restore / collect) or its response.
-	KindRPC Kind = 5
+	// KindCall carries a request sent by Plane.Call — a coordinator token
+	// (round / sent / consumed / active, snapshot announce & seal
+	// accounting), a remote-worker call (PEval / IncEval / snapshot /
+	// restore / collect) or a serving query; which one is decided by the
+	// endpoint it is addressed to. It reaches the serving side's OnFrame,
+	// which answers it with Plane.Reply.
+	KindCall Kind = 4
+	// KindReply carries the answer to a KindCall frame. The receiving
+	// plane hands it to the caller parked under the same call id and
+	// drops it when that caller has given up; it never reaches OnFrame.
+	KindReply Kind = 5
 	// KindHeartbeat is the liveness beacon; unsequenced, never replayed.
 	KindHeartbeat Kind = 6
 	// KindAck acknowledges delivery up to a cumulative sequence number;
@@ -60,12 +66,16 @@ const (
 //	int32  from      sending endpoint id
 //	int32  to        destination endpoint id
 //	uint64 seq       per-link sequence number; 0 = unsequenced
+//	uint64 call      KindCall and KindReply only: the id pairing the two
+//	uint8  failed    KindReply only: 1 = payload is the callee's error text
 //	...    payload   kind-specific bytes
 type Frame struct {
 	Kind    Kind
 	From    int32
 	To      int32
 	Seq     uint64
+	Call    uint64
+	Failed  bool
 	Payload []byte
 }
 
@@ -80,17 +90,21 @@ const DefaultMaxFrame = 64 << 20
 
 // AppendFrame appends the wire encoding of f, length prefix included.
 func AppendFrame(dst []byte, f Frame) []byte {
-	dst = codec.AppendUint32(dst, uint32(frameHeader+len(f.Payload)))
-	dst = append(dst, byte(f.Kind))
+	at := len(dst)
+	dst = append(dst, 0, 0, 0, 0, byte(f.Kind))
 	dst = codec.AppendInt32(dst, f.From)
 	dst = codec.AppendInt32(dst, f.To)
 	dst = codec.AppendUint64(dst, f.Seq)
-	return append(dst, f.Payload...)
+	switch f.Kind {
+	case KindCall:
+		dst = codec.AppendUint64(dst, f.Call)
+	case KindReply:
+		dst = codec.AppendBool(codec.AppendUint64(dst, f.Call), f.Failed)
+	}
+	dst = append(dst, f.Payload...)
+	binary.LittleEndian.PutUint32(dst[at:], uint32(len(dst)-at-4))
+	return dst
 }
-
-// EncodedSize returns the on-wire size of a frame with a payload of n
-// bytes, length prefix included.
-func EncodedSize(n int) int { return 4 + frameHeader + n }
 
 // ParseFrame decodes one frame from the front of buf and returns it
 // with the remaining bytes. The Payload aliases buf. A truncated,
@@ -114,18 +128,34 @@ func ParseFrame(buf []byte, maxFrame int) (Frame, []byte, error) {
 	if len(buf)-4 < n {
 		return Frame{}, buf, fmt.Errorf("transport: truncated frame: prefix claims %d bytes, %d available", n, len(buf)-4)
 	}
-	body := buf[4 : 4+n]
-	f := Frame{Kind: Kind(body[0])}
-	br := codec.NewReader(body[1:])
-	f.From = br.Int32()
-	f.To = br.Int32()
-	f.Seq = br.Uint64()
-	if err := br.Err(); err != nil {
+	f, err := parseBody(buf[4 : 4+n])
+	if err != nil {
 		return Frame{}, buf, err
 	}
-	f.Payload = body[frameHeader:n]
-	if f.Kind < KindHello || f.Kind > KindAck {
-		return Frame{}, buf, fmt.Errorf("transport: unknown frame kind %d", f.Kind)
-	}
 	return f, buf[4+n:], nil
+}
+
+// parseBody decodes everything after the length prefix; body holds at
+// least frameHeader bytes. The Payload aliases body.
+func parseBody(body []byte) (Frame, error) {
+	f := Frame{Kind: Kind(body[0])}
+	if f.Kind < KindHello || f.Kind > KindAck {
+		return Frame{}, fmt.Errorf("transport: unknown frame kind %d", f.Kind)
+	}
+	r := codec.NewReader(body[1:])
+	f.From = r.Int32()
+	f.To = r.Int32()
+	f.Seq = r.Uint64()
+	switch f.Kind {
+	case KindCall:
+		f.Call = r.Uint64()
+	case KindReply:
+		f.Call = r.Uint64()
+		f.Failed = r.Bool()
+	}
+	if err := r.Err(); err != nil {
+		return Frame{}, err
+	}
+	f.Payload = body[len(body)-r.Remaining():]
+	return f, nil
 }

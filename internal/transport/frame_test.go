@@ -11,7 +11,9 @@ func TestFrameRoundTrip(t *testing.T) {
 	frames := []Frame{
 		{Kind: KindData, From: 2, To: 5, Seq: 17, Payload: []byte("batch bytes")},
 		{Kind: KindHeartbeat},
-		{Kind: KindCtrl, From: 0, To: 8, Seq: 1, Payload: nil},
+		{Kind: KindCall, From: 0, To: 8, Seq: 1, Call: 1 << 40, Payload: nil},
+		{Kind: KindReply, From: 8, To: 0, Seq: 2, Call: 1 << 40, Payload: []byte("answer")},
+		{Kind: KindReply, From: 8, To: 0, Seq: 3, Call: 7, Failed: true, Payload: []byte("refused")},
 		{Kind: KindAck, Payload: codec.AppendUint64(nil, 42)},
 	}
 	var buf []byte
@@ -25,7 +27,8 @@ func TestFrameRoundTrip(t *testing.T) {
 			t.Fatalf("frame %d: %v", i, err)
 		}
 		rest = r
-		if got.Kind != want.Kind || got.From != want.From || got.To != want.To || got.Seq != want.Seq {
+		if got.Kind != want.Kind || got.From != want.From || got.To != want.To || got.Seq != want.Seq ||
+			got.Call != want.Call || got.Failed != want.Failed {
 			t.Fatalf("frame %d: got %+v want %+v", i, got, want)
 		}
 		if !bytes.Equal(got.Payload, want.Payload) {
@@ -50,6 +53,7 @@ func TestParseFrameRejects(t *testing.T) {
 		{"length below header", codec.AppendUint32(nil, frameHeader-1), 0},
 		{"length-lying oversize", codec.AppendUint32(nil, 1<<30), 0},
 		{"over frame limit", good, 8},
+		{"call id cut short", AppendFrame(nil, Frame{Kind: KindCall})[:4+frameHeader+7], 0},
 		{"unknown kind", func() []byte {
 			b := append([]byte(nil), good...)
 			b[4] = 99
@@ -70,6 +74,7 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(AppendFrame(nil, Frame{Kind: KindData, From: 1, To: 2, Seq: 9, Payload: []byte("seed")}))
 	f.Add(AppendFrame(nil, Frame{Kind: KindHeartbeat}))
+	f.Add(AppendFrame(nil, Frame{Kind: KindReply, From: 2, To: 1, Seq: 10, Call: 3, Failed: true, Payload: []byte("no")}))
 	f.Add(codec.AppendUint32(nil, 0xFFFFFFFF))
 	f.Add(codec.AppendUint32(nil, frameHeader))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -91,7 +96,7 @@ func FuzzFrameDecode(f *testing.F) {
 			t.Fatalf("re-parse of re-encoded frame failed: %v", err)
 		}
 		if fr2.Kind != fr.Kind || fr2.From != fr.From || fr2.To != fr.To || fr2.Seq != fr.Seq ||
-			!bytes.Equal(fr2.Payload, fr.Payload) {
+			fr2.Call != fr.Call || fr2.Failed != fr.Failed || !bytes.Equal(fr2.Payload, fr.Payload) {
 			t.Fatalf("re-encode round trip mismatch: %+v vs %+v", fr, fr2)
 		}
 	})

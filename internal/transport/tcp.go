@@ -31,15 +31,17 @@ type Config struct {
 	// side of a link (default 8); Retry shapes their backoff schedule.
 	RetryLimit int
 	Retry      Backoff
-	// OnFrame receives every delivered Data/Ctrl/RPC frame, in per-link
-	// send order, each frame at most once. It runs on a reader
-	// goroutine and MUST NOT call Plane.Send synchronously (hand off to
-	// a queue instead): a reader blocked on a full send buffer stops
-	// draining its conn, and two such readers deadlock the loop.
+	// OnFrame receives every delivered Data and Call frame, in per-link
+	// send order, each frame at most once (Reply frames go to the parked
+	// Call instead). It runs on a reader goroutine and MUST NOT call
+	// Plane.Send, Call or Reply synchronously (hand off to a queue
+	// instead): a reader blocked on a full send buffer stops draining
+	// its conn, and two such readers deadlock the loop.
 	OnFrame func(Frame)
 	// OnPeerDead fires once when a link is declared dead: heartbeat
 	// silence past DeadAfter, or reconnect attempts exhausted. served
-	// lists the endpoint ids the dead peer was serving.
+	// lists the endpoint ids the dead peer was serving. Calls parked on
+	// the link have already failed when it runs.
 	OnPeerDead func(linkID int32, served []int32, err error)
 	// Incarnation stamps every Hello this plane sends (default 1). A
 	// respawned process dials in with a higher incarnation; the acceptor
@@ -108,6 +110,12 @@ type Plane struct {
 	// by a higher incarnation, so Stats stays cumulative across rejoins.
 	tombTimeouts int64
 
+	// The call mux (call.go): every Call in flight, by the id its request
+	// frame carries and its reply echoes.
+	callMu   sync.Mutex
+	calls    map[uint64]*pendingCall
+	lastCall uint64
+
 	done chan struct{}
 	wg   sync.WaitGroup
 
@@ -162,6 +170,7 @@ func Listen(cfg Config) (*Plane, error) {
 		dialLinks:   make(map[int32]*link),
 		acceptLinks: make(map[int32]*link),
 		routes:      make(map[int32]*link),
+		calls:       make(map[uint64]*pendingCall),
 		done:        make(chan struct{}),
 	}
 	p.cond = sync.NewCond(&p.mu)
@@ -227,7 +236,7 @@ func (p *Plane) Dial(id int32, addr string, serve, route []int32) error {
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
-		return fmt.Errorf("transport: plane closed")
+		return errClosed
 	}
 	if _, ok := p.dialLinks[id]; ok {
 		p.mu.Unlock()
@@ -358,10 +367,7 @@ func (l *link) attachLocked(conn net.Conn, br *bufio.Reader, peerSeen uint64) {
 	gen := l.connGen
 	l.p.wg.Add(1)
 	go l.reader(conn, br, gen)
-	select {
-	case l.notify <- struct{}{}:
-	default:
-	}
+	l.wake()
 }
 
 // pruneLocked drops the acked prefix of the outbound queue.
@@ -390,12 +396,39 @@ func (l *link) pruneLocked(upto uint64) {
 // means the frame will never be delivered: no route is registered for
 // `to`, or its link is dead (OnPeerDead has fired or is firing).
 func (p *Plane) Send(from, to int32, kind Kind, payload []byte) error {
+	return p.send(Frame{Kind: kind, From: from, To: to, Payload: payload})
+}
+
+func (p *Plane) send(f Frame) error {
+	l, err := p.route(f.To)
+	if err != nil {
+		return err
+	}
+	return l.enqueue(f)
+}
+
+// route returns the link frames for endpoint `to` travel on.
+func (p *Plane) route(to int32) (*link, error) {
 	p.mu.Lock()
 	l := p.routes[to]
 	p.mu.Unlock()
 	if l == nil {
-		return fmt.Errorf("transport: no route to endpoint %d", to)
+		return nil, fmt.Errorf("transport: no route to endpoint %d", to)
 	}
+	return l, nil
+}
+
+// wake nudges the writer; one pending nudge covers any amount of work.
+func (l *link) wake() {
+	select {
+	case l.notify <- struct{}{}:
+	default:
+	}
+}
+
+// enqueue gives f the link's next sequence number and queues it for the
+// writer.
+func (l *link) enqueue(f Frame) error {
 	l.mu.Lock()
 	if l.dead {
 		err := l.deadErr
@@ -403,12 +436,10 @@ func (p *Plane) Send(from, to int32, kind Kind, payload []byte) error {
 		return fmt.Errorf("transport: link %d dead: %w", l.id, err)
 	}
 	l.seq++
-	l.out = append(l.out, Frame{Kind: kind, From: from, To: to, Seq: l.seq, Payload: payload})
+	f.Seq = l.seq
+	l.out = append(l.out, f)
 	l.mu.Unlock()
-	select {
-	case l.notify <- struct{}{}:
-	default:
-	}
+	l.wake()
 	return nil
 }
 
@@ -427,7 +458,7 @@ func (p *Plane) WaitRoute(id int32, timeout time.Duration) error {
 			return nil
 		}
 		if closed {
-			return fmt.Errorf("transport: plane closed")
+			return errClosed
 		}
 		if time.Now().After(deadline) {
 			return fmt.Errorf("transport: no peer serving endpoint %d after %v", id, timeout)
@@ -436,8 +467,8 @@ func (p *Plane) WaitRoute(id int32, timeout time.Duration) error {
 	}
 }
 
-// Close tears the plane down: listener, conns, goroutines. It does not
-// fire OnPeerDead.
+// Close tears the plane down: listener, conns, goroutines. Every Call
+// in flight returns an error; OnPeerDead does not fire.
 func (p *Plane) Close() error {
 	p.mu.Lock()
 	if p.closed {
@@ -464,10 +495,7 @@ func (p *Plane) Close() error {
 			l.conn.Close()
 		}
 		l.mu.Unlock()
-		select {
-		case l.notify <- struct{}{}:
-		default:
-		}
+		l.wake()
 	}
 	p.wg.Wait()
 	return nil
@@ -559,19 +587,8 @@ func (p *Plane) admit(conn net.Conn) {
 			return
 		case inc > l.inc:
 			p.tombTimeouts += l.det.Timeouts()
-			l.dead = true
-			l.deadErr = fmt.Errorf("transport: link %d superseded by incarnation %d", id, inc)
-			if l.conn != nil {
-				l.conn.Close()
-				l.conn = nil
-			}
-			l.out = nil
-			l.nextSend = 0
 			l.mu.Unlock()
-			select {
-			case l.notify <- struct{}{}:
-			default:
-			}
+			l.retire(fmt.Errorf("transport: link %d superseded by incarnation %d", id, inc))
 			l = nil
 			rejoined = true
 		default:
@@ -707,10 +724,7 @@ func (l *link) ticker() {
 		}
 		st := l.det.Check(time.Now())
 		l.mu.Unlock()
-		select {
-		case l.notify <- struct{}{}:
-		default:
-		}
+		l.wake()
 		if st == Dead {
 			l.declareDead(fmt.Errorf("transport: link %d: no traffic for %v (heartbeat timeout)",
 				l.id, l.p.cfg.DeadAfter))
@@ -720,7 +734,8 @@ func (l *link) ticker() {
 }
 
 // reader drains one conn: observes the detector, deduplicates sequenced
-// frames, prunes on acks, and dispatches payloads to OnFrame in order.
+// frames, prunes on acks, and dispatches in order — replies to their
+// parked calls, everything else to OnFrame.
 func (l *link) reader(conn net.Conn, br *bufio.Reader, gen uint64) {
 	defer l.p.wg.Done()
 	for {
@@ -744,30 +759,27 @@ func (l *link) reader(conn net.Conn, br *bufio.Reader, gen uint64) {
 				l.unacked++
 				if l.unacked >= 32 {
 					l.ackPending = true
-					select {
-					case l.notify <- struct{}{}:
-					default:
-					}
+					l.wake()
 				}
 			}
 		}
-		var ackTo uint64
 		if f.Kind == KindAck {
 			r := codec.NewReader(f.Payload)
-			ackTo = r.Uint64()
-			if r.Err() == nil {
+			if ackTo := r.Uint64(); r.Err() == nil {
 				l.pruneLocked(ackTo)
 			}
-			deliver = false
 		}
 		l.mu.Unlock()
+		if !deliver {
+			continue
+		}
 		switch f.Kind {
-		case KindHeartbeat, KindAck, KindHello, KindHelloAck:
-			// Link-layer traffic: the Observe above was its whole job.
+		case KindReply:
+			l.p.resolve(f)
+		case KindData, KindCall:
+			l.p.cfg.OnFrame(f)
 		default:
-			if deliver {
-				l.p.cfg.OnFrame(f)
-			}
+			// Link-layer traffic: the Observe above was its whole job.
 		}
 	}
 }
@@ -828,13 +840,20 @@ func (p *Plane) isClosed() bool {
 	}
 }
 
-// declareDead marks the link dead, drops its queue, and reports the
-// peer exactly once.
+// declareDead retires the link and reports the peer exactly once.
 func (l *link) declareDead(err error) {
+	if l.retire(err) && l.p.cfg.OnPeerDead != nil && !l.p.isClosed() {
+		l.p.cfg.OnPeerDead(l.id, l.served, err)
+	}
+}
+
+// retire marks the link dead, drops its conn and queue, and fails the
+// calls parked on it; false when it was dead already.
+func (l *link) retire(err error) bool {
 	l.mu.Lock()
 	if l.dead {
 		l.mu.Unlock()
-		return
+		return false
 	}
 	l.dead = true
 	l.deadErr = err
@@ -844,15 +863,10 @@ func (l *link) declareDead(err error) {
 	}
 	l.out = nil
 	l.nextSend = 0
-	served := l.served
 	l.mu.Unlock()
-	select {
-	case l.notify <- struct{}{}:
-	default:
-	}
-	if l.p.cfg.OnPeerDead != nil && !l.p.isClosed() {
-		l.p.cfg.OnPeerDead(l.id, served, err)
-	}
+	l.wake()
+	l.p.failCalls(l, fmt.Errorf("transport: link %d dead: %w", l.id, err))
+	return true
 }
 
 // readFrame reads one length-prefixed frame from br, charging wireIn.
@@ -873,17 +887,5 @@ func readFrame(br *bufio.Reader, maxFrame int, wireIn *atomic.Int64) (Frame, err
 		return Frame{}, err
 	}
 	wireIn.Add(int64(4 + n))
-	f := Frame{Kind: Kind(body[0])}
-	r := codec.NewReader(body[1:])
-	f.From = r.Int32()
-	f.To = r.Int32()
-	f.Seq = r.Uint64()
-	if err := r.Err(); err != nil {
-		return Frame{}, err
-	}
-	if f.Kind < KindHello || f.Kind > KindAck {
-		return Frame{}, fmt.Errorf("transport: unknown frame kind %d", f.Kind)
-	}
-	f.Payload = body[frameHeader:]
-	return f, nil
+	return parseBody(body)
 }

@@ -77,7 +77,7 @@ func TestPlaneDeliversBothWays(t *testing.T) {
 		if err := b.Send(9, 0, KindData, codec.AppendUint32(nil, uint32(i))); err != nil {
 			t.Fatal(err)
 		}
-		if err := a.Send(0, 9, KindCtrl, codec.AppendUint32(nil, uint32(100+i))); err != nil {
+		if err := a.Send(0, 9, KindData, codec.AppendUint32(nil, uint32(100+i))); err != nil {
 			t.Fatal(err)
 		}
 	}
