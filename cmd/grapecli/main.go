@@ -110,16 +110,9 @@ func main() {
 	loadSecs := time.Since(t0).Seconds()
 	loadRate := graph.Throughput(st.Size(), g.NumEdges(), loadSecs)
 
-	var strat partition.Strategy
-	switch *strategy {
-	case "hash":
-		strat = partition.Hash{}
-	case "range":
-		strat = partition.Range{}
-	case "bfs":
-		strat = partition.BFSLocality{}
-	default:
-		fatal(fmt.Errorf("unknown partition strategy %q", *strategy))
+	strat, err := partition.ParseStrategy(*strategy)
+	if err != nil {
+		fatal(err)
 	}
 	t0 = time.Now()
 	p, err := partition.Build(g, *workers, strat)
@@ -128,7 +121,7 @@ func main() {
 	}
 	partSecs := time.Since(t0).Seconds()
 
-	mode, err := parseMode(*modeName)
+	mode, err := core.ParseMode(*modeName)
 	if err != nil {
 		fatal(err)
 	}
@@ -200,6 +193,9 @@ func main() {
 	var stats core.RunStats
 	switch *algo {
 	case "sssp":
+		if _, ok := g.IndexOf(graph.VertexID(*source)); !ok {
+			fatal(fmt.Errorf("-source %d: no such vertex in %s", *source, *graphPath))
+		}
 		res := execute(p, sssp.Job(graph.VertexID(*source)), opts, *resume)
 		stats = res.Stats
 		for v, d := range res.Values {
@@ -362,23 +358,6 @@ func runClient(addr string, clientID int, timeout time.Duration, algo string, so
 			fatal(err)
 		}
 		fmt.Printf("results written to %s\n", out)
-	}
-}
-
-func parseMode(s string) (core.Mode, error) {
-	switch strings.ToLower(s) {
-	case "aap":
-		return core.AAP, nil
-	case "bsp":
-		return core.BSP, nil
-	case "ap":
-		return core.AP, nil
-	case "ssp":
-		return core.SSP, nil
-	case "hsync":
-		return core.Hsync, nil
-	default:
-		return 0, fmt.Errorf("unknown mode %q", s)
 	}
 }
 

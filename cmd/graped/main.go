@@ -61,23 +61,16 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	var strat partition.Strategy
-	switch *strategy {
-	case "hash":
-		strat = partition.Hash{}
-	case "range":
-		strat = partition.Range{}
-	case "bfs":
-		strat = partition.BFSLocality{}
-	default:
-		fatal(fmt.Errorf("unknown partition strategy %q", *strategy))
+	strat, err := partition.ParseStrategy(*strategy)
+	if err != nil {
+		fatal(err)
 	}
 	p, err := partition.Build(g, *workers, strat)
 	if err != nil {
 		fatal(err)
 	}
 
-	mode, err := parseMode(*modeName)
+	mode, err := core.ParseMode(*modeName)
 	if err != nil {
 		fatal(err)
 	}
@@ -210,23 +203,6 @@ func firstErr(errs ...error) error {
 		}
 	}
 	return nil
-}
-
-func parseMode(s string) (core.Mode, error) {
-	switch strings.ToLower(s) {
-	case "aap":
-		return core.AAP, nil
-	case "bsp":
-		return core.BSP, nil
-	case "ap":
-		return core.AP, nil
-	case "ssp":
-		return core.SSP, nil
-	case "hsync":
-		return core.Hsync, nil
-	default:
-		return 0, fmt.Errorf("unknown mode %q", s)
-	}
 }
 
 func fatal(err error) {

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"strings"
 	"sync/atomic"
 )
 
@@ -79,6 +80,16 @@ func (m Mode) String() string {
 	default:
 		return fmt.Sprintf("Mode(%d)", int(m))
 	}
+}
+
+// ParseMode is the inverse of Mode.String, ignoring case.
+func ParseMode(s string) (Mode, error) {
+	for m := AAP; m <= Hsync; m++ {
+		if strings.EqualFold(s, m.String()) {
+			return m, nil
+		}
+	}
+	return 0, fmt.Errorf("core: unknown mode %q (aap, bsp, ap, ssp, hsync)", s)
 }
 
 // bspController implements δ for BSP: a worker that has completed more

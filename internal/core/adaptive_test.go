@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -139,6 +140,11 @@ func TestModeStrings(t *testing.T) {
 	for m, s := range want {
 		if m.String() != s {
 			t.Errorf("%d.String() = %q, want %q", int(m), m.String(), s)
+		}
+		// ParseMode is its inverse, whatever the case, and only that.
+		got, err := ParseMode(strings.ToLower(s))
+		if known := m <= Hsync; known && (err != nil || got != m) || !known && err == nil {
+			t.Errorf("ParseMode(%q) = %v, %v", strings.ToLower(s), got, err)
 		}
 	}
 }

@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"os"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"aap/internal/checkpoint"
@@ -15,7 +17,7 @@ type resumeState[T any] struct {
 	store   *checkpoint.DurableStore
 	bytes   int64     // record payload bytes read
 	t0      time.Time // when Resume opened the directory
-	seconds float64   // open → decode → restore → relaunch, set by run
+	seconds float64   // open → decode → restore → relaunch, set by seed
 }
 
 // Resume restarts job from the newest sealed epoch in
@@ -63,93 +65,127 @@ func durableOptions(c CheckpointOptions) checkpoint.DurableOptions {
 	return checkpoint.DurableOptions{SyncEvery: c.SyncEvery, Retain: c.Retain, FS: c.FS}
 }
 
-// setupDurable wires the seal-to-disk tee: the store's onSeal hook
-// hands sealed snapshots to a buffered channel (non-blocking — the hook
-// runs under the store lock on a worker goroutine) and the persister
-// goroutine encodes and writes them. A full channel drops the offered
-// seal; the durable tail then lags the in-memory store by one epoch
-// until the next seal, which only widens the resume fallback, never
-// corrupts it.
-func (e *engine[T]) setupDurable(rs *resumeState[T]) error {
+// durableTee is the seal-to-disk plane (Options.Checkpoint.Dir): the
+// snapshot store's onSeal hook offers every sealed snapshot to queue, and
+// the persister goroutine encodes and writes them off the hot path.
+type durableTee[T any] struct {
+	job   *Job[T]
+	store *checkpoint.DurableStore
+	// queue holds seals the persister has not written yet: 8 rides out a
+	// slow fsync or an injected write stall without blocking the sealing
+	// worker, and a seal offered to a full queue is dropped.
+	queue chan *checkpoint.Snapshot[VMsg[T]]
+	quit  chan struct{}
+	wg    sync.WaitGroup
+
+	dropped  atomic.Int64 // seals the full queue turned away
+	warnOnce sync.Once
+	degraded atomic.Pointer[string] // first write error; the persister is off from then on
+}
+
+// startDurableTee opens (or, resuming, adopts) the record directory,
+// hooks the store's seals and starts the persister; nil when the run has
+// no Checkpoint.Dir. The hook runs under the store lock on a worker
+// goroutine, so it only offers the seal to the queue. A dropped seal
+// leaves the durable tail one epoch behind the in-memory store until the
+// next one, which only widens the resume fallback, never corrupts it.
+func startDurableTee[T any](e *engine[T], rs *resumeState[T]) (*durableTee[T], error) {
+	if e.opts.Checkpoint.Dir == "" {
+		return nil, nil
+	}
 	if e.ckpt == nil {
-		return fmt.Errorf("core: %s: Checkpoint.Dir requires Checkpoint.EveryRounds > 0", e.job.Name)
+		return nil, fmt.Errorf("core: %s: Checkpoint.Dir requires Checkpoint.EveryRounds > 0", e.job.Name)
 	}
 	if e.job.EncodeVal == nil || e.job.DecodeVal == nil {
-		return fmt.Errorf("core: %s: durable checkpoints require Job.EncodeVal/DecodeVal", e.job.Name)
+		return nil, fmt.Errorf("core: %s: durable checkpoints require Job.EncodeVal/DecodeVal", e.job.Name)
+	}
+	d := &durableTee[T]{
+		job:   &e.job,
+		queue: make(chan *checkpoint.Snapshot[VMsg[T]], 8),
+		quit:  make(chan struct{}),
 	}
 	if rs != nil {
-		e.durable = rs.store
+		d.store = rs.store
 	} else {
-		d, err := checkpoint.OpenDurable(e.opts.Checkpoint.Dir, durableOptions(e.opts.Checkpoint))
+		store, err := checkpoint.OpenDurable(e.opts.Checkpoint.Dir, durableOptions(e.opts.Checkpoint))
 		if err != nil {
-			return fmt.Errorf("core: %s: %w", e.job.Name, err)
+			return nil, fmt.Errorf("core: %s: %w", e.job.Name, err)
 		}
-		e.durable = d
+		d.store = store
 	}
-	e.persistCh = make(chan *checkpoint.Snapshot[VMsg[T]], 8)
-	e.persistQuit = make(chan struct{})
 	e.ckpt.SetOnSeal(func(s *checkpoint.Snapshot[VMsg[T]]) {
 		select {
-		case e.persistCh <- s:
+		case d.queue <- s:
 		default:
-			// The persister is further than 8 seals behind (slow disk or
-			// injected write stall): dropping the seal only widens the
-			// resume fallback, but silently is how durability rots —
-			// count it and say so once.
-			e.droppedSeals.Add(1)
-			e.dropWarnOnce.Do(func() {
-				fmt.Fprintf(os.Stderr, "core: %s: durable persister lagging, dropped sealed epoch %d (see RunStats.DroppedSeals)\n", e.job.Name, s.Epoch)
+			// Dropping only widens the resume fallback, but silently is
+			// how durability rots — count it and say so once.
+			d.dropped.Add(1)
+			d.warnOnce.Do(func() {
+				fmt.Fprintf(os.Stderr, "core: %s: durable persister lagging, dropped sealed epoch %d (see RunStats.DroppedSeals)\n", d.job.Name, s.Epoch)
 			})
 		}
 	})
-	return nil
+	d.wg.Add(1)
+	go d.persist()
+	return d, nil
 }
 
-// degradeDurable records the first durable write failure and turns the
+// stop drains the queue to disk and joins the persister.
+func (d *durableTee[T]) stop() {
+	if d == nil {
+		return
+	}
+	close(d.quit)
+	d.wg.Wait()
+}
+
+// report fills the durable section of RunStats; call after stop.
+func (d *durableTee[T]) report(s *RunStats) {
+	if d == nil {
+		return
+	}
+	s.DurableBytes = d.store.BytesWritten()
+	s.FsyncCount = d.store.FsyncCount()
+	s.DroppedSeals = d.dropped.Load()
+	if msg := d.degraded.Load(); msg != nil {
+		s.DurableDegraded = *msg
+	}
+}
+
+// degrade records the first durable write failure and turns the
 // persister off: the run continues non-durable (the in-memory sealed
 // snapshot still backs rollback) instead of failing or wedging the seal
 // path on a full/broken disk. Surfaced in RunStats.DurableDegraded.
-func (e *engine[T]) degradeDurable(err error) {
-	e.degradeMu.Lock()
-	first := e.degraded == ""
-	if first {
-		e.degraded = err.Error()
-	}
-	e.degradeMu.Unlock()
-	if first {
-		fmt.Fprintf(os.Stderr, "core: %s: durable checkpoints degraded, run continues non-durable: %v\n", e.job.Name, err)
+func (d *durableTee[T]) degrade(err error) {
+	msg := err.Error()
+	if d.degraded.CompareAndSwap(nil, &msg) {
+		fmt.Fprintf(os.Stderr, "core: %s: durable checkpoints degraded, run continues non-durable: %v\n", d.job.Name, err)
 	}
 }
 
-func (e *engine[T]) durableDegraded() bool {
-	e.degradeMu.Lock()
-	defer e.degradeMu.Unlock()
-	return e.degraded != ""
-}
-
-// persistLoop drains sealed snapshots to disk until persistQuit closes,
-// then flushes whatever is still queued. Seals arriving after the final
-// flush (a straggler control frame past run teardown) stay in the
-// buffered channel and are dropped with it.
-func (e *engine[T]) persistLoop() {
-	defer e.persistWg.Done()
+// persist writes queued seals to disk until quit closes, then flushes
+// whatever is still queued. Seals arriving after the final flush (a
+// straggler control frame past run teardown) stay in the buffered
+// channel and are dropped with it.
+func (d *durableTee[T]) persist() {
+	defer d.wg.Done()
 	write := func(s *checkpoint.Snapshot[VMsg[T]]) {
-		if e.durableDegraded() {
+		if d.degraded.Load() != nil {
 			return // disk already failed once; don't keep hammering it
 		}
-		payload := checkpoint.EncodeSnapshot(s, e.job.appendMsg) // flights in the one message layout (wire.go)
-		if err := e.durable.WriteEpoch(s.Epoch, payload); err != nil {
-			e.degradeDurable(fmt.Errorf("core: %s: durable checkpoint epoch %d: %w", e.job.Name, s.Epoch, err))
+		payload := checkpoint.EncodeSnapshot(s, d.job.appendMsg) // flights in the one message layout (wire.go)
+		if err := d.store.WriteEpoch(s.Epoch, payload); err != nil {
+			d.degrade(fmt.Errorf("core: %s: durable checkpoint epoch %d: %w", d.job.Name, s.Epoch, err))
 		}
 	}
 	for {
 		select {
-		case s := <-e.persistCh:
+		case s := <-d.queue:
 			write(s)
-		case <-e.persistQuit:
+		case <-d.quit:
 			for {
 				select {
-				case s := <-e.persistCh:
+				case s := <-d.queue:
 					write(s)
 				default:
 					return
@@ -159,32 +195,31 @@ func (e *engine[T]) persistLoop() {
 	}
 }
 
-// seedResume rewrites the freshly built engine to the durable snapshot
-// before any worker starts: the in-memory store is seeded so rollback
-// and epoch numbering continue from the stored epoch, every program is
-// restored through its Snapshotter (an RPC for remote workers — the
-// plane is already up), and the captured channel state is re-injected
-// with the same sent/outstanding accounting a rollback uses, so
-// termination waits for the replayed batches and the next epoch cannot
-// seal before they drain.
-func (e *engine[T]) seedResume(snap *checkpoint.Snapshot[VMsg[T]]) error {
-	e.ckpt.Seed(snap)
-	rounds := make([]int32, e.p.M)
-	for i, w := range e.workers {
-		if err := w.prog.(Snapshotter).RestoreState(snap.States[i]); err != nil {
-			return fmt.Errorf("core: %s: worker %d failed to restore sealed epoch %d: %w", e.job.Name, i, snap.Epoch, err)
-		}
-		w.rounds = snap.Rounds[i]
-		w.pevalDone = snap.PEvalDone[i]
-		w.epoch = snap.Epoch
-		rounds[i] = w.rounds
+// seed rewrites the freshly built engine to the durable snapshot before
+// any worker starts (a no-op for a run that does not resume): a resume is
+// a rollback whose sealed epoch came from disk. Seeding the in-memory
+// store makes rollback and epoch numbering continue from the stored
+// epoch; the rollback restores every program through its Snapshotter (a
+// call to the host for remote workers — the wire plane is already up) and
+// re-injects the captured channel state with its sent/outstanding
+// accounting, so termination waits for the replayed batches and the next
+// epoch cannot seal before they drain.
+func (rs *resumeState[T]) seed(e *engine[T]) error {
+	if rs == nil {
+		return nil
 	}
-	e.coord.reset(rounds)
-	for _, f := range snap.InFlight {
-		msgs := append([]VMsg[T](nil), f.Msgs...)
-		e.coord.addSent(int64(len(msgs)))
-		e.ckpt.BatchSent(snap.Epoch)
-		e.workers[f.To].inbox.put(batch[T]{from: f.From, epoch: snap.Epoch, msgs: msgs})
+	e.ckpt.Seed(rs.snap)
+	e.recov.rollback(-1) // no victim: nobody's state is newer than the snapshot's
+	rs.seconds = time.Since(rs.t0).Seconds()
+	return e.err()
+}
+
+// report fills the resume section of RunStats.
+func (rs *resumeState[T]) report(s *RunStats) {
+	if rs == nil {
+		return
 	}
-	return nil
+	s.ResumeEpoch = rs.snap.Epoch
+	s.ResumeBytes = rs.bytes
+	s.ResumeSeconds = rs.seconds
 }

@@ -12,7 +12,6 @@ import (
 
 	"aap/internal/checkpoint"
 	"aap/internal/partition"
-	"aap/internal/transport"
 )
 
 // Options configures a run of the concurrent engine.
@@ -93,101 +92,43 @@ func Run[T any](p *partition.Partitioned, job Job[T], opts Options) (*Result[T],
 
 // run is the shared body of Run and Resume: rs, when non-nil, seeds the
 // engine from a durably stored sealed snapshot before the first round.
+//
+// It composes the run from values that each own their state, their stop
+// and their section of RunStats: the workers (newEngine), the
+// fault-tolerance plane (recovery: snapshot store, injected faults,
+// rollback, the supervision ladder), the durable tee, the wire plane and
+// the resume seed. They start in that order — the tee hooks the store's
+// seals, remote Programs must be reachable before a resume restores them
+// — and stop in the order below: whoever can still write state first, the
+// wire plane last, after Assemble has collected remote values over it.
 func run[T any](s *Session, job Job[T], opts Options, rs *resumeState[T]) (*Result[T], error) {
 	if err := validate(s, &job); err != nil {
 		return nil, err
 	}
-	p := s.p
 	opts = opts.withDefaults()
-	e := &engine[T]{
-		p:          p,
-		job:        job,
-		opts:       opts,
-		pool:       sessionPool[T](s),
-		slots:      make(chan struct{}, opts.PhysicalWorkers),
-		done:       make(chan struct{}),
-		rates:      make([]uint64, p.M),
-		roundTimes: make([]uint64, p.M),
+	e := newEngine(s, job, opts)
+	var err error
+	if e.recov, err = newRecovery(e, rs != nil); err != nil {
+		return nil, err
 	}
-	e.coord.init(p.M, e)
-	e.plane = &inprocPlane[T]{e}
-	e.clink = &inprocLink[T]{e}
-	if opts.Mode == Hsync {
-		e.hsync = newHsyncState(opts.HsyncWindow)
+	if e.tee, err = startDurableTee(e, rs); err != nil {
+		return nil, err
 	}
-	if opts.Checkpoint.EveryRounds > 0 || rs != nil {
-		e.ckpt = checkpoint.NewStore[VMsg[T]](p.M)
+	if e.wire, err = startWirePlane(e); err == nil {
+		defer e.wire.stop()
+		err = rs.seed(e)
 	}
-	if opts.Faults != nil {
-		e.inj = newFaultInjector(*opts.Faults, p.M)
-	}
-	if e.ckpt != nil || e.inj != nil ||
-		(opts.Transport != nil && len(opts.Transport.RemoteWorkers) > 0) {
-		e.recov = &recovery[T]{e: e}
-	}
-	e.workers = make([]*worker[T], p.M)
-	for i, f := range p.Frags {
-		w := &worker[T]{
-			id:         i,
-			eng:        e,
-			frag:       f,
-			prog:       job.New(f),
-			ctx:        newContext[T](f, p.M, e.pool),
-			ctrl:       newController(opts, e.hsync),
-			folder:     NewFolder[T](f),
-			originSeen: make([]int32, p.M),
-			originGen:  1,
-			rng:        rand.New(rand.NewSource(opts.Seed + int64(i)*7919)),
-		}
-		w.inbox.notify = make(chan struct{}, 1)
-		w.progress = make(chan struct{}, 1)
-		w.flushCh = make(chan flushOut[T], 1)
-		w.spareCh = make(chan [][]VMsg[T], 2)
-		w.frng = rand.New(rand.NewSource(opts.Seed + int64(i)*7919 + 104729))
-		w.ctx.computing = e.slots
-		e.workers[i] = w
-	}
-	if e.ckpt != nil {
-		for _, w := range e.workers {
-			if _, ok := w.prog.(Snapshotter); !ok {
-				return nil, fmt.Errorf("core: %s: checkpointing requires the Program to implement core.Snapshotter", job.Name)
-			}
-		}
-	}
-	if opts.Checkpoint.Dir != "" {
-		if err := e.setupDurable(rs); err != nil {
-			return nil, err
-		}
-	}
-	if opts.Transport.enabled() {
-		err := e.setupPlane()
-		if e.tp != nil {
-			defer e.shutdownPlane() // runs after Assemble collects remote values
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	if rs != nil {
-		// Seed after the transport plane is up so remote workers restore
-		// their program state over RPC, exactly like a rollback would.
-		if err := e.seedResume(rs.snap); err != nil {
-			return nil, err
-		}
-		rs.seconds = time.Since(rs.t0).Seconds()
+	if err != nil {
+		e.tee.stop()
+		return nil, err
 	}
 
 	start := time.Now()
-	var wg, fwg sync.WaitGroup
-	wg.Add(p.M)
-	fwg.Add(p.M)
-	if e.durable != nil {
-		e.persistWg.Add(1)
-		go e.persistLoop()
-	}
+	var wg sync.WaitGroup
+	wg.Add(2 * e.p.M)
 	for _, w := range e.workers {
 		go func(w *worker[T]) {
-			defer fwg.Done()
+			defer wg.Done()
 			w.flusher()
 		}(w)
 		go func(w *worker[T]) {
@@ -206,7 +147,7 @@ func run[T any](s *Session, job Job[T], opts Options, rs *resumeState[T]) (*Resu
 	}
 	deadlined := false
 	select {
-	case <-e.coord.doneCh():
+	case <-e.coord.done:
 	case <-deadlineC:
 		deadlined = true
 		e.coord.forceDone()
@@ -214,138 +155,127 @@ func run[T any](s *Session, job Job[T], opts Options, rs *resumeState[T]) (*Resu
 		e.fail(fmt.Errorf("core: %s/%s timed out after %v", job.Name, opts.Mode, opts.Timeout))
 	}
 	e.closeDone()
-	wg.Wait()
-	fwg.Wait() // flushers own BytesSent; join before reading stats
-	if e.recov != nil {
-		e.recov.wg.Wait() // a mid-flight rollback mutates worker state
-	}
-	if e.durable != nil {
-		// Drain the persist queue before reading durable stats (or
-		// returning an error): every seal the run produced must be on
-		// disk when Run returns.
-		close(e.persistQuit)
-		e.persistWg.Wait()
-	}
+	wg.Wait()      // the flushers too: they own BytesSent
+	e.recov.stop() // a mid-flight rollback mutates worker state
+	e.tee.stop()   // every seal the run produced is on disk before Run returns, error or not
 	if err := e.err(); err != nil {
 		return nil, err
 	}
 
-	stats := RunStats{Job: job.Name, Mode: opts.Mode.String(), Seconds: time.Since(start).Seconds()}
-	stats.Workers = make([]WorkerStats, p.M)
-	for i, w := range e.workers {
-		stats.Workers[i] = w.stats
-	}
-	stats.finalize()
-	stats.ArenaBytes = arenaBytes(p, &job)
-	for _, w := range e.workers {
-		if sc, ok := w.prog.(ScanCounter); ok {
-			stats.ScannedEdges += sc.ScannedEdges()
-		}
-	}
-	if e.ckpt != nil {
-		stats.Checkpoints = e.ckpt.SealedCount()
-		stats.CheckpointBytes = e.ckpt.SealedBytes()
-	}
-	stats.Recoveries = e.recoveries.Load()
-	stats.RecoverySeconds = float64(e.recoveryNanos.Load()) / 1e9
-	stats.Restarts = e.restarts.Load()
-	stats.RejoinSeconds = float64(e.rejoinNanos.Load()) / 1e9
-	stats.Failbacks = e.failbacks.Load()
-	stats.FreshRestarts = e.freshRestarts.Load()
-	stats.DroppedSeals = e.droppedSeals.Load()
-	e.degradeMu.Lock()
-	stats.DurableDegraded = e.degraded
-	e.degradeMu.Unlock()
-	if e.durable != nil {
-		stats.DurableBytes = e.durable.BytesWritten()
-		stats.FsyncCount = e.durable.FsyncCount()
-	}
-	if rs != nil {
-		stats.ResumeEpoch = rs.snap.Epoch
-		stats.ResumeBytes = rs.bytes
-		stats.ResumeSeconds = rs.seconds
-	}
-	if e.tp != nil {
-		ws := e.tp.Stats()
-		stats.WireBytesOut = ws.WireBytesOut
-		stats.WireBytesIn = ws.WireBytesIn
-		stats.Retries = ws.Retries
-		stats.HeartbeatTimeouts = ws.HeartbeatTimeouts
-	}
+	stats := e.report(time.Since(start).Seconds())
+	e.recov.report(&stats)
+	e.tee.report(&stats)
+	rs.report(&stats)
+	e.wire.report(&stats)
 
-	progs := make([]Program[T], p.M)
+	progs := make([]Program[T], e.p.M)
 	for i, w := range e.workers {
 		progs[i] = w.prog
 	}
-	res := &Result[T]{Values: Assemble(p, progs), Stats: stats}
+	res := &Result[T]{Values: Assemble(e.p, progs), Stats: stats}
 	if deadlined {
 		return res, fmt.Errorf("core: %s/%s exceeded deadline %v: %w", job.Name, opts.Mode, opts.Deadline, context.DeadlineExceeded)
 	}
 	return res, nil
 }
 
-// engine holds the shared state of one run.
+// engine holds the shared state of one run: the workers and what every
+// one of them touches each round. What only one plane writes lives on
+// that plane's value.
 type engine[T any] struct {
 	p       *partition.Partitioned
 	job     Job[T]
 	opts    Options
 	workers []*worker[T]
-	slots   chan struct{} // physical-worker pool
+	ctrls   *ControllerSet // the δ of every worker (and Hsync's shared phase)
+	slots   chan struct{}  // physical-worker pool
 	coord   coordinator
-	hsync   *hsyncState
 	pool    *msgPool[T]   // the Session's: recycles message slices between senders and receivers
 	done    chan struct{} // closed when the run ends (success or failure)
 
 	rates      []uint64 // per-worker arrival-rate EWMA as float bits
 	roundTimes []uint64 // per-worker round-time EWMA as float bits
 
-	// Message plane and coordinator link, the pluggable halves of the
-	// transport refactor: plane carries batches, clink carries the
-	// coordinator tokens. Defaults are the in-proc implementations; the
-	// TCP plane (tp) replaces both and adds remote Program proxies.
-	plane   msgPlane[T]
-	clink   coordLink
-	tp      *transport.Plane
-	remotes []*remoteProg[T]
-	ctrlReq chan transport.Frame
-	planeWg sync.WaitGroup
+	// plane carries batches, clink carries the coordinator tokens: the
+	// in-proc implementations unless the wire plane replaced them.
+	plane msgPlane[T]
+	clink coordLink
 
-	// Fault-tolerance plane, all nil/zero when disabled.
+	// The planes beside the loop, each nil when its option is off. The
+	// worker loop tests ckpt, recov and inj directly.
 	ckpt  *checkpoint.Store[VMsg[T]]
-	recov *recovery[T]
 	inj   *faultInjector
-	// Durable tee (Options.Checkpoint.Dir): sealed snapshots flow from
-	// the store's onSeal hook through persistCh to the persister
-	// goroutine, which encodes and writes them off the hot path.
-	durable     *checkpoint.DurableStore
-	persistCh   chan *checkpoint.Snapshot[VMsg[T]]
-	persistQuit chan struct{}
-	persistWg   sync.WaitGroup
+	recov *recovery[T]
+	tee   *durableTee[T]
+	wire  *wirePlane[T]
+
 	// undelivered counts batches between flush handoff and inbox.put
 	// (including time.AfterFunc latency limbo); recovery's quiesce
 	// waits for it to reach zero before rewriting state.
-	undelivered   atomic.Int64
-	recoveries    atomic.Int64
-	recoveryNanos atomic.Int64
-
-	// Self-healing ladder accounting (recover.go's superviseDead and
-	// rollback) plus durability-degradation surfacing. rejoinInc[k] is
-	// the highest incarnation of worker k's host that has completed a
-	// handshake, recorded by onPeerRejoin and polled by awaitRejoin.
-	rejoinInc     []atomic.Uint64
-	restarts      atomic.Int64
-	rejoinNanos   atomic.Int64
-	failbacks     atomic.Int64
-	freshRestarts atomic.Int64
-	droppedSeals  atomic.Int64
-	dropWarnOnce  sync.Once
-	degradeMu     sync.Mutex
-	degraded      string
+	undelivered atomic.Int64
 
 	doneOnce sync.Once
 
 	errMu  sync.Mutex
 	runErr error
+}
+
+// newEngine builds the workers of one run over the session's fragments,
+// on the in-proc message plane.
+func newEngine[T any](s *Session, job Job[T], opts Options) *engine[T] {
+	p := s.p
+	e := &engine[T]{
+		p:          p,
+		job:        job,
+		opts:       opts,
+		ctrls:      NewControllerSet(opts, p.M),
+		pool:       sessionPool[T](s),
+		slots:      make(chan struct{}, opts.PhysicalWorkers),
+		done:       make(chan struct{}),
+		rates:      make([]uint64, p.M),
+		roundTimes: make([]uint64, p.M),
+	}
+	e.coord.init(p.M, e)
+	in := &inproc[T]{e}
+	e.plane, e.clink = in, in
+	e.workers = make([]*worker[T], p.M)
+	for i, f := range p.Frags {
+		w := &worker[T]{
+			id:         i,
+			eng:        e,
+			frag:       f,
+			prog:       job.New(f),
+			ctx:        newContext[T](f, p.M, e.pool),
+			ctrl:       e.ctrls.Controller(i),
+			folder:     NewFolder[T](f),
+			originSeen: make([]int32, p.M),
+			originGen:  1,
+		}
+		w.inbox.notify = make(chan struct{}, 1)
+		w.progress = make(chan struct{}, 1)
+		w.flushCh = make(chan flushOut[T], 1)
+		w.spareCh = make(chan [][]VMsg[T], 2)
+		w.frng = rand.New(rand.NewSource(opts.Seed + int64(i)*7919 + 104729))
+		w.ctx.computing = e.slots
+		e.workers[i] = w
+	}
+	return e
+}
+
+// report is the workers' section of RunStats: the per-worker entries and
+// their totals, the arena estimate and the kernels' edge scans.
+func (e *engine[T]) report(seconds float64) RunStats {
+	stats := RunStats{Job: e.job.Name, Mode: e.opts.Mode.String(), Seconds: seconds}
+	stats.Workers = make([]WorkerStats, e.p.M)
+	for i, w := range e.workers {
+		stats.Workers[i] = w.stats
+		if sc, ok := w.prog.(ScanCounter); ok {
+			stats.ScannedEdges += sc.ScannedEdges()
+		}
+	}
+	stats.Finalize()
+	stats.ArenaBytes = arenaBytes(e.p, &e.job)
+	return stats
 }
 
 func (e *engine[T]) closeDone() {
@@ -382,16 +312,6 @@ func (e *engine[T]) avgRoundTime() float64 {
 	}
 	return sum / float64(len(e.roundTimes))
 }
-
-// Batch delivery lives behind the msgPlane interface (plane.go): the
-// in-proc implementation is the old direct inbox handoff, the TCP
-// implementation codec-encodes the batch into a frame. Both end with
-// inbox.put plus the undelivered decrement, whichever path carried the
-// bytes. The batch was already counted as sent by the worker at flush
-// handoff, which is what keeps the termination check sound while
-// delivery runs in the background; epoch is the sender's snapshot epoch
-// at handoff — the Chandy-Lamport marker the receiver compares against
-// its own cut.
 
 // batch is one designated message M(i, j): the update-parameter changes
 // shipped from worker i to worker j after a round, stamped with the
@@ -480,8 +400,6 @@ func (c *coordinator) init(m int, eng interface{ broadcastProgress() }) {
 	c.eng = eng
 }
 
-func (c *coordinator) doneCh() <-chan struct{} { return c.done }
-
 func (c *coordinator) forceDone() {
 	c.mu.Lock()
 	if !c.finished {
@@ -568,6 +486,29 @@ func (e *engine[T]) broadcastProgress() {
 	}
 }
 
+// lost accounts for a batch of n messages from worker `from` that was
+// pre-counted as sent at flush handoff and will never reach an inbox (an
+// injected drop, a frame the wire plane could not send): it balances the
+// Mattern counter, the checkpoint outstanding count and the quiesce
+// condition, so termination, sealing and recovery stay live.
+func (e *engine[T]) lost(from int, n int64, epoch int32) {
+	e.undelivered.Add(-1)
+	e.clink.addConsumed(from, n)
+	if e.ckpt != nil {
+		e.clink.batchDrained(from, epoch)
+	}
+}
+
+// after runs deliver once the run's Latency plus extra has passed, at
+// once when that is zero.
+func (e *engine[T]) after(extra time.Duration, deliver func()) {
+	if d := e.opts.Latency + extra; d > 0 {
+		time.AfterFunc(d, deliver)
+	} else {
+		deliver()
+	}
+}
+
 // flushOut is one round's handoff from worker to flusher: the
 // per-destination batches plus the sender's snapshot epoch at handoff.
 type flushOut[T any] struct {
@@ -597,15 +538,7 @@ func (w *worker[T]) flusher() {
 					drop, dup, d := e.inj.delivery(w.id)
 					fdelay = d
 					if drop {
-						// The batch was pre-counted as sent at handoff
-						// and will never drain: balance the Mattern
-						// counter and the checkpoint outstanding count
-						// so termination and sealing stay live.
-						e.undelivered.Add(-1)
-						e.clink.addConsumed(w.id, int64(len(msgs)))
-						if e.ckpt != nil {
-							e.clink.batchDrained(w.id, fo.epoch)
-						}
+						e.lost(w.id, int64(len(msgs)), fo.epoch)
 						e.pool.put(msgs)
 						continue
 					}
@@ -668,8 +601,6 @@ type worker[T any] struct {
 	// timer backs every finite wait; allocated once and Reset per use
 	// instead of a fresh time.Timer per delay.
 	timer *time.Timer
-
-	rng *rand.Rand
 
 	// flushCh hands a finished round's outgoing batches to the worker's
 	// flusher goroutine, overlapping delivery (byte accounting, jitter,
@@ -878,9 +809,7 @@ func (w *worker[T]) drain() {
 	w.inbox.release(bs)
 	w.stats.MsgsRecv += int64(n)
 	w.eng.clink.addConsumed(w.id, int64(n))
-	if w.eng.hsync != nil {
-		w.eng.hsync.processed.Add(int64(n))
-	}
+	w.eng.ctrls.ObserveConsumed(int64(n))
 	now := time.Now()
 	dt := now.Sub(w.lastDrain).Seconds()
 	w.lastDrain = now
@@ -907,6 +836,19 @@ func (w *worker[T]) view() View {
 		AvgRate:      w.eng.avgRate(),
 		IdleTime:     time.Since(w.lastRoundEnd).Seconds(),
 	}
+}
+
+// clearBuffer empties the buffer and, by bumping the generation, its
+// origin set; on the (absurdly distant) wrap it falls back to an explicit
+// clear.
+func (w *worker[T]) clearBuffer() {
+	w.buffer = w.buffer[:0]
+	if w.originGen == math.MaxInt32 {
+		clear(w.originSeen)
+		w.originGen = 0
+	}
+	w.originGen++
+	w.originCnt = 0
 }
 
 // execRound runs PEval (peval=true) or one IncEval round: it acquires a
@@ -945,15 +887,7 @@ func (w *worker[T]) execRound(peval bool) {
 			e.fail(fmt.Errorf("core: %s worker %d round %d: %w", e.job.Name, w.id, w.rounds, err))
 			return
 		}
-		w.buffer = w.buffer[:0]
-		// Bump the generation to clear the origin set; on the (absurdly
-		// distant) wrap, fall back to an explicit clear.
-		if w.originGen == math.MaxInt32 {
-			clear(w.originSeen)
-			w.originGen = 0
-		}
-		w.originGen++
-		w.originCnt = 0
+		w.clearBuffer()
 		w.prog.IncEval(msgs, w.ctx)
 	}
 	dur := time.Since(t0).Seconds()
@@ -1018,8 +952,8 @@ func (w *worker[T]) execRound(peval bool) {
 			}
 		}
 	}
-	if e.hsync != nil {
+	if e.opts.Mode == Hsync { // the view is a round trip on the wire plane
 		_, rmax := e.clink.view(w.id)
-		e.hsync.observe(rmax, 0)
+		e.ctrls.ObserveRound(rmax)
 	}
 }

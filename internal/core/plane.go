@@ -1,8 +1,8 @@
 package core
 
 import (
+	"errors"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"aap/internal/codec"
@@ -86,6 +86,19 @@ func (t *TransportOptions) enabled() bool {
 	return t != nil && (t.TCP || len(t.RemoteWorkers) > 0)
 }
 
+// config is the link tuning both ends of the plane (the engine's
+// listener, a ServeWorker host) take from the options.
+func (t *TransportOptions) config(seed int64) transport.Config {
+	return transport.Config{
+		Incarnation:    t.Incarnation,
+		HeartbeatEvery: t.HeartbeatEvery,
+		SuspectAfter:   t.SuspectAfter,
+		DeadAfter:      t.DeadAfter,
+		RetryLimit:     t.RetryLimit,
+		Retry:          transport.Backoff{Base: t.RetryBase, Max: t.RetryMax, Seed: uint64(seed)},
+	}
+}
+
 // Endpoint id scheme on the plane: workers are 0..M-1, the coordinator
 // is M, and the remote host serving worker k's Program is M+1+k.
 func (e *engine[T]) coordEndpoint() int32 { return int32(e.p.M) }
@@ -104,105 +117,73 @@ type msgPlane[T any] interface {
 	deliver(from, to int, epoch int32, msgs []VMsg[T], extra time.Duration)
 }
 
-// inprocPlane is the fast path: batches move by pointer handoff.
-type inprocPlane[T any] struct{ e *engine[T] }
+// inproc is the fast path, as msgPlane and as coordLink: batches move by
+// pointer handoff, coordinator tokens are shared-memory calls.
+type inproc[T any] struct{ e *engine[T] }
 
-func (p *inprocPlane[T]) deliver(from, to int, epoch int32, msgs []VMsg[T], extra time.Duration) {
+func (p *inproc[T]) deliver(from, to int, epoch int32, msgs []VMsg[T], extra time.Duration) {
 	e := p.e
-	put := func() {
+	e.after(extra, func() {
 		e.workers[to].inbox.put(batch[T]{from: int32(from), epoch: epoch, msgs: msgs})
 		e.undelivered.Add(-1)
-	}
-	d := e.opts.Latency + extra
-	if d > 0 {
-		time.AfterFunc(d, put)
-	} else {
-		put()
-	}
+	})
 }
 
-// tcpPlane codec-encodes each batch into a KindData frame — [epoch
-// int32] then the batch (wire.go) — and ships it through the transport;
-// the engine's onFrame decodes it back into the destination inbox.
-// Sender-side slices return to the pool right after encoding; the
-// receiver decodes into fresh pooled slices.
-type tcpPlane[T any] struct{ e *engine[T] }
+// wirePlane is the run's attachment to the TCP transport
+// (Options.Transport): the listener, the coordinator endpoint served on
+// it and the proxies of remote-hosted Programs. With Transport.TCP it is
+// also the run's msgPlane and coordLink, so every batch and every
+// coordinator token is a real frame.
+type wirePlane[T any] struct {
+	e       *engine[T]
+	tp      *transport.Plane
+	remotes []*remoteProg[T] // by worker id; nil for a locally hosted Program
+}
 
-func (p *tcpPlane[T]) deliver(from, to int, epoch int32, msgs []VMsg[T], extra time.Duration) {
-	e := p.e
-	ship := func() {
+// deliver codec-encodes the batch into a KindData frame — [epoch int32]
+// then the batch (wire.go) — and ships it through the transport; onFrame
+// decodes it back into the destination inbox. Sender-side slices return
+// to the pool right after encoding; the receiver decodes into fresh
+// pooled slices.
+func (wp *wirePlane[T]) deliver(from, to int, epoch int32, msgs []VMsg[T], extra time.Duration) {
+	e := wp.e
+	e.after(extra, func() {
 		payload := e.job.appendMsgs(codec.AppendInt32(nil, epoch), msgs)
 		n := int64(len(msgs))
 		e.pool.put(msgs)
-		if err := e.tp.Send(int32(from), int32(to), transport.KindData, payload); err != nil {
-			// The frame will never arrive (plane closed or link declared
-			// dead): compensate exactly like an injected drop so the
-			// Mattern counters, the seal accounting, and the quiesce
-			// condition stay live.
-			e.undelivered.Add(-1)
-			e.clink.addConsumed(from, n)
-			if e.ckpt != nil {
-				e.clink.batchDrained(from, epoch)
-			}
+		if err := wp.tp.Send(int32(from), int32(to), transport.KindData, payload); err != nil {
+			e.lost(from, n, epoch) // plane closed or link declared dead
 		}
-	}
-	d := e.opts.Latency + extra
-	if d > 0 {
-		time.AfterFunc(d, ship)
-	} else {
-		ship()
-	}
+	})
 }
 
-// onFrame is the plane's delivery callback, running on transport reader
-// goroutines. It must never call transport send paths synchronously
-// (transport.Config.OnFrame contract): everything it does is enqueue —
-// inbox puts and the buffered coordinator request queue. Replies never
-// come here; the plane hands them to the parked Call itself.
-func (e *engine[T]) onFrame(f transport.Frame) {
-	switch f.Kind {
-	case transport.KindData:
-		to := int(f.To)
-		if to < 0 || to >= e.p.M {
-			return
-		}
-		r := codec.NewReader(f.Payload)
-		epoch := r.Int32()
-		msgs, err := e.job.readMsgs(r, e.pool.get())
-		if err != nil {
-			e.pool.put(msgs)
-			e.fail(fmt.Errorf("core: %s: corrupt batch frame %d→%d: %w", e.job.Name, f.From, f.To, err))
-			return
-		}
-		e.workers[to].inbox.put(batch[T]{from: f.From, epoch: epoch, msgs: msgs})
-		e.undelivered.Add(-1)
-	case transport.KindCall:
-		// The coordinator is the only endpoint of this process that
-		// serves calls (host endpoints live in the worker processes).
-		if f.To == e.coordEndpoint() {
-			select {
-			case e.ctrlReq <- f:
-			case <-e.done:
-			}
-		}
+// onFrame is the plane's delivery callback for batches, running on
+// transport reader goroutines: decode, inbox put.
+func (wp *wirePlane[T]) onFrame(f transport.Frame) {
+	e := wp.e
+	to := int(f.To)
+	if to < 0 || to >= e.p.M {
+		return
 	}
+	r := codec.NewReader(f.Payload)
+	epoch := r.Int32()
+	msgs, err := e.job.readMsgs(r, e.pool.get())
+	if err != nil {
+		e.pool.put(msgs)
+		e.fail(fmt.Errorf("core: %s: corrupt batch frame %d→%d: %w", e.job.Name, f.From, f.To, err))
+		return
+	}
+	e.workers[to].inbox.put(batch[T]{from: f.From, epoch: epoch, msgs: msgs})
+	e.undelivered.Add(-1)
 }
 
 // onPeerRejoin fires when a higher-incarnation Hello superseded a
 // link: the respawned host for some worker has completed its handshake.
-// Recovery's awaitRejoin polls the recorded incarnation. Runs on a
-// transport goroutine; record-max only, no sends.
-func (e *engine[T]) onPeerRejoin(linkID int32, served []int32, inc uint64) {
+// Recovery's awaitRejoin polls the recorded incarnation.
+func (wp *wirePlane[T]) onPeerRejoin(linkID int32, served []int32, inc uint64) {
 	for _, s := range served {
-		k := int(s) - (e.p.M + 1)
-		if k < 0 || k >= e.p.M {
-			continue
-		}
-		for {
-			cur := e.rejoinInc[k].Load()
-			if inc <= cur || e.rejoinInc[k].CompareAndSwap(cur, inc) {
-				break
-			}
+		if k := int(s) - (wp.e.p.M + 1); k >= 0 && k < wp.e.p.M && wp.remotes[k] != nil {
+			wp.e.recov.noteRejoin(k, inc)
 		}
 	}
 }
@@ -212,54 +193,56 @@ func (e *engine[T]) onPeerRejoin(linkID int32, served []int32, inc uint64) {
 // has already failed any call parked on the link; mark the proxy dead
 // and trigger the ordinary quiesce → rollback-to-sealed-epoch → replay
 // recovery for the worker it served.
-func (e *engine[T]) onPeerDead(linkID int32, served []int32, err error) {
+func (wp *wirePlane[T]) onPeerDead(linkID int32, served []int32, err error) {
 	for _, s := range served {
-		k := int(s) - (e.p.M + 1)
-		if k < 0 || k >= e.p.M {
-			continue
-		}
-		if rp := e.remotes[k]; rp != nil {
-			rp.markDead()
-			if e.recov != nil {
-				e.recov.request(k)
-			}
+		if k := int(s) - (wp.e.p.M + 1); k >= 0 && k < wp.e.p.M && wp.remotes[k] != nil {
+			wp.remotes[k].markDead()
+			wp.e.recov.request(k)
 		}
 	}
 }
 
-// setupPlane wires the TCP transport into the engine: the loopback
-// listener, the self-link that carries the parent's own batches and
-// coordinator tokens as real frames, the coordinator server, and the
-// remote Program proxies (waiting for each host to dial in).
-func (e *engine[T]) setupPlane() error {
+// startWirePlane wires the TCP transport into the engine: the remote
+// Program proxies (a run with any has a recovery plane, which the peer
+// callbacks lean on), the loopback listener, the coordinator endpoint,
+// the self-link that carries the parent's own batches and coordinator
+// tokens as real frames, and the wait for each remote host to dial in.
+// nil when the run stays in-proc; on an error everything it started is
+// stopped.
+func startWirePlane[T any](e *engine[T]) (*wirePlane[T], error) {
 	topts := e.opts.Transport
+	if !topts.enabled() {
+		return nil, nil
+	}
 	if e.job.EncodeVal == nil || e.job.DecodeVal == nil {
-		return fmt.Errorf("core: %s: the TCP plane requires Job.EncodeVal/DecodeVal", e.job.Name)
+		return nil, fmt.Errorf("core: %s: the TCP plane requires Job.EncodeVal/DecodeVal", e.job.Name)
 	}
-	addr := topts.ListenAddr
-	if addr == "" {
-		addr = "127.0.0.1:0"
+	wp := &wirePlane[T]{e: e, remotes: make([]*remoteProg[T], e.p.M)}
+	for _, k := range topts.RemoteWorkers {
+		if k < 0 || k >= e.p.M {
+			return nil, fmt.Errorf("core: %s: remote worker %d out of range [0,%d)", e.job.Name, k, e.p.M)
+		}
+		wp.remotes[k] = &remoteProg[T]{wp: wp, w: k, host: hostEndpoint(e.p.M, k)}
+		e.workers[k].prog = wp.remotes[k]
 	}
-	tp, err := transport.Listen(transport.Config{
-		ListenAddr:     addr,
-		Incarnation:    topts.Incarnation,
-		HeartbeatEvery: topts.HeartbeatEvery,
-		SuspectAfter:   topts.SuspectAfter,
-		DeadAfter:      topts.DeadAfter,
-		RetryLimit:     topts.RetryLimit,
-		Retry:          transport.Backoff{Base: topts.RetryBase, Max: topts.RetryMax, Seed: uint64(e.opts.Seed)},
-		OnFrame:        e.onFrame,
-		OnPeerDead:     e.onPeerDead,
-		OnPeerRejoin:   e.onPeerRejoin,
-		Faults:         topts.LinkFaults,
-	})
+	cfg := topts.config(e.opts.Seed)
+	cfg.OnFrame, cfg.OnPeerDead, cfg.OnPeerRejoin = wp.onFrame, wp.onPeerDead, wp.onPeerRejoin
+	cfg.Faults = topts.LinkFaults
+	if cfg.ListenAddr = topts.ListenAddr; cfg.ListenAddr == "" {
+		cfg.ListenAddr = "127.0.0.1:0"
+	}
+	tp, err := transport.Listen(cfg)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	e.tp = tp
-	e.rejoinInc = make([]atomic.Uint64, e.p.M)
-	e.remotes = make([]*remoteProg[T], e.p.M)
-	e.ctrlReq = make(chan transport.Frame, 4*e.p.M+16)
+	wp.tp = tp
+	if topts.TCP {
+		// One goroutine serves the coordinator: applying tokens in arrival
+		// order is what keeps sent-before-consumed sound. A worker and its
+		// flusher each have at most one token in flight, so the backlog
+		// never fills.
+		tp.Serve(e.coordEndpoint(), 1, 4*e.p.M+16, wp.serveCoord)
+	}
 	if topts.OnListen != nil {
 		topts.OnListen(tp.Addr())
 	}
@@ -272,20 +255,10 @@ func (e *engine[T]) setupPlane() error {
 			route = append(route, int32(i))
 		}
 		if err := tp.Dial(0, tp.Addr(), nil, route); err != nil {
-			return err
+			wp.stop()
+			return nil, err
 		}
-		e.plane = &tcpPlane[T]{e}
-		e.clink = &wireLink[T]{e}
-		e.planeWg.Add(1)
-		go e.coordServe()
-	}
-	for _, k := range topts.RemoteWorkers {
-		if k < 0 || k >= e.p.M {
-			return fmt.Errorf("core: %s: remote worker %d out of range [0,%d)", e.job.Name, k, e.p.M)
-		}
-		rp := &remoteProg[T]{e: e, w: k, host: hostEndpoint(e.p.M, k)}
-		e.remotes[k] = rp
-		e.workers[k].prog = rp
+		e.plane, e.clink = wp, wp
 	}
 	wait := topts.RemoteWait
 	if wait <= 0 {
@@ -293,24 +266,38 @@ func (e *engine[T]) setupPlane() error {
 	}
 	for _, k := range topts.RemoteWorkers {
 		if err := tp.WaitRoute(hostEndpoint(e.p.M, k), wait); err != nil {
-			return fmt.Errorf("core: %s: remote host for worker %d never dialed in: %w", e.job.Name, k, err)
+			wp.stop() // the hosts that did dial in are told to exit
+			return nil, fmt.Errorf("core: %s: remote host for worker %d never dialed in: %w", e.job.Name, k, err)
 		}
 	}
-	return nil
+	return wp, nil
 }
 
-// shutdownPlane runs after the result is assembled (remote value
-// collection needs the links): tell live hosts to exit, then tear the
-// transport down.
-func (e *engine[T]) shutdownPlane() {
-	e.closeDone() // also covers early-error exits before the run started
-	for _, rp := range e.remotes {
+// stop runs after the result is assembled (remote value collection needs
+// the links): tell live hosts to exit, then tear the transport down.
+func (wp *wirePlane[T]) stop() {
+	if wp == nil {
+		return
+	}
+	wp.e.closeDone() // also covers early-error exits before the run started
+	for _, rp := range wp.remotes {
 		if rp != nil && rp.alive() {
 			rp.shutdown()
 		}
 	}
-	e.tp.Close()
-	e.planeWg.Wait()
+	wp.tp.Close()
+}
+
+// report fills the transport section of RunStats.
+func (wp *wirePlane[T]) report(s *RunStats) {
+	if wp == nil {
+		return
+	}
+	ws := wp.tp.Stats()
+	s.WireBytesOut = ws.WireBytesOut
+	s.WireBytesIn = ws.WireBytesIn
+	s.Retries = ws.Retries
+	s.HeartbeatTimeouts = ws.HeartbeatTimeouts
 }
 
 // coordLink is how workers (and their flushers) reach the coordinator
@@ -336,20 +323,17 @@ type coordLink interface {
 	batchDrained(id int, stamp int32)
 }
 
-// inprocLink is the shared-memory coordinator path.
-type inprocLink[T any] struct{ e *engine[T] }
-
-func (l *inprocLink[T]) roundDone(id int) int32        { return l.e.coord.roundDone(id) }
-func (l *inprocLink[T]) addSent(id int, n int64)       { l.e.coord.addSent(n) }
-func (l *inprocLink[T]) addConsumed(id int, n int64)   { l.e.coord.addConsumed(n) }
-func (l *inprocLink[T]) setActive(id int, active bool) { l.e.coord.setActive(id, active) }
-func (l *inprocLink[T]) view(self int) (int32, int32)  { return l.e.coord.view(self) }
-func (l *inprocLink[T]) announcedEpoch(id int) int32   { return l.e.ckpt.AnnouncedEpoch() }
-func (l *inprocLink[T]) batchSent(id int, stamp int32) { l.e.ckpt.BatchSent(stamp) }
-func (l *inprocLink[T]) batchDrained(id int, stamp int32) {
+func (l *inproc[T]) roundDone(id int) int32        { return l.e.coord.roundDone(id) }
+func (l *inproc[T]) addSent(id int, n int64)       { l.e.coord.addSent(n) }
+func (l *inproc[T]) addConsumed(id int, n int64)   { l.e.coord.addConsumed(n) }
+func (l *inproc[T]) setActive(id int, active bool) { l.e.coord.setActive(id, active) }
+func (l *inproc[T]) view(self int) (int32, int32)  { return l.e.coord.view(self) }
+func (l *inproc[T]) announcedEpoch(id int) int32   { return l.e.ckpt.AnnouncedEpoch() }
+func (l *inproc[T]) batchSent(id int, stamp int32) { l.e.ckpt.BatchSent(stamp) }
+func (l *inproc[T]) batchDrained(id int, stamp int32) {
 	l.e.ckpt.BatchDrained(stamp)
 }
-func (l *inprocLink[T]) announce(id int) bool {
+func (l *inproc[T]) announce(id int) bool {
 	_, ok := l.e.ckpt.Announce()
 	return ok
 }
@@ -371,110 +355,102 @@ const (
 	opBatchDrained
 )
 
-// wireLink is the coordinator-over-the-plane path.
-type wireLink[T any] struct{ e *engine[T] }
+// The coordinator-over-the-plane path: wirePlane as the run's coordLink.
 
-// call sends one token and blocks for its reply. After the run ends it
+// call sends one token and blocks for its reply. A token the coordinator
+// refused fails the run. After the run ends (that way or any other) it
 // returns an empty reader, whose zero results callers treat as inert —
 // every caller is on its way out through e.done.
-func (l *wireLink[T]) call(id int, req []byte) *codec.Reader {
-	resp, _ := l.e.tp.Call(int32(id), l.e.coordEndpoint(), req, 0, l.e.done)
+func (wp *wirePlane[T]) call(id int, req []byte) *codec.Reader {
+	resp, err := wp.tp.Call(int32(id), wp.e.coordEndpoint(), req, 0, wp.e.done)
+	var refused transport.RemoteError
+	if errors.As(err, &refused) {
+		wp.e.fail(fmt.Errorf("core: %s: coordinator token from worker %d: %w", wp.e.job.Name, id, err))
+	}
 	return codec.NewReader(resp)
 }
 
 func req(op int32) []byte { return codec.AppendInt32(nil, op) }
 
-func (l *wireLink[T]) roundDone(id int) int32 { return l.call(id, req(opRoundDone)).Int32() }
+func (wp *wirePlane[T]) roundDone(id int) int32 { return wp.call(id, req(opRoundDone)).Int32() }
 
-func (l *wireLink[T]) addSent(id int, n int64) { l.call(id, codec.AppendInt64(req(opAddSent), n)) }
+func (wp *wirePlane[T]) addSent(id int, n int64) { wp.call(id, codec.AppendInt64(req(opAddSent), n)) }
 
-func (l *wireLink[T]) addConsumed(id int, n int64) {
-	l.call(id, codec.AppendInt64(req(opAddConsumed), n))
+func (wp *wirePlane[T]) addConsumed(id int, n int64) {
+	wp.call(id, codec.AppendInt64(req(opAddConsumed), n))
 }
 
-func (l *wireLink[T]) setActive(id int, active bool) {
-	l.call(id, codec.AppendBool(codec.AppendInt32(req(opSetActive), int32(id)), active))
+func (wp *wirePlane[T]) setActive(id int, active bool) {
+	wp.call(id, codec.AppendBool(codec.AppendInt32(req(opSetActive), int32(id)), active))
 }
 
-func (l *wireLink[T]) view(self int) (int32, int32) {
-	r := l.call(self, codec.AppendInt32(req(opView), int32(self)))
+func (wp *wirePlane[T]) view(self int) (int32, int32) {
+	r := wp.call(self, codec.AppendInt32(req(opView), int32(self)))
 	return r.Int32(), r.Int32()
 }
 
-func (l *wireLink[T]) announce(id int) bool { return l.call(id, req(opAnnounce)).Bool() }
+func (wp *wirePlane[T]) announce(id int) bool { return wp.call(id, req(opAnnounce)).Bool() }
 
-func (l *wireLink[T]) announcedEpoch(id int) int32 {
-	return l.call(id, req(opAnnouncedEpoch)).Int32()
+func (wp *wirePlane[T]) announcedEpoch(id int) int32 {
+	return wp.call(id, req(opAnnouncedEpoch)).Int32()
 }
 
-func (l *wireLink[T]) batchSent(id int, stamp int32) {
-	l.call(id, codec.AppendInt32(req(opBatchSent), stamp))
+func (wp *wirePlane[T]) batchSent(id int, stamp int32) {
+	wp.call(id, codec.AppendInt32(req(opBatchSent), stamp))
 }
 
-func (l *wireLink[T]) batchDrained(id int, stamp int32) {
-	l.call(id, codec.AppendInt32(req(opBatchDrained), stamp))
+func (wp *wirePlane[T]) batchDrained(id int, stamp int32) {
+	wp.call(id, codec.AppendInt32(req(opBatchDrained), stamp))
 }
 
-// coordServe is the coordinator endpoint: a single goroutine draining
-// ctrl requests in arrival order and applying them to the shared
-// coordinator/checkpoint state. It is the wire-protocol stand-in for
-// the paper's master. Replies go back through the plane's non-blocking
-// send queue, so the server can never deadlock against a slow link.
-func (e *engine[T]) coordServe() {
-	defer e.planeWg.Done()
-	for {
-		var f transport.Frame
-		select {
-		case f = <-e.ctrlReq:
-		case <-e.done:
-			return
+// serveCoord is the coordinator endpoint's handler: it applies one token
+// to the shared coordinator/checkpoint state and returns its results. It
+// is the wire-protocol stand-in for the paper's master. An error (or a
+// panic) here is the call's error, with which the caller fails the run.
+func (wp *wirePlane[T]) serveCoord(f transport.Frame) ([]byte, error) {
+	e := wp.e
+	r := codec.NewReader(f.Payload)
+	op := r.Int32()
+	var resp []byte
+	switch op {
+	case opRoundDone:
+		resp = codec.AppendInt32(resp, e.coord.roundDone(int(f.From)))
+	case opAddSent:
+		e.coord.addSent(r.Int64())
+	case opAddConsumed:
+		e.coord.addConsumed(r.Int64())
+	case opSetActive:
+		id := r.Int32()
+		e.coord.setActive(int(id), r.Bool())
+	case opView:
+		rmin, rmax := e.coord.view(int(r.Int32()))
+		resp = codec.AppendInt32(resp, rmin)
+		resp = codec.AppendInt32(resp, rmax)
+	case opAnnounce:
+		ok := false
+		if e.ckpt != nil {
+			_, ok = e.ckpt.Announce()
 		}
-		r := codec.NewReader(f.Payload)
-		op := r.Int32()
-		var resp []byte
-		switch op {
-		case opRoundDone:
-			resp = codec.AppendInt32(resp, e.coord.roundDone(int(f.From)))
-		case opAddSent:
-			e.coord.addSent(r.Int64())
-		case opAddConsumed:
-			e.coord.addConsumed(r.Int64())
-		case opSetActive:
-			id := r.Int32()
-			e.coord.setActive(int(id), r.Bool())
-		case opView:
-			rmin, rmax := e.coord.view(int(r.Int32()))
-			resp = codec.AppendInt32(resp, rmin)
-			resp = codec.AppendInt32(resp, rmax)
-		case opAnnounce:
-			ok := false
-			if e.ckpt != nil {
-				_, ok = e.ckpt.Announce()
-			}
-			resp = codec.AppendBool(resp, ok)
-		case opAnnouncedEpoch:
-			ep := int32(0)
-			if e.ckpt != nil {
-				ep = e.ckpt.AnnouncedEpoch()
-			}
-			resp = codec.AppendInt32(resp, ep)
-		case opBatchSent:
-			if e.ckpt != nil {
-				e.ckpt.BatchSent(r.Int32())
-			}
-		case opBatchDrained:
-			if e.ckpt != nil {
-				e.ckpt.BatchDrained(r.Int32())
-			}
-		default:
-			e.fail(fmt.Errorf("core: coordinator received unknown ctrl op %d", op))
-			continue
+		resp = codec.AppendBool(resp, ok)
+	case opAnnouncedEpoch:
+		ep := int32(0)
+		if e.ckpt != nil {
+			ep = e.ckpt.AnnouncedEpoch()
 		}
-		if r.Err() != nil {
-			e.fail(fmt.Errorf("core: corrupt ctrl request op %d from %d: %w", op, f.From, r.Err()))
-			continue
+		resp = codec.AppendInt32(resp, ep)
+	case opBatchSent:
+		if e.ckpt != nil {
+			e.ckpt.BatchSent(r.Int32())
 		}
-		// Best-effort: a send error here means the plane is closing.
-		_ = e.tp.Reply(f, resp, nil)
+	case opBatchDrained:
+		if e.ckpt != nil {
+			e.ckpt.BatchDrained(r.Int32())
+		}
+	default:
+		return nil, fmt.Errorf("unknown op %d", op)
 	}
+	if r.Err() != nil {
+		return nil, fmt.Errorf("corrupt request, op %d: %w", op, r.Err())
+	}
+	return resp, nil
 }

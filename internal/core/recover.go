@@ -56,30 +56,86 @@ type CheckpointOptions struct {
 // any aggregate, which is what the determinism contract (recovered
 // output ≡ fault-free output) rests on.
 
-// recovery coordinates quiesce → rollback → resume after a worker
-// death. Workers park at safe points (loop top and idle wake) while it
-// rewrites their state.
+// recovery is the fault-tolerance plane of a run: it coordinates quiesce
+// → rollback → resume after a worker death, and climbs the self-healing
+// ladder (superviseDead, rollback) for dead remote hosts. Workers park
+// at safe points (loop top and idle wake) while it rewrites their state.
 type recovery[T any] struct {
 	e     *engine[T]
 	pause atomic.Bool
 
 	mu     sync.Mutex
-	resume chan struct{}
-	active bool
+	resume chan struct{} // non-nil while a recovery is in progress; closed to release the parked
 
 	parked atomic.Int32
 	wg     sync.WaitGroup
+
+	recoveries    atomic.Int64
+	recoveryNanos atomic.Int64
+	// The ladder's rungs. rejoinInc[k] is the highest incarnation of
+	// worker k's host that has completed a handshake, recorded by
+	// noteRejoin and polled by awaitRejoin.
+	rejoinInc     []atomic.Uint64
+	restarts      atomic.Int64
+	rejoinNanos   atomic.Int64
+	failbacks     atomic.Int64
+	freshRestarts atomic.Int64
+}
+
+// newRecovery switches the plane on for a run that checkpoints (or
+// resumes from a checkpoint), injects faults or hosts Programs remotely,
+// building the snapshot store and the fault injector it works with; nil
+// otherwise.
+func newRecovery[T any](e *engine[T], resuming bool) (*recovery[T], error) {
+	if e.opts.Checkpoint.EveryRounds > 0 || resuming {
+		for _, w := range e.workers {
+			if _, ok := w.prog.(Snapshotter); !ok {
+				return nil, fmt.Errorf("core: %s: checkpointing requires the Program to implement core.Snapshotter", e.job.Name)
+			}
+		}
+		e.ckpt = checkpoint.NewStore[VMsg[T]](e.p.M)
+	}
+	if e.opts.Faults != nil {
+		e.inj = newFaultInjector(*e.opts.Faults, e.p.M)
+	}
+	if e.ckpt == nil && e.inj == nil && (e.opts.Transport == nil || len(e.opts.Transport.RemoteWorkers) == 0) {
+		return nil, nil
+	}
+	return &recovery[T]{e: e, rejoinInc: make([]atomic.Uint64, e.p.M)}, nil
+}
+
+// stop waits out a rollback in flight.
+func (r *recovery[T]) stop() {
+	if r != nil {
+		r.wg.Wait()
+	}
+}
+
+// report fills the fault-tolerance and supervision sections of RunStats.
+func (r *recovery[T]) report(s *RunStats) {
+	if r == nil {
+		return
+	}
+	if ckpt := r.e.ckpt; ckpt != nil {
+		s.Checkpoints = ckpt.SealedCount()
+		s.CheckpointBytes = ckpt.SealedBytes()
+	}
+	s.Recoveries = r.recoveries.Load()
+	s.RecoverySeconds = float64(r.recoveryNanos.Load()) / 1e9
+	s.Restarts = r.restarts.Load()
+	s.RejoinSeconds = float64(r.rejoinNanos.Load()) / 1e9
+	s.Failbacks = r.failbacks.Load()
+	s.FreshRestarts = r.freshRestarts.Load()
 }
 
 // request starts a recovery for the death of worker victim; redundant
 // requests while one is in progress are ignored.
 func (r *recovery[T]) request(victim int) {
 	r.mu.Lock()
-	if r.active {
+	if r.resume != nil {
 		r.mu.Unlock()
 		return
 	}
-	r.active = true
 	r.resume = make(chan struct{})
 	r.pause.Store(true)
 	r.mu.Unlock()
@@ -130,8 +186,8 @@ func (r *recovery[T]) recover(victim int) {
 	}
 	r.superviseDead()
 	r.rollback(victim)
-	e.recoveries.Add(1)
-	e.recoveryNanos.Add(time.Since(t0).Nanoseconds())
+	r.recoveries.Add(1)
+	r.recoveryNanos.Add(time.Since(t0).Nanoseconds())
 	r.finish()
 }
 
@@ -149,14 +205,14 @@ func (r *recovery[T]) recover(victim int) {
 func (r *recovery[T]) superviseDead() {
 	e := r.e
 	topts := e.opts.Transport
-	if topts == nil || topts.Supervisor == nil {
+	if topts == nil || topts.Supervisor == nil || e.wire == nil {
 		return
 	}
 	wait := topts.RejoinWait
 	if wait <= 0 {
 		wait = 10 * time.Second
 	}
-	for k, rp := range e.remotes {
+	for k, rp := range e.wire.remotes {
 		if rp == nil || rp.alive() {
 			continue
 		}
@@ -166,10 +222,10 @@ func (r *recovery[T]) superviseDead() {
 				break // budget spent: rollback fails this worker back
 			}
 			t0 := time.Now()
-			if e.awaitRejoin(k, inc, wait) {
+			if r.awaitRejoin(k, inc, wait) {
 				rp.rejoin()
-				e.restarts.Add(1)
-				e.rejoinNanos.Add(time.Since(t0).Nanoseconds())
+				r.restarts.Add(1)
+				r.rejoinNanos.Add(time.Since(t0).Nanoseconds())
 				break
 			}
 			// The respawn never completed its handshake (launch failure,
@@ -178,20 +234,32 @@ func (r *recovery[T]) superviseDead() {
 	}
 }
 
+// noteRejoin records that worker k's host completed a handshake at
+// incarnation inc. Called from the wire plane's transport goroutines:
+// record-max only.
+func (r *recovery[T]) noteRejoin(k int, inc uint64) {
+	for {
+		cur := r.rejoinInc[k].Load()
+		if inc <= cur || r.rejoinInc[k].CompareAndSwap(cur, inc) {
+			return
+		}
+	}
+}
+
 // awaitRejoin polls until worker k's host has completed a handshake at
-// incarnation >= inc (recorded by onPeerRejoin), the wait elapses, or
-// the run ends.
-func (e *engine[T]) awaitRejoin(k int, inc uint64, wait time.Duration) bool {
+// incarnation >= inc (recorded by noteRejoin), the wait elapses, or the
+// run ends.
+func (r *recovery[T]) awaitRejoin(k int, inc uint64, wait time.Duration) bool {
 	deadline := time.Now().Add(wait)
 	for {
-		if e.rejoinInc[k].Load() >= inc {
+		if r.rejoinInc[k].Load() >= inc {
 			return true
 		}
 		if !time.Now().Before(deadline) {
 			return false
 		}
 		select {
-		case <-e.done:
+		case <-r.e.done:
 			return false
 		case <-time.After(time.Millisecond):
 		}
@@ -204,7 +272,6 @@ func (r *recovery[T]) finish() {
 	r.pause.Store(false)
 	ch := r.resume
 	r.resume = nil
-	r.active = false
 	r.mu.Unlock()
 	if ch != nil {
 		close(ch)
@@ -226,8 +293,8 @@ func (r *recovery[T]) rollback(victim int) {
 	// fresh restart, try the durable tail — a previous incarnation of
 	// this process (or a dropped in-memory seal) may have left a newer
 	// record on disk than the store holds in memory.
-	if snap == nil && e.ckpt != nil && e.durable != nil {
-		if ep, payload, err := e.durable.NewestSealed(); err == nil {
+	if snap == nil && e.ckpt != nil && e.tee != nil {
+		if ep, payload, err := e.tee.store.NewestSealed(); err == nil {
 			if s, derr := checkpoint.DecodeSnapshot(ep, payload, e.job.readMsg); derr == nil && len(s.States) == e.p.M {
 				e.ckpt.Seed(s) // Reset below rewinds announce to this epoch
 				snap = s
@@ -245,13 +312,7 @@ func (r *recovery[T]) rollback(victim int) {
 		if bs != nil {
 			w.inbox.release(bs)
 		}
-		w.buffer = w.buffer[:0]
-		if w.originGen == int32(1)<<30 {
-			clear(w.originSeen)
-			w.originGen = 0
-		}
-		w.originGen++
-		w.originCnt = 0
+		w.clearBuffer()
 	}
 
 	rounds := make([]int32, e.p.M)
@@ -263,23 +324,18 @@ func (r *recovery[T]) rollback(victim int) {
 		// superviseDead respawned and rejoined reads as a live remote
 		// here, so its proxy survives and the restore below rides the
 		// RPC to the new incarnation.
-		deadRemote, liveRemote := false, false
-		if rp, ok := w.prog.(*remoteProg[T]); ok {
-			if rp.alive() {
-				liveRemote = true
-			} else {
-				deadRemote = true
-			}
-		}
+		rp, remote := w.prog.(*remoteProg[T])
+		liveRemote := remote && rp.alive()
+		deadRemote := remote && !liveRemote
 		if deadRemote {
-			e.failbacks.Add(1)
+			r.failbacks.Add(1)
 		}
 		if snap == nil {
 			freshRestart = true
 			if liveRemote {
 				// Full restart with a live remote host: have it rebuild
 				// its Program in place instead of replacing the proxy.
-				if rp := w.prog.(*remoteProg[T]); rp.reset() != nil {
+				if rp.reset() != nil {
 					e.fail(fmt.Errorf("core: %s worker %d remote reset failed", e.job.Name, i))
 					return
 				}
@@ -305,7 +361,7 @@ func (r *recovery[T]) rollback(victim int) {
 		w.isActive = true
 	}
 	if freshRestart {
-		e.freshRestarts.Add(1)
+		r.freshRestarts.Add(1)
 	}
 	e.coord.reset(rounds)
 	if e.ckpt != nil {

@@ -40,9 +40,9 @@ const (
 // to the host endpoint and injecting the returned messages into the
 // worker's Context, so the engine cannot tell it from a local kernel.
 type remoteProg[T any] struct {
-	e    *engine[T]
-	w    int   // worker id (= our endpoint)
-	host int32 // host endpoint id
+	wp   *wirePlane[T] // the calls go out on its transport
+	w    int           // worker id (= our endpoint)
+	host int32         // host endpoint id
 
 	// dead is set by the heartbeat verdict (or a call the host never
 	// answered) and cleared by rejoin when a supervisor respawns the
@@ -51,8 +51,7 @@ type remoteProg[T any] struct {
 	// the plane failing it when the host's link dies.
 	dead atomic.Bool
 
-	collected []T
-	haveVals  bool
+	collected []T // the host's values, fetched by the first Get
 }
 
 func (rp *remoteProg[T]) markDead() { rp.dead.Store(true) }
@@ -66,7 +65,6 @@ func (rp *remoteProg[T]) alive() bool { return !rp.dead.Load() }
 func (rp *remoteProg[T]) rejoin() {
 	rp.dead.Store(false)
 	rp.collected = nil
-	rp.haveVals = false
 }
 
 // call ships one op and blocks for the reply. It does NOT abort on
@@ -76,7 +74,7 @@ func (rp *remoteProg[T]) rejoin() {
 // dead, the caller returns inert results and the death path (recovery)
 // takes over.
 func (rp *remoteProg[T]) call(req []byte, timeout time.Duration) (*codec.Reader, error) {
-	resp, err := rp.e.tp.Call(int32(rp.w), rp.host, req, timeout, nil)
+	resp, err := rp.wp.tp.Call(int32(rp.w), rp.host, req, timeout, nil)
 	if err != nil {
 		var refused transport.RemoteError
 		if !errors.As(err, &refused) {
@@ -96,11 +94,18 @@ const rpcTimeout = 60 * time.Second
 // plus every produced designated message, routed exactly as a local
 // kernel's ctx.Send would have.
 func (rp *remoteProg[T]) eval(req []byte, ctx *Context[T]) {
+	e := rp.wp.e
 	r, err := rp.call(req, rpcTimeout)
 	if err != nil {
-		return // host died mid-call; recovery rolls this round back
+		// A dead host is recovery's business: it rolls this round back. A
+		// host that answered with an error (its Program panicked, or it
+		// could not read the request) fails the run, as a local worker's
+		// panic does.
+		if rp.alive() {
+			e.fail(fmt.Errorf("core: %s: round %d: %w", e.job.Name, ctx.round, err))
+		}
+		return
 	}
-	e := rp.e
 	ctx.AddWork(int(r.Int64()))
 	nd := int(r.Uint32())
 	for d := 0; d < nd && err == nil; d++ {
@@ -128,26 +133,26 @@ func (rp *remoteProg[T]) PEval(ctx *Context[T]) {
 
 func (rp *remoteProg[T]) IncEval(msgs []VMsg[T], ctx *Context[T]) {
 	req := codec.AppendInt32(codec.AppendInt32(nil, rpcIncEval), ctx.round)
-	rp.eval(rp.e.job.appendMsgs(req, msgs), ctx)
+	rp.eval(rp.wp.e.job.appendMsgs(req, msgs), ctx)
 }
 
 func (rp *remoteProg[T]) Get(v int32) T {
 	var zero T
-	f := rp.e.p.Frags[rp.w]
-	if !rp.haveVals {
+	e := rp.wp.e
+	f := e.p.Frags[rp.w]
+	if rp.collected == nil {
 		r, err := rp.call(codec.AppendInt32(nil, rpcCollect), rpcTimeout)
 		if err != nil {
 			return zero // dead host; rollback replaced us for real runs
 		}
 		vals := make([]T, f.Hi-f.Lo)
 		for i := range vals {
-			vals[i] = rp.e.job.DecodeVal(r)
+			vals[i] = e.job.DecodeVal(r)
 		}
 		if r.Err() != nil {
 			return zero
 		}
 		rp.collected = vals
-		rp.haveVals = true
 	}
 	if v < f.Lo || v >= f.Hi {
 		return zero
@@ -202,49 +207,28 @@ func ServeWorker[T any](p *partition.Partitioned, job Job[T], workerID int, pare
 	pool := &msgPool[T]{}
 	ctx := newContext[T](f, p.M, pool)
 	host := hostEndpoint(p.M, workerID)
+	scratch := make([]VMsg[T], 0, 256)
 
-	work := make(chan transport.Frame, 16)
-	dead := make(chan struct{})
-	var deadOnce sync.Once
-	tp, err := transport.Listen(transport.Config{
-		Incarnation:    topts.Incarnation,
-		HeartbeatEvery: topts.HeartbeatEvery,
-		SuspectAfter:   topts.SuspectAfter,
-		DeadAfter:      topts.DeadAfter,
-		RetryLimit:     topts.RetryLimit,
-		Retry:          transport.Backoff{Base: topts.RetryBase, Max: topts.RetryMax},
-		OnFrame: func(fr transport.Frame) {
-			if fr.Kind == transport.KindCall && fr.To == host {
-				select {
-				case work <- fr:
-				case <-dead:
-				}
-			}
-		},
-		OnPeerDead: func(int32, []int32, error) {
-			deadOnce.Do(func() { close(dead) })
-		},
-	})
+	// over closes when the host has nothing left to do: the parent said so
+	// (rpcShutdown) or its link died (the parent exited, or the engine
+	// recovered without us).
+	over := make(chan struct{})
+	var overOnce sync.Once
+	end := func() { overOnce.Do(func() { close(over) }) }
+
+	cfg := topts.config(0)
+	cfg.OnPeerDead = func(int32, []int32, error) { end() }
+	tp, err := transport.Listen(cfg)
 	if err != nil {
 		return err
 	}
 	defer tp.Close()
-	if err := tp.Dial(host, parentAddr, []int32{host}, []int32{int32(workerID)}); err != nil {
-		return err
-	}
-
-	scratch := make([]VMsg[T], 0, 256)
-	for {
-		var fr transport.Frame
-		select {
-		case fr = <-work:
-		case <-dead:
-			return nil // parent gone: the engine recovered without us
-		}
+	// One goroutine owns the Program; the parent has one eval in flight
+	// and the control ops beside it, far below 16.
+	tp.Serve(host, 1, 16, func(fr transport.Frame) ([]byte, error) {
 		r := codec.NewReader(fr.Payload)
 		op := r.Int32()
 		var resp []byte
-		var refuse error // answered as the call's error: the host lives on
 		switch op {
 		case rpcPEval:
 			ctx.round = r.Int32()
@@ -252,8 +236,9 @@ func ServeWorker[T any](p *partition.Partitioned, job Job[T], workerID int, pare
 			resp = appendEvalReply(resp, ctx, &job, pool)
 		case rpcIncEval:
 			ctx.round = r.Int32()
+			var err error
 			if scratch, err = job.readMsgs(r, scratch[:0]); err != nil {
-				return fmt.Errorf("core: ServeWorker: corrupt IncEval request: %w", err)
+				return nil, fmt.Errorf("corrupt IncEval request: %w", err)
 			}
 			prog.IncEval(scratch, ctx)
 			resp = appendEvalReply(resp, ctx, &job, pool)
@@ -264,11 +249,12 @@ func ServeWorker[T any](p *partition.Partitioned, job Job[T], workerID int, pare
 			}
 			resp = codec.AppendBytes(resp, state)
 		case rpcRestore:
-			if s, ok := prog.(Snapshotter); ok {
-				refuse = s.RestoreState(append([]byte(nil), r.Bytes()...))
-			} else {
-				refuse = errors.New("program does not implement Snapshotter")
+			// A refusal is the call's error: the host lives on.
+			s, ok := prog.(Snapshotter)
+			if !ok {
+				return nil, errors.New("program does not implement Snapshotter")
 			}
+			return nil, s.RestoreState(append([]byte(nil), r.Bytes()...))
 		case rpcCollect:
 			for v := f.Lo; v < f.Hi; v++ {
 				resp = job.EncodeVal(resp, prog.Get(v))
@@ -277,18 +263,18 @@ func ServeWorker[T any](p *partition.Partitioned, job Job[T], workerID int, pare
 			prog = job.New(f)
 			ctx = newContext[T](f, p.M, pool)
 		case rpcShutdown:
-		default:
-			return fmt.Errorf("core: ServeWorker: unknown rpc op %d", op)
-		}
-		if err := tp.Reply(fr, resp, refuse); err != nil {
-			return nil // link died under us
-		}
-		if op == rpcShutdown {
 			// Give the writer a beat to flush the reply before closing.
-			time.Sleep(50 * time.Millisecond)
-			return nil
+			time.AfterFunc(50*time.Millisecond, end)
+		default:
+			return nil, fmt.Errorf("unknown op %d", op)
 		}
+		return resp, nil
+	})
+	if err := tp.Dial(host, parentAddr, []int32{host}, []int32{int32(workerID)}); err != nil {
+		return err
 	}
+	<-over
+	return nil
 }
 
 // appendEvalReply drains ctx's produced messages into the reply of both

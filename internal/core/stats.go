@@ -81,8 +81,10 @@ type RunStats struct {
 	HeartbeatTimeouts int64 // links that entered suspicion at least once
 }
 
-// finalize derives the aggregate fields from the per-worker entries.
-func (s *RunStats) finalize() {
+// Finalize derives the aggregate fields from the per-worker entries;
+// exported for engines outside this package (the simulator) that fill
+// Workers directly.
+func (s *RunStats) Finalize() {
 	s.MinRound = 1 << 30
 	for _, w := range s.Workers {
 		s.TotalMsgs += w.MsgsSent
@@ -102,7 +104,3 @@ func (s *RunStats) finalize() {
 		s.MinRound = 0
 	}
 }
-
-// Finalize computes aggregate totals; exported for engines outside this
-// package (the simulator) that fill Workers directly.
-func (s *RunStats) Finalize() { s.finalize() }

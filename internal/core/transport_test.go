@@ -3,6 +3,7 @@ package core_test
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -139,5 +140,61 @@ func TestTCPPlaneRequiresCodec(t *testing.T) {
 	job.EncodeVal = nil
 	if _, err := core.Run(p, job, tcpOpts()); err == nil {
 		t.Fatal("TCP run without a value codec succeeded")
+	}
+}
+
+// TestRunStatsSectionsFilledByTheirPlanes pins who reports what: every
+// section of RunStats that a plane beside the loop fills is zero after a
+// plain in-proc run and non-zero after a run (and a resume of it) with
+// that plane switched on.
+func TestRunStatsSectionsFilledByTheirPlanes(t *testing.T) {
+	p := remoteTestPartition(t)
+	plain, err := core.Run(p, remoteTestJob(), core.Options{Mode: core.AAP, Timeout: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := plain.Stats
+	if st.TotalMsgs == 0 || st.SumRounds == 0 || st.ArenaBytes == 0 || st.ScannedEdges == 0 {
+		t.Fatalf("the workers' section is empty: %+v", st)
+	}
+	st.Job, st.Mode, st.Workers = "", "", nil
+	st.Seconds, st.TotalMsgs, st.TotalBytes, st.TotalWork, st.TotalIdle, st.TotalBusy = 0, 0, 0, 0, 0, 0
+	st.MaxRound, st.MinRound, st.SumRounds, st.ArenaBytes, st.ScannedEdges = 0, 0, 0, 0, 0
+	if !reflect.DeepEqual(st, core.RunStats{}) {
+		t.Fatalf("a plain in-proc run filled a section no plane of it owns: %+v", st)
+	}
+
+	opts := durableRunOpts(durableDir(t))
+	opts.Transport = &core.TransportOptions{TCP: true}
+	full, err := core.Run(p, remoteTestJob(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameFloats(t, plain.Values, full.Values, "checkpointed TCP run")
+	st = full.Stats
+	if st.Checkpoints == 0 || st.CheckpointBytes == 0 {
+		t.Errorf("recovery plane reported no seals: %+v", st)
+	}
+	if st.DurableBytes == 0 || st.FsyncCount == 0 {
+		t.Errorf("durable tee reported no writes: %+v", st)
+	}
+	if st.WireBytesOut == 0 || st.WireBytesIn == 0 {
+		t.Errorf("wire plane reported no bytes: %+v", st)
+	}
+	if st.ResumeEpoch != 0 || st.ResumeBytes != 0 || st.ResumeSeconds != 0 {
+		t.Errorf("a fresh run reported a resume: %+v", st)
+	}
+
+	resumed, err := core.Resume(p, remoteTestJob(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameFloats(t, plain.Values, resumed.Values, "resumed TCP run")
+	st = resumed.Stats
+	if st.ResumeEpoch == 0 || st.ResumeBytes == 0 || st.ResumeSeconds == 0 {
+		t.Errorf("resume seed reported nothing: %+v", st)
+	}
+	if st.WireBytesOut == 0 || st.WireBytesIn == 0 {
+		t.Errorf("wire plane of the resumed run reported no bytes: %+v", st)
 	}
 }

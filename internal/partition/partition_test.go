@@ -2,6 +2,7 @@ package partition_test
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -298,5 +299,20 @@ func TestStrategyNames(t *testing.T) {
 	p, _ := partition.Build(g, 2, partition.Hash{})
 	if p.Strategy() != "hash" {
 		t.Errorf("Strategy() = %q", p.Strategy())
+	}
+}
+
+// TestParseStrategy: the names the command lines take resolve to the
+// strategy of that name; anything else is an error listing them.
+func TestParseStrategy(t *testing.T) {
+	for _, name := range []string{"hash", "range", "bfs"} {
+		if s, err := partition.ParseStrategy(name); err != nil || s.Name() != name {
+			t.Errorf("ParseStrategy(%q) = %v, %v", name, s, err)
+		}
+	}
+	for _, name := range []string{"", "BFS", "skewed", "metis"} {
+		if s, err := partition.ParseStrategy(name); err == nil || !strings.Contains(err.Error(), "hash, range, bfs") {
+			t.Errorf("ParseStrategy(%q) = %v, %v; want an error listing the names", name, s, err)
+		}
 	}
 }

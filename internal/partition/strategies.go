@@ -1,10 +1,21 @@
 package partition
 
 import (
+	"fmt"
 	"math/rand"
 
 	"aap/internal/graph"
 )
+
+// ParseStrategy returns the parameterless strategy called name.
+func ParseStrategy(name string) (Strategy, error) {
+	for _, s := range []Strategy{Hash{}, Range{}, BFSLocality{}} {
+		if s.Name() == name {
+			return s, nil
+		}
+	}
+	return nil, fmt.Errorf("partition: unknown strategy %q (hash, range, bfs)", name)
+}
 
 // Hash assigns vertices to fragments by hashing their internal index.
 // It produces balanced fragments with poor locality, a common baseline.

@@ -10,16 +10,14 @@ package serve
 // Call — request [op uint32][args...], reply [QueryMeta][result], or
 // the Server's error as the call's error — and the plane pairs replies
 // with calls by id, so one client may issue concurrent calls over its
-// single link.
-//
-// OnFrame runs on transport reader goroutines and must never send
-// synchronously, so the server only enqueues requests there and a
-// worker pool answers them.
+// single link. The server side is transport.Plane.Serve: the plane queues
+// calls for endpoint 0, a pool of its goroutines runs handle on each and
+// sends the answer back.
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"aap/internal/codec"
@@ -73,9 +71,6 @@ func readMeta(r *codec.Reader) QueryMeta {
 type RPCServer struct {
 	srv   *Server
 	plane *transport.Plane
-	reqs  chan transport.Frame
-	done  chan struct{}
-	wg    sync.WaitGroup
 }
 
 // ListenRPC exposes srv on addr ("127.0.0.1:0" for an ephemeral port).
@@ -86,58 +81,33 @@ func ListenRPC(srv *Server, addr string, workers int) (*RPCServer, error) {
 	if workers <= 0 {
 		workers = srv.cfg.maxInflight + srv.cfg.queueDepth
 	}
-	rs := &RPCServer{
-		srv:  srv,
-		reqs: make(chan transport.Frame, workers),
-		done: make(chan struct{}),
-	}
-	plane, err := transport.Listen(transport.Config{
-		ListenAddr: addr,
-		OnFrame: func(f transport.Frame) {
-			if f.Kind != transport.KindCall {
-				return
-			}
-			select {
-			case rs.reqs <- f:
-			case <-rs.done:
-			}
-		},
-	})
+	plane, err := transport.Listen(transport.Config{ListenAddr: addr})
 	if err != nil {
 		return nil, err
 	}
-	rs.plane = plane
-	for i := 0; i < workers; i++ {
-		rs.wg.Add(1)
-		go rs.worker()
-	}
+	rs := &RPCServer{srv: srv, plane: plane}
+	// The backlog equals the pool: beyond it the readers push back on
+	// their clients, behind the Server's own admission control.
+	plane.Serve(serverEndpoint, workers, workers, func(f transport.Frame) ([]byte, error) {
+		return rs.handle(f.Payload)
+	})
 	return rs, nil
 }
 
 // Addr is the plane's bound listen address.
 func (rs *RPCServer) Addr() string { return rs.plane.Addr() }
 
-// Close stops the workers and tears down the transport plane.
-func (rs *RPCServer) Close() error {
-	close(rs.done)
-	err := rs.plane.Close()
-	rs.wg.Wait()
-	return err
-}
+// Close tears down the transport plane; it returns once the requests
+// being handled have been.
+func (rs *RPCServer) Close() error { return rs.plane.Close() }
 
-func (rs *RPCServer) worker() {
-	defer rs.wg.Done()
-	for {
-		select {
-		case <-rs.done:
-			return
-		case f := <-rs.reqs:
-			resp, err := rs.handle(f.Payload)
-			// A send failure means the client link died: the response is
-			// undeliverable, and the client's call has failed with it.
-			_ = rs.plane.Reply(f, resp, err)
-		}
+// answer is the response to a query that started at t0: the Server's
+// error, or [QueryMeta] and the result vector.
+func answer[V any](t0 time.Time, vals []V, st *core.RunStats, err error, vec func([]byte, []V) []byte) ([]byte, error) {
+	if err != nil {
+		return nil, err
 	}
+	return vec(appendMeta(nil, time.Since(t0).Seconds(), st), vals), nil
 }
 
 // handle decodes one request and runs it through the scheduler.
@@ -155,25 +125,13 @@ func (rs *RPCServer) handle(payload []byte) ([]byte, error) {
 			return nil, r.Err()
 		}
 		dist, st, err := rs.srv.SSSP(src)
-		if err != nil {
-			return nil, err
-		}
-		out := appendMeta(nil, time.Since(t0).Seconds(), &st)
-		return codec.AppendFloat64s(out, dist), nil
+		return answer(t0, dist, &st, err, codec.AppendFloat64s)
 	case opCC:
 		labels, st, err := rs.srv.CC()
-		if err != nil {
-			return nil, err
-		}
-		out := appendMeta(nil, time.Since(t0).Seconds(), &st)
-		return codec.AppendInt64s(out, labels), nil
+		return answer(t0, labels, &st, err, codec.AppendInt64s)
 	case opPageRank:
 		ranks, st, err := rs.srv.PageRank()
-		if err != nil {
-			return nil, err
-		}
-		out := appendMeta(nil, time.Since(t0).Seconds(), &st)
-		return codec.AppendFloat64s(out, ranks), nil
+		return answer(t0, ranks, &st, err, codec.AppendFloat64s)
 	case opRecommend:
 		user := int(r.Int64())
 		k := int(r.Int64())
@@ -192,20 +150,9 @@ func (rs *RPCServer) handle(payload []byte) ([]byte, error) {
 		}
 		return out, nil
 	case opStats:
-		st := rs.srv.Stats()
-		out := codec.AppendInt64(nil, st.Admitted)
-		out = codec.AppendInt64(out, st.Completed)
-		out = codec.AppendInt64(out, st.Failed)
-		out = codec.AppendInt64(out, st.Active)
-		out = codec.AppendFloat64(out, st.BusySeconds)
-		out = codec.AppendFloat64(out, st.UpSeconds)
-		out = codec.AppendFloat64(out, st.QPS)
-		out = codec.AppendInt64(out, st.Rejected)
-		out = codec.AppendInt64(out, st.Batches)
-		out = codec.AppendInt64(out, st.BatchedQueries)
-		out = codec.AppendInt64(out, st.MaxBatch)
-		out = codec.AppendInt64(out, st.QueuedNow)
-		return out, nil
+		// Stats is 8-byte counters only, so its wire form is its fields in
+		// declaration order, little-endian like the rest of the protocol.
+		return binary.Append(nil, binary.LittleEndian, rs.srv.Stats())
 	case opIDs:
 		// Part of the shared immutable plane, so clients fetch it once
 		// per connection, not per query: ids[v] is the external vertex
@@ -242,7 +189,7 @@ func DialRPC(addr string, id int32, timeout time.Duration) (*Client, error) {
 	}
 	// Replies go to the parked call inside the plane; nothing else is
 	// ever addressed to a client.
-	plane, err := transport.Listen(transport.Config{OnFrame: func(transport.Frame) {}})
+	plane, err := transport.Listen(transport.Config{})
 	if err != nil {
 		return nil, err
 	}
@@ -261,107 +208,89 @@ func DialRPC(addr string, id int32, timeout time.Duration) (*Client, error) {
 // once, as they do when the server's link is declared dead.
 func (c *Client) Close() error { return c.plane.Close() }
 
-// call sends one request and waits for its response body, or an error:
-// the Server's own (its text, as a transport.RemoteError) or the call
-// path's (timeout, client closed, server gone).
-func (c *Client) call(op uint32, args func([]byte) []byte) (*codec.Reader, error) {
+// call sends one request — the op and its integer arguments — and waits
+// for its response body, or an error: the Server's own (its text, as a
+// transport.RemoteError) or the call path's (timeout, client closed,
+// server gone).
+func (c *Client) call(op uint32, args ...int64) ([]byte, error) {
 	req := codec.AppendUint32(nil, op)
-	if args != nil {
-		req = args(req)
+	for _, a := range args {
+		req = codec.AppendInt64(req, a)
 	}
-	resp, err := c.plane.Call(c.id, serverEndpoint, req, c.timeout, nil)
+	return c.plane.Call(c.id, serverEndpoint, req, c.timeout, nil)
+}
+
+// query decodes the response of a call that answers [QueryMeta][one
+// value vector].
+func query[V any](resp []byte, err error, vec func(*codec.Reader) []V) ([]V, QueryMeta, error) {
 	if err != nil {
-		return nil, err
+		return nil, QueryMeta{}, err
 	}
-	return codec.NewReader(resp), nil
+	r := codec.NewReader(resp)
+	meta := readMeta(r)
+	vals := vec(r)
+	return vals, meta, r.Err()
 }
 
 // SSSP asks the server for single-source shortest paths from src.
 func (c *Client) SSSP(src graph.VertexID) ([]float64, QueryMeta, error) {
-	r, err := c.call(opSSSP, func(b []byte) []byte {
-		return codec.AppendInt64(b, int64(src))
-	})
-	if err != nil {
-		return nil, QueryMeta{}, err
-	}
-	meta := readMeta(r)
-	dist := r.Float64s()
-	return dist, meta, r.Err()
+	resp, err := c.call(opSSSP, int64(src))
+	return query(resp, err, (*codec.Reader).Float64s)
 }
 
 // CC asks the server for connected-component labels.
 func (c *Client) CC() ([]int64, QueryMeta, error) {
-	r, err := c.call(opCC, nil)
-	if err != nil {
-		return nil, QueryMeta{}, err
-	}
-	meta := readMeta(r)
-	labels := r.Int64s()
-	return labels, meta, r.Err()
+	resp, err := c.call(opCC)
+	return query(resp, err, (*codec.Reader).Int64s)
 }
 
 // PageRank asks the server for PageRank scores.
 func (c *Client) PageRank() ([]float64, QueryMeta, error) {
-	r, err := c.call(opPageRank, nil)
-	if err != nil {
-		return nil, QueryMeta{}, err
-	}
-	meta := readMeta(r)
-	ranks := r.Float64s()
-	return ranks, meta, r.Err()
+	resp, err := c.call(opPageRank)
+	return query(resp, err, (*codec.Reader).Float64s)
 }
 
 // Recommend asks the server for the user's top-k unrated products.
 func (c *Client) Recommend(user, k int) ([]Rec, QueryMeta, error) {
-	r, err := c.call(opRecommend, func(b []byte) []byte {
-		b = codec.AppendInt64(b, int64(user))
-		return codec.AppendInt64(b, int64(k))
-	})
+	resp, err := c.call(opRecommend, int64(user), int64(k))
 	if err != nil {
 		return nil, QueryMeta{}, err
 	}
+	r := codec.NewReader(resp)
 	meta := readMeta(r)
+	// The count is the peer's word: allocate for what the reply can hold
+	// (16 bytes a record) and let a count that lies high run the reader
+	// dry, as codec.Reader's own vectors do.
 	n := int(r.Uint32())
+	recs := make([]Rec, 0, min(n, r.Remaining()/16))
+	for i := 0; i < n && r.Err() == nil; i++ {
+		recs = append(recs, Rec{Product: int(r.Int64()), Score: r.Float64()})
+	}
 	if r.Err() != nil {
 		return nil, meta, r.Err()
 	}
-	recs := make([]Rec, 0, n)
-	for i := 0; i < n; i++ {
-		recs = append(recs, Rec{Product: int(r.Int64()), Score: r.Float64()})
-	}
-	return recs, meta, r.Err()
+	return recs, meta, nil
 }
 
 // IDs fetches the server's external vertex identifiers: ids[v] names
 // the vertex whose value sits at index v of every SSSP/CC/PageRank
 // response. Static for the life of the server — fetch once and reuse.
 func (c *Client) IDs() ([]int64, error) {
-	r, err := c.call(opIDs, nil)
+	resp, err := c.call(opIDs)
 	if err != nil {
 		return nil, err
 	}
+	r := codec.NewReader(resp)
 	ids := r.Int64s()
 	return ids, r.Err()
 }
 
 // Stats fetches the server's scheduling counters.
 func (c *Client) Stats() (Stats, error) {
-	r, err := c.call(opStats, nil)
-	if err != nil {
-		return Stats{}, err
-	}
 	var st Stats
-	st.Admitted = r.Int64()
-	st.Completed = r.Int64()
-	st.Failed = r.Int64()
-	st.Active = r.Int64()
-	st.BusySeconds = r.Float64()
-	st.UpSeconds = r.Float64()
-	st.QPS = r.Float64()
-	st.Rejected = r.Int64()
-	st.Batches = r.Int64()
-	st.BatchedQueries = r.Int64()
-	st.MaxBatch = r.Int64()
-	st.QueuedNow = r.Int64()
-	return st, r.Err()
+	resp, err := c.call(opStats)
+	if err == nil {
+		_, err = binary.Decode(resp, binary.LittleEndian, &st)
+	}
+	return st, err
 }

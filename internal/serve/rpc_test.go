@@ -5,7 +5,9 @@ package serve
 // in-process serving.
 
 import (
+	"errors"
 	"math"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -13,6 +15,7 @@ import (
 
 	"aap/internal/algo/cf"
 	"aap/internal/algo/sssp"
+	"aap/internal/codec"
 	"aap/internal/core"
 	"aap/internal/gen"
 	"aap/internal/graph"
@@ -206,5 +209,76 @@ func TestClientCallFailsFastWithoutServer(t *testing.T) {
 				t.Fatal("call still blocked 15s after its peer went away")
 			}
 		})
+	}
+}
+
+// TestRecommendReplyCountLiesHigh: the record count of a Recommend reply
+// is the peer's word. A reply claiming 2³²−1 records over 16 bytes of
+// them must come back as the reader's error, having allocated for what
+// the reply holds — at the parent commit the client asked for 64 GiB.
+func TestRecommendReplyCountLiesHigh(t *testing.T) {
+	liar, err := transport.Listen(transport.Config{ListenAddr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer liar.Close()
+	liar.Serve(serverEndpoint, 1, 1, func(transport.Frame) ([]byte, error) {
+		out := appendMeta(nil, 0.5, &core.RunStats{})
+		out = codec.AppendUint32(out, math.MaxUint32)
+		return codec.AppendFloat64(codec.AppendInt64(out, 7), 0.25), nil
+	})
+	cl, err := DialRPC(liar.Addr(), 5, 20*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	recs, _, err := cl.Recommend(1, 3)
+	runtime.ReadMemStats(&after)
+	if err == nil || recs != nil {
+		t.Fatalf("got %d records, err %v; want the reader's truncation error", len(recs), err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("decoding a %d-byte reply allocated %d bytes", 40+4+16, grew)
+	}
+}
+
+// TestUnknownSSSPSourceFailsClosed: a source the graph does not have is
+// refused before admission — no queue slot, no batch lane, not counted as
+// shed — and reaches an RPC client as the call's error. At the parent
+// commit it ran, and answered +Inf for every vertex.
+func TestUnknownSSSPSourceFailsClosed(t *testing.T) {
+	p := buildPartition(t, gen.PowerLaw(200, 4, 2.1, true, 3), 2)
+	srv := New(p, WithBatchWindow(50*time.Millisecond))
+	rs, err := ListenRPC(srv, "127.0.0.1:0", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rs.Close()
+	cl, err := DialRPC(rs.Addr(), 9, 20*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	const nobody = graph.VertexID(999999999)
+	before := srv.Stats()
+	if dist, _, err := srv.SSSP(nobody); err == nil || dist != nil || !strings.Contains(err.Error(), "999999999") {
+		t.Fatalf("Server.SSSP: got %d distances, err %v; want an error naming the id", len(dist), err)
+	}
+	var refused transport.RemoteError
+	if dist, _, err := cl.SSSP(nobody); !errors.As(err, &refused) || dist != nil {
+		t.Fatalf("Client.SSSP: got %d distances, err %v; want the Server's refusal as a RemoteError", len(dist), err)
+	}
+	after := srv.Stats()
+	if after.QueuedNow != 0 || after.Rejected != before.Rejected || after.Batches != before.Batches || after.Admitted != before.Admitted {
+		t.Fatalf("the refused source touched the scheduler: before %+v, after %+v", before, after)
+	}
+	if st, err := cl.Stats(); err != nil || st.QueuedNow != 0 { // and the server still answers
+		t.Fatalf("stats after the refusals: %+v, %v", st, err)
+	}
+	if _, _, err := cl.SSSP(0); err != nil {
+		t.Fatalf("a known source after the refusals: %v", err)
 	}
 }

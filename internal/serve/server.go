@@ -2,6 +2,7 @@ package serve
 
 import (
 	"errors"
+	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -150,6 +151,11 @@ type ssspResp struct {
 // multi-source engine run; the returned distances are bit-identical to
 // a dedicated run either way.
 func (s *Server) SSSP(source graph.VertexID) ([]float64, core.RunStats, error) {
+	// Fail closed before admission: a source the graph does not have would
+	// take a queue slot, a batch lane and an 8·n-byte reply to say +Inf.
+	if _, ok := s.sess.Partitioned().G.IndexOf(source); !ok {
+		return nil, core.RunStats{}, fmt.Errorf("serve: sssp: no vertex %d in the graph", source)
+	}
 	// Admission is per query, before batching: a shed query must fail
 	// fast, not occupy a batch lane.
 	if s.waiting.Add(1) > int64(s.cfg.queueDepth) {

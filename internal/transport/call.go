@@ -8,11 +8,13 @@ import (
 
 // The call mux: the plane's one request/reply facility. Call stamps a
 // request frame with a fresh id and parks the caller under that id;
-// Reply echoes the id; the reader that receives the reply wakes exactly
-// that caller. Pairing is by id alone, so any number of calls may be in
-// flight between the same two endpoints, answered in any order, and a
-// reply whose caller has given up finds no entry and is dropped — it can
-// never be mistaken for the answer to a later call.
+// Serve registers the handler that answers calls addressed to an
+// endpoint, and Reply echoes the id under its answer; the reader that
+// receives the reply wakes exactly that caller. Pairing is by id alone,
+// so any number of calls may be in flight between the same two endpoints,
+// answered in any order, and a reply whose caller has given up finds no
+// entry and is dropped — it can never be mistaken for the answer to a
+// later call.
 
 // RemoteError is the error Call returns when the serving side answered
 // Reply(req, nil, err): the round trip worked and the callee refused.
@@ -79,9 +81,9 @@ func (p *Plane) Call(from, to int32, req []byte, timeout time.Duration, abort <-
 	}
 }
 
-// Reply answers req, a KindCall frame OnFrame delivered: with payload,
-// or, when err is non-nil, with err's text, which the caller's Call
-// returns as a RemoteError. Not to be called from OnFrame itself.
+// Reply answers req, a KindCall frame: with payload, or, when err is
+// non-nil, with err's text, which the caller's Call returns as a
+// RemoteError. Serve's workers call it with what the handler returned.
 func (p *Plane) Reply(req Frame, payload []byte, err error) error {
 	f := Frame{Kind: KindReply, From: req.To, To: req.From, Call: req.Call, Payload: payload}
 	if err != nil {
@@ -117,4 +119,67 @@ func (p *Plane) failCalls(l *link, err error) {
 		}
 	}
 	p.callMu.Unlock()
+}
+
+// Serve makes this plane answer the calls addressed to endpoint: the
+// reader that receives one queues it, `workers` goroutines take calls off
+// the queue, run handler and Reply with its payload or its error. One
+// worker answers in arrival order. A reader that finds `backlog` calls
+// already queued blocks until a worker frees a place, which pushes back
+// on the peer through its conn. Close stops the workers, after the
+// handlers they are running return. Register every endpoint before the
+// first Dial: a call for an endpoint the plane does not serve is refused
+// at once.
+func (p *Plane) Serve(endpoint int32, workers, backlog int, handler func(Frame) ([]byte, error)) {
+	queue := make(chan Frame, backlog)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.closed {
+		return
+	}
+	p.served[endpoint] = queue
+	p.wg.Add(workers)
+	for i := 0; i < workers; i++ {
+		go func() {
+			defer p.wg.Done()
+			for {
+				select {
+				case f := <-queue:
+					resp, err := answer(handler, f)
+					// A send failure means the caller's link died or the
+					// plane is closing: the call has failed on its side.
+					_ = p.Reply(f, resp, err)
+				case <-p.done:
+					return
+				}
+			}
+		}()
+	}
+}
+
+// answer runs the handler, turning a panic into the call's error so one
+// bad request cannot take the endpoint (or the process) down.
+func answer(handler func(Frame) ([]byte, error), f Frame) (resp []byte, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			resp, err = nil, fmt.Errorf("transport: handler of endpoint %d panicked: %v", f.To, r)
+		}
+	}()
+	return handler(f)
+}
+
+// dispatch hands a received call to the endpoint's queue, on the reader
+// goroutine. Replying from here is safe — enqueue never blocks.
+func (p *Plane) dispatch(f Frame) {
+	p.mu.Lock()
+	queue := p.served[f.To]
+	p.mu.Unlock()
+	if queue == nil {
+		_ = p.Reply(f, nil, fmt.Errorf("transport: endpoint %d is not served by this plane", f.To))
+		return
+	}
+	select {
+	case queue <- f:
+	case <-p.done:
+	}
 }

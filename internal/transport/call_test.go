@@ -5,15 +5,16 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
 
 // callRig is a loopback plane for the mux tests: a hub that makes the
 // calls (endpoint 0) and two serving planes dialed into it over their
-// own links, endpoint 9 and endpoint 8. A server's OnFrame only queues
-// the request; the test decides when, in which order and whether to
-// Reply.
+// own links, endpoint 9 and endpoint 8. A server's handler only passes
+// the request to the test and parks until its plane closes; the test
+// decides when, in which order and whether to Reply.
 type callRig struct {
 	hub      *Plane
 	srv9     *Plane
@@ -32,15 +33,16 @@ func newCallRig(t *testing.T) *callRig {
 	}
 	t.Cleanup(func() { r.hub.Close() })
 	serve := func(id int32, in chan Frame) *Plane {
-		p, err := Listen(testConfig(func(f Frame) {
-			if f.Kind == KindCall {
-				in <- f
-			}
-		}))
+		p, err := Listen(testConfig(nil))
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { p.Close() })
+		p.Serve(id, cap(in), cap(in), func(f Frame) ([]byte, error) {
+			in <- f
+			<-p.done
+			return nil, errClosed
+		})
 		if err := p.Dial(id, r.hub.Addr(), []int32{id}, []int32{0}); err != nil {
 			t.Fatal(err)
 		}
@@ -256,5 +258,210 @@ func TestCallMux(t *testing.T) {
 			}
 		}
 		wg.Wait()
+	})
+}
+
+// loopback is one plane dialed into itself, the engine's shape: the
+// caller (endpoint 0) and the served endpoints share it.
+func loopback(t *testing.T, serve func(p *Plane)) *Plane {
+	t.Helper()
+	cfg := testConfig(nil)
+	cfg.ListenAddr = "127.0.0.1:0"
+	// A reader parked on a full backlog sees no heartbeats; none of these
+	// tests is about the detector.
+	cfg.SuspectAfter, cfg.DeadAfter = 2*time.Second, 5*time.Second
+	p, err := Listen(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { p.Close() })
+	serve(p)
+	if err := p.Dial(0, p.Addr(), nil, []int32{0, 7, 8}); err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// callAll issues n concurrent calls 0 → to with payloads "0".."n-1" and
+// returns their outcomes in that order.
+func callAll(t *testing.T, p *Plane, to int32, n int) []callOutcome {
+	t.Helper()
+	outs := make([]callOutcome, n)
+	var wg sync.WaitGroup
+	for i := range outs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			t0 := time.Now()
+			resp, err := p.Call(0, to, []byte(fmt.Sprint(i)), longCall, nil)
+			outs[i] = callOutcome{string(resp), err, time.Since(t0)}
+		}(i)
+	}
+	wg.Wait()
+	return outs
+}
+
+func TestServe(t *testing.T) {
+	t.Run("every call gets its own answer", func(t *testing.T) {
+		for _, workers := range []int{1, 4} {
+			var mu sync.Mutex
+			var served []string // in the order handlers started
+			p := loopback(t, func(p *Plane) {
+				p.Serve(7, workers, 8, func(f Frame) ([]byte, error) {
+					mu.Lock()
+					served = append(served, string(f.Payload))
+					mu.Unlock()
+					return append([]byte("re:"), f.Payload...), nil
+				})
+			})
+			for i, o := range callAll(t, p, 7, 64) {
+				if want := fmt.Sprintf("re:%d", i); o.err != nil || o.reply != want {
+					t.Fatalf("workers=%d: call %d got %q, %v; want %q", workers, i, o.reply, o.err, want)
+				}
+			}
+			if len(served) != 64 {
+				t.Fatalf("workers=%d: handler ran %d times for 64 calls", workers, len(served))
+			}
+		}
+	})
+
+	t.Run("one worker answers in arrival order", func(t *testing.T) {
+		var served []string // one worker: no lock needed, and -race agrees
+		p := loopback(t, func(p *Plane) {
+			p.Serve(7, 1, 4, func(f Frame) ([]byte, error) {
+				served = append(served, string(f.Payload))
+				return nil, nil
+			})
+		})
+		// One caller, so arrival order is send order.
+		for i := 0; i < 32; i++ {
+			if _, err := p.Call(0, 7, []byte(fmt.Sprint(i)), longCall, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i, got := range served {
+			if got != fmt.Sprint(i) {
+				t.Fatalf("served %v: position %d out of arrival order", served, i)
+			}
+		}
+	})
+
+	t.Run("handler error and panic fail that call only", func(t *testing.T) {
+		p := loopback(t, func(p *Plane) {
+			p.Serve(7, 2, 4, func(f Frame) ([]byte, error) {
+				switch string(f.Payload) {
+				case "refuse":
+					return []byte("ignored"), errors.New("no such vertex")
+				case "panic":
+					var m map[string]int
+					m["boom"] = 1
+				}
+				return []byte("ok"), nil
+			})
+		})
+		var refused RemoteError
+		resp, err := p.Call(0, 7, []byte("refuse"), longCall, nil)
+		if !errors.As(err, &refused) || refused.Error() != "no such vertex" || resp != nil {
+			t.Fatalf("handler error: got %q, %v; want RemoteError(no such vertex)", resp, err)
+		}
+		for i := 0; i < 3; i++ { // more panics than workers: the pool survives them
+			_, err = p.Call(0, 7, []byte("panic"), longCall, nil)
+			if !errors.As(err, &refused) || !strings.Contains(refused.Error(), "panicked") {
+				t.Fatalf("handler panic: got %v; want a RemoteError naming the panic", err)
+			}
+		}
+		if resp, err := p.Call(0, 7, []byte("fine"), longCall, nil); err != nil || string(resp) != "ok" {
+			t.Fatalf("call after the panics got %q, %v", resp, err)
+		}
+	})
+
+	// At the parent commit nothing answered a call for an endpoint without
+	// a server: the caller slept out its timeout, a minute here.
+	t.Run("unserved endpoint is refused at once", func(t *testing.T) {
+		p := loopback(t, func(p *Plane) {
+			p.Serve(7, 1, 1, func(Frame) ([]byte, error) { return nil, nil })
+		})
+		t0 := time.Now()
+		_, err := p.Call(0, 8, []byte("anyone?"), longCall, nil)
+		var refused RemoteError
+		if !errors.As(err, &refused) || !strings.Contains(refused.Error(), "not served") {
+			t.Fatalf("got %v; want a RemoteError saying endpoint 8 is not served", err)
+		}
+		if took := time.Since(t0); took > 5*time.Second {
+			t.Fatalf("the refusal took %v", took)
+		}
+	})
+
+	t.Run("full backlog blocks the reader until a worker frees up", func(t *testing.T) {
+		gate := make(chan struct{})
+		var started atomic.Int32
+		p := loopback(t, func(p *Plane) {
+			p.Serve(7, 1, 2, func(f Frame) ([]byte, error) {
+				started.Add(1)
+				<-gate
+				return f.Payload, nil
+			})
+			p.Serve(8, 1, 1, func(f Frame) ([]byte, error) { return []byte("pong"), nil })
+		})
+		// 1 in the handler + 2 queued + 1 in the blocked reader's hands.
+		outs := make(chan []callOutcome, 1)
+		go func() { outs <- callAll(t, p, 7, 4) }()
+		waitFor(t, 5*time.Second, "the first handler to start", func() bool { return started.Load() == 1 })
+		waitFor(t, 5*time.Second, "the backlog to fill", func() bool {
+			p.mu.Lock()
+			defer p.mu.Unlock()
+			return len(p.served[7]) == 2
+		})
+		// The reader is stuck behind endpoint 7's queue (it is the only
+		// link), so even endpoint 8's call, sent later, is not read yet.
+		ping := make(chan error, 1)
+		go func() { _, err := p.Call(0, 8, nil, longCall, nil); ping <- err }()
+		select {
+		case err := <-ping:
+			t.Fatalf("a call behind the blocked reader was answered: %v", err)
+		case <-time.After(100 * time.Millisecond):
+		}
+		close(gate)
+		for i, o := range <-outs {
+			if o.err != nil || o.reply != fmt.Sprint(i) {
+				t.Fatalf("call %d after the drain got %q, %v", i, o.reply, o.err)
+			}
+		}
+		if err := <-ping; err != nil {
+			t.Fatalf("the call behind the blocked reader: %v", err)
+		}
+	})
+
+	t.Run("Close with handlers running", func(t *testing.T) {
+		gate := make(chan struct{})
+		var started atomic.Int32
+		p := loopback(t, func(p *Plane) {
+			p.Serve(7, 3, 3, func(Frame) ([]byte, error) {
+				started.Add(1)
+				<-gate
+				return nil, nil
+			})
+		})
+		outs := make(chan []callOutcome, 1)
+		go func() { outs <- callAll(t, p, 7, 3) }()
+		waitFor(t, 5*time.Second, "the handlers to start", func() bool { return started.Load() == 3 })
+		closed := make(chan struct{})
+		go func() { p.Close(); close(closed) }()
+		for _, o := range <-outs { // parked callers fail while the handlers still run
+			if !errors.Is(o.err, errClosed) {
+				t.Fatalf("parked caller got %q, %v; want %v", o.reply, o.err, errClosed)
+			}
+		}
+		select {
+		case <-closed:
+			t.Fatal("Close returned while handlers were still running")
+		case <-time.After(50 * time.Millisecond):
+		}
+		close(gate)
+		select {
+		case <-closed:
+		case <-time.After(10 * time.Second):
+			t.Fatal("Close never returned after the handlers did")
+		}
 	})
 }

@@ -31,12 +31,11 @@ type Config struct {
 	// side of a link (default 8); Retry shapes their backoff schedule.
 	RetryLimit int
 	Retry      Backoff
-	// OnFrame receives every delivered Data and Call frame, in per-link
-	// send order, each frame at most once (Reply frames go to the parked
-	// Call instead). It runs on a reader goroutine and MUST NOT call
-	// Plane.Send, Call or Reply synchronously (hand off to a queue
-	// instead): a reader blocked on a full send buffer stops draining
-	// its conn, and two such readers deadlock the loop.
+	// OnFrame receives every delivered Data frame, in per-link send
+	// order, each frame at most once; nil drops them. Call frames go to
+	// the endpoint's Serve handler and Reply frames to the parked Call.
+	// It runs on a reader goroutine, so while it blocks the link's conn
+	// is not drained (nor its heartbeats seen).
 	OnFrame func(Frame)
 	// OnPeerDead fires once when a link is declared dead: heartbeat
 	// silence past DeadAfter, or reconnect attempts exhausted. served
@@ -51,8 +50,7 @@ type Config struct {
 	// OnPeerRejoin fires after an inbound Hello with a HIGHER
 	// incarnation supersedes an existing link: the respawned peer has
 	// completed its handshake and its endpoints are routable again. Like
-	// OnFrame it runs on a transport goroutine and must not call send
-	// paths synchronously.
+	// OnFrame it runs on a transport goroutine and must not block.
 	OnPeerRejoin func(linkID int32, served []int32, incarnation uint64)
 	// Faults, when non-nil, wraps every conn in the deterministic
 	// link-fault injector (seeded partition windows, delay, loss-as-RTO
@@ -94,17 +92,18 @@ type Stats struct {
 // listener (optional), a set of links to peers, and a routing table
 // from endpoint id to link. Frames sent to an endpoint id are written
 // to its link with a per-link sequence number; the receiving plane
-// deduplicates and dispatches them to OnFrame in order.
+// deduplicates and dispatches them in order: Data to OnFrame, Call to
+// the served endpoint's queue, Reply to the parked caller.
 type Plane struct {
 	cfg   Config
 	ln    net.Listener
 	start time.Time // fault-injection windows are offsets from here
 
 	mu          sync.Mutex
-	cond        *sync.Cond // broadcast on route-table changes
 	dialLinks   map[int32]*link
 	acceptLinks map[int32]*link
 	routes      map[int32]*link
+	served      map[int32]chan Frame // calls queued for the endpoints this plane answers (Serve)
 	closed      bool
 	// tombTimeouts preserves the detector Timeouts of links superseded
 	// by a higher incarnation, so Stats stays cumulative across rejoins.
@@ -161,19 +160,16 @@ type link struct {
 // Hello handshakes.
 func Listen(cfg Config) (*Plane, error) {
 	cfg = cfg.withDefaults()
-	if cfg.OnFrame == nil {
-		return nil, fmt.Errorf("transport: Config.OnFrame is required")
-	}
 	p := &Plane{
 		cfg:         cfg,
 		start:       time.Now(),
 		dialLinks:   make(map[int32]*link),
 		acceptLinks: make(map[int32]*link),
 		routes:      make(map[int32]*link),
+		served:      make(map[int32]chan Frame),
 		calls:       make(map[uint64]*pendingCall),
 		done:        make(chan struct{}),
 	}
-	p.cond = sync.NewCond(&p.mu)
 	if cfg.ListenAddr != "" {
 		ln, err := net.Listen("tcp", cfg.ListenAddr)
 		if err != nil {
@@ -257,7 +253,6 @@ func (p *Plane) Dial(id int32, addr string, serve, route []int32) error {
 	for _, r := range route {
 		p.routes[r] = l
 	}
-	p.cond.Broadcast()
 	p.mu.Unlock()
 
 	p.wg.Add(2)
@@ -447,8 +442,8 @@ func (l *link) enqueue(f Frame) error {
 // it completed its handshake) or the timeout expires.
 func (p *Plane) WaitRoute(id int32, timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
-	// cond has no timed wait; poll with short sleeps — WaitRoute runs
-	// once per remote worker at startup, never on the hot path.
+	// Poll with short sleeps — WaitRoute runs once per remote worker at
+	// startup, never on the hot path.
 	for {
 		p.mu.Lock()
 		_, ok := p.routes[id]
@@ -467,8 +462,9 @@ func (p *Plane) WaitRoute(id int32, timeout time.Duration) error {
 	}
 }
 
-// Close tears the plane down: listener, conns, goroutines. Every Call
-// in flight returns an error; OnPeerDead does not fire.
+// Close tears the plane down: listener, conns, goroutines, Serve's
+// workers (it returns once the handlers they are running have). Every
+// Call in flight returns an error; OnPeerDead does not fire.
 func (p *Plane) Close() error {
 	p.mu.Lock()
 	if p.closed {
@@ -484,7 +480,6 @@ func (p *Plane) Close() error {
 	for _, l := range p.acceptLinks {
 		links = append(links, l)
 	}
-	p.cond.Broadcast()
 	p.mu.Unlock()
 	if p.ln != nil {
 		p.ln.Close()
@@ -610,7 +605,6 @@ func (p *Plane) admit(conn net.Conn) {
 	for _, s := range served {
 		p.routes[s] = l
 	}
-	p.cond.Broadcast()
 	p.mu.Unlock()
 
 	l.mu.Lock()
@@ -735,7 +729,7 @@ func (l *link) ticker() {
 
 // reader drains one conn: observes the detector, deduplicates sequenced
 // frames, prunes on acks, and dispatches in order — replies to their
-// parked calls, everything else to OnFrame.
+// parked calls, calls to the endpoint that serves them, data to OnFrame.
 func (l *link) reader(conn net.Conn, br *bufio.Reader, gen uint64) {
 	defer l.p.wg.Done()
 	for {
@@ -776,8 +770,12 @@ func (l *link) reader(conn net.Conn, br *bufio.Reader, gen uint64) {
 		switch f.Kind {
 		case KindReply:
 			l.p.resolve(f)
-		case KindData, KindCall:
-			l.p.cfg.OnFrame(f)
+		case KindCall:
+			l.p.dispatch(f)
+		case KindData:
+			if l.p.cfg.OnFrame != nil {
+				l.p.cfg.OnFrame(f)
+			}
 		default:
 			// Link-layer traffic: the Observe above was its whole job.
 		}
