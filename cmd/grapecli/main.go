@@ -125,7 +125,9 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	opts := core.Options{Mode: mode, Staleness: *staleness}
+	// One TransportOptions for the run, filled by -transport and
+	// -remote-workers alike; left empty it is the in-proc plane.
+	opts := core.Options{Mode: mode, Staleness: *staleness, Transport: &core.TransportOptions{}}
 	if *checkpointEvery > 0 {
 		opts.Checkpoint = core.CheckpointOptions{EveryRounds: int32(*checkpointEvery)}
 	}
@@ -145,7 +147,7 @@ func main() {
 	switch *transportName {
 	case "inproc":
 	case "tcp":
-		opts.Transport = &core.TransportOptions{TCP: true}
+		opts.Transport.TCP = true
 	default:
 		fatal(fmt.Errorf("unknown transport %q", *transportName))
 	}
@@ -174,8 +176,7 @@ func main() {
 			Backoff:     transport.Backoff{Base: *restartBackoff, Seed: uint64(*faultSeed)},
 		}, specs...)
 		defer sup.Stop()
-		topts := core.TransportOptions{RemoteWorkers: ids, OnListen: sup.OnListen, Supervisor: sup}
-		opts.Transport = &topts
+		opts.Transport.RemoteWorkers, opts.Transport.OnListen, opts.Transport.Supervisor = ids, sup.OnListen, sup
 	}
 	if *resume && *checkpointDir == "" {
 		fatal(fmt.Errorf("-resume requires -checkpoint-dir"))

@@ -57,7 +57,7 @@ func main() {
 	ds.Source = graph.VertexID(*source)
 	if *algo == "sssp" {
 		if _, ok := ds.Graph.IndexOf(ds.Source); !ok {
-			fmt.Fprintf(os.Stderr, "simviz: warning: source vertex %d not in the graph; all distances stay Inf\n", *source)
+			fatal(fmt.Errorf("-source %d: no such vertex in %s", *source, ds.Name))
 		}
 	}
 	t0 := time.Now()

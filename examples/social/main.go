@@ -112,11 +112,12 @@ func main() {
 	}
 	fmt.Printf("  GRAPE+ PageRank: %.3fs, %.2f MB shipped\n\n", pr.Stats.Seconds, float64(pr.Stats.TotalBytes)/(1<<20))
 
-	// The vertex-centric baseline ships one message per edge per update.
-	_, st, err := vcentric.Run(g, vcentric.PageRankProgram{Tol: 1e-6}, vcentric.Options{Mode: vcentric.Async, Shards: 8})
+	// The vertex-centric baseline — the same engine running a vertex
+	// program under AP — ships one message per edge per update.
+	vc, err := core.Run(pd, vcentric.Job(vcentric.PageRankProgram{Tol: 1e-6}), core.Options{Mode: core.AP})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("vertex-centric async PageRank on the same graph: %.3fs, %.2f MB shipped (%0.fx the traffic)\n",
-		st.Seconds, float64(st.Bytes)/(1<<20), float64(st.Bytes)/float64(pr.Stats.TotalBytes))
+		vc.Stats.Seconds, float64(vc.Stats.TotalBytes)/(1<<20), float64(vc.Stats.TotalBytes)/float64(pr.Stats.TotalBytes))
 }

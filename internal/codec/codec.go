@@ -97,12 +97,6 @@ func AppendBytes(dst []byte, b []byte) []byte {
 	return append(dst, b...)
 }
 
-// AppendString appends a length-prefixed string.
-func AppendString(dst []byte, s string) []byte {
-	dst = AppendUint32(dst, uint32(len(s)))
-	return append(dst, s...)
-}
-
 // Reader decodes values appended by the Append functions.
 type Reader struct {
 	buf []byte
@@ -257,15 +251,4 @@ func (r *Reader) Bytes() []byte {
 	b := r.buf[r.off : r.off+int(n)]
 	r.off += int(n)
 	return b
-}
-
-// String decodes a length-prefixed string.
-func (r *Reader) String() string {
-	n := r.Uint32()
-	if r.err != nil || !r.need(int(n)) {
-		return ""
-	}
-	s := string(r.buf[r.off : r.off+int(n)])
-	r.off += int(n)
-	return s
 }

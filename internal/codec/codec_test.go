@@ -12,7 +12,7 @@ func TestRoundTripScalars(t *testing.T) {
 	buf = codec.AppendUint32(buf, 42)
 	buf = codec.AppendUint64(buf, 1<<40)
 	buf = codec.AppendFloat64(buf, 3.5)
-	buf = codec.AppendString(buf, "hello")
+	buf = codec.AppendBytes(buf, []byte("hello"))
 	buf = codec.AppendFloat64s(buf, []float64{1, 2, 3})
 
 	r := codec.NewReader(buf)
@@ -25,8 +25,8 @@ func TestRoundTripScalars(t *testing.T) {
 	if got := r.Float64(); got != 3.5 {
 		t.Errorf("Float64 = %v", got)
 	}
-	if got := r.String(); got != "hello" {
-		t.Errorf("String = %q", got)
+	if got := r.Bytes(); string(got) != "hello" {
+		t.Errorf("Bytes = %q", got)
 	}
 	vs := r.Float64s()
 	if len(vs) != 3 || vs[0] != 1 || vs[2] != 3 {
@@ -104,7 +104,7 @@ func TestRoundTripProperty(t *testing.T) {
 		buf = codec.AppendUint32(buf, a)
 		buf = codec.AppendUint64(buf, b)
 		buf = codec.AppendFloat64(buf, c)
-		buf = codec.AppendString(buf, s)
+		buf = codec.AppendBytes(buf, []byte(s))
 		buf = codec.AppendFloat64s(buf, vec)
 		r := codec.NewReader(buf)
 		if r.Uint32() != a || r.Uint64() != b {
@@ -113,7 +113,7 @@ func TestRoundTripProperty(t *testing.T) {
 		if got := r.Float64(); got != c && !(got != got && c != c) { // NaN-safe
 			return false
 		}
-		if r.String() != s {
+		if string(r.Bytes()) != s {
 			return false
 		}
 		got := r.Float64s()
@@ -132,11 +132,11 @@ func TestRoundTripProperty(t *testing.T) {
 	}
 }
 
-func TestEmptyString(t *testing.T) {
-	buf := codec.AppendString(nil, "")
+func TestEmptyBytes(t *testing.T) {
+	buf := codec.AppendBytes(nil, nil)
 	r := codec.NewReader(buf)
-	if got := r.String(); got != "" {
-		t.Errorf("empty string round trip = %q", got)
+	if got := r.Bytes(); len(got) != 0 {
+		t.Errorf("empty blob round trip = %q", got)
 	}
 	if r.Err() != nil {
 		t.Error(r.Err())

@@ -23,7 +23,7 @@ func FuzzCodecDecode(f *testing.F) {
 	seed = codec.AppendInt64(seed, -1<<50)
 	seed = codec.AppendBool(seed, true)
 	seed = codec.AppendFloat64(seed, 3.5)
-	seed = codec.AppendString(seed, "hello")
+	seed = codec.AppendBytes(seed, []byte("hello"))
 	seed = codec.AppendFloat64s(seed, []float64{1, 2, 3})
 	seed = codec.AppendUint64s(seed, []uint64{4, 5})
 	seed = codec.AppendInt32s(seed, []int32{-1, 0, 1})
@@ -48,7 +48,7 @@ func FuzzCodecDecode(f *testing.F) {
 		_ = r.Int64()
 		_ = r.Bool()
 		_ = r.Float64()
-		_ = r.String()
+		_ = r.Bytes()
 		if vs := r.Float64s(); vs != nil && len(vs)*8 > len(data) {
 			t.Fatalf("Float64s over-allocated: %d elems from %d bytes", len(vs), len(data))
 		}
@@ -64,7 +64,7 @@ func FuzzCodecDecode(f *testing.F) {
 		// A reader that errored must stay errored and keep returning
 		// zero values (sticky-error contract).
 		if r.Err() != nil {
-			if r.Uint64() != 0 || r.String() != "" || r.Float64s() != nil {
+			if r.Uint64() != 0 || r.Bytes() != nil || r.Float64s() != nil {
 				t.Fatal("reads after error returned non-zero values")
 			}
 		}

@@ -220,9 +220,6 @@ func NextRoundTimeEWMA(prev, dur float64) float64 {
 	return 0.5*prev + 0.5*dur
 }
 
-// nextRoundTimeEWMA is the package-internal alias used by the engine.
-func nextRoundTimeEWMA(prev, dur float64) float64 { return NextRoundTimeEWMA(prev, dur) }
-
 // hsyncState is the shared phase of an Hsync run: every worker consults
 // it, and the phase flips between AP and BSP on a throughput window, the
 // PowerSwitch heuristic. Mode switches are whole-cluster, which is
@@ -230,26 +227,20 @@ func nextRoundTimeEWMA(prev, dur float64) float64 { return NextRoundTimeEWMA(pre
 type hsyncState struct {
 	bspPhase atomic.Bool
 	// processed counts messages consumed in the current window.
-	processed atomic.Int64
-	// windowRounds is how many global rounds a phase lasts.
-	windowRounds int32
-	lastSwitch   atomic.Int32 // r_max at the last switch
-	lastScore    atomic.Int64 // messages consumed during the previous window
+	processed  atomic.Int64
+	lastSwitch atomic.Int32 // r_max at the last switch
+	lastScore  atomic.Int64 // messages consumed during the previous window
 }
 
-func newHsyncState(window int32) *hsyncState {
-	if window <= 0 {
-		window = 4
-	}
-	return &hsyncState{windowRounds: window}
-}
+// hsyncWindow is how many global rounds an Hsync phase lasts.
+const hsyncWindow = 4
 
 // observe is called by workers as rounds complete; it flips the phase
 // when the current phase processes fewer messages per window than the
 // previous one did.
-func (h *hsyncState) observe(rmax int32, consumed int64) {
+func (h *hsyncState) observe(rmax int32) {
 	last := h.lastSwitch.Load()
-	if rmax-last < h.windowRounds {
+	if rmax-last < hsyncWindow {
 		return
 	}
 	if !h.lastSwitch.CompareAndSwap(last, rmax) {
@@ -260,7 +251,6 @@ func (h *hsyncState) observe(rmax int32, consumed int64) {
 	if prev > 0 && score < prev {
 		h.bspPhase.Store(!h.bspPhase.Load())
 	}
-	_ = consumed
 }
 
 // hsyncController follows the shared phase: BSP semantics during BSP

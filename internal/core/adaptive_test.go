@@ -164,17 +164,17 @@ func TestControllerSetModes(t *testing.T) {
 }
 
 func TestHsyncPhaseFlipsOnThroughputDrop(t *testing.T) {
-	h := newHsyncState(2)
+	h := &hsyncState{}
 	c := hsyncController{state: h}
 	if d := c.Delay(View{Round: 5, RMin: 1}); d != 0 {
 		t.Error("AP phase should never wait")
 	}
 	// Window 1: high throughput.
 	h.processed.Add(100)
-	h.observe(2, 0)
+	h.observe(hsyncWindow)
 	// Window 2: throughput collapse triggers a phase flip.
 	h.processed.Add(10)
-	h.observe(4, 0)
+	h.observe(2 * hsyncWindow)
 	if !h.bspPhase.Load() {
 		t.Fatal("phase did not flip after throughput drop")
 	}

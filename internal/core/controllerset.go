@@ -13,7 +13,7 @@ type ControllerSet struct {
 func NewControllerSet(opts Options, m int) *ControllerSet {
 	s := &ControllerSet{ctrls: make([]Controller, m)}
 	if opts.Mode == Hsync {
-		s.hsync = newHsyncState(opts.HsyncWindow)
+		s.hsync = &hsyncState{}
 	}
 	for i := range s.ctrls {
 		s.ctrls[i] = newController(opts, s.hsync)
@@ -36,6 +36,6 @@ func (s *ControllerSet) ObserveConsumed(n int64) {
 // no-op for other modes.
 func (s *ControllerSet) ObserveRound(rmax int32) {
 	if s.hsync != nil {
-		s.hsync.observe(rmax, 0)
+		s.hsync.observe(rmax)
 	}
 }

@@ -39,8 +39,6 @@ type Options struct {
 	MaxRounds int32
 	// Timeout aborts the run after this wall time. Defaults to 5 minutes.
 	Timeout time.Duration
-	// HsyncWindow is the phase length, in global rounds, of Hsync mode.
-	HsyncWindow int32
 	// Checkpoint enables Chandy-Lamport snapshots; requires every
 	// Program of the job to implement Snapshotter.
 	Checkpoint CheckpointOptions
@@ -894,7 +892,7 @@ func (w *worker[T]) execRound(peval bool) {
 	<-e.slots
 
 	w.stats.BusySeconds += dur
-	w.roundTimeEWMA = nextRoundTimeEWMA(w.roundTimeEWMA, dur)
+	w.roundTimeEWMA = NextRoundTimeEWMA(w.roundTimeEWMA, dur)
 	atomic.StoreUint64(&e.roundTimes[w.id], math.Float64bits(w.roundTimeEWMA))
 	out, work := w.ctx.takeOut()
 	w.stats.Work += work

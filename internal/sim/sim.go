@@ -21,11 +21,10 @@ import (
 
 // Config parameterizes a simulated run.
 type Config struct {
-	// Mode, Staleness, LFloor and HsyncWindow mirror core.Options.
-	Mode        core.Mode
-	Staleness   int
-	LFloor      int
-	HsyncWindow int32
+	// Mode, Staleness and LFloor mirror core.Options.
+	Mode      core.Mode
+	Staleness int
+	LFloor    int
 
 	// RoundOverhead is the fixed virtual seconds per round, and
 	// WorkUnitCost the virtual seconds per unit of work reported through
@@ -189,7 +188,7 @@ type sim[T any] struct {
 }
 
 func newSim[T any](p *partition.Partitioned, job core.Job[T], cfg Config) *sim[T] {
-	opts := core.Options{Mode: cfg.Mode, Staleness: cfg.Staleness, LFloor: cfg.LFloor, HsyncWindow: cfg.HsyncWindow}
+	opts := core.Options{Mode: cfg.Mode, Staleness: cfg.Staleness, LFloor: cfg.LFloor}
 	s := &sim[T]{p: p, job: job, cfg: cfg, ctrls: core.NewControllerSet(opts, p.M), rounds: make([]int32, p.M)}
 	s.workers = make([]*simWorker[T], p.M)
 	for i, f := range p.Frags {

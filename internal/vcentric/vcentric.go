@@ -1,54 +1,28 @@
-// Package vcentric implements vertex-centric graph processing engines in
-// the style of the systems the paper compares against in Table 1:
-// a synchronous superstep engine (Pregel/Giraph, GraphLab-sync), an
-// asynchronous engine with immediate message visibility (GraphLab-async,
-// and with delta-accumulative programs, Maiter), and a hybrid engine that
-// switches between the two (PowerSwitch/Hsync).
+// Package vcentric runs vertex-centric programs — the model of the
+// systems the paper compares against in Table 1 — as PIE jobs on
+// internal/core, the simulation the paper's expressiveness result
+// describes: Job compiles a vertex Program into a fragment program, and
+// the engine's modes supply the baselines' schedules. core.BSP is the
+// synchronous superstep engine (Pregel/Giraph, GraphLab-sync), core.AP
+// the asynchronous one with immediate message visibility
+// (GraphLab-async and, with delta-accumulative programs, Maiter),
+// core.Hsync the hybrid that switches between the two (PowerSwitch).
 //
-// Unlike the fragment-centric PIE programs of internal/core, programs
-// here compute one vertex at a time, messages are generated per edge
+// Unlike the fragment-centric programs of internal/algo, programs here
+// compute one vertex at a time, messages are generated per edge
 // (combined only at the destination), and no sequential-algorithm
 // optimizations (priority queues, union-find, incremental fragment
 // evaluation) are available — the cost profile the paper attributes the
-// Table 1 gaps to.
+// Table 1 gaps to. Both sides run on the one engine, so that gap is
+// the programming model's, not an implementation's.
 package vcentric
 
 import (
-	"fmt"
-	"sync"
-	"sync/atomic"
-	"time"
-
+	"aap/internal/codec"
+	"aap/internal/core"
 	"aap/internal/graph"
+	"aap/internal/partition"
 )
-
-// Mode selects the engine variant.
-type Mode int
-
-// Engine variants.
-const (
-	// Sync runs Pregel-style supersteps with a global barrier.
-	Sync Mode = iota
-	// Async gives every shard immediate access to incoming messages.
-	Async
-	// HsyncMode runs a synchronous warm-up phase and switches to
-	// asynchronous execution, the coarse-grained PowerSwitch strategy.
-	HsyncMode
-)
-
-// String returns the conventional name of the engine variant.
-func (m Mode) String() string {
-	switch m {
-	case Sync:
-		return "sync"
-	case Async:
-		return "async"
-	case HsyncMode:
-		return "hsync"
-	default:
-		return fmt.Sprintf("Mode(%d)", int(m))
-	}
-}
 
 // Program is a vertex program over float64 vertex values, the common
 // denominator of the Table 1 workloads (distances, component ids, rank
@@ -73,315 +47,72 @@ type Program interface {
 	Finalize(g *graph.Graph, v int32, val float64) float64
 }
 
-// Stats reports the cost of a run.
-type Stats struct {
-	Mode       string
-	Seconds    float64
-	Supersteps int
-	Msgs       int64 // per-edge messages before combining
-	Bytes      int64 // 16 bytes per message (dst + value)
-	Updates    int64 // vertex Compute invocations
+// Job compiles prog into a PIE program: PEval is the activation
+// superstep over the fragment's owned vertices, IncEval one Compute per
+// vertex with a combined message, f_aggr is Combine. Every out-edge of a
+// notifying vertex costs one designated message, edges inside the
+// fragment included — a vertex program has no fragment to evaluate
+// locally — so RunStats.TotalMsgs counts per-edge messages before
+// combining, 16 accounted bytes each (8 of value, 8 of header).
+func Job(prog Program) core.Job[float64] {
+	return core.Job[float64]{
+		Name: "vcentric",
+		New: func(f *partition.Fragment) core.Program[float64] {
+			return &fragment{prog: prog, g: f.Graph(), lo: f.Lo, vals: make([]float64, f.NumOwned())}
+		},
+		Aggregate: prog.Combine,
+		EncodeVal: codec.AppendFloat64,
+		DecodeVal: (*codec.Reader).Float64,
+	}
 }
 
-// Options configures a run.
-type Options struct {
-	Mode   Mode
-	Shards int // parallel shards; default 4
-	// MaxSupersteps bounds sync runs; default 1 << 20.
-	MaxSupersteps int
-	// HsyncWindow is the number of synchronous supersteps before the
-	// hybrid engine switches to asynchronous execution; default 5.
-	HsyncWindow int
-}
-
-func (o Options) withDefaults() Options {
-	if o.Shards <= 0 {
-		o.Shards = 4
-	}
-	if o.MaxSupersteps <= 0 {
-		o.MaxSupersteps = 1 << 20
-	}
-	if o.HsyncWindow <= 0 {
-		o.HsyncWindow = 5
-	}
-	return o
-}
-
-const msgBytes = 16
-
-// state is the engine-independent computation state, letting the hybrid
-// engine hand a partially converged run from one engine to the other:
-// current values plus the combined pending real message per vertex.
-type state struct {
+// fragment holds the values of one fragment's owned vertices.
+type fragment struct {
+	prog Program
+	g    *graph.Graph
+	lo   int32
 	vals []float64
-	msg  []float64
-	has  []bool
 }
 
-// Run executes prog on g and returns the finalized vertex values.
-func Run(g *graph.Graph, prog Program, opts Options) ([]float64, Stats, error) {
-	opts = opts.withDefaults()
-	start := time.Now()
-	n := g.NumVertices()
-	st := &state{vals: make([]float64, n), msg: make([]float64, n), has: make([]bool, n)}
-	for v := 0; v < n; v++ {
-		st.vals[v], _ = prog.Init(g, int32(v))
-	}
-	var stats Stats
-	switch opts.Mode {
-	case Sync:
-		stats = runSync(g, prog, opts, st, opts.MaxSupersteps, true)
-	case Async:
-		stats = runAsync(g, prog, opts, st, true)
-	case HsyncMode:
-		s1 := runSync(g, prog, opts, st, opts.HsyncWindow, true)
-		s2 := runAsync(g, prog, opts, st, false)
-		stats = Stats{
-			Supersteps: s1.Supersteps,
-			Msgs:       s1.Msgs + s2.Msgs,
-			Bytes:      s1.Bytes + s2.Bytes,
-			Updates:    s1.Updates + s2.Updates,
+// PEval implements core.Program.
+func (f *fragment) PEval(ctx *core.Context[float64]) {
+	for i := range f.vals {
+		v := f.lo + int32(i)
+		val, active := f.prog.Init(f.g, v)
+		f.vals[i] = val
+		if active {
+			f.compute(ctx, v, 0, true)
 		}
-	default:
-		return nil, Stats{}, fmt.Errorf("vcentric: unknown mode %d", opts.Mode)
 	}
-	stats.Mode = opts.Mode.String()
-	stats.Seconds = time.Since(start).Seconds()
-	out := make([]float64, n)
-	for v := 0; v < n; v++ {
-		out[v] = prog.Finalize(g, int32(v), st.vals[v])
-	}
-	return out, stats, nil
 }
 
-// computeVertex runs Compute for one vertex and routes the per-edge
-// messages through emit; it returns (messages generated, updated).
-func computeVertex(g *graph.Graph, prog Program, st *state, v int32, msg float64, initial bool, emit func(u int32, m float64)) int64 {
-	newVal, outBasis, send := prog.Compute(g, v, st.vals[v], msg, initial)
-	st.vals[v] = newVal
-	if !send {
-		return 0
+// IncEval implements core.Program.
+func (f *fragment) IncEval(msgs []core.VMsg[float64], ctx *core.Context[float64]) {
+	for _, m := range msgs {
+		f.compute(ctx, m.V, m.Val, false)
 	}
-	ws := g.OutWeights(v)
-	var n int64
-	for i, u := range g.Out(v) {
-		w := 1.0
-		if ws != nil {
-			w = ws[i]
-		}
-		emit(u, prog.Message(g, v, u, w, outBasis))
-		n++
-	}
-	return n
 }
 
-// runSync is the Pregel loop: every superstep processes all vertices with
-// pending messages (or, in the initial superstep, all active vertices),
-// generates per-edge messages, and synchronizes at a global barrier. It
-// mutates st and stops after maxSteps supersteps or quiescence.
-func runSync(g *graph.Graph, prog Program, opts Options, st *state, maxSteps int, initial bool) Stats {
-	n := g.NumVertices()
-	next := make([]float64, n)
-	nextHas := make([]bool, n)
-	var stats Stats
-	var mu sync.Mutex
+// Get implements core.Program.
+func (f *fragment) Get(v int32) float64 { return f.prog.Finalize(f.g, v, f.vals[v-f.lo]) }
 
-	if initial {
-		for v := 0; v < n; v++ {
-			_, active := prog.Init(g, int32(v))
-			st.has[v] = active
-		}
-	}
-	first := initial
-	for step := 0; step < maxSteps; step++ {
-		anyActive := false
-		for v := 0; v < n; v++ {
-			if st.has[v] {
-				anyActive = true
-				break
+// compute runs Compute for owned vertex v and sends one message per
+// out-edge when it notifies. The reported work, one unit per Compute and
+// one per message generated, is what the simulator prices.
+func (f *fragment) compute(ctx *core.Context[float64], v int32, msg float64, initial bool) {
+	val, out, send := f.prog.Compute(f.g, v, f.vals[v-f.lo], msg, initial)
+	f.vals[v-f.lo] = val
+	work := 1
+	if send {
+		nbrs, ws := f.g.Out(v), f.g.OutWeights(v)
+		for i, u := range nbrs {
+			w := 1.0
+			if ws != nil {
+				w = ws[i]
 			}
+			ctx.Send(u, f.prog.Message(f.g, v, u, w, out))
 		}
-		if !anyActive {
-			break
-		}
-		stats.Supersteps++
-		var wg sync.WaitGroup
-		per := (n + opts.Shards - 1) / opts.Shards
-		isInit := first
-		for s := 0; s < opts.Shards; s++ {
-			lo, hi := s*per, (s+1)*per
-			if hi > n {
-				hi = n
-			}
-			if lo >= hi {
-				continue
-			}
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				local := make(map[int32]float64)
-				var localMsgs, localUpdates int64
-				for v := int32(lo); v < int32(hi); v++ {
-					if !st.has[v] {
-						continue
-					}
-					localUpdates++
-					localMsgs += computeVertex(g, prog, st, v, st.msg[v], isInit, func(u int32, m float64) {
-						if old, ok := local[u]; ok {
-							local[u] = prog.Combine(old, m)
-						} else {
-							local[u] = m
-						}
-					})
-				}
-				mu.Lock()
-				for u, m := range local {
-					if nextHas[u] {
-						next[u] = prog.Combine(next[u], m)
-					} else {
-						next[u] = m
-						nextHas[u] = true
-					}
-				}
-				stats.Msgs += localMsgs
-				stats.Updates += localUpdates
-				mu.Unlock()
-			}(lo, hi)
-		}
-		wg.Wait()
-		first = false
-		st.msg, next = next, st.msg
-		st.has, nextHas = nextHas, st.has
-		for v := range next {
-			next[v] = 0
-			nextHas[v] = false
-		}
+		work += len(nbrs)
 	}
-	stats.Bytes = stats.Msgs * msgBytes
-	return stats
-}
-
-// shard is one asynchronous worker: it owns the vertices v with
-// v mod Shards == id and keeps a combined pending message per vertex.
-type shard struct {
-	id      int
-	mu      sync.Mutex
-	pending map[int32]float64
-	notify  chan struct{}
-}
-
-// put delivers a message, combining with any pending one for the same
-// vertex. pendingCount tracks pending map entries (not raw messages), so
-// it is incremented only on insertion; the processing loop decrements it
-// once per entry.
-func (s *shard) put(v int32, m float64, combine func(a, b float64) float64, pendingCount *atomic.Int64) {
-	s.mu.Lock()
-	if old, ok := s.pending[v]; ok {
-		s.pending[v] = combine(old, m)
-	} else {
-		s.pending[v] = m
-		pendingCount.Add(1)
-	}
-	s.mu.Unlock()
-	select {
-	case s.notify <- struct{}{}:
-	default:
-	}
-}
-
-func (s *shard) take() map[int32]float64 {
-	s.mu.Lock()
-	p := s.pending
-	s.pending = make(map[int32]float64)
-	s.mu.Unlock()
-	return p
-}
-
-// runAsync processes vertices shard-parallel with immediate message
-// visibility. When initial is true, every active vertex is computed once
-// in an activation pass before the message loop; otherwise the pending
-// messages carried in st seed the queues. Termination: the run ends when
-// every shard is idle and the global pending count is zero.
-func runAsync(g *graph.Graph, prog Program, opts Options, st *state, initial bool) Stats {
-	shards := make([]*shard, opts.Shards)
-	for i := range shards {
-		shards[i] = &shard{id: i, pending: make(map[int32]float64), notify: make(chan struct{}, 1)}
-	}
-	shardOf := func(v int32) *shard { return shards[int(v)%opts.Shards] }
-	var pendingCount atomic.Int64
-	var msgs, updates atomic.Int64
-
-	if initial {
-		// Activation pass, shard-parallel: each shard computes its own
-		// active vertices once and seeds the queues with real messages.
-		var wg sync.WaitGroup
-		wg.Add(len(shards))
-		for i := range shards {
-			go func(id int) {
-				defer wg.Done()
-				for v := int32(id); v < int32(g.NumVertices()); v += int32(opts.Shards) {
-					if _, active := prog.Init(g, v); !active {
-						continue
-					}
-					updates.Add(1)
-					msgs.Add(computeVertex(g, prog, st, v, 0, true, func(u int32, m float64) {
-						shardOf(u).put(u, m, prog.Combine, &pendingCount)
-					}))
-				}
-			}(i)
-		}
-		wg.Wait()
-	} else {
-		for v := 0; v < g.NumVertices(); v++ {
-			if st.has[v] {
-				shardOf(int32(v)).put(int32(v), st.msg[v], prog.Combine, &pendingCount)
-				st.has[v] = false
-				st.msg[v] = 0
-			}
-		}
-	}
-
-	var idle atomic.Int32
-	done := make(chan struct{})
-	var closeOnce sync.Once
-	var wg sync.WaitGroup
-	wg.Add(len(shards))
-	for _, s := range shards {
-		go func(s *shard) {
-			defer wg.Done()
-			isIdle := false
-			for {
-				batch := s.take()
-				if len(batch) == 0 {
-					if !isIdle {
-						isIdle = true
-						if idle.Add(1) == int32(len(shards)) && pendingCount.Load() == 0 {
-							closeOnce.Do(func() { close(done) })
-						}
-					}
-					select {
-					case <-s.notify:
-						if isIdle {
-							isIdle = false
-							idle.Add(-1)
-						}
-						continue
-					case <-done:
-						return
-					}
-				}
-				for v, m := range batch {
-					pendingCount.Add(-1)
-					updates.Add(1)
-					msgs.Add(computeVertex(g, prog, st, v, m, false, func(u int32, out float64) {
-						shardOf(u).put(u, out, prog.Combine, &pendingCount)
-					}))
-				}
-			}
-		}(s)
-	}
-	wg.Wait()
-	stats := Stats{Msgs: msgs.Load(), Updates: updates.Load()}
-	stats.Bytes = stats.Msgs * msgBytes
-	return stats
+	ctx.AddWork(work)
 }
