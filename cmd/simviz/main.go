@@ -31,10 +31,13 @@ func main() {
 	algo := flag.String("algo", "pagerank", "algorithm: sssp, cc, pagerank")
 	source := flag.Int64("source", 0, "SSSP source vertex id")
 	workers := flag.Int("workers", 8, "number of workers")
-	straggler := flag.Int("straggler", 0, "index of the straggler worker")
-	slow := flag.Float64("slow", 4, "straggler slowdown factor")
+	straggler := flag.Int("straggler", 0, "index of the straggler worker, below -workers; negative for none")
+	slow := flag.Float64("slow", 4, "straggler slowdown factor, positive")
 	width := flag.Int("width", 72, "diagram width in columns")
 	flag.Parse()
+	if *straggler >= *workers {
+		fatal(fmt.Errorf("-straggler %d: no such worker among %d", *straggler, *workers))
+	}
 
 	var ds harness.Dataset
 	if *graphPath != "" {
@@ -71,7 +74,7 @@ func main() {
 	for i := range speed {
 		speed[i] = 1
 	}
-	if *straggler >= 0 && *straggler < *workers {
+	if *straggler >= 0 {
 		speed[*straggler] = *slow
 	}
 	for _, m := range []core.Mode{core.AAP, core.BSP, core.AP, core.SSP} {

@@ -205,12 +205,12 @@ func (c *aapController) Delay(v View) float64 {
 	return ds
 }
 
-// NextRoundTimeEWMA updates the predicted round time t_i. The estimate
+// nextRoundTimeEWMA updates the predicted round time t_i. The estimate
 // is asymmetric: it tracks decreases quickly (bounded-incremental
 // IncEval rounds get cheap right after an expensive PEval, and a stale
 // high estimate would make the AAP controller over-wait) but rises
 // conservatively.
-func NextRoundTimeEWMA(prev, dur float64) float64 {
+func nextRoundTimeEWMA(prev, dur float64) float64 {
 	if prev == 0 {
 		return dur
 	}
@@ -258,11 +258,8 @@ func (h *hsyncState) observe(rmax int32) {
 type hsyncController struct{ state *hsyncState }
 
 func (c hsyncController) Delay(v View) float64 {
-	if c.state.bspPhase.Load() {
-		if v.Round > v.RMin {
-			return Forever
-		}
-		return 0
+	if c.state.bspPhase.Load() && v.Round > v.RMin {
+		return Forever
 	}
 	return 0
 }

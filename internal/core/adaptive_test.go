@@ -105,16 +105,16 @@ func TestAAPControllerNoEstimates(t *testing.T) {
 }
 
 func TestNextRoundTimeEWMA(t *testing.T) {
-	if got := NextRoundTimeEWMA(0, 5); got != 5 {
+	if got := nextRoundTimeEWMA(0, 5); got != 5 {
 		t.Errorf("first sample = %v", got)
 	}
 	// Decreases track fast.
-	down := NextRoundTimeEWMA(4, 1)
+	down := nextRoundTimeEWMA(4, 1)
 	if down >= 2.5 {
 		t.Errorf("decay too slow: %v", down)
 	}
 	// Increases are conservative.
-	up := NextRoundTimeEWMA(1, 4)
+	up := nextRoundTimeEWMA(1, 4)
 	if up != 2.5 {
 		t.Errorf("rise = %v, want 2.5", up)
 	}
@@ -123,7 +123,7 @@ func TestNextRoundTimeEWMA(t *testing.T) {
 func TestNextRoundTimeEWMAMonotoneProperty(t *testing.T) {
 	f := func(prev, dur float64) bool {
 		prev, dur = math.Abs(prev), math.Abs(dur)
-		got := NextRoundTimeEWMA(prev, dur)
+		got := nextRoundTimeEWMA(prev, dur)
 		lo, hi := math.Min(prev, dur), math.Max(prev, dur)
 		if prev == 0 {
 			return got == dur
@@ -149,17 +149,18 @@ func TestModeStrings(t *testing.T) {
 	}
 }
 
-func TestControllerSetModes(t *testing.T) {
+func TestControllersAllModes(t *testing.T) {
 	for _, mode := range []Mode{AAP, BSP, AP, SSP, Hsync} {
-		set := NewControllerSet(Options{Mode: mode, Staleness: 2}, 4)
-		for i := 0; i < 4; i++ {
-			if set.Controller(i) == nil {
+		e := newEngine(NewSession(buildPartition(t, 4)), quietJob(), Options{Mode: mode, Staleness: 2})
+		for _, w := range e.workers {
+			if w.ctrl == nil {
 				t.Fatalf("%s: nil controller", mode)
 			}
 		}
-		// Observe hooks must be safe for every mode.
-		set.ObserveConsumed(10)
-		set.ObserveRound(5)
+		// Only Hsync carries the shared phase its observe hooks feed.
+		if (e.hsync != nil) != (mode == Hsync) {
+			t.Fatalf("%s: hsync state %v", mode, e.hsync)
+		}
 	}
 }
 

@@ -53,7 +53,7 @@ type Options struct {
 	// Transport selects the message plane (in-proc channels, TCP, remote
 	// Program hosts); nil is the in-proc fast path.
 	Transport *TransportOptions
-	// RoundHook, when set, is called at the top of every execRound with
+	// RoundHook, when set, is called at the top of every round's compute with
 	// the worker id and the round about to run — a test seam for timing
 	// external events (e.g. kill -9 of a remote host process at a chosen
 	// round). It runs on the worker goroutine and must not block.
@@ -121,7 +121,7 @@ func run[T any](s *Session, job Job[T], opts Options, rs *resumeState[T]) (*Resu
 		return nil, err
 	}
 
-	start := time.Now()
+	e.clock = wallClock{time.Now()}
 	var wg sync.WaitGroup
 	wg.Add(2 * e.p.M)
 	for _, w := range e.workers {
@@ -160,17 +160,13 @@ func run[T any](s *Session, job Job[T], opts Options, rs *resumeState[T]) (*Resu
 		return nil, err
 	}
 
-	stats := e.report(time.Since(start).Seconds())
+	stats := e.report(e.clock.Now())
 	e.recov.report(&stats)
 	e.tee.report(&stats)
 	rs.report(&stats)
 	e.wire.report(&stats)
 
-	progs := make([]Program[T], e.p.M)
-	for i, w := range e.workers {
-		progs[i] = w.prog
-	}
-	res := &Result[T]{Values: Assemble(e.p, progs), Stats: stats}
+	res := &Result[T]{Values: e.values(), Stats: stats}
 	if deadlined {
 		return res, fmt.Errorf("core: %s/%s exceeded deadline %v: %w", job.Name, opts.Mode, opts.Deadline, context.DeadlineExceeded)
 	}
@@ -185,9 +181,10 @@ type engine[T any] struct {
 	job     Job[T]
 	opts    Options
 	workers []*worker[T]
-	ctrls   *ControllerSet // the δ of every worker (and Hsync's shared phase)
-	slots   chan struct{}  // physical-worker pool
+	hsync   *hsyncState   // Hsync's shared phase; nil under every other mode
+	slots   chan struct{} // physical-worker pool
 	coord   coordinator
+	clock   clock         // the worker loop's one time source: wall (run) or virtual (Simulate)
 	pool    *msgPool[T]   // the Session's: recycles message slices between senders and receivers
 	done    chan struct{} // closed when the run ends (success or failure)
 
@@ -226,12 +223,14 @@ func newEngine[T any](s *Session, job Job[T], opts Options) *engine[T] {
 		p:          p,
 		job:        job,
 		opts:       opts,
-		ctrls:      NewControllerSet(opts, p.M),
 		pool:       sessionPool[T](s),
 		slots:      make(chan struct{}, opts.PhysicalWorkers),
 		done:       make(chan struct{}),
 		rates:      make([]uint64, p.M),
 		roundTimes: make([]uint64, p.M),
+	}
+	if opts.Mode == Hsync {
+		e.hsync = &hsyncState{}
 	}
 	e.coord.init(p.M, e)
 	in := &inproc[T]{e}
@@ -244,10 +243,11 @@ func newEngine[T any](s *Session, job Job[T], opts Options) *engine[T] {
 			frag:       f,
 			prog:       job.New(f),
 			ctx:        newContext[T](f, p.M, e.pool),
-			ctrl:       e.ctrls.Controller(i),
+			ctrl:       newController(opts, e.hsync),
 			folder:     NewFolder[T](f),
 			originSeen: make([]int32, p.M),
 			originGen:  1,
+			isActive:   true,
 		}
 		w.inbox.notify = make(chan struct{}, 1)
 		w.progress = make(chan struct{}, 1)
@@ -271,9 +271,18 @@ func (e *engine[T]) report(seconds float64) RunStats {
 			stats.ScannedEdges += sc.ScannedEdges()
 		}
 	}
-	stats.Finalize()
+	stats.finalize()
 	stats.ArenaBytes = arenaBytes(e.p, &e.job)
 	return stats
+}
+
+// values assembles the answer from the workers' Programs.
+func (e *engine[T]) values() []T {
+	progs := make([]Program[T], e.p.M)
+	for i, w := range e.workers {
+		progs[i] = w.prog
+	}
+	return Assemble(e.p, progs)
 }
 
 func (e *engine[T]) closeDone() {
@@ -295,20 +304,13 @@ func (e *engine[T]) err() error {
 	return e.runErr
 }
 
-func (e *engine[T]) avgRate() float64 {
+// mean averages per-worker estimates published as float bits.
+func mean(bits []uint64) float64 {
 	var sum float64
-	for i := range e.rates {
-		sum += math.Float64frombits(atomic.LoadUint64(&e.rates[i]))
+	for i := range bits {
+		sum += math.Float64frombits(atomic.LoadUint64(&bits[i]))
 	}
-	return sum / float64(len(e.rates))
-}
-
-func (e *engine[T]) avgRoundTime() float64 {
-	var sum float64
-	for i := range e.roundTimes {
-		sum += math.Float64frombits(atomic.LoadUint64(&e.roundTimes[i]))
-	}
-	return sum / float64(len(e.roundTimes))
+	return sum / float64(len(bits))
 }
 
 // batch is one designated message M(i, j): the update-parameter changes
@@ -497,11 +499,29 @@ func (e *engine[T]) lost(from int, n int64, epoch int32) {
 	}
 }
 
+// clock is the time the worker loop lives in, as seconds since the
+// workers started. Every estimate the controllers see (s_i, t_i, T_idle)
+// and every second RunStats reports is read off it, so the one loop runs
+// unchanged on the wall clock and on an event loop's virtual time.
+type clock interface {
+	Now() float64
+	// After runs f once d seconds have passed.
+	After(d float64, f func())
+}
+
+// wallClock is the clock of the goroutine driver.
+type wallClock struct{ start time.Time }
+
+func (c wallClock) Now() float64 { return time.Since(c.start).Seconds() }
+func (c wallClock) After(d float64, f func()) {
+	time.AfterFunc(time.Duration(d*float64(time.Second)), f)
+}
+
 // after runs deliver once the run's Latency plus extra has passed, at
 // once when that is zero.
 func (e *engine[T]) after(extra time.Duration, deliver func()) {
 	if d := e.opts.Latency + extra; d > 0 {
-		time.AfterFunc(d, deliver)
+		e.clock.After(d.Seconds(), deliver)
 	} else {
 		deliver()
 	}
@@ -516,62 +536,67 @@ type flushOut[T any] struct {
 
 // flusher is the per-worker delivery goroutine: it prices and ships the
 // batches of a finished round while the worker computes the next one.
-// Delivery faults (drop/duplicate/delay) are injected here, at the
-// boundary between handoff and inbox — the engine's stand-in for the
-// network. Only the flusher touches stats.BytesSent; Run joins the
-// flushers before reading stats.
+// Only the flusher touches stats.BytesSent; Run joins the flushers before
+// reading stats.
 func (w *worker[T]) flusher() {
-	e := w.eng
 	for {
 		select {
 		case fo := <-w.flushCh:
-			out := fo.out
-			var bytes int64
-			for j, msgs := range out {
-				if len(msgs) == 0 {
-					continue
-				}
-				var fdelay time.Duration
-				if e.inj != nil {
-					drop, dup, d := e.inj.delivery(w.id)
-					fdelay = d
-					if drop {
-						e.lost(w.id, int64(len(msgs)), fo.epoch)
-						e.pool.put(msgs)
-						continue
-					}
-					if dup {
-						// Receivers recycle drained slices, so the
-						// duplicate needs its own copy; it is accounted
-						// exactly like a real batch.
-						cp := append([]VMsg[T](nil), msgs...)
-						e.undelivered.Add(1)
-						e.clink.addSent(w.id, int64(len(cp)))
-						if e.ckpt != nil {
-							e.clink.batchSent(w.id, fo.epoch)
-						}
-						e.plane.deliver(w.id, j, fo.epoch, cp, fdelay)
-					}
-				}
-				for _, m := range msgs {
-					bytes += int64(e.job.valueBytes(m.Val))
-				}
-				var extra time.Duration
-				if e.opts.Jitter > 0 {
-					extra = time.Duration(w.frng.Int63n(int64(e.opts.Jitter)))
-				}
-				e.plane.deliver(w.id, j, fo.epoch, msgs, extra+fdelay)
-			}
-			w.stats.BytesSent += bytes
-			clear(out)
+			w.flush(fo)
 			select {
-			case w.spareCh <- out:
+			case w.spareCh <- fo.out:
 			default:
 			}
 		case <-w.eng.done:
 			return
 		}
 	}
+}
+
+// flush prices and delivers one round's batches and clears the outer
+// array for reuse. Delivery faults (drop/duplicate/delay) are injected
+// here, at the boundary between handoff and inbox — the engine's stand-in
+// for the network.
+func (w *worker[T]) flush(fo flushOut[T]) {
+	e := w.eng
+	var bytes int64
+	for j, msgs := range fo.out {
+		if len(msgs) == 0 {
+			continue
+		}
+		var fdelay time.Duration
+		if e.inj != nil {
+			drop, dup, d := e.inj.delivery(w.id)
+			fdelay = d
+			if drop {
+				e.lost(w.id, int64(len(msgs)), fo.epoch)
+				e.pool.put(msgs)
+				continue
+			}
+			if dup {
+				// Receivers recycle drained slices, so the
+				// duplicate needs its own copy; it is accounted
+				// exactly like a real batch.
+				cp := append([]VMsg[T](nil), msgs...)
+				e.undelivered.Add(1)
+				e.clink.addSent(w.id, int64(len(cp)))
+				if e.ckpt != nil {
+					e.clink.batchSent(w.id, fo.epoch)
+				}
+				e.plane.deliver(w.id, j, fo.epoch, cp, fdelay)
+			}
+		}
+		for _, m := range msgs {
+			bytes += int64(e.job.valueBytes(m.Val))
+		}
+		var extra time.Duration
+		if e.opts.Jitter > 0 {
+			extra = time.Duration(w.frng.Int63n(int64(e.opts.Jitter)))
+		}
+		e.plane.deliver(w.id, j, fo.epoch, msgs, extra+fdelay)
+	}
+	w.stats.BytesSent += bytes
+	clear(fo.out)
 }
 
 // worker is one virtual worker P_i.
@@ -621,8 +646,8 @@ type worker[T any] struct {
 	rounds        int32
 	roundTimeEWMA float64
 	rateEWMA      float64
-	lastDrain     time.Time
-	lastRoundEnd  time.Time
+	lastDrain     float64 // clock readings
+	lastRoundEnd  float64
 	isActive      bool
 }
 
@@ -646,8 +671,6 @@ func (w *worker[T]) run() {
 			e.fail(fmt.Errorf("core: %s/%s worker %d panicked at round %d: %v", e.job.Name, e.opts.Mode, w.id, w.rounds, p))
 		}
 	}()
-	w.isActive = true
-	w.lastDrain = time.Now()
 	for {
 		select {
 		case <-w.eng.done:
@@ -662,13 +685,11 @@ func (w *worker[T]) run() {
 			return
 		}
 		if !w.pevalDone {
-			w.pevalDone = true
-			w.execRound(true)
+			w.execRound()
 			continue
 		}
-		w.drain()
-		if len(w.buffer) == 0 {
-			w.setActive(false)
+		d, buffered := w.decide()
+		if !buffered {
 			// Double-check the inbox after flagging inactive; a message
 			// may have landed in between (its notify token persists, so
 			// the wait below returns immediately in that case).
@@ -700,7 +721,6 @@ func (w *worker[T]) run() {
 			w.setActive(true)
 			continue
 		}
-		d := w.ctrl.Delay(w.view())
 		if math.IsInf(d, 1) {
 			if r := w.wait(Forever); r == wakeDone {
 				return
@@ -716,8 +736,24 @@ func (w *worker[T]) run() {
 				continue // new information: re-evaluate the stretch
 			}
 		}
-		w.execRound(false)
+		w.execRound()
 	}
+}
+
+// decide is the worker's scheduling decision at this instant, the part of
+// Section 3's loop both drivers share; it never blocks. It drains the
+// inbox into B_x̄i; a worker with nothing buffered flags itself inactive
+// (buffered false) until a message arrives. Otherwise δ sets how long to
+// hold the next round: at most 0 runs it now, Forever suspends the worker
+// until relative progress changes, anything between holds it that long
+// unless news (a message, progress) asks for a fresh decision first.
+func (w *worker[T]) decide() (d float64, buffered bool) {
+	w.drain()
+	if len(w.buffer) == 0 {
+		w.setActive(false)
+		return Forever, false
+	}
+	return w.ctrl.Delay(w.view()), true
 }
 
 func (w *worker[T]) setActive(active bool) {
@@ -750,8 +786,8 @@ func (w *worker[T]) wait(d float64) wakeReason {
 		}
 		timerC = w.timer.C
 	}
-	t0 := time.Now()
-	defer func() { w.stats.IdleSeconds += time.Since(t0).Seconds() }()
+	t0 := w.eng.clock.Now()
+	defer func() { w.stats.IdleSeconds += w.eng.clock.Now() - t0 }()
 	select {
 	case <-w.inbox.notify:
 		return wakeMsg
@@ -807,9 +843,11 @@ func (w *worker[T]) drain() {
 	w.inbox.release(bs)
 	w.stats.MsgsRecv += int64(n)
 	w.eng.clink.addConsumed(w.id, int64(n))
-	w.eng.ctrls.ObserveConsumed(int64(n))
-	now := time.Now()
-	dt := now.Sub(w.lastDrain).Seconds()
+	if hs := w.eng.hsync; hs != nil {
+		hs.processed.Add(int64(n))
+	}
+	now := w.eng.clock.Now()
+	dt := now - w.lastDrain
 	w.lastDrain = now
 	if dt > 0 {
 		inst := float64(n) / dt
@@ -829,10 +867,10 @@ func (w *worker[T]) view() View {
 		Eta:          w.originCnt,
 		Buffered:     len(w.buffer),
 		RoundTime:    w.roundTimeEWMA,
-		AvgRoundTime: w.eng.avgRoundTime(),
+		AvgRoundTime: mean(w.eng.roundTimes),
 		Rate:         w.rateEWMA,
-		AvgRate:      w.eng.avgRate(),
-		IdleTime:     time.Since(w.lastRoundEnd).Seconds(),
+		AvgRate:      mean(w.eng.rates),
+		IdleTime:     w.eng.clock.Now() - w.lastRoundEnd,
 	}
 }
 
@@ -849,18 +887,11 @@ func (w *worker[T]) clearBuffer() {
 	w.originCnt = 0
 }
 
-// execRound runs PEval (peval=true) or one IncEval round: it acquires a
-// physical-worker slot, folds the buffer with f_aggr, evaluates, and
-// flushes the designated messages.
-func (w *worker[T]) execRound(peval bool) {
+// execRound is a round under the goroutine driver: compute inside a
+// physical-worker slot and timed on the wall clock, then finish, whose
+// handoff the flusher goroutine picks up.
+func (w *worker[T]) execRound() {
 	e := w.eng
-	if e.opts.RoundHook != nil {
-		e.opts.RoundHook(w.id, w.rounds)
-	}
-	if w.rounds >= e.opts.MaxRounds {
-		e.fail(fmt.Errorf("core: %s/%s worker %d exceeded %d rounds", e.job.Name, e.opts.Mode, w.id, e.opts.MaxRounds))
-		return
-	}
 	select {
 	case e.slots <- struct{}{}:
 	case <-e.done:
@@ -874,31 +905,59 @@ func (w *worker[T]) execRound(peval bool) {
 		w.ctx.ReleaseOut(sp)
 	default:
 	}
-	t0 := time.Now()
+	t0 := e.clock.Now()
+	out, _, ok := w.compute()
+	dur := e.clock.Now() - t0
+	<-e.slots
+	if ok {
+		w.finish(out, dur)
+	}
+}
+
+// compute is the first half of a round: PEval, or IncEval over the buffer
+// folded with f_aggr. It returns the round's designated messages and the
+// work it reported; ok is false when it failed the run instead.
+func (w *worker[T]) compute() (out [][]VMsg[T], work int64, ok bool) {
+	e := w.eng
+	if e.opts.RoundHook != nil {
+		e.opts.RoundHook(w.id, w.rounds)
+	}
+	if w.rounds >= e.opts.MaxRounds {
+		e.fail(fmt.Errorf("core: %s/%s worker %d exceeded %d rounds", e.job.Name, e.opts.Mode, w.id, e.opts.MaxRounds))
+		return nil, 0, false
+	}
 	w.ctx.round = w.rounds
-	if peval {
+	if !w.pevalDone {
+		w.pevalDone = true
 		w.prog.PEval(w.ctx)
 	} else {
 		msgs, err := w.folder.Fold(w.buffer, e.job.Aggregate)
 		if err != nil {
-			<-e.slots
 			e.fail(fmt.Errorf("core: %s worker %d round %d: %w", e.job.Name, w.id, w.rounds, err))
-			return
+			return nil, 0, false
 		}
 		w.clearBuffer()
 		w.prog.IncEval(msgs, w.ctx)
 	}
-	dur := time.Since(t0).Seconds()
-	<-e.slots
-
-	w.stats.BusySeconds += dur
-	w.roundTimeEWMA = NextRoundTimeEWMA(w.roundTimeEWMA, dur)
-	atomic.StoreUint64(&e.roundTimes[w.id], math.Float64bits(w.roundTimeEWMA))
-	out, work := w.ctx.takeOut()
+	out, work = w.ctx.TakeOut()
 	w.stats.Work += work
-	var total int64
+	return out, work, true
+}
+
+// finish is the second half of a round, once dur seconds of compute are
+// behind it: it updates the round-time estimate t_i, hands the round's
+// messages to the flusher and reports the round to the coordinator.
+func (w *worker[T]) finish(out [][]VMsg[T], dur float64) {
+	e := w.eng
+	w.stats.BusySeconds += dur
+	w.roundTimeEWMA = nextRoundTimeEWMA(w.roundTimeEWMA, dur)
+	atomic.StoreUint64(&e.roundTimes[w.id], math.Float64bits(w.roundTimeEWMA))
+	var total, nd int64 // messages, non-empty destination batches
 	for _, msgs := range out {
-		total += int64(len(msgs))
+		if len(msgs) > 0 {
+			total += int64(len(msgs))
+			nd++
+		}
 	}
 	if total == 0 {
 		w.ctx.ReleaseOut(out)
@@ -914,12 +973,6 @@ func (w *worker[T]) execRound(peval bool) {
 		// its inbox.put so recovery can wait out the delivery limbo.
 		w.stats.MsgsSent += total
 		e.clink.addSent(w.id, total)
-		nd := int64(0)
-		for _, msgs := range out {
-			if len(msgs) > 0 {
-				nd++
-			}
-		}
 		e.undelivered.Add(nd)
 		if e.ckpt != nil {
 			for i := int64(0); i < nd; i++ {
@@ -937,7 +990,7 @@ func (w *worker[T]) execRound(peval bool) {
 	}
 	w.rounds = e.clink.roundDone(w.id)
 	w.stats.Rounds = w.rounds
-	w.lastRoundEnd = time.Now()
+	w.lastRoundEnd = e.clock.Now()
 	if e.ckpt != nil {
 		if ev := e.opts.Checkpoint.EveryRounds; ev > 0 && w.rounds%ev == 0 {
 			// Any worker may play master and announce the next epoch;
@@ -950,8 +1003,8 @@ func (w *worker[T]) execRound(peval bool) {
 			}
 		}
 	}
-	if e.opts.Mode == Hsync { // the view is a round trip on the wire plane
+	if e.hsync != nil { // the view is a round trip on the wire plane
 		_, rmax := e.clink.view(w.id)
-		e.ctrls.ObserveRound(rmax)
+		e.hsync.observe(rmax)
 	}
 }

@@ -173,9 +173,13 @@ type Context[T any] struct {
 
 	// computing is the engine's physical-worker pool: its length is the
 	// number of workers inside a round right now, this one included.
-	// Nil for contexts no engine pool admits (simulator, remote hosts).
+	// Nil for contexts no engine pool admits (remote hosts).
 	computing <-chan struct{}
-	// serial pins Shards at 1 (SetSerial).
+	// serial makes Shards answer 1 whatever the work. Simulate sets it:
+	// virtual time prices the work a kernel reports, and the work of a
+	// label-correcting sweep run on several shards depends on how they
+	// interleave, so only unsharded kernels give repeatable virtual times.
+	// A shard count a job config forces never asks Shards and still applies.
 	serial bool
 
 	pool *msgPool[T]
@@ -244,29 +248,12 @@ func (c *Context[T]) Shards(work int64) int {
 	return par.KernelShare(work, len(c.computing))
 }
 
-// NewEngineContext, SetRound, TakeOut and ReleaseOut expose the context
-// plumbing to engines outside this package (the virtual-time simulator);
-// they are not part of the programming API.
+// NewEngineContext, TakeOut and ReleaseOut expose the context plumbing
+// to code that drives a kernel without an engine (the kernel tests and
+// benchmarks); they are not part of the programming API.
 func NewEngineContext[T any](f *partition.Fragment, m int) *Context[T] {
 	return newContext[T](f, m, &msgPool[T]{})
 }
-
-// SetSerial makes Shards answer 1 whatever the work. The simulator sets
-// it: virtual time prices the work a kernel reports, and the work of a
-// label-correcting sweep run on several shards depends on how they
-// interleave, so only unsharded kernels give repeatable virtual times.
-// A shard count a job config forces never asks Shards and still applies.
-func (c *Context[T]) SetSerial() { c.serial = true }
-
-// SetRound sets the round number recorded in outgoing messages.
-func (c *Context[T]) SetRound(r int32) { c.round = r }
-
-// TakeOut returns and clears the per-destination message lists and the
-// accumulated work of the finished round.
-func (c *Context[T]) TakeOut() ([][]VMsg[T], int64) { return c.takeOut() }
-
-// ValueBytes returns the accounted wire size of one message carrying val.
-func (j *Job[T]) ValueBytes(val T) int { return j.valueBytes(val) }
 
 // ReleaseOut hands an outer array obtained from TakeOut back for reuse
 // by the next round. The caller must be done reading the array itself
@@ -276,9 +263,9 @@ func (c *Context[T]) ReleaseOut(out [][]VMsg[T]) {
 	c.spare = out
 }
 
-// takeOut returns and clears the per-destination message lists and the
+// TakeOut returns and clears the per-destination message lists and the
 // accumulated work of the finished round.
-func (c *Context[T]) takeOut() ([][]VMsg[T], int64) {
+func (c *Context[T]) TakeOut() ([][]VMsg[T], int64) {
 	out := c.out
 	if c.spare != nil {
 		c.out = c.spare
@@ -298,7 +285,7 @@ func (c *Context[T]) takeOut() ([][]VMsg[T], int64) {
 //
 // FoldMessages is the map-based reference fold: it handles messages for
 // any vertex, at the cost of a map plus an output allocation per call.
-// The engines fold with a Folder, which the differential tests verify
+// The engine folds with a Folder, which the differential tests verify
 // bit-identical against it.
 func FoldMessages[T any](buf []VMsg[T], agg func(a, b T) T) []VMsg[T] {
 	if len(buf) == 0 {

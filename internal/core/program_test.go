@@ -29,7 +29,7 @@ func TestContextSendRoutesToOwner(t *testing.T) {
 	ctx.round = 3
 	v := f.Out[0]
 	ctx.Send(v, 1.5)
-	out, _ := ctx.takeOut()
+	out, _ := ctx.TakeOut()
 	owner := p.Owner(v)
 	for j, msgs := range out {
 		if j == owner {
@@ -40,11 +40,11 @@ func TestContextSendRoutesToOwner(t *testing.T) {
 			t.Fatalf("message leaked to worker %d", j)
 		}
 	}
-	// takeOut clears.
-	out2, _ := ctx.takeOut()
+	// TakeOut clears.
+	out2, _ := ctx.TakeOut()
 	for _, msgs := range out2 {
 		if len(msgs) != 0 {
-			t.Fatal("takeOut did not clear")
+			t.Fatal("TakeOut did not clear")
 		}
 	}
 }
@@ -70,7 +70,7 @@ func TestContextSendToHolders(t *testing.T) {
 	}
 	ctx := newContext[float64](frag, p.M, &msgPool[float64]{})
 	ctx.SendToHolders(v, 2.5)
-	out, _ := ctx.takeOut()
+	out, _ := ctx.TakeOut()
 	want := map[int32]bool{}
 	for _, h := range p.Holders(v) {
 		if int(h) != frag.ID {
@@ -100,7 +100,7 @@ func TestContextSendAndWork(t *testing.T) {
 	ctx.Send(v, 9)
 	ctx.AddWork(7)
 	ctx.AddWork(3)
-	out, work := ctx.takeOut()
+	out, work := ctx.TakeOut()
 	if work != 10 {
 		t.Errorf("work = %d", work)
 	}
@@ -153,11 +153,11 @@ func TestFoldMessagesProperties(t *testing.T) {
 
 func TestJobValueBytes(t *testing.T) {
 	j := Job[float64]{}
-	if got := j.ValueBytes(1); got != 16 {
+	if got := j.valueBytes(1); got != 16 {
 		t.Errorf("default wire size = %d, want 16 (8B header + 8B value)", got)
 	}
 	j.Bytes = func(float64) int { return 100 }
-	if got := j.ValueBytes(1); got != 108 {
+	if got := j.valueBytes(1); got != 108 {
 		t.Errorf("custom wire size = %d, want 108", got)
 	}
 }
@@ -167,7 +167,7 @@ func TestRunStatsFinalize(t *testing.T) {
 		{Rounds: 3, MsgsSent: 10, BytesSent: 100, Work: 7, BusySeconds: 1, IdleSeconds: 2},
 		{Rounds: 5, MsgsSent: 20, BytesSent: 200, Work: 3, BusySeconds: 4, IdleSeconds: 1},
 	}}
-	s.Finalize()
+	s.finalize()
 	if s.TotalMsgs != 30 || s.TotalBytes != 300 || s.TotalWork != 10 {
 		t.Errorf("totals wrong: %+v", s)
 	}
@@ -178,7 +178,7 @@ func TestRunStatsFinalize(t *testing.T) {
 		t.Errorf("times wrong: %+v", s)
 	}
 	var empty RunStats
-	empty.Finalize()
+	empty.finalize()
 	if empty.MinRound != 0 {
 		t.Errorf("empty MinRound = %d", empty.MinRound)
 	}

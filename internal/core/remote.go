@@ -281,7 +281,7 @@ func ServeWorker[T any](p *partition.Partitioned, job Job[T], workerID int, pare
 // eval ops — [work int64][ndest uint32] then per destination [dest
 // int32] and one batch (wire.go) — and recycles the buffers.
 func appendEvalReply[T any](resp []byte, ctx *Context[T], job *Job[T], pool *msgPool[T]) []byte {
-	out, work := ctx.takeOut()
+	out, work := ctx.TakeOut()
 	resp = codec.AppendInt64(resp, work)
 	nd := 0
 	for _, msgs := range out {

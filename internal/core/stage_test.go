@@ -46,13 +46,13 @@ func TestStagedSendsMatchSequential(t *testing.T) {
 			k := 1 + rng.Intn(8)
 			msgs := randomFoldBuffer(frag, rng, n)
 			round := int32(rng.Intn(5))
-			seqCtx.SetRound(round)
-			stgCtx.SetRound(round)
+			seqCtx.round = round
+			stgCtx.round = round
 
 			for _, m := range msgs {
 				seqCtx.Send(m.V, m.Val)
 			}
-			wantOut, _ := seqCtx.takeOut()
+			wantOut, _ := seqCtx.TakeOut()
 
 			bounds := stagePlan(rng, n, k)
 			stages := stgCtx.Stages(k)
@@ -69,7 +69,7 @@ func TestStagedSendsMatchSequential(t *testing.T) {
 				<-done
 			}
 			stgCtx.MergeStages()
-			gotOut, _ := stgCtx.takeOut()
+			gotOut, _ := stgCtx.TakeOut()
 
 			for j := range wantOut {
 				want := mustFold(t, folders[j], wantOut[j], agg)
@@ -112,7 +112,7 @@ func TestStagedSendVariants(t *testing.T) {
 	remote := p.Frags[2].Lo // owned by fragment 2
 	seqCtx.Send(remote, 7)
 	seqCtx.AddWork(5)
-	wantOut, wantWork := seqCtx.takeOut()
+	wantOut, wantWork := seqCtx.TakeOut()
 
 	st := stgCtx.Stages(2)
 	st[1].Send(remote, 7)
@@ -122,7 +122,7 @@ func TestStagedSendVariants(t *testing.T) {
 	st[0].AddWork(2)
 	st[1].AddWork(3)
 	stgCtx.MergeStages()
-	gotOut, gotWork := stgCtx.takeOut()
+	gotOut, gotWork := stgCtx.TakeOut()
 
 	if gotWork != wantWork {
 		t.Fatalf("staged work %d, sequential %d", gotWork, wantWork)

@@ -12,7 +12,7 @@ type WorkerStats struct {
 }
 
 // RunStats summarizes one engine run. Times are wall-clock seconds for
-// the concurrent engine and virtual seconds for the simulator.
+// a real run and virtual seconds for a simulated one (Simulate).
 type RunStats struct {
 	Job     string
 	Mode    string
@@ -81,10 +81,8 @@ type RunStats struct {
 	HeartbeatTimeouts int64 // links that entered suspicion at least once
 }
 
-// Finalize derives the aggregate fields from the per-worker entries;
-// exported for engines outside this package (the simulator) that fill
-// Workers directly.
-func (s *RunStats) Finalize() {
+// finalize derives the aggregate fields from the per-worker entries.
+func (s *RunStats) finalize() {
 	s.MinRound = 1 << 30
 	for _, w := range s.Workers {
 		s.TotalMsgs += w.MsgsSent

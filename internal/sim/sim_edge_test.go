@@ -3,6 +3,7 @@ package sim_test
 import (
 	"math"
 	"sort"
+	"strings"
 	"testing"
 
 	"aap/internal/algo/pagerank"
@@ -19,6 +20,24 @@ func TestSimMaxRoundsAborts(t *testing.T) {
 	_, err := sim.Run(p, pagerank.Job(pagerank.Config{Tol: 1e-12}), sim.Config{Mode: core.AP, MaxRounds: 2})
 	if err == nil {
 		t.Fatal("expected max-rounds error")
+	}
+}
+
+// TestSimBadSpeedFailsClosed: a Speed that does not give every worker a
+// positive finite factor is refused by name, not run as "speed 1".
+func TestSimBadSpeedFailsClosed(t *testing.T) {
+	p := mustPartition(t, gen.Grid(10, 10, 3), 4, partition.Hash{})
+	for want, speed := range map[string][]float64{
+		"3 factors for 4 workers": {1, 1, 2},
+		"Speed[1] = 0":            {1, 0, 1, 1},
+		"Speed[3] = -2":           {1, 1, 1, -2},
+		"Speed[0] = NaN":          {math.NaN(), 1, 1, 1},
+		"Speed[2] = +Inf":         {1, 1, math.Inf(1), 1},
+	} {
+		_, err := sim.Run(p, sssp.Job(0), sim.Config{Mode: core.AAP, Speed: speed})
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Speed %v: error %v, want one naming %q", speed, err, want)
+		}
 	}
 }
 

@@ -48,26 +48,45 @@ func TestSimSSSPCorrectAllModes(t *testing.T) {
 	}
 }
 
+// TestSimDeterministic: two runs of one configuration agree in everything
+// the harness tables print, under every mode and for a min-fold and a
+// sum-fold job — the loop underneath is the engine's, atomics, message
+// pool and all, and none of that may leak a schedule into virtual time.
 func TestSimDeterministic(t *testing.T) {
 	g := gen.PowerLaw(300, 5, 2.1, true, 13)
 	p := mustPartition(t, g, 5, partition.Hash{})
-	cfg := sim.Config{Mode: core.AAP, Trace: true, Speed: []float64{1, 1, 3, 1, 1}}
-	r1, err := sim.Run(p, sssp.Job(0), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := sim.Run(p, sssp.Job(0), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.Stats.Seconds != r2.Stats.Seconds {
-		t.Fatalf("nondeterministic makespan: %v vs %v", r1.Stats.Seconds, r2.Stats.Seconds)
-	}
-	if !reflect.DeepEqual(sim.SortedCopy(r1.Trace), sim.SortedCopy(r2.Trace)) {
-		t.Fatal("nondeterministic trace")
-	}
-	if !reflect.DeepEqual(r1.Values, r2.Values) {
-		t.Fatal("nondeterministic values")
+	for _, mode := range []core.Mode{core.AAP, core.BSP, core.AP, core.SSP, core.Hsync} {
+		cfg := sim.Config{Mode: mode, Staleness: 2, Trace: true, Speed: []float64{1, 1, 3, 1, 1}}
+		for name, job := range map[string]core.Job[float64]{
+			"sssp":     sssp.Job(0),
+			"pagerank": pagerank.Job(pagerank.Config{Tol: 1e-6}),
+		} {
+			r1, err := sim.Run(p, job, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r2, err := sim.Run(p, job, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r1.Stats.Seconds != r2.Stats.Seconds {
+				t.Errorf("%s/%s: nondeterministic makespan: %v vs %v", name, mode, r1.Stats.Seconds, r2.Stats.Seconds)
+			}
+			if r1.Stats.TotalMsgs != r2.Stats.TotalMsgs {
+				t.Errorf("%s/%s: nondeterministic message count: %d vs %d", name, mode, r1.Stats.TotalMsgs, r2.Stats.TotalMsgs)
+			}
+			for i := range r1.Stats.Workers {
+				if a, b := r1.Stats.Workers[i].Rounds, r2.Stats.Workers[i].Rounds; a != b {
+					t.Errorf("%s/%s: worker %d ran %d rounds, then %d", name, mode, i, a, b)
+				}
+			}
+			if !reflect.DeepEqual(sim.SortedCopy(r1.Trace), sim.SortedCopy(r2.Trace)) {
+				t.Errorf("%s/%s: nondeterministic trace", name, mode)
+			}
+			if !reflect.DeepEqual(r1.Values, r2.Values) {
+				t.Errorf("%s/%s: nondeterministic values", name, mode)
+			}
+		}
 	}
 }
 
