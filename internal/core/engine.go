@@ -191,10 +191,8 @@ type engine[T any] struct {
 	rates      []uint64 // per-worker arrival-rate EWMA as float bits
 	roundTimes []uint64 // per-worker round-time EWMA as float bits
 
-	// plane carries batches, clink carries the coordinator tokens: the
-	// in-proc implementations unless the wire plane replaced them.
+	// plane carries batches: in-proc unless the wire plane replaced it.
 	plane msgPlane[T]
-	clink coordLink
 
 	// The planes beside the loop, each nil when its option is off. The
 	// worker loop tests ckpt, recov and inj directly.
@@ -233,8 +231,7 @@ func newEngine[T any](s *Session, job Job[T], opts Options) *engine[T] {
 		e.hsync = &hsyncState{}
 	}
 	e.coord.init(p.M, e)
-	in := &inproc[T]{e}
-	e.plane, e.clink = in, in
+	e.plane = &inproc[T]{e}
 	e.workers = make([]*worker[T], p.M)
 	for i, f := range p.Frags {
 		w := &worker[T]{
@@ -486,17 +483,48 @@ func (e *engine[T]) broadcastProgress() {
 	}
 }
 
-// lost accounts for a batch of n messages from worker `from` that was
-// pre-counted as sent at flush handoff and will never reach an inbox (an
-// injected drop, a frame the wire plane could not send): it balances the
-// Mattern counter, the checkpoint outstanding count and the quiesce
-// condition, so termination, sealing and recovery stay live.
-func (e *engine[T]) lost(from int, n int64, epoch int32) {
-	e.undelivered.Add(-1)
-	e.clink.addConsumed(from, n)
+// sent counts n messages in nb non-empty destination batches as sent,
+// before anything downstream can see them: a worker may flag itself
+// inactive while delivery is still in flight, and the termination check
+// (all inactive ∧ sent == consumed) only stays sound if undelivered
+// messages keep sent ahead of consumed. Counting here, on shared memory,
+// ahead of the handoff means no plane can have a batch consumed before it
+// is counted. The same pre-accounting covers the snapshot plane: each
+// batch is registered as outstanding under the sender's epoch (the stamp
+// it will carry), and undelivered tracks it until arrive so recovery can
+// wait out the delivery limbo.
+func (e *engine[T]) sent(n, nb int64, stamp int32) {
+	e.coord.addSent(n)
+	e.undelivered.Add(nb)
 	if e.ckpt != nil {
-		e.clink.batchDrained(from, epoch)
+		for i := int64(0); i < nb; i++ {
+			e.ckpt.BatchSent(stamp)
+		}
 	}
+}
+
+// arrive ends a batch's delivery limbo: it is in worker to's inbox.
+func (e *engine[T]) arrive(to int, b batch[T]) {
+	e.workers[to].inbox.put(b)
+	e.undelivered.Add(-1)
+}
+
+// consumed balances what sent counted for one batch of n messages: the
+// Mattern counter and the checkpoint outstanding count of its stamp.
+func (e *engine[T]) consumed(n int64, stamp int32) {
+	e.coord.addConsumed(n)
+	if e.ckpt != nil {
+		e.ckpt.BatchDrained(stamp)
+	}
+}
+
+// lost accounts for a batch of n messages that was pre-counted as sent at
+// flush handoff and will never reach an inbox (an injected drop, a frame
+// the wire plane could not send): consumed plus the quiesce condition, so
+// termination, sealing and recovery stay live.
+func (e *engine[T]) lost(n int64, epoch int32) {
+	e.undelivered.Add(-1)
+	e.consumed(n, epoch)
 }
 
 // clock is the time the worker loop lives in, as seconds since the
@@ -569,7 +597,7 @@ func (w *worker[T]) flush(fo flushOut[T]) {
 			drop, dup, d := e.inj.delivery(w.id)
 			fdelay = d
 			if drop {
-				e.lost(w.id, int64(len(msgs)), fo.epoch)
+				e.lost(int64(len(msgs)), fo.epoch)
 				e.pool.put(msgs)
 				continue
 			}
@@ -578,11 +606,7 @@ func (w *worker[T]) flush(fo flushOut[T]) {
 				// duplicate needs its own copy; it is accounted
 				// exactly like a real batch.
 				cp := append([]VMsg[T](nil), msgs...)
-				e.undelivered.Add(1)
-				e.clink.addSent(w.id, int64(len(cp)))
-				if e.ckpt != nil {
-					e.clink.batchSent(w.id, fo.epoch)
-				}
+				e.sent(int64(len(cp)), 1, fo.epoch)
 				e.plane.deliver(w.id, j, fo.epoch, cp, fdelay)
 			}
 		}
@@ -761,7 +785,7 @@ func (w *worker[T]) setActive(active bool) {
 		return
 	}
 	w.isActive = active
-	w.eng.clink.setActive(w.id, active)
+	w.eng.coord.setActive(w.id, active)
 }
 
 // wait blocks until a message arrives, global progress changes, the delay
@@ -835,14 +859,11 @@ func (w *worker[T]) drain() {
 			w.originSeen[b.from] = w.originGen
 			w.originCnt++
 		}
+		w.eng.consumed(int64(len(b.msgs)), b.epoch)
 		w.eng.pool.put(b.msgs)
-		if w.eng.ckpt != nil {
-			w.eng.clink.batchDrained(w.id, b.epoch)
-		}
 	}
 	w.inbox.release(bs)
 	w.stats.MsgsRecv += int64(n)
-	w.eng.clink.addConsumed(w.id, int64(n))
 	if hs := w.eng.hsync; hs != nil {
 		hs.processed.Add(int64(n))
 	}
@@ -857,7 +878,7 @@ func (w *worker[T]) drain() {
 }
 
 func (w *worker[T]) view() View {
-	rmin, rmax := w.eng.clink.view(w.id)
+	rmin, rmax := w.eng.coord.view(w.id)
 	return View{
 		Worker:       w.id,
 		NumWorkers:   w.eng.p.M,
@@ -962,23 +983,9 @@ func (w *worker[T]) finish(out [][]VMsg[T], dur float64) {
 	if total == 0 {
 		w.ctx.ReleaseOut(out)
 	} else {
-		// Count the messages as sent *before* handing them to the
-		// flusher: the worker may flag itself inactive while delivery is
-		// still in flight, and the termination check (all inactive ∧
-		// sent == consumed) only stays sound if undelivered messages
-		// keep sent ahead of consumed. The same pre-accounting covers
-		// the snapshot plane: each non-empty destination batch is
-		// registered as outstanding under the sender's current epoch
-		// (the stamp it will carry), and undelivered tracks it until
-		// its inbox.put so recovery can wait out the delivery limbo.
+		// Counted as sent *before* the handoff to the flusher (see sent).
 		w.stats.MsgsSent += total
-		e.clink.addSent(w.id, total)
-		e.undelivered.Add(nd)
-		if e.ckpt != nil {
-			for i := int64(0); i < nd; i++ {
-				e.clink.batchSent(w.id, w.epoch)
-			}
-		}
+		e.sent(total, nd, w.epoch)
 		select {
 		case w.flushCh <- flushOut[T]{out: out, epoch: w.epoch}:
 		case <-e.done:
@@ -988,7 +995,7 @@ func (w *worker[T]) finish(out [][]VMsg[T], dur float64) {
 			e.undelivered.Add(-nd)
 		}
 	}
-	w.rounds = e.clink.roundDone(w.id)
+	w.rounds = e.coord.roundDone(w.id)
 	w.stats.Rounds = w.rounds
 	w.lastRoundEnd = e.clock.Now()
 	if e.ckpt != nil {
@@ -998,13 +1005,13 @@ func (w *worker[T]) finish(out [][]VMsg[T], dur float64) {
 			// Re-broadcast afterwards: idle workers record on progress
 			// wakes, and roundDone's broadcast above may have fired
 			// before the announcement became visible.
-			if e.clink.announce(w.id) {
+			if _, ok := e.ckpt.Announce(); ok {
 				e.broadcastProgress()
 			}
 		}
 	}
-	if e.hsync != nil { // the view is a round trip on the wire plane
-		_, rmax := e.clink.view(w.id)
+	if e.hsync != nil {
+		_, rmax := e.coord.view(w.id)
 		e.hsync.observe(rmax)
 	}
 }

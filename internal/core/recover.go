@@ -208,10 +208,6 @@ func (r *recovery[T]) superviseDead() {
 	if topts == nil || topts.Supervisor == nil || e.wire == nil {
 		return
 	}
-	wait := topts.RejoinWait
-	if wait <= 0 {
-		wait = 10 * time.Second
-	}
 	for k, rp := range e.wire.remotes {
 		if rp == nil || rp.alive() {
 			continue
@@ -222,7 +218,7 @@ func (r *recovery[T]) superviseDead() {
 				break // budget spent: rollback fails this worker back
 			}
 			t0 := time.Now()
-			if r.awaitRejoin(k, inc, wait) {
+			if r.awaitRejoin(k, inc, rejoinWait) {
 				rp.rejoin()
 				r.restarts.Add(1)
 				r.rejoinNanos.Add(time.Since(t0).Nanoseconds())
@@ -376,11 +372,8 @@ func (r *recovery[T]) rollback(victim int) {
 	if snap != nil {
 		for _, f := range snap.InFlight {
 			msgs := append([]VMsg[T](nil), f.Msgs...)
-			e.coord.addSent(int64(len(msgs)))
-			if e.ckpt != nil {
-				e.ckpt.BatchSent(snap.Epoch)
-			}
-			e.workers[f.To].inbox.put(batch[T]{from: f.From, epoch: snap.Epoch, msgs: msgs})
+			e.sent(int64(len(msgs)), 1, snap.Epoch)
+			e.arrive(int(f.To), batch[T]{from: f.From, epoch: snap.Epoch, msgs: msgs})
 		}
 	}
 }
@@ -396,7 +389,7 @@ func (w *worker[T]) safepoint() bool {
 		}
 	}
 	if e.ckpt != nil {
-		if ep := e.clink.announcedEpoch(w.id); ep > w.epoch {
+		if ep := e.ckpt.AnnouncedEpoch(); ep > w.epoch {
 			w.record(ep)
 		}
 	}
@@ -426,7 +419,7 @@ func (w *worker[T]) interrupted() bool {
 	if e.recov != nil && e.recov.pause.Load() {
 		return true
 	}
-	return e.ckpt != nil && e.clink.announcedEpoch(w.id) > w.epoch
+	return e.ckpt != nil && e.ckpt.AnnouncedEpoch() > w.epoch
 }
 
 // record takes this worker's cut for epoch: durable program state,

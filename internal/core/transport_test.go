@@ -1,56 +1,69 @@
 package core_test
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"reflect"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"aap/internal/algo/cc"
 	"aap/internal/algo/pagerank"
 	"aap/internal/algo/sssp"
+	"aap/internal/codec"
 	"aap/internal/core"
 	"aap/internal/gen"
 	"aap/internal/partition"
+	"aap/internal/transport"
 )
 
-// tcpOpts runs the engine with every batch and coordinator token
-// traveling the loopback TCP plane instead of in-proc channels.
-func tcpOpts() core.Options {
-	return core.Options{
-		Mode:      core.AAP,
-		Timeout:   time.Minute,
-		Transport: &core.TransportOptions{TCP: true},
-	}
+// inprocOpts runs the engine under mode on the in-proc plane: the
+// baseline of tcpOpts.
+func inprocOpts(mode core.Options) core.Options {
+	mode.Timeout = time.Minute
+	return mode
+}
+
+// tcpOpts is inprocOpts with every batch traveling the loopback TCP plane
+// instead of in-proc channels.
+func tcpOpts(mode core.Options) core.Options {
+	mode = inprocOpts(mode)
+	mode.Transport = &core.TransportOptions{TCP: true}
+	return mode
 }
 
 // TestTCPPlaneMatchesInProcSSSP pins the plane-independence contract for
 // the idempotent min-fold kernel: serializing every designated message
 // through the wire format and bouncing it off a real socket must change
-// nothing about the result, bit for bit, at every forced shard count.
+// nothing about the result, bit for bit, at every forced shard count and
+// under every mode — the ones that suspend on View.RMin / RMax included.
 func TestTCPPlaneMatchesInProcSSSP(t *testing.T) {
 	g := gen.PowerLaw(500, 6, 2.1, true, 1)
 	p := mustPartition(t, g, 4, partition.Hash{})
-	for _, k := range []int{1, 2, 4} {
-		t.Run(fmt.Sprintf("shards=%d", k), func(t *testing.T) {
-			base, err := core.Run(p, sssp.JobShards(0, k), core.Options{Mode: core.AAP, Timeout: time.Minute})
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := core.Run(p, sssp.JobShards(0, k), tcpOpts())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Stats.WireBytesOut == 0 || res.Stats.WireBytesIn == 0 {
-				t.Fatalf("TCP run shipped no wire bytes: %+v", res.Stats)
-			}
-			for v := range base.Values {
-				if b, r := base.Values[v], res.Values[v]; b != r && !(math.IsInf(b, 1) && math.IsInf(r, 1)) {
-					t.Fatalf("vertex %d: in-proc %v, tcp %v", v, b, r)
+	for _, mode := range modes() {
+		for _, k := range []int{1, 2, 4} {
+			t.Run(fmt.Sprintf("%s/shards=%d", mode.Mode, k), func(t *testing.T) {
+				base, err := core.Run(p, sssp.JobShards(0, k), inprocOpts(mode))
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
-		})
+				res, err := core.Run(p, sssp.JobShards(0, k), tcpOpts(mode))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Stats.WireBytesOut == 0 || res.Stats.WireBytesIn == 0 {
+					t.Fatalf("TCP run shipped no wire bytes: %+v", res.Stats)
+				}
+				for v := range base.Values {
+					if b, r := base.Values[v], res.Values[v]; b != r && !(math.IsInf(b, 1) && math.IsInf(r, 1)) {
+						t.Fatalf("vertex %d: in-proc %v, tcp %v", v, b, r)
+					}
+				}
+			})
+		}
 	}
 }
 
@@ -59,27 +72,29 @@ func TestTCPPlaneMatchesInProcSSSP(t *testing.T) {
 func TestTCPPlaneMatchesInProcCC(t *testing.T) {
 	g := gen.SmallWorld(400, 2, 0.05, false, 2)
 	p := mustPartition(t, g, 4, partition.Hash{})
-	for _, k := range []int{1, 2, 4} {
-		t.Run(fmt.Sprintf("shards=%d", k), func(t *testing.T) {
-			base, err := core.Run(p, cc.JobShards(k), core.Options{Mode: core.AAP, Timeout: time.Minute})
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := core.Run(p, cc.JobShards(k), tcpOpts())
-			if err != nil {
-				t.Fatal(err)
-			}
-			for v := range base.Values {
-				if base.Values[v] != res.Values[v] {
-					t.Fatalf("vertex %d: in-proc %d, tcp %d", v, base.Values[v], res.Values[v])
+	for _, mode := range modes() {
+		for _, k := range []int{1, 2, 4} {
+			t.Run(fmt.Sprintf("%s/shards=%d", mode.Mode, k), func(t *testing.T) {
+				base, err := core.Run(p, cc.JobShards(k), inprocOpts(mode))
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
-		})
+				res, err := core.Run(p, cc.JobShards(k), tcpOpts(mode))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for v := range base.Values {
+					if base.Values[v] != res.Values[v] {
+						t.Fatalf("vertex %d: in-proc %d, tcp %d", v, base.Values[v], res.Values[v])
+					}
+				}
+			})
+		}
 	}
 }
 
-// TestTCPPlaneMatchesInProcPageRank allows FP tolerance: AAP folds
-// PageRank's sum aggregate in arrival order, and the wire plane shifts
+// TestTCPPlaneMatchesInProcPageRank allows FP tolerance: every mode but
+// BSP folds PageRank's sum aggregate in arrival order, and the wire plane shifts
 // arrival timing — which changes both rounding and WHICH sub-Tol deltas
 // get parked, so per-vertex scores can legitimately differ by a few
 // multiples of the kernel's Tol (1e-6). The bound here is 100×Tol,
@@ -87,26 +102,30 @@ func TestTCPPlaneMatchesInProcCC(t *testing.T) {
 func TestTCPPlaneMatchesInProcPageRank(t *testing.T) {
 	g := gen.PowerLaw(400, 5, 2.2, false, 3)
 	p := mustPartition(t, g, 4, partition.Hash{})
-	base, err := core.Run(p, pagerank.Job(pagerank.Config{}), core.Options{Mode: core.AAP, Timeout: time.Minute})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := core.Run(p, pagerank.Job(pagerank.Config{}), tcpOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := range base.Values {
-		d := math.Abs(base.Values[v] - res.Values[v])
-		if rel := d / math.Max(1, math.Abs(base.Values[v])); rel > 1e-4 {
-			t.Fatalf("vertex %d: in-proc %v, tcp %v (rel Δ=%g)", v, base.Values[v], res.Values[v], rel)
-		}
+	for _, mode := range modes() {
+		t.Run(mode.Mode.String(), func(t *testing.T) {
+			base, err := core.Run(p, pagerank.Job(pagerank.Config{}), inprocOpts(mode))
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := core.Run(p, pagerank.Job(pagerank.Config{}), tcpOpts(mode))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for v := range base.Values {
+				d := math.Abs(base.Values[v] - res.Values[v])
+				if rel := d / math.Max(1, math.Abs(base.Values[v])); rel > 1e-4 {
+					t.Fatalf("vertex %d: in-proc %v, tcp %v (rel Δ=%g)", v, base.Values[v], res.Values[v], rel)
+				}
+			}
+		})
 	}
 }
 
 // TestTCPPlaneChaosKillRecovers combines both robustness layers in one
 // process: the full fault schedule of the chaos tests (checkpoint every
 // round, worker 1 killed at its first incremental round) with every
-// message and token on the wire. Recovery must replay to bit-identical
+// message on the wire. Recovery must replay to bit-identical
 // output.
 func TestTCPPlaneChaosKillRecovers(t *testing.T) {
 	g := gen.PowerLaw(500, 6, 2.1, true, 1)
@@ -138,8 +157,98 @@ func TestTCPPlaneRequiresCodec(t *testing.T) {
 	p := mustPartition(t, g, 2, partition.Hash{})
 	job := sssp.Job(0)
 	job.EncodeVal = nil
-	if _, err := core.Run(p, job, tcpOpts()); err == nil {
+	if _, err := core.Run(p, job, tcpOpts(core.Options{})); err == nil {
 		t.Fatal("TCP run without a value codec succeeded")
+	}
+}
+
+// TestTCPPlaneRoguePeer pins what a TCP run's listener offers a peer that
+// is not part of the run: nothing to call, and no batch that indexes
+// engine state with the peer's own numbers. While worker rounds are
+// running, a second plane dials the listener. Its calls to endpoint M
+// carry the bytes that once were coordinator tokens (setActive of worker
+// 1<<20, addConsumed of 1<<40); each must be refused at once and the run
+// must finish with the in-proc answer. Its Data frame from worker 1<<20
+// must fail the run as a corrupt frame, not as a worker panic.
+func TestTCPPlaneRoguePeer(t *testing.T) {
+	p := remoteTestPartition(t)
+	base, err := core.Run(p, remoteTestJob(), inprocOpts(core.Options{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := int32(p.M)
+	const self = 1000 // the endpoint the rogue says it serves, so that replies find it
+	call := func(tp *transport.Plane, req []byte) error {
+		_, err := tp.Call(self, m, req, 5*time.Second, nil)
+		return err
+	}
+	for _, c := range []struct {
+		name    string
+		rogue   func(tp *transport.Plane) error
+		wantErr string // of the run; "" = it finishes with the in-proc answer
+	}{
+		{"calls to endpoint M", func(tp *transport.Plane) error {
+			for _, req := range [][]byte{
+				codec.AppendBool(codec.AppendInt32(codec.AppendInt32(nil, 4), 1<<20), false),
+				codec.AppendInt64(codec.AppendInt32(nil, 3), 1<<40),
+			} {
+				err := call(tp, req)
+				var refused transport.RemoteError
+				if want := fmt.Sprintf("endpoint %d is not served by this plane", m); !errors.As(err, &refused) || !strings.Contains(err.Error(), want) {
+					return fmt.Errorf("call % x to endpoint %d: %v, want the refusal %q", req, m, err, want)
+				}
+			}
+			return nil
+		}, ""},
+		{"data frame with From outside [0,M)", func(tp *transport.Plane) error {
+			emptyBatch := codec.AppendUint32(codec.AppendInt32(nil, 0), 0) // [epoch][n = 0]
+			if err := tp.Send(1<<20, 0, transport.KindData, emptyBatch); err != nil {
+				return err
+			}
+			// A link's frames are handled in order: once this call is
+			// answered, whatever the answer, the batch has been through
+			// onFrame.
+			_ = call(tp, nil)
+			return nil
+		}, "corrupt batch frame 1048576→0"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var addr string
+			var once sync.Once
+			rogueErr := errors.New("no round ran the rogue")
+			opts := tcpOpts(core.Options{})
+			opts.Transport.OnListen = func(a string) { addr = a }
+			opts.RoundHook = func(_ int, round int32) {
+				if round < 1 {
+					return
+				}
+				once.Do(func() {
+					tp, err := transport.Listen(transport.Config{})
+					if err != nil {
+						rogueErr = err
+						return
+					}
+					defer tp.Close()
+					if rogueErr = tp.Dial(1<<16, addr, []int32{self}, []int32{0, m}); rogueErr == nil {
+						rogueErr = c.rogue(tp)
+					}
+				})
+			}
+			res, err := core.Run(p, remoteTestJob(), opts)
+			if rogueErr != nil {
+				t.Fatal(rogueErr)
+			}
+			if c.wantErr != "" {
+				if err == nil || !strings.Contains(err.Error(), c.wantErr) {
+					t.Fatalf("run ended with %v, want an error naming %q", err, c.wantErr)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameFloats(t, base.Values, res.Values, "TCP run with a rogue peer")
+		})
 	}
 }
 

@@ -47,8 +47,7 @@ func (v *virtual[T]) broadcastProgress() { v.progressed = true }
 func (v *virtual[T]) deliver(from, to int, epoch int32, msgs []VMsg[T], extra time.Duration) {
 	v.tl.After(v.tl.MsgLatency()+extra.Seconds(), func() {
 		w := v.e.workers[to]
-		w.inbox.put(batch[T]{from: int32(from), epoch: epoch, msgs: msgs})
-		v.e.undelivered.Add(-1)
+		v.e.arrive(to, batch[T]{from: int32(from), epoch: epoch, msgs: msgs})
 		w.setActive(true) // before the drain, as after the real loop's inactive wait
 		v.step(w)
 	})

@@ -1,8 +1,8 @@
 package serve
 
 // The serving RPC plane: a Server hosted behind the internal/transport
-// TCP message plane, on the same call path as the engine's coordinator
-// tokens and remote-worker protocol (transport.Plane.Call / Reply).
+// TCP message plane, on the same call path as the engine's
+// remote-worker protocol (transport.Plane.Call / Reply).
 //
 // Topology: the server plane listens and serves endpoint 0. Each client
 // makes a dial-only plane with a unique positive id, serving endpoint

@@ -39,13 +39,12 @@ const (
 	// KindData carries an engine message batch (codec-encoded VMsgs), one
 	// way: Send on one side, OnFrame on the other.
 	KindData Kind = 3
-	// KindCall carries a request sent by Plane.Call — a coordinator token
-	// (round / sent / consumed / active, snapshot announce & seal
-	// accounting), a remote-worker call (PEval / IncEval / snapshot /
-	// restore / collect) or a serving query; which one is decided by the
-	// endpoint it is addressed to. The serving plane queues it for that
-	// endpoint's Plane.Serve handler and sends the handler's answer back;
-	// a plane that does not serve the endpoint refuses it at once.
+	// KindCall carries a request sent by Plane.Call — a remote-worker
+	// call (PEval / IncEval / snapshot / restore / collect) or a serving
+	// query; which one is decided by the endpoint it is addressed to. The
+	// serving plane queues it for that endpoint's Plane.Serve handler and
+	// sends the handler's answer back; a plane that does not serve the
+	// endpoint refuses it at once.
 	KindCall Kind = 4
 	// KindReply carries the answer to a KindCall frame. The receiving
 	// plane hands it to the caller parked under the same call id and
