@@ -1,17 +1,19 @@
 package algo_test
 
-// Differential tests of the delta-stepping SSSP kernel: at every forced
-// shard count and bucket width — tiny (near-Dijkstra ordering), huge
-// (degenerates to one bucket, the Bellman-Ford frontier order), and
-// auto-tuned — the bucketed kernel must match the retained references
-// bit for bit, at the program level and end to end through the
-// simulator. Plus the contracts around it: the positive-weight
-// precondition fails fast, and on a road-network graph bucketing
-// actually removes re-relaxations.
+// Differential tests of the bucketed SSSP kernel: at every forced shard
+// count and bucket width — tiny (near-Dijkstra ordering), +Inf (one
+// bucket, the Bellman-Ford frontier order), and the fragment's mean
+// weight — it must match the retained reference bit for bit, at the
+// program level and end to end through the simulator and the engine.
+// Plus the contracts around it: the positive-weight precondition fails
+// fast, a snapshot taken mid-run resumes exactly, on a road-network
+// graph bucketing removes re-relaxations, and on a power-law graph it
+// adds none.
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -24,12 +26,12 @@ import (
 )
 
 // deltaWidths is the forced bucket-width axis: tiny approaches Dijkstra
-// (every distance its own bucket, exercising the overflow window), huge
-// collapses to a single bucket (Bellman-Ford order, zero-span staging
-// for every relaxation), 0 auto-tunes from the mean edge weight, and
-// NaN/negative must fall back to auto-tuning instead of silently
-// mis-classifying every edge (regression: 'delta <= 0' missed NaN).
-var deltaWidths = []float64{0.05, 1e18, 0, math.NaN(), -2}
+// (every distance its own bucket, exercising the overflow window), +Inf
+// is a single bucket (Bellman-Ford order, every relaxation staged into
+// the bucket being drained), 0 means the mean edge weight, and
+// NaN/negative must fall back to the mean instead of silently
+// mis-bucketing every distance (regression: 'delta <= 0' missed NaN).
+var deltaWidths = []float64{0.05, math.Inf(1), 0, math.NaN(), -2}
 
 func deltaTag(d float64) string {
 	switch {
@@ -39,8 +41,8 @@ func deltaTag(d float64) string {
 		return "neg"
 	case d == 0:
 		return "auto"
-	case d > 1e6:
-		return "huge"
+	case math.IsInf(d, 1):
+		return "inf"
 	default:
 		return "tiny"
 	}
@@ -76,7 +78,7 @@ func twoComponents() *graph.Graph {
 
 // TestSSSPDeltaKernelMatchesRef: program-level differential — the
 // bucketed kernel at every forced shard count x bucket width against
-// sequential Dijkstra and the frontier kernel on one fragment.
+// sequential Dijkstra on one fragment.
 func TestSSSPDeltaKernelMatchesRef(t *testing.T) {
 	for name, g := range deltaGraphs() {
 		p, err := partition.Build(g, 1, partition.Hash{})
@@ -85,18 +87,12 @@ func TestSSSPDeltaKernelMatchesRef(t *testing.T) {
 		}
 		want := peval(t, p, sssp.RefJob(0))
 		for _, k := range kernelShardCounts {
-			// The auto heuristic now routes dispersed-weight fragments
-			// to the bucketed kernel, so the frontier kernel keeps its
-			// own forced-shard pins here.
-			wantF := peval(t, p, sssp.JobConfig(sssp.Config{Kernel: sssp.KernelFrontier, Shards: k}))
-			bitsEqualF64(t, fmt.Sprintf("sssp-frontier/%s/shards=%d", name, k), wantF, want)
 			for _, d := range deltaWidths {
-				cfg := sssp.Config{Kernel: sssp.KernelBuckets, Shards: k, Delta: d}
-				got := peval(t, p, sssp.JobConfig(cfg))
+				got := peval(t, p, sssp.JobConfig(sssp.Config{Shards: k, Delta: d}))
 				bitsEqualF64(t, fmt.Sprintf("sssp-delta/%s/shards=%d/delta=%s", name, k, deltaTag(d)), got, want)
 			}
 		}
-		if r := kernelRounds(t, p, sssp.JobConfig(sssp.Config{Kernel: sssp.KernelBuckets, Shards: 2})); r <= 0 {
+		if r := kernelRounds(t, p, sssp.JobShards(0, 2)); r <= 0 {
 			t.Fatalf("sssp-delta/%s reported %d kernel rounds", name, r)
 		}
 	}
@@ -111,6 +107,7 @@ func TestSSSPDeltaUnderSim(t *testing.T) {
 		ms []int
 	}{
 		"roadnet":   {gen.RoadNet(16, 16, 47), []int{2, 5}},
+		"powerlaw":  {gen.PowerLaw(400, 5, 2.1, true, 49), []int{2, 5}},
 		"twocomp":   {twoComponents(), []int{3}},
 		"tinyfrags": {gen.Random(24, 90, true, 51), []int{24}}, // single-vertex fragments
 	}
@@ -123,8 +120,7 @@ func TestSSSPDeltaUnderSim(t *testing.T) {
 			want := simValues(t, p, sssp.RefJob(0))
 			for _, k := range kernelShardCounts {
 				for _, d := range deltaWidths {
-					cfg := sssp.Config{Kernel: sssp.KernelBuckets, Shards: k, Delta: d}
-					got := simValues(t, p, sssp.JobConfig(cfg))
+					got := simValues(t, p, sssp.JobConfig(sssp.Config{Shards: k, Delta: d}))
 					bitsEqualF64(t, fmt.Sprintf("sim/sssp-delta/%s/m=%d/shards=%d/delta=%s",
 						name, m, k, deltaTag(d)), got, want)
 				}
@@ -133,20 +129,152 @@ func TestSSSPDeltaUnderSim(t *testing.T) {
 	}
 }
 
-// TestSSSPDeltaUnderEngine smokes the bucketed kernel through the real
-// concurrent engine (concurrent bucket staging under -race in CI).
+// TestSSSPDeltaUnderEngine runs the bucketed kernel through the real
+// concurrent engine (concurrent bucket staging under -race in CI) on
+// both graph families the old kernel heuristic told apart, across the
+// bucket widths and shard counts.
 func TestSSSPDeltaUnderEngine(t *testing.T) {
-	g := gen.RoadNet(16, 16, 53)
-	p, err := partition.Build(g, 4, partition.Hash{})
+	for name, g := range map[string]*graph.Graph{
+		"roadnet":  gen.RoadNet(16, 16, 53),
+		"powerlaw": gen.PowerLaw(400, 5, 2.1, true, 55),
+	} {
+		p, err := partition.Build(g, 4, partition.Hash{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := simValues(t, p, sssp.RefJob(0))
+		for _, k := range []int{1, 2, 3} {
+			for _, d := range []float64{0.05, 0, math.Inf(1)} {
+				res, err := core.Run(p, sssp.JobConfig(sssp.Config{Shards: k, Delta: d}), core.Options{Mode: core.AAP})
+				if err != nil {
+					t.Fatal(err)
+				}
+				bitsEqualF64(t, fmt.Sprintf("engine/sssp-delta/%s/shards=%d/delta=%s", name, k, deltaTag(d)),
+					res.Values, want)
+			}
+		}
+	}
+}
+
+// ssspKernel is what the snapshot test drives: the bucketed program's
+// PIE and checkpoint halves plus its counters.
+type ssspKernel interface {
+	core.Program[float64]
+	core.Snapshotter
+	Relaxations() int64
+	BucketsDrained() int
+}
+
+// superstep runs one barrier round by hand: every fragment with pending
+// messages folds them and runs IncEval; it returns the next inboxes and
+// whether anyone had work.
+func superstep(progs []ssspKernel, ctxs []*core.Context[float64], inbox [][]core.VMsg[float64]) ([][]core.VMsg[float64], bool) {
+	next := make([][]core.VMsg[float64], len(progs))
+	active := false
+	for i, prog := range progs {
+		if len(inbox[i]) == 0 {
+			continue
+		}
+		active = true
+		prog.IncEval(core.FoldMessages(inbox[i], math.Min), ctxs[i])
+		out, _ := ctxs[i].TakeOut()
+		for j, ms := range out {
+			next[j] = append(next[j], ms...)
+		}
+	}
+	return next, active
+}
+
+// TestSSSPDeltaSnapshotResumesMidRun: a snapshot taken at a round
+// boundary in the middle of a run — bucket windows advanced well past
+// zero, messages in flight — restored into fresh programs (a replaced
+// worker) and into the finished live ones (a rollback), continues to
+// the same distances, and at shards=1, where the kernel is
+// deterministic, to the same counters as the uninterrupted run.
+func TestSSSPDeltaSnapshotResumesMidRun(t *testing.T) {
+	p, err := partition.Build(gen.RoadNet(30, 30, 71), 3, partition.BFSLocality{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := simValues(t, p, sssp.RefJob(0))
-	res, err := core.Run(p, sssp.JobConfig(sssp.Config{Kernel: sssp.KernelBuckets, Shards: 3}), core.Options{Mode: core.AAP})
-	if err != nil {
-		t.Fatal(err)
+	job := sssp.JobConfig(sssp.Config{Shards: 1})
+	build := func() ([]ssspKernel, []*core.Context[float64]) {
+		progs := make([]ssspKernel, p.M)
+		ctxs := make([]*core.Context[float64], p.M)
+		for i, f := range p.Frags {
+			progs[i] = job.New(f).(ssspKernel)
+			ctxs[i] = core.NewEngineContext[float64](f, p.M)
+		}
+		return progs, ctxs
 	}
-	bitsEqualF64(t, "engine/sssp-delta", res.Values, want)
+	finish := func(tag string, progs []ssspKernel, ctxs []*core.Context[float64], inbox [][]core.VMsg[float64]) (relaxed int64, buckets int) {
+		for active := true; active; {
+			inbox, active = superstep(progs, ctxs, inbox)
+		}
+		got := make([]float64, p.G.NumVertices())
+		for i, f := range p.Frags {
+			for v := f.Lo; v < f.Hi; v++ {
+				got[v] = progs[i].Get(v)
+			}
+			relaxed += progs[i].Relaxations()
+			buckets += progs[i].BucketsDrained()
+		}
+		bitsEqualF64(t, tag, got, want)
+		return relaxed, buckets
+	}
+
+	live, liveCtxs := build()
+	inbox := make([][]core.VMsg[float64], p.M)
+	for i := range live {
+		live[i].PEval(liveCtxs[i])
+		out, _ := liveCtxs[i].TakeOut()
+		for j, ms := range out {
+			inbox[j] = append(inbox[j], ms...)
+		}
+	}
+	for round := 0; round < 2; round++ {
+		inbox, _ = superstep(live, liveCtxs, inbox)
+	}
+	snaps := make([][]byte, p.M)
+	pending, advanced := 0, 0
+	for i := range live {
+		snaps[i] = live[i].SnapshotState()
+		pending += len(inbox[i])
+		advanced += live[i].BucketsDrained()
+	}
+	if pending == 0 || advanced < 2*p.M {
+		t.Fatalf("snapshot is not mid-run: %d messages pending, %d buckets drained", pending, advanced)
+	}
+	cloneInbox := func(in [][]core.VMsg[float64]) [][]core.VMsg[float64] {
+		out := make([][]core.VMsg[float64], len(in))
+		for i := range in {
+			out[i] = slices.Clone(in[i])
+		}
+		return out
+	}
+	saved := cloneInbox(inbox)
+	restore := func(progs []ssspKernel) {
+		for i := range progs {
+			if err := progs[i].RestoreState(snaps[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	wantRelaxed, wantBuckets := finish("uninterrupted", live, liveCtxs, inbox)
+	fresh, freshCtxs := build()
+	restore(fresh)
+	restore(live)
+	for tag, r := range map[string]struct {
+		progs []ssspKernel
+		ctxs  []*core.Context[float64]
+	}{"fresh": {fresh, freshCtxs}, "rollback": {live, liveCtxs}} {
+		relaxed, buckets := finish(tag, r.progs, r.ctxs, cloneInbox(saved))
+		if relaxed != wantRelaxed || buckets != wantBuckets {
+			t.Errorf("%s: resumed to %d relaxations / %d buckets, uninterrupted run did %d / %d",
+				tag, relaxed, buckets, wantRelaxed, wantBuckets)
+		}
+	}
 }
 
 // TestSSSPRejectsBadWeights: the documented "edge weights must be
@@ -184,30 +312,56 @@ func TestSSSPRejectsBadWeights(t *testing.T) {
 	}
 }
 
-// TestSSSPDeltaFewerRelaxations pins the point of the bucketed kernel:
-// on a road network the auto-tuned delta must attempt at most half the
-// edge relaxations of the Bellman-Ford-ordered frontier sweep at equal
-// shard count. Both kernels are deterministic at shards=1, so the ratio
-// is stable for a fixed seed. (The Bellman-Ford re-relaxation factor
-// grows with network diameter: 1.7x at 60x60, 2.7x here, 3.9x at
-// 200x200 — so this size is the smallest that pins the 2x claim.)
+// relaxations runs cfg's kernel to the local fixpoint on the single
+// fragment of p and returns the edge relaxations it attempted. Every
+// kernel is deterministic at shards=1, so the count is stable for a
+// fixed seed.
+func relaxations(t *testing.T, p *partition.Partitioned, cfg sssp.Config) int64 {
+	t.Helper()
+	prog := sssp.JobConfig(cfg).New(p.Frags[0])
+	ctx := core.NewEngineContext[float64](p.Frags[0], 1)
+	prog.PEval(ctx)
+	ctx.TakeOut()
+	return prog.(interface{ Relaxations() int64 }).Relaxations()
+}
+
+// TestSSSPDeltaFewerRelaxations pins the point of bucketing: on a road
+// network the mean-weight delta must attempt at most half the edge
+// relaxations of the Bellman-Ford frontier order (Delta = +Inf) at
+// equal shard count. (The Bellman-Ford re-relaxation factor grows with
+// network diameter: 1.6x at 60x60, 3.0x here, 4.7x at 200x200 — so this
+// size is the smallest that pins the 2x claim.)
 func TestSSSPDeltaFewerRelaxations(t *testing.T) {
-	g := gen.RoadNet(100, 100, 61)
-	p, err := partition.Build(g, 1, partition.Hash{})
+	p, err := partition.Build(gen.RoadNet(100, 100, 61), 1, partition.Hash{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	relaxations := func(cfg sssp.Config) int64 {
-		prog := sssp.JobConfig(cfg).New(p.Frags[0])
-		ctx := core.NewEngineContext[float64](p.Frags[0], 1)
-		prog.PEval(ctx)
-		ctx.TakeOut()
-		return prog.(interface{ Relaxations() int64 }).Relaxations()
-	}
-	frontier := relaxations(sssp.Config{Kernel: sssp.KernelFrontier, Shards: 1})
-	delta := relaxations(sssp.Config{Kernel: sssp.KernelBuckets, Shards: 1})
+	frontier := relaxations(t, p, sssp.Config{Shards: 1, Delta: math.Inf(1)})
+	delta := relaxations(t, p, sssp.Config{Shards: 1})
 	if delta*2 > frontier {
-		t.Fatalf("delta-stepping attempted %d relaxations vs frontier's %d: want at least 2x fewer",
+		t.Fatalf("mean-weight delta attempted %d relaxations vs %d in frontier order: want at least 2x fewer",
 			delta, frontier)
+	}
+}
+
+// TestSSSPDeltaOrderingCostsNoWork pins the other side, the reason no
+// rule reads the weights to choose a kernel: on a low-diameter
+// power-law graph, where there are no re-relaxations to remove,
+// bucketing by the mean weight (every taken vertex relaxes all its
+// edges, each time it is taken) must stay within 1.5x of Dijkstra's
+// one scan per reached vertex. It measures 1.12x; expanding a vertex a
+// second time at an unchanged distance (staging a taken slot again
+// before its expansion has begun) made it 1.39x.
+func TestSSSPDeltaOrderingCostsNoWork(t *testing.T) {
+	p, err := partition.Build(gen.PowerLaw(20000, 8, 2.1, true, 67), 1, partition.Hash{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dijkstra := relaxations(t, p, sssp.Config{Kernel: sssp.KernelRef})
+	delta := relaxations(t, p, sssp.Config{Shards: 1})
+	t.Logf("relaxations: dijkstra %d, mean-weight delta %d", dijkstra, delta)
+	if delta*2 > dijkstra*3 {
+		t.Fatalf("mean-weight delta attempted %d relaxations vs Dijkstra's %d: want at most 1.5x",
+			delta, dijkstra)
 	}
 }

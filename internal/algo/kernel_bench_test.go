@@ -6,6 +6,7 @@ package algo_test
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"aap/internal/algo/cc"
@@ -26,14 +27,17 @@ func benchFragment(b *testing.B, g *graph.Graph) *partition.Partitioned {
 	return p
 }
 
-func benchKernel[T any](b *testing.B, p *partition.Partitioned, job core.Job[T]) {
+// benchKernel times PEval to the local fixpoint and returns the last
+// iteration's program, for rows that report its counters.
+func benchKernel[T any](b *testing.B, p *partition.Partitioned, job core.Job[T]) (prog core.Program[T]) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		prog := job.New(p.Frags[0])
+		prog = job.New(p.Frags[0])
 		ctx := core.NewEngineContext[T](p.Frags[0], 1)
 		prog.PEval(ctx)
 		ctx.TakeOut()
 	}
+	return prog
 }
 
 func BenchmarkKernelSSSP(b *testing.B) {
@@ -45,24 +49,41 @@ func BenchmarkKernelSSSP(b *testing.B) {
 	}
 }
 
-// BenchmarkKernelSSSPDelta is the delta axis on the road-network
-// stand-in: the Bellman-Ford-ordered frontier sweep against the
-// bucketed kernel at tiny/auto/huge bucket widths — relaxation counts,
-// not just wall time, are what the widths trade (see aapbench -exp
-// compute for the counters).
+// BenchmarkKernelSSSPDelta is the bucket-width axis on the two graph
+// families a weight heuristic used to tell apart — a high-diameter road
+// fragment and a low-diameter power-law one: sequential Dijkstra against
+// the bucketed kernel at Delta = the mean weight (production) and +Inf
+// (one bucket, the Bellman-Ford frontier order), shards = 1. The
+// relaxations/op metric is what the widths trade; ns/op shows that the
+// production row beats Dijkstra on both families and is within a few
+// percent of the best width on each, which is why nothing chooses
+// between kernels by weight. The last row is the bucket structure's
+// worst case — a width far below the mean weight, so most buckets hold
+// nothing or one vertex, with eight staging lists per bucket for
+// Buckets.Advance to look through.
 func BenchmarkKernelSSSPDelta(b *testing.B) {
-	g := gen.RoadNet(150, 150, 131)
-	p := benchFragment(b, g)
-	b.Run("frontier", func(b *testing.B) {
-		benchKernel(b, p, sssp.JobConfig(sssp.Config{Kernel: sssp.KernelFrontier, Shards: 1}))
-	})
-	for _, d := range []struct {
-		name  string
-		delta float64
-	}{{"tiny", 0.02}, {"auto", 0}, {"huge", 1e18}} {
-		b.Run("delta="+d.name, func(b *testing.B) {
-			benchKernel(b, p, sssp.JobConfig(sssp.Config{Kernel: sssp.KernelBuckets, Shards: 1, Delta: d.delta}))
-		})
+	for _, in := range []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"road", gen.RoadNet(300, 300, 131)},
+		{"powerlaw", gen.PowerLaw(300000, 8, 2.1, true, 5)},
+	} {
+		p := benchFragment(b, in.g)
+		for _, c := range []struct {
+			name string
+			cfg  sssp.Config
+		}{
+			{"ref", sssp.Config{Kernel: sssp.KernelRef}},
+			{"delta=auto", sssp.Config{Shards: 1}},
+			{"delta=inf", sssp.Config{Shards: 1, Delta: math.Inf(1)}},
+			{"delta=0.01/shards=8", sssp.Config{Shards: 8, Delta: 0.01}},
+		} {
+			b.Run(in.name+"/"+c.name, func(b *testing.B) {
+				prog := benchKernel(b, p, sssp.JobConfig(c.cfg))
+				b.ReportMetric(float64(prog.(interface{ Relaxations() int64 }).Relaxations()), "relaxations/op")
+			})
+		}
 	}
 }
 

@@ -110,8 +110,8 @@ func diffGraphs() map[string]*graph.Graph {
 }
 
 // TestSSSPParallelKernelMatchesRef: program-level differential — the
-// frontier sweep at every forced shard count against sequential
-// Dijkstra on one fragment.
+// bucketed sweep at every forced shard count against sequential
+// Dijkstra on one fragment (delta_test.go adds the bucket-width axis).
 func TestSSSPParallelKernelMatchesRef(t *testing.T) {
 	for name, g := range diffGraphs() {
 		p, err := partition.Build(g, 1, partition.Hash{})

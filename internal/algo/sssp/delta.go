@@ -1,20 +1,20 @@
-// The delta-stepping SSSP kernel: the frontier-parallel sweep of
-// sssp.go staged through the bucketed frontier (par.Buckets).
+// The bucketed label-correcting SSSP kernel: a delta-stepping sweep
+// over the bucketed frontier (par.Buckets) without the textbook's
+// light/heavy edge phases.
 //
 // Owned vertices enter distance-range buckets of width delta. Buckets
-// drain lowest first; within a bucket, light edges (weight <= delta)
-// relax repeatedly until the bucket settles — a light relaxation can
-// only land in the current or the next bucket, so the inner loop is a
-// local fixpoint — and only then do the settled vertices ship their
-// heavy edges (weight > delta), each of which lands strictly beyond the
-// current bucket. The effect is near-Dijkstra processing order at full
-// shard parallelism: a vertex is expanded when its distance is already
-// within delta of final, instead of every time it improves, which on
-// long shortest-path trees (road networks) removes most re-relaxations
-// the Bellman-Ford order pays for.
+// drain lowest first: every vertex taken from the current bucket relaxes
+// all its out-edges, a relaxation that lands inside the current range
+// re-fills the bucket, and the bucket is re-taken until it stays empty.
+// The effect is near-Dijkstra processing order at full shard
+// parallelism: a vertex is expanded when its distance is already within
+// delta of final, instead of every time it improves, which on long
+// shortest-path trees (road networks) removes most re-relaxations the
+// Bellman-Ford order pays for, and costs nothing where there are none
+// to remove (low-diameter graphs settle in a handful of buckets).
 //
 // Correctness does not depend on any of that ordering: distances relax
-// through the same exact atomic min as the other kernels, every
+// through the same exact atomic min whatever the order, every
 // improvement re-stages its vertex, and the sweep only stops when all
 // buckets are empty — so the kernel terminates at the same unique
 // fixpoint bit for bit, as the differential tests pin across bucket
@@ -32,52 +32,25 @@ import (
 	"aap/internal/partition"
 )
 
-// weightStats scans the fragment's owned out-edges and returns the mean
-// edge weight and the coefficient of variation (the weight-dispersion
-// signal of the kernel heuristic). Unweighted fragments report (1, 0).
-func weightStats(f *partition.Fragment) (mean, disp float64) {
-	g := f.Graph()
-	if !g.Weighted() {
-		return 1, 0
-	}
-	var sum, sumSq float64
-	var n int64
-	for v := f.Lo; v < f.Hi; v++ {
-		for _, w := range g.OutWeights(v) {
-			sum += w
-			sumSq += w * w
-			n++
-		}
-	}
-	if n == 0 || !(sum > 0) {
-		return 1, 0
-	}
-	mean = sum / float64(n)
-	variance := sumSq/float64(n) - mean*mean
-	if variance < 0 {
-		variance = 0
-	}
-	return mean, math.Sqrt(variance) / mean
-}
-
 // deltaProgram is the per-fragment state of the bucketed kernel.
 type deltaProgram struct {
 	f      *partition.Fragment
 	g      *graph.Graph
 	source graph.VertexID
-	shards int     // forced kernel shard count; 0 = auto per phase
-	delta  float64 // bucket width
+	shards int // forced kernel shard count; 0 = auto per phase
 
 	dist        []atomic.Uint64 // float64 bits per local slot
 	bk          *par.Buckets    // owned slots staged by distance range
 	copyChanged *par.Marks      // F.O copies improved since last flush
-	settledIn   *par.Marks      // dedups the per-bucket settled list
 
-	settled []int32 // vertices settled in the current bucket (heavy-phase input)
-	items   []int32 // TakeCur scratch
-	seeds   []int32 // IncEval re-seed scratch
-	bounds  []int   // reusable chunk-boundary scratch
-	scanned []int64 // per-shard relaxation counts
+	// One phase's input and per-shard output, read by expand: the taken
+	// slots, their chunk boundaries, and the edges each shard scanned.
+	items   []int32
+	bounds  []int
+	scanned []int64
+	expand  func(w int) // p.expandShard, bound once so a phase allocates nothing
+
+	seeds []int32 // IncEval re-seed scratch
 
 	rounds  int   // parallel sweep phases executed
 	buckets int   // nonempty buckets drained
@@ -85,15 +58,15 @@ type deltaProgram struct {
 }
 
 // newDeltaProgram builds the bucketed kernel for one fragment. A delta
-// that is not a positive number (zero, negative, NaN) auto-tunes the
-// bucket width to the fragment's mean edge weight — one bucket then
-// spans roughly one expected hop, the classic delta-stepping starting
-// point (unweighted fragments get delta 1, i.e. BFS levels).
+// that is not a positive number (zero, negative, NaN) means the
+// fragment's mean edge weight — one bucket then spans roughly one
+// expected hop, the classic delta-stepping starting point (unweighted
+// fragments get delta 1, i.e. BFS levels).
 func newDeltaProgram(f *partition.Fragment, source graph.VertexID, shards int, delta float64) *deltaProgram {
 	if !(delta > 0) {
-		delta, _ = weightStats(f)
+		delta = f.MeanOutWeight()
 	}
-	p := &deltaProgram{f: f, g: f.Graph(), source: source, shards: shards, delta: delta}
+	p := &deltaProgram{f: f, g: f.Graph(), source: source, shards: shards}
 	p.dist = make([]atomic.Uint64, f.Slots())
 	inf := math.Float64bits(Inf)
 	for i := range p.dist {
@@ -101,12 +74,9 @@ func newDeltaProgram(f *partition.Fragment, source graph.VertexID, shards int, d
 	}
 	p.bk = par.NewBuckets(f.NumOwned(), max(shards, 1), delta)
 	p.copyChanged = par.NewMarks(len(f.Out))
-	p.settledIn = par.NewMarks(f.NumOwned())
+	p.expand = p.expandShard
 	return p
 }
-
-// Delta returns the resolved bucket width.
-func (p *deltaProgram) Delta() float64 { return p.delta }
 
 // KernelRounds reports the parallel sweep phases executed so far.
 func (p *deltaProgram) KernelRounds() int { return p.rounds }
@@ -117,8 +87,9 @@ func (p *deltaProgram) BucketsDrained() int { return p.buckets }
 // Relaxations reports the edge relaxations attempted so far.
 func (p *deltaProgram) Relaxations() int64 { return p.relaxed }
 
-// ScannedEdges reports the raw CSR edges the sweeps read
-// (core.ScanCounter).
+// ScannedEdges reports the raw CSR edges the sweeps read (one per
+// out-edge of every expanded vertex) — core.ScanCounter, the
+// denominator of the batched multi-source amortization ratio.
 func (p *deltaProgram) ScannedEdges() int64 { return p.relaxed }
 
 // PEval seeds the source if owned and sweeps to the local fixpoint.
@@ -180,30 +151,22 @@ func (p *deltaProgram) kernelShards(ctx *core.Context[float64], work int64) int 
 	return ctx.Shards(work)
 }
 
-// sweep drains buckets to the local fixpoint. Per bucket: the light
-// phase re-takes and relaxes light edges until no staging lands in the
-// bucket anymore (settling it), then one heavy phase ships the settled
-// vertices' heavy edges, which land strictly beyond the bucket.
+// sweep drains buckets to the local fixpoint: the current bucket is
+// taken and expanded until no relaxation lands in it anymore, then the
+// window advances to the next nonempty bucket.
 func (p *deltaProgram) sweep(ctx *core.Context[float64]) {
-	owned := int32(p.f.NumOwned())
 	for {
-		p.settled = p.settled[:0]
-		p.settledIn.Reset()
+		took := false
 		for {
 			p.items = p.bk.TakeCur(p.items)
 			if len(p.items) == 0 {
 				break
 			}
-			for _, s := range p.items {
-				if p.settledIn.TryMark(s) {
-					p.settled = append(p.settled, s)
-				}
-			}
-			p.relaxPhase(ctx, p.items, true, owned)
+			took = true
+			p.relaxPhase(ctx)
 		}
-		if len(p.settled) > 0 {
+		if took {
 			p.buckets++
-			p.relaxPhase(ctx, p.settled, false, owned)
 		}
 		if !p.bk.Advance() {
 			return
@@ -211,74 +174,96 @@ func (p *deltaProgram) sweep(ctx *core.Context[float64]) {
 	}
 }
 
-// relaxPhase expands items' out-edges of one weight class — light
-// (weight <= delta) or heavy — in parallel across kernel shards
-// balanced by degree, relaxing with the exact atomic min.
-func (p *deltaProgram) relaxPhase(ctx *core.Context[float64], items []int32, light bool, owned int32) {
+// relaxPhase expands every out-edge of p.items in parallel across kernel
+// shards balanced by degree.
+func (p *deltaProgram) relaxPhase(ctx *core.Context[float64]) {
 	p.rounds++
 	deg := func(s int32) int64 { return int64(p.g.OutDegree(p.f.Lo+s)) + 1 }
 	var span int64
-	for _, s := range items {
+	for _, s := range p.items {
 		span += deg(s)
 	}
 	k := p.kernelShards(ctx, span)
 	p.bk.EnsureShards(k)
-	p.bounds = par.ChunksByWork(items, k, span, p.bounds, deg)
+	p.bounds = par.ChunksByWork(p.items, k, span, p.bounds, deg)
 	if cap(p.scanned) < k {
 		p.scanned = make([]int64, k)
 	}
-	scanned := p.scanned[:k]
-	par.Do(k, func(w int) {
-		var n int64
-		for _, s := range items[p.bounds[w]:p.bounds[w+1]] {
-			v := p.f.Lo + s
-			d := math.Float64frombits(p.dist[s].Load())
-			wts := p.g.OutWeights(v)
-			for i, u := range p.g.Out(v) {
-				wt := 1.0
-				if wts != nil {
-					wt = wts[i]
-				}
-				if (wt <= p.delta) != light {
-					continue
-				}
-				n++
-				p.relax(u, d+wt, w, owned)
-			}
-		}
-		scanned[w] = n
-	})
+	p.scanned = p.scanned[:k]
+	par.Do(k, p.expand)
 	var total int64
-	for _, n := range scanned {
+	for _, n := range p.scanned {
 		total += n
 	}
 	p.relaxed += total
 	ctx.AddWork(int(total))
 }
 
-// relax lowers u's distance to nd if it improves, staging owned slots
-// into the bucket of their new distance and marking improved copies for
-// the flush. A racing further improvement can leave nd stale-high here;
-// the loser's staging then fails the bucket CAS-min (or goes stale) and
-// the winner's bucket is the one drained — the processing always reads
-// the then-current distance.
-func (p *deltaProgram) relax(u int32, nd float64, w int, owned int32) {
-	slot := p.f.Slot(u)
-	if slot < 0 {
-		return
+// expandShard is shard w of a phase: it relaxes the out-edges of its
+// chunk of p.items with the exact atomic min, staging improved owned
+// slots into the bucket of their new distance and marking improved
+// copies for the flush. A slot is unstaged only as its expansion begins,
+// so a vertex improved while it waits in p.items is expanded once, at
+// the improved distance, not once now and once more on the re-take. A
+// racing further improvement can leave a candidate stale-high by the
+// time it is staged; the loser's staging then fails the bucket CAS-min
+// (or goes stale) and the winner's bucket is the one drained —
+// expansion always reads the then-current distance.
+func (p *deltaProgram) expandShard(w int) {
+	owned := int32(p.f.NumOwned())
+	var n int64
+	for _, s := range p.items[p.bounds[w]:p.bounds[w+1]] {
+		v := p.f.Lo + s
+		p.bk.Unstage(s)
+		d := math.Float64frombits(p.dist[s].Load())
+		wts := p.g.OutWeights(v)
+		out := p.g.Out(v)
+		n += int64(len(out))
+		for i, u := range out {
+			nd := d + 1
+			if wts != nil {
+				nd = d + wts[i]
+			}
+			slot := p.f.Slot(u)
+			if slot < 0 || !par.MinFloat64Bits(&p.dist[slot], nd) {
+				continue
+			}
+			if slot < owned {
+				p.bk.Add(w, slot, nd)
+			} else {
+				p.copyChanged.TryMark(slot - owned)
+			}
+		}
 	}
-	if !par.MinFloat64Bits(&p.dist[slot], nd) {
-		return
-	}
-	if slot < owned {
-		p.bk.Add(w, slot, nd)
-	} else {
-		p.copyChanged.TryMark(slot - owned)
-	}
+	p.scanned[w] = n
 }
 
-// flushBorder ships the distances of copies improved since the last
-// flush.
+// flushBorder ships the distances of the copies improved since the last
+// flush, staged across kernel shards and merged in copy-slot order so
+// the per-destination message order matches a sequential pass.
 func (p *deltaProgram) flushBorder(ctx *core.Context[float64]) {
-	flushAtomicCopies(ctx, p.f, p.dist, p.copyChanged, p.kernelShards(ctx, int64(len(p.f.Out))))
+	out := p.f.Out
+	if len(out) == 0 {
+		return
+	}
+	copies := p.dist[p.f.NumOwned():]
+	if k := p.kernelShards(ctx, int64(len(out))); k <= 1 {
+		for i, v := range out {
+			if p.copyChanged.Marked(int32(i)) {
+				ctx.Send(v, math.Float64frombits(copies[i].Load()))
+			}
+		}
+	} else {
+		stages := ctx.Stages(k)
+		par.Do(k, func(w int) {
+			st := stages[w]
+			for i := w * len(out) / k; i < (w+1)*len(out)/k; i++ {
+				if p.copyChanged.Marked(int32(i)) {
+					st.Send(out[i], math.Float64frombits(copies[i].Load()))
+				}
+			}
+		})
+		ctx.MergeStages()
+	}
+	p.copyChanged.Reset()
 }

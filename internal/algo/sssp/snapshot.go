@@ -2,8 +2,8 @@ package sssp
 
 // Checkpoint support (core.Snapshotter): the engine calls these at
 // round boundaries only, where every kernel's worklist is empty by the
-// IncEval local-quiescence contract — the frontier and buckets are
-// drained by sweep, the Dijkstra heap by dijkstra, and the copy-flush
+// IncEval local-quiescence contract — the buckets are drained by
+// sweep, the Dijkstra heap by dijkstra, and the copy-flush
 // marks by flushBorder. The durable state is therefore just the
 // distance array (as raw float bits, so the round trip is bit-exact)
 // plus the kernel's work counters.
@@ -14,57 +14,21 @@ import (
 	"aap/internal/codec"
 )
 
-// SnapshotState serializes the frontier kernel's durable state.
-func (p *program) SnapshotState() []byte {
-	buf := make([]byte, 0, 4+8*len(p.dist)+16)
-	bits := make([]uint64, len(p.dist))
-	for i := range p.dist {
-		bits[i] = p.dist[i].Load()
-	}
-	buf = codec.AppendUint64s(buf, bits)
-	buf = codec.AppendInt64(buf, int64(p.rounds))
-	buf = codec.AppendInt64(buf, p.relaxed)
-	return buf
-}
-
-// RestoreState rewinds the frontier kernel to a snapshot.
-func (p *program) RestoreState(data []byte) error {
-	r := codec.NewReader(data)
-	bits := r.Uint64s()
-	rounds := r.Int64()
-	relaxed := r.Int64()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if len(bits) != len(p.dist) {
-		return fmt.Errorf("sssp: snapshot has %d slots, fragment has %d", len(bits), len(p.dist))
-	}
-	for i, b := range bits {
-		p.dist[i].Store(b)
-	}
-	p.rounds = int(rounds)
-	p.relaxed = relaxed
-	p.copyChanged.Reset()
-	return nil
-}
-
-// SnapshotState serializes the delta-stepping kernel's durable state.
+// SnapshotState serializes the bucketed kernel's durable state: the
+// distance bits, read straight from the atomics into the one pre-sized
+// buffer, then the work counters.
 func (p *deltaProgram) SnapshotState() []byte {
 	buf := make([]byte, 0, 4+8*len(p.dist)+24)
-	bits := make([]uint64, len(p.dist))
-	for i := range p.dist {
-		bits[i] = p.dist[i].Load()
-	}
-	buf = codec.AppendUint64s(buf, bits)
+	buf = codec.AppendUint64s(buf, len(p.dist), func(i int) uint64 { return p.dist[i].Load() })
 	buf = codec.AppendInt64(buf, int64(p.rounds))
 	buf = codec.AppendInt64(buf, int64(p.buckets))
 	buf = codec.AppendInt64(buf, p.relaxed)
 	return buf
 }
 
-// RestoreState rewinds the delta-stepping kernel to a snapshot. The
-// bucket window needs no repair: IncEval restarts it at the smallest
-// incoming improvement before staging anything.
+// RestoreState rewinds the bucketed kernel to a snapshot. The bucket
+// window needs no repair: IncEval restarts it at the smallest incoming
+// improvement before staging anything.
 func (p *deltaProgram) RestoreState(data []byte) error {
 	r := codec.NewReader(data)
 	bits := r.Uint64s()
@@ -84,7 +48,6 @@ func (p *deltaProgram) RestoreState(data []byte) error {
 	p.buckets = int(buckets)
 	p.relaxed = relaxed
 	p.copyChanged.Reset()
-	p.settledIn.Reset()
 	return nil
 }
 

@@ -3,11 +3,10 @@ package sssp
 // The retained sequential SSSP kernel: Dijkstra's algorithm as PEval and
 // the Ramalingam-Reps style incremental relaxation as IncEval, exactly
 // as shipped before the parallel compute plane. It is the pinned
-// reference of the differential tests (the frontier-parallel kernel must
-// match it bit for bit — shortest-path distances are the unique fixpoint
-// of min over exact per-path sums, so relaxation order cannot change the
-// result) and the work-optimal path the auto heuristic picks when a
-// fragment is too small to shard.
+// reference of the differential tests (the bucketed kernel must match it
+// bit for bit — shortest-path distances are the unique fixpoint of min
+// over exact per-path sums, so relaxation order cannot change the
+// result) and the work-optimal path a fragment too small to shard runs.
 
 import (
 	"aap/internal/core"
@@ -38,7 +37,7 @@ type refProgram struct {
 func (p *refProgram) ScannedEdges() int64 { return p.relaxed }
 
 // Relaxations reports the edge relaxations attempted so far, the work
-// metric TestSSSPDeltaFewerRelaxations compares kernels by.
+// metric the delta tests compare kernels by.
 func (p *refProgram) Relaxations() int64 { return p.relaxed }
 
 func newRefProgram(f *partition.Fragment, source graph.VertexID) *refProgram {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"aap/internal/codec"
 )
@@ -27,7 +28,13 @@ func (j *Job[T]) readMsg(r *codec.Reader) VMsg[T] {
 	return m
 }
 
+// appendMsgs encodes one batch onto dst, which it grows once for the
+// whole batch (every value sized like the first, by Job.Bytes) rather
+// than by doubling its way up from a frame header.
 func (j *Job[T]) appendMsgs(dst []byte, msgs []VMsg[T]) []byte {
+	if len(msgs) > 0 {
+		dst = slices.Grow(dst, 4+len(msgs)*(4+j.valueBytes(msgs[0].Val)))
+	}
 	dst = codec.AppendUint32(dst, uint32(len(msgs)))
 	for _, m := range msgs {
 		dst = j.appendMsg(dst, m)
@@ -44,6 +51,7 @@ func (j *Job[T]) readMsgs(r *codec.Reader, dst []VMsg[T]) ([]VMsg[T], error) {
 	if lim := r.Remaining()/13 + 1; n > lim {
 		return dst, fmt.Errorf("core: batch claims %d messages, %d bytes remain", n, r.Remaining())
 	}
+	dst = slices.Grow(dst, n)
 	for i := 0; i < n && r.Err() == nil; i++ {
 		dst = append(dst, j.readMsg(r))
 	}

@@ -13,6 +13,11 @@
 //   - An entry whose bucket no longer matches where[slot] is stale (the
 //     slot was re-staged into a lower bucket when its priority improved)
 //     and is dropped when its bucket is taken.
+//   - A taken slot stays staged until its consumer calls Unstage, just
+//     before it reads the slot's priority: an improvement that reaches a
+//     slot between its take and its expansion is seen by that expansion
+//     and must not stage the slot again, or the kernel expands it a
+//     second time at the same priority.
 //   - Priorities only decrease (the kernels relax with exact mins), so a
 //     slot's live entry can only move to lower buckets, and a drained
 //     bucket never needs revisiting within a sweep.
@@ -20,9 +25,15 @@
 // The contract mirrors Frontier's: TakeCur splices per-shard staging
 // lists in shard order (deterministic for a fixed shard count), and the
 // drain order cannot change the result of an exact-min fixpoint kernel —
-// only how much work it wastes. Add is safe for concurrent calls with
-// distinct shard indexes during a parallel phase; TakeCur, Advance and
-// Restart are phase boundaries and must run single-threaded.
+// only how much work it wastes. Add and Unstage are safe for concurrent
+// calls during a parallel phase (Add with distinct shard indexes);
+// TakeCur, Advance and Restart are phase boundaries and must run
+// single-threaded. Like Frontier's bitmap, where is therefore a plain
+// []int32: the phase arbitrates on it atomically, the phase boundaries
+// read it with plain loads, and Do's barrier orders the two — so staging
+// a slot costs one CAS and an append, as Frontier.Add does, and nothing
+// else is shared between shards (a bucket is nonempty when one of its
+// lists is).
 package par
 
 import (
@@ -51,12 +62,11 @@ type overEntry struct {
 // [0, n) with float64 priorities.
 type Buckets struct {
 	delta  float64
-	where  []atomic.Int32 // lowest staged bucket per slot; unstagedBucket when idle
-	ring   [][]int32      // (bucket%bucketRing)*stride + shard -> staged slots
-	counts []atomic.Int32 // staged-entry count per ring bucket (Advance skip hint)
-	over   [][]overEntry  // per-shard far entries (bucket outside the ring window)
-	stride int            // shard capacity of the ring rows
-	base   int            // current (lowest undrained) bucket index
+	where  []int32       // lowest staged bucket per slot; unstagedBucket when idle
+	ring   [][]int32     // (bucket%bucketRing)*stride + shard -> staged slots
+	over   [][]overEntry // per-shard far entries (bucket outside the ring window)
+	stride int           // shard capacity of the ring rows
+	base   int           // current (lowest undrained) bucket index
 }
 
 // NewBuckets returns an empty bucketed frontier over slots [0, n) with
@@ -68,20 +78,16 @@ func NewBuckets(n, shards int, delta float64) *Buckets {
 	}
 	bk := &Buckets{
 		delta:  delta,
-		where:  make([]atomic.Int32, n),
+		where:  make([]int32, n),
 		ring:   make([][]int32, bucketRing*shards),
-		counts: make([]atomic.Int32, bucketRing),
 		over:   make([][]overEntry, shards),
 		stride: shards,
 	}
 	for i := range bk.where {
-		bk.where[i].Store(unstagedBucket)
+		bk.where[i] = unstagedBucket
 	}
 	return bk
 }
-
-// Delta returns the bucket width.
-func (bk *Buckets) Delta() float64 { return bk.delta }
 
 // Cur returns the current bucket index.
 func (bk *Buckets) Cur() int { return bk.base }
@@ -125,58 +131,77 @@ func (bk *Buckets) BucketFor(pri float64) int {
 // processing a slot early never changes an exact-min fixpoint. Safe for
 // concurrent calls with distinct w.
 func (bk *Buckets) Add(w int, slot int32, pri float64) bool {
-	b := bk.BucketFor(pri)
-	if b < bk.base {
-		b = bk.base
-	}
-	if !MinInt32(&bk.where[slot], int32(b)) {
-		return false
+	b := max(bk.BucketFor(pri), bk.base)
+	at := &bk.where[slot]
+	for {
+		old := atomic.LoadInt32(at)
+		if old <= int32(b) {
+			return false
+		}
+		if atomic.CompareAndSwapInt32(at, old, int32(b)) {
+			break
+		}
 	}
 	if b-bk.base >= bucketRing {
 		bk.over[w] = append(bk.over[w], overEntry{slot: slot, bucket: int32(b)})
 		return true
 	}
-	bk.ring[(b%bucketRing)*bk.stride+w] = append(bk.ring[(b%bucketRing)*bk.stride+w], slot)
-	bk.counts[b%bucketRing].Add(1)
+	lst := &bk.ring[(b%bucketRing)*bk.stride+w]
+	*lst = append(*lst, slot)
 	return true
 }
 
 // TakeCur drains the current bucket's staged slots into dst (reused when
-// it has capacity) and unstages them, dropping stale and duplicate
-// entries. An empty result means the bucket is drained; re-staging
-// during a subsequent parallel phase re-fills it (light-edge
-// re-insertion). Not safe concurrently with Add.
+// it has capacity), dropping stale entries. The slots stay staged: the
+// consumer must Unstage each one before reading its priority. An empty
+// result means the bucket is drained; staging into it during a
+// subsequent parallel phase re-fills it (a relaxation that lands inside
+// the current distance range). Not safe concurrently with Add.
 func (bk *Buckets) TakeCur(dst []int32) []int32 {
 	dst = dst[:0]
-	r := bk.base % bucketRing
-	if bk.counts[r].Load() == 0 {
-		return dst
-	}
-	bk.counts[r].Store(0)
 	cur := int32(bk.base)
-	for w := 0; w < bk.stride; w++ {
-		lst := bk.ring[r*bk.stride+w]
+	row := bk.ring[bk.base%bucketRing*bk.stride:][:bk.stride]
+	for w, lst := range row {
 		for _, s := range lst {
-			if bk.where[s].Load() == cur {
-				bk.where[s].Store(unstagedBucket)
+			if bk.where[s] == cur {
 				dst = append(dst, s)
 			}
 		}
-		bk.ring[r*bk.stride+w] = lst[:0]
+		row[w] = lst[:0]
 	}
 	return dst
 }
 
+// Unstage marks a taken slot as about to be expanded: an Add that lowers
+// its priority from here on stages it again. The caller must read the
+// slot's priority after this call — the store and that load, against an
+// improver's priority store and Add, are what guarantees that every
+// improvement is either read by this expansion or staged for the next.
+// Safe concurrently with Add.
+func (bk *Buckets) Unstage(slot int32) {
+	atomic.StoreInt32(&bk.where[slot], unstagedBucket)
+}
+
+// staged reports whether ring bucket r holds an entry, live or stale.
+func (bk *Buckets) staged(r int) bool {
+	for _, lst := range bk.ring[r*bk.stride:][:bk.stride] {
+		if len(lst) > 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // Advance moves to the next nonempty bucket and reports whether one
-// exists; false means the structure is empty (entry counts are hints, so
-// a true return can still yield an empty TakeCur when every entry of the
-// found bucket was stale — callers just advance again). When the ring
-// window is exhausted it redistributes the overflow lists: base jumps to
-// the lowest live spilled bucket and every spilled entry now inside the
+// exists; false means the structure is empty (stale entries count until
+// their bucket is taken, so a true return can still yield an empty
+// TakeCur — callers just advance again). When the ring window is
+// exhausted it redistributes the overflow lists: base jumps to the
+// lowest live spilled bucket and every spilled entry now inside the
 // window moves into the ring. Not safe concurrently with Add.
 func (bk *Buckets) Advance() bool {
 	for i := bk.base + 1; i < bk.base+bucketRing; i++ {
-		if bk.counts[i%bucketRing].Load() > 0 {
+		if bk.staged(i % bucketRing) {
 			bk.base = i
 			return true
 		}
@@ -185,7 +210,7 @@ func (bk *Buckets) Advance() bool {
 	for w := range bk.over {
 		keep := bk.over[w][:0]
 		for _, e := range bk.over[w] {
-			if bk.where[e.slot].Load() != e.bucket {
+			if bk.where[e.slot] != e.bucket {
 				continue // re-staged lower and already drained: stale
 			}
 			keep = append(keep, e)
@@ -208,7 +233,6 @@ func (bk *Buckets) Advance() bool {
 			}
 			r := int(e.bucket) % bucketRing
 			bk.ring[r*bk.stride+w] = append(bk.ring[r*bk.stride+w], e.slot)
-			bk.counts[r].Add(1)
 		}
 		bk.over[w] = keep
 	}

@@ -110,9 +110,12 @@ func TestBucketsDedupAndStale(t *testing.T) {
 	}
 }
 
-// TestBucketsReinsertCurrent mimics light-edge settling: a slot taken
-// from the current bucket is re-staged into the same bucket and must be
-// taken again before the bucket counts as drained.
+// TestBucketsReinsertCurrent mimics a relaxation landing inside the
+// range being drained. While a taken slot waits for its expansion it is
+// still staged — the expansion will read the improved priority, so the
+// Add is refused; once Unstage announces the expansion, an improvement
+// re-stages the slot into the same bucket and it must be taken again
+// before the bucket counts as drained.
 func TestBucketsReinsertCurrent(t *testing.T) {
 	bk := NewBuckets(4, 1, 10)
 	bk.Add(0, 0, 1)
@@ -120,6 +123,10 @@ func TestBucketsReinsertCurrent(t *testing.T) {
 	if len(items) != 1 || items[0] != 0 {
 		t.Fatalf("first take = %v", items)
 	}
+	if bk.Add(0, 0, 3) {
+		t.Fatal("a slot still waiting for its expansion was staged a second time")
+	}
+	bk.Unstage(0)
 	if !bk.Add(0, 0, 2) { // still bucket 0: re-insertion after improvement
 		t.Fatal("re-insertion rejected")
 	}
@@ -208,7 +215,7 @@ func TestBucketsConcurrentAdd(t *testing.T) {
 	pri := func(s int32) float64 { return float64(s%97) + 0.5 }
 	Do(shards, func(w int) {
 		for s := int32(0); s < n; s++ {
-			// Every shard tries every slot; MinInt32 arbitrates.
+			// Every shard tries every slot; Add's CAS-min arbitrates.
 			bk.Add(w, s, pri(s)+float64(w)) // shard 0 offers the best priority
 		}
 	})
@@ -260,5 +267,33 @@ func TestBucketsEnsureShards(t *testing.T) {
 	}
 	if !slices.Equal(flat, []int32{0, 1, 2}) {
 		t.Fatalf("post-grow drain %v", flat)
+	}
+}
+
+// TestBucketsAdvanceReadsLists: a bucket is nonempty when one of its
+// per-shard lists is — there is no shared per-bucket counter. Advance
+// must see an entry staged on any shard's list, keep counting a stale
+// entry until its bucket is taken, and report empty once every list is.
+func TestBucketsAdvanceReadsLists(t *testing.T) {
+	bk := NewBuckets(4, 3, 1)
+	bk.Add(2, 0, 7.5) // bucket 7 holds one entry, on the last shard's list
+	bk.Add(1, 1, 9.5)
+	bk.Add(0, 1, 3.5) // re-staged lower: the bucket-9 entry is now stale
+	if items := bk.TakeCur(nil); len(items) != 0 {
+		t.Fatalf("empty bucket 0 returned %v", items)
+	}
+	for _, want := range []struct {
+		bucket int
+		slots  []int32
+	}{{3, []int32{1}}, {7, []int32{0}}, {9, nil}} {
+		if !bk.Advance() || bk.Cur() != want.bucket {
+			t.Fatalf("advanced to bucket %d, want %d", bk.Cur(), want.bucket)
+		}
+		if items := bk.TakeCur(nil); !slices.Equal(items, want.slots) {
+			t.Fatalf("bucket %d returned %v, want %v", want.bucket, items, want.slots)
+		}
+	}
+	if bk.Advance() {
+		t.Fatalf("drained structure advanced to bucket %d", bk.Cur())
 	}
 }

@@ -34,6 +34,12 @@ const kernelGrainEdges = 1 << 14
 // Override like every other fan-out decision in the repository.
 func Kernel(work int64) int { return Procs(work, kernelGrainEdges) }
 
+// BelowKernelGrain reports whether `work` units are too few for Kernel
+// to ever shard, on any machine. A choice between a sequential and a
+// sharded algorithm keys on this — a property of the input — rather
+// than on Kernel's answer, which is also 1 whenever there is one core.
+func BelowKernelGrain(work int64) bool { return work < kernelGrainEdges }
+
 // KernelShare is Kernel for a caller entitled to one `sharers`-th of the
 // cores because that many callers are computing at once: the shard
 // count is capped at GOMAXPROCS/sharers (at least 1), so that callers ×

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math/bits"
 	"sort"
+	"sync"
 
 	"aap/internal/graph"
 )
@@ -51,6 +52,11 @@ type Fragment struct {
 	// set resolves through copySlots, a rank-indexed bitmap over the
 	// global vertex range (slots.go).
 	copySlots []rankWord
+
+	// meanWeight is MeanOutWeight's answer, derived from the immutable
+	// graph on first use so that Build pays nothing for it.
+	meanOnce   sync.Once
+	meanWeight float64
 
 	p *Partitioned
 }
@@ -106,6 +112,32 @@ func (f *Fragment) Graph() *graph.Graph { return f.p.G }
 // Partitioned returns the partition the fragment belongs to.
 func (f *Fragment) Partitioned() *Partitioned { return f.p }
 
+// MeanOutWeight returns the mean weight of the fragment's owned
+// out-edges: 1 on an unweighted graph (its edges count as 1) or a
+// fragment without edges. It is a property of the immutable fragment,
+// so it is computed once, on first use, and is safe for concurrent
+// callers.
+func (f *Fragment) MeanOutWeight() float64 {
+	f.meanOnce.Do(func() {
+		f.meanWeight = 1
+		g := f.p.G
+		n := g.OutSpan(f.Lo, f.Hi)
+		if !g.Weighted() || n == 0 {
+			return
+		}
+		var sum float64
+		for v := f.Lo; v < f.Hi; v++ {
+			for _, w := range g.OutWeights(v) {
+				sum += w
+			}
+		}
+		if sum > 0 {
+			f.meanWeight = sum / float64(n)
+		}
+	})
+	return f.meanWeight
+}
+
 // Partitioned is a graph partitioned into m fragments over a renumbered
 // global graph. Fragment i owns the contiguous vertex range
 // [Ranges[i], Ranges[i+1]).
@@ -115,7 +147,8 @@ func (f *Fragment) Partitioned() *Partitioned { return f.p }
 // border sets — is read-only. This is what lets core.Session share one
 // Partitioned across concurrently executing queries with no locking:
 // per-query state lives entirely in the engine's vertex arenas, never
-// here. Anything that wants different fragments (Relabel, a different
+// here. (Fragment.MeanOutWeight memoizes a value derived from that
+// read-only state behind a sync.Once, which keeps the contract.) Anything that wants different fragments (Relabel, a different
 // m) builds a new Partitioned.
 type Partitioned struct {
 	G      *graph.Graph

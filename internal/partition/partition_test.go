@@ -8,6 +8,7 @@ import (
 
 	"aap/internal/gen"
 	"aap/internal/graph"
+	"aap/internal/par"
 	"aap/internal/partition"
 )
 
@@ -286,6 +287,47 @@ func TestMoreFragmentsThanVertices(t *testing.T) {
 	}
 	if p.Skew() < 1 {
 		t.Error("skew below 1")
+	}
+}
+
+// TestMeanOutWeight: the memoized mean is the mean of the fragment's own
+// out-edge weights, the same for concurrent first callers (exercised
+// under -race in CI), and 1 where there is nothing to average — an
+// unweighted graph, a fragment without edges.
+func TestMeanOutWeight(t *testing.T) {
+	g := gen.PowerLaw(400, 5, 2.1, true, 9)
+	p, err := partition.Build(g, 3, partition.Hash{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range p.Frags {
+		var sum float64
+		var n int
+		for v := f.Lo; v < f.Hi; v++ {
+			for _, w := range p.G.OutWeights(v) {
+				sum += w
+				n++
+			}
+		}
+		got := make([]float64, 4)
+		par.Do(len(got), func(w int) { got[w] = f.MeanOutWeight() })
+		for _, m := range got {
+			if m != sum/float64(n) {
+				t.Fatalf("fragment %d: mean %v, want %v", f.ID, m, sum/float64(n))
+			}
+		}
+	}
+
+	b := graph.NewBuilder(true)
+	b.AddEdge(0, 1)
+	p, err = partition.Build(b.Build(), 4, partition.Hash{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range p.Frags {
+		if m := f.MeanOutWeight(); m != 1 {
+			t.Fatalf("unweighted fragment %d (%d owned): mean %v, want 1", f.ID, f.NumOwned(), m)
+		}
 	}
 }
 
