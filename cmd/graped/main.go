@@ -20,6 +20,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"os"
 	"os/signal"
 	"strconv"
@@ -54,6 +55,10 @@ func main() {
 	cfEpochs := flag.Int("cf-epochs", 10, "CF training epochs for -gen ratings graphs")
 	rpcWorkers := flag.Int("rpc-workers", 0, "RPC handler pool size (0: in-flight cap + queue depth)")
 	flag.Parse()
+	if !(*pagerankTol > 0) || math.IsInf(*pagerankTol, 1) {
+		fmt.Fprintf(os.Stderr, "graped: -pagerank-tol must be a positive finite number, got %v\n", *pagerankTol)
+		os.Exit(2)
+	}
 
 	logger := log.New(os.Stderr, "graped ", log.LstdFlags|log.Lmicroseconds)
 

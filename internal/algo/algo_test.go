@@ -169,6 +169,31 @@ func TestPageRankDanglingVertices(t *testing.T) {
 	}
 }
 
+// TestPageRankConfigFailsSafe: a Tol or Damping the fixpoint is not
+// defined for takes the default. Before the guard Tol = NaN (and +Inf)
+// answered 1-d for every vertex with a nil error, Tol = -1 never left
+// PEval — where no engine deadline reaches — and Damping = 1 seeded no
+// mass at all.
+func TestPageRankConfigFailsSafe(t *testing.T) {
+	g := gen.SmallWorld(300, 3, 0.1, false, 53)
+	p, err := partition.Build(g, 1, partition.Hash{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := peval(t, p, pagerank.Job(pagerank.Config{}))
+	for name, cfg := range map[string]pagerank.Config{
+		"tol=NaN":      {Tol: math.NaN()},
+		"tol=-1":       {Tol: -1},
+		"tol=+Inf":     {Tol: math.Inf(1)},
+		"damping=1":    {Damping: 1},
+		"damping=-0.5": {Damping: -0.5},
+		"damping=NaN":  {Damping: math.NaN()},
+	} {
+		bitsEqualF64(t, name, peval(t, p, pagerank.Job(cfg)), want)
+		bitsEqualF64(t, name+"/ref", peval(t, p, pagerank.RefJob(cfg)), want)
+	}
+}
+
 // TestCFRecoversPlantedFactors: distributed SGD on a planted low-rank
 // rating matrix must reach a holdout RMSE close to the noise floor and
 // comparable to single-threaded SGD.

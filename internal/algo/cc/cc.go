@@ -27,7 +27,9 @@ import (
 // Job builds the CC PIE job. Every vertex ends with the minimum external
 // id of its connected component as its cid. Fragments big enough to
 // shard run the parallel label-propagation kernel; small ones keep the
-// sequential union-find.
+// sequential union-find. The choice reads the fragment's size and not
+// the core count, so one partition runs the same algorithm on every
+// machine.
 func Job() core.Job[int64] {
 	return JobShards(0)
 }
@@ -39,8 +41,7 @@ func JobShards(shards int) core.Job[int64] {
 	return core.Job[int64]{
 		Name: "cc",
 		New: func(f *partition.Fragment) core.Program[int64] {
-			g := f.Graph()
-			if shards == 0 && par.Kernel(g.OutSpan(f.Lo, f.Hi)) <= 1 {
+			if shards == 0 && par.BelowKernelGrain(f.Graph().OutSpan(f.Lo, f.Hi)) {
 				return newRefProgram(f)
 			}
 			return newProgram(f, shards)

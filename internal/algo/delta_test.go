@@ -166,9 +166,9 @@ type ssspKernel interface {
 }
 
 // superstep runs one barrier round by hand: every fragment with pending
-// messages folds them and runs IncEval; it returns the next inboxes and
-// whether anyone had work.
-func superstep(progs []ssspKernel, ctxs []*core.Context[float64], inbox [][]core.VMsg[float64]) ([][]core.VMsg[float64], bool) {
+// messages folds them with agg and runs IncEval; it returns the next
+// inboxes and whether anyone had work.
+func superstep[P core.Program[float64]](progs []P, ctxs []*core.Context[float64], inbox [][]core.VMsg[float64], agg func(a, b float64) float64) ([][]core.VMsg[float64], bool) {
 	next := make([][]core.VMsg[float64], len(progs))
 	active := false
 	for i, prog := range progs {
@@ -176,7 +176,7 @@ func superstep(progs []ssspKernel, ctxs []*core.Context[float64], inbox [][]core
 			continue
 		}
 		active = true
-		prog.IncEval(core.FoldMessages(inbox[i], math.Min), ctxs[i])
+		prog.IncEval(core.FoldMessages(inbox[i], agg), ctxs[i])
 		out, _ := ctxs[i].TakeOut()
 		for j, ms := range out {
 			next[j] = append(next[j], ms...)
@@ -209,7 +209,7 @@ func TestSSSPDeltaSnapshotResumesMidRun(t *testing.T) {
 	}
 	finish := func(tag string, progs []ssspKernel, ctxs []*core.Context[float64], inbox [][]core.VMsg[float64]) (relaxed int64, buckets int) {
 		for active := true; active; {
-			inbox, active = superstep(progs, ctxs, inbox)
+			inbox, active = superstep(progs, ctxs, inbox, math.Min)
 		}
 		got := make([]float64, p.G.NumVertices())
 		for i, f := range p.Frags {
@@ -233,7 +233,7 @@ func TestSSSPDeltaSnapshotResumesMidRun(t *testing.T) {
 		}
 	}
 	for round := 0; round < 2; round++ {
-		inbox, _ = superstep(live, liveCtxs, inbox)
+		inbox, _ = superstep(live, liveCtxs, inbox, math.Min)
 	}
 	snaps := make([][]byte, p.M)
 	pending, advanced := 0, 0

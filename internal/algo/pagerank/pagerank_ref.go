@@ -1,63 +1,54 @@
 package pagerank
 
 // The retained sequential PageRank kernel: the pinned reference of the
-// differential tests. It implements the round-based semantics of the
-// compute plane with plain loops — first consume the sorted frontier in
-// slot order (fold pending deltas into scores), then walk it again in
-// the same order pushing each share directly — so it is the "one-shard
-// execution" the parallel kernel must reproduce bit for bit. The two
-// passes matter: consuming everything before pushing anything means a
-// frontier member's x never includes same-round contributions, which is
-// the property that lets the parallel kernel apply its staged buckets
-// after a barrier and land on identical bits.
+// differential tests. It states the round rule of the compute plane
+// (pagerank.go) in plain loops — sort the frontier, consume it in slot
+// order, each consumed slot pushing at once — so it is the "one-shard
+// execution" the parallel kernel must reproduce bit for bit.
 //
-// Note on lineage: before the parallel compute plane this package used a
-// coalescing FIFO push queue. Floating-point sums depend on addition
-// order, so a FIFO-order kernel cannot be reproduced by any parallel
-// schedule; the round-based formulation was adopted for both kernels
-// precisely because its contribution order (frontier slot order × edge
-// order) is canonical. Both formulations park the same sub-Tol residual
-// mass, so accuracy bounds are unchanged.
+// Where a share lands is what matters. One for an owned slot of the
+// source's own block goes into delta at once, and later slots of the
+// sweep see it. One for an owned slot of another block is held back in
+// late and added to delta once, at the round's end, as a single sum
+// built in ascending source order — so no slot reads a same-round value
+// that crossed a block boundary, which is what lets a sharded round give
+// each shard whole blocks and deliver the rest after a barrier. (A copy
+// is read by nothing before the flush and takes its shares directly.)
+// The block is the unit of determinism because the fragment's slot
+// numbering fixes it; a rule keyed on the shard would make the bits
+// depend on the shard count, and full Gauss–Seidel cannot be reproduced
+// by any sharded schedule.
 
 import (
 	"slices"
 
 	"aap/internal/core"
-	"aap/internal/graph"
 	"aap/internal/partition"
 )
-
-// contrib is one pushed share staged between the parallel kernel's
-// sweep and apply phases (pagerank.go); the sequential reference pushes
-// directly and never materializes it.
-type contrib struct {
-	slot int32
-	val  float64
-}
 
 // refProgram holds per-slot scores and pending deltas. Copies (F.O
 // slots) only accumulate deltas destined for other fragments.
 type refProgram struct {
 	f   *partition.Fragment
-	g   *graph.Graph
 	cfg Config
 
 	score    []float64
 	delta    []float64
 	inQ      []bool
-	frontier []int32 // owned slots above Tol, sorted, consumed per round
+	frontier []int32 // owned slots admitted above Tol, sorted, consumed per round
 	next     []int32
-	xs       []float64 // consumed pending mass, parallel to frontier
+	late     []float64 // shares held back to the round's end, per owned slot
 	rounds   int
 }
 
 func newRefProgram(f *partition.Fragment, cfg Config) *refProgram {
-	n := f.Slots()
+	n, owned := f.Slots(), f.NumOwned()
 	return &refProgram{
-		f: f, g: f.Graph(), cfg: cfg,
+		f: f, cfg: cfg,
 		score: make([]float64, n),
 		delta: make([]float64, n),
-		inQ:   make([]bool, n),
+		inQ:   make([]bool, owned),
+		late:  make([]float64, owned),
 	}
 }
 
@@ -106,37 +97,51 @@ func (p *refProgram) add(s int32, d float64) {
 	}
 }
 
-// run executes rounds until the frontier drains: consume the sorted
-// frontier in slot order, then push each share directly in that same
-// order.
+// run executes rounds until the frontier drains. Admission marks (inQ)
+// are cleared before the sweep, so a slot an earlier slot of its block
+// re-admits before its own turn is consumed now and listed again next
+// round, where it is skipped unless it is above Tol again by then.
 func (p *refProgram) run(ctx *core.Context[float64]) {
+	owned := int32(p.f.NumOwned())
 	for len(p.next) > 0 {
 		p.rounds++
 		p.frontier = append(p.frontier[:0], p.next...)
 		p.next = p.next[:0]
 		slices.Sort(p.frontier)
-		xs := p.xs[:0]
 		for _, s := range p.frontier {
 			p.inQ[s] = false
+		}
+		var work int
+		for _, s := range p.frontier {
 			x := p.delta[s]
+			if !(x > p.cfg.Tol) {
+				continue
+			}
 			p.delta[s] = 0
 			p.score[s] += x
-			xs = append(xs, x)
-		}
-		p.xs = xs
-		var work int
-		for i, s := range p.frontier {
-			v := p.f.Lo + s
-			out := p.g.Out(v)
+			out := p.f.Graph().Out(p.f.Lo + s)
 			work += len(out) + 1
 			if len(out) == 0 {
 				continue
 			}
-			share := p.cfg.Damping * xs[i] / float64(len(out))
+			share := p.cfg.Damping * x / float64(len(out))
 			for _, u := range out {
-				if us := p.f.Slot(u); us >= 0 {
+				us := p.f.Slot(u)
+				switch {
+				case us < 0:
+				case us >= owned:
+					p.delta[us] += share
+				case us>>blockShift == s>>blockShift:
 					p.add(us, share)
+				default:
+					p.late[us] += share
 				}
+			}
+		}
+		for us, sum := range p.late {
+			if sum != 0 {
+				p.add(int32(us), sum)
+				p.late[us] = 0
 			}
 		}
 		ctx.AddWork(work)

@@ -8,8 +8,11 @@ package algo_test
 // message traffic), plus a smoke run through the concurrent engine.
 
 import (
+	"bytes"
 	"fmt"
 	"math"
+	"runtime"
+	"slices"
 	"testing"
 
 	"aap/internal/algo/cc"
@@ -20,6 +23,7 @@ import (
 	"aap/internal/core"
 	"aap/internal/gen"
 	"aap/internal/graph"
+	"aap/internal/par"
 	"aap/internal/partition"
 	"aap/internal/sim"
 )
@@ -109,6 +113,43 @@ func diffGraphs() map[string]*graph.Graph {
 	}
 }
 
+// pagerankBlock is the PageRank kernel's block: results are defined per
+// block of this many owned slots (pagerank.go), so its differentials need
+// fragments of several.
+const pagerankBlock = 4096
+
+// blockGraphs are PageRank's own corpora. Every graph of diffGraphs fits
+// in one block, where no share ever takes the cross-block path (at
+// shards = 8 they are the case of seven shards left empty once the
+// chunks are cut between blocks). These span several on one fragment —
+// a lattice and a heavy-tailed graph — plus the edges of the block
+// rule: an owned count of exactly two blocks, one slot past that, and a
+// fragment whose frontier lies inside its second block from round 2 on
+// (a ring there; every other vertex is isolated and drains in round 1).
+func blockGraphs(t testing.TB) map[string]*graph.Graph {
+	island := graph.NewBuilder(true)
+	for v := 0; v < 10000; v++ {
+		island.AddVertex(graph.VertexID(v))
+	}
+	for v := 5000; v < 5100; v++ {
+		island.AddEdge(graph.VertexID(v), graph.VertexID(5000+(v+1)%100))
+		island.AddEdge(graph.VertexID(v), graph.VertexID(5000+(v*7)%100))
+	}
+	gs := map[string]*graph.Graph{
+		"road150":     gen.RoadNet(150, 150, 37),
+		"powerlaw20k": gen.PowerLaw(20000, 6, 2.1, false, 41),
+		"twoblocks":   gen.Grid(64, 128, 43),
+		"onepast":     gen.Random(2*pagerankBlock+1, 30000, false, 47),
+		"island":      island.Build(),
+	}
+	for name, n := range map[string]int{"twoblocks": 2 * pagerankBlock, "onepast": 2*pagerankBlock + 1} {
+		if got := gs[name].NumVertices(); got != n {
+			t.Fatalf("%s has %d vertices, want %d", name, got, n)
+		}
+	}
+	return gs
+}
+
 // TestSSSPParallelKernelMatchesRef: program-level differential — the
 // bucketed sweep at every forced shard count against sequential
 // Dijkstra on one fragment (delta_test.go adds the bucket-width axis).
@@ -149,18 +190,54 @@ func TestCCParallelKernelMatchesRef(t *testing.T) {
 	}
 }
 
+// TestCCKernelChoiceIgnoresCoreCount: which CC kernel a fragment gets is
+// a property of the fragment. On one core par.Kernel answers 1 for any
+// span, and keying the choice on it meant a one-core machine never built
+// the parallel kernel the other machines ran; now a fragment above the
+// kernel grain builds it there too (only it reports kernel rounds), one
+// below keeps union-find, and either way the answer is the reference's.
+func TestCCKernelChoiceIgnoresCoreCount(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, c := range []struct {
+		name     string
+		g        *graph.Graph
+		parallel bool
+	}{
+		{"above-grain", graph.AsUndirected(gen.PowerLaw(4000, 6, 2.1, false, 59)), true},
+		{"below-grain", graph.AsUndirected(gen.Grid(28, 28, 13)), false},
+	} {
+		p, err := partition.Build(c.g, 1, partition.Hash{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := p.Frags[0]
+		if span := c.g.OutSpan(f.Lo, f.Hi); par.BelowKernelGrain(span) == c.parallel {
+			t.Fatalf("%s: span %d is on the wrong side of the kernel grain", c.name, span)
+		}
+		_, parallel := cc.Job().New(f).(interface{ KernelRounds() int })
+		if parallel != c.parallel {
+			t.Errorf("%s at GOMAXPROCS=1: parallel kernel = %v, want %v", c.name, parallel, c.parallel)
+		}
+		equalI64(t, "cc/"+c.name, peval(t, p, cc.Job()), peval(t, p, cc.RefJob()))
+	}
+}
+
 // pagerankShardCounts adds the production setting (0: picked per round)
 // to the forced axis: pagerank.Job builds the one kernel either way.
 var pagerankShardCounts = append([]int{0}, kernelShardCounts...)
 
-// TestPageRankParallelKernelMatchesRef: the direct push of an unsharded
-// round and the (source-shard, dest-shard) staging of a sharded one
-// must both replay the reference's contribution order exactly — a sum
-// fixpoint, so any reordering would change low-order bits and fail this
-// test. The tight tolerance is the long-tail case: hundreds of rounds
-// after the bulk has converged.
+// TestPageRankParallelKernelMatchesRef: shard 0's direct accumulation
+// and the (source-shard, dest-shard) staging of the other shards must
+// replay the reference's contribution order exactly, in a block and
+// across blocks — a sum fixpoint, so any reordering would change
+// low-order bits and fail this test. The tight tolerance is the
+// long-tail case: hundreds of rounds after the bulk has converged.
 func TestPageRankParallelKernelMatchesRef(t *testing.T) {
-	for name, g := range diffGraphs() {
+	graphs := diffGraphs()
+	for name, g := range blockGraphs(t) {
+		graphs[name] = g
+	}
+	for name, g := range graphs {
 		p, err := partition.Build(g, 1, partition.Hash{})
 		if err != nil {
 			t.Fatal(err)
@@ -175,6 +252,142 @@ func TestPageRankParallelKernelMatchesRef(t *testing.T) {
 		if r := kernelRounds(t, p, pagerank.Job(pagerank.Config{Shards: 2})); r <= 0 {
 			t.Fatalf("pagerank/%s reported %d kernel rounds", name, r)
 		}
+	}
+}
+
+// TestPageRankWorkOnRoadLattice pins the reason for the block rule as a
+// count. Consume-everything-then-push (Jacobi) needs
+// ⌈ln(Tol/(1-d)) / ln d⌉ = 74 full sweeps of the fragment at the default
+// Tol and did 75.5 sweeps' worth of work on this lattice; pushing at
+// once inside a block contracts about twice as fast per sweep and does
+// 41.8. The work is the same number at every shard count, like the
+// bits.
+func TestPageRankWorkOnRoadLattice(t *testing.T) {
+	p, err := partition.Build(blockGraphs(t)["road150"], 1, partition.Hash{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := p.Frags[0]
+	sweep := f.Graph().OutSpan(f.Lo, f.Hi) + int64(f.NumOwned())
+	jacobi := math.Ceil(math.Log(1e-6/(1-0.85)) / math.Log(0.85))
+	limit := int64(0.65 * jacobi * float64(sweep))
+	work := func(job core.Job[float64]) int64 {
+		ctx := core.NewEngineContext[float64](f, 1)
+		job.New(f).PEval(ctx)
+		_, w := ctx.TakeOut()
+		return w
+	}
+	want := work(pagerank.RefJob(pagerank.Config{}))
+	if want > limit {
+		t.Errorf("PEval reported %d work units = %.1f sweeps of %d, want at most 0.65 × %v sweeps = %d",
+			want, float64(want)/float64(sweep), sweep, jacobi, limit)
+	}
+	for _, k := range []int{1, 2} {
+		if got := work(pagerank.Job(pagerank.Config{Shards: k})); got != want {
+			t.Errorf("shards=%d reported %d work units, the reference %d", k, got, want)
+		}
+	}
+}
+
+// pagerankKernel is what the snapshot test needs of either kernel.
+type pagerankKernel interface {
+	core.Program[float64]
+	core.Snapshotter
+}
+
+// TestPageRankSnapshotResumesAcrossBlocks: a snapshot taken at an engine
+// round boundary mid-run — messages in flight, fragments of several
+// blocks still trading cross-block shares — restored into fresh programs
+// (a replaced worker) and into the finished live ones (a rollback)
+// continues to the bits of the uninterrupted run, final state included.
+// The per-round scratch a sharded round adds is empty at that boundary,
+// so it is not in the snapshot: the kernel's bytes equal the reference
+// kernel's, whose state is score, delta and the round count.
+func TestPageRankSnapshotResumesAcrossBlocks(t *testing.T) {
+	p, err := partition.Build(blockGraphs(t)["road150"], 2, partition.Range{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range p.Frags {
+		if f.NumOwned() < 2*pagerankBlock {
+			t.Fatalf("fragment %d owns %d slots, want several blocks", f.ID, f.NumOwned())
+		}
+	}
+	sum := func(a, b float64) float64 { return a + b }
+	var refMid, refEnd [][]byte
+	for _, c := range []struct {
+		name string
+		job  core.Job[float64]
+	}{
+		{"ref", pagerank.RefJob(pagerank.Config{})},
+		{"shards=1", pagerank.Job(pagerank.Config{Shards: 1})},
+		{"shards=3", pagerank.Job(pagerank.Config{Shards: 3})},
+	} {
+		build := func() ([]pagerankKernel, []*core.Context[float64]) {
+			progs := make([]pagerankKernel, p.M)
+			ctxs := make([]*core.Context[float64], p.M)
+			for i, f := range p.Frags {
+				progs[i] = c.job.New(f).(pagerankKernel)
+				ctxs[i] = core.NewEngineContext[float64](f, p.M)
+			}
+			return progs, ctxs
+		}
+		snapshot := func(progs []pagerankKernel) [][]byte {
+			snaps := make([][]byte, len(progs))
+			for i := range progs {
+				snaps[i] = progs[i].SnapshotState()
+			}
+			return snaps
+		}
+		finish := func(progs []pagerankKernel, ctxs []*core.Context[float64], inbox [][]core.VMsg[float64]) [][]byte {
+			for active := true; active; {
+				inbox, active = superstep(progs, ctxs, inbox, sum)
+			}
+			return snapshot(progs)
+		}
+		equal := func(tag string, got, want [][]byte) {
+			for i := range want {
+				if !bytes.Equal(got[i], want[i]) {
+					t.Errorf("%s/%s: fragment %d state differs", c.name, tag, i)
+				}
+			}
+		}
+
+		live, liveCtxs := build()
+		inbox := make([][]core.VMsg[float64], p.M)
+		for i := range live {
+			live[i].PEval(liveCtxs[i])
+			out, _ := liveCtxs[i].TakeOut()
+			for j, ms := range out {
+				inbox[j] = append(inbox[j], ms...)
+			}
+		}
+		for round := 0; round < 2; round++ {
+			inbox, _ = superstep(live, liveCtxs, inbox, sum)
+		}
+		mid := snapshot(live)
+		if len(inbox[0]) == 0 || len(inbox[1]) == 0 {
+			t.Fatalf("%s: snapshot is not mid-run: %d and %d messages pending", c.name, len(inbox[0]), len(inbox[1]))
+		}
+		saved := [][]core.VMsg[float64]{slices.Clone(inbox[0]), slices.Clone(inbox[1])}
+		end := finish(live, liveCtxs, inbox)
+		if refMid == nil {
+			refMid, refEnd = mid, end
+		}
+		equal("mid-run vs ref", mid, refMid)
+		equal("uninterrupted vs ref", end, refEnd)
+
+		fresh, freshCtxs := build()
+		for i := range live {
+			if err := fresh[i].RestoreState(mid[i]); err != nil {
+				t.Fatal(err)
+			}
+			if err := live[i].RestoreState(mid[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		equal("fresh", finish(fresh, freshCtxs, [][]core.VMsg[float64]{slices.Clone(saved[0]), slices.Clone(saved[1])}), end)
+		equal("rollback", finish(live, liveCtxs, saved), end)
 	}
 }
 
@@ -199,6 +412,7 @@ func simValues[T any](t *testing.T, p *partition.Partitioned, job core.Job[T]) [
 func TestParallelKernelsMatchRefUnderSim(t *testing.T) {
 	g := gen.PowerLaw(500, 5, 2.1, true, 23)
 	und := graph.AsUndirected(g)
+	blocks := blockGraphs(t)
 	for _, m := range []int{2, 5} {
 		p, err := partition.Build(g, m, partition.BFSLocality{Seed: 3})
 		if err != nil {
@@ -224,11 +438,29 @@ func TestParallelKernelsMatchRefUnderSim(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for name, pp := range map[string]*partition.Partitioned{"powerlaw": p, "road": road} {
-			wantP := simValues(t, pp, pagerank.RefJob(pagerank.Config{Tol: 1e-8}))
+		type prInput struct {
+			name string
+			p    *partition.Partitioned
+			tol  float64
+		}
+		inputs := []prInput{{"powerlaw", p, 1e-8}, {"road", road, 1e-8}}
+		if m == 2 {
+			// Fragments of several blocks each, trading cross-block shares
+			// (the long tail is the small inputs' and the program-level
+			// test's; the default Tol keeps this one short under -race).
+			for _, name := range []string{"road150", "powerlaw20k"} {
+				pp, err := partition.Build(blocks[name], m, partition.BFSLocality{Seed: 3})
+				if err != nil {
+					t.Fatal(err)
+				}
+				inputs = append(inputs, prInput{name, pp, 1e-6})
+			}
+		}
+		for _, in := range inputs {
+			wantP := simValues(t, in.p, pagerank.RefJob(pagerank.Config{Tol: in.tol}))
 			for _, k := range pagerankShardCounts {
-				bitsEqualF64(t, fmt.Sprintf("sim/pagerank/%s/m=%d/shards=%d", name, m, k),
-					simValues(t, pp, pagerank.Job(pagerank.Config{Tol: 1e-8, Shards: k})), wantP)
+				bitsEqualF64(t, fmt.Sprintf("sim/pagerank/%s/m=%d/shards=%d", in.name, m, k),
+					simValues(t, in.p, pagerank.Job(pagerank.Config{Tol: in.tol, Shards: k})), wantP)
 			}
 		}
 	}
@@ -308,19 +540,32 @@ func TestParallelKernelsUnderEngine(t *testing.T) {
 
 	// The engine folds messages in arrival order, so its PageRank is
 	// compared within tolerance; what this adds over the bit-exact tests
-	// above is the race detector watching the word-keyed apply phase and
-	// the per-round shard choice under real concurrency.
-	wantP := ref.PageRank(g, 0.85, 1e-10, 1000)
-	for _, k := range pagerankShardCounts {
-		resP, err := core.Run(p, pagerank.Job(pagerank.Config{Tol: 1e-10, Shards: k}), core.Options{Mode: core.AAP})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for v := 0; v < g.NumVertices(); v++ {
-			id := p.G.IDOf(int32(v))
-			orig, _ := g.IndexOf(id)
-			if d := math.Abs(resP.Values[v] - wantP[orig]); d > 1e-6 {
-				t.Fatalf("engine pagerank shards=%d vertex %d: |Δ|=%g", k, id, d)
+	// above is the race detector watching the block-keyed sweep and
+	// settle phases and the per-round shard choice under real concurrency.
+	// The second input gives each of two fragments several blocks, so the
+	// shards also hand each other cross-block shares.
+	road := blockGraphs(t)["road150"]
+	proad, err := partition.Build(road, 2, partition.Range{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, in := range []struct {
+		name string
+		g    *graph.Graph
+		p    *partition.Partitioned
+	}{{"powerlaw", g, p}, {"road150", road, proad}} {
+		wantP := ref.PageRank(in.g, 0.85, 1e-10, 1000)
+		for _, k := range pagerankShardCounts {
+			resP, err := core.Run(in.p, pagerank.Job(pagerank.Config{Tol: 1e-10, Shards: k}), core.Options{Mode: core.AAP})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for v := 0; v < in.g.NumVertices(); v++ {
+				id := in.p.G.IDOf(int32(v))
+				orig, _ := in.g.IndexOf(id)
+				if d := math.Abs(resP.Values[v] - wantP[orig]); d > 1e-6 {
+					t.Fatalf("engine pagerank %s shards=%d vertex %d: |Δ|=%g", in.name, k, id, d)
+				}
 			}
 		}
 	}

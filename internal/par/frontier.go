@@ -114,7 +114,7 @@ func (m *Marks) Unmark(i int32) { m.gen[i].Store(m.cur - 1) }
 //     slot to shard w's staging list. Advance(false) splices the lists
 //     in shard order.
 //   - AddOwned from the one goroutine that owns the slot's whole
-//     64-slot bitmap word (see WordShard): a plain OR, no list.
+//     64-slot bitmap word (see SnapChunks): a plain OR, no list.
 //
 // Advance(true) reads the bitmap itself, so it surfaces slots staged
 // either way, in ascending order. That is why the bitmap is a plain
@@ -137,13 +137,6 @@ func NewFrontier(n, shards int) *Frontier {
 
 // Words returns the number of 64-slot bitmap words covering [0, n).
 func Words(n int) int { return (n + 63) >> 6 }
-
-// WordShard returns the shard owning slot when a domain of nwords
-// 64-slot words is split across k shards. All slots of one word map to
-// one shard and the map is monotone in slot, so shards own disjoint
-// contiguous word ranges: keyed this way, shard d may AddOwned every
-// slot it owns with no other shard writing the same word.
-func WordShard(slot int32, k, nwords int) int { return int(slot>>6) * k / nwords }
 
 // EnsureShards grows the staging array so shards [0, k) are valid Add
 // producers. Not safe concurrently with Add.
@@ -180,7 +173,8 @@ func (f *Frontier) Add(w int, v int32) bool {
 // AddOwned stages slot v for the next ordered Advance when stage is
 // true, and does nothing when it is false. The caller must be the only
 // writer of v's 64-slot word during the phase: a sequential pass, or
-// shard WordShard(v, k, nwords) of a k-shard phase. The admission test
+// the shard of a k-shard phase whose slot range holds the word whole
+// (SnapChunks with shift >= 6). The admission test
 // is an argument rather than the caller's branch because on a kernel's
 // push path it is data-dependent and mispredicts: OR-ing the condition
 // in costs the same whether or not the slot is admitted, or was already.
@@ -276,6 +270,22 @@ func ChunksByWork(items []int32, p int, total int64, buf []int, weight func(int3
 		b = append(b, len(items))
 	}
 	return b
+}
+
+// SnapChunks moves the interior boundaries of b (as ChunksByWork returns
+// them, over ascending items) forward until no boundary falls inside a
+// group of items sharing item>>shift: each chunk then holds whole
+// groups, so shards that write per-slot state of their own groups only
+// — and, with shift >= 6, the bitmap words over them (AddOwned) — write
+// disjoint memory. A chunk may come out empty.
+func SnapChunks(items []int32, b []int, shift uint) {
+	for j := 1; j < len(b)-1; j++ {
+		i := max(b[j], b[j-1])
+		for i > 0 && i < len(items) && items[i]>>shift == items[i-1]>>shift {
+			i++
+		}
+		b[j] = i
+	}
 }
 
 // MinInt64 atomically lowers *a to v and reports whether it decreased.

@@ -199,43 +199,48 @@ func TestFrontierUnorderedAdvanceClears(t *testing.T) {
 	}
 }
 
-// TestWordShardOwnership: WordShard is monotone, lands in [0, k), and
-// never splits a 64-slot word between two shards — so k shards each
-// staging the slots they own through the non-atomic AddOwned write
+// TestSnapChunksOwnership: snapped boundaries stay monotone, keep their
+// ends, and never fall inside a group of 2^shift slots — so k shards each
+// staging the slots of their chunk through the non-atomic AddOwned write
 // disjoint bitmap words (the race detector checks the claim) and
-// together stage every slot exactly once.
-func TestWordShardOwnership(t *testing.T) {
-	for _, n := range []int{1, 64, 100, 1000, 64*9 + 1} {
-		nwords := Words(n)
-		for _, k := range []int{1, 2, 3, 8, 17} {
-			prev := 0
+// together stage every item exactly once. Sparse item lists leave whole
+// groups out; more shards than groups leaves chunks empty.
+func TestSnapChunksOwnership(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for _, n := range []int{1, 64, 100, 1000, 64*9 + 1, 5000} {
+		for _, keep := range []int{1, 3} { // every item, or one in three
+			var items []int32
 			for s := int32(0); s < int32(n); s++ {
-				d := WordShard(s, k, nwords)
-				if d < prev || d >= k {
-					t.Fatalf("n=%d k=%d: WordShard(%d) = %d after %d", n, k, s, d, prev)
+				if keep == 1 || rng.Intn(keep) == 0 {
+					items = append(items, s)
 				}
-				if s&63 != 0 && d != prev {
-					t.Fatalf("n=%d k=%d: word %d split between shards %d and %d at slot %d", n, k, s>>6, prev, d, s)
-				}
-				prev = d
 			}
-			f := NewFrontier(n, k)
-			Do(k, func(w int) {
-				for s := int32(0); s < int32(n); s++ {
-					if WordShard(s, k, nwords) == w {
-						f.AddOwned(s, true)
-						f.AddOwned(s, true)  // duplicate: must dedup
-						f.AddOwned(s, false) // declined: must not unstage
+			for _, shift := range []uint{6, 8} {
+				for _, k := range []int{1, 2, 3, 8, 17} {
+					b := ChunksByWork(items, k, int64(len(items)), nil, func(int32) int64 { return 1 })
+					SnapChunks(items, b, shift)
+					if len(b) != k+1 || b[0] != 0 || b[k] != len(items) {
+						t.Fatalf("n=%d k=%d shift=%d: bad boundaries %v", n, k, shift, b)
 					}
-				}
-			})
-			got := f.Advance(true)
-			if len(got) != n {
-				t.Fatalf("n=%d k=%d: %d slots staged, want %d", n, k, len(got), n)
-			}
-			for i, s := range got {
-				if s != int32(i) {
-					t.Fatalf("n=%d k=%d: position %d holds slot %d", n, k, i, s)
+					for j := 1; j <= k; j++ {
+						if b[j] < b[j-1] {
+							t.Fatalf("n=%d k=%d shift=%d: non-monotone boundaries %v", n, k, shift, b)
+						}
+						if i := b[j]; i > 0 && i < len(items) && items[i]>>shift == items[i-1]>>shift {
+							t.Fatalf("n=%d k=%d shift=%d: boundary %d splits group %d", n, k, shift, i, items[i]>>shift)
+						}
+					}
+					f := NewFrontier(n, k)
+					Do(k, func(w int) {
+						for _, s := range items[b[w]:b[w+1]] {
+							f.AddOwned(s, true)
+							f.AddOwned(s, true)  // duplicate: must dedup
+							f.AddOwned(s, false) // declined: must not unstage
+						}
+					})
+					if got := f.Advance(true); !slices.Equal(got, items) {
+						t.Fatalf("n=%d k=%d shift=%d: staged %d slots, want the %d items", n, k, shift, len(got), len(items))
+					}
 				}
 			}
 		}

@@ -14,6 +14,7 @@ package serve
 
 import (
 	"log"
+	"math"
 	"time"
 
 	"aap/internal/algo/cf"
@@ -49,7 +50,7 @@ func (c config) withDefaults() config {
 	if c.batchMax <= 0 {
 		c.batchMax = 8
 	}
-	if c.pagerankTol <= 0 {
+	if !(c.pagerankTol > 0) || math.IsInf(c.pagerankTol, 1) { // NaN too
 		c.pagerankTol = 1e-8
 	}
 	return c
@@ -88,7 +89,7 @@ func WithDeadline(d time.Duration) Option { return func(c *config) { c.deadline 
 func WithMode(m core.Mode) Option { return func(c *config) { c.mode = m } }
 
 // WithPageRankTol sets the PageRank query convergence tolerance;
-// default 1e-8.
+// default 1e-8, also taken for a value that is not positive and finite.
 func WithPageRankTol(tol float64) Option { return func(c *config) { c.pagerankTol = tol } }
 
 // WithCF enables the recommendation path: the Server's graph is a

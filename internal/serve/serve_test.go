@@ -209,3 +209,17 @@ func TestRecommendTopK(t *testing.T) {
 		t.Fatalf("err = %v, want ErrNoCF", err)
 	}
 }
+
+// TestPageRankTolFailsSafe: a tolerance PageRank's fixpoint is not
+// defined for (no delta is above NaN or +Inf, every delta is above a
+// negative one) resolves to the default instead of reaching a query.
+func TestPageRankTolFailsSafe(t *testing.T) {
+	for _, tol := range []float64{math.NaN(), -1, 0, math.Inf(1), math.Inf(-1)} {
+		if got := (config{pagerankTol: tol}).withDefaults().pagerankTol; got != 1e-8 {
+			t.Errorf("pagerankTol %v resolved to %v, want the default 1e-8", tol, got)
+		}
+	}
+	if got := (config{pagerankTol: 1e-5}).withDefaults().pagerankTol; got != 1e-5 {
+		t.Errorf("pagerankTol 1e-5 resolved to %v", got)
+	}
+}

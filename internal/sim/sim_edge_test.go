@@ -2,7 +2,6 @@ package sim_test
 
 import (
 	"math"
-	"sort"
 	"strings"
 	"testing"
 
@@ -91,43 +90,62 @@ func TestSimIdlePlusBusyEqualsMakespan(t *testing.T) {
 
 // TestSimStalenessBoundRespected: under SSP with bound c, the recorded
 // trace never lets a worker start round r while some active worker is
-// more than c rounds behind at that moment. We verify a weaker static
-// property that is schedule-independent: per-worker round counts differ
-// from the max by at most c plus the rounds a worker legitimately skips
-// while inactive — here, on an all-active PageRank workload, the spread
-// itself.
+// more than c rounds behind at that moment. Active is SSP's own word:
+// r_min ranges over the workers running or queued, not over one that
+// sits idle between rounds with nothing buffered — in the trace, a
+// worker is active at an instant that one of its intervals covers, ends
+// included (a worker with input queued starts its next round the moment
+// the last one ends). The replay allows one round beyond c: the
+// controller compares completed rounds, and the slowest worker's current
+// round is still in flight. To keep the check from passing vacuously the
+// run must also show rounds started c or more ahead with all four
+// workers active: the stretch where the bound is what holds the fast
+// workers back (unbounded, three of them run 2.5 rounds to the slow
+// one's one and the gap only grows).
 func TestSimStalenessBoundRespected(t *testing.T) {
+	const c = 1
 	g := gen.PowerLaw(800, 6, 2.1, false, 43)
 	p := mustPartition(t, g, 4, partition.Hash{})
 	res, err := sim.Run(p, pagerank.Job(pagerank.Config{Tol: 1e-6}), sim.Config{
-		Mode: core.SSP, Staleness: 1, Speed: []float64{2.5, 1, 1, 1}, Trace: true,
+		Mode: core.SSP, Staleness: c, Speed: []float64{2.5, 1, 1, 1}, Trace: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Replay the trace: at any time, started rounds must respect the
-	// bound against concurrently active workers.
-	type ev struct {
-		t     float64
-		w     int
-		round int32
+	// Replay the trace in start order; cur[w] is the latest interval of
+	// worker w started by the instant under test.
+	evs := sim.SortedCopy(res.Trace)
+	byWorker := make([][]sim.Interval, p.M)
+	for _, iv := range evs {
+		byWorker[iv.Worker] = append(byWorker[iv.Worker], iv)
 	}
-	var evs []ev
-	for _, iv := range res.Trace {
-		evs = append(evs, ev{iv.Start, iv.Worker, iv.Round})
-	}
-	sort.Slice(evs, func(i, j int) bool { return evs[i].t < evs[j].t })
-	rounds := make([]int32, 4)
+	started := make([]int, p.M)
+	binds := 0
 	for _, e := range evs {
-		rounds[e.w] = e.round
-		min := rounds[0]
-		for _, r := range rounds {
-			if r < min {
-				min = r
+		min, active := e.Round, 0
+		for w, ivs := range byWorker {
+			for started[w] < len(ivs) && ivs[started[w]].Start <= e.Start {
+				started[w]++
+			}
+			if started[w] == 0 {
+				continue
+			}
+			if cur := ivs[started[w]-1]; cur.End >= e.Start {
+				active++
+				if cur.Round < min {
+					min = cur.Round
+				}
 			}
 		}
-		if e.round-min > 1+1 { // bound c=1 plus one in-flight round
-			t.Fatalf("worker %d started round %d while min is %d (c=1)", e.w, e.round, min)
+		if e.Round-min > c+1 { // bound c plus one in-flight round
+			t.Fatalf("worker %d started round %d while min over active workers is %d (c=%d)", e.Worker, e.Round, min, c)
+		}
+		if active == p.M && e.Round-min >= c {
+			binds++
 		}
 	}
+	if binds == 0 {
+		t.Fatalf("no round started %d ahead with all %d workers active: the bound never bound", c, p.M)
+	}
+	t.Logf("%d of %d rounds started at the bound with every worker active", binds, len(evs))
 }
