@@ -45,18 +45,21 @@ func main() {
 	workers := flag.Int("workers", 4, "fragments of the shared plane")
 	strategy := flag.String("partition", "hash", "partition strategy: hash, range, bfs")
 	modeName := flag.String("mode", "aap", "engine mode for query runs: aap, bsp, ap, ssp, hsync")
-	maxInflight := flag.Int("max-inflight", 4, "concurrent engine runs")
+	maxInflight := flag.Int("max-inflight", 4, "concurrent engine runs (each distinct source of an SSSP batch is one)")
 	queueDepth := flag.Int("queue-depth", 64, "queries allowed to wait beyond the in-flight cap")
-	batchWindow := flag.Duration("batch-window", 2*time.Millisecond, "SSSP batching window (0 disables batching)")
-	batchMax := flag.Int("batch-max", 8, "max sources per batched SSSP run")
+	batchWindow := flag.Duration("batch-window", 2*time.Millisecond, "how long a queued SSSP query waits for others; queries for the same source within it share one engine run (0: no wait)")
+	batchMax := flag.Int("batch-max", 8, "SSSP queries per batch; reaching it cuts the batch before the window ends")
 	njobs := flag.Int("njobs", 0, "engine compute parallelism per run (0: GOMAXPROCS)")
 	deadline := flag.Duration("deadline", 0, "per-query engine deadline (0: none)")
 	pagerankTol := flag.Float64("pagerank-tol", 1e-8, "PageRank query tolerance")
 	cfEpochs := flag.Int("cf-epochs", 10, "CF training epochs for -gen ratings graphs")
 	rpcWorkers := flag.Int("rpc-workers", 0, "RPC handler pool size (0: in-flight cap + queue depth)")
 	flag.Parse()
-	if !(*pagerankTol > 0) || math.IsInf(*pagerankTol, 1) {
-		fmt.Fprintf(os.Stderr, "graped: -pagerank-tol must be a positive finite number, got %v\n", *pagerankTol)
+	if err := checkScheduler(scheduler{
+		maxInflight: *maxInflight, queueDepth: *queueDepth, batchMax: *batchMax, njobs: *njobs,
+		batchWindow: *batchWindow, deadline: *deadline, pagerankTol: *pagerankTol,
+	}); err != nil {
+		fmt.Fprintln(os.Stderr, "graped:", err)
 		os.Exit(2)
 	}
 
@@ -122,6 +125,39 @@ func main() {
 	if err := rs.Close(); err != nil {
 		logger.Printf("close: %v", err)
 	}
+}
+
+// scheduler holds the flags that serve's options would quietly replace
+// with their defaults when out of range (a -max-inflight of -1 would
+// serve with 4).
+type scheduler struct {
+	maxInflight, queueDepth, batchMax, njobs int
+	batchWindow, deadline                    time.Duration
+	pagerankTol                              float64
+}
+
+// checkScheduler refuses such a value, naming its flag, so graped never
+// serves with settings other than the ones it was given.
+func checkScheduler(s scheduler) error {
+	for _, c := range []struct {
+		bad  bool
+		flag string
+		want string
+		got  any
+	}{
+		{s.maxInflight <= 0, "-max-inflight", "a positive count", s.maxInflight},
+		{s.queueDepth <= 0, "-queue-depth", "a positive count", s.queueDepth},
+		{s.batchMax <= 0, "-batch-max", "a positive count", s.batchMax},
+		{s.njobs < 0, "-njobs", "zero (GOMAXPROCS) or a positive count", s.njobs},
+		{s.batchWindow < 0, "-batch-window", "zero or a positive duration", s.batchWindow},
+		{s.deadline < 0, "-deadline", "zero (none) or a positive duration", s.deadline},
+		{!(s.pagerankTol > 0) || math.IsInf(s.pagerankTol, 1), "-pagerank-tol", "a positive finite number", s.pagerankTol},
+	} {
+		if c.bad {
+			return fmt.Errorf("%s must be %s, got %v", c.flag, c.want, c.got)
+		}
+	}
+	return nil
 }
 
 // loadGraph resolves -graph / -gen into the served graph, plus a CF

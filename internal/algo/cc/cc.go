@@ -87,9 +87,9 @@ type program struct {
 	cid      []atomic.Int64 // root slot -> min external id
 	copiesOf [][]int32
 
-	// changed is the worklist of roots lowered by one IncEval: sharded
-	// dedup'd staging, drained sorted so the downstream message order is
-	// canonical regardless of shard count.
+	// changed is the worklist of roots lowered by one IncEval: a bitmap
+	// any shard stages into, drained in ascending order so the downstream
+	// message order is canonical regardless of shard count.
 	changed *par.Frontier
 
 	ownedSlots []int32 // reusable [0, NumOwned) item list for chunking
@@ -102,7 +102,7 @@ func newProgram(f *partition.Fragment, shards int) *program {
 	p := &program{f: f, g: f.Graph(), shards: shards,
 		comp:    make([]atomic.Int32, n),
 		cid:     make([]atomic.Int64, n),
-		changed: par.NewFrontier(n, max(shards, 1)),
+		changed: par.NewFrontier(n),
 	}
 	return p
 }
@@ -268,7 +268,6 @@ func (p *program) sendCopies(ctx *core.Context[int64], k int) {
 // changed roots — the bounded incremental step of Figure 3.
 func (p *program) IncEval(msgs []core.VMsg[int64], ctx *core.Context[int64]) {
 	k := p.kernelShards(ctx, int64(len(msgs)))
-	p.changed.EnsureShards(k)
 	par.Do(k, func(w int) {
 		lo, hi := w*len(msgs)/k, (w+1)*len(msgs)/k
 		for _, m := range msgs[lo:hi] {
@@ -278,15 +277,15 @@ func (p *program) IncEval(msgs []core.VMsg[int64], ctx *core.Context[int64]) {
 			}
 			r := p.comp[slot].Load()
 			if par.MinInt64(&p.cid[r], m.Val) {
-				p.changed.Add(w, r)
+				p.changed.Add(r)
 			}
 		}
 	})
 	ctx.AddWork(len(msgs))
 
-	// Drain sorted so the downstream message order is canonical
-	// regardless of shard count.
-	roots := p.changed.Advance(true)
+	// Drain in ascending order so the downstream message order is
+	// canonical regardless of shard count.
+	roots := p.changed.Advance()
 	if len(roots) == 0 {
 		return
 	}

@@ -147,7 +147,7 @@ func newProgram(f *partition.Fragment, cfg Config) *program {
 		delta:   make([]float64, n),
 		next:    make([]float64, f.NumOwned()),
 		pend:    make([]uint64, par.Words(f.NumOwned())),
-		fr:      par.NewFrontier(f.NumOwned(), 1),
+		fr:      par.NewFrontier(f.NumOwned()),
 		maxSpan: f.Graph().OutSpan(f.Lo, f.Hi) + int64(f.NumOwned()),
 		shardOf: make([]int, (n+blockSlots-1)>>blockShift),
 	}
@@ -222,7 +222,7 @@ func (p *program) run(ctx *core.Context[float64]) {
 	g := p.f.Graph()
 	deg := func(s int32) int64 { return int64(g.OutDegree(p.f.Lo+s)) + 1 }
 	for {
-		frontier := p.fr.Advance(true) // ascending: canonical for any shard count
+		frontier := p.fr.Advance() // ascending: canonical for any shard count
 		if len(frontier) == 0 {
 			return
 		}

@@ -48,7 +48,7 @@ func (p *program) RestoreState(data []byte) error {
 		return err
 	}
 	p.rounds = rounds
-	p.fr = par.NewFrontier(p.f.NumOwned(), 1)
+	p.fr = par.NewFrontier(p.f.NumOwned())
 	clear(p.next)
 	clear(p.pend)
 	return nil

@@ -88,8 +88,7 @@ func (p *deltaProgram) BucketsDrained() int { return p.buckets }
 func (p *deltaProgram) Relaxations() int64 { return p.relaxed }
 
 // ScannedEdges reports the raw CSR edges the sweeps read (one per
-// out-edge of every expanded vertex) — core.ScanCounter, the
-// denominator of the batched multi-source amortization ratio.
+// out-edge of every expanded vertex) — core.ScanCounter.
 func (p *deltaProgram) ScannedEdges() int64 { return p.relaxed }
 
 // PEval seeds the source if owned and sweeps to the local fixpoint.

@@ -13,9 +13,11 @@
 //     width Delta is its one degree of freedom, from Dijkstra order
 //     (tiny) to Bellman-Ford frontier order (+Inf, a single bucket).
 //
-// (multi.go batches several sources through one sweep for the serving
-// path.) There is deliberately no light/heavy edge split and no rule
-// that reads the weights to pick a kernel: splitting scans every row
+// There is no multi-source kernel: the serving path (internal/serve) runs
+// each distinct source of a batch as its own Job, because a sweep shared
+// among per-source lanes cost more per scan than it saved in scans on the
+// served traffic. There is deliberately no light/heavy edge split and no
+// rule that reads the weights to pick a kernel: splitting scans every row
 // twice behind an unpredictable branch and saves no relaxations over
 // expanding each taken vertex once per distance it is taken at, and
 // without it the bucketed kernel at its automatic width beats Dijkstra,

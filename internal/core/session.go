@@ -146,11 +146,9 @@ func validate[T any](s *Session, job *Job[T]) error {
 type verdict struct{ err error }
 
 // ScanCounter is implemented by kernels that count the raw edges their
-// sweeps scanned (each CSR row read costs its length, however many
-// lanes the scan served). The engine sums it across workers into
-// RunStats.ScannedEdges — the measure behind the batched multi-source
-// amortization claim: k lanes sharing one scan report ~1/k of the edges
-// k separate runs would.
+// sweeps scanned (each CSR row read costs its length). The engine sums
+// it across workers into RunStats.ScannedEdges: what a query cost in
+// edge reads, independent of how the run was scheduled.
 type ScanCounter interface {
 	ScannedEdges() int64
 }

@@ -60,11 +60,11 @@ type RunStats struct {
 	// vertex-state arena (slots + result vector priced at the job's wire
 	// size — the only per-query memory; fragments and routing stay
 	// shared in the Session), ScannedEdges sums the raw CSR edge scans
-	// of kernels implementing core.ScanCounter (the batched multi-source
-	// amortization metric). QueueWaitSeconds and BatchSize are stamped
-	// by the internal/serve scheduler: wall time the query spent in the
-	// admission queue, and how many queries shared its engine run (k
-	// lanes of a batched multi-source SSSP; 1 for direct runs).
+	// of kernels implementing core.ScanCounter. QueueWaitSeconds and
+	// BatchSize are stamped by the internal/serve scheduler: wall time
+	// the query spent in the admission queue, and how many queries its
+	// engine run answered (1 unless queued SSSP queries for the same
+	// source coalesced into one run).
 	QueueWaitSeconds float64
 	BatchSize        int
 	ArenaBytes       int64

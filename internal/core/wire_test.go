@@ -64,7 +64,7 @@ func testReadMsgs[T any](t *testing.T, job *Job[T], gen func(*rand.Rand) T) {
 }
 
 // The three value codecs the kernels ship: sssp and pagerank's float64,
-// multi-source sssp's []float64, cc's int64.
+// the []float64 vector inside cf's values, cc's int64.
 var (
 	float64Job  = Job[float64]{EncodeVal: codec.AppendFloat64, DecodeVal: (*codec.Reader).Float64}
 	float64sJob = Job[[]float64]{EncodeVal: codec.AppendFloat64s, DecodeVal: (*codec.Reader).Float64s}

@@ -22,18 +22,17 @@
 //     slot's live entry can only move to lower buckets, and a drained
 //     bucket never needs revisiting within a sweep.
 //
-// The contract mirrors Frontier's: TakeCur splices per-shard staging
-// lists in shard order (deterministic for a fixed shard count), and the
-// drain order cannot change the result of an exact-min fixpoint kernel —
-// only how much work it wastes. Add and Unstage are safe for concurrent
-// calls during a parallel phase (Add with distinct shard indexes);
-// TakeCur, Advance and Restart are phase boundaries and must run
-// single-threaded. Like Frontier's bitmap, where is therefore a plain
-// []int32: the phase arbitrates on it atomically, the phase boundaries
-// read it with plain loads, and Do's barrier orders the two — so staging
-// a slot costs one CAS and an append, as Frontier.Add does, and nothing
-// else is shared between shards (a bucket is nonempty when one of its
-// lists is).
+// TakeCur splices per-shard staging lists in shard order (deterministic
+// for a fixed shard count), and the drain order cannot change the result
+// of an exact-min fixpoint kernel — only how much work it wastes. Add and
+// Unstage are safe for concurrent calls during a parallel phase (Add
+// with distinct shard indexes); TakeCur, Advance and Restart are phase
+// boundaries and must run single-threaded. Like Frontier's bitmap, where
+// is therefore a plain []int32: the phase arbitrates on it atomically,
+// the phase boundaries read it with plain loads, and Do's barrier orders
+// the two — so staging a slot costs one CAS (what Frontier.Add costs)
+// and an append, and nothing else is shared between shards (a bucket is
+// nonempty when one of its lists is).
 package par
 
 import (

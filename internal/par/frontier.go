@@ -1,18 +1,15 @@
 // Frontier/worklist primitives for the intra-fragment parallel compute
-// plane: a sharded frontier deduplicated by a bitmap, work-balanced
-// chunking of item lists for edge-range sweeps over CSR rows, and the
-// atomic-min hooks the kernels relax with.
+// plane: a frontier that is a bitmap, work-balanced chunking of item
+// lists for edge-range sweeps over CSR rows, and the atomic-min hooks
+// the kernels relax with.
 //
 // The contract every kernel built on these primitives relies on:
 //
-//   - The frontier's bitmap dedups Add calls, so a slot enters the next
+//   - The frontier's bitmap dedups its adds, so a slot enters the next
 //     frontier at most once per round regardless of how many shards
 //     discover it.
-//   - Advance(false) concatenates the per-shard staging lists in shard
-//     order, so for a fixed shard count the frontier sequence is
-//     deterministic; Advance(true) scans the bitmap and emits ascending
-//     slot order, which is independent of the shard count that staged
-//     it.
+//   - Advance scans the bitmap and emits ascending slot order, which is
+//     independent of the shard count that staged it.
 //   - The atomic mins are exact (they install one of their operands, no
 //     arithmetic), so min-fixpoint kernels (SSSP, CC) converge to the
 //     same bits under any interleaving.
@@ -104,58 +101,40 @@ func (m *Marks) Marked(i int32) bool { return m.gen[i].Load() == m.cur }
 // stamp.
 func (m *Marks) Unmark(i int32) { m.gen[i].Store(m.cur - 1) }
 
-// Frontier is a worklist over dense int32 slots, deduplicated by a
-// bitmap (bit v set ⇔ v is staged for the next round). During a round
-// the current frontier is read-only and discoveries are staged one of
-// two ways, never mixed within a phase:
+// Frontier is a worklist over dense int32 slots that is a bitmap: bit v
+// set ⇔ v is staged for the next round. During a round discoveries are
+// staged one of two ways, never mixed within a phase:
 //
-//   - Add(w, ·) from shard w, for any slot: an atomic test-and-set
-//     arbitrates duplicates across shards and the winner appends the
-//     slot to shard w's staging list. Advance(false) splices the lists
-//     in shard order.
-//   - AddOwned from the one goroutine that owns the slot's whole
-//     64-slot bitmap word (see SnapChunks): a plain OR, no list.
+//   - Add, from any goroutine for any slot: an atomic test-and-set.
+//   - AddOwned, from the one goroutine that owns the slot's whole
+//     64-slot bitmap word (see SnapChunks): a plain OR.
 //
-// Advance(true) reads the bitmap itself, so it surfaces slots staged
-// either way, in ascending order. That is why the bitmap is a plain
-// []uint64 rather than []atomic.Uint64: it is written atomically in one
-// kind of phase and plainly in another, with Do's barrier in between.
+// Advance reads the bitmap, so it surfaces slots staged either way, in
+// ascending order. That is why the bitmap is a plain []uint64 rather
+// than []atomic.Uint64: it is written atomically in one kind of phase
+// and plainly in another, with Do's barrier in between.
 type Frontier struct {
 	bits []uint64
 	cur  []int32
-	next [][]int32
 }
 
-// NewFrontier returns a frontier over slots [0, n) with staging lists
-// for up to `shards` concurrent Add producers.
-func NewFrontier(n, shards int) *Frontier {
-	if shards < 1 {
-		shards = 1
-	}
-	return &Frontier{bits: make([]uint64, Words(n)), next: make([][]int32, shards)}
+// NewFrontier returns an empty frontier over slots [0, n).
+func NewFrontier(n int) *Frontier {
+	return &Frontier{bits: make([]uint64, Words(n))}
 }
 
 // Words returns the number of 64-slot bitmap words covering [0, n).
 func Words(n int) int { return (n + 63) >> 6 }
 
-// EnsureShards grows the staging array so shards [0, k) are valid Add
-// producers. Not safe concurrently with Add.
-func (f *Frontier) EnsureShards(k int) {
-	for len(f.next) < k {
-		f.next = append(f.next, nil)
-	}
-}
-
-// Add stages slot v for the next round on shard w's list and reports
-// whether v was newly staged. Concurrent calls with distinct w are safe
-// for any v.
+// Add stages slot v for the next round and reports whether v was newly
+// staged. Safe for concurrent calls on any slots.
 //
 // The test-and-set is a compare-and-swap loop, not the value-returning
 // atomic.OrUint64 it amounts to: go1.24.0 on amd64 lowers that call to
 // a CMPXCHG loop whose scratch register it may also pick to park a live
-// value across the loop, and inlined into multiProgram.IncEval it did —
-// the receiver came back as the OR-ed word.
-func (f *Frontier) Add(w int, v int32) bool {
+// value across the loop, and inlined into a kernel's message loop it
+// did — the receiver came back as the OR-ed word.
+func (f *Frontier) Add(v int32) bool {
 	word, mask := &f.bits[v>>6], uint64(1)<<(v&63)
 	for {
 		old := atomic.LoadUint64(word)
@@ -163,15 +142,13 @@ func (f *Frontier) Add(w int, v int32) bool {
 			return false
 		}
 		if atomic.CompareAndSwapUint64(word, old, old|mask) {
-			break
+			return true
 		}
 	}
-	f.next[w] = append(f.next[w], v)
-	return true
 }
 
-// AddOwned stages slot v for the next ordered Advance when stage is
-// true, and does nothing when it is false. The caller must be the only
+// AddOwned stages slot v for the next Advance when stage is true, and
+// does nothing when it is false. The caller must be the only
 // writer of v's 64-slot word during the phase: a sequential pass, or
 // the shard of a k-shard phase whose slot range holds the word whole
 // (SnapChunks with shift >= 6). The admission test
@@ -186,50 +163,24 @@ func (f *Frontier) AddOwned(v int32, stage bool) {
 	f.bits[v>>6] |= bit << (v & 63)
 }
 
-// Cur returns the current frontier. Read-only during a round.
-func (f *Frontier) Cur() []int32 { return f.cur }
-
-// Advance makes the staged set the current frontier, clears the dedup
-// bitmap, and returns the new frontier. Not safe concurrently with the
-// adders.
-//
-// With sorted=false the per-shard Add lists are spliced in shard order:
-// deterministic for a fixed shard count, and O(|frontier|).
-//
-// With sorted=true the bitmap is scanned in word order, so the result
-// is in ascending slot order — canonical, independent of the shard
-// count that staged it, the ordering contract deterministic-sum kernels
-// (PageRank) need — in O(n/64 + |frontier|) with no comparison sort.
-func (f *Frontier) Advance(sorted bool) []int32 {
+// Advance returns the staged set as the new frontier and clears the
+// bitmap. The bitmap is scanned in word order, so the frontier is in
+// ascending slot order — canonical, independent of the shard count that
+// staged it, the ordering contract deterministic-sum kernels (PageRank)
+// and canonical message order (CC) need — in O(n/64 + |frontier|) with
+// no comparison sort. The returned slice is reused by the next Advance.
+// Not safe concurrently with the adders.
+func (f *Frontier) Advance() []int32 {
 	f.cur = f.cur[:0]
-	if sorted {
-		for w := range f.next {
-			f.next[w] = f.next[w][:0]
+	for i, word := range f.bits {
+		if word == 0 {
+			continue
 		}
-		for i, word := range f.bits {
-			if word == 0 {
-				continue
-			}
-			f.bits[i] = 0
-			base := int32(i << 6)
-			for ; word != 0; word &= word - 1 {
-				f.cur = append(f.cur, base+int32(bits.TrailingZeros64(word)))
-			}
+		f.bits[i] = 0
+		base := int32(i << 6)
+		for ; word != 0; word &= word - 1 {
+			f.cur = append(f.cur, base+int32(bits.TrailingZeros64(word)))
 		}
-		return f.cur
-	}
-	for w := range f.next {
-		f.cur = append(f.cur, f.next[w]...)
-		f.next[w] = f.next[w][:0]
-	}
-	// Every set bit belongs to a listed slot: zero the listed slots'
-	// words, or the whole bitmap when that is the shorter walk.
-	if len(f.cur) < len(f.bits) {
-		for _, v := range f.cur {
-			f.bits[v>>6] = 0
-		}
-	} else {
-		clear(f.bits)
 	}
 	return f.cur
 }

@@ -68,36 +68,36 @@ func TestMarksGenerationWrap(t *testing.T) {
 	}
 }
 
-// TestFrontierDeterministicAdvance: per-shard staging lists splice in
-// shard order; sorted advance is canonical regardless of which shard
-// discovered a slot.
+// TestFrontierDeterministicAdvance: whatever order slots are added in,
+// Advance returns them once each in ascending order, and leaves the
+// frontier empty and every slot re-addable.
 func TestFrontierDeterministicAdvance(t *testing.T) {
-	f := NewFrontier(100, 3)
-	f.Add(2, 7)
-	f.Add(0, 42)
-	f.Add(1, 3)
-	f.Add(0, 7) // duplicate across shards: must dedup
-	got := f.Advance(false)
-	if want := []int32{42, 3, 7}; !slices.Equal(got, want) {
-		t.Fatalf("unsorted advance = %v, want %v", got, want)
+	f := NewFrontier(100)
+	f.Add(7)
+	f.Add(42)
+	f.Add(3)
+	if f.Add(7) { // duplicate: must dedup
+		t.Fatal("second Add of slot 7 reported it newly staged")
 	}
-	// After Advance the dedup set is clear: everything re-addable.
-	f.Add(0, 7)
-	f.Add(1, 3)
-	got = f.Advance(true)
-	if want := []int32{3, 7}; !slices.Equal(got, want) {
-		t.Fatalf("sorted advance = %v, want %v", got, want)
+	if got, want := f.Advance(), []int32{3, 7, 42}; !slices.Equal(got, want) {
+		t.Fatalf("advance = %v, want %v", got, want)
 	}
-	if len(f.Advance(false)) != 0 {
+	f.Add(7)
+	f.Add(3)
+	if got, want := f.Advance(), []int32{3, 7}; !slices.Equal(got, want) {
+		t.Fatalf("second advance = %v, want %v", got, want)
+	}
+	if len(f.Advance()) != 0 {
 		t.Fatal("empty advance should drain")
 	}
 }
 
 // TestFrontierConcurrentAdd: racing adds across shards never lose or
-// duplicate slots.
+// duplicate slots, and exactly one of the racers sees each slot newly
+// staged.
 func TestFrontierConcurrentAdd(t *testing.T) {
 	const n, shards = 2000, 7
-	f := NewFrontier(n, shards)
+	f := NewFrontier(n)
 	rng := rand.New(rand.NewSource(9))
 	universe := make([]int32, n)
 	for i := range universe {
@@ -105,34 +105,37 @@ func TestFrontierConcurrentAdd(t *testing.T) {
 	}
 	for trial := 0; trial < 20; trial++ {
 		rng.Shuffle(n, func(i, j int) { universe[i], universe[j] = universe[j], universe[i] })
+		var fresh atomic.Int64
 		Do(shards, func(w int) {
 			// Every shard tries to add an overlapping slice of the
 			// universe; dedup must keep exactly one copy of each.
 			for _, v := range universe[:n/2+w*100] {
-				f.Add(w, v)
+				if f.Add(v) {
+					fresh.Add(1)
+				}
 			}
 		})
-		got := f.Advance(true)
+		got := f.Advance()
 		want := n/2 + (shards-1)*100
-		if len(got) != want {
-			t.Fatalf("trial %d: %d staged, want %d", trial, len(got), want)
+		if len(got) != want || fresh.Load() != int64(want) {
+			t.Fatalf("trial %d: %d staged, %d newly staged, want %d", trial, len(got), fresh.Load(), want)
 		}
 		for i := 1; i < len(got); i++ {
-			if got[i] == got[i-1] {
-				t.Fatalf("trial %d: duplicate slot %d", trial, got[i])
+			if got[i] <= got[i-1] {
+				t.Fatalf("trial %d: slot %d after %d", trial, got[i], got[i-1])
 			}
 		}
 	}
 }
 
-// TestFrontierOrderedAdvance: Advance(true) is the ascending sort of the
+// TestFrontierOrderedAdvance: Advance is the ascending sort of the
 // staged set on sparse and dense fills alike, over slot counts that are
 // not a multiple of 64, through either adder, and leaves the bitmap
 // clear so the frontier is reusable round after round.
 func TestFrontierOrderedAdvance(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for _, n := range []int{1, 63, 64, 65, 130, 1000, 4097, 70001} {
-		f := NewFrontier(n, 3)
+		f := NewFrontier(n)
 		for round := 0; round < 12; round++ {
 			// Fill density sweeps from a handful of slots to nearly all.
 			fill := 1 + rng.Intn(4)
@@ -145,7 +148,7 @@ func TestFrontierOrderedAdvance(t *testing.T) {
 			for i := 0; i < fill; i++ {
 				v := int32(rng.Intn(n))
 				if round%2 == 0 {
-					if fresh := f.Add(rng.Intn(3), v); fresh == seen[v] {
+					if fresh := f.Add(v); fresh == seen[v] {
 						t.Fatalf("n=%d round %d: Add(%d) newly staged = %v, already seen = %v", n, round, v, fresh, seen[v])
 					}
 					seen[v] = true
@@ -164,7 +167,7 @@ func TestFrontierOrderedAdvance(t *testing.T) {
 				}
 			}
 			slices.Sort(want)
-			if got := f.Advance(true); !slices.Equal(got, want) {
+			if got := f.Advance(); !slices.Equal(got, want) {
 				t.Fatalf("n=%d round %d fill %d: ordered advance differs from sorted staged set\n got %v\nwant %v", n, round, fill, got, want)
 			}
 			for i, word := range f.bits {
@@ -173,22 +176,23 @@ func TestFrontierOrderedAdvance(t *testing.T) {
 				}
 			}
 		}
-		if len(f.Advance(true)) != 0 {
+		if len(f.Advance()) != 0 {
 			t.Fatalf("n=%d: drained frontier advanced to a non-empty one", n)
 		}
 	}
 }
 
-// TestFrontierUnorderedAdvanceClears: Advance(false) clears the bitmap
-// on both sides of its per-slot / whole-bitmap choice.
+// TestFrontierUnorderedAdvanceClears: slots added out of order, a few
+// or every one, all come back from Advance, which leaves the bitmap
+// clear.
 func TestFrontierUnorderedAdvanceClears(t *testing.T) {
 	const n = 64*40 + 7
-	f := NewFrontier(n, 2)
+	f := NewFrontier(n)
 	for _, fill := range []int{3, n} {
 		for v := 0; v < fill; v++ {
-			f.Add(v%2, int32((v*37)%n))
+			f.Add(int32((v * 37) % n))
 		}
-		if got := len(f.Advance(false)); got != fill {
+		if got := len(f.Advance()); got != fill {
 			t.Fatalf("fill %d: advanced %d slots", fill, got)
 		}
 		for i, word := range f.bits {
@@ -230,7 +234,7 @@ func TestSnapChunksOwnership(t *testing.T) {
 							t.Fatalf("n=%d k=%d shift=%d: boundary %d splits group %d", n, k, shift, i, items[i]>>shift)
 						}
 					}
-					f := NewFrontier(n, k)
+					f := NewFrontier(n)
 					Do(k, func(w int) {
 						for _, s := range items[b[w]:b[w+1]] {
 							f.AddOwned(s, true)
@@ -238,7 +242,7 @@ func TestSnapChunksOwnership(t *testing.T) {
 							f.AddOwned(s, false) // declined: must not unstage
 						}
 					})
-					if got := f.Advance(true); !slices.Equal(got, items) {
+					if got := f.Advance(); !slices.Equal(got, items) {
 						t.Fatalf("n=%d k=%d shift=%d: staged %d slots, want the %d items", n, k, shift, len(got), len(items))
 					}
 				}

@@ -1,10 +1,11 @@
 // Package serve is the concurrent-query scheduling plane over a
 // resident core.Session: admission control (bounded in-flight engine
-// runs plus a bounded wait queue), source batching for SSSP (k queued
-// sources collapse into one batched multi-source engine run that shares
-// edge scans, bit-identical per lane to k separate runs), per-query
-// deadlines through the engine's existing Options.Deadline, and a
-// trained-once collaborative-filtering recommendation path.
+// runs plus a bounded wait queue), SSSP batching (a batch cut from the
+// queue runs each distinct source once as sssp.Job, the runs concurrent
+// under the in-flight cap, and queries for the same source share one
+// run), per-query deadlines through the engine's existing
+// Options.Deadline, and a trained-once collaborative-filtering
+// recommendation path.
 //
 // The package splits responsibilities with core cleanly: core.Session
 // owns the shared immutable plane (fragments, slot tables, routing) and
@@ -28,7 +29,7 @@ type config struct {
 	maxInflight int           // concurrent engine runs
 	queueDepth  int           // queries allowed to wait beyond the in-flight cap
 	batchWindow time.Duration // how long the first queued SSSP source waits for company
-	batchMax    int           // sources per batched run; reaching it cuts the batch early
+	batchMax    int           // queries per batch; reaching it cuts the batch early
 	njobs       int           // engine compute parallelism (core.Options.PhysicalWorkers)
 	deadline    time.Duration // per-query engine deadline (core.Options.Deadline)
 	mode        core.Mode
@@ -59,21 +60,25 @@ func (c config) withDefaults() config {
 // Option configures a Server.
 type Option func(*config)
 
-// WithMaxInflight bounds how many engine runs may execute at once;
-// further admitted queries wait in the queue. Default 4.
+// WithMaxInflight bounds how many engine runs may execute at once (each
+// distinct source of an SSSP batch is one run); further admitted queries
+// wait in the queue. Default 4.
 func WithMaxInflight(n int) Option { return func(c *config) { c.maxInflight = n } }
 
 // WithQueueDepth bounds how many queries may wait for an in-flight
 // slot; beyond it queries fail fast with ErrOverloaded. Default 64.
 func WithQueueDepth(n int) Option { return func(c *config) { c.queueDepth = n } }
 
-// WithBatchWindow sets how long the first queued SSSP source waits for
-// more sources before its batch is cut. Zero (the default) disables
-// time-based batching: every SSSP runs immediately with batch size 1.
+// WithBatchWindow sets how long the first queued SSSP query waits for
+// company before its batch is cut. A cut batch runs each distinct source
+// once, so what the window buys is coalescing: queries for the same
+// source within it share one engine run (and pay the wait). Zero (the
+// default) disables it: every SSSP runs immediately as its own run.
 func WithBatchWindow(d time.Duration) Option { return func(c *config) { c.batchWindow = d } }
 
-// WithBatchMax caps the sources per batched SSSP run; a batch reaching
-// the cap is cut before the window expires. Default 8.
+// WithBatchMax caps the queries per batch; a batch reaching the cap is
+// cut before the window expires. Its distinct sources still run as
+// separate engine runs, each under its own in-flight permit. Default 8.
 func WithBatchMax(n int) Option { return func(c *config) { c.batchMax = n } }
 
 // WithNJobs sets the engine's compute parallelism per run

@@ -113,9 +113,9 @@ func TestRPCServesMixedQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Admitted counts engine runs: the SSSP queries coalesce into
-	// st.Batches runs, CC and PageRank are one run each.
-	if st.BatchedQueries != int64(len(sources)) || st.Completed != st.Batches+2 || st.Active != 0 {
+	// Completed counts engine runs: one per distinct SSSP source, and
+	// one each for CC and PageRank.
+	if st.BatchedQueries != int64(len(sources)) || st.Completed != int64(len(sources))+2 || st.Active != 0 {
 		t.Fatalf("server stats: %+v", st)
 	}
 }
@@ -245,7 +245,7 @@ func TestRecommendReplyCountLiesHigh(t *testing.T) {
 }
 
 // TestUnknownSSSPSourceFailsClosed: a source the graph does not have is
-// refused before admission — no queue slot, no batch lane, not counted as
+// refused before admission — no queue slot, no engine run, not counted as
 // shed — and reaches an RPC client as the call's error. At the parent
 // commit it ran, and answered +Inf for every vertex.
 func TestUnknownSSSPSourceFailsClosed(t *testing.T) {

@@ -1,13 +1,14 @@
 package serve
 
-// Scheduler tests: batched SSSP equivalence to dedicated runs,
-// admission control shedding, deadline propagation, and the
-// recommendation path.
+// Scheduler tests: batched SSSP equivalence to dedicated runs and the
+// in-flight cap under a batch, admission control shedding, deadline
+// propagation, and the recommendation path.
 
 import (
 	"context"
 	"errors"
 	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -30,64 +31,149 @@ func buildPartition(t *testing.T, g *graph.Graph, m int) *partition.Partitioned 
 	return p
 }
 
-// TestServedSSSPMatchesDedicatedRuns: concurrent SSSP queries through
-// the batching scheduler are bit-identical to dedicated core.Run calls,
-// and under a generous window they actually coalesce.
+// TestServedSSSPMatchesDedicatedRuns: eight concurrent SSSP queries, two
+// of them sources asked twice, are cut as one batch. Every reply is
+// bit-identical to the sequential reference; each distinct source is one
+// engine run, shared by its duplicates (BatchSize 2) and nobody else's
+// (BatchSize 1); duplicates get slices of their own; and the counters
+// account for one batch, eight queries and six runs.
 func TestServedSSSPMatchesDedicatedRuns(t *testing.T) {
 	g := gen.PowerLaw(500, 6, 2.1, true, 19)
 	p := buildPartition(t, g, 2)
-	srv := New(p, WithBatchWindow(20*time.Millisecond), WithBatchMax(4), WithMaxInflight(2))
+	srv := New(p, WithBatchWindow(20*time.Millisecond), WithBatchMax(8), WithMaxInflight(2))
 
-	sources := []graph.VertexID{0, 1, 2, 3, 4, 5, 6, 7}
-	want := make([][]float64, len(sources))
-	for i, src := range sources {
-		res, err := core.Run(p, sssp.Job(src), core.Options{Mode: core.AAP})
+	sources := []graph.VertexID{0, 1, 2, 3, 0, 4, 2, 5}
+	asked := make(map[graph.VertexID]int)
+	for _, src := range sources {
+		asked[src]++
+	}
+	want := make(map[graph.VertexID][]float64)
+	for src := range asked {
+		res, err := core.Run(p, sssp.RefJob(src), core.Options{Mode: core.AAP})
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[i] = res.Values
+		want[src] = res.Values
 	}
 
 	got := make([][]float64, len(sources))
 	stats := make([]core.RunStats, len(sources))
+	errs := make([]error, len(sources))
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i, src := range sources {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			got[i], stats[i], errs[i] = srv.SSSP(src)
+		}()
+	}
+	close(start)
+	wg.Wait()
+
+	for i, src := range sources {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		for v := range want[src] {
+			if math.Float64bits(got[i][v]) != math.Float64bits(want[src][v]) {
+				t.Fatalf("query %d (source %d) vertex %d: served %v != reference %v",
+					i, src, v, got[i][v], want[src][v])
+			}
+		}
+		if stats[i].BatchSize != asked[src] || stats[i].QueueWaitSeconds < 0 {
+			t.Fatalf("query %d (source %d, asked %d times): BatchSize %d, queue wait %v",
+				i, src, asked[src], stats[i].BatchSize, stats[i].QueueWaitSeconds)
+		}
+	}
+	// Queries 0 and 4 asked for source 0 and shared one run: same scan,
+	// separate slices.
+	if stats[0].ScannedEdges != stats[4].ScannedEdges {
+		t.Fatalf("duplicates report different runs: %d vs %d scanned edges", stats[0].ScannedEdges, stats[4].ScannedEdges)
+	}
+	for v := range got[0] {
+		got[0][v] = -1
+	}
+	for v, d := range got[4] {
+		if math.Float64bits(d) != math.Float64bits(want[0][v]) {
+			t.Fatalf("writing one duplicate's reply changed the other's: vertex %d = %v", v, d)
+		}
+	}
+
+	st := srv.Stats()
+	runs := int64(len(asked))
+	if st.Batches != 1 || st.BatchedQueries != int64(len(sources)) || st.MaxBatch != int64(len(sources)) {
+		t.Fatalf("batch counters off: %+v", st)
+	}
+	if st.Admitted != runs || st.Completed != runs || st.Failed != 0 || st.Active != 0 || st.QueuedNow != 0 {
+		t.Fatalf("session counters off, want %d runs: %+v", runs, st)
+	}
+}
+
+// TestBatchRespectsInflightCap: a batch of four distinct sources under
+// WithMaxInflight(1) runs them one at a time. While the test itself
+// holds the one permit, the cut batch's four queries all still count as
+// queued and none is in the engine; once it lets go, the engine never
+// holds more than one of them; and every answer is still right.
+func TestBatchRespectsInflightCap(t *testing.T) {
+	g := gen.PowerLaw(3000, 8, 2.1, true, 31)
+	p := buildPartition(t, g, 2)
+	srv := New(p, WithMaxInflight(1), WithBatchWindow(time.Second), WithBatchMax(4))
+
+	srv.sem <- struct{}{} // the one permit, held until the batch is cut
+	sources := []graph.VertexID{0, 1, 2, 3}
+	got := make([][]float64, len(sources))
 	errs := make([]error, len(sources))
 	var wg sync.WaitGroup
 	for i, src := range sources {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got[i], stats[i], errs[i] = srv.SSSP(src)
+			got[i], _, errs[i] = srv.SSSP(src)
 		}()
 	}
-	wg.Wait()
+	for srv.Stats().Batches == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(20 * time.Millisecond) // let the cut batch's runs reach the permit
+	if st := srv.Stats(); st.QueuedNow != int64(len(sources)) || st.Active != 0 {
+		t.Fatalf("batch cut, permit held: %d queued and %d active, want %d and 0", st.QueuedNow, st.Active, len(sources))
+	}
+	<-srv.sem
 
-	batched := false
-	for i := range sources {
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	var maxActive int64
+	for sampling := true; sampling; {
+		select {
+		case <-done:
+			sampling = false
+		default:
+			maxActive = max(maxActive, srv.Stats().Active)
+			runtime.Gosched()
+		}
+	}
+
+	for i, src := range sources {
 		if errs[i] != nil {
 			t.Fatal(errs[i])
 		}
-		for v := range want[i] {
-			if math.Float64bits(got[i][v]) != math.Float64bits(want[i][v]) {
-				t.Fatalf("source %d vertex %d: served %v != dedicated %v",
-					sources[i], v, got[i][v], want[i][v])
+		res, err := core.Run(p, sssp.RefJob(src), core.Options{Mode: core.AAP})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v := range res.Values {
+			if math.Float64bits(got[i][v]) != math.Float64bits(res.Values[v]) {
+				t.Fatalf("source %d vertex %d: served %v != reference %v", src, v, got[i][v], res.Values[v])
 			}
 		}
-		if stats[i].BatchSize > 1 {
-			batched = true
-		}
-		if stats[i].BatchSize <= 0 || stats[i].QueueWaitSeconds < 0 {
-			t.Fatalf("source %d: serving stats not stamped: %+v", sources[i], stats[i])
-		}
 	}
-	if !batched {
-		t.Fatal("no query was served from a batch despite the 20ms window")
+	if maxActive > 1 {
+		t.Fatalf("sampled %d engine runs active at once under WithMaxInflight(1)", maxActive)
 	}
-	st := srv.Stats()
-	if st.Batches <= 0 || st.BatchedQueries != int64(len(sources)) || st.MaxBatch < 2 {
-		t.Fatalf("batch counters off: %+v", st)
-	}
-	if st.Admitted != st.Completed || st.Failed != 0 {
-		t.Fatalf("session counters off: %+v", st)
+	if st := srv.Stats(); st.QueuedNow != 0 || st.Completed != int64(len(sources)) || st.Batches != 1 {
+		t.Fatalf("after the batch: %+v", st)
 	}
 }
 

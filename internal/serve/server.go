@@ -3,6 +3,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -37,9 +38,9 @@ type Server struct {
 	sem     chan struct{} // in-flight permits
 	waiting atomic.Int64  // queries admitted but not yet holding a permit
 
-	// SSSP batcher: pending sources coalesce until the window expires
-	// or batchMax is reached, then one leader runs them as lanes of a
-	// single batched multi-source engine run.
+	// SSSP batcher: pending sources collect until the window expires or
+	// batchMax is reached; the cut batch then runs each distinct source
+	// once, concurrently, and queries for one source share its run.
 	mu      sync.Mutex
 	pending []*ssspReq
 	timer   *time.Timer
@@ -77,8 +78,8 @@ func (s *Server) Session() *core.Session { return s.sess }
 type Stats struct {
 	core.SessionStats
 	Rejected       int64 // queries shed by admission control
-	Batches        int64 // batched SSSP engine runs executed
-	BatchedQueries int64 // SSSP queries served through those batches
+	Batches        int64 // SSSP batches cut
+	BatchedQueries int64 // SSSP queries in those batches
 	MaxBatch       int64 // largest batch cut so far
 	QueuedNow      int64 // queries currently waiting for a permit
 }
@@ -147,17 +148,17 @@ type ssspResp struct {
 }
 
 // SSSP answers a single-source shortest-paths query. With a batch
-// window configured, queued sources coalesce into one batched
-// multi-source engine run; the returned distances are bit-identical to
-// a dedicated run either way.
+// window configured, queries for the same source queued within one
+// window share one engine run; the returned distances are bit-identical
+// to a dedicated run either way, and are the caller's own slice.
 func (s *Server) SSSP(source graph.VertexID) ([]float64, core.RunStats, error) {
 	// Fail closed before admission: a source the graph does not have would
-	// take a queue slot, a batch lane and an 8·n-byte reply to say +Inf.
+	// take a queue slot, an engine run and an 8·n-byte reply to say +Inf.
 	if _, ok := s.sess.Partitioned().G.IndexOf(source); !ok {
 		return nil, core.RunStats{}, fmt.Errorf("serve: sssp: no vertex %d in the graph", source)
 	}
 	// Admission is per query, before batching: a shed query must fail
-	// fast, not occupy a batch lane.
+	// fast, not wait out a batch window.
 	if s.waiting.Add(1) > int64(s.cfg.queueDepth) {
 		s.waiting.Add(-1)
 		s.rejected.Add(1)
@@ -175,7 +176,7 @@ func (s *Server) SSSP(source graph.VertexID) ([]float64, core.RunStats, error) {
 		batch := s.pending
 		s.pending = nil
 		s.mu.Unlock()
-		go s.runBatch(batch)
+		s.runBatch(batch)
 	} else {
 		if n == 1 {
 			s.timer = time.AfterFunc(s.cfg.batchWindow, s.cutBatch)
@@ -198,21 +199,10 @@ func (s *Server) cutBatch() {
 	}
 }
 
-// runBatch executes one batched multi-source engine run and fans the
-// lanes back out to the queued requests.
+// runBatch dispatches a cut batch without waiting for it: one engine run
+// per distinct source, each on its own goroutine, all concurrent up to
+// the in-flight cap.
 func (s *Server) runBatch(batch []*ssspReq) {
-	s.sem <- struct{}{} // one permit covers the whole batch
-	s.waiting.Add(int64(-len(batch)))
-	start := time.Now()
-	defer func() { <-s.sem }()
-
-	srcs := make([]graph.VertexID, len(batch))
-	for i, r := range batch {
-		srcs[i] = r.src
-	}
-	res, err := core.Query(s.sess, sssp.MultiJob(sssp.MultiConfig{Sources: srcs}), s.runOpts())
-	seconds := time.Since(start).Seconds()
-
 	s.batches.Add(1)
 	s.batchedQueries.Add(int64(len(batch)))
 	for {
@@ -221,16 +211,39 @@ func (s *Server) runBatch(batch []*ssspReq) {
 			break
 		}
 	}
+	bySource := make(map[graph.VertexID][]*ssspReq, len(batch))
+	for _, r := range batch {
+		bySource[r.src] = append(bySource[r.src], r)
+	}
+	for _, reqs := range bySource {
+		go s.runSource(reqs)
+	}
+}
 
-	for i, r := range batch {
-		var resp ssspResp
-		if res != nil {
-			resp.stats = res.Stats
-			resp.dist = sssp.Lane(res.Values, i)
+// runSource answers every request for one source with one sssp.Job run
+// under one in-flight permit. The requests wait (and count as queued)
+// until the permit is theirs. The first gets the run's result vector and
+// every further one a copy, so no two callers share a slice.
+func (s *Server) runSource(reqs []*ssspReq) {
+	s.sem <- struct{}{}
+	s.waiting.Add(int64(-len(reqs)))
+	start := time.Now()
+	res, err := core.Query(s.sess, sssp.Job(reqs[0].src), s.runOpts())
+	<-s.sem
+	seconds := time.Since(start).Seconds()
+
+	var dist []float64
+	var st core.RunStats
+	if res != nil {
+		dist, st = res.Values, res.Stats
+	}
+	st.BatchSize = len(reqs)
+	for i, r := range reqs {
+		resp := ssspResp{dist: dist, stats: st, err: err}
+		if i > 0 {
+			resp.dist = slices.Clone(dist)
 		}
 		resp.stats.QueueWaitSeconds = start.Sub(r.enq).Seconds()
-		resp.stats.BatchSize = len(batch)
-		resp.err = err
 		s.logQuery("sssp", seconds, &resp.stats, err)
 		r.done <- resp
 	}
