@@ -277,6 +277,79 @@ func TestSSSPDeltaSnapshotResumesMidRun(t *testing.T) {
 	}
 }
 
+// TestSSSPDeltaFlushIgnoresShards: the border flush sends each improved
+// copy once, in ascending vertex order, with the distance it holds when
+// the round ends, and identically at every shard count. A hand-driven
+// barrier run on a multi-fragment power-law partition records every
+// batch of every round; at shards 2, 3 and 8 they equal those at shards 1
+// message for message.
+func TestSSSPDeltaFlushIgnoresShards(t *testing.T) {
+	p, err := partition.Build(gen.PowerLaw(3000, 6, 2.1, true, 73), 4, partition.Hash{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(k int) [][]core.VMsg[float64] {
+		job := sssp.JobShards(0, k)
+		progs := make([]core.Program[float64], p.M)
+		ctxs := make([]*core.Context[float64], p.M)
+		for i, f := range p.Frags {
+			progs[i] = job.New(f)
+			ctxs[i] = core.NewEngineContext[float64](f, p.M)
+		}
+		var batches [][]core.VMsg[float64]
+		inbox := make([][]core.VMsg[float64], p.M)
+		ship := func(i int) {
+			out, _ := ctxs[i].TakeOut()
+			for j, ms := range out {
+				for x, m := range ms {
+					if x > 0 && m.V <= ms[x-1].V {
+						t.Fatalf("shards=%d: worker %d → %d sends vertex %d after %d", k, i, j, m.V, ms[x-1].V)
+					}
+					if held := progs[i].Get(m.V); math.Float64bits(held) != math.Float64bits(m.Val) {
+						t.Fatalf("shards=%d: worker %d sent vertex %d at %v, its copy holds %v", k, i, m.V, m.Val, held)
+					}
+				}
+				if len(ms) > 0 {
+					batches = append(batches, slices.Clone(ms))
+					inbox[j] = append(inbox[j], ms...)
+				}
+			}
+		}
+		for i := range progs {
+			progs[i].PEval(ctxs[i])
+			ship(i)
+		}
+		for active := true; active; {
+			cur := inbox
+			inbox = make([][]core.VMsg[float64], p.M)
+			active = false
+			for i := range progs {
+				if len(cur[i]) > 0 {
+					active = true
+					progs[i].IncEval(core.FoldMessages(cur[i], math.Min), ctxs[i])
+					ship(i)
+				}
+			}
+		}
+		return batches
+	}
+	want := run(1)
+	if len(want) <= p.M {
+		t.Fatalf("only %d batches: the partition exercises too little border traffic", len(want))
+	}
+	for _, k := range []int{2, 3, 8} {
+		got := run(k)
+		if len(got) != len(want) {
+			t.Fatalf("shards=%d: %d batches, shards=1 sent %d", k, len(got), len(want))
+		}
+		for b := range want {
+			if !slices.Equal(got[b], want[b]) {
+				t.Fatalf("shards=%d: batch %d differs from shards=1:\n%v\n%v", k, b, got[b], want[b])
+			}
+		}
+	}
+}
+
 // TestSSSPRejectsBadWeights: the documented "edge weights must be
 // positive" contract is enforced at run start — zero, negative, NaN and
 // +Inf weights all fail fast with a clear error from both engines,

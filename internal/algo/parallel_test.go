@@ -498,8 +498,8 @@ func TestCFStagedShipMatchesSequential(t *testing.T) {
 }
 
 // TestParallelKernelsUnderEngine: smoke the parallel kernels through the
-// real concurrent engine (staged sends racing with the flusher under
-// -race in CI) against the single-threaded oracles.
+// real concurrent engine (staged sends racing with other workers'
+// deliveries under -race in CI) against the single-threaded oracles.
 func TestParallelKernelsUnderEngine(t *testing.T) {
 	g := gen.PowerLaw(400, 5, 2.1, true, 31)
 	p, err := partition.Build(g, 4, partition.Hash{})

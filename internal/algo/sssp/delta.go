@@ -41,7 +41,7 @@ type deltaProgram struct {
 
 	dist        []atomic.Uint64 // float64 bits per local slot
 	bk          *par.Buckets    // owned slots staged by distance range
-	copyChanged *par.Marks      // F.O copies improved since last flush
+	copyChanged *par.Frontier   // F.O copies improved since last flush
 
 	// One phase's input and per-shard output, read by expand: the taken
 	// slots, their chunk boundaries, and the edges each shard scanned.
@@ -73,7 +73,7 @@ func newDeltaProgram(f *partition.Fragment, source graph.VertexID, shards int, d
 		p.dist[i].Store(inf)
 	}
 	p.bk = par.NewBuckets(f.NumOwned(), max(shards, 1), delta)
-	p.copyChanged = par.NewMarks(len(f.Out))
+	p.copyChanged = par.NewFrontier(len(f.Out))
 	p.expand = p.expandShard
 	return p
 }
@@ -230,7 +230,7 @@ func (p *deltaProgram) expandShard(w int) {
 			if slot < owned {
 				p.bk.Add(w, slot, nd)
 			} else {
-				p.copyChanged.TryMark(slot - owned)
+				p.copyChanged.Add(slot - owned)
 			}
 		}
 	}
@@ -238,31 +238,29 @@ func (p *deltaProgram) expandShard(w int) {
 }
 
 // flushBorder ships the distances of the copies improved since the last
-// flush, staged across kernel shards and merged in copy-slot order so
-// the per-destination message order matches a sequential pass.
+// flush, once each and in ascending copy slot: Advance lists only the
+// changed copies, in that order, and clears them. Kernel shards take
+// contiguous runs of that list, so the merged per-destination message
+// order is the sequential pass's at every shard count.
 func (p *deltaProgram) flushBorder(ctx *core.Context[float64]) {
-	out := p.f.Out
-	if len(out) == 0 {
+	changed := p.copyChanged.Advance()
+	if len(changed) == 0 {
 		return
 	}
+	out := p.f.Out
 	copies := p.dist[p.f.NumOwned():]
-	if k := p.kernelShards(ctx, int64(len(out))); k <= 1 {
-		for i, v := range out {
-			if p.copyChanged.Marked(int32(i)) {
-				ctx.Send(v, math.Float64frombits(copies[i].Load()))
-			}
+	if k := p.kernelShards(ctx, int64(len(changed))); k <= 1 {
+		for _, c := range changed {
+			ctx.Send(out[c], math.Float64frombits(copies[c].Load()))
 		}
 	} else {
 		stages := ctx.Stages(k)
 		par.Do(k, func(w int) {
 			st := stages[w]
-			for i := w * len(out) / k; i < (w+1)*len(out)/k; i++ {
-				if p.copyChanged.Marked(int32(i)) {
-					st.Send(out[i], math.Float64frombits(copies[i].Load()))
-				}
+			for _, c := range changed[w*len(changed)/k : (w+1)*len(changed)/k] {
+				st.Send(out[c], math.Float64frombits(copies[c].Load()))
 			}
 		})
 		ctx.MergeStages()
 	}
-	p.copyChanged.Reset()
 }

@@ -47,7 +47,7 @@ func (p *deltaProgram) RestoreState(data []byte) error {
 	p.rounds = int(rounds)
 	p.buckets = int(buckets)
 	p.relaxed = relaxed
-	p.copyChanged.Reset()
+	p.copyChanged.Advance() // discard marks of the abandoned execution
 	return nil
 }
 

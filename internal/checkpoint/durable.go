@@ -8,14 +8,15 @@
 //	ep-0000000001.ckpt    record: envelope + snapshot payload
 //	ep-0000000002.ckpt
 //	ep-0000000003.ckpt    (newest sealed epoch)
-//	MANIFEST              envelope + (newest epoch, retained epochs)
 //	*.tmp                 in-progress writes, ignored by readers
 //
-// Every file carries the same 20-byte envelope — magic, format version,
-// epoch, payload length, CRC32 (IEEE) of the payload — so a torn tail,
-// a bit flip, or a length-lying header is detected before any payload
-// byte is trusted. Writes are crash-consistent by construction: the
-// bytes go to a .tmp sibling first, are fsync'd (per the SyncEvery
+// The directory listing is the index: the record names are the retained
+// epochs, and any other file (a MANIFEST an older format wrote) is
+// ignored. Every record carries a 20-byte envelope — magic, format
+// version, epoch, payload length, CRC32 (IEEE) of the payload — so a torn
+// tail, a bit flip, or a length-lying header is detected before any
+// payload byte is trusted. Writes are crash-consistent by construction:
+// the bytes go to a .tmp sibling first, are fsync'd (per the SyncEvery
 // policy), and land under their final name with an atomic rename
 // followed by a directory fsync. A reader therefore never observes a
 // half-written record under a record name; the worst a crash leaves
@@ -37,14 +38,9 @@ import (
 
 const (
 	recordMagic    = 0x43504141 // "AAPC" little-endian: checkpoint record
-	manifestMagic  = 0x4d504141 // "AAPM" little-endian: manifest
 	durableVersion = 1
 	envelopeBytes  = 20
 )
-
-// manifestName is the fixed name of the manifest file inside a
-// checkpoint directory.
-const manifestName = "MANIFEST"
 
 // ErrNoSealedEpoch is returned when a checkpoint directory holds no
 // record that decodes cleanly — nothing to resume from.
@@ -117,7 +113,7 @@ func (d *DurableStore) Dir() string { return d.dir }
 // FsyncCount returns how many fsync syscalls the store has issued.
 func (d *DurableStore) FsyncCount() int64 { return d.fsyncs.Load() }
 
-// BytesWritten returns the cumulative record + manifest bytes written.
+// BytesWritten returns the cumulative record bytes written.
 func (d *DurableStore) BytesWritten() int64 { return d.bytes.Load() }
 
 // RecordFile returns the file name of epoch's record inside a
@@ -126,10 +122,6 @@ func (d *DurableStore) BytesWritten() int64 { return d.bytes.Load() }
 func RecordFile(epoch int32) string {
 	return fmt.Sprintf("ep-%010d.ckpt", epoch)
 }
-
-// ManifestFile returns the manifest's file name inside a checkpoint
-// directory.
-func ManifestFile() string { return manifestName }
 
 func parseRecordName(name string) (int32, bool) {
 	var e int32
@@ -157,10 +149,10 @@ func scanEpochs(fsys FS, dir string) []int32 {
 	return es
 }
 
-// WriteEpoch persists one sealed epoch's payload as a record file,
-// prunes epochs beyond the retention window, and rewrites the manifest
-// to name the newest sealed epoch. Re-writing an existing epoch (a
-// resumed run re-sealing past a corrupt tail) atomically replaces it.
+// WriteEpoch persists one sealed epoch's payload as a record file and
+// prunes epochs beyond the retention window. Re-writing an existing
+// epoch (a resumed run re-sealing past a corrupt tail) atomically
+// replaces it.
 func (d *DurableStore) WriteEpoch(epoch int32, payload []byte) error {
 	if epoch <= 0 {
 		return fmt.Errorf("checkpoint: cannot persist epoch %d", epoch)
@@ -170,7 +162,7 @@ func (d *DurableStore) WriteEpoch(epoch int32, payload []byte) error {
 	sync := d.writes%int64(d.opts.SyncEvery) == 0
 	d.writes++
 
-	rec := appendEnvelope(make([]byte, 0, envelopeBytes+len(payload)), recordMagic, epoch, payload)
+	rec := appendEnvelope(make([]byte, 0, envelopeBytes+len(payload)), epoch, payload)
 	if err := d.writeAtomic(RecordFile(epoch), rec, sync); err != nil {
 		return err
 	}
@@ -190,14 +182,6 @@ func (d *DurableStore) WriteEpoch(epoch int32, payload []byte) error {
 		// and the next prune retries it anyway.
 		_ = d.opts.FS.Remove(filepath.Join(d.dir, RecordFile(victim)))
 	}
-
-	mp := codec.AppendInt32(nil, d.epochs[len(d.epochs)-1])
-	mp = codec.AppendInt32s(mp, d.epochs)
-	man := appendEnvelope(make([]byte, 0, envelopeBytes+len(mp)), manifestMagic, d.epochs[len(d.epochs)-1], mp)
-	if err := d.writeAtomic(manifestName, man, sync); err != nil {
-		return err
-	}
-	d.bytes.Add(int64(len(man)))
 	return nil
 }
 
@@ -245,33 +229,14 @@ func (d *DurableStore) writeAtomic(name string, data []byte, sync bool) error {
 }
 
 // NewestSealed returns the newest epoch whose record file decodes
-// cleanly, with its snapshot payload. Candidates come from the union of
-// the manifest (when it decodes) and a directory scan — the scan is the
-// authority, since a crash between record and manifest writes leaves
-// the manifest one epoch stale — and are tried newest-first: a torn,
-// truncated, or bit-flipped record is skipped, falling back to the
-// previous sealed epoch. ErrNoSealedEpoch when nothing decodes.
+// cleanly, with its snapshot payload. Candidates come from a directory
+// scan and are tried newest-first: a torn, truncated, or bit-flipped
+// record is skipped, falling back to the previous sealed epoch.
+// ErrNoSealedEpoch when nothing decodes.
 func (d *DurableStore) NewestSealed() (int32, []byte, error) {
-	seen := make(map[int32]bool)
-	var cands []int32
-	for _, e := range scanEpochs(d.opts.FS, d.dir) {
-		if !seen[e] {
-			seen[e] = true
-			cands = append(cands, e)
-		}
-	}
-	if mb, err := d.opts.FS.ReadFile(filepath.Join(d.dir, manifestName)); err == nil {
-		if _, es, err := DecodeManifest(mb); err == nil {
-			for _, e := range es {
-				if !seen[e] {
-					seen[e] = true
-					cands = append(cands, e)
-				}
-			}
-		}
-	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i] > cands[j] })
-	for _, e := range cands {
+	cands := scanEpochs(d.opts.FS, d.dir)
+	for i := len(cands) - 1; i >= 0; i-- {
+		e := cands[i]
 		data, err := d.opts.FS.ReadFile(filepath.Join(d.dir, RecordFile(e)))
 		if err != nil {
 			continue
@@ -291,8 +256,8 @@ func (d *DurableStore) Epochs() []int32 {
 	return scanEpochs(d.opts.FS, d.dir)
 }
 
-func appendEnvelope(dst []byte, magic uint32, epoch int32, payload []byte) []byte {
-	dst = codec.AppendUint32(dst, magic)
+func appendEnvelope(dst []byte, epoch int32, payload []byte) []byte {
+	dst = codec.AppendUint32(dst, recordMagic)
 	dst = codec.AppendUint32(dst, durableVersion)
 	dst = codec.AppendInt32(dst, epoch)
 	dst = codec.AppendUint32(dst, uint32(len(payload)))
@@ -300,10 +265,11 @@ func appendEnvelope(dst []byte, magic uint32, epoch int32, payload []byte) []byt
 	return append(dst, payload...)
 }
 
-// decodeEnvelope validates the 20-byte header against the actual bytes
-// present — the need-before-make guard: a length-lying header fails
-// here before any payload byte is trusted or copied.
-func decodeEnvelope(data []byte, wantMagic uint32) (epoch int32, payload []byte, err error) {
+// DecodeRecord validates a record file's envelope and returns its epoch
+// and snapshot payload. The payload aliases data. The 20-byte header is
+// checked against the actual bytes present — the need-before-make guard:
+// a length-lying header fails here before any payload byte is trusted.
+func DecodeRecord(data []byte) (epoch int32, payload []byte, err error) {
 	r := codec.NewReader(data)
 	magic := r.Uint32()
 	version := r.Uint32()
@@ -313,7 +279,7 @@ func decodeEnvelope(data []byte, wantMagic uint32) (epoch int32, payload []byte,
 	if r.Err() != nil {
 		return 0, nil, fmt.Errorf("checkpoint: truncated envelope (%d bytes)", len(data))
 	}
-	if magic != wantMagic {
+	if magic != recordMagic {
 		return 0, nil, fmt.Errorf("checkpoint: bad magic %#08x", magic)
 	}
 	if version != durableVersion {
@@ -330,37 +296,4 @@ func decodeEnvelope(data []byte, wantMagic uint32) (epoch int32, payload []byte,
 		return 0, nil, fmt.Errorf("checkpoint: CRC mismatch: header %#08x, payload %#08x", crc, got)
 	}
 	return epoch, payload, nil
-}
-
-// DecodeRecord validates a record file's envelope and returns its epoch
-// and snapshot payload. The payload aliases data.
-func DecodeRecord(data []byte) (epoch int32, payload []byte, err error) {
-	return decodeEnvelope(data, recordMagic)
-}
-
-// DecodeManifest validates a manifest file and returns the newest
-// sealed epoch and the retained epoch list it names.
-func DecodeManifest(data []byte) (newest int32, epochs []int32, err error) {
-	epoch, payload, err := decodeEnvelope(data, manifestMagic)
-	if err != nil {
-		return 0, nil, err
-	}
-	r := codec.NewReader(payload)
-	newest = r.Int32()
-	epochs = r.Int32s()
-	if err := r.Err(); err != nil {
-		return 0, nil, err
-	}
-	if r.Remaining() != 0 {
-		return 0, nil, fmt.Errorf("checkpoint: %d trailing manifest bytes", r.Remaining())
-	}
-	if newest != epoch {
-		return 0, nil, fmt.Errorf("checkpoint: manifest names epoch %d but envelope says %d", newest, epoch)
-	}
-	for _, e := range epochs {
-		if e <= 0 || e > newest {
-			return 0, nil, fmt.Errorf("checkpoint: manifest retains impossible epoch %d (newest %d)", e, newest)
-		}
-	}
-	return newest, epochs, nil
 }

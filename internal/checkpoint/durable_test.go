@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -138,7 +139,7 @@ func TestDurableRoundtrip(t *testing.T) {
 }
 
 // TestDurableRetention: only the newest Retain epochs stay on disk, and
-// the manifest tracks the retained set.
+// a store reopened on the directory sees exactly those.
 func TestDurableRetention(t *testing.T) {
 	dir := t.TempDir()
 	d, err := checkpoint.OpenDurable(dir, checkpoint.DurableOptions{Retain: 2})
@@ -148,20 +149,14 @@ func TestDurableRetention(t *testing.T) {
 	for e := int32(1); e <= 5; e++ {
 		writeEpoch(t, d, e)
 	}
-	got := d.Epochs()
-	if len(got) != 2 || got[0] != 4 || got[1] != 5 {
-		t.Fatalf("retained epochs %v, want [4 5]", got)
-	}
-	mb, err := os.ReadFile(filepath.Join(dir, checkpoint.ManifestFile()))
+	reopened, err := checkpoint.OpenDurable(dir, checkpoint.DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	newest, epochs, err := checkpoint.DecodeManifest(mb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if newest != 5 || len(epochs) != 2 || epochs[0] != 4 {
-		t.Fatalf("manifest (%d, %v), want (5, [4 5])", newest, epochs)
+	for _, got := range [][]int32{d.Epochs(), reopened.Epochs()} {
+		if !slices.Equal(got, []int32{4, 5}) {
+			t.Fatalf("retained epochs %v, want [4 5]", got)
+		}
 	}
 }
 
@@ -175,10 +170,10 @@ func TestDurableSyncEvery(t *testing.T) {
 	for e := int32(1); e <= 6; e++ {
 		writeEpoch(t, d, e)
 	}
-	// Writes 1 and 4 sync (record + manifest file fsync + up to 2 dir
-	// fsyncs each); writes 2, 3, 5, 6 must not.
-	if n := d.FsyncCount(); n < 4 || n > 8 {
-		t.Fatalf("fsyncs = %d with SyncEvery=3 over 6 writes, want 4..8", n)
+	// Writes 1 and 4 sync (the record file, then its directory); writes
+	// 2, 3, 5, 6 must not.
+	if n := d.FsyncCount(); n != 4 {
+		t.Fatalf("fsyncs = %d with SyncEvery=3 over 6 writes, want 4", n)
 	}
 	if e, _, err := d.NewestSealed(); err != nil || e != 6 {
 		t.Fatalf("newest = (%d, %v), want 6", e, err)
@@ -186,9 +181,9 @@ func TestDurableSyncEvery(t *testing.T) {
 }
 
 // TestDurableFallback: a truncated or bit-flipped newest record (the
-// torn tail a crash leaves) falls back to the previous sealed epoch;
-// manifest damage costs nothing because the directory scan is the
-// authority.
+// torn tail a crash leaves) falls back to the previous sealed epoch; a
+// garbage MANIFEST, as an older format left beside its records, costs
+// nothing because the directory scan is the authority.
 func TestDurableFallback(t *testing.T) {
 	corrupt := func(t *testing.T, name string, f func(b []byte) []byte) func(dir string) {
 		return func(dir string) {
@@ -218,8 +213,11 @@ func TestDurableFallback(t *testing.T) {
 			return b
 		}), 2},
 		{"empty newest", corrupt(t, checkpoint.RecordFile(3), func(b []byte) []byte { return nil }), 2},
-		{"manifest deleted", func(dir string) { os.Remove(filepath.Join(dir, checkpoint.ManifestFile())) }, 3},
-		{"manifest garbage", corrupt(t, checkpoint.ManifestFile(), func(b []byte) []byte { return []byte("not a manifest") }), 3},
+		{"manifest garbage", func(dir string) {
+			if err := os.WriteFile(filepath.Join(dir, "MANIFEST"), []byte("not a manifest"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}, 3},
 		{"newest and middle corrupt", func(dir string) {
 			corrupt(t, checkpoint.RecordFile(3), func(b []byte) []byte { return b[:10] })(dir)
 			corrupt(t, checkpoint.RecordFile(2), func(b []byte) []byte { b[25] ^= 0xff; return b })(dir)

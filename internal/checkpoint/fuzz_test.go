@@ -8,7 +8,7 @@ import (
 )
 
 // FuzzDurableDecode feeds arbitrary bytes through every durable decode
-// surface — record envelope, manifest, and snapshot payload — and pins
+// surface — record envelope and snapshot payload — and pins
 // the crash-consistency contract: corrupt, truncated, or length-lying
 // input must come back as an error, never a panic, and never an
 // allocation larger than the input itself (the need-before-make guard,
@@ -36,16 +36,11 @@ func FuzzDurableDecode(f *testing.F) {
 	f.Add(lie)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// Record and manifest envelopes: any successful parse must have
-		// actually validated the CRC over a payload that fits the input.
+		// Record envelope: any successful parse must have actually
+		// validated the CRC over a payload that fits the input.
 		if epoch, p, err := checkpoint.DecodeRecord(data); err == nil {
 			if len(p) > len(data) || epoch <= 0 {
 				t.Fatalf("DecodeRecord accepted epoch %d with %d payload bytes from %d input bytes", epoch, len(p), len(data))
-			}
-		}
-		if newest, epochs, err := checkpoint.DecodeManifest(data); err == nil {
-			if newest <= 0 || len(epochs)*4 > len(data) {
-				t.Fatalf("DecodeManifest accepted (%d, %d epochs) from %d bytes", newest, len(epochs), len(data))
 			}
 		}
 		// Snapshot payload: decoded structure must be bounded by the

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -27,13 +26,10 @@ type Options struct {
 	// modeling n physical workers hosting m > n virtual workers.
 	// Defaults to GOMAXPROCS.
 	PhysicalWorkers int
-	// Latency delays every message batch, and Jitter adds a uniformly
-	// random extra delay in [0, Jitter); both default to zero. They are
-	// used by the Church-Rosser tests to randomize schedules.
+	// Latency delays every message batch by the same wall time; zero
+	// (the default) delivers at once. Faults.DelayProb adds seeded,
+	// replayable extra delays per batch on top of it.
 	Latency time.Duration
-	Jitter  time.Duration
-	// Seed drives the jitter randomness.
-	Seed int64
 	// MaxRounds aborts the run when any worker exceeds it; a safety
 	// valve for non-terminating programs. Defaults to 1 << 20.
 	MaxRounds int32
@@ -123,12 +119,8 @@ func run[T any](s *Session, job Job[T], opts Options, rs *resumeState[T]) (*Resu
 
 	e.clock = wallClock{time.Now()}
 	var wg sync.WaitGroup
-	wg.Add(2 * e.p.M)
+	wg.Add(e.p.M)
 	for _, w := range e.workers {
-		go func(w *worker[T]) {
-			defer wg.Done()
-			w.flusher()
-		}(w)
 		go func(w *worker[T]) {
 			defer wg.Done()
 			w.run()
@@ -152,8 +144,7 @@ func run[T any](s *Session, job Job[T], opts Options, rs *resumeState[T]) (*Resu
 	case <-timer.C:
 		e.fail(fmt.Errorf("core: %s/%s timed out after %v", job.Name, opts.Mode, opts.Timeout))
 	}
-	e.closeDone()
-	wg.Wait()      // the flushers too: they own BytesSent
+	wg.Wait()      // the workers own their stats
 	e.recov.stop() // a mid-flight rollback mutates worker state
 	e.tee.stop()   // every seal the run produced is on disk before Run returns, error or not
 	if err := e.err(); err != nil {
@@ -184,9 +175,8 @@ type engine[T any] struct {
 	hsync   *hsyncState   // Hsync's shared phase; nil under every other mode
 	slots   chan struct{} // physical-worker pool
 	coord   coordinator
-	clock   clock         // the worker loop's one time source: wall (run) or virtual (Simulate)
-	pool    *msgPool[T]   // the Session's: recycles message slices between senders and receivers
-	done    chan struct{} // closed when the run ends (success or failure)
+	clock   clock       // the worker loop's one time source: wall (run) or virtual (Simulate)
+	pool    *msgPool[T] // the Session's: recycles message slices between senders and receivers
 
 	rates      []uint64 // per-worker arrival-rate EWMA as float bits
 	roundTimes []uint64 // per-worker round-time EWMA as float bits
@@ -202,12 +192,10 @@ type engine[T any] struct {
 	tee   *durableTee[T]
 	wire  *wirePlane[T]
 
-	// undelivered counts batches between flush handoff and inbox.put
-	// (including time.AfterFunc latency limbo); recovery's quiesce
-	// waits for it to reach zero before rewriting state.
+	// undelivered counts batches between sent and arrive (latency timers,
+	// frames on the wire); recovery's quiesce waits for it to reach zero
+	// before rewriting state.
 	undelivered atomic.Int64
-
-	doneOnce sync.Once
 
 	errMu  sync.Mutex
 	runErr error
@@ -223,7 +211,6 @@ func newEngine[T any](s *Session, job Job[T], opts Options) *engine[T] {
 		opts:       opts,
 		pool:       sessionPool[T](s),
 		slots:      make(chan struct{}, opts.PhysicalWorkers),
-		done:       make(chan struct{}),
 		rates:      make([]uint64, p.M),
 		roundTimes: make([]uint64, p.M),
 	}
@@ -248,9 +235,6 @@ func newEngine[T any](s *Session, job Job[T], opts Options) *engine[T] {
 		}
 		w.inbox.notify = make(chan struct{}, 1)
 		w.progress = make(chan struct{}, 1)
-		w.flushCh = make(chan flushOut[T], 1)
-		w.spareCh = make(chan [][]VMsg[T], 2)
-		w.frng = rand.New(rand.NewSource(opts.Seed + int64(i)*7919 + 104729))
 		w.ctx.computing = e.slots
 		e.workers[i] = w
 	}
@@ -282,10 +266,6 @@ func (e *engine[T]) values() []T {
 	return Assemble(e.p, progs)
 }
 
-func (e *engine[T]) closeDone() {
-	e.doneOnce.Do(func() { close(e.done) })
-}
-
 func (e *engine[T]) fail(err error) {
 	e.errMu.Lock()
 	if e.runErr == nil {
@@ -312,7 +292,7 @@ func mean(bits []uint64) float64 {
 
 // batch is one designated message M(i, j): the update-parameter changes
 // shipped from worker i to worker j after a round, stamped with the
-// sender's snapshot epoch at handoff.
+// sender's snapshot epoch at the round's end.
 type batch[T any] struct {
 	from  int32
 	epoch int32
@@ -519,7 +499,7 @@ func (e *engine[T]) consumed(n int64, stamp int32) {
 }
 
 // lost accounts for a batch of n messages that was pre-counted as sent at
-// flush handoff and will never reach an inbox (an injected drop, a frame
+// the round's end and will never reach an inbox (an injected drop, a frame
 // the wire plane could not send): consumed plus the quiesce condition, so
 // termination, sealing and recovery stay live.
 func (e *engine[T]) lost(n int64, epoch int32) {
@@ -555,40 +535,14 @@ func (e *engine[T]) after(extra time.Duration, deliver func()) {
 	}
 }
 
-// flushOut is one round's handoff from worker to flusher: the
-// per-destination batches plus the sender's snapshot epoch at handoff.
-type flushOut[T any] struct {
-	out   [][]VMsg[T]
-	epoch int32
-}
-
-// flusher is the per-worker delivery goroutine: it prices and ships the
-// batches of a finished round while the worker computes the next one.
-// Only the flusher touches stats.BytesSent; Run joins the flushers before
-// reading stats.
-func (w *worker[T]) flusher() {
-	for {
-		select {
-		case fo := <-w.flushCh:
-			w.flush(fo)
-			select {
-			case w.spareCh <- fo.out:
-			default:
-			}
-		case <-w.eng.done:
-			return
-		}
-	}
-}
-
-// flush prices and delivers one round's batches and clears the outer
-// array for reuse. Delivery faults (drop/duplicate/delay) are injected
-// here, at the boundary between handoff and inbox — the engine's stand-in
-// for the network.
-func (w *worker[T]) flush(fo flushOut[T]) {
+// flush prices and delivers one round's batches, stamped with epoch.
+// Delivery faults (drop/duplicate/delay) are injected here, at the
+// boundary between the round and the inbox — the engine's stand-in for
+// the network.
+func (w *worker[T]) flush(out [][]VMsg[T], epoch int32) {
 	e := w.eng
 	var bytes int64
-	for j, msgs := range fo.out {
+	for j, msgs := range out {
 		if len(msgs) == 0 {
 			continue
 		}
@@ -597,7 +551,7 @@ func (w *worker[T]) flush(fo flushOut[T]) {
 			drop, dup, d := e.inj.delivery(w.id)
 			fdelay = d
 			if drop {
-				e.lost(int64(len(msgs)), fo.epoch)
+				e.lost(int64(len(msgs)), epoch)
 				e.pool.put(msgs)
 				continue
 			}
@@ -606,21 +560,16 @@ func (w *worker[T]) flush(fo flushOut[T]) {
 				// duplicate needs its own copy; it is accounted
 				// exactly like a real batch.
 				cp := append([]VMsg[T](nil), msgs...)
-				e.sent(int64(len(cp)), 1, fo.epoch)
-				e.plane.deliver(w.id, j, fo.epoch, cp, fdelay)
+				e.sent(int64(len(cp)), 1, epoch)
+				e.plane.deliver(w.id, j, epoch, cp, fdelay)
 			}
 		}
 		for _, m := range msgs {
 			bytes += int64(e.job.valueBytes(m.Val))
 		}
-		var extra time.Duration
-		if e.opts.Jitter > 0 {
-			extra = time.Duration(w.frng.Int63n(int64(e.opts.Jitter)))
-		}
-		e.plane.deliver(w.id, j, fo.epoch, msgs, extra+fdelay)
+		e.plane.deliver(w.id, j, epoch, msgs, fdelay)
 	}
 	w.stats.BytesSent += bytes
-	clear(fo.out)
 }
 
 // worker is one virtual worker P_i.
@@ -649,18 +598,6 @@ type worker[T any] struct {
 	// instead of a fresh time.Timer per delay.
 	timer *time.Timer
 
-	// flushCh hands a finished round's outgoing batches to the worker's
-	// flusher goroutine, overlapping delivery (byte accounting, jitter,
-	// inbox puts) with the next round's compute. The epoch rides along
-	// because the worker may record a new cut between the handoff and
-	// the flusher shipping the batches — the stamp must be the one in
-	// force at handoff. spareCh returns the drained outer array for
-	// reuse. frng is the flusher's own jitter stream so the two
-	// goroutines never share a rand.Rand.
-	flushCh chan flushOut[T]
-	spareCh chan [][]VMsg[T]
-	frng    *rand.Rand
-
 	// epoch is the worker's recorded snapshot epoch; pevalDone flips
 	// when PEval has run, and is cleared by a from-scratch rollback.
 	epoch     int32
@@ -688,7 +625,7 @@ func (w *worker[T]) run() {
 	// Contain kernel panics: a Program blowing up must fail the run
 	// with a diagnosable error, not kill the process. The worker exits
 	// cleanly (its deferred wg.Done still runs) and fail() unblocks
-	// everyone else through e.done.
+	// everyone else through coord.done.
 	defer func() {
 		if p := recover(); p != nil {
 			e := w.eng
@@ -697,7 +634,7 @@ func (w *worker[T]) run() {
 	}()
 	for {
 		select {
-		case <-w.eng.done:
+		case <-w.eng.coord.done:
 			return
 		default:
 		}
@@ -721,11 +658,11 @@ func (w *worker[T]) run() {
 			// Only a message (or shutdown) reactivates an inactive
 			// worker: its buffer is empty, so progress broadcasts cannot
 			// create work for it. Flipping active on every broadcast
-			// would also re-broadcast from setActive, and with delivery
-			// running on the flusher goroutines those echo waves can
-			// rotate through the workers indefinitely, keeping activeN
-			// above zero at every termination check. The exception is
-			// fault-tolerance business (a quiesce to park for, an epoch
+			// would also re-broadcast from setActive, and the flip back
+			// to inactive broadcasts again, so those echo waves can
+			// rotate through the idle workers indefinitely, keeping
+			// activeN above zero at every termination check. The
+			// exception is fault-tolerance business (a quiesce to park for, an epoch
 			// to record): progress wakes check for it explicitly, or an
 			// idle worker would never reach a safe point and recovery
 			// (or epoch sealing) would stall forever.
@@ -819,7 +756,7 @@ func (w *worker[T]) wait(d float64) wakeReason {
 		return wakeProgress
 	case <-timerC:
 		return wakeTimer
-	case <-w.eng.done:
+	case <-w.eng.coord.done:
 		return wakeDone
 	}
 }
@@ -909,22 +846,14 @@ func (w *worker[T]) clearBuffer() {
 }
 
 // execRound is a round under the goroutine driver: compute inside a
-// physical-worker slot and timed on the wall clock, then finish, whose
-// handoff the flusher goroutine picks up.
+// physical-worker slot and timed on the wall clock, then finish outside
+// it, so a round's delivery overlaps the other workers' compute.
 func (w *worker[T]) execRound() {
 	e := w.eng
 	select {
 	case e.slots <- struct{}{}:
-	case <-e.done:
+	case <-e.coord.done:
 		return
-	}
-	// Reclaim an outer array the flusher finished with; if the previous
-	// flush is still running the context allocates a fresh one (rare —
-	// it means compute fully overlapped the flush).
-	select {
-	case sp := <-w.spareCh:
-		w.ctx.ReleaseOut(sp)
-	default:
 	}
 	t0 := e.clock.Now()
 	out, _, ok := w.compute()
@@ -966,8 +895,10 @@ func (w *worker[T]) compute() (out [][]VMsg[T], work int64, ok bool) {
 }
 
 // finish is the second half of a round, once dur seconds of compute are
-// behind it: it updates the round-time estimate t_i, hands the round's
-// messages to the flusher and reports the round to the coordinator.
+// behind it: it updates the round-time estimate t_i, delivers the round's
+// messages and reports the round to the coordinator. The batches carry
+// w.epoch: a cut is recorded only at safepoint or in drain, both on this
+// goroutine, so none can come between the count and the delivery.
 func (w *worker[T]) finish(out [][]VMsg[T], dur float64) {
 	e := w.eng
 	w.stats.BusySeconds += dur
@@ -980,21 +911,13 @@ func (w *worker[T]) finish(out [][]VMsg[T], dur float64) {
 			nd++
 		}
 	}
-	if total == 0 {
-		w.ctx.ReleaseOut(out)
-	} else {
-		// Counted as sent *before* the handoff to the flusher (see sent).
+	if total > 0 {
+		// Counted as sent before any plane sees a batch (see sent).
 		w.stats.MsgsSent += total
 		e.sent(total, nd, w.epoch)
-		select {
-		case w.flushCh <- flushOut[T]{out: out, epoch: w.epoch}:
-		case <-e.done:
-			// Run over (failure/timeout): the batches are never
-			// delivered, and the pre-counted sent total cannot matter —
-			// done has already fired.
-			e.undelivered.Add(-nd)
-		}
+		w.flush(out, w.epoch)
 	}
+	w.ctx.ReleaseOut(out)
 	w.rounds = e.coord.roundDone(w.id)
 	w.stats.Rounds = w.rounds
 	w.lastRoundEnd = e.clock.Now()

@@ -112,8 +112,8 @@ func TestPageRankMatchesPowerIteration(t *testing.T) {
 	}
 }
 
-// TestChurchRosserSSSP exercises Theorem 2: runs with randomized message
-// latency, different modes, different worker counts and different
+// TestChurchRosserSSSP exercises Theorem 2: runs with seeded random
+// message delays, different modes, different worker counts and different
 // partition strategies must all converge to the same fixpoint.
 func TestChurchRosserSSSP(t *testing.T) {
 	g := gen.PowerLaw(400, 5, 2.1, true, 7)
@@ -124,8 +124,7 @@ func TestChurchRosserSSSP(t *testing.T) {
 			p := mustPartition(t, g, 4+int(seed), s)
 			opts := core.Options{
 				Mode:    core.Mode(seed % 3), // cycles AAP, BSP, AP
-				Jitter:  2 * time.Millisecond,
-				Seed:    seed,
+				Faults:  &core.Faults{Seed: seed, DelayProb: 0.5, DelayBy: 2 * time.Millisecond},
 				LFloor:  int(seed % 4),
 				Timeout: time.Minute,
 			}
@@ -142,6 +141,35 @@ func TestChurchRosserSSSP(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestRunStartsOneGoroutinePerWorker: a run is its workers' goroutines
+// and nothing per worker beside them — each worker delivers its round's
+// batches itself. Sampled from inside a round of worker 0, with kernels
+// forced unsharded and zero latency so no shard or timer goroutine adds
+// to the count.
+func TestRunStartsOneGoroutinePerWorker(t *testing.T) {
+	const m = 8
+	p := mustPartition(t, gen.Grid(30, 30, 5), m, partition.Hash{})
+	peak := 0 // written by worker 0 only; Run joins it before returning
+	base := runtime.NumGoroutine()
+	_, err := core.Run(p, sssp.JobShards(0, 1), core.Options{
+		Mode: core.AAP,
+		RoundHook: func(worker int, round int32) {
+			if worker == 0 && round >= 1 {
+				peak = max(peak, runtime.NumGoroutine())
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if peak == 0 {
+		t.Fatal("worker 0 never ran an incremental round")
+	}
+	if extra := peak - base; extra > m+2 {
+		t.Fatalf("%d goroutines above the %d before Run with %d workers, want at most %d", extra, base, m, m+2)
 	}
 }
 

@@ -86,14 +86,13 @@ func (t *TransportOptions) enabled() bool {
 
 // config is the link tuning both ends of the plane (the engine's
 // listener, a ServeWorker host) take from the options.
-func (t *TransportOptions) config(seed int64) transport.Config {
+func (t *TransportOptions) config() transport.Config {
 	return transport.Config{
 		Incarnation:    t.Incarnation,
 		HeartbeatEvery: t.HeartbeatEvery,
 		SuspectAfter:   t.SuspectAfter,
 		DeadAfter:      t.DeadAfter,
 		RetryLimit:     t.RetryLimit,
-		Retry:          transport.Backoff{Seed: uint64(seed)},
 	}
 }
 
@@ -102,7 +101,7 @@ func (t *TransportOptions) config(seed int64) transport.Config {
 func hostEndpoint(m, worker int) int32 { return int32(m + 1 + worker) }
 
 // msgPlane is the pluggable delivery path for designated-message
-// batches. Both implementations sit below the flusher — fault injection
+// batches. Both implementations sit below worker.flush — fault injection
 // (drop/dup/delay) happens above this boundary, so one fault model
 // covers both planes — and above the inbox: a delivered batch ends in
 // engine.arrive, whichever plane carried it.
@@ -126,7 +125,7 @@ func (p *inproc[T]) deliver(from, to int, epoch int32, msgs []VMsg[T], extra tim
 // (Options.Transport): the listener and the proxies of remote-hosted
 // Programs. With Transport.TCP it is also the run's msgPlane, so every
 // batch is a real frame. The coordinator is not on it: engine.sent
-// counts a batch on shared memory before its flusher sees it, so no
+// counts a batch on shared memory before any plane sees it, so no
 // frame can be consumed before it is counted.
 type wirePlane[T any] struct {
 	e       *engine[T]
@@ -223,7 +222,7 @@ func startWirePlane[T any](e *engine[T]) (*wirePlane[T], error) {
 		wp.remotes[k] = &remoteProg[T]{wp: wp, w: k, host: hostEndpoint(e.p.M, k)}
 		e.workers[k].prog = wp.remotes[k]
 	}
-	cfg := topts.config(e.opts.Seed)
+	cfg := topts.config()
 	cfg.OnFrame, cfg.OnPeerDead, cfg.OnPeerRejoin = wp.onFrame, wp.onPeerDead, wp.onPeerRejoin
 	cfg.Faults = topts.LinkFaults
 	if cfg.ListenAddr = topts.ListenAddr; cfg.ListenAddr == "" {
@@ -266,7 +265,7 @@ func (wp *wirePlane[T]) stop() {
 	if wp == nil {
 		return
 	}
-	wp.e.closeDone() // also covers early-error exits before the run started
+	wp.e.coord.forceDone() // also covers early-error exits before the run started
 	for _, rp := range wp.remotes {
 		if rp != nil && rp.alive() {
 			rp.shutdown()

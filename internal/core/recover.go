@@ -35,7 +35,7 @@ type CheckpointOptions struct {
 // epoch stamp as the marker:
 //
 //   - Every outgoing batch is stamped with the sender's recorded epoch
-//     at flush handoff, so "carries the token" is simply stamp == e.
+//     at the end of its round, so "carries the token" is simply stamp == e.
 //   - A worker records its cut for epoch e the first time it learns of
 //     e: at a round boundary (polling the announced epoch) or upon
 //     draining a batch stamped e — before that batch enters its buffer.
@@ -160,14 +160,14 @@ func (r *recovery[T]) park() bool {
 	select {
 	case <-ch:
 		return true
-	case <-r.e.done:
+	case <-r.e.coord.done:
 		return false
 	}
 }
 
 // recover quiesces the engine, rolls back to the last sealed snapshot,
 // and resumes. Quiescence means every worker is parked and every
-// handed-off batch has landed in an inbox (undelivered == 0), so no
+// sent batch has landed in an inbox (undelivered == 0), so no
 // message can materialize while state is rewritten.
 func (r *recovery[T]) recover(victim int) {
 	e := r.e
@@ -178,7 +178,7 @@ func (r *recovery[T]) recover(victim int) {
 			break
 		}
 		select {
-		case <-e.done:
+		case <-e.coord.done:
 			r.finish()
 			return
 		case <-time.After(100 * time.Microsecond):
@@ -255,7 +255,7 @@ func (r *recovery[T]) awaitRejoin(k int, inc uint64, wait time.Duration) bool {
 			return false
 		}
 		select {
-		case <-r.e.done:
+		case <-r.e.coord.done:
 			return false
 		case <-time.After(time.Millisecond):
 		}
@@ -397,7 +397,7 @@ func (w *worker[T]) safepoint() bool {
 		if d, ok := e.inj.shouldStall(w.id, w.rounds); ok {
 			select {
 			case <-time.After(d):
-			case <-e.done:
+			case <-e.coord.done:
 				return false
 			}
 		}

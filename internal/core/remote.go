@@ -67,8 +67,8 @@ func (rp *remoteProg[T]) rejoin() {
 	rp.collected = nil
 }
 
-// call ships one op and blocks for the reply. It does NOT abort on
-// e.done — result collection runs after the run finishes — only on host
+// call ships one op and blocks for the reply. It does NOT abort when the
+// run ends — result collection runs after the run finishes — only on host
 // death or the timeout. An error that is not the host's own refusal
 // (transport.RemoteError) means the host is gone: the proxy is marked
 // dead, the caller returns inert results and the death path (recovery)
@@ -216,7 +216,7 @@ func ServeWorker[T any](p *partition.Partitioned, job Job[T], workerID int, pare
 	var overOnce sync.Once
 	end := func() { overOnce.Do(func() { close(over) }) }
 
-	cfg := topts.config(0)
+	cfg := topts.config()
 	cfg.OnPeerDead = func(int32, []int32, error) { end() }
 	tp, err := transport.Listen(cfg)
 	if err != nil {

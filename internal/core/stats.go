@@ -47,7 +47,7 @@ type RunStats struct {
 
 	// Durable checkpoint accounting, zero unless Options.Checkpoint.Dir
 	// was set (or the run was started by Resume).
-	DurableBytes    int64   // record + manifest bytes written to the checkpoint dir
+	DurableBytes    int64   // record bytes written to the checkpoint dir
 	FsyncCount      int64   // fsync syscalls issued by the durable store
 	DroppedSeals    int64   // sealed snapshots the persister dropped (queue full)
 	DurableDegraded string  // first durable write error; run continued non-durable

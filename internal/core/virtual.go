@@ -26,7 +26,7 @@ type Timeline interface {
 }
 
 // virtual drives the workers of an engine from one event loop on tl, the
-// run's clock, instead of a goroutine pair each: it is the message plane
+// run's clock, instead of a goroutine each: it is the message plane
 // (a delivery is an event MsgLatency later) and the listener for progress
 // broadcasts. A worker's blocking wait becomes a flag here, looked at
 // again whenever the real loop's select would have woken.
@@ -75,8 +75,8 @@ func (v *virtual[T]) step(w *worker[T]) {
 	}
 }
 
-// start computes worker w's next round now and queues its finish at the
-// duration the cost model gives it. The flusher's work happens inline.
+// start computes worker w's next round now and queues its finish, which
+// delivers the round's batches, at the duration the cost model gives it.
 func (v *virtual[T]) start(w *worker[T]) {
 	out, work, ok := w.compute()
 	if !ok {
@@ -87,12 +87,6 @@ func (v *virtual[T]) start(w *worker[T]) {
 	v.tl.After(dur, func() {
 		v.running[w.id] = false
 		w.finish(out, dur)
-		select {
-		case fo := <-w.flushCh:
-			w.flush(fo)
-			w.ctx.ReleaseOut(fo.out)
-		default:
-		}
 		v.step(w)
 	})
 }

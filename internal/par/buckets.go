@@ -1,6 +1,6 @@
 // Bucketed (delta-stepping) frontier for priority-ordered kernels.
 //
-// Buckets extends the Frontier/Marks worklist machinery with a priority
+// Buckets extends the Frontier worklist machinery with a priority
 // dimension: slots are staged into distance-range buckets of width delta
 // and drained in bucket order, so a kernel processes "almost smallest
 // first" at full shard parallelism instead of re-relaxing in arbitrary

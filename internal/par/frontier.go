@@ -50,57 +50,6 @@ func KernelShare(work int64, sharers int) int {
 	return k
 }
 
-// Marks is a generation-stamped membership set over [0, n): Reset clears
-// it in O(1) by bumping the generation, and TryMark is an atomic
-// test-and-set so concurrent markers agree on a single winner. It
-// replaces a per-round []bool + clear loop on kernel hot paths.
-type Marks struct {
-	gen []atomic.Uint32
-	cur uint32
-}
-
-// NewMarks returns an empty mark set over [0, n).
-func NewMarks(n int) *Marks {
-	return &Marks{gen: make([]atomic.Uint32, n), cur: 1}
-}
-
-// Len returns the domain size.
-func (m *Marks) Len() int { return len(m.gen) }
-
-// Reset unmarks everything in O(1). Not safe concurrently with the
-// other methods: call it between parallel phases.
-func (m *Marks) Reset() {
-	m.cur++
-	if m.cur == 0 { // generation wrapped: invalidate every stamp
-		for i := range m.gen {
-			m.gen[i].Store(0)
-		}
-		m.cur = 1
-	}
-}
-
-// TryMark marks i and reports whether this call was the first to do so
-// since the last Reset. Safe for concurrent use.
-func (m *Marks) TryMark(i int32) bool {
-	g := &m.gen[i]
-	for {
-		old := g.Load()
-		if old == m.cur {
-			return false
-		}
-		if g.CompareAndSwap(old, m.cur) {
-			return true
-		}
-	}
-}
-
-// Marked reports whether i is marked.
-func (m *Marks) Marked(i int32) bool { return m.gen[i].Load() == m.cur }
-
-// Unmark clears i. cur is always >= 1, so cur-1 is a valid "stale"
-// stamp.
-func (m *Marks) Unmark(i int32) { m.gen[i].Store(m.cur - 1) }
-
 // Frontier is a worklist over dense int32 slots that is a bitmap: bit v
 // set ⇔ v is staged for the next round. During a round discoveries are
 // staged one of two ways, never mixed within a phase:

@@ -8,66 +8,6 @@ import (
 	"testing"
 )
 
-// TestMarksDedupConcurrent: many goroutines racing TryMark on the same
-// slots must elect exactly one winner per slot per generation.
-func TestMarksDedupConcurrent(t *testing.T) {
-	const n, workers, trials = 256, 8, 50
-	m := NewMarks(n)
-	for trial := 0; trial < trials; trial++ {
-		var wins atomic.Int64
-		Do(workers, func(int) {
-			for v := int32(0); v < n; v++ {
-				if m.TryMark(v) {
-					wins.Add(1)
-				}
-			}
-		})
-		if wins.Load() != n {
-			t.Fatalf("trial %d: %d wins, want %d", trial, wins.Load(), n)
-		}
-		m.Reset()
-	}
-}
-
-// TestMarksReset: Reset clears membership in O(1), Unmark clears one
-// slot, and marks survive until the next Reset.
-func TestMarksReset(t *testing.T) {
-	m := NewMarks(4)
-	if !m.TryMark(2) || m.TryMark(2) {
-		t.Fatal("first mark should win, second should not")
-	}
-	if !m.Marked(2) || m.Marked(1) {
-		t.Fatal("membership wrong")
-	}
-	m.Unmark(2)
-	if m.Marked(2) {
-		t.Fatal("unmark did not clear")
-	}
-	if !m.TryMark(2) {
-		t.Fatal("remark after unmark should win")
-	}
-	m.Reset()
-	if m.Marked(2) {
-		t.Fatal("reset did not clear")
-	}
-}
-
-// TestMarksGenerationWrap: force the generation counter to wrap and
-// check stale stamps cannot masquerade as current marks.
-func TestMarksGenerationWrap(t *testing.T) {
-	m := NewMarks(2)
-	m.TryMark(0)
-	m.cur = math.MaxUint32 // jump to the wrap boundary
-	m.gen[1].Store(math.MaxUint32)
-	m.Reset()
-	if m.Marked(0) || m.Marked(1) {
-		t.Fatal("wrap leaked a stale mark")
-	}
-	if !m.TryMark(1) {
-		t.Fatal("mark after wrap failed")
-	}
-}
-
 // TestFrontierDeterministicAdvance: whatever order slots are added in,
 // Advance returns them once each in ascending order, and leaves the
 // frontier empty and every slot re-addable.

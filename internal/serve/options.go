@@ -99,7 +99,8 @@ func WithPageRankTol(tol float64) Option { return func(c *config) { c.pagerankTo
 
 // WithCF enables the recommendation path: the Server's graph is a
 // bipartite rating graph (users then products, gen.Bipartite layout)
-// and the first Recommend call trains latent factors once with cfg.
+// and the first Recommend call whose training succeeds trains latent
+// factors once with cfg.
 func WithCF(cfg cf.Config) Option { return func(c *config) { c.cfConfig = &cfg } }
 
 // WithLogger makes the Server log one line per completed query (name,

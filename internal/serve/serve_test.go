@@ -296,6 +296,47 @@ func TestRecommendTopK(t *testing.T) {
 	}
 }
 
+// TestRecommendRetriesAfterShedTraining: a Recommend shed while the
+// server is busy fails with ErrOverloaded and leaves the model untrained,
+// not disabled — once the load is gone the next call trains and answers.
+func TestRecommendRetriesAfterShedTraining(t *testing.T) {
+	const users, products = 120, 30
+	r := gen.Bipartite(users, products, 8, 4, 1.0, 7)
+	p := buildPartition(t, r.G, 2)
+	srv := New(p, WithMaxInflight(1), WithQueueDepth(1),
+		WithCF(cf.Config{Users: users, Products: products, Rank: 4, Epochs: 8, Seed: 5}))
+
+	srv.sem <- struct{}{} // the one permit
+	queued := make(chan error, 1)
+	go func() {
+		_, _, err := srv.CC()
+		queued <- err
+	}()
+	for srv.Stats().QueuedNow != 1 {
+		time.Sleep(time.Millisecond)
+	}
+	if _, _, err := srv.Recommend(0, 5); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("Recommend with the queue full: err = %v, want ErrOverloaded", err)
+	}
+	<-srv.sem
+	if err := <-queued; err != nil {
+		t.Fatal(err)
+	}
+
+	recs, st, err := srv.Recommend(0, 5)
+	if err != nil {
+		t.Fatalf("Recommend once the load is gone: %v", err)
+	}
+	if len(recs) != 5 || st.BatchSize != 1 {
+		t.Fatalf("got %d recs (training run BatchSize %d), want 5 from a fresh training run", len(recs), st.BatchSize)
+	}
+	for i := 1; i < len(recs); i++ {
+		if recs[i-1].Score < recs[i].Score {
+			t.Fatalf("recs not sorted: %v", recs)
+		}
+	}
+}
+
 // TestPageRankTolFailsSafe: a tolerance PageRank's fixpoint is not
 // defined for (no delta is above NaN or +Inf, every delta is above a
 // negative one) resolves to the default instead of reaching a query.

@@ -45,11 +45,11 @@ type Server struct {
 	pending []*ssspReq
 	timer   *time.Timer
 
-	// CF factors, trained on first Recommend.
-	cfOnce sync.Once
-	cfErr  error
-	userF  [][]float64
-	prodF  [][]float64
+	// CF factors, trained by the first Recommend that succeeds; cfMu
+	// serializes training and guards the pair.
+	cfMu  sync.Mutex
+	userF [][]float64
+	prodF [][]float64
 
 	rejected       atomic.Int64
 	batches        atomic.Int64
@@ -292,43 +292,20 @@ type Rec struct {
 }
 
 // Recommend returns the top-k unrated products for a user by predicted
-// rating. The first call trains the latent factors with one engine run
-// (bounded-staleness SGD); later calls only read the trained model and
-// the user's adjacency, so they are admission-free.
+// rating. Until a model exists a call trains the latent factors with one
+// engine run (bounded-staleness SGD) through admission control; a failed
+// training (shed, deadline, engine error) is returned and the next call
+// trains again. Once trained, calls only read the model and the user's
+// adjacency, so they are admission-free.
 func (s *Server) Recommend(user, k int) ([]Rec, core.RunStats, error) {
 	if s.cfg.cfConfig == nil {
 		return nil, core.RunStats{}, ErrNoCF
 	}
-	var trainStats core.RunStats
-	s.cfOnce.Do(func() {
-		release, wait, err := s.acquire()
-		if err != nil {
-			s.cfErr = err
-			// Leave cfOnce spent: an overloaded server stays untrained
-			// only for this process; retraining on retry would need a
-			// fresh Once, which a rejected training run does not merit.
-			return
-		}
-		defer release()
-		t0 := time.Now()
-		opts := s.runOpts()
-		opts.Staleness = 4 // distributed SGD wants bounded staleness under AAP
-		res, err := core.Query(s.sess, cf.Job(*s.cfg.cfConfig), opts)
-		seconds := time.Since(t0).Seconds()
-		if err != nil {
-			s.cfErr = err
-			return
-		}
-		trainStats = res.Stats
-		trainStats.QueueWaitSeconds = wait.Seconds()
-		trainStats.BatchSize = 1
-		s.logQuery("cf-train", seconds, &trainStats, nil)
-		s.userF, s.prodF = cf.Factors(s.sess.Partitioned(), res.Values, *s.cfg.cfConfig)
-	})
-	if s.cfErr != nil {
-		return nil, core.RunStats{}, s.cfErr
+	userF, prodF, trainStats, err := s.trainCF()
+	if err != nil {
+		return nil, core.RunStats{}, err
 	}
-	if user < 0 || user >= len(s.userF) {
+	if user < 0 || user >= len(userF) {
 		return nil, trainStats, errors.New("serve: unknown user")
 	}
 
@@ -344,9 +321,9 @@ func (s *Server) Recommend(user, k int) ([]Rec, core.RunStats, error) {
 			}
 		}
 	}
-	uf := s.userF[user]
-	recs := make([]Rec, 0, len(s.prodF))
-	for pid, pf := range s.prodF {
+	uf := userF[user]
+	recs := make([]Rec, 0, len(prodF))
+	for pid, pf := range prodF {
 		if rated[pid] || pf == nil {
 			continue
 		}
@@ -366,4 +343,32 @@ func (s *Server) Recommend(user, k int) ([]Rec, core.RunStats, error) {
 		recs = recs[:k]
 	}
 	return recs, trainStats, nil
+}
+
+// trainCF returns the trained factors, training them first if no call has
+// yet succeeded; trainStats is the training run's, when this call ran it.
+func (s *Server) trainCF() (userF, prodF [][]float64, trainStats core.RunStats, err error) {
+	s.cfMu.Lock()
+	defer s.cfMu.Unlock()
+	if s.userF != nil {
+		return s.userF, s.prodF, trainStats, nil
+	}
+	release, wait, err := s.acquire()
+	if err != nil {
+		return nil, nil, trainStats, err
+	}
+	defer release()
+	t0 := time.Now()
+	opts := s.runOpts()
+	opts.Staleness = 4 // distributed SGD wants bounded staleness under AAP
+	res, err := core.Query(s.sess, cf.Job(*s.cfg.cfConfig), opts)
+	if err != nil {
+		return nil, nil, trainStats, err
+	}
+	trainStats = res.Stats
+	trainStats.QueueWaitSeconds = wait.Seconds()
+	trainStats.BatchSize = 1
+	s.logQuery("cf-train", time.Since(t0).Seconds(), &trainStats, nil)
+	s.userF, s.prodF = cf.Factors(s.sess.Partitioned(), res.Values, *s.cfg.cfConfig)
+	return s.userF, s.prodF, trainStats, nil
 }
