@@ -525,14 +525,11 @@ func (c wallClock) After(d float64, f func()) {
 	time.AfterFunc(time.Duration(d*float64(time.Second)), f)
 }
 
-// after runs deliver once the run's Latency plus extra has passed, at
-// once when that is zero.
-func (e *engine[T]) after(extra time.Duration, deliver func()) {
-	if d := e.opts.Latency + extra; d > 0 {
-		e.clock.After(d.Seconds(), deliver)
-	} else {
-		deliver()
-	}
+// delay is how long, in clock seconds, a batch given extra delay spends
+// in flight: the run's Latency plus extra. At zero the planes deliver
+// on the sender's goroutine, building no closure for the clock.
+func (e *engine[T]) delay(extra time.Duration) float64 {
+	return (e.opts.Latency + extra).Seconds()
 }
 
 // flush prices and delivers one round's batches, stamped with epoch.

@@ -116,9 +116,12 @@ type msgPlane[T any] interface {
 type inproc[T any] struct{ e *engine[T] }
 
 func (p *inproc[T]) deliver(from, to int, epoch int32, msgs []VMsg[T], extra time.Duration) {
-	p.e.after(extra, func() {
-		p.e.arrive(to, batch[T]{from: int32(from), epoch: epoch, msgs: msgs})
-	})
+	b := batch[T]{from: int32(from), epoch: epoch, msgs: msgs}
+	if d := p.e.delay(extra); d > 0 {
+		p.e.clock.After(d, func() { p.e.arrive(to, b) })
+		return
+	}
+	p.e.arrive(to, b)
 }
 
 // wirePlane is the run's attachment to the TCP transport
@@ -139,15 +142,22 @@ type wirePlane[T any] struct {
 // to the pool right after encoding; the receiver decodes into fresh
 // pooled slices.
 func (wp *wirePlane[T]) deliver(from, to int, epoch int32, msgs []VMsg[T], extra time.Duration) {
+	if d := wp.e.delay(extra); d > 0 {
+		wp.e.clock.After(d, func() { wp.send(from, to, epoch, msgs) })
+		return
+	}
+	wp.send(from, to, epoch, msgs)
+}
+
+// send encodes and ships one batch now.
+func (wp *wirePlane[T]) send(from, to int, epoch int32, msgs []VMsg[T]) {
 	e := wp.e
-	e.after(extra, func() {
-		payload := e.job.appendMsgs(codec.AppendInt32(nil, epoch), msgs)
-		n := int64(len(msgs))
-		e.pool.put(msgs)
-		if err := wp.tp.Send(int32(from), int32(to), transport.KindData, payload); err != nil {
-			e.lost(n, epoch) // plane closed or link declared dead
-		}
-	})
+	payload := e.job.appendMsgs(codec.AppendInt32(nil, epoch), msgs)
+	n := int64(len(msgs))
+	e.pool.put(msgs)
+	if err := wp.tp.Send(int32(from), int32(to), transport.KindData, payload); err != nil {
+		e.lost(n, epoch) // plane closed or link declared dead
+	}
 }
 
 // onFrame is the plane's delivery callback for batches, running on

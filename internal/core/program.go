@@ -135,12 +135,18 @@ func (j *Job[T]) valueBytes(val T) int {
 
 // msgPool recycles message slices between the send side (Context) and
 // the receive side (the engine's inbox drain), so steady-state rounds
-// ship messages without allocating.
-type msgPool[T any] struct{ p sync.Pool }
+// ship messages without allocating. A sync.Pool holds pointers, so a
+// slice travels in a *[]VMsg box; get hands its emptied box to boxes and
+// put takes one from there, which keeps the boxes recycled too.
+type msgPool[T any] struct{ full, boxes sync.Pool }
 
 func (mp *msgPool[T]) get() []VMsg[T] {
-	if v := mp.p.Get(); v != nil {
-		return (*v.(*[]VMsg[T]))[:0]
+	if v := mp.full.Get(); v != nil {
+		box := v.(*[]VMsg[T])
+		s := *box
+		*box = nil
+		mp.boxes.Put(box)
+		return s
 	}
 	return make([]VMsg[T], 0, 16)
 }
@@ -150,8 +156,12 @@ func (mp *msgPool[T]) put(s []VMsg[T]) {
 		return
 	}
 	clear(s) // drop pointer payloads so recycled capacity pins nothing
-	s = s[:0]
-	mp.p.Put(&s)
+	box, _ := mp.boxes.Get().(*[]VMsg[T])
+	if box == nil {
+		box = new([]VMsg[T])
+	}
+	*box = s[:0]
+	mp.full.Put(box)
 }
 
 // Context is the interface a Program uses to talk to its engine: sending

@@ -7,8 +7,10 @@ package core_test
 // forced kernel shard counts.
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -145,6 +147,93 @@ func TestSessionConcurrentQueriesMatchSerial(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestSessionSharedPlaneUnchanged: queries read a Session's shared plane
+// and never write it. A checksum of everything the plane exports — each
+// vertex's id, out-neighbours, out-weights and in-neighbours, each
+// fragment's range and copy set, and the slot every fragment gives every
+// vertex — is the same before and after concurrent SSSP (one source asked
+// three times, three others once), CC and PageRank queries on one
+// Session, at the default and at forced kernel shard counts.
+func TestSessionSharedPlaneUnchanged(t *testing.T) {
+	p, err := partition.Build(graph.AsUndirected(gen.PowerLaw(600, 5, 2.1, true, 11)), 3, partition.Hash{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := planeChecksum(p)
+	s := core.NewSession(p)
+	opts := core.Options{Mode: core.AAP}
+	var wg sync.WaitGroup
+	errs := make(chan error, 12) // one per query
+	query := func(run func() error) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := run(); err != nil {
+				errs <- err
+			}
+		}()
+	}
+	for i, src := range []graph.VertexID{0, 0, 0, 1, 7, 40} {
+		query(func() error {
+			_, err := core.Query(s, sssp.JobShards(src, i%3), opts)
+			return err
+		})
+	}
+	for shards := range 3 {
+		query(func() error {
+			_, err := core.Query(s, cc.JobShards(shards), opts)
+			return err
+		})
+		query(func() error {
+			_, err := core.Query(s, pagerank.Job(pagerank.Config{Tol: 1e-6, Shards: shards}), opts)
+			return err
+		})
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if after := planeChecksum(p); after != before {
+		t.Fatalf("shared plane checksum %#x before the queries, %#x after", before, after)
+	}
+}
+
+// planeChecksum hashes the shared plane through its exported accessors.
+func planeChecksum(p *partition.Partitioned) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	put := func(x uint64) {
+		binary.LittleEndian.PutUint64(b[:], x)
+		h.Write(b[:])
+	}
+	putAll := func(xs []int32) {
+		put(uint64(len(xs)))
+		for _, x := range xs {
+			put(uint64(x))
+		}
+	}
+	g := p.G
+	n := int32(g.NumVertices())
+	for v := int32(0); v < n; v++ {
+		put(uint64(g.IDOf(v)))
+		putAll(g.Out(v))
+		for _, w := range g.OutWeights(v) {
+			put(math.Float64bits(w))
+		}
+		putAll(g.In(v))
+	}
+	for _, f := range p.Frags {
+		put(uint64(f.Lo))
+		put(uint64(f.Hi))
+		putAll(f.Out)
+		for v := int32(0); v < n; v++ {
+			put(uint64(f.Slot(v)))
+		}
+	}
+	return h.Sum64()
 }
 
 // TestSessionRunStatsServingFields: every engine run prices its

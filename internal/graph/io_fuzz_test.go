@@ -92,9 +92,17 @@ func FuzzReadEdgeList(f *testing.F) {
 // token: it accepts exactly the all-ASCII tokens strconv.ParseFloat
 // accepts, with the same bits, and consumes the whole token.
 func FuzzScanWeight(f *testing.F) {
-	for _, s := range []string{"0", "-0", "1.", ".5", "12345678901234567", "0.1234567890123456789",
-		"9007199254740993", "4503599627370497.5", "12345678901234567890", "1e3", "0x1p-2", "inf", "nan", "1_0", ".", "+", "1..2"} {
+	for _, s := range []string{"0", "-0", "-0.000", "1.", ".5", "12345678901234567", "0.1234567890123456789",
+		"9007199254740993", "4503599627370497.5", "0.30000000000000004", "0000000000000000001", "000000000.0000000001",
+		"9999999999999999999", "12345678901234567890", "1e3", "0x1p-2", "inf", "nan", "1_0", ".", "+", "1..2"} {
 		f.Add(s)
+	}
+	// 16- to 19-digit mantissas, the lengths only the Eisel–Lemire step
+	// takes, with the point at every position.
+	for _, d := range []string{"9007199254740993", "30000000000000004", "123456789012345678", "9223372036854775807"} {
+		for k := 0; k <= len(d); k++ {
+			f.Add(d[:k] + "." + d[k:])
+		}
 	}
 	f.Fuzz(func(t *testing.T, tok string) {
 		ascii := tok != ""

@@ -3,8 +3,10 @@ package graph
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
+	"math/big"
 	"math/rand"
 	"runtime"
 	"strconv"
@@ -356,6 +358,63 @@ func TestScanWeightMatchesStrconv(t *testing.T) {
 	}
 }
 
+// TestScanWeightRandomFloats pins the Eisel–Lemire path bit for bit
+// against strconv.ParseFloat on 2^20 random float64s, each printed the
+// way WriteEdgeList prints a weight ('g', -1: up to 17 digits) and as a
+// fixed-point token of 15 to 19 digits, plus the half-way and boundary
+// tokens around them.
+func TestScanWeightRandomFloats(t *testing.T) {
+	var tok []byte
+	check := func() {
+		want, err := strconv.ParseFloat(string(tok), 64)
+		got, next, ok := scanWeight(append(tok, ' '), 0, len(tok)+1)
+		if !ok || err != nil || math.Float64bits(got) != math.Float64bits(want) || next != len(tok) {
+			t.Fatalf("%q: scanWeight = %v (next %d, ok %v), strconv = %v (%v)", tok, got, next, ok, want, err)
+		}
+	}
+	for _, s := range []string{"9007199254740993", "9007199254740992.5", "4503599627370497.5", "0.30000000000000004",
+		"-0.000", "0000000000000000001", "000000000000000000.1", ".0000000000000000001", "9999999999999999999",
+		"999999999999999999.9", "1844674407370955161", "0.5", "1.0", "2.50", "-7.000000000000000000", "+1.5"} {
+		tok = []byte(s)
+		check()
+	}
+	for _, d := range []string{"9007199254740993", "30000000000000004", "123456789012345678", "9223372036854775807"} {
+		for k := 0; k <= len(d); k++ {
+			tok = []byte(d[:k] + "." + d[k:])
+			check()
+		}
+	}
+	rng := rand.New(rand.NewSource(34))
+	for i := 0; i < 1<<20; i++ {
+		x := rng.Float64() * math.Pow(10, float64(rng.Intn(10)-3))
+		tok = strconv.AppendFloat(tok[:0], x, 'g', -1, 64)
+		check()
+		intDigits := 1
+		for p := 10.0; p <= x; p *= 10 {
+			intDigits++
+		}
+		tok = strconv.AppendFloat(tok[:0], x, 'f', 15+rng.Intn(5)-intDigits, 64)
+		check()
+	}
+}
+
+// TestPow10InvTable rederives eiselLemire's powers with math/big: entry
+// k is ⌊2^(b+127) / 10^k⌋ with b the bit length of 10^k − 1, the 128-bit
+// mantissa of 10^-k rounded down and normalized to [2^127, 2^128) — for
+// k > 0 b is the bit length of 10^k, and entry 0 is 2^127.
+func TestPow10InvTable(t *testing.T) {
+	one := big.NewInt(1)
+	for k, got := range pow10Inv {
+		p := new(big.Int).Exp(big.NewInt(10), big.NewInt(int64(k)), nil)
+		q := new(big.Int).Lsh(one, uint(new(big.Int).Sub(p, one).BitLen()+127))
+		b := q.Quo(q, p).FillBytes(make([]byte, 16))
+		want := [2]uint64{binary.BigEndian.Uint64(b[:8]), binary.BigEndian.Uint64(b[8:])}
+		if got != want || want[0]>>63 != 1 {
+			t.Errorf("pow10Inv[%d] = %#x, want %#x", k, got, want)
+		}
+	}
+}
+
 // TestReadEdgeListAllocProportional is the regression test for the hint
 // scaling bug: every stream window sized its chunk buffers from the
 // whole file's n=/m=, so a multi-window load churned several times what
@@ -428,10 +487,12 @@ func ioBenchBytes(tb testing.TB) []byte {
 // shapes the loader tells apart: dense (ids 0..n-1, all direct-indexed),
 // sparse (the same graph with every id multiplied by a large odd
 // constant, all through the overflow arm) and negative (ids negated,
-// likewise).
+// likewise); and on the two weight shapes: dense's weights are printed
+// in full like every WriteEdgeList weight (16–17 digits), short-weights
+// has them with three decimals.
 func BenchmarkReadEdgeList(b *testing.B) {
 	dense := ioBenchBytes(b)
-	rewrite := func(f func(id int64) int64) []byte {
+	rewrite := func(f func(field int, tok []byte) []byte) []byte {
 		var out bytes.Buffer
 		out.Grow(2 * len(dense))
 		for _, line := range bytes.SplitAfter(dense, []byte{'\n'}) {
@@ -440,24 +501,35 @@ func BenchmarkReadEdgeList(b *testing.B) {
 				out.Write(line)
 				continue
 			}
-			for _, tok := range fields {
-				if id, err := strconv.ParseInt(string(tok), 10, 64); err == nil {
-					tok = strconv.AppendInt(nil, f(id), 10)
-				}
-				out.Write(tok) // "v" and the weight pass through
+			for k, tok := range fields {
+				out.Write(f(k, tok))
 				out.WriteByte(' ')
 			}
 			out.WriteByte('\n')
 		}
 		return out.Bytes()
 	}
+	ids := func(f func(id int64) int64) []byte {
+		return rewrite(func(_ int, tok []byte) []byte {
+			if id, err := strconv.ParseInt(string(tok), 10, 64); err == nil {
+				return strconv.AppendInt(nil, f(id), 10)
+			}
+			return tok // "v" and the weight pass through
+		})
+	}
 	inputs := []struct {
 		name string
 		data []byte
 	}{
 		{"dense", dense},
-		{"sparse", rewrite(func(id int64) int64 { return id * 1_000_003_019 })},
-		{"negative", rewrite(func(id int64) int64 { return -id - 1 })},
+		{"sparse", ids(func(id int64) int64 { return id * 1_000_003_019 })},
+		{"negative", ids(func(id int64) int64 { return -id - 1 })},
+		{"short-weights", rewrite(func(field int, tok []byte) []byte {
+			if w, err := strconv.ParseFloat(string(tok), 64); field == 2 && err == nil {
+				return strconv.AppendFloat(nil, w, 'f', 3, 64)
+			}
+			return tok
+		})},
 	}
 	for _, in := range inputs {
 		b.Run(in.name, func(b *testing.B) {

@@ -30,6 +30,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"strconv"
 	"sync/atomic"
 	"unicode/utf8"
@@ -76,6 +77,20 @@ func skipASCIISpace(region []byte, i, le int) int {
 	return i
 }
 
+// scanDigits appends the decimal digits in region[i:le] up to the first
+// other byte to mant and returns it with the index past them. More than
+// 19 digits wrap mant; the caller counts them and does not use it then.
+func scanDigits(region []byte, i, le int, mant uint64) (uint64, int) {
+	for ; i < le; i++ {
+		d := region[i] - '0'
+		if d > 9 {
+			break
+		}
+		mant = mant*10 + uint64(d)
+	}
+	return mant, i
+}
+
 // scanID tokenizes and parses an id of the shape [+-]digits{1,18},
 // ended by an ASCII separator or the line end, in one pass over its
 // bytes. ok=false means "not that shape": the caller re-reads the line
@@ -87,76 +102,141 @@ func scanID(region []byte, i, le int) (id VertexID, next int, ok bool) {
 		neg = region[i] == '-'
 		i++
 	}
-	start := i
-	var u uint64
-	for ; i < le; i++ {
-		c := region[i] - '0'
-		if c > 9 {
-			break
-		}
-		u = u*10 + uint64(c)
-	}
-	if nd := i - start; nd == 0 || nd > 18 || (i < le && !asciiSpace[region[i]]) {
+	u, end := scanDigits(region, i, le, 0)
+	if nd := end - i; nd == 0 || nd > 18 || (end < le && !asciiSpace[region[end]]) {
 		return 0, 0, false
 	}
 	if neg {
-		return -VertexID(u), i, true
+		return -VertexID(u), end, true
 	}
-	return VertexID(u), i, true
+	return VertexID(u), end, true
 }
 
-// pow10 holds the powers of ten a weight's fraction scales by.
-var pow10 = [...]float64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15}
+// pow10 holds the powers of ten a weight's fraction scales by, all exact
+// float64s.
+var pow10 = [20]float64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19}
 
 // scanWeight tokenizes and parses the ASCII weight token at region[i]
-// in one pass. The common shape [+-]digits[.digits] with at most 15
-// digits never reaches strconv: the digits are an integer m < 10^15 and
-// the value is m/10^k, both exact float64s, so their IEEE quotient is
-// the correctly rounded value strconv.ParseFloat returns. Every other
-// token (exponents, hex, inf/nan, underscores, longer mantissas) goes to
-// strconv; ok=false (a non-ASCII byte, or a token strconv rejects) sends
-// the line to the general tokenizer, which reports the canonical error.
+// in one pass. The common shape [+-]digits[.digits] with at most 19
+// digits, leading zeros included, is an integer m < 10^19 < 2^64 scaled
+// by 10^-k, k ≤ 19, and never reaches strconv: below 2^53 the value is
+// the exact quotient m/10^k, above it eiselLemire rounds m·10^-k, each
+// to the float64 strconv.ParseFloat returns. Every other token
+// (exponents, hex, inf/nan, underscores, longer mantissas, the rare
+// input eiselLemire cannot decide) goes to strconv; ok=false (a
+// non-ASCII byte, or a token strconv rejects) sends the line to the
+// general tokenizer, which reports the canonical error.
 func scanWeight(region []byte, i, le int) (w float64, next int, ok bool) {
 	start := i
 	neg := region[i] == '-'
 	if neg || region[i] == '+' {
 		i++
 	}
-	var mant uint64
-	digits, frac := 0, -1 // frac counts digits after the point; -1: no point yet
-	for ; i < le; i++ {
-		c := region[i]
-		if d := c - '0'; d <= 9 {
-			mant = mant*10 + uint64(d)
-			digits++
-			if frac >= 0 {
-				frac++
-			}
-		} else if c == '.' && frac < 0 {
-			frac = 0
-		} else {
-			break
-		}
+	mant, end := scanDigits(region, i, le, 0)
+	digits, frac := end-i, 0 // frac counts the digits after the point
+	if i = end; i < le && region[i] == '.' {
+		mant, end = scanDigits(region, i+1, le, mant)
+		frac = end - (i + 1)
+		digits += frac
+		i = end
 	}
-	plain := digits > 0 && digits <= 15
+	plain := digits > 0 && digits <= 19
 	for ; i < le && !asciiSpace[region[i]]; i++ {
 		if region[i] >= utf8.RuneSelf {
 			return 0, 0, false
 		}
 		plain = false
 	}
-	if !plain {
-		w, err := strconv.ParseFloat(bstr(region[start:i]), 64)
-		return w, i, err == nil
+	if plain {
+		if mant < 1<<53 {
+			// m and 10^k are exact float64s, so their IEEE quotient is
+			// the correctly rounded value: strconv's own first step.
+			if w = float64(mant) / pow10[frac]; neg {
+				w = -w
+			}
+			return w, i, true
+		}
+		if w, ok = eiselLemire(mant, frac, neg); ok {
+			return w, i, true
+		}
 	}
-	w = float64(mant)
-	if frac > 0 {
-		w /= pow10[frac]
+	w, err := strconv.ParseFloat(bstr(region[start:i]), 64)
+	return w, i, err == nil
+}
+
+// pow10Inv[k] is the 128-bit mantissa of 10^-k, {high, low} word,
+// normalized to [2^127, 2^128) and rounded down: the 20 entries of Go's
+// strconv table (detailedPowersOfTen) that a ≤19-digit weight needs.
+// TestPow10InvTable rederives them with math/big.
+var pow10Inv = [20][2]uint64{
+	{0x8000000000000000, 0x0000000000000000},
+	{0xCCCCCCCCCCCCCCCC, 0xCCCCCCCCCCCCCCCC},
+	{0xA3D70A3D70A3D70A, 0x3D70A3D70A3D70A3},
+	{0x83126E978D4FDF3B, 0x645A1CAC083126E9},
+	{0xD1B71758E219652B, 0xD3C36113404EA4A8},
+	{0xA7C5AC471B478423, 0x0FCF80DC33721D53},
+	{0x8637BD05AF6C69B5, 0xA63F9A49C2C1B10F},
+	{0xD6BF94D5E57A42BC, 0x3D32907604691B4C},
+	{0xABCC77118461CEFC, 0xFDC20D2B36BA7C3D},
+	{0x89705F4136B4A597, 0x31680A88F8953030},
+	{0xDBE6FECEBDEDD5BE, 0xB573440E5A884D1B},
+	{0xAFEBFF0BCB24AAFE, 0xF78F69A51539D748},
+	{0x8CBCCC096F5088CB, 0xF93F87B7442E45D3},
+	{0xE12E13424BB40E13, 0x2865A5F206B06FB9},
+	{0xB424DC35095CD80F, 0x538484C19EF38C94},
+	{0x901D7CF73AB0ACD9, 0x0F9D37014BF60A10},
+	{0xE69594BEC44DE15B, 0x4C2EBE687989A9B3},
+	{0xB877AA3236A4B449, 0x09BEFEB9FAD487C2},
+	{0x9392EE8E921D5D07, 0x3AFF322E62439FCF},
+	{0xEC1E4A7DB69561A5, 0x2B31E9E3D06C32E5},
+}
+
+// eiselLemire returns man·10^-k rounded to the nearest float64, ties to
+// even, for man > 0 and k ≤ 19: the Eisel–Lemire step strconv.ParseFloat
+// itself takes (Lemire, "Number Parsing at a Gigabyte per Second",
+// 2021), on the 20 powers above. ok=false when the 128-bit product
+// cannot tell which way to round — an exact half-way input, or a product
+// too close to one — and the caller asks strconv. The result is never
+// subnormal or infinite: man·10^-k lies in [1e-19, 2^64).
+func eiselLemire(man uint64, k int, neg bool) (float64, bool) {
+	// Normalize man to bit 63; exp is the biased exponent of the 64-bit
+	// top half of the product, ⌊-k·log2(10)⌋ by the fixed-point constant.
+	clz := bits.LeadingZeros64(man)
+	man <<= uint(clz)
+	exp := uint64(217706*-k>>16+64+1023) - uint64(clz)
+	hi, lo := bits.Mul64(man, pow10Inv[k][0])
+	// Truncating the power may have cut off a carry into the 9 bits below
+	// the 54 kept: take its low word into account too.
+	if hi&0x1FF == 0x1FF && lo+man < man {
+		yHi, yLo := bits.Mul64(man, pow10Inv[k][1])
+		mHi, mLo := hi, lo+yHi
+		if mLo < lo {
+			mHi++
+		}
+		if mHi&0x1FF == 0x1FF && mLo+1 == 0 && yLo+man < man {
+			return 0, false
+		}
+		hi, lo = mHi, mLo
 	}
+	// Keep 54 bits, the last one for rounding.
+	msb := hi >> 63
+	mant := hi >> (msb + 9)
+	exp -= 1 ^ msb
+	if lo == 0 && hi&0x1FF == 0 && mant&3 == 1 {
+		return 0, false // looks exactly half-way: strconv breaks the tie
+	}
+	mant += mant & 1
+	mant >>= 1
+	if mant>>53 > 0 {
+		mant >>= 1
+		exp++
+	}
+	f := exp<<52 | mant&(1<<52-1)
 	if neg {
-		w = -w
+		f |= 1 << 63
 	}
-	return w, i, true
+	return math.Float64frombits(f), true
 }
 
 // fastLine parses a line of the all-ASCII shapes "src dst [weight]" and

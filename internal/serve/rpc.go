@@ -36,6 +36,16 @@ const (
 	opIDs
 )
 
+// argBytes is the argument length of each op: a request is exactly
+// [op uint32] and that many bytes of int64 arguments.
+var argBytes = [...]int{opSSSP: 8, opCC: 0, opPageRank: 0, opRecommend: 16, opStats: 0, opIDs: 0}
+
+// maxRequestFrame bounds an inbound frame on the serving plane. The
+// largest request is 4 + 16 bytes; the rest is room for the link's own
+// frames (a client's Hello lists the one endpoint it serves), so a
+// client cannot make the server allocate the transport's 64 MiB default.
+const maxRequestFrame = 4 << 10
+
 // serverEndpoint is the endpoint id the serving plane answers on.
 const serverEndpoint int32 = 0
 
@@ -81,7 +91,7 @@ func ListenRPC(srv *Server, addr string, workers int) (*RPCServer, error) {
 	if workers <= 0 {
 		workers = srv.cfg.maxInflight + srv.cfg.queueDepth
 	}
-	plane, err := transport.Listen(transport.Config{ListenAddr: addr})
+	plane, err := transport.Listen(transport.Config{ListenAddr: addr, MaxFrame: maxRequestFrame})
 	if err != nil {
 		return nil, err
 	}
@@ -110,21 +120,24 @@ func answer[V any](t0 time.Time, vals []V, st *core.RunStats, err error, vec fun
 	return vec(appendMeta(nil, time.Since(t0).Seconds(), st), vals), nil
 }
 
-// handle decodes one request and runs it through the scheduler.
+// handle decodes one request and runs it through the scheduler. A
+// request that is not exactly its op and arguments is refused before
+// it reaches the Server.
 func (rs *RPCServer) handle(payload []byte) ([]byte, error) {
 	r := codec.NewReader(payload)
 	op := r.Uint32()
 	if r.Err() != nil {
 		return nil, fmt.Errorf("serve: bad request frame: %w", r.Err())
 	}
+	if op != 0 && op < uint32(len(argBytes)) { // an unknown op is the switch's default
+		if extra := r.Remaining() - argBytes[op]; extra != 0 {
+			return nil, fmt.Errorf("serve: rpc op %d takes %d argument bytes, request has %+d", op, argBytes[op], extra)
+		}
+	}
 	t0 := time.Now()
 	switch op {
 	case opSSSP:
-		src := graph.VertexID(r.Int64())
-		if r.Err() != nil {
-			return nil, r.Err()
-		}
-		dist, st, err := rs.srv.SSSP(src)
+		dist, st, err := rs.srv.SSSP(graph.VertexID(r.Int64()))
 		return answer(t0, dist, &st, err, codec.AppendFloat64s)
 	case opCC:
 		labels, st, err := rs.srv.CC()
@@ -135,9 +148,6 @@ func (rs *RPCServer) handle(payload []byte) ([]byte, error) {
 	case opRecommend:
 		user := int(r.Int64())
 		k := int(r.Int64())
-		if r.Err() != nil {
-			return nil, r.Err()
-		}
 		recs, st, err := rs.srv.Recommend(user, k)
 		if err != nil {
 			return nil, err

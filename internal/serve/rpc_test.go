@@ -5,6 +5,7 @@ package serve
 // in-process serving.
 
 import (
+	"encoding/binary"
 	"errors"
 	"math"
 	"runtime"
@@ -241,6 +242,109 @@ func TestRecommendReplyCountLiesHigh(t *testing.T) {
 	}
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
 		t.Fatalf("decoding a %d-byte reply allocated %d bytes", 40+4+16, grew)
+	}
+}
+
+// FuzzRPCRequest feeds arbitrary request payloads to the server's
+// decoder on a tiny graph: every payload gets an error or a reply, never
+// a panic, and one that is answered is exactly its op and that op's
+// int64 arguments — at the parent commit an op followed by a kilobyte of
+// anything was served.
+func FuzzRPCRequest(f *testing.F) {
+	rs := &RPCServer{srv: New(buildPartition(f, gen.PowerLaw(40, 3, 2.1, true, 5), 2))}
+	args := map[uint32]int{opSSSP: 1, opCC: 0, opPageRank: 0, opRecommend: 2, opStats: 0, opIDs: 0}
+	for op, n := range args {
+		req := codec.AppendUint32(nil, op)
+		for i := 0; i < n; i++ {
+			req = codec.AppendInt64(req, 3)
+		}
+		f.Add(req)
+		f.Add(req[:len(req)-1])
+		f.Add(append(req, 0))
+	}
+	f.Add(append(codec.AppendUint32(nil, opCC), make([]byte, 1024)...))
+	f.Add(codec.AppendInt64(codec.AppendUint32(nil, opSSSP), 999999999))
+	f.Add(codec.AppendUint32(nil, 0))
+	f.Add(codec.AppendUint32(nil, 99))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, req []byte) {
+		if _, err := rs.handle(req); err != nil {
+			return
+		}
+		if len(req) < 4 {
+			t.Fatalf("served a %d-byte request", len(req))
+		}
+		op := binary.LittleEndian.Uint32(req)
+		if n, known := args[op]; !known || len(req) != 4+8*n {
+			t.Fatalf("served op %d in a %d-byte request", op, len(req))
+		}
+	})
+}
+
+// TestRPCRequestBounds: the serving plane fails closed on request size.
+// A request with bytes after its arguments is refused, naming the op and
+// the extra count; a frame past the plane's request cap drops its
+// sender's connection before anything is allocated for it, while another
+// client's SSSP is answered. At the parent commit both requests were
+// served — the frame cap was the transport's 64 MiB.
+func TestRPCRequestBounds(t *testing.T) {
+	p := buildPartition(t, gen.PowerLaw(200, 4, 2.1, true, 3), 2)
+	rs, err := ListenRPC(New(p), "127.0.0.1:0", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rs.Close()
+	const rogueID = 11
+	rogue, err := transport.Listen(transport.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rogue.Close()
+	if err := rogue.Dial(rogueID, rs.Addr(), []int32{rogueID}, []int32{serverEndpoint}); err != nil {
+		t.Fatal(err)
+	}
+	if err := rogue.WaitRoute(serverEndpoint, 20*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	padded := func(n int) []byte { return append(codec.AppendUint32(nil, opCC), make([]byte, n)...) }
+	const oversize = 16 << 10 // past the request cap, far inside the transport's default
+
+	_, err = rogue.Call(rogueID, serverEndpoint, padded(1024), 20*time.Second, nil)
+	var refused transport.RemoteError
+	if !errors.As(err, &refused) || !strings.Contains(err.Error(), "op 2 takes 0 argument bytes, request has +1024") {
+		t.Fatalf("opCC with 1 KiB after it: %v, want the refusal naming op 2 and +1024 bytes", err)
+	}
+
+	// The server drops the connection at the frame's length prefix; the
+	// rogue's link redials and writes the frame again, and is dropped
+	// again, until the rogue gives up.
+	sent := rogue.Stats().WireBytesOut
+	unanswered := make(chan error, 1)
+	go func() {
+		_, err := rogue.Call(rogueID, serverEndpoint, padded(oversize), 20*time.Second, nil)
+		unanswered <- err
+	}()
+	deadline := time.After(10 * time.Second)
+	for rogue.Stats().WireBytesOut-sent < 2*oversize {
+		select {
+		case err := <-unanswered:
+			t.Fatalf("oversize request: %v, want no answer", err)
+		case <-deadline:
+			t.Fatal("the oversize frame was never written twice: the server kept the connection")
+		case <-time.After(time.Millisecond):
+		}
+	}
+	c, err := DialRPC(rs.Addr(), 12, 20*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, _, err := c.SSSP(0); err != nil {
+		t.Fatalf("the other client's SSSP: %v", err)
+	}
+	rogue.Close()
+	if err := <-unanswered; err == nil || errors.As(err, &refused) {
+		t.Fatalf("oversize request: %v, want it unanswered", err)
 	}
 }
 

@@ -22,7 +22,7 @@ import (
 	"aap/internal/partition"
 )
 
-func buildPartition(t *testing.T, g *graph.Graph, m int) *partition.Partitioned {
+func buildPartition(t testing.TB, g *graph.Graph, m int) *partition.Partitioned {
 	t.Helper()
 	p, err := partition.Build(g, m, partition.Hash{})
 	if err != nil {
