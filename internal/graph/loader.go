@@ -151,7 +151,10 @@ func scanWeight(region []byte, i, le int) (w float64, next int, ok bool) {
 	if plain {
 		if mant < 1<<53 {
 			// m and 10^k are exact float64s, so their IEEE quotient is
-			// the correctly rounded value: strconv's own first step.
+			// the correctly rounded value: strconv's own first step. It
+			// is cheaper than eiselLemire, which cannot decide a short
+			// binary fraction such as 2.5 (BenchmarkReadEdgeList's
+			// short-weights and dense rows are slower without it).
 			if w = float64(mant) / pow10[frac]; neg {
 				w = -w
 			}
