@@ -14,11 +14,16 @@
 // to remove (low-diameter graphs settle in a handful of buckets).
 //
 // Correctness does not depend on any of that ordering: distances relax
-// through the same exact atomic min whatever the order, every
-// improvement re-stages its vertex, and the sweep only stops when all
-// buckets are empty — so the kernel terminates at the same unique
-// fixpoint bit for bit, as the differential tests pin across bucket
-// widths and shard counts.
+// through the same exact min whatever the order, every improvement
+// re-stages its vertex, and the sweep only stops when all buckets are
+// empty — so the kernel terminates at the same unique fixpoint bit for
+// bit, as the differential tests pin across bucket widths and shard
+// counts.
+//
+// The distances are plain float64 bits under par's rule for Frontier and
+// Buckets: atomic inside a phase of two or more shards, plain everywhere
+// else (a one-shard phase is most of a multi-fragment run, KernelShare),
+// with par.Do's barrier between the two.
 
 package sssp
 
@@ -39,9 +44,9 @@ type deltaProgram struct {
 	source graph.VertexID
 	shards int // forced kernel shard count; 0 = auto per phase
 
-	dist        []atomic.Uint64 // float64 bits per local slot
-	bk          *par.Buckets    // owned slots staged by distance range
-	copyChanged *par.Frontier   // F.O copies improved since last flush
+	dist        []uint64      // float64 bits per local slot; atomic only in a sharded phase
+	bk          *par.Buckets  // owned slots staged by distance range
+	copyChanged *par.Frontier // F.O copies improved since last flush
 
 	// One phase's input and per-shard output, read by expand: the taken
 	// slots, their chunk boundaries, and the edges each shard scanned.
@@ -67,10 +72,10 @@ func newDeltaProgram(f *partition.Fragment, source graph.VertexID, shards int, d
 		delta = f.MeanOutWeight()
 	}
 	p := &deltaProgram{f: f, g: f.Graph(), source: source, shards: shards}
-	p.dist = make([]atomic.Uint64, f.Slots())
+	p.dist = make([]uint64, f.Slots())
 	inf := math.Float64bits(Inf)
 	for i := range p.dist {
-		p.dist[i].Store(inf)
+		p.dist[i] = inf
 	}
 	p.bk = par.NewBuckets(f.NumOwned(), max(shards, 1), delta)
 	p.copyChanged = par.NewFrontier(len(f.Out))
@@ -97,7 +102,7 @@ func (p *deltaProgram) PEval(ctx *core.Context[float64]) {
 	if !ok || !p.f.Owns(s) {
 		return
 	}
-	p.dist[s-p.f.Lo].Store(math.Float64bits(0))
+	p.dist[s-p.f.Lo] = math.Float64bits(0)
 	p.bk.Restart(0)
 	p.bk.Add(0, s-p.f.Lo, 0)
 	p.sweep(ctx)
@@ -115,8 +120,8 @@ func (p *deltaProgram) IncEval(msgs []core.VMsg[float64], ctx *core.Context[floa
 		if slot < 0 {
 			continue
 		}
-		if m.Val < math.Float64frombits(p.dist[slot].Load()) {
-			p.dist[slot].Store(math.Float64bits(m.Val))
+		if m.Val < math.Float64frombits(p.dist[slot]) {
+			p.dist[slot] = math.Float64bits(m.Val)
 			if p.f.Owns(m.V) {
 				p.seeds = append(p.seeds, slot)
 				if m.Val < minPri {
@@ -130,7 +135,7 @@ func (p *deltaProgram) IncEval(msgs []core.VMsg[float64], ctx *core.Context[floa
 		// the window may legally rewind below the previous base.
 		p.bk.Restart(minPri)
 		for _, s := range p.seeds {
-			p.bk.Add(0, s, math.Float64frombits(p.dist[s].Load()))
+			p.bk.Add(0, s, math.Float64frombits(p.dist[s]))
 		}
 	}
 	p.sweep(ctx)
@@ -139,7 +144,7 @@ func (p *deltaProgram) IncEval(msgs []core.VMsg[float64], ctx *core.Context[floa
 
 // Get returns the current distance of owned vertex v.
 func (p *deltaProgram) Get(v int32) float64 {
-	return math.Float64frombits(p.dist[p.f.Slot(v)].Load())
+	return math.Float64frombits(p.dist[p.f.Slot(v)])
 }
 
 // kernelShards resolves the shard count for `work` units this phase.
@@ -174,7 +179,7 @@ func (p *deltaProgram) sweep(ctx *core.Context[float64]) {
 }
 
 // relaxPhase expands every out-edge of p.items in parallel across kernel
-// shards balanced by degree.
+// shards balanced by degree; the buckets and expandShard both learn k.
 func (p *deltaProgram) relaxPhase(ctx *core.Context[float64]) {
 	p.rounds++
 	deg := func(s int32) int64 { return int64(p.g.OutDegree(p.f.Lo+s)) + 1 }
@@ -199,22 +204,24 @@ func (p *deltaProgram) relaxPhase(ctx *core.Context[float64]) {
 }
 
 // expandShard is shard w of a phase: it relaxes the out-edges of its
-// chunk of p.items with the exact atomic min, staging improved owned
-// slots into the bucket of their new distance and marking improved
-// copies for the flush. A slot is unstaged only as its expansion begins,
-// so a vertex improved while it waits in p.items is expanded once, at
-// the improved distance, not once now and once more on the re-take. A
-// racing further improvement can leave a candidate stale-high by the
-// time it is staged; the loser's staging then fails the bucket CAS-min
-// (or goes stale) and the winner's bucket is the one drained —
-// expansion always reads the then-current distance.
+// chunk of p.items with the exact min, staging improved owned slots into
+// the bucket of their new distance and marking improved copies for the
+// flush. A slot is unstaged only as its expansion begins, so a vertex
+// improved while it waits in p.items is expanded once, at the improved
+// distance, not once now and once more on the re-take. In a phase of
+// several shards the min is atomic, and a racing further improvement can
+// leave a candidate stale-high by the time it is staged; the loser's
+// staging then fails the bucket CAS-min (or goes stale) and the winner's
+// bucket is the one drained — expansion always reads the then-current
+// distance. A one-shard phase has nobody to race and stores plainly.
 func (p *deltaProgram) expandShard(w int) {
 	owned := int32(p.f.NumOwned())
+	shared := len(p.scanned) > 1 // k, as EnsureShards saw it
 	var n int64
 	for _, s := range p.items[p.bounds[w]:p.bounds[w+1]] {
 		v := p.f.Lo + s
 		p.bk.Unstage(s)
-		d := math.Float64frombits(p.dist[s].Load())
+		d := math.Float64frombits(atomic.LoadUint64(&p.dist[s])) // a plain MOV on amd64
 		wts := p.g.OutWeights(v)
 		out := p.g.Out(v)
 		n += int64(len(out))
@@ -224,13 +231,25 @@ func (p *deltaProgram) expandShard(w int) {
 				nd = d + wts[i]
 			}
 			slot := p.f.Slot(u)
-			if slot < 0 || !par.MinFloat64Bits(&p.dist[slot], nd) {
+			if slot < 0 {
 				continue
 			}
-			if slot < owned {
-				p.bk.Add(w, slot, nd)
+			if shared {
+				if !par.MinFloat64Bits(&p.dist[slot], nd) {
+					continue
+				}
+			} else if math.Float64frombits(p.dist[slot]) > nd {
+				p.dist[slot] = math.Float64bits(nd)
 			} else {
+				continue
+			}
+			switch {
+			case slot < owned:
+				p.bk.Add(w, slot, nd)
+			case shared:
 				p.copyChanged.Add(slot - owned)
+			default:
+				p.copyChanged.AddOwned(slot-owned, true)
 			}
 		}
 	}
@@ -251,14 +270,14 @@ func (p *deltaProgram) flushBorder(ctx *core.Context[float64]) {
 	copies := p.dist[p.f.NumOwned():]
 	if k := p.kernelShards(ctx, int64(len(changed))); k <= 1 {
 		for _, c := range changed {
-			ctx.Send(out[c], math.Float64frombits(copies[c].Load()))
+			ctx.Send(out[c], math.Float64frombits(copies[c]))
 		}
 	} else {
 		stages := ctx.Stages(k)
 		par.Do(k, func(w int) {
 			st := stages[w]
 			for _, c := range changed[w*len(changed)/k : (w+1)*len(changed)/k] {
-				st.Send(out[c], math.Float64frombits(copies[c].Load()))
+				st.Send(out[c], math.Float64frombits(copies[c]))
 			}
 		})
 		ctx.MergeStages()

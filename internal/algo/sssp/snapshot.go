@@ -15,11 +15,10 @@ import (
 )
 
 // SnapshotState serializes the bucketed kernel's durable state: the
-// distance bits, read straight from the atomics into the one pre-sized
-// buffer, then the work counters.
+// distance bits into the one pre-sized buffer, then the work counters.
 func (p *deltaProgram) SnapshotState() []byte {
 	buf := make([]byte, 0, 4+8*len(p.dist)+24)
-	buf = codec.AppendUint64s(buf, len(p.dist), func(i int) uint64 { return p.dist[i].Load() })
+	buf = codec.AppendUint64s(buf, p.dist)
 	buf = codec.AppendInt64(buf, int64(p.rounds))
 	buf = codec.AppendInt64(buf, int64(p.buckets))
 	buf = codec.AppendInt64(buf, p.relaxed)
@@ -41,9 +40,7 @@ func (p *deltaProgram) RestoreState(data []byte) error {
 	if len(bits) != len(p.dist) {
 		return fmt.Errorf("sssp: snapshot has %d slots, fragment has %d", len(bits), len(p.dist))
 	}
-	for i, b := range bits {
-		p.dist[i].Store(b)
-	}
+	copy(p.dist, bits)
 	p.rounds = int(rounds)
 	p.buckets = int(buckets)
 	p.relaxed = relaxed

@@ -37,8 +37,10 @@ import (
 )
 
 const (
-	recordMagic    = 0x43504141 // "AAPC" little-endian: checkpoint record
-	durableVersion = 1
+	recordMagic = 0x43504141 // "AAPC" little-endian: checkpoint record
+	// Version 2: flight messages lost version 1's round and sender, so a
+	// version-1 record is refused rather than misread.
+	durableVersion = 2
 	envelopeBytes  = 20
 )
 

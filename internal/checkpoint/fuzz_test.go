@@ -1,6 +1,9 @@
 package checkpoint_test
 
 import (
+	"encoding/binary"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"aap/internal/checkpoint"
@@ -34,6 +37,23 @@ func FuzzDurableDecode(f *testing.F) {
 	lie := codec.AppendUint32(nil, 2)                            // 2 workers...
 	lie = codec.AppendBytes(lie, nil)                            // ...but one state
 	f.Add(lie)
+	// A whole record as WriteEpoch lays it down, and the same bytes
+	// claiming format version 1, which DecodeRecord must refuse.
+	d, err := checkpoint.OpenDurable(f.TempDir(), checkpoint.DurableOptions{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := d.WriteEpoch(3, payload); err != nil {
+		f.Fatal(err)
+	}
+	rec, err := os.ReadFile(filepath.Join(d.Dir(), checkpoint.RecordFile(3)))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(rec)
+	v1 := append([]byte(nil), rec...)
+	binary.LittleEndian.PutUint32(v1[4:], 1)
+	f.Add(v1)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Record envelope: any successful parse must have actually

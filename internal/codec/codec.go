@@ -52,14 +52,12 @@ func AppendFloat64s(dst []byte, vs []float64) []byte {
 	return dst
 }
 
-// AppendUint64s appends a length-prefixed vector of n raw uint64 words
-// (the byte-stable form checkpoints use for atomic float bits). The
-// words come from at(0..n-1), so a caller whose words sit behind atomics
-// encodes them without first copying them out into a slice.
-func AppendUint64s(dst []byte, n int, at func(i int) uint64) []byte {
-	dst = AppendUint32(dst, uint32(n))
-	for i := 0; i < n; i++ {
-		dst = AppendUint64(dst, at(i))
+// AppendUint64s appends a length-prefixed vector of raw uint64 words
+// (the byte-stable form checkpoints use for float bits).
+func AppendUint64s(dst []byte, words []uint64) []byte {
+	dst = AppendUint32(dst, uint32(len(words)))
+	for _, w := range words {
+		dst = AppendUint64(dst, w)
 	}
 	return dst
 }

@@ -47,7 +47,7 @@ func TestRoundTripIntsAndBools(t *testing.T) {
 	buf = codec.AppendBool(buf, true)
 	buf = codec.AppendBool(buf, false)
 	words := []uint64{0, 1, 1 << 63}
-	buf = codec.AppendUint64s(buf, len(words), func(i int) uint64 { return words[i] })
+	buf = codec.AppendUint64s(buf, words)
 	buf = codec.AppendInt32s(buf, []int32{-1, 0, 1})
 	buf = codec.AppendInt64s(buf, []int64{-9, 1 << 50})
 

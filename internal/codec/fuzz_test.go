@@ -25,7 +25,7 @@ func FuzzCodecDecode(f *testing.F) {
 	seed = codec.AppendFloat64(seed, 3.5)
 	seed = codec.AppendBytes(seed, []byte("hello"))
 	seed = codec.AppendFloat64s(seed, []float64{1, 2, 3})
-	seed = codec.AppendUint64s(seed, 2, func(i int) uint64 { return uint64(4 + i) })
+	seed = codec.AppendUint64s(seed, []uint64{4, 5})
 	seed = codec.AppendInt32s(seed, []int32{-1, 0, 1})
 	seed = codec.AppendInt64s(seed, []int64{-9, 9})
 	f.Add(seed)

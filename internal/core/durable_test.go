@@ -3,6 +3,7 @@ package core_test
 import (
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"os"
 	"os/exec"
@@ -16,6 +17,7 @@ import (
 	"aap/internal/algo/pagerank"
 	"aap/internal/algo/sssp"
 	"aap/internal/checkpoint"
+	"aap/internal/codec"
 	"aap/internal/core"
 	"aap/internal/gen"
 	"aap/internal/partition"
@@ -471,6 +473,55 @@ func TestResumeErrors(t *testing.T) {
 	}
 	if _, err := core.Resume(p2, job, durableRunOpts(dir)); err == nil || !strings.Contains(err.Error(), "workers") {
 		t.Fatalf("worker-count mismatch: err = %v", err)
+	}
+}
+
+// TestResumeRefusesVersion1 hand-writes the records a version-1 run left
+// — a valid envelope and CRC over flights whose messages carry a round
+// and a sender after the vertex — and pins that they fail closed: the
+// envelope names the version, and Resume over a directory of nothing else
+// finds no sealed epoch instead of misreading the flights.
+func TestResumeRefusesVersion1(t *testing.T) {
+	p := remoteTestPartition(t)
+	job := remoteTestJob()
+	v1Msg := func(dst []byte, v int32) []byte {
+		dst = codec.AppendInt32(dst, v)
+		dst = codec.AppendInt32(dst, 3) // round
+		dst = codec.AppendInt32(dst, 1) // sender
+		return codec.AppendFloat64(dst, 2.5)
+	}
+	snap := &checkpoint.Snapshot[int32]{
+		Rounds:    make([]int32, p.M),
+		PEvalDone: make([]bool, p.M),
+		InFlight:  []checkpoint.Flight[int32]{{From: 1, To: 0, Msgs: []int32{p.Frags[0].Lo, p.Frags[0].Lo + 1}}},
+	}
+	for i, f := range p.Frags {
+		snap.States = append(snap.States, job.New(f).(core.Snapshotter).SnapshotState())
+		snap.Rounds[i], snap.PEvalDone[i] = 4, true
+	}
+	payload := checkpoint.EncodeSnapshot(snap, v1Msg)
+	record := func(version uint32, epoch int32) []byte {
+		rec := codec.AppendUint32(nil, 0x43504141) // "AAPC"
+		rec = codec.AppendUint32(rec, version)
+		rec = codec.AppendInt32(rec, epoch)
+		rec = codec.AppendUint32(rec, uint32(len(payload)))
+		rec = codec.AppendUint32(rec, crc32.ChecksumIEEE(payload))
+		return append(rec, payload...)
+	}
+	if _, _, err := checkpoint.DecodeRecord(record(2, 1)); err != nil {
+		t.Fatalf("the hand-written envelope is not valid at version 2: %v", err)
+	}
+	if _, _, err := checkpoint.DecodeRecord(record(1, 1)); err == nil || !strings.Contains(err.Error(), "unsupported format version 1") {
+		t.Fatalf("version-1 record: err = %v, want unsupported format version 1", err)
+	}
+	dir := t.TempDir()
+	for _, e := range []int32{1, 2} {
+		if err := os.WriteFile(filepath.Join(dir, checkpoint.RecordFile(e)), record(1, e), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := core.Resume(p, job, durableRunOpts(dir)); !errors.Is(err, checkpoint.ErrNoSealedEpoch) {
+		t.Fatalf("resume over version-1 records: err = %v, want ErrNoSealedEpoch", err)
 	}
 }
 

@@ -582,6 +582,9 @@ type worker[T any] struct {
 	inbox    inbox[T]
 	progress chan struct{}
 	buffer   []VMsg[T]
+	// runs says who sent the buffer: buffer[runs[k-1].end:runs[k].end]
+	// came from runs[k].from, in consecutive batches (drain).
+	runs []senderRun
 
 	// originSeen counts distinct origin workers of the buffered messages
 	// (η in the controller's view) without map traffic: originSeen[j]
@@ -608,6 +611,9 @@ type worker[T any] struct {
 	lastRoundEnd  float64
 	isActive      bool
 }
+
+// senderRun is one run of the buffer's senders (worker.runs).
+type senderRun struct{ from, end int32 }
 
 type wakeReason int
 
@@ -789,6 +795,11 @@ func (w *worker[T]) drain() {
 		}
 		n += len(b.msgs)
 		w.buffer = append(w.buffer, b.msgs...)
+		if k := len(w.runs) - 1; k >= 0 && w.runs[k].from == b.from {
+			w.runs[k].end = int32(len(w.buffer))
+		} else {
+			w.runs = append(w.runs, senderRun{b.from, int32(len(w.buffer))})
+		}
 		if w.originSeen[b.from] != w.originGen {
 			w.originSeen[b.from] = w.originGen
 			w.originCnt++
@@ -829,11 +840,12 @@ func (w *worker[T]) view() View {
 	}
 }
 
-// clearBuffer empties the buffer and, by bumping the generation, its
-// origin set; on the (absurdly distant) wrap it falls back to an explicit
-// clear.
+// clearBuffer empties the buffer, its sender runs and, by bumping the
+// generation, its origin set; on the (absurdly distant) wrap it falls back
+// to an explicit clear.
 func (w *worker[T]) clearBuffer() {
 	w.buffer = w.buffer[:0]
+	w.runs = w.runs[:0]
 	if w.originGen == math.MaxInt32 {
 		clear(w.originSeen)
 		w.originGen = 0
@@ -880,7 +892,7 @@ func (w *worker[T]) compute() (out [][]VMsg[T], work int64, ok bool) {
 	} else {
 		msgs, err := w.folder.Fold(w.buffer, e.job.Aggregate)
 		if err != nil {
-			e.fail(fmt.Errorf("core: %s worker %d round %d: %w", e.job.Name, w.id, w.rounds, err))
+			e.fail(fmt.Errorf("core: %s worker %d round %d: from worker %d: %w", e.job.Name, w.id, w.rounds, w.noSlotSender(), err))
 			return nil, 0, false
 		}
 		w.clearBuffer()
@@ -889,6 +901,21 @@ func (w *worker[T]) compute() (out [][]VMsg[T], work int64, ok bool) {
 	out, work = w.ctx.TakeOut()
 	w.stats.Work += work
 	return out, work, true
+}
+
+// noSlotSender names the worker that sent the first buffered message for
+// a vertex this fragment has no slot for, the one Fold refused.
+func (w *worker[T]) noSlotSender() int32 {
+	var start int32
+	for _, r := range w.runs {
+		for _, m := range w.buffer[start:r.end] {
+			if w.frag.Slot(m.V) < 0 {
+				return r.from
+			}
+		}
+		start = r.end
+	}
+	return -1
 }
 
 // finish is the second half of a round, once dur seconds of compute are

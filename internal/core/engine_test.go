@@ -320,10 +320,10 @@ func TestNoSlotMessageFailsRun(t *testing.T) {
 
 func TestFoldMessages(t *testing.T) {
 	buf := []core.VMsg[float64]{
-		{V: 3, Val: 5, Round: 1, From: 0},
-		{V: 1, Val: 2, Round: 2, From: 1},
-		{V: 3, Val: 4, Round: 3, From: 2},
-		{V: 1, Val: 7, Round: 0, From: 0},
+		{V: 3, Val: 5},
+		{V: 1, Val: 2},
+		{V: 3, Val: 4},
+		{V: 1, Val: 7},
 	}
 	out := core.FoldMessages(buf, math.Min)
 	if len(out) != 2 {
@@ -332,7 +332,7 @@ func TestFoldMessages(t *testing.T) {
 	if out[0].V != 1 || out[0].Val != 2 {
 		t.Errorf("folded[0] = %+v", out[0])
 	}
-	if out[1].V != 3 || out[1].Val != 4 || out[1].Round != 3 {
+	if out[1].V != 3 || out[1].Val != 4 {
 		t.Errorf("folded[1] = %+v", out[1])
 	}
 	if core.FoldMessages(nil, math.Min) != nil {

@@ -12,7 +12,7 @@ import (
 
 // benchBuffer builds a message buffer addressed at fragment frag: msgs
 // messages drawn over the fragment's owned vertices and F.O copies, with
-// duplicates and out-of-order rounds, as an IncEval round would see.
+// duplicates, as an IncEval round would see.
 func benchBuffer(frag *partition.Fragment, msgs int, seed int64) []VMsg[float64] {
 	rng := rand.New(rand.NewSource(seed))
 	owned := int(frag.Hi - frag.Lo)
@@ -24,12 +24,7 @@ func benchBuffer(frag *partition.Fragment, msgs int, seed int64) []VMsg[float64]
 		} else {
 			v = frag.Lo + int32(rng.Intn(owned))
 		}
-		buf[i] = VMsg[float64]{
-			V:     v,
-			Val:   rng.Float64() * 100,
-			Round: int32(rng.Intn(8)),
-			From:  int32(rng.Intn(4)),
-		}
+		buf[i] = VMsg[float64]{V: v, Val: rng.Float64() * 100}
 	}
 	return buf
 }
@@ -96,7 +91,7 @@ func BenchmarkFold(b *testing.B) {
 			if slot >= frag.NumOwned() {
 				v = frag.Out[slot-frag.NumOwned()]
 			}
-			buf[i] = VMsg[float64]{V: v, Val: rng.Float64() * 100, Round: int32(rng.Intn(8)), From: int32(rng.Intn(4))}
+			buf[i] = VMsg[float64]{V: v, Val: rng.Float64() * 100}
 		}
 		b.Run(fmt.Sprintf("msgs=%d", msgs), func(b *testing.B) {
 			folder := NewFolder[float64](frag)

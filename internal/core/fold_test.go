@@ -17,7 +17,7 @@ func foldEqual(a, b []VMsg[float64]) bool {
 	}
 	for i := range a {
 		x, y := a[i], b[i]
-		if x.V != y.V || x.Round != y.Round || x.From != y.From {
+		if x.V != y.V {
 			return false
 		}
 		// Compare values bitwise so ±0 and NaN differences surface.
@@ -39,7 +39,7 @@ func mustFold(t testing.TB, fd *Folder[float64], buf []VMsg[float64], agg func(a
 }
 
 // randomFoldBuffer draws msgs messages over the fragment's slot domain
-// with heavy duplication and out-of-order rounds.
+// with heavy duplication.
 func randomFoldBuffer(frag *partition.Fragment, rng *rand.Rand, msgs int) []VMsg[float64] {
 	owned := frag.NumOwned()
 	buf := make([]VMsg[float64], msgs)
@@ -51,19 +51,16 @@ func randomFoldBuffer(frag *partition.Fragment, rng *rand.Rand, msgs int) []VMsg
 			v = frag.Lo + int32(rng.Intn(owned))
 		}
 		buf[i] = VMsg[float64]{
-			V:     v,
-			Val:   math.Floor(rng.Float64()*1000) / 8, // exact in binary
-			Round: int32(rng.Intn(6)),
-			From:  int32(rng.Intn(8)),
+			V:   v,
+			Val: math.Floor(rng.Float64()*1000) / 8, // exact in binary
 		}
 	}
 	return buf
 }
 
 // TestFolderMatchesGeneric is the differential fuzz test of the dense
-// fold: on thousands of random buffers (duplicates, out-of-order rounds,
-// varying sizes) the Folder must produce output bit-identical to the
-// map-based reference, including Round/From tie-breaking.
+// fold: on thousands of random buffers (duplicates, varying sizes) the
+// Folder must produce output bit-identical to the map-based reference.
 func TestFolderMatchesGeneric(t *testing.T) {
 	p := buildPartition(t, 4)
 	rng := rand.New(rand.NewSource(99))
@@ -83,24 +80,23 @@ func TestFolderMatchesGeneric(t *testing.T) {
 }
 
 // TestFolderAggregationOrder pins the exact fold semantics: values are
-// aggregated in buffer order and Round/From follow the latest-round
-// contribution (strictly greater replaces).
+// aggregated in buffer order.
 func TestFolderAggregationOrder(t *testing.T) {
 	p := buildPartition(t, 2)
 	frag := p.Frags[0]
 	v := frag.Lo
 	buf := []VMsg[float64]{
-		{V: v, Val: 5, Round: 2, From: 1},
-		{V: v, Val: 3, Round: 1, From: 0}, // lower round: value folds, stamp kept
-		{V: v, Val: 7, Round: 2, From: 3}, // equal round: stamp kept
+		{V: v, Val: 5},
+		{V: v, Val: 3},
+		{V: v, Val: 7},
 	}
 	folder := NewFolder[float64](frag)
 	out := mustFold(t, folder, buf, math.Min)
 	if len(out) != 1 {
 		t.Fatalf("folded to %d entries", len(out))
 	}
-	if out[0].Val != 3 || out[0].Round != 2 || out[0].From != 1 {
-		t.Fatalf("got %+v, want Val 3 Round 2 From 1", out[0])
+	if out[0].Val != 3 {
+		t.Fatalf("got %+v, want Val 3", out[0])
 	}
 	if !foldEqual(out, FoldMessages(buf, math.Min)) {
 		t.Fatal("dense and generic folds disagree on the pinned case")
@@ -133,7 +129,8 @@ func TestFolderEmptyAndReuse(t *testing.T) {
 // a message whose vertex the receiving fragment neither owns nor copies
 // — another fragment's interior, or an id outside the graph — can only
 // come from a corrupt frame, and must fail the fold with an error naming
-// the sender and the vertex instead of being folded by some other rule.
+// the vertex and the fragment instead of being folded by some other rule
+// (the sender is named by the run's error, TestNoSlotMessageFailsRun).
 func TestFolderNoSlotVertexIsError(t *testing.T) {
 	p := buildPartition(t, 4)
 	frag := p.Frags[1]
@@ -153,12 +150,12 @@ func TestFolderNoSlotVertexIsError(t *testing.T) {
 	for _, v := range []int32{interior, n, n + 99, -1, math.MinInt32, math.MaxInt32} {
 		buf := randomFoldBuffer(frag, rng, rng.Intn(50))
 		at := rng.Intn(len(buf) + 1)
-		buf = append(buf[:at:at], append([]VMsg[float64]{{V: v, Val: 1, Round: 2, From: 3}}, buf[at:]...)...)
+		buf = append(buf[:at:at], append([]VMsg[float64]{{V: v, Val: 1}}, buf[at:]...)...)
 		out, err := folder.Fold(buf, math.Min)
 		if err == nil {
 			t.Fatalf("vertex %d at %d of %d: folded to %d messages, want an error", v, at, len(buf), len(out))
 		}
-		for _, want := range []string{"worker 3", fmt.Sprintf("vertex %d", v), "fragment 1"} {
+		for _, want := range []string{fmt.Sprintf("vertex %d", v), "fragment 1"} {
 			if !strings.Contains(err.Error(), want) {
 				t.Errorf("vertex %d: error %q does not name %q", v, err, want)
 			}
@@ -193,7 +190,7 @@ func TestFolderCopiesBothSidesThenAbort(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		check("fold", trial, randomFoldBuffer(frag, rng, 1+rng.Intn(120)))
 		aborted := append(randomFoldBuffer(frag, rng, 1+rng.Intn(40)),
-			VMsg[float64]{V: outside, Val: 4, Round: 1, From: 3})
+			VMsg[float64]{V: outside, Val: 4})
 		if _, err := folder.Fold(aborted, inOrder); err == nil {
 			t.Fatalf("trial %d: no error for vertex %d", trial, outside)
 		}

@@ -24,14 +24,14 @@ import (
 	"aap/internal/partition"
 )
 
-// VMsg is a designated message (x, val, r) in the paper's terms: the
-// value of the update parameter of border vertex V computed at round
-// Round by worker From.
+// VMsg is one entry of a designated message in the paper's terms: the
+// value of the update parameter of border vertex V. It carries neither
+// the round nor the sender: f_aggr is commutative and associative, so a
+// fold cannot use either, and the batch that carries a message names its
+// sender once for all of them.
 type VMsg[T any] struct {
-	V     int32 // global vertex index of the update parameter
-	Val   T
-	Round int32
-	From  int32 // sending worker
+	V   int32 // global vertex index of the update parameter
+	Val T
 }
 
 // Program is the per-fragment half of a PIE program. A Program instance
@@ -124,9 +124,9 @@ type Job[T any] struct {
 }
 
 // valueBytes returns the accounted wire size of val plus the fixed
-// per-message header (vertex id 4B + round 4B).
+// per-message header (the vertex id, 4B).
 func (j *Job[T]) valueBytes(val T) int {
-	const header = 8
+	const header = 4
 	if j.Bytes == nil {
 		return header + 8
 	}
@@ -215,7 +215,7 @@ func (c *Context[T]) Round() int32 { return c.round }
 // current round. Sending to the local fragment is allowed and delivered
 // through the local buffer like any other message.
 func (c *Context[T]) Send(v int32, val T) {
-	c.push(c.part.Owner(v), VMsg[T]{V: v, Val: val, Round: c.round, From: int32(c.frag.ID)})
+	c.push(c.part.Owner(v), VMsg[T]{V: v, Val: val})
 }
 
 // push appends one message to destination j's buffer, lazily drawing a
@@ -235,7 +235,7 @@ func (c *Context[T]) SendToHolders(v int32, val T) {
 		if int(j) == c.frag.ID {
 			continue
 		}
-		c.push(int(j), VMsg[T]{V: v, Val: val, Round: c.round, From: int32(c.frag.ID)})
+		c.push(int(j), VMsg[T]{V: v, Val: val})
 	}
 }
 
@@ -291,7 +291,6 @@ func (c *Context[T]) TakeOut() ([][]VMsg[T], int64) {
 // FoldMessages folds a message buffer with the aggregate function,
 // producing at most one message per vertex, in ascending vertex order
 // (so IncEval sees a deterministic input regardless of arrival order).
-// The retained Round/From are those of the latest-round contribution.
 //
 // FoldMessages is the map-based reference fold: it handles messages for
 // any vertex, at the cost of a map plus an output allocation per call.
@@ -305,10 +304,6 @@ func FoldMessages[T any](buf []VMsg[T], agg func(a, b T) T) []VMsg[T] {
 	for _, m := range buf {
 		if cur, ok := byV[m.V]; ok {
 			cur.Val = agg(cur.Val, m.Val)
-			if m.Round > cur.Round {
-				cur.Round = m.Round
-				cur.From = m.From
-			}
 			byV[m.V] = cur
 		} else {
 			byV[m.V] = m
@@ -370,6 +365,8 @@ func (fd *Folder[T]) rank(slot int32) int32 {
 // SendToHolders route a message only to a worker that owns its vertex or
 // holds a copy, so one for a vertex without a local slot can only come
 // from a corrupt frame: it fails the fold, and the Folder stays usable.
+// The error names the vertex and the fragment; the engine, which knows
+// the batches the buffer came in, adds the sender.
 func (fd *Folder[T]) Fold(buf []VMsg[T], agg func(a, b T) T) ([]VMsg[T], error) {
 	if len(buf) == 0 {
 		return nil, nil
@@ -379,7 +376,7 @@ func (fd *Folder[T]) Fold(buf []VMsg[T], agg func(a, b T) T) ([]VMsg[T], error) 
 		slot := fd.frag.Slot(m.V)
 		if slot < 0 {
 			clear(fd.seen)
-			return nil, fmt.Errorf("core: message from worker %d for vertex %d, which fragment %d neither owns nor copies", m.From, m.V, fd.frag.ID)
+			return nil, fmt.Errorf("core: message for vertex %d, which fragment %d neither owns nor copies", m.V, fd.frag.ID)
 		}
 		r := fd.rank(slot)
 		w, bit := r>>6, uint64(1)<<(uint(r)&63)
@@ -391,10 +388,6 @@ func (fd *Folder[T]) Fold(buf []VMsg[T], agg func(a, b T) T) ([]VMsg[T], error) 
 		}
 		e := &acc[fd.pos[r]]
 		e.Val = agg(e.Val, m.Val)
-		if m.Round > e.Round {
-			e.Round = m.Round
-			e.From = m.From
-		}
 	}
 	out := slices.Grow(fd.out[:0], len(acc))
 	for w, word := range fd.seen {

@@ -33,7 +33,7 @@ func TestContextSendRoutesToOwner(t *testing.T) {
 	owner := p.Owner(v)
 	for j, msgs := range out {
 		if j == owner {
-			if len(msgs) != 1 || msgs[0].V != v || msgs[0].Val != 1.5 || msgs[0].Round != 3 || msgs[0].From != 0 {
+			if len(msgs) != 1 || msgs[0].V != v || msgs[0].Val != 1.5 {
 				t.Fatalf("bad message %+v", msgs)
 			}
 		} else if len(msgs) != 0 {
@@ -153,12 +153,12 @@ func TestFoldMessagesProperties(t *testing.T) {
 
 func TestJobValueBytes(t *testing.T) {
 	j := Job[float64]{}
-	if got := j.valueBytes(1); got != 16 {
-		t.Errorf("default wire size = %d, want 16 (8B header + 8B value)", got)
+	if got := j.valueBytes(1); got != 12 {
+		t.Errorf("default wire size = %d, want 12 (4B vertex id + 8B value)", got)
 	}
 	j.Bytes = func(float64) int { return 100 }
-	if got := j.valueBytes(1); got != 108 {
-		t.Errorf("custom wire size = %d, want 108", got)
+	if got := j.valueBytes(1); got != 104 {
+		t.Errorf("custom wire size = %d, want 104", got)
 	}
 }
 

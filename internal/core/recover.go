@@ -425,8 +425,8 @@ func (w *worker[T]) interrupted() bool {
 // record takes this worker's cut for epoch: durable program state,
 // round counter, and the buffer as captured channel state (the
 // record-before-drain rule guarantees it holds only pre-cut messages).
-// The buffer is copied, grouped into per-origin flights so replay
-// preserves the origin accounting of the inbox path.
+// The buffer is copied as one flight per sender run, so replay preserves
+// the origin accounting of the inbox path.
 func (w *worker[T]) record(epoch int32) {
 	snap, ok := w.prog.(Snapshotter)
 	if !ok {
@@ -442,18 +442,11 @@ func (w *worker[T]) record(epoch int32) {
 	if rp, ok := w.prog.(*remoteProg[T]); ok && !rp.alive() {
 		return // host died mid-snapshot; state may be truncated
 	}
-	var fl []checkpoint.Flight[VMsg[T]]
-	for i := 0; i < len(w.buffer); {
-		j := i + 1
-		for j < len(w.buffer) && w.buffer[j].From == w.buffer[i].From {
-			j++
-		}
-		fl = append(fl, checkpoint.Flight[VMsg[T]]{
-			From: w.buffer[i].From,
-			To:   int32(w.id),
-			Msgs: append([]VMsg[T](nil), w.buffer[i:j]...),
-		})
-		i = j
+	fl := make([]checkpoint.Flight[VMsg[T]], len(w.runs))
+	var start int32
+	for k, r := range w.runs {
+		fl[k] = checkpoint.Flight[VMsg[T]]{From: r.from, To: int32(w.id), Msgs: append([]VMsg[T](nil), w.buffer[start:r.end]...)}
+		start = r.end
 	}
 	if err := w.eng.ckpt.Record(int32(w.id), epoch, state, w.rounds, w.pevalDone, fl); err == nil {
 		w.epoch = epoch

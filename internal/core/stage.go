@@ -50,7 +50,7 @@ func (s *Stage[T]) push(j int, m VMsg[T]) {
 // exactly like Context.Send but callable from the stage's goroutine.
 func (s *Stage[T]) Send(v int32, val T) {
 	c := s.c
-	s.push(c.part.Owner(v), VMsg[T]{V: v, Val: val, Round: c.round, From: int32(c.frag.ID)})
+	s.push(c.part.Owner(v), VMsg[T]{V: v, Val: val})
 }
 
 // SendToHolders stages val for every fragment holding a copy of owned
@@ -61,7 +61,7 @@ func (s *Stage[T]) SendToHolders(v int32, val T) {
 		if int(j) == c.frag.ID {
 			continue
 		}
-		s.push(int(j), VMsg[T]{V: v, Val: val, Round: c.round, From: int32(c.frag.ID)})
+		s.push(int(j), VMsg[T]{V: v, Val: val})
 	}
 }
 

@@ -122,7 +122,7 @@ func TestDecideUnderVirtualClock(t *testing.T) {
 			send := func() {
 				e.coord.addSent(1)
 				e.undelivered.Add(1)
-				v.deliver(1, 0, 0, []VMsg[float64]{{V: w.frag.Lo, Val: 1, From: 1}}, 0)
+				v.deliver(1, 0, 0, []VMsg[float64]{{V: w.frag.Lo, Val: 1}}, 0)
 			}
 			if c.buffered {
 				tl.latency = 0

@@ -12,28 +12,31 @@ import (
 // the remote IncEval request, the eval reply, the durable snapshot's
 // captured flights — so they cannot drift apart:
 //
-//	message: [V int32][Round int32][From int32][value, by Job.EncodeVal]
+//	message: [V int32][value, by Job.EncodeVal]
 //	batch:   [n uint32] then n messages
+//
+// A batch names its sender once, outside the batch (the frame's From, the
+// flight's From), so a message is its vertex and value and nothing else.
+
+// minMsgBytes is the fewest bytes a message can take on the wire.
+const minMsgBytes = 5
 
 func (j *Job[T]) appendMsg(dst []byte, m VMsg[T]) []byte {
-	dst = codec.AppendInt32(dst, m.V)
-	dst = codec.AppendInt32(dst, m.Round)
-	dst = codec.AppendInt32(dst, m.From)
-	return j.EncodeVal(dst, m.Val)
+	return j.EncodeVal(codec.AppendInt32(dst, m.V), m.Val)
 }
 
 func (j *Job[T]) readMsg(r *codec.Reader) VMsg[T] {
-	m := VMsg[T]{V: r.Int32(), Round: r.Int32(), From: r.Int32()}
+	m := VMsg[T]{V: r.Int32()}
 	m.Val = j.DecodeVal(r)
 	return m
 }
 
 // appendMsgs encodes one batch onto dst, which it grows once for the
-// whole batch (every value sized like the first, by Job.Bytes) rather
-// than by doubling its way up from a frame header.
+// whole batch (every message sized like the first, by Job.valueBytes)
+// rather than by doubling its way up from a frame header.
 func (j *Job[T]) appendMsgs(dst []byte, msgs []VMsg[T]) []byte {
 	if len(msgs) > 0 {
-		dst = slices.Grow(dst, 4+len(msgs)*(4+j.valueBytes(msgs[0].Val)))
+		dst = slices.Grow(dst, 4+len(msgs)*j.valueBytes(msgs[0].Val))
 	}
 	dst = codec.AppendUint32(dst, uint32(len(msgs)))
 	for _, m := range msgs {
@@ -45,10 +48,10 @@ func (j *Job[T]) appendMsgs(dst []byte, msgs []VMsg[T]) []byte {
 // readMsgs decodes one batch from r, appending its messages to dst.
 func (j *Job[T]) readMsgs(r *codec.Reader, dst []VMsg[T]) ([]VMsg[T], error) {
 	n := int(r.Uint32())
-	// Header-lie guard: each message costs at least 13 bytes on the
-	// wire (3×int32 + ≥1 value byte), so cap the claimed count before
-	// appending and let truncation surface as a decode error.
-	if lim := r.Remaining()/13 + 1; n > lim {
+	// Header-lie guard: each message costs at least 5 bytes on the
+	// wire (its int32 vertex + ≥1 value byte), so cap the claimed count
+	// before appending and let truncation surface as a decode error.
+	if lim := r.Remaining()/minMsgBytes + 1; n > lim {
 		return dst, fmt.Errorf("core: batch claims %d messages, %d bytes remain", n, r.Remaining())
 	}
 	dst = slices.Grow(dst, n)

@@ -12,15 +12,15 @@ import (
 
 // checkReadMsgs is the property every input must satisfy, valid or not:
 // readMsgs does not panic, decodes no more messages than the bytes can
-// hold (13 each at the least), and grows its result by appending — so a
-// count field that lies costs nothing.
+// hold (minMsgBytes each at the least), and grows its result by appending
+// — so a count field that lies costs nothing.
 func checkReadMsgs[T any](t *testing.T, job *Job[T], data []byte) ([]VMsg[T], error) {
 	t.Helper()
 	msgs, err := job.readMsgs(codec.NewReader(data), nil)
-	if lim := len(data)/13 + 1; len(msgs) > lim {
+	if lim := len(data)/minMsgBytes + 1; len(msgs) > lim {
 		t.Fatalf("%d bytes decoded to %d messages (limit %d)", len(data), len(msgs), lim)
 	}
-	if lim := 2*(len(data)/13+1) + 4; cap(msgs) > lim {
+	if lim := 2*(len(data)/minMsgBytes+1) + 4; cap(msgs) > lim {
 		t.Fatalf("%d bytes grew a slice of capacity %d (limit %d)", len(data), cap(msgs), lim)
 	}
 	return msgs, err
@@ -34,7 +34,7 @@ func testReadMsgs[T any](t *testing.T, job *Job[T], gen func(*rand.Rand) T) {
 	for trial := 0; trial < 60; trial++ {
 		want := make([]VMsg[T], rng.Intn(40))
 		for i := range want {
-			want[i] = VMsg[T]{V: rng.Int31(), Round: rng.Int31n(100), From: rng.Int31n(64), Val: gen(rng)}
+			want[i] = VMsg[T]{V: rng.Int31(), Val: gen(rng)}
 		}
 		data := job.appendMsgs(nil, want)
 		got, err := checkReadMsgs(t, job, data)
@@ -91,7 +91,7 @@ func TestReadMsgs(t *testing.T) {
 
 func FuzzReadMsgs(f *testing.F) {
 	f.Add([]byte{})
-	f.Add(float64Job.appendMsgs(nil, []VMsg[float64]{{V: 1, Round: 2, From: 3, Val: 4.5}, {V: 6}}))
+	f.Add(float64Job.appendMsgs(nil, []VMsg[float64]{{V: 1, Val: 4.5}, {V: 6}}))
 	f.Add(float64sJob.appendMsgs(nil, []VMsg[[]float64]{{V: 1, Val: []float64{1, 2}}, {V: 2, Val: nil}}))
 	f.Add(codec.AppendUint32(nil, math.MaxUint32))
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -8,8 +8,8 @@
 // deletes an entry eagerly:
 //
 //   - where[slot] holds the lowest bucket the slot is currently staged
-//     in (CAS-min, like the kernels' atomic distance mins). An Add that
-//     does not lower it is a duplicate and stages nothing.
+//     in (a min, like the kernels' distance mins). An Add that does not
+//     lower it is a duplicate and stages nothing.
 //   - An entry whose bucket no longer matches where[slot] is stale (the
 //     slot was re-staged into a lower bucket when its priority improved)
 //     and is dropped when its bucket is taken.
@@ -24,15 +24,16 @@
 //
 // TakeCur splices per-shard staging lists in shard order (deterministic
 // for a fixed shard count), and the drain order cannot change the result
-// of an exact-min fixpoint kernel — only how much work it wastes. Add and
-// Unstage are safe for concurrent calls during a parallel phase (Add
-// with distinct shard indexes); TakeCur, Advance and Restart are phase
-// boundaries and must run single-threaded. Like Frontier's bitmap, where
-// is therefore a plain []int32: the phase arbitrates on it atomically,
-// the phase boundaries read it with plain loads, and Do's barrier orders
-// the two — so staging a slot costs one CAS (what Frontier.Add costs)
-// and an append, and nothing else is shared between shards (a bucket is
-// nonempty when one of its lists is).
+// of an exact-min fixpoint kernel — only how much work it wastes. A phase
+// of k producers begins with EnsureShards(k); at k ≥ 2 Add and Unstage
+// are safe for concurrent calls (Add with distinct shard indexes), at
+// k = 1 they are plain. TakeCur, Advance and Restart are phase boundaries
+// and must run single-threaded. Like Frontier's bitmap, where is
+// therefore a plain []int32, accessed atomically only inside a phase of
+// several shards, with Do's barrier ordering the two kinds of access — so
+// staging a slot costs an append plus one CAS (what Frontier.Add costs)
+// or a plain store, and nothing else is shared between shards (a bucket
+// is nonempty when one of its lists is).
 package par
 
 import (
@@ -66,11 +67,12 @@ type Buckets struct {
 	over   [][]overEntry // per-shard far entries (bucket outside the ring window)
 	stride int           // shard capacity of the ring rows
 	base   int           // current (lowest undrained) bucket index
+	shared bool          // the current phase has several producers: Add and Unstage are atomic
 }
 
 // NewBuckets returns an empty bucketed frontier over slots [0, n) with
 // bucket width delta (must be positive) and staging capacity for up to
-// `shards` concurrent producers.
+// `shards` concurrent producers, ready for a phase of that many.
 func NewBuckets(n, shards int, delta float64) *Buckets {
 	if shards < 1 {
 		shards = 1
@@ -81,6 +83,7 @@ func NewBuckets(n, shards int, delta float64) *Buckets {
 		ring:   make([][]int32, bucketRing*shards),
 		over:   make([][]overEntry, shards),
 		stride: shards,
+		shared: shards > 1,
 	}
 	for i := range bk.where {
 		bk.where[i] = unstagedBucket
@@ -91,9 +94,11 @@ func NewBuckets(n, shards int, delta float64) *Buckets {
 // Cur returns the current bucket index.
 func (bk *Buckets) Cur() int { return bk.base }
 
-// EnsureShards grows the staging arrays so shards [0, k) are valid
-// producers. Not safe concurrently with Add.
+// EnsureShards begins a phase of k producers: it grows the staging
+// arrays so shards [0, k) are valid, and makes Add and Unstage atomic
+// when k ≥ 2 and plain when k = 1. Not safe concurrently with Add.
 func (bk *Buckets) EnsureShards(k int) {
+	bk.shared = k > 1
 	if k <= bk.stride {
 		return
 	}
@@ -128,17 +133,24 @@ func (bk *Buckets) BucketFor(pri float64) int {
 // or a lower bucket). Buckets below the current one clamp to it — with
 // monotonically decreasing priorities that only happens for seeds, and
 // processing a slot early never changes an exact-min fixpoint. Safe for
-// concurrent calls with distinct w.
+// concurrent calls with distinct w in a phase of several producers.
 func (bk *Buckets) Add(w int, slot int32, pri float64) bool {
 	b := max(bk.BucketFor(pri), bk.base)
 	at := &bk.where[slot]
-	for {
-		old := atomic.LoadInt32(at)
-		if old <= int32(b) {
+	if !bk.shared {
+		if *at <= int32(b) {
 			return false
 		}
-		if atomic.CompareAndSwapInt32(at, old, int32(b)) {
-			break
+		*at = int32(b)
+	} else {
+		for {
+			old := atomic.LoadInt32(at)
+			if old <= int32(b) {
+				return false
+			}
+			if atomic.CompareAndSwapInt32(at, old, int32(b)) {
+				break
+			}
 		}
 	}
 	if b-bk.base >= bucketRing {
@@ -176,9 +188,13 @@ func (bk *Buckets) TakeCur(dst []int32) []int32 {
 // slot's priority after this call — the store and that load, against an
 // improver's priority store and Add, are what guarantees that every
 // improvement is either read by this expansion or staged for the next.
-// Safe concurrently with Add.
+// Safe concurrently with Add in a phase of several producers.
 func (bk *Buckets) Unstage(slot int32) {
-	atomic.StoreInt32(&bk.where[slot], unstagedBucket)
+	if bk.shared {
+		atomic.StoreInt32(&bk.where[slot], unstagedBucket)
+	} else {
+		bk.where[slot] = unstagedBucket
+	}
 }
 
 // staged reports whether ring bucket r holds an entry, live or stale.

@@ -217,15 +217,17 @@ func MinInt32(a *atomic.Int32, v int32) bool {
 // MinFloat64Bits atomically lowers the float64 stored as bits in *a to
 // v and reports whether it decreased. The min is exact — it installs
 // v's bits, no arithmetic — so concurrent relaxations settle on the
-// same value any sequential order would.
-func MinFloat64Bits(a *atomic.Uint64, v float64) bool {
+// same value any sequential order would. *a is a plain word, like
+// Frontier's bitmap: a kernel lowers it atomically inside a phase of
+// several shards and reads and writes it plainly everywhere else.
+func MinFloat64Bits(a *uint64, v float64) bool {
 	nb := math.Float64bits(v)
 	for {
-		ob := a.Load()
+		ob := atomic.LoadUint64(a)
 		if math.Float64frombits(ob) <= v {
 			return false
 		}
-		if a.CompareAndSwap(ob, nb) {
+		if atomic.CompareAndSwapUint64(a, ob, nb) {
 			return true
 		}
 	}

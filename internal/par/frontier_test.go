@@ -272,23 +272,21 @@ func TestAtomicMins(t *testing.T) {
 	if !MinInt32(&i32, -2) || MinInt32(&i32, 0) || i32.Load() != -2 {
 		t.Fatal("MinInt32 semantics wrong")
 	}
-	var f atomic.Uint64
-	f.Store(math.Float64bits(math.Inf(1)))
+	f := math.Float64bits(math.Inf(1))
 	if !MinFloat64Bits(&f, 1.5) || MinFloat64Bits(&f, 1.5) || MinFloat64Bits(&f, 2.0) {
 		t.Fatal("MinFloat64Bits decrease reporting wrong")
 	}
-	if math.Float64frombits(f.Load()) != 1.5 {
+	if math.Float64frombits(f) != 1.5 {
 		t.Fatal("MinFloat64Bits did not install the operand exactly")
 	}
 	// Concurrent torture: the final value is the global min.
-	var g atomic.Uint64
-	g.Store(math.Float64bits(math.Inf(1)))
+	g := math.Float64bits(math.Inf(1))
 	Do(8, func(w int) {
 		for k := 0; k < 1000; k++ {
 			MinFloat64Bits(&g, float64((w*1000+k)%997)+0.25)
 		}
 	})
-	if math.Float64frombits(g.Load()) != 0.25 {
-		t.Fatalf("concurrent min = %v, want 0.25", math.Float64frombits(g.Load()))
+	if math.Float64frombits(g) != 0.25 {
+		t.Fatalf("concurrent min = %v, want 0.25", math.Float64frombits(g))
 	}
 }

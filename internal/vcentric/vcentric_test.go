@@ -75,8 +75,9 @@ func TestVertexCentricPageRank(t *testing.T) {
 }
 
 // TestCountsPerEdgeMessages pins the vertex-centric cost model: a star
-// graph's center activation sends one 16-byte message per edge, and on a
-// single fragment every one of them is a local send.
+// graph's center activation sends one 12-byte message (4-byte vertex id,
+// 8-byte value) per edge, and on a single fragment every one of them is a
+// local send.
 func TestCountsPerEdgeMessages(t *testing.T) {
 	b := graph.NewBuilder(true)
 	b.SetWeighted()
@@ -94,8 +95,8 @@ func TestCountsPerEdgeMessages(t *testing.T) {
 	if res.Stats.TotalMsgs != 10 {
 		t.Errorf("want 10 per-edge messages, got %d", res.Stats.TotalMsgs)
 	}
-	if res.Stats.TotalBytes != 160 {
-		t.Errorf("want 160 bytes, got %d", res.Stats.TotalBytes)
+	if res.Stats.TotalBytes != 120 {
+		t.Errorf("want 120 bytes, got %d", res.Stats.TotalBytes)
 	}
 	if res.Stats.MaxRound != 2 {
 		t.Errorf("want 2 rounds (activate + drain), got %d", res.Stats.MaxRound)
