@@ -26,10 +26,12 @@ import (
 
 // Job builds the CC PIE job. Every vertex ends with the minimum external
 // id of its connected component as its cid. Fragments big enough to
-// shard run the parallel label-propagation kernel; small ones keep the
-// sequential union-find. The choice reads the fragment's size and not
-// the core count, so one partition runs the same algorithm on every
-// machine.
+// shard run the parallel label-propagation kernel; those below the
+// grain keep the sequential union-find, measured cheaper there: on 32
+// BFS fragments of friendster-sim the parallel kernel did 1.3× its work
+// (2.23 M vs 1.67 M units) and of a 160×160 grid 4.6×, and was never
+// faster (2 vCPUs). The choice reads the fragment's size and not the
+// core count, so one partition runs the same algorithm on every machine.
 func Job() core.Job[int64] {
 	return JobShards(0)
 }
@@ -95,6 +97,13 @@ type program struct {
 	ownedSlots []int32 // reusable [0, NumOwned) item list for chunking
 	bounds     []int
 	rounds     int
+
+	// One send's stages and the roots IncEval ships (chunked by bounds),
+	// read by the shard bodies, bound once so a send allocates no closure.
+	stages     []*core.Stage[int64]
+	roots      []int32
+	sendCopies func(w int) // p.copiesShard
+	shipRoots  func(w int) // p.rootsShard
 }
 
 func newProgram(f *partition.Fragment, shards int) *program {
@@ -104,6 +113,8 @@ func newProgram(f *partition.Fragment, shards int) *program {
 		cid:     make([]atomic.Int64, n),
 		changed: par.NewFrontier(n),
 	}
+	p.sendCopies = p.copiesShard
+	p.shipRoots = p.rootsShard
 	return p
 }
 
@@ -217,7 +228,9 @@ func (p *program) PEval(ctx *core.Context[int64]) {
 		r := p.comp[f.Slot(v)].Load()
 		p.copiesOf[r] = append(p.copiesOf[r], v)
 	}
-	p.sendCopies(ctx, k)
+	p.stages = ctx.Stages(k)
+	par.Do(k, p.sendCopies)
+	ctx.MergeStages()
 }
 
 // hook lowers the label of the larger endpoint of edge (owned slot s,
@@ -239,28 +252,26 @@ func (p *program) hook(s int32, u int32) bool {
 	return false
 }
 
-// sendCopies ships every F.O copy's current root cid, staged across
-// shards in f.Out order.
-func (p *program) sendCopies(ctx *core.Context[int64], k int) {
-	nOut := len(p.f.Out)
-	if nOut == 0 {
-		return
+// copiesShard is shard w of PEval's send: it ships the current root cid
+// of its contiguous run of F.O copies, so the merged order is f.Out's.
+func (p *program) copiesShard(w int) {
+	st, k, n := p.stages[w], len(p.stages), len(p.f.Out)
+	for _, v := range p.f.Out[w*n/k : (w+1)*n/k] {
+		st.Send(v, p.cid[p.comp[p.f.Slot(v)].Load()].Load())
 	}
-	if k <= 1 {
-		for _, v := range p.f.Out {
-			ctx.Send(v, p.cid[p.comp[p.f.Slot(v)].Load()].Load())
+}
+
+// rootsShard is shard w of IncEval's send: it ships the cid of each of
+// its chunk of lowered roots to the owners of the root's copies.
+func (p *program) rootsShard(w int) {
+	st := p.stages[w]
+	for _, r := range p.roots[p.bounds[w]:p.bounds[w+1]] {
+		st.AddWork(len(p.copiesOf[r]))
+		val := p.cid[r].Load()
+		for _, v := range p.copiesOf[r] {
+			st.Send(v, val)
 		}
-		return
 	}
-	stages := ctx.Stages(k)
-	par.Do(k, func(w int) {
-		st := stages[w]
-		for i := w * nOut / k; i < (w+1)*nOut/k; i++ {
-			v := p.f.Out[i]
-			st.Send(v, p.cid[p.comp[p.f.Slot(v)].Load()].Load())
-		}
-	})
-	ctx.MergeStages()
 }
 
 // IncEval lowers root cids from the aggregated messages in parallel and
@@ -285,38 +296,20 @@ func (p *program) IncEval(msgs []core.VMsg[int64], ctx *core.Context[int64]) {
 
 	// Drain in ascending order so the downstream message order is
 	// canonical regardless of shard count.
-	roots := p.changed.Advance()
-	if len(roots) == 0 {
+	p.roots = p.changed.Advance()
+	if len(p.roots) == 0 {
 		return
 	}
 
 	copies := func(r int32) int64 { return int64(len(p.copiesOf[r])) + 1 }
 	var span int64
-	for _, r := range roots {
+	for _, r := range p.roots {
 		span += copies(r)
 	}
 	kk := p.kernelShards(ctx, span)
-	p.bounds = par.ChunksByWork(roots, kk, span, p.bounds, copies)
-	if kk <= 1 {
-		for _, r := range roots {
-			ctx.AddWork(len(p.copiesOf[r]))
-			for _, v := range p.copiesOf[r] {
-				ctx.Send(v, p.cid[r].Load())
-			}
-		}
-		return
-	}
-	stages := ctx.Stages(kk)
-	par.Do(kk, func(w int) {
-		st := stages[w]
-		for _, r := range roots[p.bounds[w]:p.bounds[w+1]] {
-			st.AddWork(len(p.copiesOf[r]))
-			val := p.cid[r].Load()
-			for _, v := range p.copiesOf[r] {
-				st.Send(v, val)
-			}
-		}
-	})
+	p.bounds = par.ChunksByWork(p.roots, kk, span, p.bounds, copies)
+	p.stages = ctx.Stages(kk)
+	par.Do(kk, p.shipRoots)
 	ctx.MergeStages()
 }
 

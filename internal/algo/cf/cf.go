@@ -55,9 +55,9 @@ type Config struct {
 	Seed int64
 	// Shards forces the kernel shard count used to build and stage the
 	// per-copy product contributions in ship: >= 1 forces that many
-	// shards (1 keeps the sequential path), 0 picks automatically. SGD
-	// epochs themselves stay sequential — reordering rating updates
-	// would change the trained model.
+	// shards, 0 picks automatically. SGD epochs themselves stay
+	// sequential — reordering rating updates would change the trained
+	// model.
 	Shards int
 }
 
@@ -129,6 +129,11 @@ type program struct {
 	epochs    int
 	lastRMSE  float64
 	converged bool
+
+	// One ship's round stamp and send sides, read by copiesShard.
+	ts         int32
+	stages     []*core.Stage[Val]
+	shipCopies func(w int) // p.copiesShard, bound once so a ship allocates no closure
 }
 
 func newProgram(f *partition.Fragment, cfg Config) *program {
@@ -158,6 +163,7 @@ func newProgram(f *partition.Fragment, cfg Config) *program {
 	for _, v := range f.Out {
 		init(v)
 	}
+	p.shipCopies = p.copiesShard
 	return p
 }
 
@@ -256,39 +262,14 @@ func (p *program) ship(ctx *core.Context[Val]) {
 	if p.converged && p.epochs >= p.cfg.Epochs {
 		return
 	}
-	ts := ctx.Round()
-	base := int32(p.f.NumOwned())
-	nOut := len(p.f.Out)
 	k := p.cfg.Shards
 	if k == 0 {
-		k = ctx.Shards(int64(nOut) * int64(p.cfg.Rank))
+		k = ctx.Shards(int64(len(p.f.Out)) * int64(p.cfg.Rank))
 	}
-	sendCopy := func(send func(v int32, val Val), i int) {
-		v := p.f.Out[i]
-		s := base + int32(i)
-		w := p.weight[s]
-		if w == 0 || p.factor[s] == nil {
-			return
-		}
-		vec := make([]float64, p.cfg.Rank)
-		for k := range vec {
-			vec[k] = p.factor[s][k] * w
-		}
-		send(v, Val{Vec: vec, Weight: w, TS: ts})
-	}
-	if k <= 1 {
-		for i := range p.f.Out {
-			sendCopy(ctx.Send, i)
-		}
-	} else {
-		stages := ctx.Stages(k)
-		par.Do(k, func(w int) {
-			for i := w * nOut / k; i < (w+1)*nOut/k; i++ {
-				sendCopy(stages[w].Send, i)
-			}
-		})
-		ctx.MergeStages()
-	}
+	p.ts = ctx.Round()
+	p.stages = ctx.Stages(k)
+	par.Do(k, p.shipCopies)
+	ctx.MergeStages()
 	// Owned products with remote copies broadcast their canonical value.
 	for _, v := range p.f.In {
 		s := p.f.Slot(v)
@@ -296,7 +277,26 @@ func (p *program) ship(ctx *core.Context[Val]) {
 			continue
 		}
 		vec := append([]float64(nil), p.factor[s]...)
-		ctx.SendToHolders(v, Val{Vec: vec, Weight: 1, TS: ts})
+		ctx.SendToHolders(v, Val{Vec: vec, Weight: 1, TS: p.ts})
+	}
+}
+
+// copiesShard is shard w of ship: it sends the weight-scaled vector of
+// each copy in its contiguous run of f.Out that has local ratings.
+func (p *program) copiesShard(w int) {
+	st, k, n := p.stages[w], len(p.stages), len(p.f.Out)
+	base := p.f.NumOwned()
+	for i := w * n / k; i < (w+1)*n/k; i++ {
+		s := base + i
+		wt := p.weight[s]
+		if wt == 0 || p.factor[s] == nil {
+			continue
+		}
+		vec := make([]float64, p.cfg.Rank)
+		for r := range vec {
+			vec[r] = p.factor[s][r] * wt
+		}
+		st.Send(p.f.Out[i], Val{Vec: vec, Weight: wt, TS: p.ts})
 	}
 }
 

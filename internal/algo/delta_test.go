@@ -161,7 +161,7 @@ func TestSSSPDeltaUnderEngine(t *testing.T) {
 type ssspKernel interface {
 	core.Program[float64]
 	core.Snapshotter
-	Relaxations() int64
+	core.ScanCounter
 	BucketsDrained() int
 }
 
@@ -216,7 +216,7 @@ func TestSSSPDeltaSnapshotResumesMidRun(t *testing.T) {
 			for v := f.Lo; v < f.Hi; v++ {
 				got[v] = progs[i].Get(v)
 			}
-			relaxed += progs[i].Relaxations()
+			relaxed += progs[i].ScannedEdges()
 			buckets += progs[i].BucketsDrained()
 		}
 		bitsEqualF64(t, tag, got, want)
@@ -385,17 +385,17 @@ func TestSSSPRejectsBadWeights(t *testing.T) {
 	}
 }
 
-// relaxations runs cfg's kernel to the local fixpoint on the single
+// relaxations runs job's kernel to the local fixpoint on the single
 // fragment of p and returns the edge relaxations it attempted. Every
 // kernel is deterministic at shards=1, so the count is stable for a
 // fixed seed.
-func relaxations(t *testing.T, p *partition.Partitioned, cfg sssp.Config) int64 {
+func relaxations(t *testing.T, p *partition.Partitioned, job core.Job[float64]) int64 {
 	t.Helper()
-	prog := sssp.JobConfig(cfg).New(p.Frags[0])
+	prog := job.New(p.Frags[0])
 	ctx := core.NewEngineContext[float64](p.Frags[0], 1)
 	prog.PEval(ctx)
 	ctx.TakeOut()
-	return prog.(interface{ Relaxations() int64 }).Relaxations()
+	return prog.(core.ScanCounter).ScannedEdges()
 }
 
 // TestSSSPDeltaFewerRelaxations pins the point of bucketing: on a road
@@ -409,8 +409,8 @@ func TestSSSPDeltaFewerRelaxations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frontier := relaxations(t, p, sssp.Config{Shards: 1, Delta: math.Inf(1)})
-	delta := relaxations(t, p, sssp.Config{Shards: 1})
+	frontier := relaxations(t, p, sssp.JobConfig(sssp.Config{Shards: 1, Delta: math.Inf(1)}))
+	delta := relaxations(t, p, sssp.JobShards(0, 1))
 	if delta*2 > frontier {
 		t.Fatalf("mean-weight delta attempted %d relaxations vs %d in frontier order: want at least 2x fewer",
 			delta, frontier)
@@ -430,8 +430,8 @@ func TestSSSPDeltaOrderingCostsNoWork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dijkstra := relaxations(t, p, sssp.Config{Kernel: sssp.KernelRef})
-	delta := relaxations(t, p, sssp.Config{Shards: 1})
+	dijkstra := relaxations(t, p, sssp.RefJob(0))
+	delta := relaxations(t, p, sssp.JobShards(0, 1))
 	t.Logf("relaxations: dijkstra %d, mean-weight delta %d", dijkstra, delta)
 	if delta*2 > dijkstra*3 {
 		t.Fatalf("mean-weight delta attempted %d relaxations vs Dijkstra's %d: want at most 1.5x",

@@ -72,16 +72,16 @@ func BenchmarkKernelSSSPDelta(b *testing.B) {
 		p := benchFragment(b, in.g)
 		for _, c := range []struct {
 			name string
-			cfg  sssp.Config
+			job  core.Job[float64]
 		}{
-			{"ref", sssp.Config{Kernel: sssp.KernelRef}},
-			{"delta=auto", sssp.Config{Shards: 1}},
-			{"delta=inf", sssp.Config{Shards: 1, Delta: math.Inf(1)}},
-			{"delta=0.01/shards=8", sssp.Config{Shards: 8, Delta: 0.01}},
+			{"ref", sssp.RefJob(0)},
+			{"delta=auto", sssp.JobShards(0, 1)},
+			{"delta=inf", sssp.JobConfig(sssp.Config{Shards: 1, Delta: math.Inf(1)})},
+			{"delta=0.01/shards=8", sssp.JobConfig(sssp.Config{Shards: 8, Delta: 0.01})},
 		} {
 			b.Run(in.name+"/"+c.name, func(b *testing.B) {
-				prog, _ := benchKernel(b, p, sssp.JobConfig(c.cfg))
-				b.ReportMetric(float64(prog.(interface{ Relaxations() int64 }).Relaxations()), "relaxations/op")
+				prog, _ := benchKernel(b, p, c.job)
+				b.ReportMetric(float64(prog.(core.ScanCounter).ScannedEdges()), "relaxations/op")
 			})
 		}
 	}

@@ -170,6 +170,25 @@ func TestSSSPParallelKernelMatchesRef(t *testing.T) {
 	}
 }
 
+// TestSSSPJobBelowGrainRunsBucketedKernel: sssp.Job builds the bucketed
+// kernel for a fragment too small to ever shard, where it once fell back
+// to Dijkstra, and its answer is the reference's bit for bit.
+func TestSSSPJobBelowGrainRunsBucketedKernel(t *testing.T) {
+	g := gen.Grid(28, 28, 13)
+	p, err := partition.Build(g, 1, partition.Hash{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := p.Frags[0]
+	if span := g.OutSpan(f.Lo, f.Hi); !par.BelowKernelGrain(span) {
+		t.Fatalf("span %d is above the kernel grain", span)
+	}
+	if _, ok := sssp.Job(0).New(f).(interface{ BucketsDrained() int }); !ok {
+		t.Fatalf("sssp.Job built %T below the grain, want the bucketed kernel", sssp.Job(0).New(f))
+	}
+	bitsEqualF64(t, "sssp/below-grain", peval(t, p, sssp.Job(0)), peval(t, p, sssp.RefJob(0)))
+}
+
 // TestCCParallelKernelMatchesRef: hook-and-shortcut label propagation
 // against union-find on one fragment.
 func TestCCParallelKernelMatchesRef(t *testing.T) {

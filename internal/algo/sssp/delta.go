@@ -55,6 +55,11 @@ type deltaProgram struct {
 	scanned []int64
 	expand  func(w int) // p.expandShard, bound once so a phase allocates nothing
 
+	// One flush's copies and send sides, read by flushShard.
+	changed []int32
+	stages  []*core.Stage[float64]
+	flush   func(w int) // p.flushShard, bound once like expand
+
 	seeds []int32 // IncEval re-seed scratch
 
 	rounds  int   // parallel sweep phases executed
@@ -80,6 +85,7 @@ func newDeltaProgram(f *partition.Fragment, source graph.VertexID, shards int, d
 	p.bk = par.NewBuckets(f.NumOwned(), max(shards, 1), delta)
 	p.copyChanged = par.NewFrontier(len(f.Out))
 	p.expand = p.expandShard
+	p.flush = p.flushShard
 	return p
 }
 
@@ -89,11 +95,9 @@ func (p *deltaProgram) KernelRounds() int { return p.rounds }
 // BucketsDrained reports the nonempty buckets drained so far.
 func (p *deltaProgram) BucketsDrained() int { return p.buckets }
 
-// Relaxations reports the edge relaxations attempted so far.
-func (p *deltaProgram) Relaxations() int64 { return p.relaxed }
-
-// ScannedEdges reports the raw CSR edges the sweeps read (one per
-// out-edge of every expanded vertex) — core.ScanCounter.
+// ScannedEdges reports the raw CSR edges the sweeps read, one per
+// out-edge of every expanded vertex and so one per edge relaxation
+// attempted — core.ScanCounter.
 func (p *deltaProgram) ScannedEdges() int64 { return p.relaxed }
 
 // PEval seeds the source if owned and sweeps to the local fixpoint.
@@ -262,24 +266,22 @@ func (p *deltaProgram) expandShard(w int) {
 // contiguous runs of that list, so the merged per-destination message
 // order is the sequential pass's at every shard count.
 func (p *deltaProgram) flushBorder(ctx *core.Context[float64]) {
-	changed := p.copyChanged.Advance()
-	if len(changed) == 0 {
+	p.changed = p.copyChanged.Advance()
+	if len(p.changed) == 0 {
 		return
 	}
-	out := p.f.Out
+	k := p.kernelShards(ctx, int64(len(p.changed)))
+	p.stages = ctx.Stages(k)
+	par.Do(k, p.flush)
+	ctx.MergeStages()
+}
+
+// flushShard is shard w of a flush: it sends its contiguous run of
+// p.changed through its stage.
+func (p *deltaProgram) flushShard(w int) {
+	st, k, n := p.stages[w], len(p.stages), len(p.changed)
 	copies := p.dist[p.f.NumOwned():]
-	if k := p.kernelShards(ctx, int64(len(changed))); k <= 1 {
-		for _, c := range changed {
-			ctx.Send(out[c], math.Float64frombits(copies[c]))
-		}
-	} else {
-		stages := ctx.Stages(k)
-		par.Do(k, func(w int) {
-			st := stages[w]
-			for _, c := range changed[w*len(changed)/k : (w+1)*len(changed)/k] {
-				st.Send(out[c], math.Float64frombits(copies[c]))
-			}
-		})
-		ctx.MergeStages()
+	for _, c := range p.changed[w*n/k : (w+1)*n/k] {
+		st.Send(p.f.Out[c], math.Float64frombits(copies[c]))
 	}
 }

@@ -3,10 +3,10 @@ package sssp
 // The retained sequential SSSP kernel: Dijkstra's algorithm as PEval and
 // the Ramalingam-Reps style incremental relaxation as IncEval, exactly
 // as shipped before the parallel compute plane. It is the pinned
-// reference of the differential tests (the bucketed kernel must match it
-// bit for bit — shortest-path distances are the unique fixpoint of min
-// over exact per-path sums, so relaxation order cannot change the
-// result) and the work-optimal path a fragment too small to shard runs.
+// reference of the differential tests, and RefJob is the only way to run
+// it: the bucketed kernel must match it bit for bit — shortest-path
+// distances are the unique fixpoint of min over exact per-path sums, so
+// relaxation order cannot change the result.
 
 import (
 	"aap/internal/core"
@@ -33,12 +33,10 @@ type refProgram struct {
 	relaxed       int64 // edge relaxations attempted
 }
 
-// ScannedEdges reports the raw CSR edges read (core.ScanCounter).
+// ScannedEdges reports the raw CSR edges read, one per edge relaxation
+// attempted (core.ScanCounter): the work metric the delta tests compare
+// kernels by.
 func (p *refProgram) ScannedEdges() int64 { return p.relaxed }
-
-// Relaxations reports the edge relaxations attempted so far, the work
-// metric the delta tests compare kernels by.
-func (p *refProgram) Relaxations() int64 { return p.relaxed }
 
 func newRefProgram(f *partition.Fragment, source graph.VertexID) *refProgram {
 	p := &refProgram{f: f, g: f.Graph(), source: source}

@@ -121,7 +121,7 @@ func TestDurableRoundtrip(t *testing.T) {
 	if e != 2 {
 		t.Fatalf("newest sealed = %d, want 2", e)
 	}
-	snap, err := checkpoint.DecodeSnapshot(e, payload, decInt64)
+	snap, err := checkpoint.DecodeSnapshot(e, payload, 2, decInt64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func TestDurableFallback(t *testing.T) {
 			if e != tc.want {
 				t.Fatalf("fell back to epoch %d, want %d", e, tc.want)
 			}
-			if _, err := checkpoint.DecodeSnapshot(e, payload, decInt64); err != nil {
+			if _, err := checkpoint.DecodeSnapshot(e, payload, 2, decInt64); err != nil {
 				t.Fatalf("fallback epoch %d undecodable: %v", e, err)
 			}
 		})
@@ -285,7 +285,7 @@ func TestDurableRewriteEpoch(t *testing.T) {
 	if err != nil || e != 2 {
 		t.Fatalf("newest after rewrite = (%d, %v), want 2", e, err)
 	}
-	if _, err := checkpoint.DecodeSnapshot(e, payload, decInt64); err != nil {
+	if _, err := checkpoint.DecodeSnapshot(e, payload, 2, decInt64); err != nil {
 		t.Fatal(err)
 	}
 }

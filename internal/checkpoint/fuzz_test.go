@@ -15,7 +15,8 @@ import (
 // the crash-consistency contract: corrupt, truncated, or length-lying
 // input must come back as an error, never a panic, and never an
 // allocation larger than the input itself (the need-before-make guard,
-// same discipline as decodeBatch).
+// same discipline as decodeBatch). A snapshot that decodes is one a
+// two-worker run can index: two workers, every flight inside them.
 func FuzzDurableDecode(f *testing.F) {
 	snap := &checkpoint.Snapshot[int64]{
 		Epoch:     3,
@@ -37,6 +38,16 @@ func FuzzDurableDecode(f *testing.F) {
 	lie := codec.AppendUint32(nil, 2)                            // 2 workers...
 	lie = codec.AppendBytes(lie, nil)                            // ...but one state
 	f.Add(lie)
+	// Well-formed payloads a two-worker run must refuse: three workers,
+	// and a flight to worker 2.
+	three := *snap
+	three.States = append(three.States, nil)
+	three.Rounds = append(three.Rounds, 1)
+	three.PEvalDone = append(three.PEvalDone, true)
+	f.Add(checkpoint.EncodeSnapshot(&three, encInt64))
+	outside := *snap
+	outside.InFlight = []checkpoint.Flight[int64]{{From: 0, To: 2, Msgs: []int64{7}}}
+	f.Add(checkpoint.EncodeSnapshot(&outside, encInt64))
 	// A whole record as WriteEpoch lays it down, and the same bytes
 	// claiming format version 1, which DecodeRecord must refuse.
 	d, err := checkpoint.OpenDurable(f.TempDir(), checkpoint.DurableOptions{})
@@ -66,9 +77,17 @@ func FuzzDurableDecode(f *testing.F) {
 		// Snapshot payload: decoded structure must be bounded by the
 		// input (every state byte, round, flag, and 8-byte message was
 		// read from somewhere).
-		s, err := checkpoint.DecodeSnapshot(1, data, decInt64)
+		s, err := checkpoint.DecodeSnapshot(1, data, 2, decInt64)
 		if err != nil {
 			return
+		}
+		if len(s.States) != 2 {
+			t.Fatalf("decoded %d workers for a two-worker run", len(s.States))
+		}
+		for _, fl := range s.InFlight {
+			if fl.From < 0 || fl.From >= 2 || fl.To < 0 || fl.To >= 2 {
+				t.Fatalf("decoded flight %d->%d for a two-worker run", fl.From, fl.To)
+			}
 		}
 		total := 0
 		for _, st := range s.States {

@@ -29,22 +29,21 @@ func EncodeSnapshot[M any](s *Snapshot[M], enc func(dst []byte, m M) []byte) []b
 	return buf
 }
 
-// DecodeSnapshot parses a record payload written by EncodeSnapshot.
-// Element counts come from the (possibly corrupt) input, so nothing is
-// pre-allocated from a header figure: every slice grows by append under
-// a reader-error guard, which bounds allocation by the bytes actually
+// DecodeSnapshot parses a record payload written by EncodeSnapshot for a
+// run of `workers` workers; any other worker count, or a flight from or
+// to a worker outside [0, workers), is an error. Element counts come from
+// the (possibly corrupt) input, so every slice grows by append under a
+// reader-error guard, which bounds allocation by the bytes actually
 // decoded — the need-before-make discipline of core's readMsgs, extended
 // to nested counts. dec must consume at least one byte per message or set
 // the reader's error.
-func DecodeSnapshot[M any](epoch int32, data []byte, dec func(r *codec.Reader) M) (*Snapshot[M], error) {
+func DecodeSnapshot[M any](epoch int32, data []byte, workers int, dec func(r *codec.Reader) M) (*Snapshot[M], error) {
 	r := codec.NewReader(data)
-	nw := int(r.Uint32())
-	if lim := r.Remaining(); nw > lim {
-		// Each worker entry costs at least a 4-byte state length prefix.
-		return nil, fmt.Errorf("checkpoint: snapshot claims %d workers in %d bytes", nw, lim)
+	if nw := int(r.Uint32()); r.Err() == nil && nw != workers {
+		return nil, fmt.Errorf("checkpoint: snapshot has %d workers, want %d", nw, workers)
 	}
 	s := &Snapshot[M]{Epoch: epoch}
-	for i := 0; i < nw && r.Err() == nil; i++ {
+	for i := 0; i < workers && r.Err() == nil; i++ {
 		s.States = append(s.States, append([]byte(nil), r.Bytes()...))
 	}
 	s.Rounds = r.Int32s()
@@ -52,6 +51,9 @@ func DecodeSnapshot[M any](epoch int32, data []byte, dec func(r *codec.Reader) M
 	nf := int(r.Uint32())
 	for i := 0; i < nf && r.Err() == nil; i++ {
 		f := Flight[M]{From: r.Int32(), To: r.Int32()}
+		if r.Err() == nil && (f.From < 0 || int(f.From) >= workers || f.To < 0 || int(f.To) >= workers) {
+			return nil, fmt.Errorf("checkpoint: in-flight batch %d->%d outside %d workers", f.From, f.To, workers)
+		}
 		nm := int(r.Uint32())
 		for j := 0; j < nm && r.Err() == nil; j++ {
 			f.Msgs = append(f.Msgs, dec(r))
@@ -64,9 +66,9 @@ func DecodeSnapshot[M any](epoch int32, data []byte, dec func(r *codec.Reader) M
 	if r.Remaining() != 0 {
 		return nil, fmt.Errorf("checkpoint: %d trailing snapshot bytes", r.Remaining())
 	}
-	if len(s.States) != nw || len(s.Rounds) != nw || len(s.PEvalDone) != nw {
+	if len(s.Rounds) != workers || len(s.PEvalDone) != workers {
 		return nil, fmt.Errorf("checkpoint: snapshot worker vectors disagree: %d states, %d rounds, %d peval flags (want %d)",
-			len(s.States), len(s.Rounds), len(s.PEvalDone), nw)
+			len(s.States), len(s.Rounds), len(s.PEvalDone), workers)
 	}
 	return s, nil
 }

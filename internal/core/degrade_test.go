@@ -109,7 +109,7 @@ func TestDroppedSealsSurfaced(t *testing.T) {
 		// Epoch announcements are sequential (a new epoch waits for the
 		// previous seal), so the run must outlive the recording cadence
 		// to seal one epoch per round.
-		Latency:    2 * time.Millisecond,
+		Faults:     &core.Faults{DelayProb: 1, DelayBy: 2 * time.Millisecond},
 		Timeout:    time.Minute,
 		Checkpoint: core.CheckpointOptions{EveryRounds: 1, Dir: t.TempDir(), FS: fsys},
 		RoundHook: func(worker int, round int32) {

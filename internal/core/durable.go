@@ -46,17 +46,9 @@ func Resume[T any](p *partition.Partitioned, job Job[T], opts Options) (*Result[
 	if err != nil {
 		return nil, fmt.Errorf("core: %s: resume: %w", job.Name, err)
 	}
-	snap, err := checkpoint.DecodeSnapshot(epoch, payload, job.readMsg)
+	snap, err := checkpoint.DecodeSnapshot(epoch, payload, p.M, job.readMsg)
 	if err != nil {
 		return nil, fmt.Errorf("core: %s: resume: sealed epoch %d undecodable: %w", job.Name, epoch, err)
-	}
-	if len(snap.States) != p.M {
-		return nil, fmt.Errorf("core: %s: resume: snapshot has %d workers, partition has %d", job.Name, len(snap.States), p.M)
-	}
-	for _, f := range snap.InFlight {
-		if f.From < 0 || int(f.From) >= p.M || f.To < 0 || int(f.To) >= p.M {
-			return nil, fmt.Errorf("core: %s: resume: in-flight batch %d->%d outside %d workers", job.Name, f.From, f.To, p.M)
-		}
 	}
 	return run(NewSession(p), job, opts, &resumeState[T]{snap: snap, store: d, bytes: int64(len(payload)), t0: t0})
 }

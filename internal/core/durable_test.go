@@ -105,7 +105,7 @@ func TestHelperDurableVictim(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := durableRunOpts(dir)
-	opts.Latency = 2 * time.Millisecond
+	opts.Faults = &core.Faults{DelayProb: 1, DelayBy: 2 * time.Millisecond}
 	switch algo := os.Getenv(durableAlgoEnv); algo {
 	case "sssp":
 		_, err = core.Run(remoteTestPartition(t), sssp.JobShards(0, shards), opts)
@@ -373,7 +373,7 @@ func TestDurableCorruptionFallback(t *testing.T) {
 	}
 	dir := t.TempDir()
 	opts := durableRunOpts(dir)
-	opts.Latency = time.Millisecond // more rounds in flight => several sealed epochs
+	opts.Faults = &core.Faults{DelayProb: 1, DelayBy: time.Millisecond} // more rounds in flight => several sealed epochs
 	if _, err := core.Run(p, job, opts); err != nil {
 		t.Fatal(err)
 	}
@@ -420,7 +420,7 @@ func TestDurableResumeRemoteTCP(t *testing.T) {
 	}
 	dir := t.TempDir()
 	full := durableRunOpts(dir)
-	full.Latency = time.Millisecond
+	full.Faults = &core.Faults{DelayProb: 1, DelayBy: time.Millisecond}
 	if _, err := core.Run(p, job, full); err != nil {
 		t.Fatal(err)
 	}
@@ -474,6 +474,62 @@ func TestResumeErrors(t *testing.T) {
 	if _, err := core.Resume(p2, job, durableRunOpts(dir)); err == nil || !strings.Contains(err.Error(), "workers") {
 		t.Fatalf("worker-count mismatch: err = %v", err)
 	}
+}
+
+// TestRollbackRefusesDurableFlightOutsideWorkers: when nothing has sealed
+// in memory, rollback reads the newest durable record and must check it
+// as Resume does. A run leaves records; the newest, re-encoded with one
+// more flight, to worker M, is written back as a newer, CRC-valid epoch;
+// a second run over the directory, checkpointing too rarely to seal in
+// memory, loses worker 1 at round 1. It must end bit-identical to the
+// fault-free run or fail with an error, and not panic replaying the
+// flight into a worker that does not exist.
+func TestRollbackRefusesDurableFlightOutsideWorkers(t *testing.T) {
+	p := remoteTestPartition(t)
+	job := remoteTestJob()
+	base, err := core.Run(p, job, core.Options{Mode: core.AAP, Timeout: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if _, err := core.Run(p, job, durableRunOpts(dir)); err != nil {
+		t.Fatal(err)
+	}
+	d, err := checkpoint.OpenDurable(dir, checkpoint.DurableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	epoch, payload, err := d.NewestSealed()
+	if err != nil {
+		t.Fatal(err)
+	}
+	readMsg := func(r *codec.Reader) core.VMsg[float64] { return core.VMsg[float64]{V: r.Int32(), Val: r.Float64()} }
+	appendMsg := func(dst []byte, m core.VMsg[float64]) []byte {
+		return codec.AppendFloat64(codec.AppendInt32(dst, m.V), m.Val)
+	}
+	snap, err := checkpoint.DecodeSnapshot(epoch, payload, p.M, readMsg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap.InFlight = append(snap.InFlight, checkpoint.Flight[core.VMsg[float64]]{
+		From: 0, To: int32(p.M), Msgs: []core.VMsg[float64]{{V: p.Frags[0].Lo, Val: 1}},
+	})
+	if err := d.WriteEpoch(epoch+1, checkpoint.EncodeSnapshot(snap, appendMsg)); err != nil {
+		t.Fatal(err)
+	}
+
+	opts := durableRunOpts(dir)
+	opts.Checkpoint.EveryRounds = 1 << 20 // no epoch is announced, so none seals in memory
+	opts.Faults = &core.Faults{Kill: &core.KillSpec{Worker: 1, Round: 1}}
+	res, err := core.Run(p, job, opts)
+	if err != nil {
+		t.Logf("run failed closed: %v", err)
+		return
+	}
+	if res.Stats.Recoveries < 1 {
+		t.Fatalf("kill scheduled but no recovery ran: %+v", res.Stats)
+	}
+	sameFloats(t, base.Values, res.Values, "rollback past a foreign durable flight")
 }
 
 // TestResumeRefusesVersion1 hand-writes the records a version-1 run left

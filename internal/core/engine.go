@@ -26,10 +26,6 @@ type Options struct {
 	// modeling n physical workers hosting m > n virtual workers.
 	// Defaults to GOMAXPROCS.
 	PhysicalWorkers int
-	// Latency delays every message batch by the same wall time; zero
-	// (the default) delivers at once. Faults.DelayProb adds seeded,
-	// replayable extra delays per batch on top of it.
-	Latency time.Duration
 	// MaxRounds aborts the run when any worker exceeds it; a safety
 	// valve for non-terminating programs. Defaults to 1 << 20.
 	MaxRounds int32
@@ -523,13 +519,6 @@ type wallClock struct{ start time.Time }
 func (c wallClock) Now() float64 { return time.Since(c.start).Seconds() }
 func (c wallClock) After(d float64, f func()) {
 	time.AfterFunc(time.Duration(d*float64(time.Second)), f)
-}
-
-// delay is how long, in clock seconds, a batch given extra delay spends
-// in flight: the run's Latency plus extra. At zero the planes deliver
-// on the sender's goroutine, building no closure for the clock.
-func (e *engine[T]) delay(extra time.Duration) float64 {
-	return (e.opts.Latency + extra).Seconds()
 }
 
 // flush prices and delivers one round's batches, stamped with epoch.

@@ -25,10 +25,10 @@ type Faults struct {
 	// to exercise graceful degradation.
 	Stall *StallSpec
 
-	// DelayProb delays a delivered batch by DelayBy, on top of
-	// Options.Latency, with this probability: the one seeded, replayable
-	// way to randomize a run's schedule (TestChurchRosserSSSP draws its
-	// schedules from it).
+	// DelayProb delays a delivered batch by DelayBy with this
+	// probability: the one seeded, replayable way to randomize a run's
+	// schedule (TestChurchRosserSSSP draws its schedules from it), and at
+	// 1 the way to slow every batch by the same wall time.
 	DelayProb float64
 	DelayBy   time.Duration
 

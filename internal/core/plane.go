@@ -107,8 +107,10 @@ func hostEndpoint(m, worker int) int32 { return int32(m + 1 + worker) }
 // engine.arrive, whichever plane carried it.
 type msgPlane[T any] interface {
 	// deliver ships msgs from worker `from` to worker `to` after the
-	// extra delay, stamped with the sender's snapshot epoch. The plane
-	// owns msgs from this call on.
+	// extra delay (an injected fault's), stamped with the sender's
+	// snapshot epoch. The plane owns msgs from this call on. At zero delay
+	// it delivers on the sender's goroutine, building no closure for the
+	// clock.
 	deliver(from, to int, epoch int32, msgs []VMsg[T], extra time.Duration)
 }
 
@@ -117,8 +119,8 @@ type inproc[T any] struct{ e *engine[T] }
 
 func (p *inproc[T]) deliver(from, to int, epoch int32, msgs []VMsg[T], extra time.Duration) {
 	b := batch[T]{from: int32(from), epoch: epoch, msgs: msgs}
-	if d := p.e.delay(extra); d > 0 {
-		p.e.clock.After(d, func() { p.e.arrive(to, b) })
+	if extra > 0 {
+		p.e.clock.After(extra.Seconds(), func() { p.e.arrive(to, b) })
 		return
 	}
 	p.e.arrive(to, b)
@@ -142,8 +144,8 @@ type wirePlane[T any] struct {
 // to the pool right after encoding; the receiver decodes into fresh
 // pooled slices.
 func (wp *wirePlane[T]) deliver(from, to int, epoch int32, msgs []VMsg[T], extra time.Duration) {
-	if d := wp.e.delay(extra); d > 0 {
-		wp.e.clock.After(d, func() { wp.send(from, to, epoch, msgs) })
+	if extra > 0 {
+		wp.e.clock.After(extra.Seconds(), func() { wp.send(from, to, epoch, msgs) })
 		return
 	}
 	wp.send(from, to, epoch, msgs)

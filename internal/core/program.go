@@ -165,21 +165,25 @@ func (mp *msgPool[T]) put(s []VMsg[T]) {
 }
 
 // Context is the interface a Program uses to talk to its engine: sending
-// designated messages and reporting work for cost accounting.
+// designated messages and reporting work for cost accounting. Its send
+// side is its Stage 0 (stage.go): Send, SendToHolders and AddWork are the
+// stage's, and its buffers accumulate the round's messages per
+// destination worker.
 type Context[T any] struct {
+	Stage[T]
+
 	frag  *partition.Fragment
 	part  *partition.Partitioned
 	round int32
-	work  int64
 
-	// out accumulates messages per destination worker within a round;
 	// spare is the recycled outer array handed back through ReleaseOut.
-	out   [][]VMsg[T]
 	spare [][]VMsg[T]
 
-	// stages are the per-goroutine send buffers of parallel kernels
-	// (stage.go), reused across rounds.
+	// stages are the per-goroutine send buffers of parallel kernels,
+	// stage 0 first and reused across rounds; the last Stages call handed
+	// out the first staged of them.
 	stages []*Stage[T]
+	staged int
 
 	// computing is the engine's physical-worker pool: its length is the
 	// number of workers inside a round right now, this one included.
@@ -196,12 +200,13 @@ type Context[T any] struct {
 }
 
 func newContext[T any](f *partition.Fragment, m int, pool *msgPool[T]) *Context[T] {
-	return &Context[T]{
+	c := &Context[T]{
 		frag: f,
 		part: f.Partitioned(),
-		out:  make([][]VMsg[T], m),
 		pool: pool,
 	}
+	c.Stage = Stage[T]{c: c, out: make([][]VMsg[T], m)}
+	return c
 }
 
 // Fragment returns the fragment the program runs on.
@@ -209,39 +214,6 @@ func (c *Context[T]) Fragment() *partition.Fragment { return c.frag }
 
 // Round returns the current round number (0 for PEval).
 func (c *Context[T]) Round() int32 { return c.round }
-
-// Send ships the value of update parameter v to the worker owning v. It
-// corresponds to including v in the designated message M(i, j) of the
-// current round. Sending to the local fragment is allowed and delivered
-// through the local buffer like any other message.
-func (c *Context[T]) Send(v int32, val T) {
-	c.push(c.part.Owner(v), VMsg[T]{V: v, Val: val})
-}
-
-// push appends one message to destination j's buffer, lazily drawing a
-// recycled slice from the pool on the first send of the round.
-func (c *Context[T]) push(j int, m VMsg[T]) {
-	if c.out[j] == nil {
-		c.out[j] = c.pool.get()
-	}
-	c.out[j] = append(c.out[j], m)
-}
-
-// SendToHolders ships val to every fragment holding a copy of owned
-// vertex v (the owner-to-copies direction used by collaborative
-// filtering, routed through the index I_i).
-func (c *Context[T]) SendToHolders(v int32, val T) {
-	for _, j := range c.part.Holders(v) {
-		if int(j) == c.frag.ID {
-			continue
-		}
-		c.push(int(j), VMsg[T]{V: v, Val: val})
-	}
-}
-
-// AddWork reports n units of work (vertices touched, edges relaxed) for
-// the cost model and the stale-computation metric.
-func (c *Context[T]) AddWork(n int) { c.work += int64(n) }
 
 // Shards returns the shard count for an intra-fragment kernel pass over
 // `work` units: par.Kernel(work), capped by this worker's share of the

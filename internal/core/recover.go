@@ -288,10 +288,11 @@ func (r *recovery[T]) rollback(victim int) {
 	// Second rung of the no-checkpoint fallback: before declaring a
 	// fresh restart, try the durable tail — a previous incarnation of
 	// this process (or a dropped in-memory seal) may have left a newer
-	// record on disk than the store holds in memory.
+	// record on disk than the store holds in memory. DecodeSnapshot checks
+	// it as for Resume, so the replay below stays inside this run's workers.
 	if snap == nil && e.ckpt != nil && e.tee != nil {
 		if ep, payload, err := e.tee.store.NewestSealed(); err == nil {
-			if s, derr := checkpoint.DecodeSnapshot(ep, payload, e.job.readMsg); derr == nil && len(s.States) == e.p.M {
+			if s, derr := checkpoint.DecodeSnapshot(ep, payload, e.p.M, e.job.readMsg); derr == nil {
 				e.ckpt.Seed(s) // Reset below rewinds announce to this epoch
 				snap = s
 			}

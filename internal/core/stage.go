@@ -1,44 +1,53 @@
 package core
 
-// Staged sends: the lock-free path a parallel kernel uses to emit
-// designated messages from several goroutines at once.
+// Staged sends: the lock-free path a kernel uses to emit designated
+// messages from one or several goroutines at once.
 //
-// Context.Send and friends are single-goroutine by contract (the engine
-// invokes a Program from one worker at a time). A kernel that sweeps a
-// fragment with k shards instead asks for k Stages, hands stage w to
-// shard w, and calls MergeStages after the sweep's barrier. Each Stage
+// A Stage is a single-goroutine send side: per-destination buffers and a
+// work counter. A Context's own send side is its stage 0 — Context.Send,
+// SendToHolders and AddWork are stage 0's — so a kernel that sweeps a
+// fragment with k shards asks for k Stages, hands stage w to shard w, and
+// calls MergeStages after the sweep's barrier, whatever k is. Each stage
 // buffers messages per destination privately — no lock, no atomic, no
-// sharing — and MergeStages splices the stage buffers into the context's
-// outgoing buffers in stage order.
+// sharing — and MergeStages appends stages 1..k-1 to the context's
+// buffers in stage order. At k = 1 the one shard writes the context's
+// buffers directly and MergeStages has nothing to do.
 //
 // Determinism contract: when a kernel partitions its work into
 // contiguous chunks and assigns chunk w to stage w, the merged
 // per-destination message order equals the order a sequential pass over
-// the same items would have produced, for any stage count. Kernels
-// whose aggregate function is order-sensitive (sum) rely on this;
-// min-folded kernels get it for free.
+// the same items would have produced, for any stage count, and follows
+// whatever the context sent earlier in the round. Kernels whose
+// aggregate function is order-sensitive (sum) rely on this; min-folded
+// kernels get it for free.
 
 // Stage is a single-goroutine view of a Context's send side. A Stage is
-// owned by exactly one goroutine between Stages and MergeStages.
+// owned by exactly one goroutine between Stages and MergeStages; stage 0
+// is the context itself.
 type Stage[T any] struct {
 	c    *Context[T]
 	out  [][]VMsg[T]
 	work int64
 }
 
-// Stages returns k reusable stages, one per kernel shard. The returned
-// stages are valid until the next MergeStages call. Not safe
-// concurrently with Send or MergeStages.
+// Stages returns k reusable stages, one per kernel shard, the context's
+// own stage 0 first. The returned stages are valid until the next
+// MergeStages call. Not safe concurrently with MergeStages.
 func (c *Context[T]) Stages(k int) []*Stage[T] {
+	if len(c.stages) == 0 {
+		c.stages = append(c.stages, &c.Stage)
+	}
 	for len(c.stages) < k {
 		c.stages = append(c.stages, &Stage[T]{c: c, out: make([][]VMsg[T], len(c.out))})
 	}
+	c.staged = k
 	return c.stages[:k]
 }
 
-// push appends one message to destination j's stage buffer, drawing
-// recycled slices from the shared pool (sync.Pool is safe for
-// concurrent use, so stages never contend with each other).
+// push appends one message to destination j's stage buffer, lazily
+// drawing a recycled slice from the shared pool on the first send of the
+// round (sync.Pool is safe for concurrent use, so stages never contend
+// with each other).
 func (s *Stage[T]) push(j int, m VMsg[T]) {
 	if s.out[j] == nil {
 		s.out[j] = s.c.pool.get()
@@ -46,15 +55,17 @@ func (s *Stage[T]) push(j int, m VMsg[T]) {
 	s.out[j] = append(s.out[j], m)
 }
 
-// Send stages the value of update parameter v for the worker owning v,
-// exactly like Context.Send but callable from the stage's goroutine.
+// Send ships the value of update parameter v to the worker owning v. It
+// corresponds to including v in the designated message M(i, j) of the
+// current round. Sending to the local fragment is allowed and delivered
+// through the local buffer like any other message.
 func (s *Stage[T]) Send(v int32, val T) {
-	c := s.c
-	s.push(c.part.Owner(v), VMsg[T]{V: v, Val: val})
+	s.push(s.c.part.Owner(v), VMsg[T]{V: v, Val: val})
 }
 
-// SendToHolders stages val for every fragment holding a copy of owned
-// vertex v.
+// SendToHolders ships val to every fragment holding a copy of owned
+// vertex v (the owner-to-copies direction used by collaborative
+// filtering, routed through the index I_i).
 func (s *Stage[T]) SendToHolders(v int32, val T) {
 	c := s.c
 	for _, j := range c.part.Holders(v) {
@@ -65,17 +76,19 @@ func (s *Stage[T]) SendToHolders(v int32, val T) {
 	}
 }
 
-// AddWork reports work units from the stage's goroutine; MergeStages
-// folds them into the context's counter.
+// AddWork reports n units of work (vertices touched, edges relaxed) for
+// the cost model and the stale-computation metric.
 func (s *Stage[T]) AddWork(n int) { s.work += int64(n) }
 
-// MergeStages splices every stage's buffered messages into the
-// context's outgoing buffers in stage order and resets the stages. The
-// first stage to hit an empty destination donates its slice wholesale;
-// later stages append and recycle. Must be called from the context's
-// owning goroutine after the parallel section's barrier.
+// MergeStages appends the buffered messages of stages 1..k-1 of the last
+// Stages call to the context's outgoing buffers in stage order and
+// resets them; stage 0 is already there. The first stage to hit an empty
+// destination donates its slice wholesale; later stages append and
+// recycle. Must be called from the context's owning goroutine after the
+// parallel section's barrier.
 func (c *Context[T]) MergeStages() {
-	for _, s := range c.stages {
+	for i := 1; i < c.staged; i++ {
+		s := c.stages[i]
 		for j, msgs := range s.out {
 			if len(msgs) == 0 {
 				if msgs != nil {
@@ -95,4 +108,5 @@ func (c *Context[T]) MergeStages() {
 		c.work += s.work
 		s.work = 0
 	}
+	c.staged = 0
 }

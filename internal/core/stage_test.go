@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -84,6 +85,55 @@ func TestStagedSendsMatchSequential(t *testing.T) {
 			seqCtx.ReleaseOut(wantOut)
 			stgCtx.ReleaseOut(gotOut)
 		}
+	}
+}
+
+// TestOneShardStageIsTheContext: a context's send side is its stage 0,
+// so a kernel needs no separate one-shard send loop. Sends through the
+// context interleaved with sends through Stages(1)[0] produce exactly
+// the buffers and work of the same sends through the context alone, and
+// merging one stage is free.
+func TestOneShardStageIsTheContext(t *testing.T) {
+	p := buildPartition(t, 4)
+	f := p.Frags[1]
+	rng := rand.New(rand.NewSource(43))
+	msgs := randomFoldBuffer(f, rng, 300)
+	seqCtx := newContext[float64](f, p.M, &msgPool[float64]{})
+	stgCtx := newContext[float64](f, p.M, &msgPool[float64]{})
+
+	for i, m := range msgs {
+		seqCtx.Send(m.V, m.Val)
+		seqCtx.AddWork(i)
+	}
+	wantOut, wantWork := seqCtx.TakeOut()
+
+	st := stgCtx.Stages(1)[0]
+	for i, m := range msgs {
+		if i%3 == 0 {
+			stgCtx.Send(m.V, m.Val)
+			stgCtx.AddWork(i)
+		} else {
+			st.Send(m.V, m.Val)
+			st.AddWork(i)
+		}
+	}
+	stgCtx.MergeStages()
+	gotOut, gotWork := stgCtx.TakeOut()
+
+	if gotWork != wantWork {
+		t.Fatalf("work %d through stage 0, %d through the context", gotWork, wantWork)
+	}
+	for j := range wantOut {
+		if !slices.Equal(gotOut[j], wantOut[j]) {
+			t.Fatalf("dest %d: through stage 0\n%v\nthrough the context\n%v", j, gotOut[j], wantOut[j])
+		}
+	}
+
+	if allocs := testing.AllocsPerRun(100, func() {
+		stgCtx.Stages(1)
+		stgCtx.MergeStages()
+	}); allocs != 0 {
+		t.Fatalf("a one-stage pass allocates %v times, want 0", allocs)
 	}
 }
 

@@ -31,9 +31,9 @@ const (
 	superviseIncEnv    = "AAP_SUPERVISE_INC"
 	superviseAlgoEnv   = "AAP_SUPERVISE_ALGO"
 
-	// superviseTickerRounds paces the link-fault tests: with Latency
-	// stretching each self-message round, the run deterministically
-	// outlives the whole partition schedule.
+	// superviseTickerRounds paces the link-fault tests: with every batch
+	// delayed (Faults.DelayProb 1) stretching each self-message round, the
+	// run deterministically outlives the whole partition schedule.
 	superviseTickerRounds = 300
 )
 
@@ -298,7 +298,7 @@ func TestSupervisedPartitionHealNoRestarts(t *testing.T) {
 	}
 	res, err := core.Run(p, job, core.Options{
 		Mode:       core.AAP,
-		Latency:    3 * time.Millisecond,
+		Faults:     &core.Faults{DelayProb: 1, DelayBy: 3 * time.Millisecond},
 		Timeout:    time.Minute,
 		Checkpoint: core.CheckpointOptions{EveryRounds: 1},
 		Transport:  &topts,
@@ -342,7 +342,7 @@ func TestSupervisedPartitionKillConverges(t *testing.T) {
 	defer timer.Stop()
 	res, err := core.Run(p, job, core.Options{
 		Mode:       core.AAP,
-		Latency:    3 * time.Millisecond,
+		Faults:     &core.Faults{DelayProb: 1, DelayBy: 3 * time.Millisecond},
 		Timeout:    time.Minute,
 		Checkpoint: core.CheckpointOptions{EveryRounds: 1},
 		Transport:  &topts,

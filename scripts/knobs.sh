@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Independently settable values of the root module: the fields of each
-# options struct, the serve.With* options, the SSSP job's Config fields
-# and kernel kinds, and the flag.* definitions of each binary, one line
+# options struct, the serve.With* options, the SSSP job's Config fields,
+# and the flag.* definitions of each binary, one line
 # each and in total. Run from anywhere; a PR that
 # touches an option states its delta as the difference of two runs of
 # this script ("options and flags only go down").
@@ -36,7 +36,6 @@ row "$(fields internal/core/recover.go CheckpointOptions)" core.CheckpointOption
 row "$(fields internal/sim/sim.go Config)" sim.Config
 row "$(src internal/serve | grep -c '^func With')" 'serve.With*'
 row "$(fields internal/algo/sssp/sssp.go Config)" sssp.Config
-row "$(grep -cE '^[[:space:]]+Kernel[A-Z][A-Za-z]*( KernelKind = iota)?$' internal/algo/sssp/sssp.go)" sssp.KernelKind
 for d in cmd/*/; do
 	row "$(src "$d" |
 		grep -oE '\bflag\.[A-Z][A-Za-z0-9]*\(' |
