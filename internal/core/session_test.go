@@ -155,49 +155,88 @@ func TestSessionConcurrentQueriesMatchSerial(t *testing.T) {
 // fragment's range and copy set, and the slot every fragment gives every
 // vertex — is the same before and after concurrent SSSP (one source asked
 // three times, three others once), CC and PageRank queries on one
-// Session, at the default and at forced kernel shard counts.
+// Session, at the default and at forced kernel shard counts, on an
+// undirected and on a directed graph.
+//
+// A directed graph builds its in-side on the first In, which only CC
+// calls: the "before" checksum is taken on a twin built from the same
+// input, so on the Session's own graph the concurrent CC queries, racing
+// SSSP and PageRank, are the first readers. A second twin whose Session
+// runs only SSSP and PageRank must not build its in-side at all.
 func TestSessionSharedPlaneUnchanged(t *testing.T) {
-	p, err := partition.Build(graph.AsUndirected(gen.PowerLaw(600, 5, 2.1, true, 11)), 3, partition.Hash{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := planeChecksum(p)
-	s := core.NewSession(p)
-	opts := core.Options{Mode: core.AAP}
-	var wg sync.WaitGroup
-	errs := make(chan error, 12) // one per query
-	query := func(run func() error) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := run(); err != nil {
-				errs <- err
+	for _, directed := range []bool{false, true} {
+		t.Run(fmt.Sprintf("directed=%v", directed), func(t *testing.T) {
+			build := func() *partition.Partitioned {
+				g := gen.PowerLaw(600, 5, 2.1, true, 11)
+				if !directed {
+					g = graph.AsUndirected(g)
+				}
+				p, err := partition.Build(g, 3, partition.Hash{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return p
 			}
-		}()
-	}
-	for i, src := range []graph.VertexID{0, 0, 0, 1, 7, 40} {
-		query(func() error {
-			_, err := core.Query(s, sssp.JobShards(src, i%3), opts)
-			return err
+			p := build()
+			before := planeChecksum(build())
+			if directed && p.G.InBuilt() {
+				t.Fatal("partitioning built the in-side")
+			}
+			s := core.NewSession(p)
+			opts := core.Options{Mode: core.AAP}
+			var wg sync.WaitGroup
+			errs := make(chan error, 12) // one per query
+			query := func(run func() error) {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					if err := run(); err != nil {
+						errs <- err
+					}
+				}()
+			}
+			for i, src := range []graph.VertexID{0, 0, 0, 1, 7, 40} {
+				query(func() error {
+					_, err := core.Query(s, sssp.JobShards(src, i%3), opts)
+					return err
+				})
+			}
+			for shards := range 3 {
+				query(func() error {
+					_, err := core.Query(s, cc.JobShards(shards), opts)
+					return err
+				})
+				query(func() error {
+					_, err := core.Query(s, pagerank.Job(pagerank.Config{Tol: 1e-6, Shards: shards}), opts)
+					return err
+				})
+			}
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				t.Fatal(err)
+			}
+			if after := planeChecksum(p); after != before {
+				t.Fatalf("shared plane checksum %#x before the queries, %#x after", before, after)
+			}
+			if !directed {
+				return
+			}
+
+			q := build()
+			sq := core.NewSession(q)
+			for shards := range 3 {
+				if _, err := core.Query(sq, sssp.JobShards(0, shards), opts); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := core.Query(sq, pagerank.Job(pagerank.Config{Tol: 1e-6, Shards: shards}), opts); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if q.G.InBuilt() {
+				t.Fatal("a Session that ran only SSSP and PageRank built its in-side")
+			}
 		})
-	}
-	for shards := range 3 {
-		query(func() error {
-			_, err := core.Query(s, cc.JobShards(shards), opts)
-			return err
-		})
-		query(func() error {
-			_, err := core.Query(s, pagerank.Job(pagerank.Config{Tol: 1e-6, Shards: shards}), opts)
-			return err
-		})
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	if after := planeChecksum(p); after != before {
-		t.Fatalf("shared plane checksum %#x before the queries, %#x after", before, after)
 	}
 }
 

@@ -1,13 +1,19 @@
 // Package graph provides the immutable in-memory graph substrate used by
 // every engine in this repository: a compressed sparse row (CSR)
-// representation with both out- and in-adjacency, optional edge weights,
-// and stable external vertex identifiers.
+// representation with out- and in-adjacency, optional edge weights on
+// the out-side, and stable external vertex identifiers.
 //
-// Graphs are constructed through a Builder and immutable afterwards, so
-// they can be shared freely across workers without locks.
+// Graphs are constructed through a Builder and immutable afterwards,
+// apart from a directed graph's in-side, which the first In or InDegree
+// builds once; it is safe for concurrent readers, so graphs can be
+// shared freely across workers without locks.
 package graph
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+	"sync/atomic"
+)
 
 // VertexID is the external (application-level) identifier of a vertex.
 // Internally vertices are dense int32 indexes in [0, NumVertices).
@@ -23,7 +29,11 @@ type Edge struct {
 // Graph is an immutable directed or undirected graph in CSR form.
 //
 // For undirected graphs every edge appears in the out-adjacency of both
-// endpoints, and the in-adjacency aliases the out-adjacency.
+// endpoints, and the in-adjacency aliases the out-adjacency. A directed
+// graph stores only its out-adjacency until the first In or InDegree
+// transposes it into the in-adjacency, once, safe for concurrent callers;
+// jobs that push along out-edges never pay for it. A Graph must not be
+// copied.
 type Graph struct {
 	directed bool
 
@@ -40,9 +50,10 @@ type Graph struct {
 	outDst []int32   // len m (directed) or 2m (undirected)
 	outW   []float64 // parallel to outDst; nil when unweighted
 
-	inOff []int64
-	inSrc []int32
-	inW   []float64
+	// in is the in-side (no weights), nil on a directed graph until the
+	// first In or InDegree builds it under inOnce.
+	in     atomic.Pointer[adjacency]
+	inOnce sync.Once
 
 	numEdges int64 // logical edge count (undirected edges counted once)
 }
@@ -86,8 +97,45 @@ func (g *Graph) OutSpan(lo, hi int32) int64 { return g.outOff[hi] - g.outOff[lo]
 // graph (border computation, future analytics) need under skew.
 func (g *Graph) OutShards(p int) []int32 { return vertexShardsByWork(g.outOff, p) }
 
-// InDegree returns the in-degree of internal vertex v.
-func (g *Graph) InDegree(v int32) int { return int(g.inOff[v+1] - g.inOff[v]) }
+// adjacency is one unweighted CSR side.
+type adjacency struct {
+	off []int64
+	adj []int32
+}
+
+// inSide returns the in-side, building it on the first call.
+func (g *Graph) inSide() *adjacency {
+	if a := g.in.Load(); a != nil {
+		return a
+	}
+	return g.buildIn()
+}
+
+// buildIn aliases the out-side of an undirected graph, or transposes the
+// out-side of a directed one (transposeCSR in ingest.go); concurrent
+// callers wait for the one build.
+func (g *Graph) buildIn() *adjacency {
+	g.inOnce.Do(func() {
+		a := &adjacency{off: g.outOff, adj: g.outDst}
+		if g.directed {
+			a.off, a.adj, _ = transposeCSR(g.outOff, g.outDst, nil)
+		}
+		g.in.Store(a)
+	})
+	return g.in.Load()
+}
+
+// InBuilt reports whether the graph holds its in-side: always for an
+// undirected graph, whose in-side is its out-side, and for a directed
+// graph once In or InDegree has been called on it.
+func (g *Graph) InBuilt() bool { return !g.directed || g.in.Load() != nil }
+
+// InDegree returns the in-degree of internal vertex v. On a directed
+// graph the first call builds the in-side.
+func (g *Graph) InDegree(v int32) int {
+	in := g.inSide()
+	return int(in.off[v+1] - in.off[v])
+}
 
 // Out returns the out-neighbors of v. The returned slice aliases internal
 // storage and must not be modified.
@@ -102,17 +150,13 @@ func (g *Graph) OutWeights(v int32) []float64 {
 	return g.outW[g.outOff[v]:g.outOff[v+1]]
 }
 
-// In returns the in-neighbors of v. For undirected graphs In(v) equals
-// Out(v).
-func (g *Graph) In(v int32) []int32 { return g.inSrc[g.inOff[v]:g.inOff[v+1]] }
-
-// InWeights returns the weights parallel to In(v); nil for unweighted
-// graphs.
-func (g *Graph) InWeights(v int32) []float64 {
-	if g.inW == nil {
-		return nil
-	}
-	return g.inW[g.inOff[v]:g.inOff[v+1]]
+// In returns the in-neighbors of v, ascending, parallel edges in input
+// order. For undirected graphs In(v) equals Out(v); on a directed graph
+// the first call builds the in-side. The returned slice aliases internal
+// storage and must not be modified.
+func (g *Graph) In(v int32) []int32 {
+	in := g.inSide()
+	return in.adj[in.off[v]:in.off[v+1]]
 }
 
 // Edges calls fn for every logical edge with internal endpoints. For
@@ -296,11 +340,6 @@ func buildGraph(directed bool, ids []VertexID, index idTable, srcs, dsts []int32
 	n := len(ids)
 	g := &Graph{directed: directed, ids: ids, index: index, numEdges: int64(len(srcs))}
 	g.outOff, g.outDst, g.outW = scatterCSR(n, srcs, dsts, ws, !directed)
-	if directed {
-		g.inOff, g.inSrc, g.inW = scatterCSR(n, dsts, srcs, ws, false)
-	} else {
-		g.inOff, g.inSrc, g.inW = g.outOff, g.outDst, g.outW
-	}
 	return g
 }
 
@@ -308,8 +347,9 @@ func buildGraph(directed bool, ids []VertexID, index idTable, srcs, dsts []int32
 // undirected graph over the same vertices with one undirected edge per
 // directed edge of g. Connectivity algorithms use it to work on the
 // underlying undirected graph. The undirected rows are produced by
-// merging the already-sorted out- and in-rows (symmetrize in ingest.go):
-// O(n+m) with no Builder and no id-table operations.
+// merging the already-sorted out-rows with a transient weighted
+// transpose of them (symmetrize in ingest.go): O(n+m) with no Builder,
+// no id-table operations, and nothing built on g.
 func AsUndirected(g *Graph) *Graph {
 	if !g.directed {
 		return g
@@ -322,7 +362,6 @@ func AsUndirected(g *Graph) *Graph {
 		numEdges:  g.numEdges,
 	}
 	ng.outOff, ng.outDst, ng.outW = symmetrize(g)
-	ng.inOff, ng.inSrc, ng.inW = ng.outOff, ng.outDst, ng.outW
 	return ng
 }
 
@@ -331,9 +370,10 @@ func AsUndirected(g *Graph) *Graph {
 // follow their vertices. Relabel is used by partitioners to make each
 // fragment a contiguous index range.
 //
-// The CSR arrays are permuted directly (permuteCSR in ingest.go) and the
+// The out-side is permuted directly (permuteCSR in ingest.go) and the
 // id table is shared with g, composing permutations in baseToCur — an
-// O(n+m) array pass that rebuilds nothing and resolves no id.
+// O(n+m) array pass that rebuilds nothing and resolves no id. A directed
+// copy builds its own in-side on first use, like any directed graph.
 func Relabel(g *Graph, perm []int32) (*Graph, error) {
 	n := g.NumVertices()
 	if err := checkPerm(perm, n); err != nil {
@@ -357,11 +397,6 @@ func Relabel(g *Graph, perm []int32) (*Graph, error) {
 		}
 	}
 	ng.outOff, ng.outDst, ng.outW = permuteCSR(g.outOff, g.outDst, g.outW, perm)
-	if g.directed {
-		ng.inOff, ng.inSrc, ng.inW = permuteCSR(g.inOff, g.inSrc, g.inW, perm)
-	} else {
-		ng.inOff, ng.inSrc, ng.inW = ng.outOff, ng.outDst, ng.outW
-	}
 	return ng, nil
 }
 

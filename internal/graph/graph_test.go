@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -295,5 +296,53 @@ func TestEmptyEdgeList(t *testing.T) {
 	}
 	if g.NumVertices() != 0 {
 		t.Error("empty input should give empty graph")
+	}
+}
+
+// TestWriteEdgeListDirectedIsolated: writing a directed graph finds its
+// isolated vertices without building its in-side — a vertex with only
+// in-edges is not isolated, one with no edges is — and the file round
+// trips them.
+func TestWriteEdgeListDirectedIsolated(t *testing.T) {
+	b := graph.NewBuilder(true)
+	b.AddVertex(5) // isolated
+	b.AddEdge(1, 2)
+	b.AddEdge(3, 2) // 2 has only in-edges
+	b.AddVertex(8)  // isolated
+	b.AddEdge(4, 4) // self-loop only
+	g := b.Build()
+
+	var buf bytes.Buffer
+	if err := graph.WriteEdgeList(&buf, g); err != nil {
+		t.Fatal(err)
+	}
+	if g.InBuilt() {
+		t.Fatal("WriteEdgeList built the directed graph's in-side")
+	}
+	var isolated []string
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if strings.HasPrefix(line, "v ") {
+			isolated = append(isolated, line)
+		}
+	}
+	if !reflect.DeepEqual(isolated, []string{"v 5", "v 8"}) {
+		t.Fatalf("isolated-vertex lines %q, want [v 5 v 8]", isolated)
+	}
+	g2, err := graph.ReadEdgeList(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g2.NumVertices() != g.NumVertices() || g2.NumEdges() != g.NumEdges() {
+		t.Fatalf("round trip size: %d/%d vs %d/%d", g2.NumVertices(), g2.NumEdges(), g.NumVertices(), g.NumEdges())
+	}
+	for v := int32(0); v < int32(g.NumVertices()); v++ {
+		v2, ok := g2.IndexOf(g.IDOf(v))
+		if !ok {
+			t.Fatalf("vertex %d lost", g.IDOf(v))
+		}
+		if g2.OutDegree(v2) != g.OutDegree(v) || g2.InDegree(v2) != g.InDegree(v) {
+			t.Fatalf("vertex %d: degrees %d/%d after the round trip, want %d/%d",
+				g.IDOf(v), g2.OutDegree(v2), g2.InDegree(v2), g.OutDegree(v), g.InDegree(v))
+		}
 	}
 }

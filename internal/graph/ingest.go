@@ -1,14 +1,16 @@
 // Parallel ingest pipeline: multicore CSR construction, zero-rebuild
-// relabeling, and direct symmetrization.
+// relabeling, direct symmetrization, and the sort-free transpose that
+// builds a directed graph's in-side on first use.
 //
-// The three entry points (Builder.Build, Relabel, AsUndirected) share a
-// small toolbox: contiguous edge shards with per-shard counters feeding a
-// deterministic scatter, vertex shards balanced by edge work, and a
-// stable per-row sorter with monomorphic insertion and LSD-radix fast
-// paths. Everything is dense-array work — no maps anywhere on the path —
-// and every stage produces output bit-identical to the retained
-// sequential references in ingest_ref.go: same vertex order, same
-// adjacency order (ascending neighbor, parallel edges in input order).
+// The entry points (Builder.Build, Relabel, AsUndirected, the in-side
+// build) share a small toolbox: edge or vertex shards with per-shard
+// counters feeding a deterministic scatter, vertex shards balanced by
+// edge work, and a stable per-row sorter with monomorphic insertion and
+// LSD-radix fast paths. Everything is dense-array work — no maps
+// anywhere on the path — and every stage produces output bit-identical
+// to the retained sequential references in ingest_ref.go: same vertex
+// order, same adjacency order (ascending neighbor, parallel edges in
+// input order).
 package graph
 
 import (
@@ -23,7 +25,7 @@ import (
 const ingestShardEdges = 1 << 15
 
 // countStripeBudget bounds the transient per-worker degree-count stripes
-// of scatterCSR (4 bytes per vertex per worker), so many-core machines
+// of stripedOffsets (4 bytes per vertex per worker), so many-core machines
 // with very large vertex counts don't allocate stripes bigger than the
 // CSR arrays they are building.
 const countStripeBudget = 256 << 20
@@ -57,45 +59,31 @@ func vertexShardsByWork(off []int64, p int) []int32 {
 	return b
 }
 
-// scatterCSR builds one CSR side — offsets, adjacency, parallel weights —
-// for n vertices from m edges key[i] → val[i]. When mirror is true every
-// key ≠ val edge is also emitted reversed (the undirected storage
-// convention; self-loops stay single). ws may be nil for unweighted
-// graphs. Rows come out stable-sorted: ascending neighbor index, parallel
-// edges in input order.
-//
-// The scatter is deterministic under any worker count: each worker owns a
-// contiguous edge shard and a private per-vertex cursor stripe, and the
-// cursor stripes are pre-offset so shard w's entries land after shard
-// w-1's within every row — exactly the sequential emission order.
-func scatterCSR(n int, keys, vals []int32, ws []float64, mirror bool) ([]int64, []int32, []float64) {
-	m := len(keys)
+// stripeProcs picks the worker count of a striped count/scatter over n
+// rows and m entries. The count stripes are transient O(sp·n) memory;
+// the fan-out is capped so they never dwarf the CSR output on many-core
+// machines with huge vertex counts.
+func stripeProcs(n, m int) int {
 	sp := ingestProcs(m)
-	// The count stripes are transient O(sp·n) memory; cap the
-	// counting/scatter fan-out so they never dwarf the CSR output on
-	// many-core machines with huge vertex counts. Row sorting below is
-	// stripe-free and keeps the full worker count.
 	if n > 0 {
 		if lim := countStripeBudget / 4 / n; sp > lim {
-			sp = lim
-			if sp < 1 {
-				sp = 1
-			}
+			sp = max(lim, 1)
 		}
 	}
-	eb := edgeShards(m, sp)
+	return sp
+}
 
-	// Per-shard degree counting into private stripes.
+// stripedOffsets is the count and prefix half of a striped scatter into
+// n rows by sp shards. count(w, c) adds shard w's entries of each row
+// to its private stripe c; stripedOffsets then turns every stripe entry
+// into the shard's cursor within the row and returns the cursors (shard
+// w's stripe is cursors[w*n:(w+1)*n]) and the row offsets. A scatter
+// that places shard w's entries at off[row] + cursor puts them after
+// shard w-1's within every row — exactly the sequential emission order,
+// under any worker count.
+func stripedOffsets(n, sp int, count func(w int, c []int32)) ([]int32, []int64) {
 	counts := make([]int32, sp*n)
-	par.Do(sp, func(w int) {
-		c := counts[w*n : (w+1)*n]
-		for i := eb[w]; i < eb[w+1]; i++ {
-			c[keys[i]]++
-			if mirror && keys[i] != vals[i] {
-				c[vals[i]]++
-			}
-		}
-	})
+	par.Do(sp, func(w int) { count(w, counts[w*n:(w+1)*n]) })
 
 	// Offsets: per-vertex exclusive scan across shards (turning each
 	// stripe entry into the shard's start within the row), then a
@@ -131,6 +119,31 @@ func scatterCSR(n int, keys, vals []int32, ws []float64, mirror bool) ([]int64, 
 			off[v+1] = run
 		}
 	})
+	return counts, off
+}
+
+// scatterCSR builds one CSR side — offsets, adjacency, parallel weights —
+// for n vertices from m edges key[i] → val[i]. When mirror is true every
+// key ≠ val edge is also emitted reversed (the undirected storage
+// convention; self-loops stay single). ws may be nil for unweighted
+// graphs. Rows come out stable-sorted: ascending neighbor index, parallel
+// edges in input order.
+//
+// Each worker owns a contiguous edge shard and a private cursor stripe
+// (stripedOffsets), so the scatter is deterministic; the rows are then
+// sorted.
+func scatterCSR(n int, keys, vals []int32, ws []float64, mirror bool) ([]int64, []int32, []float64) {
+	m := len(keys)
+	sp := stripeProcs(n, m)
+	eb := edgeShards(m, sp)
+	counts, off := stripedOffsets(n, sp, func(w int, c []int32) {
+		for i := eb[w]; i < eb[w+1]; i++ {
+			c[keys[i]]++
+			if mirror && keys[i] != vals[i] {
+				c[vals[i]]++
+			}
+		}
+	})
 
 	// Scatter: each worker walks its edge shard in order, placing entries
 	// at off[v] + stripe cursor.
@@ -163,6 +176,44 @@ func scatterCSR(n int, keys, vals []int32, ws []float64, mirror bool) ([]int64, 
 
 	sortRows(off, adj, wgt, ingestProcs(m))
 	return off, adj, wgt
+}
+
+// transposeCSR builds the reverse of one CSR side: row u of the result
+// lists every v whose row holds u, with w's weights parallel (w may be
+// nil). Each worker owns a vertex range balanced by edge span and walks
+// its rows in order through a private cursor stripe (stripedOffsets), so
+// sources land in every row ascending and a row's parallel edges keep
+// their order in the source row — sorted rows, with no row sort. Over a
+// stable-sorted side that is the sorted reverse side bit for bit.
+func transposeCSR(off []int64, adj []int32, w []float64) ([]int64, []int32, []float64) {
+	n := len(off) - 1
+	sp := stripeProcs(n, len(adj))
+	vb := vertexShardsByWork(off, sp)
+	counts, toff := stripedOffsets(n, sp, func(s int, c []int32) {
+		for _, u := range adj[off[vb[s]]:off[vb[s+1]]] {
+			c[u]++
+		}
+	})
+	tadj := make([]int32, len(adj))
+	var tw []float64
+	if w != nil {
+		tw = make([]float64, len(adj))
+	}
+	par.Do(sp, func(s int) {
+		cur := counts[s*n : (s+1)*n]
+		for v := vb[s]; v < vb[s+1]; v++ {
+			for i := off[v]; i < off[v+1]; i++ {
+				u := adj[i]
+				pos := toff[u] + int64(cur[u])
+				cur[u]++
+				tadj[pos] = v
+				if tw != nil {
+					tw[pos] = w[i]
+				}
+			}
+		}
+	})
+	return toff, tadj, tw
 }
 
 // sortRows stable-sorts every adjacency row by neighbor index, in
@@ -351,13 +402,16 @@ func permuteCSR(off []int64, adj []int32, w []float64, perm []int32) ([]int64, [
 }
 
 // symmetrize builds the undirected CSR of a directed graph in O(n+m):
-// row v is the sorted merge of Out(v) and In(v), with self-loops stored
-// once. Both inputs are stable-sorted, so the merge resolves equal
-// neighbors to the order the Builder-based reference produces — edges
-// sorted by source index — without any comparison sort.
+// row v is the sorted merge of Out(v) and the in-row of v, with
+// self-loops stored once. The in-rows come from a transient weighted
+// transpose of the out-side (the stored in-side has no weights). Both
+// inputs are stable-sorted, so the merge resolves equal neighbors to the
+// order the Builder-based reference produces — edges sorted by source
+// index — without any comparison sort.
 func symmetrize(g *Graph) ([]int64, []int32, []float64) {
 	n := len(g.ids)
-	p := ingestProcs(len(g.outDst) + len(g.inSrc))
+	inOff, inSrc, inW := transposeCSR(g.outOff, g.outDst, g.outW)
+	p := ingestProcs(2 * len(g.outDst))
 	noff := make([]int64, n+1)
 
 	// Row lengths: outdeg + indeg − self-loop count (each directed
@@ -374,7 +428,7 @@ func symmetrize(g *Graph) ([]int64, []int32, []float64) {
 			for i+self < len(row) && row[i+self] == v {
 				self++
 			}
-			noff[v+1] = (g.outOff[v+1] - g.outOff[v]) + (g.inOff[v+1] - g.inOff[v]) - int64(self)
+			noff[v+1] = (g.outOff[v+1] - g.outOff[v]) + (inOff[v+1] - inOff[v]) - int64(self)
 		}
 	})
 	for v := 0; v < n; v++ {
@@ -390,11 +444,11 @@ func symmetrize(g *Graph) ([]int64, []int32, []float64) {
 	par.Do(p, func(worker int) {
 		for v := mb[worker]; v < mb[worker+1]; v++ {
 			out := g.outDst[g.outOff[v]:g.outOff[v+1]]
-			in := g.inSrc[g.inOff[v]:g.inOff[v+1]]
+			in := inSrc[inOff[v]:inOff[v+1]]
 			var outw, inw []float64
 			if nw != nil {
 				outw = g.outW[g.outOff[v]:g.outOff[v+1]]
-				inw = g.inW[g.inOff[v]:g.inOff[v+1]]
+				inw = inW[inOff[v]:inOff[v+1]]
 			}
 			pos := noff[v]
 			i, j := 0, 0

@@ -63,6 +63,8 @@ func (b *Builder) buildRef() *Graph {
 	sortAdjacencyRef(g.outOff, g.outDst, g.outW, n)
 
 	if b.directed {
+		// In-adjacency, unweighted like the stored in-side, installed
+		// before anyone can ask for it so the lazy build never runs.
 		inDeg := make([]int64, n+1)
 		for i := 0; i < m; i++ {
 			inDeg[b.dsts[i]+1]++
@@ -70,24 +72,16 @@ func (b *Builder) buildRef() *Graph {
 		for i := 0; i < n; i++ {
 			inDeg[i+1] += inDeg[i]
 		}
-		g.inOff = inDeg
-		g.inSrc = make([]int32, m)
-		if b.weighted {
-			g.inW = make([]float64, m)
-		}
-		copy(cursor, g.inOff[:n])
+		in := &adjacency{off: inDeg, adj: make([]int32, m)}
+		copy(cursor, in.off[:n])
 		for i := 0; i < m; i++ {
 			d := b.dsts[i]
 			p := cursor[d]
 			cursor[d]++
-			g.inSrc[p] = b.srcs[i]
-			if g.inW != nil {
-				g.inW[p] = b.ws[i]
-			}
+			in.adj[p] = b.srcs[i]
 		}
-		sortAdjacencyRef(g.inOff, g.inSrc, g.inW, n)
-	} else {
-		g.inOff, g.inSrc, g.inW = g.outOff, g.outDst, g.outW
+		sortAdjacencyRef(in.off, in.adj, nil, n)
+		g.in.Store(in)
 	}
 	return g
 }

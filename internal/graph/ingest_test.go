@@ -3,6 +3,8 @@ package graph
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 
 	"aap/internal/par"
@@ -55,7 +57,8 @@ func randomBuilder(rng *rand.Rand, directed, weighted bool, n, m int) *Builder {
 }
 
 // equalGraphs fails the test unless got and want are bit-identical: same
-// flags, same vertex order, same CSR arrays, same id resolution.
+// flags, same vertex order, same CSR arrays (the in-side built under the
+// current shard count), same id resolution.
 func equalGraphs(t *testing.T, tag string, got, want *Graph) {
 	t.Helper()
 	if got.directed != want.directed || got.numEdges != want.numEdges {
@@ -116,9 +119,10 @@ func equalGraphs(t *testing.T, tag string, got, want *Graph) {
 	eqOff("outOff", got.outOff, want.outOff)
 	eqAdj("outDst", got.outDst, want.outDst)
 	eqW("outW", got.outW, want.outW)
-	eqOff("inOff", got.inOff, want.inOff)
-	eqAdj("inSrc", got.inSrc, want.inSrc)
-	eqW("inW", got.inW, want.inW)
+	// The in-side is built on first use: force it on both graphs.
+	gotIn, wantIn := got.inSide(), want.inSide()
+	eqOff("inOff", gotIn.off, wantIn.off)
+	eqAdj("inSrc", gotIn.adj, wantIn.adj)
 }
 
 // shardCounts is the worker-count axis of every differential test: the
@@ -265,4 +269,59 @@ func TestRelabelSharesIndex(t *testing.T) {
 
 func tagOf(kind string, procs int, seed int64) string {
 	return fmt.Sprintf("%s/procs=%d/seed=%d", kind, procs, seed)
+}
+
+// TestInSideConcurrentFirstUse: eight goroutines ask a fresh relabeled
+// directed graph for its in-side at once, through In and InDegree. The
+// one build they share must equal the reference in-side, row by row, for
+// every caller (run under -race, this is also the check that the
+// once-built in-side publishes safely).
+func TestInSideConcurrentFirstUse(t *testing.T) {
+	for _, procs := range shardCounts {
+		rng := rand.New(rand.NewSource(int64(procs)))
+		n := 500
+		g := randomBuilder(rng, true, true, n, 4000).Build()
+		perm := make([]int32, n)
+		for i, p := range rand.New(rand.NewSource(7)).Perm(n) {
+			perm[i] = int32(p)
+		}
+		want, err := relabelRef(g, perm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantIn := want.inSide()
+		forceShards(t, procs)
+		got, err := Relabel(g, perm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.InBuilt() {
+			t.Fatal("Relabel built the in-side")
+		}
+		var wg sync.WaitGroup
+		errs := make(chan string, 8)
+		for c := 0; c < 8; c++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for k := 0; k < n; k++ {
+					v := int32((k + c*n/8) % n) // callers start at different rows
+					row := wantIn.adj[wantIn.off[v]:wantIn.off[v+1]]
+					if c%2 == 0 && got.InDegree(v) != len(row) {
+						errs <- fmt.Sprintf("caller %d: InDegree(%d) = %d, want %d", c, v, got.InDegree(v), len(row))
+						return
+					}
+					if !slices.Equal(got.In(v), row) {
+						errs <- fmt.Sprintf("caller %d: In(%d) = %v, want %v", c, v, got.In(v), row)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		close(errs)
+		for e := range errs {
+			t.Fatalf("procs=%d: %s", procs, e)
+		}
+	}
 }

@@ -43,7 +43,11 @@ func WriteEdgeList(w io.Writer, g *Graph) error {
 		return err
 	}
 	var err error
+	// hasIn marks every edge head, so isolated vertices are found without
+	// building a directed graph's in-side: n/8 bytes instead of 8n + 4m.
+	hasIn := make([]uint64, (g.NumVertices()+63)/64)
 	g.Edges(func(src, dst int32, wt float64) {
+		hasIn[dst>>6] |= 1 << (dst & 63)
 		if err != nil {
 			return
 		}
@@ -60,10 +64,11 @@ func WriteEdgeList(w io.Writer, g *Graph) error {
 	if err != nil {
 		return err
 	}
-	// Isolated vertices: no incident edges in either direction. The CSR
-	// offsets answer that in O(1) per vertex, no edge sweep needed.
+	// Isolated vertices: no incident edges in either direction. On an
+	// undirected graph every endpoint has out-edges, so hasIn matters
+	// only for the heads of directed edges.
 	for v := int32(0); v < int32(g.NumVertices()); v++ {
-		if g.OutDegree(v) == 0 && g.InDegree(v) == 0 {
+		if g.OutDegree(v) == 0 && hasIn[v>>6]&(1<<(v&63)) == 0 {
 			buf = append(buf[:0], 'v', ' ')
 			buf = strconv.AppendInt(buf, int64(g.IDOf(v)), 10)
 			buf = append(buf, '\n')

@@ -419,7 +419,9 @@ func TestPow10InvTable(t *testing.T) {
 // scaling bug: every stream window sized its chunk buffers from the
 // whole file's n=/m=, so a multi-window load churned several times what
 // it kept. The load's total allocation must stay within a small multiple
-// of the parsed representation.
+// of what the loaded graph holds: ids, the dense id table and the
+// weighted out-side, since a directed graph builds its in-side only when
+// asked.
 func TestReadEdgeListAllocProportional(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	n, m := 10_000, 120_000
@@ -446,12 +448,17 @@ func TestReadEdgeListAllocProportional(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parsed := 8*len(g.ids) + 4*len(g.index.dense) +
-		8*(len(g.outOff)+len(g.inOff)) + 4*(len(g.outDst)+len(g.inSrc)) + 8*(len(g.outW)+len(g.inW))
+	if g.InBuilt() {
+		t.Fatal("loading a directed graph built its in-side")
+	}
+	parsed := 8*len(g.ids) + 4*len(g.index.dense) + 8*len(g.outOff) + 4*len(g.outDst) + 8*len(g.outW)
 	got := after.TotalAlloc - before.TotalAlloc
 	t.Logf("load allocated %d bytes for a %d-byte graph (%.1fx)", got, parsed, float64(got)/float64(parsed))
-	if got > 4*uint64(parsed) {
-		t.Fatalf("load allocated %d bytes for a %d-byte graph (%.1fx, want <= 4x)", got, parsed, float64(got)/float64(parsed))
+	// The load measures 4.1x: the chunk buffers and the 16-byte-per-edge
+	// edge list the scatter reads are transient beside a 12-byte-per-edge
+	// graph. 4.5x fails once the load allocates a tenth more.
+	if got*2 > 9*uint64(parsed) {
+		t.Fatalf("load allocated %d bytes for a %d-byte graph (%.1fx, want <= 4.5x)", got, parsed, float64(got)/float64(parsed))
 	}
 }
 

@@ -148,7 +148,8 @@ func (f *Fragment) MeanOutWeight() float64 {
 // Partitioned across concurrently executing queries with no locking:
 // per-query state lives entirely in the engine's vertex arenas, never
 // here. (Fragment.MeanOutWeight memoizes a value derived from that
-// read-only state behind a sync.Once, which keeps the contract.) Anything that wants different fragments (Relabel, a different
+// read-only state behind a sync.Once, and so does a directed graph's
+// in-side, built by its first In; both keep the contract.) Anything that wants different fragments (Relabel, a different
 // m) builds a new Partitioned.
 type Partitioned struct {
 	G      *graph.Graph
