@@ -121,6 +121,10 @@ type program struct {
 	f   *partition.Fragment
 	g   *graph.Graph
 	cfg Config
+	// in is F.I: the owned products with a remote copy, each shipped to
+	// its holders every round. The partition does not store it, so it is
+	// derived once per program.
+	in []int32
 
 	factor [][]float64 // per local slot
 	weight []float64   // ratings incident to the slot locally
@@ -138,7 +142,7 @@ type program struct {
 
 func newProgram(f *partition.Fragment, cfg Config) *program {
 	n := f.Slots()
-	p := &program{f: f, g: f.Graph(), cfg: cfg,
+	p := &program{f: f, g: f.Graph(), cfg: cfg, in: f.InBorder(),
 		factor: make([][]float64, n),
 		weight: make([]float64, n),
 	}
@@ -173,7 +177,7 @@ func newProgram(f *partition.Fragment, cfg Config) *program {
 // convergence, which is the complete answer Q(F) the PIE model expects.
 func (p *program) PEval(ctx *core.Context[Val]) {
 	p.epoch(ctx)
-	if len(p.f.Out) == 0 && len(p.f.In) == 0 {
+	if len(p.f.Out) == 0 && len(p.in) == 0 {
 		for !p.converged && p.epochs < p.cfg.Epochs {
 			p.epoch(ctx)
 		}
@@ -271,7 +275,7 @@ func (p *program) ship(ctx *core.Context[Val]) {
 	par.Do(k, p.shipCopies)
 	ctx.MergeStages()
 	// Owned products with remote copies broadcast their canonical value.
-	for _, v := range p.f.In {
+	for _, v := range p.in {
 		s := p.f.Slot(v)
 		if p.factor[s] == nil {
 			continue

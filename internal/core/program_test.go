@@ -49,19 +49,16 @@ func TestContextSendRoutesToOwner(t *testing.T) {
 	}
 }
 
+// TestContextSendToHolders: an owner's value reaches exactly the
+// fragments with an edge into v, each holding a copy of it.
 func TestContextSendToHolders(t *testing.T) {
 	p := buildPartition(t, 4)
-	// Find an owned vertex with remote copies.
+	// Find an owned vertex with remote copies: the first of any F.I.
 	var frag *partition.Fragment
 	var v int32 = -1
 	for _, f := range p.Frags {
-		for _, u := range f.In {
-			if len(p.Holders(u)) > 0 {
-				frag, v = f, u
-				break
-			}
-		}
-		if v >= 0 {
+		if in := f.InBorder(); len(in) > 0 {
+			frag, v = f, in[0]
 			break
 		}
 	}
@@ -72,9 +69,11 @@ func TestContextSendToHolders(t *testing.T) {
 	ctx.SendToHolders(v, 2.5)
 	out, _ := ctx.TakeOut()
 	want := map[int32]bool{}
-	for _, h := range p.Holders(v) {
-		if int(h) != frag.ID {
-			want[h] = true
+	for u := int32(0); u < int32(p.G.NumVertices()); u++ {
+		for _, w := range p.G.Out(u) {
+			if w == v && p.Owner(u) != frag.ID {
+				want[int32(p.Owner(u))] = true
+			}
 		}
 	}
 	got := map[int32]bool{}

@@ -10,13 +10,12 @@ import (
 
 // Session is the resident half of the serving plane: it owns the shared
 // read-only state of a loaded graph — the partitioned fragments, their
-// CSR rows, slot tables, border sets and routing index — and executes
-// any number of queries over it, concurrently or in sequence. The state
-// split is strict:
+// CSR rows, F.O sets and the slot tables the routing index is read off —
+// and executes any number of queries over it, concurrently or in
+// sequence. The state split is strict:
 //
 //	shared, immutable   partition.Partitioned (graph CSR, Ranges, owner
-//	                    table, holder index), every Fragment (border
-//	                    sets, slot tables)
+//	                    table), every Fragment (F.O, slot table)
 //	per query           the engine built by Query: Programs and their
 //	                    vertex-state arenas, Contexts, Folders, inboxes,
 //	                    the coordinator, the Result

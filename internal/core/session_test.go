@@ -17,6 +17,7 @@ import (
 	"testing"
 
 	"aap/internal/algo/cc"
+	"aap/internal/algo/cf"
 	"aap/internal/algo/pagerank"
 	"aap/internal/algo/sssp"
 	"aap/internal/core"
@@ -151,12 +152,13 @@ func TestSessionConcurrentQueriesMatchSerial(t *testing.T) {
 
 // TestSessionSharedPlaneUnchanged: queries read a Session's shared plane
 // and never write it. A checksum of everything the plane exports — each
-// vertex's id, out-neighbours, out-weights and in-neighbours, each
-// fragment's range and copy set, and the slot every fragment gives every
-// vertex — is the same before and after concurrent SSSP (one source asked
-// three times, three others once), CC and PageRank queries on one
-// Session, at the default and at forced kernel shard counts, on an
-// undirected and on a directed graph.
+// vertex's id, out-neighbours, out-weights, in-neighbours and owner, each
+// fragment's range and copy set, and the slot and copy slot every
+// fragment gives every vertex — is the same before and after concurrent
+// SSSP (one source asked three times, three others once), CC and
+// PageRank queries on one Session, at the default and at forced kernel
+// shard counts, on an undirected and on a directed graph, and before and
+// after concurrent CF and SSSP queries on a rating graph.
 //
 // A directed graph builds its in-side on the first In, which only CC
 // calls: the "before" checksum is taken on a twin built from the same
@@ -184,38 +186,23 @@ func TestSessionSharedPlaneUnchanged(t *testing.T) {
 			}
 			s := core.NewSession(p)
 			opts := core.Options{Mode: core.AAP}
-			var wg sync.WaitGroup
-			errs := make(chan error, 12) // one per query
-			query := func(run func() error) {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					if err := run(); err != nil {
-						errs <- err
-					}
-				}()
-			}
+			var queries []func() error
 			for i, src := range []graph.VertexID{0, 0, 0, 1, 7, 40} {
-				query(func() error {
+				queries = append(queries, func() error {
 					_, err := core.Query(s, sssp.JobShards(src, i%3), opts)
 					return err
 				})
 			}
 			for shards := range 3 {
-				query(func() error {
+				queries = append(queries, func() error {
 					_, err := core.Query(s, cc.JobShards(shards), opts)
 					return err
-				})
-				query(func() error {
+				}, func() error {
 					_, err := core.Query(s, pagerank.Job(pagerank.Config{Tol: 1e-6, Shards: shards}), opts)
 					return err
 				})
 			}
-			wg.Wait()
-			close(errs)
-			for err := range errs {
-				t.Fatal(err)
-			}
+			queryAtOnce(t, queries)
 			if after := planeChecksum(p); after != before {
 				t.Fatalf("shared plane checksum %#x before the queries, %#x after", before, after)
 			}
@@ -238,9 +225,76 @@ func TestSessionSharedPlaneUnchanged(t *testing.T) {
 			}
 		})
 	}
+
+	// CF is the one reader of F.I and of the routing index I_i, both
+	// derived from the fragments' F.O bitmaps: its queries race SSSP's
+	// on one rating Session.
+	t.Run("bipartite", func(t *testing.T) {
+		const users, products = 300, 60
+		build := func() *partition.Partitioned {
+			// gen.Bipartite's ratings with each rating r stored as 1 + |r|:
+			// SSSP takes positive weights only, CF trains on any.
+			r := gen.Bipartite(users, products, 8, 4, 1.0, 13)
+			b := graph.NewBuilder(true)
+			b.SetWeighted()
+			for v := range users + products {
+				b.AddVertex(graph.VertexID(v))
+			}
+			for _, e := range r.TrainEdges {
+				b.AddWeightedEdge(e.Src, e.Dst, 1+math.Abs(e.Weight))
+			}
+			p, err := partition.Build(b.Build(), 3, partition.Hash{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return p
+		}
+		p := build()
+		before := planeChecksum(build())
+		s := core.NewSession(p)
+		var queries []func() error
+		for shards := range 3 {
+			cfg := cf.Config{Users: users, Products: products, Rank: 4, Epochs: 6, Seed: 5, Shards: shards}
+			queries = append(queries, func() error {
+				_, err := core.Query(s, cf.Job(cfg), core.Options{Mode: core.AAP, Staleness: 4})
+				return err
+			}, func() error {
+				_, err := core.Query(s, sssp.JobShards(graph.VertexID(shards), shards), core.Options{Mode: core.AAP})
+				return err
+			})
+		}
+		queryAtOnce(t, queries)
+		if after := planeChecksum(p); after != before {
+			t.Fatalf("shared plane checksum %#x before the queries, %#x after", before, after)
+		}
+	})
 }
 
-// planeChecksum hashes the shared plane through its exported accessors.
+// queryAtOnce runs every query on its own goroutine at once and fails
+// the test with their errors.
+func queryAtOnce(t *testing.T, queries []func() error) {
+	t.Helper()
+	var wg sync.WaitGroup
+	errs := make(chan error, len(queries))
+	for _, q := range queries {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := q(); err != nil {
+				errs <- err
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+}
+
+// planeChecksum hashes the shared plane through its exported accessors,
+// the routing the partition derives rather than stores included: each
+// vertex's owner and the copy slot, or -1, every fragment gives it.
 func planeChecksum(p *partition.Partitioned) uint64 {
 	h := fnv.New64a()
 	var b [8]byte
@@ -263,6 +317,7 @@ func planeChecksum(p *partition.Partitioned) uint64 {
 			put(math.Float64bits(w))
 		}
 		putAll(g.In(v))
+		put(uint64(p.Owner(v)))
 	}
 	for _, f := range p.Frags {
 		put(uint64(f.Lo))
@@ -270,6 +325,7 @@ func planeChecksum(p *partition.Partitioned) uint64 {
 		putAll(f.Out)
 		for v := int32(0); v < n; v++ {
 			put(uint64(f.Slot(v)))
+			put(uint64(f.OutSlot(v)))
 		}
 	}
 	return h.Sum64()

@@ -65,14 +65,14 @@ func (s *Stage[T]) Send(v int32, val T) {
 
 // SendToHolders ships val to every fragment holding a copy of owned
 // vertex v (the owner-to-copies direction used by collaborative
-// filtering, routed through the index I_i).
+// filtering, routed through the index I_i). I_i is read off the
+// fragments' F.O bitmaps, in ascending fragment id.
 func (s *Stage[T]) SendToHolders(v int32, val T) {
 	c := s.c
-	for _, j := range c.part.Holders(v) {
-		if int(j) == c.frag.ID {
-			continue
+	for j, f := range c.part.Frags {
+		if j != c.frag.ID && f.OutSlot(v) >= 0 {
+			s.push(j, VMsg[T]{V: v, Val: val})
 		}
-		s.push(int(j), VMsg[T]{V: v, Val: val})
 	}
 }
 

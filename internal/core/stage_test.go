@@ -145,13 +145,10 @@ func TestStagedSendVariants(t *testing.T) {
 	seqCtx := newContext[float64](f, p.M, &msgPool[float64]{})
 	stgCtx := newContext[float64](f, p.M, &msgPool[float64]{})
 
-	// A vertex owned by f with remote holders, if any exists.
+	// A vertex owned by f with remote holders (in its F.I), if any exists.
 	var held int32 = -1
-	for v := f.Lo; v < f.Hi; v++ {
-		if len(p.Holders(v)) > 0 {
-			held = v
-			break
-		}
+	if in := f.InBorder(); len(in) > 0 {
+		held = in[0]
 	}
 
 	// Sequential order mirrors the stage assignment below (stage 0's

@@ -1,15 +1,17 @@
 // Border-set computation as a parallel, map-free edge sweep.
 //
-// The former implementation routed every cross-fragment edge through four
-// map[int32]bool inserts; this one sets four bits in per-fragment dense
-// bitsets over the vertex range (idempotent, so the parallel sweep needs
-// only atomic OR, and compaction by ascending scan yields the sorted
-// border slices for free). The map implementation is retained in
-// borders_ref.go and pinned by the differential tests in borders_test.go.
+// Every cross-fragment edge v→u sets one bit: u in the F.O bitset of
+// owner[v]. Setting a bit is idempotent, so the parallel sweep needs only
+// atomic OR, and compaction by ascending scan yields the sorted F.O for
+// free. F.O is the one stored border set: F.I is derived from it by
+// InBorder, and the routing index I_i is read off the fragments' F.O
+// bitmaps. A map-based sweep (borders_ref.go) pins F.O, the derived F.I
+// and the holder walk in the differential tests of borders_test.go.
 package partition
 
 import (
 	"math/bits"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -33,28 +35,15 @@ func parFrags(m int, fn func(i int)) {
 	})
 }
 
-// The four border-set kinds, in fragment-arena order.
-const (
-	kIn = iota
-	kOutPrime
-	kOut
-	kInPrime
-	kinds
-)
-
-// computeBorders fills the four border sets of each fragment from the
-// renumbered graph, assigns F.O copy slots, and builds the CSR holder
-// index.
+// computeBorders fills each fragment's F.O from the renumbered graph and
+// builds its copy-slot table.
 func (p *Partitioned) computeBorders() {
 	n := p.G.NumVertices()
 	words := (n + 63) / 64
-	// One arena holds all 4*M bitsets; fragment i's set of kind k is
-	// arena[(i*kinds+k)*words : ...+words].
-	arena := make([]uint64, kinds*p.M*words)
-	bitset := func(frag, kind int) []uint64 {
-		o := (frag*kinds + kind) * words
-		return arena[o : o+words]
-	}
+	// One arena holds the M F.O bitsets; fragment i's is
+	// arena[i*words : (i+1)*words].
+	arena := make([]uint64, p.M*words)
+	bitset := func(frag int) []uint64 { return arena[frag*words : (frag+1)*words] }
 
 	procs := par.Procs(p.G.OutSpan(0, int32(n)), bordersShardEdges)
 	vb := p.G.OutShards(procs)
@@ -66,36 +55,28 @@ func (p *Partitioned) computeBorders() {
 		p.sweepBorders(vb[w], vb[w+1], arena, words, set)
 	})
 
-	// Popcount pass: per-fragment border sizes. The scan is uniform
-	// (every fragment owns the same 4·words), so fragment-strided
-	// parallelism is already balanced here.
-	cnts := make([]int, kinds*p.M)
+	// Rank pass: each fragment's copy-slot table, whose running base
+	// counts F.O as it goes. The scan is uniform (every fragment owns the
+	// same words), so fragment-strided parallelism is balanced here.
+	cnts := make([]int, p.M)
 	parFrags(p.M, func(i int) {
-		for k := 0; k < kinds; k++ {
-			c := 0
-			for _, w := range bitset(i, k) {
-				c += bits.OnesCount64(w)
-			}
-			cnts[i*kinds+k] = c
-		}
+		f := p.Frags[i]
+		f.copySlots, cnts[i] = newRankWords(bitset(i), int32(f.NumOwned()))
 	})
 
-	// Compact each fragment's bitsets into the sorted border slices and
-	// build its copy-slot table. Compaction cost is dominated by the
-	// border sizes, not the fragment count, so fragments are scheduled
-	// largest-first from a shared counter: a single huge-F.O straggler
-	// starts immediately while the small fragments pack around it,
-	// instead of serializing whatever a fragment-strided split queued
+	// Compact each bitset into the sorted F.O. Compaction cost is
+	// dominated by |F.O|, not the fragment count, so fragments are
+	// scheduled largest-first from a shared counter: a single huge-F.O
+	// straggler starts immediately while the small fragments pack around
+	// it, instead of serializing whatever a fragment-strided split queued
 	// behind it.
-	weight := make([]int, p.M)
 	order := make([]int, p.M)
 	for i := range order {
-		weight[i] = cnts[i*kinds] + cnts[i*kinds+1] + cnts[i*kinds+2] + cnts[i*kinds+3]
 		order[i] = i
 	}
 	sort.Slice(order, func(a, b int) bool {
-		if wa, wb := weight[order[a]], weight[order[b]]; wa != wb {
-			return wa > wb
+		if ca, cb := cnts[order[a]], cnts[order[b]]; ca != cb {
+			return ca > cb
 		}
 		return order[a] < order[b]
 	})
@@ -111,59 +92,49 @@ func (p *Partitioned) computeBorders() {
 				return
 			}
 			i := order[oi]
-			f := p.Frags[i]
-			f.In = collectBitsN(bitset(i, kIn), cnts[i*kinds+kIn])
-			f.OutPrime = collectBitsN(bitset(i, kOutPrime), cnts[i*kinds+kOutPrime])
-			f.Out = collectBitsN(bitset(i, kOut), cnts[i*kinds+kOut])
-			f.InPrime = collectBitsN(bitset(i, kInPrime), cnts[i*kinds+kInPrime])
-			f.copySlots = newRankWords(bitset(i, kOut), int32(f.NumOwned()))
+			p.Frags[i].Out = collectBitsN(bitset(i), cnts[i], 0)
 		}
 	})
-
-	// Holder index: invert the F.O sets into CSR form. Fragments are
-	// visited in ascending id order, so each vertex's holder list comes
-	// out sorted, matching the old append order.
-	hoff := make([]int32, n+1)
-	for _, f := range p.Frags {
-		for _, v := range f.Out {
-			hoff[v+1]++
-		}
-	}
-	for v := 0; v < n; v++ {
-		hoff[v+1] += hoff[v]
-	}
-	hdat := make([]int32, hoff[n])
-	cursor := append([]int32(nil), hoff[:n]...)
-	for i, f := range p.Frags {
-		for _, v := range f.Out {
-			hdat[cursor[v]] = int32(i)
-			cursor[v]++
-		}
-	}
-	p.holderOff, p.holderDat = hoff, hdat
 }
 
-// sweepBorders marks the border bits induced by out-edges of vertices in
+// sweepBorders marks the F.O bits induced by out-edges of vertices in
 // [lo, hi). set is setBit for the single-worker sweep and setBitAtomic
 // for the shared-arena parallel sweep; bit-setting is idempotent and
 // commutative, so the parallel result is schedule-independent.
 func (p *Partitioned) sweepBorders(lo, hi int32, arena []uint64, words int, set func([]uint64, int32)) {
 	for v := lo; v < hi; v++ {
 		fv := p.owner[v]
+		o := int(fv) * words
 		for _, u := range p.G.Out(v) {
-			fu := p.owner[u]
-			if fu == fv {
-				continue
+			if p.owner[u] != fv {
+				set(arena[o:o+words], u) // v→u crosses fragments: u in F.O of fv
 			}
-			// Edge v->u crosses fragments fv -> fu.
-			fvo := int(fv) * kinds * words
-			fuo := int(fu) * kinds * words
-			set(arena[fvo+kOutPrime*words:fvo+(kOutPrime+1)*words], v)
-			set(arena[fvo+kOut*words:fvo+(kOut+1)*words], u)
-			set(arena[fuo+kIn*words:fuo+(kIn+1)*words], u)
-			set(arena[fuo+kInPrime*words:fuo+(kInPrime+1)*words], v)
 		}
 	}
+}
+
+// InBorder derives F.I, the owned vertices with an incoming edge from
+// another fragment, from the stored F.O sets: u is in F.I of its owner
+// exactly when some other fragment holds a copy of it. Each F.O_j is
+// sorted, so F.O_j ∩ [Lo, Hi) is one contiguous run found by two binary
+// searches; the runs are merged ascending without duplicates through a
+// bitset over the owned range. The result is built on every call and
+// not kept.
+func (f *Fragment) InBorder() []int32 {
+	in := make([]uint64, (f.NumOwned()+63)/64)
+	cnt := 0
+	for _, g := range f.p.Frags {
+		lo, _ := slices.BinarySearch(g.Out, f.Lo)
+		hi, _ := slices.BinarySearch(g.Out, f.Hi)
+		for _, u := range g.Out[lo:hi] {
+			w, bit := (u-f.Lo)>>6, uint64(1)<<(uint(u-f.Lo)&63)
+			if in[w]&bit == 0 {
+				in[w] |= bit
+				cnt++
+			}
+		}
+	}
+	return collectBitsN(in, cnt, f.Lo)
 }
 
 func setBit(ws []uint64, v int32) {
@@ -171,8 +142,8 @@ func setBit(ws []uint64, v int32) {
 }
 
 // setBitAtomic checks before the read-modify-write: border bits are set
-// many times (once per cross edge touching the vertex), and the plain
-// load skips the contended OR on every hit after the first.
+// many times (once per cross edge into the vertex), and the plain load
+// skips the contended OR on every hit after the first.
 func setBitAtomic(ws []uint64, v int32) {
 	w := &ws[v>>6]
 	mask := uint64(1) << (uint(v) & 63)
@@ -181,17 +152,17 @@ func setBitAtomic(ws []uint64, v int32) {
 	}
 }
 
-// collectBitsN compacts a bitset into the ascending slice of set
-// indexes; cnt is the bitset's popcount, already known from the sizing
-// pass, so compaction never rescans what was counted.
-func collectBitsN(ws []uint64, cnt int) []int32 {
+// collectBitsN compacts a bitset into the ascending slice of its set
+// indexes plus base; cnt is the bitset's popcount, already known, so
+// compaction never rescans what was counted.
+func collectBitsN(ws []uint64, cnt int, base int32) []int32 {
 	if cnt == 0 {
 		return nil
 	}
 	out := make([]int32, 0, cnt)
 	for wi, w := range ws {
 		for w != 0 {
-			out = append(out, int32(wi*64+bits.TrailingZeros64(w)))
+			out = append(out, base+int32(wi*64+bits.TrailingZeros64(w)))
 			w &= w - 1
 		}
 	}

@@ -4,27 +4,21 @@ package partition
 
 import "sort"
 
-// refBorders holds everything the old computeBorders produced: the four
-// sorted border sets per fragment and the map-based holder index.
+// refBorders holds the map-built F.I and F.O per fragment and the
+// map-based holder index I_i, the sets the bitset pipeline stores (F.O)
+// or derives (F.I, I_i).
 type refBorders struct {
-	in, outPrime, out, inPrime [][]int32
-	holders                    map[int32][]int32
+	in, out [][]int32
+	holders map[int32][]int32
 }
 
-// bordersRef recomputes border sets and holders with the original
+// bordersRef recomputes the border sets and holders with the original
 // map-per-fragment sweep over the renumbered graph.
 func (p *Partitioned) bordersRef() refBorders {
-	type borderSets struct {
-		in, outPrime, out, inPrime map[int32]bool
-	}
-	sets := make([]borderSets, p.M)
-	for i := range sets {
-		sets[i] = borderSets{
-			in:       make(map[int32]bool),
-			outPrime: make(map[int32]bool),
-			out:      make(map[int32]bool),
-			inPrime:  make(map[int32]bool),
-		}
+	in := make([]map[int32]bool, p.M)
+	out := make([]map[int32]bool, p.M)
+	for i := range in {
+		in[i], out[i] = make(map[int32]bool), make(map[int32]bool)
 	}
 	n := int32(p.G.NumVertices())
 	for v := int32(0); v < n; v++ {
@@ -35,24 +29,18 @@ func (p *Partitioned) bordersRef() refBorders {
 				continue
 			}
 			// Edge v->u crosses fragments fv -> fu.
-			sets[fv].outPrime[v] = true
-			sets[fv].out[u] = true
-			sets[fu].in[u] = true
-			sets[fu].inPrime[v] = true
+			out[fv][u] = true
+			in[fu][u] = true
 		}
 	}
 	ref := refBorders{
-		in:       make([][]int32, p.M),
-		outPrime: make([][]int32, p.M),
-		out:      make([][]int32, p.M),
-		inPrime:  make([][]int32, p.M),
-		holders:  make(map[int32][]int32),
+		in:      make([][]int32, p.M),
+		out:     make([][]int32, p.M),
+		holders: make(map[int32][]int32),
 	}
-	for i := range sets {
-		ref.in[i] = sortedKeys(sets[i].in)
-		ref.outPrime[i] = sortedKeys(sets[i].outPrime)
-		ref.out[i] = sortedKeys(sets[i].out)
-		ref.inPrime[i] = sortedKeys(sets[i].inPrime)
+	for i := range in {
+		ref.in[i] = sortedKeys(in[i])
+		ref.out[i] = sortedKeys(out[i])
 		for _, v := range ref.out[i] {
 			ref.holders[v] = append(ref.holders[v], int32(i))
 		}

@@ -22,9 +22,11 @@ func forceBorderShards(t *testing.T, p int) {
 
 // TestBordersMatchMapReference is the differential test pinning the
 // bitset border pipeline to the retained map-based implementation:
-// identical sorted border sets, identical slot assignment, identical
-// holder lists — across directed and undirected graphs, self-loops,
-// parallel edges, every strategy, and m=1 (empty borders).
+// identical sorted F.O, identical derived F.I, identical slot
+// assignment, identical holder lists read off the F.O bitmaps — across
+// directed and undirected graphs, self-loops, parallel edges, every
+// strategy, m=1 (empty borders) and more fragments than some graphs
+// have vertices.
 func TestBordersMatchMapReference(t *testing.T) {
 	type tc struct {
 		name string
@@ -40,7 +42,7 @@ func TestBordersMatchMapReference(t *testing.T) {
 	for _, procs := range []int{1, 4} {
 		forceBorderShards(t, procs)
 		for _, c := range cases {
-			for _, m := range []int{1, 2, 7} {
+			for _, m := range []int{1, 2, 7, 64} {
 				for _, s := range strategies {
 					p, err := Build(c.g, m, s)
 					if err != nil {
@@ -91,10 +93,8 @@ func checkAgainstRef(t *testing.T, tag string, p *Partitioned) {
 		}
 	}
 	for i, f := range p.Frags {
-		eq("In", i, f.In, ref.in[i])
-		eq("OutPrime", i, f.OutPrime, ref.outPrime[i])
 		eq("Out", i, f.Out, ref.out[i])
-		eq("InPrime", i, f.InPrime, ref.inPrime[i])
+		eq("InBorder", i, f.InBorder(), ref.in[i])
 		// Slot table: owned range, then F.O copies in Out order, -1
 		// everywhere else.
 		base := int32(f.NumOwned())
@@ -115,16 +115,23 @@ func checkAgainstRef(t *testing.T, tag string, p *Partitioned) {
 			}
 		}
 	}
+	// The routing index I_i is the walk over the fragments, in ascending
+	// id, whose F.O bitmap has v: exactly the reference holder list.
 	n := int32(p.G.NumVertices())
 	for v := int32(-2); v < n+2; v++ {
-		got := p.Holders(v)
+		var got []int32
+		for j, f := range p.Frags {
+			if f.OutSlot(v) >= 0 {
+				got = append(got, int32(j))
+			}
+		}
 		want := ref.holders[v]
 		if len(got) != len(want) {
-			t.Fatalf("%s: Holders(%d): %v, want %v", tag, v, got, want)
+			t.Fatalf("%s: holders of %d: %v, want %v", tag, v, got, want)
 		}
 		for i := range got {
 			if got[i] != want[i] {
-				t.Fatalf("%s: Holders(%d): %v, want %v", tag, v, got, want)
+				t.Fatalf("%s: holders of %d: %v, want %v", tag, v, got, want)
 			}
 		}
 	}
@@ -132,8 +139,8 @@ func checkAgainstRef(t *testing.T, tag string, p *Partitioned) {
 
 // TestSkewedCompactionMatchesReference pins the largest-first
 // compaction schedule on the case it exists for: a partition where one
-// fragment's border sets dwarf the rest (hub-heavy power-law graph,
-// skewed strategy). The schedule only reorders work, so every border
+// fragment's F.O dwarfs the rest (hub-heavy power-law graph, skewed
+// strategy). The schedule only reorders work, so every border
 // set, slot table, and holder list must still match the map reference
 // — under single- and multi-worker compaction.
 func TestSkewedCompactionMatchesReference(t *testing.T) {

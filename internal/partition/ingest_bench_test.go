@@ -34,19 +34,24 @@ func benchGraph(n, deg int) *graph.Graph {
 }
 
 // BenchmarkPartitionBuild measures the full partition pipeline (assign +
-// relabel + border sets + routing tables) with the hash strategy, the
-// worst case for border-set size.
+// relabel + F.O sweep + slot tables) per strategy: hash, the worst case
+// for border size, and bfs, whose locality keeps F.O small but whose
+// assignment walks the in-side too.
 func BenchmarkPartitionBuild(b *testing.B) {
 	g := benchGraph(150_000, 16)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p, err := partition.Build(g, 16, partition.Hash{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if p.M != 16 {
-			b.Fatal("bad partition")
-		}
+	for _, s := range []partition.Strategy{partition.Hash{}, partition.BFSLocality{Seed: 1}} {
+		b.Run(s.Name(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				p, err := partition.Build(g, 16, s)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if p.M != 16 {
+					b.Fatal("bad partition")
+				}
+			}
+		})
 	}
 }
 

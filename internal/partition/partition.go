@@ -1,9 +1,16 @@
 // Package partition implements the edge-cut graph partitioning layer of
 // the GRAPE/AAP model (Section 2 of the paper): strategies that assign
 // vertices to fragments, the renumbering that makes each fragment a
-// contiguous index range of the global graph, border sets
-// (F.I, F.O, F.I', F.O'), and the routing index I_i that maps a border
-// node to the fragments holding a copy of it.
+// contiguous index range of the global graph, and the border sets of the
+// paper's notation (F.I, F.O, F.I', F.O') with the routing index I_i that
+// maps a border node to the fragments holding a copy of it.
+//
+// Of the four sets only F.O, the update parameters, is stored, as a sorted
+// slice and a rank bitmap (slots.go). F.O' and F.I' are read by no query
+// and are not kept. F.I and I_i are F.O read the other way: F.I of
+// fragment i is the union of every F.O_j restricted to i's owned range
+// (Fragment.InBorder), and I_i of vertex v is the fragments whose bitmap
+// has v (Fragment.OutSlot(v) >= 0, walked in ascending id).
 package partition
 
 import (
@@ -30,23 +37,22 @@ type Strategy interface {
 // Border sets follow the paper's notation for edge-cut partitions:
 //
 //	F.I  — owned vertices with an incoming edge from another fragment
+//	       (derived on demand by InBorder)
 //	F.O' — owned vertices with an outgoing edge to another fragment
+//	       (not kept)
 //	F.O  — foreign vertices with an incoming edge from this fragment
 //	       (this fragment holds a copy of them; they form the default
-//	       candidate set C_i)
+//	       candidate set C_i): Out, the one stored set
 //	F.I' — foreign vertices with an outgoing edge into this fragment
+//	       (not kept)
 type Fragment struct {
 	ID int
 	// Lo, Hi delimit the owned vertex range [Lo, Hi) in the renumbered
 	// global graph.
 	Lo, Hi int32
 
-	// In is F.I, OutPrime is F.O', Out is F.O, InPrime is F.I'; all hold
-	// global vertex indexes, sorted ascending.
-	In       []int32
-	OutPrime []int32
-	Out      []int32
-	InPrime  []int32
+	// Out is F.O: global vertex indexes, sorted ascending.
+	Out []int32
 
 	// Owned vertices map to slots arithmetically (v - Lo); the F.O copy
 	// set resolves through copySlots, a rank-indexed bitmap over the
@@ -142,9 +148,15 @@ func (f *Fragment) MeanOutWeight() float64 {
 // global graph. Fragment i owns the contiguous vertex range
 // [Ranges[i], Ranges[i+1]).
 //
+// A Partitioned holds only what a query reads: the graph, the ranges,
+// the dense owner table and, per fragment, F.O with its rank bitmap. The
+// routing index I_i is not stored: the holders of v are the fragments
+// whose F.O bitmap has v (Fragment.OutSlot), in ascending id, and F.I is
+// derived from the other fragments' F.O (Fragment.InBorder).
+//
 // Immutability contract: after Build returns, a Partitioned — the
-// graph, ranges, owner/routing tables, per-fragment slot tables and
-// border sets — is read-only. This is what lets core.Session share one
+// graph, ranges, owner table, per-fragment slot tables and border
+// sets — is read-only. This is what lets core.Session share one
 // Partitioned across concurrently executing queries with no locking:
 // per-query state lives entirely in the engine's vertex arenas, never
 // here. (Fragment.MeanOutWeight memoizes a value derived from that
@@ -162,29 +174,11 @@ type Partitioned struct {
 	// binary search over Ranges on the per-Send hot path.
 	owner []int32
 
-	// holderOff/holderDat are the routing index I_i in CSR form: the
-	// fragments holding a copy of vertex v are
-	// holderDat[holderOff[v]:holderOff[v+1]], ascending. Two array loads
-	// replace the former map[int32][]int32 lookup.
-	holderOff []int32
-	holderDat []int32
-
 	// sizes[i] is ||F_i|| (owned vertices + owned edges), computed once
 	// in Build so Skew never rescans degrees.
 	sizes []float64
 
 	strategy string
-}
-
-// Holders returns the fragments (other than the owner) holding a copy of
-// vertex v in their F.O set — the routing index I_i of the paper, used to
-// push an owner's canonical value back to every copy. Ids outside the
-// vertex range have no holders.
-func (p *Partitioned) Holders(v int32) []int32 {
-	if v < 0 || int(v) >= len(p.holderOff)-1 {
-		return nil
-	}
-	return p.holderDat[p.holderOff[v]:p.holderOff[v+1]]
 }
 
 // Strategy returns the name of the strategy that produced the partition.
@@ -227,7 +221,7 @@ func (p *Partitioned) Skew() float64 {
 
 // Build partitions g into m fragments using the strategy: it assigns
 // vertices, relabels the graph so each fragment owns a contiguous range,
-// and computes border sets and the routing index.
+// and computes each fragment's F.O and slot table.
 func Build(g *graph.Graph, m int, s Strategy) (*Partitioned, error) {
 	if m < 1 {
 		return nil, fmt.Errorf("partition: need at least 1 fragment, got %d", m)

@@ -60,8 +60,8 @@ func TestOwnerMatchesRanges(t *testing.T) {
 	}
 }
 
-// TestBorderSetsMatchBruteForce recomputes the four border sets by
-// definition and compares, for random graphs and strategies.
+// TestBorderSetsMatchBruteForce recomputes the stored F.O and the
+// derived F.I by definition and compares, for random graphs.
 func TestBorderSetsMatchBruteForce(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -74,25 +74,21 @@ func TestBorderSetsMatchBruteForce(t *testing.T) {
 		}
 		for _, f := range p.Frags {
 			in := map[int32]bool{}
-			outPrime := map[int32]bool{}
 			out := map[int32]bool{}
-			inPrime := map[int32]bool{}
 			for v := int32(0); v < int32(p.G.NumVertices()); v++ {
 				for _, u := range p.G.Out(v) {
 					if p.Owner(v) == p.Owner(u) {
 						continue
 					}
 					if p.Owner(v) == f.ID {
-						outPrime[v] = true
 						out[u] = true
 					}
 					if p.Owner(u) == f.ID {
 						in[u] = true
-						inPrime[v] = true
 					}
 				}
 			}
-			if !sameSet(f.In, in) || !sameSet(f.OutPrime, outPrime) || !sameSet(f.Out, out) || !sameSet(f.InPrime, inPrime) {
+			if !sameSet(f.Out, out) || !sameSet(f.InBorder(), in) {
 				return false
 			}
 		}
@@ -158,24 +154,16 @@ func TestHoldersInverseOfOut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// v is in fragment j's Out set iff j is in Holders(v).
+	// The routing index is read off the F.O bitmaps: fragment j holds v
+	// (OutSlot(v) >= 0) iff v is in j's Out set.
 	for j, f := range p.Frags {
+		out := map[int32]bool{}
 		for _, v := range f.Out {
-			found := false
-			for _, h := range p.Holders(v) {
-				if int(h) == j {
-					found = true
-				}
-			}
-			if !found {
-				t.Fatalf("fragment %d holds %d but Holders misses it", j, v)
-			}
+			out[v] = true
 		}
-	}
-	for v := int32(0); v < int32(p.G.NumVertices()); v++ {
-		for _, h := range p.Holders(v) {
-			if p.Frags[h].OutSlot(v) < 0 {
-				t.Fatalf("Holders(%d) lists %d which has no copy", v, h)
+		for v := int32(0); v < int32(p.G.NumVertices()); v++ {
+			if holds := f.OutSlot(v) >= 0; holds != out[v] {
+				t.Fatalf("fragment %d: OutSlot(%d) >= 0 is %v, v in Out is %v", j, v, holds, out[v])
 			}
 		}
 	}

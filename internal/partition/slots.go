@@ -5,7 +5,8 @@
 // no hashing, no probing — and the table is n/4 bytes per fragment
 // whatever |F.O| is, small enough to stay cache-resident next to the
 // kernel's own state. computeBorders builds it straight from the F.O
-// bitset it already holds.
+// bitset it already holds. The same bits are the routing index I_i: the
+// fragments holding a copy of v are those whose table has v's bit.
 package partition
 
 import "math/bits"
@@ -18,16 +19,17 @@ type rankWord struct {
 	base int32
 }
 
-// newRankWords builds the table from a fragment's F.O bitset; copies
-// number from base in ascending vertex order, the same numbering as
-// their positions in the sorted Out slice.
-func newRankWords(out []uint64, base int32) []rankWord {
+// newRankWords builds the table from a fragment's F.O bitset and
+// returns it with |F.O|; copies number from base in ascending vertex
+// order, the same numbering as their positions in the sorted Out slice.
+func newRankWords(out []uint64, base int32) ([]rankWord, int) {
 	t := make([]rankWord, len(out))
+	n := 0
 	for i, w := range out {
-		t[i] = rankWord{bits: w, base: base}
-		base += int32(bits.OnesCount64(w))
+		t[i] = rankWord{bits: w, base: base + int32(n)}
+		n += bits.OnesCount64(w)
 	}
-	return t
+	return t, n
 }
 
 // SlotTableBytes reports the resident size of the per-fragment slot
@@ -41,10 +43,9 @@ func (p *Partitioned) SlotTableBytes() int64 {
 }
 
 // RoutingTableBytes reports the resident size of all routing
-// structures: the dense owner array and CSR holder index plus
-// SlotTableBytes.
+// structures: the dense owner array plus SlotTableBytes. These are the
+// only ones: the routing index I_i is read off the slot tables' F.O
+// bitmaps and has no table of its own.
 func (p *Partitioned) RoutingTableBytes() int64 {
-	total := int64(len(p.owner)) * 4
-	total += int64(len(p.holderOff))*4 + int64(len(p.holderDat))*4
-	return total + p.SlotTableBytes()
+	return int64(len(p.owner))*4 + p.SlotTableBytes()
 }

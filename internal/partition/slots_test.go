@@ -72,7 +72,8 @@ func TestSlotMatchesSortedOutSearch(t *testing.T) {
 }
 
 // TestSlotTableBytesAccounting pins the table's cost: one 16-byte rank
-// word per 64 global vertices per fragment, whatever the border sizes.
+// word per 64 global vertices per fragment, whatever the border sizes,
+// and the routing structures are those tables plus the owner table.
 func TestSlotTableBytesAccounting(t *testing.T) {
 	g := gen.Grid(100, 100, 3)
 	for _, m := range []int{1, 16} {
@@ -84,8 +85,8 @@ func TestSlotTableBytesAccounting(t *testing.T) {
 		if got, want := p.SlotTableBytes(), int64(m)*words*16; got != want {
 			t.Fatalf("m=%d: SlotTableBytes = %d, want %d", m, got, want)
 		}
-		if p.RoutingTableBytes() <= p.SlotTableBytes() {
-			t.Fatal("RoutingTableBytes must include owner and holder structures on top of the slot tables")
+		if got, want := p.RoutingTableBytes(), int64(p.G.NumVertices())*4+p.SlotTableBytes(); got != want {
+			t.Fatalf("m=%d: RoutingTableBytes = %d, want the owner table plus the slot tables, %d", m, got, want)
 		}
 	}
 }
