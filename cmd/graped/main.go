@@ -38,7 +38,6 @@ import (
 
 func main() {
 	graphPath := flag.String("graph", "", "edge-list graph file to serve")
-	useMmap := flag.Bool("mmap", false, "load -graph via mmap instead of streaming reads (falls back when unmappable)")
 	genSpec := flag.String("gen", "", "generate the served graph: powerlaw:N:avgdeg:seed, grid:rows:cols:seed, ratings:users:products:peruser:rank:seed")
 	listen := flag.String("listen", "127.0.0.1:0", "TCP address to serve on (port 0 picks an ephemeral port)")
 	addrFile := flag.String("addr-file", "", "write the bound address to this file once serving")
@@ -65,7 +64,7 @@ func main() {
 
 	logger := log.New(os.Stderr, "graped ", log.LstdFlags|log.Lmicroseconds)
 
-	g, cfCfg, err := loadGraph(*graphPath, *genSpec, *cfEpochs, *useMmap)
+	g, cfCfg, err := loadGraph(*graphPath, *genSpec, *cfEpochs)
 	if err != nil {
 		fatal(err)
 	}
@@ -162,16 +161,12 @@ func checkScheduler(s scheduler) error {
 
 // loadGraph resolves -graph / -gen into the served graph, plus a CF
 // config when the graph is a generated rating graph.
-func loadGraph(path, spec string, cfEpochs int, useMmap bool) (*graph.Graph, *cf.Config, error) {
+func loadGraph(path, spec string, cfEpochs int) (*graph.Graph, *cf.Config, error) {
 	switch {
 	case path != "" && spec != "":
 		return nil, nil, fmt.Errorf("-graph and -gen are mutually exclusive")
 	case path != "":
-		read := graph.ReadEdgeListFile
-		if useMmap {
-			read = graph.ReadEdgeListFileMmap
-		}
-		g, err := read(path)
+		g, err := graph.ReadEdgeListFile(path)
 		return g, nil, err
 	case spec == "":
 		return nil, nil, fmt.Errorf("one of -graph or -gen is required")

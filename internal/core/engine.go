@@ -153,6 +153,9 @@ func run[T any](s *Session, job Job[T], opts Options, rs *resumeState[T]) (*Resu
 	rs.report(&stats)
 	e.wire.report(&stats)
 
+	if err := e.wire.collect(); err != nil {
+		return nil, err
+	}
 	res := &Result[T]{Values: e.values(), Stats: stats}
 	if deadlined {
 		return res, fmt.Errorf("core: %s/%s exceeded deadline %v: %w", job.Name, opts.Mode, opts.Deadline, context.DeadlineExceeded)

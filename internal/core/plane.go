@@ -286,6 +286,23 @@ func (wp *wirePlane[T]) stop() {
 	wp.tp.Close()
 }
 
+// collect fetches the values of every Program still hosted remotely,
+// before the answer is assembled. A host that cannot hand them over fails
+// the run: its proxy's zeros are no answer.
+func (wp *wirePlane[T]) collect() error {
+	if wp == nil {
+		return nil
+	}
+	for i, w := range wp.e.workers {
+		if rp, ok := w.prog.(*remoteProg[T]); ok {
+			if err := rp.collect(); err != nil {
+				return fmt.Errorf("core: %s: worker %d's values: %w", wp.e.job.Name, i, err)
+			}
+		}
+	}
+	return nil
+}
+
 // report fills the transport section of RunStats.
 func (wp *wirePlane[T]) report(s *RunStats) {
 	if wp == nil {

@@ -97,12 +97,17 @@ func (rp *remoteProg[T]) eval(req []byte, ctx *Context[T]) {
 	e := rp.wp.e
 	r, err := rp.call(req, rpcTimeout)
 	if err != nil {
-		// A dead host is recovery's business: it rolls this round back. A
+		// A dead host is recovery's business: it rolls this round back. The
+		// worker asks for it here, before the lost round counts as done, so
+		// the run cannot terminate on that round ahead of the detector's
+		// verdict — which never comes for a host a respawn superseded. A
 		// host that answered with an error (its Program panicked, or it
 		// could not read the request) fails the run, as a local worker's
 		// panic does.
 		if rp.alive() {
 			e.fail(fmt.Errorf("core: %s: round %d: %w", e.job.Name, ctx.round, err))
+		} else {
+			e.recov.request(rp.w)
 		}
 		return
 	}
@@ -136,25 +141,37 @@ func (rp *remoteProg[T]) IncEval(msgs []VMsg[T], ctx *Context[T]) {
 	rp.eval(rp.wp.e.job.appendMsgs(req, msgs), ctx)
 }
 
-func (rp *remoteProg[T]) Get(v int32) T {
-	var zero T
+// collect fetches the host's values for Get (wirePlane.collect, before
+// the answer is assembled). An error means the host is gone or garbled
+// its reply.
+func (rp *remoteProg[T]) collect() error {
+	if rp.collected != nil {
+		return nil
+	}
+	if !rp.alive() {
+		return fmt.Errorf("core: host of worker %d is dead", rp.w)
+	}
+	r, err := rp.call(codec.AppendInt32(nil, rpcCollect), rpcTimeout)
+	if err != nil {
+		return err
+	}
 	e := rp.wp.e
 	f := e.p.Frags[rp.w]
-	if rp.collected == nil {
-		r, err := rp.call(codec.AppendInt32(nil, rpcCollect), rpcTimeout)
-		if err != nil {
-			return zero // dead host; rollback replaced us for real runs
-		}
-		vals := make([]T, f.Hi-f.Lo)
-		for i := range vals {
-			vals[i] = e.job.DecodeVal(r)
-		}
-		if r.Err() != nil {
-			return zero
-		}
-		rp.collected = vals
+	vals := make([]T, f.Hi-f.Lo)
+	for i := range vals {
+		vals[i] = e.job.DecodeVal(r)
 	}
-	if v < f.Lo || v >= f.Hi {
+	if err := r.Err(); err != nil {
+		return fmt.Errorf("core: host of worker %d: corrupt values: %w", rp.w, err)
+	}
+	rp.collected = vals
+	return nil
+}
+
+func (rp *remoteProg[T]) Get(v int32) T {
+	var zero T
+	f := rp.wp.e.p.Frags[rp.w]
+	if rp.collected == nil || v < f.Lo || v >= f.Hi {
 		return zero
 	}
 	return rp.collected[v-f.Lo]

@@ -6,6 +6,7 @@ import (
 	"os/exec"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -158,10 +159,14 @@ func supervisedTopts(sup *supervise.Supervisor) core.TransportOptions {
 }
 
 // TestSupervisedRespawnRejoins is the headline acceptance run: the
-// victim host is SIGKILLed twice mid-run and the supervisor must
-// respawn and rejoin it both times — two restarts, zero failbacks, and
-// output matching the fault-free run (bit-identical for the idempotent
-// kernel, 1e-4 relative for PageRank).
+// victim host is SIGKILLed mid-run and the supervisor must respawn and
+// rejoin it, the rollback restoring its Program over RPC — zero
+// failbacks, and output matching the fault-free run (bit-identical for
+// the idempotent kernel, 1e-4 relative for PageRank). SSSP is killed
+// once, at the victim's round 2: after a rollback it may converge
+// without the victim computing again, so a second kill could never
+// fire. PageRank computes on every worker every round and is killed
+// twice.
 func TestSupervisedRespawnRejoins(t *testing.T) {
 	t.Run("sssp", func(t *testing.T) {
 		p := remoteTestPartition(t)
@@ -171,7 +176,7 @@ func TestSupervisedRespawnRejoins(t *testing.T) {
 			t.Fatal(err)
 		}
 		sup := newTestSupervisor(t, "sssp", 2)
-		k := &killer{sup: sup, maxKills: 2}
+		k := &killer{sup: sup, maxKills: 1}
 		topts := supervisedTopts(sup)
 		res, err := core.Run(p, job, core.Options{
 			Mode:       core.AAP,
@@ -183,11 +188,11 @@ func TestSupervisedRespawnRejoins(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertSupervised(t, res.Stats, k, 2, 2)
-		if rep := sup.Report(); rep.Restarts != 2 || rep.Hosts[0].Exhausted {
-			t.Fatalf("supervisor report: %+v, want 2 restarts, budget intact", rep)
+		sameFloats(t, base.Values, res.Values, "respawn+rejoin")
+		assertSupervised(t, res.Stats, k, 1, 1)
+		if rep := sup.Report(); rep.Restarts != 1 || rep.Hosts[0].Exhausted {
+			t.Fatalf("supervisor report: %+v, want 1 restart, budget intact", rep)
 		}
-		sameFloats(t, base.Values, res.Values, "respawn+rejoin x2")
 	})
 	t.Run("pagerank", func(t *testing.T) {
 		p := prTestPartition(t)
@@ -209,28 +214,30 @@ func TestSupervisedRespawnRejoins(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertSupervised(t, res.Stats, k, 2, 2)
 		for v := range base.Values {
 			b, r := base.Values[v], res.Values[v]
 			if d := math.Abs(b - r); d > 1e-4*math.Max(math.Abs(b), 1e-12) {
 				t.Fatalf("vertex %d: fault-free %v, supervised %v (rel Δ too large)", v, b, r)
 			}
 		}
+		assertSupervised(t, res.Stats, k, 2, 2)
 	})
 }
 
 // TestSupervisedBudgetFailback kills the host once past its restart
 // budget: two respawns succeed, the third kill exhausts the policy and
 // the engine fails the worker back to a local Program — the run still
-// completes and still matches fault-free output.
+// completes and still matches fault-free output. The ticker job paces
+// the victim: every worker computes every one of its rounds, so each
+// incarnation computes again after its rejoin and every kill fires.
 func TestSupervisedBudgetFailback(t *testing.T) {
 	p := remoteTestPartition(t)
-	job := remoteTestJob()
+	job := tickerJob(superviseTickerRounds)
 	base, err := core.Run(p, job, core.Options{Mode: core.AAP, Timeout: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sup := newTestSupervisor(t, "sssp", 2)
+	sup := newTestSupervisor(t, "ticker", 2)
 	k := &killer{sup: sup, maxKills: 3}
 	topts := supervisedTopts(sup)
 	res, err := core.Run(p, job, core.Options{
@@ -243,6 +250,7 @@ func TestSupervisedBudgetFailback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sameFloats(t, base.Values, res.Values, "budget failback")
 	assertSupervised(t, res.Stats, k, 3, 2)
 	if res.Stats.Failbacks < 1 {
 		t.Fatalf("budget exhausted but no failback recorded: %+v", res.Stats)
@@ -250,7 +258,52 @@ func TestSupervisedBudgetFailback(t *testing.T) {
 	if rep := sup.Report(); !rep.Hosts[0].Exhausted {
 		t.Fatalf("supervisor report should show an exhausted budget: %+v", rep)
 	}
-	sameFloats(t, base.Values, res.Values, "budget failback")
+}
+
+// TestSupervisedHostLostAtFinalRound SIGKILLs the victim's host at the
+// victim's final round and launches its replacement at once, long before
+// the detector's verdict: the final eval fails when the replacement's
+// handshake supersedes the dead host's link, and no OnPeerDead ever
+// fires. The worker must request the recovery itself, before its lost
+// round counts as done; otherwise the run terminates on that round and
+// assembles the replacement's fresh Program, a wrong answer with a nil
+// error. The engine has no supervisor, so the recovery fails the worker
+// back to a local Program.
+func TestSupervisedHostLostAtFinalRound(t *testing.T) {
+	p := remoteTestPartition(t)
+	job := tickerJob(superviseTickerRounds)
+	base, err := core.Run(p, job, core.Options{Mode: core.AAP, Timeout: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sup := newTestSupervisor(t, "ticker", 1)
+	topts := remoteTopts()
+	topts.DeadAfter = time.Minute // only the replacement's handshake ends the dead host's link
+	topts.RemoteWorkers = []int{remoteVictim}
+	topts.OnListen = sup.OnListen
+	var lost atomic.Bool
+	res, err := core.Run(p, job, core.Options{
+		Mode:       core.AAP,
+		Timeout:    time.Minute,
+		Checkpoint: core.CheckpointOptions{EveryRounds: 1},
+		Transport:  &topts,
+		RoundHook: func(worker int, round int32) {
+			// The ticker's last round is its round `limit`, on every worker.
+			if worker == remoteVictim && round == superviseTickerRounds && lost.CompareAndSwap(false, true) {
+				sup.Respawn(remoteVictim) // SIGKILL the host, launch its replacement
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !lost.Load() {
+		t.Fatal("the run never reached the victim's final round; nothing was tested")
+	}
+	sameFloats(t, base.Values, res.Values, "host lost at the final round")
+	if res.Stats.Recoveries < 1 || res.Stats.Failbacks < 1 {
+		t.Fatalf("recoveries = %d, failbacks = %d, want >= 1 each", res.Stats.Recoveries, res.Stats.Failbacks)
+	}
 }
 
 // assertSupervised checks the supervision ladder's accounting: every

@@ -240,7 +240,7 @@ func TestEdgeListRoundTrip(t *testing.T) {
 	if err := graph.WriteEdgeList(&buf, g); err != nil {
 		t.Fatal(err)
 	}
-	g2, err := graph.ReadEdgeList(&buf)
+	g2, err := graph.ParseEdgeList(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +269,7 @@ func TestReadEdgeListErrors(t *testing.T) {
 		"v\n",
 		"v x\n",
 	} {
-		if _, err := graph.ReadEdgeList(bytes.NewBufferString(bad)); err == nil {
+		if _, err := graph.ParseEdgeList([]byte(bad)); err == nil {
 			t.Errorf("input %q accepted", bad)
 		}
 	}
@@ -277,7 +277,7 @@ func TestReadEdgeListErrors(t *testing.T) {
 
 func TestReadEdgeListSNAPStyle(t *testing.T) {
 	in := "# some comment\n# more\n0 1\n1 2\n\n2 0\n"
-	g, err := graph.ReadEdgeList(bytes.NewBufferString(in))
+	g, err := graph.ParseEdgeList([]byte(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +290,7 @@ func TestReadEdgeListSNAPStyle(t *testing.T) {
 }
 
 func TestEmptyEdgeList(t *testing.T) {
-	g, err := graph.ReadEdgeList(bytes.NewBufferString(""))
+	g, err := graph.ParseEdgeList(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +328,7 @@ func TestWriteEdgeListDirectedIsolated(t *testing.T) {
 	if !reflect.DeepEqual(isolated, []string{"v 5", "v 8"}) {
 		t.Fatalf("isolated-vertex lines %q, want [v 5 v 8]", isolated)
 	}
-	g2, err := graph.ReadEdgeList(&buf)
+	g2, err := graph.ParseEdgeList(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,7 @@ func Throughput(bytes, edges int64, secs float64) string {
 //
 // one edge per line using external vertex identifiers. Isolated vertices
 // are written as "v <id>" lines so a round trip preserves them. The
-// n= header count tells ReadEdgeList which ids to index directly;
+// n= header count tells the loader which ids to index directly;
 // headerless SNAP-style files still load, guessing it from their size.
 //
 // Lines are formatted with strconv.Append* into one reused buffer —
@@ -80,35 +80,40 @@ func WriteEdgeList(w io.Writer, g *Graph) error {
 	return bw.Flush()
 }
 
-// ReadEdgeList parses the format produced by WriteEdgeList. Lines
-// starting with '#' other than the header are ignored, as are blank
-// lines, so ordinary SNAP-style edge lists also load (defaulting to
-// directed, unweighted unless a third column is present).
+// ReadEdgeListFile loads an edge-list file: the format WriteEdgeList
+// produces. Lines starting with '#' other than the header are ignored,
+// as are blank lines, so ordinary SNAP-style edge lists also load
+// (defaulting to directed, unweighted unless a third column is present).
 //
-// The input is parsed by the chunked parallel loader (loader.go): the
-// byte range splits into newline-aligned chunks parsed concurrently,
-// ids in the dense range the n= header announces resolve by direct
-// indexing (all others through an open-addressed overflow table), and
-// ownership by lowest chunk reproduces the exact graph the retained
-// sequential reference reader builds — same vertex order, same edge
-// order, same field separators (all of unicode.IsSpace, like
-// strings.Fields), same errors.
-// Inputs up to one stream window load in memory; larger inputs parse
-// window by window with carry-over partial lines (stream.go), so peak
-// resident bytes stay near the parsed representation instead of >= the
-// input size.
-func ReadEdgeList(r io.Reader) (*Graph, error) {
-	return readEdgeListStream(r)
-}
-
-// ReadEdgeListFile loads an edge-list file through the parallel parser,
-// streaming it in fixed-size windows (see ReadEdgeList) so files larger
-// than memory do not slurp.
+// The file is memory-mapped and the mapping handed to ParseEdgeList in
+// one pass: no read syscalls, no copy of the input, and the kernel drops
+// clean pages under memory pressure instead of the process holding them.
+// Only a file the mapper refuses — empty, not a regular file, or on a
+// platform without mmap — is read whole instead. The chunked parallel
+// loader (loader.go) splits the bytes into newline-aligned chunks parsed
+// concurrently, resolves ids in the dense range by direct indexing (all
+// others through an open-addressed overflow table), and reproduces the
+// exact graph the retained sequential reference reader builds: same
+// vertex order, same edge order, same field separators (all of
+// unicode.IsSpace, like strings.Fields), same errors.
 func ReadEdgeListFile(path string) (*Graph, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return readEdgeListStream(f)
+	data, unmap, err := mmapFile(f)
+	if err == nil {
+		// Safe to unmap on return: ParseEdgeList copies every parsed field
+		// out of its input, so nothing references the mapping afterwards.
+		defer unmap()
+	} else if data, err = io.ReadAll(f); err != nil {
+		return nil, err
+	}
+	return ParseEdgeList(data)
 }
+
+// ReadEdgeListFileMmap is ReadEdgeListFile, which maps the file itself.
+//
+// Deprecated: call ReadEdgeListFile.
+func ReadEdgeListFileMmap(path string) (*Graph, error) { return ReadEdgeListFile(path) }

@@ -61,19 +61,11 @@ func FuzzReadEdgeList(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		want, wantErr := readEdgeListRef(bytes.NewReader(data))
-		// In memory at two fan-outs, then streamed through windows small
-		// enough that the dense range grows from window to window.
-		for _, procs := range []int{1, 3, -3} {
-			prevProcs, prevWin := par.Override, streamWindow
-			var got *Graph
-			var gotErr error
-			if par.Override = max(procs, -procs); procs > 0 {
-				got, gotErr = ParseEdgeList(data)
-			} else {
-				streamWindow = 48
-				got, gotErr = readEdgeListStream(bytes.NewReader(data))
-			}
-			par.Override, streamWindow = prevProcs, prevWin
+		for _, procs := range []int{1, 3} {
+			prev := par.Override
+			par.Override = procs
+			got, gotErr := ParseEdgeList(data)
+			par.Override = prev
 			if (gotErr == nil) != (wantErr == nil) {
 				t.Fatalf("procs=%d: chunked err = %v, reference err = %v", procs, gotErr, wantErr)
 			}

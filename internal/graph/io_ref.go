@@ -1,5 +1,5 @@
-// Sequential reference edge-list reader, retained from the
-// pre-streaming loader as the differential-test oracle for the chunked
+// Sequential reference edge-list reader, retained from the first
+// loader as the differential-test oracle for the chunked
 // parallel parser in loader.go: line-by-line bufio.Scanner tokenizing
 // with strings.Fields and strconv, interning ids through a private Go
 // map so the oracle shares no id-table code with the loader it checks.

@@ -134,6 +134,9 @@ func TestReadEdgeListHandcrafted(t *testing.T) {
 		{"big-ids", "922337203685477580 1\n1 9223372036854775807\n"},
 		{"indented-comment", "   # directed=false weighted=false\n1 2\n"},
 		{"leading-blanks-then-header", "\n\n# directed=false weighted=true\n1 2 4\n"},
+		{"long-header", "# directed=false weighted=true n=3 m=2\n" +
+			strings.Repeat("# filler comment line with some padding text\n", 300) + "\n\n0 1 2.5\n1 2 0.5\n"},
+		{"no-final-newline-three-lines", "0 1\n1 2\n2 3"},
 	}
 	for _, procs := range shardCounts {
 		forceShards(t, procs)
@@ -164,6 +167,7 @@ func TestReadEdgeListErrorsMatchReference(t *testing.T) {
 		prefix + "3 nope\n" + prefix,          // error mid-file
 		prefix + prefix + "v too many args\n", // error near the end
 		"# directed=true weighted=true\n" + prefix + "1 2 1e\n",
+		"# directed=false weighted=true n=3 m=2\n" + strings.Repeat("# filler\n", 300) + "\n0 1 2.5\nbad line with four fields\n",
 	}
 	for _, procs := range shardCounts {
 		forceShards(t, procs)
@@ -173,6 +177,27 @@ func TestReadEdgeListErrorsMatchReference(t *testing.T) {
 			if wantErr == nil {
 				t.Fatalf("case %d: expected the reference to error", i)
 			}
+		}
+	}
+}
+
+// TestReadEdgeListErrorLineNumber places the first bad line thousands
+// of lines and several chunks deep: the error carries the reference's
+// text and global line number.
+func TestReadEdgeListErrorLineNumber(t *testing.T) {
+	var sb strings.Builder
+	sb.WriteString("# directed=false weighted=true\n")
+	for i := 0; i < 3000; i++ {
+		fmt.Fprintf(&sb, "%d %d 1.5\n", i, i+1)
+	}
+	sb.WriteString("7 8 not-a-number\n") // line 3002
+	sb.WriteString("9 10 2.5\n")
+	for _, procs := range shardCounts {
+		forceShards(t, procs)
+		got, gotErr, want, wantErr := parseBoth([]byte(sb.String()))
+		checkSameOutcome(t, tagOf("err-line", procs, 0), got, gotErr, want, wantErr)
+		if gotErr == nil || !strings.Contains(gotErr.Error(), "line 3002") {
+			t.Fatalf("procs=%d: error lost the global line number: %v", procs, gotErr)
 		}
 	}
 }
@@ -197,6 +222,18 @@ func TestReadEdgeListTooLong(t *testing.T) {
 	if wantErr != bufio.ErrTooLong {
 		t.Fatalf("reference error = %v, want bufio.ErrTooLong", wantErr)
 	}
+
+	// A data line past the ceiling, and a bad line before a too-long,
+	// unterminated tail: the bad line comes first in the file and wins.
+	tooLongData := "0 1\n2 " + strings.Repeat("9", maxLineLen+8) + "\n"
+	tail := strings.Repeat("x", 3*maxLineLen)
+	for i, in := range []string{tooLongData, "1 2 3 4\n" + tail, "# directed=true\n1 2\nv\n" + tail, "1 2\n" + tail} {
+		got, gotErr, want, wantErr = parseBoth([]byte(in))
+		checkSameOutcome(t, tagOf("too-long", 3, int64(i)), got, gotErr, want, wantErr)
+		if wantErr == nil {
+			t.Fatalf("case %d: expected the reference to error", i)
+		}
+	}
 }
 
 // TestWriteEdgeListHeader pins the self-describing header: exact n=/m=
@@ -216,8 +253,8 @@ func TestWriteEdgeListHeader(t *testing.T) {
 	if first != "# directed=true weighted=true n=4 m=2" {
 		t.Fatalf("header = %q", first)
 	}
-	h := newHeader()
-	if _, err := h.scan(buf.Bytes()); err != nil {
+	h, err := scanHeader(buf.Bytes())
+	if err != nil {
 		t.Fatal(err)
 	}
 	if !h.directed || !h.weighted || h.nHint != 4 {
@@ -415,13 +452,11 @@ func TestPow10InvTable(t *testing.T) {
 	}
 }
 
-// TestReadEdgeListAllocProportional is the regression test for the hint
-// scaling bug: every stream window sized its chunk buffers from the
-// whole file's n=/m=, so a multi-window load churned several times what
-// it kept. The load's total allocation must stay within a small multiple
-// of what the loaded graph holds: ids, the dense id table and the
-// weighted out-side, since a directed graph builds its in-side only when
-// asked.
+// TestReadEdgeListAllocProportional: chunk buffers are sized from each
+// chunk's own bytes, never from the header's n=/m=, so the load's total
+// allocation stays within a small multiple of what the loaded graph
+// holds: ids, the dense id table and the weighted out-side, since a
+// directed graph builds its in-side only when asked.
 func TestReadEdgeListAllocProportional(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	n, m := 10_000, 120_000
@@ -438,12 +473,11 @@ func TestReadEdgeListAllocProportional(t *testing.T) {
 	if err := WriteEdgeList(&buf, b.Build()); err != nil { // truthful n=/m= header
 		t.Fatal(err)
 	}
-	smallWindow(t, buf.Len()/16)
 	forceShards(t, 2)
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	g, err := readEdgeListStream(bytes.NewReader(buf.Bytes()))
+	g, err := ParseEdgeList(buf.Bytes())
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)
@@ -454,11 +488,11 @@ func TestReadEdgeListAllocProportional(t *testing.T) {
 	parsed := 8*len(g.ids) + 4*len(g.index.dense) + 8*len(g.outOff) + 4*len(g.outDst) + 8*len(g.outW)
 	got := after.TotalAlloc - before.TotalAlloc
 	t.Logf("load allocated %d bytes for a %d-byte graph (%.1fx)", got, parsed, float64(got)/float64(parsed))
-	// The load measures 4.1x: the chunk buffers and the 16-byte-per-edge
+	// The load measures 3.77x: the chunk buffers and the 16-byte-per-edge
 	// edge list the scatter reads are transient beside a 12-byte-per-edge
-	// graph. 4.5x fails once the load allocates a tenth more.
-	if got*2 > 9*uint64(parsed) {
-		t.Fatalf("load allocated %d bytes for a %d-byte graph (%.1fx, want <= 4.5x)", got, parsed, float64(got)/float64(parsed))
+	// graph. 4.15x fails once the load allocates a tenth more.
+	if got*20 > 83*uint64(parsed) {
+		t.Fatalf("load allocated %d bytes for a %d-byte graph (%.2fx, want <= 4.15x)", got, parsed, float64(got)/float64(parsed))
 	}
 }
 

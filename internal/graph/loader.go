@@ -1,4 +1,4 @@
-// Chunked parallel edge-list loader: the streaming ingest front end.
+// Chunked parallel edge-list loader: the ingest front end.
 //
 // ParseEdgeList turns file bytes into a Graph with every stage
 // multicore and, for ids in the dense range, no hash table anywhere:
@@ -16,12 +16,12 @@
 // chunk-local overflow table and is stored as a negative code. The
 // internal id of a vertex is its rank in global first-appearance order:
 // the lowest chunk that saw an id owns it (an atomic min per dense id,
-// a hash-sharded scan in chunk order for ids no chunk holds raw), a
+// a hash-sharded scan in chunk order for the overflow ids), a
 // chunk's owned ids keep their chunk-local order, and a prefix sum over
 // the chunks' owned counts places them — exactly the order a single
 // sequential Builder would produce. The result is bit-identical to the
-// retained reference reader (io_ref.go) for any chunk, worker or window
-// count, which the differential and fuzz tests in io_test.go pin.
+// retained reference reader (io_ref.go) for any chunk or worker count,
+// which the differential and fuzz tests in io_test.go pin.
 package graph
 
 import (
@@ -44,7 +44,7 @@ const (
 	// per parse worker before the loader adds another; below it goroutine
 	// fan-out costs more than the parsing saves. Chunks are a fixed grain,
 	// not a share of the input, so their buffers and first-appearance
-	// lists stay cache-sized whatever the file or window size, and a chunk
+	// lists stay cache-sized whatever the file size, and a chunk
 	// dense in long lines or new vertices does not straggle the tail;
 	// workers pull chunks from a shared counter.
 	loaderGrainBytes = 1 << 20
@@ -370,55 +370,45 @@ func (f *flatIntern) rehash() {
 // and where the data region starts.
 type header struct {
 	directed, weighted bool
-	seen               bool // a "directed=" comment already fixed the flags
 	nHint              int
-	off                int // byte offset of the first data line
-	lines              int // lines consumed before the data region
+	off                int // byte offset of the first data line, len(data) without one
+	lines              int // lines before the data region
 }
 
-// newHeader returns the prescan state with the reference reader's
-// defaults (directed, unweighted).
-func newHeader() header { return header{directed: true} }
-
-// scan consumes leading blank and comment lines from data exactly like
-// the reference reader: the first comment containing "directed=" fixes
-// the flags, later ones are ignored, and flags are frozen once the
-// first data line appears. done=true means a data line was found and
-// h.off is its offset within data; done=false means data held only
-// header lines — the streaming reader calls scan again on the next
-// window, accumulating flags, hints and line counts across calls.
-func (h *header) scan(data []byte) (done bool, err error) {
-	pos := 0
-	for pos < len(data) {
+// scanHeader consumes leading blank and comment lines from data exactly
+// like the reference reader: the first comment containing "directed="
+// fixes the flags, later ones are ignored, and flags are frozen once the
+// first data line appears. The defaults are the reference's (directed,
+// unweighted).
+func scanHeader(data []byte) (header, error) {
+	h := header{directed: true, off: len(data)}
+	seen := false // a "directed=" comment already fixed the flags
+	for pos := 0; pos < len(data); {
 		ls := pos
 		le, next := len(data), len(data)
 		if nl := bytes.IndexByte(data[pos:], '\n'); nl >= 0 {
 			le, next = pos+nl, pos+nl+1
 		}
 		if le-ls >= maxLineLen {
-			return false, bufio.ErrTooLong
+			return h, bufio.ErrTooLong
 		}
 		line := bytes.TrimSpace(data[ls:le])
-		if len(line) == 0 {
-			h.lines++
-			pos = next
-			continue
+		if len(line) > 0 {
+			if line[0] != '#' {
+				h.off = ls
+				return h, nil
+			}
+			if !seen && bytes.Contains(line, []byte("directed=")) {
+				seen = true
+				h.directed = bytes.Contains(line, []byte("directed=true"))
+				h.weighted = bytes.Contains(line, []byte("weighted=true"))
+			}
+			h.scanHint(line)
 		}
-		if line[0] != '#' {
-			h.off = ls
-			return true, nil
-		}
-		if !h.seen && bytes.Contains(line, []byte("directed=")) {
-			h.seen = true
-			h.directed = bytes.Contains(line, []byte("directed=true"))
-			h.weighted = bytes.Contains(line, []byte("weighted=true"))
-		}
-		h.scanHint(line)
 		h.lines++
 		pos = next
 	}
-	h.off = len(data)
-	return false, nil
+	return h, nil
 }
 
 // scanHint extracts the n= hint from a header comment. It only bounds
@@ -437,8 +427,7 @@ func (h *header) scanHint(line []byte) {
 
 // chunk is everything the parse of one newline-aligned byte range
 // produced. Endpoints and first appearances are codes: the id itself
-// when it lies in the dense range the chunk was parsed under, else ^i
-// for overIDs[i].
+// when it lies in the dense range, else ^i for overIDs[i].
 type chunk struct {
 	srcs    []int32
 	dsts    []int32
@@ -597,81 +586,20 @@ func (c *chunk) slowLine(line []byte) (src, dst VertexID, w float64, fields int)
 	return src, dst, w, fields
 }
 
-// chunkFail scans chunks for the first failure in file order and
-// materializes it with the reference reader's line numbering; startLine
-// is the global line count before chunks[0]. On success it returns the
-// line count after the last chunk, so the streaming reader can thread
-// it through windows. (Errors are formatted here, before the caller may
-// reuse the underlying byte buffer, because strconv errors alias it.)
-func chunkFail(chunks []chunk, startLine int) (int, error) {
-	line := startLine
+// chunkFail returns the first failure of chunks in file order with the
+// reference reader's line numbering; line is the count of lines before
+// chunks[0]. (Errors are formatted here, before the caller unmaps the
+// input, because strconv errors alias it.)
+func chunkFail(chunks []chunk, line int) error {
 	for k := range chunks {
 		line += chunks[k].lines
 		if fail := chunks[k].fail; fail == bufio.ErrTooLong {
-			return 0, fail
+			return fail
 		} else if fail != nil {
-			return 0, fmt.Errorf("graph: line %d: %v", line, fail)
+			return fmt.Errorf("graph: line %d: %v", line, fail)
 		}
 	}
-	return line, nil
-}
-
-// loader carries one load from file bytes to the Graph: the header
-// prescan, the parse workers' scratch, and every chunk parsed so far in
-// file order. Both front ends drive it the same way — feed per byte
-// region (the whole mapping, or one stream window), then assemble.
-type loader struct {
-	h       header
-	procs   int
-	parsers []parser // nil until the first data line
-	chunks  []chunk
-	line    int // lines consumed so far, for error messages
-	fed     int // data bytes fed so far
-}
-
-// feed takes the next region of complete lines: the header prescan
-// until the first data line shows up, the chunk parser from there on.
-// work is the caller's estimate of the whole input's bytes, which sizes
-// the fan-out.
-func (l *loader) feed(region []byte, work int64) error {
-	if l.parsers == nil {
-		done, err := l.h.scan(region)
-		if err != nil || !done {
-			return err
-		}
-		region = region[l.h.off:]
-		l.procs, l.line = par.Procs(work, loaderGrainBytes), l.h.lines
-		l.parsers = make([]parser, l.procs)
-	}
-	l.fed += len(region)
-	l.growBound()
-	return l.parseRegion(region)
-}
-
-// growBound sizes the parse workers' bitmaps — bound, the end of the
-// dense id range — from the bytes fed so far, the one thing both front
-// ends observe alike. room is what those bytes allow: at most fed/2+1
-// ids fit in them, and fed/workers ids per bitmap keeps the bitmaps
-// together within a quarter of the bytes fed, the doubling below
-// included. When room outgrows the bitmaps they are remade for twice as
-// many ids, or for the header's n= if that is less. So the dense range
-// covers min(n=, room) at any time, whatever the window size; an input
-// without a header regrows O(log) times; and a lying header cannot force
-// an allocation. bound only picks how a chunk encodes an id; the Graph
-// is the same for any value of it.
-func (l *loader) growBound() {
-	target := math.MaxInt32 - 63
-	if l.h.nHint > 0 {
-		target = min(target, l.h.nHint)
-	}
-	room := min(l.fed/2+1, l.fed/l.procs)
-	if min(target, room) <= 64*len(l.parsers[0].seen) {
-		return
-	}
-	// The old bitmaps are all zero between regions: nothing to copy.
-	for w := range l.parsers {
-		l.parsers[w].seen = make([]uint64, (min(target, 2*room)+63)/64)
-	}
+	return nil
 }
 
 // lineStart returns where the first line starting at or after s begins.
@@ -683,24 +611,6 @@ func lineStart(region []byte, s int) int {
 		return s + nl
 	}
 	return len(region)
-}
-
-// parseRegion cuts region (complete lines only) into newline-aligned
-// chunks of loaderGrainBytes — at least one per worker — parses them
-// concurrently and appends them to the load. It returns the first error
-// in file order, formatted before the caller may recycle region's
-// buffer.
-func (l *loader) parseRegion(region []byte) (err error) {
-	nc := max(l.procs, (len(region)+loaderGrainBytes-1)/loaderGrainBytes)
-	first := len(l.chunks)
-	l.chunks = append(l.chunks, make([]chunk, nc)...)
-	forChunks(l.procs, l.chunks[first:], func(w, k int, c *chunk) {
-		lo, hi := lineStart(region, k*len(region)/nc), lineStart(region, (k+1)*len(region)/nc)
-		l.parsers[w].parse(c, region[lo:hi])
-		l.parsers[w].release(c)
-	})
-	l.line, err = chunkFail(l.chunks[first:], l.line)
-	return err
 }
 
 // forChunks runs fn over every chunk on procs workers, which pull chunk
@@ -718,67 +628,55 @@ func forChunks(procs int, chunks []chunk, fn func(w, k int, c *chunk)) {
 	})
 }
 
-// denseID returns the id behind code when it lies in [0, bound). An
-// overflow code can: the chunk was parsed before the dense range had
-// grown as far as a later chunk's, which holds the same id raw.
-func (c *chunk) denseID(code int32, bound int) (int32, bool) {
-	if code >= 0 {
-		return code, true
-	}
-	id := c.overIDs[^code]
-	return int32(id), uint64(id) < uint64(bound)
-}
-
 // owns reports whether the chunk with claim ticket `ticket` (its index
 // plus one) is the first in file order to hold the id behind code.
 func (c *chunk) owns(code, ticket int32, owner []atomic.Int32) bool {
-	if id, ok := c.denseID(code, len(owner)); ok {
-		return owner[id].Load() == ticket
+	if code >= 0 {
+		return owner[code].Load() == ticket
 	}
 	return c.overWon[^code]
 }
 
 // assemble assigns internal ids over the parsed (failure-free) chunks,
-// remaps their edges and builds the CSR graph. l.chunks is in file
-// order, which the ownership rule relies on.
-func (l *loader) assemble() *Graph {
-	chunks := l.chunks
+// remaps their edges and builds the CSR graph. chunks is in file order,
+// which the ownership rule relies on.
+func assemble(chunks []chunk, h header, procs int) *Graph {
 	sawData, sawWeight := false, false
-	m, bound, overflow := 0, 0, false
+	m, nDense, overflow := 0, 0, false
 	edgeOff := make([]int, len(chunks)+1)
 	for k := range chunks {
 		c := &chunks[k]
 		sawData = sawData || c.sawData
 		sawWeight = sawWeight || c.ws != nil
 		overflow = overflow || len(c.overIDs) > 0
-		bound = max(bound, int(c.maxID)+1)
+		nDense = max(nDense, int(c.maxID)+1)
 		m += len(c.srcs)
 		edgeOff[k+1] = m
 	}
 	// The weighted flag freezes when the first data line creates the
 	// builder (reference quirk: a weighted header with no data lines
 	// yields an unweighted empty graph).
-	weighted := (l.h.weighted && sawData) || sawWeight
+	weighted := (h.weighted && sawData) || sawWeight
 
 	// Ownership, dense ids: an atomic min of the claim tickets of the
-	// chunks holding the id, raw or not; 0 means no chunk does. The table
-	// spans the ids actually seen raw, not the header's claim.
-	owner := make([]atomic.Int32, bound)
-	forChunks(l.procs, chunks, func(_, k int, c *chunk) {
+	// chunks holding the id; 0 means no chunk does. Every chunk was parsed
+	// under the same dense range, so a dense id is raw wherever it occurs.
+	// The table spans the ids actually seen, not the header's claim.
+	owner := make([]atomic.Int32, nDense)
+	forChunks(procs, chunks, func(_, k int, c *chunk) {
 		ticket := int32(k) + 1
 		for _, code := range c.firsts {
-			id, ok := c.denseID(code, bound)
-			if !ok {
+			if code < 0 {
 				continue
 			}
-			for o := &owner[id]; ; {
+			for o := &owner[code]; ; {
 				if cur := o.Load(); (cur != 0 && cur <= ticket) || o.CompareAndSwap(cur, ticket) {
 					break
 				}
 			}
 		}
 	})
-	// Ownership, ids no chunk holds raw: shard s scans those with
+	// Ownership, overflow ids: shard s scans those with
 	// shardOf(id)==s chunk by chunk in file order; the first chunk to show
 	// an id owns it.
 	nOver := 0
@@ -786,13 +684,13 @@ func (l *loader) assemble() *Graph {
 		for k := range chunks {
 			chunks[k].overWon = make([]bool, len(chunks[k].overIDs))
 		}
-		distinct := make([]int, l.procs)
-		par.Do(l.procs, func(s int) {
+		distinct := make([]int, procs)
+		par.Do(procs, func(s int) {
 			seen := newFlatIntern(1024)
 			for k := range chunks {
 				c := &chunks[k]
 				for i, id := range c.overIDs {
-					if uint64(id) < uint64(bound) || shardOf(id, l.procs) != s {
+					if shardOf(id, procs) != s {
 						continue
 					}
 					if _, existed := seen.getOrPut(id, 0); !existed {
@@ -811,7 +709,7 @@ func (l *loader) assemble() *Graph {
 	// appearance order, take consecutive internal ids after those of the
 	// chunks before it — the global first-appearance order, the exact
 	// internal-id order of a sequential Builder fed the same lines.
-	forChunks(l.procs, chunks, func(_, k int, c *chunk) {
+	forChunks(procs, chunks, func(_, k int, c *chunk) {
 		for _, code := range c.firsts {
 			if c.owns(code, int32(k)+1, owner) {
 				c.base++
@@ -823,18 +721,18 @@ func (l *loader) assemble() *Graph {
 		n, chunks[k].base = n+chunks[k].base, n
 	}
 	ids := make([]VertexID, n)
-	index := idTable{dense: make([]int32, bound)}
+	index := idTable{dense: make([]int32, nDense)}
 	for i := range index.dense {
 		index.dense[i] = -1
 	}
-	forChunks(l.procs, chunks, func(_, k int, c *chunk) {
+	forChunks(procs, chunks, func(_, k int, c *chunk) {
 		v := int32(c.base)
 		for _, code := range c.firsts {
 			if !c.owns(code, int32(k)+1, owner) {
 				continue
 			}
-			if id, ok := c.denseID(code, bound); ok {
-				ids[v], index.dense[id] = VertexID(id), v
+			if code >= 0 {
+				ids[v], index.dense[code] = VertexID(code), v
 			} else {
 				ids[v] = c.overIDs[^code]
 			}
@@ -844,7 +742,7 @@ func (l *loader) assemble() *Graph {
 	if nOver > 0 {
 		index.over = newFlatIntern(nOver)
 		for v, id := range ids {
-			if uint64(id) >= uint64(bound) {
+			if uint64(id) >= uint64(nDense) {
 				index.over.getOrPut(id, int32(v))
 			}
 		}
@@ -861,7 +759,7 @@ func (l *loader) assemble() *Graph {
 	if weighted && m > 0 {
 		ws = make([]float64, m)
 	}
-	forChunks(l.procs, chunks, func(_, k int, c *chunk) {
+	forChunks(procs, chunks, func(_, k int, c *chunk) {
 		trans := make([]int32, len(c.overIDs))
 		for i, id := range c.overIDs {
 			trans[i], _ = index.get(id)
@@ -879,7 +777,7 @@ func (l *loader) assemble() *Graph {
 			}
 		}
 	})
-	return buildGraph(l.h.directed, ids, index, srcs, dsts, ws)
+	return buildGraph(h.directed, ids, index, srcs, dsts, ws)
 }
 
 // remap translates a chunk's endpoint codes into internal ids.
@@ -893,12 +791,39 @@ func remap(out, codes, dense, trans []int32) {
 	}
 }
 
-// ParseEdgeList parses an in-memory edge list with the chunked parallel
-// loader. See ReadEdgeList for the format.
+// ParseEdgeList parses an edge list held in memory with the chunked
+// parallel loader. See ReadEdgeListFile for the format.
 func ParseEdgeList(data []byte) (*Graph, error) {
-	l := &loader{h: newHeader()}
-	if err := l.feed(data, int64(len(data))); err != nil {
+	h, err := scanHeader(data)
+	if err != nil {
 		return nil, err
 	}
-	return l.assemble(), nil
+	region := data[h.off:]
+	procs := par.Procs(int64(len(data)), loaderGrainBytes)
+	// The dense id range [0, bound) is fixed before any chunk parses, so
+	// an id is raw in every chunk or in none. At most len/2+1 ids fit in
+	// the region, and len/procs ids per worker bitmap keeps the bitmaps
+	// together within an eighth of its bytes, so a lying n= cannot force
+	// an allocation. bound only picks how a chunk encodes an id; the Graph
+	// is the same for any value of it.
+	bound := min(math.MaxInt32-63, len(region)/2+1, len(region)/procs)
+	if h.nHint > 0 {
+		bound = min(bound, h.nHint)
+	}
+	parsers := make([]parser, procs)
+	for w := range parsers {
+		parsers[w].seen = make([]uint64, (bound+63)/64)
+	}
+	// Newline-aligned chunks of loaderGrainBytes, at least one per worker.
+	nc := max(procs, (len(region)+loaderGrainBytes-1)/loaderGrainBytes)
+	chunks := make([]chunk, nc)
+	forChunks(procs, chunks, func(w, k int, c *chunk) {
+		lo, hi := lineStart(region, k*len(region)/nc), lineStart(region, (k+1)*len(region)/nc)
+		parsers[w].parse(c, region[lo:hi])
+		parsers[w].release(c)
+	})
+	if err := chunkFail(chunks, h.lines); err != nil {
+		return nil, err
+	}
+	return assemble(chunks, h, procs), nil
 }

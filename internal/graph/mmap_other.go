@@ -8,7 +8,7 @@ import (
 )
 
 // mmapFile on platforms without memory mapping always reports failure;
-// ReadEdgeListFileMmap then takes the streaming path.
+// ReadEdgeListFile then reads the file whole.
 func mmapFile(*os.File) ([]byte, func(), error) {
 	return nil, nil, errors.New("graph: mmap unsupported on this platform")
 }

@@ -1,9 +1,8 @@
 package graph
 
-// Differential pin for the mmap front end: mapping the file and parsing
-// it in place must reproduce the streaming file reader bit for bit,
-// including when the streaming side is forced into multi-window mode,
-// and both front ends must report identical errors on malformed input.
+// Differential pin for the file front end: mapping a file and parsing the
+// mapping must reproduce ParseEdgeList of the same bytes bit for bit, and
+// report identical errors on malformed input.
 
 import (
 	"bytes"
@@ -15,8 +14,8 @@ import (
 )
 
 // writeTemp round-trips g through WriteEdgeList into a file and returns
-// its path.
-func writeTemp(t *testing.T, dir, name string, g *Graph) string {
+// its path and bytes.
+func writeTemp(t *testing.T, dir, name string, g *Graph) (string, []byte) {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := WriteEdgeList(&buf, g); err != nil {
@@ -26,78 +25,75 @@ func writeTemp(t *testing.T, dir, name string, g *Graph) string {
 	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	return path
+	return path, buf.Bytes()
 }
 
-func TestReadEdgeListFileMmapMatchesStreaming(t *testing.T) {
+func TestReadEdgeListFileMatchesParse(t *testing.T) {
 	dir := t.TempDir()
 	for seed := int64(0); seed < 8; seed++ {
 		rng := rand.New(rand.NewSource(seed + 900))
 		directed := seed%2 == 0
 		weighted := seed%3 != 0
-		g := randomBuilder(rng, directed, weighted, 1+rng.Intn(80), rng.Intn(600)).buildRef()
-		path := writeTemp(t, dir, fmt.Sprintf("g%d.txt", seed), g)
-		// A tiny window forces the streaming side through many carry-over
-		// refills while the mmap side parses the whole mapping at once —
-		// the strongest version of the equivalence.
-		if seed%2 == 1 {
-			smallWindow(t, 64)
+		// The last seed spans many chunks.
+		n, m := 1+rng.Intn(80), rng.Intn(600)
+		if seed == 7 {
+			n, m = 3000, 60000
 		}
-		mm, err := ReadEdgeListFileMmap(path)
+		path, data := writeTemp(t, dir, fmt.Sprintf("g%d.txt", seed), randomBuilder(rng, directed, weighted, n, m).buildRef())
+		got, err := ReadEdgeListFile(path)
 		if err != nil {
-			t.Fatalf("seed %d: mmap read: %v", seed, err)
+			t.Fatalf("seed %d: file read: %v", seed, err)
 		}
-		st, err := ReadEdgeListFile(path)
+		want, err := ParseEdgeList(data)
 		if err != nil {
-			t.Fatalf("seed %d: streaming read: %v", seed, err)
+			t.Fatalf("seed %d: parse: %v", seed, err)
 		}
-		// Not compared against g itself: the file round trip reassigns
-		// internal ids to first-appearance order, which both readers must
-		// agree on but the in-memory source need not share.
-		equalGraphs(t, fmt.Sprintf("mmap/seed=%d", seed), mm, st)
+		// Not compared against the built graph itself: the file round trip
+		// reassigns internal ids to first-appearance order.
+		equalGraphs(t, fmt.Sprintf("file/seed=%d", seed), got, want)
 	}
 }
 
-// TestReadEdgeListFileMmapFallsBack: inputs the mapper refuses (empty
-// file) must still load, through the streaming path, with the same
-// result as ReadEdgeListFile.
+// TestReadEdgeListFileMmapFallsBack: a file the mapper refuses (empty)
+// still loads, read whole, to what ParseEdgeList makes of its bytes.
 func TestReadEdgeListFileMmapFallsBack(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "empty.txt")
 	if err := os.WriteFile(path, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	mm, err := ReadEdgeListFileMmap(path)
+	got, err := ReadEdgeListFile(path)
 	if err != nil {
-		t.Fatalf("mmap read of empty file: %v", err)
+		t.Fatalf("read of empty file: %v", err)
 	}
-	st, err := ReadEdgeListFile(path)
+	want, err := ParseEdgeList(nil)
 	if err != nil {
-		t.Fatalf("streaming read of empty file: %v", err)
+		t.Fatal(err)
 	}
-	equalGraphs(t, "mmap-empty", mm, st)
+	equalGraphs(t, "file-empty", got, want)
 }
 
 // TestReadEdgeListFileMmapErrors: malformed input fails with the exact
-// error text of the in-memory/streaming parse.
+// error text of the in-memory parse.
 func TestReadEdgeListFileMmapErrors(t *testing.T) {
+	data := []byte("0 1\nnope nope\n2 3\n")
 	path := filepath.Join(t.TempDir(), "bad.txt")
-	if err := os.WriteFile(path, []byte("0 1\nnope nope\n2 3\n"), 0o644); err != nil {
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, mmErr := ReadEdgeListFileMmap(path)
-	_, stErr := ReadEdgeListFile(path)
-	if mmErr == nil || stErr == nil {
-		t.Fatalf("expected both readers to fail: mmap=%v streaming=%v", mmErr, stErr)
+	_, fileErr := ReadEdgeListFile(path)
+	_, memErr := ParseEdgeList(data)
+	if fileErr == nil || memErr == nil {
+		t.Fatalf("expected both to fail: file=%v memory=%v", fileErr, memErr)
 	}
-	if mmErr.Error() != stErr.Error() {
-		t.Fatalf("error text diverges: mmap %q, streaming %q", mmErr, stErr)
+	if fileErr.Error() != memErr.Error() {
+		t.Fatalf("error text diverges: file %q, memory %q", fileErr, memErr)
 	}
 }
 
 // TestReadEdgeListFileMmapMissing: a missing file reports the open
-// error, not a fallback parse of nothing.
+// error, not a parse of nothing.
 func TestReadEdgeListFileMmapMissing(t *testing.T) {
-	if _, err := ReadEdgeListFileMmap(filepath.Join(t.TempDir(), "absent")); !os.IsNotExist(err) {
+	if _, err := ReadEdgeListFile(filepath.Join(t.TempDir(), "absent")); !os.IsNotExist(err) {
 		t.Fatalf("want not-exist error, got %v", err)
 	}
 }

@@ -9,9 +9,9 @@ import (
 	"syscall"
 )
 
-// errNotMappable marks inputs the mmap front end cannot serve (empty
-// files, non-regular files, sizes past the address space); callers
-// fall back to the streaming reader.
+// errNotMappable marks inputs the mapper cannot serve (empty files,
+// non-regular files, sizes past the address space); ReadEdgeListFile
+// reads those whole.
 var errNotMappable = errors.New("graph: file not mappable")
 
 // mmapFile maps f read-only and returns the mapping plus an unmap

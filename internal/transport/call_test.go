@@ -3,6 +3,7 @@ package transport
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -464,4 +465,69 @@ func TestServe(t *testing.T) {
 			t.Fatal("Close never returned after the handlers did")
 		}
 	})
+}
+
+// TestDialRoutesBeforeReading: a plane that dials out and serves an
+// endpoint can be sent a call the instant its handshake completes, and
+// Serve's handler answers it through the route back to the caller. So
+// Dial must register the link's routes before the link's reader starts:
+// a reader started first delivers the frame while the route is missing,
+// the Reply fails with "no route", and the caller waits out its timeout.
+// Here the hub sends the moment it can route to the server, so its frame
+// is pipelined behind the HelloAck, and the caller's endpoint comes last
+// in a route list long enough that registering it takes milliseconds;
+// on delivery the frame checks that the route back exists, as the Reply
+// would.
+func TestDialRoutesBeforeReading(t *testing.T) {
+	route := make([]int32, 1<<17)
+	for k := range route {
+		route[k] = int32(100 + k)
+	}
+	caller := route[len(route)-1]
+	hubCfg := testConfig(nil)
+	hubCfg.ListenAddr = "127.0.0.1:0"
+	hub, err := Listen(hubCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hub.Close()
+	var srv *Plane
+	seen := make(chan string, 1)
+	srv, err = Listen(testConfig(func(f Frame) {
+		msg := "routed"
+		if !srv.mu.TryLock() {
+			msg = "delivered while Dial held the routing table"
+		} else {
+			if srv.routes[f.From] == nil {
+				msg = "delivered before the route back was registered"
+			}
+			srv.mu.Unlock()
+		}
+		select {
+		case seen <- msg:
+		default:
+		}
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	go func() {
+		for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); runtime.Gosched() {
+			if hub.Send(caller, 9, KindData, nil) == nil {
+				return
+			}
+		}
+	}()
+	if err := srv.Dial(1, hub.Addr(), []int32{9}, route); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case msg := <-seen:
+		if msg != "routed" {
+			t.Fatalf("the hub's frame was %s", msg)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the hub's frame never arrived")
+	}
 }

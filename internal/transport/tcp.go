@@ -245,15 +245,18 @@ func (p *Plane) Dial(id int32, addr string, serve, route []int32) error {
 	if err != nil {
 		return err
 	}
-	l.mu.Lock()
-	l.attachLocked(conn, br, lastRecv)
-	l.mu.Unlock()
-
+	// Routes before the reader: the peer may call an endpoint we serve
+	// the instant the handshake completes, and the handler's Reply
+	// travels on the route back to the caller.
 	p.mu.Lock()
 	for _, r := range route {
 		p.routes[r] = l
 	}
 	p.mu.Unlock()
+
+	l.mu.Lock()
+	l.attachLocked(conn, br, lastRecv)
+	l.mu.Unlock()
 
 	p.wg.Add(2)
 	go l.writer()
