@@ -3,6 +3,8 @@
 package graph
 
 import (
+	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"syscall"
@@ -33,6 +35,29 @@ func readFIFO(t *testing.T, data []byte) (*Graph, error) {
 		t.Fatalf("writing the pipe: %v", werr)
 	}
 	return g, err
+}
+
+// TestReadEdgeListFileMmapMatchesStreaming: the same bytes load equal
+// from a regular file, which is mapped, and from a pipe, which cannot be
+// mapped and is streamed in whole, on random graphs of every kind.
+func TestReadEdgeListFileMmapMatchesStreaming(t *testing.T) {
+	dir := t.TempDir()
+	for seed := int64(0); seed < 6; seed++ {
+		rng := rand.New(rand.NewSource(seed + 700))
+		directed := seed%2 == 0
+		weighted := seed%3 != 0
+		g := randomBuilder(rng, directed, weighted, 1+rng.Intn(300), rng.Intn(3000)).buildRef()
+		path, data := writeTemp(t, dir, fmt.Sprintf("g%d.txt", seed), g)
+		mapped, err := ReadEdgeListFile(path)
+		if err != nil {
+			t.Fatalf("seed %d: mapped read: %v", seed, err)
+		}
+		streamed, err := readFIFO(t, data)
+		if err != nil {
+			t.Fatalf("seed %d: pipe read: %v", seed, err)
+		}
+		equalGraphs(t, fmt.Sprintf("mmap-vs-pipe/seed=%d", seed), mapped, streamed)
+	}
 }
 
 // TestReadEdgeListFileFIFO: a non-regular file the mapper refuses is read
