@@ -346,8 +346,8 @@ func runClient(addr string, clientID int, timeout time.Duration, algo string, so
 		}
 		fmt.Printf("server %s: admitted %d, completed %d, failed %d, active %d, rejected %d\n",
 			addr, st.Admitted, st.Completed, st.Failed, st.Active, st.Rejected)
-		fmt.Printf("batches %d (%d queries, max batch %d), queued now %d, qps %.2f, busy %.3fs over %.3fs\n",
-			st.Batches, st.BatchedQueries, st.MaxBatch, st.QueuedNow, st.QPS, st.BusySeconds, st.UpSeconds)
+		fmt.Printf("shared=%d max_batch=%d, queued now %d, qps %.2f, busy %.3fs over %.3fs\n",
+			st.Shared, st.MaxBatch, st.QueuedNow, st.QPS, st.BusySeconds, st.UpSeconds)
 		return
 	default:
 		fatal(fmt.Errorf("unknown client algorithm %q (sssp, cc, pagerank, recommend, stats)", algo))

@@ -9,7 +9,7 @@
 //	graped -graph g.txt -listen 127.0.0.1:7700
 //	graped -gen powerlaw:5000:8:7 -listen 127.0.0.1:0 -addr-file /tmp/addr
 //	graped -gen ratings:500:60:10:4:9 -cf-epochs 12   # SSSP + Recommend
-//	graped -graph g.txt -max-inflight 4 -batch-window 2ms -batch-max 8
+//	graped -graph g.txt -max-inflight 4 -queue-depth 64
 //
 // The bound address is printed on stdout (and written to -addr-file
 // when set) once the server is accepting queries; per-query serving
@@ -44,10 +44,8 @@ func main() {
 	workers := flag.Int("workers", 4, "fragments of the shared plane")
 	strategy := flag.String("partition", "hash", "partition strategy: hash, range, bfs")
 	modeName := flag.String("mode", "aap", "engine mode for query runs: aap, bsp, ap, ssp, hsync")
-	maxInflight := flag.Int("max-inflight", 4, "concurrent engine runs (each distinct source of an SSSP batch is one)")
+	maxInflight := flag.Int("max-inflight", 4, "concurrent engine runs (queries sharing an SSSP run hold one)")
 	queueDepth := flag.Int("queue-depth", 64, "queries allowed to wait beyond the in-flight cap")
-	batchWindow := flag.Duration("batch-window", 2*time.Millisecond, "how long a queued SSSP query waits for others; queries for the same source within it share one engine run (0: no wait)")
-	batchMax := flag.Int("batch-max", 8, "SSSP queries per batch; reaching it cuts the batch before the window ends")
 	njobs := flag.Int("njobs", 0, "engine compute parallelism per run (0: GOMAXPROCS)")
 	deadline := flag.Duration("deadline", 0, "per-query engine deadline (0: none)")
 	pagerankTol := flag.Float64("pagerank-tol", 1e-8, "PageRank query tolerance")
@@ -55,8 +53,8 @@ func main() {
 	rpcWorkers := flag.Int("rpc-workers", 0, "RPC handler pool size (0: in-flight cap + queue depth)")
 	flag.Parse()
 	if err := checkScheduler(scheduler{
-		maxInflight: *maxInflight, queueDepth: *queueDepth, batchMax: *batchMax, njobs: *njobs,
-		batchWindow: *batchWindow, deadline: *deadline, pagerankTol: *pagerankTol,
+		maxInflight: *maxInflight, queueDepth: *queueDepth, njobs: *njobs,
+		deadline: *deadline, pagerankTol: *pagerankTol,
 	}); err != nil {
 		fmt.Fprintln(os.Stderr, "graped:", err)
 		os.Exit(2)
@@ -84,8 +82,6 @@ func main() {
 	opts := []serve.Option{
 		serve.WithMaxInflight(*maxInflight),
 		serve.WithQueueDepth(*queueDepth),
-		serve.WithBatchWindow(*batchWindow),
-		serve.WithBatchMax(*batchMax),
 		serve.WithNJobs(*njobs),
 		serve.WithDeadline(*deadline),
 		serve.WithMode(mode),
@@ -119,8 +115,8 @@ func main() {
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	<-sig
 	st := srv.Stats()
-	logger.Printf("shutting down: admitted=%d completed=%d failed=%d rejected=%d batches=%d batched_queries=%d max_batch=%d qps=%.2f",
-		st.Admitted, st.Completed, st.Failed, st.Rejected, st.Batches, st.BatchedQueries, st.MaxBatch, st.QPS)
+	logger.Printf("shutting down: admitted=%d completed=%d failed=%d rejected=%d shared=%d max_batch=%d qps=%.2f",
+		st.Admitted, st.Completed, st.Failed, st.Rejected, st.Shared, st.MaxBatch, st.QPS)
 	if err := rs.Close(); err != nil {
 		logger.Printf("close: %v", err)
 	}
@@ -130,9 +126,9 @@ func main() {
 // with their defaults when out of range (a -max-inflight of -1 would
 // serve with 4).
 type scheduler struct {
-	maxInflight, queueDepth, batchMax, njobs int
-	batchWindow, deadline                    time.Duration
-	pagerankTol                              float64
+	maxInflight, queueDepth, njobs int
+	deadline                       time.Duration
+	pagerankTol                    float64
 }
 
 // checkScheduler refuses such a value, naming its flag, so graped never
@@ -146,9 +142,7 @@ func checkScheduler(s scheduler) error {
 	}{
 		{s.maxInflight <= 0, "-max-inflight", "a positive count", s.maxInflight},
 		{s.queueDepth <= 0, "-queue-depth", "a positive count", s.queueDepth},
-		{s.batchMax <= 0, "-batch-max", "a positive count", s.batchMax},
 		{s.njobs < 0, "-njobs", "zero (GOMAXPROCS) or a positive count", s.njobs},
-		{s.batchWindow < 0, "-batch-window", "zero or a positive duration", s.batchWindow},
 		{s.deadline < 0, "-deadline", "zero (none) or a positive duration", s.deadline},
 		{!(s.pagerankTol > 0) || math.IsInf(s.pagerankTol, 1), "-pagerank-tol", "a positive finite number", s.pagerankTol},
 	} {

@@ -27,16 +27,13 @@ func TestSchedulerFlagsFailClosed(t *testing.T) {
 		want string // "" for accepted, else the refusal
 	}{
 		{nil, ""},
-		{[]string{"-batch-window", "0", "-deadline", "0", "-njobs", "0"}, ""},
-		{[]string{"-max-inflight", "1", "-queue-depth", "1", "-batch-max", "1", "-njobs", "3"}, ""},
+		{[]string{"-deadline", "0", "-njobs", "0"}, ""},
+		{[]string{"-max-inflight", "1", "-queue-depth", "1", "-njobs", "3"}, ""},
 		{[]string{"-max-inflight", "0"}, "-max-inflight must be a positive count, got 0"},
 		{[]string{"-max-inflight", "-1"}, "-max-inflight must be a positive count, got -1"},
 		{[]string{"-queue-depth", "0"}, "-queue-depth must be a positive count, got 0"},
 		{[]string{"-queue-depth", "-4"}, "-queue-depth must be a positive count, got -4"},
-		{[]string{"-batch-max", "0"}, "-batch-max must be a positive count, got 0"},
-		{[]string{"-batch-max", "-8"}, "-batch-max must be a positive count, got -8"},
 		{[]string{"-njobs", "-1"}, "-njobs must be zero (GOMAXPROCS) or a positive count, got -1"},
-		{[]string{"-batch-window", "-2ms"}, "-batch-window must be zero or a positive duration, got -2ms"},
 		{[]string{"-deadline", "-1s"}, "-deadline must be zero (none) or a positive duration, got -1s"},
 		{[]string{"-pagerank-tol", "NaN"}, "-pagerank-tol must be a positive finite number, got NaN"},
 		{[]string{"-pagerank-tol", "0"}, "-pagerank-tol must be a positive finite number, got 0"},

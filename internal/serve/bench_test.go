@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-	"time"
 
 	"aap/internal/core"
 	"aap/internal/gen"
@@ -13,15 +12,15 @@ import (
 	"aap/internal/partition"
 )
 
-// BenchmarkServeSSSPBatch: one op is one batch of k concurrent SSSP
-// queries through Server.SSSP, sources drawn from Zipf(s=1.2, v=8) over
-// the vertices with out-edges in id order (the hubs are the hot sources,
-// as on the serve_sssp_rpc workload), on gen.PowerLaw(50k, 8, 2.1) in 4
-// hash fragments. The batch is cut by count — WithBatchMax(k) under a
-// window no op lasts — and every other option is at its default.
+// BenchmarkServeSSSPBatch: one op is k concurrent SSSP queries through
+// Server.SSSP, sources drawn from Zipf(s=1.2, v=8) over the vertices with
+// out-edges in id order (the hubs are the hot sources, as on the
+// serve_sssp_rpc workload), on gen.PowerLaw(50k, 8, 2.1) in 4 hash
+// fragments, every option at its default. Each query starts its run at
+// once unless one for its source is queued or running, which it joins.
 // scanned/op counts the edge scans of each engine run once (a run's
 // scan divided among the queries it answered): the number a kernel that
-// shares scans among a batch's sources would have to beat.
+// shares scans among concurrent queries' sources would have to beat.
 func BenchmarkServeSSSPBatch(b *testing.B) {
 	g := gen.PowerLaw(50_000, 8, 2.1, true, 1)
 	p, err := partition.Build(g, 4, partition.Hash{})
@@ -41,7 +40,7 @@ func BenchmarkServeSSSPBatch(b *testing.B) {
 	}
 	for _, k := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
-			srv := New(p, WithBatchMax(k), WithBatchWindow(time.Minute))
+			srv := New(p)
 			stats := make([]core.RunStats, k)
 			var scanned float64
 			b.ResetTimer()

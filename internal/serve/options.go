@@ -1,11 +1,11 @@
 // Package serve is the concurrent-query scheduling plane over a
 // resident core.Session: admission control (bounded in-flight engine
-// runs plus a bounded wait queue), SSSP batching (a batch cut from the
-// queue runs each distinct source once as sssp.Job, the runs concurrent
-// under the in-flight cap, and queries for the same source share one
-// run), per-query deadlines through the engine's existing
-// Options.Deadline, and a trained-once collaborative-filtering
-// recommendation path.
+// runs plus a bounded wait queue), shared SSSP runs (each query starts
+// its sssp.Job at once, under one in-flight permit, unless a run for its
+// source is already queued or running, which it then joins: the answer
+// is a function of the source alone), per-query deadlines through the
+// engine's existing Options.Deadline, and a trained-once
+// collaborative-filtering recommendation path.
 //
 // The package splits responsibilities with core cleanly: core.Session
 // owns the shared immutable plane (fragments, slot tables, routing) and
@@ -28,8 +28,6 @@ import (
 type config struct {
 	maxInflight int           // concurrent engine runs
 	queueDepth  int           // queries allowed to wait beyond the in-flight cap
-	batchWindow time.Duration // how long the first queued SSSP source waits for company
-	batchMax    int           // queries per batch; reaching it cuts the batch early
 	njobs       int           // engine compute parallelism (core.Options.PhysicalWorkers)
 	deadline    time.Duration // per-query engine deadline (core.Options.Deadline)
 	mode        core.Mode
@@ -45,12 +43,6 @@ func (c config) withDefaults() config {
 	if c.queueDepth <= 0 {
 		c.queueDepth = 64
 	}
-	if c.batchWindow < 0 {
-		c.batchWindow = 0
-	}
-	if c.batchMax <= 0 {
-		c.batchMax = 8
-	}
 	if !(c.pagerankTol > 0) || math.IsInf(c.pagerankTol, 1) { // NaN too
 		c.pagerankTol = 1e-8
 	}
@@ -60,26 +52,26 @@ func (c config) withDefaults() config {
 // Option configures a Server.
 type Option func(*config)
 
-// WithMaxInflight bounds how many engine runs may execute at once (each
-// distinct source of an SSSP batch is one run); further admitted queries
-// wait in the queue. Default 4.
+// WithMaxInflight bounds how many engine runs may execute at once (the
+// queries that share an SSSP run hold one permit); further admitted
+// queries wait in the queue. Default 4.
 func WithMaxInflight(n int) Option { return func(c *config) { c.maxInflight = n } }
 
 // WithQueueDepth bounds how many queries may wait for an in-flight
 // slot; beyond it queries fail fast with ErrOverloaded. Default 64.
 func WithQueueDepth(n int) Option { return func(c *config) { c.queueDepth = n } }
 
-// WithBatchWindow sets how long the first queued SSSP query waits for
-// company before its batch is cut. A cut batch runs each distinct source
-// once, so what the window buys is coalescing: queries for the same
-// source within it share one engine run (and pay the wait). Zero (the
-// default) disables it: every SSSP runs immediately as its own run.
-func WithBatchWindow(d time.Duration) Option { return func(c *config) { c.batchWindow = d } }
+// WithBatchWindow does nothing: queries for one source share a run
+// without waiting for each other.
+//
+// Deprecated: kept only for existing callers; pass nothing instead.
+func WithBatchWindow(time.Duration) Option { return func(*config) {} }
 
-// WithBatchMax caps the queries per batch; a batch reaching the cap is
-// cut before the window expires. Its distinct sources still run as
-// separate engine runs, each under its own in-flight permit. Default 8.
-func WithBatchMax(n int) Option { return func(c *config) { c.batchMax = n } }
+// WithBatchMax does nothing: a shared SSSP run answers every query that
+// joins it.
+//
+// Deprecated: kept only for existing callers; pass nothing instead.
+func WithBatchMax(int) Option { return func(*config) {} }
 
 // WithNJobs sets the engine's compute parallelism per run
 // (core.Options.PhysicalWorkers); 0 uses GOMAXPROCS.

@@ -18,6 +18,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"aap/internal/codec"
@@ -77,10 +78,14 @@ func readMeta(r *codec.Reader) QueryMeta {
 	}
 }
 
+// errClosing refuses a call that reaches a closing RPCServer.
+var errClosing = errors.New("serve: server closing, query refused")
+
 // RPCServer hosts a Server behind a listening transport plane.
 type RPCServer struct {
-	srv   *Server
-	plane *transport.Plane
+	srv     *Server
+	plane   *transport.Plane
+	closing atomic.Bool
 }
 
 // ListenRPC exposes srv on addr ("127.0.0.1:0" for an ephemeral port).
@@ -107,9 +112,15 @@ func ListenRPC(srv *Server, addr string, workers int) (*RPCServer, error) {
 // Addr is the plane's bound listen address.
 func (rs *RPCServer) Addr() string { return rs.plane.Addr() }
 
-// Close tears down the transport plane; it returns once the requests
-// being handled have been.
-func (rs *RPCServer) Close() error { return rs.plane.Close() }
+// Close drains the server, then tears down the transport plane. A call
+// that reaches the server once Close has begun is refused; the calls
+// being handled run to their answers, and the plane closes once their
+// callers have them.
+func (rs *RPCServer) Close() error {
+	rs.closing.Store(true)
+	rs.plane.Drain(serverEndpoint)
+	return rs.plane.Close()
+}
 
 // answer is the response to a query that started at t0: the Server's
 // error, or [QueryMeta] and the result vector.
@@ -124,6 +135,9 @@ func answer[V any](t0 time.Time, vals []V, st *core.RunStats, err error, vec fun
 // request that is not exactly its op and arguments is refused before
 // it reaches the Server.
 func (rs *RPCServer) handle(payload []byte) ([]byte, error) {
+	if rs.closing.Load() {
+		return nil, errClosing
+	}
 	r := codec.NewReader(payload)
 	op := r.Uint32()
 	if r.Err() != nil {

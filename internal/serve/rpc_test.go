@@ -28,7 +28,7 @@ import (
 func TestRPCServesMixedQueries(t *testing.T) {
 	g := gen.PowerLaw(400, 5, 2.1, true, 37)
 	p := buildPartition(t, g, 2)
-	srv := New(p, WithBatchWindow(5*time.Millisecond), WithBatchMax(4))
+	srv := New(p)
 	rs, err := ListenRPC(srv, "127.0.0.1:0", 0)
 	if err != nil {
 		t.Fatal(err)
@@ -116,7 +116,7 @@ func TestRPCServesMixedQueries(t *testing.T) {
 	}
 	// Completed counts engine runs: one per distinct SSSP source, and
 	// one each for CC and PageRank.
-	if st.BatchedQueries != int64(len(sources)) || st.Completed != int64(len(sources))+2 || st.Active != 0 {
+	if st.Shared != 0 || st.Completed != int64(len(sources))+2 || st.Active != 0 {
 		t.Fatalf("server stats: %+v", st)
 	}
 }
@@ -354,7 +354,7 @@ func TestRPCRequestBounds(t *testing.T) {
 // commit it ran, and answered +Inf for every vertex.
 func TestUnknownSSSPSourceFailsClosed(t *testing.T) {
 	p := buildPartition(t, gen.PowerLaw(200, 4, 2.1, true, 3), 2)
-	srv := New(p, WithBatchWindow(50*time.Millisecond))
+	srv := New(p)
 	rs, err := ListenRPC(srv, "127.0.0.1:0", 0)
 	if err != nil {
 		t.Fatal(err)
@@ -376,7 +376,7 @@ func TestUnknownSSSPSourceFailsClosed(t *testing.T) {
 		t.Fatalf("Client.SSSP: got %d distances, err %v; want the Server's refusal as a RemoteError", len(dist), err)
 	}
 	after := srv.Stats()
-	if after.QueuedNow != 0 || after.Rejected != before.Rejected || after.Batches != before.Batches || after.Admitted != before.Admitted {
+	if after.QueuedNow != 0 || after.Rejected != before.Rejected || after.Shared != before.Shared || after.Admitted != before.Admitted {
 		t.Fatalf("the refused source touched the scheduler: before %+v, after %+v", before, after)
 	}
 	if st, err := cl.Stats(); err != nil || st.QueuedNow != 0 { // and the server still answers
@@ -384,5 +384,69 @@ func TestUnknownSSSPSourceFailsClosed(t *testing.T) {
 	}
 	if _, _, err := cl.SSSP(0); err != nil {
 		t.Fatalf("a known source after the refusals: %v", err)
+	}
+}
+
+// TestRPCCloseDrains: Close stops admitting, lets the calls being handled
+// finish and closes the plane only once their callers have the answers.
+// An SSSP call in flight when Close begins gets its full answer; a call
+// issued after that fails fast, and so does one that reaches the handler.
+// At the parent commit Close closed the plane at once, failing the call
+// in flight.
+func TestRPCCloseDrains(t *testing.T) {
+	p := buildPartition(t, gen.PowerLaw(400, 5, 2.1, true, 37), 2)
+	srv := New(p, WithMaxInflight(1))
+	rs, err := ListenRPC(srv, "127.0.0.1:0", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rs.Close()
+	cl, err := DialRPC(rs.Addr(), 21, 20*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	release := holdPermits(srv)
+	type answer struct {
+		dist []float64
+		err  error
+	}
+	inFlight := make(chan answer, 1)
+	go func() {
+		dist, _, err := cl.SSSP(3)
+		inFlight <- answer{dist, err}
+	}()
+	waitAttached(t, srv, 1) // the call is in the handler, queued for the permit
+	closed := make(chan error, 1)
+	go func() { closed <- rs.Close() }()
+	for !rs.closing.Load() {
+		time.Sleep(time.Millisecond)
+	}
+
+	t0 := time.Now()
+	if _, _, err := cl.SSSP(4); err == nil {
+		t.Fatal("a call issued after Close began was answered")
+	} else if took := time.Since(t0); took > 5*time.Second {
+		t.Fatalf("a call issued after Close began failed only after %v: %v", took, err)
+	}
+	req := codec.AppendInt64(codec.AppendUint32(nil, opSSSP), 4)
+	if _, err := rs.handle(req); !errors.Is(err, errClosing) {
+		t.Fatalf("a call reaching the handler after Close began: err = %v, want the refusal", err)
+	}
+	select {
+	case err := <-closed:
+		t.Fatalf("Close returned (%v) with a call still being handled", err)
+	default:
+	}
+
+	release()
+	a := <-inFlight
+	if a.err != nil {
+		t.Fatalf("the call in flight when Close began: %v", a.err)
+	}
+	sameBits(t, "the call in flight when Close began", a.dist, refSSSP(t, p, 3))
+	if err := <-closed; err != nil {
+		t.Fatal(err)
 	}
 }

@@ -1,14 +1,16 @@
 package serve
 
-// Scheduler tests: batched SSSP equivalence to dedicated runs and the
-// in-flight cap under a batch, admission control shedding, deadline
+// Scheduler tests: shared SSSP runs' equivalence to dedicated runs and
+// the in-flight cap under them, admission control shedding, deadline
 // propagation, and the recommendation path.
 
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -31,57 +33,106 @@ func buildPartition(t testing.TB, g *graph.Graph, m int) *partition.Partitioned 
 	return p
 }
 
+// holdPermits takes every in-flight permit of srv, so SSSP runs queue
+// until the returned func gives them back.
+func holdPermits(srv *Server) (release func()) {
+	for range cap(srv.sem) {
+		srv.sem <- struct{}{}
+	}
+	return func() {
+		for range cap(srv.sem) {
+			<-srv.sem
+		}
+	}
+}
+
+// waitAttached polls until n SSSP queries sit in srv's join map, as the
+// starters or the joiners of its runs.
+func waitAttached(t *testing.T, srv *Server, n int) {
+	t.Helper()
+	deadline := time.Now().Add(20 * time.Second)
+	for {
+		srv.mu.Lock()
+		got := 0
+		for _, run := range srv.runs {
+			got += 1 + len(run.joins)
+		}
+		srv.mu.Unlock()
+		if got == n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d SSSP queries attached to runs after 20s, want %d", got, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// sameBits fails unless got is bit-identical to want.
+func sameBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d distances, want %d", what, len(got), len(want))
+	}
+	for v := range want {
+		if math.Float64bits(got[v]) != math.Float64bits(want[v]) {
+			t.Fatalf("%s vertex %d: served %v != reference %v", what, v, got[v], want[v])
+		}
+	}
+}
+
+// refSSSP is the sequential reference answer for src.
+func refSSSP(t *testing.T, p *partition.Partitioned, src graph.VertexID) []float64 {
+	t.Helper()
+	res, err := core.Run(p, sssp.RefJob(src), core.Options{Mode: core.AAP})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Values
+}
+
 // TestServedSSSPMatchesDedicatedRuns: eight concurrent SSSP queries, two
-// of them sources asked twice, are cut as one batch. Every reply is
+// of them sources asked twice, queue while the test holds every permit,
+// so each duplicate joins its source's queued run. Every reply is
 // bit-identical to the sequential reference; each distinct source is one
 // engine run, shared by its duplicates (BatchSize 2) and nobody else's
 // (BatchSize 1); duplicates get slices of their own; and the counters
-// account for one batch, eight queries and six runs.
+// account for six runs, two of whose queries were shared.
 func TestServedSSSPMatchesDedicatedRuns(t *testing.T) {
 	g := gen.PowerLaw(500, 6, 2.1, true, 19)
 	p := buildPartition(t, g, 2)
-	srv := New(p, WithBatchWindow(20*time.Millisecond), WithBatchMax(8), WithMaxInflight(2))
+	srv := New(p, WithMaxInflight(2))
 
 	sources := []graph.VertexID{0, 1, 2, 3, 0, 4, 2, 5}
 	asked := make(map[graph.VertexID]int)
 	for _, src := range sources {
 		asked[src]++
 	}
-	want := make(map[graph.VertexID][]float64)
-	for src := range asked {
-		res, err := core.Run(p, sssp.RefJob(src), core.Options{Mode: core.AAP})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[src] = res.Values
-	}
 
+	release := holdPermits(srv)
 	got := make([][]float64, len(sources))
 	stats := make([]core.RunStats, len(sources))
 	errs := make([]error, len(sources))
-	start := make(chan struct{})
 	var wg sync.WaitGroup
 	for i, src := range sources {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			<-start
 			got[i], stats[i], errs[i] = srv.SSSP(src)
 		}()
 	}
-	close(start)
+	waitAttached(t, srv, len(sources))
+	if n := len(srv.runs); n != len(asked) {
+		t.Fatalf("%d runs queued for %d distinct sources", n, len(asked))
+	}
+	release()
 	wg.Wait()
 
 	for i, src := range sources {
 		if errs[i] != nil {
 			t.Fatal(errs[i])
 		}
-		for v := range want[src] {
-			if math.Float64bits(got[i][v]) != math.Float64bits(want[src][v]) {
-				t.Fatalf("query %d (source %d) vertex %d: served %v != reference %v",
-					i, src, v, got[i][v], want[src][v])
-			}
-		}
+		sameBits(t, fmt.Sprintf("query %d (source %d)", i, src), got[i], refSSSP(t, p, src))
 		if stats[i].BatchSize != asked[src] || stats[i].QueueWaitSeconds < 0 {
 			t.Fatalf("query %d (source %d, asked %d times): BatchSize %d, queue wait %v",
 				i, src, asked[src], stats[i].BatchSize, stats[i].QueueWaitSeconds)
@@ -92,36 +143,33 @@ func TestServedSSSPMatchesDedicatedRuns(t *testing.T) {
 	if stats[0].ScannedEdges != stats[4].ScannedEdges {
 		t.Fatalf("duplicates report different runs: %d vs %d scanned edges", stats[0].ScannedEdges, stats[4].ScannedEdges)
 	}
+	want0 := slices.Clone(got[4])
 	for v := range got[0] {
 		got[0][v] = -1
 	}
-	for v, d := range got[4] {
-		if math.Float64bits(d) != math.Float64bits(want[0][v]) {
-			t.Fatalf("writing one duplicate's reply changed the other's: vertex %d = %v", v, d)
-		}
-	}
+	sameBits(t, "the other duplicate after one was overwritten", got[4], want0)
 
 	st := srv.Stats()
 	runs := int64(len(asked))
-	if st.Batches != 1 || st.BatchedQueries != int64(len(sources)) || st.MaxBatch != int64(len(sources)) {
-		t.Fatalf("batch counters off: %+v", st)
+	if st.Shared != 2 || st.MaxBatch != 2 {
+		t.Fatalf("sharing counters off, want Shared 2 and MaxBatch 2: %+v", st)
 	}
 	if st.Admitted != runs || st.Completed != runs || st.Failed != 0 || st.Active != 0 || st.QueuedNow != 0 {
 		t.Fatalf("session counters off, want %d runs: %+v", runs, st)
 	}
 }
 
-// TestBatchRespectsInflightCap: a batch of four distinct sources under
-// WithMaxInflight(1) runs them one at a time. While the test itself
-// holds the one permit, the cut batch's four queries all still count as
-// queued and none is in the engine; once it lets go, the engine never
-// holds more than one of them; and every answer is still right.
-func TestBatchRespectsInflightCap(t *testing.T) {
+// TestSSSPRespectsInflightCap: four distinct sources under
+// WithMaxInflight(1) run one at a time. While the test itself holds the
+// one permit, all four queries count as queued and none is in the
+// engine; once it lets go, the engine never holds more than one of them;
+// and every answer is still right.
+func TestSSSPRespectsInflightCap(t *testing.T) {
 	g := gen.PowerLaw(3000, 8, 2.1, true, 31)
 	p := buildPartition(t, g, 2)
-	srv := New(p, WithMaxInflight(1), WithBatchWindow(time.Second), WithBatchMax(4))
+	srv := New(p, WithMaxInflight(1))
 
-	srv.sem <- struct{}{} // the one permit, held until the batch is cut
+	release := holdPermits(srv)
 	sources := []graph.VertexID{0, 1, 2, 3}
 	got := make([][]float64, len(sources))
 	errs := make([]error, len(sources))
@@ -133,14 +181,14 @@ func TestBatchRespectsInflightCap(t *testing.T) {
 			got[i], _, errs[i] = srv.SSSP(src)
 		}()
 	}
-	for srv.Stats().Batches == 0 {
+	for srv.Stats().QueuedNow != int64(len(sources)) {
 		time.Sleep(time.Millisecond)
 	}
-	time.Sleep(20 * time.Millisecond) // let the cut batch's runs reach the permit
+	time.Sleep(20 * time.Millisecond) // a run that got past the permit would show by now
 	if st := srv.Stats(); st.QueuedNow != int64(len(sources)) || st.Active != 0 {
-		t.Fatalf("batch cut, permit held: %d queued and %d active, want %d and 0", st.QueuedNow, st.Active, len(sources))
+		t.Fatalf("permit held: %d queued and %d active, want %d and 0", st.QueuedNow, st.Active, len(sources))
 	}
-	<-srv.sem
+	release()
 
 	done := make(chan struct{})
 	go func() { wg.Wait(); close(done) }()
@@ -159,27 +207,19 @@ func TestBatchRespectsInflightCap(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatal(errs[i])
 		}
-		res, err := core.Run(p, sssp.RefJob(src), core.Options{Mode: core.AAP})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for v := range res.Values {
-			if math.Float64bits(got[i][v]) != math.Float64bits(res.Values[v]) {
-				t.Fatalf("source %d vertex %d: served %v != reference %v", src, v, got[i][v], res.Values[v])
-			}
-		}
+		sameBits(t, fmt.Sprintf("source %d", src), got[i], refSSSP(t, p, src))
 	}
 	if maxActive > 1 {
 		t.Fatalf("sampled %d engine runs active at once under WithMaxInflight(1)", maxActive)
 	}
-	if st := srv.Stats(); st.QueuedNow != 0 || st.Completed != int64(len(sources)) || st.Batches != 1 {
-		t.Fatalf("after the batch: %+v", st)
+	if st := srv.Stats(); st.QueuedNow != 0 || st.Completed != int64(len(sources)) || st.Shared != 0 {
+		t.Fatalf("after the runs: %+v", st)
 	}
 }
 
-// TestBatchWindowZeroRunsImmediately: without a window every query is
-// its own engine run, so the scheduler degrades to plain concurrency.
-func TestBatchWindowZeroRunsImmediately(t *testing.T) {
+// TestLoneSSSPQueryRunsAlone: a query nobody joins is its own engine run,
+// started at once.
+func TestLoneSSSPQueryRunsAlone(t *testing.T) {
 	g := gen.Grid(10, 10, 3)
 	p := buildPartition(t, g, 1)
 	srv := New(p)
@@ -190,8 +230,79 @@ func TestBatchWindowZeroRunsImmediately(t *testing.T) {
 	if st.BatchSize != 1 {
 		t.Fatalf("BatchSize = %d, want 1", st.BatchSize)
 	}
-	if len(dist) != g.NumVertices() || dist[0] != 0 {
-		t.Fatalf("bad distances: len=%d dist[0]=%v", len(dist), dist[0])
+	sameBits(t, "source 0", dist, refSSSP(t, p, 0))
+	if s := srv.Stats(); s.Shared != 0 || s.MaxBatch != 1 || s.Admitted != 1 {
+		t.Fatalf("counters after one lone query: %+v", s)
+	}
+}
+
+// TestSSSPAfterHandOutStartsFreshRun: once a run's answers went out, its
+// source leaves the join map, so the next query for it is a run of its
+// own (Admitted + 1) instead of joining a finished one.
+func TestSSSPAfterHandOutStartsFreshRun(t *testing.T) {
+	g := gen.PowerLaw(500, 6, 2.1, true, 19)
+	p := buildPartition(t, g, 2)
+	srv := New(p)
+
+	release := holdPermits(srv)
+	var wg sync.WaitGroup
+	for range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, _, err := srv.SSSP(7); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	waitAttached(t, srv, 2)
+	release()
+	wg.Wait()
+	before := srv.Stats()
+	if before.Admitted != 1 || before.Shared != 1 || len(srv.runs) != 0 {
+		t.Fatalf("two queries for one source: %+v, %d runs left in the map", before, len(srv.runs))
+	}
+
+	dist, st, err := srv.SSSP(7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameBits(t, "source 7 after the hand-out", dist, refSSSP(t, p, 7))
+	after := srv.Stats()
+	if st.BatchSize != 1 || after.Admitted != before.Admitted+1 || after.Shared != before.Shared {
+		t.Fatalf("query after the hand-out: BatchSize %d, counters %+v (before %+v)", st.BatchSize, after, before)
+	}
+}
+
+// TestSSSPJoinersShareDeadlineError: every query of a run that hit its
+// WithDeadline gets the run's context.DeadlineExceeded, joiners as well
+// as the query that started it.
+func TestSSSPJoinersShareDeadlineError(t *testing.T) {
+	g := gen.PowerLaw(2000, 8, 2.1, true, 29)
+	p := buildPartition(t, g, 4)
+	srv := New(p, WithDeadline(time.Nanosecond))
+
+	const queries = 3
+	release := holdPermits(srv)
+	errs := make([]error, queries)
+	var wg sync.WaitGroup
+	for i := range queries {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, _, errs[i] = srv.SSSP(0)
+		}()
+	}
+	waitAttached(t, srv, queries)
+	release()
+	wg.Wait()
+	for i, err := range errs {
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("query %d: err = %v, want context.DeadlineExceeded", i, err)
+		}
+	}
+	if st := srv.Stats(); st.Shared != queries-1 || st.Admitted != 1 {
+		t.Fatalf("one run for %d queries: %+v", queries, st)
 	}
 }
 

@@ -30,7 +30,7 @@ var ErrNoCF = errors.New("serve: recommendation path not configured (WithCF)")
 // Server schedules concurrent queries onto one resident core.Session.
 // All methods are safe for concurrent use; the underlying shared plane
 // is read-only, so queries never contend on data, only on the admission
-// semaphore.
+// semaphore and, briefly, on the lock of the SSSP join map.
 type Server struct {
 	sess *core.Session
 	cfg  config
@@ -38,12 +38,10 @@ type Server struct {
 	sem     chan struct{} // in-flight permits
 	waiting atomic.Int64  // queries admitted but not yet holding a permit
 
-	// SSSP batcher: pending sources collect until the window expires or
-	// batchMax is reached; the cut batch then runs each distinct source
-	// once, concurrently, and queries for one source share its run.
-	mu      sync.Mutex
-	pending []*ssspReq
-	timer   *time.Timer
+	// SSSP runs by source, from the query that starts one until its
+	// answers go out; a query for a source in the map joins its run.
+	mu   sync.Mutex
+	runs map[graph.VertexID]*ssspRun
 
 	// CF factors, trained by the first Recommend that succeeds; cfMu
 	// serializes training and guards the pair.
@@ -51,10 +49,9 @@ type Server struct {
 	userF [][]float64
 	prodF [][]float64
 
-	rejected       atomic.Int64
-	batches        atomic.Int64
-	batchedQueries atomic.Int64
-	maxBatch       atomic.Int64
+	rejected atomic.Int64
+	shared   atomic.Int64
+	maxBatch atomic.Int64
 }
 
 // New builds a Server hosting p behind a fresh resident Session.
@@ -68,6 +65,7 @@ func New(p *partition.Partitioned, opts ...Option) *Server {
 		sess: core.NewSession(p),
 		cfg:  cfg,
 		sem:  make(chan struct{}, cfg.maxInflight),
+		runs: make(map[graph.VertexID]*ssspRun),
 	}
 }
 
@@ -77,22 +75,20 @@ func (s *Server) Session() *core.Session { return s.sess }
 // Stats is a point-in-time snapshot of the scheduling plane.
 type Stats struct {
 	core.SessionStats
-	Rejected       int64 // queries shed by admission control
-	Batches        int64 // SSSP batches cut
-	BatchedQueries int64 // SSSP queries in those batches
-	MaxBatch       int64 // largest batch cut so far
-	QueuedNow      int64 // queries currently waiting for a permit
+	Rejected  int64 // queries shed by admission control
+	Shared    int64 // SSSP queries answered by a run another query started
+	MaxBatch  int64 // most SSSP queries one run answered
+	QueuedNow int64 // queries currently waiting for a permit
 }
 
 // Stats snapshots the server and session counters.
 func (s *Server) Stats() Stats {
 	return Stats{
-		SessionStats:   s.sess.Stats(),
-		Rejected:       s.rejected.Load(),
-		Batches:        s.batches.Load(),
-		BatchedQueries: s.batchedQueries.Load(),
-		MaxBatch:       s.maxBatch.Load(),
-		QueuedNow:      s.waiting.Load(),
+		SessionStats: s.sess.Stats(),
+		Rejected:     s.rejected.Load(),
+		Shared:       s.shared.Load(),
+		MaxBatch:     s.maxBatch.Load(),
+		QueuedNow:    s.waiting.Load(),
 	}
 }
 
@@ -134,9 +130,8 @@ func (s *Server) logQuery(name string, seconds float64, st *core.RunStats, err e
 		name, status, seconds, st.QueueWaitSeconds, st.BatchSize, st.ArenaBytes, st.ScannedEdges)
 }
 
-// ssspReq is one queued SSSP source waiting for its batch to be cut.
-type ssspReq struct {
-	src  graph.VertexID
+// ssspJoin is a query waiting on a run another query started.
+type ssspJoin struct {
 	enq  time.Time
 	done chan ssspResp
 }
@@ -147,106 +142,85 @@ type ssspResp struct {
 	err   error
 }
 
-// SSSP answers a single-source shortest-paths query. With a batch
-// window configured, queries for the same source queued within one
-// window share one engine run; the returned distances are bit-identical
-// to a dedicated run either way, and are the caller's own slice.
+// ssspRun is one engine run for one source, queued or running, and the
+// queries that joined it. Its fields are guarded by Server.mu.
+type ssspRun struct {
+	started bool
+	joins   []ssspJoin
+}
+
+// SSSP answers a single-source shortest-paths query. A query for a source
+// whose run is queued or running joins that run instead of starting its
+// own: the answer is a function of the source alone, so the shared run's
+// distances are bit-identical to a dedicated run's, and every caller gets
+// a slice of its own.
 func (s *Server) SSSP(source graph.VertexID) ([]float64, core.RunStats, error) {
 	// Fail closed before admission: a source the graph does not have would
 	// take a queue slot, an engine run and an 8·n-byte reply to say +Inf.
 	if _, ok := s.sess.Partitioned().G.IndexOf(source); !ok {
 		return nil, core.RunStats{}, fmt.Errorf("serve: sssp: no vertex %d in the graph", source)
 	}
-	// Admission is per query, before batching: a shed query must fail
-	// fast, not wait out a batch window.
+	// Admission is per query, joiners included: a shed query fails fast.
 	if s.waiting.Add(1) > int64(s.cfg.queueDepth) {
 		s.waiting.Add(-1)
 		s.rejected.Add(1)
 		return nil, core.RunStats{}, ErrOverloaded
 	}
-	req := &ssspReq{src: source, enq: time.Now(), done: make(chan ssspResp, 1)}
+	enq := time.Now()
 	s.mu.Lock()
-	s.pending = append(s.pending, req)
-	n := len(s.pending)
-	if n >= s.cfg.batchMax || s.cfg.batchWindow == 0 {
-		if s.timer != nil {
-			s.timer.Stop()
-			s.timer = nil
-		}
-		batch := s.pending
-		s.pending = nil
-		s.mu.Unlock()
-		s.runBatch(batch)
-	} else {
-		if n == 1 {
-			s.timer = time.AfterFunc(s.cfg.batchWindow, s.cutBatch)
+	if run := s.runs[source]; run != nil {
+		done := make(chan ssspResp, 1)
+		run.joins = append(run.joins, ssspJoin{enq: enq, done: done})
+		if run.started { // nothing left to wait for but the answer
+			s.waiting.Add(-1)
 		}
 		s.mu.Unlock()
+		resp := <-done
+		return resp.dist, resp.stats, resp.err
 	}
-	resp := <-req.done
-	return resp.dist, resp.stats, resp.err
-}
-
-// cutBatch fires when the batch window expires.
-func (s *Server) cutBatch() {
-	s.mu.Lock()
-	batch := s.pending
-	s.pending = nil
-	s.timer = nil
+	run := &ssspRun{}
+	s.runs[source] = run
 	s.mu.Unlock()
-	if len(batch) > 0 {
-		s.runBatch(batch)
-	}
-}
 
-// runBatch dispatches a cut batch without waiting for it: one engine run
-// per distinct source, each on its own goroutine, all concurrent up to
-// the in-flight cap.
-func (s *Server) runBatch(batch []*ssspReq) {
-	s.batches.Add(1)
-	s.batchedQueries.Add(int64(len(batch)))
-	for {
-		cur := s.maxBatch.Load()
-		if int64(len(batch)) <= cur || s.maxBatch.CompareAndSwap(cur, int64(len(batch))) {
-			break
-		}
-	}
-	bySource := make(map[graph.VertexID][]*ssspReq, len(batch))
-	for _, r := range batch {
-		bySource[r.src] = append(bySource[r.src], r)
-	}
-	for _, reqs := range bySource {
-		go s.runSource(reqs)
-	}
-}
-
-// runSource answers every request for one source with one sssp.Job run
-// under one in-flight permit. The requests wait (and count as queued)
-// until the permit is theirs. The first gets the run's result vector and
-// every further one a copy, so no two callers share a slice.
-func (s *Server) runSource(reqs []*ssspReq) {
+	// The run holds one in-flight permit; its queries count as queued
+	// until it does.
 	s.sem <- struct{}{}
-	s.waiting.Add(int64(-len(reqs)))
+	s.mu.Lock()
+	run.started = true
+	s.waiting.Add(-int64(1 + len(run.joins)))
+	s.mu.Unlock()
 	start := time.Now()
-	res, err := core.Query(s.sess, sssp.Job(reqs[0].src), s.runOpts())
+	res, err := core.Query(s.sess, sssp.Job(source), s.runOpts())
 	<-s.sem
 	seconds := time.Since(start).Seconds()
+
+	// Leave the map before reading the joiners: a query that finds no
+	// entry from here on starts a fresh run, and none can join this one
+	// after its list is read.
+	s.mu.Lock()
+	delete(s.runs, source)
+	joins := run.joins
+	s.mu.Unlock()
 
 	var dist []float64
 	var st core.RunStats
 	if res != nil {
 		dist, st = res.Values, res.Stats
 	}
-	st.BatchSize = len(reqs)
-	for i, r := range reqs {
-		resp := ssspResp{dist: dist, stats: st, err: err}
-		if i > 0 {
-			resp.dist = slices.Clone(dist)
-		}
-		resp.stats.QueueWaitSeconds = start.Sub(r.enq).Seconds()
-		s.logQuery("sssp", seconds, &resp.stats, err)
-		r.done <- resp
+	st.BatchSize = 1 + len(joins)
+	s.shared.Add(int64(len(joins)))
+	for cur := s.maxBatch.Load(); int64(st.BatchSize) > cur && !s.maxBatch.CompareAndSwap(cur, int64(st.BatchSize)); {
+		cur = s.maxBatch.Load()
 	}
+	for _, j := range joins {
+		jst := st
+		jst.QueueWaitSeconds = max(0, start.Sub(j.enq).Seconds())
+		s.logQuery("sssp", seconds, &jst, err)
+		j.done <- ssspResp{dist: slices.Clone(dist), stats: jst, err: err}
+	}
+	st.QueueWaitSeconds = start.Sub(enq).Seconds()
+	s.logQuery("sssp", seconds, &st, err)
+	return dist, st, err
 }
 
 // CC answers a connected-components query (labels over the hosted

@@ -3,6 +3,7 @@ package transport
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 )
 
@@ -121,6 +122,13 @@ func (p *Plane) failCalls(l *link, err error) {
 	p.callMu.Unlock()
 }
 
+// servedEndpoint is one endpoint this plane serves: its queue of calls, and
+// the calls taken off the wire for it and not yet answered.
+type servedEndpoint struct {
+	queue chan Frame
+	calls sync.WaitGroup
+}
+
 // Serve makes this plane answer the calls addressed to endpoint: the
 // reader that receives one queues it, `workers` goroutines take calls off
 // the queue, run handler and Reply with its payload or its error. One
@@ -131,29 +139,66 @@ func (p *Plane) failCalls(l *link, err error) {
 // first Dial: a call for an endpoint the plane does not serve is refused
 // at once.
 func (p *Plane) Serve(endpoint int32, workers, backlog int, handler func(Frame) ([]byte, error)) {
-	queue := make(chan Frame, backlog)
+	ep := &servedEndpoint{queue: make(chan Frame, backlog)}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
 		return
 	}
-	p.served[endpoint] = queue
+	p.served[endpoint] = ep
 	p.wg.Add(workers)
 	for i := 0; i < workers; i++ {
 		go func() {
 			defer p.wg.Done()
 			for {
 				select {
-				case f := <-queue:
+				case f := <-ep.queue:
 					resp, err := answer(handler, f)
 					// A send failure means the caller's link died or the
 					// plane is closing: the call has failed on its side.
 					_ = p.Reply(f, resp, err)
+					ep.calls.Done()
 				case <-p.done:
 					return
 				}
 			}
 		}()
+	}
+}
+
+// Drain stops serving endpoint and returns once the calls it already
+// took have been answered and every peer has acknowledged what was sent
+// to it. A call for the endpoint that arrives from now on is refused as
+// for an endpoint the plane does not serve. The wait for acknowledgements
+// ends early for a link that is down, and is bounded by DeadAfter, the
+// silence after which the peer would be declared dead anyway. Drain
+// before Close, so that answered calls reach their callers.
+func (p *Plane) Drain(endpoint int32) {
+	p.mu.Lock()
+	if p.closed {
+		p.mu.Unlock()
+		return
+	}
+	ep := p.served[endpoint]
+	delete(p.served, endpoint)
+	links := p.linksLocked()
+	p.mu.Unlock()
+	if ep != nil {
+		ep.calls.Wait()
+	}
+	deadline := time.Now().Add(p.cfg.DeadAfter)
+	for _, l := range links {
+		// Poll with short sleeps, as WaitRoute does: Drain runs once, at
+		// shutdown. Acks ride the peer's heartbeats.
+		for time.Now().Before(deadline) {
+			l.mu.Lock()
+			settled := l.dead || l.conn == nil || len(l.out) == 0
+			l.mu.Unlock()
+			if settled {
+				break
+			}
+			time.Sleep(time.Millisecond)
+		}
 	}
 }
 
@@ -172,14 +217,18 @@ func answer(handler func(Frame) ([]byte, error), f Frame) (resp []byte, err erro
 // goroutine. Replying from here is safe — enqueue never blocks.
 func (p *Plane) dispatch(f Frame) {
 	p.mu.Lock()
-	queue := p.served[f.To]
+	ep := p.served[f.To]
+	if ep != nil {
+		ep.calls.Add(1) // under p.mu, so Drain's Wait never races it
+	}
 	p.mu.Unlock()
-	if queue == nil {
+	if ep == nil {
 		_ = p.Reply(f, nil, fmt.Errorf("transport: endpoint %d is not served by this plane", f.To))
 		return
 	}
 	select {
-	case queue <- f:
+	case ep.queue <- f:
 	case <-p.done:
+		ep.calls.Done()
 	}
 }

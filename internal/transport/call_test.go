@@ -411,7 +411,7 @@ func TestServe(t *testing.T) {
 		waitFor(t, 5*time.Second, "the backlog to fill", func() bool {
 			p.mu.Lock()
 			defer p.mu.Unlock()
-			return len(p.served[7]) == 2
+			return len(p.served[7].queue) == 2
 		})
 		// The reader is stuck behind endpoint 7's queue (it is the only
 		// link), so even endpoint 8's call, sent later, is not read yet.
@@ -430,6 +430,45 @@ func TestServe(t *testing.T) {
 		}
 		if err := <-ping; err != nil {
 			t.Fatalf("the call behind the blocked reader: %v", err)
+		}
+	})
+
+	t.Run("Drain answers the calls it took and refuses later ones", func(t *testing.T) {
+		gate := make(chan struct{})
+		var started atomic.Int32
+		p := loopback(t, func(p *Plane) {
+			p.Serve(7, 1, 1, func(f Frame) ([]byte, error) {
+				started.Add(1)
+				<-gate
+				return f.Payload, nil
+			})
+		})
+		taken := make(chan callOutcome, 1)
+		go func() {
+			resp, err := p.Call(0, 7, []byte("taken"), longCall, nil)
+			taken <- callOutcome{reply: string(resp), err: err}
+		}()
+		waitFor(t, 5*time.Second, "the handler to start", func() bool { return started.Load() == 1 })
+		drained := make(chan struct{})
+		go func() { p.Drain(7); close(drained) }()
+		waitFor(t, 5*time.Second, "Drain to stop serving endpoint 7", func() bool {
+			p.mu.Lock()
+			defer p.mu.Unlock()
+			return p.served[7] == nil
+		})
+		var refused RemoteError
+		if _, err := p.Call(0, 7, []byte("late"), longCall, nil); !errors.As(err, &refused) || !strings.Contains(refused.Error(), "not served") {
+			t.Fatalf("a call after Drain began: %v; want a RemoteError saying endpoint 7 is not served", err)
+		}
+		select {
+		case <-drained:
+			t.Fatal("Drain returned while a call it took was still being handled")
+		default:
+		}
+		close(gate)
+		<-drained
+		if o := <-taken; o.err != nil || o.reply != "taken" {
+			t.Fatalf("the call Drain took got %q, %v", o.reply, o.err)
 		}
 	})
 

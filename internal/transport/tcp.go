@@ -103,7 +103,7 @@ type Plane struct {
 	dialLinks   map[int32]*link
 	acceptLinks map[int32]*link
 	routes      map[int32]*link
-	served      map[int32]chan Frame // calls queued for the endpoints this plane answers (Serve)
+	served      map[int32]*servedEndpoint // the endpoints this plane answers (Serve)
 	closed      bool
 	// tombTimeouts preserves the detector Timeouts of links superseded
 	// by a higher incarnation, so Stats stays cumulative across rejoins.
@@ -166,7 +166,7 @@ func Listen(cfg Config) (*Plane, error) {
 		dialLinks:   make(map[int32]*link),
 		acceptLinks: make(map[int32]*link),
 		routes:      make(map[int32]*link),
-		served:      make(map[int32]chan Frame),
+		served:      make(map[int32]*servedEndpoint),
 		calls:       make(map[uint64]*pendingCall),
 		done:        make(chan struct{}),
 	}
@@ -465,6 +465,18 @@ func (p *Plane) WaitRoute(id int32, timeout time.Duration) error {
 	}
 }
 
+// linksLocked lists every link, dialed and accepted; p.mu is held.
+func (p *Plane) linksLocked() []*link {
+	links := make([]*link, 0, len(p.dialLinks)+len(p.acceptLinks))
+	for _, l := range p.dialLinks {
+		links = append(links, l)
+	}
+	for _, l := range p.acceptLinks {
+		links = append(links, l)
+	}
+	return links
+}
+
 // Close tears the plane down: listener, conns, goroutines, Serve's
 // workers (it returns once the handlers they are running have). Every
 // Call in flight returns an error; OnPeerDead does not fire.
@@ -476,13 +488,7 @@ func (p *Plane) Close() error {
 	}
 	p.closed = true
 	close(p.done)
-	links := make([]*link, 0, len(p.dialLinks)+len(p.acceptLinks))
-	for _, l := range p.dialLinks {
-		links = append(links, l)
-	}
-	for _, l := range p.acceptLinks {
-		links = append(links, l)
-	}
+	links := p.linksLocked()
 	p.mu.Unlock()
 	if p.ln != nil {
 		p.ln.Close()
