@@ -69,12 +69,10 @@ func main() {
 	staleness := flag.Int("staleness", 2, "SSP staleness bound c")
 	strategy := flag.String("partition", "bfs", "partition strategy: hash, range, bfs")
 	out := flag.String("out", "", "write per-vertex results to this file (default stdout summary only)")
-	checkpointEvery := flag.Int("checkpoint-every", 0, "seal a Chandy-Lamport snapshot every N incremental rounds (0: checkpointing off)")
+	checkpointEvery := flag.Int("checkpoint-every", 0, "seal a Chandy-Lamport snapshot every N incremental rounds (0: checkpointing off, or every round with -checkpoint-dir, -fault-seed or -remote-workers)")
 	faultSeed := flag.Int64("fault-seed", 0, "seeded chaos run: kill worker seed%workers at its first incremental round and recover (0: no faults; implies -checkpoint-every 1)")
 	transportName := flag.String("transport", "inproc", "message plane: inproc, tcp (loopback TCP with codec-encoded batches)")
-	checkpointDir := flag.String("checkpoint-dir", "", "tee sealed snapshots to durable records in this directory (implies -checkpoint-every 1 when unset)")
-	syncEvery := flag.Int("sync-every", 1, "fsync every Nth durable record write (1: every write)")
-	retain := flag.Int("retain", 3, "keep the newest K durable epochs on disk (min 2)")
+	checkpointDir := flag.String("checkpoint-dir", "", "tee sealed snapshots to durable records in this directory; a run without -resume first removes the records already there")
 	resume := flag.Bool("resume", false, "restart from the newest sealed epoch in -checkpoint-dir instead of running from scratch")
 	remoteWorkers := flag.String("remote-workers", "", "comma-separated worker ids hosted in supervised child processes (grapecli re-exec'd per host, loopback TCP)")
 	maxRestarts := flag.Int("max-restarts", 2, "restart budget per supervised worker host before failing the worker back to a local Program")
@@ -127,16 +125,15 @@ func main() {
 	}
 	// One TransportOptions for the run, filled by -transport and
 	// -remote-workers alike; left empty it is the in-proc plane.
-	opts := core.Options{Mode: mode, Staleness: *staleness, Transport: &core.TransportOptions{}}
-	if *checkpointEvery > 0 {
-		opts.Checkpoint = core.CheckpointOptions{EveryRounds: int32(*checkpointEvery)}
+	opts := core.Options{Mode: mode, Staleness: *staleness, Transport: &core.TransportOptions{},
+		Checkpoint: core.CheckpointOptions{EveryRounds: int32(*checkpointEvery), Dir: *checkpointDir}}
+	if (*faultSeed != 0 || *remoteWorkers != "") && opts.Checkpoint.EveryRounds <= 0 {
+		// A killed worker or a lost host with no sealed snapshot restarts
+		// the run fresh; a snapshot every round lets recovery roll back
+		// to the last round instead.
+		opts.Checkpoint.EveryRounds = 1
 	}
 	if *faultSeed != 0 {
-		if opts.Checkpoint.EveryRounds == 0 {
-			// A kill without a sealed snapshot to roll back to would
-			// abort the run; recovery is the point of the flag.
-			opts.Checkpoint = core.CheckpointOptions{EveryRounds: 1}
-		}
 		w := int64(*workers)
 		victim := int(((*faultSeed % w) + w) % w)
 		opts.Faults = &core.Faults{
@@ -157,11 +154,6 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		if opts.Checkpoint.EveryRounds == 0 {
-			// Recovery (rejoin restore, failback) rolls back to a sealed
-			// snapshot; without one a lost host forces a fresh restart.
-			opts.Checkpoint = core.CheckpointOptions{EveryRounds: 1}
-		}
 		// Each host re-runs this same command line plus the serve-mode
 		// flags; the supervisor substitutes the listen address and the
 		// fencing incarnation at (re)spawn time.
@@ -180,14 +172,6 @@ func main() {
 	}
 	if *resume && *checkpointDir == "" {
 		fatal(fmt.Errorf("-resume requires -checkpoint-dir"))
-	}
-	if *checkpointDir != "" {
-		if opts.Checkpoint.EveryRounds == 0 {
-			opts.Checkpoint.EveryRounds = 1
-		}
-		opts.Checkpoint.Dir = *checkpointDir
-		opts.Checkpoint.SyncEvery = *syncEvery
-		opts.Checkpoint.Retain = *retain
 	}
 
 	var lines []string

@@ -47,10 +47,9 @@ func main() {
 	maxInflight := flag.Int("max-inflight", 4, "concurrent engine runs (queries sharing an SSSP run hold one)")
 	queueDepth := flag.Int("queue-depth", 64, "queries allowed to wait beyond the in-flight cap")
 	njobs := flag.Int("njobs", 0, "engine compute parallelism per run (0: GOMAXPROCS)")
-	deadline := flag.Duration("deadline", 0, "per-query engine deadline (0: none)")
+	deadline := flag.Duration("deadline", 0, "per-query engine deadline (0: the engine's 5-minute bound)")
 	pagerankTol := flag.Float64("pagerank-tol", 1e-8, "PageRank query tolerance")
 	cfEpochs := flag.Int("cf-epochs", 10, "CF training epochs for -gen ratings graphs")
-	rpcWorkers := flag.Int("rpc-workers", 0, "RPC handler pool size (0: in-flight cap + queue depth)")
 	flag.Parse()
 	if err := checkScheduler(scheduler{
 		maxInflight: *maxInflight, queueDepth: *queueDepth, njobs: *njobs,
@@ -92,7 +91,7 @@ func main() {
 		opts = append(opts, serve.WithCF(*cfCfg))
 	}
 	srv := serve.New(p, opts...)
-	rs, err := serve.ListenRPC(srv, *listen, *rpcWorkers)
+	rs, err := serve.ListenRPC(srv, *listen, 0)
 	if err != nil {
 		fatal(err)
 	}
@@ -143,7 +142,7 @@ func checkScheduler(s scheduler) error {
 		{s.maxInflight <= 0, "-max-inflight", "a positive count", s.maxInflight},
 		{s.queueDepth <= 0, "-queue-depth", "a positive count", s.queueDepth},
 		{s.njobs < 0, "-njobs", "zero (GOMAXPROCS) or a positive count", s.njobs},
-		{s.deadline < 0, "-deadline", "zero (none) or a positive duration", s.deadline},
+		{s.deadline < 0, "-deadline", "zero (the engine's 5-minute bound) or a positive duration", s.deadline},
 		{!(s.pagerankTol > 0) || math.IsInf(s.pagerankTol, 1), "-pagerank-tol", "a positive finite number", s.pagerankTol},
 	} {
 		if c.bad {

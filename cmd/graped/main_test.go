@@ -34,7 +34,7 @@ func TestSchedulerFlagsFailClosed(t *testing.T) {
 		{[]string{"-queue-depth", "0"}, "-queue-depth must be a positive count, got 0"},
 		{[]string{"-queue-depth", "-4"}, "-queue-depth must be a positive count, got -4"},
 		{[]string{"-njobs", "-1"}, "-njobs must be zero (GOMAXPROCS) or a positive count, got -1"},
-		{[]string{"-deadline", "-1s"}, "-deadline must be zero (none) or a positive duration, got -1s"},
+		{[]string{"-deadline", "-1s"}, "-deadline must be zero (the engine's 5-minute bound) or a positive duration, got -1s"},
 		{[]string{"-pagerank-tol", "NaN"}, "-pagerank-tol must be a positive finite number, got NaN"},
 		{[]string{"-pagerank-tol", "0"}, "-pagerank-tol must be a positive finite number, got 0"},
 		{[]string{"-pagerank-tol", "-1"}, "-pagerank-tol must be a positive finite number, got -1"},

@@ -25,8 +25,10 @@
 package checkpoint
 
 import (
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -107,6 +109,23 @@ func OpenDurable(dir string, opts DurableOptions) (*DurableStore, error) {
 	d := &DurableStore{dir: dir, opts: opts}
 	d.epochs = scanEpochs(opts.FS, dir)
 	return d, nil
+}
+
+// Clear removes every record file from the directory, so the store
+// holds no epoch until the next WriteEpoch: a fresh run owns its
+// directory, and no record an earlier run left can be resumed as one of
+// its own. A record it cannot remove is an error, since NewestSealed
+// would still return it.
+func (d *DurableStore) Clear() error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for _, e := range scanEpochs(d.opts.FS, d.dir) {
+		if err := d.opts.FS.Remove(filepath.Join(d.dir, RecordFile(e))); err != nil && !errors.Is(err, fs.ErrNotExist) {
+			return fmt.Errorf("checkpoint: clear %s: %w", d.dir, err)
+		}
+	}
+	d.epochs = nil
+	return nil
 }
 
 // Dir returns the directory this store writes to.

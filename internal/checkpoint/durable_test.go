@@ -160,6 +160,39 @@ func TestDurableRetention(t *testing.T) {
 	}
 }
 
+// TestDurableClear: Clear empties the directory of records, and the
+// epochs written after it are the only ones retained — none of the
+// earlier writer's survive beside them.
+func TestDurableClear(t *testing.T) {
+	dir := t.TempDir()
+	d, err := checkpoint.OpenDurable(dir, checkpoint.DurableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for e := int32(1); e <= 5; e++ {
+		writeEpoch(t, d, e)
+	}
+	fresh, err := checkpoint.OpenDurable(dir, checkpoint.DurableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fresh.Clear(); err != nil {
+		t.Fatal(err)
+	}
+	if es := fresh.Epochs(); len(es) != 0 {
+		t.Fatalf("epochs after Clear: %v, want none", es)
+	}
+	if _, _, err := fresh.NewestSealed(); !errors.Is(err, checkpoint.ErrNoSealedEpoch) {
+		t.Fatalf("newest after Clear: err = %v, want ErrNoSealedEpoch", err)
+	}
+	for e := int32(1); e <= 2; e++ {
+		writeEpoch(t, fresh, e)
+	}
+	if es := fresh.Epochs(); !slices.Equal(es, []int32{1, 2}) {
+		t.Fatalf("epochs after Clear and two writes: %v, want [1 2]", es)
+	}
+}
+
 // TestDurableSyncEvery: the fsync policy skips syncs between every Nth
 // write but never skips the atomic-rename discipline.
 func TestDurableSyncEvery(t *testing.T) {

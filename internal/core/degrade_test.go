@@ -110,7 +110,7 @@ func TestDroppedSealsSurfaced(t *testing.T) {
 		// previous seal), so the run must outlive the recording cadence
 		// to seal one epoch per round.
 		Faults:     &core.Faults{DelayProb: 1, DelayBy: 2 * time.Millisecond},
-		Timeout:    time.Minute,
+		Deadline:   time.Minute,
 		Checkpoint: core.CheckpointOptions{EveryRounds: 1, Dir: t.TempDir(), FS: fsys},
 		RoundHook: func(worker int, round int32) {
 			if round >= limit-5 {
@@ -150,13 +150,13 @@ func TestDurableDegradeOnDiskFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := core.Run(p, sssp.Job(0), core.Options{Mode: core.AAP, Timeout: time.Minute})
+	base, err := core.Run(p, sssp.Job(0), core.Options{Mode: core.AAP, Deadline: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
 	res, err := core.Run(p, sssp.Job(0), core.Options{
 		Mode:       core.AAP,
-		Timeout:    time.Minute,
+		Deadline:   time.Minute,
 		Checkpoint: core.CheckpointOptions{EveryRounds: 1, Dir: t.TempDir(), FS: failOpenFS{checkpoint.OsFS()}},
 	})
 	if err != nil {

@@ -54,7 +54,7 @@ func Resume[T any](p *partition.Partitioned, job Job[T], opts Options) (*Result[
 }
 
 func durableOptions(c CheckpointOptions) checkpoint.DurableOptions {
-	return checkpoint.DurableOptions{SyncEvery: c.SyncEvery, Retain: c.Retain, FS: c.FS}
+	return checkpoint.DurableOptions{Retain: c.Retain, FS: c.FS}
 }
 
 // durableTee is the seal-to-disk plane (Options.Checkpoint.Dir): the
@@ -77,16 +77,16 @@ type durableTee[T any] struct {
 
 // startDurableTee opens (or, resuming, adopts) the record directory,
 // hooks the store's seals and starts the persister; nil when the run has
-// no Checkpoint.Dir. The hook runs under the store lock on a worker
-// goroutine, so it only offers the seal to the queue. A dropped seal
-// leaves the durable tail one epoch behind the in-memory store until the
-// next one, which only widens the resume fallback, never corrupts it.
+// no Checkpoint.Dir. A fresh run clears the directory first: the records
+// there belong to another run, and a Resume that read them after this
+// run's seals would restart it from a foreign epoch. The hook runs under
+// the store lock on a worker goroutine, so it only offers the seal to the
+// queue. A dropped seal leaves the durable tail one epoch behind the
+// in-memory store until the next one, which only widens the resume
+// fallback, never corrupts it.
 func startDurableTee[T any](e *engine[T], rs *resumeState[T]) (*durableTee[T], error) {
 	if e.opts.Checkpoint.Dir == "" {
 		return nil, nil
-	}
-	if e.ckpt == nil {
-		return nil, fmt.Errorf("core: %s: Checkpoint.Dir requires Checkpoint.EveryRounds > 0", e.job.Name)
 	}
 	if e.job.EncodeVal == nil || e.job.DecodeVal == nil {
 		return nil, fmt.Errorf("core: %s: durable checkpoints require Job.EncodeVal/DecodeVal", e.job.Name)
@@ -100,6 +100,9 @@ func startDurableTee[T any](e *engine[T], rs *resumeState[T]) (*durableTee[T], e
 		d.store = rs.store
 	} else {
 		store, err := checkpoint.OpenDurable(e.opts.Checkpoint.Dir, durableOptions(e.opts.Checkpoint))
+		if err == nil {
+			err = store.Clear()
+		}
 		if err != nil {
 			return nil, fmt.Errorf("core: %s: %w", e.job.Name, err)
 		}

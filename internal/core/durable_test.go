@@ -66,7 +66,7 @@ func durableDir(t *testing.T) string {
 func durableRunOpts(dir string) core.Options {
 	return core.Options{
 		Mode:       core.AAP,
-		Timeout:    time.Minute,
+		Deadline:   time.Minute,
 		Checkpoint: core.CheckpointOptions{EveryRounds: 1, Dir: dir, Retain: 8},
 	}
 }
@@ -185,7 +185,7 @@ func sameFloats(t *testing.T, want, got []float64, label string) {
 func TestDurableProcessKillResume(t *testing.T) {
 	p := remoteTestPartition(t)
 	job := remoteTestJob()
-	base, err := core.Run(p, job, core.Options{Mode: core.AAP, Timeout: time.Minute})
+	base, err := core.Run(p, job, core.Options{Mode: core.AAP, Deadline: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestDurableProcessKillResume(t *testing.T) {
 func TestDurableProcessKillResumePageRank(t *testing.T) {
 	p := prTestPartition(t)
 	cfg := pagerank.Config{Tol: 1e-10, Shards: 2}
-	base, err := core.Run(p, pagerank.Job(cfg), core.Options{Mode: core.AAP, Timeout: time.Minute})
+	base, err := core.Run(p, pagerank.Job(cfg), core.Options{Mode: core.AAP, Deadline: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func TestDurableKillResumeKill(t *testing.T) {
 		t.Run(fmt.Sprintf("sssp/shards=%d", shards), func(t *testing.T) {
 			p := remoteTestPartition(t)
 			job := sssp.JobShards(0, shards)
-			base, err := core.Run(p, job, core.Options{Mode: core.AAP, Timeout: time.Minute})
+			base, err := core.Run(p, job, core.Options{Mode: core.AAP, Deadline: time.Minute})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -266,7 +266,7 @@ func TestDurableKillResumeKill(t *testing.T) {
 		t.Run(fmt.Sprintf("cc/shards=%d", shards), func(t *testing.T) {
 			p := ccTestPartition(t)
 			job := cc.JobShards(shards)
-			base, err := core.Run(p, job, core.Options{Mode: core.AAP, Timeout: time.Minute})
+			base, err := core.Run(p, job, core.Options{Mode: core.AAP, Deadline: time.Minute})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -367,7 +367,7 @@ func copyDurableDir(t *testing.T, src string) string {
 func TestDurableCorruptionFallback(t *testing.T) {
 	p := remoteTestPartition(t)
 	job := remoteTestJob()
-	base, err := core.Run(p, job, core.Options{Mode: core.AAP, Timeout: time.Minute})
+	base, err := core.Run(p, job, core.Options{Mode: core.AAP, Deadline: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,7 +414,7 @@ func TestDurableCorruptionFallback(t *testing.T) {
 func TestDurableResumeRemoteTCP(t *testing.T) {
 	p := remoteTestPartition(t)
 	job := remoteTestJob()
-	base, err := core.Run(p, job, core.Options{Mode: core.AAP, Timeout: time.Minute})
+	base, err := core.Run(p, job, core.Options{Mode: core.AAP, Deadline: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -476,45 +476,26 @@ func TestResumeErrors(t *testing.T) {
 	}
 }
 
-// TestRollbackRefusesDurableFlightOutsideWorkers: when nothing has sealed
-// in memory, rollback reads the newest durable record and must check it
-// as Resume does. A run leaves records; the newest, re-encoded with one
-// more flight, to worker M, is written back as a newer, CRC-valid epoch;
-// a second run over the directory, checkpointing too rarely to seal in
-// memory, loses worker 1 at round 1. It must end bit-identical to the
-// fault-free run or fail with an error, and not panic replaying the
-// flight into a worker that does not exist.
-func TestRollbackRefusesDurableFlightOutsideWorkers(t *testing.T) {
+// otherSourceJob is an SSSP job whose answer differs from
+// remoteTestJob's on most vertices of remoteTestPartition, so a record of
+// one run adopted by the other shows.
+func otherSourceJob() core.Job[float64] { return sssp.JobShards(7, 2) }
+
+// TestRollbackIgnoresAnotherRunsRecords: rollback reads only the
+// snapshots this run sealed in memory. A run from source 0 leaves its
+// records in dir; a fresh run from another source in the same dir,
+// checkpointing too rarely to seal in memory, loses worker 1 at round 1.
+// It must restart fresh and end bit-identical to its fault-free answer,
+// not resume the other run's cut.
+func TestRollbackIgnoresAnotherRunsRecords(t *testing.T) {
 	p := remoteTestPartition(t)
-	job := remoteTestJob()
-	base, err := core.Run(p, job, core.Options{Mode: core.AAP, Timeout: time.Minute})
+	job := otherSourceJob()
+	base, err := core.Run(p, job, core.Options{Mode: core.AAP, Deadline: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	if _, err := core.Run(p, job, durableRunOpts(dir)); err != nil {
-		t.Fatal(err)
-	}
-	d, err := checkpoint.OpenDurable(dir, checkpoint.DurableOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	epoch, payload, err := d.NewestSealed()
-	if err != nil {
-		t.Fatal(err)
-	}
-	readMsg := func(r *codec.Reader) core.VMsg[float64] { return core.VMsg[float64]{V: r.Int32(), Val: r.Float64()} }
-	appendMsg := func(dst []byte, m core.VMsg[float64]) []byte {
-		return codec.AppendFloat64(codec.AppendInt32(dst, m.V), m.Val)
-	}
-	snap, err := checkpoint.DecodeSnapshot(epoch, payload, p.M, readMsg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap.InFlight = append(snap.InFlight, checkpoint.Flight[core.VMsg[float64]]{
-		From: 0, To: int32(p.M), Msgs: []core.VMsg[float64]{{V: p.Frags[0].Lo, Val: 1}},
-	})
-	if err := d.WriteEpoch(epoch+1, checkpoint.EncodeSnapshot(snap, appendMsg)); err != nil {
+	if _, err := core.Run(p, remoteTestJob(), durableRunOpts(dir)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -523,13 +504,51 @@ func TestRollbackRefusesDurableFlightOutsideWorkers(t *testing.T) {
 	opts.Faults = &core.Faults{Kill: &core.KillSpec{Worker: 1, Round: 1}}
 	res, err := core.Run(p, job, opts)
 	if err != nil {
-		t.Logf("run failed closed: %v", err)
-		return
+		t.Fatal(err)
 	}
-	if res.Stats.Recoveries < 1 {
-		t.Fatalf("kill scheduled but no recovery ran: %+v", res.Stats)
+	if res.Stats.Recoveries != 1 || res.Stats.FreshRestarts != 1 {
+		t.Fatalf("kill before any seal: %d recoveries, %d fresh restarts; want 1 and 1", res.Stats.Recoveries, res.Stats.FreshRestarts)
 	}
-	sameFloats(t, base.Values, res.Values, "rollback past a foreign durable flight")
+	sameFloats(t, base.Values, res.Values, "rollback beside another run's records")
+}
+
+// TestResumeAfterShorterRun: a fresh run owns its directory. A longer
+// run from source 0 seals many epochs in dir; a shorter run from another
+// source then seals fewer there. Resume must restart from one of the
+// shorter run's seals and land bit-identical to its fault-free answer.
+func TestResumeAfterShorterRun(t *testing.T) {
+	p := remoteTestPartition(t)
+	job := otherSourceJob()
+	base, err := core.Run(p, job, core.Options{Mode: core.AAP, Deadline: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	long := durableRunOpts(dir)
+	long.Faults = &core.Faults{DelayProb: 1, DelayBy: time.Millisecond} // more rounds in flight => more sealed epochs
+	first, err := core.Run(p, remoteTestJob(), long)
+	if err != nil {
+		t.Fatal(err)
+	}
+	short := durableRunOpts(dir)
+	short.Checkpoint.EveryRounds = 4
+	second, err := core.Run(p, job, short)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sealed := int32(second.Stats.Checkpoints)
+	if sealed < 1 || int32(first.Stats.Checkpoints) <= sealed {
+		t.Fatalf("want a longer run then a shorter one: %d then %d sealed epochs", first.Stats.Checkpoints, sealed)
+	}
+
+	res, err := core.Resume(p, job, durableRunOpts(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ep := res.Stats.ResumeEpoch; ep < 1 || ep > sealed {
+		t.Fatalf("resumed from epoch %d; the shorter run sealed epochs 1..%d", ep, sealed)
+	}
+	sameFloats(t, base.Values, res.Values, "resume after a shorter run")
 }
 
 // TestResumeRefusesVersion1 hand-writes the records a version-1 run left
@@ -600,13 +619,25 @@ func TestDurableRunWritesRecords(t *testing.T) {
 	}
 }
 
-// TestDurableDirRequiresCheckpointing: Dir without EveryRounds (outside
-// Resume) is a configuration error, not a silent no-op.
-func TestDurableDirRequiresCheckpointing(t *testing.T) {
+// TestDurableDirAloneSealsEveryRound: Dir without EveryRounds checkpoints
+// every round, and its seals reach the directory.
+func TestDurableDirAloneSealsEveryRound(t *testing.T) {
 	p := remoteTestPartition(t)
-	opts := core.Options{Mode: core.AAP, Timeout: time.Minute,
-		Checkpoint: core.CheckpointOptions{Dir: t.TempDir()}}
-	if _, err := core.Run(p, remoteTestJob(), opts); err == nil || !strings.Contains(err.Error(), "EveryRounds") {
-		t.Fatalf("Dir without EveryRounds: err = %v", err)
+	dir := t.TempDir()
+	opts := core.Options{Mode: core.AAP, Deadline: time.Minute,
+		Checkpoint: core.CheckpointOptions{Dir: dir}}
+	res, err := core.Run(p, remoteTestJob(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.Checkpoints < 1 {
+		t.Fatalf("Dir alone sealed no epoch: %+v", res.Stats)
+	}
+	d, err := checkpoint.OpenDurable(dir, checkpoint.DurableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if es := d.Epochs(); len(es) == 0 {
+		t.Fatalf("Dir alone left no record in %s", dir)
 	}
 }

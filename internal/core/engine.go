@@ -29,18 +29,15 @@ type Options struct {
 	// MaxRounds aborts the run when any worker exceeds it; a safety
 	// valve for non-terminating programs. Defaults to 1 << 20.
 	MaxRounds int32
-	// Timeout aborts the run after this wall time. Defaults to 5 minutes.
-	Timeout time.Duration
 	// Checkpoint enables Chandy-Lamport snapshots; requires every
 	// Program of the job to implement Snapshotter.
 	Checkpoint CheckpointOptions
 	// Faults, when non-nil, injects the configured deterministic fault
 	// schedule (worker kill/stall, message delay/duplicate/drop).
 	Faults *Faults
-	// Deadline, when positive, force-finishes the run after this wall
-	// time: Run returns the partial Result plus an error wrapping
-	// context.DeadlineExceeded, instead of the nil Result a Timeout
-	// abort produces.
+	// Deadline force-finishes the run after this wall time: Run returns
+	// the partial Result plus an error wrapping context.DeadlineExceeded.
+	// Defaults to 5 minutes.
 	Deadline time.Duration
 	// Transport selects the message plane (in-proc channels, TCP, remote
 	// Program hosts); nil is the in-proc fast path.
@@ -60,8 +57,11 @@ func (o *Options) withDefaults() Options {
 	if out.MaxRounds <= 0 {
 		out.MaxRounds = 1 << 20
 	}
-	if out.Timeout <= 0 {
-		out.Timeout = 5 * time.Minute
+	if out.Deadline <= 0 {
+		out.Deadline = 5 * time.Minute
+	}
+	if out.Checkpoint.Dir != "" && out.Checkpoint.EveryRounds <= 0 {
+		out.Checkpoint.EveryRounds = 1
 	}
 	return out
 }
@@ -98,7 +98,7 @@ func run[T any](s *Session, job Job[T], opts Options, rs *resumeState[T]) (*Resu
 	opts = opts.withDefaults()
 	e := newEngine(s, job, opts)
 	var err error
-	if e.recov, err = newRecovery(e, rs != nil); err != nil {
+	if e.recov, err = newRecovery(e); err != nil {
 		return nil, err
 	}
 	if e.tee, err = startDurableTee(e, rs); err != nil {
@@ -123,22 +123,14 @@ func run[T any](s *Session, job Job[T], opts Options, rs *resumeState[T]) (*Resu
 		}(w)
 	}
 
-	timer := time.NewTimer(opts.Timeout)
+	timer := time.NewTimer(opts.Deadline)
 	defer timer.Stop()
-	var deadlineC <-chan time.Time
-	if opts.Deadline > 0 {
-		dt := time.NewTimer(opts.Deadline)
-		defer dt.Stop()
-		deadlineC = dt.C
-	}
 	deadlined := false
 	select {
 	case <-e.coord.done:
-	case <-deadlineC:
+	case <-timer.C:
 		deadlined = true
 		e.coord.forceDone()
-	case <-timer.C:
-		e.fail(fmt.Errorf("core: %s/%s timed out after %v", job.Name, opts.Mode, opts.Timeout))
 	}
 	wg.Wait()      // the workers own their stats
 	e.recov.stop() // a mid-flight rollback mutates worker state

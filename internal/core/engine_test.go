@@ -123,10 +123,10 @@ func TestChurchRosserSSSP(t *testing.T) {
 		for _, s := range strategies {
 			p := mustPartition(t, g, 4+int(seed), s)
 			opts := core.Options{
-				Mode:    core.Mode(seed % 3), // cycles AAP, BSP, AP
-				Faults:  &core.Faults{Seed: seed, DelayProb: 0.5, DelayBy: 2 * time.Millisecond},
-				LFloor:  int(seed % 4),
-				Timeout: time.Minute,
+				Mode:     core.Mode(seed % 3), // cycles AAP, BSP, AP
+				Faults:   &core.Faults{Seed: seed, DelayProb: 0.5, DelayBy: 2 * time.Millisecond},
+				LFloor:   int(seed % 4),
+				Deadline: time.Minute,
 			}
 			res, err := core.Run(p, sssp.Job(0), opts)
 			if err != nil {
@@ -260,7 +260,7 @@ func TestMaxRoundsAborts(t *testing.T) {
 		},
 		Aggregate: math.Min,
 	}
-	_, err := core.Run(p, job, core.Options{MaxRounds: 50, Timeout: 30 * time.Second})
+	_, err := core.Run(p, job, core.Options{MaxRounds: 50, Deadline: 30 * time.Second})
 	if err == nil {
 		t.Fatal("expected max-rounds error")
 	}
@@ -307,7 +307,7 @@ func TestNoSlotMessageFailsRun(t *testing.T) {
 		New:       func(f *partition.Fragment) core.Program[float64] { return &stray{f: f} },
 		Aggregate: math.Min,
 	}
-	_, err := core.Run(p, job, core.Options{Timeout: 30 * time.Second})
+	_, err := core.Run(p, job, core.Options{Deadline: 30 * time.Second})
 	if err == nil {
 		t.Fatal("a message for a vertex with no local slot was accepted")
 	}
@@ -409,7 +409,7 @@ func TestShardsBudget(t *testing.T) {
 			},
 			Aggregate: math.Min,
 		}
-		if _, err := core.Run(p, job, core.Options{Timeout: 30 * time.Second}); err != nil {
+		if _, err := core.Run(p, job, core.Options{Deadline: 30 * time.Second}); err != nil {
 			t.Fatal(err)
 		}
 		asked := got[:0]

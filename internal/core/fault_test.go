@@ -25,7 +25,7 @@ import (
 func chaosOpts(seed int64, victim int) core.Options {
 	return core.Options{
 		Mode:       core.AAP,
-		Timeout:    time.Minute,
+		Deadline:   time.Minute,
 		Checkpoint: core.CheckpointOptions{EveryRounds: 1},
 		Faults: &core.Faults{
 			Seed: seed,
@@ -44,7 +44,7 @@ func TestChaosKillMatchesFaultFreeSSSP(t *testing.T) {
 	g := gen.PowerLaw(500, 6, 2.1, true, 1)
 	p := mustPartition(t, g, 4, partition.Hash{})
 	for _, k := range []int{1, 2, 4, 8} {
-		base, err := core.Run(p, sssp.JobShards(0, k), core.Options{Mode: core.AAP, Timeout: time.Minute})
+		base, err := core.Run(p, sssp.JobShards(0, k), core.Options{Mode: core.AAP, Deadline: time.Minute})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,7 +74,7 @@ func TestChaosKillMatchesFaultFreeCC(t *testing.T) {
 	p := mustPartition(t, g, 4, partition.Hash{})
 	for _, k := range []int{1, 2, 4, 8} {
 		t.Run(fmt.Sprintf("shards=%d", k), func(t *testing.T) {
-			base, err := core.Run(p, cc.JobShards(k), core.Options{Mode: core.AAP, Timeout: time.Minute})
+			base, err := core.Run(p, cc.JobShards(k), core.Options{Mode: core.AAP, Deadline: time.Minute})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -105,7 +105,7 @@ func TestChaosKillMatchesFaultFreePageRank(t *testing.T) {
 	for _, k := range []int{1, 2, 4, 8} {
 		t.Run(fmt.Sprintf("shards=%d", k), func(t *testing.T) {
 			cfg := pagerank.Config{Tol: 1e-10, Shards: k}
-			base, err := core.Run(p, pagerank.Job(cfg), core.Options{Mode: core.AAP, Timeout: time.Minute})
+			base, err := core.Run(p, pagerank.Job(cfg), core.Options{Mode: core.AAP, Deadline: time.Minute})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -132,14 +132,14 @@ func TestChaosKillMatchesFaultFreePageRank(t *testing.T) {
 func TestKillBeforeAnySealRestartsFresh(t *testing.T) {
 	g := gen.PowerLaw(400, 5, 2.1, true, 5)
 	p := mustPartition(t, g, 4, partition.Hash{})
-	base, err := core.Run(p, sssp.Job(0), core.Options{Mode: core.AAP, Timeout: time.Minute})
+	base, err := core.Run(p, sssp.Job(0), core.Options{Mode: core.AAP, Deadline: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
 	res, err := core.Run(p, sssp.Job(0), core.Options{
-		Mode:    core.AAP,
-		Timeout: time.Minute,
-		Faults:  &core.Faults{Kill: &core.KillSpec{Worker: 2, Round: 1}},
+		Mode:     core.AAP,
+		Deadline: time.Minute,
+		Faults:   &core.Faults{Kill: &core.KillSpec{Worker: 2, Round: 1}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -160,14 +160,14 @@ func TestKillBeforeAnySealRestartsFresh(t *testing.T) {
 func TestCheckpointDoesNotPerturb(t *testing.T) {
 	g := gen.PowerLaw(500, 6, 2.1, true, 1)
 	p := mustPartition(t, g, 4, partition.Hash{})
-	base, err := core.Run(p, sssp.Job(0), core.Options{Mode: core.AAP, Timeout: time.Minute})
+	base, err := core.Run(p, sssp.Job(0), core.Options{Mode: core.AAP, Deadline: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, every := range []int32{1, 4} {
 		res, err := core.Run(p, sssp.Job(0), core.Options{
 			Mode:       core.AAP,
-			Timeout:    time.Minute,
+			Deadline:   time.Minute,
 			Checkpoint: core.CheckpointOptions{EveryRounds: every},
 		})
 		if err != nil {
@@ -196,13 +196,13 @@ func TestCheckpointDoesNotPerturb(t *testing.T) {
 func TestDuplicateAndDelaySafeForMinFold(t *testing.T) {
 	g := gen.PowerLaw(400, 5, 2.1, true, 7)
 	p := mustPartition(t, g, 4, partition.Hash{})
-	base, err := core.Run(p, sssp.Job(0), core.Options{Mode: core.AAP, Timeout: time.Minute})
+	base, err := core.Run(p, sssp.Job(0), core.Options{Mode: core.AAP, Deadline: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
 	res, err := core.Run(p, sssp.Job(0), core.Options{
-		Mode:    core.AAP,
-		Timeout: time.Minute,
+		Mode:     core.AAP,
+		Deadline: time.Minute,
 		Faults: &core.Faults{
 			Seed:      9,
 			DupProb:   0.3,
@@ -227,9 +227,9 @@ func TestDropLiveness(t *testing.T) {
 	g := gen.PowerLaw(400, 5, 2.1, true, 8)
 	p := mustPartition(t, g, 4, partition.Hash{})
 	res, err := core.Run(p, sssp.Job(0), core.Options{
-		Mode:    core.AAP,
-		Timeout: time.Minute,
-		Faults:  &core.Faults{Seed: 11, DropProb: 0.2},
+		Mode:     core.AAP,
+		Deadline: time.Minute,
+		Faults:   &core.Faults{Seed: 11, DropProb: 0.2},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -277,7 +277,7 @@ func TestWorkerPanicContained(t *testing.T) {
 			New:       func(f *partition.Fragment) core.Program[float64] { return &bomb{f: f, shard: shard} },
 			Aggregate: math.Min,
 		}
-		_, err := core.Run(p, job, core.Options{Timeout: 30 * time.Second})
+		_, err := core.Run(p, job, core.Options{Deadline: 30 * time.Second})
 		if err == nil {
 			t.Fatalf("shard %d: panicking worker produced no error", shard)
 		}
@@ -300,7 +300,7 @@ func TestCheckpointRequiresSnapshotter(t *testing.T) {
 		Aggregate: math.Min,
 	}
 	_, err := core.Run(p, job, core.Options{
-		Timeout:    30 * time.Second,
+		Deadline:   30 * time.Second,
 		Checkpoint: core.CheckpointOptions{EveryRounds: 1},
 	})
 	if err == nil || !strings.Contains(err.Error(), "Snapshotter") {
@@ -316,7 +316,6 @@ func TestDeadlinePartialResult(t *testing.T) {
 	p := mustPartition(t, g, 4, partition.Hash{})
 	res, err := core.Run(p, sssp.Job(0), core.Options{
 		Mode:     core.AAP,
-		Timeout:  time.Minute,
 		Deadline: 200 * time.Millisecond,
 		Faults: &core.Faults{
 			Stall: &core.StallSpec{Worker: 0, Round: 0, For: time.Minute},

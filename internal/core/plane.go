@@ -37,12 +37,11 @@ type TransportOptions struct {
 	// hook a parent uses to spawn worker processes against a :0 port.
 	// It must not block.
 	OnListen func(addr string)
-	// Heartbeat / failure-detector / retry tuning, passed through to
+	// Heartbeat / failure-detector tuning, passed through to
 	// transport.Config (zeros pick that package's defaults).
 	HeartbeatEvery time.Duration
 	SuspectAfter   time.Duration
 	DeadAfter      time.Duration
-	RetryLimit     int
 	// Supervisor, when set, owns the remote hosts' lifecycle: when the
 	// failure detector declares a host dead, the recovery goroutine asks
 	// it (with the run quiesced) to respawn the process under its
@@ -92,7 +91,6 @@ func (t *TransportOptions) config() transport.Config {
 		HeartbeatEvery: t.HeartbeatEvery,
 		SuspectAfter:   t.SuspectAfter,
 		DeadAfter:      t.DeadAfter,
-		RetryLimit:     t.RetryLimit,
 	}
 }
 

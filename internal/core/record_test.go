@@ -120,7 +120,7 @@ func TestRecordKeepsSenderRuns(t *testing.T) {
 			e := newEngine(NewSession(p), minLabelJob, opts.withDefaults())
 			e.clock = wallClock{time.Now()}
 			var err error
-			if e.recov, err = newRecovery(e, false); err != nil {
+			if e.recov, err = newRecovery(e); err != nil {
 				t.Fatal(err)
 			}
 			outs := make([][][]VMsg[float64], p.M)
@@ -201,7 +201,10 @@ func TestRecordKeepsSenderRuns(t *testing.T) {
 				t.Fatalf("flight messages\n got %+v\nwant %+v", gotMsgs, wantMsgs)
 			}
 
-			res, err := run(NewSession(p), minLabelJob, Options{}, &resumeState[float64]{snap: snap})
+			// A resumed run checkpoints, as Resume's Dir makes it; this
+			// one announces no epoch of its own.
+			resumed := Options{Checkpoint: CheckpointOptions{EveryRounds: 1 << 20}}
+			res, err := run(NewSession(p), minLabelJob, resumed, &resumeState[float64]{snap: snap})
 			if err != nil {
 				t.Fatal(err)
 			}

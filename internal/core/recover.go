@@ -13,17 +13,16 @@ import (
 type CheckpointOptions struct {
 	// EveryRounds announces a new snapshot epoch whenever a worker
 	// completes a multiple of this many rounds (and the previous epoch
-	// has sealed). Zero disables checkpointing.
+	// has sealed). Zero disables checkpointing, unless Dir is set: then
+	// it means every round.
 	EveryRounds int32
 	// Dir, when set, tees every sealed snapshot to crash-consistent
 	// record files in this directory (created if missing), so Resume
-	// can restart the whole process from the newest sealed epoch.
-	// Requires EveryRounds > 0 (except under Resume, where the seeded
-	// epoch alone may be enough) and Job.EncodeVal/DecodeVal.
+	// can restart the whole process from the newest sealed epoch. A
+	// fresh Run owns the directory: it first removes the records an
+	// earlier run left there, so a later Resume restarts from this run's
+	// epochs and no other's. Requires Job.EncodeVal/DecodeVal.
 	Dir string
-	// SyncEvery fsyncs every Nth durable record write; 1 (the default)
-	// syncs every write. See checkpoint.DurableOptions.
-	SyncEvery int
 	// Retain keeps the newest K epochs on disk (default 3, floor 2).
 	Retain int
 	// FS overrides the durable store's filesystem (fault-injection
@@ -82,12 +81,12 @@ type recovery[T any] struct {
 	freshRestarts atomic.Int64
 }
 
-// newRecovery switches the plane on for a run that checkpoints (or
-// resumes from a checkpoint), injects faults or hosts Programs remotely,
-// building the snapshot store and the fault injector it works with; nil
-// otherwise.
-func newRecovery[T any](e *engine[T], resuming bool) (*recovery[T], error) {
-	if e.opts.Checkpoint.EveryRounds > 0 || resuming {
+// newRecovery switches the plane on for a run that checkpoints (every
+// run with a Checkpoint.Dir does, Resume's included), injects faults or
+// hosts Programs remotely, building the snapshot store and the fault
+// injector it works with; nil otherwise.
+func newRecovery[T any](e *engine[T]) (*recovery[T], error) {
+	if e.opts.Checkpoint.EveryRounds > 0 {
 		for _, w := range e.workers {
 			if _, ok := w.prog.(Snapshotter); !ok {
 				return nil, fmt.Errorf("core: %s: checkpointing requires the Program to implement core.Snapshotter", e.job.Name)
@@ -275,28 +274,17 @@ func (r *recovery[T]) finish() {
 }
 
 // rollback rewrites the whole engine to the last sealed snapshot while
-// every worker is parked. With no sealed snapshot the run restarts from
-// scratch: fresh programs, PEval again. The victim's program is
-// discarded and rebuilt purely from snapshot bytes — its in-memory
-// state is treated as lost with the "dead" worker.
+// every worker is parked. The in-memory store is its one source (only
+// Resume reads the checkpoint directory, and seeds the store from it);
+// with no sealed snapshot the run restarts from scratch: fresh programs,
+// PEval again. The victim's program is discarded and rebuilt purely from
+// snapshot bytes — its in-memory state is treated as lost with the
+// "dead" worker.
 func (r *recovery[T]) rollback(victim int) {
 	e := r.e
 	var snap *checkpoint.Snapshot[VMsg[T]]
 	if e.ckpt != nil {
 		snap = e.ckpt.Sealed()
-	}
-	// Second rung of the no-checkpoint fallback: before declaring a
-	// fresh restart, try the durable tail — a previous incarnation of
-	// this process (or a dropped in-memory seal) may have left a newer
-	// record on disk than the store holds in memory. DecodeSnapshot checks
-	// it as for Resume, so the replay below stays inside this run's workers.
-	if snap == nil && e.ckpt != nil && e.tee != nil {
-		if ep, payload, err := e.tee.store.NewestSealed(); err == nil {
-			if s, derr := checkpoint.DecodeSnapshot(ep, payload, e.p.M, e.job.readMsg); derr == nil {
-				e.ckpt.Seed(s) // Reset below rewinds announce to this epoch
-				snap = s
-			}
-		}
 	}
 
 	// Destroy the abandoned execution's residue: inbox contents and

@@ -91,7 +91,7 @@ func spawnRemoteWorker(t *testing.T, w int, addr string) *exec.Cmd {
 // process changes nothing about the result.
 func TestRemoteWorkerMatchesInProc(t *testing.T) {
 	p := remoteTestPartition(t)
-	base, err := core.Run(p, remoteTestJob(), core.Options{Mode: core.AAP, Timeout: time.Minute})
+	base, err := core.Run(p, remoteTestJob(), core.Options{Mode: core.AAP, Deadline: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestRemoteWorkerMatchesInProc(t *testing.T) {
 	topts.OnListen = func(addr string) { cmd = spawnRemoteWorker(t, remoteVictim, addr) }
 	res, err := core.Run(p, remoteTestJob(), core.Options{
 		Mode:      core.AAP,
-		Timeout:   time.Minute,
+		Deadline:  time.Minute,
 		Transport: &topts,
 	})
 	if cmd != nil {
@@ -129,7 +129,7 @@ func TestRemoteWorkerMatchesInProc(t *testing.T) {
 // to the fault-free run.
 func TestRemoteWorkerKillRecovers(t *testing.T) {
 	p := remoteTestPartition(t)
-	base, err := core.Run(p, remoteTestJob(), core.Options{Mode: core.AAP, Timeout: time.Minute})
+	base, err := core.Run(p, remoteTestJob(), core.Options{Mode: core.AAP, Deadline: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestRemoteWorkerKillRecovers(t *testing.T) {
 	}
 	res, err := core.Run(p, remoteTestJob(), core.Options{
 		Mode:       core.AAP,
-		Timeout:    time.Minute,
+		Deadline:   time.Minute,
 		Checkpoint: core.CheckpointOptions{EveryRounds: 1},
 		Transport:  &topts,
 		RoundHook: func(worker int, round int32) {

@@ -107,7 +107,7 @@ func Query[T any](s *Session, job Job[T], opts Options) (*Result[T], error) {
 	res, err := run(s, job, opts, nil)
 	s.busyNanos.Add(time.Since(t0).Nanoseconds())
 	s.active.Add(-1)
-	if err != nil && res == nil {
+	if err != nil {
 		s.failed.Add(1)
 	} else {
 		s.completed.Add(1)

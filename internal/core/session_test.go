@@ -7,6 +7,7 @@ package core_test
 // forced kernel shard counts.
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -15,6 +16,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"aap/internal/algo/cc"
 	"aap/internal/algo/cf"
@@ -430,5 +432,27 @@ func TestSessionValidatesOncePerJobName(t *testing.T) {
 	}
 	if n := scans.Load(); n != 1 {
 		t.Fatalf("core.Run on a fresh Session validated %d times, want 1", n)
+	}
+}
+
+// TestSessionCountsDeadlineAsFailed: a query cut off by its deadline
+// returns a partial result and an error, and SessionStats counts it as
+// Failed ("finished with an error"), not Completed.
+func TestSessionCountsDeadlineAsFailed(t *testing.T) {
+	p, err := partition.Build(gen.PowerLaw(300, 5, 2.1, true, 4), 4, partition.Hash{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := core.NewSession(p)
+	res, err := core.Query(s, sssp.Job(0), core.Options{
+		Mode:     core.AAP,
+		Deadline: 200 * time.Millisecond,
+		Faults:   &core.Faults{Stall: &core.StallSpec{Worker: 0, Round: 0, For: time.Minute}},
+	})
+	if res == nil || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("stalled query: result %v, error %v; want a partial result and DeadlineExceeded", res, err)
+	}
+	if st := s.Stats(); st.Completed != 0 || st.Failed != 1 || st.QPS != 0 {
+		t.Fatalf("session counted %d completed, %d failed, qps %v; want 0, 1 and 0", st.Completed, st.Failed, st.QPS)
 	}
 }

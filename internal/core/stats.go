@@ -36,8 +36,8 @@ type RunStats struct {
 	RecoverySeconds float64 // wall time spent quiesced in recovery
 
 	// Self-healing supervision accounting: the failure ladder is
-	// respawn+rejoin → (budget exhausted) local failback → (no sealed
-	// snapshot anywhere) fresh restart, and each rung leaves its count
+	// respawn+rejoin → (budget exhausted) local failback → (no snapshot
+	// sealed in memory yet) fresh restart, and each rung leaves its count
 	// here. Zero unless Transport.Supervisor (Restarts/RejoinSeconds) or
 	// recovery (Failbacks/FreshRestarts) ran.
 	Restarts      int64   // remote hosts respawned and rejoined mid-run

@@ -171,7 +171,7 @@ func TestSupervisedRespawnRejoins(t *testing.T) {
 	t.Run("sssp", func(t *testing.T) {
 		p := remoteTestPartition(t)
 		job := remoteTestJob()
-		base, err := core.Run(p, job, core.Options{Mode: core.AAP, Timeout: time.Minute})
+		base, err := core.Run(p, job, core.Options{Mode: core.AAP, Deadline: time.Minute})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -180,7 +180,7 @@ func TestSupervisedRespawnRejoins(t *testing.T) {
 		topts := supervisedTopts(sup)
 		res, err := core.Run(p, job, core.Options{
 			Mode:       core.AAP,
-			Timeout:    time.Minute,
+			Deadline:   time.Minute,
 			Checkpoint: core.CheckpointOptions{EveryRounds: 1},
 			Transport:  &topts,
 			RoundHook:  k.hook,
@@ -197,7 +197,7 @@ func TestSupervisedRespawnRejoins(t *testing.T) {
 	t.Run("pagerank", func(t *testing.T) {
 		p := prTestPartition(t)
 		job := pagerank.Job(prSuperviseConfig())
-		base, err := core.Run(p, job, core.Options{Mode: core.AAP, Timeout: time.Minute})
+		base, err := core.Run(p, job, core.Options{Mode: core.AAP, Deadline: time.Minute})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -206,7 +206,7 @@ func TestSupervisedRespawnRejoins(t *testing.T) {
 		topts := supervisedTopts(sup)
 		res, err := core.Run(p, job, core.Options{
 			Mode:       core.AAP,
-			Timeout:    time.Minute,
+			Deadline:   time.Minute,
 			Checkpoint: core.CheckpointOptions{EveryRounds: 1},
 			Transport:  &topts,
 			RoundHook:  k.hook,
@@ -233,7 +233,7 @@ func TestSupervisedRespawnRejoins(t *testing.T) {
 func TestSupervisedBudgetFailback(t *testing.T) {
 	p := remoteTestPartition(t)
 	job := tickerJob(superviseTickerRounds)
-	base, err := core.Run(p, job, core.Options{Mode: core.AAP, Timeout: time.Minute})
+	base, err := core.Run(p, job, core.Options{Mode: core.AAP, Deadline: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestSupervisedBudgetFailback(t *testing.T) {
 	topts := supervisedTopts(sup)
 	res, err := core.Run(p, job, core.Options{
 		Mode:       core.AAP,
-		Timeout:    time.Minute,
+		Deadline:   time.Minute,
 		Checkpoint: core.CheckpointOptions{EveryRounds: 1},
 		Transport:  &topts,
 		RoundHook:  k.hook,
@@ -272,7 +272,7 @@ func TestSupervisedBudgetFailback(t *testing.T) {
 func TestSupervisedHostLostAtFinalRound(t *testing.T) {
 	p := remoteTestPartition(t)
 	job := tickerJob(superviseTickerRounds)
-	base, err := core.Run(p, job, core.Options{Mode: core.AAP, Timeout: time.Minute})
+	base, err := core.Run(p, job, core.Options{Mode: core.AAP, Deadline: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +284,7 @@ func TestSupervisedHostLostAtFinalRound(t *testing.T) {
 	var lost atomic.Bool
 	res, err := core.Run(p, job, core.Options{
 		Mode:       core.AAP,
-		Timeout:    time.Minute,
+		Deadline:   time.Minute,
 		Checkpoint: core.CheckpointOptions{EveryRounds: 1},
 		Transport:  &topts,
 		RoundHook: func(worker int, round int32) {
@@ -338,7 +338,7 @@ func hostLink(m int) int32 { return int32(m + 1 + remoteVictim) }
 func TestSupervisedPartitionHealNoRestarts(t *testing.T) {
 	p := remoteTestPartition(t)
 	job := tickerJob(superviseTickerRounds)
-	base, err := core.Run(p, job, core.Options{Mode: core.AAP, Timeout: time.Minute})
+	base, err := core.Run(p, job, core.Options{Mode: core.AAP, Deadline: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +352,7 @@ func TestSupervisedPartitionHealNoRestarts(t *testing.T) {
 	res, err := core.Run(p, job, core.Options{
 		Mode:       core.AAP,
 		Faults:     &core.Faults{DelayProb: 1, DelayBy: 3 * time.Millisecond},
-		Timeout:    time.Minute,
+		Deadline:   time.Minute,
 		Checkpoint: core.CheckpointOptions{EveryRounds: 1},
 		Transport:  &topts,
 	})
@@ -381,7 +381,7 @@ func TestSupervisedPartitionHealNoRestarts(t *testing.T) {
 func TestSupervisedPartitionKillConverges(t *testing.T) {
 	p := remoteTestPartition(t)
 	job := tickerJob(superviseTickerRounds)
-	base, err := core.Run(p, job, core.Options{Mode: core.AAP, Timeout: time.Minute})
+	base, err := core.Run(p, job, core.Options{Mode: core.AAP, Deadline: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,7 +396,7 @@ func TestSupervisedPartitionKillConverges(t *testing.T) {
 	res, err := core.Run(p, job, core.Options{
 		Mode:       core.AAP,
 		Faults:     &core.Faults{DelayProb: 1, DelayBy: 3 * time.Millisecond},
-		Timeout:    time.Minute,
+		Deadline:   time.Minute,
 		Checkpoint: core.CheckpointOptions{EveryRounds: 1},
 		Transport:  &topts,
 	})

@@ -23,7 +23,7 @@ import (
 // inprocOpts runs the engine under mode on the in-proc plane: the
 // baseline of tcpOpts.
 func inprocOpts(mode core.Options) core.Options {
-	mode.Timeout = time.Minute
+	mode.Deadline = time.Minute
 	return mode
 }
 
@@ -130,7 +130,7 @@ func TestTCPPlaneMatchesInProcPageRank(t *testing.T) {
 func TestTCPPlaneChaosKillRecovers(t *testing.T) {
 	g := gen.PowerLaw(500, 6, 2.1, true, 1)
 	p := mustPartition(t, g, 4, partition.Hash{})
-	base, err := core.Run(p, sssp.JobShards(0, 2), core.Options{Mode: core.AAP, Timeout: time.Minute})
+	base, err := core.Run(p, sssp.JobShards(0, 2), core.Options{Mode: core.AAP, Deadline: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func TestTCPPlaneRoguePeer(t *testing.T) {
 // that plane switched on.
 func TestRunStatsSectionsFilledByTheirPlanes(t *testing.T) {
 	p := remoteTestPartition(t)
-	plain, err := core.Run(p, remoteTestJob(), core.Options{Mode: core.AAP, Timeout: time.Minute})
+	plain, err := core.Run(p, remoteTestJob(), core.Options{Mode: core.AAP, Deadline: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}

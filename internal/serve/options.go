@@ -79,7 +79,8 @@ func WithNJobs(n int) Option { return func(c *config) { c.njobs = n } }
 
 // WithDeadline force-finishes each query's engine run after d,
 // returning the partial result with a context.DeadlineExceeded error
-// (core.Options.Deadline semantics). Zero disables.
+// (core.Options.Deadline semantics). Zero keeps the engine's 5-minute
+// bound.
 func WithDeadline(d time.Duration) Option { return func(c *config) { c.deadline = d } }
 
 // WithMode selects the engine's parallel model; default AAP.

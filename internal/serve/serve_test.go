@@ -349,7 +349,8 @@ func TestAdmissionControlShedsLoad(t *testing.T) {
 }
 
 // TestDeadlinePropagates: a vanishing per-query deadline surfaces as
-// context.DeadlineExceeded through the serving path.
+// context.DeadlineExceeded through the serving path, and the run counts
+// as failed.
 func TestDeadlinePropagates(t *testing.T) {
 	g := gen.PowerLaw(2000, 8, 2.1, true, 29)
 	p := buildPartition(t, g, 4)
@@ -357,6 +358,9 @@ func TestDeadlinePropagates(t *testing.T) {
 	_, _, err := srv.SSSP(0)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+	}
+	if st := srv.Stats(); st.Completed != 0 || st.Failed != 1 {
+		t.Fatalf("a deadline-exceeded run counted %d completed, %d failed; want 0 and 1", st.Completed, st.Failed)
 	}
 }
 

@@ -69,9 +69,6 @@ func New(p *partition.Partitioned, opts ...Option) *Server {
 	}
 }
 
-// Session exposes the resident session (stats, shared plane).
-func (s *Server) Session() *core.Session { return s.sess }
-
 // Stats is a point-in-time snapshot of the scheduling plane.
 type Stats struct {
 	core.SessionStats

@@ -106,35 +106,6 @@ func AppendFrame(dst []byte, f Frame) []byte {
 	return dst
 }
 
-// ParseFrame decodes one frame from the front of buf and returns it
-// with the remaining bytes. The Payload aliases buf. A truncated,
-// corrupt, or length-lying prefix returns an error without panicking
-// and without allocating in proportion to the claimed length.
-func ParseFrame(buf []byte, maxFrame int) (Frame, []byte, error) {
-	if maxFrame <= 0 {
-		maxFrame = DefaultMaxFrame
-	}
-	if len(buf) < 4 {
-		return Frame{}, buf, fmt.Errorf("transport: truncated frame: %d bytes, need 4-byte length prefix", len(buf))
-	}
-	r := codec.NewReader(buf)
-	n := int(r.Uint32())
-	if n < frameHeader {
-		return Frame{}, buf, fmt.Errorf("transport: frame length %d below header size %d", n, frameHeader)
-	}
-	if n > maxFrame {
-		return Frame{}, buf, fmt.Errorf("transport: frame length %d exceeds limit %d", n, maxFrame)
-	}
-	if len(buf)-4 < n {
-		return Frame{}, buf, fmt.Errorf("transport: truncated frame: prefix claims %d bytes, %d available", n, len(buf)-4)
-	}
-	f, err := parseBody(buf[4 : 4+n])
-	if err != nil {
-		return Frame{}, buf, err
-	}
-	return f, buf[4+n:], nil
-}
-
 // parseBody decodes everything after the length prefix; body holds at
 // least frameHeader bytes. The Payload aliases body.
 func parseBody(body []byte) (Frame, error) {

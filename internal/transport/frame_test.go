@@ -1,11 +1,17 @@
 package transport
 
 import (
+	"bufio"
 	"bytes"
+	"io"
+	"sync/atomic"
 	"testing"
 
 	"aap/internal/codec"
 )
+
+// reader is what a link's read loop wraps its connection in, over data.
+func reader(data []byte) *bufio.Reader { return bufio.NewReader(bytes.NewReader(data)) }
 
 func TestFrameRoundTrip(t *testing.T) {
 	frames := []Frame{
@@ -20,13 +26,13 @@ func TestFrameRoundTrip(t *testing.T) {
 	for _, f := range frames {
 		buf = AppendFrame(buf, f)
 	}
-	rest := buf
+	br := reader(buf)
+	var in atomic.Int64
 	for i, want := range frames {
-		got, r, err := ParseFrame(rest, 0)
+		got, err := readFrame(br, DefaultMaxFrame, &in)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
-		rest = r
 		if got.Kind != want.Kind || got.From != want.From || got.To != want.To || got.Seq != want.Seq ||
 			got.Call != want.Call || got.Failed != want.Failed {
 			t.Fatalf("frame %d: got %+v want %+v", i, got, want)
@@ -35,41 +41,54 @@ func TestFrameRoundTrip(t *testing.T) {
 			t.Fatalf("frame %d payload: got %q want %q", i, got.Payload, want.Payload)
 		}
 	}
-	if len(rest) != 0 {
-		t.Fatalf("%d trailing bytes after parsing all frames", len(rest))
+	if _, err := readFrame(br, DefaultMaxFrame, &in); err != io.EOF {
+		t.Fatalf("after the last frame: err = %v, want io.EOF", err)
+	}
+	if in.Load() != int64(len(buf)) {
+		t.Fatalf("wireIn charged %d bytes, want %d", in.Load(), len(buf))
 	}
 }
 
-func TestParseFrameRejects(t *testing.T) {
+func TestReadFrameRejects(t *testing.T) {
 	good := AppendFrame(nil, Frame{Kind: KindData, From: 1, To: 2, Seq: 3, Payload: []byte("xyz")})
 	cases := []struct {
 		name string
 		buf  []byte
 		max  int
 	}{
-		{"empty", nil, 0},
-		{"short prefix", good[:3], 0},
-		{"truncated body", good[:len(good)-1], 0},
-		{"length below header", codec.AppendUint32(nil, frameHeader-1), 0},
-		{"length-lying oversize", codec.AppendUint32(nil, 1<<30), 0},
+		{"empty", nil, DefaultMaxFrame},
+		{"short prefix", good[:3], DefaultMaxFrame},
+		{"truncated body", good[:len(good)-1], DefaultMaxFrame},
+		{"length below header", codec.AppendUint32(nil, frameHeader-1), DefaultMaxFrame},
+		{"length-lying oversize", codec.AppendUint32(nil, 1<<30), DefaultMaxFrame},
 		{"over frame limit", good, 8},
-		{"call id cut short", AppendFrame(nil, Frame{Kind: KindCall})[:4+frameHeader+7], 0},
+		{"call id cut short", callCutShort(), DefaultMaxFrame},
 		{"unknown kind", func() []byte {
 			b := append([]byte(nil), good...)
 			b[4] = 99
 			return b
-		}(), 0},
+		}(), DefaultMaxFrame},
 	}
 	for _, c := range cases {
-		if _, _, err := ParseFrame(c.buf, c.max); err == nil {
+		var in atomic.Int64
+		if _, err := readFrame(reader(c.buf), c.max, &in); err == nil {
 			t.Errorf("%s: want error, got nil", c.name)
 		}
 	}
 }
 
-// FuzzFrameDecode asserts the decoder never panics and never trusts a
-// lying length prefix: arbitrary bytes either parse into a frame whose
-// payload fits the input, or error out.
+// callCutShort is a KindCall frame whose length prefix covers only 7 of
+// its 8 call-id bytes.
+func callCutShort() []byte {
+	b := AppendFrame(nil, Frame{Kind: KindCall})[:4+frameHeader+7]
+	b[0], b[1], b[2], b[3] = frameHeader+7, 0, 0, 0
+	return b
+}
+
+// FuzzFrameDecode feeds arbitrary bytes to readFrame, the reader every
+// peer's bytes reach, and asserts it never panics and never trusts a
+// lying length prefix: the input either parses into a frame whose
+// payload fits the bytes consumed, or errors out.
 func FuzzFrameDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(AppendFrame(nil, Frame{Kind: KindData, From: 1, To: 2, Seq: 9, Payload: []byte("seed")}))
@@ -78,20 +97,21 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add(codec.AppendUint32(nil, 0xFFFFFFFF))
 	f.Add(codec.AppendUint32(nil, frameHeader))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fr, rest, err := ParseFrame(data, 1<<16)
+		var in atomic.Int64
+		fr, err := readFrame(reader(data), 1<<16, &in)
 		if err != nil {
 			return
 		}
-		if len(fr.Payload)+len(rest) > len(data) {
-			t.Fatalf("decoded frame claims more bytes than the input holds: payload %d + rest %d > input %d",
-				len(fr.Payload), len(rest), len(data))
+		if in.Load() > int64(len(data)) || len(fr.Payload)+4+frameHeader > int(in.Load()) {
+			t.Fatalf("decoded frame claims more bytes than the input holds: payload %d, charged %d, input %d",
+				len(fr.Payload), in.Load(), len(data))
 		}
 		if fr.Kind < KindHello || fr.Kind > KindAck {
 			t.Fatalf("decoder accepted unknown kind %d", fr.Kind)
 		}
 		// A successfully parsed frame must survive re-encode → re-parse.
 		re := AppendFrame(nil, fr)
-		fr2, _, err := ParseFrame(re, 1<<16)
+		fr2, err := readFrame(reader(re), 1<<16, &in)
 		if err != nil {
 			t.Fatalf("re-parse of re-encoded frame failed: %v", err)
 		}

@@ -876,7 +876,10 @@ func (l *link) retire(err error) bool {
 	return true
 }
 
-// readFrame reads one length-prefixed frame from br, charging wireIn.
+// readFrame reads one length-prefixed frame from br, charging wireIn. It
+// is the one frame decoder: every byte a peer sends reaches it first. A
+// length prefix below the header or above maxFrame is refused before
+// anything is allocated for the body; the Payload aliases the body.
 func readFrame(br *bufio.Reader, maxFrame int, wireIn *atomic.Int64) (Frame, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
