@@ -14,10 +14,10 @@
 // message type so the engine can snapshot real designated-message
 // batches. The engine side supplies the marker discipline: stamp every
 // batch with the sender's epoch at handoff, record a worker's cut
-// before delivering any batch stamped with a newer epoch, and report
-// every batch's lifecycle (BatchSent at handoff, BatchDrained at
-// delivery) so the Store knows when no pre-cut message can still be in
-// flight and the epoch can seal.
+// before delivering any batch stamped with a newer epoch, and count
+// every message in the run's Ledger (then Store.Drained on each drain)
+// so the Store knows when no pre-cut message is left and the epoch can
+// seal.
 package checkpoint
 
 import (
@@ -69,14 +69,14 @@ func (s *Snapshot[M]) Bytes() int {
 // with either the pending epoch or the one before it).
 type Store[M any] struct {
 	announced atomic.Int32 // highest epoch announced; workers poll this
+	ledger    *Ledger      // the run's message counts; the seal reads the pre-cut side
 
 	mu          sync.Mutex
 	n           int
-	recorded    []int32       // per-worker highest epoch recorded
-	pending     *Snapshot[M]  // epoch being assembled
-	sealed      *Snapshot[M]  // last complete snapshot
-	sealedEpoch atomic.Int32  // == sealed.Epoch, lock-free read
-	outstanding map[int32]int // handed-off-not-yet-drained batches per stamp
+	recorded    []int32      // per-worker highest epoch recorded
+	pending     *Snapshot[M] // epoch being assembled
+	sealed      *Snapshot[M] // last complete snapshot
+	sealedEpoch atomic.Int32 // == sealed.Epoch, lock-free read
 
 	sealedCount atomic.Int64 // snapshots sealed over the run
 	sealedBytes atomic.Int64 // cumulative serialized state bytes sealed
@@ -109,7 +109,6 @@ func (s *Store[M]) Seed(snap *Snapshot[M]) {
 		s.recorded[i] = snap.Epoch
 	}
 	s.pending = nil
-	s.outstanding = make(map[int32]int)
 }
 
 // SealedCount returns how many snapshots have sealed over the run.
@@ -119,14 +118,10 @@ func (s *Store[M]) SealedCount() int64 { return s.sealedCount.Load() }
 // all sealed snapshots, the numerator of the bytes/snapshot overhead.
 func (s *Store[M]) SealedBytes() int64 { return s.sealedBytes.Load() }
 
-// NewStore creates a store for n workers. Epoch 0 means "no snapshot":
-// recovery from epoch 0 is a fresh restart.
-func NewStore[M any](n int) *Store[M] {
-	return &Store[M]{
-		n:           n,
-		recorded:    make([]int32, n),
-		outstanding: make(map[int32]int),
-	}
+// NewStore creates a store for n workers whose messages l counts. Epoch
+// 0 means "no snapshot": recovery from epoch 0 is a fresh restart.
+func NewStore[M any](n int, l *Ledger) *Store[M] {
+	return &Store[M]{n: n, ledger: l, recorded: make([]int32, n)}
 }
 
 // Announce begins snapshot epoch e+1 and returns it. It refuses while
@@ -186,7 +181,7 @@ func (s *Store[M]) Record(w, epoch int32, state []byte, rounds int32, pevalDone 
 // Capture adds a late batch to the pending snapshot's channel state: it
 // was stamped before the sender's cut but drained after the receiver's.
 // The caller must pass copies (the engine recycles batch slices) and
-// must call Capture before BatchDrained for the same batch.
+// must call Capture before the ledger counts the batch drained.
 func (s *Store[M]) Capture(f Flight[M]) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -195,23 +190,14 @@ func (s *Store[M]) Capture(f Flight[M]) {
 	}
 }
 
-// BatchSent records that a batch stamped with the sender's epoch was
-// handed off for delivery.
-func (s *Store[M]) BatchSent(stamp int32) {
-	s.mu.Lock()
-	s.outstanding[stamp]++
-	s.mu.Unlock()
-}
-
-// BatchDrained records that a batch stamped stamp was consumed (or
-// dropped by fault injection); once no batch stamped before the pending
-// epoch remains outstanding and every worker has recorded, the epoch
-// seals.
-func (s *Store[M]) BatchDrained(stamp int32) {
-	s.mu.Lock()
-	if s.outstanding[stamp]--; s.outstanding[stamp] <= 0 {
-		delete(s.outstanding, stamp)
+// Drained follows the ledger's count of a drained batch stamped stamp.
+// Only a pre-cut batch (stamp below the announced epoch) drained while
+// an epoch is pending can complete the seal, so only it takes the lock.
+func (s *Store[M]) Drained(stamp int32) {
+	if stamp >= s.announced.Load() {
+		return
 	}
+	s.mu.Lock()
 	s.trySealLocked()
 	s.mu.Unlock()
 }
@@ -225,15 +211,14 @@ func (s *Store[M]) Sealed() *Snapshot[M] {
 	return s.sealed
 }
 
-// Reset abandons any pending epoch and forgets outstanding batches;
-// recovery calls it after a rollback destroys every in-flight message.
-// The announced epoch rewinds to the sealed one so stamping resumes
-// consistently and the next Announce starts a fresh epoch.
+// Reset abandons any pending epoch; recovery calls it after a rollback
+// destroys every in-flight message (and zeroes the ledger that counted
+// them). The announced epoch rewinds to the sealed one so stamping
+// resumes consistently and the next Announce starts a fresh epoch.
 func (s *Store[M]) Reset() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.pending = nil
-	s.outstanding = make(map[int32]int)
 	e := int32(0)
 	if s.sealed != nil {
 		e = s.sealed.Epoch
@@ -252,9 +237,9 @@ func (s *Store[M]) pendingEpochLocked() interface{} {
 }
 
 // trySealLocked promotes the pending snapshot once (a) every worker has
-// recorded it and (b) no batch stamped with an earlier epoch is still
-// outstanding — the Chandy-Lamport completion condition: all channel
-// state has been captured.
+// recorded it and (b) every message stamped e−1 has drained (the
+// ledger's stamp-(e−1) side balances) — the Chandy-Lamport completion
+// condition: all channel state has been captured.
 func (s *Store[M]) trySealLocked() {
 	if s.pending == nil {
 		return
@@ -265,10 +250,8 @@ func (s *Store[M]) trySealLocked() {
 			return
 		}
 	}
-	for stamp, n := range s.outstanding {
-		if stamp < e && n > 0 {
-			return
-		}
+	if !s.ledger.balanced(e - 1) {
+		return
 	}
 	s.sealed = s.pending
 	s.pending = nil

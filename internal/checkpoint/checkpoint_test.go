@@ -12,7 +12,7 @@ import (
 // node simulates one engine worker following the marker discipline the
 // engine implements: stamp sends with the sender's epoch, record the
 // local cut before draining any batch stamped with a newer epoch,
-// capture late batches, report every batch's lifecycle to the store.
+// capture late batches, count every message in the run's ledger.
 type node struct {
 	id    int32
 	state int64
@@ -26,13 +26,15 @@ type batch struct {
 }
 
 type sim struct {
-	mu    sync.Mutex
-	store *checkpoint.Store[int64]
-	nodes []*node
+	mu     sync.Mutex
+	ledger checkpoint.Ledger
+	store  *checkpoint.Store[int64]
+	nodes  []*node
 }
 
 func newSim(states []int64) *sim {
-	s := &sim{store: checkpoint.NewStore[int64](len(states))}
+	s := &sim{}
+	s.store = checkpoint.NewStore[int64](len(states), &s.ledger)
 	for i, v := range states {
 		s.nodes = append(s.nodes, &node{id: int32(i), state: v})
 	}
@@ -49,7 +51,7 @@ func (s *sim) send(from, to int32, vals []int64) batch {
 		n.state -= v
 	}
 	b := batch{from: from, to: to, stamp: n.epoch, msgs: vals}
-	s.store.BatchSent(b.stamp)
+	s.ledger.Sent(int64(len(vals)), b.stamp)
 	return b
 }
 
@@ -72,7 +74,8 @@ func (s *sim) drain(b batch) {
 	for _, v := range b.msgs {
 		n.state += v
 	}
-	s.store.BatchDrained(b.stamp)
+	s.ledger.Drained(int64(len(b.msgs)), b.stamp)
+	s.store.Drained(b.stamp)
 }
 
 // poll is the safe-point check: a node with no incoming marker still
@@ -275,17 +278,18 @@ func TestAnnounceGatedOnSeal(t *testing.T) {
 }
 
 // TestResetRewindsToSealed: recovery abandons the pending epoch and
-// outstanding accounting; announcing afterwards starts the next epoch
-// after the sealed one.
+// zeroes the ledger beside the store, forgetting the messages in flight;
+// announcing afterwards starts the next epoch after the sealed one.
 func TestResetRewindsToSealed(t *testing.T) {
 	s := newSim([]int64{1, 2})
 	s.store.Announce()
 	s.poll(0)
 	s.poll(1) // epoch 1 seals
 	s.store.Announce()
-	s.send(0, 1, []int64{1}) // outstanding batch, never drained (lost in the crash)
+	s.send(0, 1, []int64{1}) // batch in flight, never drained (lost in the crash)
 	s.poll(0)
 	s.store.Reset()
+	s.ledger.Reset()
 	if got := s.store.AnnouncedEpoch(); got != 1 {
 		t.Fatalf("announced after reset = %d, want 1", got)
 	}
@@ -306,7 +310,7 @@ func TestResetRewindsToSealed(t *testing.T) {
 // TestRecordMisuse: recording for a non-pending epoch or twice for the
 // same epoch errors instead of corrupting the snapshot.
 func TestRecordMisuse(t *testing.T) {
-	st := checkpoint.NewStore[int64](2)
+	st := checkpoint.NewStore[int64](2, &checkpoint.Ledger{})
 	if err := st.Record(0, 1, nil, 0, false, nil); err == nil {
 		t.Fatal("record with no pending epoch must error")
 	}

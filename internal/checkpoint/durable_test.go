@@ -48,7 +48,7 @@ func writeEpoch(t *testing.T, d *checkpoint.DurableStore, epoch int32) {
 // epoch that was never announced is rejected with ErrFutureEpoch, both
 // on an idle store and while an older epoch is pending.
 func TestRecordFutureEpoch(t *testing.T) {
-	st := checkpoint.NewStore[int64](2)
+	st := checkpoint.NewStore[int64](2, &checkpoint.Ledger{})
 	if err := st.Record(0, 5, nil, 0, false, nil); !errors.Is(err, checkpoint.ErrFutureEpoch) {
 		t.Fatalf("record for unannounced epoch 5: err = %v, want ErrFutureEpoch", err)
 	}
@@ -67,7 +67,7 @@ func TestRecordFutureEpoch(t *testing.T) {
 
 // TestOnSealHook: the tee fires once per seal with the sealed snapshot.
 func TestOnSealHook(t *testing.T) {
-	st := checkpoint.NewStore[int64](2)
+	st := checkpoint.NewStore[int64](2, &checkpoint.Ledger{})
 	var sealed []int32
 	st.SetOnSeal(func(s *checkpoint.Snapshot[int64]) { sealed = append(sealed, s.Epoch) })
 	for e := int32(1); e <= 3; e++ {
@@ -83,7 +83,7 @@ func TestOnSealHook(t *testing.T) {
 // TestSeed: a seeded store continues the epoch numbering of the run
 // that wrote the snapshot and does not count the seed as a fresh seal.
 func TestSeed(t *testing.T) {
-	st := checkpoint.NewStore[int64](2)
+	st := checkpoint.NewStore[int64](2, &checkpoint.Ledger{})
 	st.Seed(testSnapshot(4))
 	if st.SealedEpoch() != 4 || st.AnnouncedEpoch() != 4 {
 		t.Fatalf("seeded store at (sealed %d, announced %d), want (4, 4)", st.SealedEpoch(), st.AnnouncedEpoch())

@@ -29,7 +29,6 @@ type View struct {
 	RoundTime    float64 // t_i: predicted duration of the next round (seconds)
 	AvgRoundTime float64 // mean predicted round time across workers
 	Rate         float64 // s_i: predicted message arrival rate (messages/second)
-	AvgRate      float64 // mean arrival rate across workers
 	IdleTime     float64 // T_idle: time since this worker's last round ended
 }
 
@@ -128,9 +127,10 @@ func (c sspController) Delay(v View) float64 {
 //
 // where L_i predicts how many messages are worth accumulating before the
 // next round and T_Li = (L_i − η_i)/s_i estimates the time to accumulate
-// them. L_i starts at the user bound L⊥ and is raised to
-// max(η_i, L⊥) + Δt_i·s_i whenever the worker's arrival rate is above the
-// cluster average, i.e. when more up-to-date messages are on the way.
+// them. L_i starts at the user bound L⊥. A straggler (t_i above 1.25×
+// the cluster-average round time) raises it to max(η_i + Δt_i·s_i, L⊥)
+// when more messages are predicted within Δt_i; every other worker runs
+// as soon as it has messages.
 type aapController struct {
 	// LFloor is L⊥, the user-selectable initial accumulation bound.
 	LFloor float64

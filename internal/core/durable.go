@@ -196,9 +196,9 @@ func (d *durableTee[T]) persist() {
 // store makes rollback and epoch numbering continue from the stored
 // epoch; the rollback restores every program through its Snapshotter (a
 // call to the host for remote workers — the wire plane is already up) and
-// re-injects the captured channel state with its sent/outstanding
-// accounting, so termination waits for the replayed batches and the next
-// epoch cannot seal before they drain.
+// re-injects the captured channel state, counted in the ledger, so
+// termination waits for the replayed batches and the next epoch cannot
+// seal before they drain.
 func (rs *resumeState[T]) seed(e *engine[T]) error {
 	if rs == nil {
 		return nil

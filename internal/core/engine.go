@@ -169,8 +169,9 @@ type engine[T any] struct {
 	clock   clock       // the worker loop's one time source: wall (run) or virtual (Simulate)
 	pool    *msgPool[T] // the Session's: recycles message slices between senders and receivers
 
-	rates      []uint64 // per-worker arrival-rate EWMA as float bits
 	roundTimes []uint64 // per-worker round-time EWMA as float bits
+
+	ledger checkpoint.Ledger // the run's message counts; the coordinator reads it too
 
 	// plane carries batches: in-proc unless the wire plane replaced it.
 	plane msgPlane[T]
@@ -182,11 +183,6 @@ type engine[T any] struct {
 	recov *recovery[T]
 	tee   *durableTee[T]
 	wire  *wirePlane[T]
-
-	// undelivered counts batches between sent and arrive (latency timers,
-	// frames on the wire); recovery's quiesce waits for it to reach zero
-	// before rewriting state.
-	undelivered atomic.Int64
 
 	errMu  sync.Mutex
 	runErr error
@@ -202,13 +198,12 @@ func newEngine[T any](s *Session, job Job[T], opts Options) *engine[T] {
 		opts:       opts,
 		pool:       sessionPool[T](s),
 		slots:      make(chan struct{}, opts.PhysicalWorkers),
-		rates:      make([]uint64, p.M),
 		roundTimes: make([]uint64, p.M),
 	}
 	if opts.Mode == Hsync {
 		e.hsync = &hsyncState{}
 	}
-	e.coord.init(p.M, e)
+	e.coord.init(p.M, e, &e.ledger)
 	e.plane = &inproc[T]{e}
 	e.workers = make([]*worker[T], p.M)
 	for i, f := range p.Frags {
@@ -330,26 +325,24 @@ func (ib *inbox[T]) release(bs []batch[T]) {
 	ib.mu.Unlock()
 }
 
-// coordinator tracks relative progress (r_i, r_min, r_max), worker
-// activity, and global message counts for termination detection: the run
-// is complete when every worker is inactive and every sent message has
-// been consumed — the master's inactive/terminate/ack protocol of
-// Section 3, realized with Mattern-style counters.
+// coordinator tracks relative progress (r_i, r_min, r_max) and worker
+// activity for termination detection: the run is complete when every
+// worker is inactive and nothing is open on the run's ledger — the
+// master's inactive/terminate/ack protocol of Section 3, realized with
+// Mattern-style counts.
 //
-// Round counters, the Mattern sent/consumed pair, and activity flags are
-// atomics, so the per-round hot path (roundDone, addSent, addConsumed)
-// and every progress snapshot (view) run without the global lock. The
-// mutex serializes only activity transitions, which keeps the
+// Round counters, activity flags and the ledger are atomics, so the hot
+// path and every progress snapshot (view) run without the global lock.
+// The mutex serializes only activity transitions, which keeps the
 // termination check sound: while it is held with activeCount == 0, no
 // worker can send (sends happen in rounds, which only active workers
-// execute) or consume (drains happen after setActive(true), which blocks
-// on the same mutex), so sent == consumed proves quiescence.
+// execute) or drain (drains happen after setActive(true), which blocks
+// on the same mutex), so a ledger with nothing open proves quiescence.
 type coordinator struct {
-	rounds   []atomic.Int32
-	active   []atomic.Bool
-	activeN  atomic.Int32
-	sent     atomic.Int64
-	consumed atomic.Int64
+	rounds  []atomic.Int32
+	active  []atomic.Bool
+	activeN atomic.Int32
+	ledger  *checkpoint.Ledger
 
 	mu       sync.Mutex // guards activity transitions and the finish check
 	finished bool
@@ -357,7 +350,7 @@ type coordinator struct {
 	eng      interface{ broadcastProgress() }
 }
 
-func (c *coordinator) init(m int, eng interface{ broadcastProgress() }) {
+func (c *coordinator) init(m int, eng interface{ broadcastProgress() }, l *checkpoint.Ledger) {
 	c.rounds = make([]atomic.Int32, m)
 	c.active = make([]atomic.Bool, m)
 	for i := range c.active {
@@ -366,6 +359,7 @@ func (c *coordinator) init(m int, eng interface{ broadcastProgress() }) {
 	c.activeN.Store(int32(m))
 	c.done = make(chan struct{})
 	c.eng = eng
+	c.ledger = l
 }
 
 func (c *coordinator) forceDone() {
@@ -383,14 +377,11 @@ func (c *coordinator) roundDone(id int) int32 {
 	return r
 }
 
-func (c *coordinator) addSent(n int64)     { c.sent.Add(n) }
-func (c *coordinator) addConsumed(n int64) { c.consumed.Add(n) }
-
 // reset rewinds the coordinator to a recovery cut: per-worker round
-// counters from the snapshot, every worker active, and the Mattern
-// counters zeroed (the rollback re-adds the replayed in-flight
-// messages as sent). Only called while every worker is parked, so no
-// concurrent transition can race the wholesale rewrite.
+// counters from the snapshot, every worker active, and the ledger zeroed
+// (the rollback re-adds the replayed in-flight messages as sent). Only
+// called while every worker is parked and nothing is in flight, so no
+// concurrent transition or count can race the wholesale rewrite.
 func (c *coordinator) reset(rounds []int32) {
 	c.mu.Lock()
 	for i := range c.rounds {
@@ -398,8 +389,7 @@ func (c *coordinator) reset(rounds []int32) {
 		c.active[i].Store(true)
 	}
 	c.activeN.Store(int32(len(c.rounds)))
-	c.sent.Store(0)
-	c.consumed.Store(0)
+	c.ledger.Reset()
 	c.mu.Unlock()
 }
 
@@ -413,7 +403,7 @@ func (c *coordinator) setActive(id int, active bool) {
 			c.activeN.Add(-1)
 		}
 	}
-	fire := !active && c.activeN.Load() == 0 && c.sent.Load() == c.consumed.Load() && !c.finished
+	fire := !active && c.activeN.Load() == 0 && !c.ledger.Open() && !c.finished
 	if fire {
 		c.finished = true
 		close(c.done)
@@ -454,48 +444,29 @@ func (e *engine[T]) broadcastProgress() {
 	}
 }
 
-// sent counts n messages in nb non-empty destination batches as sent,
-// before anything downstream can see them: a worker may flag itself
-// inactive while delivery is still in flight, and the termination check
-// (all inactive ∧ sent == consumed) only stays sound if undelivered
-// messages keep sent ahead of consumed. Counting here, on shared memory,
-// ahead of the handoff means no plane can have a batch consumed before it
-// is counted. The same pre-accounting covers the snapshot plane: each
-// batch is registered as outstanding under the sender's epoch (the stamp
-// it will carry), and undelivered tracks it until arrive so recovery can
-// wait out the delivery limbo.
-func (e *engine[T]) sent(n, nb int64, stamp int32) {
-	e.coord.addSent(n)
-	e.undelivered.Add(nb)
-	if e.ckpt != nil {
-		for i := int64(0); i < nb; i++ {
-			e.ckpt.BatchSent(stamp)
-		}
-	}
-}
-
-// arrive ends a batch's delivery limbo: it is in worker to's inbox.
+// arrive ends a batch's delivery limbo: it is in worker to's inbox,
+// counted after the put so recovery's quiesce cannot clear it too early.
 func (e *engine[T]) arrive(to int, b batch[T]) {
+	n := int64(len(b.msgs))
 	e.workers[to].inbox.put(b)
-	e.undelivered.Add(-1)
+	e.ledger.Arrived(n)
 }
 
-// consumed balances what sent counted for one batch of n messages: the
-// Mattern counter and the checkpoint outstanding count of its stamp.
-func (e *engine[T]) consumed(n int64, stamp int32) {
-	e.coord.addConsumed(n)
+// drained counts a batch of n messages stamped stamp out of an inbox, and
+// lets the snapshot store see whether that completes a pending epoch.
+func (e *engine[T]) drained(n int64, stamp int32) {
+	e.ledger.Drained(n, stamp)
 	if e.ckpt != nil {
-		e.ckpt.BatchDrained(stamp)
+		e.ckpt.Drained(stamp)
 	}
 }
 
-// lost accounts for a batch of n messages that was pre-counted as sent at
-// the round's end and will never reach an inbox (an injected drop, a frame
-// the wire plane could not send): consumed plus the quiesce condition, so
-// termination, sealing and recovery stay live.
-func (e *engine[T]) lost(n int64, epoch int32) {
-	e.undelivered.Add(-1)
-	e.consumed(n, epoch)
+// lost accounts for a batch of n messages that an injected drop keeps
+// from any inbox: arrived and drained at once, so termination, sealing
+// and recovery stay live.
+func (e *engine[T]) lost(n int64, stamp int32) {
+	e.ledger.Arrived(n)
+	e.drained(n, stamp)
 }
 
 // clock is the time the worker loop lives in, as seconds since the
@@ -519,7 +490,7 @@ func (c wallClock) After(d float64, f func()) {
 // flush prices and delivers one round's batches, stamped with epoch.
 // Delivery faults (drop/duplicate/delay) are injected here, at the
 // boundary between the round and the inbox — the engine's stand-in for
-// the network.
+// the network — so every plane sees them alike.
 func (w *worker[T]) flush(out [][]VMsg[T], epoch int32) {
 	e := w.eng
 	var bytes int64
@@ -527,30 +498,35 @@ func (w *worker[T]) flush(out [][]VMsg[T], epoch int32) {
 		if len(msgs) == 0 {
 			continue
 		}
-		var fdelay time.Duration
-		if e.inj != nil {
-			drop, dup, d := e.inj.delivery(w.id)
-			fdelay = d
-			if drop {
-				e.lost(int64(len(msgs)), epoch)
-				e.pool.put(msgs)
-				continue
-			}
-			if dup {
-				// Receivers recycle drained slices, so the
-				// duplicate needs its own copy; it is accounted
-				// exactly like a real batch.
-				cp := append([]VMsg[T](nil), msgs...)
-				e.sent(int64(len(cp)), 1, epoch)
-				e.plane.deliver(w.id, j, epoch, cp, fdelay)
-			}
+		drop, dup, delay := e.inj.delivery(w.id)
+		if drop {
+			e.lost(int64(len(msgs)), epoch)
+			e.pool.put(msgs)
+			continue
+		}
+		if dup {
+			// Receivers recycle drained slices, so the duplicate needs
+			// its own copy; it is counted exactly like a real batch,
+			// before any plane sees it.
+			cp := append([]VMsg[T](nil), msgs...)
+			e.ledger.Sent(int64(len(cp)), epoch)
+			w.deliver(j, epoch, cp, delay)
 		}
 		for _, m := range msgs {
 			bytes += int64(e.job.valueBytes(m.Val))
 		}
-		e.plane.deliver(w.id, j, epoch, msgs, fdelay)
+		w.deliver(j, epoch, msgs, delay)
 	}
 	w.stats.BytesSent += bytes
+}
+
+// deliver hands one batch to the plane, after an injected delay if any.
+func (w *worker[T]) deliver(to int, epoch int32, msgs []VMsg[T], delay time.Duration) {
+	if delay > 0 {
+		w.eng.clock.After(delay.Seconds(), func() { w.eng.plane.deliver(w.id, to, epoch, msgs) })
+	} else {
+		w.eng.plane.deliver(w.id, to, epoch, msgs)
+	}
 }
 
 // worker is one virtual worker P_i.
@@ -788,7 +764,7 @@ func (w *worker[T]) drain() {
 			w.originSeen[b.from] = w.originGen
 			w.originCnt++
 		}
-		w.eng.consumed(int64(len(b.msgs)), b.epoch)
+		w.eng.drained(int64(len(b.msgs)), b.epoch)
 		w.eng.pool.put(b.msgs)
 	}
 	w.inbox.release(bs)
@@ -802,7 +778,6 @@ func (w *worker[T]) drain() {
 	if dt > 0 {
 		inst := float64(n) / dt
 		w.rateEWMA = 0.5*w.rateEWMA + 0.5*inst
-		atomic.StoreUint64(&w.eng.rates[w.id], math.Float64bits(w.rateEWMA))
 	}
 }
 
@@ -819,7 +794,6 @@ func (w *worker[T]) view() View {
 		RoundTime:    w.roundTimeEWMA,
 		AvgRoundTime: mean(w.eng.roundTimes),
 		Rate:         w.rateEWMA,
-		AvgRate:      mean(w.eng.rates),
 		IdleTime:     w.eng.clock.Now() - w.lastRoundEnd,
 	}
 }
@@ -912,17 +886,15 @@ func (w *worker[T]) finish(out [][]VMsg[T], dur float64) {
 	w.stats.BusySeconds += dur
 	w.roundTimeEWMA = nextRoundTimeEWMA(w.roundTimeEWMA, dur)
 	atomic.StoreUint64(&e.roundTimes[w.id], math.Float64bits(w.roundTimeEWMA))
-	var total, nd int64 // messages, non-empty destination batches
+	var total int64
 	for _, msgs := range out {
-		if len(msgs) > 0 {
-			total += int64(len(msgs))
-			nd++
-		}
+		total += int64(len(msgs))
 	}
 	if total > 0 {
-		// Counted as sent before any plane sees a batch (see sent).
+		// Counted before any plane sees a batch: a receiver may drain it,
+		// and this worker go inactive, before this goroutine runs again.
 		w.stats.MsgsSent += total
-		e.sent(total, nd, w.epoch)
+		e.ledger.Sent(total, w.epoch)
 		w.flush(out, w.epoch)
 	}
 	w.ctx.ReleaseOut(out)

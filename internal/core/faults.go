@@ -95,9 +95,10 @@ func (fi *faultInjector) shouldStall(w int, r int32) (time.Duration, bool) {
 }
 
 // delivery draws the verdict for the next batch sender `from` hands
-// off: drop wins over dup, and delay composes with either.
+// off: drop wins over dup, and delay composes with either. A nil
+// injector (no Options.Faults) delivers every batch untouched.
 func (fi *faultInjector) delivery(from int) (drop, dup bool, delay time.Duration) {
-	if fi.f.DropProb <= 0 && fi.f.DupProb <= 0 && fi.f.DelayProb <= 0 {
+	if fi == nil || fi.f.DropProb <= 0 && fi.f.DupProb <= 0 && fi.f.DelayProb <= 0 {
 		return false, false, 0
 	}
 	seq := fi.seq[from].Add(1)

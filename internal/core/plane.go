@@ -99,37 +99,31 @@ func (t *TransportOptions) config() transport.Config {
 func hostEndpoint(m, worker int) int32 { return int32(m + 1 + worker) }
 
 // msgPlane is the pluggable delivery path for designated-message
-// batches. Both implementations sit below worker.flush — fault injection
+// batches. Every implementation sits below worker.flush — fault injection
 // (drop/dup/delay) happens above this boundary, so one fault model
-// covers both planes — and above the inbox: a delivered batch ends in
+// covers every plane — and above the inbox: a delivered batch ends in
 // engine.arrive, whichever plane carried it.
 type msgPlane[T any] interface {
-	// deliver ships msgs from worker `from` to worker `to` after the
-	// extra delay (an injected fault's), stamped with the sender's
-	// snapshot epoch. The plane owns msgs from this call on. At zero delay
-	// it delivers on the sender's goroutine, building no closure for the
-	// clock.
-	deliver(from, to int, epoch int32, msgs []VMsg[T], extra time.Duration)
+	// deliver ships msgs from worker `from` to worker `to`, stamped with
+	// the sender's snapshot epoch. The plane owns msgs from this call on.
+	deliver(from, to int, epoch int32, msgs []VMsg[T])
 }
 
 // inproc is the fast path: batches move by pointer handoff.
 type inproc[T any] struct{ e *engine[T] }
 
-func (p *inproc[T]) deliver(from, to int, epoch int32, msgs []VMsg[T], extra time.Duration) {
-	b := batch[T]{from: int32(from), epoch: epoch, msgs: msgs}
-	if extra > 0 {
-		p.e.clock.After(extra.Seconds(), func() { p.e.arrive(to, b) })
-		return
-	}
-	p.e.arrive(to, b)
+func (p *inproc[T]) deliver(from, to int, epoch int32, msgs []VMsg[T]) {
+	p.e.arrive(to, batch[T]{from: int32(from), epoch: epoch, msgs: msgs})
 }
+
+const batchLink int32 = 0 // the self-link every batch rides in TCP mode
 
 // wirePlane is the run's attachment to the TCP transport
 // (Options.Transport): the listener and the proxies of remote-hosted
 // Programs. With Transport.TCP it is also the run's msgPlane, so every
-// batch is a real frame. The coordinator is not on it: engine.sent
-// counts a batch on shared memory before any plane sees it, so no
-// frame can be consumed before it is counted.
+// batch is a real frame. The coordinator is not on it: the engine's
+// ledger counts a batch on shared memory before any plane sees it, so
+// no frame can be drained before it is counted.
 type wirePlane[T any] struct {
 	e       *engine[T]
 	tp      *transport.Plane
@@ -140,23 +134,14 @@ type wirePlane[T any] struct {
 // then the batch (wire.go) — and ships it through the transport; onFrame
 // decodes it back into the destination inbox. Sender-side slices return
 // to the pool right after encoding; the receiver decodes into fresh
-// pooled slices.
-func (wp *wirePlane[T]) deliver(from, to int, epoch int32, msgs []VMsg[T], extra time.Duration) {
-	if extra > 0 {
-		wp.e.clock.After(extra.Seconds(), func() { wp.send(from, to, epoch, msgs) })
-		return
-	}
-	wp.send(from, to, epoch, msgs)
-}
-
-// send encodes and ships one batch now.
-func (wp *wirePlane[T]) send(from, to int, epoch int32, msgs []VMsg[T]) {
+// pooled slices. A refused batch (plane closed, link dead) will never
+// arrive, so the run fails.
+func (wp *wirePlane[T]) deliver(from, to int, epoch int32, msgs []VMsg[T]) {
 	e := wp.e
 	payload := e.job.appendMsgs(codec.AppendInt32(nil, epoch), msgs)
-	n := int64(len(msgs))
 	e.pool.put(msgs)
 	if err := wp.tp.Send(int32(from), int32(to), transport.KindData, payload); err != nil {
-		e.lost(n, epoch) // plane closed or link declared dead
+		e.fail(fmt.Errorf("core: %s: batch %d→%d: %w", e.job.Name, from, to, err))
 	}
 }
 
@@ -195,12 +180,17 @@ func (wp *wirePlane[T]) onPeerRejoin(linkID int32, served []int32, inc uint64) {
 	}
 }
 
-// onPeerDead is the heartbeat verdict: a host process went silent past
-// the death threshold (or exhausted its reconnect budget). The plane
-// has already failed any call parked on the link; mark the proxy dead
-// and trigger the ordinary quiesce → rollback-to-sealed-epoch → replay
-// recovery for the worker it served.
+// onPeerDead is the heartbeat verdict: a link went silent past the death
+// threshold (or exhausted its reconnect budget). The batch link's queued
+// frames died with it and it serves no host, so the run fails. For a
+// host's link the plane has already failed any call parked on it; mark
+// the proxy dead and trigger the ordinary quiesce →
+// rollback-to-sealed-epoch → replay recovery for the worker it served.
 func (wp *wirePlane[T]) onPeerDead(linkID int32, served []int32, err error) {
+	if linkID == batchLink && wp.e.opts.Transport.TCP {
+		wp.e.fail(fmt.Errorf("core: %s: batch link: %w", wp.e.job.Name, err))
+		return
+	}
 	for _, s := range served {
 		if k := int(s) - (wp.e.p.M + 1); k >= 0 && k < wp.e.p.M && wp.remotes[k] != nil {
 			wp.remotes[k].markDead()
@@ -247,14 +237,14 @@ func startWirePlane[T any](e *engine[T]) (*wirePlane[T], error) {
 		topts.OnListen(tp.Addr())
 	}
 	if topts.TCP {
-		// Self-link 0: every worker endpoint routes through one loopback
-		// conn, so parent-side batches are serialized, framed, and
-		// byte-accounted for real.
+		// The batch link: every worker endpoint routes through one
+		// loopback conn, so parent-side batches are serialized, framed,
+		// and byte-accounted for real.
 		route := make([]int32, e.p.M)
 		for i := range route {
 			route[i] = int32(i)
 		}
-		if err := tp.Dial(0, tp.Addr(), nil, route); err != nil {
+		if err := tp.Dial(batchLink, tp.Addr(), nil, route); err != nil {
 			wp.stop()
 			return nil, err
 		}

@@ -143,7 +143,7 @@ func TestRecordKeepsSenderRuns(t *testing.T) {
 			parts := map[byte][][]VMsg[float64]{'a': split(outs[a][tw], na), 'b': split(outs[b][tw], nb)}
 			from := map[byte]int{'a': a, 'b': b}
 			deliver := func(src, dst int, msgs []VMsg[float64]) {
-				e.sent(int64(len(msgs)), 1, 0)
+				e.ledger.Sent(int64(len(msgs)), 0)
 				e.arrive(dst, batch[float64]{from: int32(src), msgs: slices.Clone(msgs)})
 			}
 			for i := range tc.arrivals {

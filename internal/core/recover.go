@@ -45,7 +45,7 @@ type CheckpointOptions struct {
 //     messages without the token: copied into the snapshot's channel
 //     state at drain, then processed normally.
 //   - Epoch e seals when every worker has recorded it and every batch
-//     stamped < e has drained (checkpoint.Store's outstanding counts).
+//     stamped < e has drained (checkpoint.Ledger's stamp-(e−1) side).
 //
 // Recovery is a global rollback, not a victim-only restore: replaying a
 // victim's lost messages necessarily re-sends data that surviving
@@ -92,7 +92,7 @@ func newRecovery[T any](e *engine[T]) (*recovery[T], error) {
 				return nil, fmt.Errorf("core: %s: checkpointing requires the Program to implement core.Snapshotter", e.job.Name)
 			}
 		}
-		e.ckpt = checkpoint.NewStore[VMsg[T]](e.p.M)
+		e.ckpt = checkpoint.NewStore[VMsg[T]](e.p.M, &e.ledger)
 	}
 	if e.opts.Faults != nil {
 		e.inj = newFaultInjector(*e.opts.Faults, e.p.M)
@@ -165,15 +165,15 @@ func (r *recovery[T]) park() bool {
 }
 
 // recover quiesces the engine, rolls back to the last sealed snapshot,
-// and resumes. Quiescence means every worker is parked and every
-// sent batch has landed in an inbox (undelivered == 0), so no
-// message can materialize while state is rewritten.
+// and resumes. Quiescence means every worker is parked and every sent
+// message has landed in an inbox (nothing in flight on the ledger), so
+// no message can materialize while state is rewritten.
 func (r *recovery[T]) recover(victim int) {
 	e := r.e
 	t0 := time.Now()
 	for {
 		e.broadcastProgress() // wake idle workers so they reach a safe point
-		if int(r.parked.Load()) == e.p.M && e.undelivered.Load() == 0 {
+		if int(r.parked.Load()) == e.p.M && !e.ledger.InFlight() {
 			break
 		}
 		select {
@@ -355,13 +355,13 @@ func (r *recovery[T]) rollback(victim int) {
 
 	// Replay the captured channel state through the normal inbox path.
 	// The copies keep the sealed snapshot intact for a second recovery,
-	// and the sent/outstanding accounting makes the replayed batches
-	// indistinguishable from live ones: termination waits for them, and
-	// the next epoch cannot seal before they drain.
+	// and the ledger (zeroed by coord.reset) counts the replayed batches
+	// like live ones: termination waits for them, and the next epoch
+	// cannot seal before they drain.
 	if snap != nil {
 		for _, f := range snap.InFlight {
 			msgs := append([]VMsg[T](nil), f.Msgs...)
-			e.sent(int64(len(msgs)), 1, snap.Epoch)
+			e.ledger.Sent(int64(len(msgs)), snap.Epoch)
 			e.arrive(int(f.To), batch[T]{from: f.From, epoch: snap.Epoch, msgs: msgs})
 		}
 	}

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -150,6 +151,41 @@ func TestTCPPlaneChaosKillRecovers(t *testing.T) {
 	}
 }
 
+// TestTCPPlaneBatchLinkDeathFailsRun: in TCP mode every worker's batches
+// ride one self-link, which serves no host to recover. When a partition
+// window outlasts DeadAfter on it, the frames queued there die with the
+// link, so the run must fail with the link's error at once instead of
+// waiting out its deadline for messages that will never arrive. Every
+// batch is slowed so some are still queued on the link when it dies.
+func TestTCPPlaneBatchLinkDeathFailsRun(t *testing.T) {
+	g := gen.PowerLaw(3000, 6, 2.1, true, 1)
+	p := mustPartition(t, g, 4, partition.Hash{})
+	const deadline = 5 * time.Second
+	t0 := time.Now()
+	_, err := core.Run(p, sssp.Job(0), core.Options{
+		Deadline: deadline,
+		Faults:   &core.Faults{DelayProb: 1, DelayBy: 15 * time.Millisecond},
+		Transport: &core.TransportOptions{
+			TCP:       true,
+			DeadAfter: 100 * time.Millisecond,
+			LinkFaults: &transport.LinkFaults{Windows: []transport.Window{
+				{Link: 0, Dir: transport.DirBoth, After: 20 * time.Millisecond, For: 400 * time.Millisecond},
+			}},
+		},
+	})
+	took := time.Since(t0)
+	if err == nil || errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("run with its batch link dead ended after %v with %v, want the link's error", took, err)
+	}
+	if took > deadline/2 {
+		t.Fatalf("run failed only after %v (deadline %v): %v", took, deadline, err)
+	}
+	t.Logf("failed after %v: %v", took, err)
+	if !strings.Contains(err.Error(), "link 0") {
+		t.Fatalf("run failed with %v, want an error naming link 0", err)
+	}
+}
+
 // TestTCPPlaneRequiresCodec: a job without EncodeVal/DecodeVal must fail
 // fast, not panic mid-run.
 func TestTCPPlaneRequiresCodec(t *testing.T) {
@@ -167,7 +203,7 @@ func TestTCPPlaneRequiresCodec(t *testing.T) {
 // engine state with the peer's own numbers. While worker rounds are
 // running, a second plane dials the listener. Its calls to endpoint M
 // carry the bytes that once were coordinator tokens (setActive of worker
-// 1<<20, addConsumed of 1<<40); each must be refused at once and the run
+// 1<<20, a drained-message count of 1<<40); each must be refused at once and the run
 // must finish with the in-proc answer. Its Data frame from worker 1<<20
 // must fail the run as a corrupt frame, not as a worker panic.
 func TestTCPPlaneRoguePeer(t *testing.T) {

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"aap/internal/partition"
 )
@@ -44,8 +43,8 @@ type virtual[T any] struct {
 
 func (v *virtual[T]) broadcastProgress() { v.progressed = true }
 
-func (v *virtual[T]) deliver(from, to int, epoch int32, msgs []VMsg[T], extra time.Duration) {
-	v.tl.After(v.tl.MsgLatency()+extra.Seconds(), func() {
+func (v *virtual[T]) deliver(from, to int, epoch int32, msgs []VMsg[T]) {
+	v.tl.After(v.tl.MsgLatency(), func() {
 		w := v.e.workers[to]
 		v.e.arrive(to, batch[T]{from: int32(from), epoch: epoch, msgs: msgs})
 		w.setActive(true) // before the drain, as after the real loop's inactive wait

@@ -120,9 +120,8 @@ func TestDecideUnderVirtualClock(t *testing.T) {
 			ctrl := &scripted{delays: c.delays}
 			w.ctrl, w.pevalDone = ctrl, true
 			send := func() {
-				e.coord.addSent(1)
-				e.undelivered.Add(1)
-				v.deliver(1, 0, 0, []VMsg[float64]{{V: w.frag.Lo, Val: 1}}, 0)
+				e.ledger.Sent(1, 0)
+				v.deliver(1, 0, 0, []VMsg[float64]{{V: w.frag.Lo, Val: 1}})
 			}
 			if c.buffered {
 				tl.latency = 0
