@@ -167,22 +167,24 @@ type ssspKernel interface {
 
 // superstep runs one barrier round by hand: every fragment with pending
 // messages folds them with agg and runs IncEval; it returns the next
-// inboxes and whether anyone had work.
-func superstep[P core.Program[float64]](progs []P, ctxs []*core.Context[float64], inbox [][]core.VMsg[float64], agg func(a, b float64) float64) ([][]core.VMsg[float64], bool) {
+// inboxes, whether anyone had work, and the work units reported.
+func superstep[P core.Program[float64]](progs []P, ctxs []*core.Context[float64], inbox [][]core.VMsg[float64], agg func(a, b float64) float64) ([][]core.VMsg[float64], bool, int64) {
 	next := make([][]core.VMsg[float64], len(progs))
 	active := false
+	var work int64
 	for i, prog := range progs {
 		if len(inbox[i]) == 0 {
 			continue
 		}
 		active = true
 		prog.IncEval(core.FoldMessages(inbox[i], agg), ctxs[i])
-		out, _ := ctxs[i].TakeOut()
+		out, w := ctxs[i].TakeOut()
+		work += w
 		for j, ms := range out {
 			next[j] = append(next[j], ms...)
 		}
 	}
-	return next, active
+	return next, active, work
 }
 
 // TestSSSPDeltaSnapshotResumesMidRun: a snapshot taken at a round
@@ -209,7 +211,7 @@ func TestSSSPDeltaSnapshotResumesMidRun(t *testing.T) {
 	}
 	finish := func(tag string, progs []ssspKernel, ctxs []*core.Context[float64], inbox [][]core.VMsg[float64]) (relaxed int64, buckets int) {
 		for active := true; active; {
-			inbox, active = superstep(progs, ctxs, inbox, math.Min)
+			inbox, active, _ = superstep(progs, ctxs, inbox, math.Min)
 		}
 		got := make([]float64, p.G.NumVertices())
 		for i, f := range p.Frags {
@@ -233,7 +235,7 @@ func TestSSSPDeltaSnapshotResumesMidRun(t *testing.T) {
 		}
 	}
 	for round := 0; round < 2; round++ {
-		inbox, _ = superstep(live, liveCtxs, inbox, math.Min)
+		inbox, _, _ = superstep(live, liveCtxs, inbox, math.Min)
 	}
 	snaps := make([][]byte, p.M)
 	pending, advanced := 0, 0

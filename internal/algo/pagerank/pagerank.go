@@ -8,9 +8,10 @@
 //
 // The kernel is round-based and deterministic by construction, because
 // floating-point sums remember their addition order. A round consumes
-// the frontier (owned slots whose pending delta crossed Tol) in
-// ascending slot order and a consumed slot pushes at once — Gauss–Seidel
-// inside a block of blockSlots owned slots, Jacobi across blocks:
+// the frontier (owned slots whose pending delta crossed the call's
+// threshold: Tol in PEval, θ in IncEval, below) in ascending slot order
+// and a consumed slot pushes at once — Gauss–Seidel inside a block of
+// blockSlots owned slots, Jacobi across blocks:
 //
 //   - a share for an owned slot of the source's own block lands in delta
 //     immediately, so the later slots of the same sweep fold it in and
@@ -30,6 +31,21 @@
 // the shard count — Job is bit-identical to RefJob at all of them — and
 // the count is picked per round (core.Context.Shards) from the work and
 // the idle cores.
+//
+// PEval converges its fragment to Tol; IncEval converges coarse to fine,
+// the accumulative iteration of Maiter (Zhang et al., TPDS 2014): large
+// deltas first, small ones once the large ones have settled. A call
+// propagates only deltas above θ = max(Tol, coarse × the largest delta
+// it received), admitting every owned slot above θ — residual an earlier
+// call parked included — and when it leaves some owned delta above Tol,
+// it sends itself a zero delta, so that the engine runs it again; a
+// round whose only message is that wake has θ = Tol. Re-converging to
+// Tol on every IncEval while boundary mass still arrives in bulk is the
+// stale computation the paper's delay stretch exists to cut: on the
+// benchmark's 490k-vertex road lattice, 8 fragments did 1.8–2.2× the
+// work of one fragment's PEval (105 M units). At coarse = 1/32 they do
+// 1.25–1.35×. A run still ends with every owned residual at most Tol,
+// the bound Config.Tol documents.
 package pagerank
 
 import (
@@ -114,13 +130,14 @@ type program struct {
 
 	score []float64
 	delta []float64
+	theta float64 // this call's propagation threshold: Tol in PEval, θ in IncEval
 
 	// next accumulates, per owned slot, the shares that wait for the
 	// round's end and pend marks the slots it holds. Empty between rounds.
 	next []float64
 	pend []uint64
 
-	// fr is the worklist of owned slots admitted above Tol. Every
+	// fr is the worklist of owned slots admitted above θ. Every
 	// admission comes from the one goroutine that owns the slot's block
 	// (AddOwned), and the ordered Advance at each round start makes the
 	// consume order canonical for any shard count.
@@ -159,6 +176,7 @@ func (p *program) KernelRounds() int { return p.rounds }
 // PEval seeds every owned vertex with the teleport mass 1-d, runs rounds
 // to the local fixpoint, and ships accumulated copy deltas.
 func (p *program) PEval(ctx *core.Context[float64]) {
+	p.theta = p.cfg.Tol
 	seed := 1 - p.cfg.Damping
 	for s := int32(0); s < int32(p.f.NumOwned()); s++ {
 		p.add(s, seed)
@@ -169,15 +187,21 @@ func (p *program) PEval(ctx *core.Context[float64]) {
 
 // IncEval folds incoming delta sums into owned vertices (sequentially —
 // the folded message list is small and already in canonical vertex
-// order) and resumes the rounds.
+// order), admits every owned slot above θ (threshold) and resumes the
+// rounds at θ; residual left between Tol and θ wakes the fragment again.
 func (p *program) IncEval(msgs []core.VMsg[float64], ctx *core.Context[float64]) {
+	p.theta = threshold(msgs, p.cfg.Tol)
 	for _, m := range msgs {
 		if s := p.f.Slot(m.V); s >= 0 {
-			p.add(s, m.Val)
+			p.delta[s] += m.Val
 		}
+	}
+	for s, x := range p.delta[:p.f.NumOwned()] {
+		p.fr.AddOwned(int32(s), x > p.theta)
 	}
 	p.run(ctx)
 	p.flush(ctx)
+	wake(ctx, p.f, p.delta, p.theta, p.cfg.Tol)
 }
 
 // Get returns the score of owned vertex v including its parked residual.
@@ -187,11 +211,11 @@ func (p *program) Get(v int32) float64 {
 }
 
 // add accumulates a delta on local slot s and admits owned slots
-// crossing Tol to the frontier (sequential callers only).
+// crossing θ to the frontier (sequential callers only).
 func (p *program) add(s int32, d float64) {
 	p.delta[s] += d
 	if s < int32(p.f.NumOwned()) {
-		p.fr.AddOwned(s, p.delta[s] > p.cfg.Tol)
+		p.fr.AddOwned(s, p.delta[s] > p.theta)
 	}
 }
 
@@ -213,7 +237,7 @@ func (p *program) kernelShards(ctx *core.Context[float64], work int64) int {
 //	         bucket (w, destination shard);
 //	settle — shard d applies buckets (1,d), …, (k-1,d) in that order,
 //	         then folds next into delta for the slots of its blocks and
-//	         admits those that crossed Tol.
+//	         admits those that crossed θ.
 //
 // Advance clears the dedup bitmap before any slot is consumed, so a slot
 // that an earlier slot of its block re-admits before its own turn is
@@ -275,7 +299,7 @@ func (p *program) plan(frontier []int32, k int, span int64, deg func(int32) int6
 // It writes only the owned slots and frontier words of the chunk's
 // blocks, bucket row w, and — shard 0 alone — next, pend and the copies.
 func (p *program) sweep(w, k int, chunk []int32) (units int64) {
-	g, owned, tol := p.f.Graph(), int32(p.f.NumOwned()), p.cfg.Tol
+	g, owned, tol := p.f.Graph(), int32(p.f.NumOwned()), p.theta
 	row := p.buckets[w*k : w*k+k]
 	for d := range row {
 		row[d] = row[d][:0]
@@ -322,7 +346,7 @@ func (p *program) sweep(w, k int, chunk []int32) (units int64) {
 // source order of an unsharded sweep — and each slot next holds a sum
 // for takes it in one addition.
 func (p *program) settle(d, k int) {
-	owned, tol := int32(p.f.NumOwned()), p.cfg.Tol
+	owned, tol := int32(p.f.NumOwned()), p.theta
 	for w := 1; w < k; w++ {
 		for _, c := range p.buckets[w*k+d] {
 			if c.slot >= owned {
@@ -359,6 +383,43 @@ func (p *program) flush(ctx *core.Context[float64]) {
 		if p.delta[s] > 0 {
 			ctx.Send(v, p.delta[s])
 			p.delta[s] = 0
+		}
+	}
+}
+
+// coarse is θ's fraction of the largest delta an IncEval receives: a
+// power of two, so θ is exact, and a constant, because results depend on
+// it. Among 1/128…1/8 the work falls as it grows and the messages rise;
+// on RoadNet(700, 700) in 8 fragments the wall time was lowest at 1/32.
+const coarse = 1.0 / 32
+
+// threshold is an IncEval's propagation threshold θ = max(Tol, largest
+// incoming delta × coarse): a pure function of the folded messages, so
+// every kernel and shard count computes the same θ.
+func threshold(msgs []core.VMsg[float64], tol float64) float64 {
+	top := 0.0
+	for _, m := range msgs {
+		if m.Val > top {
+			top = m.Val
+		}
+	}
+	return max(tol, top*coarse)
+}
+
+// wake sends the fragment a zero delta (Context.Send's self-send) when a
+// call ran at θ > Tol and left some owned delta above Tol: the engine
+// runs the fragment again, and when the wake is that round's only
+// message, θ = Tol and the fragment converges. Adding 0.0 changes no
+// bits, and the message is counted like any other, so the run cannot
+// terminate with a residual above Tol.
+func wake(ctx *core.Context[float64], f *partition.Fragment, delta []float64, theta, tol float64) {
+	if theta == tol {
+		return
+	}
+	for _, x := range delta[:f.NumOwned()] {
+		if x > tol {
+			ctx.Send(f.Lo, 0)
+			return
 		}
 	}
 }

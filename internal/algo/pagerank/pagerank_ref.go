@@ -34,8 +34,9 @@ type refProgram struct {
 
 	score    []float64
 	delta    []float64
+	theta    float64 // this call's propagation threshold: Tol in PEval, θ in IncEval
 	inQ      []bool
-	frontier []int32 // owned slots admitted above Tol, sorted, consumed per round
+	frontier []int32 // owned slots admitted above θ, sorted, consumed per round
 	next     []int32
 	late     []float64 // shares held back to the round's end, per owned slot
 	rounds   int
@@ -59,6 +60,7 @@ func (p *refProgram) KernelRounds() int { return p.rounds }
 // rounds to the local fixpoint; accumulated copy deltas are shipped to
 // their owners.
 func (p *refProgram) PEval(ctx *core.Context[float64]) {
+	p.theta = p.cfg.Tol
 	seed := 1 - p.cfg.Damping
 	for s := int32(0); s < int32(p.f.NumOwned()); s++ {
 		p.add(s, seed)
@@ -67,16 +69,23 @@ func (p *refProgram) PEval(ctx *core.Context[float64]) {
 	p.flush(ctx)
 }
 
-// IncEval folds incoming delta sums into owned vertices and resumes the
-// rounds.
+// IncEval folds incoming delta sums into owned vertices, admits every
+// owned slot above θ (threshold) — parked residual included — and
+// resumes the rounds at θ; residual left between Tol and θ wakes the
+// fragment again.
 func (p *refProgram) IncEval(msgs []core.VMsg[float64], ctx *core.Context[float64]) {
+	p.theta = threshold(msgs, p.cfg.Tol)
 	for _, m := range msgs {
 		if s := p.f.Slot(m.V); s >= 0 {
-			p.add(s, m.Val)
+			p.delta[s] += m.Val
 		}
+	}
+	for s := range int32(p.f.NumOwned()) {
+		p.admit(s)
 	}
 	p.run(ctx)
 	p.flush(ctx)
+	wake(ctx, p.f, p.delta, p.theta, p.cfg.Tol)
 }
 
 // Get returns the score of owned vertex v including its parked residual,
@@ -88,10 +97,17 @@ func (p *refProgram) Get(v int32) float64 {
 
 // add accumulates a delta on local slot s and admits owned slots to the
 // next frontier when their pending mass crosses the propagation
-// threshold.
+// threshold θ.
 func (p *refProgram) add(s int32, d float64) {
 	p.delta[s] += d
-	if s < int32(p.f.NumOwned()) && !p.inQ[s] && p.delta[s] > p.cfg.Tol {
+	if s < int32(p.f.NumOwned()) {
+		p.admit(s)
+	}
+}
+
+// admit lists owned slot s for the next round if its delta is above θ.
+func (p *refProgram) admit(s int32) {
+	if !p.inQ[s] && p.delta[s] > p.theta {
 		p.inQ[s] = true
 		p.next = append(p.next, s)
 	}
@@ -100,7 +116,7 @@ func (p *refProgram) add(s int32, d float64) {
 // run executes rounds until the frontier drains. Admission marks (inQ)
 // are cleared before the sweep, so a slot an earlier slot of its block
 // re-admits before its own turn is consumed now and listed again next
-// round, where it is skipped unless it is above Tol again by then.
+// round, where it is skipped unless it is above θ again by then.
 func (p *refProgram) run(ctx *core.Context[float64]) {
 	owned := int32(p.f.NumOwned())
 	for len(p.next) > 0 {
@@ -114,7 +130,7 @@ func (p *refProgram) run(ctx *core.Context[float64]) {
 		var work int
 		for _, s := range p.frontier {
 			x := p.delta[s]
-			if !(x > p.cfg.Tol) {
+			if !(x > p.theta) {
 				continue
 			}
 			p.delta[s] = 0

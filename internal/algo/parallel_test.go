@@ -20,6 +20,7 @@ import (
 	"aap/internal/algo/pagerank"
 	"aap/internal/algo/ref"
 	"aap/internal/algo/sssp"
+	"aap/internal/codec"
 	"aap/internal/core"
 	"aap/internal/gen"
 	"aap/internal/graph"
@@ -308,10 +309,132 @@ func TestPageRankWorkOnRoadLattice(t *testing.T) {
 	}
 }
 
-// pagerankKernel is what the snapshot test needs of either kernel.
+// pagerankKernel is what the snapshot tests need of either kernel.
 type pagerankKernel interface {
 	core.Program[float64]
 	core.Snapshotter
+}
+
+// pagerankCases are the kernels the multi-fragment PageRank tests drive:
+// the reference and the parallel kernel at one and three shards.
+var pagerankCases = []struct {
+	name string
+	job  core.Job[float64]
+}{
+	{"ref", pagerank.RefJob(pagerank.Config{})},
+	{"shards=1", pagerank.Job(pagerank.Config{Shards: 1})},
+	{"shards=3", pagerank.Job(pagerank.Config{Shards: 3})},
+}
+
+// buildPageRank builds one program and engine context per fragment.
+func buildPageRank(p *partition.Partitioned, job core.Job[float64]) ([]pagerankKernel, []*core.Context[float64]) {
+	progs := make([]pagerankKernel, p.M)
+	ctxs := make([]*core.Context[float64], p.M)
+	for i, f := range p.Frags {
+		progs[i] = job.New(f).(pagerankKernel)
+		ctxs[i] = core.NewEngineContext[float64](f, p.M)
+	}
+	return progs, ctxs
+}
+
+// pevalAll runs every fragment's PEval and returns the inboxes of the
+// first superstep and the work reported.
+func pevalAll(progs []pagerankKernel, ctxs []*core.Context[float64]) ([][]core.VMsg[float64], int64) {
+	inbox := make([][]core.VMsg[float64], len(progs))
+	var work int64
+	for i := range progs {
+		progs[i].PEval(ctxs[i])
+		out, w := ctxs[i].TakeOut()
+		work += w
+		for j, ms := range out {
+			inbox[j] = append(inbox[j], ms...)
+		}
+	}
+	return inbox, work
+}
+
+func snapshotAll(progs []pagerankKernel) [][]byte {
+	snaps := make([][]byte, len(progs))
+	for i := range progs {
+		snaps[i] = progs[i].SnapshotState()
+	}
+	return snaps
+}
+
+// hasWake reports whether some fragment's inbox holds the zero delta it
+// sent itself (pagerank's flush never ships a zero, so a zero is a wake).
+func hasWake(p *partition.Partitioned, inbox [][]core.VMsg[float64]) bool {
+	for i, msgs := range inbox {
+		for _, m := range msgs {
+			if m.Val == 0 && m.V == p.Frags[i].Lo {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// TestPageRankMultiFragmentWork pins the saving of IncEval's
+// coarse-to-fine threshold as a count. Re-converging every fragment to
+// Tol on every superstep, while boundary mass still arrives in bulk, did
+// 3.28× the one-fragment PEval work on this lattice at 4 fragments; an
+// IncEval that pushes only deltas above 1/32 of its largest incoming one
+// and wakes itself for the rest does 1.48×. The run must still end with
+// every owned residual at most Tol and the same bits in both kernels at
+// every shard count.
+func TestPageRankMultiFragmentWork(t *testing.T) {
+	g := blockGraphs(t)["road150"]
+	one, err := partition.Build(g, 1, partition.BFSLocality{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := core.NewEngineContext[float64](one.Frags[0], 1)
+	pagerank.RefJob(pagerank.Config{}).New(one.Frags[0]).PEval(ctx)
+	_, single := ctx.TakeOut()
+
+	p, err := partition.Build(g, 4, partition.BFSLocality{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const tol = 1e-6 // pagerank.Config's default
+	sum := func(a, b float64) float64 { return a + b }
+	var want [][]byte
+	for _, c := range pagerankCases {
+		progs, ctxs := buildPageRank(p, c.job)
+		inbox, work := pevalAll(progs, ctxs)
+		steps := 0
+		for active := true; active; steps++ {
+			var w int64
+			inbox, active, w = superstep(progs, ctxs, inbox, sum)
+			work += w
+		}
+		end := snapshotAll(progs)
+		if want == nil {
+			want = end
+		}
+		for i, f := range p.Frags {
+			if !bytes.Equal(end[i], want[i]) {
+				t.Errorf("%s: fragment %d final state differs from ref", c.name, i)
+			}
+			r := codec.NewReader(end[i])
+			r.Float64s()
+			delta := r.Float64s()
+			if err := r.Err(); err != nil {
+				t.Fatal(err)
+			}
+			for s, x := range delta[:f.NumOwned()] {
+				if x > tol {
+					t.Errorf("%s: fragment %d slot %d ends with residual %g > Tol", c.name, i, s, x)
+					break
+				}
+			}
+		}
+		ratio := float64(work) / float64(single)
+		t.Logf("%s: %d work units over %d supersteps = %.2f× one fragment's PEval (%d)", c.name, work, steps, ratio, single)
+		if ratio > 2 {
+			t.Errorf("%s: %d fragments did %.2f× the work of one (%d vs %d), want at most 2×", c.name, p.M, ratio, work, single)
+		}
+	}
 }
 
 // TestPageRankSnapshotResumesAcrossBlocks: a snapshot taken at an engine
@@ -321,7 +444,10 @@ type pagerankKernel interface {
 // continues to the bits of the uninterrupted run, final state included.
 // The per-round scratch a sharded round adds is empty at that boundary,
 // so it is not in the snapshot: the kernel's bytes equal the reference
-// kernel's, whose state is score, delta and the round count.
+// kernel's, whose state is score, delta and the round count. A second
+// cut falls on the first superstep whose outbox holds a fragment's wake
+// to itself: the parked residual is in the snapshot's deltas and the
+// wake is a message in flight like any other, so no new state is needed.
 func TestPageRankSnapshotResumesAcrossBlocks(t *testing.T) {
 	p, err := partition.Build(blockGraphs(t)["road150"], 2, partition.Range{})
 	if err != nil {
@@ -333,36 +459,26 @@ func TestPageRankSnapshotResumesAcrossBlocks(t *testing.T) {
 		}
 	}
 	sum := func(a, b float64) float64 { return a + b }
-	var refMid, refEnd [][]byte
-	for _, c := range []struct {
-		name string
-		job  core.Job[float64]
-	}{
-		{"ref", pagerank.RefJob(pagerank.Config{})},
-		{"shards=1", pagerank.Job(pagerank.Config{Shards: 1})},
-		{"shards=3", pagerank.Job(pagerank.Config{Shards: 3})},
-	} {
-		build := func() ([]pagerankKernel, []*core.Context[float64]) {
-			progs := make([]pagerankKernel, p.M)
-			ctxs := make([]*core.Context[float64], p.M)
-			for i, f := range p.Frags {
-				progs[i] = c.job.New(f).(pagerankKernel)
-				ctxs[i] = core.NewEngineContext[float64](f, p.M)
-			}
-			return progs, ctxs
+	type cut struct {
+		name  string
+		snap  [][]byte
+		inbox [][]core.VMsg[float64]
+	}
+	clone := func(inbox [][]core.VMsg[float64]) [][]core.VMsg[float64] {
+		c := make([][]core.VMsg[float64], len(inbox))
+		for i := range inbox {
+			c[i] = slices.Clone(inbox[i])
 		}
-		snapshot := func(progs []pagerankKernel) [][]byte {
-			snaps := make([][]byte, len(progs))
-			for i := range progs {
-				snaps[i] = progs[i].SnapshotState()
-			}
-			return snaps
-		}
+		return c
+	}
+	var refCuts []cut
+	var refEnd [][]byte
+	for _, c := range pagerankCases {
 		finish := func(progs []pagerankKernel, ctxs []*core.Context[float64], inbox [][]core.VMsg[float64]) [][]byte {
 			for active := true; active; {
-				inbox, active = superstep(progs, ctxs, inbox, sum)
+				inbox, active, _ = superstep(progs, ctxs, inbox, sum)
 			}
-			return snapshot(progs)
+			return snapshotAll(progs)
 		}
 		equal := func(tag string, got, want [][]byte) {
 			for i := range want {
@@ -372,41 +488,48 @@ func TestPageRankSnapshotResumesAcrossBlocks(t *testing.T) {
 			}
 		}
 
-		live, liveCtxs := build()
-		inbox := make([][]core.VMsg[float64], p.M)
-		for i := range live {
-			live[i].PEval(liveCtxs[i])
-			out, _ := liveCtxs[i].TakeOut()
-			for j, ms := range out {
-				inbox[j] = append(inbox[j], ms...)
+		live, liveCtxs := buildPageRank(p, c.job)
+		inbox, _ := pevalAll(live, liveCtxs)
+		var cuts []cut
+		wake := false
+		for step, active := 1, true; active; step++ {
+			inbox, active, _ = superstep(live, liveCtxs, inbox, sum)
+			if step == 2 {
+				if len(inbox[0]) == 0 || len(inbox[1]) == 0 {
+					t.Fatalf("%s: snapshot is not mid-run: %d and %d messages pending", c.name, len(inbox[0]), len(inbox[1]))
+				}
+				cuts = append(cuts, cut{"mid-run", snapshotAll(live), clone(inbox)})
+			}
+			if !wake && hasWake(p, inbox) {
+				wake = true
+				cuts = append(cuts, cut{fmt.Sprintf("wake@%d", step), snapshotAll(live), clone(inbox)})
 			}
 		}
-		for round := 0; round < 2; round++ {
-			inbox, _ = superstep(live, liveCtxs, inbox, sum)
+		if !wake {
+			t.Fatalf("%s: no fragment ever woke itself", c.name)
 		}
-		mid := snapshot(live)
-		if len(inbox[0]) == 0 || len(inbox[1]) == 0 {
-			t.Fatalf("%s: snapshot is not mid-run: %d and %d messages pending", c.name, len(inbox[0]), len(inbox[1]))
+		end := snapshotAll(live)
+		if refCuts == nil {
+			refCuts, refEnd = cuts, end
 		}
-		saved := [][]core.VMsg[float64]{slices.Clone(inbox[0]), slices.Clone(inbox[1])}
-		end := finish(live, liveCtxs, inbox)
-		if refMid == nil {
-			refMid, refEnd = mid, end
-		}
-		equal("mid-run vs ref", mid, refMid)
 		equal("uninterrupted vs ref", end, refEnd)
-
-		fresh, freshCtxs := build()
-		for i := range live {
-			if err := fresh[i].RestoreState(mid[i]); err != nil {
-				t.Fatal(err)
+		for i, cu := range cuts {
+			if cu.name != refCuts[i].name {
+				t.Fatalf("%s: cut %s where ref cut %s", c.name, cu.name, refCuts[i].name)
 			}
-			if err := live[i].RestoreState(mid[i]); err != nil {
-				t.Fatal(err)
+			equal(cu.name+" vs ref", cu.snap, refCuts[i].snap)
+			fresh, freshCtxs := buildPageRank(p, c.job)
+			for i := range live {
+				if err := fresh[i].RestoreState(cu.snap[i]); err != nil {
+					t.Fatal(err)
+				}
+				if err := live[i].RestoreState(cu.snap[i]); err != nil {
+					t.Fatal(err)
+				}
 			}
+			equal(cu.name+"/fresh", finish(fresh, freshCtxs, clone(cu.inbox)), end)
+			equal(cu.name+"/rollback", finish(live, liveCtxs, clone(cu.inbox)), end)
 		}
-		equal("fresh", finish(fresh, freshCtxs, [][]core.VMsg[float64]{slices.Clone(saved[0]), slices.Clone(saved[1])}), end)
-		equal("rollback", finish(live, liveCtxs, saved), end)
 	}
 }
 

@@ -51,7 +51,14 @@ type Program[T any] interface {
 	// order. The slice is scratch the engine reuses on the next round:
 	// IncEval may read it freely during the call but must not retain it.
 	// IncEval must run to local quiescence: after it returns with no new
-	// messages the partial result is a local fixpoint.
+	// messages the partial result is a local fixpoint. A program may
+	// leave part of that fixpoint for a later round by sending itself a
+	// message (Context.Send to an owned vertex), as PageRank's IncEval
+	// does with the residual below its round's threshold. Termination
+	// needs no rule for it: the ledger counts that message like any
+	// batch, so the run cannot end while it is in flight. Whether to send
+	// it must be a pure function of the program's state and msgs, or runs
+	// at different kernel shard counts stop agreeing.
 	IncEval(msgs []VMsg[T], ctx *Context[T])
 
 	// Get returns the current value for an owned vertex, used by

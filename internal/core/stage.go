@@ -58,7 +58,11 @@ func (s *Stage[T]) push(j int, m VMsg[T]) {
 // Send ships the value of update parameter v to the worker owning v. It
 // corresponds to including v in the designated message M(i, j) of the
 // current round. Sending to the local fragment is allowed and delivered
-// through the local buffer like any other message.
+// through the local buffer like any other message; a program uses it to
+// wake itself for work it left for a later round (Program.IncEval). The
+// ledger counts a self-send like any batch, so termination waits for it,
+// and it must depend only on the program's state, never on the shard
+// count.
 func (s *Stage[T]) Send(v int32, val T) {
 	s.push(s.c.part.Owner(v), VMsg[T]{V: v, Val: val})
 }
