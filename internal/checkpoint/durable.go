@@ -16,9 +16,8 @@
 // version, epoch, payload length, CRC32 (IEEE) of the payload — so a torn
 // tail, a bit flip, or a length-lying header is detected before any
 // payload byte is trusted. Writes are crash-consistent by construction:
-// the bytes go to a .tmp sibling first, are fsync'd (per the SyncEvery
-// policy), and land under their final name with an atomic rename
-// followed by a directory fsync. A reader therefore never observes a
+// the bytes go to a .tmp sibling first, are fsync'd, and land under
+// their final name with an atomic rename followed by a directory fsync. A reader therefore never observes a
 // half-written record under a record name; the worst a crash leaves
 // behind is a stale .tmp and a missing newest epoch, both of which the
 // open path tolerates by falling back to the previous sealed record.
@@ -52,11 +51,6 @@ var ErrNoSealedEpoch = fmt.Errorf("checkpoint: no usable sealed epoch")
 
 // DurableOptions tunes the file-backed store.
 type DurableOptions struct {
-	// SyncEvery fsyncs every Nth record write (1 = every write, the
-	// default). Between synced writes the data still goes through the
-	// temp-file + atomic-rename dance, so a crash can lose at most the
-	// last SyncEvery-1 epochs to the page cache — never corrupt one.
-	SyncEvery int
 	// Retain keeps the newest K epochs on disk and prunes older record
 	// files. Defaults to 3; the floor is 2 so a corruption of the
 	// newest record always leaves a fallback.
@@ -67,9 +61,6 @@ type DurableOptions struct {
 }
 
 func (o DurableOptions) withDefaults() DurableOptions {
-	if o.SyncEvery <= 0 {
-		o.SyncEvery = 1
-	}
 	if o.Retain <= 0 {
 		o.Retain = 3
 	}
@@ -91,7 +82,6 @@ type DurableStore struct {
 
 	mu     sync.Mutex
 	epochs []int32 // retained epochs, ascending
-	writes int64   // WriteEpoch calls, drives the SyncEvery policy
 
 	fsyncs atomic.Int64
 	bytes  atomic.Int64
@@ -180,11 +170,8 @@ func (d *DurableStore) WriteEpoch(epoch int32, payload []byte) error {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	sync := d.writes%int64(d.opts.SyncEvery) == 0
-	d.writes++
-
 	rec := appendEnvelope(make([]byte, 0, envelopeBytes+len(payload)), epoch, payload)
-	if err := d.writeAtomic(RecordFile(epoch), rec, sync); err != nil {
+	if err := d.writeAtomic(RecordFile(epoch), rec); err != nil {
 		return err
 	}
 	d.bytes.Add(int64(len(rec)))
@@ -206,10 +193,10 @@ func (d *DurableStore) WriteEpoch(epoch int32, payload []byte) error {
 	return nil
 }
 
-// writeAtomic lands data under name via temp file + (fsync) + rename +
-// (directory fsync), so readers only ever see the old file or the
-// complete new one.
-func (d *DurableStore) writeAtomic(name string, data []byte, sync bool) error {
+// writeAtomic lands data under name via temp file + fsync + rename +
+// directory fsync, so readers only ever see the old file or the
+// complete new one, and a crash after it returns loses neither.
+func (d *DurableStore) writeAtomic(name string, data []byte) error {
 	fsys := d.opts.FS
 	final := filepath.Join(d.dir, name)
 	tmp := final + ".tmp"
@@ -222,14 +209,12 @@ func (d *DurableStore) writeAtomic(name string, data []byte, sync bool) error {
 		fsys.Remove(tmp)
 		return fmt.Errorf("checkpoint: %s: %w", name, err)
 	}
-	if sync {
-		if err := f.Sync(); err != nil {
-			f.Close()
-			fsys.Remove(tmp)
-			return fmt.Errorf("checkpoint: %s: fsync: %w", name, err)
-		}
-		d.fsyncs.Add(1)
+	if err := f.Sync(); err != nil {
+		f.Close()
+		fsys.Remove(tmp)
+		return fmt.Errorf("checkpoint: %s: fsync: %w", name, err)
 	}
+	d.fsyncs.Add(1)
 	if err := f.Close(); err != nil {
 		fsys.Remove(tmp)
 		return fmt.Errorf("checkpoint: %s: %w", name, err)
@@ -238,13 +223,11 @@ func (d *DurableStore) writeAtomic(name string, data []byte, sync bool) error {
 		fsys.Remove(tmp)
 		return fmt.Errorf("checkpoint: %s: %w", name, err)
 	}
-	if sync {
-		if dirf, err := fsys.Open(d.dir); err == nil {
-			if dirf.Sync() == nil {
-				d.fsyncs.Add(1)
-			}
-			dirf.Close()
+	if dirf, err := fsys.Open(d.dir); err == nil {
+		if dirf.Sync() == nil {
+			d.fsyncs.Add(1)
 		}
+		dirf.Close()
 	}
 	return nil
 }

@@ -193,20 +193,18 @@ func TestDurableClear(t *testing.T) {
 	}
 }
 
-// TestDurableSyncEvery: the fsync policy skips syncs between every Nth
-// write but never skips the atomic-rename discipline.
-func TestDurableSyncEvery(t *testing.T) {
-	d, err := checkpoint.OpenDurable(t.TempDir(), checkpoint.DurableOptions{SyncEvery: 3, Retain: 10})
+// TestDurableSyncsEveryWrite: every record write fsyncs the record, then
+// its directory, so a crash never loses an epoch WriteEpoch returned.
+func TestDurableSyncsEveryWrite(t *testing.T) {
+	d, err := checkpoint.OpenDurable(t.TempDir(), checkpoint.DurableOptions{Retain: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for e := int32(1); e <= 6; e++ {
 		writeEpoch(t, d, e)
 	}
-	// Writes 1 and 4 sync (the record file, then its directory); writes
-	// 2, 3, 5, 6 must not.
-	if n := d.FsyncCount(); n != 4 {
-		t.Fatalf("fsyncs = %d with SyncEvery=3 over 6 writes, want 4", n)
+	if n := d.FsyncCount(); n != 12 {
+		t.Fatalf("fsyncs = %d over 6 writes, want 12", n)
 	}
 	if e, _, err := d.NewestSealed(); err != nil || e != 6 {
 		t.Fatalf("newest = (%d, %v), want 6", e, err)

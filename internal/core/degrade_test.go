@@ -109,9 +109,9 @@ func TestDroppedSealsSurfaced(t *testing.T) {
 		// Epoch announcements are sequential (a new epoch waits for the
 		// previous seal), so the run must outlive the recording cadence
 		// to seal one epoch per round.
-		Faults:     &core.Faults{DelayProb: 1, DelayBy: 2 * time.Millisecond},
+		Faults:     &core.Faults{DelayProb: 1, DelayBy: 2 * time.Millisecond, Disk: fsys},
 		Deadline:   time.Minute,
-		Checkpoint: core.CheckpointOptions{EveryRounds: 1, Dir: t.TempDir(), FS: fsys},
+		Checkpoint: core.CheckpointOptions{EveryRounds: 1, Dir: t.TempDir()},
 		RoundHook: func(worker int, round int32) {
 			if round >= limit-5 {
 				fsys.release()
@@ -157,7 +157,8 @@ func TestDurableDegradeOnDiskFailure(t *testing.T) {
 	res, err := core.Run(p, sssp.Job(0), core.Options{
 		Mode:       core.AAP,
 		Deadline:   time.Minute,
-		Checkpoint: core.CheckpointOptions{EveryRounds: 1, Dir: t.TempDir(), FS: failOpenFS{checkpoint.OsFS()}},
+		Faults:     &core.Faults{Disk: failOpenFS{checkpoint.OsFS()}},
+		Checkpoint: core.CheckpointOptions{EveryRounds: 1, Dir: t.TempDir()},
 	})
 	if err != nil {
 		t.Fatalf("failing disk must degrade, not fail the run: %v", err)

@@ -38,7 +38,7 @@ func Resume[T any](p *partition.Partitioned, job Job[T], opts Options) (*Result[
 		return nil, fmt.Errorf("core: %s: durable checkpoints require Job.EncodeVal/DecodeVal", job.Name)
 	}
 	t0 := time.Now()
-	d, err := checkpoint.OpenDurable(opts.Checkpoint.Dir, durableOptions(opts.Checkpoint))
+	d, err := checkpoint.OpenDurable(opts.Checkpoint.Dir, durableOptions(opts))
 	if err != nil {
 		return nil, fmt.Errorf("core: %s: %w", job.Name, err)
 	}
@@ -53,8 +53,14 @@ func Resume[T any](p *partition.Partitioned, job Job[T], opts Options) (*Result[
 	return run(NewSession(p), job, opts, &resumeState[T]{snap: snap, store: d, bytes: int64(len(payload)), t0: t0})
 }
 
-func durableOptions(c CheckpointOptions) checkpoint.DurableOptions {
-	return checkpoint.DurableOptions{Retain: c.Retain, FS: c.FS}
+// durableOptions is the record store a run with Checkpoint.Dir opens:
+// its retention, and the filesystem Faults.Disk may replace.
+func durableOptions(opts Options) checkpoint.DurableOptions {
+	d := checkpoint.DurableOptions{Retain: opts.Checkpoint.Retain}
+	if opts.Faults != nil {
+		d.FS = opts.Faults.Disk
+	}
+	return d
 }
 
 // durableTee is the seal-to-disk plane (Options.Checkpoint.Dir): the
@@ -99,7 +105,7 @@ func startDurableTee[T any](e *engine[T], rs *resumeState[T]) (*durableTee[T], e
 	if rs != nil {
 		d.store = rs.store
 	} else {
-		store, err := checkpoint.OpenDurable(e.opts.Checkpoint.Dir, durableOptions(e.opts.Checkpoint))
+		store, err := checkpoint.OpenDurable(e.opts.Checkpoint.Dir, durableOptions(e.opts))
 		if err == nil {
 			err = store.Clear()
 		}

@@ -32,8 +32,9 @@ type Options struct {
 	// Checkpoint enables Chandy-Lamport snapshots; requires every
 	// Program of the job to implement Snapshotter.
 	Checkpoint CheckpointOptions
-	// Faults, when non-nil, injects the configured deterministic fault
-	// schedule (worker kill/stall, message delay/duplicate/drop).
+	// Faults, when non-nil, is the run's one fault plan: worker
+	// kill/stall, message delay/duplicate/drop, link partitions and the
+	// durable store's filesystem.
 	Faults *Faults
 	// Deadline force-finishes the run after this wall time: Run returns
 	// the partial Result plus an error wrapping context.DeadlineExceeded.

@@ -3,14 +3,27 @@ package core
 import (
 	"sync/atomic"
 	"time"
+
+	"aap/internal/checkpoint"
+	"aap/internal/transport"
 )
 
-// Faults configures deterministic, seed-driven fault injection. The
-// same Faults value against the same run produces the same fault
-// schedule: delivery faults are decided by hashing (Seed, sender,
-// per-sender batch sequence number), not by a shared random stream, so
-// the nth batch worker i hands off draws the same verdict regardless of
-// goroutine interleaving.
+// Faults is a run's one fault plan: every fault it injects, at each of
+// the four layers it reaches.
+//
+//   - Delivery (DropProb, DupProb, DelayProb): seeded verdicts on whole
+//     batches, above every message plane. The same Faults value against
+//     the same run produces the same schedule: a verdict is decided by
+//     hashing (Seed, sender, per-sender batch sequence number), not by a
+//     shared random stream, so the nth batch worker i hands off draws
+//     the same verdict regardless of goroutine interleaving.
+//   - Workers (Kill, Stall): one worker dies, or freezes, at a round.
+//   - Links (Partitions): windows that blackhole TCP-plane links, below
+//     the plane.
+//   - Disk (Disk): the durable store's filesystem.
+//
+// Each layer acts alone: a plan that sets only Partitions or Disk
+// delivers every batch untouched and kills or stalls no worker.
 type Faults struct {
 	// Seed drives every probabilistic decision.
 	Seed int64
@@ -42,6 +55,18 @@ type Faults struct {
 	// determinism contract (the lost update never arrives); it exists
 	// to prove liveness — the run must still terminate.
 	DropProb float64
+
+	// Partitions blackhole links of the run's TCP plane for fixed
+	// windows from the plane's start (see transport.Window). Link 0
+	// carries every batch in TCP mode; worker k's remote host rides
+	// link M+1+k. They act only on a run with a TCP plane
+	// (Transport.TCP or RemoteWorkers), and change nothing else.
+	Partitions []transport.Window
+
+	// Disk replaces the filesystem of the durable store (Run's records,
+	// Resume's reads): the disk-failure seam. It acts only with a
+	// Checkpoint.Dir; nil uses the real filesystem.
+	Disk checkpoint.FS
 }
 
 // KillSpec kills Worker when it reaches Round; it fires exactly once

@@ -54,10 +54,6 @@ type TransportOptions struct {
 	// Hello so a supervisor-respawned host fences its dead predecessor's
 	// frames. Meaningful for ServeWorker children; zero means 1.
 	Incarnation uint64
-	// LinkFaults, when non-nil, injects the deterministic link-fault
-	// schedule (partition windows, loss-as-RTO, delay) below the plane,
-	// composing with Options.Faults' delivery faults above it.
-	LinkFaults *transport.LinkFaults
 }
 
 // RespawnPolicy is the supervision hook recovery consults for each dead
@@ -169,17 +165,6 @@ func (wp *wirePlane[T]) onFrame(f transport.Frame) {
 	e.arrive(to, batch[T]{from: f.From, epoch: epoch, msgs: msgs})
 }
 
-// onPeerRejoin fires when a higher-incarnation Hello superseded a
-// link: the respawned host for some worker has completed its handshake.
-// Recovery's awaitRejoin polls the recorded incarnation.
-func (wp *wirePlane[T]) onPeerRejoin(linkID int32, served []int32, inc uint64) {
-	for _, s := range served {
-		if k := int(s) - (wp.e.p.M + 1); k >= 0 && k < wp.e.p.M && wp.remotes[k] != nil {
-			wp.e.recov.noteRejoin(k, inc)
-		}
-	}
-}
-
 // onPeerDead is the heartbeat verdict: a link went silent past the death
 // threshold (or exhausted its reconnect budget). The batch link's queued
 // frames died with it and it serves no host, so the run fails. For a
@@ -223,8 +208,10 @@ func startWirePlane[T any](e *engine[T]) (*wirePlane[T], error) {
 		e.workers[k].prog = wp.remotes[k]
 	}
 	cfg := topts.config()
-	cfg.OnFrame, cfg.OnPeerDead, cfg.OnPeerRejoin = wp.onFrame, wp.onPeerDead, wp.onPeerRejoin
-	cfg.Faults = topts.LinkFaults
+	cfg.OnFrame, cfg.OnPeerDead = wp.onFrame, wp.onPeerDead
+	if f := e.opts.Faults; f != nil {
+		cfg.Partitions = f.Partitions
+	}
 	if cfg.ListenAddr = topts.ListenAddr; cfg.ListenAddr == "" {
 		cfg.ListenAddr = "127.0.0.1:0"
 	}
@@ -251,7 +238,7 @@ func startWirePlane[T any](e *engine[T]) (*wirePlane[T], error) {
 		e.plane = wp
 	}
 	for _, k := range topts.RemoteWorkers {
-		if err := tp.WaitRoute(hostEndpoint(e.p.M, k), remoteWait); err != nil {
+		if err := tp.WaitRoute(hostEndpoint(e.p.M, k), 0, remoteWait, nil); err != nil {
 			wp.stop() // the hosts that did dial in are told to exit
 			return nil, fmt.Errorf("core: %s: remote host for worker %d never dialed in: %w", e.job.Name, k, err)
 		}

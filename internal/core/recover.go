@@ -25,9 +25,6 @@ type CheckpointOptions struct {
 	Dir string
 	// Retain keeps the newest K epochs on disk (default 3, floor 2).
 	Retain int
-	// FS overrides the durable store's filesystem (fault-injection
-	// seam); nil uses the real one.
-	FS checkpoint.FS
 }
 
 // The engine adapts Chandy-Lamport to its asynchronous rounds with the
@@ -71,10 +68,7 @@ type recovery[T any] struct {
 
 	recoveries    atomic.Int64
 	recoveryNanos atomic.Int64
-	// The ladder's rungs. rejoinInc[k] is the highest incarnation of
-	// worker k's host that has completed a handshake, recorded by
-	// noteRejoin and polled by awaitRejoin.
-	rejoinInc     []atomic.Uint64
+	// The ladder's rungs.
 	restarts      atomic.Int64
 	rejoinNanos   atomic.Int64
 	failbacks     atomic.Int64
@@ -100,7 +94,7 @@ func newRecovery[T any](e *engine[T]) (*recovery[T], error) {
 	if e.ckpt == nil && e.inj == nil && (e.opts.Transport == nil || len(e.opts.Transport.RemoteWorkers) == 0) {
 		return nil, nil
 	}
-	return &recovery[T]{e: e, rejoinInc: make([]atomic.Uint64, e.p.M)}, nil
+	return &recovery[T]{e: e}, nil
 }
 
 // stop waits out a rollback in flight.
@@ -217,7 +211,7 @@ func (r *recovery[T]) superviseDead() {
 				break // budget spent: rollback fails this worker back
 			}
 			t0 := time.Now()
-			if r.awaitRejoin(k, inc, rejoinWait) {
+			if e.wire.tp.WaitRoute(rp.host, inc, rejoinWait, e.coord.done) == nil {
 				rp.rejoin()
 				r.restarts.Add(1)
 				r.rejoinNanos.Add(time.Since(t0).Nanoseconds())
@@ -225,38 +219,6 @@ func (r *recovery[T]) superviseDead() {
 			}
 			// The respawn never completed its handshake (launch failure,
 			// or it died again instantly): spend the next unit of budget.
-		}
-	}
-}
-
-// noteRejoin records that worker k's host completed a handshake at
-// incarnation inc. Called from the wire plane's transport goroutines:
-// record-max only.
-func (r *recovery[T]) noteRejoin(k int, inc uint64) {
-	for {
-		cur := r.rejoinInc[k].Load()
-		if inc <= cur || r.rejoinInc[k].CompareAndSwap(cur, inc) {
-			return
-		}
-	}
-}
-
-// awaitRejoin polls until worker k's host has completed a handshake at
-// incarnation >= inc (recorded by noteRejoin), the wait elapses, or the
-// run ends.
-func (r *recovery[T]) awaitRejoin(k int, inc uint64, wait time.Duration) bool {
-	deadline := time.Now().Add(wait)
-	for {
-		if r.rejoinInc[k].Load() >= inc {
-			return true
-		}
-		if !time.Now().Before(deadline) {
-			return false
-		}
-		select {
-		case <-r.e.coord.done:
-			return false
-		case <-time.After(time.Millisecond):
 		}
 	}
 }

@@ -22,7 +22,7 @@ import (
 // chaos SIGKILLs it mid-run, the detector declares it dead, and the
 // recovery goroutine climbs the ladder — respawn + rejoin while budget
 // lasts, local failback past it — with the run landing bit-identical to
-// fault-free either way. The link-fault tests exercise the other side
+// fault-free either way. The partition tests exercise the other side
 // of the same detector: a partition that heals before DeadAfter must
 // cost zero restarts and zero recoveries.
 
@@ -32,7 +32,7 @@ const (
 	superviseIncEnv    = "AAP_SUPERVISE_INC"
 	superviseAlgoEnv   = "AAP_SUPERVISE_ALGO"
 
-	// superviseTickerRounds paces the link-fault tests: with every batch
+	// superviseTickerRounds paces the partition tests: with every batch
 	// delayed (Faults.DelayProb 1) stretching each self-message round, the
 	// run deterministically outlives the whole partition schedule.
 	superviseTickerRounds = 300
@@ -330,7 +330,7 @@ func assertSupervised(t *testing.T, st core.RunStats, k *killer, wantKills int, 
 // hostLink is the victim host's link endpoint in an M-worker plane.
 func hostLink(m int) int32 { return int32(m + 1 + remoteVictim) }
 
-// TestSupervisedPartitionHealNoRestarts seeds three partition windows
+// TestSupervisedPartitionHealNoRestarts sets three partition windows
 // on the victim's host link, each longer than SuspectAfter but shorter
 // than DeadAfter: the detector must walk Alive→Suspect→Alive three
 // times without ever reaching the supervisor — zero restarts, zero
@@ -345,13 +345,10 @@ func TestSupervisedPartitionHealNoRestarts(t *testing.T) {
 	sup := newTestSupervisor(t, "ticker", 2)
 	topts := supervisedTopts(sup)
 	topts.DeadAfter = 500 * time.Millisecond // every 150ms window heals well before death
-	topts.LinkFaults = &transport.LinkFaults{
-		Seed:    42,
-		Windows: transport.PartitionSchedule(hostLink(p.M), 3, 300*time.Millisecond, 250*time.Millisecond, 150*time.Millisecond),
-	}
 	res, err := core.Run(p, job, core.Options{
-		Mode:       core.AAP,
-		Faults:     &core.Faults{DelayProb: 1, DelayBy: 3 * time.Millisecond},
+		Mode: core.AAP,
+		Faults: &core.Faults{DelayProb: 1, DelayBy: 3 * time.Millisecond,
+			Partitions: transport.PartitionSchedule(hostLink(p.M), 3, 300*time.Millisecond, 250*time.Millisecond, 150*time.Millisecond)},
 		Deadline:   time.Minute,
 		Checkpoint: core.CheckpointOptions{EveryRounds: 1},
 		Transport:  &topts,
@@ -387,15 +384,12 @@ func TestSupervisedPartitionKillConverges(t *testing.T) {
 	}
 	sup := newTestSupervisor(t, "ticker", 2)
 	topts := supervisedTopts(sup)
-	topts.LinkFaults = &transport.LinkFaults{
-		Seed:    42,
-		Windows: []transport.Window{{Link: hostLink(p.M), Dir: transport.DirBoth, After: 300 * time.Millisecond, For: 450 * time.Millisecond}},
-	}
 	timer := time.AfterFunc(400*time.Millisecond, func() { _ = sup.Kill(remoteVictim) })
 	defer timer.Stop()
 	res, err := core.Run(p, job, core.Options{
-		Mode:       core.AAP,
-		Faults:     &core.Faults{DelayProb: 1, DelayBy: 3 * time.Millisecond},
+		Mode: core.AAP,
+		Faults: &core.Faults{DelayProb: 1, DelayBy: 3 * time.Millisecond,
+			Partitions: []transport.Window{{Link: hostLink(p.M), After: 300 * time.Millisecond, For: 450 * time.Millisecond}}},
 		Deadline:   time.Minute,
 		Checkpoint: core.CheckpointOptions{EveryRounds: 1},
 		Transport:  &topts,

@@ -164,14 +164,9 @@ func TestTCPPlaneBatchLinkDeathFailsRun(t *testing.T) {
 	t0 := time.Now()
 	_, err := core.Run(p, sssp.Job(0), core.Options{
 		Deadline: deadline,
-		Faults:   &core.Faults{DelayProb: 1, DelayBy: 15 * time.Millisecond},
-		Transport: &core.TransportOptions{
-			TCP:       true,
-			DeadAfter: 100 * time.Millisecond,
-			LinkFaults: &transport.LinkFaults{Windows: []transport.Window{
-				{Link: 0, Dir: transport.DirBoth, After: 20 * time.Millisecond, For: 400 * time.Millisecond},
-			}},
-		},
+		Faults: &core.Faults{DelayProb: 1, DelayBy: 15 * time.Millisecond,
+			Partitions: []transport.Window{{Link: 0, After: 20 * time.Millisecond, For: 400 * time.Millisecond}}},
+		Transport: &core.TransportOptions{TCP: true, DeadAfter: 100 * time.Millisecond},
 	})
 	took := time.Since(t0)
 	if err == nil || errors.Is(err, context.DeadlineExceeded) {
@@ -184,6 +179,39 @@ func TestTCPPlaneBatchLinkDeathFailsRun(t *testing.T) {
 	if !strings.Contains(err.Error(), "link 0") {
 		t.Fatalf("run failed with %v, want an error naming link 0", err)
 	}
+}
+
+// TestTCPPlaneComposedFaultsRecover sets every layer of one fault plan
+// on a TCP run: a worker killed at round 3, every batch delayed, a fifth
+// of them duplicated, and the batch link partitioned for longer than
+// the detector's SuspectAfter but shorter than its DeadAfter while the
+// run is in flight. The partition must heal with no link death, the
+// kill must recover, and the answer must be bit-identical to the
+// fault-free run.
+func TestTCPPlaneComposedFaultsRecover(t *testing.T) {
+	g := gen.PowerLaw(3000, 6, 2.1, true, 1)
+	p := mustPartition(t, g, 4, partition.Hash{})
+	base, err := core.Run(p, sssp.Job(0), core.Options{Mode: core.AAP, Deadline: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := chaosOpts(42, 1)
+	opts.Faults.Kill.Round = 3
+	opts.Faults.DelayProb, opts.Faults.DelayBy = 1, 5*time.Millisecond
+	opts.Faults.DupProb = 0.2
+	opts.Faults.Partitions = []transport.Window{{Link: 0, After: 20 * time.Millisecond, For: 300 * time.Millisecond}}
+	opts.Transport = &core.TransportOptions{TCP: true}
+	res, err := core.Run(p, sssp.Job(0), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.Recoveries < 1 {
+		t.Fatalf("kill scheduled but no recovery ran: %+v", res.Stats)
+	}
+	if res.Stats.HeartbeatTimeouts < 1 {
+		t.Fatalf("batch link partitioned but the detector never suspected: %+v", res.Stats)
+	}
+	sameFloats(t, base.Values, res.Values, "composed faults")
 }
 
 // TestTCPPlaneRequiresCodec: a job without EncodeVal/DecodeVal must fail

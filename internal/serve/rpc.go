@@ -221,7 +221,7 @@ func DialRPC(addr string, id int32, timeout time.Duration) (*Client, error) {
 		plane.Close()
 		return nil, err
 	}
-	if err := plane.WaitRoute(serverEndpoint, timeout); err != nil {
+	if err := plane.WaitRoute(serverEndpoint, 0, timeout, nil); err != nil {
 		plane.Close()
 		return nil, err
 	}

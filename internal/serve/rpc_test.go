@@ -303,7 +303,7 @@ func TestRPCRequestBounds(t *testing.T) {
 	if err := rogue.Dial(rogueID, rs.Addr(), []int32{rogueID}, []int32{serverEndpoint}); err != nil {
 		t.Fatal(err)
 	}
-	if err := rogue.WaitRoute(serverEndpoint, 20*time.Second); err != nil {
+	if err := rogue.WaitRoute(serverEndpoint, 0, 20*time.Second, nil); err != nil {
 		t.Fatal(err)
 	}
 	padded := func(n int) []byte { return append(codec.AppendUint32(nil, opCC), make([]byte, n)...) }

@@ -47,7 +47,7 @@ func newCallRig(t *testing.T) *callRig {
 		if err := p.Dial(id, r.hub.Addr(), []int32{id}, []int32{0}); err != nil {
 			t.Fatal(err)
 		}
-		if err := r.hub.WaitRoute(id, 2*time.Second); err != nil {
+		if err := r.hub.WaitRoute(id, 0, 2*time.Second, nil); err != nil {
 			t.Fatal(err)
 		}
 		return p

@@ -7,75 +7,34 @@ import (
 	"time"
 )
 
-// Link-fault injection: a deterministic, netem-style network-pathology
-// model for the TCP plane, composing with the engine's delivery faults
-// (which act above the plane, on whole batches) by acting below them,
-// on the conns themselves.
+// Partition injection for the TCP plane (Config.Partitions). It composes
+// with the engine's delivery faults, which act above the plane on whole
+// batches, by acting below it, on the conns themselves.
 //
-// Because the link contract is a reliable ordered stream (per-link
-// FIFO, at-most-once — see the package doc), packet-level pathologies
-// surface as latency, not loss:
+// A partition Window blackholes a link by blocking its conns' reads and
+// writes, in both directions, until the window closes. Because the link
+// contract is a reliable ordered stream (per-link FIFO, at-most-once —
+// see the package doc), a healed partition resumes with zero frame loss:
+// the detector walks Alive→Suspect and back with no restart. A window
+// that outlasts DeadAfter ends in a real OnPeerDead verdict.
 //
-//   - a partition Window blackholes the conn by blocking its reads and
-//     writes until the window closes — which is exactly what lets a
-//     healed partition resume with zero frame loss: the detector walks
-//     Alive→Suspect and back with no restart;
-//   - a "dropped" packet (DropProb) stalls the write by one RTO, the
-//     retransmission delay the real network would charge;
-//   - reordering across links emerges from independent per-link delay
-//     draws (DelayProb); within one link FIFO order is contractual, so
-//     true intra-link reorder is deliberately not modeled.
-//
-// All verdicts are pure functions of (Seed, link, direction, op index)
-// via splitmix64, and windows are fixed offsets from the plane's start,
-// so a schedule replays identically across runs. The one approximation:
-// a read already blocked in the kernel when a window opens can still
-// return bytes that arrived before it — gating happens at call
-// boundaries, not mid-syscall.
-type LinkFaults struct {
-	// Seed drives every probabilistic verdict.
-	Seed uint64
-	// Windows are the partition schedule, checked on every read/write.
-	Windows []Window
-	// DropProb stalls that fraction of writes by RTO (default 40ms),
-	// modeling packet loss under a reliable stream.
-	DropProb float64
-	RTO      time.Duration
-	// DelayProb delays that fraction of writes by DelayBy plus a seeded
-	// uniform draw from [0, DelayJitter).
-	DelayProb   float64
-	DelayBy     time.Duration
-	DelayJitter time.Duration
-}
+// Windows are fixed offsets from the plane's start, so a schedule
+// replays identically across runs. The one approximation: a read
+// already blocked in the kernel when a window opens can still return
+// bytes that arrived before it — gating happens at call boundaries, not
+// mid-syscall.
 
-// Dir selects which conn directions a partition window blackholes,
-// making asymmetric partitions (peer hears us, we don't hear it)
-// expressible.
-type Dir uint8
-
-const (
-	DirBoth Dir = iota
-	DirOut      // writes blocked, reads flow
-	DirIn       // reads blocked, writes flow
-)
-
-// Window is one partition interval on one link (or every link), as an
-// offset from the plane's start.
+// Window is one partition interval on one link, as an offset from the
+// plane's start: [After, After+For).
 type Window struct {
-	Link  int32 // link id; FaultAllLinks matches every link
-	Dir   Dir
+	Link  int32
 	After time.Duration
 	For   time.Duration
 }
 
-// FaultAllLinks makes a Window apply to every link, including conns
-// whose link id is not yet known (the interval between accept and the
-// Hello parse).
-const FaultAllLinks int32 = -1
-
-// faultLinkUnknown marks a conn admitted but not yet past its Hello;
-// only FaultAllLinks windows apply to it.
-const faultLinkUnknown int32 = -2
+// linkUnknown marks a conn admitted but not yet past its Hello; no
+// window applies to it until setLink names its link.
+const linkUnknown int32 = -1
 
 // PartitionSchedule builds n equally spaced partition windows on one
 // link: window k covers [start + k*every, start + k*every + dur).
@@ -85,7 +44,7 @@ const faultLinkUnknown int32 = -2
 func PartitionSchedule(link int32, n int, start, every, dur time.Duration) []Window {
 	ws := make([]Window, 0, n)
 	for k := 0; k < n; k++ {
-		ws = append(ws, Window{Link: link, Dir: DirBoth, After: start + time.Duration(k)*every, For: dur})
+		ws = append(ws, Window{Link: link, After: start + time.Duration(k)*every, For: dur})
 	}
 	return ws
 }
@@ -94,10 +53,10 @@ func PartitionSchedule(link int32, n int, start, every, dur time.Duration) []Win
 // the plane shuts down, so Close never waits out a schedule.
 var errFaultClosed = errors.New("transport: plane closed during fault window")
 
-// wrap returns conn gated by the fault schedule. id may be
-// faultLinkUnknown until the handshake names the link (setLink).
-func (f *LinkFaults) wrap(conn net.Conn, id int32, start time.Time, done <-chan struct{}) *faultConn {
-	fc := &faultConn{Conn: conn, f: f, start: start, done: done}
+// gate returns conn gated by the plane's partition windows. id may be
+// linkUnknown until the handshake names the link (setLink).
+func (p *Plane) gate(conn net.Conn, id int32) *faultConn {
+	fc := &faultConn{Conn: conn, windows: p.cfg.Partitions, start: p.start, done: p.done}
 	fc.link.Store(id)
 	return fc
 }
@@ -110,107 +69,62 @@ func unwrapConn(c net.Conn) net.Conn {
 	return c
 }
 
-// faultConn gates one conn's I/O through the schedule. Reads and writes
-// that fall inside a matching partition window block until it closes
-// (or the plane does); writes additionally pay the seeded loss/delay
-// stalls. Deadlines still apply to the underlying I/O, so a handshake
-// gated past its deadline fails and retries like any slow network.
+// faultConn gates one conn's I/O through the partition windows: a read
+// or write that falls inside a window on its link blocks until the
+// window closes (or the plane does). Deadlines still apply to the
+// underlying I/O, so a handshake gated past its deadline fails and
+// retries like any slow network.
 type faultConn struct {
 	net.Conn
-	f     *LinkFaults
-	link  atomic.Int32
-	start time.Time
-	done  <-chan struct{}
-	wseq  atomic.Uint64
+	windows []Window
+	link    atomic.Int32
+	start   time.Time
+	done    <-chan struct{}
 }
 
 func (c *faultConn) setLink(id int32) { c.link.Store(id) }
 
 func (c *faultConn) Write(b []byte) (int, error) {
-	if err := c.gate(DirOut); err != nil {
+	if err := c.wait(); err != nil {
 		return 0, err
-	}
-	if d := c.f.writeDelay(c.link.Load(), c.wseq.Add(1)); d > 0 {
-		if err := c.sleep(d); err != nil {
-			return 0, err
-		}
 	}
 	return c.Conn.Write(b)
 }
 
 func (c *faultConn) Read(b []byte) (int, error) {
-	if err := c.gate(DirIn); err != nil {
+	if err := c.wait(); err != nil {
 		return 0, err
 	}
 	return c.Conn.Read(b)
 }
 
-// gate blocks while any matching partition window is open in direction
-// dir, re-checking in case windows overlap or abut.
-func (c *faultConn) gate(dir Dir) error {
+// wait blocks while a window on the conn's link is open, re-checking in
+// case windows overlap or abut.
+func (c *faultConn) wait() error {
 	for {
-		wait := c.f.windowWait(c.link.Load(), dir, time.Since(c.start))
-		if wait <= 0 {
+		d := c.openFor(time.Since(c.start))
+		if d <= 0 {
 			return nil
 		}
-		if err := c.sleep(wait); err != nil {
-			return err
+		t := time.NewTimer(d)
+		select {
+		case <-t.C:
+		case <-c.done:
+			t.Stop()
+			return errFaultClosed
 		}
 	}
 }
 
-func (c *faultConn) sleep(d time.Duration) error {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-c.done:
-		return errFaultClosed
-	}
-}
-
-// windowWait returns how long a call on link/dir at offset `now` must
-// block for the currently open windows, zero when none match.
-func (f *LinkFaults) windowWait(link int32, dir Dir, now time.Duration) time.Duration {
-	var wait time.Duration
-	for _, w := range f.Windows {
-		if w.Link != FaultAllLinks && w.Link != link {
-			continue
-		}
-		if w.Dir != DirBoth && dir != DirBoth && w.Dir != dir {
-			continue
-		}
-		if now >= w.After && now < w.After+w.For {
-			if rem := w.After + w.For - now; rem > wait {
-				wait = rem
-			}
-		}
-	}
-	return wait
-}
-
-// writeDelay is the seeded per-write stall: loss-as-RTO plus jittered
-// delay, a pure function of (Seed, link, op index).
-func (f *LinkFaults) writeDelay(link int32, seq uint64) time.Duration {
-	if f.DropProb <= 0 && f.DelayProb <= 0 {
-		return 0
-	}
+// openFor returns how long the windows open on the conn's link at offset
+// now stay open, zero when none is.
+func (c *faultConn) openFor(now time.Duration) time.Duration {
+	link := c.link.Load()
 	var d time.Duration
-	h := splitmix64(f.Seed ^ uint64(uint32(link))<<32 ^ seq*0x9E3779B97F4A7C15)
-	if f.DropProb > 0 && unit(h) < f.DropProb {
-		rto := f.RTO
-		if rto <= 0 {
-			rto = 40 * time.Millisecond
+	for _, w := range c.windows {
+		if w.Link == link && now >= w.After && now < w.After+w.For {
+			d = max(d, w.After+w.For-now)
 		}
-		d += rto
-	}
-	h = splitmix64(h)
-	if f.DelayProb > 0 && unit(h) < f.DelayProb {
-		d += f.DelayBy + time.Duration(unit(splitmix64(h))*float64(f.DelayJitter))
 	}
 	return d
 }
-
-// unit maps a hash to [0, 1).
-func unit(h uint64) float64 { return float64(h>>11) / (1 << 53) }

@@ -20,10 +20,7 @@ func TestPartitionHealNoDeath(t *testing.T) {
 	cfgA.ListenAddr = "127.0.0.1:0"
 	cfgA.DeadAfter = 2 * time.Second
 	cfgA.OnPeerDead = func(int32, []int32, error) { deadA.Add(1) }
-	cfgA.Faults = &LinkFaults{
-		Seed:    1,
-		Windows: []Window{{Link: 9, Dir: DirBoth, After: 60 * time.Millisecond, For: 150 * time.Millisecond}},
-	}
+	cfgA.Partitions = []Window{{Link: 9, After: 60 * time.Millisecond, For: 150 * time.Millisecond}}
 	a, err := Listen(cfgA)
 	if err != nil {
 		t.Fatal(err)
@@ -40,7 +37,7 @@ func TestPartitionHealNoDeath(t *testing.T) {
 	if err := b.Dial(9, a.Addr(), []int32{9}, []int32{0}); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.WaitRoute(9, 2*time.Second); err != nil {
+	if err := a.WaitRoute(9, 0, 2*time.Second, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -83,9 +80,7 @@ func TestPartitionOutlastingDeadAfterKills(t *testing.T) {
 		default:
 		}
 	}
-	cfgA.Faults = &LinkFaults{
-		Windows: []Window{{Link: 9, Dir: DirBoth, After: 30 * time.Millisecond, For: 2 * time.Second}},
-	}
+	cfgA.Partitions = []Window{{Link: 9, After: 30 * time.Millisecond, For: 2 * time.Second}}
 	a, err := Listen(cfgA)
 	if err != nil {
 		t.Fatal(err)
@@ -113,20 +108,15 @@ func TestPartitionOutlastingDeadAfterKills(t *testing.T) {
 }
 
 // TestIncarnationRejoinAndFencing exercises the handshake fencing: a
-// higher incarnation supersedes the old link and fires OnPeerRejoin; a
-// stale incarnation is refused at the link layer.
+// higher incarnation supersedes the old link, which WaitRoute sees as
+// the route moving to that incarnation; a stale incarnation is refused
+// at the link layer.
 func TestIncarnationRejoinAndFencing(t *testing.T) {
 	var ca, c1, c2 collector
 	var deadA atomic.Int64
-	rejoin := make(chan uint64, 4)
 	cfgA := testConfig(ca.onFrame)
 	cfgA.ListenAddr = "127.0.0.1:0"
 	cfgA.OnPeerDead = func(int32, []int32, error) { deadA.Add(1) }
-	cfgA.OnPeerRejoin = func(id int32, served []int32, inc uint64) {
-		if id == 9 {
-			rejoin <- inc
-		}
-	}
 	a, err := Listen(cfgA)
 	if err != nil {
 		t.Fatal(err)
@@ -150,8 +140,8 @@ func TestIncarnationRejoinAndFencing(t *testing.T) {
 	b1.Close() // the process "dies"
 
 	// Incarnation 2 dials the same link id: A must retire the old link
-	// (without a death report — the supersede is quiet) and announce the
-	// rejoin.
+	// (without a death report — the supersede is quiet) and route the
+	// endpoint to the new one.
 	cfg2 := testConfig(c2.onFrame)
 	cfg2.Incarnation = 2
 	b2, err := Listen(cfg2)
@@ -162,13 +152,16 @@ func TestIncarnationRejoinAndFencing(t *testing.T) {
 	if err := b2.Dial(9, a.Addr(), []int32{9}, []int32{0}); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case inc := <-rejoin:
-		if inc != 2 {
-			t.Fatalf("OnPeerRejoin incarnation %d, want 2", inc)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("higher incarnation never produced OnPeerRejoin")
+	if err := a.WaitRoute(9, 2, 2*time.Second, nil); err != nil {
+		t.Fatalf("higher incarnation never took the route: %v", err)
+	}
+	if err := a.WaitRoute(9, 3, 50*time.Millisecond, nil); err == nil {
+		t.Fatal("WaitRoute for incarnation 3 returned with only incarnation 2 routed")
+	}
+	abort := make(chan struct{})
+	close(abort)
+	if err := a.WaitRoute(9, 3, time.Minute, abort); err == nil {
+		t.Fatal("WaitRoute ignored its abort")
 	}
 	if err := b2.Send(9, 0, KindData, codec.AppendUint32(nil, 2)); err != nil {
 		t.Fatal(err)
@@ -193,38 +186,5 @@ func TestIncarnationRejoinAndFencing(t *testing.T) {
 	}
 	if deadA.Load() != 0 {
 		t.Fatalf("quiet supersede reported a death: OnPeerDead fired %d times", deadA.Load())
-	}
-}
-
-// TestWriteDelayDeterminism pins the seeded shaping as a pure function
-// of (seed, link, op index).
-func TestWriteDelayDeterminism(t *testing.T) {
-	f1 := &LinkFaults{Seed: 42, DropProb: 0.3, RTO: 10 * time.Millisecond, DelayProb: 0.5, DelayBy: time.Millisecond, DelayJitter: 4 * time.Millisecond}
-	f2 := &LinkFaults{Seed: 42, DropProb: 0.3, RTO: 10 * time.Millisecond, DelayProb: 0.5, DelayBy: time.Millisecond, DelayJitter: 4 * time.Millisecond}
-	f3 := &LinkFaults{Seed: 43, DropProb: 0.3, RTO: 10 * time.Millisecond, DelayProb: 0.5, DelayBy: time.Millisecond, DelayJitter: 4 * time.Millisecond}
-	same, diff, hits := true, false, 0
-	for seq := uint64(1); seq <= 200; seq++ {
-		d1, d2, d3 := f1.writeDelay(3, seq), f2.writeDelay(3, seq), f3.writeDelay(3, seq)
-		if d1 != d2 {
-			same = false
-		}
-		if d1 != d3 {
-			diff = true
-		}
-		if d1 > 0 {
-			hits++
-		}
-		if dOther := f1.writeDelay(4, seq); dOther != d1 {
-			diff = true
-		}
-	}
-	if !same {
-		t.Fatal("identical LinkFaults produced different delays")
-	}
-	if !diff {
-		t.Fatal("seed/link never changed a verdict; the draws are not keyed")
-	}
-	if hits < 40 || hits > 180 {
-		t.Fatalf("delay hit rate %d/200 implausible for DropProb 0.3 + DelayProb 0.5", hits)
 	}
 }

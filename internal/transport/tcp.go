@@ -47,15 +47,9 @@ type Config struct {
 	// fences anything lower (see admit), so frames and acks from a dead
 	// incarnation can never leak into the run its replacement joined.
 	Incarnation uint64
-	// OnPeerRejoin fires after an inbound Hello with a HIGHER
-	// incarnation supersedes an existing link: the respawned peer has
-	// completed its handshake and its endpoints are routable again. Like
-	// OnFrame it runs on a transport goroutine and must not block.
-	OnPeerRejoin func(linkID int32, served []int32, incarnation uint64)
-	// Faults, when non-nil, wraps every conn in the deterministic
-	// link-fault injector (seeded partition windows, delay, loss-as-RTO
-	// stalls). See LinkFaults.
-	Faults *LinkFaults
+	// Partitions blackhole links for fixed windows of the plane's
+	// lifetime (see Window); empty leaves every conn ungated.
+	Partitions []Window
 }
 
 func (c Config) withDefaults() Config {
@@ -97,7 +91,7 @@ type Stats struct {
 type Plane struct {
 	cfg   Config
 	ln    net.Listener
-	start time.Time // fault-injection windows are offsets from here
+	start time.Time // partition windows are offsets from here
 
 	mu          sync.Mutex
 	dialLinks   map[int32]*link
@@ -286,8 +280,8 @@ func (l *link) dialAndShake(serve []int32) (net.Conn, *bufio.Reader, uint64, err
 			lastErr = err
 			continue
 		}
-		if l.p.cfg.Faults != nil {
-			conn = l.p.cfg.Faults.wrap(conn, l.id, l.p.start, l.p.done)
+		if len(l.p.cfg.Partitions) > 0 {
+			conn = l.p.gate(conn, l.id)
 		}
 		br, resume, err := l.shake(conn, serve)
 		if err != nil {
@@ -441,27 +435,36 @@ func (l *link) enqueue(f Frame) error {
 	return nil
 }
 
-// WaitRoute blocks until a route for endpoint id exists (a peer serving
-// it completed its handshake) or the timeout expires.
-func (p *Plane) WaitRoute(id int32, timeout time.Duration) error {
+// WaitRoute blocks until endpoint id is routed over a link whose
+// incarnation is at least inc (0 means any): the peer's on an accepted
+// link, ours — echoed by the peer — on a dialed one. A respawned host
+// rejoins under a higher incarnation, so waiting for it is waiting for
+// the route to move to its link. It errors on timeout, when the plane
+// closes, or when abort closes (nil never does).
+func (p *Plane) WaitRoute(id int32, inc uint64, timeout time.Duration, abort <-chan struct{}) error {
 	deadline := time.Now().Add(timeout)
 	// Poll with short sleeps — WaitRoute runs once per remote worker at
-	// startup, never on the hot path.
+	// startup and once per respawn, never on the hot path. A link's inc
+	// never changes, so reading it needs no link lock.
 	for {
 		p.mu.Lock()
-		_, ok := p.routes[id]
+		l := p.routes[id]
 		closed := p.closed
 		p.mu.Unlock()
-		if ok {
+		if l != nil && l.inc >= inc {
 			return nil
 		}
 		if closed {
 			return errClosed
 		}
 		if time.Now().After(deadline) {
-			return fmt.Errorf("transport: no peer serving endpoint %d after %v", id, timeout)
+			return fmt.Errorf("transport: no peer (incarnation >= %d) serving endpoint %d after %v", inc, id, timeout)
 		}
-		time.Sleep(time.Millisecond)
+		select {
+		case <-abort:
+			return fmt.Errorf("transport: wait for endpoint %d aborted", id)
+		case <-time.After(time.Millisecond):
+		}
 	}
 }
 
@@ -533,18 +536,18 @@ func (p *Plane) acceptLoop() {
 // respawned peer — the old generation's link is retired wholesale
 // (quietly: its death was already reported, and resurrecting its queue
 // would replay frames addressed to a dead process) and a fresh link
-// with fresh sequence space takes its place, announced via
-// OnPeerRejoin; a LOWER incarnation (or a dead same-incarnation peer)
-// is fenced off — a partitioned zombie must not slip frames into the
-// run its replacement has joined.
+// with fresh sequence space takes its place and its routes (what
+// WaitRoute waits for); a LOWER incarnation (or a dead same-incarnation
+// peer) is fenced off — a partitioned zombie must not slip frames into
+// the run its replacement has joined.
 func (p *Plane) admit(conn net.Conn) {
 	defer p.wg.Done()
 	if tc, ok := conn.(*net.TCPConn); ok {
 		tc.SetNoDelay(true)
 	}
 	var fc *faultConn
-	if p.cfg.Faults != nil {
-		fc = p.cfg.Faults.wrap(conn, faultLinkUnknown, p.start, p.done)
+	if len(p.cfg.Partitions) > 0 {
+		fc = p.gate(conn, linkUnknown)
 		conn = fc
 	}
 	conn.SetDeadline(time.Now().Add(2 * time.Second))
@@ -578,7 +581,6 @@ func (p *Plane) admit(conn net.Conn) {
 	}
 	l := p.acceptLinks[id]
 	fresh := false
-	rejoined := false
 	if l != nil {
 		l.mu.Lock() // p.mu -> l.mu matches Stats' lock order
 		switch {
@@ -594,7 +596,6 @@ func (p *Plane) admit(conn net.Conn) {
 			l.mu.Unlock()
 			l.retire(fmt.Errorf("transport: link %d superseded by incarnation %d", id, inc))
 			l = nil
-			rejoined = true
 		default:
 			l.mu.Unlock()
 		}
@@ -645,9 +646,6 @@ func (p *Plane) admit(conn net.Conn) {
 		p.wg.Add(2)
 		go l.writer()
 		go l.ticker()
-	}
-	if rejoined && p.cfg.OnPeerRejoin != nil && !p.isClosed() {
-		p.cfg.OnPeerRejoin(id, served, inc)
 	}
 }
 

@@ -68,7 +68,7 @@ func TestPlaneDeliversBothWays(t *testing.T) {
 	if err := b.Dial(9, a.Addr(), []int32{9}, []int32{0, 1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.WaitRoute(9, 2*time.Second); err != nil {
+	if err := a.WaitRoute(9, 0, 2*time.Second, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -187,7 +187,7 @@ func TestPlaneHeartbeatDeath(t *testing.T) {
 	if err := b.Dial(5, a.Addr(), []int32{5}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.WaitRoute(5, 2*time.Second); err != nil {
+	if err := a.WaitRoute(5, 0, 2*time.Second, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Let a few heartbeats flow so the detector has started.

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Independently settable values of the root module: the fields of each
-# options struct, the serve.With* options, the SSSP job's Config fields,
-# and the flag.* definitions of each binary, one line
-# each and in total. Run from anywhere; a PR that
+# options struct a caller can set (core.Options and the three structs it
+# nests, transport.Config, checkpoint.DurableOptions, sim.Config), the
+# serve.With* options, the SSSP job's Config fields, and the flag.*
+# definitions of each binary, one line each and in total. Run from anywhere; a PR that
 # touches an option states its delta as the difference of two runs of
 # this script ("options and flags only go down").
 set -euo pipefail
@@ -33,6 +34,9 @@ row() {
 row "$(fields internal/core/engine.go Options)" core.Options
 row "$(fields internal/core/plane.go TransportOptions)" core.TransportOptions
 row "$(fields internal/core/recover.go CheckpointOptions)" core.CheckpointOptions
+row "$(fields internal/core/faults.go Faults)" core.Faults
+row "$(fields internal/transport/tcp.go Config)" transport.Config
+row "$(fields internal/checkpoint/durable.go DurableOptions)" checkpoint.DurableOptions
 row "$(fields internal/sim/sim.go Config)" sim.Config
 row "$(src internal/serve | grep -c '^func With')" 'serve.With*'
 row "$(fields internal/algo/sssp/sssp.go Config)" sssp.Config
