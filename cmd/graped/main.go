@@ -46,13 +46,12 @@ func main() {
 	modeName := flag.String("mode", "aap", "engine mode for query runs: aap, bsp, ap, ssp, hsync")
 	maxInflight := flag.Int("max-inflight", 4, "concurrent engine runs (queries sharing an SSSP run hold one)")
 	queueDepth := flag.Int("queue-depth", 64, "queries allowed to wait beyond the in-flight cap")
-	njobs := flag.Int("njobs", 0, "engine compute parallelism per run (0: GOMAXPROCS)")
 	deadline := flag.Duration("deadline", 0, "per-query engine deadline (0: the engine's 5-minute bound)")
 	pagerankTol := flag.Float64("pagerank-tol", 1e-8, "PageRank query tolerance")
 	cfEpochs := flag.Int("cf-epochs", 10, "CF training epochs for -gen ratings graphs")
 	flag.Parse()
 	if err := checkScheduler(scheduler{
-		maxInflight: *maxInflight, queueDepth: *queueDepth, njobs: *njobs,
+		maxInflight: *maxInflight, queueDepth: *queueDepth,
 		deadline: *deadline, pagerankTol: *pagerankTol,
 	}); err != nil {
 		fmt.Fprintln(os.Stderr, "graped:", err)
@@ -81,7 +80,6 @@ func main() {
 	opts := []serve.Option{
 		serve.WithMaxInflight(*maxInflight),
 		serve.WithQueueDepth(*queueDepth),
-		serve.WithNJobs(*njobs),
 		serve.WithDeadline(*deadline),
 		serve.WithMode(mode),
 		serve.WithPageRankTol(*pagerankTol),
@@ -125,9 +123,9 @@ func main() {
 // with their defaults when out of range (a -max-inflight of -1 would
 // serve with 4).
 type scheduler struct {
-	maxInflight, queueDepth, njobs int
-	deadline                       time.Duration
-	pagerankTol                    float64
+	maxInflight, queueDepth int
+	deadline                time.Duration
+	pagerankTol             float64
 }
 
 // checkScheduler refuses such a value, naming its flag, so graped never
@@ -141,7 +139,6 @@ func checkScheduler(s scheduler) error {
 	}{
 		{s.maxInflight <= 0, "-max-inflight", "a positive count", s.maxInflight},
 		{s.queueDepth <= 0, "-queue-depth", "a positive count", s.queueDepth},
-		{s.njobs < 0, "-njobs", "zero (GOMAXPROCS) or a positive count", s.njobs},
 		{s.deadline < 0, "-deadline", "zero (the engine's 5-minute bound) or a positive duration", s.deadline},
 		{!(s.pagerankTol > 0) || math.IsInf(s.pagerankTol, 1), "-pagerank-tol", "a positive finite number", s.pagerankTol},
 	} {

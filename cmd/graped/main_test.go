@@ -27,13 +27,12 @@ func TestSchedulerFlagsFailClosed(t *testing.T) {
 		want string // "" for accepted, else the refusal
 	}{
 		{nil, ""},
-		{[]string{"-deadline", "0", "-njobs", "0"}, ""},
-		{[]string{"-max-inflight", "1", "-queue-depth", "1", "-njobs", "3"}, ""},
+		{[]string{"-deadline", "0"}, ""},
+		{[]string{"-max-inflight", "1", "-queue-depth", "1"}, ""},
 		{[]string{"-max-inflight", "0"}, "-max-inflight must be a positive count, got 0"},
 		{[]string{"-max-inflight", "-1"}, "-max-inflight must be a positive count, got -1"},
 		{[]string{"-queue-depth", "0"}, "-queue-depth must be a positive count, got 0"},
 		{[]string{"-queue-depth", "-4"}, "-queue-depth must be a positive count, got -4"},
-		{[]string{"-njobs", "-1"}, "-njobs must be zero (GOMAXPROCS) or a positive count, got -1"},
 		{[]string{"-deadline", "-1s"}, "-deadline must be zero (the engine's 5-minute bound) or a positive duration, got -1s"},
 		{[]string{"-pagerank-tol", "NaN"}, "-pagerank-tol must be a positive finite number, got NaN"},
 		{[]string{"-pagerank-tol", "0"}, "-pagerank-tol must be a positive finite number, got 0"},

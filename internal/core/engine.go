@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -22,10 +21,6 @@ type Options struct {
 	Staleness int
 	// LFloor is L⊥, the initial accumulation bound of the AAP controller.
 	LFloor int
-	// PhysicalWorkers bounds how many virtual workers compute at once,
-	// modeling n physical workers hosting m > n virtual workers.
-	// Defaults to GOMAXPROCS.
-	PhysicalWorkers int
 	// MaxRounds aborts the run when any worker exceeds it; a safety
 	// valve for non-terminating programs. Defaults to 1 << 20.
 	MaxRounds int32
@@ -46,15 +41,13 @@ type Options struct {
 	// RoundHook, when set, is called at the top of every round's compute with
 	// the worker id and the round about to run — a test seam for timing
 	// external events (e.g. kill -9 of a remote host process at a chosen
-	// round). It runs on the worker goroutine and must not block.
+	// round). It runs on the executor running the round and must not
+	// block.
 	RoundHook func(worker int, round int32)
 }
 
 func (o *Options) withDefaults() Options {
 	out := *o
-	if out.PhysicalWorkers <= 0 {
-		out.PhysicalWorkers = runtime.GOMAXPROCS(0)
-	}
 	if out.MaxRounds <= 0 {
 		out.MaxRounds = 1 << 20
 	}
@@ -115,14 +108,7 @@ func run[T any](s *Session, job Job[T], opts Options, rs *resumeState[T]) (*Resu
 	}
 
 	e.clock = wallClock{time.Now()}
-	var wg sync.WaitGroup
-	wg.Add(e.p.M)
-	for _, w := range e.workers {
-		go func(w *worker[T]) {
-			defer wg.Done()
-			w.run()
-		}(w)
-	}
+	e.sched.start()
 
 	timer := time.NewTimer(opts.Deadline)
 	defer timer.Stop()
@@ -133,9 +119,9 @@ func run[T any](s *Session, job Job[T], opts Options, rs *resumeState[T]) (*Resu
 		deadlined = true
 		e.coord.forceDone()
 	}
-	wg.Wait()      // the workers own their stats
-	e.recov.stop() // a mid-flight rollback mutates worker state
-	e.tee.stop()   // every seal the run produced is on disk before Run returns, error or not
+	e.sched.wg.Wait() // the executors own the workers' stats
+	e.recov.stop()    // a mid-flight rollback mutates worker state
+	e.tee.stop()      // every seal the run produced is on disk before Run returns, error or not
 	if err := e.err(); err != nil {
 		return nil, err
 	}
@@ -164,8 +150,8 @@ type engine[T any] struct {
 	job     Job[T]
 	opts    Options
 	workers []*worker[T]
-	hsync   *hsyncState   // Hsync's shared phase; nil under every other mode
-	slots   chan struct{} // physical-worker pool
+	hsync   *hsyncState // Hsync's shared phase; nil under every other mode
+	sched   sched[T]
 	coord   coordinator
 	clock   clock       // the worker loop's one time source: wall (run) or virtual (Simulate)
 	pool    *msgPool[T] // the Session's: recycles message slices between senders and receivers
@@ -198,13 +184,13 @@ func newEngine[T any](s *Session, job Job[T], opts Options) *engine[T] {
 		job:        job,
 		opts:       opts,
 		pool:       sessionPool[T](s),
-		slots:      make(chan struct{}, opts.PhysicalWorkers),
 		roundTimes: make([]uint64, p.M),
 	}
 	if opts.Mode == Hsync {
 		e.hsync = &hsyncState{}
 	}
-	e.coord.init(p.M, e, &e.ledger)
+	e.sched = sched[T]{e: e, queue: make(chan *worker[T], p.M)}
+	e.coord.init(p.M, &e.ledger)
 	e.plane = &inproc[T]{e}
 	e.workers = make([]*worker[T], p.M)
 	for i, f := range p.Frags {
@@ -220,20 +206,20 @@ func newEngine[T any](s *Session, job Job[T], opts Options) *engine[T] {
 			originGen:  1,
 			isActive:   true,
 		}
-		w.inbox.notify = make(chan struct{}, 1)
-		w.progress = make(chan struct{}, 1)
-		w.ctx.computing = e.slots
+		w.ctx.inCompute = &e.sched.inCompute
 		e.workers[i] = w
 	}
 	return e
 }
 
 // report is the workers' section of RunStats: the per-worker entries and
-// their totals, the arena estimate and the kernels' edge scans.
+// their totals, the arena estimate and the kernels' edge scans. A worker
+// is computing or it is not, so its idle time is the rest of the run.
 func (e *engine[T]) report(seconds float64) RunStats {
 	stats := RunStats{Job: e.job.Name, Mode: e.opts.Mode.String(), Seconds: seconds}
 	stats.Workers = make([]WorkerStats, e.p.M)
 	for i, w := range e.workers {
+		w.stats.IdleSeconds = seconds - w.stats.BusySeconds
 		stats.Workers[i] = w.stats
 		if sc, ok := w.prog.(ScanCounter); ok {
 			stats.ScannedEdges += sc.ScannedEdges()
@@ -294,17 +280,19 @@ type inbox[T any] struct {
 	mu      sync.Mutex
 	batches []batch[T]
 	spare   []batch[T]
-	notify  chan struct{}
 }
 
 func (ib *inbox[T]) put(b batch[T]) {
 	ib.mu.Lock()
 	ib.batches = append(ib.batches, b)
 	ib.mu.Unlock()
-	select {
-	case ib.notify <- struct{}{}:
-	default:
-	}
+}
+
+// pending reports whether a batch waits to be drained.
+func (ib *inbox[T]) pending() bool {
+	ib.mu.Lock()
+	defer ib.mu.Unlock()
+	return len(ib.batches) > 0
 }
 
 func (ib *inbox[T]) take() []batch[T] {
@@ -334,6 +322,8 @@ func (ib *inbox[T]) release(bs []batch[T]) {
 //
 // Round counters, activity flags and the ledger are atomics, so the hot
 // path and every progress snapshot (view) run without the global lock.
+// Every change of relative progress raises progressed, which the
+// scheduler's sweep takes down.
 // The mutex serializes only activity transitions, which keeps the
 // termination check sound: while it is held with activeCount == 0, no
 // worker can send (sends happen in rounds, which only active workers
@@ -345,13 +335,14 @@ type coordinator struct {
 	activeN atomic.Int32
 	ledger  *checkpoint.Ledger
 
+	progressed atomic.Bool
+
 	mu       sync.Mutex // guards activity transitions and the finish check
 	finished bool
 	done     chan struct{}
-	eng      interface{ broadcastProgress() }
 }
 
-func (c *coordinator) init(m int, eng interface{ broadcastProgress() }, l *checkpoint.Ledger) {
+func (c *coordinator) init(m int, l *checkpoint.Ledger) {
 	c.rounds = make([]atomic.Int32, m)
 	c.active = make([]atomic.Bool, m)
 	for i := range c.active {
@@ -359,7 +350,6 @@ func (c *coordinator) init(m int, eng interface{ broadcastProgress() }, l *check
 	}
 	c.activeN.Store(int32(m))
 	c.done = make(chan struct{})
-	c.eng = eng
 	c.ledger = l
 }
 
@@ -374,15 +364,15 @@ func (c *coordinator) forceDone() {
 
 func (c *coordinator) roundDone(id int) int32 {
 	r := c.rounds[id].Add(1)
-	c.eng.broadcastProgress()
+	c.progressed.Store(true)
 	return r
 }
 
 // reset rewinds the coordinator to a recovery cut: per-worker round
 // counters from the snapshot, every worker active, and the ledger zeroed
 // (the rollback re-adds the replayed in-flight messages as sent). Only
-// called while every worker is parked and nothing is in flight, so no
-// concurrent transition or count can race the wholesale rewrite.
+// called while no task runs and nothing is in flight, so no concurrent
+// transition or count can race the wholesale rewrite.
 func (c *coordinator) reset(rounds []int32) {
 	c.mu.Lock()
 	for i := range c.rounds {
@@ -411,7 +401,7 @@ func (c *coordinator) setActive(id int, active bool) {
 	}
 	c.mu.Unlock()
 	if !fire {
-		c.eng.broadcastProgress()
+		c.progressed.Store(true)
 	}
 }
 
@@ -436,21 +426,15 @@ func (c *coordinator) view(self int) (rmin, rmax int32) {
 	return rmin, rmax
 }
 
-func (e *engine[T]) broadcastProgress() {
-	for _, w := range e.workers {
-		select {
-		case w.progress <- struct{}{}:
-		default:
-		}
-	}
-}
-
 // arrive ends a batch's delivery limbo: it is in worker to's inbox,
-// counted after the put so recovery's quiesce cannot clear it too early.
+// counted after the put so recovery's quiesce cannot clear it too early,
+// and the worker is woken for it.
 func (e *engine[T]) arrive(to int, b batch[T]) {
 	n := int64(len(b.msgs))
-	e.workers[to].inbox.put(b)
+	w := e.workers[to]
+	w.inbox.put(b)
 	e.ledger.Arrived(n)
+	e.sched.wake(w)
 }
 
 // drained counts a batch of n messages stamped stamp out of an inbox, and
@@ -480,7 +464,7 @@ type clock interface {
 	After(d float64, f func())
 }
 
-// wallClock is the clock of the goroutine driver.
+// wallClock is the clock of Run.
 type wallClock struct{ start time.Time }
 
 func (c wallClock) Now() float64 { return time.Since(c.start).Seconds() }
@@ -540,9 +524,8 @@ type worker[T any] struct {
 	ctrl   Controller
 	folder *Folder[T]
 
-	inbox    inbox[T]
-	progress chan struct{}
-	buffer   []VMsg[T]
+	inbox  inbox[T]
+	buffer []VMsg[T]
 	// runs says who sent the buffer: buffer[runs[k-1].end:runs[k].end]
 	// came from runs[k].from, in consecutive batches (drain).
 	runs []senderRun
@@ -555,9 +538,14 @@ type worker[T any] struct {
 	originGen  int32
 	originCnt  int
 
-	// timer backs every finite wait; allocated once and Reset per use
-	// instead of a fresh time.Timer per delay.
-	timer *time.Timer
+	// The worker as a task of the scheduler. gen counts its decisions,
+	// so a δ hold expiring can tell that a later decision superseded it;
+	// due is the gen of the hold that expired, stalled a Faults.Stall in
+	// force.
+	task    atomic.Int32
+	gen     atomic.Int64
+	due     atomic.Int64
+	stalled atomic.Bool
 
 	// epoch is the worker's recorded snapshot epoch; pevalDone flips
 	// when PEval has run, and is cleared by a from-scratch rollback.
@@ -575,95 +563,6 @@ type worker[T any] struct {
 
 // senderRun is one run of the buffer's senders (worker.runs).
 type senderRun struct{ from, end int32 }
-
-type wakeReason int
-
-const (
-	wakeMsg wakeReason = iota
-	wakeProgress
-	wakeTimer
-	wakeDone
-)
-
-func (w *worker[T]) run() {
-	// Contain kernel panics: a Program blowing up must fail the run
-	// with a diagnosable error, not kill the process. The worker exits
-	// cleanly (its deferred wg.Done still runs) and fail() unblocks
-	// everyone else through coord.done.
-	defer func() {
-		if p := recover(); p != nil {
-			e := w.eng
-			e.fail(fmt.Errorf("core: %s/%s worker %d panicked at round %d: %v", e.job.Name, e.opts.Mode, w.id, w.rounds, p))
-		}
-	}()
-	for {
-		select {
-		case <-w.eng.coord.done:
-			return
-		default:
-		}
-		// Safe point: park for a recovery quiesce, record an announced
-		// snapshot epoch, fire scheduled faults. PEval runs through the
-		// loop (not ahead of it) so a from-scratch rollback can demand
-		// it again by clearing pevalDone.
-		if !w.safepoint() {
-			return
-		}
-		if !w.pevalDone {
-			w.execRound()
-			continue
-		}
-		d, buffered := w.decide()
-		if !buffered {
-			// Double-check the inbox after flagging inactive; a message
-			// may have landed in between (its notify token persists, so
-			// the wait below returns immediately in that case).
-			//
-			// Only a message (or shutdown) reactivates an inactive
-			// worker: its buffer is empty, so progress broadcasts cannot
-			// create work for it. Flipping active on every broadcast
-			// would also re-broadcast from setActive, and the flip back
-			// to inactive broadcasts again, so those echo waves can
-			// rotate through the idle workers indefinitely, keeping
-			// activeN above zero at every termination check. The
-			// exception is fault-tolerance business (a quiesce to park for, an epoch
-			// to record): progress wakes check for it explicitly, or an
-			// idle worker would never reach a safe point and recovery
-			// (or epoch sealing) would stall forever.
-			stay := true
-			for stay {
-				switch w.wait(Forever) {
-				case wakeDone:
-					return
-				case wakeMsg:
-					stay = false
-				case wakeProgress:
-					if w.interrupted() {
-						stay = false
-					}
-				}
-			}
-			w.setActive(true)
-			continue
-		}
-		if math.IsInf(d, 1) {
-			if r := w.wait(Forever); r == wakeDone {
-				return
-			}
-			continue
-		}
-		if d > 0 {
-			r := w.wait(d)
-			if r == wakeDone {
-				return
-			}
-			if r != wakeTimer {
-				continue // new information: re-evaluate the stretch
-			}
-		}
-		w.execRound()
-	}
-}
 
 // decide is the worker's scheduling decision at this instant, the part of
 // Section 3's loop both drivers share; it never blocks. It drains the
@@ -687,42 +586,6 @@ func (w *worker[T]) setActive(active bool) {
 	}
 	w.isActive = active
 	w.eng.coord.setActive(w.id, active)
-}
-
-// wait blocks until a message arrives, global progress changes, the delay
-// stretch d elapses (if finite), or the run ends.
-func (w *worker[T]) wait(d float64) wakeReason {
-	var timerC <-chan time.Time
-	if !math.IsInf(d, 1) {
-		dur := time.Duration(d * float64(time.Second))
-		if w.timer == nil {
-			w.timer = time.NewTimer(dur)
-		} else {
-			// The previous wait may have left the timer running or its
-			// tick unconsumed; drain before Reset so a stale expiry can
-			// never masquerade as this wait's timeout.
-			if !w.timer.Stop() {
-				select {
-				case <-w.timer.C:
-				default:
-				}
-			}
-			w.timer.Reset(dur)
-		}
-		timerC = w.timer.C
-	}
-	t0 := w.eng.clock.Now()
-	defer func() { w.stats.IdleSeconds += w.eng.clock.Now() - t0 }()
-	select {
-	case <-w.inbox.notify:
-		return wakeMsg
-	case <-w.progress:
-		return wakeProgress
-	case <-timerC:
-		return wakeTimer
-	case <-w.eng.coord.done:
-		return wakeDone
-	}
 }
 
 // drain moves arrived batches from the inbox into the local buffer B_x̄i
@@ -813,25 +676,6 @@ func (w *worker[T]) clearBuffer() {
 	w.originCnt = 0
 }
 
-// execRound is a round under the goroutine driver: compute inside a
-// physical-worker slot and timed on the wall clock, then finish outside
-// it, so a round's delivery overlaps the other workers' compute.
-func (w *worker[T]) execRound() {
-	e := w.eng
-	select {
-	case e.slots <- struct{}{}:
-	case <-e.coord.done:
-		return
-	}
-	t0 := e.clock.Now()
-	out, _, ok := w.compute()
-	dur := e.clock.Now() - t0
-	<-e.slots
-	if ok {
-		w.finish(out, dur)
-	}
-}
-
 // compute is the first half of a round: PEval, or IncEval over the buffer
 // folded with f_aggr. It returns the round's designated messages and the
 // work it reported; ok is false when it failed the run instead.
@@ -880,8 +724,8 @@ func (w *worker[T]) noSlotSender() int32 {
 // finish is the second half of a round, once dur seconds of compute are
 // behind it: it updates the round-time estimate t_i, delivers the round's
 // messages and reports the round to the coordinator. The batches carry
-// w.epoch: a cut is recorded only at safepoint or in drain, both on this
-// goroutine, so none can come between the count and the delivery.
+// w.epoch: a cut is recorded only at safepoint or in drain, both in this
+// worker's steps, so none can come between the count and the delivery.
 func (w *worker[T]) finish(out [][]VMsg[T], dur float64) {
 	e := w.eng
 	w.stats.BusySeconds += dur
@@ -893,7 +737,7 @@ func (w *worker[T]) finish(out [][]VMsg[T], dur float64) {
 	}
 	if total > 0 {
 		// Counted before any plane sees a batch: a receiver may drain it,
-		// and this worker go inactive, before this goroutine runs again.
+		// and this worker go inactive, before this step goes on.
 		w.stats.MsgsSent += total
 		e.ledger.Sent(total, w.epoch)
 		w.flush(out, w.epoch)
@@ -906,11 +750,11 @@ func (w *worker[T]) finish(out [][]VMsg[T], dur float64) {
 		if ev := e.opts.Checkpoint.EveryRounds; ev > 0 && w.rounds%ev == 0 {
 			// Any worker may play master and announce the next epoch;
 			// the store refuses while the previous one is recording.
-			// Re-broadcast afterwards: idle workers record on progress
-			// wakes, and roundDone's broadcast above may have fired
+			// Raise progress again: idle workers record when the sweep
+			// wakes them, and a sweep may have taken roundDone's news
 			// before the announcement became visible.
 			if _, ok := e.ckpt.Announce(); ok {
-				e.broadcastProgress()
+				e.coord.progressed.Store(true)
 			}
 		}
 	}

@@ -144,15 +144,15 @@ func TestChurchRosserSSSP(t *testing.T) {
 	}
 }
 
-// TestRunStartsOneGoroutinePerWorker: a run is its workers' goroutines
-// and nothing per worker beside them — each worker delivers its round's
-// batches itself. Sampled from inside a round of worker 0, with kernels
-// forced unsharded and zero latency so no shard or timer goroutine adds
-// to the count.
-func TestRunStartsOneGoroutinePerWorker(t *testing.T) {
-	const m = 8
+// TestRunGoroutinesBoundedByPool: a run's workers are tasks on a pool of
+// GOMAXPROCS executors, so its goroutines do not grow with the worker
+// count — at 32 workers there are the executors and at most two more (a
+// δ hold's expiry firing). Sampled from inside a round of worker 0, with
+// kernels forced unsharded so no shard goroutine adds to the count.
+func TestRunGoroutinesBoundedByPool(t *testing.T) {
+	const m = 32
 	p := mustPartition(t, gen.Grid(30, 30, 5), m, partition.Hash{})
-	peak := 0 // written by worker 0 only; Run joins it before returning
+	peak := 0 // written by worker 0's rounds only; Run joins them before returning
 	base := runtime.NumGoroutine()
 	_, err := core.Run(p, sssp.JobShards(0, 1), core.Options{
 		Mode: core.AAP,
@@ -168,8 +168,31 @@ func TestRunStartsOneGoroutinePerWorker(t *testing.T) {
 	if peak == 0 {
 		t.Fatal("worker 0 never ran an incremental round")
 	}
-	if extra := peak - base; extra > m+2 {
-		t.Fatalf("%d goroutines above the %d before Run with %d workers, want at most %d", extra, base, m, m+2)
+	procs := runtime.GOMAXPROCS(0)
+	if extra := peak - base; extra > procs+2 {
+		t.Fatalf("%d goroutines above the %d before Run with %d workers, want at most %d", extra, base, m, procs+2)
+	}
+}
+
+// TestRunIdlePlusBusyEqualsMakespan: a worker is computing or it is not,
+// so per-worker accounting closes on the wall clock as it does in virtual
+// time — also with more workers than executors, where a worker waiting
+// for one is neither computing nor suspended.
+func TestRunIdlePlusBusyEqualsMakespan(t *testing.T) {
+	g := gen.PowerLaw(500, 5, 2.1, true, 41)
+	p := mustPartition(t, g, 2*runtime.GOMAXPROCS(0)+2, partition.Hash{})
+	res, err := core.Run(p, sssp.Job(0), core.Options{Mode: core.AAP})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := res.Stats
+	for i, w := range st.Workers {
+		if d := math.Abs(w.BusySeconds + w.IdleSeconds - st.Seconds); d > 1e-9 {
+			t.Errorf("worker %d: busy %v + idle %v off the run's %v s by %v", i, w.BusySeconds, w.IdleSeconds, st.Seconds, d)
+		}
+	}
+	if d := math.Abs(st.TotalBusy + st.TotalIdle - float64(len(st.Workers))*st.Seconds); d > 1e-6 {
+		t.Errorf("total busy %v + idle %v off %d × %v s by %v", st.TotalBusy, st.TotalIdle, len(st.Workers), st.Seconds, d)
 	}
 }
 
@@ -340,10 +363,13 @@ func TestFoldMessages(t *testing.T) {
 	}
 }
 
-func TestPhysicalWorkerLimit(t *testing.T) {
+// TestMoreWorkersThanExecutors: 16 workers share a pool of 2 executors
+// and still reach the exact answer.
+func TestMoreWorkersThanExecutors(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	g := gen.PowerLaw(200, 4, 2.1, true, 9)
 	p := mustPartition(t, g, 16, partition.Hash{})
-	res, err := core.Run(p, sssp.Job(0), core.Options{PhysicalWorkers: 2})
+	res, err := core.Run(p, sssp.Job(0), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

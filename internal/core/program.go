@@ -18,6 +18,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"aap/internal/codec"
 	"aap/internal/par"
@@ -192,10 +193,10 @@ type Context[T any] struct {
 	stages []*Stage[T]
 	staged int
 
-	// computing is the engine's physical-worker pool: its length is the
-	// number of workers inside a round right now, this one included.
-	// Nil for contexts no engine pool admits (remote hosts).
-	computing <-chan struct{}
+	// inCompute counts the run's executors inside a round's compute
+	// right now, this one included. Nil for contexts no engine runs
+	// (remote hosts).
+	inCompute *atomic.Int32
 	// serial makes Shards answer 1 whatever the work. Simulate sets it:
 	// virtual time prices the work a kernel reports, and the work of a
 	// label-correcting sweep run on several shards depends on how they
@@ -224,7 +225,7 @@ func (c *Context[T]) Round() int32 { return c.round }
 
 // Shards returns the shard count for an intra-fragment kernel pass over
 // `work` units: par.Kernel(work), capped by this worker's share of the
-// cores — GOMAXPROCS divided by the workers computing at this moment —
+// cores — GOMAXPROCS divided by the executors computing at this moment —
 // so that fragments × shards stays within the machine. With as many
 // workers busy as there are cores every pass runs unsharded; a lone
 // straggler, or a one-fragment run, fans out over the idle cores. The
@@ -234,7 +235,11 @@ func (c *Context[T]) Shards(work int64) int {
 	if c.serial {
 		return 1
 	}
-	return par.KernelShare(work, len(c.computing))
+	sharers := 0
+	if c.inCompute != nil {
+		sharers = int(c.inCompute.Load())
+	}
+	return par.KernelShare(work, sharers)
 }
 
 // NewEngineContext, TakeOut and ReleaseOut expose the context plumbing

@@ -54,17 +54,13 @@ type CheckpointOptions struct {
 
 // recovery is the fault-tolerance plane of a run: it coordinates quiesce
 // → rollback → resume after a worker death, and climbs the self-healing
-// ladder (superviseDead, rollback) for dead remote hosts. Workers park
-// at safe points (loop top and idle wake) while it rewrites their state.
+// ladder (superviseDead, rollback) for dead remote hosts. While pause is
+// set a worker's step does nothing, so once no task runs it can rewrite
+// their state.
 type recovery[T any] struct {
 	e     *engine[T]
-	pause atomic.Bool
-
-	mu     sync.Mutex
-	resume chan struct{} // non-nil while a recovery is in progress; closed to release the parked
-
-	parked atomic.Int32
-	wg     sync.WaitGroup
+	pause atomic.Bool // set while a recovery is in progress
+	wg    sync.WaitGroup
 
 	recoveries    atomic.Int64
 	recoveryNanos atomic.Int64
@@ -124,14 +120,9 @@ func (r *recovery[T]) report(s *RunStats) {
 // request starts a recovery for the death of worker victim; redundant
 // requests while one is in progress are ignored.
 func (r *recovery[T]) request(victim int) {
-	r.mu.Lock()
-	if r.resume != nil {
-		r.mu.Unlock()
+	if !r.pause.CompareAndSwap(false, true) {
 		return
 	}
-	r.resume = make(chan struct{})
-	r.pause.Store(true)
-	r.mu.Unlock()
 	r.wg.Add(1)
 	go func() {
 		defer r.wg.Done()
@@ -139,35 +130,16 @@ func (r *recovery[T]) request(victim int) {
 	}()
 }
 
-// park blocks the calling worker until the recovery completes. It
-// returns false when the run ended instead.
-func (r *recovery[T]) park() bool {
-	r.mu.Lock()
-	ch := r.resume
-	r.mu.Unlock()
-	if ch == nil {
-		return true // recovery already finished
-	}
-	r.parked.Add(1)
-	defer r.parked.Add(-1)
-	select {
-	case <-ch:
-		return true
-	case <-r.e.coord.done:
-		return false
-	}
-}
-
 // recover quiesces the engine, rolls back to the last sealed snapshot,
-// and resumes. Quiescence means every worker is parked and every sent
+// and resumes. Quiescence means pause is set and no task is in a step
+// (a step that starts now sees pause and does nothing), and every sent
 // message has landed in an inbox (nothing in flight on the ledger), so
 // no message can materialize while state is rewritten.
 func (r *recovery[T]) recover(victim int) {
 	e := r.e
 	t0 := time.Now()
 	for {
-		e.broadcastProgress() // wake idle workers so they reach a safe point
-		if int(r.parked.Load()) == e.p.M && !e.ledger.InFlight() {
+		if e.sched.running.Load() == 0 && !e.ledger.InFlight() {
 			break
 		}
 		select {
@@ -223,20 +195,14 @@ func (r *recovery[T]) superviseDead() {
 	}
 }
 
-// finish releases parked workers and re-arms the manager.
+// finish re-arms the manager and wakes every worker.
 func (r *recovery[T]) finish() {
-	r.mu.Lock()
 	r.pause.Store(false)
-	ch := r.resume
-	r.resume = nil
-	r.mu.Unlock()
-	if ch != nil {
-		close(ch)
-	}
+	r.e.sched.wakeAll()
 }
 
 // rollback rewrites the whole engine to the last sealed snapshot while
-// every worker is parked. The in-memory store is its one source (only
+// no task runs. The in-memory store is its one source (only
 // Resume reads the checkpoint directory, and seeds the store from it);
 // with no sealed snapshot the run restarts from scratch: fresh programs,
 // PEval again. The victim's program is discarded and rebuilt purely from
@@ -306,6 +272,7 @@ func (r *recovery[T]) rollback(victim int) {
 		}
 		rounds[i] = w.rounds
 		w.isActive = true
+		w.gen.Add(1) // a hold decided before the cut is void
 	}
 	if freshRestart {
 		r.freshRestarts.Add(1)
@@ -329,16 +296,13 @@ func (r *recovery[T]) rollback(victim int) {
 	}
 }
 
-// safepoint handles fault-tolerance business at the top of the worker
-// loop: parking for a quiesce, recording an announced epoch, and firing
-// scheduled stall/kill faults. It returns false when the run ended.
+// safepoint handles fault-tolerance business at the top of a step:
+// recording an announced epoch and firing scheduled stall/kill faults. It
+// returns false when the step ends there: a stall holds the worker on the
+// clock, whose expiry wakes it, and a kill starts a recovery, whose end
+// does.
 func (w *worker[T]) safepoint() bool {
 	e := w.eng
-	if e.recov != nil && e.recov.pause.Load() {
-		if !e.recov.park() {
-			return false
-		}
-	}
 	if e.ckpt != nil {
 		if ep := e.ckpt.AnnouncedEpoch(); ep > w.epoch {
 			w.record(ep)
@@ -346,30 +310,24 @@ func (w *worker[T]) safepoint() bool {
 	}
 	if e.inj != nil {
 		if d, ok := e.inj.shouldStall(w.id, w.rounds); ok {
-			select {
-			case <-time.After(d):
-			case <-e.coord.done:
-				return false
-			}
+			w.stalled.Store(true)
+			e.clock.After(d.Seconds(), func() {
+				w.stalled.Store(false)
+				e.sched.wake(w)
+			})
+			return false
 		}
 		if e.inj.shouldKill(w.id, w.rounds) {
 			e.recov.request(w.id)
-			if !e.recov.park() {
-				return false
-			}
+			return false
 		}
 	}
 	return true
 }
 
-// interrupted reports whether an idle worker must leave its wait loop
-// for a non-message reason: a quiesce in progress or an epoch to
-// record.
+// interrupted reports whether an inactive worker has an epoch to record.
 func (w *worker[T]) interrupted() bool {
 	e := w.eng
-	if e.recov != nil && e.recov.pause.Load() {
-		return true
-	}
 	return e.ckpt != nil && e.ckpt.AnnouncedEpoch() > w.epoch
 }
 

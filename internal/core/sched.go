@@ -1,0 +1,239 @@
+package core
+
+import (
+	"fmt"
+	"math"
+	"runtime"
+	"sync"
+	"sync/atomic"
+)
+
+// A worker is a task of the run's one scheduler: idle (waiting for a
+// wake), queued (woken, waiting for an executor) or running (in a step;
+// under Simulate also for the virtual length of its round). A wake that
+// finds the task running is kept (rewoken) and handled when it ends.
+const (
+	taskIdle int32 = iota
+	taskQueued
+	taskRunning
+	taskRewoken
+)
+
+// sched is the one scheduler of a run: Section 3's worker loop cut at
+// its waits into steps, and the four events that wake a worker for its
+// next step — a message arriving (engine.arrive), progress news (sweep),
+// a δ hold or stall expiring, and the end of a recovery. The two drivers
+// differ only in who runs a step: Run drains the queue with a pool of
+// executor goroutines on the wall clock, Simulate runs each step inline
+// on its event loop and prices each round on the Timeline.
+type sched[T any] struct {
+	e *engine[T]
+	// tl is Simulate's timeline; nil under Run, whose executors take
+	// queued tasks from queue. A worker is queued at most once, so the
+	// queue holds at most M and a wake never blocks.
+	tl    Timeline
+	queue chan *worker[T]
+	wg    sync.WaitGroup
+
+	// inCompute counts executors inside compute, the share ctx.Shards
+	// divides the cores by; running counts tasks in a step, which
+	// recovery's quiesce waits to reach zero.
+	inCompute atomic.Int32
+	running   atomic.Int32
+}
+
+// start launches Run's executors, one per core and never more than
+// workers, and queues every worker for its first step.
+func (s *sched[T]) start() {
+	n := min(runtime.GOMAXPROCS(0), len(s.e.workers))
+	s.wg.Add(n)
+	for range n {
+		go s.exec()
+	}
+	s.wakeAll()
+}
+
+// exec is one executor: it runs queued tasks until the run is done. A
+// task due again right away keeps its executor while no other task
+// waits for one, and otherwise queues behind them.
+func (s *sched[T]) exec() {
+	defer s.wg.Done()
+	for {
+		select {
+		case w := <-s.queue:
+			for again := true; again; {
+				again = s.run(w)
+				s.sweep()
+				if again && s.yield() {
+					w.task.Store(taskQueued)
+					s.queue <- w
+					again = false
+				}
+			}
+		case <-s.e.coord.done:
+			return
+		}
+	}
+}
+
+// yield reports whether a task due again leaves its executor: another
+// task is queued, or the run is over.
+func (s *sched[T]) yield() bool {
+	select {
+	case <-s.e.coord.done:
+		return true
+	default:
+		return len(s.queue) > 0
+	}
+}
+
+// wake asks for worker w's next step: an idle task is queued (run at
+// once under Simulate), a running one steps again when it ends.
+func (s *sched[T]) wake(w *worker[T]) {
+	for {
+		switch w.task.Load() {
+		case taskIdle:
+			if w.task.CompareAndSwap(taskIdle, taskQueued) {
+				s.dispatch(w)
+				return
+			}
+		case taskRunning:
+			if w.task.CompareAndSwap(taskRunning, taskRewoken) {
+				return
+			}
+		default:
+			return
+		}
+	}
+}
+
+func (s *sched[T]) dispatch(w *worker[T]) {
+	if s.tl != nil {
+		s.runInline(w)
+	} else {
+		s.queue <- w
+	}
+}
+
+// runInline runs task w where it is woken, Simulate's driver.
+func (s *sched[T]) runInline(w *worker[T]) {
+	for s.run(w) {
+	}
+}
+
+// run is one turn of task w: a step, after which the task is idle, due
+// again at once (after a round, or when woken meanwhile: run reports
+// true and the caller runs it again or queues it) or, under Simulate,
+// running until its round's finish event runs it again.
+func (s *sched[T]) run(w *worker[T]) (again bool) {
+	w.task.Store(taskRunning)
+	s.running.Add(1)
+	round := s.step(w)
+	s.running.Add(-1)
+	if round && s.tl != nil {
+		return false
+	}
+	return round || !w.task.CompareAndSwap(taskRunning, taskIdle)
+}
+
+// sweep hands progress news to the workers it concerns: every active
+// one, since relative progress may release a held worker, and, while a
+// snapshot epoch is open, the inactive ones too, which must record it.
+// An inactive worker otherwise ignores progress: its buffer is empty, so
+// news cannot create work for it, and flipping it active would broadcast
+// again from setActive, echo waves that keep the run from terminating.
+// Run's executors sweep after every step, Simulate's loop after every
+// event; every broadcast comes from a step.
+func (s *sched[T]) sweep() {
+	e := s.e
+	for e.coord.progressed.Swap(false) {
+		epochOpen := e.ckpt != nil && e.ckpt.AnnouncedEpoch() > e.ckpt.SealedEpoch()
+		for _, w := range e.workers {
+			if epochOpen || e.coord.active[w.id].Load() {
+				s.wake(w)
+			}
+		}
+	}
+}
+
+// wakeAll wakes every worker, in worker order: a run's start and the end
+// of a recovery.
+func (s *sched[T]) wakeAll() {
+	for _, w := range s.e.workers {
+		s.wake(w)
+	}
+}
+
+// step is one step of worker w: safepoint, then a round when one is due
+// (PEval, or a δ hold that expired), else decide and act on the answer —
+// run the round now, hold it on the clock for δ, or wait for the next
+// wake. It reports whether a round ran (under Simulate: started). A
+// panic in the Program fails the run with an error naming the worker.
+func (s *sched[T]) step(w *worker[T]) (round bool) {
+	e := s.e
+	defer func() {
+		if p := recover(); p != nil {
+			e.fail(fmt.Errorf("core: %s/%s worker %d panicked at round %d: %v", e.job.Name, e.opts.Mode, w.id, w.rounds, p))
+			round = false
+		}
+	}()
+	if e.recov != nil && e.recov.pause.Load() {
+		return false // quiesced: the recovery's end wakes every worker
+	}
+	if w.stalled.Load() {
+		return false // the stall's end wakes it
+	}
+	if !w.isActive {
+		// Only a message, or an epoch to record, reactivates an
+		// inactive worker (see sweep).
+		if !w.inbox.pending() && !w.interrupted() {
+			return false
+		}
+		w.setActive(true)
+	}
+	if !w.safepoint() {
+		return false
+	}
+	if due := w.due.Swap(0); !w.pevalDone || due != 0 && due == w.gen.Load() {
+		s.round(w)
+		return true
+	}
+	gen := w.gen.Add(1) // supersedes any hold still pending
+	d, buffered := w.decide()
+	switch {
+	case !buffered || math.IsInf(d, 1):
+		return false
+	case d <= 0:
+		s.round(w)
+		return true
+	}
+	e.clock.After(d, func() {
+		if w.gen.Load() == gen {
+			w.due.Store(gen)
+			s.wake(w)
+		}
+	})
+	return false
+}
+
+// round computes worker w's next round and finishes it: on the wall
+// clock right away, timed around compute; under Simulate at the duration
+// the cost model gives the work it reported, as an event.
+func (s *sched[T]) round(w *worker[T]) {
+	t0 := s.e.clock.Now()
+	s.inCompute.Add(1)
+	out, work, ok := w.compute()
+	s.inCompute.Add(-1)
+	if !ok {
+		return // e.fail ended the run
+	}
+	if s.tl == nil {
+		w.finish(out, s.e.clock.Now()-t0)
+		return
+	}
+	dur := s.tl.StartRound(w.id, w.rounds, work)
+	s.tl.After(dur, func() {
+		w.finish(out, dur)
+		s.runInline(w)
+	})
+}

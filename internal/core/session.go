@@ -30,10 +30,10 @@ import (
 // only keeps serving counters. Admission control, batching and
 // deadlines live one layer up, in internal/serve.
 //
-// Each concurrent query runs its own engine with its own
-// PhysicalWorkers pool, so Q concurrent queries may oversubscribe the
-// machine Q-fold; cap Options.PhysicalWorkers per query (the
-// serve.WithNJobs knob) when serving many at once.
+// Each concurrent query runs its own engine with its own pool of
+// GOMAXPROCS executors, so Q concurrent queries may run Q-fold more
+// executors than cores; serve's in-flight cap (serve.WithMaxInflight)
+// bounds Q.
 type Session struct {
 	p       *partition.Partitioned
 	started time.Time

@@ -4,7 +4,7 @@ package core
 type WorkerStats struct {
 	Rounds      int32   // completed rounds, PEval included
 	BusySeconds float64 // time spent inside PEval/IncEval
-	IdleSeconds float64 // time spent inactive or suspended
+	IdleSeconds float64 // the rest of the run: Seconds − BusySeconds
 	Work        int64   // work units reported via Context.AddWork
 	MsgsSent    int64
 	BytesSent   int64

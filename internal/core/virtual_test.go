@@ -81,9 +81,9 @@ func (s *scripted) Delay(View) float64 {
 }
 
 // TestDecideUnderVirtualClock pins the one decision function and what the
-// event-loop driver makes of each answer, with no goroutine anywhere:
-// worker 0 of two is past PEval and decides at t = 0; worker 1 stays
-// active throughout, so the run never terminates under the test.
+// scheduler makes of each answer when Simulate's event loop runs its
+// steps, with no goroutine anywhere: worker 0 of two is past PEval and
+// decides at t = 0; worker 1 is past PEval too, with nothing to do.
 func TestDecideUnderVirtualClock(t *testing.T) {
 	for _, c := range []struct {
 		name     string
@@ -115,13 +115,13 @@ func TestDecideUnderVirtualClock(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			tl := &listTimeline{latency: c.arrival}
-			v := newVirtual(NewSession(buildPartition(t, 2)), quietJob(), Options{}, tl)
-			e, w := v.e, v.e.workers[0]
+			e := newVirtual(NewSession(buildPartition(t, 2)), quietJob(), Options{}, tl)
+			w := e.workers[0]
 			ctrl := &scripted{delays: c.delays}
-			w.ctrl, w.pevalDone = ctrl, true
+			w.ctrl, w.pevalDone, e.workers[1].pevalDone = ctrl, true, true
 			send := func() {
 				e.ledger.Sent(1, 0)
-				v.deliver(1, 0, 0, []VMsg[float64]{{V: w.frag.Lo, Val: 1}})
+				e.plane.deliver(1, 0, 0, []VMsg[float64]{{V: w.frag.Lo, Val: 1}})
 			}
 			if c.buffered {
 				tl.latency = 0
@@ -129,9 +129,9 @@ func TestDecideUnderVirtualClock(t *testing.T) {
 				tl.Next() // lands at t = 0 and decides
 				tl.latency = c.arrival
 			} else {
-				v.step(w)
+				e.sched.wake(w)
 			}
-			if held := w.isActive && !v.running[0]; held != c.wantHeld || e.coord.active[0].Load() != c.wantActive || w.isActive != c.wantActive {
+			if held := w.isActive && w.task.Load() == taskIdle; held != c.wantHeld || e.coord.active[0].Load() != c.wantActive || w.isActive != c.wantActive {
 				t.Fatalf("after the decision: held %v, active at the coordinator %v, at the worker %v; want held %v, active %v",
 					held, e.coord.active[0].Load(), w.isActive, c.wantHeld, c.wantActive)
 			}
@@ -143,10 +143,10 @@ func TestDecideUnderVirtualClock(t *testing.T) {
 			}
 			if c.progress {
 				e.coord.roundDone(1)
-				v.settle()
+				e.sched.sweep()
 			}
 			for tl.Next() {
-				v.settle()
+				e.sched.sweep()
 			}
 			if !reflect.DeepEqual(tl.starts, c.wantStarts) {
 				t.Errorf("rounds started at %v, want %v", tl.starts, c.wantStarts)

@@ -28,7 +28,6 @@ import (
 type config struct {
 	maxInflight int           // concurrent engine runs
 	queueDepth  int           // queries allowed to wait beyond the in-flight cap
-	njobs       int           // engine compute parallelism (core.Options.PhysicalWorkers)
 	deadline    time.Duration // per-query engine deadline (core.Options.Deadline)
 	mode        core.Mode
 	pagerankTol float64 // PageRank query convergence tolerance
@@ -72,10 +71,6 @@ func WithBatchWindow(time.Duration) Option { return func(*config) {} }
 //
 // Deprecated: kept only for existing callers; pass nothing instead.
 func WithBatchMax(int) Option { return func(*config) {} }
-
-// WithNJobs sets the engine's compute parallelism per run
-// (core.Options.PhysicalWorkers); 0 uses GOMAXPROCS.
-func WithNJobs(n int) Option { return func(c *config) { c.njobs = n } }
 
 // WithDeadline force-finishes each query's engine run after d,
 // returning the partial result with a context.DeadlineExceeded error

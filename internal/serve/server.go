@@ -92,9 +92,8 @@ func (s *Server) Stats() Stats {
 // runOpts is the engine option set every query runs with.
 func (s *Server) runOpts() core.Options {
 	return core.Options{
-		Mode:            s.cfg.mode,
-		PhysicalWorkers: s.cfg.njobs,
-		Deadline:        s.cfg.deadline,
+		Mode:     s.cfg.mode,
+		Deadline: s.cfg.deadline,
 	}
 }
 

@@ -90,6 +90,48 @@ func TestSimDeterministic(t *testing.T) {
 	}
 }
 
+// TestSimSchedulePinned pins the virtual schedule itself, not only its
+// repeatability: a small SSSP and a small PageRank job with one worker
+// three times slower, under every mode, must reproduce these makespans,
+// round sums and message counts exactly. Any change to the order in which
+// the scheduler decides, starts and finishes rounds moves at least one.
+func TestSimSchedulePinned(t *testing.T) {
+	g := gen.PowerLaw(300, 5, 2.1, true, 13)
+	p := mustPartition(t, g, 5, partition.Hash{})
+	jobs := map[string]core.Job[float64]{
+		"sssp":     sssp.Job(0),
+		"pagerank": pagerank.Job(pagerank.Config{Tol: 1e-6}),
+	}
+	for _, c := range []struct {
+		job     string
+		mode    core.Mode
+		seconds float64
+		rounds  int64
+		msgs    int64
+	}{
+		{"sssp", core.AAP, 0.08500963525390626, 42, 619},
+		{"sssp", core.BSP, 0.08804000000000002, 42, 612},
+		{"sssp", core.AP, 0.08146000000000002, 70, 623},
+		{"sssp", core.SSP, 0.08822000000000002, 50, 619},
+		{"sssp", core.Hsync, 0.09432000000000003, 51, 617},
+		{"pagerank", core.AAP, 2.3808647003663914, 411, 29762},
+		{"pagerank", core.BSP, 1.9621800000000003, 428, 29923},
+		{"pagerank", core.AP, 1.5249999999999997, 909, 53681},
+		{"pagerank", core.SSP, 1.96036, 451, 30458},
+		{"pagerank", core.Hsync, 2.3811199999999983, 520, 36566},
+	} {
+		res, err := sim.Run(p, jobs[c.job], sim.Config{Mode: c.mode, Staleness: 2, Speed: []float64{1, 1, 3, 1, 1}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := res.Stats
+		if st.Seconds != c.seconds || st.SumRounds != c.rounds || st.TotalMsgs != c.msgs {
+			t.Errorf("%s/%s: %v s, %d rounds, %d msgs; want %v s, %d rounds, %d msgs",
+				c.job, c.mode, st.Seconds, st.SumRounds, st.TotalMsgs, c.seconds, c.rounds, c.msgs)
+		}
+	}
+}
+
 // TestSimBSPBehavesLikeBarriers checks the BSP special case on a
 // workload where every fragment stays active until global convergence
 // (PageRank on a power-law graph): active workers move in lockstep, so
