@@ -189,7 +189,7 @@ func newEngine[T any](s *Session, job Job[T], opts Options) *engine[T] {
 	if opts.Mode == Hsync {
 		e.hsync = &hsyncState{}
 	}
-	e.sched = sched[T]{e: e, queue: make(chan *worker[T], p.M)}
+	e.sched = sched[T]{e: e, queue: make(chan *worker[T], p.M), cores: &s.cores}
 	e.coord.init(p.M, &e.ledger)
 	e.plane = &inproc[T]{e}
 	e.workers = make([]*worker[T], p.M)
@@ -206,7 +206,7 @@ func newEngine[T any](s *Session, job Job[T], opts Options) *engine[T] {
 			originGen:  1,
 			isActive:   true,
 		}
-		w.ctx.inCompute = &e.sched.inCompute
+		w.ctx.inCompute = &s.cores.inCompute
 		e.workers[i] = w
 	}
 	return e

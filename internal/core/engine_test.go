@@ -411,60 +411,83 @@ func (b *budgetProbe) IncEval([]core.VMsg[float64], *core.Context[float64]) {}
 func (b *budgetProbe) Get(int32) float64                                    { return 0 }
 
 // TestShardsBudget pins the kernel fan-out budget: fragments × shards
-// stays within GOMAXPROCS. With as many workers computing as there are
-// cores every kernel pass is unsharded, however many fragments there
-// are; a lone worker gets what par.Kernel alone would pick; and a
-// forced count (par.Override) is never capped.
+// stays within GOMAXPROCS, across every query of a Session. With as
+// many workers computing as there are cores every kernel pass is
+// unsharded, however many fragments there are; a lone worker gets what
+// par.Kernel alone would pick; two one-fragment queries computing at
+// once on one Session get half the cores each; and a forced count
+// (par.Override) is never capped.
 func TestShardsBudget(t *testing.T) {
 	const procs = 4
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	g := gen.Grid(12, 12, 5)
-	probe := func(t *testing.T, m int) []int {
+	// probe runs `queries` concurrent queries of m workers each on one
+	// Session and returns what ctx.Shards answered the workers that
+	// computed together.
+	probe := func(t *testing.T, m, queries int) []int {
 		t.Helper()
-		p := mustPartition(t, g, m, partition.Hash{})
-		hold := min(m, procs)
+		s := core.NewSession(mustPartition(t, g, m, partition.Hash{}))
+		hold := min(m*queries, procs)
 		var arrived atomic.Int32
 		var in, out sync.WaitGroup
 		in.Add(hold)
 		out.Add(hold)
-		got := make([]int, m)
-		job := core.Job[float64]{
-			Name: "budget",
-			New: func(f *partition.Fragment) core.Program[float64] {
-				return &budgetProbe{f: f, arrived: &arrived, hold: int32(hold), in: &in, out: &out, got: got}
-			},
-			Aggregate: math.Min,
+		got := make([][]int, queries)
+		errs := make([]error, queries)
+		var wg sync.WaitGroup
+		for q := range queries {
+			got[q] = make([]int, m)
+			job := core.Job[float64]{
+				Name: "budget",
+				New: func(f *partition.Fragment) core.Program[float64] {
+					return &budgetProbe{f: f, arrived: &arrived, hold: int32(hold), in: &in, out: &out, got: got[q]}
+				},
+				Aggregate: math.Min,
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				_, errs[q] = core.Query(s, job, core.Options{Deadline: 30 * time.Second})
+			}()
 		}
-		if _, err := core.Run(p, job, core.Options{Deadline: 30 * time.Second}); err != nil {
-			t.Fatal(err)
-		}
-		asked := got[:0]
-		for _, k := range got {
-			if k != 0 {
-				asked = append(asked, k)
+		wg.Wait()
+		var asked []int
+		for q := range queries {
+			if errs[q] != nil {
+				t.Fatal(errs[q])
+			}
+			for _, k := range got[q] {
+				if k != 0 {
+					asked = append(asked, k)
+				}
 			}
 		}
 		if len(asked) != hold {
-			t.Fatalf("M=%d: %d workers asked, want %d", m, len(asked), hold)
+			t.Fatalf("M=%d, %d queries: %d workers asked, want %d", m, queries, len(asked), hold)
 		}
 		return asked
 	}
 	for _, m := range []int{procs, 2 * procs} {
-		for _, k := range probe(t, m) {
+		for _, k := range probe(t, m, 1) {
 			if k != 1 {
 				t.Errorf("M=%d with %d workers computing: ctx.Shards = %d, want 1", m, procs, k)
 			}
 		}
 	}
-	if k, want := probe(t, 1)[0], par.Kernel(math.MaxInt64/2); k != want || want != procs {
+	if k, want := probe(t, 1, 1)[0], par.Kernel(math.MaxInt64/2); k != want || want != procs {
 		t.Errorf("M=1: ctx.Shards = %d, par.Kernel = %d, want both %d", k, want, procs)
 	}
-	if k := probe(t, 2)[0]; k != procs/2 {
+	if k := probe(t, 2, 1)[0]; k != procs/2 {
 		t.Errorf("M=2: ctx.Shards = %d, want %d", k, procs/2)
+	}
+	for _, k := range probe(t, 1, 2) {
+		if k != procs/2 {
+			t.Errorf("two M=1 queries on one Session: ctx.Shards = %d, want %d", k, procs/2)
+		}
 	}
 	par.Override = 3
 	defer func() { par.Override = 0 }()
-	for _, k := range probe(t, procs) {
+	for _, k := range probe(t, procs, 1) {
 		if k != 3 {
 			t.Errorf("par.Override = 3 with %d workers computing: ctx.Shards = %d, want 3", procs, k)
 		}

@@ -193,9 +193,9 @@ type Context[T any] struct {
 	stages []*Stage[T]
 	staged int
 
-	// inCompute counts the run's executors inside a round's compute
-	// right now, this one included. Nil for contexts no engine runs
-	// (remote hosts).
+	// inCompute counts the executors inside a round's compute right
+	// now across every run of the Session, this one included. Nil for
+	// contexts no engine runs (remote hosts).
 	inCompute *atomic.Int32
 	// serial makes Shards answer 1 whatever the work. Simulate sets it:
 	// virtual time prices the work a kernel reports, and the work of a
@@ -225,12 +225,14 @@ func (c *Context[T]) Round() int32 { return c.round }
 
 // Shards returns the shard count for an intra-fragment kernel pass over
 // `work` units: par.Kernel(work), capped by this worker's share of the
-// cores — GOMAXPROCS divided by the executors computing at this moment —
-// so that fragments × shards stays within the machine. With as many
+// cores — GOMAXPROCS divided by the executors computing at this moment
+// in every query of the Session — so that fragments × shards stays
+// within the machine however many queries run at once. With as many
 // workers busy as there are cores every pass runs unsharded; a lone
-// straggler, or a one-fragment run, fans out over the idle cores. The
-// share is read per call, so a long local fixpoint picks up cores as
-// its peers finish.
+// straggler, or a one-fragment query with the Session otherwise idle,
+// fans out over the idle cores. The share is read per call, so a long
+// local fixpoint picks up cores as its peers, and other queries,
+// finish.
 func (c *Context[T]) Shards(work int64) int {
 	if c.serial {
 		return 1

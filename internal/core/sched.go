@@ -24,8 +24,9 @@ const (
 // next step — a message arriving (engine.arrive), progress news (sweep),
 // a δ hold or stall expiring, and the end of a recovery. The two drivers
 // differ only in who runs a step: Run drains the queue with a pool of
-// executor goroutines on the wall clock, Simulate runs each step inline
-// on its event loop and prices each round on the Timeline.
+// executor goroutines on the wall clock, each holding one of the
+// Session's execution slots while it runs a task, Simulate runs each
+// step inline on its event loop and prices each round on the Timeline.
 type sched[T any] struct {
 	e *engine[T]
 	// tl is Simulate's timeline; nil under Run, whose executors take
@@ -35,11 +36,11 @@ type sched[T any] struct {
 	queue chan *worker[T]
 	wg    sync.WaitGroup
 
-	// inCompute counts executors inside compute, the share ctx.Shards
-	// divides the cores by; running counts tasks in a step, which
-	// recovery's quiesce waits to reach zero.
-	inCompute atomic.Int32
-	running   atomic.Int32
+	// cores is the Session's compute budget, shared with its other runs;
+	// running counts this run's tasks in a step, which recovery's
+	// quiesce waits to reach zero.
+	cores   *cores
+	running atomic.Int32
 }
 
 // start launches Run's executors, one per core and never more than
@@ -53,14 +54,19 @@ func (s *sched[T]) start() {
 	s.wakeAll()
 }
 
-// exec is one executor: it runs queued tasks until the run is done. A
-// task due again right away keeps its executor while no other task
-// waits for one, and otherwise queues behind them.
+// exec is one executor: it runs queued tasks until the run is done,
+// each under one of the Session's execution slots, held from the task's
+// first turn to its last. A task due again right away keeps its
+// executor and slot while no other task waits for either, and otherwise
+// queues behind them.
 func (s *sched[T]) exec() {
 	defer s.wg.Done()
 	for {
 		select {
 		case w := <-s.queue:
+			if !s.cores.acquire(s.e.coord.done) {
+				return
+			}
 			for again := true; again; {
 				again = s.run(w)
 				s.sweep()
@@ -70,6 +76,7 @@ func (s *sched[T]) exec() {
 					again = false
 				}
 			}
+			s.cores.release()
 		case <-s.e.coord.done:
 			return
 		}
@@ -77,13 +84,14 @@ func (s *sched[T]) exec() {
 }
 
 // yield reports whether a task due again leaves its executor: another
-// task is queued, or the run is over.
+// task of the run is queued, an executor of any run of the Session waits
+// for a slot, or the run is over.
 func (s *sched[T]) yield() bool {
 	select {
 	case <-s.e.coord.done:
 		return true
 	default:
-		return len(s.queue) > 0
+		return len(s.queue) > 0 || s.cores.waiting.Load() > 0
 	}
 }
 
@@ -221,9 +229,9 @@ func (s *sched[T]) step(w *worker[T]) (round bool) {
 // the cost model gives the work it reported, as an event.
 func (s *sched[T]) round(w *worker[T]) {
 	t0 := s.e.clock.Now()
-	s.inCompute.Add(1)
+	s.cores.inCompute.Add(1)
 	out, work, ok := w.compute()
-	s.inCompute.Add(-1)
+	s.cores.inCompute.Add(-1)
 	if !ok {
 		return // e.fail ended the run
 	}

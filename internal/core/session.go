@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -21,22 +22,25 @@ import (
 //	                    the coordinator, the Result
 //	session lifetime    recycled message slices (one pool per value
 //	                    type) and each job's Validate verdict — caches
-//	                    that hold no query state
+//	                    that hold no query state — and the compute
+//	                    budget below
 //
 // Nothing in the engine or the kernels writes to the shared plane after
 // partition.Build returns — queries against one Session are data-race
 // free by construction, which TestSessionConcurrentQueries pins under
-// the race detector. A Session adds no locking to the query path; it
-// only keeps serving counters. Admission control, batching and
-// deadlines live one layer up, in internal/serve.
+// the race detector. A Session adds no locking to the query path
+// beyond its execution slots, and keeps serving counters. Admission
+// control, batching and deadlines live one layer up, in internal/serve.
 //
-// Each concurrent query runs its own engine with its own pool of
-// GOMAXPROCS executors, so Q concurrent queries may run Q-fold more
-// executors than cores; serve's in-flight cap (serve.WithMaxInflight)
-// bounds Q.
+// Each concurrent query runs its own executors, but all of them share
+// the Session's compute budget (cores), so at most GOMAXPROCS worker
+// steps run at once across the queries and a kernel fans out only onto
+// cores no query is using. serve.WithMaxInflight bounds the runs; the
+// Session bounds the cores.
 type Session struct {
 	p       *partition.Partitioned
 	started time.Time
+	cores   cores
 
 	// pools maps poolKey[T]{} to the *msgPool[T] every query of value
 	// type T draws its outbox and inbox slices from, so a query starts
@@ -58,8 +62,40 @@ type Session struct {
 // produces no mutating operations on a built Partitioned, so in
 // practice this means not re-slicing the exported border arrays.
 func NewSession(p *partition.Partitioned) *Session {
-	return &Session{p: p, started: time.Now()}
+	return &Session{p: p, started: time.Now(), cores: cores{slots: make(chan struct{}, runtime.GOMAXPROCS(0))}}
 }
+
+// cores is a Session's compute budget. slots holds a token for each
+// executor running a task now, at most GOMAXPROCS (read at NewSession);
+// waiting counts the executors blocked for one, which a task due again
+// yields to; inCompute counts the executors inside a round's compute,
+// which ctx.Shards divides the cores by.
+type cores struct {
+	slots     chan struct{}
+	waiting   atomic.Int32
+	inCompute atomic.Int32
+}
+
+// acquire takes an execution slot for a task's turns, or reports false
+// once done closes first. Blocked executors get slots in arrival order.
+func (c *cores) acquire(done <-chan struct{}) bool {
+	select {
+	case c.slots <- struct{}{}:
+		return true
+	default:
+	}
+	c.waiting.Add(1)
+	defer c.waiting.Add(-1)
+	select {
+	case c.slots <- struct{}{}:
+		return true
+	case <-done:
+		return false
+	}
+}
+
+// release hands back the slot acquire took.
+func (c *cores) release() { <-c.slots }
 
 // Partitioned returns the shared read-only partitioned graph.
 func (s *Session) Partitioned() *partition.Partitioned { return s.p }

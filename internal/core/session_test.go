@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -32,15 +33,27 @@ import (
 // single Session versus the same queries serial through core.Run — SSSP
 // and CC bit-identical (unique exact-min fixpoints), PageRank within
 // 1e-4 relative (AAP scheduling reorders its sum), at forced kernel
-// shards {1, 2, 4}.
+// shards {1, 2, 4}. The procs=2 case has more queries than cores and
+// more fragments than cores, so the queries' executors contend for the
+// Session's execution slots and hand them to each other.
 func TestSessionConcurrentQueriesMatchSerial(t *testing.T) {
+	concurrentQueriesMatchSerial(t, 3)
+	t.Run("procs=2,M=8", func(t *testing.T) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+		concurrentQueriesMatchSerial(t, 8)
+	})
+}
+
+// concurrentQueriesMatchSerial is TestSessionConcurrentQueriesMatchSerial
+// over m fragments at the current GOMAXPROCS.
+func concurrentQueriesMatchSerial(t *testing.T, m int) {
 	g := gen.PowerLaw(400, 5, 2.1, true, 7)
 	und := graph.AsUndirected(g)
-	p, err := partition.Build(g, 3, partition.Hash{})
+	p, err := partition.Build(g, m, partition.Hash{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pu, err := partition.Build(und, 3, partition.Hash{})
+	pu, err := partition.Build(und, m, partition.Hash{})
 	if err != nil {
 		t.Fatal(err)
 	}
