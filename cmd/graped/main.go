@@ -111,12 +111,13 @@ func main() {
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	<-sig
-	st := srv.Stats()
-	logger.Printf("shutting down: admitted=%d completed=%d failed=%d rejected=%d shared=%d max_batch=%d qps=%.2f",
-		st.Admitted, st.Completed, st.Failed, st.Rejected, st.Shared, st.MaxBatch, st.QPS)
+	// Logged after Close, which answers the calls in flight first.
 	if err := rs.Close(); err != nil {
 		logger.Printf("close: %v", err)
 	}
+	st := srv.Stats()
+	logger.Printf("shutting down: admitted=%d completed=%d failed=%d rejected=%d shared=%d max_batch=%d qps=%.2f",
+		st.Admitted, st.Completed, st.Failed, st.Rejected, st.Shared, st.MaxBatch, st.QPS)
 }
 
 // scheduler holds the flags that serve's options would quietly replace

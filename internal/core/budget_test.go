@@ -1,9 +1,9 @@
 package core_test
 
-// Tests of a Session's compute budget: its concurrent queries share
-// GOMAXPROCS execution slots, a query that ends early hands its slots
-// back, and a task that keeps waking itself yields its slot to a query
-// waiting for one.
+// Tests of a Session's compute budget: its concurrent queries share the
+// Session's GOMAXPROCS executors, a query that ends early leaves none of
+// them busy, and a task that keeps waking itself goes behind the ready
+// tasks of the other queries.
 
 import (
 	"context"
@@ -24,18 +24,23 @@ import (
 
 // computeProbe holds a count of the steps computing right now, across
 // every query that shares it, up for about a millisecond per PEval and
-// IncEval, and keeps the count's peak. Each worker wakes itself for
-// `rounds` rounds.
+// IncEval, and keeps the count's peak and the peak of the process's
+// goroutines. Each worker wakes itself for `rounds` rounds.
 type computeProbe struct {
-	f         *partition.Fragment
-	now, peak *atomic.Int32
-	rounds    int32
+	f                *partition.Fragment
+	now, peak, gpeak *atomic.Int32
+	rounds           int32
+}
+
+// raise lifts peak to n if n is higher.
+func raise(peak *atomic.Int32, n int32) {
+	for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+	}
 }
 
 func (c *computeProbe) compute(ctx *core.Context[float64]) {
-	n := c.now.Add(1)
-	for p := c.peak.Load(); n > p && !c.peak.CompareAndSwap(p, n); p = c.peak.Load() {
-	}
+	raise(c.peak, c.now.Add(1))
+	raise(c.gpeak, int32(runtime.NumGoroutine()))
 	time.Sleep(time.Millisecond)
 	c.now.Add(-1)
 	if ctx.Round() < c.rounds {
@@ -49,8 +54,13 @@ func (c *computeProbe) Get(int32) float64                                       
 
 // TestSessionComputeBoundedByCores: four concurrent queries of eight
 // workers each on one Session never compute more than GOMAXPROCS steps
-// at once. Each query runs its own executors, so without the Session's
-// slots the peak reaches queries × GOMAXPROCS.
+// at once, because their workers all run on the Session's GOMAXPROCS
+// executors; with executors per query the peak would reach queries ×
+// GOMAXPROCS. Nor does a query add goroutines of its own: while they
+// run, the goroutines above the count before them are at most the
+// executors, the four query goroutines and two more (a δ hold's expiry
+// firing), and once they have returned the count falls back, so no
+// executor outlives the work.
 func TestSessionComputeBoundedByCores(t *testing.T) {
 	const procs, queries, m = 2, 4, 8
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
@@ -59,16 +69,17 @@ func TestSessionComputeBoundedByCores(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := core.NewSession(p)
-	var now, peak atomic.Int32
+	var now, peak, gpeak atomic.Int32
 	job := core.Job[float64]{
 		Name: "compute-probe",
 		New: func(f *partition.Fragment) core.Program[float64] {
-			return &computeProbe{f: f, now: &now, peak: &peak, rounds: 3}
+			return &computeProbe{f: f, now: &now, peak: &peak, gpeak: &gpeak, rounds: 3}
 		},
 		Aggregate: math.Min,
 	}
 	errs := make([]error, queries)
 	var wg sync.WaitGroup
+	base := runtime.NumGoroutine()
 	for q := range queries {
 		wg.Add(1)
 		go func() {
@@ -85,6 +96,14 @@ func TestSessionComputeBoundedByCores(t *testing.T) {
 	if got := peak.Load(); got > procs {
 		t.Fatalf("%d queries of %d workers on one Session computed %d steps at once, want ≤ GOMAXPROCS = %d", queries, m, got, procs)
 	}
+	if extra := int(gpeak.Load()) - base; extra > procs+queries+2 {
+		t.Fatalf("%d goroutines above the %d before %d queries, want at most %d", extra, base, queries, procs+queries+2)
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines 5 s after the queries returned, %d before them", runtime.NumGoroutine(), base)
+		}
+	}
 }
 
 // panicProg panics in PEval.
@@ -95,8 +114,8 @@ func (panicProg) IncEval([]core.VMsg[float64], *core.Context[float64]) {}
 func (panicProg) Get(int32) float64                                    { return 0 }
 
 // TestSessionFailedQueriesReturnSlots: under one core a Session has one
-// execution slot, so a query that ended early still holding it would
-// leave every later query waiting out its deadline. After a query fails
+// executor, so a query that ended early still holding it would leave
+// every later query waiting out its deadline. After a query fails
 // by MaxRounds, by its Deadline and by a panic in its Program, ordinary
 // queries on the same Session, alone and two at once, still finish with
 // the reference answer bit for bit.
@@ -177,10 +196,10 @@ func (sp *spinner) IncEval(_ []core.VMsg[float64], ctx *core.Context[float64]) {
 func (sp *spinner) Get(int32) float64 { return 0 }
 
 // TestSessionLoopingTaskYields: under one core, a one-worker query that
-// wakes itself round after round holds the Session's one slot, and a
-// short SSSP query started beside it must still get the slot and finish
-// first: the looping task yields its slot to a waiting executor of any
-// query, not only to a task of its own run. The looping query stops
+// wakes itself round after round holds the Session's one executor, and
+// a short SSSP query started beside it must still get the executor and
+// finish first: the looping task goes behind a ready task of any query,
+// not only behind a task of its own run. The looping query stops
 // only once the SSSP query has answered, so had the SSSP query waited
 // for its end, both would run into the looping query's deadline.
 func TestSessionLoopingTaskYields(t *testing.T) {

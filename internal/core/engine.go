@@ -108,7 +108,7 @@ func run[T any](s *Session, job Job[T], opts Options, rs *resumeState[T]) (*Resu
 	}
 
 	e.clock = wallClock{time.Now()}
-	e.sched.start()
+	e.sched.wakeAll()
 
 	timer := time.NewTimer(opts.Deadline)
 	defer timer.Stop()
@@ -119,9 +119,9 @@ func run[T any](s *Session, job Job[T], opts Options, rs *resumeState[T]) (*Resu
 		deadlined = true
 		e.coord.forceDone()
 	}
-	e.sched.wg.Wait() // the executors own the workers' stats
-	e.recov.stop()    // a mid-flight rollback mutates worker state
-	e.tee.stop()      // every seal the run produced is on disk before Run returns, error or not
+	e.sched.turns.Lock() // the last step is over: the workers' stats are final
+	e.recov.stop()       // a mid-flight rollback mutates worker state
+	e.tee.stop()         // every seal the run produced is on disk before Run returns, error or not
 	if err := e.err(); err != nil {
 		return nil, err
 	}
@@ -189,7 +189,7 @@ func newEngine[T any](s *Session, job Job[T], opts Options) *engine[T] {
 	if opts.Mode == Hsync {
 		e.hsync = &hsyncState{}
 	}
-	e.sched = sched[T]{e: e, queue: make(chan *worker[T], p.M), cores: &s.cores}
+	e.sched.e, e.sched.cores = e, &s.cores
 	e.coord.init(p.M, &e.ledger)
 	e.plane = &inproc[T]{e}
 	e.workers = make([]*worker[T], p.M)
@@ -426,15 +426,17 @@ func (c *coordinator) view(self int) (rmin, rmax int32) {
 	return rmin, rmax
 }
 
-// arrive ends a batch's delivery limbo: it is in worker to's inbox,
-// counted after the put so recovery's quiesce cannot clear it too early,
-// and the worker is woken for it.
+// arrive ends a batch's delivery limbo: it lands and wakes its worker.
 func (e *engine[T]) arrive(to int, b batch[T]) {
-	n := int64(len(b.msgs))
-	w := e.workers[to]
-	w.inbox.put(b)
-	e.ledger.Arrived(n)
-	e.sched.wake(w)
+	e.land(to, b)
+	e.sched.wake(e.workers[to])
+}
+
+// land puts batch b in worker to's inbox and then counts it, so
+// recovery's quiesce cannot clear it too early; it wakes nobody.
+func (e *engine[T]) land(to int, b batch[T]) {
+	e.workers[to].inbox.put(b)
+	e.ledger.Arrived(int64(len(b.msgs)))
 }
 
 // drained counts a batch of n messages stamped stamp out of an inbox, and

@@ -144,10 +144,10 @@ func TestChurchRosserSSSP(t *testing.T) {
 	}
 }
 
-// TestRunGoroutinesBoundedByPool: a run's workers are tasks on a pool of
-// GOMAXPROCS executors, so its goroutines do not grow with the worker
-// count — at 32 workers there are the executors and at most two more (a
-// δ hold's expiry firing). Sampled from inside a round of worker 0, with
+// TestRunGoroutinesBoundedByPool: a run's workers are tasks on the
+// Session's executors, at most GOMAXPROCS, so its goroutines do not grow
+// with the worker count — at 32 workers there are the executors and at
+// most two more (a δ hold's expiry firing). Sampled from inside a round of worker 0, with
 // kernels forced unsharded so no shard goroutine adds to the count.
 func TestRunGoroutinesBoundedByPool(t *testing.T) {
 	const m = 32

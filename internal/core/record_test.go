@@ -144,7 +144,7 @@ func TestRecordKeepsSenderRuns(t *testing.T) {
 			from := map[byte]int{'a': a, 'b': b}
 			deliver := func(src, dst int, msgs []VMsg[float64]) {
 				e.ledger.Sent(int64(len(msgs)), 0)
-				e.arrive(dst, batch[float64]{from: int32(src), msgs: slices.Clone(msgs)})
+				e.land(dst, batch[float64]{from: int32(src), msgs: slices.Clone(msgs)})
 			}
 			for i := range tc.arrivals {
 				c := tc.arrivals[i]

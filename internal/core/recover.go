@@ -282,16 +282,17 @@ func (r *recovery[T]) rollback(victim int) {
 		e.ckpt.Reset()
 	}
 
-	// Replay the captured channel state through the normal inbox path.
-	// The copies keep the sealed snapshot intact for a second recovery,
-	// and the ledger (zeroed by coord.reset) counts the replayed batches
-	// like live ones: termination waits for them, and the next epoch
-	// cannot seal before they drain.
+	// Replay the captured channel state through the normal inbox path,
+	// waking nobody: Resume's seed replays before the clock is set, and
+	// every caller wakes all workers afterwards. The copies keep the sealed
+	// snapshot intact for a second recovery, and the ledger (zeroed by
+	// coord.reset) counts the replayed batches like live ones: termination
+	// waits for them, and the next epoch cannot seal before they drain.
 	if snap != nil {
 		for _, f := range snap.InFlight {
 			msgs := append([]VMsg[T](nil), f.Msgs...)
 			e.ledger.Sent(int64(len(msgs)), snap.Epoch)
-			e.arrive(int(f.To), batch[T]{from: f.From, epoch: snap.Epoch, msgs: msgs})
+			e.land(int(f.To), batch[T]{from: f.From, epoch: snap.Epoch, msgs: msgs})
 		}
 	}
 }

@@ -3,13 +3,12 @@ package core
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 	"sync/atomic"
 )
 
-// A worker is a task of the run's one scheduler: idle (waiting for a
-// wake), queued (woken, waiting for an executor) or running (in a step;
+// A worker is a task of the run's one scheduler: idle (until a wake),
+// queued (woken, ready for an executor) or running (in a step;
 // under Simulate also for the virtual length of its round). A wake that
 // finds the task running is kept (rewoken) and handled when it ends.
 const (
@@ -23,88 +22,64 @@ const (
 // its waits into steps, and the four events that wake a worker for its
 // next step — a message arriving (engine.arrive), progress news (sweep),
 // a δ hold or stall expiring, and the end of a recovery. The two drivers
-// differ only in who runs a step: Run drains the queue with a pool of
-// executor goroutines on the wall clock, each holding one of the
-// Session's execution slots while it runs a task, Simulate runs each
-// step inline on its event loop and prices each round on the Timeline.
+// differ only in who runs a step: under Run a woken worker is a task on
+// its Session's executors (cores), which run the ready tasks of all the
+// Session's queries, the queries taking turns, on the wall clock;
+// Simulate runs each step inline on its event loop and prices each
+// round on the Timeline.
 type sched[T any] struct {
-	e *engine[T]
-	// tl is Simulate's timeline; nil under Run, whose executors take
-	// queued tasks from queue. A worker is queued at most once, so the
-	// queue holds at most M and a wake never blocks.
-	tl    Timeline
-	queue chan *worker[T]
-	wg    sync.WaitGroup
-
-	// cores is the Session's compute budget, shared with its other runs;
-	// running counts this run's tasks in a step, which recovery's
+	e     *engine[T]
+	tl    Timeline // Simulate's; nil under Run
+	cores *cores
+	// Every turn holds turns for reading; the run's end takes it for
+	// writing once done is closed, which waits out the last step, and a
+	// later turn cannot take it, so it does nothing.
+	turns sync.RWMutex
+	// running counts the run's tasks in a step, which recovery's
 	// quiesce waits to reach zero.
-	cores   *cores
 	running atomic.Int32
 }
 
-// start launches Run's executors, one per core and never more than
-// workers, and queues every worker for its first step.
-func (s *sched[T]) start() {
-	n := min(runtime.GOMAXPROCS(0), len(s.e.workers))
-	s.wg.Add(n)
-	for range n {
-		go s.exec()
+// turn is one step of worker w on a Session's executor, and reports
+// whether w is due again, which puts it back behind the Session's ready
+// tasks. A turn of a finished run does nothing.
+func (w *worker[T]) turn() bool {
+	s := &w.eng.sched
+	if !s.turns.TryRLock() {
+		return false
 	}
-	s.wakeAll()
-}
-
-// exec is one executor: it runs queued tasks until the run is done,
-// each under one of the Session's execution slots, held from the task's
-// first turn to its last. A task due again right away keeps its
-// executor and slot while no other task waits for either, and otherwise
-// queues behind them.
-func (s *sched[T]) exec() {
-	defer s.wg.Done()
-	for {
-		select {
-		case w := <-s.queue:
-			if !s.cores.acquire(s.e.coord.done) {
-				return
-			}
-			for again := true; again; {
-				again = s.run(w)
-				s.sweep()
-				if again && s.yield() {
-					w.task.Store(taskQueued)
-					s.queue <- w
-					again = false
-				}
-			}
-			s.cores.release()
-		case <-s.e.coord.done:
-			return
-		}
-	}
-}
-
-// yield reports whether a task due again leaves its executor: another
-// task of the run is queued, an executor of any run of the Session waits
-// for a slot, or the run is over.
-func (s *sched[T]) yield() bool {
+	defer s.turns.RUnlock()
 	select {
 	case <-s.e.coord.done:
-		return true
+		return false
 	default:
-		return len(s.queue) > 0 || s.cores.waiting.Load() > 0
 	}
+	again := s.run(w)
+	s.sweep()
+	if again {
+		w.task.Store(taskQueued)
+	}
+	return again
 }
 
-// wake asks for worker w's next step: an idle task is queued (run at
-// once under Simulate), a running one steps again when it ends.
+func (w *worker[T]) owner() any { return w.eng }
+
+// wake asks for worker w's next step: an idle task is handed to the
+// Session's executors (run at once under Simulate), a running one steps
+// again when it ends.
 func (s *sched[T]) wake(w *worker[T]) {
 	for {
 		switch w.task.Load() {
 		case taskIdle:
-			if w.task.CompareAndSwap(taskIdle, taskQueued) {
-				s.dispatch(w)
-				return
+			if !w.task.CompareAndSwap(taskIdle, taskQueued) {
+				continue
 			}
+			if s.tl != nil {
+				s.runInline(w)
+			} else {
+				s.cores.submit(w)
+			}
+			return
 		case taskRunning:
 			if w.task.CompareAndSwap(taskRunning, taskRewoken) {
 				return
@@ -115,24 +90,16 @@ func (s *sched[T]) wake(w *worker[T]) {
 	}
 }
 
-func (s *sched[T]) dispatch(w *worker[T]) {
-	if s.tl != nil {
-		s.runInline(w)
-	} else {
-		s.queue <- w
-	}
-}
-
 // runInline runs task w where it is woken, Simulate's driver.
 func (s *sched[T]) runInline(w *worker[T]) {
 	for s.run(w) {
 	}
 }
 
-// run is one turn of task w: a step, after which the task is idle, due
-// again at once (after a round, or when woken meanwhile: run reports
-// true and the caller runs it again or queues it) or, under Simulate,
-// running until its round's finish event runs it again.
+// run is one step of task w, after which the task is idle, due again at
+// once (after a round, or when woken meanwhile: run reports true and the
+// caller runs it again or hands it back to the executors) or, under
+// Simulate, running until its round's finish event runs it again.
 func (s *sched[T]) run(w *worker[T]) (again bool) {
 	w.task.Store(taskRunning)
 	s.running.Add(1)
@@ -145,12 +112,12 @@ func (s *sched[T]) run(w *worker[T]) (again bool) {
 }
 
 // sweep hands progress news to the workers it concerns: every active
-// one, since relative progress may release a held worker, and, while a
+// one, since relative progress may free a held worker, and, while a
 // snapshot epoch is open, the inactive ones too, which must record it.
 // An inactive worker otherwise ignores progress: its buffer is empty, so
 // news cannot create work for it, and flipping it active would broadcast
 // again from setActive, echo waves that keep the run from terminating.
-// Run's executors sweep after every step, Simulate's loop after every
+// Under Run a turn sweeps after every step, Simulate's loop after every
 // event; every broadcast comes from a step.
 func (s *sched[T]) sweep() {
 	e := s.e
@@ -164,8 +131,8 @@ func (s *sched[T]) sweep() {
 	}
 }
 
-// wakeAll wakes every worker, in worker order: a run's start and the end
-// of a recovery.
+// wakeAll wakes every worker, in worker order: when a run begins and
+// when a recovery ends.
 func (s *sched[T]) wakeAll() {
 	for _, w := range s.e.workers {
 		s.wake(w)

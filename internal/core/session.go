@@ -2,6 +2,7 @@ package core
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -28,15 +29,13 @@ import (
 // Nothing in the engine or the kernels writes to the shared plane after
 // partition.Build returns — queries against one Session are data-race
 // free by construction, which TestSessionConcurrentQueries pins under
-// the race detector. A Session adds no locking to the query path
-// beyond its execution slots, and keeps serving counters. Admission
-// control, batching and deadlines live one layer up, in internal/serve.
+// the race detector. A Session keeps serving counters; admission
+// control and deadlines live one layer up, in internal/serve.
 //
-// Each concurrent query runs its own executors, but all of them share
-// the Session's compute budget (cores), so at most GOMAXPROCS worker
-// steps run at once across the queries and a kernel fans out only onto
-// cores no query is using. serve.WithMaxInflight bounds the runs; the
-// Session bounds the cores.
+// The Session's compute budget (cores) runs every concurrent query's
+// workers on at most GOMAXPROCS executors, so at most GOMAXPROCS worker
+// steps run at once and a kernel fans out only onto cores no query is
+// using. serve.WithMaxInflight bounds the runs; the Session bounds the cores.
 type Session struct {
 	p       *partition.Partitioned
 	started time.Time
@@ -62,40 +61,68 @@ type Session struct {
 // produces no mutating operations on a built Partitioned, so in
 // practice this means not re-slicing the exported border arrays.
 func NewSession(p *partition.Partitioned) *Session {
-	return &Session{p: p, started: time.Now(), cores: cores{slots: make(chan struct{}, runtime.GOMAXPROCS(0))}}
+	return &Session{p: p, started: time.Now(), cores: cores{procs: runtime.GOMAXPROCS(0)}}
 }
 
-// cores is a Session's compute budget. slots holds a token for each
-// executor running a task now, at most GOMAXPROCS (read at NewSession);
-// waiting counts the executors blocked for one, which a task due again
-// yields to; inCompute counts the executors inside a round's compute,
-// which ctx.Shards divides the cores by.
+// cores is a Session's compute budget: the tasks of its queries that
+// are ready to step and at most procs (GOMAXPROCS at NewSession)
+// executor goroutines running them. An executor exits once no task is
+// ready, so an idle Session holds no goroutine. inCompute counts the
+// executors inside a round's compute, which ctx.Shards divides the cores
+// by.
 type cores struct {
-	slots     chan struct{}
-	waiting   atomic.Int32
+	procs     int
 	inCompute atomic.Int32
+
+	mu        sync.Mutex
+	tasks     []task // ready, oldest first
+	last      any    // the owner of the task taken last
+	executors int
 }
 
-// acquire takes an execution slot for a task's turns, or reports false
-// once done closes first. Blocked executors get slots in arrival order.
-func (c *cores) acquire(done <-chan struct{}) bool {
-	select {
-	case c.slots <- struct{}{}:
-		return true
-	default:
+// task is a woken worker of one of the Session's runs, its owner. turn
+// runs one step of it and reports whether it is due again.
+type task interface {
+	turn() bool
+	owner() any
+}
+
+// submit appends t to the ready tasks, and starts an executor unless
+// procs of them are running.
+func (c *cores) submit(t task) {
+	c.mu.Lock()
+	c.tasks = append(c.tasks, t)
+	spawn := c.executors < c.procs
+	if spawn {
+		c.executors++
 	}
-	c.waiting.Add(1)
-	defer c.waiting.Add(-1)
-	select {
-	case c.slots <- struct{}{}:
-		return true
-	case <-done:
-		return false
+	c.mu.Unlock()
+	if spawn {
+		go c.executor()
 	}
 }
 
-// release hands back the slot acquire took.
-func (c *cores) release() { <-c.slots }
+// executor runs ready tasks until none is left. It takes the oldest of a
+// run other than the one last taken, if there is one, else the oldest,
+// so concurrent queries take turns on the executors; a task due again
+// goes back behind the ready ones.
+func (c *cores) executor() {
+	c.mu.Lock()
+	for len(c.tasks) > 0 {
+		i := max(0, slices.IndexFunc(c.tasks, func(t task) bool { return t.owner() != c.last }))
+		t := c.tasks[i]
+		c.tasks, c.last = slices.Delete(c.tasks, i, i+1), t.owner()
+		c.mu.Unlock()
+		again := t.turn()
+		c.mu.Lock()
+		if again {
+			c.tasks = append(c.tasks, t)
+		}
+	}
+	c.last = nil // keeps no finished run reachable
+	c.executors--
+	c.mu.Unlock()
+}
 
 // Partitioned returns the shared read-only partitioned graph.
 func (s *Session) Partitioned() *partition.Partitioned { return s.p }
@@ -204,9 +231,9 @@ func arenaBytes[T any](p *partition.Partitioned, job *Job[T]) int64 {
 		}
 		per = job.Bytes(v)
 	}
-	slots := 0
+	nSlots := 0
 	for _, f := range p.Frags {
-		slots += f.Slots()
+		nSlots += f.Slots()
 	}
-	return int64(per) * int64(slots+p.G.NumVertices())
+	return int64(per) * int64(nSlots+p.G.NumVertices())
 }

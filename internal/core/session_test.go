@@ -34,8 +34,8 @@ import (
 // and CC bit-identical (unique exact-min fixpoints), PageRank within
 // 1e-4 relative (AAP scheduling reorders its sum), at forced kernel
 // shards {1, 2, 4}. The procs=2 case has more queries than cores and
-// more fragments than cores, so the queries' executors contend for the
-// Session's execution slots and hand them to each other.
+// more fragments than cores, so the queries' workers take turns on the
+// Session's executors.
 func TestSessionConcurrentQueriesMatchSerial(t *testing.T) {
 	concurrentQueriesMatchSerial(t, 3)
 	t.Run("procs=2,M=8", func(t *testing.T) {
