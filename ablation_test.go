@@ -25,7 +25,7 @@ func BenchmarkAblationLFloor(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		out := "PageRank on friendster-sim, 16 workers, AAP with varying L⊥\n"
 		for _, lf := range []int{0, 4, 10, 16} {
-			res, err := sim.Run(p, pagerank.Job(pagerank.Config{Tol: 1e-4}), sim.Config{Mode: core.AAP, LFloor: lf})
+			res, err := sim.Run(p, pagerank.Job(pagerank.Config{Tol: 1e-4}), sim.Config{Options: core.Options{Mode: core.AAP, LFloor: lf}})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -53,7 +53,7 @@ func BenchmarkAblationPartitioner(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			res, err := sim.Run(p, sssp.Job(ds.Source), sim.Config{Mode: core.AAP})
+			res, err := sim.Run(p, sssp.Job(ds.Source), sim.Config{Options: core.Options{Mode: core.AAP}})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -77,11 +77,11 @@ func BenchmarkAblationIncEval(b *testing.B) {
 		b.Fatal(err)
 	}
 	for i := 0; i < b.N; i++ {
-		pie, err := sim.Run(p, sssp.Job(ds.Source), sim.Config{Mode: core.AAP})
+		pie, err := sim.Run(p, sssp.Job(ds.Source), sim.Config{Options: core.Options{Mode: core.AAP}})
 		if err != nil {
 			b.Fatal(err)
 		}
-		vc, err := sim.Run(p, vcentric.Job(vcentric.SSSPProgram{Source: ds.Source}), sim.Config{Mode: core.AAP})
+		vc, err := sim.Run(p, vcentric.Job(vcentric.SSSPProgram{Source: ds.Source}), sim.Config{Options: core.Options{Mode: core.AAP}})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -172,7 +172,7 @@ func BenchmarkSimulatorPageRank(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sim.Run(p, pagerank.Job(pagerank.Config{Tol: 1e-4}), sim.Config{Mode: core.AAP}); err != nil {
+		if _, err := sim.Run(p, pagerank.Job(pagerank.Config{Tol: 1e-4}), sim.Config{Options: core.Options{Mode: core.AAP}}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -78,7 +78,7 @@ func main() {
 		speed[*straggler] = *slow
 	}
 	for _, m := range []core.Mode{core.AAP, core.BSP, core.AP, core.SSP} {
-		cfg := sim.Config{Mode: m, Speed: speed, Trace: true, Staleness: 2}
+		cfg := sim.Config{Options: core.Options{Mode: m, Staleness: 2}, Speed: speed, Trace: true}
 		var trace []sim.Interval
 		var seconds float64
 		switch *algo {

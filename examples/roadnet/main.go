@@ -32,7 +32,7 @@ func main() {
 
 	var aapTrace []sim.Interval
 	for _, mode := range []core.Mode{core.AAP, core.BSP, core.AP, core.SSP} {
-		res, err := sim.Run(p, sssp.Job(0), sim.Config{Mode: mode, Staleness: 2, Trace: mode == core.AAP})
+		res, err := sim.Run(p, sssp.Job(0), sim.Config{Options: core.Options{Mode: mode, Staleness: 2}, Trace: mode == core.AAP})
 		if err != nil {
 			log.Fatal(err)
 		}

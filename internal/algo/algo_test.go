@@ -283,7 +283,7 @@ func TestSSSPOnSimulatorMatchesEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	simres, err := sim.Run(p, sssp.Job(0), sim.Config{Mode: core.AAP})
+	simres, err := sim.Run(p, sssp.Job(0), sim.Config{Options: core.Options{Mode: core.AAP}})
 	if err != nil {
 		t.Fatal(err)
 	}

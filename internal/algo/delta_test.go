@@ -371,7 +371,7 @@ func TestSSSPRejectsBadWeights(t *testing.T) {
 		} else if !strings.Contains(err.Error(), "must be positive") {
 			t.Fatalf("weight %v: unhelpful error %q", bad, err)
 		}
-		if _, err := sim.Run(p, sssp.Job(0), sim.Config{Mode: core.AAP}); err == nil {
+		if _, err := sim.Run(p, sssp.Job(0), sim.Config{Options: core.Options{Mode: core.AAP}}); err == nil {
 			t.Fatalf("simulator accepted weight %v", bad)
 		}
 	}

@@ -537,7 +537,7 @@ func TestPageRankSnapshotResumesAcrossBlocks(t *testing.T) {
 // and returns the assembled values.
 func simValues[T any](t *testing.T, p *partition.Partitioned, job core.Job[T]) []T {
 	t.Helper()
-	res, err := sim.Run(p, job, sim.Config{Mode: core.AAP})
+	res, err := sim.Run(p, job, sim.Config{Options: core.Options{Mode: core.AAP}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -107,7 +107,6 @@ func run[T any](s *Session, job Job[T], opts Options, rs *resumeState[T]) (*Resu
 		return nil, err
 	}
 
-	e.clock = wallClock{time.Now()}
 	e.sched.wakeAll()
 
 	timer := time.NewTimer(opts.Deadline)
@@ -119,8 +118,7 @@ func run[T any](s *Session, job Job[T], opts Options, rs *resumeState[T]) (*Resu
 		deadlined = true
 		e.coord.forceDone()
 	}
-	e.sched.turns.Lock() // the last step is over: the workers' stats are final
-	e.recov.stop()       // a mid-flight rollback mutates worker state
+	e.sched.turns.Lock() // the last step and recovery are over: the workers' stats are final
 	e.tee.stop()         // every seal the run produced is on disk before Run returns, error or not
 	if err := e.err(); err != nil {
 		return nil, err
@@ -185,6 +183,7 @@ func newEngine[T any](s *Session, job Job[T], opts Options) *engine[T] {
 		opts:       opts,
 		pool:       sessionPool[T](s),
 		roundTimes: make([]uint64, p.M),
+		clock:      wallClock{time.Now()},
 	}
 	if opts.Mode == Hsync {
 		e.hsync = &hsyncState{}
@@ -437,6 +436,7 @@ func (e *engine[T]) arrive(to int, b batch[T]) {
 func (e *engine[T]) land(to int, b batch[T]) {
 	e.workers[to].inbox.put(b)
 	e.ledger.Arrived(int64(len(b.msgs)))
+	e.recov.settle()
 }
 
 // drained counts a batch of n messages stamped stamp out of an inbox, and

@@ -7,6 +7,7 @@ import (
 	"math"
 	"regexp"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -332,5 +333,47 @@ func TestDeadlinePartialResult(t *testing.T) {
 	}
 	if res.Stats.Seconds <= 0 {
 		t.Errorf("partial result missing stats")
+	}
+}
+
+// TestUnquiescedRecoveryEndsAtDeadline: a worker killed while every batch
+// is delayed past the deadline waits for a quiescence that never comes
+// before the deadline. Run returns there, with no recovery, and the late
+// landings after it start no rollback: with no sealed snapshot, one would
+// rebuild every Program.
+func TestUnquiescedRecoveryEndsAtDeadline(t *testing.T) {
+	g := gen.PowerLaw(300, 5, 2.1, true, 4)
+	p := mustPartition(t, g, 4, partition.Hash{})
+	var built atomic.Int64
+	job := sssp.Job(0)
+	newProg := job.New
+	job.New = func(f *partition.Fragment) core.Program[float64] {
+		built.Add(1)
+		return newProg(f)
+	}
+	const deadline, delay = 200 * time.Millisecond, 600 * time.Millisecond
+	t0 := time.Now()
+	res, err := core.Run(p, job, core.Options{
+		Mode:     core.AAP,
+		Deadline: deadline,
+		Faults: &core.Faults{
+			Kill:      &core.KillSpec{Worker: 1, Round: 0},
+			DelayProb: 1,
+			DelayBy:   delay,
+		},
+	})
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("want context.DeadlineExceeded, got %v", err)
+	}
+	if took := time.Since(t0); took >= delay {
+		t.Fatalf("Run returned after %v, past the %v delay: it waited for the landings", took, delay)
+	}
+	if res.Stats.Recoveries != 0 {
+		t.Fatalf("recoveries = %d with every batch still in flight, want 0", res.Stats.Recoveries)
+	}
+	n := built.Load()
+	time.Sleep(delay + 200*time.Millisecond - time.Since(t0))
+	if got := built.Load(); got != n {
+		t.Fatalf("a rollback ran after Run returned: %d Programs built, then %d", n, got)
 	}
 }

@@ -43,9 +43,9 @@ type TransportOptions struct {
 	SuspectAfter   time.Duration
 	DeadAfter      time.Duration
 	// Supervisor, when set, owns the remote hosts' lifecycle: when the
-	// failure detector declares a host dead, the recovery goroutine asks
-	// it (with the run quiesced) to respawn the process under its
-	// restart policy. A granted respawn is waited out via the
+	// failure detector declares a host dead, the recovery event asks it
+	// (with the run quiesced) to respawn the process under its restart
+	// policy. A granted respawn is waited out via the
 	// incarnation handshake and the worker rejoins; a refusal (budget
 	// exhausted) fails the worker back to a local Program.
 	// internal/supervise.Supervisor implements this.
@@ -59,9 +59,8 @@ type TransportOptions struct {
 // RespawnPolicy is the supervision hook recovery consults for each dead
 // remote host: it returns the incarnation a replacement process is
 // being launched as, or ok=false when the restart budget is exhausted
-// and the worker must fail back locally. Called on the recovery
-// goroutine with the run quiesced; it may block (backoff, process
-// launch).
+// and the worker must fail back locally. Called by the recovery event
+// with the run quiesced; it may block (backoff, process launch).
 type RespawnPolicy interface {
 	Respawn(worker int) (incarnation uint64, ok bool)
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -59,16 +58,23 @@ type CheckpointOptions struct {
 // their state.
 type recovery[T any] struct {
 	e     *engine[T]
-	pause atomic.Bool // set while a recovery is in progress
-	wg    sync.WaitGroup
+	pause atomic.Pointer[pauseReq] // the recovery in progress; nil when none
 
-	recoveries    atomic.Int64
-	recoveryNanos atomic.Int64
+	recoveries      atomic.Int64
+	recoverySeconds float64 // written by the recovery event, which holds turns
 	// The ladder's rungs.
 	restarts      atomic.Int64
 	rejoinNanos   atomic.Int64
 	failbacks     atomic.Int64
 	freshRestarts atomic.Int64
+}
+
+// pauseReq is one recovery's request: its victim, the clock reading it
+// was made at, and whether a settle has claimed it.
+type pauseReq struct {
+	victim  int
+	at      float64
+	claimed atomic.Bool
 }
 
 // newRecovery switches the plane on for a run that checkpoints (every
@@ -93,13 +99,6 @@ func newRecovery[T any](e *engine[T]) (*recovery[T], error) {
 	return &recovery[T]{e: e}, nil
 }
 
-// stop waits out a rollback in flight.
-func (r *recovery[T]) stop() {
-	if r != nil {
-		r.wg.Wait()
-	}
-}
-
 // report fills the fault-tolerance and supervision sections of RunStats.
 func (r *recovery[T]) report(s *RunStats) {
 	if r == nil {
@@ -110,50 +109,60 @@ func (r *recovery[T]) report(s *RunStats) {
 		s.CheckpointBytes = ckpt.SealedBytes()
 	}
 	s.Recoveries = r.recoveries.Load()
-	s.RecoverySeconds = float64(r.recoveryNanos.Load()) / 1e9
+	s.RecoverySeconds = r.recoverySeconds
 	s.Restarts = r.restarts.Load()
 	s.RejoinSeconds = float64(r.rejoinNanos.Load()) / 1e9
 	s.Failbacks = r.failbacks.Load()
 	s.FreshRestarts = r.freshRestarts.Load()
 }
 
-// request starts a recovery for the death of worker victim; redundant
-// requests while one is in progress are ignored.
+// request asks for a recovery from the death of worker victim and
+// settles; redundant requests while one is in progress are ignored.
 func (r *recovery[T]) request(victim int) {
-	if !r.pause.CompareAndSwap(false, true) {
-		return
+	if r.pause.CompareAndSwap(nil, &pauseReq{victim: victim, at: r.e.clock.Now()}) {
+		r.settle()
 	}
-	r.wg.Add(1)
-	go func() {
-		defer r.wg.Done()
-		r.recover(victim)
-	}()
 }
 
-// recover quiesces the engine, rolls back to the last sealed snapshot,
-// and resumes. Quiescence means pause is set and no task is in a step
-// (a step that starts now sees pause and does nothing), and every sent
-// message has landed in an inbox (nothing in flight on the ledger), so
-// no message can materialize while state is rewritten.
-func (r *recovery[T]) recover(victim int) {
-	e := r.e
-	t0 := time.Now()
-	for {
-		if e.sched.running.Load() == 0 && !e.ledger.InFlight() {
-			break
-		}
-		select {
-		case <-e.coord.done:
-			r.finish()
+// settle claims the requested recovery once the engine is quiescent —
+// pause set, no task in a step or (under Simulate) a round, nothing in
+// flight on the ledger — and runs it as one event on the run's clock.
+// A request, a step's end and a landing settle. Tasks are read before the
+// ledger: a step counts its sends before it leaves taskRunning. The claim
+// is the request's, so a stale settle cannot claim it twice; the event
+// holds turns like a step, so the run's end waits it out or voids it.
+func (r *recovery[T]) settle() {
+	if r == nil {
+		return
+	}
+	e, p := r.e, r.pause.Load()
+	if p == nil || p.claimed.Load() {
+		return
+	}
+	for _, w := range e.workers {
+		if t := w.task.Load(); t == taskRunning || t == taskRewoken {
 			return
-		case <-time.After(100 * time.Microsecond):
 		}
 	}
-	r.superviseDead()
-	r.rollback(victim)
-	r.recoveries.Add(1)
-	r.recoveryNanos.Add(time.Since(t0).Nanoseconds())
-	r.finish()
+	if e.ledger.InFlight() || !p.claimed.CompareAndSwap(false, true) {
+		return
+	}
+	e.clock.After(0, func() {
+		if !e.sched.turns.TryRLock() {
+			return
+		}
+		defer e.sched.turns.RUnlock()
+		select {
+		case <-e.coord.done:
+			return
+		default:
+		}
+		r.superviseDead()
+		r.rollback(p.victim)
+		r.recoveries.Add(1)
+		r.recoverySeconds += e.clock.Now() - p.at
+		r.finish()
+	})
 }
 
 // superviseDead is the self-healing ladder's first rung, running with
@@ -197,7 +206,7 @@ func (r *recovery[T]) superviseDead() {
 
 // finish re-arms the manager and wakes every worker.
 func (r *recovery[T]) finish() {
-	r.pause.Store(false)
+	r.pause.Store(nil)
 	r.e.sched.wakeAll()
 }
 
@@ -283,8 +292,8 @@ func (r *recovery[T]) rollback(victim int) {
 	}
 
 	// Replay the captured channel state through the normal inbox path,
-	// waking nobody: Resume's seed replays before the clock is set, and
-	// every caller wakes all workers afterwards. The copies keep the sealed
+	// waking nobody: Resume's seed replays before the run wakes its
+	// workers, and every caller wakes all workers afterwards. The copies keep the sealed
 	// snapshot intact for a second recovery, and the ledger (zeroed by
 	// coord.reset) counts the replayed batches like live ones: termination
 	// waits for them, and the next epoch cannot seal before they drain.

@@ -59,9 +59,9 @@ func (rp *remoteProg[T]) markDead() { rp.dead.Store(true) }
 func (rp *remoteProg[T]) alive() bool { return !rp.dead.Load() }
 
 // rejoin rearms a proxy whose host was respawned: the new incarnation
-// has completed its handshake, so calls may flow again. Called on the
-// recovery goroutine with the run quiesced — no call is in flight, and
-// the rollback that follows restores the Program over RPC.
+// has completed its handshake, so calls may flow again. Called by the
+// recovery event with the run quiesced — no call is in flight, and the
+// rollback that follows restores the Program over RPC.
 func (rp *remoteProg[T]) rejoin() {
 	rp.dead.Store(false)
 	rp.collected = nil

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
 )
 
 // A worker is a task of the run's one scheduler: idle (until a wake),
@@ -31,13 +30,10 @@ type sched[T any] struct {
 	e     *engine[T]
 	tl    Timeline // Simulate's; nil under Run
 	cores *cores
-	// Every turn holds turns for reading; the run's end takes it for
-	// writing once done is closed, which waits out the last step, and a
-	// later turn cannot take it, so it does nothing.
+	// Every turn and recovery event holds turns for reading; the run's
+	// end takes it for writing once done is closed, which waits out the
+	// last of them, and a later one cannot take it, so it does nothing.
 	turns sync.RWMutex
-	// running counts the run's tasks in a step, which recovery's
-	// quiesce waits to reach zero.
-	running atomic.Int32
 }
 
 // turn is one step of worker w on a Session's executor, and reports
@@ -101,10 +97,9 @@ func (s *sched[T]) runInline(w *worker[T]) {
 // caller runs it again or hands it back to the executors) or, under
 // Simulate, running until its round's finish event runs it again.
 func (s *sched[T]) run(w *worker[T]) (again bool) {
+	defer s.e.recov.settle() // the step's end may be the quiescence a recovery waits for
 	w.task.Store(taskRunning)
-	s.running.Add(1)
 	round := s.step(w)
-	s.running.Add(-1)
 	if round && s.tl != nil {
 		return false
 	}
@@ -152,7 +147,7 @@ func (s *sched[T]) step(w *worker[T]) (round bool) {
 			round = false
 		}
 	}()
-	if e.recov != nil && e.recov.pause.Load() {
+	if e.recov != nil && e.recov.pause.Load() != nil {
 		return false // quiesced: the recovery's end wakes every worker
 	}
 	if w.stalled.Load() {

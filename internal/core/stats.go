@@ -33,7 +33,7 @@ type RunStats struct {
 	Checkpoints     int64   // snapshot epochs sealed
 	CheckpointBytes int64   // cumulative serialized state bytes across sealed snapshots
 	Recoveries      int64   // rollback-and-resume cycles executed
-	RecoverySeconds float64 // wall time spent quiesced in recovery
+	RecoverySeconds float64 // time quiesced in recovery, on the run's clock: virtual under Simulate
 
 	// Self-healing supervision accounting: the failure ladder is
 	// respawn+rejoin → (budget exhausted) local failback → (no snapshot

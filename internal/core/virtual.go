@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"aap/internal/partition"
 )
@@ -48,16 +49,25 @@ func newVirtual[T any](s *Session, job Job[T], opts Options, tl Timeline) *engin
 }
 
 // Simulate runs job over p in virtual time: the same workers, controllers,
-// coordinator and scheduler as Run, each step run inline by one event
-// loop on tl's clock, one kernel at a time and unsharded. It is the
-// engine behind internal/sim. Of opts it reads Mode, Staleness, LFloor
-// and MaxRounds; checkpoints, faults and the wire plane are not modeled.
+// coordinator, scheduler and recovery plane as Run, each step run inline
+// by one event loop on tl's clock, one kernel at a time and unsharded. It
+// is the engine behind internal/sim. Checkpoints and worker and delivery
+// faults replay exactly; options it cannot model fail, naming the field.
 func Simulate[T any](p *partition.Partitioned, job Job[T], opts Options, tl Timeline) (*Result[T], error) {
+	f := opts.Faults
+	unmodeled := []bool{opts.Checkpoint.Dir != "", opts.Transport != nil, f != nil && len(f.Partitions) > 0, f != nil && f.Disk != nil, opts.Deadline != 0}
+	if i := slices.Index(unmodeled, true); i >= 0 {
+		return nil, fmt.Errorf("core: Simulate cannot model Options.%s", [...]string{"Checkpoint.Dir", "Transport", "Faults.Partitions", "Faults.Disk", "Deadline"}[i])
+	}
 	s := NewSession(p)
 	if err := validate(s, &job); err != nil {
 		return nil, err
 	}
 	e := newVirtual(s, job, opts, tl)
+	var err error
+	if e.recov, err = newRecovery(e); err != nil {
+		return nil, err
+	}
 	e.sched.wakeAll() // every PEval starts, inline, in worker order
 	// One goroutine: coord.finished needs no lock here.
 	for !e.coord.finished && tl.Next() {
@@ -71,5 +81,7 @@ func Simulate[T any](p *partition.Partitioned, job Job[T], opts Options, tl Time
 			return nil, fmt.Errorf("core: %s/%s deadlock: worker %d stuck with %d buffered messages", job.Name, opts.Mode, w.id, len(w.buffer))
 		}
 	}
-	return &Result[T]{Values: e.values(), Stats: e.report(tl.Now())}, nil
+	stats := e.report(tl.Now())
+	e.recov.report(&stats)
+	return &Result[T]{Values: e.values(), Stats: stats}, nil
 }

@@ -72,12 +72,12 @@ func SimModes[T any](p *partition.Partitioned, job core.Job[T], base sim.Config,
 	var rows []Row
 	for _, m := range Modes() {
 		cfg := base
-		cfg.Mode = m
+		cfg.Options.Mode = m
 		if m == core.SSP || m == core.AAP {
-			cfg.Staleness = staleness
+			cfg.Options.Staleness = staleness
 		}
 		if m == core.SSP && staleness == 0 {
-			cfg.Staleness = 2
+			cfg.Options.Staleness = 2
 		}
 		name := "GRAPE+ (" + m.String() + ")"
 		if m == core.AAP {
@@ -174,14 +174,12 @@ func Fig1() (string, error) {
 	out.WriteString("Figure 1: CC on the Fig 1(b) graph; P1,P2 = 3u/round, P3 = 6u, latency 1u\n\n")
 	for _, m := range Modes() {
 		cfg := sim.Config{
-			Mode:          m,
-			Staleness:     1, // the paper's SSP run uses c = 1
+			Options:       core.Options{Mode: m, Staleness: 1, LFloor: 2}, // the paper's SSP run uses c = 1
 			RoundOverhead: 3,
 			WorkUnitCost:  0.25, // stale propagation costs real time
 			MsgLatency:    1,
 			Speed:         []float64{1, 1, 2},
 			Trace:         true,
-			LFloor:        2,
 		}
 		res, err := sim.Run(p, cc.Job(), cfg)
 		if err != nil {
@@ -338,9 +336,9 @@ func Fig6ScaleUp(algo string, workerCounts []int) (string, error) {
 		var row Row
 		switch algo {
 		case "sssp":
-			row, err = simRun("AAP", p, sssp.Job(ds.Source), sim.Config{Mode: core.AAP})
+			row, err = simRun("AAP", p, sssp.Job(ds.Source), sim.Config{Options: core.Options{Mode: core.AAP}})
 		case "pagerank":
-			row, err = simRun("AAP", p, pagerank.Job(pagerank.Config{Tol: 1e-4}), sim.Config{Mode: core.AAP})
+			row, err = simRun("AAP", p, pagerank.Job(pagerank.Config{Tol: 1e-4}), sim.Config{Options: core.Options{Mode: core.AAP}})
 		default:
 			err = fmt.Errorf("harness: unknown algo %q", algo)
 		}
@@ -450,9 +448,9 @@ func Fig7() (string, error) {
 	var out strings.Builder
 	out.WriteString("Figure 7: PageRank, 32 workers, P12 is a 4x straggler\n\n")
 	for _, m := range Modes() {
-		cfg := sim.Config{Mode: m, Speed: speed, Trace: true, LFloor: 4}
+		cfg := sim.Config{Options: core.Options{Mode: m, LFloor: 4}, Speed: speed, Trace: true}
 		if m == core.SSP {
-			cfg.Staleness = 5 // the paper's c = 5 run
+			cfg.Options.Staleness = 5 // the paper's c = 5 run
 		}
 		res, err := sim.Run(p, pagerank.Job(pagerank.Config{Tol: 1e-4}), cfg)
 		if err != nil {
@@ -486,11 +484,11 @@ func CFCase() (string, error) {
 	out.WriteString("\nAAP robustness to the staleness bound c:\n")
 	fmt.Fprintf(&out, "%-6s %12s %12s\n", "c", "AAP time", "SSP time")
 	for _, c := range []int{2, 8, 32} {
-		ra, err := simRun("AAP", p, cf.Job(cfg), sim.Config{Mode: core.AAP, Staleness: c})
+		ra, err := simRun("AAP", p, cf.Job(cfg), sim.Config{Options: core.Options{Mode: core.AAP, Staleness: c}})
 		if err != nil {
 			return "", err
 		}
-		rs, err := simRun("SSP", p, cf.Job(cfg), sim.Config{Mode: core.SSP, Staleness: c})
+		rs, err := simRun("SSP", p, cf.Job(cfg), sim.Config{Options: core.Options{Mode: core.SSP, Staleness: c}})
 		if err != nil {
 			return "", err
 		}

@@ -283,8 +283,9 @@ func FuzzRPCRequest(f *testing.F) {
 
 // TestRPCRequestBounds: the serving plane fails closed on request size.
 // A request with bytes after its arguments is refused, naming the op and
-// the extra count; a frame past the plane's request cap drops its
-// sender's connection before anything is allocated for it, while another
+// the extra count; a frame past the plane's request cap fences its
+// sender's link before anything is allocated for it — the call fails
+// with the link dead and nothing more is written — while another
 // client's SSSP is answered. At the parent commit both requests were
 // served — the frame cap was the transport's 64 MiB.
 func TestRPCRequestBounds(t *testing.T) {
@@ -315,24 +316,21 @@ func TestRPCRequestBounds(t *testing.T) {
 		t.Fatalf("opCC with 1 KiB after it: %v, want the refusal naming op 2 and +1024 bytes", err)
 	}
 
-	// The server drops the connection at the frame's length prefix; the
-	// rogue's link redials and writes the frame again, and is dropped
-	// again, until the rogue gives up.
+	// The server fences the link at the frame's length prefix: the
+	// rogue's redials are refused, and its call fails with the link dead
+	// instead of the frame being written again and again.
 	sent := rogue.Stats().WireBytesOut
-	unanswered := make(chan error, 1)
-	go func() {
-		_, err := rogue.Call(rogueID, serverEndpoint, padded(oversize), 20*time.Second, nil)
-		unanswered <- err
-	}()
-	deadline := time.After(10 * time.Second)
-	for rogue.Stats().WireBytesOut-sent < 2*oversize {
-		select {
-		case err := <-unanswered:
-			t.Fatalf("oversize request: %v, want no answer", err)
-		case <-deadline:
-			t.Fatal("the oversize frame was never written twice: the server kept the connection")
-		case <-time.After(time.Millisecond):
-		}
+	_, err = rogue.Call(rogueID, serverEndpoint, padded(oversize), 20*time.Second, nil)
+	if err == nil || errors.As(err, &refused) || !strings.Contains(err.Error(), "link 11 dead") {
+		t.Fatalf("oversize request: %v, want the call failed with link 11 dead", err)
+	}
+	out := rogue.Stats().WireBytesOut
+	if out-sent > 2*oversize {
+		t.Fatalf("the rogue wrote %d bytes for one %d-byte request", out-sent, oversize)
+	}
+	time.Sleep(50 * time.Millisecond)
+	if got := rogue.Stats().WireBytesOut; got != out {
+		t.Fatalf("the rogue kept writing after its call failed: %d bytes, then %d", out, got)
 	}
 	c, err := DialRPC(rs.Addr(), 12, 20*time.Second)
 	if err != nil {
@@ -341,10 +339,6 @@ func TestRPCRequestBounds(t *testing.T) {
 	defer c.Close()
 	if _, _, err := c.SSSP(0); err != nil {
 		t.Fatalf("the other client's SSSP: %v", err)
-	}
-	rogue.Close()
-	if err := <-unanswered; err == nil || errors.As(err, &refused) {
-		t.Fatalf("oversize request: %v, want it unanswered", err)
 	}
 }
 

@@ -22,10 +22,9 @@ import (
 
 // Config parameterizes a simulated run.
 type Config struct {
-	// Mode, Staleness and LFloor mirror core.Options.
-	Mode      core.Mode
-	Staleness int
-	LFloor    int
+	// Options configures the engine, checkpoints and fault plan included;
+	// core.Simulate refuses what virtual time cannot model.
+	Options core.Options
 
 	// RoundOverhead is the fixed virtual seconds per round, and
 	// WorkUnitCost the virtual seconds per unit of work reported through
@@ -41,9 +40,6 @@ type Config struct {
 	// 2 = twice as slow — a straggler). Nil means all 1; otherwise one
 	// positive finite factor per worker.
 	Speed []float64
-
-	// MaxRounds aborts runaway computations. Default 1 << 20.
-	MaxRounds int32
 	// Trace records per-round intervals for timing diagrams.
 	Trace bool
 }
@@ -89,8 +85,7 @@ func Run[T any](p *partition.Partitioned, job core.Job[T], cfg Config) (*Result[
 		}
 	}
 	tl := &timeline{cfg: cfg}
-	opts := core.Options{Mode: cfg.Mode, Staleness: cfg.Staleness, LFloor: cfg.LFloor, MaxRounds: cfg.MaxRounds}
-	res, err := core.Simulate(p, job, opts, tl)
+	res, err := core.Simulate(p, job, cfg.Options, tl)
 	if err != nil {
 		return nil, err
 	}

@@ -4,19 +4,22 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"aap/internal/algo/pagerank"
 	"aap/internal/algo/sssp"
+	"aap/internal/checkpoint"
 	"aap/internal/core"
 	"aap/internal/gen"
 	"aap/internal/partition"
 	"aap/internal/sim"
+	"aap/internal/transport"
 )
 
 func TestSimMaxRoundsAborts(t *testing.T) {
 	g := gen.Grid(10, 10, 3)
 	p := mustPartition(t, g, 4, partition.Hash{})
-	_, err := sim.Run(p, pagerank.Job(pagerank.Config{Tol: 1e-12}), sim.Config{Mode: core.AP, MaxRounds: 2})
+	_, err := sim.Run(p, pagerank.Job(pagerank.Config{Tol: 1e-12}), sim.Config{Options: core.Options{Mode: core.AP, MaxRounds: 2}})
 	if err == nil {
 		t.Fatal("expected max-rounds error")
 	}
@@ -33,7 +36,7 @@ func TestSimBadSpeedFailsClosed(t *testing.T) {
 		"Speed[0] = NaN":          {math.NaN(), 1, 1, 1},
 		"Speed[2] = +Inf":         {1, 1, math.Inf(1), 1},
 	} {
-		_, err := sim.Run(p, sssp.Job(0), sim.Config{Mode: core.AAP, Speed: speed})
+		_, err := sim.Run(p, sssp.Job(0), sim.Config{Options: core.Options{Mode: core.AAP}, Speed: speed})
 		if err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("Speed %v: error %v, want one naming %q", speed, err, want)
 		}
@@ -43,7 +46,7 @@ func TestSimBadSpeedFailsClosed(t *testing.T) {
 func TestSimSingleWorker(t *testing.T) {
 	g := gen.Grid(10, 10, 5)
 	p := mustPartition(t, g, 1, partition.Hash{})
-	res, err := sim.Run(p, sssp.Job(0), sim.Config{Mode: core.AAP})
+	res, err := sim.Run(p, sssp.Job(0), sim.Config{Options: core.Options{Mode: core.AAP}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +64,7 @@ func TestSimSpeedScalesStragglerTime(t *testing.T) {
 	g := gen.PowerLaw(1000, 6, 2.1, true, 37)
 	p := mustPartition(t, g, 4, partition.Range{})
 	busy := func(slow float64) float64 {
-		res, err := sim.Run(p, sssp.Job(0), sim.Config{Mode: core.BSP, Speed: []float64{slow, 1, 1, 1}})
+		res, err := sim.Run(p, sssp.Job(0), sim.Config{Options: core.Options{Mode: core.BSP}, Speed: []float64{slow, 1, 1, 1}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,7 +80,7 @@ func TestSimSpeedScalesStragglerTime(t *testing.T) {
 func TestSimIdlePlusBusyEqualsMakespan(t *testing.T) {
 	g := gen.PowerLaw(500, 5, 2.1, true, 41)
 	p := mustPartition(t, g, 6, partition.Hash{})
-	res, err := sim.Run(p, sssp.Job(0), sim.Config{Mode: core.AAP})
+	res, err := sim.Run(p, sssp.Job(0), sim.Config{Options: core.Options{Mode: core.AAP}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +110,7 @@ func TestSimStalenessBoundRespected(t *testing.T) {
 	g := gen.PowerLaw(800, 6, 2.1, false, 43)
 	p := mustPartition(t, g, 4, partition.Hash{})
 	res, err := sim.Run(p, pagerank.Job(pagerank.Config{Tol: 1e-6}), sim.Config{
-		Mode: core.SSP, Staleness: c, Speed: []float64{2.5, 1, 1, 1}, Trace: true,
+		Options: core.Options{Mode: core.SSP, Staleness: c}, Speed: []float64{2.5, 1, 1, 1}, Trace: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -148,4 +151,24 @@ func TestSimStalenessBoundRespected(t *testing.T) {
 		t.Fatalf("no round started %d ahead with all %d workers active: the bound never bound", c, p.M)
 	}
 	t.Logf("%d of %d rounds started at the bound with every worker active", binds, len(evs))
+}
+
+// TestSimRefusesWhatItCannotModel: options virtual time cannot play out —
+// a durable directory, a transport, link partitions, a disk seam, a wall
+// deadline — fail the run with an error naming the field instead of being
+// ignored.
+func TestSimRefusesWhatItCannotModel(t *testing.T) {
+	p := mustPartition(t, gen.Grid(6, 6, 3), 2, partition.Hash{})
+	for field, opts := range map[string]core.Options{
+		"Checkpoint.Dir":    {Checkpoint: core.CheckpointOptions{Dir: t.TempDir()}},
+		"Transport":         {Transport: &core.TransportOptions{TCP: true}},
+		"Faults.Partitions": {Faults: &core.Faults{Partitions: []transport.Window{{Link: 0, For: time.Second}}}},
+		"Faults.Disk":       {Faults: &core.Faults{Disk: checkpoint.OsFS()}},
+		"Deadline":          {Deadline: time.Minute},
+	} {
+		_, err := sim.Run(p, sssp.Job(0), sim.Config{Options: opts})
+		if err == nil || !strings.Contains(err.Error(), "Options."+field) {
+			t.Errorf("%s: error %v, want one naming Options.%s", field, err, field)
+		}
+	}
 }

@@ -32,7 +32,7 @@ func TestSimSSSPCorrectAllModes(t *testing.T) {
 	p := mustPartition(t, g, 6, partition.Hash{})
 	for _, mode := range []core.Mode{core.AAP, core.BSP, core.AP, core.SSP, core.Hsync} {
 		t.Run(mode.String(), func(t *testing.T) {
-			res, err := sim.Run(p, sssp.Job(0), sim.Config{Mode: mode, Staleness: 2})
+			res, err := sim.Run(p, sssp.Job(0), sim.Config{Options: core.Options{Mode: mode, Staleness: 2}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -56,7 +56,7 @@ func TestSimDeterministic(t *testing.T) {
 	g := gen.PowerLaw(300, 5, 2.1, true, 13)
 	p := mustPartition(t, g, 5, partition.Hash{})
 	for _, mode := range []core.Mode{core.AAP, core.BSP, core.AP, core.SSP, core.Hsync} {
-		cfg := sim.Config{Mode: mode, Staleness: 2, Trace: true, Speed: []float64{1, 1, 3, 1, 1}}
+		cfg := sim.Config{Options: core.Options{Mode: mode, Staleness: 2}, Trace: true, Speed: []float64{1, 1, 3, 1, 1}}
 		for name, job := range map[string]core.Job[float64]{
 			"sssp":     sssp.Job(0),
 			"pagerank": pagerank.Job(pagerank.Config{Tol: 1e-6}),
@@ -120,7 +120,7 @@ func TestSimSchedulePinned(t *testing.T) {
 		{"pagerank", core.SSP, 1.96036, 451, 30458},
 		{"pagerank", core.Hsync, 2.3811199999999983, 520, 36566},
 	} {
-		res, err := sim.Run(p, jobs[c.job], sim.Config{Mode: c.mode, Staleness: 2, Speed: []float64{1, 1, 3, 1, 1}})
+		res, err := sim.Run(p, jobs[c.job], sim.Config{Options: core.Options{Mode: c.mode, Staleness: 2}, Speed: []float64{1, 1, 3, 1, 1}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,11 +142,11 @@ func TestSimBSPBehavesLikeBarriers(t *testing.T) {
 	p := mustPartition(t, g, 4, partition.Hash{})
 	speed := []float64{1, 1, 1, 2.5}
 	job := pagerank.Job(pagerank.Config{Tol: 1e-7})
-	bsp, err := sim.Run(p, job, sim.Config{Mode: core.BSP, Speed: speed, Trace: true})
+	bsp, err := sim.Run(p, job, sim.Config{Options: core.Options{Mode: core.BSP}, Speed: speed, Trace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ap, err := sim.Run(p, job, sim.Config{Mode: core.AP, Speed: speed})
+	ap, err := sim.Run(p, job, sim.Config{Options: core.Options{Mode: core.AP}, Speed: speed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestSimAAPNoSlowerThanBSPWithStraggler(t *testing.T) {
 	speed := []float64{1, 1, 1, 1, 1, 1, 1, 4}
 	var mk [2]float64
 	for i, mode := range []core.Mode{core.AAP, core.BSP} {
-		res, err := sim.Run(p, sssp.Job(0), sim.Config{Mode: mode, Speed: speed})
+		res, err := sim.Run(p, sssp.Job(0), sim.Config{Options: core.Options{Mode: mode}, Speed: speed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,7 +196,7 @@ func TestSimPageRankMatchesReference(t *testing.T) {
 	want := ref.PageRank(g, 0.85, 1e-9, 500)
 	p := mustPartition(t, g, 4, partition.Hash{})
 	for _, mode := range []core.Mode{core.AAP, core.BSP, core.AP} {
-		res, err := sim.Run(p, pagerank.Job(pagerank.Config{Tol: 1e-10}), sim.Config{Mode: mode})
+		res, err := sim.Run(p, pagerank.Job(pagerank.Config{Tol: 1e-10}), sim.Config{Options: core.Options{Mode: mode}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -217,13 +217,13 @@ func TestSimChurchRosser(t *testing.T) {
 	p := mustPartition(t, g, 7, partition.BFSLocality{})
 	var first []int64
 	for i, cfg := range []sim.Config{
-		{Mode: core.AAP},
-		{Mode: core.AP},
-		{Mode: core.BSP},
-		{Mode: core.SSP, Staleness: 1},
-		{Mode: core.AAP, Speed: []float64{5, 1, 1, 1, 1, 1, 1}},
-		{Mode: core.AP, Speed: []float64{1, 1, 9, 1, 1, 1, 1}},
-		{Mode: core.AAP, LFloor: 3},
+		{Options: core.Options{Mode: core.AAP}},
+		{Options: core.Options{Mode: core.AP}},
+		{Options: core.Options{Mode: core.BSP}},
+		{Options: core.Options{Mode: core.SSP, Staleness: 1}},
+		{Options: core.Options{Mode: core.AAP}, Speed: []float64{5, 1, 1, 1, 1, 1, 1}},
+		{Options: core.Options{Mode: core.AP}, Speed: []float64{1, 1, 9, 1, 1, 1, 1}},
+		{Options: core.Options{Mode: core.AAP, LFloor: 3}},
 	} {
 		res, err := sim.Run(p, cc.Job(), cfg)
 		if err != nil {
@@ -278,7 +278,7 @@ func TestSimStragglerReducesRoundsUnderAAP(t *testing.T) {
 	speed := []float64{1, 1, 1, 1, 1, 1, 1, 6}
 	rounds := map[core.Mode]int32{}
 	for _, mode := range []core.Mode{core.AAP, core.AP} {
-		res, err := sim.Run(p, sssp.Job(0), sim.Config{Mode: mode, Speed: speed, LFloor: 2})
+		res, err := sim.Run(p, sssp.Job(0), sim.Config{Options: core.Options{Mode: mode, LFloor: 2}, Speed: speed})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -104,8 +104,8 @@ type Report struct {
 }
 
 // Supervisor launches and respawns worker hosts. Safe for concurrent
-// use; Respawn is typically driven by the engine's recovery goroutine
-// while Kill is driven by chaos schedules.
+// use; Respawn is typically driven by the engine's recovery event while
+// Kill is driven by chaos schedules.
 type Supervisor struct {
 	policy Policy
 

@@ -3,6 +3,7 @@ package transport
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"io"
 	"sync/atomic"
 	"testing"
@@ -49,30 +50,37 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReadFrameRejects: every malformed input is an error, and exactly
+// the ones that break the framing — not a read cut short — wrap
+// errFraming, which fences the link instead of redialing it.
 func TestReadFrameRejects(t *testing.T) {
 	good := AppendFrame(nil, Frame{Kind: KindData, From: 1, To: 2, Seq: 3, Payload: []byte("xyz")})
 	cases := []struct {
-		name string
-		buf  []byte
-		max  int
+		name    string
+		buf     []byte
+		max     int
+		framing bool
 	}{
-		{"empty", nil, DefaultMaxFrame},
-		{"short prefix", good[:3], DefaultMaxFrame},
-		{"truncated body", good[:len(good)-1], DefaultMaxFrame},
-		{"length below header", codec.AppendUint32(nil, frameHeader-1), DefaultMaxFrame},
-		{"length-lying oversize", codec.AppendUint32(nil, 1<<30), DefaultMaxFrame},
-		{"over frame limit", good, 8},
-		{"call id cut short", callCutShort(), DefaultMaxFrame},
+		{"empty", nil, DefaultMaxFrame, false},
+		{"short prefix", good[:3], DefaultMaxFrame, false},
+		{"truncated body", good[:len(good)-1], DefaultMaxFrame, false},
+		{"length below header", codec.AppendUint32(nil, frameHeader-1), DefaultMaxFrame, true},
+		{"length-lying oversize", codec.AppendUint32(nil, 1<<30), DefaultMaxFrame, true},
+		{"over frame limit", good, 8, true},
+		{"call id cut short", callCutShort(), DefaultMaxFrame, true},
 		{"unknown kind", func() []byte {
 			b := append([]byte(nil), good...)
 			b[4] = 99
 			return b
-		}(), DefaultMaxFrame},
+		}(), DefaultMaxFrame, true},
 	}
 	for _, c := range cases {
 		var in atomic.Int64
-		if _, err := readFrame(reader(c.buf), c.max, &in); err == nil {
+		_, err := readFrame(reader(c.buf), c.max, &in)
+		if err == nil {
 			t.Errorf("%s: want error, got nil", c.name)
+		} else if errors.Is(err, errFraming) != c.framing {
+			t.Errorf("%s: %v wraps errFraming %v, want %v", c.name, err, !c.framing, c.framing)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -741,6 +742,12 @@ func (l *link) reader(conn net.Conn, br *bufio.Reader, gen uint64) {
 	defer l.p.wg.Done()
 	for {
 		f, err := readFrame(br, l.p.cfg.MaxFrame, &l.p.wireIn)
+		if errors.Is(err, errFraming) {
+			// The peer would write the same frame again after a redial:
+			// fence the link instead, so admit refuses its re-Hello.
+			l.declareDead(fmt.Errorf("transport: link %d: %w", l.id, err))
+			return
+		}
 		if err != nil {
 			l.connBroken(gen, err)
 			return
@@ -874,26 +881,32 @@ func (l *link) retire(err error) bool {
 	return true
 }
 
+// errFraming marks a frame that breaks the framing: a length out of
+// bounds, or a body that does not parse.
+var errFraming = errors.New("frame breaks the framing")
+
 // readFrame reads one length-prefixed frame from br, charging wireIn. It
 // is the one frame decoder: every byte a peer sends reaches it first. A
 // length prefix below the header or above maxFrame is refused before
 // anything is allocated for the body; the Payload aliases the body.
+// Framing errors wrap errFraming; a failed read returns its own error.
 func readFrame(br *bufio.Reader, maxFrame int, wireIn *atomic.Int64) (Frame, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		return Frame{}, err
 	}
 	n := int(uint32(hdr[0]) | uint32(hdr[1])<<8 | uint32(hdr[2])<<16 | uint32(hdr[3])<<24)
-	if n < frameHeader {
-		return Frame{}, fmt.Errorf("transport: frame length %d below header size %d", n, frameHeader)
-	}
-	if n > maxFrame {
-		return Frame{}, fmt.Errorf("transport: frame length %d exceeds limit %d", n, maxFrame)
+	if n < frameHeader || n > maxFrame {
+		return Frame{}, fmt.Errorf("transport: %w: length %d outside [%d, %d]", errFraming, n, frameHeader, maxFrame)
 	}
 	body := make([]byte, n)
 	if _, err := io.ReadFull(br, body); err != nil {
 		return Frame{}, err
 	}
 	wireIn.Add(int64(4 + n))
-	return parseBody(body)
+	f, err := parseBody(body)
+	if err != nil {
+		return Frame{}, fmt.Errorf("%w: %w", errFraming, err)
+	}
+	return f, nil
 }

@@ -219,3 +219,62 @@ func TestPlaneHeartbeatDeath(t *testing.T) {
 		t.Fatal("death without a recorded heartbeat timeout")
 	}
 }
+
+// TestFramingErrorFencesLink: a frame over the receiver's MaxFrame is not
+// a broken conn but a peer that would write it again on every redial.
+// The receiver declares the link dead, admit refuses the sender's
+// same-incarnation re-Hello, and the sender's redials run out, so it
+// declares the link dead too and stops writing.
+func TestFramingErrorFencesLink(t *testing.T) {
+	dead := func() (chan int32, func(int32, []int32, error)) {
+		ch := make(chan int32, 1)
+		return ch, func(link int32, _ []int32, _ error) { ch <- link }
+	}
+	aDead, onA := dead()
+	cfgA := testConfig(func(Frame) {})
+	cfgA.ListenAddr, cfgA.MaxFrame, cfgA.OnPeerDead = "127.0.0.1:0", 4<<10, onA
+	a, err := Listen(cfgA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	bDead, onB := dead()
+	cfgB := testConfig(func(Frame) {})
+	cfgB.RetryLimit, cfgB.OnPeerDead = 5, onB
+	b, err := Listen(cfgB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	if err := b.Dial(11, a.Addr(), []int32{11}, []int32{0}); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.WaitRoute(11, 0, 2*time.Second, nil); err != nil {
+		t.Fatal(err)
+	}
+	const oversize = 16 << 10
+	if err := b.Send(11, 0, KindData, make([]byte, oversize)); err != nil {
+		t.Fatal(err)
+	}
+	for name, ch := range map[string]chan int32{"receiver": aDead, "sender": bDead} {
+		select {
+		case link := <-ch:
+			if link != 11 {
+				t.Fatalf("%s declared link %d dead, want 11", name, link)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("the %s never declared the link dead: the oversize frame is being rewritten (%d bytes out)", name, b.Stats().WireBytesOut)
+		}
+	}
+	out := b.Stats().WireBytesOut
+	if out > 2*oversize {
+		t.Fatalf("the sender wrote %d bytes for one %d-byte frame", out, oversize)
+	}
+	time.Sleep(50 * time.Millisecond)
+	if got := b.Stats().WireBytesOut; got != out {
+		t.Fatalf("the sender kept writing after the link died: %d bytes, then %d", out, got)
+	}
+	if err := b.Send(11, 0, KindData, nil); err == nil {
+		t.Fatal("Send on the fenced link succeeded")
+	}
+}

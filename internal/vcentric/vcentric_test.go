@@ -114,11 +114,11 @@ func TestPIEBeatsVertexCentricOnSim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pie, err := sim.Run(p, sssp.Job(ds.Source), sim.Config{Mode: core.AAP})
+	pie, err := sim.Run(p, sssp.Job(ds.Source), sim.Config{Options: core.Options{Mode: core.AAP}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	vc, err := sim.Run(p, vcentric.Job(vcentric.SSSPProgram{Source: ds.Source}), sim.Config{Mode: core.AAP})
+	vc, err := sim.Run(p, vcentric.Job(vcentric.SSSPProgram{Source: ds.Source}), sim.Config{Options: core.Options{Mode: core.AAP}})
 	if err != nil {
 		t.Fatal(err)
 	}
