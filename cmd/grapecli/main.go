@@ -217,7 +217,7 @@ func main() {
 			stats.ResumeEpoch, stats.ResumeBytes, stats.ResumeSeconds*1e3)
 	}
 	if stats.DurableBytes > 0 {
-		fmt.Printf("durable: %d bytes written, %d fsyncs\n", stats.DurableBytes, stats.FsyncCount)
+		fmt.Printf("durable: %d bytes written, %d fsyncs, %d seals superseded before their write\n", stats.DurableBytes, stats.FsyncCount, stats.DroppedSeals)
 	}
 	if stats.WireBytesOut > 0 || stats.WireBytesIn > 0 {
 		fmt.Printf("wire: %d bytes out, %d bytes in, %d retries, %d heartbeat timeouts\n",
@@ -232,9 +232,6 @@ func main() {
 			fmt.Printf("host worker=%d: incarnation %d, %d restarts%s\n",
 				h.Worker, h.Incarnation, h.Restarts, map[bool]string{true: " (budget exhausted)", false: ""}[h.Exhausted])
 		}
-	}
-	if stats.DroppedSeals > 0 {
-		fmt.Printf("warning: durable persister lagged, dropped %d sealed epochs (resume fallback widened)\n", stats.DroppedSeals)
 	}
 	if stats.DurableDegraded != "" {
 		fmt.Printf("warning: durable checkpoints degraded, run finished non-durable: %s\n", stats.DurableDegraded)

@@ -87,7 +87,7 @@ type Store[M any] struct {
 // SetOnSeal registers fn to run with every snapshot the moment it seals
 // (the durable tee). fn is called with the store's lock held, on the
 // goroutine that completed the seal: it must be O(1) and non-blocking —
-// hand the snapshot to a channel, don't write it to disk inline.
+// queue the write, don't write it to disk inline.
 func (s *Store[M]) SetOnSeal(fn func(*Snapshot[M])) {
 	s.mu.Lock()
 	s.onSeal = fn

@@ -151,7 +151,7 @@ func TestModeStrings(t *testing.T) {
 
 func TestControllersAllModes(t *testing.T) {
 	for _, mode := range []Mode{AAP, BSP, AP, SSP, Hsync} {
-		e := newEngine(NewSession(buildPartition(t, 4)), quietJob(), Options{Mode: mode, Staleness: 2})
+		e := newEngine(NewSession(buildPartition(t, 4)), quietJob(), Options{Mode: mode, Staleness: 2}, nil)
 		for _, w := range e.workers {
 			if w.ctrl == nil {
 				t.Fatalf("%s: nil controller", mode)

@@ -16,10 +16,10 @@ import (
 	"aap/internal/partition"
 )
 
-// Satellite regression tests for surfaced durability degradation: a
-// persister that cannot keep up drops seals visibly (DroppedSeals), and
-// a disk that fails mid-run degrades the run to non-durable
-// (DurableDegraded) instead of failing it.
+// Regression tests for surfaced durability degradation: seals that a
+// slow disk makes the tee supersede before their write are counted
+// (DroppedSeals), and a disk that fails mid-run degrades the run to
+// non-durable (DurableDegraded) instead of failing it.
 
 // ticker is a synthetic Program that runs exactly `limit` rounds by
 // sending itself one message per round — every worker stays active the
@@ -90,11 +90,11 @@ func (f *gateFile) Write(b []byte) (int, error) {
 	return f.File.Write(b)
 }
 
-// TestDroppedSealsSurfaced forces the persister's channel over capacity
-// (a run sealing ~40 epochs against a disk stalled for the first 35
-// rounds) and pins satellite 1: the dropped seals are counted in
-// RunStats.DroppedSeals instead of vanishing, and the run itself is
-// unharmed.
+// TestDroppedSealsSurfaced runs ~40 sealed epochs against a disk stalled
+// for the first 35 rounds: while one write waits on the disk, the tee
+// keeps only the newest seal pending, and every seal superseded there is
+// counted in RunStats.DroppedSeals instead of vanishing. The run itself
+// is unharmed, and the superseded seals do not read as a disk failure.
 func TestDroppedSealsSurfaced(t *testing.T) {
 	g := gen.Grid(8, 8, 1)
 	p, err := partition.Build(g, 4, partition.Range{})

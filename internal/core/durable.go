@@ -50,7 +50,7 @@ func Resume[T any](p *partition.Partitioned, job Job[T], opts Options) (*Result[
 	if err != nil {
 		return nil, fmt.Errorf("core: %s: resume: sealed epoch %d undecodable: %w", job.Name, epoch, err)
 	}
-	return run(NewSession(p), job, opts, &resumeState[T]{snap: snap, store: d, bytes: int64(len(payload)), t0: t0})
+	return run(NewSession(p), job, opts, &resumeState[T]{snap: snap, store: d, bytes: int64(len(payload)), t0: t0}, nil)
 }
 
 // durableOptions is the record store a run with Checkpoint.Dir opens:
@@ -64,31 +64,34 @@ func durableOptions(opts Options) checkpoint.DurableOptions {
 }
 
 // durableTee is the seal-to-disk plane (Options.Checkpoint.Dir): the
-// snapshot store's onSeal hook offers every sealed snapshot to queue, and
-// the persister goroutine encodes and writes them off the hot path.
+// snapshot store's onSeal hook keeps the newest sealed snapshot in one
+// pending slot and queues at most one write of it on the run's clock —
+// a timer under Run, an event under Simulate — so a seal never waits on
+// the disk. A seal that supersedes one still pending is counted, not
+// written: the directory settles on the newest epoch.
 type durableTee[T any] struct {
 	job   *Job[T]
 	store *checkpoint.DurableStore
-	// queue holds seals the persister has not written yet: 8 rides out a
-	// slow fsync or an injected write stall without blocking the sealing
-	// worker, and a seal offered to a full queue is dropped.
-	queue chan *checkpoint.Snapshot[VMsg[T]]
-	quit  chan struct{}
-	wg    sync.WaitGroup
+	clock clock
 
-	dropped  atomic.Int64 // seals the full queue turned away
-	warnOnce sync.Once
-	degraded atomic.Pointer[string] // first write error; the persister is off from then on
+	pending atomic.Pointer[checkpoint.Snapshot[VMsg[T]]] // newest seal not yet written
+	queued  atomic.Bool                                  // a write is queued on the clock
+	dropped atomic.Int64                                 // seals superseded before their write
+
+	// mu serialises the writes; off and degraded are written under it.
+	mu       sync.Mutex
+	off      bool   // the run is over: nothing more is written
+	degraded string // first write error; nothing is written from then on
 }
 
-// startDurableTee opens (or, resuming, adopts) the record directory,
-// hooks the store's seals and starts the persister; nil when the run has
-// no Checkpoint.Dir. A fresh run clears the directory first: the records
-// there belong to another run, and a Resume that read them after this
-// run's seals would restart it from a foreign epoch. The hook runs under
-// the store lock on a worker goroutine, so it only offers the seal to the
-// queue. A dropped seal leaves the durable tail one epoch behind the
-// in-memory store until the next one, which only widens the resume
+// startDurableTee opens (or, resuming, adopts) the record directory and
+// hooks the store's seals; nil when the run has no Checkpoint.Dir. A
+// fresh run clears the directory first: the records there belong to
+// another run, and a Resume that read them after this run's seals would
+// restart it from a foreign epoch. The hook (offer) runs under the store
+// lock in a worker's step, so it only fills the slot and queues the
+// write. A seal still pending leaves the durable tail behind the
+// in-memory store until its write, which only widens the resume
 // fallback, never corrupts it.
 func startDurableTee[T any](e *engine[T], rs *resumeState[T]) (*durableTee[T], error) {
 	if e.opts.Checkpoint.Dir == "" {
@@ -97,11 +100,7 @@ func startDurableTee[T any](e *engine[T], rs *resumeState[T]) (*durableTee[T], e
 	if e.job.EncodeVal == nil || e.job.DecodeVal == nil {
 		return nil, fmt.Errorf("core: %s: durable checkpoints require Job.EncodeVal/DecodeVal", e.job.Name)
 	}
-	d := &durableTee[T]{
-		job:   &e.job,
-		queue: make(chan *checkpoint.Snapshot[VMsg[T]], 8),
-		quit:  make(chan struct{}),
-	}
+	d := &durableTee[T]{job: &e.job, clock: e.clock}
 	if rs != nil {
 		d.store = rs.store
 	} else {
@@ -114,30 +113,60 @@ func startDurableTee[T any](e *engine[T], rs *resumeState[T]) (*durableTee[T], e
 		}
 		d.store = store
 	}
-	e.ckpt.SetOnSeal(func(s *checkpoint.Snapshot[VMsg[T]]) {
-		select {
-		case d.queue <- s:
-		default:
-			// Dropping only widens the resume fallback, but silently is
-			// how durability rots — count it and say so once.
-			d.dropped.Add(1)
-			d.warnOnce.Do(func() {
-				fmt.Fprintf(os.Stderr, "core: %s: durable persister lagging, dropped sealed epoch %d (see RunStats.DroppedSeals)\n", d.job.Name, s.Epoch)
-			})
-		}
-	})
-	d.wg.Add(1)
-	go d.persist()
+	e.ckpt.SetOnSeal(d.offer)
 	return d, nil
 }
 
-// stop drains the queue to disk and joins the persister.
+// offer is the store's seal hook: s becomes the pending seal, and a
+// write is queued unless one already is.
+func (d *durableTee[T]) offer(s *checkpoint.Snapshot[VMsg[T]]) {
+	if d.pending.Swap(s) != nil {
+		d.dropped.Add(1)
+	}
+	if d.queued.CompareAndSwap(false, true) {
+		d.clock.After(0, d.flush)
+	}
+}
+
+// flush is the queued write: it takes the pending seal and writes it,
+// unless the run is over. The flag drops before the slot is taken, so a
+// seal that lands after the take queues a write of its own.
+func (d *durableTee[T]) flush() {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.queued.Store(false)
+	if !d.off {
+		d.write(d.pending.Swap(nil))
+	}
+}
+
+// stop writes the seal still pending, then switches the tee off: every
+// seal the run produced is on disk before it returns, and one that
+// comes after the run's end is never written.
 func (d *durableTee[T]) stop() {
 	if d == nil {
 		return
 	}
-	close(d.quit)
-	d.wg.Wait()
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.write(d.pending.Swap(nil))
+	d.off = true
+}
+
+// write encodes s and writes it as its epoch's record; the first failure
+// degrades the run to non-durable: it continues (the in-memory sealed
+// snapshot still backs rollback) instead of failing or wedging the seal
+// path on a full or broken disk, and the disk is not tried again.
+// Surfaced in RunStats.DurableDegraded. Call with mu held.
+func (d *durableTee[T]) write(s *checkpoint.Snapshot[VMsg[T]]) {
+	if s == nil || d.degraded != "" {
+		return
+	}
+	payload := checkpoint.EncodeSnapshot(s, d.job.appendMsg) // flights in the one message layout (wire.go)
+	if err := d.store.WriteEpoch(s.Epoch, payload); err != nil {
+		d.degraded = fmt.Sprintf("core: %s: durable checkpoint epoch %d: %v", d.job.Name, s.Epoch, err)
+		fmt.Fprintf(os.Stderr, "core: %s: durable checkpoints degraded, run continues non-durable: %s\n", d.job.Name, d.degraded)
+	}
 }
 
 // report fills the durable section of RunStats; call after stop.
@@ -148,52 +177,7 @@ func (d *durableTee[T]) report(s *RunStats) {
 	s.DurableBytes = d.store.BytesWritten()
 	s.FsyncCount = d.store.FsyncCount()
 	s.DroppedSeals = d.dropped.Load()
-	if msg := d.degraded.Load(); msg != nil {
-		s.DurableDegraded = *msg
-	}
-}
-
-// degrade records the first durable write failure and turns the
-// persister off: the run continues non-durable (the in-memory sealed
-// snapshot still backs rollback) instead of failing or wedging the seal
-// path on a full/broken disk. Surfaced in RunStats.DurableDegraded.
-func (d *durableTee[T]) degrade(err error) {
-	msg := err.Error()
-	if d.degraded.CompareAndSwap(nil, &msg) {
-		fmt.Fprintf(os.Stderr, "core: %s: durable checkpoints degraded, run continues non-durable: %v\n", d.job.Name, err)
-	}
-}
-
-// persist writes queued seals to disk until quit closes, then flushes
-// whatever is still queued. Seals arriving after the final flush (a
-// straggler control frame past run teardown) stay in the buffered
-// channel and are dropped with it.
-func (d *durableTee[T]) persist() {
-	defer d.wg.Done()
-	write := func(s *checkpoint.Snapshot[VMsg[T]]) {
-		if d.degraded.Load() != nil {
-			return // disk already failed once; don't keep hammering it
-		}
-		payload := checkpoint.EncodeSnapshot(s, d.job.appendMsg) // flights in the one message layout (wire.go)
-		if err := d.store.WriteEpoch(s.Epoch, payload); err != nil {
-			d.degrade(fmt.Errorf("core: %s: durable checkpoint epoch %d: %w", d.job.Name, s.Epoch, err))
-		}
-	}
-	for {
-		select {
-		case s := <-d.queue:
-			write(s)
-		case <-d.quit:
-			for {
-				select {
-				case s := <-d.queue:
-					write(s)
-				default:
-					return
-				}
-			}
-		}
-	}
+	s.DurableDegraded = d.degraded
 }
 
 // seed rewrites the freshly built engine to the durable snapshot before

@@ -74,8 +74,11 @@ func Run[T any](p *partition.Partitioned, job Job[T], opts Options) (*Result[T],
 	return Query(NewSession(p), job, opts)
 }
 
-// run is the shared body of Run and Resume: rs, when non-nil, seeds the
-// engine from a durably stored sealed snapshot before the first round.
+// run is the one body of Run, Resume and Simulate: rs, when non-nil,
+// seeds the engine from a durably stored sealed snapshot before the
+// first round; tl, when non-nil, is Simulate's timeline, whose event
+// loop drives the run in place of the Session's executors and the wall
+// clock.
 //
 // It composes the run from values that each own their state, their stop
 // and their section of RunStats: the workers (newEngine), the
@@ -85,12 +88,11 @@ func Run[T any](p *partition.Partitioned, job Job[T], opts Options) (*Result[T],
 // seals, remote Programs must be reachable before a resume restores them
 // — and stop in the order below: whoever can still write state first, the
 // wire plane last, after Assemble has collected remote values over it.
-func run[T any](s *Session, job Job[T], opts Options, rs *resumeState[T]) (*Result[T], error) {
+func run[T any](s *Session, job Job[T], opts Options, rs *resumeState[T], tl Timeline) (*Result[T], error) {
 	if err := validate(s, &job); err != nil {
 		return nil, err
 	}
-	opts = opts.withDefaults()
-	e := newEngine(s, job, opts)
+	e := newEngine(s, job, opts, tl)
 	var err error
 	if e.recov, err = newRecovery(e); err != nil {
 		return nil, err
@@ -107,16 +109,28 @@ func run[T any](s *Session, job Job[T], opts Options, rs *resumeState[T]) (*Resu
 		return nil, err
 	}
 
-	e.sched.wakeAll()
+	e.sched.wakeAll() // under Simulate every PEval starts, inline, in worker order
 
-	timer := time.NewTimer(opts.Deadline)
-	defer timer.Stop()
 	deadlined := false
-	select {
-	case <-e.coord.done:
-	case <-timer.C:
-		deadlined = true
-		e.coord.forceDone()
+	if tl != nil {
+		// One goroutine: coord.finished needs no lock here.
+		for !e.coord.finished && tl.Next() {
+			e.sched.sweep()
+		}
+		for _, w := range e.workers {
+			if !e.coord.finished && len(w.buffer) > 0 {
+				e.fail(fmt.Errorf("core: %s/%s deadlock: worker %d stuck with %d buffered messages", job.Name, opts.Mode, w.id, len(w.buffer)))
+			}
+		}
+	} else {
+		timer := time.NewTimer(e.opts.Deadline)
+		defer timer.Stop()
+		select {
+		case <-e.coord.done:
+		case <-timer.C:
+			deadlined = true
+			e.coord.forceDone()
+		}
 	}
 	e.sched.turns.Lock() // the last step and recovery are over: the workers' stats are final
 	e.tee.stop()         // every seal the run produced is on disk before Run returns, error or not
@@ -135,7 +149,7 @@ func run[T any](s *Session, job Job[T], opts Options, rs *resumeState[T]) (*Resu
 	}
 	res := &Result[T]{Values: e.values(), Stats: stats}
 	if deadlined {
-		return res, fmt.Errorf("core: %s/%s exceeded deadline %v: %w", job.Name, opts.Mode, opts.Deadline, context.DeadlineExceeded)
+		return res, fmt.Errorf("core: %s/%s exceeded deadline %v: %w", job.Name, opts.Mode, e.opts.Deadline, context.DeadlineExceeded)
 	}
 	return res, nil
 }
@@ -174,9 +188,12 @@ type engine[T any] struct {
 }
 
 // newEngine builds the workers of one run over the session's fragments,
-// on the in-proc message plane.
-func newEngine[T any](s *Session, job Job[T], opts Options) *engine[T] {
+// with opts' defaults filled in: on the wall clock and the in-proc
+// message plane, or, given a timeline, with its clock, message plane and
+// scheduler all on tl and every kernel pass unsharded.
+func newEngine[T any](s *Session, job Job[T], opts Options, tl Timeline) *engine[T] {
 	p := s.p
+	opts = opts.withDefaults()
 	e := &engine[T]{
 		p:          p,
 		job:        job,
@@ -191,6 +208,9 @@ func newEngine[T any](s *Session, job Job[T], opts Options) *engine[T] {
 	e.sched.e, e.sched.cores = e, &s.cores
 	e.coord.init(p.M, &e.ledger)
 	e.plane = &inproc[T]{e}
+	if tl != nil {
+		e.clock, e.plane, e.sched.tl = tl, &timelinePlane[T]{e, tl}, tl
+	}
 	e.workers = make([]*worker[T], p.M)
 	for i, f := range p.Frags {
 		w := &worker[T]{
@@ -206,6 +226,7 @@ func newEngine[T any](s *Session, job Job[T], opts Options) *engine[T] {
 			isActive:   true,
 		}
 		w.ctx.inCompute = &s.cores.inCompute
+		w.ctx.serial = tl != nil
 		e.workers[i] = w
 	}
 	return e

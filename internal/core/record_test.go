@@ -117,7 +117,7 @@ func TestRecordKeepsSenderRuns(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.arrivals, func(t *testing.T) {
 			opts := Options{Checkpoint: CheckpointOptions{EveryRounds: 1}}
-			e := newEngine(NewSession(p), minLabelJob, opts.withDefaults())
+			e := newEngine(NewSession(p), minLabelJob, opts, nil)
 			e.clock = wallClock{time.Now()}
 			var err error
 			if e.recov, err = newRecovery(e); err != nil {
@@ -204,7 +204,7 @@ func TestRecordKeepsSenderRuns(t *testing.T) {
 			// A resumed run checkpoints, as Resume's Dir makes it; this
 			// one announces no epoch of its own.
 			resumed := Options{Checkpoint: CheckpointOptions{EveryRounds: 1 << 20}}
-			res, err := run(NewSession(p), minLabelJob, resumed, &resumeState[float64]{snap: snap})
+			res, err := run(NewSession(p), minLabelJob, resumed, &resumeState[float64]{snap: snap}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -167,7 +167,7 @@ func Query[T any](s *Session, job Job[T], opts Options) (*Result[T], error) {
 	s.admitted.Add(1)
 	s.active.Add(1)
 	t0 := time.Now()
-	res, err := run(s, job, opts, nil)
+	res, err := run(s, job, opts, nil, nil)
 	s.busyNanos.Add(time.Since(t0).Nanoseconds())
 	s.active.Add(-1)
 	if err != nil {

@@ -49,7 +49,7 @@ type RunStats struct {
 	// was set (or the run was started by Resume).
 	DurableBytes    int64   // record bytes written to the checkpoint dir
 	FsyncCount      int64   // fsync syscalls issued by the durable store
-	DroppedSeals    int64   // sealed snapshots the persister dropped (queue full)
+	DroppedSeals    int64   // seals superseded by a newer one before their write
 	DurableDegraded string  // first durable write error; run continued non-durable
 	ResumeEpoch     int32   // sealed epoch the run resumed from, 0 for a fresh start
 	ResumeBytes     int64   // record payload bytes read back by Resume

@@ -37,51 +37,16 @@ func (p *timelinePlane[T]) deliver(from, to int, epoch int32, msgs []VMsg[T]) {
 	})
 }
 
-// newVirtual builds the engine of a virtual run: its clock, message plane
-// and scheduler all run on tl, and every kernel pass is unsharded.
-func newVirtual[T any](s *Session, job Job[T], opts Options, tl Timeline) *engine[T] {
-	e := newEngine(s, job, opts.withDefaults())
-	e.clock, e.plane, e.sched.tl = tl, &timelinePlane[T]{e, tl}, tl
-	for _, w := range e.workers {
-		w.ctx.serial = true
-	}
-	return e
-}
-
-// Simulate runs job over p in virtual time: the same workers, controllers,
-// coordinator, scheduler and recovery plane as Run, each step run inline
-// by one event loop on tl's clock, one kernel at a time and unsharded. It
-// is the engine behind internal/sim. Checkpoints and worker and delivery
-// faults replay exactly; options it cannot model fail, naming the field.
+// Simulate runs job over p in virtual time: the same run body, workers,
+// controllers, coordinator, scheduler, recovery plane and durable tee as
+// Run, each step run inline by one event loop on tl's clock, one kernel
+// at a time and unsharded. It is the engine behind internal/sim.
+// Checkpoints, their records and worker, delivery and disk faults replay
+// exactly; options it cannot model fail, naming the field.
 func Simulate[T any](p *partition.Partitioned, job Job[T], opts Options, tl Timeline) (*Result[T], error) {
-	f := opts.Faults
-	unmodeled := []bool{opts.Checkpoint.Dir != "", opts.Transport != nil, f != nil && len(f.Partitions) > 0, f != nil && f.Disk != nil, opts.Deadline != 0}
+	unmodeled := []bool{opts.Transport != nil, opts.Faults != nil && len(opts.Faults.Partitions) > 0, opts.Deadline != 0}
 	if i := slices.Index(unmodeled, true); i >= 0 {
-		return nil, fmt.Errorf("core: Simulate cannot model Options.%s", [...]string{"Checkpoint.Dir", "Transport", "Faults.Partitions", "Faults.Disk", "Deadline"}[i])
+		return nil, fmt.Errorf("core: Simulate cannot model Options.%s", [...]string{"Transport", "Faults.Partitions", "Deadline"}[i])
 	}
-	s := NewSession(p)
-	if err := validate(s, &job); err != nil {
-		return nil, err
-	}
-	e := newVirtual(s, job, opts, tl)
-	var err error
-	if e.recov, err = newRecovery(e); err != nil {
-		return nil, err
-	}
-	e.sched.wakeAll() // every PEval starts, inline, in worker order
-	// One goroutine: coord.finished needs no lock here.
-	for !e.coord.finished && tl.Next() {
-		e.sched.sweep()
-	}
-	if err := e.err(); err != nil {
-		return nil, err
-	}
-	for _, w := range e.workers {
-		if !e.coord.finished && len(w.buffer) > 0 {
-			return nil, fmt.Errorf("core: %s/%s deadlock: worker %d stuck with %d buffered messages", job.Name, opts.Mode, w.id, len(w.buffer))
-		}
-	}
-	stats := e.report(tl.Now())
-	e.recov.report(&stats)
-	return &Result[T]{Values: e.values(), Stats: stats}, nil
+	return run(NewSession(p), job, opts, nil, tl)
 }

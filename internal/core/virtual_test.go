@@ -115,7 +115,7 @@ func TestDecideUnderVirtualClock(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			tl := &listTimeline{latency: c.arrival}
-			e := newVirtual(NewSession(buildPartition(t, 2)), quietJob(), Options{}, tl)
+			e := newEngine(NewSession(buildPartition(t, 2)), quietJob(), Options{}, tl)
 			w := e.workers[0]
 			ctrl := &scripted{delays: c.delays}
 			w.ctrl, w.pevalDone, e.workers[1].pevalDone = ctrl, true, true

@@ -203,7 +203,9 @@ type Client struct {
 
 // DialRPC connects to a serving plane at addr. id must be a positive
 // endpoint id unique among the plane's clients (a PID works). timeout
-// bounds both the dial handshake and each call.
+// bounds each call. The dial is bounded by transport.Config's default
+// RetryLimit (8 attempts), each a 1 s connect and a 2 s handshake
+// deadline, with backoff between them.
 func DialRPC(addr string, id int32, timeout time.Duration) (*Client, error) {
 	if id <= serverEndpoint {
 		return nil, errors.New("serve: client id must be positive")
@@ -218,10 +220,6 @@ func DialRPC(addr string, id int32, timeout time.Duration) (*Client, error) {
 		return nil, err
 	}
 	if err := plane.Dial(id, addr, []int32{id}, []int32{serverEndpoint}); err != nil {
-		plane.Close()
-		return nil, err
-	}
-	if err := plane.WaitRoute(serverEndpoint, 0, timeout, nil); err != nil {
 		plane.Close()
 		return nil, err
 	}

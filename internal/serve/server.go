@@ -97,14 +97,22 @@ func (s *Server) runOpts() core.Options {
 	}
 }
 
-// acquire admits one unit of work: reject if the wait queue is full,
-// otherwise wait for an in-flight permit. Returns the release func and
-// the time spent queued.
-func (s *Server) acquire() (release func(), wait time.Duration, err error) {
+// admit is the one admission rule: a query joins the wait queue, or, if
+// the queue is full, is shed with ErrOverloaded.
+func (s *Server) admit() error {
 	if s.waiting.Add(1) > int64(s.cfg.queueDepth) {
 		s.waiting.Add(-1)
 		s.rejected.Add(1)
-		return nil, 0, ErrOverloaded
+		return ErrOverloaded
+	}
+	return nil
+}
+
+// acquire admits one unit of work, then waits for an in-flight permit.
+// Returns the release func and the time spent queued.
+func (s *Server) acquire() (release func(), wait time.Duration, err error) {
+	if err := s.admit(); err != nil {
+		return nil, 0, err
 	}
 	t0 := time.Now()
 	s.sem <- struct{}{}
@@ -157,10 +165,8 @@ func (s *Server) SSSP(source graph.VertexID) ([]float64, core.RunStats, error) {
 		return nil, core.RunStats{}, fmt.Errorf("serve: sssp: no vertex %d in the graph", source)
 	}
 	// Admission is per query, joiners included: a shed query fails fast.
-	if s.waiting.Add(1) > int64(s.cfg.queueDepth) {
-		s.waiting.Add(-1)
-		s.rejected.Add(1)
-		return nil, core.RunStats{}, ErrOverloaded
+	if err := s.admit(); err != nil {
+		return nil, core.RunStats{}, err
 	}
 	enq := time.Now()
 	s.mu.Lock()

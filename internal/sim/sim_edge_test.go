@@ -8,7 +8,6 @@ import (
 
 	"aap/internal/algo/pagerank"
 	"aap/internal/algo/sssp"
-	"aap/internal/checkpoint"
 	"aap/internal/core"
 	"aap/internal/gen"
 	"aap/internal/partition"
@@ -154,16 +153,13 @@ func TestSimStalenessBoundRespected(t *testing.T) {
 }
 
 // TestSimRefusesWhatItCannotModel: options virtual time cannot play out —
-// a durable directory, a transport, link partitions, a disk seam, a wall
-// deadline — fail the run with an error naming the field instead of being
-// ignored.
+// a transport, link partitions, a wall deadline — fail the run with an
+// error naming the field instead of being ignored.
 func TestSimRefusesWhatItCannotModel(t *testing.T) {
 	p := mustPartition(t, gen.Grid(6, 6, 3), 2, partition.Hash{})
 	for field, opts := range map[string]core.Options{
-		"Checkpoint.Dir":    {Checkpoint: core.CheckpointOptions{Dir: t.TempDir()}},
 		"Transport":         {Transport: &core.TransportOptions{TCP: true}},
 		"Faults.Partitions": {Faults: &core.Faults{Partitions: []transport.Window{{Link: 0, For: time.Second}}}},
-		"Faults.Disk":       {Faults: &core.Faults{Disk: checkpoint.OsFS()}},
 		"Deadline":          {Deadline: time.Minute},
 	} {
 		_, err := sim.Run(p, sssp.Job(0), sim.Config{Options: opts})
