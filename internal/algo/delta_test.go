@@ -167,7 +167,11 @@ type ssspKernel interface {
 
 // superstep runs one barrier round by hand: every fragment with pending
 // messages folds them with agg and runs IncEval; it returns the next
-// inboxes, whether anyone had work, and the work units reported.
+// inboxes, whether anyone had work, and the work units reported. It
+// folds with the engine's Folder, which is bit-identical to the
+// map-based FoldMessages and, on the PageRank work counts of hash
+// fragments, halves the test's time. A fold fails only on a message for
+// a vertex without a slot, which Send never routes, so that is a panic.
 func superstep[P core.Program[float64]](progs []P, ctxs []*core.Context[float64], inbox [][]core.VMsg[float64], agg func(a, b float64) float64) ([][]core.VMsg[float64], bool, int64) {
 	next := make([][]core.VMsg[float64], len(progs))
 	active := false
@@ -177,7 +181,11 @@ func superstep[P core.Program[float64]](progs []P, ctxs []*core.Context[float64]
 			continue
 		}
 		active = true
-		prog.IncEval(core.FoldMessages(inbox[i], agg), ctxs[i])
+		msgs, err := core.NewFolder[float64](ctxs[i].Fragment()).Fold(inbox[i], agg)
+		if err != nil {
+			panic(err)
+		}
+		prog.IncEval(msgs, ctxs[i])
 		out, w := ctxs[i].TakeOut()
 		work += w
 		for j, ms := range out {

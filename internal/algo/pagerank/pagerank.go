@@ -9,9 +9,9 @@
 // The kernel is round-based and deterministic by construction, because
 // floating-point sums remember their addition order. A round consumes
 // the frontier (owned slots whose pending delta crossed the call's
-// threshold: Tol in PEval, θ in IncEval, below) in ascending slot order
-// and a consumed slot pushes at once — Gauss–Seidel inside a block of
-// blockSlots owned slots, Jacobi across blocks:
+// threshold θ, below) in ascending slot order and a consumed slot pushes
+// at once — Gauss–Seidel inside a block of blockSlots owned slots,
+// Jacobi across blocks:
 //
 //   - a share for an owned slot of the source's own block lands in delta
 //     immediately, so the later slots of the same sweep fold it in and
@@ -32,20 +32,23 @@
 // the count is picked per round (core.Context.Shards) from the work and
 // the idle cores.
 //
-// PEval converges its fragment to Tol; IncEval converges coarse to fine,
-// the accumulative iteration of Maiter (Zhang et al., TPDS 2014): large
-// deltas first, small ones once the large ones have settled. A call
-// propagates only deltas above θ = max(Tol, coarse × the largest delta
-// it received), admitting every owned slot above θ — residual an earlier
-// call parked included — and when it leaves some owned delta above Tol,
-// it sends itself a zero delta, so that the engine runs it again; a
-// round whose only message is that wake has θ = Tol. Re-converging to
-// Tol on every IncEval while boundary mass still arrives in bulk is the
-// stale computation the paper's delay stretch exists to cut: on the
-// benchmark's 490k-vertex road lattice, 8 fragments did 1.8–2.2× the
-// work of one fragment's PEval (105 M units). At coarse = 1/32 they do
-// 1.25–1.35×. A run still ends with every owned residual at most Tol,
-// the bound Config.Tol documents.
+// Every call converges coarse to fine, the accumulative iteration of
+// Maiter (Zhang et al., TPDS 2014): large deltas first, small ones once
+// the large ones have settled. A call propagates only deltas above
+// θ = max(Tol, coarse × the largest delta it starts with) — the seed 1-d
+// in PEval, the largest folded message in IncEval — admitting every
+// owned slot above θ, residual an earlier call parked included, and when
+// it leaves some owned delta above Tol, it sends itself a zero delta, so
+// that the engine runs it again; a round whose only message is that wake
+// has θ = Tol. PEval is thus a bounded local pass, as the PIE model has
+// it, not a local solve: the residual it parks merges with the border
+// mass that arrives later and is pushed once, not twice. A lone
+// fragment, which no border mass reaches, solves to Tol in PEval and
+// sends nothing. On the benchmark's 490k-vertex road lattice 8 fragments
+// do about the work of one fragment's PEval (105 M units); re-converging
+// to Tol on every call did 1.8–2.2× that, and a PEval to Tol followed by
+// coarse-to-fine IncEvals about 1.2×. A run still ends with every owned
+// residual at most Tol, the bound Config.Tol documents.
 package pagerank
 
 import (
@@ -130,7 +133,7 @@ type program struct {
 
 	score []float64
 	delta []float64
-	theta float64 // this call's propagation threshold: Tol in PEval, θ in IncEval
+	theta float64 // this call's propagation threshold θ
 
 	// next accumulates, per owned slot, the shares that wait for the
 	// round's end and pend marks the slots it holds. Empty between rounds.
@@ -174,15 +177,17 @@ func newProgram(f *partition.Fragment, cfg Config) *program {
 func (p *program) KernelRounds() int { return p.rounds }
 
 // PEval seeds every owned vertex with the teleport mass 1-d, runs rounds
-// to the local fixpoint, and ships accumulated copy deltas.
+// at pevalThreshold, ships accumulated copy deltas, and wakes the
+// fragment for the residual it parked.
 func (p *program) PEval(ctx *core.Context[float64]) {
-	p.theta = p.cfg.Tol
+	p.theta = pevalThreshold(p.f, p.cfg)
 	seed := 1 - p.cfg.Damping
 	for s := int32(0); s < int32(p.f.NumOwned()); s++ {
 		p.add(s, seed)
 	}
 	p.run(ctx)
 	p.flush(ctx)
+	wake(ctx, p.f, p.delta, p.theta, p.cfg.Tol)
 }
 
 // IncEval folds incoming delta sums into owned vertices (sequentially —
@@ -190,7 +195,7 @@ func (p *program) PEval(ctx *core.Context[float64]) {
 // order), admits every owned slot above θ (threshold) and resumes the
 // rounds at θ; residual left between Tol and θ wakes the fragment again.
 func (p *program) IncEval(msgs []core.VMsg[float64], ctx *core.Context[float64]) {
-	p.theta = threshold(msgs, p.cfg.Tol)
+	p.theta = threshold(largest(msgs), p.cfg.Tol)
 	for _, m := range msgs {
 		if s := p.f.Slot(m.V); s >= 0 {
 			p.delta[s] += m.Val
@@ -387,31 +392,47 @@ func (p *program) flush(ctx *core.Context[float64]) {
 	}
 }
 
-// coarse is θ's fraction of the largest delta an IncEval receives: a
+// coarse is θ's fraction of the largest delta a call starts with: a
 // power of two, so θ is exact, and a constant, because results depend on
 // it. Among 1/128…1/8 the work falls as it grows and the messages rise;
 // on RoadNet(700, 700) in 8 fragments the wall time was lowest at 1/32.
 const coarse = 1.0 / 32
 
-// threshold is an IncEval's propagation threshold θ = max(Tol, largest
-// incoming delta × coarse): a pure function of the folded messages, so
-// every kernel and shard count computes the same θ.
-func threshold(msgs []core.VMsg[float64], tol float64) float64 {
+// threshold is a call's propagation threshold θ = max(Tol, coarse × top),
+// top being the largest delta the call starts with: a pure function of
+// the seed or the folded messages, so every kernel and shard count
+// computes the same θ.
+func threshold(top, tol float64) float64 { return max(tol, top*coarse) }
+
+// largest is the largest delta among an IncEval's folded messages.
+func largest(msgs []core.VMsg[float64]) float64 {
 	top := 0.0
 	for _, m := range msgs {
 		if m.Val > top {
 			top = m.Val
 		}
 	}
-	return max(tol, top*coarse)
+	return top
+}
+
+// pevalThreshold is PEval's θ. Where other fragments can send mass in,
+// PEval is a bounded local pass like any IncEval, whose largest delta is
+// the seed 1-d: the residual it parks merges with the border mass that
+// arrives later and is pushed once. A lone fragment receives nothing, so
+// it solves to Tol at once, where a coarse pass would cost more work.
+func pevalThreshold(f *partition.Fragment, cfg Config) float64 {
+	if f.Partitioned().M == 1 {
+		return cfg.Tol
+	}
+	return threshold(1-cfg.Damping, cfg.Tol)
 }
 
 // wake sends the fragment a zero delta (Context.Send's self-send) when a
-// call ran at θ > Tol and left some owned delta above Tol: the engine
-// runs the fragment again, and when the wake is that round's only
-// message, θ = Tol and the fragment converges. Adding 0.0 changes no
-// bits, and the message is counted like any other, so the run cannot
-// terminate with a residual above Tol.
+// call — PEval or IncEval — ran at θ > Tol and left some owned delta
+// above Tol: the engine runs the fragment again, and when the wake is
+// that round's only message, θ = Tol and the fragment converges. Adding
+// 0.0 changes no bits, and the message is counted like any other, so the
+// run cannot terminate with a residual above Tol.
 func wake(ctx *core.Context[float64], f *partition.Fragment, delta []float64, theta, tol float64) {
 	if theta == tol {
 		return

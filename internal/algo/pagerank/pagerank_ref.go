@@ -34,7 +34,7 @@ type refProgram struct {
 
 	score    []float64
 	delta    []float64
-	theta    float64 // this call's propagation threshold: Tol in PEval, θ in IncEval
+	theta    float64 // this call's propagation threshold θ
 	inQ      []bool
 	frontier []int32 // owned slots admitted above θ, sorted, consumed per round
 	next     []int32
@@ -57,16 +57,17 @@ func newRefProgram(f *partition.Fragment, cfg Config) *refProgram {
 func (p *refProgram) KernelRounds() int { return p.rounds }
 
 // PEval seeds every owned vertex with the teleport mass 1-d and runs
-// rounds to the local fixpoint; accumulated copy deltas are shipped to
-// their owners.
+// rounds at pevalThreshold; accumulated copy deltas are shipped to their
+// owners, and residual left between Tol and θ wakes the fragment again.
 func (p *refProgram) PEval(ctx *core.Context[float64]) {
-	p.theta = p.cfg.Tol
+	p.theta = pevalThreshold(p.f, p.cfg)
 	seed := 1 - p.cfg.Damping
 	for s := int32(0); s < int32(p.f.NumOwned()); s++ {
 		p.add(s, seed)
 	}
 	p.run(ctx)
 	p.flush(ctx)
+	wake(ctx, p.f, p.delta, p.theta, p.cfg.Tol)
 }
 
 // IncEval folds incoming delta sums into owned vertices, admits every
@@ -74,7 +75,7 @@ func (p *refProgram) PEval(ctx *core.Context[float64]) {
 // resumes the rounds at θ; residual left between Tol and θ wakes the
 // fragment again.
 func (p *refProgram) IncEval(msgs []core.VMsg[float64], ctx *core.Context[float64]) {
-	p.theta = threshold(msgs, p.cfg.Tol)
+	p.theta = threshold(largest(msgs), p.cfg.Tol)
 	for _, m := range msgs {
 		if s := p.f.Slot(m.V); s >= 0 {
 			p.delta[s] += m.Val

@@ -13,6 +13,7 @@ import (
 	"math"
 	"runtime"
 	"slices"
+	"sync"
 	"testing"
 
 	"aap/internal/algo/cc"
@@ -374,65 +375,197 @@ func hasWake(p *partition.Partitioned, inbox [][]core.VMsg[float64]) bool {
 	return false
 }
 
-// TestPageRankMultiFragmentWork pins the saving of IncEval's
-// coarse-to-fine threshold as a count. Re-converging every fragment to
-// Tol on every superstep, while boundary mass still arrives in bulk, did
-// 3.28× the one-fragment PEval work on this lattice at 4 fragments; an
-// IncEval that pushes only deltas above 1/32 of its largest incoming one
-// and wakes itself for the rest does 1.48×. The run must still end with
-// every owned residual at most Tol and the same bits in both kernels at
-// every shard count.
-func TestPageRankMultiFragmentWork(t *testing.T) {
-	g := blockGraphs(t)["road150"]
-	one, err := partition.Build(g, 1, partition.BFSLocality{Seed: 3})
+// onePEvalWork is the work of one fragment's PEval over all of g: the
+// one-fragment solve the multi-fragment work counts are measured against.
+func onePEvalWork(t *testing.T, g *graph.Graph) int64 {
+	t.Helper()
+	one, err := partition.Build(g, 1, partition.Hash{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := core.NewEngineContext[float64](one.Frags[0], 1)
 	pagerank.RefJob(pagerank.Config{}).New(one.Frags[0]).PEval(ctx)
-	_, single := ctx.TakeOut()
+	_, work := ctx.TakeOut()
+	return work
+}
 
-	p, err := partition.Build(g, 4, partition.BFSLocality{Seed: 3})
-	if err != nil {
+// residualAbove returns the first owned slot of f whose pending delta in
+// a kernel snapshot exceeds tol, or -1.
+func residualAbove(t *testing.T, f *partition.Fragment, snap []byte, tol float64) (int, float64) {
+	t.Helper()
+	r := codec.NewReader(snap)
+	r.Float64s()
+	delta := r.Float64s()
+	if err := r.Err(); err != nil {
 		t.Fatal(err)
 	}
+	for s, x := range delta[:f.NumOwned()] {
+		if x > tol {
+			return s, x
+		}
+	}
+	return -1, 0
+}
+
+// multiFragmentWork runs every kernel of pagerankCases over p through the
+// barrier superstep harness and returns the work they report, which must
+// be one count. Every kernel must end in the same bits, with every owned
+// residual at most Tol.
+func multiFragmentWork(t *testing.T, p *partition.Partitioned) int64 {
+	t.Helper()
 	const tol = 1e-6 // pagerank.Config's default
 	sum := func(a, b float64) float64 { return a + b }
 	var want [][]byte
+	var count int64
 	for _, c := range pagerankCases {
 		progs, ctxs := buildPageRank(p, c.job)
 		inbox, work := pevalAll(progs, ctxs)
-		steps := 0
-		for active := true; active; steps++ {
+		for active := true; active; {
 			var w int64
 			inbox, active, w = superstep(progs, ctxs, inbox, sum)
 			work += w
 		}
 		end := snapshotAll(progs)
 		if want == nil {
-			want = end
+			want, count = end, work
+		}
+		if work != count {
+			t.Errorf("%s: %d fragments did %d work units, ref %d", c.name, p.M, work, count)
 		}
 		for i, f := range p.Frags {
 			if !bytes.Equal(end[i], want[i]) {
 				t.Errorf("%s: fragment %d final state differs from ref", c.name, i)
 			}
-			r := codec.NewReader(end[i])
-			r.Float64s()
-			delta := r.Float64s()
-			if err := r.Err(); err != nil {
-				t.Fatal(err)
-			}
-			for s, x := range delta[:f.NumOwned()] {
-				if x > tol {
-					t.Errorf("%s: fragment %d slot %d ends with residual %g > Tol", c.name, i, s, x)
-					break
-				}
+			if s, x := residualAbove(t, f, end[i], tol); s >= 0 {
+				t.Errorf("%s: fragment %d slot %d ends with residual %g > Tol", c.name, i, s, x)
 			}
 		}
-		ratio := float64(work) / float64(single)
-		t.Logf("%s: %d work units over %d supersteps = %.2f× one fragment's PEval (%d)", c.name, work, steps, ratio, single)
-		if ratio > 2 {
-			t.Errorf("%s: %d fragments did %.2f× the work of one (%d vs %d), want at most 2×", c.name, p.M, ratio, work, single)
+	}
+	return count
+}
+
+// TestPageRankMultiFragmentWork pins PageRank's multi-fragment work on a
+// road lattice as a count. Re-converging every fragment to Tol on every
+// superstep, while boundary mass still arrives in bulk, did 3.28× the
+// one-fragment PEval work at 4 fragments. An IncEval that pushes only
+// deltas above 1/32 of its largest incoming one and wakes itself for the
+// rest did 1.48×, while PEval still solved its fragment to Tol before any
+// border mass had arrived. A PEval that runs at the same threshold, with
+// the seed as its largest delta, and wakes itself the same way does
+// 1.16×. The run must still end with every owned residual at most Tol and
+// the same bits in both kernels at every shard count.
+func TestPageRankMultiFragmentWork(t *testing.T) {
+	g := blockGraphs(t)["road150"]
+	single := onePEvalWork(t, g)
+	p, err := partition.Build(g, 4, partition.BFSLocality{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	work := multiFragmentWork(t, p)
+	ratio := float64(work) / float64(single)
+	t.Logf("%d fragments: %d work units = %.2f× one fragment's PEval (%d)", p.M, work, ratio, single)
+	if ratio > 1.2 {
+		t.Errorf("%d fragments did %.2f× the work of one (%d vs %d), want at most 1.2×", p.M, ratio, work, single)
+	}
+}
+
+// TestPageRankHashFragmentWork pins the work of hash fragments on a
+// power-law graph, where nearly every edge crosses a fragment boundary,
+// as a count at 2, 8 and 32 fragments. It is an open gap: the kernels do
+// 2.2–3.2× one fragment's 8.73 M work units (19.59 M, 28.12 M and
+// 20.19 M; 20.57 M, 28.27 M and 20.35 M while PEval still solved its
+// fragment to Tol). The ceilings sit just above those counts, so a change
+// that closes part of the gap tightens them.
+func TestPageRankHashFragmentWork(t *testing.T) {
+	g := gen.PowerLaw(20000, 8, 2.1, false, 7)
+	single := onePEvalWork(t, g)
+	for _, c := range []struct {
+		m       int
+		ceiling float64
+	}{{2, 2.3}, {8, 3.3}, {32, 2.4}} {
+		t.Run(fmt.Sprintf("m=%d", c.m), func(t *testing.T) {
+			t.Parallel()
+			p, err := partition.Build(g, c.m, partition.Hash{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			work := multiFragmentWork(t, p)
+			ratio := float64(work) / float64(single)
+			t.Logf("%d hash fragments: %d work units = %.2f× one fragment's PEval (%d)", c.m, work, ratio, single)
+			if ratio > c.ceiling {
+				t.Errorf("%d hash fragments did %.2f× the work of one (%d vs %d), want at most %.1f×", c.m, ratio, work, single, c.ceiling)
+			}
+		})
+	}
+}
+
+// TestPageRankWakesFromPEval: fragment 0 owns one copy of a road
+// lattice, with edges into fragment 1's copy and none back, so no mass
+// ever arrives at it from elsewhere. Its PEval runs at the coarse
+// threshold of a multi-fragment run, and only the wake it sends itself
+// runs it again, at Tol. The run must still end with every owned
+// residual at most Tol and match power iteration within 1e-4, under the
+// real engine and in virtual time.
+func TestPageRankWakesFromPEval(t *testing.T) {
+	half := gen.RoadNet(30, 30, 59)
+	n := half.NumVertices()
+	b := graph.NewBuilder(true)
+	for v := range 2 * n {
+		b.AddVertex(graph.VertexID(v))
+	}
+	for c := range 2 {
+		for v := range int32(n) {
+			for _, u := range half.Out(v) {
+				b.AddEdge(graph.VertexID(c*n+int(v)), graph.VertexID(c*n+int(u)))
+			}
+		}
+	}
+	for v := 0; v < n; v += 10 {
+		b.AddEdge(graph.VertexID(v), graph.VertexID(n+v))
+	}
+	g := b.Build()
+	p, err := partition.Build(g, 2, partition.Range{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(p.Frags[0].InBorder()) != 0 || len(p.Frags[1].InBorder()) == 0 {
+		t.Fatalf("in-borders of %d and %d vertices, want none and some", len(p.Frags[0].InBorder()), len(p.Frags[1].InBorder()))
+	}
+	const tol = 1e-6 // pagerank.Config's default
+	want := ref.PageRank(g, 0.85, 1e-12, 10000)
+	for _, driver := range []string{"Run", "Simulate"} {
+		var mu sync.Mutex
+		progs := make([]pagerankKernel, p.M)
+		job := pagerank.Job(pagerank.Config{})
+		build := job.New
+		job.New = func(f *partition.Fragment) core.Program[float64] {
+			prog := build(f)
+			mu.Lock()
+			progs[f.ID] = prog.(pagerankKernel)
+			mu.Unlock()
+			return prog
+		}
+		var values []float64
+		if driver == "Run" {
+			res, err := core.Run(p, job, core.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			values = res.Values
+		} else {
+			values = simValues(t, p, job)
+		}
+		for i, f := range p.Frags {
+			if s, x := residualAbove(t, f, progs[i].SnapshotState(), tol); s >= 0 {
+				t.Errorf("%s: fragment %d slot %d ends with residual %g > Tol", driver, i, s, x)
+			}
+		}
+		for v, got := range values {
+			orig, _ := g.IndexOf(p.G.IDOf(int32(v)))
+			if d := math.Abs(got - want[orig]); d > 1e-4 {
+				t.Errorf("%s: vertex %d: %v, power iteration %v", driver, v, got, want[orig])
+				break
+			}
 		}
 	}
 }
@@ -444,10 +577,12 @@ func TestPageRankMultiFragmentWork(t *testing.T) {
 // continues to the bits of the uninterrupted run, final state included.
 // The per-round scratch a sharded round adds is empty at that boundary,
 // so it is not in the snapshot: the kernel's bytes equal the reference
-// kernel's, whose state is score, delta and the round count. A second
-// cut falls on the first superstep whose outbox holds a fragment's wake
-// to itself: the parked residual is in the snapshot's deltas and the
-// wake is a message in flight like any other, so no new state is needed.
+// kernel's, whose state is score, delta and the round count. Two more
+// cuts hold a fragment's wake to itself in flight: the one right after
+// PEval, which parks the residual below its coarse threshold, and the
+// first superstep whose outbox holds a wake. The parked residual is in
+// the snapshot's deltas and the wake is a message in flight like any
+// other, so no new state is needed.
 func TestPageRankSnapshotResumesAcrossBlocks(t *testing.T) {
 	p, err := partition.Build(blockGraphs(t)["road150"], 2, partition.Range{})
 	if err != nil {
@@ -490,7 +625,10 @@ func TestPageRankSnapshotResumesAcrossBlocks(t *testing.T) {
 
 		live, liveCtxs := buildPageRank(p, c.job)
 		inbox, _ := pevalAll(live, liveCtxs)
-		var cuts []cut
+		if !hasWake(p, inbox) {
+			t.Fatalf("%s: no fragment woke itself from PEval", c.name)
+		}
+		cuts := []cut{{"after-peval", snapshotAll(live), clone(inbox)}}
 		wake := false
 		for step, active := 1, true; active; step++ {
 			inbox, active, _ = superstep(live, liveCtxs, inbox, sum)

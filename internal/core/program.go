@@ -42,7 +42,9 @@ type VMsg[T any] struct {
 type Program[T any] interface {
 	// PEval performs partial evaluation on the fragment: it computes the
 	// local partial result and sends initial values of update parameters
-	// for border vertices through ctx.Send.
+	// for border vertices through ctx.Send. Like IncEval, it may leave
+	// part of the local result for a later round by sending itself a
+	// message.
 	PEval(ctx *Context[T])
 
 	// IncEval incrementally updates the partial result given the
@@ -54,8 +56,8 @@ type Program[T any] interface {
 	// IncEval must run to local quiescence: after it returns with no new
 	// messages the partial result is a local fixpoint. A program may
 	// leave part of that fixpoint for a later round by sending itself a
-	// message (Context.Send to an owned vertex), as PageRank's IncEval
-	// does with the residual below its round's threshold. Termination
+	// message (Context.Send to an owned vertex), as PageRank's PEval and
+	// IncEval do with the residual below the call's threshold. Termination
 	// needs no rule for it: the ledger counts that message like any
 	// batch, so the run cannot end while it is in flight. Whether to send
 	// it must be a pure function of the program's state and msgs, or runs

@@ -365,11 +365,7 @@ func Fig6k(workers int, ratios []float64) (string, error) {
 	}
 	out.WriteString("\n")
 	for _, r := range ratios {
-		p, err := SkewPartition(ds, workers, r)
-		if err != nil {
-			return "", err
-		}
-		rows, err := SimModes(p, sssp.Job(ds.Source), sim.Config{}, 0)
+		rows, err := fig6kRows(ds, workers, r)
 		if err != nil {
 			return "", err
 		}
@@ -380,6 +376,16 @@ func Fig6k(workers int, ratios []float64) (string, error) {
 		out.WriteString("\n")
 	}
 	return out.String(), nil
+}
+
+// fig6kRows runs one cell of panel (k): SSSP on ds at partition skew r
+// under the four models.
+func fig6kRows(ds Dataset, workers int, r float64) ([]Row, error) {
+	p, err := SkewPartition(ds, workers, r)
+	if err != nil {
+		return nil, err
+	}
+	return SimModes(p, sssp.Job(ds.Source), sim.Config{}, 0)
 }
 
 // Fig6l reproduces panel (l): PageRank on the large synthetic graph with

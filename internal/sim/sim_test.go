@@ -114,11 +114,11 @@ func TestSimSchedulePinned(t *testing.T) {
 		{"sssp", core.AP, 0.08146000000000002, 70, 623},
 		{"sssp", core.SSP, 0.08822000000000002, 50, 619},
 		{"sssp", core.Hsync, 0.09432000000000003, 51, 617},
-		{"pagerank", core.AAP, 2.3808647003663914, 411, 29762},
-		{"pagerank", core.BSP, 1.9621800000000003, 428, 29923},
-		{"pagerank", core.AP, 1.5249999999999997, 909, 53681},
-		{"pagerank", core.SSP, 1.96036, 451, 30458},
-		{"pagerank", core.Hsync, 2.3811199999999983, 520, 36566},
+		{"pagerank", core.AAP, 2.330802453225274, 399, 29644},
+		{"pagerank", core.BSP, 1.89782, 403, 29564},
+		{"pagerank", core.AP, 1.4916600000000002, 905, 53814},
+		{"pagerank", core.SSP, 1.8828000000000005, 413, 30359},
+		{"pagerank", core.Hsync, 2.318219999999996, 535, 35427},
 	} {
 		res, err := sim.Run(p, jobs[c.job], sim.Config{Options: core.Options{Mode: c.mode, Staleness: 2}, Speed: []float64{1, 1, 3, 1, 1}})
 		if err != nil {
