@@ -1,7 +1,9 @@
-// Command simviz renders ASCII timing diagrams of simulated runs: it
-// runs one algorithm under all four parallel models on a straggler-laden
-// virtual cluster and draws each schedule. The paper's own diagrams are
-// aapbench -exp fig1 and -exp fig7.
+// Command simviz renders ASCII timing diagrams: it runs one algorithm
+// under all four parallel models on a straggler-laden virtual cluster
+// and draws each schedule, and under it the schedule of the real engine
+// (core.Run, wall clock, no straggler) on the same partition, each with
+// its workers' rounds, busy time and run-now / hold / suspend decisions.
+// The paper's own diagrams are aapbench -exp fig1 and -exp fig7.
 //
 // Usage:
 //
@@ -77,36 +79,48 @@ func main() {
 	if *straggler >= 0 {
 		speed[*straggler] = *slow
 	}
+	switch *algo {
+	case "sssp":
+		draw(p, sssp.Job(ds.Source), speed, *width)
+	case "cc":
+		draw(p, cc.Job(), speed, *width)
+	case "pagerank":
+		draw(p, pagerank.Job(pagerank.Config{Tol: 1e-4}), speed, *width)
+	default:
+		fatal(fmt.Errorf("unknown algorithm %q", *algo))
+	}
+}
+
+// draw runs job under each model, in virtual time with the straggler and
+// then on the real engine over the same partition, and draws both runs'
+// schedules, each with a per-worker summary.
+func draw[T any](p *partition.Partitioned, job core.Job[T], speed []float64, width int) {
+	drivers := []struct {
+		clock string
+		run   func(core.Options) (*core.Result[T], error)
+	}{
+		{"virtual seconds", func(o core.Options) (*core.Result[T], error) {
+			return sim.Run(p, job, sim.Config{Options: o, Speed: speed})
+		}},
+		{"wall seconds, real engine, no straggler", func(o core.Options) (*core.Result[T], error) { return core.Run(p, job, o) }},
+	}
 	for _, m := range []core.Mode{core.AAP, core.BSP, core.AP, core.SSP} {
-		cfg := sim.Config{Options: core.Options{Mode: m, Staleness: 2}, Speed: speed, Trace: true}
-		var trace []sim.Interval
-		var seconds float64
-		switch *algo {
-		case "sssp":
-			res, err := sim.Run(p, sssp.Job(ds.Source), cfg)
+		for _, d := range drivers {
+			rec := sim.NewRecorder(p.M)
+			res, err := d.run(core.Options{Mode: m, Staleness: 2, Observe: rec.Observe})
 			if err != nil {
 				fatal(err)
 			}
-			trace, seconds = res.Trace, res.Stats.Seconds
-		case "cc":
-			res, err := sim.Run(p, cc.Job(), cfg)
-			if err != nil {
-				fatal(err)
+			fmt.Printf("== %s: makespan %.3f %s ==\n", m, res.Stats.Seconds, d.clock)
+			fmt.Print(sim.RenderTrace(rec.Intervals(), p.M, width))
+			fmt.Printf("%-8s %8s %10s %8s %6s %6s %8s\n", "worker", "rounds", "busy(s)", "busy%", "now", "hold", "suspend")
+			for i, w := range res.Stats.Workers {
+				now, hold, suspend := rec.Decisions(i)
+				fmt.Printf("P%-7d %8d %10.3f %7.1f%% %6d %6d %8d\n",
+					i+1, w.Rounds, w.BusySeconds, 100*w.BusySeconds/res.Stats.Seconds, now, hold, suspend)
 			}
-			trace, seconds = res.Trace, res.Stats.Seconds
-		case "pagerank":
-			res, err := sim.Run(p, pagerank.Job(pagerank.Config{Tol: 1e-4}), cfg)
-			if err != nil {
-				fatal(err)
-			}
-			trace, seconds = res.Trace, res.Stats.Seconds
-		default:
-			fatal(fmt.Errorf("unknown algorithm %q", *algo))
+			fmt.Println()
 		}
-		fmt.Printf("== %s: makespan %.2f virtual seconds ==\n", m, seconds)
-		fmt.Print(sim.RenderTrace(trace, *workers, *width))
-		fmt.Print(sim.TraceSummary(trace, *workers))
-		fmt.Println()
 	}
 }
 

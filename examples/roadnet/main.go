@@ -30,18 +30,19 @@ func main() {
 	}
 	fmt.Printf("partition skew r = %.1f across %d workers\n\n", p.Skew(), p.M)
 
-	var aapTrace []sim.Interval
+	aap := sim.NewRecorder(p.M)
 	for _, mode := range []core.Mode{core.AAP, core.BSP, core.AP, core.SSP} {
-		res, err := sim.Run(p, sssp.Job(0), sim.Config{Options: core.Options{Mode: mode, Staleness: 2}, Trace: mode == core.AAP})
+		opts := core.Options{Mode: mode, Staleness: 2}
+		if mode == core.AAP {
+			opts.Observe = aap.Observe
+		}
+		res, err := sim.Run(p, sssp.Job(0), sim.Config{Options: opts})
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("%-5s time %7.3f virtual s, rounds max %2d, comm %6.2f MB\n",
 			mode, res.Stats.Seconds, res.Stats.MaxRound, float64(res.Stats.TotalBytes)/(1<<20))
-		if mode == core.AAP {
-			aapTrace = res.Trace
-		}
 	}
 	fmt.Println("\nAAP schedule ('#' computing, '.' waiting):")
-	fmt.Print(sim.RenderTrace(aapTrace, p.M, 72))
+	fmt.Print(sim.RenderTrace(aap.Intervals(), p.M, 72))
 }

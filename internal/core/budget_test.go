@@ -226,8 +226,8 @@ func TestSessionLoopingTaskYields(t *testing.T) {
 		_, err := core.Query(s, spin, core.Options{
 			MaxRounds: math.MaxInt32,
 			Deadline:  5 * time.Second,
-			RoundHook: func(_ int, round int32) {
-				if round >= 10 {
+			Observe: func(ev core.Event) {
+				if ev.Kind == core.RoundStart && ev.Round >= 10 {
 					once.Do(func() { close(looping) })
 				}
 			},

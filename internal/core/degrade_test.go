@@ -112,8 +112,8 @@ func TestDroppedSealsSurfaced(t *testing.T) {
 		Faults:     &core.Faults{DelayProb: 1, DelayBy: 2 * time.Millisecond, Disk: fsys},
 		Deadline:   time.Minute,
 		Checkpoint: core.CheckpointOptions{EveryRounds: 1, Dir: t.TempDir()},
-		RoundHook: func(worker int, round int32) {
-			if round >= limit-5 {
+		Observe: func(ev core.Event) {
+			if ev.Kind == core.RoundStart && ev.Round >= limit-5 {
 				fsys.release()
 			}
 		},

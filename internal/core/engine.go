@@ -38,12 +38,11 @@ type Options struct {
 	// Transport selects the message plane (in-proc channels, TCP, remote
 	// Program hosts); nil is the in-proc fast path.
 	Transport *TransportOptions
-	// RoundHook, when set, is called at the top of every round's compute with
-	// the worker id and the round about to run — a test seam for timing
-	// external events (e.g. kill -9 of a remote host process at a chosen
-	// round). It runs on the executor running the round and must not
-	// block.
-	RoundHook func(worker int, round int32)
+	// Observe, when set, is handed every RoundStart, Round and Decide
+	// event of the run (see Event), each from the step of the worker it
+	// names: calls for one worker never overlap, calls for different
+	// workers may, and it must not block. Nil costs one branch.
+	Observe func(Event)
 }
 
 func (o *Options) withDefaults() Options {
@@ -600,7 +599,12 @@ func (w *worker[T]) decide() (d float64, buffered bool) {
 		w.setActive(false)
 		return Forever, false
 	}
-	return w.ctrl.Delay(w.view()), true
+	v := w.view()
+	d = w.ctrl.Delay(v)
+	if obs := w.eng.opts.Observe; obs != nil {
+		obs(Event{Kind: Decide, Worker: w.id, Round: w.rounds, Time: w.eng.clock.Now(), View: v, Delay: d})
+	}
+	return d, true
 }
 
 func (w *worker[T]) setActive(active bool) {
@@ -704,8 +708,8 @@ func (w *worker[T]) clearBuffer() {
 // work it reported; ok is false when it failed the run instead.
 func (w *worker[T]) compute() (out [][]VMsg[T], work int64, ok bool) {
 	e := w.eng
-	if e.opts.RoundHook != nil {
-		e.opts.RoundHook(w.id, w.rounds)
+	if obs := e.opts.Observe; obs != nil {
+		obs(Event{Kind: RoundStart, Worker: w.id, Round: w.rounds, Time: e.clock.Now()})
 	}
 	if w.rounds >= e.opts.MaxRounds {
 		e.fail(fmt.Errorf("core: %s/%s worker %d exceeded %d rounds", e.job.Name, e.opts.Mode, w.id, e.opts.MaxRounds))
@@ -746,18 +750,14 @@ func (w *worker[T]) noSlotSender() int32 {
 
 // finish is the second half of a round, once dur seconds of compute are
 // behind it: it updates the round-time estimate t_i, delivers the round's
-// messages and reports the round to the coordinator. The batches carry
+// total messages and reports the round to the coordinator. The batches carry
 // w.epoch: a cut is recorded only at safepoint or in drain, both in this
 // worker's steps, so none can come between the count and the delivery.
-func (w *worker[T]) finish(out [][]VMsg[T], dur float64) {
+func (w *worker[T]) finish(out [][]VMsg[T], total int64, dur float64) {
 	e := w.eng
 	w.stats.BusySeconds += dur
 	w.roundTimeEWMA = nextRoundTimeEWMA(w.roundTimeEWMA, dur)
 	atomic.StoreUint64(&e.roundTimes[w.id], math.Float64bits(w.roundTimeEWMA))
-	var total int64
-	for _, msgs := range out {
-		total += int64(len(msgs))
-	}
 	if total > 0 {
 		// Counted before any plane sees a batch: a receiver may drain it,
 		// and this worker go inactive, before this step goes on.

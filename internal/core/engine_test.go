@@ -156,8 +156,8 @@ func TestRunGoroutinesBoundedByPool(t *testing.T) {
 	base := runtime.NumGoroutine()
 	_, err := core.Run(p, sssp.JobShards(0, 1), core.Options{
 		Mode: core.AAP,
-		RoundHook: func(worker int, round int32) {
-			if worker == 0 && round >= 1 {
+		Observe: func(ev core.Event) {
+			if ev.Kind == core.RoundStart && ev.Worker == 0 && ev.Round >= 1 {
 				peak = max(peak, runtime.NumGoroutine())
 			}
 		},

@@ -152,8 +152,8 @@ func TestRemoteWorkerKillRecovers(t *testing.T) {
 		Deadline:   time.Minute,
 		Checkpoint: core.CheckpointOptions{EveryRounds: 1},
 		Transport:  &topts,
-		RoundHook: func(worker int, round int32) {
-			if worker != remoteVictim || round < 2 {
+		Observe: func(ev core.Event) {
+			if ev.Kind != core.RoundStart || ev.Worker != remoteVictim || ev.Round < 2 {
 				return
 			}
 			mu.Lock()

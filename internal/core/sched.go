@@ -188,7 +188,8 @@ func (s *sched[T]) step(w *worker[T]) (round bool) {
 
 // round computes worker w's next round and finishes it: on the wall
 // clock right away, timed around compute; under Simulate at the duration
-// the cost model gives the work it reported, as an event.
+// the cost model gives the work it reported, as an event. Its start and
+// duration are known here, so the Round event is emitted here.
 func (s *sched[T]) round(w *worker[T]) {
 	t0 := s.e.clock.Now()
 	s.cores.inCompute.Add(1)
@@ -197,13 +198,23 @@ func (s *sched[T]) round(w *worker[T]) {
 	if !ok {
 		return // e.fail ended the run
 	}
+	var msgs int64
+	for _, b := range out {
+		msgs += int64(len(b))
+	}
+	dur := s.e.clock.Now() - t0
+	if s.tl != nil {
+		dur = s.tl.StartRound(w.id, work)
+	}
+	if obs := s.e.opts.Observe; obs != nil {
+		obs(Event{Kind: Round, Worker: w.id, Round: w.rounds, Time: t0, Seconds: dur, Work: work, Msgs: msgs})
+	}
 	if s.tl == nil {
-		w.finish(out, s.e.clock.Now()-t0)
+		w.finish(out, msgs, dur)
 		return
 	}
-	dur := s.tl.StartRound(w.id, w.rounds, work)
 	s.tl.After(dur, func() {
-		w.finish(out, dur)
+		w.finish(out, msgs, dur)
 		s.runInline(w)
 	})
 }

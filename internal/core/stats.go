@@ -102,3 +102,25 @@ func (s *RunStats) finalize() {
 		s.MinRound = 0
 	}
 }
+
+// EventKind names a worker transition that Options.Observe sees.
+type EventKind uint8
+
+const (
+	RoundStart EventKind = iota // the worker is about to compute round Round (0: PEval)
+	Round                       // it computed round Round: Seconds from Time, its Work and Msgs
+	Decide                      // its controller returned Delay for View
+)
+
+// Event is one transition of one worker. Time is on the run's clock:
+// wall seconds since the run began, or virtual seconds under Simulate,
+// where a Round's figures are the cost model's.
+type Event struct {
+	Kind          EventKind
+	Worker        int
+	Round         int32
+	Time, Seconds float64 // Seconds: a Round's duration
+	Work, Msgs    int64   // Round
+	View          View    // Decide
+	Delay         float64 // Decide: at most 0 runs now, Forever suspends, else holds
+}

@@ -115,7 +115,7 @@ func newTestSupervisor(t *testing.T, algo string, maxRestarts int) *supervise.Su
 	return sup
 }
 
-// killer shoots the victim's current incarnation from the RoundHook,
+// killer shoots the victim's current incarnation at a RoundStart event,
 // at most once per incarnation and at most maxKills times — the
 // per-incarnation guard is what lets "kill it again after it rejoined"
 // work even though recovery rewinds the round counter.
@@ -128,8 +128,8 @@ type killer struct {
 	shotInc uint64
 }
 
-func (k *killer) hook(worker int, round int32) {
-	if worker != remoteVictim || round < 2 {
+func (k *killer) observe(ev core.Event) {
+	if ev.Kind != core.RoundStart || ev.Worker != remoteVictim || ev.Round < 2 {
 		return
 	}
 	k.mu.Lock()
@@ -183,7 +183,7 @@ func TestSupervisedRespawnRejoins(t *testing.T) {
 			Deadline:   time.Minute,
 			Checkpoint: core.CheckpointOptions{EveryRounds: 1},
 			Transport:  &topts,
-			RoundHook:  k.hook,
+			Observe:    k.observe,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -209,7 +209,7 @@ func TestSupervisedRespawnRejoins(t *testing.T) {
 			Deadline:   time.Minute,
 			Checkpoint: core.CheckpointOptions{EveryRounds: 1},
 			Transport:  &topts,
-			RoundHook:  k.hook,
+			Observe:    k.observe,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -245,7 +245,7 @@ func TestSupervisedBudgetFailback(t *testing.T) {
 		Deadline:   time.Minute,
 		Checkpoint: core.CheckpointOptions{EveryRounds: 1},
 		Transport:  &topts,
-		RoundHook:  k.hook,
+		Observe:    k.observe,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -287,9 +287,9 @@ func TestSupervisedHostLostAtFinalRound(t *testing.T) {
 		Deadline:   time.Minute,
 		Checkpoint: core.CheckpointOptions{EveryRounds: 1},
 		Transport:  &topts,
-		RoundHook: func(worker int, round int32) {
+		Observe: func(ev core.Event) {
 			// The ticker's last round is its round `limit`, on every worker.
-			if worker == remoteVictim && round == superviseTickerRounds && lost.CompareAndSwap(false, true) {
+			if ev.Kind == core.RoundStart && ev.Worker == remoteVictim && ev.Round == superviseTickerRounds && lost.CompareAndSwap(false, true) {
 				sup.Respawn(remoteVictim) // SIGKILL the host, launch its replacement
 			}
 		},

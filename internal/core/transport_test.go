@@ -282,8 +282,8 @@ func TestTCPPlaneRoguePeer(t *testing.T) {
 			rogueErr := errors.New("no round ran the rogue")
 			opts := tcpOpts(core.Options{})
 			opts.Transport.OnListen = func(a string) { addr = a }
-			opts.RoundHook = func(_ int, round int32) {
-				if round < 1 {
+			opts.Observe = func(ev core.Event) {
+				if ev.Kind != core.RoundStart || ev.Round < 1 {
 					return
 				}
 				once.Do(func() {

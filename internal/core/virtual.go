@@ -19,7 +19,7 @@ type Timeline interface {
 	Next() bool
 	// StartRound prices the round worker starts now, given the work it
 	// reported: the virtual seconds until the round finishes.
-	StartRound(worker int, round int32, work int64) float64
+	StartRound(worker int, work int64) float64
 	// MsgLatency is the virtual seconds a message batch spends in flight.
 	MsgLatency() float64
 }

@@ -48,7 +48,7 @@ func (tl *listTimeline) Next() bool {
 	return true
 }
 
-func (tl *listTimeline) StartRound(worker int, round int32, work int64) float64 {
+func (tl *listTimeline) StartRound(worker int, work int64) float64 {
 	tl.starts = append(tl.starts, tl.now)
 	return 1
 }

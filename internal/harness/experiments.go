@@ -79,11 +79,7 @@ func SimModes[T any](p *partition.Partitioned, job core.Job[T], base sim.Config,
 		if m == core.SSP && staleness == 0 {
 			cfg.Options.Staleness = 2
 		}
-		name := "GRAPE+ (" + m.String() + ")"
-		if m == core.AAP {
-			name = "GRAPE+ (AAP)"
-		}
-		r, err := simRun(name, p, job, cfg)
+		r, err := simRun("GRAPE+ ("+m.String()+")", p, job, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -173,20 +169,24 @@ func Fig1() (string, error) {
 	var out strings.Builder
 	out.WriteString("Figure 1: CC on the Fig 1(b) graph; P1,P2 = 3u/round, P3 = 6u, latency 1u\n\n")
 	for _, m := range Modes() {
+		rec := sim.NewRecorder(3)
 		cfg := sim.Config{
-			Options:       core.Options{Mode: m, Staleness: 1, LFloor: 2}, // the paper's SSP run uses c = 1
+			Options:       core.Options{Mode: m, Staleness: 1, LFloor: 2, Observe: rec.Observe}, // the paper's SSP run uses c = 1
 			RoundOverhead: 3,
 			WorkUnitCost:  0.25, // stale propagation costs real time
 			MsgLatency:    1,
 			Speed:         []float64{1, 1, 2},
-			Trace:         true,
 		}
 		res, err := sim.Run(p, cc.Job(), cfg)
 		if err != nil {
 			return "", err
 		}
-		fmt.Fprintf(&out, "(%s) makespan %.0f units, rounds per worker %v\n", m, res.Stats.Seconds, sim.RoundsOf(res.Trace, 3))
-		out.WriteString(sim.RenderTrace(res.Trace, 3, 64))
+		var rounds []int32
+		for _, w := range res.Stats.Workers {
+			rounds = append(rounds, w.Rounds)
+		}
+		fmt.Fprintf(&out, "(%s) makespan %.0f units, rounds per worker %v\n", m, res.Stats.Seconds, rounds)
+		out.WriteString(sim.RenderTrace(rec.Intervals(), 3, 64))
 		out.WriteString("\n")
 	}
 	return out.String(), nil
@@ -286,31 +286,21 @@ func Fig6(w Fig6Workload, workerCounts []int) (string, error) {
 }
 
 func runPanel(w Fig6Workload, ds Dataset, workers int) ([]Row, error) {
+	if w.Algo == "cc" {
+		ds.Graph = graph.AsUndirected(ds.Graph)
+	}
+	p, err := SkewPartition(ds, workers, 3)
+	if err != nil {
+		return nil, err
+	}
 	switch w.Algo {
 	case "sssp":
-		p, err := SkewPartition(ds, workers, 3)
-		if err != nil {
-			return nil, err
-		}
 		return SimModes(p, sssp.Job(ds.Source), sim.Config{}, 0)
 	case "cc":
-		und := Dataset{Name: ds.Name, Graph: graph.AsUndirected(ds.Graph)}
-		p, err := SkewPartition(und, workers, 3)
-		if err != nil {
-			return nil, err
-		}
 		return SimModes(p, cc.Job(), sim.Config{}, 0)
 	case "pagerank":
-		p, err := SkewPartition(ds, workers, 3)
-		if err != nil {
-			return nil, err
-		}
 		return SimModes(p, pagerank.Job(pagerank.Config{Tol: 1e-4}), sim.Config{}, 0)
 	case "cf":
-		p, err := SkewPartition(ds, workers, 3)
-		if err != nil {
-			return nil, err
-		}
 		cfg := cf.Config{Users: ds.Users, Products: ds.Prods, Rank: 8, Epochs: 12, Seed: 5}
 		return SimModes(p, cf.Job(cfg), sim.Config{}, 4)
 	default:
@@ -454,7 +444,8 @@ func Fig7() (string, error) {
 	var out strings.Builder
 	out.WriteString("Figure 7: PageRank, 32 workers, P12 is a 4x straggler\n\n")
 	for _, m := range Modes() {
-		cfg := sim.Config{Options: core.Options{Mode: m, LFloor: 4}, Speed: speed, Trace: true}
+		rec := sim.NewRecorder(32)
+		cfg := sim.Config{Options: core.Options{Mode: m, LFloor: 4, Observe: rec.Observe}, Speed: speed}
 		if m == core.SSP {
 			cfg.Options.Staleness = 5 // the paper's c = 5 run
 		}
@@ -462,10 +453,9 @@ func Fig7() (string, error) {
 		if err != nil {
 			return "", err
 		}
-		rounds := sim.RoundsOf(res.Trace, 32)
 		fmt.Fprintf(&out, "(%s) makespan %.2f, straggler rounds %d, fastest-worker rounds %d\n",
-			m, res.Stats.Seconds, rounds[11], maxInt(rounds))
-		out.WriteString(sim.RenderTrace(res.Trace, 32, 72))
+			m, res.Stats.Seconds, res.Stats.Workers[11].Rounds, res.Stats.MaxRound)
+		out.WriteString(sim.RenderTrace(rec.Intervals(), 32, 72))
 		out.WriteString("\n")
 	}
 	return out.String(), nil
@@ -501,14 +491,4 @@ func CFCase() (string, error) {
 		fmt.Fprintf(&out, "%-6d %12.2f %12.2f\n", c, ra.Seconds, rs.Seconds)
 	}
 	return out.String(), nil
-}
-
-func maxInt(xs []int) int {
-	m := 0
-	for _, x := range xs {
-		if x > m {
-			m = x
-		}
-	}
-	return m
 }

@@ -1,6 +1,7 @@
 package harness_test
 
 import (
+	"os"
 	"strconv"
 	"strings"
 	"testing"
@@ -43,6 +44,15 @@ func TestFig1ShapesHold(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("Fig1 output missing %q", want)
 		}
+	}
+	// Fig 1 is deterministic, so it is pinned whole: every diagram, round
+	// count and makespan.
+	golden, err := os.ReadFile("testdata/fig1.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out != string(golden) {
+		t.Errorf("Fig1 output differs from testdata/fig1.golden")
 	}
 	mk := makespans(t, out)
 	// The headline claim of Example 1: AAP finishes no later than BSP.

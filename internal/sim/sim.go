@@ -3,7 +3,8 @@
 // (core.Simulate), but steps them from a discrete-event clock with an
 // explicit cost model — per-round duration proportional to the work the
 // program reports, scaled by a per-worker speed factor, plus a fixed
-// message latency. This package is that clock and that cost model.
+// message latency. This package is that clock and that cost model, and
+// the Recorder that traces a run of either driver for RenderTrace.
 //
 // The simulator reproduces the paper's timing figures (Fig 1, Fig 7, and
 // every "time vs workers" plot) deterministically on one machine: the
@@ -40,8 +41,6 @@ type Config struct {
 	// 2 = twice as slow — a straggler). Nil means all 1; otherwise one
 	// positive finite factor per worker.
 	Speed []float64
-	// Trace records per-round intervals for timing diagrams.
-	Trace bool
 }
 
 func (c Config) withDefaults() Config {
@@ -57,24 +56,10 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Interval is one executed round in the trace.
-type Interval struct {
-	Worker int
-	Round  int32
-	Start  float64
-	End    float64
-}
-
-// Result is the outcome of a simulated run: the assembled values, the
-// run statistics in virtual seconds, and (when requested) the trace.
-type Result[T any] struct {
-	Values []T
-	Stats  core.RunStats
-	Trace  []Interval
-}
-
-// Run simulates job over p under cfg and returns the assembled result.
-func Run[T any](p *partition.Partitioned, job core.Job[T], cfg Config) (*Result[T], error) {
+// Run simulates job over p under cfg and returns the assembled result,
+// its statistics in virtual seconds. A Recorder in cfg.Options.Observe
+// keeps its trace.
+func Run[T any](p *partition.Partitioned, job core.Job[T], cfg Config) (*core.Result[T], error) {
 	cfg = cfg.withDefaults()
 	if cfg.Speed != nil && len(cfg.Speed) != p.M {
 		return nil, fmt.Errorf("sim: Config.Speed has %d factors for %d workers", len(cfg.Speed), p.M)
@@ -84,12 +69,7 @@ func Run[T any](p *partition.Partitioned, job core.Job[T], cfg Config) (*Result[
 			return nil, fmt.Errorf("sim: Config.Speed[%d] = %v, want a positive finite factor", i, f)
 		}
 	}
-	tl := &timeline{cfg: cfg}
-	res, err := core.Simulate(p, job, cfg.Options, tl)
-	if err != nil {
-		return nil, err
-	}
-	return &Result[T]{Values: res.Values, Stats: res.Stats, Trace: tl.trace}, nil
+	return core.Simulate(p, job, cfg.Options, &timeline{cfg: cfg})
 }
 
 // event is something due at virtual time t; seq breaks ties in queueing
@@ -101,13 +81,12 @@ type event struct {
 }
 
 // timeline is the core.Timeline of a run: the event heap, the clock and
-// the cost model of cfg, and the trace.
+// the cost model of cfg.
 type timeline struct {
 	cfg    Config
 	now    float64
 	seq    int64
 	events []event
-	trace  []Interval
 }
 
 func (tl *timeline) Len() int { return len(tl.events) }
@@ -142,15 +121,12 @@ func (tl *timeline) Next() bool {
 	return true
 }
 
-// StartRound is the cost model — a round takes the fixed overhead plus its
-// reported work, scaled by the worker's speed factor — and the trace.
-func (tl *timeline) StartRound(worker int, round int32, work int64) float64 {
+// StartRound is the cost model: a round takes the fixed overhead plus its
+// reported work, scaled by the worker's speed factor.
+func (tl *timeline) StartRound(worker int, work int64) float64 {
 	dur := tl.cfg.RoundOverhead + float64(work)*tl.cfg.WorkUnitCost
 	if tl.cfg.Speed != nil {
 		dur *= tl.cfg.Speed[worker]
-	}
-	if tl.cfg.Trace {
-		tl.trace = append(tl.trace, Interval{Worker: worker, Round: round, Start: tl.now, End: tl.now + dur})
 	}
 	return dur
 }

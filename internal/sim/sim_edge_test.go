@@ -1,7 +1,9 @@
 package sim_test
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -108,15 +110,17 @@ func TestSimStalenessBoundRespected(t *testing.T) {
 	const c = 1
 	g := gen.PowerLaw(800, 6, 2.1, false, 43)
 	p := mustPartition(t, g, 4, partition.Hash{})
-	res, err := sim.Run(p, pagerank.Job(pagerank.Config{Tol: 1e-6}), sim.Config{
-		Options: core.Options{Mode: core.SSP, Staleness: c}, Speed: []float64{2.5, 1, 1, 1}, Trace: true,
+	rec := sim.NewRecorder(p.M)
+	_, err := sim.Run(p, pagerank.Job(pagerank.Config{Tol: 1e-6}), sim.Config{
+		Options: core.Options{Mode: core.SSP, Staleness: c, Observe: rec.Observe}, Speed: []float64{2.5, 1, 1, 1},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Replay the trace in start order; cur[w] is the latest interval of
 	// worker w started by the instant under test.
-	evs := sim.SortedCopy(res.Trace)
+	evs := rec.Intervals()
+	slices.SortStableFunc(evs, func(a, b sim.Interval) int { return cmp.Compare(a.Start, b.Start) })
 	byWorker := make([][]sim.Interval, p.M)
 	for _, iv := range evs {
 		byWorker[iv.Worker] = append(byWorker[iv.Worker], iv)
@@ -132,7 +136,7 @@ func TestSimStalenessBoundRespected(t *testing.T) {
 			if started[w] == 0 {
 				continue
 			}
-			if cur := ivs[started[w]-1]; cur.End >= e.Start {
+			if cur := ivs[started[w]-1]; cur.End() >= e.Start {
 				active++
 				if cur.Round < min {
 					min = cur.Round

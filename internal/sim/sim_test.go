@@ -52,39 +52,53 @@ func TestSimSSSPCorrectAllModes(t *testing.T) {
 // the harness tables print, under every mode and for a min-fold and a
 // sum-fold job — the loop underneath is the engine's, atomics, message
 // pool and all, and none of that may leak a schedule into virtual time.
+// Observing changes nothing: a recorded run's values and statistics are
+// an unrecorded run's, and its trace agrees with them — per worker, one
+// interval per round and durations that sum to the busy time exactly.
 func TestSimDeterministic(t *testing.T) {
 	g := gen.PowerLaw(300, 5, 2.1, true, 13)
 	p := mustPartition(t, g, 5, partition.Hash{})
 	for _, mode := range []core.Mode{core.AAP, core.BSP, core.AP, core.SSP, core.Hsync} {
-		cfg := sim.Config{Options: core.Options{Mode: mode, Staleness: 2}, Trace: true, Speed: []float64{1, 1, 3, 1, 1}}
 		for name, job := range map[string]core.Job[float64]{
 			"sssp":     sssp.Job(0),
 			"pagerank": pagerank.Job(pagerank.Config{Tol: 1e-6}),
 		} {
-			r1, err := sim.Run(p, job, cfg)
-			if err != nil {
-				t.Fatal(err)
+			var recs [2]*sim.Recorder
+			var runs [3]*core.Result[float64]
+			for i := range runs {
+				cfg := sim.Config{Options: core.Options{Mode: mode, Staleness: 2}, Speed: []float64{1, 1, 3, 1, 1}}
+				if i < len(recs) {
+					recs[i] = sim.NewRecorder(p.M)
+					cfg.Options.Observe = recs[i].Observe
+				}
+				res, err := sim.Run(p, job, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				runs[i] = res
 			}
-			r2, err := sim.Run(p, job, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if r1.Stats.Seconds != r2.Stats.Seconds {
-				t.Errorf("%s/%s: nondeterministic makespan: %v vs %v", name, mode, r1.Stats.Seconds, r2.Stats.Seconds)
-			}
-			if r1.Stats.TotalMsgs != r2.Stats.TotalMsgs {
-				t.Errorf("%s/%s: nondeterministic message count: %d vs %d", name, mode, r1.Stats.TotalMsgs, r2.Stats.TotalMsgs)
-			}
-			for i := range r1.Stats.Workers {
-				if a, b := r1.Stats.Workers[i].Rounds, r2.Stats.Workers[i].Rounds; a != b {
-					t.Errorf("%s/%s: worker %d ran %d rounds, then %d", name, mode, i, a, b)
+			for _, r := range runs[1:] {
+				if !reflect.DeepEqual(runs[0].Stats, r.Stats) {
+					t.Errorf("%s/%s: statistics differ:\n%+v\n%+v", name, mode, runs[0].Stats, r.Stats)
+				}
+				if !reflect.DeepEqual(runs[0].Values, r.Values) {
+					t.Errorf("%s/%s: values differ", name, mode)
 				}
 			}
-			if !reflect.DeepEqual(sim.SortedCopy(r1.Trace), sim.SortedCopy(r2.Trace)) {
+			if !reflect.DeepEqual(recs[0].Intervals(), recs[1].Intervals()) {
 				t.Errorf("%s/%s: nondeterministic trace", name, mode)
 			}
-			if !reflect.DeepEqual(r1.Values, r2.Values) {
-				t.Errorf("%s/%s: nondeterministic values", name, mode)
+			rounds := make([]int32, p.M)
+			busy := make([]float64, p.M)
+			for _, iv := range recs[0].Intervals() {
+				rounds[iv.Worker]++
+				busy[iv.Worker] += iv.Seconds
+			}
+			for i, w := range runs[0].Stats.Workers {
+				if rounds[i] != w.Rounds || busy[i] != w.BusySeconds {
+					t.Errorf("%s/%s: worker %d traced %d rounds, %v s busy; stats say %d, %v s",
+						name, mode, i, rounds[i], busy[i], w.Rounds, w.BusySeconds)
+				}
 			}
 		}
 	}
@@ -132,6 +146,97 @@ func TestSimSchedulePinned(t *testing.T) {
 	}
 }
 
+// TestSimDecisions reads the controllers off the Decide trace on
+// TestSimSchedulePinned's setup: BSP suspends every worker that is ahead
+// of the slowest active one, AP never waits, and AAP's holds and
+// suspensions per worker are logged, the figures a change to its rule
+// is judged by.
+func TestSimDecisions(t *testing.T) {
+	g := gen.PowerLaw(300, 5, 2.1, true, 13)
+	p := mustPartition(t, g, 5, partition.Hash{})
+	jobs := map[string]core.Job[float64]{
+		"sssp":     sssp.Job(0),
+		"pagerank": pagerank.Job(pagerank.Config{Tol: 1e-6}),
+	}
+	for _, c := range []struct {
+		job  string
+		mode core.Mode
+	}{{"sssp", core.BSP}, {"sssp", core.AP}, {"pagerank", core.BSP}, {"pagerank", core.AP}, {"pagerank", core.AAP}} {
+		rec := sim.NewRecorder(p.M)
+		cfg := sim.Config{Options: core.Options{Mode: c.mode, Staleness: 2, Observe: rec.Observe}, Speed: []float64{1, 1, 3, 1, 1}}
+		if _, err := sim.Run(p, jobs[c.job], cfg); err != nil {
+			t.Fatal(err)
+		}
+		decides, ahead := 0, 0
+		for i := 0; i < p.M; i++ {
+			for _, ev := range rec.Decides(i) {
+				decides++
+				switch {
+				case c.mode == core.BSP && ev.View.Round > ev.View.RMin:
+					ahead++
+					if !math.IsInf(ev.Delay, 1) {
+						t.Errorf("%s/BSP: worker %d at round %d, r_min %d, got delay %v, want Forever", c.job, i, ev.View.Round, ev.View.RMin, ev.Delay)
+					}
+				case c.mode == core.AP && ev.Delay != 0:
+					t.Errorf("%s/AP: worker %d at round %d got delay %v, want 0", c.job, i, ev.View.Round, ev.Delay)
+				}
+			}
+			if c.mode == core.AAP {
+				now, hold, suspend := rec.Decisions(i)
+				t.Logf("%s/AAP worker %d: %d run now, %d held, %d suspended", c.job, i, now, hold, suspend)
+			}
+		}
+		if decides == 0 || c.mode == core.BSP && ahead == 0 {
+			t.Errorf("%s/%s: %d decisions, %d ahead of r_min: the check saw nothing", c.job, c.mode, decides, ahead)
+		}
+	}
+}
+
+// TestRealTrace: a Recorder on the real engine, whose executors step
+// different workers at once, keeps each worker's rounds in start order,
+// without overlap, one interval per round; and observing leaves the
+// answers of SSSP and CC exact.
+func TestRealTrace(t *testing.T) {
+	g := gen.PowerLaw(10000, 5, 2.1, true, 47)
+	p := mustPartition(t, g, 8, partition.Hash{})
+	checkRealTrace(t, p, sssp.Job(0))
+	checkRealTrace(t, p, cc.Job())
+}
+
+func checkRealTrace[T any](t *testing.T, p *partition.Partitioned, job core.Job[T]) {
+	t.Helper()
+	plain, err := core.Run(p, job, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := sim.NewRecorder(p.M)
+	traced, err := core.Run(p, job, core.Options{Observe: rec.Observe})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(plain.Values, traced.Values) {
+		t.Errorf("%s: observing changed the answer", job.Name)
+	}
+	byWorker := make([][]sim.Interval, p.M)
+	for _, iv := range rec.Intervals() {
+		byWorker[iv.Worker] = append(byWorker[iv.Worker], iv)
+	}
+	for i, ivs := range byWorker {
+		if want := traced.Stats.Workers[i].Rounds; len(ivs) != int(want) {
+			t.Errorf("%s: worker %d traced %d rounds, ran %d", job.Name, i, len(ivs), want)
+		}
+		// The gap is checked as a difference of clock readings, which
+		// rounds monotonically; prev.End() may round past the reading
+		// that ended prev.
+		for k := 1; k < len(ivs); k++ {
+			if prev, iv := ivs[k-1], ivs[k]; iv.Start-prev.Start < prev.Seconds {
+				t.Errorf("%s: worker %d round %d starts at %v, inside round %d (%v + %v s)",
+					job.Name, i, iv.Round, iv.Start, prev.Round, prev.Start, prev.Seconds)
+			}
+		}
+	}
+}
+
 // TestSimBSPBehavesLikeBarriers checks the BSP special case on a
 // workload where every fragment stays active until global convergence
 // (PageRank on a power-law graph): active workers move in lockstep, so
@@ -142,7 +247,7 @@ func TestSimBSPBehavesLikeBarriers(t *testing.T) {
 	p := mustPartition(t, g, 4, partition.Hash{})
 	speed := []float64{1, 1, 1, 2.5}
 	job := pagerank.Job(pagerank.Config{Tol: 1e-7})
-	bsp, err := sim.Run(p, job, sim.Config{Options: core.Options{Mode: core.BSP}, Speed: speed, Trace: true})
+	bsp, err := sim.Run(p, job, sim.Config{Options: core.Options{Mode: core.BSP}, Speed: speed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,9 +346,9 @@ func TestSimChurchRosser(t *testing.T) {
 
 func TestTraceRendering(t *testing.T) {
 	trace := []sim.Interval{
-		{Worker: 0, Round: 0, Start: 0, End: 3},
-		{Worker: 1, Round: 0, Start: 0, End: 6},
-		{Worker: 0, Round: 1, Start: 4, End: 7},
+		{Worker: 0, Round: 0, Start: 0, Seconds: 3},
+		{Worker: 1, Round: 0, Start: 0, Seconds: 6},
+		{Worker: 0, Round: 1, Start: 4, Seconds: 3},
 	}
 	s := sim.RenderTrace(trace, 2, 20)
 	if s == "(empty trace)\n" {
@@ -253,16 +358,6 @@ func TestTraceRendering(t *testing.T) {
 		if !contains(s, want) {
 			t.Errorf("render missing %q:\n%s", want, s)
 		}
-	}
-	sum := sim.TraceSummary(trace, 2)
-	if !contains(sum, "P1") || !contains(sum, "2") {
-		t.Errorf("summary missing fields:\n%s", sum)
-	}
-	if got := sim.RoundsOf(trace, 2); got[0] != 2 || got[1] != 1 {
-		t.Errorf("RoundsOf = %v", got)
-	}
-	if sim.Makespan(trace) != 7 {
-		t.Errorf("Makespan = %v", sim.Makespan(trace))
 	}
 	if sim.RenderTrace(nil, 2, 20) != "(empty trace)\n" {
 		t.Error("empty trace should render placeholder")
@@ -304,12 +399,12 @@ func indexOf(s, sub string) int {
 
 func ExampleRenderTrace() {
 	trace := []sim.Interval{
-		{Worker: 0, Round: 0, Start: 0, End: 1},
-		{Worker: 1, Round: 0, Start: 0, End: 2},
+		{Worker: 0, Round: 0, Start: 0, Seconds: 1},
+		{Worker: 1, Round: 0, Start: 0, Seconds: 2},
 	}
 	fmt.Print(sim.RenderTrace(trace, 2, 10))
 	// Output:
-	// time 0 .. 2.00 (virtual seconds), '#' computing, '.' waiting
+	// time 0 .. 2.00 (seconds), '#' computing, '.' waiting
 	// P1   |#####.....|
 	// P2   |##########|
 }
