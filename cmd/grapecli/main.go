@@ -178,7 +178,7 @@ func main() {
 	var stats core.RunStats
 	switch *algo {
 	case "sssp":
-		if _, ok := g.IndexOf(graph.VertexID(*source)); !ok {
+		if _, ok := p.G.IndexOf(graph.VertexID(*source)); !ok {
 			fatal(fmt.Errorf("-source %d: no such vertex in %s", *source, *graphPath))
 		}
 		res := execute(p, sssp.Job(graph.VertexID(*source)), opts, *resume)
@@ -203,9 +203,9 @@ func main() {
 	}
 
 	fmt.Printf("%s/%s on %s: %d vertices, %d edges, %d workers\n",
-		*algo, stats.Mode, *graphPath, g.NumVertices(), g.NumEdges(), *workers)
-	fmt.Printf("ingest: load %.3fs (%s), partition(%s) %.3fs\n",
-		loadSecs, loadRate, p.Strategy(), partSecs)
+		*algo, stats.Mode, *graphPath, p.G.NumVertices(), p.G.NumEdges(), *workers)
+	fmt.Printf("ingest: load %.3fs (%s), partition(%s) %.3fs, resident graph %.2f MiB, routing %.2f MiB\n",
+		loadSecs, loadRate, p.Strategy(), partSecs, float64(p.G.ResidentBytes())/(1<<20), float64(p.RoutingTableBytes())/(1<<20))
 	fmt.Printf("time %.3fs, rounds max %d, messages %d, bytes %d\n",
 		stats.Seconds, stats.MaxRound, stats.TotalMsgs, stats.TotalBytes)
 	if stats.Checkpoints > 0 || stats.Recoveries > 0 {

@@ -93,8 +93,8 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	logger.Printf("serving %d vertices, %d edges, %d fragments on %s",
-		g.NumVertices(), g.NumEdges(), *workers, rs.Addr())
+	logger.Printf("serving %d vertices, %d edges, %d fragments on %s; resident graph %.2f MiB, routing %.2f MiB",
+		g.NumVertices(), g.NumEdges(), *workers, rs.Addr(), float64(p.G.ResidentBytes())/(1<<20), float64(p.RoutingTableBytes())/(1<<20))
 	fmt.Printf("graped: listening on %s\n", rs.Addr())
 	if *addrFile != "" {
 		// Write-then-rename so a polling client never reads a partial

@@ -306,14 +306,18 @@ func (p *pingpong) IncEval(msgs []core.VMsg[float64], ctx *core.Context[float64]
 
 func (p *pingpong) Get(int32) float64 { return 0 }
 
-// stray sends one message for vertex -1 from worker 1. Send routes it to
-// worker 0 (the owner lookup of an id below every range), which neither
-// owns nor copies it — the shape of a corrupt frame.
-type stray struct{ f *partition.Fragment }
+// stray sends one message for vertex v, which no vertex has, from worker
+// 1. Send routes it to the fragment at that end of the vertex range
+// (worker 0 below it, the last worker past it), which neither owns nor
+// copies it — the shape of a corrupt frame.
+type stray struct {
+	f *partition.Fragment
+	v int32
+}
 
 func (s *stray) PEval(ctx *core.Context[float64]) {
 	if s.f.ID == 1 {
-		ctx.Send(-1, 1)
+		ctx.Send(s.v, 1)
 	}
 }
 func (s *stray) IncEval([]core.VMsg[float64], *core.Context[float64]) {}
@@ -321,22 +325,31 @@ func (s *stray) Get(int32) float64                                    { return 0
 
 // TestNoSlotMessageFailsRun: a message for a vertex its receiver has no
 // slot for fails the run, naming the receiver, the sender and the
-// vertex, instead of being folded by a second rule and handed to IncEval.
+// vertex, instead of being folded by a second rule and handed to IncEval
+// (or, for an id past the last vertex, indexing out of range).
 func TestNoSlotMessageFailsRun(t *testing.T) {
 	g := gen.Grid(8, 8, 1)
 	p := mustPartition(t, g, 3, partition.Hash{})
-	job := core.Job[float64]{
-		Name:      "stray",
-		New:       func(f *partition.Fragment) core.Program[float64] { return &stray{f: f} },
-		Aggregate: math.Min,
-	}
-	_, err := core.Run(p, job, core.Options{Deadline: 30 * time.Second})
-	if err == nil {
-		t.Fatal("a message for a vertex with no local slot was accepted")
-	}
-	for _, want := range []string{"stray worker 0 round", "from worker 1", "vertex -1"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("error %q does not name %q", err, want)
+	for _, c := range []struct {
+		v    int32
+		want []string
+	}{
+		{-1, []string{"stray worker 0 round", "from worker 1", "vertex -1"}},
+		{64, []string{"stray worker 2 round", "from worker 1", "vertex 64"}},
+	} {
+		job := core.Job[float64]{
+			Name:      "stray",
+			New:       func(f *partition.Fragment) core.Program[float64] { return &stray{f: f, v: c.v} },
+			Aggregate: math.Min,
+		}
+		_, err := core.Run(p, job, core.Options{Deadline: 30 * time.Second})
+		if err == nil {
+			t.Fatalf("a message for vertex %d, which no fragment has a slot for, was accepted", c.v)
+		}
+		for _, want := range c.want {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("error %q does not name %q", err, want)
+			}
 		}
 	}
 }

@@ -11,6 +11,7 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 )
@@ -39,14 +40,13 @@ type Graph struct {
 
 	ids []VertexID // internal index -> external id
 
-	// index maps external id -> base index: the index the vertex had in
-	// the graph Build produced. Relabeled graphs share this table with
-	// their ancestor and compose permutations in baseToCur instead of
-	// rebuilding it, so relabeling performs zero table operations.
-	index     idTable
-	baseToCur []int32 // base index -> current index; nil means identity
+	// index maps external id -> internal index. Every graph that
+	// permutes its vertices owns its table: Relabel composes the
+	// permutation into a copy of its input's (idTable.clone), so a
+	// lookup is one table read and no ancestor's table stays alive.
+	index idTable
 
-	outOff []int64   // len n+1
+	outOff []uint32  // len n+1; checkArcs keeps the arc count below 2^32
 	outDst []int32   // len m (directed) or 2m (undirected)
 	outW   []float64 // parallel to outDst; nil when unweighted
 
@@ -76,13 +76,7 @@ func (g *Graph) IDOf(v int32) VertexID { return g.ids[v] }
 
 // IndexOf returns the internal index of the external identifier id and
 // whether it exists.
-func (g *Graph) IndexOf(id VertexID) (int32, bool) {
-	v, ok := g.index.get(id)
-	if ok && g.baseToCur != nil {
-		v = g.baseToCur[v]
-	}
-	return v, ok
-}
+func (g *Graph) IndexOf(id VertexID) (int32, bool) { return g.index.get(id) }
 
 // OutDegree returns the out-degree of internal vertex v.
 func (g *Graph) OutDegree(v int32) int { return int(g.outOff[v+1] - g.outOff[v]) }
@@ -90,16 +84,49 @@ func (g *Graph) OutDegree(v int32) int { return int(g.outOff[v+1] - g.outOff[v])
 // OutSpan returns the total number of stored out-entries of the vertex
 // range [lo, hi): one subtraction on the CSR offsets, replacing
 // per-vertex degree loops when partitioners size contiguous fragments.
-func (g *Graph) OutSpan(lo, hi int32) int64 { return g.outOff[hi] - g.outOff[lo] }
+func (g *Graph) OutSpan(lo, hi int32) int64 { return int64(g.outOff[hi] - g.outOff[lo]) }
 
 // OutShards splits the vertex range into p contiguous shards of
 // near-equal out-edge span, the balance edge-parallel sweeps over the
 // graph (border computation, future analytics) need under skew.
 func (g *Graph) OutShards(p int) []int32 { return vertexShardsByWork(g.outOff, p) }
 
+// ResidentBytes reports the bytes the graph's tables hold: the ids (8
+// per vertex), the id index (4 per dense slot, 12 per slot of the
+// sparse table), the offsets (4(n+1)), the adjacency (4 per arc) and
+// its weights (8 per arc), plus a directed graph's in-side once In or
+// InDegree has built it (4(n+1) + 4 per arc). An undirected graph's
+// in-side is its out-side and counts once. A table shared with another
+// graph (AsUndirected's ids and id index) counts in both.
+func (g *Graph) ResidentBytes() int64 {
+	b := 8*int64(len(g.ids)) + g.index.bytes() +
+		4*int64(len(g.outOff)) + 4*int64(len(g.outDst)) + 8*int64(len(g.outW))
+	if in := g.in.Load(); g.directed && in != nil {
+		b += 4*int64(len(in.off)) + 4*int64(len(in.adj))
+	}
+	return b
+}
+
+// maxArcs is the most arcs (stored CSR entries: an undirected edge that
+// is not a self-loop is two) one side of a graph holds, the range of its
+// 32-bit offsets.
+const maxArcs = math.MaxUint32
+
+// checkArcs is the one offset-width guard: every CSR build that sums
+// offsets calls it with the arcs it is about to store and fails with its
+// error — stripedOffsets (Build, the loader, the in-side's transpose)
+// and symmetrize (AsUndirected, up to twice its input's arcs). Relabel
+// permutes a graph's rows and keeps their count.
+func checkArcs(arcs int64) error {
+	if arcs > maxArcs {
+		return fmt.Errorf("graph: %d arcs exceed the %d that 32-bit CSR offsets address", arcs, int64(maxArcs))
+	}
+	return nil
+}
+
 // adjacency is one unweighted CSR side.
 type adjacency struct {
-	off []int64
+	off []uint32
 	adj []int32
 }
 
@@ -118,7 +145,10 @@ func (g *Graph) buildIn() *adjacency {
 	g.inOnce.Do(func() {
 		a := &adjacency{off: g.outOff, adj: g.outDst}
 		if g.directed {
-			a.off, a.adj, _ = transposeCSR(g.outOff, g.outDst, nil)
+			var err error
+			if a.off, a.adj, _, err = transposeCSR(g.outOff, g.outDst, nil); err != nil {
+				panic(err) // unreachable: the in-side has the out-side's arcs
+			}
 		}
 		g.in.Store(a)
 	})
@@ -226,16 +256,43 @@ func (t *idTable) growDense(n int) {
 	t.dense = dense
 }
 
-// clone returns a copy that shares nothing with t.
-func (t *idTable) clone() idTable {
-	c := idTable{dense: append([]int32(nil), t.dense...)}
+// clone returns a copy that shares nothing with t and resolves every id
+// of t to perm[v] for its index v in t (perm nil: to v). The dense part
+// maps as an array; the sparse part keeps its keys in their slots and
+// remaps only the values, so no id is re-inserted and no probe runs.
+func (t *idTable) clone(perm []int32) idTable {
+	c := idTable{dense: remapIndexes(t.dense, perm)}
 	if t.over != nil {
 		o := *t.over
 		o.keys = append([]VertexID(nil), o.keys...)
-		o.vals = append([]int32(nil), o.vals...)
+		o.vals = remapIndexes(o.vals, perm)
 		c.over = &o
 	}
 	return c
+}
+
+// remapIndexes returns a copy of vs with every index v >= 0 replaced by
+// perm[v] (perm nil: kept); the absent marks (< 0) stay.
+func remapIndexes(vs, perm []int32) []int32 {
+	out := append([]int32(nil), vs...)
+	if perm != nil {
+		for i, v := range out {
+			if v >= 0 {
+				out[i] = perm[v]
+			}
+		}
+	}
+	return out
+}
+
+// bytes reports the table's resident size: 4 bytes per dense slot and 12
+// per slot of the sparse table.
+func (t *idTable) bytes() int64 {
+	b := 4 * int64(len(t.dense))
+	if t.over != nil {
+		b += 12 * int64(len(t.over.keys))
+	}
+	return b
 }
 
 // Builder accumulates vertices and edges and produces an immutable Graph.
@@ -324,23 +381,31 @@ func (b *Builder) NumEdges() int { return len(b.srcs) }
 // is by increasing destination index, with parallel edges preserved in
 // insertion order. The id table is copied (the builder may keep growing
 // its own); the CSR arrays are built by the parallel pipeline in
-// ingest.go.
+// ingest.go. Build panics with checkArcs' error when the edges need more
+// than 2^32−1 arcs; the edge-list loader returns that error instead.
 func (b *Builder) Build() *Graph {
 	var ws []float64
 	if b.weighted {
 		ws = b.ws
 	}
-	return buildGraph(b.directed, append([]VertexID(nil), b.ids...), b.index.clone(), b.srcs, b.dsts, ws)
+	g, err := buildGraph(b.directed, append([]VertexID(nil), b.ids...), b.index.clone(nil), b.srcs, b.dsts, ws)
+	if err != nil {
+		panic(err)
+	}
+	return g
 }
 
 // buildGraph assembles a Graph that takes ownership of ids and index
 // (index must resolve ids[v] to v) from the edge list srcs[i] -> dsts[i]
 // over internal indexes; ws is nil for an unweighted graph.
-func buildGraph(directed bool, ids []VertexID, index idTable, srcs, dsts []int32, ws []float64) *Graph {
+func buildGraph(directed bool, ids []VertexID, index idTable, srcs, dsts []int32, ws []float64) (*Graph, error) {
 	n := len(ids)
 	g := &Graph{directed: directed, ids: ids, index: index, numEdges: int64(len(srcs))}
-	g.outOff, g.outDst, g.outW = scatterCSR(n, srcs, dsts, ws, !directed)
-	return g
+	var err error
+	if g.outOff, g.outDst, g.outW, err = scatterCSR(n, srcs, dsts, ws, !directed); err != nil {
+		return nil, err
+	}
+	return g, nil
 }
 
 // AsUndirected returns g itself when already undirected, or a new
@@ -349,19 +414,24 @@ func buildGraph(directed bool, ids []VertexID, index idTable, srcs, dsts []int32
 // underlying undirected graph. The undirected rows are produced by
 // merging the already-sorted out-rows with a transient weighted
 // transpose of them (symmetrize in ingest.go): O(n+m) with no Builder,
-// no id-table operations, and nothing built on g.
+// no id-table operations, and nothing built on g. The vertices keep their
+// order, so the new graph shares g's ids and id index. AsUndirected
+// panics with checkArcs' error when the undirected rows need more than
+// 2^32−1 arcs (up to twice g's).
 func AsUndirected(g *Graph) *Graph {
 	if !g.directed {
 		return g
 	}
 	ng := &Graph{
-		directed:  false,
-		ids:       g.ids,
-		index:     g.index,
-		baseToCur: g.baseToCur,
-		numEdges:  g.numEdges,
+		directed: false,
+		ids:      g.ids,
+		index:    g.index,
+		numEdges: g.numEdges,
 	}
-	ng.outOff, ng.outDst, ng.outW = symmetrize(g)
+	var err error
+	if ng.outOff, ng.outDst, ng.outW, err = symmetrize(g); err != nil {
+		panic(err)
+	}
 	return ng
 }
 
@@ -371,9 +441,10 @@ func AsUndirected(g *Graph) *Graph {
 // fragment a contiguous index range.
 //
 // The out-side is permuted directly (permuteCSR in ingest.go) and the
-// id table is shared with g, composing permutations in baseToCur — an
-// O(n+m) array pass that rebuilds nothing and resolves no id. A directed
-// copy builds its own in-side on first use, like any directed graph.
+// id table is composed with perm into one table of the copy's own
+// (idTable.clone): an O(n+m) array pass that re-inserts no id, after
+// which nothing of g is referenced. A directed copy builds its own
+// in-side on first use, like any directed graph.
 func Relabel(g *Graph, perm []int32) (*Graph, error) {
 	n := g.NumVertices()
 	if err := checkPerm(perm, n); err != nil {
@@ -382,19 +453,11 @@ func Relabel(g *Graph, perm []int32) (*Graph, error) {
 	ng := &Graph{
 		directed: g.directed,
 		ids:      make([]VertexID, n),
-		index:    g.index,
+		index:    g.index.clone(perm),
 		numEdges: g.numEdges,
 	}
 	for v, id := range g.ids {
 		ng.ids[perm[v]] = id
-	}
-	ng.baseToCur = make([]int32, n)
-	if g.baseToCur == nil {
-		copy(ng.baseToCur, perm)
-	} else {
-		for i, v := range g.baseToCur {
-			ng.baseToCur[i] = perm[v]
-		}
 	}
 	ng.outOff, ng.outDst, ng.outW = permuteCSR(g.outOff, g.outDst, g.outW, perm)
 	return ng, nil

@@ -1,5 +1,5 @@
-// Parallel ingest pipeline: multicore CSR construction, zero-rebuild
-// relabeling, direct symmetrization, and the sort-free transpose that
+// Parallel ingest pipeline: multicore CSR construction, relabeling by
+// array passes, direct symmetrization, and the sort-free transpose that
 // builds a directed graph's in-side on first use.
 //
 // The entry points (Builder.Build, Relabel, AsUndirected, the in-side
@@ -47,14 +47,14 @@ func edgeShards(m, p int) []int {
 // vertexShardsByWork splits [0, n) into p contiguous vertex ranges with
 // near-equal total edge span, so hub vertices of a power-law graph do not
 // serialize the row-parallel stages.
-func vertexShardsByWork(off []int64, p int) []int32 {
+func vertexShardsByWork(off []uint32, p int) []int32 {
 	n := len(off) - 1
-	total := off[n]
+	total := int64(off[n])
 	b := make([]int32, p+1)
 	b[p] = int32(n)
 	for i := 1; i < p; i++ {
 		target := total * int64(i) / int64(p)
-		b[i] = int32(sort.Search(n, func(v int) bool { return off[v] >= target }))
+		b[i] = int32(sort.Search(n, func(v int) bool { return int64(off[v]) >= target }))
 	}
 	return b
 }
@@ -80,15 +80,17 @@ func stripeProcs(n, m int) int {
 // w's stripe is cursors[w*n:(w+1)*n]) and the row offsets. A scatter
 // that places shard w's entries at off[row] + cursor puts them after
 // shard w-1's within every row — exactly the sequential emission order,
-// under any worker count.
-func stripedOffsets(n, sp int, count func(w int, c []int32)) ([]int32, []int64) {
-	counts := make([]int32, sp*n)
+// under any worker count. The counts must not wrap: callers hold fewer
+// than 2^32 entries (checkArcs), and it fails when their rows add up to
+// more arcs than checkArcs allows.
+func stripedOffsets(n, sp int, count func(w int, c []uint32)) ([]uint32, []uint32, error) {
+	counts := make([]uint32, sp*n)
 	par.Do(sp, func(w int) { count(w, counts[w*n:(w+1)*n]) })
 
 	// Offsets: per-vertex exclusive scan across shards (turning each
 	// stripe entry into the shard's start within the row), then a
 	// two-pass parallel prefix sum over vertex ranges.
-	off := make([]int64, n+1)
+	off := make([]uint32, n+1)
 	vb := make([]int, sp+1)
 	for i := 0; i <= sp; i++ {
 		vb[i] = i * n / sp
@@ -97,13 +99,13 @@ func stripedOffsets(n, sp int, count func(w int, c []int32)) ([]int32, []int64) 
 	par.Do(sp, func(w int) {
 		var tot int64
 		for v := vb[w]; v < vb[w+1]; v++ {
-			var run int32
+			var run uint32
 			for q := 0; q < sp; q++ {
 				c := counts[q*n+v]
 				counts[q*n+v] = run
 				run += c
 			}
-			off[v+1] = int64(run)
+			off[v+1] = run
 			tot += int64(run)
 		}
 		rangeTotal[w] = tot
@@ -112,14 +114,17 @@ func stripedOffsets(n, sp int, count func(w int, c []int32)) ([]int32, []int64) 
 	for w := 0; w < sp; w++ {
 		base, rangeTotal[w] = base+rangeTotal[w], base
 	}
+	if err := checkArcs(base); err != nil {
+		return nil, nil, err
+	}
 	par.Do(sp, func(w int) {
-		run := rangeTotal[w]
+		run := uint32(rangeTotal[w])
 		for v := vb[w]; v < vb[w+1]; v++ {
 			run += off[v+1]
 			off[v+1] = run
 		}
 	})
-	return counts, off
+	return counts, off, nil
 }
 
 // scatterCSR builds one CSR side — offsets, adjacency, parallel weights —
@@ -131,12 +136,16 @@ func stripedOffsets(n, sp int, count func(w int, c []int32)) ([]int32, []int64) 
 //
 // Each worker owns a contiguous edge shard and a private cursor stripe
 // (stripedOffsets), so the scatter is deterministic; the rows are then
-// sorted.
-func scatterCSR(n int, keys, vals []int32, ws []float64, mirror bool) ([]int64, []int32, []float64) {
+// sorted. No row takes more than one entry per edge, so m ≤ 2^32−1 keeps
+// every count from wrapping; stripedOffsets checks the mirrored total.
+func scatterCSR(n int, keys, vals []int32, ws []float64, mirror bool) ([]uint32, []int32, []float64, error) {
 	m := len(keys)
+	if err := checkArcs(int64(m)); err != nil {
+		return nil, nil, nil, err
+	}
 	sp := stripeProcs(n, m)
 	eb := edgeShards(m, sp)
-	counts, off := stripedOffsets(n, sp, func(w int, c []int32) {
+	counts, off, err := stripedOffsets(n, sp, func(w int, c []uint32) {
 		for i := eb[w]; i < eb[w+1]; i++ {
 			c[keys[i]]++
 			if mirror && keys[i] != vals[i] {
@@ -144,6 +153,9 @@ func scatterCSR(n int, keys, vals []int32, ws []float64, mirror bool) ([]int64, 
 			}
 		}
 	})
+	if err != nil {
+		return nil, nil, nil, err
+	}
 
 	// Scatter: each worker walks its edge shard in order, placing entries
 	// at off[v] + stripe cursor.
@@ -157,14 +169,14 @@ func scatterCSR(n int, keys, vals []int32, ws []float64, mirror bool) ([]int64, 
 		cur := counts[w*n : (w+1)*n]
 		for i := eb[w]; i < eb[w+1]; i++ {
 			s, d := keys[i], vals[i]
-			pos := off[s] + int64(cur[s])
+			pos := off[s] + cur[s]
 			cur[s]++
 			adj[pos] = d
 			if wgt != nil {
 				wgt[pos] = ws[i]
 			}
 			if mirror && s != d {
-				pos := off[d] + int64(cur[d])
+				pos := off[d] + cur[d]
 				cur[d]++
 				adj[pos] = s
 				if wgt != nil {
@@ -175,7 +187,7 @@ func scatterCSR(n int, keys, vals []int32, ws []float64, mirror bool) ([]int64, 
 	})
 
 	sortRows(off, adj, wgt, ingestProcs(m))
-	return off, adj, wgt
+	return off, adj, wgt, nil
 }
 
 // transposeCSR builds the reverse of one CSR side: row u of the result
@@ -184,16 +196,20 @@ func scatterCSR(n int, keys, vals []int32, ws []float64, mirror bool) ([]int64, 
 // its rows in order through a private cursor stripe (stripedOffsets), so
 // sources land in every row ascending and a row's parallel edges keep
 // their order in the source row — sorted rows, with no row sort. Over a
-// stable-sorted side that is the sorted reverse side bit for bit.
-func transposeCSR(off []int64, adj []int32, w []float64) ([]int64, []int32, []float64) {
+// stable-sorted side that is the sorted reverse side bit for bit. The
+// reverse side has the input's arc count, which stripedOffsets checks.
+func transposeCSR(off []uint32, adj []int32, w []float64) ([]uint32, []int32, []float64, error) {
 	n := len(off) - 1
 	sp := stripeProcs(n, len(adj))
 	vb := vertexShardsByWork(off, sp)
-	counts, toff := stripedOffsets(n, sp, func(s int, c []int32) {
+	counts, toff, err := stripedOffsets(n, sp, func(s int, c []uint32) {
 		for _, u := range adj[off[vb[s]]:off[vb[s+1]]] {
 			c[u]++
 		}
 	})
+	if err != nil {
+		return nil, nil, nil, err
+	}
 	tadj := make([]int32, len(adj))
 	var tw []float64
 	if w != nil {
@@ -204,7 +220,7 @@ func transposeCSR(off []int64, adj []int32, w []float64) ([]int64, []int32, []fl
 		for v := vb[s]; v < vb[s+1]; v++ {
 			for i := off[v]; i < off[v+1]; i++ {
 				u := adj[i]
-				pos := toff[u] + int64(cur[u])
+				pos := toff[u] + cur[u]
 				cur[u]++
 				tadj[pos] = v
 				if tw != nil {
@@ -213,12 +229,12 @@ func transposeCSR(off []int64, adj []int32, w []float64) ([]int64, []int32, []fl
 			}
 		}
 	})
-	return toff, tadj, tw
+	return toff, tadj, tw, nil
 }
 
 // sortRows stable-sorts every adjacency row by neighbor index, in
 // parallel across vertex ranges balanced by edge count.
-func sortRows(off []int64, adj []int32, w []float64, p int) {
+func sortRows(off []uint32, adj []int32, w []float64, p int) {
 	vb := vertexShardsByWork(off, p)
 	par.Do(p, func(worker int) {
 		var rs rowSorter
@@ -359,12 +375,13 @@ func (rs *rowSorter) radixSort(adj []int32, w []float64) {
 // permuted degrees, rows copied with neighbors mapped through perm, then
 // re-sorted. Parallel edges keep their input order (the old row is
 // stable-sorted, the copy preserves it, and the re-sort is stable), so
-// the result matches the Builder-based reference bit for bit.
-func permuteCSR(off []int64, adj []int32, w []float64, perm []int32) ([]int64, []int32, []float64) {
+// the result matches the Builder-based reference bit for bit. The copy
+// has the input's arc count, so its offsets fit as the input's do.
+func permuteCSR(off []uint32, adj []int32, w []float64, perm []int32) ([]uint32, []int32, []float64) {
 	n := len(off) - 1
 	mm := len(adj)
 	p := ingestProcs(mm)
-	noff := make([]int64, n+1)
+	noff := make([]uint32, n+1)
 	for v := 0; v < n; v++ {
 		noff[perm[v]+1] = off[v+1] - off[v]
 	}
@@ -407,20 +424,27 @@ func permuteCSR(off []int64, adj []int32, w []float64, perm []int32) ([]int64, [
 // transpose of the out-side (the stored in-side has no weights). Both
 // inputs are stable-sorted, so the merge resolves equal neighbors to the
 // order the Builder-based reference produces — edges sorted by source
-// index — without any comparison sort.
-func symmetrize(g *Graph) ([]int64, []int32, []float64) {
+// index — without any comparison sort. The rows hold up to twice the
+// input's arcs; their total is checked before any prefix is summed.
+func symmetrize(g *Graph) ([]uint32, []int32, []float64, error) {
 	n := len(g.ids)
-	inOff, inSrc, inW := transposeCSR(g.outOff, g.outDst, g.outW)
+	inOff, inSrc, inW, err := transposeCSR(g.outOff, g.outDst, g.outW)
+	if err != nil {
+		return nil, nil, nil, err
+	}
 	p := ingestProcs(2 * len(g.outDst))
-	noff := make([]int64, n+1)
+	noff := make([]uint32, n+1)
 
 	// Row lengths: outdeg + indeg − self-loop count (each directed
-	// self-loop appears in both input rows but is stored once).
+	// self-loop appears in both input rows but is stored once). A row
+	// holds at most the total, so it wraps only when the check fails.
 	vb := make([]int32, p+1)
 	for i := 0; i <= p; i++ {
 		vb[i] = int32(i * n / p)
 	}
+	rangeTotal := make([]int64, p)
 	par.Do(p, func(worker int) {
+		var tot int64
 		for v := vb[worker]; v < vb[worker+1]; v++ {
 			row := g.outDst[g.outOff[v]:g.outOff[v+1]]
 			i := sort.Search(len(row), func(i int) bool { return row[i] >= v })
@@ -428,9 +452,19 @@ func symmetrize(g *Graph) ([]int64, []int32, []float64) {
 			for i+self < len(row) && row[i+self] == v {
 				self++
 			}
-			noff[v+1] = (g.outOff[v+1] - g.outOff[v]) + (inOff[v+1] - inOff[v]) - int64(self)
+			k := int64(len(row)) + int64(inOff[v+1]-inOff[v]) - int64(self)
+			noff[v+1] = uint32(k)
+			tot += k
 		}
+		rangeTotal[worker] = tot
 	})
+	var arcs int64
+	for _, t := range rangeTotal {
+		arcs += t
+	}
+	if err := checkArcs(arcs); err != nil {
+		return nil, nil, nil, err
+	}
 	for v := 0; v < n; v++ {
 		noff[v+1] += noff[v]
 	}
@@ -509,5 +543,5 @@ func symmetrize(g *Graph) ([]int64, []int32, []float64) {
 			}
 		}
 	})
-	return noff, nadj, nw
+	return noff, nadj, nw, nil
 }

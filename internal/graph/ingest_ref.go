@@ -26,7 +26,7 @@ func (b *Builder) buildRef() *Graph {
 	}
 
 	// Out-adjacency. Undirected graphs store each edge in both lists.
-	outDeg := make([]int64, n+1)
+	outDeg := make([]uint32, n+1)
 	for i := 0; i < m; i++ {
 		outDeg[b.srcs[i]+1]++
 		if !b.directed && b.srcs[i] != b.dsts[i] {
@@ -42,7 +42,7 @@ func (b *Builder) buildRef() *Graph {
 	if b.weighted {
 		g.outW = make([]float64, total)
 	}
-	cursor := make([]int64, n)
+	cursor := make([]uint32, n)
 	copy(cursor, g.outOff[:n])
 	emit := func(s, d int32, w float64) {
 		p := cursor[s]
@@ -65,7 +65,7 @@ func (b *Builder) buildRef() *Graph {
 	if b.directed {
 		// In-adjacency, unweighted like the stored in-side, installed
 		// before anyone can ask for it so the lazy build never runs.
-		inDeg := make([]int64, n+1)
+		inDeg := make([]uint32, n+1)
 		for i := 0; i < m; i++ {
 			inDeg[b.dsts[i]+1]++
 		}
@@ -90,7 +90,7 @@ func (b *Builder) buildRef() *Graph {
 // keeping the weight slice parallel. Stability pins the order of parallel
 // edges to their insertion order, the canonical adjacency order both the
 // reference and the parallel pipeline produce.
-func sortAdjacencyRef(off []int64, adj []int32, w []float64, n int) {
+func sortAdjacencyRef(off []uint32, adj []int32, w []float64, n int) {
 	for v := 0; v < n; v++ {
 		lo, hi := off[v], off[v+1]
 		if hi-lo < 2 {

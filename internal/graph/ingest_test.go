@@ -2,8 +2,11 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -86,7 +89,7 @@ func equalGraphs(t *testing.T, tag string, got, want *Graph) {
 	if _, wok := want.IndexOf(VertexID(-999)); gok != wok {
 		t.Fatalf("%s: IndexOf(-999) found = %v, want %v", tag, gok, wok)
 	}
-	eqOff := func(name string, a, b []int64) {
+	eqOff := func(name string, a, b []uint32) {
 		if len(a) != len(b) {
 			t.Fatalf("%s: %s length %d vs %d", tag, name, len(a), len(b))
 		}
@@ -188,8 +191,8 @@ func TestRelabelMatchesReference(t *testing.T) {
 			}
 			equalGraphs(t, tagOf("relabel", procs, seed), got, want)
 
-			// Relabel the relabeled graph again: the composed baseToCur
-			// path must keep matching the rebuild-from-scratch reference.
+			// Relabel the relabeled graph again: the twice-composed id
+			// table must keep matching the rebuild-from-scratch reference.
 			perm2 := rand.New(rand.NewSource(seed + 1)).Perm(n)
 			p232 := make([]int32, n)
 			for i, p := range perm2 {
@@ -246,9 +249,12 @@ func TestAsUndirectedSelfLoopHeavy(t *testing.T) {
 	}
 }
 
-// TestRelabelSharesIndex pins the zero-rebuild property: a relabeled
-// graph reuses its ancestor's id table rather than building a new one.
-func TestRelabelSharesIndex(t *testing.T) {
+// TestRelabelComposesIndex pins how a relabeled graph holds its id
+// table: one table of its own, sharing no array with its input's, whose
+// sparse part keeps every key in its input's slot (no id re-inserted)
+// and whose every index, dense or sparse, is its input's mapped through
+// the permutation.
+func TestRelabelComposesIndex(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	b := randomBuilder(rng, true, false, 20, 60)
 	b.Reserve(40, 0) // the ids so far were filed under the overflow arm ...
@@ -262,8 +268,69 @@ func TestRelabelSharesIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if &rg.index.dense[0] != &g.index.dense[0] || rg.index.over != g.index.over || g.index.over == nil {
-		t.Fatal("Relabel rebuilt the id table instead of sharing it")
+	gi, ri := &g.index, &rg.index
+	if gi.over == nil || len(gi.dense) == 0 {
+		t.Fatal("the input's table lacks a dense or a sparse part")
+	}
+	if &ri.dense[0] == &gi.dense[0] || ri.over == gi.over || &ri.over.keys[0] == &gi.over.keys[0] || &ri.over.vals[0] == &gi.over.vals[0] {
+		t.Fatal("Relabel shares an array of its input's id table")
+	}
+	if len(ri.dense) != len(gi.dense) || len(ri.over.keys) != len(gi.over.keys) || ri.over.n != gi.over.n {
+		t.Fatal("Relabel resized the id table")
+	}
+	remapped := func(v int32) int32 {
+		if v < 0 {
+			return v
+		}
+		return perm[v]
+	}
+	for i, v := range gi.dense {
+		if ri.dense[i] != remapped(v) {
+			t.Fatalf("dense[%d] = %d, want %d", i, ri.dense[i], remapped(v))
+		}
+	}
+	for i, v := range gi.over.vals {
+		if ri.over.keys[i] != gi.over.keys[i] || ri.over.vals[i] != remapped(v) {
+			t.Fatalf("sparse slot %d = (%d, %d), want (%d, %d)", i, ri.over.keys[i], ri.over.vals[i], gi.over.keys[i], remapped(v))
+		}
+	}
+	for v, id := range g.ids {
+		if got, ok := rg.IndexOf(id); !ok || got != perm[v] {
+			t.Fatalf("IndexOf(%d) = (%d, %v), want (%d, true)", id, got, ok, perm[v])
+		}
+	}
+}
+
+// TestCheckArcs drives the one offset-width guard with synthetic counts,
+// directly and through stripedOffsets (the count-and-prefix half of every
+// striped CSR build), so no large graph is allocated: 2^32−1 arcs fit
+// 32-bit offsets, one more is refused with an error naming the count.
+func TestCheckArcs(t *testing.T) {
+	for _, arcs := range []int64{0, 1, 1 << 31, math.MaxUint32} {
+		if err := checkArcs(arcs); err != nil {
+			t.Fatalf("checkArcs(%d) = %v, want nil", arcs, err)
+		}
+	}
+	for _, arcs := range []int64{math.MaxUint32 + 1, 2 * math.MaxUint32, math.MaxInt64} {
+		if err := checkArcs(arcs); err == nil || !strings.Contains(err.Error(), strconv.FormatInt(arcs, 10)) {
+			t.Fatalf("checkArcs(%d) = %v, want an error naming the count", arcs, err)
+		}
+	}
+	// Two stripes over three rows; a row's count is split between them.
+	rows := func(a, b, c uint32) func(w int, cnt []uint32) {
+		return func(w int, cnt []uint32) {
+			cnt[0], cnt[1], cnt[2] = a/2, b/2, c/2
+			if w == 1 {
+				cnt[0], cnt[1], cnt[2] = a-a/2, b-b/2, c-c/2
+			}
+		}
+	}
+	_, off, err := stripedOffsets(3, 2, rows(1<<31, 1<<31-2, 1))
+	if err != nil || !slices.Equal(off, []uint32{0, 1 << 31, math.MaxUint32 - 1, math.MaxUint32}) {
+		t.Fatalf("2^32-1 arcs: offsets %v, err %v", off, err)
+	}
+	if _, _, err := stripedOffsets(3, 2, rows(1<<31, 1<<31-1, 1)); err == nil || !strings.Contains(err.Error(), "4294967296 arcs") {
+		t.Fatalf("2^32 arcs: err %v, want the refusal naming 4294967296", err)
 	}
 }
 

@@ -100,5 +100,5 @@ func readEdgeListRef(r io.Reader) (*Graph, error) {
 	for id, v := range index {
 		table.over.getOrPut(id, v)
 	}
-	return buildGraph(directed, ids, table, srcs, dsts, ws), nil
+	return buildGraph(directed, ids, table, srcs, dsts, ws)
 }

@@ -485,10 +485,10 @@ func TestReadEdgeListAllocProportional(t *testing.T) {
 	if g.InBuilt() {
 		t.Fatal("loading a directed graph built its in-side")
 	}
-	parsed := 8*len(g.ids) + 4*len(g.index.dense) + 8*len(g.outOff) + 4*len(g.outDst) + 8*len(g.outW)
+	parsed := g.ResidentBytes()
 	got := after.TotalAlloc - before.TotalAlloc
 	t.Logf("load allocated %d bytes for a %d-byte graph (%.1fx)", got, parsed, float64(got)/float64(parsed))
-	// The load measures 3.77x: the chunk buffers and the 16-byte-per-edge
+	// The load measures 3.83x: the chunk buffers and the 16-byte-per-edge
 	// edge list the scatter reads are transient beside a 12-byte-per-edge
 	// graph. 4.15x fails once the load allocates a tenth more.
 	if got*20 > 83*uint64(parsed) {

@@ -640,7 +640,7 @@ func (c *chunk) owns(code, ticket int32, owner []atomic.Int32) bool {
 // assemble assigns internal ids over the parsed (failure-free) chunks,
 // remaps their edges and builds the CSR graph. chunks is in file order,
 // which the ownership rule relies on.
-func assemble(chunks []chunk, h header, procs int) *Graph {
+func assemble(chunks []chunk, h header, procs int) (*Graph, error) {
 	sawData, sawWeight := false, false
 	m, nDense, overflow := 0, 0, false
 	edgeOff := make([]int, len(chunks)+1)
@@ -825,5 +825,5 @@ func ParseEdgeList(data []byte) (*Graph, error) {
 	if err := chunkFail(chunks, h.lines); err != nil {
 		return nil, err
 	}
-	return assemble(chunks, h, procs), nil
+	return assemble(chunks, h, procs)
 }

@@ -1,7 +1,7 @@
 // Border-set computation as a parallel, map-free edge sweep.
 //
 // Every cross-fragment edge v→u sets one bit: u in the F.O bitset of
-// owner[v]. Setting a bit is idempotent, so the parallel sweep needs only
+// v's fragment. Setting a bit is idempotent, so the parallel sweep needs only
 // atomic OR, and compaction by ascending scan yields the sorted F.O for
 // free. F.O is the one stored border set: F.I is derived from it by
 // InBorder, and the routing index I_i is read off the fragments' F.O
@@ -98,15 +98,24 @@ func (p *Partitioned) computeBorders() {
 }
 
 // sweepBorders marks the F.O bits induced by out-edges of vertices in
-// [lo, hi). set is setBit for the single-worker sweep and setBitAtomic
-// for the shared-arena parallel sweep; bit-setting is idempotent and
+// [lo, hi). The sweep walks the fragments along with v, so an edge v→u
+// crosses exactly when u falls outside the [Lo, Hi) of v's fragment. set
+// is setBit for the single-worker sweep and setBitAtomic for the
+// shared-arena parallel sweep; bit-setting is idempotent and
 // commutative, so the parallel result is schedule-independent.
 func (p *Partitioned) sweepBorders(lo, hi int32, arena []uint64, words int, set func([]uint64, int32)) {
+	if lo >= hi {
+		return
+	}
+	fv := p.Owner(lo)
 	for v := lo; v < hi; v++ {
-		fv := p.owner[v]
-		o := int(fv) * words
+		for v >= p.Ranges[fv+1] {
+			fv++
+		}
+		flo, fhi := p.Ranges[fv], p.Ranges[fv+1]
+		o := fv * words
 		for _, u := range p.G.Out(v) {
-			if p.owner[u] != fv {
+			if u < flo || u >= fhi {
 				set(arena[o:o+words], u) // v→u crosses fragments: u in F.O of fv
 			}
 		}

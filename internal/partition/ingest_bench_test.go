@@ -127,9 +127,12 @@ func BenchmarkFileToFragments(b *testing.B) {
 	}
 }
 
-// BenchmarkSlotLookup measures Fragment.Slot the way a hash-partitioned
+// BenchmarkSlotLookup measures the two per-message routing reads on a
+// hash-partitioned power-law graph. slot is Fragment.Slot the way an
 // SSSP sweep drives it: random ids, about half of them F.O copies and
-// half vertices the fragment neither owns nor copies.
+// half vertices the fragment neither owns nor copies. owner is
+// Partitioned.Owner the way Stage.Send drives it, once per message:
+// random ids over the whole vertex range.
 func BenchmarkSlotLookup(b *testing.B) {
 	g := gen.PowerLaw(300_000, 8, 2.1, true, 42)
 	p, err := partition.Build(g, 8, partition.Hash{})
@@ -151,12 +154,24 @@ func BenchmarkSlotLookup(b *testing.B) {
 			}
 		}
 	}
-	b.ResetTimer()
-	var sum int32
-	for i := 0; i < b.N; i++ {
-		sum += f.Slot(ids[i&(len(ids)-1)])
+	b.Run("slot", func(b *testing.B) {
+		var sum int32
+		for i := 0; i < b.N; i++ {
+			sum += f.Slot(ids[i&(len(ids)-1)])
+		}
+		slotSink = sum
+	})
+	vs := make([]int32, 1<<16)
+	for i := range vs {
+		vs[i] = int32(rng.Intn(p.G.NumVertices()))
 	}
-	slotSink = sum
+	b.Run("owner", func(b *testing.B) {
+		var sum int
+		for i := 0; i < b.N; i++ {
+			sum += p.Owner(vs[i&(len(vs)-1)])
+		}
+		slotSink = int32(sum)
+	})
 }
 
 var slotSink int32

@@ -148,14 +148,16 @@ func (f *Fragment) MeanOutWeight() float64 {
 // global graph. Fragment i owns the contiguous vertex range
 // [Ranges[i], Ranges[i+1]).
 //
-// A Partitioned holds only what a query reads: the graph, the ranges,
-// the dense owner table and, per fragment, F.O with its rank bitmap. The
-// routing index I_i is not stored: the holders of v are the fragments
-// whose F.O bitmap has v (Fragment.OutSlot), in ascending id, and F.I is
-// derived from the other fragments' F.O (Fragment.InBorder).
+// A Partitioned holds only what a query reads: the graph, the ranges
+// with a coarse index over them (Owner), and, per fragment, F.O with its
+// rank bitmap. It keeps no per-vertex table of its own: the owner of v is
+// read off Ranges. The routing index I_i is not stored: the holders of v
+// are the fragments whose F.O bitmap has v (Fragment.OutSlot), in
+// ascending id, and F.I is derived from the other fragments' F.O
+// (Fragment.InBorder).
 //
 // Immutability contract: after Build returns, a Partitioned — the
-// graph, ranges, owner table, per-fragment slot tables and border
+// graph, ranges, owner index, per-fragment slot tables and border
 // sets — is read-only. This is what lets core.Session share one
 // Partitioned across concurrently executing queries with no locking:
 // per-query state lives entirely in the engine's vertex arenas, never
@@ -169,10 +171,11 @@ type Partitioned struct {
 	Ranges []int32 // length M+1
 	Frags  []*Fragment
 
-	// owner is the dense vertex→fragment table: owner[v] is the fragment
-	// id owning global vertex v. One array load replaces the former
-	// binary search over Ranges on the per-Send hot path.
-	owner []int32
+	// coarse is the owner index: bucket b covers the vertices whose
+	// index >> shift is b (ownerBucket).
+	coarse []ownerBucket
+	shift  uint  // < 32; Owner masks it so the shift compiles to one instruction
+	last   int32 // n-1: Owner clamps ids into [0, n)
 
 	// sizes[i] is ||F_i|| (owned vertices + owned edges), computed once
 	// in Build so Skew never rescans degrees.
@@ -184,26 +187,67 @@ type Partitioned struct {
 // Strategy returns the name of the strategy that produced the partition.
 func (p *Partitioned) Strategy() string { return p.strategy }
 
-// Owner returns the fragment id owning global vertex v. Ids outside the
-// vertex range take the binary-search path.
+// Owner returns the fragment id owning global vertex v. An id outside
+// [0, n) gets the owner of the nearest vertex, 0 or n-1; that fragment
+// has no slot for it, so a Send of it fails the run naming the vertex,
+// as any message its receiver has no slot for does. Owner reads v's
+// bucket of the coarse owner index and compares v with the one fragment
+// end the bucket holds: O(1), from memory that stays in L1. Only in a
+// bucket that meets the ends of several non-empty fragments does it
+// walk on along Ranges.
 func (p *Partitioned) Owner(v int32) int {
-	if v < 0 || int(v) >= len(p.owner) {
-		return p.ownerSearch(v)
+	v = min(max(v, 0), p.last)
+	e := p.coarse[min(uint32(v)>>(p.shift&31), uint32(len(p.coarse)-1))]
+	j := e.lo + (e.hi-e.lo)&((e.end-1-v)>>31) // e.hi when v >= e.end
+	for v >= p.Ranges[j+1] {
+		j++
 	}
-	return int(p.owner[v])
+	return int(j)
 }
 
-// Routing lookups are O(1): the owner table is one dense length-n array
-// shared by the partition, and per-fragment slots are the arithmetic
-// owned range plus an n/4-byte rank bitmap for the copies (slots.go).
-
-// ownerSearch is the reference O(log m) owner lookup the dense table
-// replaced; kept for the differential test.
-func (p *Partitioned) ownerSearch(v int32) int {
-	// Ranges is sorted; binary search for the fragment whose range holds v.
-	i := sort.Search(p.M, func(i int) bool { return p.Ranges[i+1] > v })
-	return i
+// ownerSearch is Owner by binary search over Ranges, the reference the
+// coarse index is built from and tested against (0 on an empty graph).
+func (p *Partitioned) ownerSearch(v int32) int32 {
+	v = min(max(v, 0), p.last)
+	return int32(min(sort.Search(p.M, func(i int) bool { return p.Ranges[i+1] > v }), p.M-1))
 }
+
+// ownerBucket is one bucket of the coarse owner index: lo owns the
+// bucket's first vertex, end is where lo's range ends, and hi owns the
+// first vertex at or past end (lo when there is none).
+type ownerBucket struct{ end, lo, hi int32 }
+
+// maxOwnerBuckets bounds the coarse owner index at 12 KiB.
+const maxOwnerBuckets = 1024
+
+// indexOwners builds the coarse owner index: the widest power-of-two
+// bucket no wider than the smallest non-empty fragment, so that every
+// bucket meets at most one non-empty fragment's end, unless that takes
+// more than maxOwnerBuckets buckets (one bucket for an empty graph).
+func (p *Partitioned) indexOwners() {
+	n := p.Ranges[p.M]
+	smallest := n
+	for i := 0; i < p.M; i++ {
+		if s := p.Ranges[i+1] - p.Ranges[i]; s > 0 && s < smallest {
+			smallest = s
+		}
+	}
+	shift := uint(max(bits.Len32(uint32(smallest))-1, 0))
+	for n>>shift >= maxOwnerBuckets {
+		shift++
+	}
+	p.shift, p.last = shift, n-1
+	p.coarse = make([]ownerBucket, max((int64(n)+1<<shift-1)>>shift, 1))
+	for b := range p.coarse {
+		lo := p.ownerSearch(int32(b) << shift)
+		end := p.Ranges[lo+1]
+		p.coarse[b] = ownerBucket{end, lo, p.ownerSearch(end)}
+	}
+}
+
+// Routing lookups are O(1): the owner is one read of the coarse index
+// and one compare, and per-fragment slots are the arithmetic owned range
+// plus an n/4-byte rank bitmap for the copies (slots.go).
 
 // Skew returns ||F_max|| / ||F_median||, the imbalance measure r used in
 // Exp-4 of the paper, with fragment size measured as owned vertices plus
@@ -259,12 +303,7 @@ func Build(g *graph.Graph, m int, s Strategy) (*Partitioned, error) {
 	}
 
 	p := &Partitioned{G: rg, M: m, Ranges: ranges, strategy: s.Name()}
-	p.owner = make([]int32, n)
-	for i := 0; i < m; i++ {
-		for v := ranges[i]; v < ranges[i+1]; v++ {
-			p.owner[v] = int32(i)
-		}
-	}
+	p.indexOwners()
 	p.sizes = make([]float64, m)
 	for i := 0; i < m; i++ {
 		p.sizes[i] = float64(int64(ranges[i+1]-ranges[i]) + rg.OutSpan(ranges[i], ranges[i+1]))

@@ -43,9 +43,10 @@ func (p *Partitioned) SlotTableBytes() int64 {
 }
 
 // RoutingTableBytes reports the resident size of all routing
-// structures: the dense owner array plus SlotTableBytes. These are the
-// only ones: the routing index I_i is read off the slot tables' F.O
-// bitmaps and has no table of its own.
+// structures: the coarse owner index (12 bytes a bucket, at most
+// maxOwnerBuckets of them) plus SlotTableBytes. These are the only ones:
+// the owner of a vertex is read off Ranges through the index, and the
+// routing index I_i off the slot tables' F.O bitmaps.
 func (p *Partitioned) RoutingTableBytes() int64 {
-	return int64(len(p.owner))*4 + p.SlotTableBytes()
+	return int64(len(p.coarse))*12 + p.SlotTableBytes()
 }
