@@ -98,7 +98,6 @@ func TestAggregateLaws(t *testing.T) {
 		agg  func(a, b int64) int64
 	}{
 		{"cc.Job", cc.Job().Aggregate},
-		{"cc.RefJob", cc.RefJob().Aggregate},
 	} {
 		for i := 0; i < trials; i++ {
 			a, b, c := label(), label(), label()

@@ -14,7 +14,6 @@ import (
 	"aap/internal/codec"
 	"aap/internal/core"
 	"aap/internal/graph"
-	"aap/internal/par"
 	"aap/internal/partition"
 )
 
@@ -53,12 +52,6 @@ type Config struct {
 	// than Tol between rounds.
 	Tol  float64
 	Seed int64
-	// Shards forces the kernel shard count used to build and stage the
-	// per-copy product contributions in ship: >= 1 forces that many
-	// shards, 0 picks automatically. SGD epochs themselves stay
-	// sequential — reordering rating updates would change the trained
-	// model.
-	Shards int
 }
 
 func (c Config) withDefaults() Config {
@@ -133,11 +126,6 @@ type program struct {
 	epochs    int
 	lastRMSE  float64
 	converged bool
-
-	// One ship's round stamp and send sides, read by copiesShard.
-	ts         int32
-	stages     []*core.Stage[Val]
-	shipCopies func(w int) // p.copiesShard, bound once so a ship allocates no closure
 }
 
 func newProgram(f *partition.Fragment, cfg Config) *program {
@@ -167,7 +155,6 @@ func newProgram(f *partition.Fragment, cfg Config) *program {
 	for _, v := range f.Out {
 		init(v)
 	}
-	p.shipCopies = p.copiesShard
 	return p
 }
 
@@ -257,40 +244,16 @@ func (p *program) epoch(ctx *core.Context[Val]) {
 }
 
 // ship sends copy contributions to product owners and canonical vectors
-// from owners to copy holders. Building the weight-scaled vectors is the
-// allocation-heavy half (one Rank-wide vector per border product per
-// round), so it fans out across kernel shards with staged sends; the
-// contiguous chunking keeps each destination's message order identical
-// to the sequential pass.
+// from owners to copy holders: the weight-scaled vector of each copy in
+// f.Out that has local ratings, then the value of each owned product
+// with remote copies.
 func (p *program) ship(ctx *core.Context[Val]) {
 	if p.converged && p.epochs >= p.cfg.Epochs {
 		return
 	}
-	k := p.cfg.Shards
-	if k == 0 {
-		k = ctx.Shards(int64(len(p.f.Out)) * int64(p.cfg.Rank))
-	}
-	p.ts = ctx.Round()
-	p.stages = ctx.Stages(k)
-	par.Do(k, p.shipCopies)
-	ctx.MergeStages()
-	// Owned products with remote copies broadcast their canonical value.
-	for _, v := range p.in {
-		s := p.f.Slot(v)
-		if p.factor[s] == nil {
-			continue
-		}
-		vec := append([]float64(nil), p.factor[s]...)
-		ctx.SendToHolders(v, Val{Vec: vec, Weight: 1, TS: p.ts})
-	}
-}
-
-// copiesShard is shard w of ship: it sends the weight-scaled vector of
-// each copy in its contiguous run of f.Out that has local ratings.
-func (p *program) copiesShard(w int) {
-	st, k, n := p.stages[w], len(p.stages), len(p.f.Out)
+	ts := ctx.Round()
 	base := p.f.NumOwned()
-	for i := w * n / k; i < (w+1)*n/k; i++ {
+	for i, v := range p.f.Out {
 		s := base + i
 		wt := p.weight[s]
 		if wt == 0 || p.factor[s] == nil {
@@ -300,7 +263,15 @@ func (p *program) copiesShard(w int) {
 		for r := range vec {
 			vec[r] = p.factor[s][r] * wt
 		}
-		st.Send(p.f.Out[i], Val{Vec: vec, Weight: wt, TS: p.ts})
+		ctx.Send(v, Val{Vec: vec, Weight: wt, TS: ts})
+	}
+	for _, v := range p.in {
+		s := p.f.Slot(v)
+		if p.factor[s] == nil {
+			continue
+		}
+		vec := append([]float64(nil), p.factor[s]...)
+		ctx.SendToHolders(v, Val{Vec: vec, Weight: 1, TS: ts})
 	}
 }
 

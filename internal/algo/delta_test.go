@@ -1,9 +1,9 @@
 package algo_test
 
-// Differential tests of the bucketed SSSP kernel: at every forced shard
-// count and bucket width — tiny (near-Dijkstra ordering), +Inf (one
-// bucket, the Bellman-Ford frontier order), and the fragment's mean
-// weight — it must match the retained reference bit for bit, at the
+// Differential tests of the bucketed SSSP kernel: at every bucket width
+// — tiny (near-Dijkstra ordering), +Inf (one bucket, the Bellman-Ford
+// frontier order), and the fragment's mean weight — it must match the
+// retained reference bit for bit, at the
 // program level and end to end through the simulator and the engine.
 // Plus the contracts around it: the positive-weight precondition fails
 // fast, a snapshot taken mid-run resumes exactly, on a road-network
@@ -77,8 +77,8 @@ func twoComponents() *graph.Graph {
 }
 
 // TestSSSPDeltaKernelMatchesRef: program-level differential — the
-// bucketed kernel at every forced shard count x bucket width against
-// sequential Dijkstra on one fragment.
+// bucketed kernel at every bucket width against sequential Dijkstra on
+// one fragment.
 func TestSSSPDeltaKernelMatchesRef(t *testing.T) {
 	for name, g := range deltaGraphs() {
 		p, err := partition.Build(g, 1, partition.Hash{})
@@ -86,13 +86,11 @@ func TestSSSPDeltaKernelMatchesRef(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := peval(t, p, sssp.RefJob(0))
-		for _, k := range kernelShardCounts {
-			for _, d := range deltaWidths {
-				got := peval(t, p, sssp.JobConfig(sssp.Config{Shards: k, Delta: d}))
-				bitsEqualF64(t, fmt.Sprintf("sssp-delta/%s/shards=%d/delta=%s", name, k, deltaTag(d)), got, want)
-			}
+		for _, d := range deltaWidths {
+			got := peval(t, p, sssp.JobConfig(sssp.Config{Delta: d}))
+			bitsEqualF64(t, fmt.Sprintf("sssp-delta/%s/delta=%s", name, deltaTag(d)), got, want)
 		}
-		if r := kernelRounds(t, p, sssp.JobShards(0, 2)); r <= 0 {
+		if r := kernelRounds(t, p, sssp.Job(0)); r <= 0 {
 			t.Fatalf("sssp-delta/%s reported %d kernel rounds", name, r)
 		}
 	}
@@ -118,21 +116,17 @@ func TestSSSPDeltaUnderSim(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := simValues(t, p, sssp.RefJob(0))
-			for _, k := range kernelShardCounts {
-				for _, d := range deltaWidths {
-					got := simValues(t, p, sssp.JobConfig(sssp.Config{Shards: k, Delta: d}))
-					bitsEqualF64(t, fmt.Sprintf("sim/sssp-delta/%s/m=%d/shards=%d/delta=%s",
-						name, m, k, deltaTag(d)), got, want)
-				}
+			for _, d := range deltaWidths {
+				got := simValues(t, p, sssp.JobConfig(sssp.Config{Delta: d}))
+				bitsEqualF64(t, fmt.Sprintf("sim/sssp-delta/%s/m=%d/delta=%s", name, m, deltaTag(d)), got, want)
 			}
 		}
 	}
 }
 
 // TestSSSPDeltaUnderEngine runs the bucketed kernel through the real
-// concurrent engine (concurrent bucket staging under -race in CI) on
-// both graph families the old kernel heuristic told apart, across the
-// bucket widths and shard counts.
+// concurrent engine (under -race in CI) on both graph families the old
+// kernel heuristic told apart, across the bucket widths.
 func TestSSSPDeltaUnderEngine(t *testing.T) {
 	for name, g := range map[string]*graph.Graph{
 		"roadnet":  gen.RoadNet(16, 16, 53),
@@ -143,15 +137,12 @@ func TestSSSPDeltaUnderEngine(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := simValues(t, p, sssp.RefJob(0))
-		for _, k := range []int{1, 2, 3} {
-			for _, d := range []float64{0.05, 0, math.Inf(1)} {
-				res, err := core.Run(p, sssp.JobConfig(sssp.Config{Shards: k, Delta: d}), core.Options{Mode: core.AAP})
-				if err != nil {
-					t.Fatal(err)
-				}
-				bitsEqualF64(t, fmt.Sprintf("engine/sssp-delta/%s/shards=%d/delta=%s", name, k, deltaTag(d)),
-					res.Values, want)
+		for _, d := range []float64{0.05, 0, math.Inf(1)} {
+			res, err := core.Run(p, sssp.JobConfig(sssp.Config{Delta: d}), core.Options{Mode: core.AAP})
+			if err != nil {
+				t.Fatal(err)
 			}
+			bitsEqualF64(t, fmt.Sprintf("engine/sssp-delta/%s/delta=%s", name, deltaTag(d)), res.Values, want)
 		}
 	}
 }
@@ -199,15 +190,14 @@ func superstep[P core.Program[float64]](progs []P, ctxs []*core.Context[float64]
 // boundary in the middle of a run — bucket windows advanced well past
 // zero, messages in flight — restored into fresh programs (a replaced
 // worker) and into the finished live ones (a rollback), continues to
-// the same distances, and at shards=1, where the kernel is
-// deterministic, to the same counters as the uninterrupted run.
+// the same distances and to the same counters as the uninterrupted run.
 func TestSSSPDeltaSnapshotResumesMidRun(t *testing.T) {
 	p, err := partition.Build(gen.RoadNet(30, 30, 71), 3, partition.BFSLocality{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := simValues(t, p, sssp.RefJob(0))
-	job := sssp.JobConfig(sssp.Config{Shards: 1})
+	job := sssp.Job(0)
 	build := func() ([]ssspKernel, []*core.Context[float64]) {
 		progs := make([]ssspKernel, p.M)
 		ctxs := make([]*core.Context[float64], p.M)
@@ -287,76 +277,59 @@ func TestSSSPDeltaSnapshotResumesMidRun(t *testing.T) {
 	}
 }
 
-// TestSSSPDeltaFlushIgnoresShards: the border flush sends each improved
+// TestSSSPDeltaFlushOncePerCopy: the border flush sends each improved
 // copy once, in ascending vertex order, with the distance it holds when
-// the round ends, and identically at every shard count. A hand-driven
-// barrier run on a multi-fragment power-law partition records every
-// batch of every round; at shards 2, 3 and 8 they equal those at shards 1
-// message for message.
-func TestSSSPDeltaFlushIgnoresShards(t *testing.T) {
+// the round ends. A hand-driven barrier run on a multi-fragment
+// power-law partition checks every batch of every round.
+func TestSSSPDeltaFlushOncePerCopy(t *testing.T) {
 	p, err := partition.Build(gen.PowerLaw(3000, 6, 2.1, true, 73), 4, partition.Hash{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(k int) [][]core.VMsg[float64] {
-		job := sssp.JobShards(0, k)
-		progs := make([]core.Program[float64], p.M)
-		ctxs := make([]*core.Context[float64], p.M)
-		for i, f := range p.Frags {
-			progs[i] = job.New(f)
-			ctxs[i] = core.NewEngineContext[float64](f, p.M)
-		}
-		var batches [][]core.VMsg[float64]
-		inbox := make([][]core.VMsg[float64], p.M)
-		ship := func(i int) {
-			out, _ := ctxs[i].TakeOut()
-			for j, ms := range out {
-				for x, m := range ms {
-					if x > 0 && m.V <= ms[x-1].V {
-						t.Fatalf("shards=%d: worker %d → %d sends vertex %d after %d", k, i, j, m.V, ms[x-1].V)
-					}
-					if held := progs[i].Get(m.V); math.Float64bits(held) != math.Float64bits(m.Val) {
-						t.Fatalf("shards=%d: worker %d sent vertex %d at %v, its copy holds %v", k, i, m.V, m.Val, held)
-					}
+	job := sssp.Job(0)
+	progs := make([]core.Program[float64], p.M)
+	ctxs := make([]*core.Context[float64], p.M)
+	for i, f := range p.Frags {
+		progs[i] = job.New(f)
+		ctxs[i] = core.NewEngineContext[float64](f, p.M)
+	}
+	batches := 0
+	inbox := make([][]core.VMsg[float64], p.M)
+	ship := func(i int) {
+		out, _ := ctxs[i].TakeOut()
+		for j, ms := range out {
+			for x, m := range ms {
+				if x > 0 && m.V <= ms[x-1].V {
+					t.Fatalf("worker %d → %d sends vertex %d after %d", i, j, m.V, ms[x-1].V)
 				}
-				if len(ms) > 0 {
-					batches = append(batches, slices.Clone(ms))
-					inbox[j] = append(inbox[j], ms...)
+				if held := progs[i].Get(m.V); math.Float64bits(held) != math.Float64bits(m.Val) {
+					t.Fatalf("worker %d sent vertex %d at %v, its copy holds %v", i, m.V, m.Val, held)
 				}
 			}
+			if len(ms) > 0 {
+				batches++
+				inbox[j] = append(inbox[j], ms...)
+			}
 		}
+	}
+	for i := range progs {
+		progs[i].PEval(ctxs[i])
+		ship(i)
+	}
+	for active := true; active; {
+		cur := inbox
+		inbox = make([][]core.VMsg[float64], p.M)
+		active = false
 		for i := range progs {
-			progs[i].PEval(ctxs[i])
-			ship(i)
-		}
-		for active := true; active; {
-			cur := inbox
-			inbox = make([][]core.VMsg[float64], p.M)
-			active = false
-			for i := range progs {
-				if len(cur[i]) > 0 {
-					active = true
-					progs[i].IncEval(core.FoldMessages(cur[i], math.Min), ctxs[i])
-					ship(i)
-				}
+			if len(cur[i]) > 0 {
+				active = true
+				progs[i].IncEval(core.FoldMessages(cur[i], math.Min), ctxs[i])
+				ship(i)
 			}
 		}
-		return batches
 	}
-	want := run(1)
-	if len(want) <= p.M {
-		t.Fatalf("only %d batches: the partition exercises too little border traffic", len(want))
-	}
-	for _, k := range []int{2, 3, 8} {
-		got := run(k)
-		if len(got) != len(want) {
-			t.Fatalf("shards=%d: %d batches, shards=1 sent %d", k, len(got), len(want))
-		}
-		for b := range want {
-			if !slices.Equal(got[b], want[b]) {
-				t.Fatalf("shards=%d: batch %d differs from shards=1:\n%v\n%v", k, b, got[b], want[b])
-			}
-		}
+	if batches <= p.M {
+		t.Fatalf("only %d batches: the partition exercises too little border traffic", batches)
 	}
 }
 
@@ -397,8 +370,7 @@ func TestSSSPRejectsBadWeights(t *testing.T) {
 
 // relaxations runs job's kernel to the local fixpoint on the single
 // fragment of p and returns the edge relaxations it attempted. Every
-// kernel is deterministic at shards=1, so the count is stable for a
-// fixed seed.
+// kernel is deterministic, so the count is stable for a fixed seed.
 func relaxations(t *testing.T, p *partition.Partitioned, job core.Job[float64]) int64 {
 	t.Helper()
 	prog := job.New(p.Frags[0])
@@ -410,8 +382,8 @@ func relaxations(t *testing.T, p *partition.Partitioned, job core.Job[float64]) 
 
 // TestSSSPDeltaFewerRelaxations pins the point of bucketing: on a road
 // network the mean-weight delta must attempt at most half the edge
-// relaxations of the Bellman-Ford frontier order (Delta = +Inf) at
-// equal shard count. (The Bellman-Ford re-relaxation factor grows with
+// relaxations of the Bellman-Ford frontier order (Delta = +Inf). (The
+// Bellman-Ford re-relaxation factor grows with
 // network diameter: 1.6x at 60x60, 3.0x here, 4.7x at 200x200 — so this
 // size is the smallest that pins the 2x claim.)
 func TestSSSPDeltaFewerRelaxations(t *testing.T) {
@@ -419,8 +391,8 @@ func TestSSSPDeltaFewerRelaxations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frontier := relaxations(t, p, sssp.JobConfig(sssp.Config{Shards: 1, Delta: math.Inf(1)}))
-	delta := relaxations(t, p, sssp.JobShards(0, 1))
+	frontier := relaxations(t, p, sssp.JobConfig(sssp.Config{Delta: math.Inf(1)}))
+	delta := relaxations(t, p, sssp.Job(0))
 	if delta*2 > frontier {
 		t.Fatalf("mean-weight delta attempted %d relaxations vs %d in frontier order: want at least 2x fewer",
 			delta, frontier)
@@ -441,7 +413,7 @@ func TestSSSPDeltaOrderingCostsNoWork(t *testing.T) {
 		t.Fatal(err)
 	}
 	dijkstra := relaxations(t, p, sssp.RefJob(0))
-	delta := relaxations(t, p, sssp.JobShards(0, 1))
+	delta := relaxations(t, p, sssp.Job(0))
 	t.Logf("relaxations: dijkstra %d, mean-weight delta %d", dijkstra, delta)
 	if delta*2 > dijkstra*3 {
 		t.Fatalf("mean-weight delta attempted %d relaxations vs Dijkstra's %d: want at most 1.5x",

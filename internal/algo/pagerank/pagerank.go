@@ -23,14 +23,10 @@
 //   - a share for an F.O copy goes straight into the copy's delta, which
 //     nothing reads before the flush.
 //
-// The block, not the shard, is the unit of determinism: it is a property
-// of the fragment's slot numbering, never of the machine. A sharded round
-// gives each shard whole blocks, so the in-block additions are the same
-// at every shard count, and delivers the other shares in ascending source
-// order (run). Every slot therefore sees one addition sequence whatever
-// the shard count — Job is bit-identical to RefJob at all of them — and
-// the count is picked per round (core.Context.Shards) from the work and
-// the idle cores.
+// The block is a property of the fragment's slot numbering, never of
+// the machine, and a round runs on one goroutine, so every slot sees one
+// addition sequence: Job is bit-identical to RefJob, the plain-loop
+// statement of the same rule.
 //
 // Every call converges coarse to fine, the accumulative iteration of
 // Maiter (Zhang et al., TPDS 2014): large deltas first, small ones once
@@ -54,7 +50,6 @@ package pagerank
 import (
 	"math"
 	"math/bits"
-	"sync/atomic"
 
 	"aap/internal/codec"
 	"aap/internal/core"
@@ -71,9 +66,6 @@ type Config struct {
 	// finite. The total parked residual bounds the L1 error of the
 	// fixpoint.
 	Tol float64
-	// Shards forces the kernel shard count of every round when >= 1;
-	// 0 picks per round (core.Context.Shards).
-	Shards int
 }
 
 // withDefaults fails safe, NaN included: no delta is ever above a NaN or
@@ -122,11 +114,7 @@ const (
 	blockSlots = 1 << blockShift
 )
 
-// program is the kernel. score, delta and next are plain slices: every
-// phase partitions its writes (a shard owns the slots and bitmap words of
-// its blocks; next, pend and the copies belong to shard 0 during the sweep
-// and to the owning shard after it) and par.Do's barrier orders the
-// phases, so no atomics are needed on the accumulators.
+// program is the kernel.
 type program struct {
 	f   *partition.Fragment
 	cfg Config
@@ -140,36 +128,21 @@ type program struct {
 	next []float64
 	pend []uint64
 
-	// fr is the worklist of owned slots admitted above θ. Every
-	// admission comes from the one goroutine that owns the slot's block
-	// (AddOwned), and the ordered Advance at each round start makes the
-	// consume order canonical for any shard count.
-	fr       *par.Frontier
-	maxSpan  int64       // span of a round over every owned slot
-	bounds   []int       // frontier chunk per shard, cut between blocks
-	blockEnd []int       // shard w owns blocks [blockEnd[w], blockEnd[w+1])
-	shardOf  []int       // block → owning shard, this round
-	buckets  [][]contrib // (source shard × dest shard) staging of shards >= 1
-	rounds   int
-}
-
-// contrib is one cross-block share staged between sweep and settle.
-type contrib struct {
-	slot int32
-	val  float64
+	// fr is the worklist of owned slots admitted above θ; its ordered
+	// Advance at each round start makes the consume order canonical.
+	fr     *par.Frontier
+	rounds int
 }
 
 func newProgram(f *partition.Fragment, cfg Config) *program {
 	n := f.Slots()
 	return &program{
 		f: f, cfg: cfg,
-		score:   make([]float64, n),
-		delta:   make([]float64, n),
-		next:    make([]float64, f.NumOwned()),
-		pend:    make([]uint64, par.Words(f.NumOwned())),
-		fr:      par.NewFrontier(f.NumOwned()),
-		maxSpan: f.Graph().OutSpan(f.Lo, f.Hi) + int64(f.NumOwned()),
-		shardOf: make([]int, (n+blockSlots-1)>>blockShift),
+		score: make([]float64, n),
+		delta: make([]float64, n),
+		next:  make([]float64, f.NumOwned()),
+		pend:  make([]uint64, par.Words(f.NumOwned())),
+		fr:    par.NewFrontier(f.NumOwned()),
 	}
 }
 
@@ -190,10 +163,10 @@ func (p *program) PEval(ctx *core.Context[float64]) {
 	wake(ctx, p.f, p.delta, p.theta, p.cfg.Tol)
 }
 
-// IncEval folds incoming delta sums into owned vertices (sequentially —
-// the folded message list is small and already in canonical vertex
-// order), admits every owned slot above θ (threshold) and resumes the
-// rounds at θ; residual left between Tol and θ wakes the fragment again.
+// IncEval folds incoming delta sums into owned vertices (the folded
+// message list is already in canonical vertex order), admits every owned
+// slot above θ (threshold) and resumes the rounds at θ; residual left
+// between Tol and θ wakes the fragment again.
 func (p *program) IncEval(msgs []core.VMsg[float64], ctx *core.Context[float64]) {
 	p.theta = threshold(largest(msgs), p.cfg.Tol)
 	for _, m := range msgs {
@@ -202,7 +175,7 @@ func (p *program) IncEval(msgs []core.VMsg[float64], ctx *core.Context[float64])
 		}
 	}
 	for s, x := range p.delta[:p.f.NumOwned()] {
-		p.fr.AddOwned(int32(s), x > p.theta)
+		p.fr.Add(int32(s), x > p.theta)
 	}
 	p.run(ctx)
 	p.flush(ctx)
@@ -216,100 +189,39 @@ func (p *program) Get(v int32) float64 {
 }
 
 // add accumulates a delta on local slot s and admits owned slots
-// crossing θ to the frontier (sequential callers only).
+// crossing θ to the frontier.
 func (p *program) add(s int32, d float64) {
 	p.delta[s] += d
 	if s < int32(p.f.NumOwned()) {
-		p.fr.AddOwned(s, p.delta[s] > p.theta)
+		p.fr.Add(s, p.delta[s] > p.theta)
 	}
 }
 
-// kernelShards resolves the shard count for `work` units this round.
-func (p *program) kernelShards(ctx *core.Context[float64], work int64) int {
-	if p.cfg.Shards > 0 {
-		return p.cfg.Shards
-	}
-	return ctx.Shards(work)
-}
-
-// run executes rounds until the frontier drains. A round is two
-// barrier-separated phases over k shards of whole blocks (k = 1 runs
-// both on the caller):
-//
-//	sweep  — shard w consumes its frontier chunk in ascending order, each
-//	         slot pushing at once: in-block shares into delta, the rest
-//	         into next or the copy (shard 0, whose sources come first) or
-//	         bucket (w, destination shard);
-//	settle — shard d applies buckets (1,d), …, (k-1,d) in that order,
-//	         then folds next into delta for the slots of its blocks and
-//	         admits those that crossed θ.
+// run executes rounds until the frontier drains. A round is a sweep
+// that consumes the frontier in ascending order, each slot pushing at
+// once, then a settle that folds next into delta.
 //
 // Advance clears the dedup bitmap before any slot is consumed, so a slot
 // that an earlier slot of its block re-admits before its own turn is
 // consumed in this sweep and listed again in the next, which skips it.
 func (p *program) run(ctx *core.Context[float64]) {
-	g := p.f.Graph()
-	deg := func(s int32) int64 { return int64(g.OutDegree(p.f.Lo+s)) + 1 }
 	for {
-		frontier := p.fr.Advance() // ascending: canonical for any shard count
+		frontier := p.fr.Advance()
 		if len(frontier) == 0 {
 			return
 		}
 		p.rounds++
-
-		// No round spans more than maxSpan, so when even that much work
-		// would run unsharded the frontier's degrees need no summing.
-		var span int64
-		k := p.kernelShards(ctx, p.maxSpan)
-		if k > 1 {
-			for _, s := range frontier {
-				span += deg(s)
-			}
-			k = p.kernelShards(ctx, span)
-		}
-		p.plan(frontier, k, span, deg)
-
-		var units atomic.Int64
-		par.Do(k, func(w int) { units.Add(p.sweep(w, k, frontier[p.bounds[w]:p.bounds[w+1]])) })
-		ctx.AddWork(int(units.Load()))
-		par.Do(k, func(d int) { p.settle(d, k) })
+		ctx.AddWork(int(p.sweep(frontier)))
+		p.settle()
 	}
 }
 
-// plan cuts the frontier into k chunks of near-equal work whose
-// boundaries fall between blocks, and gives shard w the blocks from its
-// chunk's first up to the next chunk's first (the outer shards take the
-// blocks before and after the frontier, copies included): the one table
-// both phases' write-disjointness rests on.
-func (p *program) plan(frontier []int32, k int, span int64, deg func(int32) int64) {
-	p.bounds = par.ChunksByWork(frontier, k, span, p.bounds, deg)
-	par.SnapChunks(frontier, p.bounds, blockShift)
-	p.blockEnd = append(p.blockEnd[:0], 0)
-	for w := 1; w <= k; w++ {
-		end := len(p.shardOf)
-		if i := p.bounds[w]; i < len(frontier) {
-			end = int(frontier[i] >> blockShift)
-		}
-		for b := p.blockEnd[w-1]; b < end; b++ {
-			p.shardOf[b] = w - 1
-		}
-		p.blockEnd = append(p.blockEnd, end)
-	}
-	for len(p.buckets) < k*k {
-		p.buckets = append(p.buckets, nil)
-	}
-}
-
-// sweep consumes shard w's frontier chunk and returns its work units.
-// It writes only the owned slots and frontier words of the chunk's
-// blocks, bucket row w, and — shard 0 alone — next, pend and the copies.
-func (p *program) sweep(w, k int, chunk []int32) (units int64) {
+// sweep consumes the frontier and returns its work units: in-block
+// shares go into delta, shares for other blocks' owned slots into next,
+// shares for copies into the copy's delta.
+func (p *program) sweep(frontier []int32) (units int64) {
 	g, owned, tol := p.f.Graph(), int32(p.f.NumOwned()), p.theta
-	row := p.buckets[w*k : w*k+k]
-	for d := range row {
-		row[d] = row[d][:0]
-	}
-	for _, s := range chunk {
+	for _, s := range frontier {
 		x := p.delta[s]
 		if !(x > tol) {
 			continue // consumed earlier in the sweep that re-admitted it
@@ -330,11 +242,8 @@ func (p *program) sweep(w, k int, chunk []int32) (units int64) {
 			case uint32(us-lo) < n:
 				y := p.delta[us] + share
 				p.delta[us] = y
-				p.fr.AddOwned(us, y > tol)
+				p.fr.Add(us, y > tol)
 			case us < 0:
-			case w != 0:
-				d := p.shardOf[us>>blockShift]
-				row[d] = append(row[d], contrib{slot: us, val: share})
 			case us < owned:
 				p.next[us] += share
 				p.pend[us>>6] |= 1 << (us & 63)
@@ -346,25 +255,11 @@ func (p *program) sweep(w, k int, chunk []int32) (units int64) {
 	return units
 }
 
-// settle ends the round for the blocks of shard d: the staged shares
-// bound for them follow shard 0's in source-shard order — the ascending
-// source order of an unsharded sweep — and each slot next holds a sum
-// for takes it in one addition.
-func (p *program) settle(d, k int) {
-	owned, tol := int32(p.f.NumOwned()), p.theta
-	for w := 1; w < k; w++ {
-		for _, c := range p.buckets[w*k+d] {
-			if c.slot >= owned {
-				p.delta[c.slot] += c.val
-				continue
-			}
-			p.next[c.slot] += c.val
-			p.pend[c.slot>>6] |= 1 << (c.slot & 63)
-		}
-	}
-	const blockWords = blockSlots >> 6
-	for i := p.blockEnd[d] * blockWords; i < min(p.blockEnd[d+1]*blockWords, len(p.pend)); i++ {
-		word := p.pend[i]
+// settle ends the round: each slot next holds a sum for takes it in one
+// addition, in ascending slot order, and is admitted if it crossed θ.
+func (p *program) settle() {
+	tol := p.theta
+	for i, word := range p.pend {
 		if word == 0 {
 			continue
 		}
@@ -374,7 +269,7 @@ func (p *program) settle(d, k int) {
 			x := p.delta[us] + p.next[us]
 			p.delta[us] = x
 			p.next[us] = 0
-			p.fr.AddOwned(us, x > tol)
+			p.fr.Add(us, x > tol)
 		}
 	}
 }
@@ -400,8 +295,7 @@ const coarse = 1.0 / 32
 
 // threshold is a call's propagation threshold θ = max(Tol, coarse × top),
 // top being the largest delta the call starts with: a pure function of
-// the seed or the folded messages, so every kernel and shard count
-// computes the same θ.
+// the seed or the folded messages, so both kernels compute the same θ.
 func threshold(top, tol float64) float64 { return max(tol, top*coarse) }
 
 // largest is the largest delta among an IncEval's folded messages.

@@ -1,23 +1,20 @@
 package pagerank
 
-// The retained sequential PageRank kernel: the pinned reference of the
-// differential tests. It states the round rule of the compute plane
-// (pagerank.go) in plain loops — sort the frontier, consume it in slot
-// order, each consumed slot pushing at once — so it is the "one-shard
-// execution" the parallel kernel must reproduce bit for bit.
+// The retained PageRank kernel: the pinned reference of the
+// differential tests. It states the round rule of pagerank.go in plain
+// loops — sort the frontier, consume it in slot order, each consumed
+// slot pushing at once — with a sorted list and a flag per slot where
+// the kernel uses a bitmap, so the kernel must reproduce it bit for bit.
 //
 // Where a share lands is what matters. One for an owned slot of the
 // source's own block goes into delta at once, and later slots of the
 // sweep see it. One for an owned slot of another block is held back in
 // late and added to delta once, at the round's end, as a single sum
 // built in ascending source order — so no slot reads a same-round value
-// that crossed a block boundary, which is what lets a sharded round give
-// each shard whole blocks and deliver the rest after a barrier. (A copy
-// is read by nothing before the flush and takes its shares directly.)
-// The block is the unit of determinism because the fragment's slot
-// numbering fixes it; a rule keyed on the shard would make the bits
-// depend on the shard count, and full Gauss–Seidel cannot be reproduced
-// by any sharded schedule.
+// that crossed a block boundary. (A copy is read by nothing before the
+// flush and takes its shares directly.) The block is fixed by the
+// fragment's slot numbering, and the results and work counts depend on
+// it.
 
 import (
 	"slices"

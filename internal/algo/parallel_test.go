@@ -1,23 +1,21 @@
 package algo_test
 
-// Differential tests of the frontier-parallel compute plane: every
-// parallel kernel, forced to shard counts {1, 2, 3, 8}, must be
-// bit-identical to its retained sequential reference — at the program
-// level (one fragment, PEval to local fixpoint) and end to end through
-// the deterministic virtual-time simulator (many fragments, real
-// message traffic), plus a smoke run through the concurrent engine.
+// Differential tests of the kernels: every kernel must be bit-identical
+// to its oracle — SSSP's and PageRank's retained reference kernels
+// (RefJob), CC's ref.CC — at the program level (one fragment, PEval to
+// local fixpoint) and end to end through the deterministic virtual-time
+// simulator (many fragments, real message traffic), plus a smoke run
+// through the concurrent engine.
 
 import (
 	"bytes"
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
 	"sync"
 	"testing"
 
 	"aap/internal/algo/cc"
-	"aap/internal/algo/cf"
 	"aap/internal/algo/pagerank"
 	"aap/internal/algo/ref"
 	"aap/internal/algo/sssp"
@@ -25,13 +23,9 @@ import (
 	"aap/internal/core"
 	"aap/internal/gen"
 	"aap/internal/graph"
-	"aap/internal/par"
 	"aap/internal/partition"
 	"aap/internal/sim"
 )
-
-// kernelShardCounts is the forced-shard axis of every differential test.
-var kernelShardCounts = []int{1, 2, 3, 8}
 
 // bitsEqualF64 compares float64 slices bitwise (±0 and NaN differences
 // surface).
@@ -101,7 +95,7 @@ func kernelRounds[T any](t *testing.T, p *partition.Partitioned, job core.Job[T]
 }
 
 // testGraphs are the shared differential corpora: a heavy-tailed graph
-// (hub contention on the atomic mins), a grid (deep frontiers), a small
+// (hubs), a grid (deep frontiers), a small
 // random weighted graph (ragged partitions), and a road lattice (high
 // diameter: PageRank's mass drains through long tails of rounds whose
 // frontier is a few scattered slots). No vertex count is a multiple of
@@ -121,9 +115,8 @@ func diffGraphs() map[string]*graph.Graph {
 const pagerankBlock = 4096
 
 // blockGraphs are PageRank's own corpora. Every graph of diffGraphs fits
-// in one block, where no share ever takes the cross-block path (at
-// shards = 8 they are the case of seven shards left empty once the
-// chunks are cut between blocks). These span several on one fragment —
+// in one block, where no share ever takes the cross-block path. These
+// span several on one fragment —
 // a lattice and a heavy-tailed graph — plus the edges of the block
 // rule: an owned count of exactly two blocks, one slot past that, and a
 // fragment whose frontier lies inside its second block from round 2 on
@@ -153,28 +146,24 @@ func blockGraphs(t testing.TB) map[string]*graph.Graph {
 }
 
 // TestSSSPParallelKernelMatchesRef: program-level differential — the
-// bucketed sweep at every forced shard count against sequential
-// Dijkstra on one fragment (delta_test.go adds the bucket-width axis).
+// bucketed sweep against Dijkstra on one fragment (delta_test.go adds
+// the bucket-width axis).
 func TestSSSPParallelKernelMatchesRef(t *testing.T) {
 	for name, g := range diffGraphs() {
 		p, err := partition.Build(g, 1, partition.Hash{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := peval(t, p, sssp.RefJob(0))
-		for _, k := range kernelShardCounts {
-			got := peval(t, p, sssp.JobShards(0, k))
-			bitsEqualF64(t, fmt.Sprintf("sssp/%s/shards=%d", name, k), got, want)
-		}
-		if r := kernelRounds(t, p, sssp.JobShards(0, 2)); r <= 0 {
+		bitsEqualF64(t, "sssp/"+name, peval(t, p, sssp.Job(0)), peval(t, p, sssp.RefJob(0)))
+		if r := kernelRounds(t, p, sssp.Job(0)); r <= 0 {
 			t.Fatalf("sssp/%s reported %d kernel rounds", name, r)
 		}
 	}
 }
 
 // TestSSSPJobBelowGrainRunsBucketedKernel: sssp.Job builds the bucketed
-// kernel for a fragment too small to ever shard, where it once fell back
-// to Dijkstra, and its answer is the reference's bit for bit.
+// kernel for a small fragment (784 vertices), where it once fell back to
+// Dijkstra, and its answer is the reference's bit for bit.
 func TestSSSPJobBelowGrainRunsBucketedKernel(t *testing.T) {
 	g := gen.Grid(28, 28, 13)
 	p, err := partition.Build(g, 1, partition.Hash{})
@@ -182,77 +171,32 @@ func TestSSSPJobBelowGrainRunsBucketedKernel(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := p.Frags[0]
-	if span := g.OutSpan(f.Lo, f.Hi); !par.BelowKernelGrain(span) {
-		t.Fatalf("span %d is above the kernel grain", span)
-	}
 	if _, ok := sssp.Job(0).New(f).(interface{ BucketsDrained() int }); !ok {
 		t.Fatalf("sssp.Job built %T below the grain, want the bucketed kernel", sssp.Job(0).New(f))
 	}
 	bitsEqualF64(t, "sssp/below-grain", peval(t, p, sssp.Job(0)), peval(t, p, sssp.RefJob(0)))
 }
 
-// TestCCParallelKernelMatchesRef: hook-and-shortcut label propagation
-// against union-find on one fragment.
+// TestCCParallelKernelMatchesRef: the union-find kernel on one fragment
+// against ref.CC. p.G numbers the vertices of the partitioned graph, and
+// ref.CC labels a component by its minimum external id, so the two
+// vectors line up index for index.
 func TestCCParallelKernelMatchesRef(t *testing.T) {
 	for name, g := range diffGraphs() {
-		und := graph.AsUndirected(g)
-		p, err := partition.Build(und, 1, partition.Hash{})
+		p, err := partition.Build(graph.AsUndirected(g), 1, partition.Hash{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := peval(t, p, cc.RefJob())
-		for _, k := range kernelShardCounts {
-			got := peval(t, p, cc.JobShards(k))
-			equalI64(t, fmt.Sprintf("cc/%s/shards=%d", name, k), got, want)
-		}
-		if r := kernelRounds(t, p, cc.JobShards(2)); r <= 0 {
-			t.Fatalf("cc/%s reported %d kernel rounds", name, r)
-		}
+		equalI64(t, "cc/"+name, peval(t, p, cc.Job()), ref.CC(p.G))
 	}
 }
 
-// TestCCKernelChoiceIgnoresCoreCount: which CC kernel a fragment gets is
-// a property of the fragment. On one core par.Kernel answers 1 for any
-// span, and keying the choice on it meant a one-core machine never built
-// the parallel kernel the other machines ran; now a fragment above the
-// kernel grain builds it there too (only it reports kernel rounds), one
-// below keeps union-find, and either way the answer is the reference's.
-func TestCCKernelChoiceIgnoresCoreCount(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	for _, c := range []struct {
-		name     string
-		g        *graph.Graph
-		parallel bool
-	}{
-		{"above-grain", graph.AsUndirected(gen.PowerLaw(4000, 6, 2.1, false, 59)), true},
-		{"below-grain", graph.AsUndirected(gen.Grid(28, 28, 13)), false},
-	} {
-		p, err := partition.Build(c.g, 1, partition.Hash{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		f := p.Frags[0]
-		if span := c.g.OutSpan(f.Lo, f.Hi); par.BelowKernelGrain(span) == c.parallel {
-			t.Fatalf("%s: span %d is on the wrong side of the kernel grain", c.name, span)
-		}
-		_, parallel := cc.Job().New(f).(interface{ KernelRounds() int })
-		if parallel != c.parallel {
-			t.Errorf("%s at GOMAXPROCS=1: parallel kernel = %v, want %v", c.name, parallel, c.parallel)
-		}
-		equalI64(t, "cc/"+c.name, peval(t, p, cc.Job()), peval(t, p, cc.RefJob()))
-	}
-}
-
-// pagerankShardCounts adds the production setting (0: picked per round)
-// to the forced axis: pagerank.Job builds the one kernel either way.
-var pagerankShardCounts = append([]int{0}, kernelShardCounts...)
-
-// TestPageRankParallelKernelMatchesRef: shard 0's direct accumulation
-// and the (source-shard, dest-shard) staging of the other shards must
-// replay the reference's contribution order exactly, in a block and
-// across blocks — a sum fixpoint, so any reordering would change
-// low-order bits and fail this test. The tight tolerance is the
-// long-tail case: hundreds of rounds after the bulk has converged.
+// TestPageRankParallelKernelMatchesRef: the kernel's bitmap frontier and
+// pending-share words must replay the reference's contribution order
+// exactly, in a block and across blocks — a sum fixpoint, so any
+// reordering would change low-order bits and fail this test. The tight
+// tolerance is the long-tail case: hundreds of rounds after the bulk has
+// converged.
 func TestPageRankParallelKernelMatchesRef(t *testing.T) {
 	graphs := diffGraphs()
 	for name, g := range blockGraphs(t) {
@@ -265,12 +209,10 @@ func TestPageRankParallelKernelMatchesRef(t *testing.T) {
 		}
 		for _, tol := range []float64{1e-6, 1e-10} {
 			want := peval(t, p, pagerank.RefJob(pagerank.Config{Tol: tol}))
-			for _, k := range pagerankShardCounts {
-				got := peval(t, p, pagerank.Job(pagerank.Config{Tol: tol, Shards: k}))
-				bitsEqualF64(t, fmt.Sprintf("pagerank/%s/tol=%g/shards=%d", name, tol, k), got, want)
-			}
+			got := peval(t, p, pagerank.Job(pagerank.Config{Tol: tol}))
+			bitsEqualF64(t, fmt.Sprintf("pagerank/%s/tol=%g", name, tol), got, want)
 		}
-		if r := kernelRounds(t, p, pagerank.Job(pagerank.Config{Shards: 2})); r <= 0 {
+		if r := kernelRounds(t, p, pagerank.Job(pagerank.Config{})); r <= 0 {
 			t.Fatalf("pagerank/%s reported %d kernel rounds", name, r)
 		}
 	}
@@ -281,7 +223,7 @@ func TestPageRankParallelKernelMatchesRef(t *testing.T) {
 // ⌈ln(Tol/(1-d)) / ln d⌉ = 74 full sweeps of the fragment at the default
 // Tol and did 75.5 sweeps' worth of work on this lattice; pushing at
 // once inside a block contracts about twice as fast per sweep and does
-// 41.8. The work is the same number at every shard count, like the
+// 41.8. The kernel does the reference's work to the unit, like the
 // bits.
 func TestPageRankWorkOnRoadLattice(t *testing.T) {
 	p, err := partition.Build(blockGraphs(t)["road150"], 1, partition.Hash{})
@@ -303,10 +245,8 @@ func TestPageRankWorkOnRoadLattice(t *testing.T) {
 		t.Errorf("PEval reported %d work units = %.1f sweeps of %d, want at most 0.65 × %v sweeps = %d",
 			want, float64(want)/float64(sweep), sweep, jacobi, limit)
 	}
-	for _, k := range []int{1, 2} {
-		if got := work(pagerank.Job(pagerank.Config{Shards: k})); got != want {
-			t.Errorf("shards=%d reported %d work units, the reference %d", k, got, want)
-		}
+	if got := work(pagerank.Job(pagerank.Config{})); got != want {
+		t.Errorf("the kernel reported %d work units, the reference %d", got, want)
 	}
 }
 
@@ -317,14 +257,13 @@ type pagerankKernel interface {
 }
 
 // pagerankCases are the kernels the multi-fragment PageRank tests drive:
-// the reference and the parallel kernel at one and three shards.
+// the reference and the kernel.
 var pagerankCases = []struct {
 	name string
 	job  core.Job[float64]
 }{
 	{"ref", pagerank.RefJob(pagerank.Config{})},
-	{"shards=1", pagerank.Job(pagerank.Config{Shards: 1})},
-	{"shards=3", pagerank.Job(pagerank.Config{Shards: 3})},
+	{"kernel", pagerank.Job(pagerank.Config{})},
 }
 
 // buildPageRank builds one program and engine context per fragment.
@@ -453,7 +392,7 @@ func multiFragmentWork(t *testing.T, p *partition.Partitioned) int64 {
 // border mass had arrived. A PEval that runs at the same threshold, with
 // the seed as its largest delta, and wakes itself the same way does
 // 1.16×. The run must still end with every owned residual at most Tol and
-// the same bits in both kernels at every shard count.
+// the same bits in both kernels.
 func TestPageRankMultiFragmentWork(t *testing.T) {
 	g := blockGraphs(t)["road150"]
 	single := onePEvalWork(t, g)
@@ -575,9 +514,9 @@ func TestPageRankWakesFromPEval(t *testing.T) {
 // blocks still trading cross-block shares — restored into fresh programs
 // (a replaced worker) and into the finished live ones (a rollback)
 // continues to the bits of the uninterrupted run, final state included.
-// The per-round scratch a sharded round adds is empty at that boundary,
-// so it is not in the snapshot: the kernel's bytes equal the reference
-// kernel's, whose state is score, delta and the round count. Two more
+// The per-round scratch of a round (next, pend) is empty at that
+// boundary, so it is not in the snapshot: the kernel's bytes equal the
+// reference kernel's, whose state is score, delta and the round count. Two more
 // cuts hold a fragment's wake to itself in flight: the one right after
 // PEval, which parks the residual below its coarse threshold, and the
 // first superstep whose outbox holds a wake. The parked residual is in
@@ -684,11 +623,10 @@ func simValues[T any](t *testing.T, p *partition.Partitioned, job core.Job[T]) [
 
 // TestParallelKernelsMatchRefUnderSim: end-to-end differential through
 // the simulator with real multi-fragment message traffic. SSSP and CC
-// converge to unique exact-min fixpoints, so ref and parallel runs must
-// agree bitwise even though their round structures differ. PageRank is
-// compared across shard counts of the same kernel (its per-round message
-// content is deterministic for any shard count); the work profile of the
-// ref kernel is identical, so ref is included too.
+// converge to unique exact-min fixpoints, so kernel and oracle runs must
+// agree bitwise even though their round structures differ. PageRank's
+// kernel and reference kernel send the same messages every round, so
+// they agree bitwise too.
 func TestParallelKernelsMatchRefUnderSim(t *testing.T) {
 	g := gen.PowerLaw(500, 5, 2.1, true, 23)
 	und := graph.AsUndirected(g)
@@ -703,14 +641,9 @@ func TestParallelKernelsMatchRefUnderSim(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		wantS := simValues(t, p, sssp.RefJob(0))
-		wantC := simValues(t, pu, cc.RefJob())
-		for _, k := range kernelShardCounts {
-			bitsEqualF64(t, fmt.Sprintf("sim/sssp/m=%d/shards=%d", m, k),
-				simValues(t, p, sssp.JobShards(0, k)), wantS)
-			equalI64(t, fmt.Sprintf("sim/cc/m=%d/shards=%d", m, k),
-				simValues(t, pu, cc.JobShards(k)), wantC)
-		}
+		bitsEqualF64(t, fmt.Sprintf("sim/sssp/m=%d", m),
+			simValues(t, p, sssp.Job(0)), simValues(t, p, sssp.RefJob(0)))
+		equalI64(t, fmt.Sprintf("sim/cc/m=%d", m), simValues(t, pu, cc.Job()), ref.CC(pu.G))
 
 		// PageRank also on the road lattice, whose fragments keep
 		// trading small deltas long after the bulk has converged.
@@ -737,49 +670,16 @@ func TestParallelKernelsMatchRefUnderSim(t *testing.T) {
 			}
 		}
 		for _, in := range inputs {
-			wantP := simValues(t, in.p, pagerank.RefJob(pagerank.Config{Tol: in.tol}))
-			for _, k := range pagerankShardCounts {
-				bitsEqualF64(t, fmt.Sprintf("sim/pagerank/%s/m=%d/shards=%d", in.name, m, k),
-					simValues(t, in.p, pagerank.Job(pagerank.Config{Tol: in.tol, Shards: k})), wantP)
-			}
+			bitsEqualF64(t, fmt.Sprintf("sim/pagerank/%s/m=%d", in.name, m),
+				simValues(t, in.p, pagerank.Job(pagerank.Config{Tol: in.tol})),
+				simValues(t, in.p, pagerank.RefJob(pagerank.Config{Tol: in.tol})))
 		}
 	}
 }
 
-// TestCFStagedShipMatchesSequential: the staged parallel ship must not
-// perturb training — contributions are built per copy independently and
-// merged in copy order, so the trained factors are bit-identical.
-func TestCFStagedShipMatchesSequential(t *testing.T) {
-	r := gen.Bipartite(200, 40, 10, 4, 0.9, 29)
-	p, err := partition.Build(r.G, 4, partition.Hash{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := cf.Config{Users: 200, Products: 40, Rank: 4, Epochs: 10, Seed: 2}
-	seq := base
-	seq.Shards = 1
-	want := simValues(t, p, cf.Job(seq))
-	for _, k := range []int{2, 3, 8} {
-		cfg := base
-		cfg.Shards = k
-		got := simValues(t, p, cf.Job(cfg))
-		for v := range want {
-			if got[v].Weight != want[v].Weight || len(got[v].Vec) != len(want[v].Vec) {
-				t.Fatalf("cf shards=%d vertex %d: shape diverged", k, v)
-			}
-			for i := range want[v].Vec {
-				if math.Float64bits(got[v].Vec[i]) != math.Float64bits(want[v].Vec[i]) {
-					t.Fatalf("cf shards=%d vertex %d dim %d: %v != %v",
-						k, v, i, got[v].Vec[i], want[v].Vec[i])
-				}
-			}
-		}
-	}
-}
-
-// TestParallelKernelsUnderEngine: smoke the parallel kernels through the
-// real concurrent engine (staged sends racing with other workers'
-// deliveries under -race in CI) against the single-threaded oracles.
+// TestParallelKernelsUnderEngine: smoke the kernels through the real
+// concurrent engine (sends racing with other workers' deliveries under
+// -race in CI) against the single-threaded oracles.
 func TestParallelKernelsUnderEngine(t *testing.T) {
 	g := gen.PowerLaw(400, 5, 2.1, true, 31)
 	p, err := partition.Build(g, 4, partition.Hash{})
@@ -787,7 +687,7 @@ func TestParallelKernelsUnderEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantS := ref.SSSP(g, 0)
-	res, err := core.Run(p, sssp.JobShards(0, 3), core.Options{Mode: core.AAP})
+	res, err := core.Run(p, sssp.Job(0), core.Options{Mode: core.AAP})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -806,7 +706,7 @@ func TestParallelKernelsUnderEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantC := ref.CC(und)
-	resC, err := core.Run(pu, cc.JobShards(3), core.Options{Mode: core.AAP})
+	resC, err := core.Run(pu, cc.Job(), core.Options{Mode: core.AAP})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -820,10 +720,9 @@ func TestParallelKernelsUnderEngine(t *testing.T) {
 
 	// The engine folds messages in arrival order, so its PageRank is
 	// compared within tolerance; what this adds over the bit-exact tests
-	// above is the race detector watching the block-keyed sweep and
-	// settle phases and the per-round shard choice under real concurrency.
-	// The second input gives each of two fragments several blocks, so the
-	// shards also hand each other cross-block shares.
+	// above is the race detector watching the kernel's rounds under real
+	// concurrency. The second input gives each of two fragments several
+	// blocks, so the rounds also take the cross-block path.
 	road := blockGraphs(t)["road150"]
 	proad, err := partition.Build(road, 2, partition.Range{})
 	if err != nil {
@@ -835,17 +734,15 @@ func TestParallelKernelsUnderEngine(t *testing.T) {
 		p    *partition.Partitioned
 	}{{"powerlaw", g, p}, {"road150", road, proad}} {
 		wantP := ref.PageRank(in.g, 0.85, 1e-10, 1000)
-		for _, k := range pagerankShardCounts {
-			resP, err := core.Run(in.p, pagerank.Job(pagerank.Config{Tol: 1e-10, Shards: k}), core.Options{Mode: core.AAP})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for v := 0; v < in.g.NumVertices(); v++ {
-				id := in.p.G.IDOf(int32(v))
-				orig, _ := in.g.IndexOf(id)
-				if d := math.Abs(resP.Values[v] - wantP[orig]); d > 1e-6 {
-					t.Fatalf("engine pagerank %s shards=%d vertex %d: |Δ|=%g", in.name, k, id, d)
-				}
+		resP, err := core.Run(in.p, pagerank.Job(pagerank.Config{Tol: 1e-10}), core.Options{Mode: core.AAP})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v := 0; v < in.g.NumVertices(); v++ {
+			id := in.p.G.IDOf(int32(v))
+			orig, _ := in.g.IndexOf(id)
+			if d := math.Abs(resP.Values[v] - wantP[orig]); d > 1e-6 {
+				t.Fatalf("engine pagerank %s vertex %d: |Δ|=%g", in.name, id, d)
 			}
 		}
 	}

@@ -15,10 +15,10 @@ import (
 )
 
 // SnapshotState serializes the bucketed kernel's durable state: the
-// distance bits into the one pre-sized buffer, then the work counters.
+// distances into the one pre-sized buffer, then the work counters.
 func (p *deltaProgram) SnapshotState() []byte {
 	buf := make([]byte, 0, 4+8*len(p.dist)+24)
-	buf = codec.AppendUint64s(buf, p.dist)
+	buf = codec.AppendFloat64s(buf, p.dist)
 	buf = codec.AppendInt64(buf, int64(p.rounds))
 	buf = codec.AppendInt64(buf, int64(p.buckets))
 	buf = codec.AppendInt64(buf, p.relaxed)
@@ -30,17 +30,17 @@ func (p *deltaProgram) SnapshotState() []byte {
 // improvement before staging anything.
 func (p *deltaProgram) RestoreState(data []byte) error {
 	r := codec.NewReader(data)
-	bits := r.Uint64s()
+	dist := r.Float64s()
 	rounds := r.Int64()
 	buckets := r.Int64()
 	relaxed := r.Int64()
 	if err := r.Err(); err != nil {
 		return err
 	}
-	if len(bits) != len(p.dist) {
-		return fmt.Errorf("sssp: snapshot has %d slots, fragment has %d", len(bits), len(p.dist))
+	if len(dist) != len(p.dist) {
+		return fmt.Errorf("sssp: snapshot has %d slots, fragment has %d", len(dist), len(p.dist))
 	}
-	copy(p.dist, bits)
+	copy(p.dist, dist)
 	p.rounds = int(rounds)
 	p.buckets = int(buckets)
 	p.relaxed = relaxed

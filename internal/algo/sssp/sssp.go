@@ -2,17 +2,16 @@
 // (Section 5.1 of the paper). Every Job runs one kernel, the bucketed
 // label-correcting sweep (delta.go): owned vertices wait in
 // distance-range buckets (par.Buckets), the lowest bucket drains first,
-// and a vertex taken from it relaxes all its out-edges across kernel
-// shards — as many goroutines as shards run the one code path — with an
-// exact float-min. The bucket width Delta is its one degree of freedom,
-// from Dijkstra order (tiny) to Bellman-Ford frontier order (+Inf).
+// and a vertex taken from it relaxes all its out-edges with an exact
+// min. The bucket width Delta is its one degree of freedom, from
+// Dijkstra order (tiny) to Bellman-Ford frontier order (+Inf).
 //
-// The retained sequential reference (sssp_ref.go, RefJob) — Dijkstra as
-// PEval and Ramalingam-Reps incremental relaxation as IncEval — is the
-// oracle of the differential tests and nothing else. No fragment falls
-// back to it by size: on fragments below the sharding grain the bucketed
-// kernel at one shard runs PEval 1.6–3.7× faster than Dijkstra (40×40
-// road, 60×60 grid, 1k-vertex power-law), as it does above the grain.
+// The retained reference (sssp_ref.go, RefJob) — Dijkstra as PEval and
+// Ramalingam-Reps incremental relaxation as IncEval — is the oracle of
+// the differential tests and nothing else. No fragment falls back to it
+// by size: the bucketed kernel runs PEval 1.6–3.7× faster than Dijkstra
+// on small fragments (40×40 road, 60×60 grid, 1k-vertex power-law), as
+// it does on large ones.
 //
 // There is no multi-source kernel: the serving path (internal/serve) runs
 // each distinct source of a batch as its own Job, because a sweep shared
@@ -32,9 +31,9 @@
 // extending a path never lowers its sum, and min over that candidate set
 // is exact — so the fixpoint is unique and independent of relaxation
 // order. Bucketing changes only how much work reaching it wastes. The
-// differential tests in internal/algo pin this at forced shard counts
-// and bucket widths. The positivity precondition the argument rests on
-// is enforced by ValidateWeights before any kernel runs.
+// differential tests in internal/algo pin this across bucket widths.
+// The positivity precondition the argument rests on is enforced by
+// ValidateWeights before any kernel runs.
 package sssp
 
 import (
@@ -51,17 +50,11 @@ import (
 var Inf = math.Inf(1)
 
 // Config parameterizes the SSSP job. The zero value (plus a Source) is
-// the production configuration: automatic shard count, delta from the
-// fragment's mean edge weight.
+// the production configuration: delta from the fragment's mean edge
+// weight.
 type Config struct {
 	// Source is the external id of the source vertex.
 	Source graph.VertexID
-
-	// Shards forces the kernel shard count per round when >= 1
-	// (1 exercises the sweeps single-threaded); 0 picks automatically.
-	// The differential tests and BenchmarkKernelSSSP force the axis
-	// through here.
-	Shards int
 
 	// Delta is the bucket width of the bucketed kernel: distances
 	// [i*Delta, (i+1)*Delta) share bucket i. Anything but a positive
@@ -80,19 +73,13 @@ func Job(source graph.VertexID) core.Job[float64] {
 	return JobConfig(Config{Source: source})
 }
 
-// JobShards builds the SSSP job with a forced kernel shard count, the
-// scaling axis of the differential tests and benchmarks.
-func JobShards(source graph.VertexID, shards int) core.Job[float64] {
-	return JobConfig(Config{Source: source, Shards: shards})
-}
-
 // JobConfig builds the SSSP job from an explicit configuration.
 func JobConfig(cfg Config) core.Job[float64] {
 	return core.Job[float64]{
 		Name:     "sssp",
 		Validate: ValidateWeights,
 		New: func(f *partition.Fragment) core.Program[float64] {
-			return newDeltaProgram(f, cfg.Source, cfg.Shards, cfg.Delta)
+			return newDeltaProgram(f, cfg.Source, cfg.Delta)
 		},
 		Aggregate: math.Min,
 		Bytes:     func(float64) int { return 8 },

@@ -52,16 +52,6 @@ func AppendFloat64s(dst []byte, vs []float64) []byte {
 	return dst
 }
 
-// AppendUint64s appends a length-prefixed vector of raw uint64 words
-// (the byte-stable form checkpoints use for float bits).
-func AppendUint64s(dst []byte, words []uint64) []byte {
-	dst = AppendUint32(dst, uint32(len(words)))
-	for _, w := range words {
-		dst = AppendUint64(dst, w)
-	}
-	return dst
-}
-
 // AppendInt32s appends a length-prefixed vector.
 func AppendInt32s(dst []byte, vs []int32) []byte {
 	dst = AppendUint32(dst, uint32(len(vs)))
@@ -184,19 +174,6 @@ func (r *Reader) Float64s() []float64 {
 	out := make([]float64, n)
 	for i := range out {
 		out[i] = r.Float64()
-	}
-	return out
-}
-
-// Uint64s decodes a length-prefixed vector of raw uint64 words.
-func (r *Reader) Uint64s() []uint64 {
-	n, ok := r.vecLen(8)
-	if !ok {
-		return nil
-	}
-	out := make([]uint64, n)
-	for i := range out {
-		out[i] = r.Uint64()
 	}
 	return out
 }

@@ -25,7 +25,6 @@ func FuzzCodecDecode(f *testing.F) {
 	seed = codec.AppendFloat64(seed, 3.5)
 	seed = codec.AppendBytes(seed, []byte("hello"))
 	seed = codec.AppendFloat64s(seed, []float64{1, 2, 3})
-	seed = codec.AppendUint64s(seed, []uint64{4, 5})
 	seed = codec.AppendInt32s(seed, []int32{-1, 0, 1})
 	seed = codec.AppendInt64s(seed, []int64{-9, 9})
 	f.Add(seed)
@@ -51,9 +50,6 @@ func FuzzCodecDecode(f *testing.F) {
 		_ = r.Bytes()
 		if vs := r.Float64s(); vs != nil && len(vs)*8 > len(data) {
 			t.Fatalf("Float64s over-allocated: %d elems from %d bytes", len(vs), len(data))
-		}
-		if vs := r.Uint64s(); vs != nil && len(vs)*8 > len(data) {
-			t.Fatalf("Uint64s over-allocated: %d elems from %d bytes", len(vs), len(data))
 		}
 		if vs := r.Int32s(); vs != nil && len(vs)*4 > len(data) {
 			t.Fatalf("Int32s over-allocated: %d elems from %d bytes", len(vs), len(data))

@@ -2,13 +2,11 @@ package core_test
 
 import (
 	"errors"
-	"fmt"
 	"hash/crc32"
 	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -32,7 +30,6 @@ import (
 const (
 	durableDirEnv      = "AAP_DURABLE_DIR"
 	durableAlgoEnv     = "AAP_DURABLE_ALGO"
-	durableShardsEnv   = "AAP_DURABLE_SHARDS"
 	durableArtifactEnv = "AAP_DURABLE_ARTIFACT_DIR"
 )
 
@@ -100,19 +97,16 @@ func TestHelperDurableVictim(t *testing.T) {
 	if dir == "" {
 		t.Skip("helper process for the durable resume tests")
 	}
-	shards, err := strconv.Atoi(os.Getenv(durableShardsEnv))
-	if err != nil {
-		t.Fatal(err)
-	}
+	var err error
 	opts := durableRunOpts(dir)
 	opts.Faults = &core.Faults{DelayProb: 1, DelayBy: 2 * time.Millisecond}
 	switch algo := os.Getenv(durableAlgoEnv); algo {
 	case "sssp":
-		_, err = core.Run(remoteTestPartition(t), sssp.JobShards(0, shards), opts)
+		_, err = core.Run(remoteTestPartition(t), sssp.Job(0), opts)
 	case "cc":
-		_, err = core.Run(ccTestPartition(t), cc.JobShards(shards), opts)
+		_, err = core.Run(ccTestPartition(t), cc.Job(), opts)
 	case "pagerank":
-		_, err = core.Run(prTestPartition(t), pagerank.Job(pagerank.Config{Tol: 1e-10, Shards: shards}), opts)
+		_, err = core.Run(prTestPartition(t), pagerank.Job(pagerank.Config{Tol: 1e-10}), opts)
 	default:
 		t.Fatalf("unknown victim algo %q", algo)
 	}
@@ -121,7 +115,7 @@ func TestHelperDurableVictim(t *testing.T) {
 	}
 }
 
-func spawnDurableVictim(t *testing.T, dir, algo string, shards int) *exec.Cmd {
+func spawnDurableVictim(t *testing.T, dir, algo string) *exec.Cmd {
 	t.Helper()
 	exe, err := os.Executable()
 	if err != nil {
@@ -131,7 +125,6 @@ func spawnDurableVictim(t *testing.T, dir, algo string, shards int) *exec.Cmd {
 	cmd.Env = append(os.Environ(),
 		durableDirEnv+"="+dir,
 		durableAlgoEnv+"="+algo,
-		durableShardsEnv+"="+strconv.Itoa(shards),
 	)
 	cmd.Stdout = os.Stderr
 	cmd.Stderr = os.Stderr
@@ -191,7 +184,7 @@ func TestDurableProcessKillResume(t *testing.T) {
 	}
 
 	dir := durableDir(t)
-	cmd := spawnDurableVictim(t, dir, "sssp", 2)
+	cmd := spawnDurableVictim(t, dir, "sssp")
 	waitForSeal(t, dir, 1, 30*time.Second)
 	sigkill(cmd)
 
@@ -217,14 +210,14 @@ func TestDurableProcessKillResume(t *testing.T) {
 // 1e-4 relative of the fault-free run.
 func TestDurableProcessKillResumePageRank(t *testing.T) {
 	p := prTestPartition(t)
-	cfg := pagerank.Config{Tol: 1e-10, Shards: 2}
+	cfg := pagerank.Config{Tol: 1e-10}
 	base, err := core.Run(p, pagerank.Job(cfg), core.Options{Mode: core.AAP, Deadline: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	dir := durableDir(t)
-	cmd := spawnDurableVictim(t, dir, "pagerank", 2)
+	cmd := spawnDurableVictim(t, dir, "pagerank")
 	waitForSeal(t, dir, 1, 30*time.Second)
 	sigkill(cmd)
 
@@ -248,38 +241,36 @@ func TestDurableProcessKillResumePageRank(t *testing.T) {
 // successful resume must recover from the post-resume seal — the
 // resumed engine's store was seeded, so rollback has a cut to return to
 // even before it seals a fresh epoch — and still land bit-identical,
-// across both exactly-comparable kernels at forced shard counts.
+// across both exactly-comparable kernels.
 func TestDurableKillResumeKill(t *testing.T) {
-	for _, shards := range []int{1, 2, 4} {
-		t.Run(fmt.Sprintf("sssp/shards=%d", shards), func(t *testing.T) {
-			p := remoteTestPartition(t)
-			job := sssp.JobShards(0, shards)
-			base, err := core.Run(p, job, core.Options{Mode: core.AAP, Deadline: time.Minute})
-			if err != nil {
-				t.Fatal(err)
-			}
-			res := killResumeKill(t, "sssp", shards, func(dir string) (*core.Result[float64], error) {
-				return core.Resume(p, job, resumeWithKill(dir))
-			})
-			sameFloats(t, base.Values, res.Values, "kill-resume-kill")
+	t.Run("sssp", func(t *testing.T) {
+		p := remoteTestPartition(t)
+		job := sssp.Job(0)
+		base, err := core.Run(p, job, core.Options{Mode: core.AAP, Deadline: time.Minute})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := killResumeKill(t, "sssp", func(dir string) (*core.Result[float64], error) {
+			return core.Resume(p, job, resumeWithKill(dir))
 		})
-		t.Run(fmt.Sprintf("cc/shards=%d", shards), func(t *testing.T) {
-			p := ccTestPartition(t)
-			job := cc.JobShards(shards)
-			base, err := core.Run(p, job, core.Options{Mode: core.AAP, Deadline: time.Minute})
-			if err != nil {
-				t.Fatal(err)
-			}
-			res := killResumeKill(t, "cc", shards, func(dir string) (*core.Result[int64], error) {
-				return core.Resume(p, job, resumeWithKill(dir))
-			})
-			for v := range base.Values {
-				if base.Values[v] != res.Values[v] {
-					t.Fatalf("vertex %d: fault-free cid %d, resumed %d", v, base.Values[v], res.Values[v])
-				}
-			}
+		sameFloats(t, base.Values, res.Values, "kill-resume-kill")
+	})
+	t.Run("cc", func(t *testing.T) {
+		p := ccTestPartition(t)
+		job := cc.Job()
+		base, err := core.Run(p, job, core.Options{Mode: core.AAP, Deadline: time.Minute})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := killResumeKill(t, "cc", func(dir string) (*core.Result[int64], error) {
+			return core.Resume(p, job, resumeWithKill(dir))
 		})
-	}
+		for v := range base.Values {
+			if base.Values[v] != res.Values[v] {
+				t.Fatalf("vertex %d: fault-free cid %d, resumed %d", v, base.Values[v], res.Values[v])
+			}
+		}
+	})
 }
 
 // resumeWithKill schedules the second fault: worker 1 dies at its first
@@ -294,10 +285,10 @@ func resumeWithKill(dir string) core.Options {
 	return opts
 }
 
-func killResumeKill[T any](t *testing.T, algo string, shards int, resume func(dir string) (*core.Result[T], error)) *core.Result[T] {
+func killResumeKill[T any](t *testing.T, algo string, resume func(dir string) (*core.Result[T], error)) *core.Result[T] {
 	t.Helper()
 	dir := durableDir(t)
-	cmd := spawnDurableVictim(t, dir, algo, shards)
+	cmd := spawnDurableVictim(t, dir, algo)
 	waitForSeal(t, dir, 1, 30*time.Second)
 	sigkill(cmd)
 	res, err := resume(dir)
@@ -479,7 +470,7 @@ func TestResumeErrors(t *testing.T) {
 // otherSourceJob is an SSSP job whose answer differs from
 // remoteTestJob's on most vertices of remoteTestPartition, so a record of
 // one run adopted by the other shows.
-func otherSourceJob() core.Job[float64] { return sssp.JobShards(7, 2) }
+func otherSourceJob() core.Job[float64] { return sssp.Job(7) }
 
 // TestRollbackIgnoresAnotherRunsRecords: rollback reads only the
 // snapshots this run sealed in memory. A run from source 0 leaves its

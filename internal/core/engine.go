@@ -189,7 +189,7 @@ type engine[T any] struct {
 // newEngine builds the workers of one run over the session's fragments,
 // with opts' defaults filled in: on the wall clock and the in-proc
 // message plane, or, given a timeline, with its clock, message plane and
-// scheduler all on tl and every kernel pass unsharded.
+// scheduler all on tl.
 func newEngine[T any](s *Session, job Job[T], opts Options, tl Timeline) *engine[T] {
 	p := s.p
 	opts = opts.withDefaults()
@@ -224,8 +224,6 @@ func newEngine[T any](s *Session, job Job[T], opts Options, tl Timeline) *engine
 			originGen:  1,
 			isActive:   true,
 		}
-		w.ctx.inCompute = &s.cores.inCompute
-		w.ctx.serial = tl != nil
 		e.workers[i] = w
 	}
 	return e

@@ -5,8 +5,6 @@ import (
 	"math"
 	"runtime"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -17,7 +15,6 @@ import (
 	"aap/internal/core"
 	"aap/internal/gen"
 	"aap/internal/graph"
-	"aap/internal/par"
 	"aap/internal/partition"
 )
 
@@ -147,14 +144,14 @@ func TestChurchRosserSSSP(t *testing.T) {
 // TestRunGoroutinesBoundedByPool: a run's workers are tasks on the
 // Session's executors, at most GOMAXPROCS, so its goroutines do not grow
 // with the worker count — at 32 workers there are the executors and at
-// most two more (a δ hold's expiry firing). Sampled from inside a round of worker 0, with
-// kernels forced unsharded so no shard goroutine adds to the count.
+// most two more (a δ hold's expiry firing). Sampled from inside a round
+// of worker 0; no kernel starts a goroutine of its own.
 func TestRunGoroutinesBoundedByPool(t *testing.T) {
 	const m = 32
 	p := mustPartition(t, gen.Grid(30, 30, 5), m, partition.Hash{})
 	peak := 0 // written by worker 0's rounds only; Run joins them before returning
 	base := runtime.NumGoroutine()
-	_, err := core.Run(p, sssp.JobShards(0, 1), core.Options{
+	_, err := core.Run(p, sssp.Job(0), core.Options{
 		Mode: core.AAP,
 		Observe: func(ev core.Event) {
 			if ev.Kind == core.RoundStart && ev.Worker == 0 && ev.Round >= 1 {
@@ -393,116 +390,6 @@ func TestMoreWorkersThanExecutors(t *testing.T) {
 		got, w := res.Values[v], want[orig]
 		if got != w && !(math.IsInf(got, 1) && math.IsInf(w, 1)) {
 			t.Fatalf("vertex %d: got %v want %v", id, got, w)
-		}
-	}
-}
-
-// budgetProbe records what ctx.Shards answers for an unbounded amount
-// of work while `hold` workers are inside PEval at once: the first
-// `hold` arrivals wait for each other before asking and again before
-// leaving, so each of them asks with exactly `hold` workers computing.
-type budgetProbe struct {
-	f       *partition.Fragment
-	arrived *atomic.Int32
-	hold    int32
-	in, out *sync.WaitGroup
-	got     []int
-}
-
-func (b *budgetProbe) PEval(ctx *core.Context[float64]) {
-	if b.arrived.Add(1) > b.hold {
-		return
-	}
-	b.in.Done()
-	b.in.Wait()
-	b.got[b.f.ID] = ctx.Shards(math.MaxInt64 / 2)
-	b.out.Done()
-	b.out.Wait()
-}
-
-func (b *budgetProbe) IncEval([]core.VMsg[float64], *core.Context[float64]) {}
-func (b *budgetProbe) Get(int32) float64                                    { return 0 }
-
-// TestShardsBudget pins the kernel fan-out budget: fragments × shards
-// stays within GOMAXPROCS, across every query of a Session. With as
-// many workers computing as there are cores every kernel pass is
-// unsharded, however many fragments there are; a lone worker gets what
-// par.Kernel alone would pick; two one-fragment queries computing at
-// once on one Session get half the cores each; and a forced count
-// (par.Override) is never capped.
-func TestShardsBudget(t *testing.T) {
-	const procs = 4
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-	g := gen.Grid(12, 12, 5)
-	// probe runs `queries` concurrent queries of m workers each on one
-	// Session and returns what ctx.Shards answered the workers that
-	// computed together.
-	probe := func(t *testing.T, m, queries int) []int {
-		t.Helper()
-		s := core.NewSession(mustPartition(t, g, m, partition.Hash{}))
-		hold := min(m*queries, procs)
-		var arrived atomic.Int32
-		var in, out sync.WaitGroup
-		in.Add(hold)
-		out.Add(hold)
-		got := make([][]int, queries)
-		errs := make([]error, queries)
-		var wg sync.WaitGroup
-		for q := range queries {
-			got[q] = make([]int, m)
-			job := core.Job[float64]{
-				Name: "budget",
-				New: func(f *partition.Fragment) core.Program[float64] {
-					return &budgetProbe{f: f, arrived: &arrived, hold: int32(hold), in: &in, out: &out, got: got[q]}
-				},
-				Aggregate: math.Min,
-			}
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				_, errs[q] = core.Query(s, job, core.Options{Deadline: 30 * time.Second})
-			}()
-		}
-		wg.Wait()
-		var asked []int
-		for q := range queries {
-			if errs[q] != nil {
-				t.Fatal(errs[q])
-			}
-			for _, k := range got[q] {
-				if k != 0 {
-					asked = append(asked, k)
-				}
-			}
-		}
-		if len(asked) != hold {
-			t.Fatalf("M=%d, %d queries: %d workers asked, want %d", m, queries, len(asked), hold)
-		}
-		return asked
-	}
-	for _, m := range []int{procs, 2 * procs} {
-		for _, k := range probe(t, m, 1) {
-			if k != 1 {
-				t.Errorf("M=%d with %d workers computing: ctx.Shards = %d, want 1", m, procs, k)
-			}
-		}
-	}
-	if k, want := probe(t, 1, 1)[0], par.Kernel(math.MaxInt64/2); k != want || want != procs {
-		t.Errorf("M=1: ctx.Shards = %d, par.Kernel = %d, want both %d", k, want, procs)
-	}
-	if k := probe(t, 2, 1)[0]; k != procs/2 {
-		t.Errorf("M=2: ctx.Shards = %d, want %d", k, procs/2)
-	}
-	for _, k := range probe(t, 1, 2) {
-		if k != procs/2 {
-			t.Errorf("two M=1 queries on one Session: ctx.Shards = %d, want %d", k, procs/2)
-		}
-	}
-	par.Override = 3
-	defer func() { par.Override = 0 }()
-	for _, k := range probe(t, procs, 1) {
-		if k != 3 {
-			t.Errorf("par.Override = 3 with %d workers computing: ctx.Shards = %d, want 3", procs, k)
 		}
 	}
 }

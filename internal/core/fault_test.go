@@ -38,33 +38,31 @@ func chaosOpts(seed int64, victim int) core.Options {
 // TestChaosKillMatchesFaultFreeSSSP is the determinism contract for an
 // idempotent min-fold kernel: a run that loses a worker and recovers
 // from the last sealed snapshot must produce bit-identical output to
-// the fault-free run, at every forced kernel shard count. The seed also
-// picks the victim (seed % workers, grapecli -fault-seed's rule), so
-// the three seeds kill three different workers.
+// the fault-free run. The seed also picks the victim (seed % workers,
+// grapecli -fault-seed's rule), so the three seeds kill three different
+// workers.
 func TestChaosKillMatchesFaultFreeSSSP(t *testing.T) {
 	g := gen.PowerLaw(500, 6, 2.1, true, 1)
 	p := mustPartition(t, g, 4, partition.Hash{})
-	for _, k := range []int{1, 2, 4, 8} {
-		base, err := core.Run(p, sssp.JobShards(0, k), core.Options{Mode: core.AAP, Deadline: time.Minute})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, seed := range []int64{1, 7, 42} {
-			t.Run(fmt.Sprintf("shards=%d/seed=%d", k, seed), func(t *testing.T) {
-				res, err := core.Run(p, sssp.JobShards(0, k), chaosOpts(seed, int(seed)%p.M))
-				if err != nil {
-					t.Fatal(err)
+	base, err := core.Run(p, sssp.Job(0), core.Options{Mode: core.AAP, Deadline: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, seed := range []int64{1, 7, 42} {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			res, err := core.Run(p, sssp.Job(0), chaosOpts(seed, int(seed)%p.M))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Stats.Recoveries < 1 {
+				t.Fatalf("kill scheduled but no recovery ran (recoveries=%d)", res.Stats.Recoveries)
+			}
+			for v := range base.Values {
+				if b, r := base.Values[v], res.Values[v]; b != r && !(math.IsInf(b, 1) && math.IsInf(r, 1)) {
+					t.Fatalf("vertex %d: fault-free %v, recovered %v", v, b, r)
 				}
-				if res.Stats.Recoveries < 1 {
-					t.Fatalf("kill scheduled but no recovery ran (recoveries=%d)", res.Stats.Recoveries)
-				}
-				for v := range base.Values {
-					if b, r := base.Values[v], res.Values[v]; b != r && !(math.IsInf(b, 1) && math.IsInf(r, 1)) {
-						t.Fatalf("vertex %d: fault-free %v, recovered %v", v, b, r)
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -73,25 +71,21 @@ func TestChaosKillMatchesFaultFreeSSSP(t *testing.T) {
 func TestChaosKillMatchesFaultFreeCC(t *testing.T) {
 	g := gen.SmallWorld(400, 2, 0.05, false, 2)
 	p := mustPartition(t, g, 4, partition.Hash{})
-	for _, k := range []int{1, 2, 4, 8} {
-		t.Run(fmt.Sprintf("shards=%d", k), func(t *testing.T) {
-			base, err := core.Run(p, cc.JobShards(k), core.Options{Mode: core.AAP, Deadline: time.Minute})
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := core.Run(p, cc.JobShards(k), chaosOpts(43, 1))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Stats.Recoveries < 1 {
-				t.Fatalf("kill scheduled but no recovery ran (recoveries=%d)", res.Stats.Recoveries)
-			}
-			for v := range base.Values {
-				if base.Values[v] != res.Values[v] {
-					t.Fatalf("vertex %d: fault-free cid %d, recovered %d", v, base.Values[v], res.Values[v])
-				}
-			}
-		})
+	base, err := core.Run(p, cc.Job(), core.Options{Mode: core.AAP, Deadline: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := core.Run(p, cc.Job(), chaosOpts(43, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.Recoveries < 1 {
+		t.Fatalf("kill scheduled but no recovery ran (recoveries=%d)", res.Stats.Recoveries)
+	}
+	for v := range base.Values {
+		if base.Values[v] != res.Values[v] {
+			t.Fatalf("vertex %d: fault-free cid %d, recovered %d", v, base.Values[v], res.Values[v])
+		}
 	}
 }
 
@@ -103,26 +97,22 @@ func TestChaosKillMatchesFaultFreeCC(t *testing.T) {
 func TestChaosKillMatchesFaultFreePageRank(t *testing.T) {
 	g := gen.PowerLaw(300, 5, 2.1, false, 3)
 	p := mustPartition(t, g, 4, partition.Range{})
-	for _, k := range []int{1, 2, 4, 8} {
-		t.Run(fmt.Sprintf("shards=%d", k), func(t *testing.T) {
-			cfg := pagerank.Config{Tol: 1e-10, Shards: k}
-			base, err := core.Run(p, pagerank.Job(cfg), core.Options{Mode: core.AAP, Deadline: time.Minute})
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := core.Run(p, pagerank.Job(cfg), chaosOpts(44, 1))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Stats.Recoveries < 1 {
-				t.Fatalf("kill scheduled but no recovery ran (recoveries=%d)", res.Stats.Recoveries)
-			}
-			for v := range base.Values {
-				if d := math.Abs(base.Values[v] - res.Values[v]); d > 1e-6 {
-					t.Fatalf("vertex %d: fault-free %v, recovered %v (|Δ|=%g)", v, base.Values[v], res.Values[v], d)
-				}
-			}
-		})
+	job := pagerank.Job(pagerank.Config{Tol: 1e-10})
+	base, err := core.Run(p, job, core.Options{Mode: core.AAP, Deadline: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := core.Run(p, job, chaosOpts(44, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.Recoveries < 1 {
+		t.Fatalf("kill scheduled but no recovery ran (recoveries=%d)", res.Stats.Recoveries)
+	}
+	for v := range base.Values {
+		if d := math.Abs(base.Values[v] - res.Values[v]); d > 1e-6 {
+			t.Fatalf("vertex %d: fault-free %v, recovered %v (|Δ|=%g)", v, base.Values[v], res.Values[v], d)
+		}
 	}
 }
 
@@ -241,10 +231,10 @@ func TestDropLiveness(t *testing.T) {
 }
 
 // bomb panics in IncEval — on the worker's own goroutine, or inside
-// shard `shard` of a par.Do phase when shard >= 0: regression test that
-// a kernel panic is contained into a run error naming the worker and
-// round instead of crashing the process, wherever the kernel was when
-// it blew up.
+// shard `shard` of a par.Do fan-out the program starts itself when
+// shard >= 0: regression test that a program panic is contained into a
+// run error naming the worker and round instead of crashing the process,
+// wherever the program was when it blew up.
 type bomb struct {
 	f     *partition.Fragment
 	shard int

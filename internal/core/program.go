@@ -18,7 +18,6 @@ import (
 	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"aap/internal/codec"
 	"aap/internal/par"
@@ -60,8 +59,8 @@ type Program[T any] interface {
 	// IncEval do with the residual below the call's threshold. Termination
 	// needs no rule for it: the ledger counts that message like any
 	// batch, so the run cannot end while it is in flight. Whether to send
-	// it must be a pure function of the program's state and msgs, or runs
-	// at different kernel shard counts stop agreeing.
+	// it must be a pure function of the program's state and msgs, or two
+	// runs of one schedule stop agreeing.
 	IncEval(msgs []VMsg[T], ctx *Context[T])
 
 	// Get returns the current value for an owned vertex, used by
@@ -175,48 +174,30 @@ func (mp *msgPool[T]) put(s []VMsg[T]) {
 }
 
 // Context is the interface a Program uses to talk to its engine: sending
-// designated messages and reporting work for cost accounting. Its send
-// side is its Stage 0 (stage.go): Send, SendToHolders and AddWork are the
-// stage's, and its buffers accumulate the round's messages per
-// destination worker.
+// designated messages and reporting work for cost accounting. Its
+// buffers accumulate the round's messages per destination worker. A
+// round runs on one goroutine, the executor that took the worker's
+// task, so the buffers have one writer and need no lock.
 type Context[T any] struct {
-	Stage[T]
-
 	frag  *partition.Fragment
 	part  *partition.Partitioned
 	round int32
 
+	out  [][]VMsg[T] // this round's messages, per destination worker
+	work int64       // this round's reported work
 	// spare is the recycled outer array handed back through ReleaseOut.
 	spare [][]VMsg[T]
-
-	// stages are the per-goroutine send buffers of parallel kernels,
-	// stage 0 first and reused across rounds; the last Stages call handed
-	// out the first staged of them.
-	stages []*Stage[T]
-	staged int
-
-	// inCompute counts the executors inside a round's compute right
-	// now across every run of the Session, this one included. Nil for
-	// contexts no engine runs (remote hosts).
-	inCompute *atomic.Int32
-	// serial makes Shards answer 1 whatever the work. Simulate sets it:
-	// virtual time prices the work a kernel reports, and the work of a
-	// label-correcting sweep run on several shards depends on how they
-	// interleave, so only unsharded kernels give repeatable virtual times.
-	// A shard count a job config forces never asks Shards and still applies.
-	serial bool
 
 	pool *msgPool[T]
 }
 
 func newContext[T any](f *partition.Fragment, m int, pool *msgPool[T]) *Context[T] {
-	c := &Context[T]{
+	return &Context[T]{
 		frag: f,
 		part: f.Partitioned(),
+		out:  make([][]VMsg[T], m),
 		pool: pool,
 	}
-	c.Stage = Stage[T]{c: c, out: make([][]VMsg[T], m)}
-	return c
 }
 
 // Fragment returns the fragment the program runs on.
@@ -225,26 +206,40 @@ func (c *Context[T]) Fragment() *partition.Fragment { return c.frag }
 // Round returns the current round number (0 for PEval).
 func (c *Context[T]) Round() int32 { return c.round }
 
-// Shards returns the shard count for an intra-fragment kernel pass over
-// `work` units: par.Kernel(work), capped by this worker's share of the
-// cores — GOMAXPROCS divided by the executors computing at this moment
-// in every query of the Session — so that fragments × shards stays
-// within the machine however many queries run at once. With as many
-// workers busy as there are cores every pass runs unsharded; a lone
-// straggler, or a one-fragment query with the Session otherwise idle,
-// fans out over the idle cores. The share is read per call, so a long
-// local fixpoint picks up cores as its peers, and other queries,
-// finish.
-func (c *Context[T]) Shards(work int64) int {
-	if c.serial {
-		return 1
+// push appends one message to destination j's buffer, drawing a
+// recycled slice from the pool on the first send of the round.
+func (c *Context[T]) push(j int, m VMsg[T]) {
+	if c.out[j] == nil {
+		c.out[j] = c.pool.get()
 	}
-	sharers := 0
-	if c.inCompute != nil {
-		sharers = int(c.inCompute.Load())
-	}
-	return par.KernelShare(work, sharers)
+	c.out[j] = append(c.out[j], m)
 }
+
+// Send ships the value of update parameter v to the worker owning v. It
+// corresponds to including v in the designated message M(i, j) of the
+// current round. Sending to the local fragment is allowed and delivered
+// through the local buffer like any other message; a program uses it to
+// wake itself for work it left for a later round (Program.IncEval). The
+// ledger counts a self-send like any batch, so termination waits for it.
+func (c *Context[T]) Send(v int32, val T) {
+	c.push(c.part.Owner(v), VMsg[T]{V: v, Val: val})
+}
+
+// SendToHolders ships val to every fragment holding a copy of owned
+// vertex v (the owner-to-copies direction used by collaborative
+// filtering, routed through the index I_i). I_i is read off the
+// fragments' F.O bitmaps, in ascending fragment id.
+func (c *Context[T]) SendToHolders(v int32, val T) {
+	for j, f := range c.part.Frags {
+		if j != c.frag.ID && f.OutSlot(v) >= 0 {
+			c.push(j, VMsg[T]{V: v, Val: val})
+		}
+	}
+}
+
+// AddWork reports n units of work (vertices touched, edges relaxed) for
+// the cost model and the stale-computation metric.
+func (c *Context[T]) AddWork(n int) { c.work += int64(n) }
 
 // NewEngineContext, TakeOut and ReleaseOut expose the context plumbing
 // to code that drives a kernel without an engine (the kernel tests and

@@ -38,7 +38,7 @@ func remoteTestPartition(t testing.TB) *partition.Partitioned {
 	return p
 }
 
-func remoteTestJob() core.Job[float64] { return sssp.JobShards(0, 2) }
+func remoteTestJob() core.Job[float64] { return sssp.Job(0) }
 
 // remoteTopts keeps the failure detector fast enough for a test but far
 // above scheduler jitter: death needs ~250ms of true heartbeat silence.

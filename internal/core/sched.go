@@ -192,9 +192,7 @@ func (s *sched[T]) step(w *worker[T]) (round bool) {
 // duration are known here, so the Round event is emitted here.
 func (s *sched[T]) round(w *worker[T]) {
 	t0 := s.e.clock.Now()
-	s.cores.inCompute.Add(1)
 	out, work, ok := w.compute()
-	s.cores.inCompute.Add(-1)
 	if !ok {
 		return // e.fail ended the run
 	}

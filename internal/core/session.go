@@ -67,12 +67,11 @@ func NewSession(p *partition.Partitioned) *Session {
 // cores is a Session's compute budget: the tasks of its queries that
 // are ready to step and at most procs (GOMAXPROCS at NewSession)
 // executor goroutines running them. An executor exits once no task is
-// ready, so an idle Session holds no goroutine. inCompute counts the
-// executors inside a round's compute, which ctx.Shards divides the cores
-// by.
+// ready, so an idle Session holds no goroutine. A round computes on the
+// executor that took its task and nowhere else: the executors are the
+// only compute pool.
 type cores struct {
-	procs     int
-	inCompute atomic.Int32
+	procs int
 
 	mu        sync.Mutex
 	tasks     []task // ready, oldest first

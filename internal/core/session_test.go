@@ -3,8 +3,7 @@ package core_test
 // Concurrency tests of the resident Session: many queries in flight on
 // ONE Session must produce exactly what the same queries produce as
 // serial one-shot core.Run calls — the state-split contract (shared
-// plane read-only, per-query state private) pinned under -race across
-// forced kernel shard counts.
+// plane read-only, per-query state private) pinned under -race.
 
 import (
 	"context"
@@ -32,10 +31,9 @@ import (
 // TestSessionConcurrentQueriesMatchSerial: >= 8 concurrent queries on a
 // single Session versus the same queries serial through core.Run — SSSP
 // and CC bit-identical (unique exact-min fixpoints), PageRank within
-// 1e-4 relative (AAP scheduling reorders its sum), at forced kernel
-// shards {1, 2, 4}. The procs=2 case has more queries than cores and
-// more fragments than cores, so the queries' workers take turns on the
-// Session's executors.
+// 1e-4 relative (AAP scheduling reorders its sum). The procs=2 case has
+// more queries than cores and more fragments than cores, so the queries'
+// workers take turns on the Session's executors.
 func TestSessionConcurrentQueriesMatchSerial(t *testing.T) {
 	concurrentQueriesMatchSerial(t, 3)
 	t.Run("procs=2,M=8", func(t *testing.T) {
@@ -60,108 +58,104 @@ func concurrentQueriesMatchSerial(t *testing.T, m int) {
 	opts := core.Options{Mode: core.AAP}
 	sources := []graph.VertexID{0, 1, 2, 3, 40, 50}
 
-	for _, shards := range []int{1, 2, 4} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			// Serial baselines: fresh one-shot runs, no Session shared.
-			wantS := make([][]float64, len(sources))
-			for i, src := range sources {
-				res, err := core.Run(p, sssp.JobShards(src, shards), opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				wantS[i] = res.Values
-			}
-			resP, err := core.Run(p, pagerank.Job(pagerank.Config{Tol: 1e-8, Shards: shards}), opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantP := resP.Values
-			resC, err := core.Run(pu, cc.JobShards(shards), opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantC := resC.Values
+	// Serial baselines: fresh one-shot runs, no Session shared.
+	wantS := make([][]float64, len(sources))
+	for i, src := range sources {
+		res, err := core.Run(p, sssp.Job(src), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantS[i] = res.Values
+	}
+	resP, err := core.Run(p, pagerank.Job(pagerank.Config{Tol: 1e-8}), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantP := resP.Values
+	resC, err := core.Run(pu, cc.Job(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantC := resC.Values
 
-			// Concurrent: 8 queries (6 SSSP + 2 PageRank) race on one
-			// Session; 2 CC queries race on the undirected Session.
-			s := core.NewSession(p)
-			su := core.NewSession(pu)
-			gotS := make([][]float64, len(sources))
-			gotP := make([][]float64, 2)
-			gotC := make([][]int64, 2)
-			errs := make([]error, len(sources)+4)
-			var wg sync.WaitGroup
-			for i, src := range sources {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					res, err := core.Query(s, sssp.JobShards(src, shards), opts)
-					if err == nil {
-						gotS[i] = res.Values
-					}
-					errs[i] = err
-				}()
+	// Concurrent: 8 queries (6 SSSP + 2 PageRank) race on one
+	// Session; 2 CC queries race on the undirected Session.
+	s := core.NewSession(p)
+	su := core.NewSession(pu)
+	gotS := make([][]float64, len(sources))
+	gotP := make([][]float64, 2)
+	gotC := make([][]int64, 2)
+	errs := make([]error, len(sources)+4)
+	var wg sync.WaitGroup
+	for i, src := range sources {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, err := core.Query(s, sssp.Job(src), opts)
+			if err == nil {
+				gotS[i] = res.Values
 			}
-			for i := 0; i < 2; i++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					res, err := core.Query(s, pagerank.Job(pagerank.Config{Tol: 1e-8, Shards: shards}), opts)
-					if err == nil {
-						gotP[i] = res.Values
-					}
-					errs[len(sources)+i] = err
-				}()
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					res, err := core.Query(su, cc.JobShards(shards), opts)
-					if err == nil {
-						gotC[i] = res.Values
-					}
-					errs[len(sources)+2+i] = err
-				}()
+			errs[i] = err
+		}()
+	}
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, err := core.Query(s, pagerank.Job(pagerank.Config{Tol: 1e-8}), opts)
+			if err == nil {
+				gotP[i] = res.Values
 			}
-			wg.Wait()
-			for _, err := range errs {
-				if err != nil {
-					t.Fatal(err)
-				}
+			errs[len(sources)+i] = err
+		}()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, err := core.Query(su, cc.Job(), opts)
+			if err == nil {
+				gotC[i] = res.Values
 			}
+			errs[len(sources)+2+i] = err
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
 
-			for i := range sources {
-				for v := range wantS[i] {
-					if math.Float64bits(gotS[i][v]) != math.Float64bits(wantS[i][v]) {
-						t.Fatalf("sssp src=%d vertex %d: concurrent %v != serial %v",
-							sources[i], v, gotS[i][v], wantS[i][v])
-					}
-				}
+	for i := range sources {
+		for v := range wantS[i] {
+			if math.Float64bits(gotS[i][v]) != math.Float64bits(wantS[i][v]) {
+				t.Fatalf("sssp src=%d vertex %d: concurrent %v != serial %v",
+					sources[i], v, gotS[i][v], wantS[i][v])
 			}
-			for i := range gotC {
-				for v := range wantC {
-					if gotC[i][v] != wantC[v] {
-						t.Fatalf("cc query %d vertex %d: concurrent %d != serial %d",
-							i, v, gotC[i][v], wantC[v])
-					}
-				}
+		}
+	}
+	for i := range gotC {
+		for v := range wantC {
+			if gotC[i][v] != wantC[v] {
+				t.Fatalf("cc query %d vertex %d: concurrent %d != serial %d",
+					i, v, gotC[i][v], wantC[v])
 			}
-			for i := range gotP {
-				for v := range wantP {
-					diff := math.Abs(gotP[i][v] - wantP[v])
-					if rel := diff / math.Max(math.Abs(wantP[v]), 1e-300); rel > 1e-4 {
-						t.Fatalf("pagerank query %d vertex %d: relative diff %g > 1e-4", i, v, rel)
-					}
-				}
+		}
+	}
+	for i := range gotP {
+		for v := range wantP {
+			diff := math.Abs(gotP[i][v] - wantP[v])
+			if rel := diff / math.Max(math.Abs(wantP[v]), 1e-300); rel > 1e-4 {
+				t.Fatalf("pagerank query %d vertex %d: relative diff %g > 1e-4", i, v, rel)
 			}
+		}
+	}
 
-			stats := s.Stats()
-			if stats.Admitted != 8 || stats.Completed != 8 || stats.Failed != 0 || stats.Active != 0 {
-				t.Fatalf("session stats off: %+v", stats)
-			}
-			if stats.QPS <= 0 || stats.BusySeconds <= 0 {
-				t.Fatalf("session rates off: %+v", stats)
-			}
-		})
+	stats := s.Stats()
+	if stats.Admitted != 8 || stats.Completed != 8 || stats.Failed != 0 || stats.Active != 0 {
+		t.Fatalf("session stats off: %+v", stats)
+	}
+	if stats.QPS <= 0 || stats.BusySeconds <= 0 {
+		t.Fatalf("session rates off: %+v", stats)
 	}
 }
 
@@ -171,9 +165,9 @@ func concurrentQueriesMatchSerial(t *testing.T, m int) {
 // fragment's range and copy set, and the slot and copy slot every
 // fragment gives every vertex — is the same before and after concurrent
 // SSSP (one source asked three times, three others once), CC and
-// PageRank queries on one Session, at the default and at forced kernel
-// shard counts, on an undirected and on a directed graph, and before and
-// after concurrent CF and SSSP queries on a rating graph.
+// PageRank queries on one Session, on an undirected and on a directed
+// graph, and before and after concurrent CF and SSSP queries on a rating
+// graph.
 //
 // A directed graph builds its in-side on the first In, which only CC
 // calls: the "before" checksum is taken on a twin built from the same
@@ -202,18 +196,18 @@ func TestSessionSharedPlaneUnchanged(t *testing.T) {
 			s := core.NewSession(p)
 			opts := core.Options{Mode: core.AAP}
 			var queries []func() error
-			for i, src := range []graph.VertexID{0, 0, 0, 1, 7, 40} {
+			for _, src := range []graph.VertexID{0, 0, 0, 1, 7, 40} {
 				queries = append(queries, func() error {
-					_, err := core.Query(s, sssp.JobShards(src, i%3), opts)
+					_, err := core.Query(s, sssp.Job(src), opts)
 					return err
 				})
 			}
-			for shards := range 3 {
+			for range 3 {
 				queries = append(queries, func() error {
-					_, err := core.Query(s, cc.JobShards(shards), opts)
+					_, err := core.Query(s, cc.Job(), opts)
 					return err
 				}, func() error {
-					_, err := core.Query(s, pagerank.Job(pagerank.Config{Tol: 1e-6, Shards: shards}), opts)
+					_, err := core.Query(s, pagerank.Job(pagerank.Config{Tol: 1e-6}), opts)
 					return err
 				})
 			}
@@ -227,13 +221,11 @@ func TestSessionSharedPlaneUnchanged(t *testing.T) {
 
 			q := build()
 			sq := core.NewSession(q)
-			for shards := range 3 {
-				if _, err := core.Query(sq, sssp.JobShards(0, shards), opts); err != nil {
-					t.Fatal(err)
-				}
-				if _, err := core.Query(sq, pagerank.Job(pagerank.Config{Tol: 1e-6, Shards: shards}), opts); err != nil {
-					t.Fatal(err)
-				}
+			if _, err := core.Query(sq, sssp.Job(0), opts); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := core.Query(sq, pagerank.Job(pagerank.Config{Tol: 1e-6}), opts); err != nil {
+				t.Fatal(err)
 			}
 			if q.G.InBuilt() {
 				t.Fatal("a Session that ran only SSSP and PageRank built its in-side")
@@ -268,13 +260,13 @@ func TestSessionSharedPlaneUnchanged(t *testing.T) {
 		before := planeChecksum(build())
 		s := core.NewSession(p)
 		var queries []func() error
-		for shards := range 3 {
-			cfg := cf.Config{Users: users, Products: products, Rank: 4, Epochs: 6, Seed: 5, Shards: shards}
+		cfg := cf.Config{Users: users, Products: products, Rank: 4, Epochs: 6, Seed: 5}
+		for i := range 3 {
 			queries = append(queries, func() error {
 				_, err := core.Query(s, cf.Job(cfg), core.Options{Mode: core.AAP, Staleness: 4})
 				return err
 			}, func() error {
-				_, err := core.Query(s, sssp.JobShards(graph.VertexID(shards), shards), core.Options{Mode: core.AAP})
+				_, err := core.Query(s, sssp.Job(graph.VertexID(i)), core.Options{Mode: core.AAP})
 				return err
 			})
 		}
@@ -355,7 +347,7 @@ func TestSessionRunStatsServingFields(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := core.NewSession(p)
-	res, err := core.Query(s, sssp.JobShards(0, 2), core.Options{Mode: core.AAP})
+	res, err := core.Query(s, sssp.Job(0), core.Options{Mode: core.AAP})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,11 +370,11 @@ func TestRunIsThinSessionWrapper(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	one, err := core.Run(p, sssp.JobShards(0, 1), core.Options{Mode: core.AAP})
+	one, err := core.Run(p, sssp.Job(0), core.Options{Mode: core.AAP})
 	if err != nil {
 		t.Fatal(err)
 	}
-	two, err := core.Query(core.NewSession(p), sssp.JobShards(0, 1), core.Options{Mode: core.AAP})
+	two, err := core.Query(core.NewSession(p), sssp.Job(0), core.Options{Mode: core.AAP})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,7 +399,7 @@ func TestSessionValidatesOncePerJobName(t *testing.T) {
 		t.Fatal(err)
 	}
 	var scans atomic.Int32
-	good := sssp.JobShards(0, 1)
+	good := sssp.Job(0)
 	good.Validate = func(p *partition.Partitioned) error {
 		scans.Add(1)
 		return sssp.ValidateWeights(p)

@@ -38,7 +38,7 @@ const (
 	superviseTickerRounds = 300
 )
 
-func prSuperviseConfig() pagerank.Config { return pagerank.Config{Tol: 1e-10, Shards: 2} }
+func prSuperviseConfig() pagerank.Config { return pagerank.Config{Tol: 1e-10} }
 
 // superviseChildTopts is the re-exec'd host's view of the plane: same
 // fast heartbeats as the parent, but a DeadAfter far above any injected

@@ -39,32 +39,30 @@ func tcpOpts(mode core.Options) core.Options {
 // TestTCPPlaneMatchesInProcSSSP pins the plane-independence contract for
 // the idempotent min-fold kernel: serializing every designated message
 // through the wire format and bouncing it off a real socket must change
-// nothing about the result, bit for bit, at every forced shard count and
-// under every mode — the ones that suspend on View.RMin / RMax included.
+// nothing about the result, bit for bit, under every mode — the ones
+// that suspend on View.RMin / RMax included.
 func TestTCPPlaneMatchesInProcSSSP(t *testing.T) {
 	g := gen.PowerLaw(500, 6, 2.1, true, 1)
 	p := mustPartition(t, g, 4, partition.Hash{})
 	for _, mode := range modes() {
-		for _, k := range []int{1, 2, 4} {
-			t.Run(fmt.Sprintf("%s/shards=%d", mode.Mode, k), func(t *testing.T) {
-				base, err := core.Run(p, sssp.JobShards(0, k), inprocOpts(mode))
-				if err != nil {
-					t.Fatal(err)
+		t.Run(mode.Mode.String(), func(t *testing.T) {
+			base, err := core.Run(p, sssp.Job(0), inprocOpts(mode))
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := core.Run(p, sssp.Job(0), tcpOpts(mode))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Stats.WireBytesOut == 0 || res.Stats.WireBytesIn == 0 {
+				t.Fatalf("TCP run shipped no wire bytes: %+v", res.Stats)
+			}
+			for v := range base.Values {
+				if b, r := base.Values[v], res.Values[v]; b != r && !(math.IsInf(b, 1) && math.IsInf(r, 1)) {
+					t.Fatalf("vertex %d: in-proc %v, tcp %v", v, b, r)
 				}
-				res, err := core.Run(p, sssp.JobShards(0, k), tcpOpts(mode))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if res.Stats.WireBytesOut == 0 || res.Stats.WireBytesIn == 0 {
-					t.Fatalf("TCP run shipped no wire bytes: %+v", res.Stats)
-				}
-				for v := range base.Values {
-					if b, r := base.Values[v], res.Values[v]; b != r && !(math.IsInf(b, 1) && math.IsInf(r, 1)) {
-						t.Fatalf("vertex %d: in-proc %v, tcp %v", v, b, r)
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -74,23 +72,21 @@ func TestTCPPlaneMatchesInProcCC(t *testing.T) {
 	g := gen.SmallWorld(400, 2, 0.05, false, 2)
 	p := mustPartition(t, g, 4, partition.Hash{})
 	for _, mode := range modes() {
-		for _, k := range []int{1, 2, 4} {
-			t.Run(fmt.Sprintf("%s/shards=%d", mode.Mode, k), func(t *testing.T) {
-				base, err := core.Run(p, cc.JobShards(k), inprocOpts(mode))
-				if err != nil {
-					t.Fatal(err)
+		t.Run(mode.Mode.String(), func(t *testing.T) {
+			base, err := core.Run(p, cc.Job(), inprocOpts(mode))
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := core.Run(p, cc.Job(), tcpOpts(mode))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for v := range base.Values {
+				if base.Values[v] != res.Values[v] {
+					t.Fatalf("vertex %d: in-proc %d, tcp %d", v, base.Values[v], res.Values[v])
 				}
-				res, err := core.Run(p, cc.JobShards(k), tcpOpts(mode))
-				if err != nil {
-					t.Fatal(err)
-				}
-				for v := range base.Values {
-					if base.Values[v] != res.Values[v] {
-						t.Fatalf("vertex %d: in-proc %d, tcp %d", v, base.Values[v], res.Values[v])
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -131,13 +127,13 @@ func TestTCPPlaneMatchesInProcPageRank(t *testing.T) {
 func TestTCPPlaneChaosKillRecovers(t *testing.T) {
 	g := gen.PowerLaw(500, 6, 2.1, true, 1)
 	p := mustPartition(t, g, 4, partition.Hash{})
-	base, err := core.Run(p, sssp.JobShards(0, 2), core.Options{Mode: core.AAP, Deadline: time.Minute})
+	base, err := core.Run(p, sssp.Job(0), core.Options{Mode: core.AAP, Deadline: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts := chaosOpts(42, 1)
 	opts.Transport = &core.TransportOptions{TCP: true}
-	res, err := core.Run(p, sssp.JobShards(0, 2), opts)
+	res, err := core.Run(p, sssp.Job(0), opts)
 	if err != nil {
 		t.Fatal(err)
 	}

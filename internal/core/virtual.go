@@ -40,7 +40,9 @@ func (p *timelinePlane[T]) deliver(from, to int, epoch int32, msgs []VMsg[T]) {
 // Simulate runs job over p in virtual time: the same run body, workers,
 // controllers, coordinator, scheduler, recovery plane and durable tee as
 // Run, each step run inline by one event loop on tl's clock, one kernel
-// at a time and unsharded. It is the engine behind internal/sim.
+// at a time. A round runs the same kernel code as under Run, where it
+// runs on one executor, so a fragment's reported work is the same
+// count under both drivers. It is the engine behind internal/sim.
 // Checkpoints, their records and worker, delivery and disk faults replay
 // exactly; options it cannot model fail, naming the field.
 func Simulate[T any](p *partition.Partitioned, job Job[T], opts Options, tl Timeline) (*Result[T], error) {

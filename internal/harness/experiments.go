@@ -16,13 +16,17 @@ import (
 	"aap/internal/vcentric"
 )
 
-// Row is one measured configuration.
+// Row is one measured configuration. Work and Busy are the run's
+// RunStats.TotalWork and TotalBusy: the units its kernels reported and
+// the seconds its workers computed, summed over the workers.
 type Row struct {
 	System  string
 	Seconds float64
 	MB      float64
 	Rounds  int32
 	Msgs    int64
+	Work    int64
+	Busy    float64
 	Extra   string
 }
 
@@ -51,6 +55,8 @@ func statsRow(name string, st core.RunStats) Row {
 		MB:      float64(st.TotalBytes) / (1 << 20),
 		Rounds:  st.MaxRound,
 		Msgs:    st.TotalMsgs,
+		Work:    st.TotalWork,
+		Busy:    st.TotalBusy,
 	}
 }
 

@@ -95,9 +95,9 @@ func TestFig6kSkewTrend(t *testing.T) {
 	if r9[0] > r9[1] {
 		t.Errorf("at r=9 AAP %.2f slower than BSP %.2f", r9[0], r9[1])
 	}
-	// Virtual time prices the work the kernels report, and the simulator
-	// runs them unsharded, so the table repeats to the digit — also at
-	// r=9, where the big fragment's sweep would otherwise fan out.
+	// Virtual time prices the work the kernels report, and a kernel's
+	// round runs on one goroutine, so the table repeats to the digit —
+	// also at r=9, where one fragment holds most of the graph.
 	again, err := harness.Fig6k(8, []float64{1, 9})
 	if err != nil {
 		t.Fatal(err)

@@ -3,7 +3,6 @@ package par
 import (
 	"math"
 	"slices"
-	"sort"
 	"testing"
 )
 
@@ -33,7 +32,7 @@ func drainAll(t *testing.T, bk *Buckets) [][]int32 {
 }
 
 func TestBucketsBucketFor(t *testing.T) {
-	bk := NewBuckets(4, 1, 2.5)
+	bk := NewBuckets(4, 2.5)
 	cases := []struct {
 		pri  float64
 		want int
@@ -54,10 +53,10 @@ func TestBucketsBucketFor(t *testing.T) {
 // checks they come back grouped by bucket, lowest bucket first, each
 // slot exactly once.
 func TestBucketsDrainOrder(t *testing.T) {
-	bk := NewBuckets(10, 2, 1)
+	bk := NewBuckets(10, 1)
 	pris := []float64{7.2, 0.1, 3.3, 3.9, 0.8, 12.0, 7.9, 0.5, 3.0, 12.9}
 	for s, p := range pris {
-		bk.Add(s%2, int32(s), p)
+		bk.Add(int32(s), p)
 	}
 	var got []int32
 	for _, batch := range drainAll(t, bk) {
@@ -85,20 +84,20 @@ func TestBucketsDrainOrder(t *testing.T) {
 // TestBucketsDedupAndStale re-stages a slot at a lower bucket and checks
 // the higher entry is dropped, and duplicate same-bucket adds stage once.
 func TestBucketsDedupAndStale(t *testing.T) {
-	bk := NewBuckets(4, 1, 1)
-	if !bk.Add(0, 1, 9.5) {
+	bk := NewBuckets(4, 1)
+	if !bk.Add(1, 9.5) {
 		t.Fatal("first add rejected")
 	}
-	if bk.Add(0, 1, 9.7) {
+	if bk.Add(1, 9.7) {
 		t.Fatal("same-bucket duplicate staged")
 	}
-	if !bk.Add(0, 1, 2.5) {
+	if !bk.Add(1, 2.5) {
 		t.Fatal("improving add rejected")
 	}
-	if bk.Add(0, 1, 4.0) {
+	if bk.Add(1, 4.0) {
 		t.Fatal("worse-bucket add staged")
 	}
-	bk.Add(0, 2, 0.5)
+	bk.Add(2, 0.5)
 	batches := drainAll(t, bk)
 	var flat []int32
 	for _, b := range batches {
@@ -117,17 +116,17 @@ func TestBucketsDedupAndStale(t *testing.T) {
 // re-stages the slot into the same bucket and it must be taken again
 // before the bucket counts as drained.
 func TestBucketsReinsertCurrent(t *testing.T) {
-	bk := NewBuckets(4, 1, 10)
-	bk.Add(0, 0, 1)
+	bk := NewBuckets(4, 10)
+	bk.Add(0, 1)
 	items := bk.TakeCur(nil)
 	if len(items) != 1 || items[0] != 0 {
 		t.Fatalf("first take = %v", items)
 	}
-	if bk.Add(0, 0, 3) {
+	if bk.Add(0, 3) {
 		t.Fatal("a slot still waiting for its expansion was staged a second time")
 	}
 	bk.Unstage(0)
-	if !bk.Add(0, 0, 2) { // still bucket 0: re-insertion after improvement
+	if !bk.Add(0, 2) { // still bucket 0: re-insertion after improvement
 		t.Fatal("re-insertion rejected")
 	}
 	items = bk.TakeCur(items)
@@ -146,17 +145,17 @@ func TestBucketsReinsertCurrent(t *testing.T) {
 // entries spill and redistribute, including a spilled entry that went
 // stale before redistribution.
 func TestBucketsOverflow(t *testing.T) {
-	bk := NewBuckets(6, 1, 1)
+	bk := NewBuckets(6, 1)
 	far := float64(bucketRing) * 40
-	bk.Add(0, 0, 0.5)
-	bk.Add(0, 1, far)      // spills
-	bk.Add(0, 2, 3*far)    // spills further
-	bk.Add(0, 3, far+0.25) // same spilled bucket region
-	bk.Add(0, 4, 2.5)      // in window
-	if got := len(bk.over[0]); got != 3 {
+	bk.Add(0, 0.5)
+	bk.Add(1, far)      // spills
+	bk.Add(2, 3*far)    // spills further
+	bk.Add(3, far+0.25) // same spilled bucket region
+	bk.Add(4, 2.5)      // in window
+	if got := len(bk.over); got != 3 {
 		t.Fatalf("overflow holds %d entries, want 3", got)
 	}
-	bk.Add(0, 2, 1.5) // improves the far slot into the window: spill goes stale
+	bk.Add(2, 1.5) // improves the far slot into the window: spill goes stale
 
 	batches := drainAll(t, bk)
 	var flat []int32
@@ -172,15 +171,15 @@ func TestBucketsOverflow(t *testing.T) {
 // TestBucketsRestart drains, then re-seeds below the old base like an
 // incremental round does.
 func TestBucketsRestart(t *testing.T) {
-	bk := NewBuckets(4, 1, 1)
-	bk.Add(0, 3, 100)
+	bk := NewBuckets(4, 1)
+	bk.Add(3, 100)
 	drainAll(t, bk)
 	bk.Restart(5)
 	if bk.Cur() != 5 {
 		t.Fatalf("base after restart = %d, want 5", bk.Cur())
 	}
-	bk.Add(0, 1, 5.5)
-	bk.Add(0, 2, 7.5)
+	bk.Add(1, 5.5)
+	bk.Add(2, 7.5)
 	var flat []int32
 	for _, b := range drainAll(t, bk) {
 		flat = append(flat, b...)
@@ -193,9 +192,9 @@ func TestBucketsRestart(t *testing.T) {
 // TestBucketsSeedBelowBase clamps a seed below the current base into the
 // base bucket instead of losing it.
 func TestBucketsSeedBelowBase(t *testing.T) {
-	bk := NewBuckets(4, 1, 1)
+	bk := NewBuckets(4, 1)
 	bk.Restart(50)
-	bk.Add(0, 0, 3) // bucket 3 < base 50: clamps to 50
+	bk.Add(0, 3) // bucket 3 < base 50: clamps to 50
 	var flat []int32
 	for _, b := range drainAll(t, bk) {
 		flat = append(flat, b...)
@@ -205,80 +204,15 @@ func TestBucketsSeedBelowBase(t *testing.T) {
 	}
 }
 
-// TestBucketsConcurrentAdd hammers Add from several shards (exercised
-// under -race in CI): every slot must come out exactly once with its
-// lowest priority's bucket respected.
-func TestBucketsConcurrentAdd(t *testing.T) {
-	const n = 4096
-	const shards = 8
-	bk := NewBuckets(n, shards, 1)
-	pri := func(s int32) float64 { return float64(s%97) + 0.5 }
-	Do(shards, func(w int) {
-		for s := int32(0); s < n; s++ {
-			// Every shard tries every slot; Add's CAS-min arbitrates.
-			bk.Add(w, s, pri(s)+float64(w)) // shard 0 offers the best priority
-		}
-	})
-	var got []int32
-	lastBucket := -1
-	var items []int32
-	for {
-		for {
-			items = bk.TakeCur(items)
-			if len(items) == 0 {
-				break
-			}
-			for _, s := range items {
-				if want := bk.BucketFor(pri(s)); bk.Cur() > want {
-					t.Fatalf("slot %d drained at bucket %d, best stage was %d", s, bk.Cur(), want)
-				}
-			}
-			if bk.Cur() < lastBucket {
-				t.Fatalf("bucket order regressed")
-			}
-			lastBucket = bk.Cur()
-			got = append(got, items...)
-		}
-		if !bk.Advance() {
-			break
-		}
-	}
-	if len(got) != n {
-		t.Fatalf("drained %d slots, want %d", len(got), n)
-	}
-	sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
-	for i, s := range got {
-		if s != int32(i) {
-			t.Fatalf("slot %d missing/duplicated", i)
-		}
-	}
-}
-
-// TestBucketsEnsureShards grows mid-flight without losing staged work.
-func TestBucketsEnsureShards(t *testing.T) {
-	bk := NewBuckets(8, 1, 1)
-	bk.Add(0, 0, 0.5)
-	bk.Add(0, 1, 5.5)
-	bk.EnsureShards(4)
-	bk.Add(3, 2, 5.25)
-	var flat []int32
-	for _, b := range drainAll(t, bk) {
-		flat = append(flat, b...)
-	}
-	if !slices.Equal(flat, []int32{0, 1, 2}) {
-		t.Fatalf("post-grow drain %v", flat)
-	}
-}
-
-// TestBucketsAdvanceReadsLists: a bucket is nonempty when one of its
-// per-shard lists is — there is no shared per-bucket counter. Advance
-// must see an entry staged on any shard's list, keep counting a stale
-// entry until its bucket is taken, and report empty once every list is.
+// TestBucketsAdvanceReadsLists: a bucket is nonempty when its list is —
+// there is no per-bucket counter. Advance must see a staged entry, keep
+// counting a stale entry until its bucket is taken, and report empty
+// once every list is.
 func TestBucketsAdvanceReadsLists(t *testing.T) {
-	bk := NewBuckets(4, 3, 1)
-	bk.Add(2, 0, 7.5) // bucket 7 holds one entry, on the last shard's list
-	bk.Add(1, 1, 9.5)
-	bk.Add(0, 1, 3.5) // re-staged lower: the bucket-9 entry is now stale
+	bk := NewBuckets(4, 1)
+	bk.Add(0, 7.5) // bucket 7 holds one entry
+	bk.Add(1, 9.5)
+	bk.Add(1, 3.5) // re-staged lower: the bucket-9 entry is now stale
 	if items := bk.TakeCur(nil); len(items) != 0 {
 		t.Fatalf("empty bucket 0 returned %v", items)
 	}

@@ -1,7 +1,9 @@
-// Package par is the tiny fan-out toolbox shared by the ingest
-// pipeline's parallel stages (graph CSR construction, partition border
-// sweeps): pick a worker count proportional to the work, run a function
-// across workers, wait.
+// Package par holds two small toolboxes. Procs and Do are the fan-out
+// of the ingest pipeline's parallel stages (graph CSR construction,
+// partition border sweeps), which run before any Session exists: pick a
+// worker count proportional to the work, run a function across workers,
+// wait. Frontier and Buckets are the worklists of the kernels, which run
+// one round at a time on one goroutine and never fan out.
 package par
 
 import (
@@ -11,7 +13,7 @@ import (
 )
 
 // Override forces the worker count returned by Procs when nonzero.
-// Tests use it to exercise multi-shard code paths on single-core
+// Tests use it to exercise multi-worker ingest paths on single-core
 // machines; production code leaves it zero.
 var Override int
 
@@ -35,8 +37,8 @@ func Procs(work int64, grain int) int {
 // Do runs fn(0), …, fn(p-1) concurrently and waits for all of them.
 // Shard 0 runs on the calling goroutine, so a phase costs p-1 spawns.
 // A panic in any shard is re-raised on the caller once every shard has
-// returned: the caller's recover (the engine's per-worker containment)
-// sees it, and no shard is left running over state the caller unwinds.
+// returned: the caller's recover sees it, and no shard is left running
+// over state the caller unwinds.
 func Do(p int, fn func(worker int)) {
 	if p <= 1 {
 		fn(0)

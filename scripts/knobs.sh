@@ -2,8 +2,9 @@
 # Independently settable values of the root module: the fields of each
 # options struct a caller can set (core.Options and the three structs it
 # nests, transport.Config, checkpoint.DurableOptions, sim.Config), the
-# serve.With* options, the SSSP job's Config fields, and the flag.*
-# definitions of each binary, one line each and in total. Run from anywhere; a PR that
+# serve.With* options, the Config fields of the SSSP, PageRank and CF
+# jobs, and the flag.* definitions of each binary, one line each and in
+# total. Run from anywhere; a PR that
 # touches an option states its delta as the difference of two runs of
 # this script ("options and flags only go down").
 set -euo pipefail
@@ -40,6 +41,8 @@ row "$(fields internal/checkpoint/durable.go DurableOptions)" checkpoint.Durable
 row "$(fields internal/sim/sim.go Config)" sim.Config
 row "$(src internal/serve | grep -c '^func With')" 'serve.With*'
 row "$(fields internal/algo/sssp/sssp.go Config)" sssp.Config
+row "$(fields internal/algo/pagerank/pagerank.go Config)" pagerank.Config
+row "$(fields internal/algo/cf/cf.go Config)" cf.Config
 for d in cmd/*/; do
 	row "$(src "$d" |
 		grep -oE '\bflag\.[A-Z][A-Za-z0-9]*\(' |
