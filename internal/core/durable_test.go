@@ -243,7 +243,7 @@ func TestDurableProcessKillResumePageRank(t *testing.T) {
 // even before it seals a fresh epoch — and still land bit-identical,
 // across both exactly-comparable kernels.
 func TestDurableKillResumeKill(t *testing.T) {
-	t.Run("sssp", func(t *testing.T) {
+	t.Run("sssp/"+oneShard, func(t *testing.T) {
 		p := remoteTestPartition(t)
 		job := sssp.Job(0)
 		base, err := core.Run(p, job, core.Options{Mode: core.AAP, Deadline: time.Minute})
@@ -255,7 +255,7 @@ func TestDurableKillResumeKill(t *testing.T) {
 		})
 		sameFloats(t, base.Values, res.Values, "kill-resume-kill")
 	})
-	t.Run("cc", func(t *testing.T) {
+	t.Run("cc/"+oneShard, func(t *testing.T) {
 		p := ccTestPartition(t)
 		job := cc.Job()
 		base, err := core.Run(p, job, core.Options{Mode: core.AAP, Deadline: time.Minute})

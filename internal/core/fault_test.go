@@ -20,6 +20,11 @@ import (
 	"aap/internal/partition"
 )
 
+// oneShard names the subtests that run each fragment round as one
+// shard, on the executor that took the worker's task: kernels have no
+// shard count of their own, so this is how every run executes.
+const oneShard = "shards=1"
+
 // chaosOpts is the canonical fault schedule of the recovery tests: a
 // checkpoint every round and the victim worker killed the first time it
 // reaches an incremental round.
@@ -49,7 +54,7 @@ func TestChaosKillMatchesFaultFreeSSSP(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, seed := range []int64{1, 7, 42} {
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+		t.Run(fmt.Sprintf("%s/seed=%d", oneShard, seed), func(t *testing.T) {
 			res, err := core.Run(p, sssp.Job(0), chaosOpts(seed, int(seed)%p.M))
 			if err != nil {
 				t.Fatal(err)
@@ -69,24 +74,26 @@ func TestChaosKillMatchesFaultFreeSSSP(t *testing.T) {
 // TestChaosKillMatchesFaultFreeCC repeats the contract for the CC
 // kernel, whose int64 labels admit exact comparison.
 func TestChaosKillMatchesFaultFreeCC(t *testing.T) {
-	g := gen.SmallWorld(400, 2, 0.05, false, 2)
-	p := mustPartition(t, g, 4, partition.Hash{})
-	base, err := core.Run(p, cc.Job(), core.Options{Mode: core.AAP, Deadline: time.Minute})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := core.Run(p, cc.Job(), chaosOpts(43, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.Recoveries < 1 {
-		t.Fatalf("kill scheduled but no recovery ran (recoveries=%d)", res.Stats.Recoveries)
-	}
-	for v := range base.Values {
-		if base.Values[v] != res.Values[v] {
-			t.Fatalf("vertex %d: fault-free cid %d, recovered %d", v, base.Values[v], res.Values[v])
+	t.Run(oneShard, func(t *testing.T) {
+		g := gen.SmallWorld(400, 2, 0.05, false, 2)
+		p := mustPartition(t, g, 4, partition.Hash{})
+		base, err := core.Run(p, cc.Job(), core.Options{Mode: core.AAP, Deadline: time.Minute})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
+		res, err := core.Run(p, cc.Job(), chaosOpts(43, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.Recoveries < 1 {
+			t.Fatalf("kill scheduled but no recovery ran (recoveries=%d)", res.Stats.Recoveries)
+		}
+		for v := range base.Values {
+			if base.Values[v] != res.Values[v] {
+				t.Fatalf("vertex %d: fault-free cid %d, recovered %d", v, base.Values[v], res.Values[v])
+			}
+		}
+	})
 }
 
 // TestChaosKillMatchesFaultFreePageRank: PageRank's sum aggregate is
@@ -95,25 +102,27 @@ func TestChaosKillMatchesFaultFreeCC(t *testing.T) {
 // to the same tolerance the differential tests use rather than bitwise
 // equality.
 func TestChaosKillMatchesFaultFreePageRank(t *testing.T) {
-	g := gen.PowerLaw(300, 5, 2.1, false, 3)
-	p := mustPartition(t, g, 4, partition.Range{})
-	job := pagerank.Job(pagerank.Config{Tol: 1e-10})
-	base, err := core.Run(p, job, core.Options{Mode: core.AAP, Deadline: time.Minute})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := core.Run(p, job, chaosOpts(44, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.Recoveries < 1 {
-		t.Fatalf("kill scheduled but no recovery ran (recoveries=%d)", res.Stats.Recoveries)
-	}
-	for v := range base.Values {
-		if d := math.Abs(base.Values[v] - res.Values[v]); d > 1e-6 {
-			t.Fatalf("vertex %d: fault-free %v, recovered %v (|Δ|=%g)", v, base.Values[v], res.Values[v], d)
+	t.Run(oneShard, func(t *testing.T) {
+		g := gen.PowerLaw(300, 5, 2.1, false, 3)
+		p := mustPartition(t, g, 4, partition.Range{})
+		job := pagerank.Job(pagerank.Config{Tol: 1e-10})
+		base, err := core.Run(p, job, core.Options{Mode: core.AAP, Deadline: time.Minute})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
+		res, err := core.Run(p, job, chaosOpts(44, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.Recoveries < 1 {
+			t.Fatalf("kill scheduled but no recovery ran (recoveries=%d)", res.Stats.Recoveries)
+		}
+		for v := range base.Values {
+			if d := math.Abs(base.Values[v] - res.Values[v]); d > 1e-6 {
+				t.Fatalf("vertex %d: fault-free %v, recovered %v (|Δ|=%g)", v, base.Values[v], res.Values[v], d)
+			}
+		}
+	})
 }
 
 // TestKillBeforeAnySealRestartsFresh: with no checkpointing configured

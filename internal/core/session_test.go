@@ -35,10 +35,10 @@ import (
 // more queries than cores and more fragments than cores, so the queries'
 // workers take turns on the Session's executors.
 func TestSessionConcurrentQueriesMatchSerial(t *testing.T) {
-	concurrentQueriesMatchSerial(t, 3)
+	t.Run(oneShard, func(t *testing.T) { concurrentQueriesMatchSerial(t, 3) })
 	t.Run("procs=2,M=8", func(t *testing.T) {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-		concurrentQueriesMatchSerial(t, 8)
+		t.Run(oneShard, func(t *testing.T) { concurrentQueriesMatchSerial(t, 8) })
 	})
 }
 

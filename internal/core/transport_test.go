@@ -45,7 +45,7 @@ func TestTCPPlaneMatchesInProcSSSP(t *testing.T) {
 	g := gen.PowerLaw(500, 6, 2.1, true, 1)
 	p := mustPartition(t, g, 4, partition.Hash{})
 	for _, mode := range modes() {
-		t.Run(mode.Mode.String(), func(t *testing.T) {
+		t.Run(mode.Mode.String()+"/"+oneShard, func(t *testing.T) {
 			base, err := core.Run(p, sssp.Job(0), inprocOpts(mode))
 			if err != nil {
 				t.Fatal(err)
@@ -72,7 +72,7 @@ func TestTCPPlaneMatchesInProcCC(t *testing.T) {
 	g := gen.SmallWorld(400, 2, 0.05, false, 2)
 	p := mustPartition(t, g, 4, partition.Hash{})
 	for _, mode := range modes() {
-		t.Run(mode.Mode.String(), func(t *testing.T) {
+		t.Run(mode.Mode.String()+"/"+oneShard, func(t *testing.T) {
 			base, err := core.Run(p, cc.Job(), inprocOpts(mode))
 			if err != nil {
 				t.Fatal(err)
