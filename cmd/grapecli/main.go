@@ -329,6 +329,8 @@ func runClient(addr string, clientID int, timeout time.Duration, algo string, so
 			addr, st.Admitted, st.Completed, st.Failed, st.Active, st.Rejected)
 		fmt.Printf("shared=%d max_batch=%d, queued now %d, qps %.2f, busy %.3fs over %.3fs\n",
 			st.Shared, st.MaxBatch, st.QueuedNow, st.QPS, st.BusySeconds, st.UpSeconds)
+		fmt.Printf("resident %d bytes, routing %d bytes, %d ready tasks, %d executors\n",
+			st.ResidentBytes, st.RoutingBytes, st.ReadyTasks, st.Executors)
 		return
 	default:
 		fatal(fmt.Errorf("unknown client algorithm %q (sssp, cc, pagerank, recommend, stats)", algo))

@@ -44,31 +44,26 @@ func (v Val) Mean() []float64 {
 type Config struct {
 	Users, Products int
 	Rank            int
-	LearnRate       float64
-	Lambda          float64
 	// Epochs bounds how many SGD epochs each worker contributes.
 	Epochs int
-	// Tol stops a worker early when its training RMSE improves by less
-	// than Tol between rounds.
-	Tol  float64
-	Seed int64
+	Seed   int64
 }
+
+// The SGD step: learnRate scales each update and lambda is the L2
+// regularization. A worker stops early when its training RMSE improves
+// by less than tol between rounds.
+const (
+	learnRate = 0.05
+	lambda    = 0.01
+	tol       = 1e-4
+)
 
 func (c Config) withDefaults() Config {
 	if c.Rank == 0 {
 		c.Rank = 8
 	}
-	if c.LearnRate == 0 {
-		c.LearnRate = 0.05
-	}
-	if c.Lambda == 0 {
-		c.Lambda = 0.01
-	}
 	if c.Epochs == 0 {
 		c.Epochs = 20
-	}
-	if c.Tol == 0 {
-		c.Tol = 1e-4
 	}
 	return c
 }
@@ -221,22 +216,21 @@ func (p *program) epoch(ctx *core.Context[Val]) {
 		return
 	}
 	var se float64
-	lr, lam := p.cfg.LearnRate, p.cfg.Lambda
 	for _, e := range p.edges {
 		uf, pf := p.factor[e.u], p.factor[e.p]
 		pred := ref.Dot(uf, pf)
 		err := e.r - pred
 		se += err * err
 		for k := range uf {
-			du := lr * (err*pf[k] - lam*uf[k])
-			dp := lr * (err*uf[k] - lam*pf[k])
+			du := learnRate * (err*pf[k] - lambda*uf[k])
+			dp := learnRate * (err*uf[k] - lambda*pf[k])
 			uf[k] += du
 			pf[k] += dp
 		}
 	}
 	ctx.AddWork(len(p.edges) * p.cfg.Rank)
 	rmse := math.Sqrt(se / float64(len(p.edges)))
-	if p.epochs > 0 && math.Abs(p.lastRMSE-rmse) < p.cfg.Tol {
+	if p.epochs > 0 && math.Abs(p.lastRMSE-rmse) < tol {
 		p.converged = true
 	}
 	p.lastRMSE = rmse

@@ -53,6 +53,6 @@ func TestOneFragmentWorkMatchesSimulator(t *testing.T) {
 	}
 	p := one(g)
 	oneFragmentWork(t, p, sssp.Job(0), 174251)
-	oneFragmentWork(t, p, pagerank.Job(pagerank.Config{}), 8736143)
+	oneFragmentWork(t, p, pagerank.Job(pagerank.Config{}), 6633220)
 	oneFragmentWork(t, one(graph.AsUndirected(g)), cc.Job(), 640000)
 }

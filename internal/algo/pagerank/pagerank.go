@@ -10,23 +10,14 @@
 // floating-point sums remember their addition order. A round consumes
 // the frontier (owned slots whose pending delta crossed the call's
 // threshold θ, below) in ascending slot order and a consumed slot pushes
-// at once — Gauss–Seidel inside a block of blockSlots owned slots,
-// Jacobi across blocks:
-//
-//   - a share for an owned slot of the source's own block lands in delta
-//     immediately, so the later slots of the same sweep fold it in and
-//     push it on (on a lattice that halves the sweeps: the spectral
-//     radius of Gauss–Seidel is the square of Jacobi's);
-//   - a share for an owned slot of another block accumulates in next, in
-//     ascending source order, and reaches delta by one addition per
-//     touched slot at the round's end;
-//   - a share for an F.O copy goes straight into the copy's delta, which
-//     nothing reads before the flush.
-//
-// The block is a property of the fragment's slot numbering, never of
-// the machine, and a round runs on one goroutine, so every slot sees one
-// addition sequence: Job is bit-identical to RefJob, the plain-loop
-// statement of the same rule.
+// at once — Gauss–Seidel over the fragment. A share for an owned slot
+// lands in delta immediately and admits the slot, so the later slots of
+// the same sweep fold it in and push it on (on a lattice that halves the
+// sweeps: the spectral radius of Gauss–Seidel is the square of
+// Jacobi's); a share for an F.O copy goes into the copy's delta, which
+// nothing reads before the flush. A round runs on one goroutine, so
+// every slot sees one addition sequence: Job is bit-identical to RefJob,
+// the plain-loop statement of the same rule.
 //
 // Every call converges coarse to fine, the accumulative iteration of
 // Maiter (Zhang et al., TPDS 2014): large deltas first, small ones once
@@ -41,7 +32,7 @@
 // mass that arrives later and is pushed once, not twice. A lone
 // fragment, which no border mass reaches, solves to Tol in PEval and
 // sends nothing. On the benchmark's 490k-vertex road lattice 8 fragments
-// do about the work of one fragment's PEval (105 M units); re-converging
+// do about the work of one fragment's PEval (104 M units); re-converging
 // to Tol on every call did 1.8–2.2× that, and a PEval to Tol followed by
 // coarse-to-fine IncEvals about 1.2×. A run still ends with every owned
 // residual at most Tol, the bound Config.Tol documents.
@@ -49,7 +40,6 @@ package pagerank
 
 import (
 	"math"
-	"math/bits"
 
 	"aap/internal/codec"
 	"aap/internal/core"
@@ -107,13 +97,6 @@ func job(newProg func(*partition.Fragment) core.Program[float64]) core.Job[float
 	}
 }
 
-// blockShift sizes the block: 4096 slots, 64 frontier-bitmap words.
-// Results depend on it, so it is a constant and not a setting.
-const (
-	blockShift = 12
-	blockSlots = 1 << blockShift
-)
-
 // program is the kernel.
 type program struct {
 	f   *partition.Fragment
@@ -122,11 +105,6 @@ type program struct {
 	score []float64
 	delta []float64
 	theta float64 // this call's propagation threshold θ
-
-	// next accumulates, per owned slot, the shares that wait for the
-	// round's end and pend marks the slots it holds. Empty between rounds.
-	next []float64
-	pend []uint64
 
 	// fr is the worklist of owned slots admitted above θ; its ordered
 	// Advance at each round start makes the consume order canonical.
@@ -140,8 +118,6 @@ func newProgram(f *partition.Fragment, cfg Config) *program {
 		f: f, cfg: cfg,
 		score: make([]float64, n),
 		delta: make([]float64, n),
-		next:  make([]float64, f.NumOwned()),
-		pend:  make([]uint64, par.Words(f.NumOwned())),
 		fr:    par.NewFrontier(f.NumOwned()),
 	}
 }
@@ -199,11 +175,11 @@ func (p *program) add(s int32, d float64) {
 
 // run executes rounds until the frontier drains. A round is a sweep
 // that consumes the frontier in ascending order, each slot pushing at
-// once, then a settle that folds next into delta.
+// once.
 //
 // Advance clears the dedup bitmap before any slot is consumed, so a slot
-// that an earlier slot of its block re-admits before its own turn is
-// consumed in this sweep and listed again in the next, which skips it.
+// that an earlier slot re-admits before its own turn is consumed in this
+// sweep and listed again in the next, which skips it.
 func (p *program) run(ctx *core.Context[float64]) {
 	for {
 		frontier := p.fr.Advance()
@@ -212,13 +188,11 @@ func (p *program) run(ctx *core.Context[float64]) {
 		}
 		p.rounds++
 		ctx.AddWork(int(p.sweep(frontier)))
-		p.settle()
 	}
 }
 
-// sweep consumes the frontier and returns its work units: in-block
-// shares go into delta, shares for other blocks' owned slots into next,
-// shares for copies into the copy's delta.
+// sweep consumes the frontier and returns its work units: every share
+// goes into its slot's delta, and an owned slot crossing θ is admitted.
 func (p *program) sweep(frontier []int32) (units int64) {
 	g, owned, tol := p.f.Graph(), int32(p.f.NumOwned()), p.theta
 	for _, s := range frontier {
@@ -234,44 +208,20 @@ func (p *program) sweep(frontier []int32) (units int64) {
 			continue
 		}
 		share := p.cfg.Damping * x / float64(len(out))
-		lo := s &^ (blockSlots - 1)
-		n := uint32(min(owned-lo, blockSlots)) // owned slots of s's block
 		for _, u := range out {
 			us := p.f.Slot(u)
 			switch {
-			case uint32(us-lo) < n:
+			case us < 0:
+			case us < owned:
 				y := p.delta[us] + share
 				p.delta[us] = y
 				p.fr.Add(us, y > tol)
-			case us < 0:
-			case us < owned:
-				p.next[us] += share
-				p.pend[us>>6] |= 1 << (us & 63)
 			default:
 				p.delta[us] += share
 			}
 		}
 	}
 	return units
-}
-
-// settle ends the round: each slot next holds a sum for takes it in one
-// addition, in ascending slot order, and is admitted if it crossed θ.
-func (p *program) settle() {
-	tol := p.theta
-	for i, word := range p.pend {
-		if word == 0 {
-			continue
-		}
-		p.pend[i] = 0
-		for ; word != 0; word &= word - 1 {
-			us := int32(i<<6 + bits.TrailingZeros64(word))
-			x := p.delta[us] + p.next[us]
-			p.delta[us] = x
-			p.next[us] = 0
-			p.fr.Add(us, x > tol)
-		}
-	}
 }
 
 // flush ships the accumulated copy deltas to their owners and resets

@@ -5,16 +5,6 @@ package pagerank
 // loops — sort the frontier, consume it in slot order, each consumed
 // slot pushing at once — with a sorted list and a flag per slot where
 // the kernel uses a bitmap, so the kernel must reproduce it bit for bit.
-//
-// Where a share lands is what matters. One for an owned slot of the
-// source's own block goes into delta at once, and later slots of the
-// sweep see it. One for an owned slot of another block is held back in
-// late and added to delta once, at the round's end, as a single sum
-// built in ascending source order — so no slot reads a same-round value
-// that crossed a block boundary. (A copy is read by nothing before the
-// flush and takes its shares directly.) The block is fixed by the
-// fragment's slot numbering, and the results and work counts depend on
-// it.
 
 import (
 	"slices"
@@ -35,18 +25,16 @@ type refProgram struct {
 	inQ      []bool
 	frontier []int32 // owned slots admitted above θ, sorted, consumed per round
 	next     []int32
-	late     []float64 // shares held back to the round's end, per owned slot
 	rounds   int
 }
 
 func newRefProgram(f *partition.Fragment, cfg Config) *refProgram {
-	n, owned := f.Slots(), f.NumOwned()
+	n := f.Slots()
 	return &refProgram{
 		f: f, cfg: cfg,
 		score: make([]float64, n),
 		delta: make([]float64, n),
-		inQ:   make([]bool, owned),
-		late:  make([]float64, owned),
+		inQ:   make([]bool, f.NumOwned()),
 	}
 }
 
@@ -112,9 +100,9 @@ func (p *refProgram) admit(s int32) {
 }
 
 // run executes rounds until the frontier drains. Admission marks (inQ)
-// are cleared before the sweep, so a slot an earlier slot of its block
-// re-admits before its own turn is consumed now and listed again next
-// round, where it is skipped unless it is above θ again by then.
+// are cleared before the sweep, so a slot an earlier slot re-admits
+// before its own turn is consumed now and listed again next round, where
+// it is skipped unless it is above θ again by then.
 func (p *refProgram) run(ctx *core.Context[float64]) {
 	owned := int32(p.f.NumOwned())
 	for len(p.next) > 0 {
@@ -143,19 +131,11 @@ func (p *refProgram) run(ctx *core.Context[float64]) {
 				us := p.f.Slot(u)
 				switch {
 				case us < 0:
-				case us >= owned:
-					p.delta[us] += share
-				case us>>blockShift == s>>blockShift:
+				case us < owned:
 					p.add(us, share)
 				default:
-					p.late[us] += share
+					p.delta[us] += share
 				}
-			}
-		}
-		for us, sum := range p.late {
-			if sum != 0 {
-				p.add(int32(us), sum)
-				p.late[us] = 0
 			}
 		}
 		ctx.AddWork(work)

@@ -1,9 +1,8 @@
 package pagerank
 
 // Checkpoint support (core.Snapshotter): at round boundaries the
-// frontier is drained and the held-back shares are folded in (each
-// kernel round ends by emptying them), so the durable state of either
-// kernel is the score and pending-delta arrays plus the round counter.
+// frontier is drained, so the durable state of either kernel is the
+// score and pending-delta arrays plus the round counter.
 // Scores and deltas are serialized as float64s; the codec round trip is
 // bit-exact, which the differential recovery tests rely on.
 
@@ -41,7 +40,7 @@ func restoreState(data []byte, score, delta []float64) (rounds int, err error) {
 func (p *program) SnapshotState() []byte { return snapshotState(p.score, p.delta, p.rounds) }
 
 // RestoreState rewinds the parallel kernel to a snapshot; whatever a
-// round that never finished left in the frontier and in next is dropped.
+// round that never finished left in the frontier is dropped.
 func (p *program) RestoreState(data []byte) error {
 	rounds, err := restoreState(data, p.score, p.delta)
 	if err != nil {
@@ -49,8 +48,6 @@ func (p *program) RestoreState(data []byte) error {
 	}
 	p.rounds = rounds
 	p.fr = par.NewFrontier(p.f.NumOwned())
-	clear(p.next)
-	clear(p.pend)
 	return nil
 }
 
@@ -67,6 +64,5 @@ func (p *refProgram) RestoreState(data []byte) error {
 	p.rounds = rounds
 	clear(p.inQ)
 	p.frontier, p.next = p.frontier[:0], p.next[:0]
-	clear(p.late)
 	return nil
 }

@@ -109,19 +109,13 @@ func diffGraphs() map[string]*graph.Graph {
 	}
 }
 
-// pagerankBlock is the PageRank kernel's block: results are defined per
-// block of this many owned slots (pagerank.go), so its differentials need
-// fragments of several.
-const pagerankBlock = 4096
-
-// blockGraphs are PageRank's own corpora. Every graph of diffGraphs fits
-// in one block, where no share ever takes the cross-block path. These
-// span several on one fragment —
-// a lattice and a heavy-tailed graph — plus the edges of the block
-// rule: an owned count of exactly two blocks, one slot past that, and a
-// fragment whose frontier lies inside its second block from round 2 on
-// (a ring there; every other vertex is isolated and drains in round 1).
-func blockGraphs(t testing.TB) map[string]*graph.Graph {
+// pagerankGraphs are PageRank's own corpora, larger than diffGraphs':
+// a lattice and a heavy-tailed graph of thousands of slots on one
+// fragment, an owned count that fills its last frontier-bitmap word
+// (8192), one slot past that, and a fragment whose frontier is a
+// confined ring of 100 slots in the middle from round 2 on (every other
+// vertex is isolated and drains in round 1).
+func pagerankGraphs() map[string]*graph.Graph {
 	island := graph.NewBuilder(true)
 	for v := 0; v < 10000; v++ {
 		island.AddVertex(graph.VertexID(v))
@@ -130,19 +124,13 @@ func blockGraphs(t testing.TB) map[string]*graph.Graph {
 		island.AddEdge(graph.VertexID(v), graph.VertexID(5000+(v+1)%100))
 		island.AddEdge(graph.VertexID(v), graph.VertexID(5000+(v*7)%100))
 	}
-	gs := map[string]*graph.Graph{
+	return map[string]*graph.Graph{
 		"road150":     gen.RoadNet(150, 150, 37),
 		"powerlaw20k": gen.PowerLaw(20000, 6, 2.1, false, 41),
 		"twoblocks":   gen.Grid(64, 128, 43),
-		"onepast":     gen.Random(2*pagerankBlock+1, 30000, false, 47),
+		"onepast":     gen.Random(8193, 30000, false, 47),
 		"island":      island.Build(),
 	}
-	for name, n := range map[string]int{"twoblocks": 2 * pagerankBlock, "onepast": 2*pagerankBlock + 1} {
-		if got := gs[name].NumVertices(); got != n {
-			t.Fatalf("%s has %d vertices, want %d", name, got, n)
-		}
-	}
-	return gs
 }
 
 // TestSSSPParallelKernelMatchesRef: program-level differential — the
@@ -191,15 +179,14 @@ func TestCCParallelKernelMatchesRef(t *testing.T) {
 	}
 }
 
-// TestPageRankParallelKernelMatchesRef: the kernel's bitmap frontier and
-// pending-share words must replay the reference's contribution order
-// exactly, in a block and across blocks — a sum fixpoint, so any
-// reordering would change low-order bits and fail this test. The tight
-// tolerance is the long-tail case: hundreds of rounds after the bulk has
-// converged.
+// TestPageRankParallelKernelMatchesRef: the kernel's bitmap frontier
+// must replay the reference's contribution order exactly — a sum
+// fixpoint, so any reordering would change low-order bits and fail this
+// test. The tight tolerance is the long-tail case: hundreds of rounds
+// after the bulk has converged.
 func TestPageRankParallelKernelMatchesRef(t *testing.T) {
 	graphs := diffGraphs()
-	for name, g := range blockGraphs(t) {
+	for name, g := range pagerankGraphs() {
 		graphs[name] = g
 	}
 	for name, g := range graphs {
@@ -218,15 +205,14 @@ func TestPageRankParallelKernelMatchesRef(t *testing.T) {
 	}
 }
 
-// TestPageRankWorkOnRoadLattice pins the reason for the block rule as a
+// TestPageRankWorkOnRoadLattice pins Gauss–Seidel against Jacobi as a
 // count. Consume-everything-then-push (Jacobi) needs
 // ⌈ln(Tol/(1-d)) / ln d⌉ = 74 full sweeps of the fragment at the default
 // Tol and did 75.5 sweeps' worth of work on this lattice; pushing at
-// once inside a block contracts about twice as fast per sweep and does
-// 41.8. The kernel does the reference's work to the unit, like the
-// bits.
+// once (Gauss–Seidel) contracts about twice as fast per sweep and does
+// 40.9. The kernel does the reference's work to the unit, like the bits.
 func TestPageRankWorkOnRoadLattice(t *testing.T) {
-	p, err := partition.Build(blockGraphs(t)["road150"], 1, partition.Hash{})
+	p, err := partition.Build(pagerankGraphs()["road150"], 1, partition.Hash{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,7 +380,7 @@ func multiFragmentWork(t *testing.T, p *partition.Partitioned) int64 {
 // 1.16×. The run must still end with every owned residual at most Tol and
 // the same bits in both kernels.
 func TestPageRankMultiFragmentWork(t *testing.T) {
-	g := blockGraphs(t)["road150"]
+	g := pagerankGraphs()["road150"]
 	single := onePEvalWork(t, g)
 	p, err := partition.Build(g, 4, partition.BFSLocality{Seed: 3})
 	if err != nil {
@@ -410,18 +396,21 @@ func TestPageRankMultiFragmentWork(t *testing.T) {
 
 // TestPageRankHashFragmentWork pins the work of hash fragments on a
 // power-law graph, where nearly every edge crosses a fragment boundary,
-// as a count at 2, 8 and 32 fragments. It is an open gap: the kernels do
-// 2.2–3.2× one fragment's 8.73 M work units (19.59 M, 28.12 M and
-// 20.19 M; 20.57 M, 28.27 M and 20.35 M while PEval still solved its
-// fragment to Tol). The ceilings sit just above those counts, so a change
-// that closes part of the gap tightens them.
+// as exact counts at 2, 8 and 32 fragments. It is an open gap: the
+// kernels do 2.81×, 4.24× and 3.04× one fragment's 6.63 M work units
+// (18.66 M, 28.12 M and 20.19 M). The multi-fragment counts are what a
+// change that closes part of the gap lowers; the one-fragment count is
+// pinned too, so that the ratios move only with a logged reason.
 func TestPageRankHashFragmentWork(t *testing.T) {
 	g := gen.PowerLaw(20000, 8, 2.1, false, 7)
 	single := onePEvalWork(t, g)
+	if single != 6633312 {
+		t.Errorf("one fragment's PEval did %d work units, pinned 6633312", single)
+	}
 	for _, c := range []struct {
-		m       int
-		ceiling float64
-	}{{2, 2.3}, {8, 3.3}, {32, 2.4}} {
+		m    int
+		work int64
+	}{{2, 18661048}, {8, 28120846}, {32, 20186758}} {
 		t.Run(fmt.Sprintf("m=%d", c.m), func(t *testing.T) {
 			t.Parallel()
 			p, err := partition.Build(g, c.m, partition.Hash{})
@@ -429,10 +418,9 @@ func TestPageRankHashFragmentWork(t *testing.T) {
 				t.Fatal(err)
 			}
 			work := multiFragmentWork(t, p)
-			ratio := float64(work) / float64(single)
-			t.Logf("%d hash fragments: %d work units = %.2f× one fragment's PEval (%d)", c.m, work, ratio, single)
-			if ratio > c.ceiling {
-				t.Errorf("%d hash fragments did %.2f× the work of one (%d vs %d), want at most %.1f×", c.m, ratio, work, single, c.ceiling)
+			t.Logf("%d hash fragments: %d work units = %.2f× one fragment's PEval (%d)", c.m, work, float64(work)/float64(single), single)
+			if work != c.work {
+				t.Errorf("%d hash fragments did %d work units, pinned %d", c.m, work, c.work)
 			}
 		})
 	}
@@ -509,28 +497,23 @@ func TestPageRankWakesFromPEval(t *testing.T) {
 	}
 }
 
-// TestPageRankSnapshotResumesAcrossBlocks: a snapshot taken at an engine
-// round boundary mid-run — messages in flight, fragments of several
-// blocks still trading cross-block shares — restored into fresh programs
-// (a replaced worker) and into the finished live ones (a rollback)
-// continues to the bits of the uninterrupted run, final state included.
-// The per-round scratch of a round (next, pend) is empty at that
-// boundary, so it is not in the snapshot: the kernel's bytes equal the
-// reference kernel's, whose state is score, delta and the round count. Two more
+// TestPageRankSnapshotResumes: a snapshot taken at an engine round
+// boundary mid-run — messages in flight, fragments of thousands of slots
+// still trading shares — restored into fresh programs (a replaced
+// worker) and into the finished live ones (a rollback) continues to the
+// bits of the uninterrupted run, final state included. The frontier is
+// empty at that boundary, so it is not in the snapshot: the kernel's
+// bytes equal the reference kernel's, whose state is score, delta and
+// the round count. Two more
 // cuts hold a fragment's wake to itself in flight: the one right after
 // PEval, which parks the residual below its coarse threshold, and the
 // first superstep whose outbox holds a wake. The parked residual is in
 // the snapshot's deltas and the wake is a message in flight like any
 // other, so no new state is needed.
-func TestPageRankSnapshotResumesAcrossBlocks(t *testing.T) {
-	p, err := partition.Build(blockGraphs(t)["road150"], 2, partition.Range{})
+func TestPageRankSnapshotResumes(t *testing.T) {
+	p, err := partition.Build(pagerankGraphs()["road150"], 2, partition.Range{})
 	if err != nil {
 		t.Fatal(err)
-	}
-	for _, f := range p.Frags {
-		if f.NumOwned() < 2*pagerankBlock {
-			t.Fatalf("fragment %d owns %d slots, want several blocks", f.ID, f.NumOwned())
-		}
 	}
 	sum := func(a, b float64) float64 { return a + b }
 	type cut struct {
@@ -630,7 +613,7 @@ func simValues[T any](t *testing.T, p *partition.Partitioned, job core.Job[T]) [
 func TestParallelKernelsMatchRefUnderSim(t *testing.T) {
 	g := gen.PowerLaw(500, 5, 2.1, true, 23)
 	und := graph.AsUndirected(g)
-	blocks := blockGraphs(t)
+	corpora := pagerankGraphs()
 	for _, m := range []int{2, 5} {
 		p, err := partition.Build(g, m, partition.BFSLocality{Seed: 3})
 		if err != nil {
@@ -658,11 +641,11 @@ func TestParallelKernelsMatchRefUnderSim(t *testing.T) {
 		}
 		inputs := []prInput{{"powerlaw", p, 1e-8}, {"road", road, 1e-8}}
 		if m == 2 {
-			// Fragments of several blocks each, trading cross-block shares
-			// (the long tail is the small inputs' and the program-level
-			// test's; the default Tol keeps this one short under -race).
+			// Fragments of thousands of slots each (the long tail is the
+			// small inputs' and the program-level test's; the default Tol
+			// keeps this one short under -race).
 			for _, name := range []string{"road150", "powerlaw20k"} {
-				pp, err := partition.Build(blocks[name], m, partition.BFSLocality{Seed: 3})
+				pp, err := partition.Build(corpora[name], m, partition.BFSLocality{Seed: 3})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -721,9 +704,9 @@ func TestParallelKernelsUnderEngine(t *testing.T) {
 	// The engine folds messages in arrival order, so its PageRank is
 	// compared within tolerance; what this adds over the bit-exact tests
 	// above is the race detector watching the kernel's rounds under real
-	// concurrency. The second input gives each of two fragments several
-	// blocks, so the rounds also take the cross-block path.
-	road := blockGraphs(t)["road150"]
+	// concurrency. The second input gives each of two fragments thousands
+	// of slots.
+	road := pagerankGraphs()["road150"]
 	proad, err := partition.Build(road, 2, partition.Range{})
 	if err != nil {
 		t.Fatal(err)

@@ -31,9 +31,10 @@ type Options struct {
 	// kill/stall, message delay/duplicate/drop, link partitions and the
 	// durable store's filesystem.
 	Faults *Faults
-	// Deadline force-finishes the run after this wall time: Run returns
-	// the partial Result plus an error wrapping context.DeadlineExceeded.
-	// Defaults to 5 minutes.
+	// Deadline force-finishes the run after this wall time. A run that
+	// ends at or past it, by the run's clock, returns the partial Result
+	// plus an error wrapping context.DeadlineExceeded. Defaults to 5
+	// minutes.
 	Deadline time.Duration
 	// Transport selects the message plane (in-proc channels, TCP, remote
 	// Program hosts); nil is the in-proc fast path.
@@ -110,7 +111,7 @@ func run[T any](s *Session, job Job[T], opts Options, rs *resumeState[T], tl Tim
 
 	e.sched.wakeAll() // under Simulate every PEval starts, inline, in worker order
 
-	deadlined := false
+	deadlined := false // only the wall clock has a deadline
 	if tl != nil {
 		// One goroutine: coord.finished needs no lock here.
 		for !e.coord.finished && tl.Next() {
@@ -127,9 +128,11 @@ func run[T any](s *Session, job Job[T], opts Options, rs *resumeState[T], tl Tim
 		select {
 		case <-e.coord.done:
 		case <-timer.C:
-			deadlined = true
 			e.coord.forceDone()
 		}
+		// The verdict is the clock's reading when done closed, not the
+		// case select took: with both ready it picks one at random.
+		deadlined = e.coord.doneAt >= e.opts.Deadline.Seconds()
 	}
 	e.sched.turns.Lock() // the last step and recovery are over: the workers' stats are final
 	e.tee.stop()         // every seal the run produced is on disk before Run returns, error or not
@@ -205,11 +208,11 @@ func newEngine[T any](s *Session, job Job[T], opts Options, tl Timeline) *engine
 		e.hsync = &hsyncState{}
 	}
 	e.sched.e, e.sched.cores = e, &s.cores
-	e.coord.init(p.M, &e.ledger)
 	e.plane = &inproc[T]{e}
 	if tl != nil {
 		e.clock, e.plane, e.sched.tl = tl, &timelinePlane[T]{e, tl}, tl
 	}
+	e.coord.init(p.M, &e.ledger, e.clock)
 	e.workers = make([]*worker[T], p.M)
 	for i, f := range p.Frags {
 		w := &worker[T]{
@@ -357,9 +360,11 @@ type coordinator struct {
 	mu       sync.Mutex // guards activity transitions and the finish check
 	finished bool
 	done     chan struct{}
+	clock    clock
+	doneAt   float64 // the clock's reading when done closed
 }
 
-func (c *coordinator) init(m int, l *checkpoint.Ledger) {
+func (c *coordinator) init(m int, l *checkpoint.Ledger, clk clock) {
 	c.rounds = make([]atomic.Int32, m)
 	c.active = make([]atomic.Bool, m)
 	for i := range c.active {
@@ -368,15 +373,22 @@ func (c *coordinator) init(m int, l *checkpoint.Ledger) {
 	c.activeN.Store(int32(m))
 	c.done = make(chan struct{})
 	c.ledger = l
+	c.clock = clk
 }
 
 func (c *coordinator) forceDone() {
 	c.mu.Lock()
 	if !c.finished {
-		c.finished = true
-		close(c.done)
+		c.finish()
 	}
 	c.mu.Unlock()
+}
+
+// finish closes done and records when; c.mu is held.
+func (c *coordinator) finish() {
+	c.finished = true
+	c.doneAt = c.clock.Now()
+	close(c.done)
 }
 
 func (c *coordinator) roundDone(id int) int32 {
@@ -413,8 +425,7 @@ func (c *coordinator) setActive(id int, active bool) {
 	}
 	fire := !active && c.activeN.Load() == 0 && !c.ledger.Open() && !c.finished
 	if fire {
-		c.finished = true
-		close(c.done)
+		c.finish()
 	}
 	c.mu.Unlock()
 	if !fire {

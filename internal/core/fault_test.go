@@ -335,6 +335,24 @@ func TestDeadlinePartialResult(t *testing.T) {
 	}
 }
 
+// TestDeadlineVerdictFromClock: a run that ends at or past its Deadline
+// wraps context.DeadlineExceeded, however the termination and the timer
+// race. At 1 ns every run of a 2-vertex grid ends past it, and in a few
+// of these runs the termination and the timer are ready together, where
+// the verdict must not depend on which one select picks.
+func TestDeadlineVerdictFromClock(t *testing.T) {
+	p := mustPartition(t, gen.Grid(1, 2, 1), 1, partition.Hash{})
+	for i := range 20000 {
+		res, err := core.Run(p, sssp.Job(0), core.Options{Deadline: time.Nanosecond})
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("run %d: want context.DeadlineExceeded, got %v", i, err)
+		}
+		if res == nil || len(res.Values) != 2 {
+			t.Fatalf("run %d: want the partial result, got %v", i, res)
+		}
+	}
+}
+
 // TestUnquiescedRecoveryEndsAtDeadline: a worker killed while every batch
 // is delayed past the deadline waits for a quiescence that never comes
 // before the deadline. Run returns there, with no recovery, and the late

@@ -136,9 +136,15 @@ type SessionStats struct {
 	BusySeconds float64 // cumulative wall time inside engine runs
 	UpSeconds   float64 // session age
 	QPS         float64 // Completed / UpSeconds
+
+	// The resident plane, read at the call.
+	ResidentBytes int64 // the graph's own tables (graph.Graph.ResidentBytes)
+	RoutingBytes  int64 // owner index and slot tables (Partitioned.RoutingTableBytes)
+	ReadyTasks    int64 // workers of any query waiting for an executor
+	Executors     int64 // executor goroutines running
 }
 
-// Stats snapshots the serving counters.
+// Stats snapshots the serving counters and the resident plane.
 func (s *Session) Stats() SessionStats {
 	up := time.Since(s.started).Seconds()
 	st := SessionStats{
@@ -148,7 +154,13 @@ func (s *Session) Stats() SessionStats {
 		Active:      s.active.Load(),
 		BusySeconds: float64(s.busyNanos.Load()) / 1e9,
 		UpSeconds:   up,
+
+		ResidentBytes: s.p.G.ResidentBytes(),
+		RoutingBytes:  s.p.RoutingTableBytes(),
 	}
+	s.cores.mu.Lock()
+	st.ReadyTasks, st.Executors = int64(len(s.cores.tasks)), int64(s.cores.executors)
+	s.cores.mu.Unlock()
 	if up > 0 {
 		st.QPS = float64(st.Completed) / up
 	}

@@ -121,6 +121,62 @@ func TestRPCServesMixedQueries(t *testing.T) {
 	}
 }
 
+// TestRPCStatsShowResidentPlane: the stats call carries the resident
+// plane, read at the call: the graph's and the routing tables' bytes,
+// which a CC query on a directed graph grows by the in-side it builds,
+// and the Session's ready tasks and executors, which drain to zero once
+// no query runs.
+func TestRPCStatsShowResidentPlane(t *testing.T) {
+	p := buildPartition(t, gen.PowerLaw(400, 5, 2.1, true, 37), 2)
+	rs, err := ListenRPC(New(p), "127.0.0.1:0", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rs.Close()
+	c, err := DialRPC(rs.Addr(), 101, 20*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	check := func(when string) {
+		t.Helper()
+		st, err := c.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.ResidentBytes != p.G.ResidentBytes() || st.RoutingBytes != p.RoutingTableBytes() {
+			t.Errorf("%s: resident %d, routing %d bytes; want %d, %d",
+				when, st.ResidentBytes, st.RoutingBytes, p.G.ResidentBytes(), p.RoutingTableBytes())
+		}
+		if st.ReadyTasks < 0 || st.Executors < 0 || st.Executors > int64(runtime.GOMAXPROCS(0)) {
+			t.Errorf("%s: %d ready tasks, %d executors", when, st.ReadyTasks, st.Executors)
+		}
+	}
+	check("fresh")
+	before := p.G.ResidentBytes()
+	if _, _, err := c.CC(); err != nil {
+		t.Fatal(err)
+	}
+	if !p.G.InBuilt() || p.G.ResidentBytes() <= before {
+		t.Fatalf("CC left the in-side unbuilt: %d bytes, %d before", p.G.ResidentBytes(), before)
+	}
+	check("after CC")
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		st, err := c.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.ReadyTasks == 0 && st.Executors == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d ready tasks, %d executors 5 s after the last query", st.ReadyTasks, st.Executors)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestRPCRecommendAndErrors: the CF path over the wire, plus error
 // propagation for unconfigured and malformed requests.
 func TestRPCRecommendAndErrors(t *testing.T) {
