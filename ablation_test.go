@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"aap/internal/algo/pagerank"
 	"aap/internal/algo/sssp"
 	"aap/internal/core"
 	"aap/internal/harness"
@@ -12,28 +11,6 @@ import (
 	"aap/internal/sim"
 	"aap/internal/vcentric"
 )
-
-// BenchmarkAblationLFloor sweeps the user bound L⊥ of the AAP controller
-// (the paper lets users set it to start stale-computation reduction
-// early; Appendix B uses 60% of the worker count for CF).
-func BenchmarkAblationLFloor(b *testing.B) {
-	ds := harness.FriendsterSim(1)
-	p, err := harness.SkewPartition(ds, 16, 3)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < b.N; i++ {
-		out := "PageRank on friendster-sim, 16 workers, AAP with varying L⊥\n"
-		for _, lf := range []int{0, 4, 10, 16} {
-			res, err := sim.Run(p, pagerank.Job(pagerank.Config{Tol: 1e-4}), sim.Config{Options: core.Options{Mode: core.AAP, LFloor: lf}})
-			if err != nil {
-				b.Fatal(err)
-			}
-			out += fmt.Sprintf("L⊥=%-3d time %8.2f, rounds max %d\n", lf, res.Stats.Seconds, res.Stats.MaxRound)
-		}
-		report(b, "Ablation: L⊥", out)
-	}
-}
 
 // BenchmarkAblationPartitioner compares partition strategies under AAP —
 // the Section 2 remark that strategy choice changes skew and hence AAP's

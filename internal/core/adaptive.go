@@ -13,18 +13,13 @@ var Forever = math.Inf(1)
 
 // View is the information a delay-stretch controller sees when deciding
 // whether worker i should start its next round: the worker's relative
-// progress and the staleness of its buffer, in the paper's notation
-// (r_i, r_min, r_max, η_i) plus the runtime estimates used by Eq. (1).
+// progress, in the paper's notation (r_i, r_min, r_max), and the runtime
+// estimates AAP's δ reads. It holds exactly the inputs of a Delay, so the
+// Decide event that carries it explains the decision.
 type View struct {
-	Worker     int
-	NumWorkers int
-
 	Round int32 // r_i: rounds completed by this worker
 	RMin  int32 // smallest round among active workers
 	RMax  int32 // largest round among all workers
-
-	Eta      int // η_i: messages in B_x̄i counted by distinct origin worker
-	Buffered int // raw message count in B_x̄i
 
 	RoundTime    float64 // t_i: predicted duration of the next round (seconds)
 	AvgRoundTime float64 // mean predicted round time across workers
@@ -32,10 +27,9 @@ type View struct {
 	IdleTime     float64 // T_idle: time since this worker's last round ended
 }
 
-// Controller decides the delay stretch DS_i of one worker. A Controller
-// instance belongs to a single worker, so implementations may keep
-// per-worker adaptive state (such as the accumulation target L_i) without
-// synchronization.
+// Controller decides the delay stretch DS_i of a worker with a non-empty
+// buffer. A run holds one Controller, which every worker consults, so an
+// implementation keeps no per-worker state.
 type Controller interface {
 	// Delay returns the delay stretch in seconds: 0 runs the next round
 	// immediately, Forever suspends until the state changes, anything
@@ -49,8 +43,8 @@ type Mode int
 
 // Parallel models supported by the engine.
 const (
-	// AAP is the adaptive model of the paper: Eq. (1) with dynamically
-	// adjusted accumulation targets.
+	// AAP is the adaptive model of the paper: stragglers hold to
+	// accumulate messages, everyone else runs at once (aapController).
 	AAP Mode = iota
 	// BSP synchronizes all workers: DS_i = Forever while r_i > r_min.
 	BSP
@@ -91,25 +85,15 @@ func ParseMode(s string) (Mode, error) {
 	return 0, fmt.Errorf("core: unknown mode %q (aap, bsp, ap, ssp, hsync)", s)
 }
 
-// bspController implements δ for BSP: a worker that has completed more
-// rounds than the slowest active worker is suspended, so no worker can
-// outpace the others.
-type bspController struct{}
-
-func (bspController) Delay(v View) float64 {
-	if v.Round > v.RMin {
-		return Forever
-	}
-	return 0
-}
-
 // apController implements δ for AP: never wait.
 type apController struct{}
 
 func (apController) Delay(View) float64 { return 0 }
 
 // sspController implements δ for SSP with staleness bound C: the fastest
-// worker may outpace the slowest by at most C rounds.
+// worker may outpace the slowest by at most C rounds. C = 0 is BSP's δ: a
+// worker that has completed more rounds than the slowest active worker is
+// suspended, so no worker can outpace the others.
 type sspController struct{ C int32 }
 
 func (c sspController) Delay(v View) float64 {
@@ -119,44 +103,37 @@ func (c sspController) Delay(v View) float64 {
 	return 0
 }
 
-// aapController implements the dynamic adjustment function δ of Eq. (1):
+// windowFrac sets Δt_i, the straggler's accumulation window, as a fraction
+// of the cluster-average round time: waiting about half of everyone else's
+// round lets one slow round fold one round's worth of updates from every
+// fast worker instead of cascading each batch separately. (Scaling by the
+// straggler's own round time would over-wait right after an expensive
+// PEval whose successor rounds are cheap bounded incremental steps.)
+const windowFrac = 0.5
+
+// aapController implements AAP's dynamic adjustment function δ:
 //
-//	DS_i = Forever            if ¬S(r_i, r_min, r_max) or η_i = 0
-//	DS_i = T_Li − T_idle      if S and 1 ≤ η_i < L_i
-//	DS_i = 0                  if S and η_i ≥ L_i
+//	DS_i = Forever                if ¬S(r_i, r_min, r_max)
+//	DS_i = max(Δt_i − T_idle, 0)  if t_i > 1.25·avg t and s_i·Δt_i ≥ 1
+//	DS_i = 0                      otherwise (and before any estimate)
 //
-// where L_i predicts how many messages are worth accumulating before the
-// next round and T_Li = (L_i − η_i)/s_i estimates the time to accumulate
-// them. L_i starts at the user bound L⊥. A straggler (t_i above 1.25×
-// the cluster-average round time) raises it to max(η_i + Δt_i·s_i, L⊥)
-// when more messages are predicted within Δt_i; every other worker runs
-// as soon as it has messages.
+// with Δt_i = 0.5·avg t. This is Eq. (1) as it runs: Section 3 holds a
+// worker until η_i reaches the target L_i = max(η_i + Δt_i·s_i, L⊥), for
+// T_Li = (L_i − η_i)/s_i clipped to Δt_i. Recomputed from the current η_i
+// at each decision, with s_i·Δt_i ≥ 1, L_i always lies ahead of η_i and
+// T_Li is always clipped to Δt_i, whatever η_i and L⊥ are, so the hold
+// is the window itself.
 type aapController struct {
-	// LFloor is L⊥, the user-selectable initial accumulation bound.
-	LFloor float64
 	// C is the bounded-staleness constant for predicate S; C <= 0 means
 	// S is constantly true (SSSP, CC, PageRank need no staleness bound,
 	// Section 5.3).
 	C int32
-	// DeltaFrac is the fraction of the predicted round time used as the
-	// extra accumulation window Δt_i.
-	DeltaFrac float64
-
-	l float64 // L_i
 }
 
-// newAAPController returns an AAP controller with the paper's defaults.
-func newAAPController(lFloor float64, c int32) *aapController {
-	return &aapController{LFloor: lFloor, C: c, DeltaFrac: 0.5, l: lFloor}
-}
-
-func (c *aapController) Delay(v View) float64 {
+func (c aapController) Delay(v View) float64 {
 	// Predicate S: false only under bounded staleness when this worker
 	// is the fastest and too far ahead of the slowest.
 	if c.C > 0 && v.Round >= v.RMax && v.Round-v.RMin > c.C {
-		return Forever
-	}
-	if v.Eta == 0 {
 		return Forever
 	}
 	if v.Rate <= 0 || v.RoundTime <= 0 {
@@ -172,37 +149,15 @@ func (c *aapController) Delay(v View) float64 {
 	if v.AvgRoundTime > 0 && v.RoundTime <= 1.25*v.AvgRoundTime {
 		return 0
 	}
-	// Δt_i is the straggler's accumulation window, a fraction of the
-	// cluster-average round time: waiting about half of everyone else's
-	// round lets one slow round fold one round's worth of updates from
-	// every fast worker instead of cascading each batch separately.
-	// (Scaling by the straggler's own round time would over-wait right
-	// after an expensive PEval whose successor rounds are cheap bounded
-	// incremental steps.)
-	dt := c.DeltaFrac * v.AvgRoundTime
+	dt := windowFrac * v.AvgRoundTime
 	if v.Rate*dt < 1 {
 		// No messages are predicted to arrive within the window; waiting
 		// buys nothing (the paper's "DS_i = 0 since no messages are
 		// predicted to arrive" case).
 		return 0
 	}
-	// L_i = max(η_i + Δt_i·s_i, L⊥): the staleness we expect to absorb
-	// within the window (Section 3's adjustment rule).
-	c.l = math.Max(float64(v.Eta)+v.Rate*dt, c.LFloor)
-	if float64(v.Eta) >= c.l {
-		return 0
-	}
-	// T_Li = (L_i − η_i)/s_i, bounded by the window, less the time
-	// already spent idle.
-	ds := (c.l - float64(v.Eta)) / v.Rate
-	if ds > dt {
-		ds = dt
-	}
-	ds -= v.IdleTime
-	if ds <= 0 {
-		return 0
-	}
-	return ds
+	// The window, less the time already spent idle.
+	return max(dt-v.IdleTime, 0)
 }
 
 // nextRoundTimeEWMA updates the predicted round time t_i. The estimate
@@ -253,22 +208,22 @@ func (h *hsyncState) observe(rmax int32) {
 	}
 }
 
-// hsyncController follows the shared phase: BSP semantics during BSP
-// phases, AP semantics otherwise.
+// hsyncController follows the shared phase: BSP's δ during BSP phases,
+// AP's otherwise.
 type hsyncController struct{ state *hsyncState }
 
 func (c hsyncController) Delay(v View) float64 {
-	if c.state.bspPhase.Load() && v.Round > v.RMin {
-		return Forever
+	if c.state.bspPhase.Load() {
+		return sspController{}.Delay(v)
 	}
 	return 0
 }
 
-// newController builds the Controller for one worker under the options.
+// newController builds the one Controller of a run under the options.
 func newController(opts Options, hs *hsyncState) Controller {
 	switch opts.Mode {
 	case BSP:
-		return bspController{}
+		return sspController{}
 	case AP:
 		return apController{}
 	case SSP:
@@ -276,6 +231,6 @@ func newController(opts Options, hs *hsyncState) Controller {
 	case Hsync:
 		return hsyncController{state: hs}
 	default:
-		return newAAPController(float64(opts.LFloor), int32(opts.Staleness))
+		return aapController{C: int32(opts.Staleness)}
 	}
 }

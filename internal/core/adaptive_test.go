@@ -8,7 +8,7 @@ import (
 )
 
 func TestBSPControllerBarriers(t *testing.T) {
-	c := bspController{}
+	c := sspController{}
 	if d := c.Delay(View{Round: 3, RMin: 2}); !math.IsInf(d, 1) {
 		t.Errorf("ahead of r_min should suspend, got %v", d)
 	}
@@ -22,8 +22,8 @@ func TestBSPControllerBarriers(t *testing.T) {
 
 func TestAPControllerNeverWaits(t *testing.T) {
 	c := apController{}
-	f := func(round, rmin, rmax int32, eta int) bool {
-		return c.Delay(View{Round: round, RMin: rmin, RMax: rmax, Eta: eta}) == 0
+	f := func(round, rmin, rmax int32, rate float64) bool {
+		return c.Delay(View{Round: round, RMin: rmin, RMax: rmax, Rate: rate}) == 0
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -40,17 +40,10 @@ func TestSSPControllerBound(t *testing.T) {
 	}
 }
 
-func TestAAPControllerSuspendsOnEmptyBuffer(t *testing.T) {
-	c := newAAPController(0, 0)
-	if d := c.Delay(View{Eta: 0}); !math.IsInf(d, 1) {
-		t.Errorf("empty buffer should suspend, got %v", d)
-	}
-}
-
 func TestAAPControllerBoundedStalenessPredicate(t *testing.T) {
-	c := newAAPController(0, 2)
+	c := aapController{C: 2}
 	// Fastest worker too far ahead: S is false, suspend.
-	v := View{Eta: 3, Round: 10, RMax: 10, RMin: 5}
+	v := View{Round: 10, RMax: 10, RMin: 5}
 	if d := c.Delay(v); !math.IsInf(d, 1) {
 		t.Errorf("S=false should suspend, got %v", d)
 	}
@@ -62,44 +55,46 @@ func TestAAPControllerBoundedStalenessPredicate(t *testing.T) {
 }
 
 func TestAAPControllerFastWorkerRunsImmediately(t *testing.T) {
-	c := newAAPController(0, 0)
+	c := aapController{}
 	// Round time at the cluster average: run like AP.
-	v := View{Eta: 1, RoundTime: 1, AvgRoundTime: 1, Rate: 100, NumWorkers: 8}
+	v := View{RoundTime: 1, AvgRoundTime: 1, Rate: 100}
 	if d := c.Delay(v); d != 0 {
 		t.Errorf("average-speed worker should not wait, got %v", d)
 	}
 }
 
 func TestAAPControllerStragglerAccumulates(t *testing.T) {
-	c := newAAPController(0, 0)
-	// 4x straggler with heavy incoming traffic: positive finite stretch.
-	v := View{Eta: 1, RoundTime: 4, AvgRoundTime: 1, Rate: 10, NumWorkers: 8, IdleTime: 0}
-	d := c.Delay(v)
-	if d <= 0 || math.IsInf(d, 1) {
-		t.Fatalf("straggler under heavy traffic should wait a finite stretch, got %v", d)
+	c := aapController{}
+	// 4x straggler with heavy incoming traffic: it holds for the window
+	// Δt_i = 0.5·avg t, less the time it has already spent idle.
+	for _, v := range []View{
+		{RoundTime: 4, AvgRoundTime: 1, Rate: 10},
+		{RoundTime: 4, AvgRoundTime: 1, Rate: 10, IdleTime: 0.125},
+		{RoundTime: 0.7, AvgRoundTime: 0.3, Rate: 1e3, IdleTime: 0.1},
+	} {
+		if d, want := c.Delay(v), 0.5*v.AvgRoundTime-v.IdleTime; d != want {
+			t.Errorf("%+v: stretch %v, want %v", v, d, want)
+		}
 	}
-	if d > 0.5 { // capped by DeltaFrac * AvgRoundTime
-		t.Errorf("stretch %v exceeds the accumulation window", d)
-	}
-	// Idle time already spent is subtracted.
-	v.IdleTime = 10
+	// A straggler idle for longer than the window runs.
+	v := View{RoundTime: 4, AvgRoundTime: 1, Rate: 10, IdleTime: 10}
 	if d := c.Delay(v); d != 0 {
 		t.Errorf("long-idle straggler should run, got %v", d)
 	}
 }
 
 func TestAAPControllerNoTrafficNoWait(t *testing.T) {
-	c := newAAPController(0, 0)
+	c := aapController{}
 	// Straggler but nothing arriving: run immediately.
-	v := View{Eta: 1, RoundTime: 4, AvgRoundTime: 1, Rate: 0.01, NumWorkers: 8}
+	v := View{RoundTime: 4, AvgRoundTime: 1, Rate: 0.01}
 	if d := c.Delay(v); d != 0 {
 		t.Errorf("no predicted arrivals should mean no wait, got %v", d)
 	}
 }
 
 func TestAAPControllerNoEstimates(t *testing.T) {
-	c := newAAPController(0, 0)
-	if d := c.Delay(View{Eta: 1}); d != 0 {
+	c := aapController{}
+	if d := c.Delay(View{}); d != 0 {
 		t.Errorf("without estimates the controller must not block, got %v", d)
 	}
 }
@@ -152,10 +147,8 @@ func TestModeStrings(t *testing.T) {
 func TestControllersAllModes(t *testing.T) {
 	for _, mode := range []Mode{AAP, BSP, AP, SSP, Hsync} {
 		e := newEngine(NewSession(buildPartition(t, 4)), quietJob(), Options{Mode: mode, Staleness: 2}, nil)
-		for _, w := range e.workers {
-			if w.ctrl == nil {
-				t.Fatalf("%s: nil controller", mode)
-			}
+		if e.ctrl == nil {
+			t.Fatalf("%s: nil controller", mode)
 		}
 		// Only Hsync carries the shared phase its observe hooks feed.
 		if (e.hsync != nil) != (mode == Hsync) {
@@ -184,15 +177,5 @@ func TestHsyncPhaseFlipsOnThroughputDrop(t *testing.T) {
 	}
 	if d := c.Delay(View{Round: 1, RMin: 1}); d != 0 {
 		t.Error("BSP phase should run workers at r_min")
-	}
-}
-
-func TestAAPControllerLFloor(t *testing.T) {
-	// A large L⊥ forces accumulation beyond the expected-arrival target.
-	c := newAAPController(100, 0)
-	v := View{Eta: 2, RoundTime: 4, AvgRoundTime: 1, Rate: 10, NumWorkers: 4}
-	d := c.Delay(v)
-	if d <= 0 {
-		t.Fatalf("L⊥=100 with η=2 should wait, got %v", d)
 	}
 }

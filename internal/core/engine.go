@@ -19,8 +19,6 @@ type Options struct {
 	// Staleness is the bound c for SSP, and for AAP's predicate S when
 	// the algorithm needs bounded staleness (CF). Zero means unbounded.
 	Staleness int
-	// LFloor is L⊥, the initial accumulation bound of the AAP controller.
-	LFloor int
 	// MaxRounds aborts the run when any worker exceeds it; a safety
 	// valve for non-terminating programs. Defaults to 1 << 20.
 	MaxRounds int32
@@ -164,6 +162,7 @@ type engine[T any] struct {
 	job     Job[T]
 	opts    Options
 	workers []*worker[T]
+	ctrl    Controller  // δ, one for every worker: no controller keeps state
 	hsync   *hsyncState // Hsync's shared phase; nil under every other mode
 	sched   sched[T]
 	coord   coordinator
@@ -207,6 +206,7 @@ func newEngine[T any](s *Session, job Job[T], opts Options, tl Timeline) *engine
 	if opts.Mode == Hsync {
 		e.hsync = &hsyncState{}
 	}
+	e.ctrl = newController(opts, e.hsync)
 	e.sched.e, e.sched.cores = e, &s.cores
 	e.plane = &inproc[T]{e}
 	if tl != nil {
@@ -216,16 +216,13 @@ func newEngine[T any](s *Session, job Job[T], opts Options, tl Timeline) *engine
 	e.workers = make([]*worker[T], p.M)
 	for i, f := range p.Frags {
 		w := &worker[T]{
-			id:         i,
-			eng:        e,
-			frag:       f,
-			prog:       job.New(f),
-			ctx:        newContext[T](f, p.M, e.pool),
-			ctrl:       newController(opts, e.hsync),
-			folder:     NewFolder[T](f),
-			originSeen: make([]int32, p.M),
-			originGen:  1,
-			isActive:   true,
+			id:       i,
+			eng:      e,
+			frag:     f,
+			prog:     job.New(f),
+			ctx:      newContext[T](f, p.M, e.pool),
+			folder:   NewFolder[T](f),
+			isActive: true,
 		}
 		e.workers[i] = w
 	}
@@ -552,7 +549,6 @@ type worker[T any] struct {
 	frag   *partition.Fragment
 	prog   Program[T]
 	ctx    *Context[T]
-	ctrl   Controller
 	folder *Folder[T]
 
 	inbox  inbox[T]
@@ -560,14 +556,6 @@ type worker[T any] struct {
 	// runs says who sent the buffer: buffer[runs[k-1].end:runs[k].end]
 	// came from runs[k].from, in consecutive batches (drain).
 	runs []senderRun
-
-	// originSeen counts distinct origin workers of the buffered messages
-	// (η in the controller's view) without map traffic: originSeen[j]
-	// equals originGen when worker j has contributed to the current
-	// buffer, and bumping originGen resets the set in O(1).
-	originSeen []int32
-	originGen  int32
-	originCnt  int
 
 	// The worker as a task of the scheduler. gen counts its decisions,
 	// so a δ hold expiring can tell that a later decision superseded it;
@@ -609,7 +597,7 @@ func (w *worker[T]) decide() (d float64, buffered bool) {
 		return Forever, false
 	}
 	v := w.view()
-	d = w.ctrl.Delay(v)
+	d = w.eng.ctrl.Delay(v)
 	if obs := w.eng.opts.Observe; obs != nil {
 		obs(Event{Kind: Decide, Worker: w.id, Round: w.rounds, Time: w.eng.clock.Now(), View: v, Delay: d})
 	}
@@ -660,10 +648,6 @@ func (w *worker[T]) drain() {
 		} else {
 			w.runs = append(w.runs, senderRun{b.from, int32(len(w.buffer))})
 		}
-		if w.originSeen[b.from] != w.originGen {
-			w.originSeen[b.from] = w.originGen
-			w.originCnt++
-		}
 		w.eng.drained(int64(len(b.msgs)), b.epoch)
 		w.eng.pool.put(b.msgs)
 	}
@@ -684,13 +668,9 @@ func (w *worker[T]) drain() {
 func (w *worker[T]) view() View {
 	rmin, rmax := w.eng.coord.view(w.id)
 	return View{
-		Worker:       w.id,
-		NumWorkers:   w.eng.p.M,
 		Round:        w.rounds,
 		RMin:         rmin,
 		RMax:         rmax,
-		Eta:          w.originCnt,
-		Buffered:     len(w.buffer),
 		RoundTime:    w.roundTimeEWMA,
 		AvgRoundTime: mean(w.eng.roundTimes),
 		Rate:         w.rateEWMA,
@@ -698,18 +678,10 @@ func (w *worker[T]) view() View {
 	}
 }
 
-// clearBuffer empties the buffer, its sender runs and, by bumping the
-// generation, its origin set; on the (absurdly distant) wrap it falls back
-// to an explicit clear.
+// clearBuffer empties the buffer and its sender runs.
 func (w *worker[T]) clearBuffer() {
 	w.buffer = w.buffer[:0]
 	w.runs = w.runs[:0]
-	if w.originGen == math.MaxInt32 {
-		clear(w.originSeen)
-		w.originGen = 0
-	}
-	w.originGen++
-	w.originCnt = 0
 }
 
 // compute is the first half of a round: PEval, or IncEval over the buffer

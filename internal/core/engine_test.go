@@ -122,7 +122,6 @@ func TestChurchRosserSSSP(t *testing.T) {
 			opts := core.Options{
 				Mode:     core.Mode(seed % 3), // cycles AAP, BSP, AP
 				Faults:   &core.Faults{Seed: seed, DelayProb: 0.5, DelayBy: 2 * time.Millisecond},
-				LFloor:   int(seed % 4),
 				Deadline: time.Minute,
 			}
 			res, err := core.Run(p, sssp.Job(0), opts)

@@ -142,8 +142,9 @@ func (wp *wirePlane[T]) deliver(from, to int, epoch int32, msgs []VMsg[T]) {
 
 // onFrame is the plane's delivery callback for batches, running on
 // transport reader goroutines: decode, inbox put. Any peer that dials
-// the listener can send one, so both endpoint ids are checked before
-// they index anything: drain counts origins by batch.from.
+// the listener can send one, so both endpoint ids are checked: to
+// indexes the inboxes, and from names the sender in the buffer's runs,
+// its snapshots and its errors.
 func (wp *wirePlane[T]) onFrame(f transport.Frame) {
 	e := wp.e
 	to := int(f.To)

@@ -344,8 +344,8 @@ func (w *worker[T]) interrupted() bool {
 // record takes this worker's cut for epoch: durable program state,
 // round counter, and the buffer as captured channel state (the
 // record-before-drain rule guarantees it holds only pre-cut messages).
-// The buffer is copied as one flight per sender run, so replay preserves
-// the origin accounting of the inbox path.
+// The buffer is copied as one flight per sender run, so replay rebuilds
+// the sender runs of the inbox path.
 func (w *worker[T]) record(epoch int32) {
 	snap, ok := w.prog.(Snapshotter)
 	if !ok {

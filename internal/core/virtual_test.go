@@ -118,7 +118,7 @@ func TestDecideUnderVirtualClock(t *testing.T) {
 			e := newEngine(NewSession(buildPartition(t, 2)), quietJob(), Options{}, tl)
 			w := e.workers[0]
 			ctrl := &scripted{delays: c.delays}
-			w.ctrl, w.pevalDone, e.workers[1].pevalDone = ctrl, true, true
+			e.ctrl, w.pevalDone, e.workers[1].pevalDone = ctrl, true, true
 			send := func() {
 				e.ledger.Sent(1, 0)
 				e.plane.deliver(1, 0, 0, []VMsg[float64]{{V: w.frag.Lo, Val: 1}})

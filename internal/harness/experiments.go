@@ -177,7 +177,7 @@ func Fig1() (string, error) {
 	for _, m := range Modes() {
 		rec := sim.NewRecorder(3)
 		cfg := sim.Config{
-			Options:       core.Options{Mode: m, Staleness: 1, LFloor: 2, Observe: rec.Observe}, // the paper's SSP run uses c = 1
+			Options:       core.Options{Mode: m, Staleness: 1, Observe: rec.Observe}, // the paper's SSP run uses c = 1
 			RoundOverhead: 3,
 			WorkUnitCost:  0.25, // stale propagation costs real time
 			MsgLatency:    1,
@@ -451,7 +451,7 @@ func Fig7() (string, error) {
 	out.WriteString("Figure 7: PageRank, 32 workers, P12 is a 4x straggler\n\n")
 	for _, m := range Modes() {
 		rec := sim.NewRecorder(32)
-		cfg := sim.Config{Options: core.Options{Mode: m, LFloor: 4, Observe: rec.Observe}, Speed: speed}
+		cfg := sim.Config{Options: core.Options{Mode: m, Observe: rec.Observe}, Speed: speed}
 		if m == core.SSP {
 			cfg.Options.Staleness = 5 // the paper's c = 5 run
 		}

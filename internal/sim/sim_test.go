@@ -148,9 +148,11 @@ func TestSimSchedulePinned(t *testing.T) {
 
 // TestSimDecisions reads the controllers off the Decide trace on
 // TestSimSchedulePinned's setup: BSP suspends every worker that is ahead
-// of the slowest active one, AP never waits, and AAP's holds and
-// suspensions per worker are logged, the figures a change to its rule
-// is judged by.
+// of the slowest active one, AP never waits, and every AAP hold is
+// explained by the View it was decided from: a suspension by predicate S
+// being false (c = 2), a finite hold by a straggler waiting out its window
+// 0.5·avg t less its idle time. AAP's holds and suspensions per worker are
+// logged, the figures a change to its rule is judged by.
 func TestSimDecisions(t *testing.T) {
 	g := gen.PowerLaw(300, 5, 2.1, true, 13)
 	p := mustPartition(t, g, 5, partition.Hash{})
@@ -179,6 +181,15 @@ func TestSimDecisions(t *testing.T) {
 					}
 				case c.mode == core.AP && ev.Delay != 0:
 					t.Errorf("%s/AP: worker %d at round %d got delay %v, want 0", c.job, i, ev.View.Round, ev.Delay)
+				case c.mode == core.AAP && ev.Delay > 0:
+					v := ev.View
+					if math.IsInf(ev.Delay, 1) {
+						if v.Round < v.RMax || v.Round-v.RMin <= 2 {
+							t.Errorf("%s/AAP: worker %d suspended with S true: %+v", c.job, i, v)
+						}
+					} else if v.RoundTime <= 1.25*v.AvgRoundTime || ev.Delay != 0.5*v.AvgRoundTime-v.IdleTime {
+						t.Errorf("%s/AAP: worker %d held %v, not a straggler's window: %+v", c.job, i, ev.Delay, v)
+					}
 				}
 			}
 			if c.mode == core.AAP {
@@ -328,7 +339,7 @@ func TestSimChurchRosser(t *testing.T) {
 		{Options: core.Options{Mode: core.SSP, Staleness: 1}},
 		{Options: core.Options{Mode: core.AAP}, Speed: []float64{5, 1, 1, 1, 1, 1, 1}},
 		{Options: core.Options{Mode: core.AP}, Speed: []float64{1, 1, 9, 1, 1, 1, 1}},
-		{Options: core.Options{Mode: core.AAP, LFloor: 3}},
+		{Options: core.Options{Mode: core.AAP, Staleness: 3}},
 	} {
 		res, err := sim.Run(p, cc.Job(), cfg)
 		if err != nil {
@@ -373,7 +384,7 @@ func TestSimStragglerReducesRoundsUnderAAP(t *testing.T) {
 	speed := []float64{1, 1, 1, 1, 1, 1, 1, 6}
 	rounds := map[core.Mode]int32{}
 	for _, mode := range []core.Mode{core.AAP, core.AP} {
-		res, err := sim.Run(p, sssp.Job(0), sim.Config{Options: core.Options{Mode: mode, LFloor: 2}, Speed: speed})
+		res, err := sim.Run(p, sssp.Job(0), sim.Config{Options: core.Options{Mode: mode}, Speed: speed})
 		if err != nil {
 			t.Fatal(err)
 		}

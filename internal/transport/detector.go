@@ -41,8 +41,8 @@ func (s State) String() string {
 // expectation — an EWMA of past inter-arrival gaps — and against two
 // hard floors:
 //
-//	suspect when silence > max(SuspectAfter, PhiSuspect × mean gap)
-//	dead    when silence > max(DeadAfter,    PhiDead    × mean gap)
+//	suspect when silence > max(SuspectAfter, phiSuspect × mean gap)
+//	dead    when silence > max(DeadAfter,    phiDead    × mean gap)
 //
 // The phi terms make the detector patient on links whose natural cadence
 // is slow (long rounds, coarse heartbeats) without configuration; the
@@ -54,10 +54,6 @@ type Detector struct {
 	// SuspectAfter and DeadAfter are the absolute silence floors.
 	SuspectAfter time.Duration
 	DeadAfter    time.Duration
-	// PhiSuspect and PhiDead scale the observed mean inter-arrival gap;
-	// zero values default to 6 and 12.
-	PhiSuspect float64
-	PhiDead    float64
 
 	meanGap float64 // EWMA of inter-arrival gaps, seconds
 	last    time.Time
@@ -68,24 +64,15 @@ type Detector struct {
 	timeouts int64
 }
 
-// NewDetector returns a detector with the given absolute thresholds and
-// default phi multipliers.
+// phiSuspect and phiDead scale the observed mean inter-arrival gap.
+const (
+	phiSuspect = 6
+	phiDead    = 12
+)
+
+// NewDetector returns a detector with the given absolute thresholds.
 func NewDetector(suspectAfter, deadAfter time.Duration) *Detector {
 	return &Detector{SuspectAfter: suspectAfter, DeadAfter: deadAfter}
-}
-
-func (d *Detector) phiSuspect() float64 {
-	if d.PhiSuspect > 0 {
-		return d.PhiSuspect
-	}
-	return 6
-}
-
-func (d *Detector) phiDead() float64 {
-	if d.PhiDead > 0 {
-		return d.PhiDead
-	}
-	return 12
 }
 
 // Observe records an arrival at now. Any traffic revives a Suspect link;
@@ -119,13 +106,13 @@ func (d *Detector) Check(now time.Time) State {
 		return d.state
 	}
 	silence := now.Sub(d.last)
-	if silence >= d.deadline(d.DeadAfter, d.phiDead()) {
+	if silence >= d.deadline(d.DeadAfter, phiDead) {
 		if d.state != Dead {
 			d.state = Dead
 		}
 		return d.state
 	}
-	if silence >= d.deadline(d.SuspectAfter, d.phiSuspect()) {
+	if silence >= d.deadline(d.SuspectAfter, phiSuspect) {
 		if d.state == Alive {
 			d.state = Suspect
 			d.timeouts++
