@@ -112,17 +112,17 @@ func (p *program) PEval(ctx *core.Context[int64]) {
 	for v := f.Lo; v < f.Hi; v++ {
 		assign(v)
 	}
-	for _, v := range f.Out {
+	for _, v := range f.Copies() {
 		assign(v)
 	}
 	// Link copies to their roots once and for all.
 	p.copiesOf = make([][]int32, f.Slots())
-	for _, v := range f.Out {
-		r := p.find(f.Slot(v))
+	for s, v := range f.Copies() {
+		r := p.find(s)
 		p.copiesOf[r] = append(p.copiesOf[r], v)
 	}
-	for _, v := range f.Out {
-		ctx.Send(v, p.cid[p.find(f.Slot(v))])
+	for s, v := range f.Copies() {
+		ctx.Send(v, p.cid[p.find(s)])
 	}
 }
 

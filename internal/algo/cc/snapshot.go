@@ -40,8 +40,8 @@ func (p *program) RestoreState(data []byte) error {
 	copy(p.cid, cid)
 	if built {
 		p.copiesOf = make([][]int32, len(parent))
-		for _, v := range p.f.Out {
-			root := p.find(p.f.Slot(v))
+		for s, v := range p.f.Copies() {
+			root := p.find(s)
 			p.copiesOf[root] = append(p.copiesOf[root], v)
 		}
 	} else {

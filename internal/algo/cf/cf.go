@@ -147,7 +147,7 @@ func newProgram(f *partition.Fragment, cfg Config) *program {
 			p.weight[f.Slot(u)]++
 		}
 	}
-	for _, v := range f.Out {
+	for _, v := range f.Copies() {
 		init(v)
 	}
 	return p
@@ -159,7 +159,7 @@ func newProgram(f *partition.Fragment, cfg Config) *program {
 // convergence, which is the complete answer Q(F) the PIE model expects.
 func (p *program) PEval(ctx *core.Context[Val]) {
 	p.epoch(ctx)
-	if len(p.f.Out) == 0 && len(p.in) == 0 {
+	if p.f.NumCopies() == 0 && len(p.in) == 0 {
 		for !p.converged && p.epochs < p.cfg.Epochs {
 			p.epoch(ctx)
 		}
@@ -239,16 +239,14 @@ func (p *program) epoch(ctx *core.Context[Val]) {
 
 // ship sends copy contributions to product owners and canonical vectors
 // from owners to copy holders: the weight-scaled vector of each copy in
-// f.Out that has local ratings, then the value of each owned product
+// F.O that has local ratings, then the value of each owned product
 // with remote copies.
 func (p *program) ship(ctx *core.Context[Val]) {
 	if p.converged && p.epochs >= p.cfg.Epochs {
 		return
 	}
 	ts := ctx.Round()
-	base := p.f.NumOwned()
-	for i, v := range p.f.Out {
-		s := base + i
+	for s, v := range p.f.Copies() {
 		wt := p.weight[s]
 		if wt == 0 || p.factor[s] == nil {
 			continue

@@ -227,9 +227,7 @@ func (p *program) sweep(frontier []int32) (units int64) {
 // flush ships the accumulated copy deltas to their owners and resets
 // them.
 func (p *program) flush(ctx *core.Context[float64]) {
-	base := int32(p.f.NumOwned())
-	for i, v := range p.f.Out {
-		s := base + int32(i)
+	for s, v := range p.f.Copies() {
 		if p.delta[s] > 0 {
 			ctx.Send(v, p.delta[s])
 			p.delta[s] = 0

@@ -145,9 +145,7 @@ func (p *refProgram) run(ctx *core.Context[float64]) {
 // flush ships the accumulated copy deltas to their owners and resets
 // them.
 func (p *refProgram) flush(ctx *core.Context[float64]) {
-	base := int32(p.f.NumOwned())
-	for i, v := range p.f.Out {
-		s := base + int32(i)
+	for s, v := range p.f.Copies() {
 		if p.delta[s] > 0 {
 			ctx.Send(v, p.delta[s])
 			p.delta[s] = 0

@@ -35,9 +35,9 @@ type deltaProgram struct {
 	g      *graph.Graph
 	source graph.VertexID
 
-	dist        []float64     // per local slot
-	bk          *par.Buckets  // owned slots staged by distance range
-	copyChanged *par.Frontier // F.O copies improved since last flush
+	dist        []float64            // per local slot
+	bk          *par.Buckets         // owned slots staged by distance range
+	copyChanged *partition.CopyMarks // F.O copies improved since last flush
 
 	items []int32 // the slots one phase takes from the current bucket
 	seeds []int32 // IncEval re-seed scratch
@@ -62,7 +62,7 @@ func newDeltaProgram(f *partition.Fragment, source graph.VertexID, delta float64
 		p.dist[i] = Inf
 	}
 	p.bk = par.NewBuckets(f.NumOwned(), delta)
-	p.copyChanged = par.NewFrontier(len(f.Out))
+	p.copyChanged = f.NewCopyMarks()
 	return p
 }
 
@@ -179,7 +179,7 @@ func (p *deltaProgram) expand() int64 {
 			if slot < owned {
 				p.bk.Add(slot, nd)
 			} else {
-				p.copyChanged.Add(slot-owned, true)
+				p.copyChanged.Add(u)
 			}
 		}
 	}
@@ -188,11 +188,11 @@ func (p *deltaProgram) expand() int64 {
 }
 
 // flushBorder ships the distances of the copies improved since the last
-// flush, once each and in ascending copy slot: Advance lists only the
-// changed copies, in that order, and clears them.
+// flush, once each and in ascending vertex id, which is ascending copy
+// slot: Drain yields only the changed copies, in that order, with their
+// slots, and clears them.
 func (p *deltaProgram) flushBorder(ctx *core.Context[float64]) {
-	copies := p.dist[p.f.NumOwned():]
-	for _, c := range p.copyChanged.Advance() {
-		ctx.Send(p.f.Out[c], copies[c])
+	for s, v := range p.copyChanged.Drain() {
+		ctx.Send(v, p.dist[s])
 	}
 }

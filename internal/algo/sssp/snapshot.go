@@ -44,7 +44,8 @@ func (p *deltaProgram) RestoreState(data []byte) error {
 	p.rounds = int(rounds)
 	p.buckets = int(buckets)
 	p.relaxed = relaxed
-	p.copyChanged.Advance() // discard marks of the abandoned execution
+	for range p.copyChanged.Drain() { // discard marks of the abandoned execution
+	}
 	return nil
 }
 

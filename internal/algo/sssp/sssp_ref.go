@@ -44,7 +44,7 @@ func newRefProgram(f *partition.Fragment, source graph.VertexID) *refProgram {
 	for i := range p.dist {
 		p.dist[i] = Inf
 	}
-	p.copyChanged = make([]bool, len(f.Out))
+	p.copyChanged = make([]bool, f.NumCopies())
 	return p
 }
 

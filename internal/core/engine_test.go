@@ -288,13 +288,13 @@ func TestMaxRoundsAborts(t *testing.T) {
 type pingpong struct{ f *partition.Fragment }
 
 func (p *pingpong) PEval(ctx *core.Context[float64]) {
-	for _, v := range p.f.Out {
+	for _, v := range p.f.Copies() {
 		ctx.Send(v, 1)
 	}
 }
 
 func (p *pingpong) IncEval(msgs []core.VMsg[float64], ctx *core.Context[float64]) {
-	for _, v := range p.f.Out {
+	for _, v := range p.f.Copies() {
 		ctx.Send(v, float64(ctx.Round()))
 	}
 	_ = msgs

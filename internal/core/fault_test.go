@@ -250,7 +250,7 @@ type bomb struct {
 }
 
 func (b *bomb) PEval(ctx *core.Context[float64]) {
-	for _, v := range b.f.Out {
+	for _, v := range b.f.Copies() {
 		ctx.Send(v, 1)
 	}
 }

@@ -16,11 +16,12 @@ import (
 func benchBuffer(frag *partition.Fragment, msgs int, seed int64) []VMsg[float64] {
 	rng := rand.New(rand.NewSource(seed))
 	owned := int(frag.Hi - frag.Lo)
+	out := copyList(frag)
 	buf := make([]VMsg[float64], msgs)
 	for i := range buf {
 		var v int32
-		if nOut := len(frag.Out); nOut > 0 && rng.Intn(4) == 0 {
-			v = frag.Out[rng.Intn(nOut)]
+		if len(out) > 0 && rng.Intn(4) == 0 {
+			v = out[rng.Intn(len(out))]
 		} else {
 			v = frag.Lo + int32(rng.Intn(owned))
 		}
@@ -78,6 +79,7 @@ func BenchmarkFold(b *testing.B) {
 		b.Fatal(err)
 	}
 	frag := p.Frags[1]
+	out := copyList(frag)
 	for _, msgs := range []int{10_000, 100_000} {
 		rng := rand.New(rand.NewSource(7))
 		perm := rng.Perm(frag.Slots())
@@ -89,7 +91,7 @@ func BenchmarkFold(b *testing.B) {
 			}
 			v := frag.Lo + int32(slot)
 			if slot >= frag.NumOwned() {
-				v = frag.Out[slot-frag.NumOwned()]
+				v = out[slot-frag.NumOwned()]
 			}
 			buf[i] = VMsg[float64]{V: v, Val: rng.Float64() * 100}
 		}

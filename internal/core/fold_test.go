@@ -42,11 +42,12 @@ func mustFold(t testing.TB, fd *Folder[float64], buf []VMsg[float64], agg func(a
 // with heavy duplication.
 func randomFoldBuffer(frag *partition.Fragment, rng *rand.Rand, msgs int) []VMsg[float64] {
 	owned := frag.NumOwned()
+	out := copyList(frag)
 	buf := make([]VMsg[float64], msgs)
 	for i := range buf {
 		var v int32
-		if nOut := len(frag.Out); nOut > 0 && rng.Intn(3) == 0 {
-			v = frag.Out[rng.Intn(nOut)]
+		if len(out) > 0 && rng.Intn(3) == 0 {
+			v = out[rng.Intn(len(out))]
 		} else {
 			v = frag.Lo + int32(rng.Intn(owned))
 		}
@@ -173,8 +174,8 @@ func TestFolderNoSlotVertexIsError(t *testing.T) {
 func TestFolderCopiesBothSidesThenAbort(t *testing.T) {
 	p := buildPartition(t, 4)
 	frag := p.Frags[2]
-	if n := len(frag.Out); n == 0 || frag.Out[0] >= frag.Lo || frag.Out[n-1] < frag.Hi {
-		t.Fatalf("fragment 2 needs F.O copies on both sides of [%d, %d): %v", frag.Lo, frag.Hi, frag.Out)
+	if out := copyList(frag); len(out) == 0 || out[0] >= frag.Lo || out[len(out)-1] < frag.Hi {
+		t.Fatalf("fragment 2 needs F.O copies on both sides of [%d, %d): %v", frag.Lo, frag.Hi, out)
 	}
 	inOrder := func(a, b float64) float64 { return a*31 + b }
 	rng := rand.New(rand.NewSource(17))

@@ -325,7 +325,7 @@ func NewFolder[T any](f *partition.Fragment) *Folder[T] {
 	return &Folder[T]{
 		frag:  f,
 		owned: int32(f.NumOwned()),
-		below: int32(sort.Search(len(f.Out), func(i int) bool { return f.Out[i] >= f.Lo })),
+		below: int32(f.CopiesBelow(f.Lo)),
 		seen:  make([]uint64, par.Words(n)),
 		pos:   make([]int32, n),
 	}

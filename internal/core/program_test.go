@@ -19,15 +19,24 @@ func buildPartition(t testing.TB, m int) *partition.Partitioned {
 	return p
 }
 
+// copyList collects F.O in the order Fragment.Copies walks it.
+func copyList(f *partition.Fragment) []int32 {
+	var out []int32
+	for _, v := range f.Copies() {
+		out = append(out, v)
+	}
+	return out
+}
+
 func TestContextSendRoutesToOwner(t *testing.T) {
 	p := buildPartition(t, 4)
 	f := p.Frags[0]
-	if len(f.Out) == 0 {
+	if f.NumCopies() == 0 {
 		t.Skip("fragment 0 has no out-border on this seed")
 	}
 	ctx := newContext[float64](f, p.M, &msgPool[float64]{})
 	ctx.round = 3
-	v := f.Out[0]
+	v := copyList(f)[0]
 	ctx.Send(v, 1.5)
 	out, _ := ctx.TakeOut()
 	owner := p.Owner(v)

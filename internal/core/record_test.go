@@ -23,7 +23,7 @@ type minLabel struct {
 }
 
 func newMinLabel(f *partition.Fragment) Program[float64] {
-	p := &minLabel{f: f, label: make([]float64, f.Slots()), dirty: make([]bool, len(f.Out))}
+	p := &minLabel{f: f, label: make([]float64, f.Slots()), dirty: make([]bool, f.NumCopies())}
 	for i := range p.label {
 		p.label[i] = math.Inf(1)
 	}
@@ -73,11 +73,11 @@ func (p *minLabel) settle(ctx *Context[float64]) {
 			p.lower(p.f.Slot(u), p.label[s])
 		}
 	}
-	own := p.f.NumOwned()
-	for c, d := range p.dirty {
-		if d {
-			p.dirty[c] = false
-			ctx.Send(p.f.Out[c], p.label[own+c])
+	own := int32(p.f.NumOwned())
+	for s, v := range p.f.Copies() {
+		if p.dirty[s-own] {
+			p.dirty[s-own] = false
+			ctx.Send(v, p.label[s])
 		}
 	}
 }

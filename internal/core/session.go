@@ -58,8 +58,8 @@ type Session struct {
 
 // NewSession wraps an already partitioned graph as a resident session.
 // The caller must not mutate p (or its graph) afterwards; partition
-// produces no mutating operations on a built Partitioned, so in
-// practice this means not re-slicing the exported border arrays.
+// produces no mutating operations on a built Partitioned and exports no
+// array of it but Ranges.
 func NewSession(p *partition.Partitioned) *Session {
 	return &Session{p: p, started: time.Now(), cores: cores{procs: runtime.GOMAXPROCS(0)}}
 }

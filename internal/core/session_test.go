@@ -329,7 +329,11 @@ func planeChecksum(p *partition.Partitioned) uint64 {
 	for _, f := range p.Frags {
 		put(uint64(f.Lo))
 		put(uint64(f.Hi))
-		putAll(f.Out)
+		put(uint64(f.NumCopies()))
+		for s, v := range f.Copies() {
+			put(uint64(s))
+			put(uint64(v))
+		}
 		for v := int32(0); v < n; v++ {
 			put(uint64(f.Slot(v)))
 			put(uint64(f.OutSlot(v)))

@@ -38,7 +38,13 @@ type Edge struct {
 type Graph struct {
 	directed bool
 
-	ids []VertexID // internal index -> external id
+	// ids maps internal index -> external id in 4 bytes: an id the index
+	// holds in its dense arm is stored as itself (>= 0), any other
+	// (negative, or past the dense range) as ^slot, slot being the
+	// position of its key in the sparse table index.over. Relabel's
+	// clone keeps every key in its slot, so the codes carry over as they
+	// are.
+	ids []int32
 
 	// index maps external id -> internal index. Every graph that
 	// permutes its vertices owns its table: Relabel composes the
@@ -71,8 +77,15 @@ func (g *Graph) NumEdges() int64 { return g.numEdges }
 // Weighted reports whether edges carry weights.
 func (g *Graph) Weighted() bool { return g.outW != nil }
 
-// IDOf returns the external identifier of internal vertex v.
-func (g *Graph) IDOf(v int32) VertexID { return g.ids[v] }
+// IDOf returns the external identifier of internal vertex v: one load
+// of its 4-byte code, and for a sparse id one more of its key.
+func (g *Graph) IDOf(v int32) VertexID {
+	id := g.ids[v]
+	if id >= 0 {
+		return VertexID(id)
+	}
+	return g.index.over.keys[^id]
+}
 
 // IndexOf returns the internal index of the external identifier id and
 // whether it exists.
@@ -91,15 +104,16 @@ func (g *Graph) OutSpan(lo, hi int32) int64 { return int64(g.outOff[hi] - g.outO
 // graph (border computation, future analytics) need under skew.
 func (g *Graph) OutShards(p int) []int32 { return vertexShardsByWork(g.outOff, p) }
 
-// ResidentBytes reports the bytes the graph's tables hold: the ids (8
-// per vertex), the id index (4 per dense slot, 12 per slot of the
-// sparse table), the offsets (4(n+1)), the adjacency (4 per arc) and
-// its weights (8 per arc), plus a directed graph's in-side once In or
-// InDegree has built it (4(n+1) + 4 per arc). An undirected graph's
-// in-side is its out-side and counts once. A table shared with another
-// graph (AsUndirected's ids and id index) counts in both.
+// ResidentBytes reports the bytes the graph's tables hold: the ids (4
+// per vertex; a sparse id's key lives in the index), the id index (4
+// per dense slot, 12 per slot of the sparse table), the offsets
+// (4(n+1)), the adjacency (4 per arc) and its weights (8 per arc), plus
+// a directed graph's in-side once In or InDegree has built it (4(n+1) +
+// 4 per arc). An undirected graph's in-side is its out-side and counts
+// once. A table shared with another graph (AsUndirected's ids and id
+// index) counts in both.
 func (g *Graph) ResidentBytes() int64 {
-	b := 8*int64(len(g.ids)) + g.index.bytes() +
+	b := 4*int64(len(g.ids)) + g.index.bytes() +
 		4*int64(len(g.outOff)) + 4*int64(len(g.outDst)) + 8*int64(len(g.outW))
 	if in := g.in.Load(); g.directed && in != nil {
 		b += 4*int64(len(in.off)) + 4*int64(len(in.adj))
@@ -235,6 +249,25 @@ func (t *idTable) get(id VertexID) (int32, bool) {
 	return 0, false
 }
 
+// code returns the 4-byte form Graph.ids stores for a present id: the
+// id itself when the dense arm holds it, else ^ its slot in over.
+func (t *idTable) code(id VertexID) int32 {
+	if uint64(id) < uint64(len(t.dense)) && t.dense[id] >= 0 {
+		return int32(id)
+	}
+	i, _ := t.over.find(id)
+	return ^int32(i)
+}
+
+// codes returns code(id) for every id of ids, in order.
+func (t *idTable) codes(ids []VertexID) []int32 {
+	out := make([]int32, len(ids))
+	for v, id := range ids {
+		out[v] = t.code(id)
+	}
+	return out
+}
+
 // add records id -> v for an id get just missed.
 func (t *idTable) add(id VertexID, v int32) {
 	if uint64(id) < uint64(len(t.dense)) {
@@ -297,7 +330,9 @@ func (t *idTable) bytes() int64 {
 
 // Builder accumulates vertices and edges and produces an immutable Graph.
 // Vertices are created implicitly by AddEdge; isolated vertices can be
-// added with AddVertex. The builder may be reused after Build.
+// added with AddVertex. The builder may be reused after Build. It keeps
+// its ids as 8-byte VertexIDs while it builds; Build converts them to
+// the Graph's 4-byte codes.
 type Builder struct {
 	directed bool
 	weighted bool
@@ -388,7 +423,8 @@ func (b *Builder) Build() *Graph {
 	if b.weighted {
 		ws = b.ws
 	}
-	g, err := buildGraph(b.directed, append([]VertexID(nil), b.ids...), b.index.clone(nil), b.srcs, b.dsts, ws)
+	index := b.index.clone(nil)
+	g, err := buildGraph(b.directed, index.codes(b.ids), index, b.srcs, b.dsts, ws)
 	if err != nil {
 		panic(err)
 	}
@@ -396,9 +432,10 @@ func (b *Builder) Build() *Graph {
 }
 
 // buildGraph assembles a Graph that takes ownership of ids and index
-// (index must resolve ids[v] to v) from the edge list srcs[i] -> dsts[i]
-// over internal indexes; ws is nil for an unweighted graph.
-func buildGraph(directed bool, ids []VertexID, index idTable, srcs, dsts []int32, ws []float64) (*Graph, error) {
+// (ids[v] must be the code of an id index resolves to v) from the edge
+// list srcs[i] -> dsts[i] over internal indexes; ws is nil for an
+// unweighted graph.
+func buildGraph(directed bool, ids []int32, index idTable, srcs, dsts []int32, ws []float64) (*Graph, error) {
 	n := len(ids)
 	g := &Graph{directed: directed, ids: ids, index: index, numEdges: int64(len(srcs))}
 	var err error
@@ -443,8 +480,10 @@ func AsUndirected(g *Graph) *Graph {
 // The out-side is permuted directly (permuteCSR in ingest.go) and the
 // id table is composed with perm into one table of the copy's own
 // (idTable.clone): an O(n+m) array pass that re-inserts no id, after
-// which nothing of g is referenced. A directed copy builds its own
-// in-side on first use, like any directed graph.
+// which nothing of g is referenced. The clone keeps every sparse key in
+// its slot, so the id codes move with their vertices unchanged. A
+// directed copy builds its own in-side on first use, like any directed
+// graph.
 func Relabel(g *Graph, perm []int32) (*Graph, error) {
 	n := g.NumVertices()
 	if err := checkPerm(perm, n); err != nil {
@@ -452,7 +491,7 @@ func Relabel(g *Graph, perm []int32) (*Graph, error) {
 	}
 	ng := &Graph{
 		directed: g.directed,
-		ids:      make([]VertexID, n),
+		ids:      make([]int32, n),
 		index:    g.index.clone(perm),
 		numEdges: g.numEdges,
 	}

@@ -15,15 +15,15 @@ func (b *Builder) buildRef() *Graph {
 	m := len(b.srcs)
 	g := &Graph{
 		directed: b.directed,
-		ids:      append([]VertexID(nil), b.ids...),
 		index:    idTable{over: newFlatIntern(n)},
 		numEdges: int64(m),
 	}
 	// The oracle derives its index from ids alone, filed under the
 	// overflow arm: nothing of Builder.index or of Build's dense path.
-	for i, id := range g.ids {
+	for i, id := range b.ids {
 		g.index.over.getOrPut(id, int32(i))
 	}
+	g.ids = g.index.codes(b.ids)
 
 	// Out-adjacency. Undirected graphs store each edge in both lists.
 	outDeg := make([]uint32, n+1)
@@ -128,8 +128,8 @@ func asUndirectedRef(g *Graph) *Graph {
 	if g.Weighted() {
 		b.SetWeighted()
 	}
-	for _, id := range g.ids {
-		b.AddVertex(id)
+	for v := range int32(g.NumVertices()) {
+		b.AddVertex(g.IDOf(v))
 	}
 	g.Edges(func(src, dst int32, w float64) {
 		if g.Weighted() {
@@ -154,7 +154,7 @@ func relabelRef(g *Graph, perm []int32) (*Graph, error) {
 	}
 	newIDs := make([]VertexID, n)
 	for v := 0; v < n; v++ {
-		newIDs[perm[v]] = g.ids[v]
+		newIDs[perm[v]] = g.IDOf(int32(v))
 	}
 	for _, id := range newIDs {
 		b.AddVertex(id)

@@ -71,12 +71,13 @@ func equalGraphs(t *testing.T, tag string, got, want *Graph) {
 	if len(got.ids) != len(want.ids) {
 		t.Fatalf("%s: %d vs %d vertices", tag, len(got.ids), len(want.ids))
 	}
-	for v := range got.ids {
-		if got.ids[v] != want.ids[v] {
-			t.Fatalf("%s: ids[%d] = %d, want %d", tag, v, got.ids[v], want.ids[v])
+	for v := range int32(len(got.ids)) {
+		if got.IDOf(v) != want.IDOf(v) {
+			t.Fatalf("%s: IDOf(%d) = %d, want %d", tag, v, got.IDOf(v), want.IDOf(v))
 		}
 	}
-	for _, id := range want.ids {
+	for v := range int32(len(want.ids)) {
+		id := want.IDOf(v)
 		gv, gok := got.IndexOf(id)
 		wv, wok := want.IndexOf(id)
 		if gv != wv || gok != wok {
@@ -253,7 +254,8 @@ func TestAsUndirectedSelfLoopHeavy(t *testing.T) {
 // table: one table of its own, sharing no array with its input's, whose
 // sparse part keeps every key in its input's slot (no id re-inserted)
 // and whose every index, dense or sparse, is its input's mapped through
-// the permutation.
+// the permutation; the id codes are its input's, moved with their
+// vertices.
 func TestRelabelComposesIndex(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	b := randomBuilder(rng, true, false, 20, 60)
@@ -294,9 +296,15 @@ func TestRelabelComposesIndex(t *testing.T) {
 			t.Fatalf("sparse slot %d = (%d, %d), want (%d, %d)", i, ri.over.keys[i], ri.over.vals[i], gi.over.keys[i], remapped(v))
 		}
 	}
-	for v, id := range g.ids {
-		if got, ok := rg.IndexOf(id); !ok || got != perm[v] {
-			t.Fatalf("IndexOf(%d) = (%d, %v), want (%d, true)", id, got, ok, perm[v])
+	for v, code := range g.ids {
+		if rg.ids[perm[v]] != code {
+			t.Fatalf("ids[%d] = %d, want the input's code %d", perm[v], rg.ids[perm[v]], code)
+		}
+		if id := g.IDOf(int32(v)); rg.IDOf(perm[v]) != id {
+			t.Fatalf("IDOf(%d) = %d, want %d", perm[v], rg.IDOf(perm[v]), id)
+		}
+		if got, ok := rg.IndexOf(g.IDOf(int32(v))); !ok || got != perm[v] {
+			t.Fatalf("IndexOf(%d) = (%d, %v), want (%d, true)", g.IDOf(int32(v)), got, ok, perm[v])
 		}
 	}
 }

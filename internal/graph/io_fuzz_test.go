@@ -56,6 +56,10 @@ func FuzzReadEdgeList(f *testing.F) {
 		"0000000000000000000 00000000000000000\n0000 -999", // names equalGraphs' probe id
 	}
 	seeds = append(seeds, seamCases...)
+	// Dense and sparse ids mixed: negative, 2^31 and past, int64
+	// extremes and ids past the dense range next to dense ones.
+	seeds = append(seeds, "# directed=true weighted=true n=4\n0 1 1\n-7 2 0.5\n3 4294967296 2\n"+
+		"2147483648 -9223372036854775808 1\n1 5000000 3\nv 2\nv 9223372036854775807\n2147483647 0 1\n")
 	for _, s := range seeds {
 		f.Add([]byte(s))
 	}

@@ -320,38 +320,42 @@ func (f *flatIntern) hash(id VertexID) uint64 {
 	return h & f.mask
 }
 
-// get returns the value stored for id, or -1.
-func (f *flatIntern) get(id VertexID) int32 {
+// find returns the slot that holds id and true, or the empty slot where
+// it would go and false.
+func (f *flatIntern) find(id VertexID) (uint64, bool) {
 	i := f.hash(id)
 	for {
 		if f.vals[i] < 0 {
-			return -1
+			return i, false
 		}
 		if f.keys[i] == id {
-			return f.vals[i]
+			return i, true
 		}
 		i = (i + 1) & f.mask
 	}
 }
 
+// get returns the value stored for id, or -1.
+func (f *flatIntern) get(id VertexID) int32 {
+	if i, ok := f.find(id); ok {
+		return f.vals[i]
+	}
+	return -1
+}
+
 // getOrPut returns (existing value, true) when id is present, otherwise
 // inserts val and returns (val, false).
 func (f *flatIntern) getOrPut(id VertexID, val int32) (int32, bool) {
-	i := f.hash(id)
-	for {
-		if f.vals[i] < 0 {
-			f.keys[i], f.vals[i] = id, val
-			f.n++
-			if uint64(f.n)*4 > (f.mask+1)*3 {
-				f.rehash()
-			}
-			return val, false
-		}
-		if f.keys[i] == id {
-			return f.vals[i], true
-		}
-		i = (i + 1) & f.mask
+	i, ok := f.find(id)
+	if ok {
+		return f.vals[i], true
 	}
+	f.keys[i], f.vals[i] = id, val
+	f.n++
+	if uint64(f.n)*4 > (f.mask+1)*3 {
+		f.rehash()
+	}
+	return val, false
 }
 
 // rehash doubles the table.
@@ -720,7 +724,10 @@ func assemble(chunks []chunk, h header, procs int) (*Graph, error) {
 	for k := range chunks {
 		n, chunks[k].base = n+chunks[k].base, n
 	}
-	ids := make([]VertexID, n)
+	// ids takes each vertex's chunk code: a dense id is itself, and an
+	// overflow id (^i for overIDs[i]) becomes ^ its slot in the sparse
+	// table, filed in vertex order once the codes are placed.
+	ids := make([]int32, n)
 	index := idTable{dense: make([]int32, nDense)}
 	for i := range index.dense {
 		index.dense[i] = -1
@@ -731,19 +738,27 @@ func assemble(chunks []chunk, h header, procs int) (*Graph, error) {
 			if !c.owns(code, int32(k)+1, owner) {
 				continue
 			}
-			if code >= 0 {
-				ids[v], index.dense[code] = VertexID(code), v
-			} else {
-				ids[v] = c.overIDs[^code]
+			if ids[v] = code; code >= 0 {
+				index.dense[code] = v
 			}
 			v++
 		}
 	})
 	if nOver > 0 {
+		// Sized for nOver keys, the table never grows while they go in,
+		// so no key leaves the slot it was coded by.
 		index.over = newFlatIntern(nOver)
-		for v, id := range ids {
-			if uint64(id) >= uint64(nDense) {
-				index.over.getOrPut(id, int32(v))
+		for k := range chunks {
+			c, end := &chunks[k], n
+			if k+1 < len(chunks) {
+				end = chunks[k+1].base
+			}
+			for v := c.base; v < end; v++ {
+				if code := ids[v]; code < 0 {
+					id := c.overIDs[^code]
+					index.over.getOrPut(id, int32(v))
+					ids[v] = index.code(id)
+				}
 			}
 		}
 	}

@@ -1,18 +1,16 @@
 // Border-set computation as a parallel, map-free edge sweep.
 //
 // Every cross-fragment edge v→u sets one bit: u in the F.O bitset of
-// v's fragment. Setting a bit is idempotent, so the parallel sweep needs only
-// atomic OR, and compaction by ascending scan yields the sorted F.O for
-// free. F.O is the one stored border set: F.I is derived from it by
-// InBorder, and the routing index I_i is read off the fragments' F.O
-// bitmaps. A map-based sweep (borders_ref.go) pins F.O, the derived F.I
-// and the holder walk in the differential tests of borders_test.go.
+// v's fragment. Setting a bit is idempotent, so the parallel sweep needs
+// only atomic OR. The bitset, with a running rank per word, is F.O as
+// the fragment keeps it (slots.go): F.I is derived from it by InBorder,
+// and the routing index I_i is read off the fragments' bitmaps. A
+// map-based sweep (borders_ref.go) pins F.O, the derived F.I and the
+// holder walk in the differential tests of borders_test.go.
 package partition
 
 import (
 	"math/bits"
-	"slices"
-	"sort"
 	"sync/atomic"
 
 	"aap/internal/par"
@@ -35,15 +33,14 @@ func parFrags(m int, fn func(i int)) {
 	})
 }
 
-// computeBorders fills each fragment's F.O from the renumbered graph and
-// builds its copy-slot table.
+// computeBorders fills each fragment's F.O from the renumbered graph as
+// its copy-slot table.
 func (p *Partitioned) computeBorders() {
 	n := p.G.NumVertices()
 	words := (n + 63) / 64
 	// One arena holds the M F.O bitsets; fragment i's is
 	// arena[i*words : (i+1)*words].
 	arena := make([]uint64, p.M*words)
-	bitset := func(frag int) []uint64 { return arena[frag*words : (frag+1)*words] }
 
 	procs := par.Procs(p.G.OutSpan(0, int32(n)), bordersShardEdges)
 	vb := p.G.OutShards(procs)
@@ -58,42 +55,9 @@ func (p *Partitioned) computeBorders() {
 	// Rank pass: each fragment's copy-slot table, whose running base
 	// counts F.O as it goes. The scan is uniform (every fragment owns the
 	// same words), so fragment-strided parallelism is balanced here.
-	cnts := make([]int, p.M)
 	parFrags(p.M, func(i int) {
 		f := p.Frags[i]
-		f.copySlots, cnts[i] = newRankWords(bitset(i), int32(f.NumOwned()))
-	})
-
-	// Compact each bitset into the sorted F.O. Compaction cost is
-	// dominated by |F.O|, not the fragment count, so fragments are
-	// scheduled largest-first from a shared counter: a single huge-F.O
-	// straggler starts immediately while the small fragments pack around
-	// it, instead of serializing whatever a fragment-strided split queued
-	// behind it.
-	order := make([]int, p.M)
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		if ca, cb := cnts[order[a]], cnts[order[b]]; ca != cb {
-			return ca > cb
-		}
-		return order[a] < order[b]
-	})
-	cprocs := par.Procs(int64(p.M), 1)
-	if cprocs > p.M {
-		cprocs = p.M
-	}
-	var nextFrag atomic.Int32
-	par.Do(cprocs, func(int) {
-		for {
-			oi := int(nextFrag.Add(1)) - 1
-			if oi >= p.M {
-				return
-			}
-			i := order[oi]
-			p.Frags[i].Out = collectBitsN(bitset(i), cnts[i], 0)
-		}
+		f.copySlots, f.copies = newRankWords(arena[i*words:(i+1)*words], int32(f.NumOwned()))
 	})
 }
 
@@ -124,26 +88,31 @@ func (p *Partitioned) sweepBorders(lo, hi int32, arena []uint64, words int, set 
 
 // InBorder derives F.I, the owned vertices with an incoming edge from
 // another fragment, from the stored F.O sets: u is in F.I of its owner
-// exactly when some other fragment holds a copy of it. Each F.O_j is
-// sorted, so F.O_j ∩ [Lo, Hi) is one contiguous run found by two binary
-// searches; the runs are merged ascending without duplicates through a
-// bitset over the owned range. The result is built on every call and
+// exactly when some other fragment holds a copy of it. The rank words
+// of every fragment that cover the owned range are OR-ed together (a
+// fragment's own words hold no bit in its range) and the result, masked
+// to [Lo, Hi), is collected ascending. It is built on every call and
 // not kept.
 func (f *Fragment) InBorder() []int32 {
-	in := make([]uint64, (f.NumOwned()+63)/64)
-	cnt := 0
+	if f.Lo >= f.Hi {
+		return nil
+	}
+	lw, hw := int(f.Lo>>6), int((f.Hi-1)>>6)
+	in := make([]uint64, hw-lw+1)
 	for _, g := range f.p.Frags {
-		lo, _ := slices.BinarySearch(g.Out, f.Lo)
-		hi, _ := slices.BinarySearch(g.Out, f.Hi)
-		for _, u := range g.Out[lo:hi] {
-			w, bit := (u-f.Lo)>>6, uint64(1)<<(uint(u-f.Lo)&63)
-			if in[w]&bit == 0 {
-				in[w] |= bit
-				cnt++
-			}
+		for w := range in {
+			in[w] |= g.copySlots[lw+w].bits
 		}
 	}
-	return collectBitsN(in, cnt, f.Lo)
+	in[0] &^= 1<<(uint(f.Lo)&63) - 1
+	in[len(in)-1] &= ^uint64(0) >> (63 - uint(f.Hi-1)&63)
+	var out []int32
+	for w, word := range in {
+		for ; word != 0; word &= word - 1 {
+			out = append(out, int32((lw+w)<<6+bits.TrailingZeros64(word)))
+		}
+	}
+	return out
 }
 
 func setBit(ws []uint64, v int32) {
@@ -159,21 +128,4 @@ func setBitAtomic(ws []uint64, v int32) {
 	if atomic.LoadUint64(w)&mask == 0 {
 		atomic.OrUint64(w, mask)
 	}
-}
-
-// collectBitsN compacts a bitset into the ascending slice of its set
-// indexes plus base; cnt is the bitset's popcount, already known, so
-// compaction never rescans what was counted.
-func collectBitsN(ws []uint64, cnt int, base int32) []int32 {
-	if cnt == 0 {
-		return nil
-	}
-	out := make([]int32, 0, cnt)
-	for wi, w := range ws {
-		for w != 0 {
-			out = append(out, base+int32(wi*64+bits.TrailingZeros64(w)))
-			w &= w - 1
-		}
-	}
-	return out
 }

@@ -22,8 +22,9 @@ func forceBorderShards(t *testing.T, p int) {
 
 // TestBordersMatchMapReference is the differential test pinning the
 // bitset border pipeline to the retained map-based implementation:
-// identical sorted F.O, identical derived F.I, identical slot
-// assignment, identical holder lists read off the F.O bitmaps — across
+// Copies walks the reference's sorted F.O with its slots, and the copy
+// counts, the derived F.I, the slot and copy-slot assignment and the
+// holder lists read off the F.O bitmaps are identical — across
 // directed and undirected graphs, self-loops, parallel edges, every
 // strategy, m=1 (empty borders) and more fragments than some graphs
 // have vertices.
@@ -93,11 +94,33 @@ func checkAgainstRef(t *testing.T, tag string, p *Partitioned) {
 		}
 	}
 	for i, f := range p.Frags {
-		eq("Out", i, f.Out, ref.out[i])
-		eq("InBorder", i, f.InBorder(), ref.in[i])
-		// Slot table: owned range, then F.O copies in Out order, -1
-		// everywhere else.
+		// Copies walks F.O ascending, each copy with its slot: the
+		// owned count plus its rank.
 		base := int32(f.NumOwned())
+		var out []int32
+		for s, v := range f.Copies() {
+			if want := base + int32(len(out)); s != want {
+				t.Fatalf("%s: frag %d Copies gives %d slot %d, want %d", tag, i, v, s, want)
+			}
+			out = append(out, v)
+		}
+		eq("Copies", i, out, ref.out[i])
+		if f.NumCopies() != len(ref.out[i]) || f.Slots() != f.NumOwned()+len(ref.out[i]) {
+			t.Fatalf("%s: frag %d counts %d copies and %d slots, want %d and %d", tag, i, f.NumCopies(), f.Slots(), len(ref.out[i]), f.NumOwned()+len(ref.out[i]))
+		}
+		for _, v := range []int32{0, f.Lo, f.Hi, int32(p.G.NumVertices())} {
+			below := 0
+			for below < len(ref.out[i]) && ref.out[i][below] < v {
+				below++
+			}
+			if got := f.CopiesBelow(v); got != below {
+				t.Fatalf("%s: frag %d CopiesBelow(%d) = %d, want %d", tag, i, v, got, below)
+			}
+		}
+		eq("InBorder", i, f.InBorder(), ref.in[i])
+		checkCopyMarks(t, tag, f, ref.out[i])
+		// Slot table: owned range, then F.O copies in ascending order,
+		// -1 everywhere else.
 		want := make(map[int32]int32)
 		for v := f.Lo; v < f.Hi; v++ {
 			want[v] = v - f.Lo
@@ -112,6 +135,13 @@ func checkAgainstRef(t *testing.T, tag string, p *Partitioned) {
 			}
 			if got := f.Slot(v); got != w {
 				t.Fatalf("%s: frag %d Slot(%d) = %d, want %d", tag, i, v, got, w)
+			}
+			wantOut := int32(-1)
+			if w >= base {
+				wantOut = w - base
+			}
+			if got := f.OutSlot(v); got != wantOut {
+				t.Fatalf("%s: frag %d OutSlot(%d) = %d, want %d", tag, i, v, got, wantOut)
 			}
 		}
 	}
@@ -137,12 +167,53 @@ func checkAgainstRef(t *testing.T, tag string, p *Partitioned) {
 	}
 }
 
-// TestSkewedCompactionMatchesReference pins the largest-first
-// compaction schedule on the case it exists for: a partition where one
-// fragment's F.O dwarfs the rest (hub-heavy power-law graph, skewed
-// strategy). The schedule only reorders work, so every border
-// set, slot table, and holder list must still match the map reference
-// — under single- and multi-worker compaction.
+// checkCopyMarks marks every third copy of out, F.O by the reference,
+// then all of them, and checks that Drain yields exactly the marked
+// copies ascending with their slots, that a drain stopped after the
+// first copy keeps the rest, and that the set is empty after a drain.
+func checkCopyMarks(t *testing.T, tag string, f *Fragment, out []int32) {
+	t.Helper()
+	m := f.NewCopyMarks()
+	drain := func(limit int) (got []int32) {
+		for s, v := range m.Drain() {
+			if want := f.Slot(v); s != want {
+				t.Fatalf("%s: frag %d CopyMarks yields %d with slot %d, want %d", tag, f.ID, v, s, want)
+			}
+			if got = append(got, v); len(got) == limit {
+				break
+			}
+		}
+		return got
+	}
+	var third []int32
+	for i := len(out) - 1; i >= 0; i -= 3 {
+		m.Add(out[i])
+		third = append([]int32{out[i]}, third...)
+	}
+	eqList := func(kind string, got, want []int32) {
+		if len(got) != len(want) {
+			t.Fatalf("%s: frag %d CopyMarks %s: %d copies, want %d", tag, f.ID, kind, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("%s: frag %d CopyMarks %s[%d] = %d, want %d", tag, f.ID, kind, i, got[i], want[i])
+			}
+		}
+	}
+	eqList("third", drain(-1), third)
+	for _, v := range out {
+		m.Add(v)
+	}
+	first := drain(1)
+	eqList("all", append(first, drain(-1)...), out)
+	eqList("after a drain", drain(-1), nil)
+}
+
+// TestSkewedCompactionMatchesReference pins the border pipeline on a
+// partition where one fragment's F.O dwarfs the rest (hub-heavy
+// power-law graph, skewed strategy): every border set, slot table, and
+// holder list must match the map reference under single- and
+// multi-worker sweeps.
 func TestSkewedCompactionMatchesReference(t *testing.T) {
 	g := gen.PowerLaw(1500, 10, 2.0, true, 41)
 	for _, procs := range []int{1, 5} {

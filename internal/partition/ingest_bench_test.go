@@ -141,10 +141,11 @@ func BenchmarkSlotLookup(b *testing.B) {
 	}
 	f := p.Frags[3]
 	rng := rand.New(rand.NewSource(7))
+	out := copyList(f)
 	ids := make([]int32, 1<<16)
 	for i := range ids {
 		if i%2 == 0 {
-			ids[i] = f.Out[rng.Intn(len(f.Out))]
+			ids[i] = out[rng.Intn(len(out))]
 			continue
 		}
 		for {

@@ -5,8 +5,9 @@
 // paper's notation (F.I, F.O, F.I', F.O') with the routing index I_i that
 // maps a border node to the fragments holding a copy of it.
 //
-// Of the four sets only F.O, the update parameters, is stored, as a sorted
-// slice and a rank bitmap (slots.go). F.O' and F.I' are read by no query
+// Of the four sets only F.O, the update parameters, is stored, once: as
+// the rank bitmap its slots are read off (slots.go), walked in ascending
+// vertex order by Fragment.Copies. F.O' and F.I' are read by no query
 // and are not kept. F.I and I_i are F.O read the other way: F.I of
 // fragment i is the union of every F.O_j restricted to i's owned range
 // (Fragment.InBorder), and I_i of vertex v is the fragments whose bitmap
@@ -15,6 +16,7 @@ package partition
 
 import (
 	"fmt"
+	"iter"
 	"math/bits"
 	"sort"
 	"sync"
@@ -42,7 +44,8 @@ type Strategy interface {
 //	       (not kept)
 //	F.O  — foreign vertices with an incoming edge from this fragment
 //	       (this fragment holds a copy of them; they form the default
-//	       candidate set C_i): Out, the one stored set
+//	       candidate set C_i): the one stored set, read by Slot,
+//	       OutSlot and Copies
 //	F.I' — foreign vertices with an outgoing edge into this fragment
 //	       (not kept)
 type Fragment struct {
@@ -51,13 +54,12 @@ type Fragment struct {
 	// global graph.
 	Lo, Hi int32
 
-	// Out is F.O: global vertex indexes, sorted ascending.
-	Out []int32
-
-	// Owned vertices map to slots arithmetically (v - Lo); the F.O copy
-	// set resolves through copySlots, a rank-indexed bitmap over the
-	// global vertex range (slots.go).
+	// Owned vertices map to slots arithmetically (v - Lo). F.O is
+	// copySlots, a rank-indexed bitmap over the global vertex range
+	// (slots.go), and nothing else: its members and their slots are
+	// read off it, and copies keeps its count, |F.O|.
 	copySlots []rankWord
+	copies    int32
 
 	// meanWeight is MeanOutWeight's answer, derived from the immutable
 	// graph on first use so that Build pays nothing for it.
@@ -73,8 +75,8 @@ func (f *Fragment) NumOwned() int { return int(f.Hi - f.Lo) }
 // Owns reports whether global vertex v is owned by the fragment.
 func (f *Fragment) Owns(v int32) bool { return v >= f.Lo && v < f.Hi }
 
-// OutSlot returns the dense slot of out-border copy v in [0, len(Out)),
-// or -1 if v is not in F.O.
+// OutSlot returns the dense slot of out-border copy v in [0,
+// NumCopies), or -1 if v is not in F.O.
 func (f *Fragment) OutSlot(v int32) int32 {
 	if f.Owns(v) {
 		return -1
@@ -88,10 +90,43 @@ func (f *Fragment) OutSlot(v int32) int32 {
 // Slots returns the number of local state slots of the fragment: owned
 // vertices followed by the F.O copies. Programs size their per-vertex
 // state by Slots rather than by the global vertex count.
-func (f *Fragment) Slots() int { return f.NumOwned() + len(f.Out) }
+func (f *Fragment) Slots() int { return f.NumOwned() + int(f.copies) }
+
+// NumCopies returns |F.O|, the number of copies the fragment holds.
+func (f *Fragment) NumCopies() int { return int(f.copies) }
+
+// CopiesBelow returns how many F.O copies have an id below v, for v in
+// [0, n]: the count the rank word of v holds for the words before it
+// plus a popcount within it.
+func (f *Fragment) CopiesBelow(v int32) int {
+	w := uint(v) >> 6
+	if w >= uint(len(f.copySlots)) {
+		return int(f.copies)
+	}
+	e := f.copySlots[w]
+	return int(e.base) - f.NumOwned() + bits.OnesCount64(e.bits&(1<<(uint(v)&63)-1))
+}
+
+// Copies yields F.O as (slot, vertex) pairs in ascending vertex order,
+// which is ascending slot order: slots run from NumOwned to Slots. It
+// walks the rank words, so a pass costs n/64 words plus |F.O|.
+func (f *Fragment) Copies() iter.Seq2[int32, int32] {
+	return func(yield func(slot, v int32) bool) {
+		for w, e := range f.copySlots {
+			s := e.base
+			for b := e.bits; b != 0; b &= b - 1 {
+				if !yield(s, int32(w<<6+bits.TrailingZeros64(b))) {
+					return
+				}
+				s++
+			}
+		}
+	}
+}
 
 // Slot maps global vertex v to its dense local slot: owned vertices map
-// to [0, NumOwned) and F.O copies to [NumOwned, Slots). It returns -1
+// to [0, NumOwned) and F.O copies to [NumOwned, Slots), numbered in
+// ascending vertex order, the order Copies yields them. It returns -1
 // when v is neither owned nor a copy, including ids outside the graph's
 // vertex range. Owned vertices resolve with two compares, copies with
 // one load of v's rank word and a popcount of the F.O members below v
@@ -149,7 +184,7 @@ func (f *Fragment) MeanOutWeight() float64 {
 // [Ranges[i], Ranges[i+1]).
 //
 // A Partitioned holds only what a query reads: the graph, the ranges
-// with a coarse index over them (Owner), and, per fragment, F.O with its
+// with a coarse index over them (Owner), and, per fragment, F.O as its
 // rank bitmap. It keeps no per-vertex table of its own: the owner of v is
 // read off Ranges. The routing index I_i is not stored: the holders of v
 // are the fragments whose F.O bitmap has v (Fragment.OutSlot), in
@@ -173,7 +208,7 @@ type Partitioned struct {
 
 	// coarse is the owner index: bucket b covers the vertices whose
 	// index >> shift is b (ownerBucket).
-	coarse []ownerBucket
+	coarse []uint64
 	shift  uint  // < 32; Owner masks it so the shift compiles to one instruction
 	last   int32 // n-1: Owner clamps ids into [0, n)
 
@@ -191,14 +226,14 @@ func (p *Partitioned) Strategy() string { return p.strategy }
 // [0, n) gets the owner of the nearest vertex, 0 or n-1; that fragment
 // has no slot for it, so a Send of it fails the run naming the vertex,
 // as any message its receiver has no slot for does. Owner reads v's
-// bucket of the coarse owner index and compares v with the one fragment
-// end the bucket holds: O(1), from memory that stays in L1. Only in a
-// bucket that meets the ends of several non-empty fragments does it
-// walk on along Ranges.
+// bucket of the coarse owner index, one 8-byte load, and compares v with
+// the one fragment end the bucket holds: O(1), from memory that stays in
+// L1. Only in a bucket that meets the ends of several non-empty
+// fragments does it walk on along Ranges.
 func (p *Partitioned) Owner(v int32) int {
 	v = min(max(v, 0), p.last)
 	e := p.coarse[min(uint32(v)>>(p.shift&31), uint32(len(p.coarse)-1))]
-	j := e.lo + (e.hi-e.lo)&((e.end-1-v)>>31) // e.hi when v >= e.end
+	j := int32(uint16(e>>32)) + int32(e>>48)&((int32(e)-1-v)>>31) // lo, plus hi−lo when v >= end
 	for v >= p.Ranges[j+1] {
 		j++
 	}
@@ -212,12 +247,20 @@ func (p *Partitioned) ownerSearch(v int32) int32 {
 	return int32(min(sort.Search(p.M, func(i int) bool { return p.Ranges[i+1] > v }), p.M-1))
 }
 
-// ownerBucket is one bucket of the coarse owner index: lo owns the
-// bucket's first vertex, end is where lo's range ends, and hi owns the
-// first vertex at or past end (lo when there is none).
-type ownerBucket struct{ end, lo, hi int32 }
+// ownerBucket packs one bucket of the coarse owner index into 8 bytes:
+// lo owns the bucket's first vertex, end is where lo's range ends, and
+// hi owns the first vertex at or past end (lo when there is none). end
+// takes the low 32 bits, lo the next 16 and hi−lo the top 16, so Build
+// refuses more than maxFragments fragments.
+func ownerBucket(end, lo, hi int32) uint64 {
+	return uint64(uint32(end)) | uint64(lo)<<32 | uint64(hi-lo)<<48
+}
 
-// maxOwnerBuckets bounds the coarse owner index at 12 KiB.
+// maxFragments is the most fragments a 16-bit fragment id in the owner
+// index addresses.
+const maxFragments = 1<<16 - 1
+
+// maxOwnerBuckets bounds the coarse owner index at 8 KiB.
 const maxOwnerBuckets = 1024
 
 // indexOwners builds the coarse owner index: the widest power-of-two
@@ -237,11 +280,11 @@ func (p *Partitioned) indexOwners() {
 		shift++
 	}
 	p.shift, p.last = shift, n-1
-	p.coarse = make([]ownerBucket, max((int64(n)+1<<shift-1)>>shift, 1))
+	p.coarse = make([]uint64, max((int64(n)+1<<shift-1)>>shift, 1))
 	for b := range p.coarse {
 		lo := p.ownerSearch(int32(b) << shift)
 		end := p.Ranges[lo+1]
-		p.coarse[b] = ownerBucket{end, lo, p.ownerSearch(end)}
+		p.coarse[b] = ownerBucket(end, lo, p.ownerSearch(end))
 	}
 }
 
@@ -263,12 +306,15 @@ func (p *Partitioned) Skew() float64 {
 	return sizes[p.M-1] / med
 }
 
-// Build partitions g into m fragments using the strategy: it assigns
-// vertices, relabels the graph so each fragment owns a contiguous range,
-// and computes each fragment's F.O and slot table.
+// Build partitions g into m fragments, 1 ≤ m ≤ 65535, using the
+// strategy: it assigns vertices, relabels the graph so each fragment
+// owns a contiguous range, and computes each fragment's F.O slot table.
 func Build(g *graph.Graph, m int, s Strategy) (*Partitioned, error) {
 	if m < 1 {
 		return nil, fmt.Errorf("partition: need at least 1 fragment, got %d", m)
+	}
+	if m > maxFragments {
+		return nil, fmt.Errorf("partition: %d fragments exceed the %d the owner index addresses", m, maxFragments)
 	}
 	n := g.NumVertices()
 	assign := s.Assign(g, m)

@@ -88,7 +88,7 @@ func TestBorderSetsMatchBruteForce(t *testing.T) {
 					}
 				}
 			}
-			if !sameSet(f.Out, out) || !sameSet(f.InBorder(), in) {
+			if !sameSet(copyList(f), out) || !sameSet(f.InBorder(), in) {
 				return false
 			}
 		}
@@ -97,6 +97,15 @@ func TestBorderSetsMatchBruteForce(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// copyList collects F.O in the order Copies walks it.
+func copyList(f *partition.Fragment) []int32 {
+	var out []int32
+	for _, v := range f.Copies() {
+		out = append(out, v)
+	}
+	return out
 }
 
 func sameSet(got []int32, want map[int32]bool) bool {
@@ -118,7 +127,7 @@ func TestSlotsAndSlotMapping(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, f := range p.Frags {
-		if f.Slots() != f.NumOwned()+len(f.Out) {
+		if f.Slots() != f.NumOwned()+len(copyList(f)) {
 			t.Fatalf("Slots() inconsistent")
 		}
 		seen := map[int32]bool{}
@@ -129,7 +138,7 @@ func TestSlotsAndSlotMapping(t *testing.T) {
 			}
 			seen[s] = true
 		}
-		for _, v := range f.Out {
+		for _, v := range copyList(f) {
 			s := f.Slot(v)
 			if int(s) < f.NumOwned() || int(s) >= f.Slots() || seen[s] {
 				t.Fatalf("copy slot %d invalid", s)
@@ -155,10 +164,10 @@ func TestHoldersInverseOfOut(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The routing index is read off the F.O bitmaps: fragment j holds v
-	// (OutSlot(v) >= 0) iff v is in j's Out set.
+	// (OutSlot(v) >= 0) iff Copies yields v.
 	for j, f := range p.Frags {
 		out := map[int32]bool{}
-		for _, v := range f.Out {
+		for _, v := range copyList(f) {
 			out[v] = true
 		}
 		for v := int32(0); v < int32(p.G.NumVertices()); v++ {

@@ -3,6 +3,7 @@ package partition
 import (
 	"math"
 	"sort"
+	"strings"
 	"testing"
 
 	"aap/internal/gen"
@@ -11,7 +12,7 @@ import (
 
 // TestSlotMatchesSortedOutSearch is the property the rank bitmap must
 // keep: Slot/OutSlot agree with "owned range, else binary search over
-// the sorted F.O" for every vertex id and for ids no vertex has, and
+// the sorted F.O" (the map reference's) for every vertex id and for ids no vertex has, and
 // Owner mirrors the binary search over Ranges (ownerSearch) for
 // synthetic keys too.
 func TestSlotMatchesSortedOutSearch(t *testing.T) {
@@ -43,8 +44,10 @@ func TestSlotMatchesSortedOutSearch(t *testing.T) {
 						t.Fatalf("%s/%s/m=%d: Owner(%d) = %d, search says %d", name, s.Name(), m, v, got, want)
 					}
 				}
+				ref := p.bordersRef()
 				for _, f := range p.Frags {
-					if m == 1 && len(f.Out) != 0 {
+					out := ref.out[f.ID]
+					if m == 1 && len(out) != 0 {
 						t.Fatalf("%s: single fragment has copies", name)
 					}
 					base := int32(f.NumOwned())
@@ -52,7 +55,7 @@ func TestSlotMatchesSortedOutSearch(t *testing.T) {
 						want, wantOut := int32(-1), int32(-1)
 						if f.Owns(v) {
 							want = v - f.Lo
-						} else if i := sort.Search(len(f.Out), func(i int) bool { return f.Out[i] >= v }); i < len(f.Out) && f.Out[i] == v {
+						} else if i := sort.Search(len(out), func(i int) bool { return out[i] >= v }); i < len(out) && out[i] == v {
 							want, wantOut = base+int32(i), int32(i)
 							lastWordCopy = lastWordCopy || (n%64 != 0 && v>>6 == (n-1)>>6)
 						}
@@ -75,7 +78,7 @@ func TestSlotMatchesSortedOutSearch(t *testing.T) {
 // TestSlotTableBytesAccounting pins the table's cost: one 16-byte rank
 // word per 64 global vertices per fragment, whatever the border sizes,
 // and the routing structures are those tables plus the coarse owner
-// index, at most maxOwnerBuckets 12-byte buckets.
+// index, at most maxOwnerBuckets 8-byte buckets.
 func TestSlotTableBytesAccounting(t *testing.T) {
 	g := gen.Grid(100, 100, 3)
 	for _, m := range []int{1, 16} {
@@ -87,7 +90,7 @@ func TestSlotTableBytesAccounting(t *testing.T) {
 		if got, want := p.SlotTableBytes(), int64(m)*words*16; got != want {
 			t.Fatalf("m=%d: SlotTableBytes = %d, want %d", m, got, want)
 		}
-		if got, want := p.RoutingTableBytes(), int64(len(p.coarse))*12+p.SlotTableBytes(); got != want || len(p.coarse) > maxOwnerBuckets {
+		if got, want := p.RoutingTableBytes(), int64(len(p.coarse))*8+p.SlotTableBytes(); got != want || len(p.coarse) > maxOwnerBuckets {
 			t.Fatalf("m=%d: RoutingTableBytes = %d, want the owner index (%d entries) plus the slot tables, %d", m, got, len(p.coarse), want)
 		}
 	}
@@ -158,12 +161,48 @@ func TestOwnerMatchesSearch(t *testing.T) {
 	}
 }
 
+// TestOwnerAtMaxFragments drives the packed owner index at its limit:
+// at maxFragments (65535) fragments, with the vertices in the highest
+// fragment ids the 16-bit fields hold, Owner matches ownerSearch on
+// every vertex and both sides, and one fragment more is refused with an
+// error naming the count.
+func TestOwnerAtMaxFragments(t *testing.T) {
+	g := gen.Random(50, 200, false, 6)
+	top := fixedStrategy{"top", func(v, n, m int) int32 { return int32(m - 1 - v%7) }}
+	p, err := Build(g, maxFragments, top)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v := int32(-1); v <= int32(p.G.NumVertices()); v++ {
+		if got, want := p.Owner(v), int(p.ownerSearch(v)); got != want || (v >= 0 && v < int32(p.G.NumVertices()) && !p.Frags[got].Owns(v)) {
+			t.Fatalf("Owner(%d) = %d, search says %d", v, got, want)
+		}
+	}
+	if p.Owner(0) < maxFragments-7 {
+		t.Fatalf("vertex 0 is owned by fragment %d, not one of the top 7", p.Owner(0))
+	}
+	// Each bucket holds its fields exactly: end in the low 32 bits, lo in
+	// the next 16 and hi−lo in the top 16.
+	for b, e := range p.coarse {
+		lo := p.ownerSearch(int32(b) << p.shift)
+		end := p.Ranges[lo+1]
+		hi := p.ownerSearch(end)
+		if int32(uint32(e)) != end || int32(uint16(e>>32)) != lo || int32(e>>48) != hi-lo {
+			t.Fatalf("bucket %d = %#x, want end %d, lo %d, hi %d", b, e, end, lo, hi)
+		}
+	}
+	_, err = Build(g, maxFragments+1, Hash{})
+	if err == nil || !strings.Contains(err.Error(), "65536 fragments") {
+		t.Fatalf("Build with 65536 fragments: err = %v, want one naming 65536 fragments", err)
+	}
+}
+
 // TestResidentBytes pins the bytes of the resident graph and of its
 // routing tables on a road lattice in 8 BFS fragments and a weighted
 // power-law graph in 8 hash fragments, and checks each against the
-// per-array arithmetic: ids 8n, dense id index 4n, offsets 4(n+1),
+// per-array arithmetic: ids 4n, dense id index 4n, offsets 4(n+1),
 // adjacency 4 and weights 8 per arc, and a directed graph's in-side
-// (4(n+1) + 4 per arc) once In builds it; the owner index 12 per bucket
+// (4(n+1) + 4 per arc) once In builds it; the owner index 8 per bucket
 // and the slot tables 16 per 64 vertices per fragment.
 func TestResidentBytes(t *testing.T) {
 	cases := []struct {
@@ -172,8 +211,8 @@ func TestResidentBytes(t *testing.T) {
 		s                Strategy
 		graphB, routingB int64
 	}{
-		{"road-100x100/bfs", gen.RoadNet(100, 100, 1), BFSLocality{}, 614780, 20216},
-		{"powerlaw-20000/hash", gen.PowerLaw(20000, 8, 2.1, true, 7), Hash{}, 2240004, 40184},
+		{"road-100x100/bfs", gen.RoadNet(100, 100, 1), BFSLocality{}, 574780, 20176},
+		{"powerlaw-20000/hash", gen.PowerLaw(20000, 8, 2.1, true, 7), Hash{}, 2160004, 40144},
 	}
 	for _, c := range cases {
 		p, err := Build(c.g, 8, c.s)
@@ -182,12 +221,12 @@ func TestResidentBytes(t *testing.T) {
 		}
 		g := p.G
 		n, arcs := int64(g.NumVertices()), g.OutSpan(0, int32(g.NumVertices()))
-		want := 8*n + 4*n + 4*(n+1) + 4*arcs + 8*arcs
+		want := 4*n + 4*n + 4*(n+1) + 12*arcs
 		if got := g.ResidentBytes(); got != want || got != c.graphB {
 			t.Fatalf("%s: ResidentBytes = %d, want %d by the arithmetic and %d pinned", c.name, got, want, c.graphB)
 		}
 		words := (n + 63) / 64
-		wantR := 12*int64(len(p.coarse)) + 8*words*16
+		wantR := 8*int64(len(p.coarse)) + 8*words*16
 		if got := p.RoutingTableBytes(); got != wantR || got != c.routingB {
 			t.Fatalf("%s: RoutingTableBytes = %d, want %d by the arithmetic and %d pinned", c.name, got, wantR, c.routingB)
 		}
