@@ -172,11 +172,11 @@ func superstep[P core.Program[float64]](progs []P, ctxs []*core.Context[float64]
 			continue
 		}
 		active = true
-		msgs, err := core.NewFolder[float64](ctxs[i].Fragment()).Fold(inbox[i], agg)
-		if err != nil {
+		fd := core.NewFolder[float64](ctxs[i].Fragment())
+		if err := fd.Add(inbox[i], agg); err != nil {
 			panic(err)
 		}
-		prog.IncEval(msgs, ctxs[i])
+		prog.IncEval(fd.Take(), ctxs[i])
 		out, w := ctxs[i].TakeOut()
 		work += w
 		for j, ms := range out {

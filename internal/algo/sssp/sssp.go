@@ -83,7 +83,6 @@ func JobConfig(cfg Config) core.Job[float64] {
 		},
 		Aggregate: math.Min,
 		Bytes:     func(float64) int { return 8 },
-		Default:   func(int32) float64 { return Inf },
 		EncodeVal: codec.AppendFloat64,
 		DecodeVal: (*codec.Reader).Float64,
 	}

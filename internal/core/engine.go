@@ -37,10 +37,10 @@ type Options struct {
 	// Transport selects the message plane (in-proc channels, TCP, remote
 	// Program hosts); nil is the in-proc fast path.
 	Transport *TransportOptions
-	// Observe, when set, is handed every RoundStart, Round and Decide
-	// event of the run (see Event), each from the step of the worker it
-	// names: calls for one worker never overlap, calls for different
-	// workers may, and it must not block. Nil costs one branch.
+	// Observe, when set, is handed every RoundStart, Round, Decide, Fold
+	// and Flush event of the run (see Event), each from the step of the
+	// worker it names: calls for one worker never overlap, calls for
+	// different workers may, and it must not block. Nil costs one branch.
 	Observe func(Event)
 }
 
@@ -116,8 +116,8 @@ func run[T any](s *Session, job Job[T], opts Options, rs *resumeState[T], tl Tim
 			e.sched.sweep()
 		}
 		for _, w := range e.workers {
-			if !e.coord.finished && len(w.buffer) > 0 {
-				e.fail(fmt.Errorf("core: %s/%s deadlock: worker %d stuck with %d buffered messages", job.Name, opts.Mode, w.id, len(w.buffer)))
+			if n := len(w.folder.Pending()); !e.coord.finished && n > 0 {
+				e.fail(fmt.Errorf("core: %s/%s deadlock: worker %d stuck with %d buffered messages", job.Name, opts.Mode, w.id, n))
 			}
 		}
 	} else {
@@ -549,13 +549,9 @@ type worker[T any] struct {
 	frag   *partition.Fragment
 	prog   Program[T]
 	ctx    *Context[T]
-	folder *Folder[T]
+	folder *Folder[T] // the buffer B_x̄i, folded as it drains
 
-	inbox  inbox[T]
-	buffer []VMsg[T]
-	// runs says who sent the buffer: buffer[runs[k-1].end:runs[k].end]
-	// came from runs[k].from, in consecutive batches (drain).
-	runs []senderRun
+	inbox inbox[T]
 
 	// The worker as a task of the scheduler. gen counts its decisions,
 	// so a δ hold expiring can tell that a later decision superseded it;
@@ -580,9 +576,6 @@ type worker[T any] struct {
 	isActive      bool
 }
 
-// senderRun is one run of the buffer's senders (worker.runs).
-type senderRun struct{ from, end int32 }
-
 // decide is the worker's scheduling decision at this instant, the part of
 // Section 3's loop both drivers share; it never blocks. It drains the
 // inbox into B_x̄i; a worker with nothing buffered flags itself inactive
@@ -591,8 +584,10 @@ type senderRun struct{ from, end int32 }
 // until relative progress changes, anything between holds it that long
 // unless news (a message, progress) asks for a fresh decision first.
 func (w *worker[T]) decide() (d float64, buffered bool) {
-	w.drain()
-	if len(w.buffer) == 0 {
+	if !w.drain() {
+		return Forever, false
+	}
+	if len(w.folder.Pending()) == 0 {
 		w.setActive(false)
 		return Forever, false
 	}
@@ -612,57 +607,61 @@ func (w *worker[T]) setActive(active bool) {
 	w.eng.coord.setActive(w.id, active)
 }
 
-// drain moves arrived batches from the inbox into the local buffer B_x̄i
-// and refreshes the arrival-rate estimate s_i.
-func (w *worker[T]) drain() {
+// drain folds arrived batches from the inbox into the buffer B_x̄i and
+// refreshes the arrival-rate estimate s_i. It reports false when a
+// message for a vertex without a local slot failed the run.
+func (w *worker[T]) drain() bool {
+	e := w.eng
 	bs := w.inbox.take()
 	if len(bs) == 0 {
 		if bs != nil {
 			w.inbox.release(bs)
 		}
-		return
+		return true
 	}
+	now := e.clock.Now()
 	n := 0
 	for _, b := range bs {
-		if w.eng.ckpt != nil {
+		if e.ckpt != nil {
 			// Marker rule: a batch stamped with a newer epoch is the
 			// first sign of that snapshot — record the cut before the
-			// batch touches the buffer, so the captured buffer holds
-			// only pre-cut messages. A batch stamped with an older
-			// epoch is a late message without the token: copy it into
-			// the snapshot's channel state, then process it normally.
+			// batch is folded, so the captured fold holds only pre-cut
+			// messages. A batch stamped with an older epoch is a late
+			// message without the token: copy it into the snapshot's
+			// channel state, then fold it like any other.
 			if b.epoch > w.epoch {
 				w.record(b.epoch)
 			}
 			if b.epoch < w.epoch {
-				w.eng.ckpt.Capture(checkpoint.Flight[VMsg[T]]{
+				e.ckpt.Capture(checkpoint.Flight[VMsg[T]]{
 					From: b.from, To: int32(w.id),
 					Msgs: append([]VMsg[T](nil), b.msgs...),
 				})
 			}
 		}
-		n += len(b.msgs)
-		w.buffer = append(w.buffer, b.msgs...)
-		if k := len(w.runs) - 1; k >= 0 && w.runs[k].from == b.from {
-			w.runs[k].end = int32(len(w.buffer))
-		} else {
-			w.runs = append(w.runs, senderRun{b.from, int32(len(w.buffer))})
+		if err := w.folder.Add(b.msgs, e.job.Aggregate); err != nil {
+			e.fail(fmt.Errorf("core: %s worker %d round %d: from worker %d: %w", e.job.Name, w.id, w.rounds, b.from, err))
+			return false // the run is over; nothing reads the rest of bs
 		}
-		w.eng.drained(int64(len(b.msgs)), b.epoch)
-		w.eng.pool.put(b.msgs)
+		n += len(b.msgs)
+		e.drained(int64(len(b.msgs)), b.epoch)
+		e.pool.put(b.msgs)
 	}
 	w.inbox.release(bs)
 	w.stats.MsgsRecv += int64(n)
-	if hs := w.eng.hsync; hs != nil {
+	if hs := e.hsync; hs != nil {
 		hs.processed.Add(int64(n))
 	}
-	now := w.eng.clock.Now()
+	if obs := e.opts.Observe; obs != nil {
+		obs(Event{Kind: Fold, Worker: w.id, Round: w.rounds, Time: now, Seconds: e.clock.Now() - now, Msgs: int64(n)})
+	}
 	dt := now - w.lastDrain
 	w.lastDrain = now
 	if dt > 0 {
 		inst := float64(n) / dt
 		w.rateEWMA = 0.5*w.rateEWMA + 0.5*inst
 	}
+	return true
 }
 
 func (w *worker[T]) view() View {
@@ -678,15 +677,9 @@ func (w *worker[T]) view() View {
 	}
 }
 
-// clearBuffer empties the buffer and its sender runs.
-func (w *worker[T]) clearBuffer() {
-	w.buffer = w.buffer[:0]
-	w.runs = w.runs[:0]
-}
-
-// compute is the first half of a round: PEval, or IncEval over the buffer
-// folded with f_aggr. It returns the round's designated messages and the
-// work it reported; ok is false when it failed the run instead.
+// compute is the first half of a round: PEval, or IncEval over the
+// buffer's fold f_aggr(B_x̄i). It returns the round's designated messages
+// and the work it reported; ok is false when it failed the run instead.
 func (w *worker[T]) compute() (out [][]VMsg[T], work int64, ok bool) {
 	e := w.eng
 	if obs := e.opts.Observe; obs != nil {
@@ -701,32 +694,11 @@ func (w *worker[T]) compute() (out [][]VMsg[T], work int64, ok bool) {
 		w.pevalDone = true
 		w.prog.PEval(w.ctx)
 	} else {
-		msgs, err := w.folder.Fold(w.buffer, e.job.Aggregate)
-		if err != nil {
-			e.fail(fmt.Errorf("core: %s worker %d round %d: from worker %d: %w", e.job.Name, w.id, w.rounds, w.noSlotSender(), err))
-			return nil, 0, false
-		}
-		w.clearBuffer()
-		w.prog.IncEval(msgs, w.ctx)
+		w.prog.IncEval(w.folder.Take(), w.ctx)
 	}
 	out, work = w.ctx.TakeOut()
 	w.stats.Work += work
 	return out, work, true
-}
-
-// noSlotSender names the worker that sent the first buffered message for
-// a vertex this fragment has no slot for, the one Fold refused.
-func (w *worker[T]) noSlotSender() int32 {
-	var start int32
-	for _, r := range w.runs {
-		for _, m := range w.buffer[start:r.end] {
-			if w.frag.Slot(m.V) < 0 {
-				return r.from
-			}
-		}
-		start = r.end
-	}
-	return -1
 }
 
 // finish is the second half of a round, once dur seconds of compute are
@@ -744,7 +716,11 @@ func (w *worker[T]) finish(out [][]VMsg[T], total int64, dur float64) {
 		// and this worker go inactive, before this step goes on.
 		w.stats.MsgsSent += total
 		e.ledger.Sent(total, w.epoch)
+		t0 := e.clock.Now()
 		w.flush(out, w.epoch)
+		if obs := e.opts.Observe; obs != nil {
+			obs(Event{Kind: Flush, Worker: w.id, Round: w.rounds, Time: t0, Seconds: e.clock.Now() - t0, Msgs: total})
+		}
 	}
 	w.ctx.ReleaseOut(out)
 	w.rounds = e.coord.roundDone(w.id)

@@ -28,14 +28,14 @@ func foldEqual(a, b []VMsg[float64]) bool {
 	return true
 }
 
-// mustFold is Fold on a buffer whose every vertex has a local slot.
+// mustFold adds buf, whose every vertex has a local slot, to an empty
+// Folder and takes the fold.
 func mustFold(t testing.TB, fd *Folder[float64], buf []VMsg[float64], agg func(a, b float64) float64) []VMsg[float64] {
 	t.Helper()
-	out, err := fd.Fold(buf, agg)
-	if err != nil {
+	if err := fd.Add(buf, agg); err != nil {
 		t.Fatal(err)
 	}
-	return out
+	return fd.Take()
 }
 
 // randomFoldBuffer draws msgs messages over the fragment's slot domain
@@ -152,9 +152,13 @@ func TestFolderNoSlotVertexIsError(t *testing.T) {
 		buf := randomFoldBuffer(frag, rng, rng.Intn(50))
 		at := rng.Intn(len(buf) + 1)
 		buf = append(buf[:at:at], append([]VMsg[float64]{{V: v, Val: 1}}, buf[at:]...)...)
-		out, err := folder.Fold(buf, math.Min)
+		err := folder.Add(buf, math.Min)
 		if err == nil {
-			t.Fatalf("vertex %d at %d of %d: folded to %d messages, want an error", v, at, len(buf), len(out))
+			t.Fatalf("vertex %d at %d of %d: folded, want an error", v, at, len(buf))
+		}
+		// The messages before the refused one stay folded.
+		if got, want := folder.Take(), FoldMessages(buf[:at], math.Min); !foldEqual(got, want) {
+			t.Fatalf("vertex %d at %d: fold before the refusal\n got %+v\nwant %+v", v, at, got, want)
 		}
 		for _, want := range []string{fmt.Sprintf("vertex %d", v), "fragment 1"} {
 			if !strings.Contains(err.Error(), want) {
@@ -168,9 +172,9 @@ func TestFolderNoSlotVertexIsError(t *testing.T) {
 // adds over the stamped fold: the emission order when a buffer mixes
 // owned vertices with F.O copies on both sides of [Lo, Hi) (the
 // SendToHolders direction CF uses), and a no-slot error that aborts a
-// half-built fold — the bitmap must come out clean, or the next fold
-// emits the aborted round's vertices. The aggregate is order-sensitive,
-// so the per-vertex buffer order is pinned too.
+// half-built fold — after Reset the bitmap must be clean, or the next
+// fold emits the aborted round's vertices. The aggregate is
+// order-sensitive, so the per-vertex buffer order is pinned too.
 func TestFolderCopiesBothSidesThenAbort(t *testing.T) {
 	p := buildPartition(t, 4)
 	frag := p.Frags[2]
@@ -192,9 +196,77 @@ func TestFolderCopiesBothSidesThenAbort(t *testing.T) {
 		check("fold", trial, randomFoldBuffer(frag, rng, 1+rng.Intn(120)))
 		aborted := append(randomFoldBuffer(frag, rng, 1+rng.Intn(40)),
 			VMsg[float64]{V: outside, Val: 4})
-		if _, err := folder.Fold(aborted, inOrder); err == nil {
+		if err := folder.Add(aborted, inOrder); err == nil {
 			t.Fatalf("trial %d: no error for vertex %d", trial, outside)
 		}
+		folder.Reset()
 		check("fold after abort", trial, randomFoldBuffer(frag, rng, 1+rng.Intn(10)))
+	}
+}
+
+// TestFolderFoldsAsItDrains: a buffer added in several batches, as
+// drain adds them, takes to the fold of the whole buffer; until Take,
+// Pending holds one entry per vertex in first-arrival order, each the
+// fold so far. The aggregate is order-sensitive, so the per-vertex
+// arrival order is pinned across batches too.
+func TestFolderFoldsAsItDrains(t *testing.T) {
+	p := buildPartition(t, 4)
+	inOrder := func(a, b float64) float64 { return a*31 + b }
+	rng := rand.New(rand.NewSource(23))
+	for _, frag := range p.Frags {
+		folder := NewFolder[float64](frag)
+		for trial := 0; trial < 200; trial++ {
+			buf := randomFoldBuffer(frag, rng, rng.Intn(150))
+			for rest := buf; len(rest) > 0; {
+				k := 1 + rng.Intn(len(rest))
+				if err := folder.Add(rest[:k], inOrder); err != nil {
+					t.Fatal(err)
+				}
+				rest = rest[k:]
+			}
+			var first []VMsg[float64]
+			seen := map[int32]int{}
+			for _, m := range buf {
+				if i, ok := seen[m.V]; ok {
+					first[i].Val = inOrder(first[i].Val, m.Val)
+				} else {
+					seen[m.V] = len(first)
+					first = append(first, m)
+				}
+			}
+			if got := folder.Pending(); !foldEqual(got, first) {
+				t.Fatalf("frag %d trial %d: pending\n got %+v\nwant %+v", frag.ID, trial, got, first)
+			}
+			if got, want := folder.Take(), FoldMessages(buf, inOrder); !foldEqual(got, want) {
+				t.Fatalf("frag %d trial %d: take\n got %+v\nwant %+v", frag.ID, trial, got, want)
+			}
+			if len(folder.Pending()) != 0 {
+				t.Fatalf("frag %d trial %d: Take left %d entries pending", frag.ID, trial, len(folder.Pending()))
+			}
+		}
+	}
+}
+
+// TestFolderAddTakeAllocatesNothing: once its scratch has grown to a
+// round's size, a Folder folds and takes each round in place.
+func TestFolderAddTakeAllocatesNothing(t *testing.T) {
+	p := buildPartition(t, 4)
+	frag := p.Frags[1]
+	buf := randomFoldBuffer(frag, rand.New(rand.NewSource(5)), 400)
+	folder := NewFolder[float64](frag)
+	mustFold(t, folder, buf, math.Min)
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := folder.Add(buf[:200], math.Min); err != nil {
+			t.Fatal(err)
+		}
+		if err := folder.Add(buf[200:], math.Min); err != nil {
+			t.Fatal(err)
+		}
+		if len(folder.Take()) == 0 {
+			t.Fatal("empty fold")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Add + Take allocated %v times per round, want 0", allocs)
 	}
 }

@@ -48,10 +48,11 @@ type Program[T any] interface {
 
 	// IncEval incrementally updates the partial result given the
 	// aggregated changes msgs to the fragment's update parameters. msgs
-	// holds at most one entry per vertex (the engine folds the buffer
-	// B_x̄i with the job's aggregate function first) in ascending vertex
-	// order. The slice is scratch the engine reuses on the next round:
-	// IncEval may read it freely during the call but must not retain it.
+	// holds at most one entry per vertex (the engine folds each message
+	// into the buffer B_x̄i with the job's aggregate function as it
+	// arrives) in ascending vertex order. The slice is scratch the engine
+	// reuses on the next round: IncEval may read it freely during the call
+	// but must not retain it.
 	// IncEval must run to local quiescence: after it returns with no new
 	// messages the partial result is a local fixpoint. A program may
 	// leave part of that fixpoint for a later round by sending itself a
@@ -107,10 +108,6 @@ type Job[T any] struct {
 	// Bytes returns the wire size of one value for communication
 	// accounting. When nil, 8 bytes per value is assumed.
 	Bytes func(T) int
-
-	// Default returns the value reported for vertices never touched by
-	// the computation; the zero value of T when nil.
-	Default func(v int32) T
 
 	// EncodeVal and DecodeVal give the value type a wire form for the
 	// TCP transport plane (Options.Transport): EncodeVal appends val's
@@ -277,8 +274,8 @@ func (c *Context[T]) TakeOut() ([][]VMsg[T], int64) {
 //
 // FoldMessages is the map-based reference fold: it handles messages for
 // any vertex, at the cost of a map plus an output allocation per call.
-// The engine folds with a Folder, which the differential tests verify
-// bit-identical against it.
+// The engine folds with a Folder, whose Take the differential tests
+// verify bit-identical against it.
 func FoldMessages[T any](buf []VMsg[T], agg func(a, b T) T) []VMsg[T] {
 	if len(buf) == 0 {
 		return nil
@@ -300,26 +297,26 @@ func FoldMessages[T any](buf []VMsg[T], agg func(a, b T) T) []VMsg[T] {
 	return out
 }
 
-// Folder folds message buffers for one fragment without allocating and
-// without sorting: each message folds in O(1) into an accumulator found
-// through a bitmap over the fragment's slots, and the result is emitted
+// Folder is a worker's buffer B_x̄i, kept folded: each message folds in
+// O(1) with f_aggr as it arrives (Add) into an accumulator found through
+// a bitmap over the fragment's slots, and IncEval takes the fold (Take)
 // by scanning that bitmap word by word. The bitmap is laid out in vertex
 // order — F.O copies below Lo, then the owned range, then copies from Hi
-// up — so the scan yields ascending vertex ids, O(slots/64 + |buf|) in
-// all, and leaves the bitmap clear for the next round. A Folder is
-// owned by a single worker; it is not safe for concurrent use, and the
-// returned slice is only valid until the next Fold call.
+// up — so Take yields ascending vertex ids in O(slots/64 + entries) and
+// leaves the bitmap clear. Values for one vertex fold in arrival order,
+// exactly as FoldMessages folds the buffer they arrived in. A Folder is
+// owned by a single worker; it is not safe for concurrent use.
 type Folder[T any] struct {
 	frag  *partition.Fragment
 	owned int32    // NumOwned: slots from here up are F.O copies
 	below int32    // F.O copies with an id below Lo
-	seen  []uint64 // bitmap over vertex-order ranks; all zero between Folds
+	seen  []uint64 // bitmap over vertex-order ranks of the pending entries
 	pos   []int32  // rank -> index into acc, valid while the rank's bit is set
 	acc   []VMsg[T]
 	out   []VMsg[T]
 }
 
-// NewFolder returns a Folder with scratch sized by f's slot count.
+// NewFolder returns an empty Folder with scratch sized by f's slot count.
 func NewFolder[T any](f *partition.Fragment) *Folder[T] {
 	n := f.Slots()
 	return &Folder[T]{
@@ -343,47 +340,64 @@ func (fd *Folder[T]) rank(slot int32) int32 {
 	return slot
 }
 
-// Fold folds buf exactly like FoldMessages, reusing the Folder's
-// scratch. The result is overwritten by the next Fold call. Send and
-// SendToHolders route a message only to a worker that owns its vertex or
-// holds a copy, so one for a vertex without a local slot can only come
-// from a corrupt frame: it fails the fold, and the Folder stays usable.
-// The error names the vertex and the fragment; the engine, which knows
-// the batches the buffer came in, adds the sender.
-func (fd *Folder[T]) Fold(buf []VMsg[T], agg func(a, b T) T) ([]VMsg[T], error) {
-	if len(buf) == 0 {
-		return nil, nil
-	}
-	acc := fd.acc[:0]
-	for _, m := range buf {
+// Add folds msgs into the pending fold, in order. Send and SendToHolders
+// route a message only to a worker that owns its vertex or holds a copy,
+// so one for a vertex without a local slot can only come from a corrupt
+// frame: Add stops there with an error naming the vertex and the
+// fragment (the engine, which knows the batch's sender, adds it), and
+// the messages before it stay folded.
+func (fd *Folder[T]) Add(msgs []VMsg[T], agg func(a, b T) T) error {
+	for _, m := range msgs {
 		slot := fd.frag.Slot(m.V)
 		if slot < 0 {
-			clear(fd.seen)
-			return nil, fmt.Errorf("core: message for vertex %d, which fragment %d neither owns nor copies", m.V, fd.frag.ID)
+			return fmt.Errorf("core: message for vertex %d, which fragment %d neither owns nor copies", m.V, fd.frag.ID)
 		}
 		r := fd.rank(slot)
 		w, bit := r>>6, uint64(1)<<(uint(r)&63)
 		if fd.seen[w]&bit == 0 {
 			fd.seen[w] |= bit
-			fd.pos[r] = int32(len(acc))
-			acc = append(acc, m)
+			fd.pos[r] = int32(len(fd.acc))
+			fd.acc = append(fd.acc, m)
 			continue
 		}
-		e := &acc[fd.pos[r]]
+		e := &fd.acc[fd.pos[r]]
 		e.Val = agg(e.Val, m.Val)
 	}
-	out := slices.Grow(fd.out[:0], len(acc))
+	return nil
+}
+
+// Pending is the pending fold, one entry per vertex in the order of each
+// vertex's first arrival: what a snapshot captures as the worker's
+// channel state. It is read-only and valid until the next Add, Take or
+// Reset.
+func (fd *Folder[T]) Pending() []VMsg[T] { return fd.acc }
+
+// Take empties the pending fold and returns it in ascending vertex
+// order, or nil when it is empty: the input FoldMessages gives for the
+// messages added since the last Take. The result is overwritten by the
+// next Take.
+func (fd *Folder[T]) Take() []VMsg[T] {
+	if len(fd.acc) == 0 {
+		return nil
+	}
+	out := slices.Grow(fd.out[:0], len(fd.acc))
 	for w, word := range fd.seen {
 		if word == 0 {
 			continue
 		}
 		fd.seen[w] = 0
 		for ; word != 0; word &= word - 1 {
-			out = append(out, acc[fd.pos[w<<6+bits.TrailingZeros64(word)]])
+			out = append(out, fd.acc[fd.pos[w<<6+bits.TrailingZeros64(word)]])
 		}
 	}
-	fd.acc, fd.out = acc, out
-	return out, nil
+	fd.acc, fd.out = fd.acc[:0], out
+	return out
+}
+
+// Reset drops the pending fold.
+func (fd *Folder[T]) Reset() {
+	clear(fd.seen)
+	fd.acc = fd.acc[:0]
 }
 
 // Result is the outcome of running a Job: the assembled per-vertex values

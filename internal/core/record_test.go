@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"math"
 	"reflect"
 	"slices"
@@ -8,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"aap/internal/checkpoint"
 	"aap/internal/codec"
 	"aap/internal/partition"
 )
@@ -96,26 +98,38 @@ func (p *minLabel) RestoreState(data []byte) error {
 	return nil
 }
 
-// TestRecordKeepsSenderRuns: a worker's recorded buffer becomes one
-// flight per run of consecutive batches from one sender, each flight
-// holding its messages in arrival order, and resuming from that cut — the
-// flights replayed through the inbox — answers bit-identically to the
-// fault-free run. Three workers: every batch to worker t comes from a or
-// b, whose PEval batches to t are split into one batch per letter of the
-// arrival pattern.
-func TestRecordKeepsSenderRuns(t *testing.T) {
+// TestRecordCapturesFold: a worker's recorded channel state is its
+// pending fold, one flight from the worker to itself that holds
+// FoldMessages of its arrivals (⊕ applied in arrival order) with each
+// vertex where it first arrived, and resuming from that cut answers
+// bit-identically to the fault-free run. So does resuming from the same
+// cut in the earlier format, whose channel state held the raw batches,
+// one flight per run of batches from one sender. Three workers: every
+// batch to worker t comes from a or b, whose PEval batches to t are
+// split into one batch per letter of the arrival pattern.
+func TestRecordCapturesFold(t *testing.T) {
 	p := buildPartition(t, 3)
 	want, err := Run(p, minLabelJob, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cases := []struct{ arrivals, flights string }{
-		{"aaba", "aba"},
-		{"abab", "abab"},
-		{"baa", "ba"},
+	resume := func(t *testing.T, snap *checkpoint.Snapshot[VMsg[float64]]) {
+		t.Helper()
+		// A resumed run checkpoints, as Resume's Dir makes it; this
+		// one announces no epoch of its own.
+		resumed := Options{Checkpoint: CheckpointOptions{EveryRounds: 1 << 20}}
+		res, err := run(NewSession(p), minLabelJob, resumed, &resumeState[float64]{snap: snap}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v, x := range res.Values {
+			if math.Float64bits(x) != math.Float64bits(want.Values[v]) {
+				t.Fatalf("vertex %d: resumed %v, fault-free %v", v, x, want.Values[v])
+			}
+		}
 	}
-	for _, tc := range cases {
-		t.Run(tc.arrivals, func(t *testing.T) {
+	for _, arrivals := range []string{"aaba", "abab", "baa"} {
+		t.Run(arrivals, func(t *testing.T) {
 			opts := Options{Checkpoint: CheckpointOptions{EveryRounds: 1}}
 			e := newEngine(NewSession(p), minLabelJob, opts, nil)
 			e.clock = wallClock{time.Now()}
@@ -129,13 +143,15 @@ func TestRecordKeepsSenderRuns(t *testing.T) {
 				w.prog.PEval(w.ctx)
 				outs[i], _ = w.ctx.TakeOut()
 			}
-			// Worker tw receives from a and b; a sends at least as many
-			// messages, and both enough to split as the pattern asks.
-			tw, a, b := 0, 1, 2
+			// Worker tw, which owns the highest ids, receives from a and
+			// b, whose labels are lower and so lower tw's; a sends at
+			// least as many messages, and both enough to split as the
+			// pattern asks.
+			tw, a, b := 2, 0, 1
 			if len(outs[a][tw]) < len(outs[b][tw]) {
 				a, b = b, a
 			}
-			na, nb := strings.Count(tc.arrivals, "a"), strings.Count(tc.arrivals, "b")
+			na, nb := strings.Count(arrivals, "a"), strings.Count(arrivals, "b")
 			if len(outs[a][tw]) < na || len(outs[b][tw]) < nb {
 				t.Fatalf("workers %d and %d send %d and %d messages to %d; the pattern needs %d and %d",
 					a, b, len(outs[a][tw]), len(outs[b][tw]), tw, na, nb)
@@ -146,10 +162,23 @@ func TestRecordKeepsSenderRuns(t *testing.T) {
 				e.ledger.Sent(int64(len(msgs)), 0)
 				e.land(dst, batch[float64]{from: int32(src), msgs: slices.Clone(msgs)})
 			}
-			for i := range tc.arrivals {
-				c := tc.arrivals[i]
+			// raw is the parent format's channel state of tw: one flight
+			// per run of consecutive batches from one sender.
+			var all []VMsg[float64]
+			var raw []checkpoint.Flight[VMsg[float64]]
+			for i := range arrivals {
+				c := arrivals[i]
 				deliver(from[c], tw, parts[c][0])
+				all = append(all, parts[c][0]...)
+				if k := len(raw) - 1; k >= 0 && raw[k].From == int32(from[c]) {
+					raw[k].Msgs = append(raw[k].Msgs, parts[c][0]...)
+				} else {
+					raw = append(raw, checkpoint.Flight[VMsg[float64]]{From: int32(from[c]), To: int32(tw), Msgs: slices.Clone(parts[c][0])})
+				}
 				parts[c] = parts[c][1:]
+			}
+			if len(raw) < 2 {
+				t.Fatalf("pattern %q gives %d sender runs, want several", arrivals, len(raw))
 			}
 			for src, out := range outs {
 				for dst, msgs := range out {
@@ -159,7 +188,9 @@ func TestRecordKeepsSenderRuns(t *testing.T) {
 				}
 			}
 			for _, w := range e.workers {
-				w.drain()
+				if !w.drain() {
+					t.Fatal(e.err())
+				}
 			}
 			if ep, ok := e.ckpt.Announce(); !ok || ep != 1 {
 				t.Fatalf("announce = (%d, %v), want (1, true)", ep, ok)
@@ -172,47 +203,44 @@ func TestRecordKeepsSenderRuns(t *testing.T) {
 				t.Fatalf("epoch 1 did not seal: %+v", snap)
 			}
 
-			// Expected flights: the pattern with repeated letters merged,
-			// each holding its senders' parts in arrival order.
-			parts = map[byte][][]VMsg[float64]{'a': split(outs[a][tw], na), 'b': split(outs[b][tw], nb)}
-			var got, wantFl []string
-			var gotMsgs, wantMsgs [][]VMsg[float64]
-			for i := 0; i < len(tc.arrivals); {
-				c := tc.arrivals[i]
-				var msgs []VMsg[float64]
-				for ; i < len(tc.arrivals) && tc.arrivals[i] == c; i++ {
-					msgs = append(msgs, parts[c][0]...)
-					parts[c] = parts[c][1:]
-				}
-				wantFl = append(wantFl, string(c))
-				wantMsgs = append(wantMsgs, msgs)
-			}
-			name := map[int32]string{int32(a): "a", int32(b): "b"}
+			var got []checkpoint.Flight[VMsg[float64]]
 			for _, f := range snap.InFlight {
 				if int(f.To) == tw {
-					got = append(got, name[f.From])
-					gotMsgs = append(gotMsgs, f.Msgs)
+					got = append(got, f)
 				}
 			}
-			if strings.Join(got, "") != tc.flights || strings.Join(wantFl, "") != tc.flights {
-				t.Fatalf("flights to worker %d from %q, want %q", tw, strings.Join(got, ""), tc.flights)
+			if len(got) != 1 || got[0].From != int32(tw) {
+				t.Fatalf("flights to worker %d: %+v, want one from itself", tw, got)
 			}
-			if !reflect.DeepEqual(gotMsgs, wantMsgs) {
-				t.Fatalf("flight messages\n got %+v\nwant %+v", gotMsgs, wantMsgs)
+			fold := FoldMessages(all, minLabelJob.Aggregate)
+			sorted := slices.SortedFunc(slices.Values(got[0].Msgs), func(x, y VMsg[float64]) int { return cmp.Compare(x.V, y.V) })
+			if !reflect.DeepEqual(sorted, fold) {
+				t.Fatalf("recorded fold\n got %+v\nwant %+v", sorted, fold)
 			}
+			var order []int32
+			for _, m := range all {
+				if !slices.Contains(order, m.V) {
+					order = append(order, m.V)
+				}
+			}
+			for k, m := range got[0].Msgs {
+				if m.V != order[k] {
+					t.Fatalf("recorded entry %d is vertex %d; vertex %d arrived %d-th", k, m.V, order[k], k+1)
+				}
+			}
+			resume(t, snap)
 
-			// A resumed run checkpoints, as Resume's Dir makes it; this
-			// one announces no epoch of its own.
-			resumed := Options{Checkpoint: CheckpointOptions{EveryRounds: 1 << 20}}
-			res, err := run(NewSession(p), minLabelJob, resumed, &resumeState[float64]{snap: snap}, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for v, x := range res.Values {
-				if math.Float64bits(x) != math.Float64bits(want.Values[v]) {
-					t.Fatalf("vertex %d: resumed %v, fault-free %v", v, x, want.Values[v])
+			t.Run("raw-flights", func(t *testing.T) {
+				old := *snap
+				old.InFlight = nil
+				for _, f := range snap.InFlight {
+					if int(f.To) != tw {
+						old.InFlight = append(old.InFlight, f)
+					}
 				}
-			}
+				old.InFlight = append(old.InFlight, raw...)
+				resume(t, &old)
+			})
 		})
 	}
 }

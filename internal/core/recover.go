@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -33,10 +34,10 @@ type CheckpointOptions struct {
 //     at the end of its round, so "carries the token" is simply stamp == e.
 //   - A worker records its cut for epoch e the first time it learns of
 //     e: at a round boundary (polling the announced epoch) or upon
-//     draining a batch stamped e — before that batch enters its buffer.
-//     The cut is the program's durable state plus the buffer contents,
-//     which by the record-before-drain rule hold only pre-cut messages;
-//     they are captured as channel state.
+//     draining a batch stamped e — before that batch is folded into its
+//     buffer. The cut is the program's durable state plus the pending
+//     fold, which by the record-before-drain rule holds only pre-cut
+//     messages; it is captured as channel state.
 //   - Batches stamped before the receiver's recorded epoch are late
 //     messages without the token: copied into the snapshot's channel
 //     state at drain, then processed normally.
@@ -225,7 +226,7 @@ func (r *recovery[T]) rollback(victim int) {
 	}
 
 	// Destroy the abandoned execution's residue: inbox contents and
-	// local buffers are all post-cut.
+	// pending folds are all post-cut.
 	for _, w := range e.workers {
 		bs := w.inbox.take()
 		for _, b := range bs {
@@ -234,7 +235,7 @@ func (r *recovery[T]) rollback(victim int) {
 		if bs != nil {
 			w.inbox.release(bs)
 		}
-		w.clearBuffer()
+		w.folder.Reset()
 	}
 
 	rounds := make([]int32, e.p.M)
@@ -342,10 +343,11 @@ func (w *worker[T]) interrupted() bool {
 }
 
 // record takes this worker's cut for epoch: durable program state,
-// round counter, and the buffer as captured channel state (the
+// round counter, and the pending fold as captured channel state (the
 // record-before-drain rule guarantees it holds only pre-cut messages).
-// The buffer is copied as one flight per sender run, so replay rebuilds
-// the sender runs of the inbox path.
+// The fold is copied as one flight from the worker to itself, in
+// first-arrival order; replay folds it before any batch drained after
+// the cut, so each vertex's values fold in the order they did here.
 func (w *worker[T]) record(epoch int32) {
 	snap, ok := w.prog.(Snapshotter)
 	if !ok {
@@ -361,11 +363,10 @@ func (w *worker[T]) record(epoch int32) {
 	if rp, ok := w.prog.(*remoteProg[T]); ok && !rp.alive() {
 		return // host died mid-snapshot; state may be truncated
 	}
-	fl := make([]checkpoint.Flight[VMsg[T]], len(w.runs))
-	var start int32
-	for k, r := range w.runs {
-		fl[k] = checkpoint.Flight[VMsg[T]]{From: r.from, To: int32(w.id), Msgs: append([]VMsg[T](nil), w.buffer[start:r.end]...)}
-		start = r.end
+	var fl []checkpoint.Flight[VMsg[T]]
+	if pending := w.folder.Pending(); len(pending) > 0 {
+		id := int32(w.id)
+		fl = []checkpoint.Flight[VMsg[T]]{{From: id, To: id, Msgs: slices.Clone(pending)}}
 	}
 	if err := w.eng.ckpt.Record(int32(w.id), epoch, state, w.rounds, w.pevalDone, fl); err == nil {
 		w.epoch = epoch

@@ -355,8 +355,14 @@ func TestSessionRunStatsServingFields(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.ArenaBytes <= 0 {
-		t.Fatalf("ArenaBytes = %d, want > 0", res.Stats.ArenaBytes)
+	// SSSP prices a value at 8 B: one per local slot and one per vertex
+	// of the result vector.
+	slots := 0
+	for _, f := range p.Frags {
+		slots += f.Slots()
+	}
+	if want := int64(8 * (slots + g.NumVertices())); res.Stats.ArenaBytes != want {
+		t.Fatalf("ArenaBytes = %d, want 8·(%d slots + %d vertices) = %d", res.Stats.ArenaBytes, slots, g.NumVertices(), want)
 	}
 	if res.Stats.ScannedEdges <= 0 {
 		t.Fatalf("ScannedEdges = %d, want > 0", res.Stats.ScannedEdges)

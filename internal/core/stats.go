@@ -110,17 +110,20 @@ const (
 	RoundStart EventKind = iota // the worker is about to compute round Round (0: PEval)
 	Round                       // it computed round Round: Seconds from Time, its Work and Msgs
 	Decide                      // its controller returned Delay for View
+	Fold                        // a drain folded Msgs messages into the buffer round Round takes
+	Flush                       // round Round's Msgs messages left for their receivers
 )
 
 // Event is one transition of one worker. Time is on the run's clock:
 // wall seconds since the run began, or virtual seconds under Simulate,
-// where a Round's figures are the cost model's.
+// where a Round's figures are the cost model's and a Fold or Flush
+// takes no time.
 type Event struct {
 	Kind          EventKind
 	Worker        int
 	Round         int32
-	Time, Seconds float64 // Seconds: a Round's duration
-	Work, Msgs    int64   // Round
+	Time, Seconds float64 // Seconds: a Round's, Fold's or Flush's duration
+	Work, Msgs    int64   // Work: Round; Msgs: Round, Fold, Flush
 	View          View    // Decide
 	Delay         float64 // Decide: at most 0 runs now, Forever suspends, else holds
 }

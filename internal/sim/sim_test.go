@@ -205,8 +205,9 @@ func TestSimDecisions(t *testing.T) {
 
 // TestRealTrace: a Recorder on the real engine, whose executors step
 // different workers at once, keeps each worker's rounds in start order,
-// without overlap, one interval per round; and observing leaves the
-// answers of SSSP and CC exact.
+// without overlap, one interval per round; the Fold and Flush events
+// account for every message received and sent (checkMessagePath); and
+// observing leaves the answers of SSSP and CC exact.
 func TestRealTrace(t *testing.T) {
 	g := gen.PowerLaw(10000, 5, 2.1, true, 47)
 	p := mustPartition(t, g, 8, partition.Hash{})
@@ -221,13 +222,18 @@ func checkRealTrace[T any](t *testing.T, p *partition.Partitioned, job core.Job[
 		t.Fatal(err)
 	}
 	rec := sim.NewRecorder(p.M)
-	traced, err := core.Run(p, job, core.Options{Observe: rec.Observe})
+	path := newPathRecorder(p.M)
+	traced, err := core.Run(p, job, core.Options{Observe: func(ev core.Event) {
+		rec.Observe(ev)
+		path.observe(ev)
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(plain.Values, traced.Values) {
 		t.Errorf("%s: observing changed the answer", job.Name)
 	}
+	path.check(t, job.Name, traced.Stats, false)
 	byWorker := make([][]sim.Interval, p.M)
 	for _, iv := range rec.Intervals() {
 		byWorker[iv.Worker] = append(byWorker[iv.Worker], iv)
@@ -244,6 +250,74 @@ func checkRealTrace[T any](t *testing.T, p *partition.Partitioned, job core.Job[
 				t.Errorf("%s: worker %d round %d starts at %v, inside round %d (%v + %v s)",
 					job.Name, i, iv.Round, iv.Start, prev.Round, prev.Start, prev.Seconds)
 			}
+		}
+	}
+}
+
+// pathRecorder keeps each worker's Round, Fold and Flush events in the
+// order they were observed.
+type pathRecorder struct{ evs [][]core.Event }
+
+func newPathRecorder(m int) *pathRecorder { return &pathRecorder{evs: make([][]core.Event, m)} }
+
+func (r *pathRecorder) observe(ev core.Event) {
+	if ev.Kind == core.Round || ev.Kind == core.Fold || ev.Kind == core.Flush {
+		r.evs[ev.Worker] = append(r.evs[ev.Worker], ev)
+	}
+}
+
+// check holds each worker's message path to its stats: its Folds
+// fold what it received and its Flushes ship what it sent, each Flush
+// after the Round event of its round and at most one per round. Under
+// Simulate (virtual) neither takes time.
+func (r *pathRecorder) check(t *testing.T, name string, st core.RunStats, virtual bool) {
+	t.Helper()
+	for i, evs := range r.evs {
+		var folded, flushed int64
+		computed := map[int32]bool{}
+		sent := map[int32]bool{}
+		for _, ev := range evs {
+			switch ev.Kind {
+			case core.Round:
+				computed[ev.Round] = true
+			case core.Fold:
+				folded += ev.Msgs
+			case core.Flush:
+				flushed += ev.Msgs
+				if !computed[ev.Round] || sent[ev.Round] {
+					t.Errorf("%s: worker %d flushed round %d (computed %v, flushed before %v)", name, i, ev.Round, computed[ev.Round], sent[ev.Round])
+				}
+				sent[ev.Round] = true
+			}
+			if ev.Kind != core.Round && (ev.Msgs <= 0 || ev.Seconds < 0 || virtual && ev.Seconds != 0) {
+				t.Errorf("%s: worker %d: %+v", name, i, ev)
+			}
+		}
+		w := st.Workers[i]
+		if folded != w.MsgsRecv || flushed != w.MsgsSent {
+			t.Errorf("%s: worker %d folded %d and flushed %d messages; received %d, sent %d", name, i, folded, flushed, w.MsgsRecv, w.MsgsSent)
+		}
+		if w.MsgsSent > 0 && len(sent) == 0 || w.MsgsRecv > 0 && folded == 0 {
+			t.Errorf("%s: worker %d: the check saw no flush or no fold", name, i)
+		}
+	}
+}
+
+// TestSimMessagePath: the Fold and Flush events of a virtual run, with
+// a straggler and under every mode, account for every message each
+// worker received and sent, and take no virtual time.
+func TestSimMessagePath(t *testing.T) {
+	g := gen.PowerLaw(300, 5, 2.1, true, 13)
+	p := mustPartition(t, g, 5, partition.Hash{})
+	for _, mode := range []core.Mode{core.AAP, core.BSP, core.AP, core.SSP, core.Hsync} {
+		for name, job := range map[string]core.Job[float64]{"sssp": sssp.Job(0), "pagerank": pagerank.Job(pagerank.Config{Tol: 1e-6})} {
+			path := newPathRecorder(p.M)
+			cfg := sim.Config{Options: core.Options{Mode: mode, Staleness: 2, Observe: path.observe}, Speed: []float64{1, 1, 3, 1, 1}}
+			res, err := sim.Run(p, job, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			path.check(t, name+"/"+mode.String(), res.Stats, true)
 		}
 	}
 }
