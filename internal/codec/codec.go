@@ -8,6 +8,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // AppendUint32 appends v in little-endian order.
@@ -43,9 +44,10 @@ func AppendBool(dst []byte, v bool) []byte {
 	return append(dst, 0)
 }
 
-// AppendFloat64s appends a length-prefixed vector.
+// AppendFloat64s appends a length-prefixed vector. Each vector appender
+// grows dst once, for the prefix and every element.
 func AppendFloat64s(dst []byte, vs []float64) []byte {
-	dst = AppendUint32(dst, uint32(len(vs)))
+	dst = AppendUint32(slices.Grow(dst, 4+8*len(vs)), uint32(len(vs)))
 	for _, v := range vs {
 		dst = AppendFloat64(dst, v)
 	}
@@ -54,7 +56,7 @@ func AppendFloat64s(dst []byte, vs []float64) []byte {
 
 // AppendInt32s appends a length-prefixed vector.
 func AppendInt32s(dst []byte, vs []int32) []byte {
-	dst = AppendUint32(dst, uint32(len(vs)))
+	dst = AppendUint32(slices.Grow(dst, 4+4*len(vs)), uint32(len(vs)))
 	for _, v := range vs {
 		dst = AppendInt32(dst, v)
 	}
@@ -63,7 +65,7 @@ func AppendInt32s(dst []byte, vs []int32) []byte {
 
 // AppendInt64s appends a length-prefixed vector.
 func AppendInt64s(dst []byte, vs []int64) []byte {
-	dst = AppendUint32(dst, uint32(len(vs)))
+	dst = AppendUint32(slices.Grow(dst, 4+8*len(vs)), uint32(len(vs)))
 	for _, v := range vs {
 		dst = AppendInt64(dst, v)
 	}
@@ -73,7 +75,7 @@ func AppendInt64s(dst []byte, vs []int64) []byte {
 // AppendBools appends a length-prefixed vector of booleans, one byte
 // each.
 func AppendBools(dst []byte, vs []bool) []byte {
-	dst = AppendUint32(dst, uint32(len(vs)))
+	dst = AppendUint32(slices.Grow(dst, 4+len(vs)), uint32(len(vs)))
 	for _, v := range vs {
 		dst = AppendBool(dst, v)
 	}
@@ -83,7 +85,7 @@ func AppendBools(dst []byte, vs []bool) []byte {
 // AppendBytes appends a length-prefixed byte blob (a nested payload:
 // serialized program state inside an RPC frame, for example).
 func AppendBytes(dst []byte, b []byte) []byte {
-	dst = AppendUint32(dst, uint32(len(b)))
+	dst = AppendUint32(slices.Grow(dst, 4+len(b)), uint32(len(b)))
 	return append(dst, b...)
 }
 
@@ -153,66 +155,69 @@ func (r *Reader) Bool() bool {
 // Float64 decodes an IEEE-754 float.
 func (r *Reader) Float64() float64 { return math.Float64frombits(r.Uint64()) }
 
-// vecLen decodes a vector's length prefix and verifies the payload is
-// actually present before the caller allocates — the header-lie guard:
-// a corrupted or malicious prefix claiming 2^32 elements fails here with
-// a truncation error instead of forcing a giant allocation.
-func (r *Reader) vecLen(elemBytes int) (int, bool) {
-	n := r.Uint32()
-	if r.err != nil || !r.need(int(n)*elemBytes) {
-		return 0, false
+// vec decodes a vector's length prefix and returns its elements' bytes,
+// checked to be present before the caller allocates — the header-lie
+// guard: a corrupted or malicious prefix claiming 2^32 elements fails
+// here with a truncation error instead of forcing a giant allocation.
+func (r *Reader) vec(elemBytes int) (b []byte, n int, ok bool) {
+	n = int(r.Uint32())
+	if r.err != nil || !r.need(n*elemBytes) {
+		return nil, 0, false
 	}
-	return int(n), true
+	b = r.buf[r.off : r.off+n*elemBytes]
+	r.off += n * elemBytes
+	return b, n, true
 }
 
 // Float64s decodes a length-prefixed vector.
 func (r *Reader) Float64s() []float64 {
-	n, ok := r.vecLen(8)
+	b, n, ok := r.vec(8)
 	if !ok {
 		return nil
 	}
 	out := make([]float64, n)
 	for i := range out {
-		out[i] = r.Float64()
+		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
 	}
 	return out
 }
 
 // Int32s decodes a length-prefixed vector.
 func (r *Reader) Int32s() []int32 {
-	n, ok := r.vecLen(4)
+	b, n, ok := r.vec(4)
 	if !ok {
 		return nil
 	}
 	out := make([]int32, n)
 	for i := range out {
-		out[i] = r.Int32()
+		out[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
 	}
 	return out
 }
 
 // Int64s decodes a length-prefixed vector.
 func (r *Reader) Int64s() []int64 {
-	n, ok := r.vecLen(8)
+	b, n, ok := r.vec(8)
 	if !ok {
 		return nil
 	}
 	out := make([]int64, n)
 	for i := range out {
-		out[i] = r.Int64()
+		out[i] = int64(binary.LittleEndian.Uint64(b[8*i:]))
 	}
 	return out
 }
 
-// Bools decodes a length-prefixed vector of booleans.
+// Bools decodes a length-prefixed vector of booleans; any nonzero byte
+// is true.
 func (r *Reader) Bools() []bool {
-	n, ok := r.vecLen(1)
+	b, n, ok := r.vec(1)
 	if !ok {
 		return nil
 	}
 	out := make([]bool, n)
 	for i := range out {
-		out[i] = r.Bool()
+		out[i] = b[i] != 0
 	}
 	return out
 }
@@ -221,11 +226,6 @@ func (r *Reader) Bools() []bool {
 // the reader's buffer (the nested payload is decoded in place, not
 // copied); callers that retain it past the buffer's lifetime must copy.
 func (r *Reader) Bytes() []byte {
-	n := r.Uint32()
-	if r.err != nil || !r.need(int(n)) {
-		return nil
-	}
-	b := r.buf[r.off : r.off+int(n)]
-	r.off += int(n)
+	b, _, _ := r.vec(1)
 	return b
 }

@@ -138,3 +138,27 @@ func TestEmptyBytes(t *testing.T) {
 		t.Error(r.Err())
 	}
 }
+
+// TestVectorsGrowOnce pins that a vector appender sizes dst once: the
+// 400 KB reply of a served SSSP query is one AppendFloat64s onto a small
+// header, which must not double its way up.
+func TestVectorsGrowOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime counts allocations of its own")
+	}
+	vs := make([]float64, 50_000)
+	for i := range vs {
+		vs[i] = float64(i) / 3
+	}
+	if n := testing.AllocsPerRun(10, func() { codec.AppendFloat64s(nil, vs) }); n != 1 {
+		t.Fatalf("AppendFloat64s of %d values: %v allocations, want 1", len(vs), n)
+	}
+	is := make([]int32, 50_000)
+	if n := testing.AllocsPerRun(10, func() { codec.AppendInt32s(nil, is) }); n != 1 {
+		t.Fatalf("AppendInt32s of %d values: %v allocations, want 1", len(is), n)
+	}
+	r := codec.NewReader(codec.AppendFloat64s(nil, vs))
+	if got := r.Float64s(); r.Err() != nil || len(got) != len(vs) || got[len(vs)-1] != vs[len(vs)-1] {
+		t.Fatalf("Float64s round trip: %v, %d values", r.Err(), len(got))
+	}
+}

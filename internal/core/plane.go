@@ -128,9 +128,9 @@ type wirePlane[T any] struct {
 // deliver codec-encodes the batch into a KindData frame — [epoch int32]
 // then the batch (wire.go) — and ships it through the transport; onFrame
 // decodes it back into the destination inbox. Sender-side slices return
-// to the pool right after encoding; the receiver decodes into fresh
-// pooled slices. A refused batch (plane closed, link dead) will never
-// arrive, so the run fails.
+// to the pool right after encoding; the receiver decodes into pooled
+// slices. A refused batch (plane closed, link dead) will never arrive,
+// so the run fails.
 func (wp *wirePlane[T]) deliver(from, to int, epoch int32, msgs []VMsg[T]) {
 	e := wp.e
 	payload := e.job.appendMsgs(codec.AppendInt32(nil, epoch), msgs)
@@ -141,10 +141,11 @@ func (wp *wirePlane[T]) deliver(from, to int, epoch int32, msgs []VMsg[T]) {
 }
 
 // onFrame is the plane's delivery callback for batches, running on
-// transport reader goroutines: decode, inbox put. Any peer that dials
-// the listener can send one, so both endpoint ids are checked: to
-// indexes the inboxes, and from names the sender in the buffer's runs,
-// its snapshots and its errors.
+// transport reader goroutines: decode into a pooled slice, inbox put.
+// The payload is the reader's buffer and is not kept. Any peer that
+// dials the listener can send one, so both endpoint ids are checked: to
+// indexes the inboxes, and from names the batch's sender in its
+// snapshots and its errors.
 func (wp *wirePlane[T]) onFrame(f transport.Frame) {
 	e := wp.e
 	to := int(f.To)

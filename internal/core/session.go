@@ -104,7 +104,10 @@ func (c *cores) submit(t task) {
 // executor runs ready tasks until none is left. It takes the oldest of a
 // run other than the one last taken, if there is one, else the oldest,
 // so concurrent queries take turns on the executors; a task due again
-// goes back behind the ready ones.
+// goes back behind the ready ones. It yields after every step, so a
+// goroutine the step woke (a link's writer or reader, a δ hold's timer)
+// runs before the next step rather than when an executor parks: a
+// message that waits on a busy core reaches its receiver a round late.
 func (c *cores) executor() {
 	c.mu.Lock()
 	for len(c.tasks) > 0 {
@@ -113,6 +116,7 @@ func (c *cores) executor() {
 		c.tasks, c.last = slices.Delete(c.tasks, i, i+1), t.owner()
 		c.mu.Unlock()
 		again := t.turn()
+		runtime.Gosched()
 		c.mu.Lock()
 		if again {
 			c.tasks = append(c.tasks, t)

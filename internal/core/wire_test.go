@@ -2,12 +2,14 @@ package core
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
 	"testing"
 
 	"aap/internal/codec"
+	"aap/internal/transport"
 )
 
 // checkReadMsgs is the property every input must satisfy, valid or not:
@@ -99,4 +101,53 @@ func FuzzReadMsgs(f *testing.F) {
 		checkReadMsgs(t, &float64sJob, data)
 		checkReadMsgs(t, &int64Job, data)
 	})
+}
+
+// TestDataFrameRoundTripAllocs pins what a steady-state batch costs the
+// heap on its way over the batch link: the sender's payload and the
+// receiver's codec reader, and nothing else — the reader reads the frame
+// into its reused buffer, the batch decodes into a pooled slice and the
+// ack is built without a buffer of its own.
+func TestDataFrameRoundTripAllocs(t *testing.T) {
+	free := make(chan []VMsg[float64], 1)
+	got := make(chan []VMsg[float64], 1)
+	free <- make([]VMsg[float64], 0, 64)
+	tp, err := transport.Listen(transport.Config{ListenAddr: "127.0.0.1:0", OnFrame: func(f transport.Frame) {
+		r := codec.NewReader(f.Payload)
+		r.Int32()
+		msgs, err := float64Job.readMsgs(r, (<-free)[:0])
+		if err != nil {
+			panic(err)
+		}
+		got <- msgs
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tp.Close()
+	if err := tp.Dial(batchLink, tp.Addr(), nil, []int32{0}); err != nil {
+		t.Fatal(err)
+	}
+	batch := make([]VMsg[float64], 48)
+	for i := range batch {
+		batch[i] = VMsg[float64]{V: int32(i), Val: float64(i) / 7}
+	}
+	encode := func() []byte { return float64Job.appendMsgs(codec.AppendInt32(nil, 1), batch) }
+	trip := func() {
+		if err := tp.Send(0, 0, transport.KindData, encode()); err != nil {
+			panic(err)
+		}
+		msgs := <-got
+		if len(msgs) != len(batch) || msgs[len(batch)-1] != batch[len(batch)-1] {
+			panic(fmt.Sprintf("batch of %d decoded to %d messages", len(batch), len(msgs)))
+		}
+		free <- msgs
+	}
+	for i := 0; i < 500; i++ { // until the queues and buffers stop growing
+		trip()
+	}
+	payload := testing.AllocsPerRun(100, func() { encode() })
+	if n := testing.AllocsPerRun(2000, trip); n != payload+1 {
+		t.Fatalf("a steady-state data frame round trip allocates %v times, want %v: the payload's %v and one reader", n, payload+1, payload)
+	}
 }

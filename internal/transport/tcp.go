@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -36,7 +37,9 @@ type Config struct {
 	// order, each frame at most once; nil drops them. Call frames go to
 	// the endpoint's Serve handler and Reply frames to the parked Call.
 	// It runs on a reader goroutine, so while it blocks the link's conn
-	// is not drained (nor its heartbeats seen).
+	// is not drained (nor its heartbeats seen). The frame's Payload is
+	// valid only during the call: the reader reads the next data frame
+	// into the same buffer.
 	OnFrame func(Frame)
 	// OnPeerDead fires once when a link is declared dead: heartbeat
 	// silence past DeadAfter, or reconnect attempts exhausted. served
@@ -678,8 +681,9 @@ func (l *link) writer() {
 			if l.ackPending {
 				l.ackPending = false
 				l.unacked = 0
-				pl := codec.AppendUint64(nil, l.lastRecv)
-				l.wbuf = AppendFrame(l.wbuf, Frame{Kind: KindAck, Payload: pl})
+				var pl [8]byte
+				binary.LittleEndian.PutUint64(pl[:], l.lastRecv)
+				l.wbuf = AppendFrame(l.wbuf, Frame{Kind: KindAck, Payload: pl[:]})
 			}
 			if l.hbPending {
 				l.hbPending = false
@@ -740,8 +744,9 @@ func (l *link) ticker() {
 // parked calls, calls to the endpoint that serves them, data to OnFrame.
 func (l *link) reader(conn net.Conn, br *bufio.Reader, gen uint64) {
 	defer l.p.wg.Done()
+	var body []byte // data, ack and heartbeat bodies, reused frame to frame
 	for {
-		f, err := readFrame(br, l.p.cfg.MaxFrame, &l.p.wireIn)
+		f, err := readFrameInto(br, l.p.cfg.MaxFrame, &l.p.wireIn, &body)
 		if errors.Is(err, errFraming) {
 			// The peer would write the same frame again after a redial:
 			// fence the link instead, so admit refuses its re-Hello.
@@ -891,15 +896,36 @@ var errFraming = errors.New("frame breaks the framing")
 // anything is allocated for the body; the Payload aliases the body.
 // Framing errors wrap errFraming; a failed read returns its own error.
 func readFrame(br *bufio.Reader, maxFrame int, wireIn *atomic.Int64) (Frame, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+	return readFrameInto(br, maxFrame, wireIn, nil)
+}
+
+// readFrameInto is readFrame reading the body of a data, ack or
+// heartbeat frame into *scratch, grown as needed, when scratch is not
+// nil: no handler keeps those, so the Payload may alias a buffer the
+// next read overwrites. Calls, replies and handshakes get a body of
+// their own.
+func readFrameInto(br *bufio.Reader, maxFrame int, wireIn *atomic.Int64, scratch *[]byte) (Frame, error) {
+	hdr, err := br.Peek(4) // the length prefix, read in place
+	if err == io.EOF && len(hdr) > 0 {
+		err = io.ErrUnexpectedEOF
+	}
+	if err != nil {
 		return Frame{}, err
 	}
-	n := int(uint32(hdr[0]) | uint32(hdr[1])<<8 | uint32(hdr[2])<<16 | uint32(hdr[3])<<24)
+	n := int(binary.LittleEndian.Uint32(hdr))
 	if n < frameHeader || n > maxFrame {
 		return Frame{}, fmt.Errorf("transport: %w: length %d outside [%d, %d]", errFraming, n, frameHeader, maxFrame)
 	}
-	body := make([]byte, n)
+	br.Discard(4)
+	var body []byte
+	if k, err := br.Peek(1); err == nil && scratch != nil && (Kind(k[0]) == KindData || Kind(k[0]) == KindAck || Kind(k[0]) == KindHeartbeat) {
+		if cap(*scratch) < n {
+			*scratch = make([]byte, n)
+		}
+		body = (*scratch)[:n]
+	} else {
+		body = make([]byte, n)
+	}
 	if _, err := io.ReadFull(br, body); err != nil {
 		return Frame{}, err
 	}

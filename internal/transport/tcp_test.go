@@ -278,3 +278,55 @@ func TestFramingErrorFencesLink(t *testing.T) {
 		t.Fatal("Send on the fenced link succeeded")
 	}
 }
+
+// TestConcurrentSendsStayInOrder: senders sharing one link deliver every
+// frame once and each sender's frames in its send order, although the
+// receiving reader reads each data frame into the buffer of the last.
+func TestConcurrentSendsStayInOrder(t *testing.T) {
+	var cb collector
+	cfg := testConfig(cb.onFrame)
+	cfg.ListenAddr = "127.0.0.1:0"
+	b, err := Listen(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	cfg.ListenAddr, cfg.OnFrame = "", nil
+	a, err := Listen(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	if err := a.Dial(1, b.Addr(), nil, []int32{0}); err != nil {
+		t.Fatal(err)
+	}
+	const senders, n = 4, 300
+	var wg sync.WaitGroup
+	for s := 0; s < senders; s++ {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			for i := 0; i < n; i++ {
+				pl := codec.AppendUint32(codec.AppendUint32(nil, uint32(s)), uint32(i))
+				if err := a.Send(int32(s), 0, KindData, pl); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(s)
+	}
+	wg.Wait()
+	waitFor(t, 5*time.Second, "every frame", func() bool { return len(cb.snapshot()) == senders*n })
+	next := make([]uint32, senders)
+	for _, f := range cb.snapshot() {
+		r := codec.NewReader(f.Payload)
+		s, i := r.Uint32(), r.Uint32()
+		if s >= senders {
+			t.Fatalf("frame from sender %d of %d", s, senders)
+		}
+		if i != next[s] {
+			t.Fatalf("sender %d: frame %d arrived when %d was due", s, i, next[s])
+		}
+		next[s]++
+	}
+}
