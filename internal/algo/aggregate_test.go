@@ -50,7 +50,6 @@ func TestAggregateLaws(t *testing.T) {
 		agg  func(a, b float64) float64
 	}{
 		{"sssp.Job", sssp.Job(0).Aggregate},
-		{"sssp.RefJob", sssp.RefJob(0).Aggregate},
 		{"vcentric SSSPProgram", vcentric.Job(vcentric.SSSPProgram{}).Aggregate},
 		{"vcentric CCProgram", vcentric.Job(vcentric.CCProgram{}).Aggregate},
 	}
@@ -71,7 +70,6 @@ func TestAggregateLaws(t *testing.T) {
 		agg  func(a, b float64) float64
 	}{
 		{"pagerank.Job", pagerank.Job(pagerank.Config{}).Aggregate},
-		{"pagerank.RefJob", pagerank.RefJob(pagerank.Config{}).Aggregate},
 		{"vcentric PageRankProgram", vcentric.Job(vcentric.PageRankProgram{}).Aggregate},
 	}
 	for _, j := range sums {

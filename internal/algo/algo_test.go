@@ -190,7 +190,6 @@ func TestPageRankConfigFailsSafe(t *testing.T) {
 		"damping=NaN":  {Damping: math.NaN()},
 	} {
 		bitsEqualF64(t, name, peval(t, p, pagerank.Job(cfg)), want)
-		bitsEqualF64(t, name+"/ref", peval(t, p, pagerank.RefJob(cfg)), want)
 	}
 }
 

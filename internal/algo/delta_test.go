@@ -2,9 +2,9 @@ package algo_test
 
 // Differential tests of the bucketed SSSP kernel: at every bucket width
 // — tiny (near-Dijkstra ordering), +Inf (one bucket, the Bellman-Ford
-// frontier order), and the fragment's mean weight — it must match the
-// retained reference bit for bit, at the
-// program level and end to end through the simulator and the engine.
+// frontier order), and the fragment's mean weight — it must match
+// Dijkstra (ref.SSSP) bit for bit, at the program level and end to end
+// through the simulator and the engine.
 // Plus the contracts around it: the positive-weight precondition fails
 // fast, a snapshot taken mid-run resumes exactly, on a road-network
 // graph bucketing removes re-relaxations, and on a power-law graph it
@@ -17,6 +17,7 @@ import (
 	"strings"
 	"testing"
 
+	"aap/internal/algo/ref"
 	"aap/internal/algo/sssp"
 	"aap/internal/core"
 	"aap/internal/gen"
@@ -77,7 +78,7 @@ func twoComponents() *graph.Graph {
 }
 
 // TestSSSPDeltaKernelMatchesRef: program-level differential — the
-// bucketed kernel at every bucket width against sequential Dijkstra on
+// bucketed kernel at every bucket width against Dijkstra (ref.SSSP) on
 // one fragment.
 func TestSSSPDeltaKernelMatchesRef(t *testing.T) {
 	for name, g := range deltaGraphs() {
@@ -85,7 +86,7 @@ func TestSSSPDeltaKernelMatchesRef(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := peval(t, p, sssp.RefJob(0))
+		want := ref.SSSP(p.G, 0)
 		for _, d := range deltaWidths {
 			got := peval(t, p, sssp.JobConfig(sssp.Config{Delta: d}))
 			bitsEqualF64(t, fmt.Sprintf("sssp-delta/%s/delta=%s", name, deltaTag(d)), got, want)
@@ -115,7 +116,7 @@ func TestSSSPDeltaUnderSim(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := simValues(t, p, sssp.RefJob(0))
+			want := ref.SSSP(p.G, 0)
 			for _, d := range deltaWidths {
 				got := simValues(t, p, sssp.JobConfig(sssp.Config{Delta: d}))
 				bitsEqualF64(t, fmt.Sprintf("sim/sssp-delta/%s/m=%d/delta=%s", name, m, deltaTag(d)), got, want)
@@ -136,7 +137,7 @@ func TestSSSPDeltaUnderEngine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := simValues(t, p, sssp.RefJob(0))
+		want := ref.SSSP(p.G, 0)
 		for _, d := range []float64{0.05, 0, math.Inf(1)} {
 			res, err := core.Run(p, sssp.JobConfig(sssp.Config{Delta: d}), core.Options{Mode: core.AAP})
 			if err != nil {
@@ -196,7 +197,7 @@ func TestSSSPDeltaSnapshotResumesMidRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := simValues(t, p, sssp.RefJob(0))
+	want := ref.SSSP(p.G, 0)
 	job := sssp.Job(0)
 	build := func() ([]ssspKernel, []*core.Context[float64]) {
 		progs := make([]ssspKernel, p.M)
@@ -399,20 +400,35 @@ func TestSSSPDeltaFewerRelaxations(t *testing.T) {
 	}
 }
 
+// dijkstraScans is the edges Dijkstra from vertex 0 of g scans: the
+// out-edges of every vertex it reaches, once.
+func dijkstraScans(g *graph.Graph) int64 {
+	var n int64
+	for v, d := range ref.SSSP(g, 0) {
+		if !math.IsInf(d, 1) {
+			n += int64(len(g.Out(int32(v))))
+		}
+	}
+	return n
+}
+
 // TestSSSPDeltaOrderingCostsNoWork pins the other side, the reason no
 // rule reads the weights to choose a kernel: on a low-diameter
 // power-law graph, where there are no re-relaxations to remove,
 // bucketing by the mean weight (every taken vertex relaxes all its
 // edges, each time it is taken) must stay within 1.5x of Dijkstra's
-// one scan per reached vertex. It measures 1.12x; expanding a vertex a
-// second time at an unchanged distance (staging a taken slot again
-// before its expansion has begun) made it 1.39x.
+// one scan per reached vertex, pinned here. It measures 1.12x;
+// expanding a vertex a second time at an unchanged distance (staging a
+// taken slot again before its expansion has begun) made it 1.39x.
 func TestSSSPDeltaOrderingCostsNoWork(t *testing.T) {
 	p, err := partition.Build(gen.PowerLaw(20000, 8, 2.1, true, 67), 1, partition.Hash{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dijkstra := relaxations(t, p, sssp.RefJob(0))
+	dijkstra := dijkstraScans(p.G)
+	if dijkstra != 155773 {
+		t.Fatalf("Dijkstra scans %d edges, pinned 155773", dijkstra)
+	}
 	delta := relaxations(t, p, sssp.Job(0))
 	t.Logf("relaxations: dijkstra %d, mean-weight delta %d", dijkstra, delta)
 	if delta*2 > dijkstra*3 {

@@ -16,8 +16,8 @@
 // sweeps: the spectral radius of Gauss–Seidel is the square of
 // Jacobi's); a share for an F.O copy goes into the copy's delta, which
 // nothing reads before the flush. A round runs on one goroutine, so
-// every slot sees one addition sequence: Job is bit-identical to RefJob,
-// the plain-loop statement of the same rule.
+// every slot sees one addition sequence, and the differential tests pin
+// its output bits, work and rounds exactly.
 //
 // Every call converges coarse to fine, the accumulative iteration of
 // Maiter (Zhang et al., TPDS 2014): large deltas first, small ones once
@@ -76,20 +76,9 @@ func (c Config) withDefaults() Config {
 // Job builds the PageRank PIE job.
 func Job(cfg Config) core.Job[float64] {
 	cfg = cfg.withDefaults()
-	return job(func(f *partition.Fragment) core.Program[float64] { return newProgram(f, cfg) })
-}
-
-// RefJob builds the job over the sequential reference kernel only — the
-// pinned oracle of the differential tests.
-func RefJob(cfg Config) core.Job[float64] {
-	cfg = cfg.withDefaults()
-	return job(func(f *partition.Fragment) core.Program[float64] { return newRefProgram(f, cfg) })
-}
-
-func job(newProg func(*partition.Fragment) core.Program[float64]) core.Job[float64] {
 	return core.Job[float64]{
 		Name:      "pagerank",
-		New:       newProg,
+		New:       func(f *partition.Fragment) core.Program[float64] { return newProgram(f, cfg) },
 		Aggregate: func(a, b float64) float64 { return a + b },
 		Bytes:     func(float64) int { return 8 },
 		EncodeVal: codec.AppendFloat64,
@@ -243,7 +232,7 @@ const coarse = 1.0 / 32
 
 // threshold is a call's propagation threshold θ = max(Tol, coarse × top),
 // top being the largest delta the call starts with: a pure function of
-// the seed or the folded messages, so both kernels compute the same θ.
+// the seed or the folded messages.
 func threshold(top, tol float64) float64 { return max(tol, top*coarse) }
 
 // largest is the largest delta among an IncEval's folded messages.

@@ -4,7 +4,6 @@
 package ref
 
 import (
-	"container/heap"
 	"math"
 
 	"aap/internal/graph"
@@ -27,9 +26,9 @@ func SSSP(g *graph.Graph, source graph.VertexID) []float64 {
 		return dist
 	}
 	dist[s] = 0
-	pq := &distHeap{items: []distItem{{v: s, d: 0}}}
-	for pq.Len() > 0 {
-		it := heap.Pop(pq).(distItem)
+	pq := distHeap{items: []distItem{{v: s, d: 0}}}
+	for len(pq.items) > 0 {
+		it := pq.pop()
 		if it.d > dist[it.v] {
 			continue
 		}
@@ -41,7 +40,7 @@ func SSSP(g *graph.Graph, source graph.VertexID) []float64 {
 			}
 			if nd := it.d + w; nd < dist[u] {
 				dist[u] = nd
-				heap.Push(pq, distItem{v: u, d: nd})
+				pq.push(distItem{v: u, d: nd})
 			}
 		}
 	}
@@ -53,16 +52,44 @@ type distItem struct {
 	d float64
 }
 
+// distHeap is a monomorphic binary min-heap on distance. Unlike
+// container/heap it never boxes items through interface{}, so pushes on
+// the relaxation hot path do not allocate.
 type distHeap struct{ items []distItem }
 
-func (h *distHeap) Len() int           { return len(h.items) }
-func (h *distHeap) Less(i, j int) bool { return h.items[i].d < h.items[j].d }
-func (h *distHeap) Swap(i, j int)      { h.items[i], h.items[j] = h.items[j], h.items[i] }
-func (h *distHeap) Push(x interface{}) { h.items = append(h.items, x.(distItem)) }
-func (h *distHeap) Pop() interface{} {
-	it := h.items[len(h.items)-1]
-	h.items = h.items[:len(h.items)-1]
-	return it
+func (h *distHeap) push(it distItem) {
+	h.items = append(h.items, it)
+	i := len(h.items) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if h.items[parent].d <= h.items[i].d {
+			break
+		}
+		h.items[parent], h.items[i] = h.items[i], h.items[parent]
+		i = parent
+	}
+}
+
+func (h *distHeap) pop() distItem {
+	top := h.items[0]
+	last := len(h.items) - 1
+	h.items[0] = h.items[last]
+	h.items = h.items[:last]
+	for i := 0; ; {
+		l, r := 2*i+1, 2*i+2
+		small := i
+		if l < last && h.items[l].d < h.items[small].d {
+			small = l
+		}
+		if r < last && h.items[r].d < h.items[small].d {
+			small = r
+		}
+		if small == i {
+			return top
+		}
+		h.items[i], h.items[small] = h.items[small], h.items[i]
+		i = small
+	}
 }
 
 // CC computes connected components of the underlying undirected graph;

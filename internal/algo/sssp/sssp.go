@@ -6,12 +6,10 @@
 // min. The bucket width Delta is its one degree of freedom, from
 // Dijkstra order (tiny) to Bellman-Ford frontier order (+Inf).
 //
-// The retained reference (sssp_ref.go, RefJob) — Dijkstra as PEval and
-// Ramalingam-Reps incremental relaxation as IncEval — is the oracle of
-// the differential tests and nothing else. No fragment falls back to it
-// by size: the bucketed kernel runs PEval 1.6–3.7× faster than Dijkstra
-// on small fragments (40×40 road, 60×60 grid, 1k-vertex power-law), as
-// it does on large ones.
+// No fragment falls back to Dijkstra by size: the bucketed kernel runs
+// PEval 1.6–3.7× faster than Dijkstra (ref.SSSP) on small fragments
+// (40×40 road, 60×60 grid, 1k-vertex power-law), as it does on large
+// ones.
 //
 // There is no multi-source kernel: the serving path (internal/serve) runs
 // each distinct source of a batch as its own Job, because a sweep shared
@@ -26,14 +24,14 @@
 // (BenchmarkKernelSSSPDelta), so a dispersion heuristic has nothing
 // left to decide.
 //
-// The two kernels are bit-identical by construction: with positive weights
-// every candidate distance is the left-to-right sum along one path,
-// extending a path never lowers its sum, and min over that candidate set
-// is exact — so the fixpoint is unique and independent of relaxation
-// order. Bucketing changes only how much work reaching it wastes. The
-// differential tests in internal/algo pin this across bucket widths.
-// The positivity precondition the argument rests on is enforced by
-// ValidateWeights before any kernel runs.
+// With positive weights every candidate distance is the left-to-right
+// sum along one path, extending a path never lowers its sum, and min
+// over that candidate set is exact — so the fixpoint is unique and
+// independent of relaxation order, and the differential tests in
+// internal/algo compare the kernel with Dijkstra (ref.SSSP) bit for bit
+// across bucket widths. Bucketing changes only how much work reaching it
+// wastes. ValidateWeights enforces the positivity precondition before
+// any kernel runs.
 package sssp
 
 import (
@@ -86,14 +84,6 @@ func JobConfig(cfg Config) core.Job[float64] {
 		EncodeVal: codec.AppendFloat64,
 		DecodeVal: (*codec.Reader).Float64,
 	}
-}
-
-// RefJob builds the job over the retained sequential Dijkstra kernel —
-// the pinned oracle of the differential tests.
-func RefJob(source graph.VertexID) core.Job[float64] {
-	j := Job(source)
-	j.New = func(f *partition.Fragment) core.Program[float64] { return newRefProgram(f, source) }
-	return j
 }
 
 // ValidateWeights enforces the job's documented precondition: every

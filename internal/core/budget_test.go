@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"aap/internal/algo/ref"
 	"aap/internal/algo/sssp"
 	"aap/internal/core"
 	"aap/internal/gen"
@@ -125,17 +126,14 @@ func TestSessionFailedQueriesReturnSlots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := core.Run(p, sssp.RefJob(0), core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	dijkstra := ref.SSSP(p.G, 0)
 	s := core.NewSession(p)
 	ordinary := func() error {
 		res, err := core.Query(s, sssp.Job(0), core.Options{Deadline: 10 * time.Second})
 		if err != nil {
 			return err
 		}
-		for v, want := range ref.Values {
+		for v, want := range dijkstra {
 			if math.Float64bits(res.Values[v]) != math.Float64bits(want) {
 				return fmt.Errorf("vertex %d: %v, reference %v", v, res.Values[v], want)
 			}
@@ -208,10 +206,7 @@ func TestSessionLoopingTaskYields(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := core.Run(p, sssp.RefJob(0), core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	dijkstra := ref.SSSP(p.G, 0)
 	s := core.NewSession(p)
 	var stop atomic.Bool
 	looping := make(chan struct{})
@@ -243,7 +238,7 @@ func TestSessionLoopingTaskYields(t *testing.T) {
 	if err := <-errc; err != nil {
 		t.Fatalf("looping query: %v; the SSSP query should have finished while it looped", err)
 	}
-	for v, want := range ref.Values {
+	for v, want := range dijkstra {
 		if math.Float64bits(res.Values[v]) != math.Float64bits(want) {
 			t.Fatalf("vertex %d: %v, reference %v", v, res.Values[v], want)
 		}

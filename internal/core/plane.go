@@ -133,7 +133,7 @@ type wirePlane[T any] struct {
 // so the run fails.
 func (wp *wirePlane[T]) deliver(from, to int, epoch int32, msgs []VMsg[T]) {
 	e := wp.e
-	payload := e.job.appendMsgs(codec.AppendInt32(nil, epoch), msgs)
+	payload := e.job.dataPayload(epoch, msgs)
 	e.pool.put(msgs)
 	if err := wp.tp.Send(int32(from), int32(to), transport.KindData, payload); err != nil {
 		e.fail(fmt.Errorf("core: %s: batch %d→%d: %w", e.job.Name, from, to, err))

@@ -31,18 +31,30 @@ func (j *Job[T]) readMsg(r *codec.Reader) VMsg[T] {
 	return m
 }
 
-// appendMsgs encodes one batch onto dst, which it grows once for the
-// whole batch (every message sized like the first, by Job.valueBytes)
-// rather than by doubling its way up from a frame header.
-func (j *Job[T]) appendMsgs(dst []byte, msgs []VMsg[T]) []byte {
-	if len(msgs) > 0 {
-		dst = slices.Grow(dst, 4+len(msgs)*j.valueBytes(msgs[0].Val))
+// batchBytes sizes one batch on the wire, every message sized like the
+// first (by Job.valueBytes).
+func (j *Job[T]) batchBytes(msgs []VMsg[T]) int {
+	if len(msgs) == 0 {
+		return 4
 	}
+	return 4 + len(msgs)*j.valueBytes(msgs[0].Val)
+}
+
+// appendMsgs encodes one batch onto dst, which it grows once for the
+// whole batch rather than by doubling its way up from a frame header.
+func (j *Job[T]) appendMsgs(dst []byte, msgs []VMsg[T]) []byte {
+	dst = slices.Grow(dst, j.batchBytes(msgs))
 	dst = codec.AppendUint32(dst, uint32(len(msgs)))
 	for _, m := range msgs {
 		dst = j.appendMsg(dst, m)
 	}
 	return dst
+}
+
+// dataPayload encodes a KindData frame's payload — [epoch int32] then
+// the batch — into one buffer sized for both.
+func (j *Job[T]) dataPayload(epoch int32, msgs []VMsg[T]) []byte {
+	return j.appendMsgs(codec.AppendInt32(make([]byte, 0, 4+j.batchBytes(msgs)), epoch), msgs)
 }
 
 // readMsgs decodes one batch from r, appending its messages to dst.

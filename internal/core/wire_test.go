@@ -104,10 +104,11 @@ func FuzzReadMsgs(f *testing.F) {
 }
 
 // TestDataFrameRoundTripAllocs pins what a steady-state batch costs the
-// heap on its way over the batch link: the sender's payload and the
-// receiver's codec reader, and nothing else — the reader reads the frame
-// into its reused buffer, the batch decodes into a pooled slice and the
-// ack is built without a buffer of its own.
+// heap on its way over the batch link: the sender's payload, one buffer
+// sized for the epoch and the batch together, and the receiver's codec
+// reader, and nothing else — the reader reads the frame into its reused
+// buffer, the batch decodes into a pooled slice and the ack is built
+// without a buffer of its own.
 func TestDataFrameRoundTripAllocs(t *testing.T) {
 	free := make(chan []VMsg[float64], 1)
 	got := make(chan []VMsg[float64], 1)
@@ -132,7 +133,7 @@ func TestDataFrameRoundTripAllocs(t *testing.T) {
 	for i := range batch {
 		batch[i] = VMsg[float64]{V: int32(i), Val: float64(i) / 7}
 	}
-	encode := func() []byte { return float64Job.appendMsgs(codec.AppendInt32(nil, 1), batch) }
+	encode := func() []byte { return float64Job.dataPayload(1, batch) }
 	trip := func() {
 		if err := tp.Send(0, 0, transport.KindData, encode()); err != nil {
 			panic(err)
@@ -146,8 +147,10 @@ func TestDataFrameRoundTripAllocs(t *testing.T) {
 	for i := 0; i < 500; i++ { // until the queues and buffers stop growing
 		trip()
 	}
-	payload := testing.AllocsPerRun(100, func() { encode() })
-	if n := testing.AllocsPerRun(2000, trip); n != payload+1 {
-		t.Fatalf("a steady-state data frame round trip allocates %v times, want %v: the payload's %v and one reader", n, payload+1, payload)
+	if n := testing.AllocsPerRun(100, func() { encode() }); n != 1 {
+		t.Fatalf("a data payload allocates %v times, want 1", n)
+	}
+	if n := testing.AllocsPerRun(2000, trip); n != 2 {
+		t.Fatalf("a steady-state data frame round trip allocates %v times, want 2: the payload and one reader", n)
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"aap/internal/algo/cf"
+	"aap/internal/algo/ref"
 	"aap/internal/algo/sssp"
 	"aap/internal/codec"
 	"aap/internal/core"
@@ -495,7 +496,7 @@ func TestRPCCloseDrains(t *testing.T) {
 	if a.err != nil {
 		t.Fatalf("the call in flight when Close began: %v", a.err)
 	}
-	sameBits(t, "the call in flight when Close began", a.dist, refSSSP(t, p, 3))
+	sameBits(t, "the call in flight when Close began", a.dist, ref.SSSP(p.G, 3))
 	if err := <-closed; err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,7 @@ import (
 	"time"
 
 	"aap/internal/algo/cf"
-	"aap/internal/algo/sssp"
+	"aap/internal/algo/ref"
 	"aap/internal/core"
 	"aap/internal/gen"
 	"aap/internal/graph"
@@ -81,16 +81,6 @@ func sameBits(t *testing.T, what string, got, want []float64) {
 	}
 }
 
-// refSSSP is the sequential reference answer for src.
-func refSSSP(t *testing.T, p *partition.Partitioned, src graph.VertexID) []float64 {
-	t.Helper()
-	res, err := core.Run(p, sssp.RefJob(src), core.Options{Mode: core.AAP})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res.Values
-}
-
 // TestServedSSSPMatchesDedicatedRuns: eight concurrent SSSP queries, two
 // of them sources asked twice, queue while the test holds every permit,
 // so each duplicate joins its source's queued run. Every reply is
@@ -132,7 +122,7 @@ func TestServedSSSPMatchesDedicatedRuns(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatal(errs[i])
 		}
-		sameBits(t, fmt.Sprintf("query %d (source %d)", i, src), got[i], refSSSP(t, p, src))
+		sameBits(t, fmt.Sprintf("query %d (source %d)", i, src), got[i], ref.SSSP(p.G, src))
 		if stats[i].BatchSize != asked[src] || stats[i].QueueWaitSeconds < 0 {
 			t.Fatalf("query %d (source %d, asked %d times): BatchSize %d, queue wait %v",
 				i, src, asked[src], stats[i].BatchSize, stats[i].QueueWaitSeconds)
@@ -207,7 +197,7 @@ func TestSSSPRespectsInflightCap(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatal(errs[i])
 		}
-		sameBits(t, fmt.Sprintf("source %d", src), got[i], refSSSP(t, p, src))
+		sameBits(t, fmt.Sprintf("source %d", src), got[i], ref.SSSP(p.G, src))
 	}
 	if maxActive > 1 {
 		t.Fatalf("sampled %d engine runs active at once under WithMaxInflight(1)", maxActive)
@@ -230,7 +220,7 @@ func TestLoneSSSPQueryRunsAlone(t *testing.T) {
 	if st.BatchSize != 1 {
 		t.Fatalf("BatchSize = %d, want 1", st.BatchSize)
 	}
-	sameBits(t, "source 0", dist, refSSSP(t, p, 0))
+	sameBits(t, "source 0", dist, ref.SSSP(p.G, 0))
 	if s := srv.Stats(); s.Shared != 0 || s.MaxBatch != 1 || s.Admitted != 1 {
 		t.Fatalf("counters after one lone query: %+v", s)
 	}
@@ -267,7 +257,7 @@ func TestSSSPAfterHandOutStartsFreshRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameBits(t, "source 7 after the hand-out", dist, refSSSP(t, p, 7))
+	sameBits(t, "source 7 after the hand-out", dist, ref.SSSP(p.G, 7))
 	after := srv.Stats()
 	if st.BatchSize != 1 || after.Admitted != before.Admitted+1 || after.Shared != before.Shared {
 		t.Fatalf("query after the hand-out: BatchSize %d, counters %+v (before %+v)", st.BatchSize, after, before)
